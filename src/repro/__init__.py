@@ -43,7 +43,6 @@ from repro.core import BatchPlanner, OnePhaseCommitProtocol
 from repro.mds import Client, Cluster, MDSServer
 from repro.obs import MetricsRegistry, Observability, Span, SpanCollector
 from repro.protocols import (
-    PROTOCOLS,
     EarlyPrepareProtocol,
     PresumeCommitProtocol,
     PresumeNothingProtocol,
@@ -73,7 +72,6 @@ def metrics(cluster: Cluster) -> dict:
 
 
 __all__ = [
-    "PROTOCOLS",
     "BatchPlanner",
     "Client",
     "Cluster",

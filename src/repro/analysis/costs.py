@@ -2,7 +2,7 @@
 
 The analytical rows are transcribed from the paper.  The measured rows
 are folded from the *transaction span* of one distributed CREATE
-(:func:`fold_span_costs` — typed events, not trace-string grepping):
+(:func:`fold_span_costs` — the trace records on the span and its legs):
 
 * *total* synchronous / asynchronous log writes: count of forced / lazy
   appends attached to the span;
@@ -25,21 +25,12 @@ protocols; ``benchmarks/bench_table1.py`` renders both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.obs.span import PROTOCOL_MSG_KINDS, EventKind, Span
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
+from repro.obs.span import PROTOCOL_MSG_KINDS, Span
 
 #: Messages a distributed namespace operation needs with no ACP at all
 #: (ship the updates, hear back).
 BASE_MESSAGES = 2
-
-#: Wire kinds that belong to the commit protocol (client traffic and
-#: heartbeats excluded).  Re-exported alias; the canonical set lives in
-#: :mod:`repro.obs`.
-_PROTOCOL_KINDS = PROTOCOL_MSG_KINDS
 
 
 @dataclass(frozen=True)
@@ -91,7 +82,7 @@ def fold_span_costs(root: Span, workers: int = 1) -> CostRow:
     the transaction — on any node — is accounted.
     """
     events = sorted(root.iter_events(), key=lambda e: e.time)
-    reply_times = [e.time for e in events if e.kind == EventKind.CLIENT_REPLY]
+    reply_times = [e.time for e in events if e.category == "client_reply"]
     if not reply_times:
         raise ValueError(f"span of txn {root.txn_id} has no client_reply event")
     reply_time = reply_times[0]
@@ -104,12 +95,12 @@ def fold_span_costs(root: Span, workers: int = 1) -> CostRow:
     durables: dict[tuple[str, str, bool], float] = {}
     sends = []
     for event in events:
-        if event.kind == EventKind.WAL_APPEND:
+        if event.category == "log_append":
             target = sync_groups if event.get("sync") else async_groups
             target.setdefault((event.actor, event.time), []).append(event)
-        elif event.kind == EventKind.WAL_DURABLE:
+        elif event.category == "log_durable":
             durables[(event.actor, event.get("kind"), bool(event.get("sync")))] = event.time
-        elif event.kind == EventKind.MSG_SEND and event.get("kind") in PROTOCOL_MSG_KINDS:
+        elif event.category == "msg_send" and event.get("kind") in PROTOCOL_MSG_KINDS:
             sends.append(event)
 
     sync_total = len(sync_groups)

@@ -91,25 +91,33 @@ def committed_plans_in_commit_order(
 def precedence_graph(trace: "TraceLog") -> "list[tuple[object, object]]":
     """Conflict-precedence edges from the lock-grant trace.
 
-    For every lockable object, transactions touch it in grant order;
-    each consecutive pair contributes an edge ``earlier -> later``.
-    Strict 2PL guarantees the union over all objects is acyclic — the
-    textbook conflict-serializability criterion —
-    :func:`assert_conflict_serializable` checks it.
+    For every lockable object of a lock manager, transactions touch it
+    in grant order; each consecutive pair contributes an edge
+    ``earlier -> later``.  Strict 2PL guarantees the union over all
+    objects is acyclic — the textbook conflict-serializability
+    criterion — :func:`assert_conflict_serializable` checks it.
+
+    A node's lock table is volatile, so its ``crash`` record cuts every
+    grant chain of its manager (``locks:<node>``): recovery re-acquires
+    locks for the transactions it redoes, in an order of its own, and
+    chaining those onto pre-crash grants would report a cycle between
+    transactions that never held conflicting locks at the same time.
     """
-    per_object: dict[str, list] = {}
-    for rec in trace.records:
-        if rec.category != "lock_grant":
-            continue
-        txn = rec.get("txn")
-        if not isinstance(txn, int):
-            continue  # stat readers and other non-transaction lockers
-        per_object.setdefault(str(rec.get("obj")), []).append(txn)
+    last_grant: dict[str, dict[str, int]] = {}
     edges: list[tuple[object, object]] = []
-    for grants in per_object.values():
-        for earlier, later in zip(grants, grants[1:]):
-            if earlier != later:
-                edges.append((earlier, later))
+    for rec in trace.records:
+        if rec.category == "crash":
+            last_grant.pop(f"locks:{rec.actor}", None)
+        elif rec.category == "lock_grant":
+            txn = rec.get("txn")
+            if not isinstance(txn, int):
+                continue  # stat readers and other non-transaction lockers
+            granted = last_grant.setdefault(rec.actor, {})
+            obj = str(rec.get("obj"))
+            earlier = granted.get(obj)
+            if earlier is not None and earlier != txn:
+                edges.append((earlier, txn))
+            granted[obj] = txn
     return edges
 
 

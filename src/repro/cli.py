@@ -569,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["spans", "chrome", "records"],
         default="spans",
         help="spans = JSONL span dump, chrome = trace_event JSON "
-        "(Perfetto), records = legacy flat trace log",
+        "(Perfetto), records = the flat trace every span event comes from",
     )
     p.add_argument("--out", default="trace.jsonl")
     p.set_defaults(func=_cmd_trace)

@@ -14,7 +14,7 @@
   failure resolution the generalisation requires).
 
 Importing this package registers the protocols under the names
-``"1PC"`` and ``"1PC-N"`` in :data:`repro.protocols.PROTOCOLS`.
+``"1PC"`` and ``"1PC-N"`` in :mod:`repro.protocols.registry`.
 """
 
 from repro.core.batching import BatchPlanner

@@ -214,7 +214,7 @@ class FaultPlan:
         def fire() -> None:
             if not fault.fired:
                 fault.fired = True
-                cluster.trace.emit("fault", "injector", fault=fault.describe())
+                cluster.obs.annotate("fault", "injector", fault=fault.describe())
                 fault.apply(cluster)
 
         return fire
@@ -229,7 +229,7 @@ class FaultPlan:
                 assert fault.when is not None
                 if fault.when(cluster.trace):
                     fault.fired = True
-                    cluster.trace.emit("fault", "injector", fault=fault.describe())
+                    cluster.obs.annotate("fault", "injector", fault=fault.describe())
                     fault.apply(cluster)
                     pending.remove(fault)
 

@@ -18,9 +18,6 @@ zero-new-findings CI gate:
   tests; every remote-log read must be fence-dominated in its own
   file (FENCE002), and — interprocedurally — every call into a helper
   that reaches a read must be fence-dominated too (FENCE003).
-* **API** — no use of the removed positional ``Cluster``/``Client``
-  signatures or the ``trace_enabled=`` spelling (both are a
-  ``TypeError`` at runtime).
 * **OBS** — instrumentation hooks early-out on ``enabled`` before any
   other work, keeping tracing near-zero-cost when off.
 * **PROTO** — registry conformance, for every engine in

@@ -2,7 +2,7 @@
 
 PR 3's analyzer is strictly per-file: every rule sees one
 :class:`~repro.lint.context.FileContext` at a time.  That is enough
-for the determinism and API rules, but the paper's §III fencing
+for the determinism rules, but the paper's §III fencing
 discipline and the plug-in registry's record-vocabulary contract are
 *interprocedural* properties — a ``fence()`` or a
 ``read_remote_log()`` hidden in a helper, or a log append buried three

@@ -6,7 +6,6 @@ Importing this package registers every rule with the registry.
 from __future__ import annotations
 
 from repro.lint.rules import (  # noqa: F401
-    api,
     cache,
     det,
     fence,

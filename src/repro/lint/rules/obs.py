@@ -3,8 +3,8 @@
 PR 2's contract (docs/observability.md, and the CI smoke bench that
 gates it): with the hub disabled, tracing costs near zero.  That only
 holds if every public hook checks ``enabled`` *before* doing any other
-work — in particular before formatting strings or building attribute
-dictionaries for the sinks.
+work — in particular before formatting strings or building the detail
+dictionary it hands to the hub's single ``_emit``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,12 @@ from repro.lint.context import FileContext, body_statements, walk_own
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
-#: The sink attributes whose use marks a method as an emitting hook.
-_SINKS = frozenset({"trace", "spans", "metrics"})
+#: The hub's one write path; a public method calling it is a hook.
+_EMIT = frozenset({"_emit"})
+
+#: The stream and its two views: reaching through one of these (span
+#: lifecycle hooks do) marks a method as a hook too.
+_VIEWS = frozenset({"trace", "spans", "metrics"})
 
 _FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -33,16 +37,22 @@ def _is_exempt(fn: _FuncDef) -> bool:
     return False
 
 
-def _touches_sink(fn: _FuncDef) -> bool:
-    """Whether the method reads through ``self.trace/spans/metrics``."""
+def _is_self_attr(node: ast.AST, names: frozenset[str]) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr in names
+    )
+
+
+def _reaches_emit(fn: _FuncDef) -> bool:
+    """Whether the method calls ``self._emit`` or reads through
+    ``self.trace/spans/metrics``."""
     for node in walk_own(fn):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Attribute)
-            and isinstance(node.value.value, ast.Name)
-            and node.value.value.id == "self"
-            and node.value.attr in _SINKS
-        ):
+        if _is_self_attr(node, _EMIT):
+            return True
+        if isinstance(node, ast.Attribute) and _is_self_attr(node.value, _VIEWS):
             return True
     return False
 
@@ -71,13 +81,13 @@ class EnabledGuardRule(Rule):
         "def on_send(self, msg):\n"
         "    if not self.enabled:\n"
         "        return\n"
-        "    self.trace.emit(...)"
+        '    self._emit("msg_send", msg.src, {"dst": msg.dst})'
     )
     bad_example = (
         "def on_send(self, msg):\n"
-        '    label = f"{msg.src}->{msg.dst}"  # paid even when disabled\n'
+        '    detail = {"dst": msg.dst}  # paid even when disabled\n'
         "    if self.enabled:\n"
-        "        self.trace.emit(label)"
+        '        self._emit("msg_send", msg.src, detail)'
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -89,7 +99,7 @@ class EnabledGuardRule(Rule):
             for fn in klass.body:
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                if _is_exempt(fn) or not _touches_sink(fn):
+                if _is_exempt(fn) or not _reaches_emit(fn):
                     continue
                 body = body_statements(fn)
                 if body and _is_enabled_guard(body[0]):
@@ -97,6 +107,6 @@ class EnabledGuardRule(Rule):
                 yield ctx.finding(
                     fn,
                     self.id,
-                    f"hook {klass.name}.{fn.name} touches a sink without an "
+                    f"hook {klass.name}.{fn.name} reaches the emit without an "
                     "`enabled` early-out as its first statement",
                 )

@@ -6,7 +6,7 @@ from collections import deque
 from enum import Enum
 from typing import TYPE_CHECKING, Generator, Hashable, Optional
 
-from repro.sim import AnyOf, Event, Simulator, TraceLog
+from repro.sim import AnyOf, Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.hub import Observability
@@ -68,15 +68,13 @@ class LockManager:
         self,
         sim: Simulator,
         name: str = "lockmgr",
-        trace: TraceLog | None = None,
         obs: "Observability | None" = None,
     ):
         from repro.obs.hub import Observability
 
         self.sim = sim
         self.name = name
-        self.obs = Observability.adopt(sim, obs, trace)
-        self.trace = self.obs.trace
+        self.obs = obs if obs is not None else Observability(sim, enabled=False)
         self._table: dict[Hashable, _LockEntry] = {}
 
     # -- introspection ----------------------------------------------------------

@@ -36,7 +36,7 @@ class Client:
     """A file-system client issuing namespace operations.
 
     ``name`` is keyword-only; positional spellings are a
-    :class:`TypeError` (and flagged statically by lint rule API002).
+    :class:`TypeError`.
     """
 
     def __init__(self, cluster: "Cluster", *, name: Optional[str] = None):

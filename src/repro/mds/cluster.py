@@ -19,8 +19,7 @@ Typical use::
     assert cluster.check_invariants() == []
 
 Constructor arguments are keyword-only; positional spellings (and the
-pre-redesign ``trace_enabled=`` name) are a :class:`TypeError`, and
-lint rule API001 flags them statically.
+pre-redesign ``trace_enabled=`` name) are a :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.mds.replica import BackupReplica
 from repro.mds.server import MDSServer
 from repro.net import Network
 from repro.obs import Observability
-from repro.protocols import PROTOCOLS
 from repro.protocols.base import TxnOutcome
 from repro.protocols.registry import (
     CAP_LOGLESS,
@@ -79,8 +77,10 @@ class Cluster:
         sim: Optional[Simulator] = None,
         outcome_sink: Optional[Callable[[TxnOutcome], None]] = None,
     ):
-        if protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}; have {sorted(PROTOCOLS)}")
+        try:
+            spec = get_spec(protocol)
+        except KeyError as exc:  # names the registered protocols
+            raise ValueError(exc.args[0]) from None
         if fencing not in FENCING_DRIVERS:
             raise ValueError(f"unknown fencing driver {fencing!r}; have {FENCING_DRIVERS}")
         self.protocol_name = protocol
@@ -95,7 +95,7 @@ class Cluster:
         #: instead of accumulating on the ``outcomes`` list — the
         #: bounded-memory path for million-transaction workloads.
         self.outcome_sink = outcome_sink
-        #: The observability hub: legacy trace log + spans + metrics.
+        #: The observability hub: the trace plus its span and metric views.
         self.obs = Observability(self.sim, enabled=trace)
         self.trace = self.obs.trace
         self.rng = RngRegistry(self.params.seed)
@@ -107,7 +107,6 @@ class Cluster:
         # devices.  The device *model* is identical either way (see
         # StorageParams); shared storage additionally allows remote
         # log reads.
-        spec = get_spec(protocol)
         self.storage = SharedStorage(
             self.sim,
             self.params.storage,
@@ -121,20 +120,22 @@ class Cluster:
         )
         self.fencing_driver = self._make_fencing_driver(fencing)
 
-        protocol_cls = PROTOCOLS[protocol]
-        fallback_cls = None
+        protocol_cls = spec.engine
+        fallback_spec = None
         if protocol_cls.max_workers is not None and fallback:
-            if fallback not in PROTOCOLS:
-                raise ValueError(f"unknown fallback protocol {fallback!r}")
-            fallback_cls = PROTOCOLS[fallback]
+            try:
+                fallback_spec = get_spec(fallback)
+            except KeyError:
+                raise ValueError(f"unknown fallback protocol {fallback!r}") from None
+        fallback_cls = fallback_spec.engine if fallback_spec is not None else None
 
         # Protocol-declared infrastructure: acceptor processes for
         # Paxos Commit, backup replicas for the logless 1PC.  The
         # fallback's needs are honoured too (it runs on the same
         # cluster).
         caps = set(spec.capabilities)
-        if fallback_cls is not None:
-            caps |= set(get_spec(fallback).capabilities)
+        if fallback_spec is not None:
+            caps |= set(fallback_spec.capabilities)
         self.acceptors: dict[str, AcceptorNode] = {}
         if CAP_NEEDS_ACCEPTORS in caps:
             for i in range(1, getattr(protocol_cls, "n_acceptors", 3) + 1):

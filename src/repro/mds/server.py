@@ -50,7 +50,6 @@ class MDSServer:
         self.name = name
         self.params = cluster.params
         self.obs = cluster.obs
-        self.trace = cluster.trace
         self.endpoint = cluster.network.attach(name)
         self.wal = cluster.storage.provision(name)
         self.locks = LockManager(self.sim, name=f"locks:{name}", obs=self.obs)

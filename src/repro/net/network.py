@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.config import NetworkParams
 from repro.net.endpoint import Endpoint
 from repro.net.message import Message
-from repro.sim import RngRegistry, Simulator, TraceLog
+from repro.sim import RngRegistry, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.hub import Observability
@@ -35,7 +35,6 @@ class Network:
         self,
         sim: Simulator,
         params: NetworkParams | None = None,
-        trace: TraceLog | None = None,
         rng: RngRegistry | None = None,
         obs: "Observability | None" = None,
     ):
@@ -43,8 +42,7 @@ class Network:
 
         self.sim = sim
         self.params = params or NetworkParams()
-        self.obs = Observability.adopt(sim, obs, trace)
-        self.trace = self.obs.trace
+        self.obs = obs if obs is not None else Observability(sim, enabled=False)
         self.rng = rng or RngRegistry(0)
         self._endpoints: dict[str, Endpoint] = {}
         #: Current partition groups as sorted tuples (any iteration over
@@ -105,25 +103,25 @@ class Network:
             seen.update(group)
         rest = tuple(sorted(n for n in self._endpoints if n not in seen))
         self._groups = named + ([rest] if rest else [])
-        self.trace.emit("net_partition", "network", groups=[list(g) for g in self._groups])
+        self.obs.annotate("net_partition", "network", groups=[list(g) for g in self._groups])
 
     def heal_partition(self) -> None:
         """Restore full connectivity."""
         self._groups = []
-        self.trace.emit("net_heal", "network")
+        self.obs.annotate("net_heal", "network")
 
     def fail_link(self, a: str, b: str, bidirectional: bool = True) -> None:
         """Administratively fail the a->b link (and b->a by default)."""
         self._down_links.add((a, b))
         if bidirectional:
             self._down_links.add((b, a))
-        self.trace.emit("link_fail", "network", a=a, b=b)
+        self.obs.annotate("link_fail", "network", a=a, b=b)
 
     def restore_link(self, a: str, b: str) -> None:
         """Restore a previously failed link in both directions."""
         self._down_links.discard((a, b))
         self._down_links.discard((b, a))
-        self.trace.emit("link_restore", "network", a=a, b=b)
+        self.obs.annotate("link_restore", "network", a=a, b=b)
 
     def connected(self, a: str, b: str) -> bool:
         """Whether a message from ``a`` can currently reach ``b``."""

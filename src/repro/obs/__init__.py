@@ -1,8 +1,10 @@
 """repro.obs — transaction-span observability.
 
-The structured instrumentation layer of the simulator: per-transaction
-spans with typed events, a metrics registry, and exporters (JSONL +
-Chrome ``trace_event`` for Perfetto).  See ``docs/observability.md``.
+The instrumentation layer of the simulator: one hub that appends every
+observation to the cluster's trace once and derives per-transaction
+spans and a metrics registry from the same records, plus exporters
+(JSONL + Chrome ``trace_event`` for Perfetto).  See
+``docs/observability.md``.
 
 Most code interacts with this package through the
 :class:`Observability` hub a :class:`~repro.mds.cluster.Cluster` owns
@@ -18,10 +20,8 @@ from repro.obs.span import (
     PROTOCOL_MSG_KINDS,
     UNCLOSED,
     WORKER,
-    EventKind,
     Span,
     SpanCollector,
-    SpanEvent,
 )
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.hub import Observability
@@ -40,10 +40,8 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "EventKind",
     "Span",
     "SpanCollector",
-    "SpanEvent",
     "COORDINATOR",
     "WORKER",
     "OPEN",

@@ -8,7 +8,13 @@ Two on-disk formats:
 * **Chrome trace_event JSON** — the format Perfetto and
   ``chrome://tracing`` open directly.  Each MDS node becomes a
   *process*, each transaction a *thread* inside it; a span renders as a
-  complete ("X") event and its typed events as instants ("i").
+  complete ("X") event and its trace records as instants ("i").
+
+In both, an event's ``kind`` / ``name`` is the trace record's category
+and its ``attrs`` / ``args`` are the record's detail; the writers
+stringify non-JSON values (a lock record's ``ObjectId``) as the flat
+trace dump does, so serialise a document built by hand with
+``json.dumps(doc, default=str)``.
 
 Simulated time is in seconds; trace_event timestamps are microseconds,
 hence the ``* 1e6`` scaling throughout.
@@ -19,7 +25,8 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Optional, TextIO
 
-from repro.obs.span import Span, SpanCollector, SpanEvent
+from repro.obs.span import Span, SpanCollector
+from repro.sim.monitor import TraceRecord
 
 _US = 1e6  # simulated seconds -> trace_event microseconds
 
@@ -44,7 +51,7 @@ def span_to_dict(span: Span) -> dict[str, Any]:
         "status": span.status,
         "attrs": span.attrs,
         "events": [
-            {"t": e.time, "kind": e.kind, "actor": e.actor, "attrs": e.attrs}
+            {"t": e.time, "kind": e.category, "actor": e.actor, "attrs": e.detail}
             for e in span.events
         ],
         "children": [child.span_id for child in span.children],
@@ -55,7 +62,7 @@ def dump_spans(spans: Iterable[Span], fp: TextIO) -> int:
     """Write spans as JSONL; returns the number written."""
     n = 0
     for span in spans:
-        fp.write(json.dumps(span_to_dict(span), sort_keys=True) + "\n")
+        fp.write(json.dumps(span_to_dict(span), sort_keys=True, default=str) + "\n")
         n += 1
     return n
 
@@ -96,16 +103,16 @@ def _span_complete_event(span: Span, pid: int) -> dict[str, Any]:
     }
 
 
-def _instant_event(event: SpanEvent, pid: int, tid: int) -> dict[str, Any]:
+def _instant_event(event: TraceRecord, pid: int, tid: int) -> dict[str, Any]:
     return {
-        "name": event.kind,
-        "cat": event.kind,
+        "name": event.category,
+        "cat": event.category,
         "ph": "i",
         "s": "t",  # thread-scoped instant
         "pid": pid,
         "tid": tid,
         "ts": event.time * _US,
-        "args": dict(event.attrs),
+        "args": dict(event.detail),
     }
 
 
@@ -117,7 +124,7 @@ def chrome_trace(
     Layout: pid = MDS node, tid = transaction id, so Perfetto shows one
     track per node with that node's transaction legs stacked inside it.
     """
-    spans = list(collector.spans)
+    spans = list(collector)
     pids = _pid_map(spans)
     events: list[dict[str, Any]] = []
     for actor, pid in pids.items():
@@ -214,6 +221,6 @@ def write_chrome_trace(
 ) -> dict[str, Any]:
     """Render + write a Chrome trace; returns the document."""
     doc = chrome_trace(collector, protocol=protocol)
-    json.dump(doc, fp, indent=indent, sort_keys=True)
+    json.dump(doc, fp, indent=indent, sort_keys=True, default=str)
     fp.write("\n")
     return doc

@@ -1,20 +1,22 @@
 """The observability hub: one object every subsystem reports into.
 
-:class:`Observability` bundles the three sinks of the instrumentation
-API:
+:class:`Observability` owns the cluster's event stream and the two
+views derived from it:
 
-* the legacy :class:`~repro.sim.monitor.TraceLog` (flat, queryable
-  records — kept byte-compatible so golden traces and existing
-  analyses are unaffected);
-* the :class:`~repro.obs.span.SpanCollector` (typed per-transaction
-  spans — what the Table-I accounting and the exporters fold);
-* the :class:`~repro.obs.metrics.MetricsRegistry` (counters and
-  simulated-time histograms).
+* ``trace`` — the :class:`~repro.sim.monitor.TraceLog`, an append-only
+  list of :class:`~repro.sim.monitor.TraceRecord` (what golden traces,
+  fault triggers and the utilisation folds read);
+* ``spans`` — the :class:`~repro.obs.span.SpanCollector`, which groups
+  *the same record objects* by transaction leg (what the Table-I
+  accounting and the exporters fold);
+* ``metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry`
+  (counters bumped per record category, simulated-time histograms).
 
 Subsystems call the typed hooks below (``msg_send``, ``log_append``,
-``lock_grant``, ``txn_start``...) instead of writing trace strings;
-each hook fans out to all three sinks.  Every hook early-outs when the
-hub is disabled, so tracing is toggleable with near-zero cost.
+``lock_grant``, ``txn_start``...) instead of writing trace strings.
+Every hook early-outs when the hub is disabled, then makes one call to
+:meth:`Observability._emit`, which allocates the record once and feeds
+all three.
 """
 
 from __future__ import annotations
@@ -27,91 +29,92 @@ from repro.obs.span import (
     WORKER,
     ABORTED,
     COMMITTED,
-    EventKind,
     Span,
     SpanCollector,
-    SpanEvent,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.monitor import TraceLog
+from repro.sim.monitor import TraceLog, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 
+#: Record category -> the counter each such record bumps.  The two
+#: categories that split on a boolean are keyed ``(category, flag)``.
+_COUNTERS: dict[Any, str] = {
+    "txn_start": "txn.started",
+    ("txn_done", True): "txn.committed",
+    ("txn_done", False): "txn.aborted",
+    "fallback_protocol": "txn.fallback",
+    "msg_send": "net.sent",
+    "msg_recv": "net.received",
+    "msg_drop": "net.dropped",
+    ("log_append", True): "wal.forced_appends",
+    ("log_append", False): "wal.lazy_appends",
+    "log_crash": "wal.crashes",
+    "log_gc": "wal.gc_records",
+    "lock_grant": "locks.granted",
+    "lock_wait": "locks.waits",
+    "lock_timeout": "locks.timeouts",
+    "crash": "node.crashes",
+    "fence": "fencing.fences",
+}
+
+
+def _lock_leg(manager: str, txn: Any) -> Optional[str]:
+    """The node whose leg of ``txn`` owns a record of lock manager
+    ``locks:<node>``; locks of non-transaction owners stay off the spans."""
+    return manager.removeprefix("locks:") if isinstance(txn, int) else None
+
+
 class Observability:
     """Injected instrumentation hub (see module docstring)."""
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        enabled: bool = True,
-        trace: Optional[TraceLog] = None,
-        spans: Optional[SpanCollector] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, sim: "Simulator", enabled: bool = True) -> None:
         self.sim = sim
-        self.trace = trace if trace is not None else TraceLog(sim, enabled=enabled)
-        self.spans = spans if spans is not None else SpanCollector(sim, enabled=enabled)
-        self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=enabled)
+        #: The one switch: a disabled hub appends nothing, opens no span
+        #: and counts nothing.
+        self.enabled = enabled
+        self.trace = TraceLog(sim, enabled=enabled)
+        self.spans = SpanCollector(sim)
+        self.metrics = MetricsRegistry()
         #: (lock-manager name, txn, obj) -> grant time, for hold-time
         #: histograms.
         self._lock_grants: dict[tuple[str, Any, Any], float] = {}
 
-    # -- construction helpers ----------------------------------------------
+    # -- the single write path ------------------------------------------------
 
-    @classmethod
-    def disabled(cls, sim: "Simulator") -> "Observability":
-        return cls(sim, enabled=False)
+    def _emit(
+        self,
+        category: str,
+        actor: str,
+        detail: dict[str, Any],
+        node: Optional[str] = None,
+        split: Optional[bool] = None,
+        amount: float = 1.0,
+    ) -> None:
+        """Allocate one record and feed the stream, its span and its counter.
 
-    @classmethod
-    def adopt(
-        cls, sim: "Simulator", obs: Optional["Observability"], trace: Optional[TraceLog]
-    ) -> "Observability":
-        """Normalise a component's ``(obs, trace)`` constructor pair.
-
-        Components historically took a ``trace: TraceLog`` argument;
-        they now prefer a full hub.  ``adopt`` keeps both spellings
-        working: an explicit hub wins, a bare trace is wrapped (legacy
-        records still flow, spans/metrics off), neither yields a
-        disabled hub.
+        ``node`` names the span leg of ``detail["txn"]`` that owns the
+        record (``None`` keeps it off the spans); ``split`` selects the
+        counter of a category that has two, ``amount`` is its step.
         """
-        if obs is not None:
-            return obs
-        if trace is not None:
-            return cls(
-                sim,
-                trace=trace,
-                spans=SpanCollector(sim, enabled=False),
-                metrics=MetricsRegistry(enabled=False),
-            )
-        return cls.disabled(sim)
-
-    @property
-    def enabled(self) -> bool:
-        return self.trace.enabled or self.spans.enabled or self.metrics.enabled
-
-    # -- low-level fan-out --------------------------------------------------
-
-    def _event(self, kind: str, actor: str, txn: Optional[int], attrs: dict) -> None:
-        if self.spans.enabled:
-            self.spans.record(txn, SpanEvent(self.sim.now, kind, actor, attrs))
+        record = TraceRecord(self.sim.now, category, actor, detail)
+        self.trace.records.append(record)
+        counter = _COUNTERS.get(category if split is None else (category, split))
+        if counter is not None:
+            self.metrics.inc(counter, amount)
+        if node is not None:
+            self.spans.record(detail.get("txn"), node, record)
 
     def annotate(self, category: str, actor: str, **detail: Any) -> None:
-        """Generic protocol event: legacy record + span annotation.
-
-        Drop-in replacement for ``trace.emit`` at protocol level — the
-        legacy record is byte-identical; transactions named by a
-        ``txn`` detail also get the event on their span.
-        """
+        """Generic event of any category (protocol milestones, faults,
+        device traffic); one naming a ``txn`` also lands on its span."""
         if not self.enabled:
             return
-        self.trace.emit(category, actor, **detail)
-        txn = detail.get("txn")
-        if txn is not None:
-            attrs = {k: v for k, v in detail.items() if k != "txn"}
-            attrs["category"] = category
-            self._event(EventKind.ANNOTATION, actor, txn, attrs)
+        self._emit(
+            category, actor, detail, actor if detail.get("txn") is not None else None
+        )
 
     # -- transaction lifecycle ----------------------------------------------
 
@@ -125,11 +128,10 @@ class Observability:
         submitted_at: float,
         client: str = "",
     ) -> Optional[Span]:
-        """A coordinator opened a transaction: root span + legacy record."""
+        """A coordinator opened a transaction: record + root span."""
         if not self.enabled:
             return None
-        self.trace.emit("txn_start", actor, txn=txn, op=op, protocol=protocol)
-        self.metrics.inc("txn.started")
+        self._emit("txn_start", actor, {"txn": txn, "op": op, "protocol": protocol})
         return self.spans.begin(
             txn,
             name=op,
@@ -143,19 +145,14 @@ class Observability:
     def txn_fallback(self, actor: str, txn: int, *, op: str, workers: int) -> None:
         if not self.enabled:
             return
-        self.trace.emit("fallback_protocol", actor, txn=txn, op=op, workers=workers)
-        self.metrics.inc("txn.fallback")
-        self._event(
-            EventKind.ANNOTATION,
-            actor,
-            txn,
-            {"category": "fallback_protocol", "op": op, "workers": workers},
+        self._emit(
+            "fallback_protocol", actor, {"txn": txn, "op": op, "workers": workers}, actor
         )
 
     def worker_open(self, actor: str, txn: int, *, opener: str, protocol: str = "") -> None:
         """A worker session opened for a remote transaction (span only —
-        there has never been a legacy record for this)."""
-        if not self.spans.enabled:
+        the stream has no record for this)."""
+        if not self.enabled:
             return
         self.spans.begin(
             txn, name=opener, role=WORKER, actor=actor, protocol=protocol
@@ -168,7 +165,7 @@ class Observability:
         decided; otherwise it just reads "closed" (e.g. a 2PC worker
         ACKs and closes before the coordinator finishes).
         """
-        if not self.spans.enabled:
+        if not self.enabled:
             return
         leg = self.spans.leg_of(txn, actor)
         if leg is not None:
@@ -179,9 +176,8 @@ class Observability:
     def client_reply(self, actor: str, txn: int, *, committed: bool, op: str) -> None:
         if not self.enabled:
             return
-        self.trace.emit("client_reply", actor, txn=txn, committed=committed, op=op)
-        self._event(
-            EventKind.CLIENT_REPLY, actor, txn, {"committed": committed, "op": op}
+        self._emit(
+            "client_reply", actor, {"txn": txn, "committed": committed, "op": op}, actor
         )
         root = self.spans.span_of(txn)
         if root is not None:
@@ -202,10 +198,12 @@ class Observability:
         span and fold its per-transaction metrics."""
         if not self.enabled:
             return
-        self.trace.emit(
-            "txn_done", actor, txn=txn, committed=committed, op=op, latency=latency
+        self._emit(
+            "txn_done",
+            actor,
+            {"txn": txn, "committed": committed, "op": op, "latency": latency},
+            split=committed,
         )
-        self.metrics.inc("txn.committed" if committed else "txn.aborted")
         self.metrics.observe("txn.client_latency", latency)
         root = self.spans.span_of(txn)
         if root is not None:
@@ -215,18 +213,17 @@ class Observability:
                 replied_at=replied_at,
                 reason=reason,
             )
-            if self.metrics.enabled:
-                self._fold_span_metrics(root)
+            self._fold_span_metrics(root)
 
     def _fold_span_metrics(self, root: Span) -> None:
         """Per-transaction histograms derived from the closed span."""
         forced = 0
         messages = 0
         for event in root.iter_events():
-            if event.kind == EventKind.WAL_APPEND and event.get("sync"):
+            if event.category == "log_append" and event.get("sync"):
                 forced += 1
             elif (
-                event.kind == EventKind.MSG_SEND
+                event.category == "msg_send"
                 and event.get("kind") in PROTOCOL_MSG_KINDS
             ):
                 messages += 1
@@ -240,10 +237,8 @@ class Observability:
     ) -> None:
         if not self.enabled:
             return
-        self.trace.emit("msg_send", actor, kind=kind, dst=dst, txn=txn, msg_id=msg_id)
-        self.metrics.inc("net.sent")
-        self._event(
-            EventKind.MSG_SEND, actor, txn, {"kind": kind, "dst": dst, "msg_id": msg_id}
+        self._emit(
+            "msg_send", actor, {"kind": kind, "dst": dst, "txn": txn, "msg_id": msg_id}, actor
         )
 
     def msg_recv(
@@ -251,23 +246,14 @@ class Observability:
     ) -> None:
         if not self.enabled:
             return
-        self.trace.emit("msg_recv", actor, kind=kind, src=src, txn=txn, msg_id=msg_id)
-        self.metrics.inc("net.received")
-        self._event(
-            EventKind.MSG_RECV, actor, txn, {"kind": kind, "src": src, "msg_id": msg_id}
+        self._emit(
+            "msg_recv", actor, {"kind": kind, "src": src, "txn": txn, "msg_id": msg_id}, actor
         )
 
     def msg_drop(self, actor: str, *, reason: str, kind: str, **detail: Any) -> None:
         if not self.enabled:
             return
-        self.trace.emit("msg_drop", actor, reason=reason, kind=kind, **detail)
-        self.metrics.inc("net.dropped")
-        self._event(
-            EventKind.MSG_DROP,
-            actor,
-            detail.get("txn"),
-            {"reason": reason, "kind": kind},
-        )
+        self._emit("msg_drop", actor, {"reason": reason, "kind": kind, **detail}, actor)
 
     # -- write-ahead log ------------------------------------------------------
 
@@ -276,10 +262,12 @@ class Observability:
     ) -> None:
         if not self.enabled:
             return
-        self.trace.emit("log_append", actor, kind=kind, txn=txn, sync=sync, nbytes=nbytes)
-        self.metrics.inc("wal.forced_appends" if sync else "wal.lazy_appends")
-        self._event(
-            EventKind.WAL_APPEND, actor, txn, {"kind": kind, "sync": sync, "nbytes": nbytes}
+        self._emit(
+            "log_append",
+            actor,
+            {"kind": kind, "txn": txn, "sync": sync, "nbytes": nbytes},
+            actor,
+            split=sync,
         )
 
     def log_durable(
@@ -287,117 +275,93 @@ class Observability:
     ) -> None:
         if not self.enabled:
             return
-        self.trace.emit("log_durable", actor, kind=kind, txn=txn, sync=sync, nbytes=nbytes)
-        self._event(
-            EventKind.WAL_DURABLE, actor, txn, {"kind": kind, "sync": sync, "nbytes": nbytes}
+        self._emit(
+            "log_durable", actor, {"kind": kind, "txn": txn, "sync": sync, "nbytes": nbytes}, actor
         )
 
     def log_crash(self, actor: str, *, lost_jobs: int) -> None:
         if not self.enabled:
             return
-        self.trace.emit("log_crash", actor, lost_jobs=lost_jobs)
-        self.metrics.inc("wal.crashes")
+        self._emit("log_crash", actor, {"lost_jobs": lost_jobs})
 
     def log_restart(self, actor: str) -> None:
         if not self.enabled:
             return
-        self.trace.emit("log_restart", actor)
+        self._emit("log_restart", actor, {})
 
     def log_gc(self, actor: str, *, txn: int, removed: int) -> None:
         if not self.enabled:
             return
-        self.trace.emit("log_gc", actor, txn=txn, removed=removed)
-        self.metrics.inc("wal.gc_records", removed)
+        self._emit("log_gc", actor, {"txn": txn, "removed": removed}, amount=removed)
 
     # -- locks ----------------------------------------------------------------
-
-    @staticmethod
-    def _lock_node(manager: str) -> str:
-        return manager.split(":", 1)[1] if manager.startswith("locks:") else manager
 
     def lock_grant(self, manager: str, *, txn: Any, obj: Any, mode: str) -> None:
         if not self.enabled:
             return
-        self.trace.emit("lock_grant", manager, txn=txn, obj=obj, mode=mode)
-        self.metrics.inc("locks.granted")
+        self._emit(
+            "lock_grant",
+            manager,
+            {"txn": txn, "obj": obj, "mode": mode},
+            _lock_leg(manager, txn),
+        )
         self._lock_grants[(manager, txn, obj)] = self.sim.now
-        if isinstance(txn, int):
-            self._event(
-                EventKind.LOCK_GRANT,
-                self._lock_node(manager),
-                txn,
-                {"obj": str(obj), "mode": mode},
-            )
 
     def lock_upgrade(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
             return
-        self.trace.emit("lock_upgrade", manager, txn=txn, obj=obj)
+        self._emit("lock_upgrade", manager, {"txn": txn, "obj": obj})
 
     def lock_wait(self, manager: str, *, txn: Any, obj: Any, mode: str) -> None:
         if not self.enabled:
             return
-        self.trace.emit("lock_wait", manager, txn=txn, obj=obj, mode=mode)
-        self.metrics.inc("locks.waits")
-        if isinstance(txn, int):
-            self._event(
-                EventKind.LOCK_WAIT,
-                self._lock_node(manager),
-                txn,
-                {"obj": str(obj), "mode": mode},
-            )
+        self._emit(
+            "lock_wait",
+            manager,
+            {"txn": txn, "obj": obj, "mode": mode},
+            _lock_leg(manager, txn),
+        )
 
     def lock_timeout(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
             return
-        self.trace.emit("lock_timeout", manager, txn=txn, obj=obj)
-        self.metrics.inc("locks.timeouts")
-        if isinstance(txn, int):
-            self._event(
-                EventKind.LOCK_TIMEOUT, self._lock_node(manager), txn, {"obj": str(obj)}
-            )
+        self._emit(
+            "lock_timeout", manager, {"txn": txn, "obj": obj}, _lock_leg(manager, txn)
+        )
 
     def lock_release(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
             return
-        self.trace.emit("lock_release", manager, txn=txn, obj=obj)
+        self._emit(
+            "lock_release", manager, {"txn": txn, "obj": obj}, _lock_leg(manager, txn)
+        )
         granted = self._lock_grants.pop((manager, txn, obj), None)
         if granted is not None:
             self.metrics.observe("locks.hold_time", self.sim.now - granted)
-        if isinstance(txn, int):
-            self._event(
-                EventKind.LOCK_RELEASE, self._lock_node(manager), txn, {"obj": str(obj)}
-            )
 
     # -- nodes, fencing --------------------------------------------------------
 
     def node_crash(self, actor: str) -> None:
         if not self.enabled:
             return
-        self.trace.emit("crash", actor)
-        self.metrics.inc("node.crashes")
-        self._event(EventKind.CRASH, actor, None, {})
+        self._emit("crash", actor, {}, actor)
 
     def node_restart(self, actor: str) -> None:
         if not self.enabled:
             return
-        self.trace.emit("restart", actor)
-        self._event(EventKind.RESTART, actor, None, {})
+        self._emit("restart", actor, {}, actor)
 
     def node_recovered(self, actor: str) -> None:
         if not self.enabled:
             return
-        self.trace.emit("recovered", actor)
+        self._emit("recovered", actor, {})
 
     def fence(self, by: str, *, target: str) -> None:
         if not self.enabled:
             return
-        self.trace.emit("fence", by, target=target)
-        self.metrics.inc("fencing.fences")
-        self._event(EventKind.FENCE, by, None, {"target": target})
+        self._emit("fence", by, {"target": target}, by)
 
     def unfence(self, by: str, *, target: str) -> None:
         if not self.enabled:
             return
-        self.trace.emit("unfence", by, target=target)
-        self._event(EventKind.UNFENCE, by, None, {"target": target})
+        self._emit("unfence", by, {"target": target}, by)

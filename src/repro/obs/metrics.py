@@ -2,9 +2,9 @@
 
 Protocols and the MDS server report structured measurements here via
 the :class:`~repro.obs.hub.Observability` hooks instead of writing
-trace strings.  The registry is cheap enough to leave on for every run:
-a counter bump is one dict lookup + one add, and the whole registry is
-a no-op when disabled.
+trace strings: the hub bumps one counter per record category and
+observes the simulated-time histograms.  A disabled hub never reaches
+the registry, so it stays empty.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ class Histogram:
 class MetricsRegistry:
     """Named counters and histograms, created on first use."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
 
@@ -146,14 +145,12 @@ class MetricsRegistry:
         return histogram
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        """Bump counter ``name`` (no-op when disabled)."""
-        if self.enabled:
-            self.counter(name).inc(amount)
+        """Bump counter ``name``."""
+        self.counter(name).inc(amount)
 
     def observe(self, name: str, value: float) -> None:
-        """Record ``value`` into histogram ``name`` (no-op when disabled)."""
-        if self.enabled:
-            self.histogram(name).observe(value)
+        """Record ``value`` into histogram ``name``."""
+        self.histogram(name).observe(value)
 
     def get_counter(self, name: str) -> Optional[Counter]:
         return self._counters.get(name)

@@ -1,22 +1,25 @@
-"""Transaction spans: the structured unit of the observability layer.
+"""Transaction spans: the per-transaction view of the event stream.
 
 A :class:`Span` covers one leg of a distributed transaction — the
 coordinator's end-to-end run, or one worker's participation — from the
-moment the leg opens until its session closes.  Spans accumulate typed
-:class:`SpanEvent` entries (message send/recv, WAL force, lock traffic,
-crash/fence) stamped with simulated time, and carry parent/child links
-so a coordinator span owns its worker legs.
+moment the leg opens until its session closes.  Its ``events`` are the
+very :class:`~repro.sim.monitor.TraceRecord` objects the hub appended
+to the trace (message send/recv, WAL force, lock traffic, crash/fence),
+and spans carry parent/child links so a coordinator span owns its
+worker legs.
 
 This is the native abstraction Gray & Lamport's *Consensus on
 Transaction Commit* frames commit protocols in: per-transaction message
 and stable-write complexity.  The analysis layer folds spans directly
-into Table I counts instead of string-matching flat trace categories.
+into Table I counts instead of scanning the whole trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
+
+from repro.sim.monitor import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -46,39 +49,6 @@ PROTOCOL_MSG_KINDS = frozenset(
 )
 
 
-class EventKind:
-    """Typed span-event kinds (stable strings, exported verbatim)."""
-
-    MSG_SEND = "msg_send"
-    MSG_RECV = "msg_recv"
-    MSG_DROP = "msg_drop"
-    WAL_APPEND = "wal_append"
-    WAL_DURABLE = "wal_durable"
-    LOCK_GRANT = "lock_grant"
-    LOCK_WAIT = "lock_wait"
-    LOCK_TIMEOUT = "lock_timeout"
-    LOCK_RELEASE = "lock_release"
-    CLIENT_REPLY = "client_reply"
-    CRASH = "crash"
-    RESTART = "restart"
-    FENCE = "fence"
-    UNFENCE = "unfence"
-    ANNOTATION = "annotation"
-
-
-@dataclass(frozen=True)
-class SpanEvent:
-    """One typed, timestamped observation inside a span."""
-
-    time: float
-    kind: str
-    actor: str
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.attrs.get(key, default)
-
-
 #: Span roles.
 COORDINATOR = "coordinator"
 WORKER = "worker"
@@ -92,7 +62,7 @@ UNCLOSED = "unclosed"
 
 @dataclass
 class Span:
-    """One leg of a transaction, with typed events and child links."""
+    """One leg of a transaction, with its trace records and child links."""
 
     span_id: int
     txn_id: int
@@ -105,7 +75,7 @@ class Span:
     end: Optional[float] = None
     status: str = OPEN
     attrs: dict[str, Any] = field(default_factory=dict)
-    events: list[SpanEvent] = field(default_factory=list)
+    events: list[TraceRecord] = field(default_factory=list)
     children: list["Span"] = field(default_factory=list)
 
     @property
@@ -115,9 +85,6 @@ class Span:
     @property
     def duration(self) -> Optional[float]:
         return None if self.end is None else self.end - self.start
-
-    def add(self, event: SpanEvent) -> None:
-        self.events.append(event)  # repro: noqa MEM001 - spans exist only in trace-enabled runs
 
     def last_time(self) -> float:
         """Latest timestamp the span knows about (for open-span export)."""
@@ -131,7 +98,7 @@ class Span:
                 latest = t
         return latest
 
-    def iter_events(self, recurse: bool = True) -> Iterator[SpanEvent]:
+    def iter_events(self, recurse: bool = True) -> Iterator[TraceRecord]:
         """Events of this span (and, by default, its descendants)."""
         yield from self.events
         if recurse:
@@ -142,27 +109,25 @@ class Span:
 class SpanCollector:
     """Owns every span of a simulation run.
 
-    Indexing: one *root* (coordinator) span per transaction plus one
-    child span per ``(txn_id, worker)`` leg.  The collector is the
-    store behind ``repro.trace(cluster)``.
+    Indexing: one *root* (coordinator) span per transaction, keyed
+    ``(txn_id, None)``, plus one child span per ``(txn_id, worker)``
+    leg.  The collector is the store behind ``repro.trace(cluster)``;
+    only the :class:`~repro.obs.hub.Observability` hub writes to it.
     """
 
-    def __init__(self, sim: "Simulator", enabled: bool = True) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.enabled = enabled
-        self.spans: list[Span] = []
-        #: Cluster-scope events with no owning transaction (crash,
-        #: fence, partitions...), kept for the exporters.
-        self.cluster_events: list[SpanEvent] = []
-        self._next_id = 0
-        self._roots: dict[int, Span] = {}
-        self._legs: dict[tuple[int, str], Span] = {}
+        #: Records with no owning span (crash, fence, messages outside
+        #: any transaction...), kept for the exporters.
+        self.cluster_events: list[TraceRecord] = []
+        #: Every span, in open order.
+        self._spans: dict[tuple[int, Optional[str]], Span] = {}
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._spans)
 
     def __iter__(self) -> Iterator[Span]:
-        return iter(self.spans)
+        return iter(self._spans.values())
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -174,42 +139,32 @@ class SpanCollector:
         role: str,
         actor: str,
         protocol: str = "",
-        parent: Optional[Span] = None,
         **attrs: Any,
-    ) -> Optional[Span]:
-        """Open a span; returns ``None`` when collection is disabled.
+    ) -> Span:
+        """Open a span.
 
         Re-opening an existing leg (duplicate UPDATE_REQ after a crash,
         coordinator re-execution) returns the original span so its
         history stays in one place.
         """
-        if not self.enabled:
-            return None
-        if role == COORDINATOR and txn_id in self._roots:
-            return self._roots[txn_id]
-        if role == WORKER and (txn_id, actor) in self._legs:
-            return self._legs[(txn_id, actor)]
-        self._next_id += 1
-        span = Span(
-            span_id=self._next_id,
+        key = (txn_id, actor if role == WORKER else None)
+        span = self._spans.get(key)
+        if span is not None:
+            return span
+        root = self._spans.get((txn_id, None))
+        span = self._spans[key] = Span(
+            span_id=len(self._spans) + 1,
             txn_id=txn_id,
             name=name,
             role=role,
             actor=actor,
             start=self.sim.now,
             protocol=protocol,
-            parent_id=parent.span_id if parent else None,
-            attrs=dict(attrs),
+            parent_id=root.span_id if root is not None else None,
+            attrs=attrs,
         )
-        self.spans.append(span)  # repro: noqa MEM001 - span retention is the collector's contract
-        if role == WORKER:
-            self._legs[(txn_id, actor)] = span
-            root = parent or self._roots.get(txn_id)
-            if root is not None:
-                span.parent_id = root.span_id
-                root.children.append(span)
-        else:
-            self._roots[txn_id] = span
+        if root is not None:
+            root.children.append(span)
         return span
 
     def close(self, span: Span, status: str, **attrs: Any) -> None:
@@ -227,56 +182,44 @@ class SpanCollector:
         exporters call this so such spans still render with a bounded
         duration.  Returns the spans that were closed.
         """
-        closed = []
-        for span in self.spans:
-            if span.end is None:
-                span.end = max(self.sim.now, span.last_time())
-                span.status = status
-                closed.append(span)
+        closed = self.open_spans()
+        for span in closed:
+            span.end = max(self.sim.now, span.last_time())
+            span.status = status
         return closed
 
     # -- event routing ------------------------------------------------------
 
-    def record(self, txn_id: Optional[int], event: SpanEvent) -> None:
-        """Attach ``event`` to the span owning ``(txn, event.actor)``.
+    def record(self, txn_id: Optional[int], node: str, event: TraceRecord) -> None:
+        """Attach ``event`` to the span owning ``(txn_id, node)``.
 
-        Falls back to the transaction's root span when the actor has no
+        Falls back to the transaction's root span when the node has no
         leg of its own; events with no transaction (or no span) go to
         the cluster-scope list.
         """
-        if not self.enabled:
-            return
-        if txn_id is not None:
-            leg = self._legs.get((txn_id, event.actor))
-            if leg is not None:
-                leg.add(event)
-                return
-            root = self._roots.get(txn_id)
-            if root is not None:
-                root.add(event)
-                return
-        self.cluster_events.append(event)  # repro: noqa MEM001 - trace-enabled runs only
+        owner = self._spans.get((txn_id, node)) or self._spans.get((txn_id, None))
+        (owner.events if owner is not None else self.cluster_events).append(event)
 
     # -- queries ------------------------------------------------------------
 
     def roots(self) -> list[Span]:
         """Coordinator spans, in open order."""
-        return [s for s in self.spans if s.role == COORDINATOR]
+        return [s for s in self if s.role == COORDINATOR]
 
     def span_of(self, txn_id: int) -> Optional[Span]:
         """The coordinator span of ``txn_id``."""
-        return self._roots.get(txn_id)
+        return self._spans.get((txn_id, None))
 
     def leg_of(self, txn_id: int, actor: str) -> Optional[Span]:
         """The worker leg of ``txn_id`` at ``actor``."""
-        return self._legs.get((txn_id, actor))
+        return self._spans.get((txn_id, actor))
 
     def open_spans(self) -> list[Span]:
-        return [s for s in self.spans if s.end is None]
+        return [s for s in self if s.end is None]
 
-    def events_of(self, txn_id: int) -> list[SpanEvent]:
+    def events_of(self, txn_id: int) -> list[TraceRecord]:
         """All events of a transaction (root + legs), in time order."""
-        root = self._roots.get(txn_id)
+        root = self.span_of(txn_id)
         if root is None:
             return []
         return sorted(root.iter_events(), key=lambda e: e.time)

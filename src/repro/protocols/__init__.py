@@ -23,7 +23,6 @@ The paper's contribution, the One Phase Commit protocol, lives in
 """
 
 from repro.protocols.base import (
-    PROTOCOLS,
     MsgKind,
     Protocol,
     Transaction,
@@ -53,7 +52,6 @@ __all__ = [
     "CAP_LOGLESS",
     "CAP_NEEDS_ACCEPTORS",
     "CAP_SHARED_LOG",
-    "PROTOCOLS",
     "EarlyPrepareProtocol",
     "LoglessOnePhaseProtocol",
     "MsgKind",

@@ -24,12 +24,11 @@ from repro.fs.objects import ObjectId, Update, update_from_description
 from repro.fs.operations import OpPlan
 from repro.locks import LockMode, LockTimeout
 from repro.net.message import Message
-from repro.protocols.registry import PROTOCOLS, ProtocolSpec, register_protocol
+from repro.protocols.registry import ProtocolSpec, register_protocol
 from repro.sim import AnyOf
 from repro.storage.records import LogRecord, RecordKind
 
 __all__ = [
-    "PROTOCOLS",
     "SESSION_OPENERS",
     "MsgKind",
     "Protocol",
@@ -47,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.server import MDSServer
     from repro.obs.hub import Observability
     from repro.sim.kernel import Simulator
-    from repro.sim.monitor import TraceLog
     from repro.sim.resources import Store
     from repro.storage.wal import WriteAheadLog
 
@@ -189,10 +187,6 @@ class Protocol:
     @property
     def params(self) -> "SimulationParams":
         return self.server.params
-
-    @property
-    def trace(self) -> "TraceLog":
-        return self.server.trace
 
     @property
     def obs(self) -> "Observability":

@@ -104,9 +104,9 @@ def check_protocol(
     for name in FAULT_SCENARIOS:
         _check_fault_atomicity(protocol, name, settle, report)
     _check_isolation(protocol, report)
-    from repro.protocols.registry import PROTOCOLS
+    from repro.protocols.registry import get_spec
 
-    if PROTOCOLS[protocol].max_workers is None:
+    if get_spec(protocol).engine.max_workers is None:
         for crash_at in crash_points:
             _check_fanout_partial_crash(protocol, crash_at, settle, report)
     return report

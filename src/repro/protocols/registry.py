@@ -120,10 +120,6 @@ class ProtocolSpec:
         }
 
 
-#: name -> engine class.  The historical registry view; kept in sync
-#: with the spec registry so ``PROTOCOLS["PrN"]`` keeps working.
-PROTOCOLS: dict = {}
-
 _SPECS: dict[str, ProtocolSpec] = {}
 _SEQ: dict[str, int] = {}
 _counter = itertools.count()
@@ -163,7 +159,6 @@ def register_protocol(
         spec = _derive_spec(obj)
     _SPECS[spec.name] = spec
     _SEQ.setdefault(spec.name, next(_counter))
-    PROTOCOLS[spec.name] = spec.engine
     return obj
 
 
@@ -173,7 +168,6 @@ def unregister(name: str) -> ProtocolSpec:
         raise KeyError(f"unknown protocol {name!r}; have {sorted(_SPECS)}")
     spec = _SPECS.pop(name)
     _SEQ.pop(name, None)
-    PROTOCOLS.pop(name, None)
     return spec
 
 

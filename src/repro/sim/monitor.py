@@ -3,13 +3,15 @@
 ``TraceLog`` is the statistics module of the simulated cluster (the
 paper's ACID Sim Tools has a dedicated ``statistics`` module).  Every
 subsystem emits :class:`TraceRecord` entries tagged with a category
-(``msg``, ``log_write``, ``lock``, ``txn``, ``crash``...).
+(``msg_send``, ``log_append``, ``lock_grant``, ``txn_start``,
+``crash``...).
 
-The flat log is the *legacy* surface: golden-trace tests, fault
-triggers and the ASCII timeline renderer read it.  Structured analysis
-(Table I folding, metrics, exporters) goes through the transaction
-spans in :mod:`repro.obs`, which the :class:`~repro.obs.hub.Observability`
-hub populates alongside this log from the same instrumentation calls.
+The log is the cluster's one event stream: instrumentation reaches it
+only through the :class:`~repro.obs.hub.Observability` hub, which
+appends one record per hook call.  Golden-trace tests, fault triggers,
+the timeline renderer and the utilisation folds read the records
+directly; transaction spans and metrics (:mod:`repro.obs`) are views
+the hub derives from the same record objects.
 """
 
 from __future__ import annotations

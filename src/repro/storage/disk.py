@@ -8,10 +8,13 @@ attaches every MDS to one log manager) naturally serialises them.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 from repro.config import StorageParams
-from repro.sim import Resource, Simulator, TraceLog
+from repro.sim import Resource, Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.hub import Observability
 
 
 class Disk:
@@ -22,13 +25,15 @@ class Disk:
         sim: Simulator,
         params: StorageParams | None = None,
         name: str = "disk",
-        trace: TraceLog | None = None,
         capacity: int = 1,
+        obs: "Observability | None" = None,
     ):
+        from repro.obs.hub import Observability
+
         self.sim = sim
         self.params = params or StorageParams()
         self.name = name
-        self.trace = trace if trace is not None else TraceLog(sim, enabled=False)
+        self.obs = obs if obs is not None else Observability(sim, enabled=False)
         self._device = Resource(sim, capacity=capacity, name=name)
         #: Cumulative bytes written / read (statistics).
         self.bytes_written = 0.0
@@ -55,7 +60,7 @@ class Disk:
             yield self.sim.timeout(self.params.write_latency(nbytes))
             self.bytes_written += nbytes
             self.writes += 1
-            self.trace.emit(
+            self.obs.annotate(
                 "disk_write",
                 actor,
                 device=self.name,
@@ -77,7 +82,7 @@ class Disk:
             yield req
             start = self.sim.now
             yield self.sim.timeout(duration)
-            self.trace.emit(
+            self.obs.annotate(
                 "disk_stall",
                 actor,
                 device=self.name,
@@ -95,7 +100,7 @@ class Disk:
             yield self.sim.timeout(self.params.read_latency(nbytes))
             self.bytes_read += nbytes
             self.reads += 1
-            self.trace.emit(
+            self.obs.annotate(
                 "disk_read",
                 actor,
                 device=self.name,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, Protocol
 
-from repro.sim import Simulator, TraceLog
+from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.hub import Observability
@@ -37,12 +37,9 @@ class FencedError(Exception):
 class FencingController:
     """Authoritative record of which nodes are cut off from storage."""
 
-    def __init__(
-        self, trace: TraceLog | None = None, obs: "Observability | None" = None
-    ):
+    def __init__(self, obs: "Observability | None" = None):
         self._fenced: set[str] = set()
         self.obs = obs
-        self.trace = obs.trace if obs is not None else trace
 
     def is_fenced(self, node: str) -> bool:
         return node in self._fenced
@@ -51,15 +48,11 @@ class FencingController:
         self._fenced.add(node)
         if self.obs is not None:
             self.obs.fence(by, target=node)
-        elif self.trace is not None:
-            self.trace.emit("fence", by, target=node)
 
     def unfence(self, node: str, by: str = "?") -> None:
         self._fenced.discard(node)
         if self.obs is not None:
             self.obs.unfence(by, target=node)
-        elif self.trace is not None:
-            self.trace.emit("unfence", by, target=node)
 
     @property
     def fenced_nodes(self) -> frozenset[str]:

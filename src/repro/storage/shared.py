@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.config import StorageParams
-from repro.sim import Simulator, TraceLog
+from repro.sim import Simulator
 from repro.storage.disk import Disk
 from repro.storage.fencing import FencedError, FencingController
 from repro.storage.wal import WriteAheadLog
@@ -36,7 +36,6 @@ class SharedStorage:
         sim: Simulator,
         params: StorageParams | None = None,
         shared_device: bool = True,
-        trace: TraceLog | None = None,
         obs: "Observability | None" = None,
     ):
         from repro.obs.hub import Observability
@@ -44,8 +43,7 @@ class SharedStorage:
         self.sim = sim
         self.params = params or StorageParams()
         self.shared_device = shared_device
-        self.obs = Observability.adopt(sim, obs, trace)
-        self.trace = self.obs.trace
+        self.obs = obs if obs is not None else Observability(sim, enabled=False)
         self.fencing = FencingController(obs=self.obs)
         self._logs: dict[str, WriteAheadLog] = {}
         self._disks: dict[str, Disk] = {}
@@ -60,7 +58,7 @@ class SharedStorage:
                 sim,
                 self.params,
                 name="san",
-                trace=self.trace,
+                obs=self.obs,
                 capacity=self.params.san_concurrency,
             )
 
@@ -73,7 +71,7 @@ class SharedStorage:
         if self._shared_disk is not None:
             disk = self._shared_disk
         else:
-            disk = Disk(self.sim, self.params, name=f"disk:{node}", trace=self.trace)
+            disk = Disk(self.sim, self.params, name=f"disk:{node}", obs=self.obs)
             self._disks[node] = disk
         log = WriteAheadLog(
             self.sim,
@@ -122,7 +120,7 @@ class SharedStorage:
             raise FencedError(
                 f"{reader} may not read {owner}'s log: {owner} is not fenced"
             )
-        self.trace.emit("remote_log_read", reader, owner=owner)
+        self.obs.annotate("remote_log_read", reader, owner=owner)
         records = yield from log.read(actor=reader)
         return records
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.sim import Event, Simulator, TraceLog
+from repro.sim import Event, Simulator
 from repro.storage.disk import Disk
 from repro.storage.fencing import FencedError, FencingController
 from repro.storage.records import LogRecord, RecordKind
@@ -55,7 +55,6 @@ class WriteAheadLog:
         sim: Simulator,
         disk: Disk,
         owner: str,
-        trace: TraceLog | None = None,
         fencing: FencingController | None = None,
         group_commit: bool = False,
         group_commit_max_bytes: float = 64 * 1024.0,
@@ -66,8 +65,7 @@ class WriteAheadLog:
         self.sim = sim
         self.disk = disk
         self.owner = owner
-        self.obs = Observability.adopt(sim, obs, trace)
-        self.trace = self.obs.trace
+        self.obs = obs if obs is not None else Observability(sim, enabled=False)
         self.fencing = fencing
         #: Group commit: the flusher coalesces every queued append (up
         #: to ``group_commit_max_bytes``) into one device write, so

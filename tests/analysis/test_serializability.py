@@ -127,6 +127,26 @@ def test_precedence_graph_detects_artificial_cycle():
         assert_conflict_serializable(trace)
 
 
+def test_precedence_graph_cuts_grant_history_at_a_crash():
+    """A reboot loses the lock table: recovery's re-acquisitions must
+    not be chained onto the grants the crash wiped (campaign seed 9
+    cell 14 read 9, 10, <crash>, 9, <crash>, 9, 10 on one object)."""
+    from repro.analysis.serializability import precedence_graph
+    from repro.sim import Simulator, TraceLog
+
+    trace = TraceLog(Simulator())
+    for step in (9, 10, "crash", 9, "crash", 9, 10):
+        if step == "crash":
+            trace.emit("crash", "mds1")
+        else:
+            trace.emit("lock_grant", "locks:mds1", txn=step, obj="/hot")
+    assert precedence_graph(trace) == [(9, 10), (9, 10)]
+    # Another node's crash cuts nothing here.
+    trace.emit("crash", "mds2")
+    trace.emit("lock_grant", "locks:mds1", txn=9, obj="/hot")
+    assert precedence_graph(trace)[-1] == (10, 9)
+
+
 def test_missing_plan_raises():
     cluster, plans = run_concurrent_creates("1PC", n=3)
     plans.pop(("CREATE", "/dir1/f0"))

@@ -54,3 +54,19 @@ def test_campaign_catches_and_shrinks_early_vote_mutation():
 def test_same_block_is_green_on_real_1pc():
     for spec in campaign_grid("1PC", runs=RUNS, seed=SEED):
         assert violation_kinds(execute_spec(spec)) == set(), spec.point
+
+
+#: Cells that once reported a lock-precedence cycle after a coordinator
+#: reboot (found while sizing the perf ledger): (grid arguments, cell).
+REBOOT_CELLS = [
+    (dict(runs=24, seed=9, n_ops=12, n_clients=2), 14),
+    (dict(runs=24, seed=18, n_ops=12, n_clients=2), 16),
+    (dict(runs=24, seed=19, n_ops=12, n_clients=2), 22),
+    (dict(runs=12, seed=1, n_ops=48, n_clients=4), 2),
+]
+
+
+@pytest.mark.parametrize("grid, index", REBOOT_CELLS)
+def test_coordinator_reboot_is_not_a_conflict_cycle(grid, index):
+    cell = execute_spec(campaign_grid("1PC", **grid)[index])
+    assert cell.verdict["ok"], cell.verdict["violations"]

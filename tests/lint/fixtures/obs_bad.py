@@ -3,18 +3,21 @@
 
 
 class LeakyHub:
-    def __init__(self, sim, trace, metrics):
+    def __init__(self, sim, trace, spans):
         self.sim = sim
         self.trace = trace
-        self.metrics = metrics
+        self.spans = spans
         self.enabled = True
 
     def msg_send(self, actor, kind, dst):
-        # OBS001: the f-string is built even when tracing is off.
-        label = f"{actor}->{dst}:{kind}"
+        # OBS001: the detail dict is built even when tracing is off.
+        detail = {"kind": kind, "dst": dst}
         if not self.enabled:
             return
-        self.trace.emit("msg_send", label)
+        self._emit("msg_send", actor, detail)
 
-    def unguarded_count(self, name):
-        self.metrics.inc(name)  # OBS001: no enabled check at all
+    def worker_open(self, actor, txn):
+        self.spans.begin(txn, actor)  # OBS001: no enabled check at all
+
+    def _emit(self, category, actor, detail):
+        self.trace.records.append((self.sim.now, category, actor, detail))

@@ -3,21 +3,21 @@
 
 
 class FrugalHub:
-    def __init__(self, sim, trace, metrics):
+    def __init__(self, sim, trace, spans):
         self.sim = sim
         self.trace = trace
-        self.metrics = metrics
+        self.spans = spans
         self.enabled = True
 
     def msg_send(self, actor, kind, dst):
         if not self.enabled:
             return
-        self.trace.emit("msg_send", f"{actor}->{dst}:{kind}")
+        self._emit("msg_send", actor, {"kind": kind, "dst": dst})
 
-    def guarded_count(self, name):
-        if self.metrics.enabled:
-            self.metrics.inc(name)
+    def worker_open(self, actor, txn):
+        if self.enabled:
+            self.spans.begin(txn, actor)
 
-    def _internal(self, actor):
-        # Private helpers are the callee side of a guarded hook.
-        self.trace.emit("internal", actor)
+    def _emit(self, category, actor, detail):
+        # The private emit is the callee side of a guarded hook.
+        self.trace.records.append((self.sim.now, category, actor, detail))

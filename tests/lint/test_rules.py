@@ -17,7 +17,6 @@ EXPECTED = {
     "det": {"DET001", "DET002", "DET003"},
     "gen": {"GEN001", "GEN002"},
     "fence": {"FENCE001", "FENCE002"},
-    "api": {"API001", "API002"},
     "obs": {"OBS001"},
     "cache": {"CACHE001"},
     "mem": {"MEM001"},
@@ -41,7 +40,7 @@ def test_good_fixture_is_clean(family):
 
 def test_all_families_are_registered():
     families = {rule.family for rule in all_rules()}
-    assert {"DET", "GEN", "FENCE", "API", "OBS", "CACHE", "MEM"} <= families
+    assert {"DET", "GEN", "FENCE", "OBS", "CACHE", "MEM"} <= families
 
 
 def test_rules_have_identity_and_rationale():

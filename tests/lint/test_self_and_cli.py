@@ -61,7 +61,7 @@ def test_cli_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("DET001", "DET002", "DET003", "GEN001", "GEN002",
-                    "FENCE001", "FENCE002", "FENCE003", "API001", "API002",
+                    "FENCE001", "FENCE002", "FENCE003",
                     "OBS001", "PROTO001", "PROTO002", "PROTO003", "RACE001"):
         assert rule_id in out
 
@@ -173,7 +173,7 @@ def test_sarif_marks_baselined_findings_as_suppressed(tmp_path):
     from repro.lint.engine import run_lint as _run
     from repro.lint.reporters import render_sarif
 
-    target = FIXTURES / "api_bad.py"
+    target = FIXTURES / "obs_bad.py"
     report = _run([target])
     baseline = Baseline(report.findings)
     doc = json.loads(render_sarif(_run([target], baseline=baseline)))
@@ -185,13 +185,13 @@ def test_sarif_marks_baselined_findings_as_suppressed(tmp_path):
 
 def test_cli_write_baseline_then_gate_passes(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
-    target = str(FIXTURES / "api_bad.py")
+    target = str(FIXTURES / "obs_bad.py")
     assert main(["lint", target, "--baseline", str(baseline), "--write-baseline"]) == 0
     capsys.readouterr()
     # Same findings now grandfathered: the gate passes.
     assert main(["lint", target, "--baseline", str(baseline)]) == 0
     out = capsys.readouterr().out
-    assert "0 new findings, 3 baselined" in out
+    assert "0 new findings, 2 baselined" in out
 
 
 def test_cli_syntax_error_is_a_finding(tmp_path, capsys):

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.locks import LockManager, LockMode, LockTimeout
-from repro.sim import Simulator, TraceLog
+from repro.obs import Observability
+from repro.sim import Simulator
 
 
 def make_mgr():
     sim = Simulator()
-    trace = TraceLog(sim)
-    return sim, LockManager(sim, trace=trace), trace
+    obs = Observability(sim)
+    return sim, LockManager(sim, obs=obs), obs.trace
 
 
 def test_exclusive_lock_granted_when_free():

@@ -2,8 +2,7 @@
 
 The PR-2 deprecation shims (positional ``Cluster``/``Client``
 arguments, the ``trace_enabled=`` spelling) are gone: the legacy
-forms are now plain ``TypeError``s, and lint rules API001/API002 flag
-them statically everywhere.
+forms are plain ``TypeError``s, and these tests are what guards them.
 """
 
 import warnings
@@ -23,17 +22,17 @@ def test_keyword_construction_emits_no_warnings():
 
 def test_positional_cluster_arguments_are_a_type_error():
     with pytest.raises(TypeError, match="positional"):
-        Cluster("PrC", ["mds1", "mds2", "mds3"])  # repro: noqa API001 - asserting the hard error
+        Cluster("PrC", ["mds1", "mds2", "mds3"])
 
 
 def test_single_positional_cluster_argument_is_a_type_error():
     with pytest.raises(TypeError, match="positional"):
-        Cluster("1PC")  # repro: noqa API001 - asserting the hard error
+        Cluster("1PC")
 
 
 def test_trace_enabled_spelling_is_a_type_error():
     with pytest.raises(TypeError, match="trace_enabled"):
-        Cluster(trace_enabled=False)  # repro: noqa API002 - asserting the hard error
+        Cluster(trace_enabled=False)
 
 
 def test_seed_keyword_overrides_params_seed():
@@ -69,7 +68,7 @@ def test_client_keyword_name():
 def test_client_positional_name_is_a_type_error():
     cluster = Cluster(trace=False)
     with pytest.raises(TypeError, match="positional"):
-        Client(cluster, "legacy")  # repro: noqa API001 - asserting the hard error
+        Client(cluster, "legacy")
 
 
 def test_facade_trace_and_metrics_helpers():

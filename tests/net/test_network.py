@@ -4,14 +4,15 @@ import pytest
 
 from repro.config import NetworkParams
 from repro.net import Message, Network, ReceiveTimeout
-from repro.sim import Simulator, TraceLog
+from repro.obs import Observability
+from repro.sim import Simulator
 
 
 def make_net(latency=100e-6, **kwargs):
     sim = Simulator()
-    trace = TraceLog(sim)
-    net = Network(sim, NetworkParams(latency=latency, **kwargs), trace=trace)
-    return sim, net, trace
+    obs = Observability(sim)
+    net = Network(sim, NetworkParams(latency=latency, **kwargs), obs=obs)
+    return sim, net, obs.trace
 
 
 def test_message_delivered_with_latency():

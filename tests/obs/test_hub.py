@@ -1,7 +1,10 @@
-"""Observability hub: fan-out, adoption rules, lifecycle semantics."""
+"""Observability hub: the one-record contract and lifecycle semantics."""
 
-from repro.obs import EventKind, Observability
+import pytest
+
+from repro.obs import Observability
 from repro.sim import Simulator, TraceLog
+from repro.sim.monitor import TraceRecord
 
 
 def hub():
@@ -9,7 +12,7 @@ def hub():
 
 
 def test_disabled_hub_records_nothing():
-    obs = Observability.disabled(Simulator())
+    obs = Observability(Simulator(), enabled=False)
     assert not obs.enabled
     obs.txn_start("mds1", 1, op="CREATE", protocol="1PC", submitted_at=0.0)
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
@@ -22,26 +25,102 @@ def test_disabled_hub_records_nothing():
     assert obs.metrics.snapshot() == {"counters": {}, "histograms": {}}
 
 
-def test_adopt_explicit_hub_wins():
-    sim = Simulator()
-    obs = Observability(sim)
-    assert Observability.adopt(sim, obs, TraceLog(sim)) is obs
+#: Every public hook with one sample call: (positional, keyword,
+#: whether the record also lands on a span or the cluster-scope list).
+HOOKS = {
+    "annotate": (("ack_gave_up", "mds2"), dict(txn=1, waited=0.5), True),
+    "txn_start": (("mds1", 2), dict(op="CREATE", protocol="1PC", submitted_at=0.0), False),
+    "txn_fallback": (("mds1", 1), dict(op="RENAME", workers=3), True),
+    "client_reply": (("mds1", 1), dict(committed=True, op="CREATE"), True),
+    "txn_done": (
+        ("mds1", 1),
+        dict(committed=True, op="CREATE", latency=0.1, replied_at=0.1),
+        False,
+    ),
+    "msg_send": (("mds1",), dict(kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1), True),
+    "msg_recv": (("mds2",), dict(kind="UPDATE_REQ", src="mds1", txn=1, msg_id=1), True),
+    "msg_drop": (("mds2",), dict(reason="partitioned", kind="ACK", txn=1), True),
+    "log_append": (("mds2",), dict(kind="REDO", txn=1, sync=True, nbytes=64.0), True),
+    "log_durable": (("mds2",), dict(kind="REDO", txn=1, sync=True, nbytes=64.0), True),
+    "log_crash": (("mds2",), dict(lost_jobs=2), False),
+    "log_restart": (("mds2",), {}, False),
+    "log_gc": (("mds2",), dict(txn=1, removed=3), False),
+    "lock_grant": (("locks:mds2",), dict(txn=1, obj="/d", mode="X"), True),
+    "lock_upgrade": (("locks:mds2",), dict(txn=1, obj="/d"), False),
+    "lock_wait": (("locks:mds2",), dict(txn=1, obj="/d", mode="X"), True),
+    "lock_timeout": (("locks:mds2",), dict(txn=1, obj="/d"), True),
+    "lock_release": (("locks:mds2",), dict(txn=1, obj="/d"), True),
+    "node_crash": (("mds2",), {}, True),
+    "node_restart": (("mds2",), {}, True),
+    "node_recovered": (("mds2",), {}, False),
+    "fence": (("mds1",), dict(target="mds2"), True),
+    "unfence": (("mds1",), dict(target="mds2"), True),
+}
+
+#: Span lifecycle only: the stream has no record for a worker session.
+SPAN_ONLY = {"worker_open", "worker_close"}
 
 
-def test_adopt_bare_trace_keeps_legacy_records_only():
-    sim = Simulator()
-    trace = TraceLog(sim)
-    obs = Observability.adopt(sim, None, trace)
-    assert obs.trace is trace
-    assert not obs.spans.enabled and not obs.metrics.enabled
-    obs.msg_send("a", kind="UPDATE_REQ", dst="b", txn=1, msg_id=1)
-    assert trace.count("msg_send") == 1
-    assert len(obs.spans) == 0
+def span_events(obs):
+    events = list(obs.spans.cluster_events)
+    for span in obs.spans:
+        events.extend(span.events)
+    return events
 
 
-def test_adopt_neither_is_disabled():
-    sim = Simulator()
-    assert not Observability.adopt(sim, None, None).enabled
+def test_contract_table_covers_every_public_hook():
+    public = {
+        name
+        for name, member in vars(Observability).items()
+        if callable(member) and not name.startswith("_")
+    }
+    assert public == set(HOOKS) | SPAN_ONLY
+
+
+@pytest.mark.parametrize("hook", sorted(HOOKS))
+def test_hook_appends_one_record_shared_with_its_span(hook):
+    args, kwargs, on_span = HOOKS[hook]
+    obs = hub()
+    obs.txn_start("mds1", 1, op="CREATE", protocol="1PC", submitted_at=0.0)
+    obs.worker_open("mds2", 1, opener="UPDATE_REQ")
+    before = len(obs.trace)
+    getattr(obs, hook)(*args, **kwargs)
+    assert len(obs.trace) == before + 1
+    record = obs.trace.records[-1]
+    assert isinstance(record, TraceRecord)
+    # The span view holds the very object the stream holds — never a copy.
+    assert [e for e in span_events(obs) if e is record] == [record] * on_span
+
+
+@pytest.mark.parametrize("hook", sorted(HOOKS))
+def test_disabled_hub_appends_nothing_and_opens_no_span(hook):
+    args, kwargs, _ = HOOKS[hook]
+    obs = Observability(Simulator(), enabled=False)
+    obs.worker_open("mds2", 1, opener="UPDATE_REQ")
+    getattr(obs, hook)(*args, **kwargs)
+    obs.worker_close("mds2", 1)
+    assert len(obs.trace) == 0
+    assert len(obs.spans) == 0 and span_events(obs) == []
+    assert obs.metrics.snapshot() == {"counters": {}, "histograms": {}}
+
+
+def test_worker_session_hooks_touch_spans_only():
+    obs = hub()
+    obs.worker_open("mds2", 1, opener="UPDATE_REQ")
+    obs.worker_close("mds2", 1)
+    assert len(obs.trace) == 0
+    assert obs.spans.leg_of(1, "mds2").closed
+
+
+def test_lock_record_lands_on_the_nodes_leg_under_the_managers_name():
+    obs = hub()
+    obs.txn_start("mds1", 1, op="CREATE", protocol="1PC", submitted_at=0.0)
+    obs.worker_open("mds2", 1, opener="UPDATE_REQ")
+    obs.lock_grant("locks:mds2", txn=1, obj="/d", mode="X")
+    obs.lock_grant("locks:mds2", txn="recovery", obj="/d", mode="X")  # not a txn
+    (event,) = obs.spans.leg_of(1, "mds2").events
+    assert (event.category, event.actor) == ("lock_grant", "locks:mds2")
+    assert obs.metrics.get_counter("locks.granted").value == 2
 
 
 def test_txn_lifecycle_emits_legacy_records_and_closes_root():
@@ -83,7 +162,7 @@ def test_worker_leg_closed_before_decision_reads_closed():
 
 
 def test_annotate_matches_legacy_emit_bytes():
-    """annotate() must produce the byte-identical legacy record."""
+    """annotate() must produce the record a bare TraceLog.emit would."""
     sim = Simulator()
     obs = Observability(sim)
     reference = TraceLog(sim)
@@ -92,11 +171,12 @@ def test_annotate_matches_legacy_emit_bytes():
     rec, ref = obs.trace.records[0], reference.records[0]
     assert (rec.category, rec.actor, rec.detail) == (ref.category, ref.actor, ref.detail)
     assert list(rec.detail) == list(ref.detail)  # kwargs order preserved
-    # The span side sees an annotation event tagged with the category.
+    # The span side sees the same record, under its own category.
     events = obs.spans.cluster_events  # txn 3 has no span -> cluster scope
-    assert events[0].kind == EventKind.ANNOTATION
-    assert events[0].get("category") == "ack_gave_up"
-    assert "txn" not in events[0].attrs
+    assert events == [rec]
+    # Without a txn an annotation stays off the spans entirely.
+    obs.annotate("net_heal", "network")
+    assert len(obs.trace) == 2 and len(events) == 1
 
 
 def test_lock_hold_time_histogram():

@@ -35,11 +35,18 @@ def test_empty_histogram_summary_and_errors():
 
 
 def test_disabled_registry_is_a_noop():
-    reg = MetricsRegistry(enabled=False)
-    reg.inc("c")
-    reg.observe("h", 1.0)
-    assert reg.get_counter("c") is None
-    assert reg.get_histogram("h") is None
+    """The registry has no switch of its own: a disabled hub never
+    reaches it, so no counter or histogram is ever created."""
+    from repro.obs import Observability
+    from repro.sim import Simulator
+
+    obs = Observability(Simulator(), enabled=False)
+    obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
+    obs.lock_grant("locks:mds1", txn=1, obj="d", mode="X")
+    obs.lock_release("locks:mds1", txn=1, obj="d")
+    reg = obs.metrics
+    assert reg.get_counter("net.sent") is None
+    assert reg.get_histogram("locks.hold_time") is None
     assert reg.snapshot() == {"counters": {}, "histograms": {}}
 
 

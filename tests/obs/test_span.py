@@ -1,18 +1,16 @@
 """Span and SpanCollector lifecycle unit tests."""
 
-from repro.obs import (
-    COORDINATOR,
-    UNCLOSED,
-    WORKER,
-    EventKind,
-    SpanCollector,
-    SpanEvent,
-)
+from repro.obs import COORDINATOR, UNCLOSED, WORKER, Observability, SpanCollector
 from repro.sim import Simulator
+from repro.sim.monitor import TraceRecord
 
 
 def collector():
     return SpanCollector(Simulator())
+
+
+def rec(time, category, actor, **detail):
+    return TraceRecord(time, category, actor, detail)
 
 
 def test_root_span_opens_and_closes():
@@ -50,27 +48,32 @@ def test_record_prefers_the_actors_leg_over_the_root():
     spans = collector()
     root = spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1")
     leg = spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds2")
-    spans.record(1, SpanEvent(0.0, EventKind.WAL_APPEND, "mds2", {"sync": True}))
-    spans.record(1, SpanEvent(0.0, EventKind.MSG_SEND, "mds1", {"kind": "UPDATE_REQ"}))
-    assert [e.kind for e in leg.events] == [EventKind.WAL_APPEND]
-    assert [e.kind for e in root.events] == [EventKind.MSG_SEND]
+    spans.record(1, "mds2", rec(0.0, "log_append", "mds2", sync=True))
+    spans.record(1, "mds1", rec(0.0, "msg_send", "mds1", kind="UPDATE_REQ"))
+    # A lock record's actor is the manager; the node names its leg.
+    spans.record(1, "mds2", rec(0.0, "lock_grant", "locks:mds2"))
+    assert [e.category for e in leg.events] == ["log_append", "lock_grant"]
+    assert [e.category for e in root.events] == ["msg_send"]
     # iter_events recurses into the legs.
-    assert len(list(root.iter_events())) == 2
+    assert len(list(root.iter_events())) == 3
     assert len(list(root.iter_events(recurse=False))) == 1
 
 
 def test_record_without_txn_goes_to_cluster_events():
     spans = collector()
-    spans.record(None, SpanEvent(1.0, EventKind.CRASH, "mds2", {}))
-    spans.record(99, SpanEvent(2.0, EventKind.MSG_SEND, "mds1", {}))  # unknown txn
-    assert [e.kind for e in spans.cluster_events] == [EventKind.CRASH, EventKind.MSG_SEND]
+    spans.record(None, "mds2", rec(1.0, "crash", "mds2"))
+    spans.record(99, "mds1", rec(2.0, "msg_send", "mds1"))  # unknown txn
+    assert [e.category for e in spans.cluster_events] == ["crash", "msg_send"]
 
 
 def test_disabled_collector_records_nothing():
-    spans = SpanCollector(Simulator(), enabled=False)
-    assert spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1") is None
-    spans.record(1, SpanEvent(0.0, EventKind.MSG_SEND, "mds1", {}))
-    assert len(spans) == 0 and spans.cluster_events == []
+    """The hub's one switch is the collector's too: no span, no event."""
+    obs = Observability(Simulator(), enabled=False)
+    assert obs.txn_start("mds1", 1, op="CREATE", protocol="1PC", submitted_at=0.0) is None
+    obs.worker_open("mds2", 1, opener="UPDATE_REQ")
+    obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
+    obs.node_crash("mds2")
+    assert len(obs.spans) == 0 and obs.spans.cluster_events == []
 
 
 def test_close_open_bounds_unclosed_spans():
@@ -79,7 +82,7 @@ def test_close_open_bounds_unclosed_spans():
     sim = Simulator()
     spans = SpanCollector(sim)
     root = spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1")
-    root.add(SpanEvent(5.0, EventKind.MSG_SEND, "mds1", {}))
+    root.events.append(rec(5.0, "msg_send", "mds1"))
     done = spans.begin(2, name="CREATE", role=COORDINATOR, actor="mds1")
     spans.close(done, "committed")
     closed = spans.close_open()
@@ -103,8 +106,8 @@ def test_events_of_merges_legs_in_time_order():
     spans = collector()
     spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1")
     spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds2")
-    spans.record(1, SpanEvent(2.0, EventKind.WAL_APPEND, "mds2", {}))
-    spans.record(1, SpanEvent(1.0, EventKind.MSG_SEND, "mds1", {}))
+    spans.record(1, "mds2", rec(2.0, "log_append", "mds2"))
+    spans.record(1, "mds1", rec(1.0, "msg_send", "mds1"))
     assert [e.time for e in spans.events_of(1)] == [1.0, 2.0]
     assert spans.events_of(42) == []
 
@@ -113,5 +116,5 @@ def test_last_time_considers_children():
     spans = collector()
     root = spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1")
     leg = spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds2")
-    leg.add(SpanEvent(9.0, EventKind.WAL_APPEND, "mds2", {}))
+    leg.events.append(rec(9.0, "log_append", "mds2"))
     assert root.last_time() == 9.0

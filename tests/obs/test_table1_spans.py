@@ -1,9 +1,9 @@
 """Conformance: span-derived cost counts equal the paper's Table I.
 
-The Table-I accounting used to grep flat trace records; it now folds
-the typed events on each transaction's span tree.  These tests prove
+The Table-I accounting folds the trace records attached to each
+transaction's span tree.  These tests prove
 the span-derived counts reproduce the paper's table exactly, protocol
-by protocol, straight from ``cluster.obs.spans`` — no flat log access.
+by protocol, straight from ``cluster.obs.spans`` — no whole-trace scan.
 """
 
 import pytest
@@ -43,7 +43,7 @@ def test_root_span_covers_the_worker_leg(protocol):
     assert legs[0].parent_id == root.span_id
     # The worker's forced redo write lives on its own leg, not the root.
     assert any(
-        e.kind == "wal_append" and e.get("sync") for e in legs[0].events
+        e.category == "log_append" and e.get("sync") for e in legs[0].events
     )
 
 

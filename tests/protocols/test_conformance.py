@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.protocols import PROTOCOLS
+from repro.protocols import default_protocols
 from repro.protocols.conformance import ConformanceReport, check_protocol
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+@pytest.mark.parametrize("name", sorted(default_protocols()))
 def test_registered_protocol_conforms(name):
     report = check_protocol(name)
     assert report.ok, f"{name} failed conformance: {report.failures}"

@@ -16,6 +16,7 @@ diff.  Regenerate deliberately with::
     EOF
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,35 @@ def test_trace_matches_golden(protocol):
         "change is intentional, regenerate tests/golden/ (see module "
         "docstring)"
     )
+
+
+def obs_views(cluster):
+    """The two views the hub derives from the trace, as a canonical
+    document: the metrics snapshot and the span-tree shape."""
+    spans = cluster.obs.spans
+    doc = {
+        "metrics": cluster.obs.metrics.snapshot(),
+        "spans": [
+            [s.role, s.actor, s.start, s.end, s.status, len(s.events),
+             [child.actor for child in s.children]]
+            for s in spans
+        ],
+        "cluster_events": len(spans.cluster_events),
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("protocol", ["PrN", "1PC"])
+def test_obs_views_match_golden(protocol):
+    """Counters, histograms and span trees are folds of the trace: a
+    hub change that keeps the trace bytes but drifts a view fails here.
+    Regenerate like the traces above, writing ``obs_views(cluster)`` to
+    ``tests/golden/<proto>_create_views.json``."""
+    cluster, client = make_cluster(protocol)
+    run_create(cluster, client)
+    drain(cluster)
+    golden = (GOLDEN_DIR / f"{protocol.lower()}_create_views.json").read_text()
+    assert obs_views(cluster) == golden
 
 
 def test_golden_traces_exist_and_are_nontrivial():
@@ -76,8 +106,6 @@ from repro.protocols.registry import default_protocols  # noqa: E402
 
 @pytest.mark.parametrize("protocol", default_protocols())
 def test_figure6_cell_matches_golden(protocol):
-    import json
-
     from repro.exec.runners import execute_spec
     from repro.exec.spec import RunSpec
 
@@ -94,8 +122,6 @@ def test_figure6_cell_matches_golden(protocol):
 
 
 def test_figure6_cell_goldens_are_nontrivial():
-    import json
-
     for proto in default_protocols():
         doc = json.loads(
             (GOLDEN_DIR / f"figure6_cell_{proto.lower()}.json").read_text()

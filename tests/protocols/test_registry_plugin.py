@@ -14,7 +14,6 @@ import pytest
 from repro.protocols.prn import PresumeNothingProtocol
 from repro.protocols.registry import (
     KNOWN_CAPABILITIES,
-    PROTOCOLS,
     ProtocolSpec,
     default_protocols,
     get_spec,
@@ -114,7 +113,7 @@ def test_specs_expose_reference_points():
     assert get_spec("PC").table1_row == (11, 1, 5, 1, 15, 15)
     assert get_spec("LGL").table1_row == (0, 0, 0, 0, 7, 4)
     for spec in specs():
-        assert spec.engine is PROTOCOLS[spec.name]
+        assert get_spec(spec.name) is spec
         assert spec.citation or spec.paper_figure6 is not None
 
 

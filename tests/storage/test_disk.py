@@ -3,15 +3,16 @@
 import pytest
 
 from repro.config import KB, StorageParams
-from repro.sim import Simulator, TraceLog
+from repro.obs import Observability
+from repro.sim import Simulator
 from repro.storage import Disk
 
 
 def make_disk(bandwidth=400 * KB, **kwargs):
     sim = Simulator()
-    trace = TraceLog(sim)
-    disk = Disk(sim, StorageParams(bandwidth=bandwidth, **kwargs), trace=trace)
-    return sim, disk, trace
+    obs = Observability(sim)
+    disk = Disk(sim, StorageParams(bandwidth=bandwidth, **kwargs), obs=obs)
+    return sim, disk, obs.trace
 
 
 def test_write_takes_bytes_over_bandwidth():

@@ -1,19 +1,17 @@
 """Group-commit WAL behaviour."""
 
 from repro.config import StorageParams
-from repro.sim import Simulator, TraceLog
+from repro.sim import Simulator
 from repro.storage import Disk, LogRecord, RecordKind, WriteAheadLog
 
 
 def make_wal(group_commit, bandwidth=1000.0, max_bytes=64 * 1024.0):
     sim = Simulator()
-    trace = TraceLog(sim)
-    disk = Disk(sim, StorageParams(bandwidth=bandwidth), trace=trace)
+    disk = Disk(sim, StorageParams(bandwidth=bandwidth))
     wal = WriteAheadLog(
         sim,
         disk,
         owner="mds1",
-        trace=trace,
         group_commit=group_commit,
         group_commit_max_bytes=max_bytes,
     )

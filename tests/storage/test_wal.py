@@ -4,17 +4,18 @@ crash durability, checkpointing."""
 import pytest
 
 from repro.config import StorageParams
-from repro.sim import Simulator, TraceLog
+from repro.obs import Observability
+from repro.sim import Simulator
 from repro.storage import Disk, LogRecord, RecordKind, WriteAheadLog
 from repro.storage.wal import LogLostError
 
 
 def make_wal(bandwidth=1000.0):
     sim = Simulator()
-    trace = TraceLog(sim)
-    disk = Disk(sim, StorageParams(bandwidth=bandwidth), trace=trace)
-    wal = WriteAheadLog(sim, disk, owner="mds1", trace=trace)
-    return sim, wal, trace
+    obs = Observability(sim)
+    disk = Disk(sim, StorageParams(bandwidth=bandwidth), obs=obs)
+    wal = WriteAheadLog(sim, disk, owner="mds1", obs=obs)
+    return sim, wal, obs.trace
 
 
 def rec(kind, txn=1, size=100.0, **payload):

@@ -41,12 +41,11 @@ def test_top_level_api_shape():
         "OnePhaseCommitProtocol",
         "PresumeNothingProtocol",
         "SimulationParams",
-        "PROTOCOLS",
         "BatchPlanner",
     ):
         assert symbol in repro.__all__
 
-    assert set(repro.PROTOCOLS) == {
+    assert set(repro.protocols.default_protocols()) == {
         "PrN", "PrC", "EP", "PrA", "1PC", "PC", "LGL", "1PC-N",
     }
 
@@ -58,9 +57,9 @@ def test_version_is_set():
 
 
 def test_every_protocol_class_has_required_interface():
-    from repro.protocols import PROTOCOLS
+    from repro.protocols import specs
 
-    for cls in PROTOCOLS.values():
+    for cls in (spec.engine for spec in specs()):
         for method in ("coordinate", "worker_session", "recover", "handle_stray", "run_local"):
             assert hasattr(cls, method), f"{cls.__name__} lacks {method}"
         assert cls.name
