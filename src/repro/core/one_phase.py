@@ -30,6 +30,13 @@ Key properties reproduced from the paper:
   log partition from the central storage (see
   :mod:`repro.core.recovery`) instead of blocking.
 
+What is written here is the protocol's delta over the shared skeleton
+in :mod:`repro.protocols.base` (worker-side execution, the ACK wait,
+the log-scan recovery loop, redo-plan decoding): what 1PC forces and
+when, how it collects the workers' commits, and the §III-C recovery
+cases.  The redo replay runs the *same* coordinator body as a client
+request — it just has no client to answer.
+
 Cost accounting (Table I row 1PC): (3, 1) log writes total, (2, 0) in
 the critical path, 1 extra message (ACK), none in the critical path.
 """
@@ -39,29 +46,30 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.core.recovery import probe_worker_log
-from repro.fs.operations import OpPlan, UnsupportedOperation
+from repro.fs.operations import OpPlan
 from repro.net.message import Message
 from repro.protocols.base import (
+    ACK_WAIT_FACTOR,
+    UPDATE_REPLIES,
     MsgKind,
     Protocol,
     ProtocolSpec,
     Transaction,
     TransactionAborted,
+    immediately,
     register_protocol,
 )
-from repro.protocols.registry import CAP_SHARED_LOG, reject_fanout
+from repro.protocols.registry import CAP_SHARED_LOG
 from repro.storage.fencing import FencedError
 from repro.storage.records import RecordKind
 from repro.storage.wal import LogLostError
-
-#: How long a worker waits for the coordinator's ACK before asking for
-#: a retransmission, in units of the protocol reply timeout.
-ACK_WAIT_FACTOR = 5
 
 #: How many times the coordinator retransmits a decided commit to a
 #: worker that missed the decision (each attempt waits out a rebooting
 #: worker for ``ACK_WAIT_FACTOR`` reply timeouts).
 COMMIT_DRIVE_RETRIES = 8
+
+_CONFIRMATIONS = frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED, MsgKind.ACK_REQ})
 
 
 class OnePhaseCommitProtocol(Protocol):
@@ -86,38 +94,41 @@ class OnePhaseCommitProtocol(Protocol):
     # ------------------------------------------------------------------
 
     def coordinate(self, txn: Transaction) -> Generator:
-        if self.max_workers is not None and len(txn.workers) > self.max_workers:
-            raise UnsupportedOperation(
-                reject_fanout(self.name, self.max_workers, len(txn.workers))
-            )
-        inbox = self.server.open_session(txn.txn_id)
+        self.check_fanout(txn)
+        txn_id, plan = txn.txn_id, txn.plan
+        inbox = self.server.open_session(txn_id)
         try:
             # STARTED plus the redo record for the whole namespace
             # operation, forced in a single log write.
             yield from self.wal.force(
-                self.state_rec(
-                    RecordKind.STARTED, txn.txn_id, op=txn.plan.op, workers=txn.workers
-                ),
-                self.redo_rec(txn.txn_id, txn.plan),
+                self.state_rec(RecordKind.STARTED, txn_id, op=plan.op, workers=txn.workers),
+                self.redo_rec(txn_id, plan),
             )
             try:
-                outcome = yield from self._coordinate_body(txn, inbox)
+                return (yield from self._coordinate_body(txn_id, plan, inbox, txn))
             except TransactionAborted as aborted:
-                outcome = yield from self._abort(txn, aborted.reason)
-            return outcome
+                return (yield from self._abort(txn_id, aborted.reason, txn))
         finally:
-            self.server.close_session(txn.txn_id)
+            self.server.close_session(txn_id)
 
-    def _coordinate_body(self, txn: Transaction, inbox) -> Generator:
-        plan, txn_id = txn.plan, txn.txn_id
+    def _coordinate_body(
+        self, txn_id: int, plan: OpPlan, inbox, txn: Optional[Transaction] = None
+    ) -> Generator:
+        """Execute, collect the workers' commits, decide, commit.
+
+        Runs for a client's ``txn`` and, with none, for the §III-C redo
+        replay: the same steps, nobody to answer.
+        """
         yield from self.lock_all(txn_id, plan.locks(self.me))
         yield from self.apply_updates(txn_id, plan.updates[self.me])
 
-        workers = list(txn.workers)
+        workers = plan.workers
         for worker in workers:
-            self._send_update_req(worker, txn_id, plan)
+            self.ship_updates(worker, txn_id, plan, commit=True)
+        # A rebooted coordinator heard no heartbeats while it was down:
+        # only a live request may act on the failure detector's view.
         committed, outstanding, reason = yield from self._collect_worker_commits(
-            txn_id, workers, inbox
+            txn_id, workers, inbox, watch_detector=txn is not None
         )
         if workers and not committed:
             # Nobody's commit record is durable: refusers rolled back,
@@ -143,7 +154,12 @@ class OnePhaseCommitProtocol(Protocol):
         self.store.commit(txn_id)
         replied_at = self.reply_to_client(txn, committed=True)
         self.locks.release_all(txn_id)
-        yield from self._commit_self(txn_id)
+        # Force UPDATES+COMMITTED, then harden the stable image.
+        yield from self.wal.force(
+            self.updates_rec(txn_id, self.store.updates_of(txn_id)),
+            self.state_rec(RecordKind.COMMITTED, txn_id),
+        )
+        self.store.commit_durable(txn_id)
         for worker in committed:
             self.send(worker, MsgKind.ACK, txn_id)
         if outstanding:
@@ -151,19 +167,8 @@ class OnePhaseCommitProtocol(Protocol):
         self.wal.checkpoint(txn_id)
         return self.outcome(txn, committed=True, replied_at=replied_at)
 
-    def _send_update_req(self, worker: str, txn_id: int, plan: OpPlan, **extra) -> None:
-        self.send(
-            worker,
-            MsgKind.UPDATE_REQ,
-            txn_id,
-            updates=[u.describe() for u in plan.updates[worker]],
-            op=plan.op,
-            commit=True,
-            **extra,
-        )
-
     def _collect_worker_commits(
-        self, txn_id: int, workers, inbox, watch_detector: bool = True
+        self, txn_id: int, workers, inbox, watch_detector: bool
     ) -> Generator:
         """Collect every worker's vote: its forced commit (UPDATED), a
         refusal (NOT_PREPARED), or — once it goes silent — the verdict
@@ -179,9 +184,7 @@ class OnePhaseCommitProtocol(Protocol):
         committed: list = []
         failed: dict = {}
         while pending:
-            msg = yield from self._await_worker_reply(
-                txn_id, pending, inbox, watch_detector=watch_detector
-            )
+            msg = yield from self._await_worker_reply(txn_id, pending, inbox, watch_detector)
             if msg is None:
                 break
             if msg.src not in pending:
@@ -205,7 +208,7 @@ class OnePhaseCommitProtocol(Protocol):
         return committed, outstanding, reason
 
     def _await_worker_reply(
-        self, txn_id: int, pending, inbox, watch_detector: bool = True
+        self, txn_id: int, pending, inbox, watch_detector: bool
     ) -> Generator:
         """Wait for one outstanding worker's reply, watching the
         failure detector.
@@ -226,14 +229,7 @@ class OnePhaseCommitProtocol(Protocol):
             else self.params.failure.reply_timeout
         )
         while True:
-            remaining = deadline - self.sim.now
-            if remaining <= 0:
-                return None
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED}),
-                timeout=min(slice_, remaining),
-            )
+            msg = yield from self.recv_until(inbox, UPDATE_REPLIES, deadline, slice_)
             if msg is not None:
                 return msg
             if heartbeats_on and all(detector.suspects(self.me, w) for w in pending):
@@ -241,6 +237,8 @@ class OnePhaseCommitProtocol(Protocol):
                     self.obs.annotate(
                         "early_suspicion", self.me, txn=txn_id, worker=worker
                     )
+                return None
+            if self.sim.now >= deadline:
                 return None
 
     def _drive_stragglers(self, txn_id: int, plan: OpPlan, stragglers, inbox) -> Generator:
@@ -258,7 +256,7 @@ class OnePhaseCommitProtocol(Protocol):
         """
         for worker in stragglers:
             for _ in range(COMMIT_DRIVE_RETRIES):
-                self._send_update_req(worker, txn_id, plan, decided=True)
+                self.ship_updates(worker, txn_id, plan, commit=True, decided=True)
                 msg = yield from self._await_commit_confirmation(txn_id, worker, inbox)
                 if msg is not None and msg.kind == MsgKind.UPDATED:
                     self.send(worker, MsgKind.ACK, txn_id)
@@ -273,24 +271,13 @@ class OnePhaseCommitProtocol(Protocol):
         answering ACK_REQs from already-committed peers meanwhile."""
         deadline = self.sim.now + self.params.failure.reply_timeout * ACK_WAIT_FACTOR
         while True:
-            remaining = deadline - self.sim.now
-            if remaining <= 0:
-                return None
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset(
-                    {MsgKind.UPDATED, MsgKind.NOT_PREPARED, MsgKind.ACK_REQ}
-                ),
-                timeout=remaining,
-            )
+            msg = yield from self.recv_until(inbox, _CONFIRMATIONS, deadline)
             if msg is None:
                 return None
             if msg.kind == MsgKind.ACK_REQ:
                 self.send(msg.src, MsgKind.ACK, msg.txn_id)
-                continue
-            if msg.src != worker:
-                continue
-            return msg
+            elif msg.src == worker:
+                return msg
 
     def _probe_worker(self, txn_id: int, worker: str) -> Generator:
         """Fence the worker and read its shared log (§III-C case 2)."""
@@ -298,25 +285,9 @@ class OnePhaseCommitProtocol(Protocol):
         result = yield from probe_worker_log(self.server.cluster, self.me, worker, txn_id)
         return result.committed
 
-    def _commit_self(self, txn_id: int, updates=None) -> Generator:
-        """Force UPDATES+COMMITTED, then harden the stable image."""
-        if updates is None:
-            updates = self._committed_updates(txn_id)
-        yield from self.wal.force(
-            self.updates_rec(txn_id, updates),
-            self.state_rec(RecordKind.COMMITTED, txn_id),
-        )
-        self.store.commit_durable(txn_id)
-
-    def _committed_updates(self, txn_id: int):
-        """Updates of a transaction that may already be cache-committed."""
-        pending = self.store._pending_harden.get(txn_id)
-        if pending is not None:
-            return list(pending)
-        return self.store.updates_of(txn_id)
-
-    def _abort(self, txn: Transaction, reason: str) -> Generator:
-        txn_id = txn.txn_id
+    def _abort(
+        self, txn_id: int, reason: str, txn: Optional[Transaction] = None
+    ) -> Generator:
         yield from self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id, reason=reason))
         self.store.abort(txn_id)
         self.locks.release_all(txn_id)
@@ -334,111 +305,44 @@ class OnePhaseCommitProtocol(Protocol):
             if first.kind != MsgKind.UPDATE_REQ or not first.payload.get("commit"):
                 self.send(coordinator, MsgKind.NOT_PREPARED, txn_id)
                 return None
-            if self.wal.has(RecordKind.COMMITTED, txn_id) or self.store.has_applied(txn_id):
-                # Duplicate request (coordinator re-executed after a
-                # crash): we already committed — just re-acknowledge.
-                self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-                yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
-                return None
-
-            updates = self.decode_updates(first.payload)
-            try:
-                # A ``decided`` retransmission means the global outcome
-                # is already COMMIT (some sibling's forced commit is
-                # durable): our vote no longer exists to refuse.
-                if self.server.fail_next_vote and not first.payload.get("decided"):
-                    self.server.fail_next_vote = False
-                    raise TransactionAborted("injected vote failure")
-                yield from self.lock_all(txn_id, self._lock_targets(updates))
-                yield from self.apply_updates(txn_id, updates)
-                # The worker's commit *is* its vote.
-                updates_rec = self.updates_rec(txn_id, self.store.updates_of(txn_id))
-                yield from self.wal.force(
-                    updates_rec,
-                    self.state_rec(RecordKind.COMMITTED, txn_id, coordinator=coordinator),
-                )
-            except TransactionAborted as aborted:
-                self.store.abort(txn_id)
+            # A duplicate request (the coordinator re-executed after a
+            # crash) finds the commit already done and only needs the
+            # re-acknowledgement below.
+            if not (self.wal.has(RecordKind.COMMITTED, txn_id) or self.store.has_applied(txn_id)):
+                if not (yield from self.execute_as_worker(first)):
+                    return None
+                try:
+                    # The worker's commit *is* its vote.
+                    yield from self.wal.force(
+                        self.updates_rec(txn_id, self.store.updates_of(txn_id)),
+                        self.state_rec(RecordKind.COMMITTED, txn_id, coordinator=coordinator),
+                    )
+                except (FencedError, LogLostError):
+                    # Fenced mid-commit (the coordinator gave up on us)
+                    # or crashed log: the commit never became durable,
+                    # so the coordinator will read "no entry" and
+                    # abort.  Drop everything locally.
+                    self.store.abort(txn_id)
+                    self.locks.release_all(txn_id)
+                    self.obs.annotate("worker_fenced_mid_commit", self.me, txn=txn_id)
+                    return None
+                self.store.commit_durable(txn_id)
                 self.locks.release_all(txn_id)
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
-                return None
-            except (FencedError, LogLostError):
-                # Fenced mid-commit (the coordinator gave up on us) or
-                # crashed log: the commit never became durable, so the
-                # coordinator will read "no entry" and abort.  Drop
-                # everything locally.
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.obs.annotate("worker_fenced_mid_commit", self.me, txn=txn_id)
-                return None
-            self.store.commit_durable(txn_id)
-            self.locks.release_all(txn_id)
             self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-            yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
+            yield from self.await_ack_and_finalize(txn_id, coordinator, inbox)
             return None
         finally:
             self.server.close_session(txn_id)
-
-    @staticmethod
-    def _lock_targets(updates) -> list:
-        seen: dict = {}
-        for update in updates:
-            seen.setdefault(update.target())
-        return list(seen)
-
-    def _await_ack_and_finalize(self, txn_id: int, coordinator: str, inbox) -> Generator:
-        """Wait for the coordinator's ACK, then finalise with ENDED.
-
-        A duplicate commit-carrying UPDATE_REQ in the meantime means
-        the coordinator crashed and is re-executing from its redo
-        record: re-acknowledge with UPDATED (we already committed).
-        """
-        asked = False
-        while True:
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.ACK, MsgKind.UPDATE_REQ}),
-                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
-            )
-            if msg is None:
-                if asked:
-                    self.obs.annotate("worker_unfinalized", self.me, txn=txn_id)
-                    return
-                # §III-C: ask the coordinator to resend the ACKNOWLEDGE.
-                self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-                asked = True
-                continue
-            if msg.kind == MsgKind.UPDATE_REQ:
-                self.send(msg.src, MsgKind.UPDATED, txn_id, ok=True)
-                continue
-            break
-        self._finalize(txn_id)
-
-    def _finalize(self, txn_id: int) -> None:
-        """Lazy ENDED, then garbage-collect once it is durable."""
-        flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
-        flush.callbacks.append(lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None)
 
     # ------------------------------------------------------------------
     # Recovery (§III-C)
     # ------------------------------------------------------------------
 
-    def recover(self) -> Generator:
-        for txn_id in self.wal.open_transactions():
-            records = self.wal.records_for(txn_id)
-            if not self.owns_txn(records):
-                continue
-            state = self.wal.last_state(txn_id)
-            if any(r.kind == RecordKind.STARTED for r in records):
-                yield from self._recover_coordinator(txn_id, state, records)
-            else:
-                yield from self._recover_worker(txn_id, state, records)
-
     def _recover_coordinator(self, txn_id: int, state, records) -> Generator:
+        plan = self._redo_plan(records)
         if state == RecordKind.STARTED:
             # "The coordinator restarts the transaction from the
             # beginning" using the redo record.
-            plan = self._plan_from_redo(records)
             if plan is None:
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-missing")
                 return
@@ -447,13 +351,8 @@ class OnePhaseCommitProtocol(Protocol):
             # "The transaction is already committed and the coordinator
             # does nothing."  We still fold the updates if the crash hit
             # between the log force and the fold.
-            if not self.store.has_applied(txn_id):
-                yield from self._reapply_logged_updates(txn_id, records)
-                self.store.commit_durable(txn_id)
-            plan = self._plan_from_redo(records)
-            workers = (
-                [n for n in plan.participants if n != self.me] if plan is not None else []
-            )
+            yield from self.refold(txn_id, self.logged_updates(records))
+            workers = plan.workers if plan is not None else []
             if len(workers) > 1:
                 # With one worker, our COMMITTED record proves the
                 # worker committed first.  With k > 1 it only proves
@@ -470,114 +369,39 @@ class OnePhaseCommitProtocol(Protocol):
         elif state == RecordKind.ABORTED:
             self.wal.checkpoint(txn_id)
 
+    @staticmethod
+    def _redo_plan(records) -> Optional[OpPlan]:
+        for record in records:
+            if record.kind == RecordKind.REDO:
+                return OpPlan.from_description(record.payload["plan"])
+        return None
+
     def _re_execute(self, txn_id: int, plan: OpPlan) -> Generator:
-        """Redo-record replay: run the transaction again end to end."""
+        """Redo-record replay: run the transaction again end to end
+        ("no matter what will happen, the transaction will be committed
+        eventually") — unless, again, no worker commits."""
         self.obs.annotate("recovery", self.me, txn=txn_id, action="redo")
         inbox = self.server.open_session(txn_id)
         try:
             try:
-                yield from self.lock_all(txn_id, plan.locks(self.me))
-                yield from self.apply_updates(txn_id, plan.updates[self.me])
+                yield from self._coordinate_body(txn_id, plan, inbox)
             except TransactionAborted as aborted:
-                # Replay of our own logged operation cannot conflict
-                # unless the transaction already committed once.
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                yield from self.wal.force(
-                    self.state_rec(RecordKind.ABORTED, txn_id, reason=aborted.reason)
-                )
-                self.wal.checkpoint(txn_id)
+                yield from self._abort(txn_id, aborted.reason)
                 return
-            workers = [n for n in plan.participants if n != self.me]
-            committed: list = []
-            outstanding: list = []
-            if workers:
-                for worker in workers:
-                    self._send_update_req(worker, txn_id, plan)
-                committed, outstanding, _ = yield from self._collect_worker_commits(
-                    txn_id, workers, inbox, watch_detector=False
-                )
-                if not committed:
-                    self.store.abort(txn_id)
-                    self.locks.release_all(txn_id)
-                    yield from self.wal.force(
-                        self.state_rec(RecordKind.ABORTED, txn_id, reason="redo failed")
-                    )
-                    self.wal.checkpoint(txn_id)
-                    return
-            self.locks.release_all(txn_id)
-            yield from self._commit_self(txn_id)
-            for worker in committed:
-                self.send(worker, MsgKind.ACK, txn_id)
-            if outstanding:
-                yield from self._drive_stragglers(txn_id, plan, outstanding, inbox)
-            self.wal.checkpoint(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-committed")
         finally:
             self.server.close_session(txn_id)
 
     def _recover_worker(self, txn_id: int, state, records) -> Generator:
         if state == RecordKind.COMMITTED:
-            # "The worker asks the coordinator to resend the
-            # ACKNOWLEDGE message."
-            if not self.store.has_applied(txn_id):
-                yield from self._reapply_logged_updates(txn_id, records)
-                self.store.commit_durable(txn_id)
-            coordinator = self._coordinator_from(records)
-            inbox = self.server.open_session(txn_id)
-            try:
-                if coordinator is None:
-                    return
-                self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-                msg = yield from self.recv(
-                    inbox,
-                    kinds=frozenset({MsgKind.ACK}),
-                    timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
-                )
-                if msg is not None:
-                    self._finalize(txn_id)
-                self.obs.annotate("recovery", self.me, txn=txn_id, action="ack-requested")
-            finally:
-                self.server.close_session(txn_id)
+            yield from self.refold(txn_id, self.logged_updates(records))
+            coordinator = self.coordinator_from(records)
+            if coordinator is not None:
+                yield from self.reclaim_ack(txn_id, coordinator)
         elif state == RecordKind.ENDED:
             # "The coordinator has committed and it does not need the
             # log anymore."
             self.wal.checkpoint(txn_id)
-
-    def _reapply_logged_updates(self, txn_id: int, records) -> Generator:
-        from repro.fs.objects import update_from_description
-
-        for record in records:
-            if record.kind == RecordKind.UPDATES:
-                for desc in record.payload.get("updates", []):
-                    yield self.sim.timeout(self.params.compute.write_latency)
-                    self.store.apply(txn_id, update_from_description(desc))
-
-    def _plan_from_redo(self, records) -> Optional[OpPlan]:
-        from repro.fs.objects import update_from_description
-
-        for record in records:
-            if record.kind == RecordKind.REDO:
-                desc = record.payload["plan"]
-                updates = {
-                    node: [update_from_description(d) for d in descs]
-                    for node, descs in desc["updates"].items()
-                }
-                return OpPlan(
-                    op=desc["op"],
-                    path=desc["path"],
-                    updates=updates,
-                    coordinator=desc["coordinator"],
-                    detail=dict(desc.get("detail", {})),
-                )
-        return None
-
-    @staticmethod
-    def _coordinator_from(records) -> Optional[str]:
-        for record in records:
-            if "coordinator" in record.payload:
-                return record.payload["coordinator"]
-        return None
 
     # ------------------------------------------------------------------
     # Stray messages
@@ -588,35 +412,12 @@ class OnePhaseCommitProtocol(Protocol):
             # A recovered worker wants its ACK.  If our log has no entry
             # the transaction was committed and checkpointed; if it has
             # COMMITTED we committed too.  Either way: ACK.
-            state = self.wal.last_state(msg.txn_id)
-
-            def respond():
-                if state in (None, RecordKind.COMMITTED, RecordKind.ENDED):
-                    self.send(msg.src, MsgKind.ACK, msg.txn_id)
-                return None
-                yield  # pragma: no cover - generator marker
-
-            return respond()
+            if self.wal.last_state(msg.txn_id) in (None, RecordKind.COMMITTED, RecordKind.ENDED):
+                return self._stray_reply(msg, MsgKind.ACK)
+            return immediately()
         if msg.kind == MsgKind.ACK and self.wal.last_state(msg.txn_id) == RecordKind.COMMITTED:
             # Late ACK for a worker whose session is gone.
-            def finalize():
-                self._finalize(msg.txn_id)
-                return None
-                yield  # pragma: no cover - generator marker
-
-            return finalize()
-        if msg.kind == MsgKind.UPDATE_REQ and msg.payload.get("commit"):
-            # Duplicate commit-carrying request after both sides
-            # recovered: answer from the log.
-            if self.wal.has(RecordKind.COMMITTED, msg.txn_id) or self.store.has_applied(
-                msg.txn_id
-            ):
-                def re_ack():
-                    self.send(msg.src, MsgKind.UPDATED, msg.txn_id, ok=True)
-                    return None
-                    yield  # pragma: no cover - generator marker
-
-                return re_ack()
+            return immediately(self.finalize, msg.txn_id)
         return super().handle_stray(msg)
 
 

@@ -29,6 +29,7 @@ from repro.fs.objects import (
     RemoveDirTable,
     TouchInode,
     Update,
+    update_from_description,
 )
 from repro.fs.placement import PlacementPolicy
 
@@ -107,6 +108,20 @@ class OpPlan:
             },
             "detail": dict(self.detail),
         }
+
+    @classmethod
+    def from_description(cls, desc: dict) -> "OpPlan":
+        """Inverse of :meth:`describe` (redo records, replicated BEGINs)."""
+        return cls(
+            op=desc["op"],
+            path=desc["path"],
+            updates={
+                node: [update_from_description(d) for d in descs]
+                for node, descs in desc["updates"].items()
+            },
+            coordinator=desc["coordinator"],
+            detail=dict(desc.get("detail", {})),
+        )
 
 
 def _merge(updates: dict[str, list[Update]], node: str, update: Update) -> None:

@@ -294,9 +294,12 @@ class MetadataStore:
         updates.append(update)
 
     def updates_of(self, txn_id: int) -> list[Update]:
-        if txn_id not in self._overlays:
-            return []
-        return list(self._overlays[txn_id][1])
+        """``txn_id``'s updates in applied order: from its overlay while
+        in flight, from the pending-harden list once it is committed in
+        the cache but not yet hardened, else ``[]``."""
+        if txn_id in self._overlays:
+            return list(self._overlays[txn_id][1])
+        return list(self._pending_harden.get(txn_id, ()))
 
     def commit(self, txn_id: int) -> None:
         """Fold ``txn_id``'s overlay into the cache image.

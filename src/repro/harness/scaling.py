@@ -116,16 +116,6 @@ def run_scaling_cell(
     )
 
 
-def run_scaling_point(
-    protocol: str,
-    n_pairs: int,
-    ops_per_dir: int = 25,
-    params: Optional[SimulationParams] = None,
-) -> float:
-    """Aggregate throughput with ``n_pairs`` pairs (scalar shorthand)."""
-    return run_scaling_cell(protocol, n_pairs, ops_per_dir=ops_per_dir, params=params).throughput
-
-
 def sweep_scaling(
     pair_counts: Sequence[int] = (1, 2, 4),
     *,

@@ -105,13 +105,3 @@ def sweep_abort_rate(
             raise ValueError(f"abort rate must be in [0, 1), got {rate}")
     specs = abort_rate_grid(rates, protocols=protocols, n=n, params=params, seed=seed)
     return _fold(run_grid(specs, workers=workers, cache=cache))
-
-
-def _burst_with_aborts(protocol, n, rate, params, seed=7):
-    """Committed tx/s of one abort-injected burst (legacy shorthand)."""
-    from repro.exec import RunSpec, execute_spec
-
-    spec = RunSpec(
-        kind="abort_burst", protocol=protocol, n=n, abort_rate=rate, seed=seed, params=params
-    )
-    return execute_spec(spec).throughput

@@ -1,4 +1,4 @@
-"""Shared machinery for atomic commitment protocols.
+"""The commit skeleton: everything two or more protocol engines share.
 
 Each MDS owns one protocol engine instance (a subclass of
 :class:`Protocol`).  The engine plays both roles:
@@ -9,33 +9,57 @@ Each MDS owns one protocol engine instance (a subclass of
   every remote transaction the server participates in; the server's
   dispatcher feeds it messages through a per-transaction inbox.
 
-Recovery hooks: :meth:`Protocol.recover` runs once after reboot;
+Recovery hooks: :meth:`Protocol.recover` runs once after reboot (by
+default a log scan that hands each open transaction to the engine's
+``_recover_coordinator`` or ``_recover_worker``);
 :meth:`Protocol.handle_stray` deals with protocol messages for
 transactions that have no live session (typically retransmissions
 arriving after a crash or after checkpointing).
+
+:class:`Protocol` owns every step of the choreography that more than
+one engine performs -- lock/apply/refuse at a worker
+(:meth:`~Protocol.execute_as_worker`), one reply per worker or abort
+(:meth:`~Protocol.gather`), waiting against a deadline
+(:meth:`~Protocol.recv_until`), the lazy ENDED that closes a log entry
+(:meth:`~Protocol.finalize`), replaying logged updates
+(:meth:`~Protocol.reapply`, :meth:`~Protocol.refold`), the one-phase
+worker's ACK wait -- so an engine module reads as its *delta*: which
+records it forces, whom it asks, what it presumes.  ``docs/protocols.md``
+("The skeleton and the deltas") tabulates those deltas per protocol.
+
+Recovery has no client to answer: the steps that reply
+(:meth:`~Protocol.reply_to_client`, :meth:`~Protocol.outcome`) accept
+``txn=None`` and do nothing, which lets a recovery path run the same
+body as the client path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional, Sequence
 
-from repro.fs.objects import ObjectId, Update, update_from_description
-from repro.fs.operations import OpPlan
+from repro.fs.objects import ObjectId, Update, UpdateError, update_from_description
+from repro.fs.operations import OpPlan, UnsupportedOperation
 from repro.locks import LockMode, LockTimeout
 from repro.net.message import Message
-from repro.protocols.registry import ProtocolSpec, register_protocol
+from repro.protocols.registry import ProtocolSpec, register_protocol, reject_fanout
 from repro.sim import AnyOf
 from repro.storage.records import LogRecord, RecordKind
 
 __all__ = [
+    "ACKS",
+    "ACK_WAIT_FACTOR",
+    "DECISIONS",
     "SESSION_OPENERS",
+    "UPDATE_REPLIES",
+    "VOTES",
     "MsgKind",
     "Protocol",
     "ProtocolSpec",
     "Transaction",
     "TransactionAborted",
     "TxnOutcome",
+    "immediately",
     "register_protocol",
 ]
 
@@ -95,6 +119,28 @@ class MsgKind:
 
 #: Message kinds that may open a new worker session.
 SESSION_OPENERS = frozenset({MsgKind.UPDATE_REQ, MsgKind.PREPARE})
+#: What a session waits for, by round (built once, not per receive).
+UPDATE_REPLIES = frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED})
+VOTES = frozenset({MsgKind.PREPARED, MsgKind.NOT_PREPARED})
+DECISIONS = frozenset({MsgKind.COMMIT, MsgKind.ABORT})
+ACKS = frozenset({MsgKind.ACK})
+_ACK_OR_DUPLICATE = frozenset({MsgKind.ACK, MsgKind.UPDATE_REQ})
+
+#: How long a one-phase worker waits for the coordinator's ACK before
+#: asking for a retransmission (and how long the coordinator waits out
+#: a rebooting worker), in units of the protocol reply timeout.
+ACK_WAIT_FACTOR = 5
+
+
+def immediately(fn: Optional[Callable[..., Any]] = None, *args: Any) -> Generator:
+    """A generator that takes no simulated time.
+
+    Runs ``fn(*args)`` when driven and returns its result: for stray
+    replies the server spawns as processes, and for overridden steps
+    with nothing to wait for where the skeleton expects a generator.
+    """
+    return fn(*args) if fn is not None else None
+    yield  # pragma: no cover - generator marker
 
 
 class TransactionAborted(Exception):
@@ -235,6 +281,22 @@ class Protocol:
 
     # -- execution helpers ----------------------------------------------------------
 
+    def check_fanout(self, txn: Transaction) -> None:
+        """Refuse a transaction wider than ``max_workers`` (the server
+        routes those to the fallback engine when one is configured)."""
+        if self.max_workers is not None and len(txn.workers) > self.max_workers:
+            raise UnsupportedOperation(
+                reject_fanout(self.name, self.max_workers, len(txn.workers))
+            )
+
+    @staticmethod
+    def lock_targets(updates: Iterable[Update]) -> list[ObjectId]:
+        """Objects ``updates`` touch, deduplicated in first-use order."""
+        seen: dict[ObjectId, None] = {}
+        for update in updates:
+            seen.setdefault(update.target())
+        return list(seen)
+
     def lock_all(self, txn_id: int, objects: Iterable[ObjectId]) -> Generator:
         """Acquire exclusive locks in deterministic order (2PL growing
         phase).  Raises :class:`TransactionAborted` on lock timeout."""
@@ -251,8 +313,6 @@ class Protocol:
 
         Raises :class:`TransactionAborted` when an update is
         inconsistent (e.g. EEXIST / ENOENT)."""
-        from repro.fs.objects import UpdateError
-
         for update in updates:
             yield self.sim.timeout(self.params.compute.write_latency)
             try:
@@ -260,8 +320,61 @@ class Protocol:
             except UpdateError as exc:
                 raise TransactionAborted(str(exc))
 
+    def execute_as_worker(self, first: Message) -> Generator:
+        """Worker side of the execution step: lock and apply the
+        updates ``first`` shipped.
+
+        Returns ``True`` with the locks held and the updates in the
+        cache overlay.  On an injected vote failure, a lock timeout or
+        an inconsistent update it rolls back, answers ``NOT_PREPARED``
+        and returns ``False``.  A ``decided`` retransmission (1PC-N)
+        carries an outcome that is already COMMIT: there is no vote
+        left to refuse.
+        """
+        txn_id = first.txn_id
+        updates = [update_from_description(d) for d in first.payload.get("updates", [])]
+        try:
+            if self.server.fail_next_vote and not first.payload.get("decided"):
+                self.server.fail_next_vote = False
+                raise TransactionAborted("injected vote failure")
+            yield from self.lock_all(txn_id, self.lock_targets(updates))
+            yield from self.apply_updates(txn_id, updates)
+        except TransactionAborted as aborted:
+            self.store.abort(txn_id)
+            self.locks.release_all(txn_id)
+            self.send(first.src, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
+            return False
+        return True
+
+    def reapply(self, txn_id: int, descs: Iterable[dict]) -> Generator:
+        """Re-install logged or replicated updates into the cache."""
+        for desc in descs:
+            yield self.sim.timeout(self.params.compute.write_latency)
+            self.store.apply(txn_id, update_from_description(desc))
+
+    def refold(self, txn_id: int, descs: Iterable[dict]) -> Generator:
+        """Fold a durably committed transaction's updates into the
+        stable image unless they are already there (the crash hit
+        between the durable commit and the fold)."""
+        if not self.store.has_applied(txn_id):
+            yield from self.reapply(txn_id, descs)
+            self.store.commit_durable(txn_id)
+
     def send(self, dst: str, kind: str, txn_id: int, **payload: Any) -> None:
         self.server.endpoint.send_to(dst, kind, txn_id=txn_id, **payload)
+
+    def ship_updates(self, worker: str, txn_id: int, plan: OpPlan, **flags: Any) -> None:
+        """Send ``worker`` its share of ``plan`` in an UPDATE_REQ;
+        ``flags`` mark the protocol's variant of the request on the
+        wire (``prepare``, ``commit``, ``vote``, ``decided``)."""
+        self.send(
+            worker,
+            MsgKind.UPDATE_REQ,
+            txn_id,
+            updates=[u.describe() for u in plan.updates[worker]],
+            op=plan.op,
+            **flags,
+        )
 
     def recv(
         self,
@@ -293,8 +406,54 @@ class Protocol:
         get.succeed(None)  # withdraw
         return None
 
-    def reply_to_client(self, txn: Transaction, committed: bool, reason: str = "") -> float:
-        """Send the CLIENT_REPLY; returns the (virtual) reply time."""
+    def recv_until(
+        self,
+        inbox: "Store",
+        kinds: frozenset,
+        deadline: float,
+        at_most: Optional[float] = None,
+    ) -> Generator:
+        """Next message of ``kinds`` before the absolute time
+        ``deadline``, waiting ``at_most`` seconds in one go; ``None``
+        when that wait times out or the deadline has already passed."""
+        remaining = deadline - self.sim.now
+        if remaining <= 0:
+            return immediately()
+        return self.recv(
+            inbox, kinds, timeout=remaining if at_most is None else min(at_most, remaining)
+        )
+
+    def gather(
+        self, inbox: "Store", pending: Iterable[str], kinds: frozenset, what: str, refusal: str
+    ) -> Generator:
+        """One reply of ``kinds`` from every ``pending`` sender.
+
+        Raises :class:`TransactionAborted` when the reply timeout
+        passes first (``what`` names what was awaited) or a sender
+        answers ``NOT_PREPARED`` (``refusal`` says what that means in
+        this round).
+        """
+        waiting = set(pending)
+        while waiting:
+            msg = yield from self.recv(inbox, kinds, timeout=self.params.failure.reply_timeout)
+            if msg is None:
+                raise TransactionAborted(f"timeout waiting for {what} from {sorted(waiting)}")
+            if msg.kind == MsgKind.NOT_PREPARED or not msg.payload.get("ok", True):
+                raise TransactionAborted(
+                    f"worker {msg.src} {refusal}: "
+                    f"{msg.payload.get('reason', 'no reason given')}"
+                )
+            waiting.discard(msg.src)
+
+    def reply_to_client(
+        self, txn: Optional[Transaction], committed: bool, reason: str = ""
+    ) -> Optional[float]:
+        """Send the CLIENT_REPLY; returns the (virtual) reply time.
+
+        ``txn`` is ``None`` on recovery paths — the client's request
+        died with the crash — and then nothing is sent."""
+        if txn is None:
+            return None
         self.send(
             txn.client,
             MsgKind.CLIENT_REPLY,
@@ -308,16 +467,16 @@ class Protocol:
         self.obs.client_reply(self.me, txn.txn_id, committed=committed, op=txn.plan.op)
         return self.sim.now
 
-    def decode_updates(self, payload: dict) -> list[Update]:
-        return [update_from_description(d) for d in payload.get("updates", [])]
-
     def outcome(
         self,
-        txn: Transaction,
+        txn: Optional[Transaction],
         committed: bool,
-        replied_at: float,
+        replied_at: Optional[float],
         reason: str = "",
-    ) -> TxnOutcome:
+    ) -> Optional[TxnOutcome]:
+        """Report the finished transaction (nothing without a client)."""
+        if txn is None or replied_at is None:
+            return None
         out = TxnOutcome(
             txn_id=txn.txn_id,
             op=txn.plan.op,
@@ -340,6 +499,56 @@ class Protocol:
         )
         return out
 
+    def finalize(self, txn_id: int) -> None:
+        """Close the transaction's log entry: a lazy ENDED, garbage
+        collected once the flush lands."""
+        flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
+        flush.callbacks.append(lambda ev: self.wal.checkpoint(txn_id) if ev.ok else None)
+
+    # -- one-phase workers: the commit was the vote, only the ACK is left -------------
+
+    def await_ack_and_finalize(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
+        """Wait for the coordinator's ACK, then :meth:`finalize`.
+
+        §III-C: when the ACK does not come, ask once for it to be
+        resent.  A duplicate commit-carrying UPDATE_REQ in the meantime
+        means the coordinator crashed and is re-executing from its redo
+        record: re-acknowledge with UPDATED (we already committed).
+        """
+        asked = False
+        while True:
+            msg = yield from self.recv(
+                inbox,
+                _ACK_OR_DUPLICATE,
+                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
+            )
+            if msg is None:
+                if asked:
+                    self.obs.annotate("worker_unfinalized", self.me, txn=txn_id)
+                    return
+                self.send(coordinator, MsgKind.ACK_REQ, txn_id)
+                asked = True
+            elif msg.kind == MsgKind.UPDATE_REQ:
+                self.send(msg.src, MsgKind.UPDATED, txn_id, ok=True)
+            else:
+                break
+        self.finalize(txn_id)
+
+    def reclaim_ack(self, txn_id: int, coordinator: str) -> Generator:
+        """Recovered worker, commit durable (§III-C): "the worker asks
+        the coordinator to resend the ACKNOWLEDGE message"."""
+        inbox = self.server.open_session(txn_id)
+        try:
+            self.send(coordinator, MsgKind.ACK_REQ, txn_id)
+            msg = yield from self.recv(
+                inbox, ACKS, timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR
+            )
+            if msg is not None:
+                self.finalize(txn_id)
+            self.obs.annotate("recovery", self.me, txn=txn_id, action="ack-requested")
+        finally:
+            self.server.close_session(txn_id)
+
     # -- local (single-MDS) transactions ----------------------------------------------
 
     def run_local(self, txn: Transaction) -> Generator:
@@ -357,10 +566,7 @@ class Protocol:
             yield from self.lock_all(txn_id, plan.locks(self.me))
             yield from self.apply_updates(txn_id, plan.updates[self.me])
         except TransactionAborted as aborted:
-            self.store.abort(txn_id)
-            self.locks.release_all(txn_id)
-            replied_at = self.reply_to_client(txn, committed=False, reason=aborted.reason)
-            return self.outcome(txn, committed=False, replied_at=replied_at, reason=aborted.reason)
+            return self.abort_local(txn, aborted.reason)
         yield from self.wal.force(
             self.updates_rec(txn_id, self.store.updates_of(txn_id)),
             self.state_rec(RecordKind.COMMITTED, txn_id),
@@ -370,6 +576,13 @@ class Protocol:
         replied_at = self.reply_to_client(txn, committed=True)
         self.wal.checkpoint(txn_id)
         return self.outcome(txn, committed=True, replied_at=replied_at)
+
+    def abort_local(self, txn: Transaction, reason: str) -> Optional[TxnOutcome]:
+        """Roll a single-MDS transaction back and tell the client."""
+        self.store.abort(txn.txn_id)
+        self.locks.release_all(txn.txn_id)
+        replied_at = self.reply_to_client(txn, committed=False, reason=reason)
+        return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
 
     # -- interface to implement -------------------------------------------------------
 
@@ -381,9 +594,54 @@ class Protocol:
         """Participate in a remote transaction; ``first`` opened it."""
         raise NotImplementedError
 
-    def recover(self) -> Generator:  # pragma: no cover - abstract
-        """Reboot-time recovery from the local log."""
+    def _recover_coordinator(
+        self, txn_id: int, state: Optional[RecordKind], records: Sequence[LogRecord]
+    ) -> Generator:  # pragma: no cover - abstract
+        """Resolve an open transaction this node coordinated."""
         raise NotImplementedError
+
+    def _recover_worker(
+        self, txn_id: int, state: Optional[RecordKind], records: Sequence[LogRecord]
+    ) -> Generator:  # pragma: no cover - abstract
+        """Resolve an open transaction this node was a worker of."""
+        raise NotImplementedError
+
+    # -- recovery -------------------------------------------------------------------------
+
+    def recover(self) -> Generator:
+        """Reboot-time log scan (§II-C, §III-C enumerate the cases).
+
+        Every open transaction this engine tagged is resolved as its
+        coordinator when its records include STARTED, as a worker
+        otherwise.
+        """
+        for txn_id in self.wal.open_transactions():
+            records = self.wal.records_for(txn_id)
+            if not self.owns_txn(records):
+                continue
+            state = self.wal.last_state(txn_id)
+            if any(r.kind == RecordKind.STARTED for r in records):
+                yield from self._recover_coordinator(txn_id, state, records)
+            else:
+                yield from self._recover_worker(txn_id, state, records)
+
+    @staticmethod
+    def logged_updates(records: Iterable[LogRecord]) -> list[dict]:
+        """Update descriptions of a transaction's UPDATES records."""
+        return [
+            desc
+            for record in records
+            if record.kind == RecordKind.UPDATES
+            for desc in record.payload.get("updates", [])
+        ]
+
+    @staticmethod
+    def coordinator_from(records: Iterable[LogRecord]) -> Optional[str]:
+        """The coordinator a worker's records name, if any."""
+        for record in records:
+            if "coordinator" in record.payload:
+                return record.payload["coordinator"]
+        return None
 
     def handle_stray(self, msg: Message) -> Optional[Generator]:
         """React to a protocol message with no live session.
@@ -404,47 +662,29 @@ class Protocol:
         if msg.kind == MsgKind.ACK and self.wal.last_state(msg.txn_id) == RecordKind.ABORTED:
             # A worker finally acknowledged an abort whose session is
             # long gone: the abort information may now be forgotten.
-            def gc() -> Generator:
-                self.wal.checkpoint(msg.txn_id)
-                return None
-                yield  # pragma: no cover - generator marker
-
-            return gc()
+            return immediately(self.wal.checkpoint, msg.txn_id)
         if msg.kind == MsgKind.DECISION_REQ:
-            return self._answer_decision_req(msg)
+            return immediately(self._answer_decision_req, msg)
         return None
 
     def _stray_reply(self, msg: Message, kind: str) -> Generator:
-        def responder() -> Generator:
-            self.send(msg.src, kind, msg.txn_id)
-            return None
-            yield  # pragma: no cover - makes this a generator
+        return immediately(self.send, msg.src, kind, msg.txn_id)
 
-        return responder()
-
-    def _answer_decision_req(self, msg: Message) -> Generator:
+    def _answer_decision_req(self, msg: Message) -> None:
         """Coordinator-side: a restarted worker asks for the outcome."""
-
-        def responder() -> Generator:
-            state = self.wal.last_state(msg.txn_id)
-            if state in (RecordKind.COMMITTED, RecordKind.ENDED):
-                self.send(msg.src, MsgKind.COMMIT, msg.txn_id)
-            elif state == RecordKind.ABORTED:
-                self.send(msg.src, MsgKind.ABORT, msg.txn_id)
-            elif state is None:
-                # Log already checkpointed: apply the protocol's
-                # presumption.
-                self.send(msg.src, self.presumed_decision(), msg.txn_id)
-            else:
-                # STARTED / PREPARED: no decision yet; the coordinator's
-                # own recovery or timeout path will drive the outcome.
-                # Tell the worker to abort only if we know it is safe —
-                # we don't, so stay silent and let it retry.
-                pass
-            return None
-            yield  # pragma: no cover - makes this a generator
-
-        return responder()
+        state = self.wal.last_state(msg.txn_id)
+        if state in (RecordKind.COMMITTED, RecordKind.ENDED):
+            self.send(msg.src, MsgKind.COMMIT, msg.txn_id)
+        elif state == RecordKind.ABORTED:
+            self.send(msg.src, MsgKind.ABORT, msg.txn_id)
+        elif state is None:
+            # Log already checkpointed: apply the protocol's
+            # presumption.
+            self.send(msg.src, self.presumed_decision(), msg.txn_id)
+        # STARTED / PREPARED: no decision yet; the coordinator's own
+        # recovery or timeout path will drive the outcome.  Aborting
+        # the worker is not known to be safe, so stay silent and let it
+        # retry.
 
     def presumed_decision(self) -> str:
         """Decision implied by an absent coordinator log entry."""

@@ -23,6 +23,11 @@ COMMIT ->
             lazy COMMITTED, apply, release locks
 ==========  =====================================================
 
+Everything else is PrC's: this module overrides only the two steps
+that differ — how the coordinator collects the votes and what the
+worker does between executing and preparing (see "The skeleton and the
+deltas" in ``docs/protocols.md``).
+
 Cost accounting (Table I row EP): (4, 1) log writes total, (3, 0) in
 the critical path, only 1 extra message (COMMIT) and none in the
 critical path.
@@ -32,16 +37,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.net.message import Message
 from repro.protocols.base import (
-    MsgKind,
+    VOTES,
     ProtocolSpec,
     Transaction,
     TransactionAborted,
+    immediately,
     register_protocol,
 )
 from repro.protocols.prc import PresumeCommitProtocol
-from repro.storage.records import RecordKind
 
 if TYPE_CHECKING:
     from repro.sim.resources import Store
@@ -52,98 +56,25 @@ class EarlyPrepareProtocol(PresumeCommitProtocol):
 
     name = "EP"
 
-    def _coordinate_body(self, txn: Transaction, inbox: "Store") -> Generator:
-        plan, txn_id = txn.plan, txn.txn_id
-        yield from self.lock_all(txn_id, plan.locks(self.me))
-        yield from self.apply_updates(txn_id, plan.updates[self.me])
-
-        # Single round: ship updates with the prepare flag set; start
-        # our own prepare concurrently.
-        own_prepare = self._start_own_prepare(txn_id)
+    def _collect_votes(self, txn: Transaction, inbox: "Store") -> Generator:
+        """Single round: ship the updates with the prepare flag set and
+        start our own prepare concurrently; each worker's one reply is
+        its vote."""
+        own_prepare = self._start_own_prepare(txn.txn_id)
         for worker in txn.workers:
-            self.send(
-                worker,
-                MsgKind.UPDATE_REQ,
-                txn_id,
-                updates=[u.describe() for u in plan.updates[worker]],
-                op=plan.op,
-                prepare=True,
-            )
+            self.ship_updates(worker, txn.txn_id, txn.plan, prepare=True)
         try:
-            yield from self._collect_piggybacked_votes(txn, inbox)
+            yield from self.gather(inbox, txn.workers, VOTES, "votes", "voted NOT-PREPARED")
         except TransactionAborted:
             yield from self._await_own_prepare(own_prepare)
             raise
         yield from self._await_own_prepare(own_prepare)
 
-        # Commit phase (identical to PrC from here on).
-        yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
-        self.store.commit_durable(txn_id)
-        self.locks.release_all(txn_id)
-        replied_at = self.reply_to_client(txn, committed=True)
-        for worker in txn.workers:
-            self.send(worker, MsgKind.COMMIT, txn_id)
-        self.wal.checkpoint(txn_id)
-        return self.outcome(txn, committed=True, replied_at=replied_at)
-
-    def _collect_piggybacked_votes(self, txn: Transaction, inbox: "Store") -> Generator:
-        pending = set(txn.workers)
-        while pending:
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.PREPARED, MsgKind.NOT_PREPARED}),
-                timeout=self.params.failure.reply_timeout,
-            )
-            if msg is None:
-                raise TransactionAborted(f"timeout waiting for votes from {sorted(pending)}")
-            if msg.kind == MsgKind.NOT_PREPARED:
-                raise TransactionAborted(
-                f"worker {msg.src} voted NOT-PREPARED: "
-                f"{msg.payload.get('reason', 'no reason given')}"
-            )
-            pending.discard(msg.src)
-
-    # ------------------------------------------------------------------
-    # Worker
-    # ------------------------------------------------------------------
-
-    def worker_session(self, first: Message, inbox: "Store") -> Generator:
-        txn_id, coordinator = first.txn_id, first.src
-        try:
-            if first.kind != MsgKind.UPDATE_REQ or not first.payload.get("prepare"):
-                # EP workers only ever see prepare-carrying requests; a
-                # bare PREPARE means our session state is gone.
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id)
-                return None
-            updates = self.decode_updates(first.payload)
-            try:
-                if self.server.fail_next_vote:
-                    self.server.fail_next_vote = False
-                    raise TransactionAborted("injected vote failure")
-                yield from self.lock_all(txn_id, self._lock_targets(updates))
-                yield from self.apply_updates(txn_id, updates)
-            except TransactionAborted as aborted:
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
-                return None
-            # Autonomous prepare, then the combined UPDATED+PREPARED reply.
-            yield from self._worker_prepare(txn_id, coordinator)
-            self._announce_vote(txn_id, coordinator)
-
-            msg = yield from self._await_decision(txn_id, coordinator, inbox)
-            if msg is None:
-                self.obs.annotate("worker_blocked", self.me, txn=txn_id)
-                return None
-            if msg.kind == MsgKind.ABORT:
-                yield from self._worker_abort(txn_id, coordinator, ack=True)
-                return None
-            yield from self._worker_commit(txn_id)
-            if self.worker_commit_is_forced:  # pragma: no cover - EP is lazy
-                self.wal.checkpoint(txn_id)
-            return None
-        finally:
-            self.server.close_session(txn_id)
+    def _await_prepare(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
+        """The request carried the prepare flag: prepare autonomously,
+        no UPDATED and no PREPARE round (EP workers only ever see
+        prepare-carrying requests)."""
+        return immediately(bool, True)
 
 
 register_protocol(

@@ -49,39 +49,53 @@ recovery refetch would reconstruct.
 Like 1PC, the protocol pairs one coordinator with one worker
 (``max_workers = 1``); wider operations fall back to the cluster's
 2PC-family fallback engine, which keeps using its log.
+
+Relative to the shared skeleton (:mod:`repro.protocols.base`) and to
+1PC this module is three swapped steps — make durable (``_replicate``
+for every WAL force), probe (seal-and-query for fence-and-read) and
+:meth:`~LoglessOnePhaseProtocol.finalize` (backup GC for the lazy
+ENDED) — plus the snapshot-fetch ``recover`` and a replicated
+``run_local``; the worker-side execution, the ACK wait and the
+fan-out guard are the base class's.  The redo replay shares
+``_execute`` with ``coordinate`` but keeps its own commit tail: with
+no client to answer it holds its locks until the commit replication
+was attempted.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.fs.operations import OpPlan, UnsupportedOperation
+from repro.fs.operations import OpPlan
 from repro.mds.replica import backup_name
 from repro.net.message import Message
 from repro.protocols.base import (
+    UPDATE_REPLIES,
     MsgKind,
     Protocol,
     ProtocolSpec,
     Transaction,
     TransactionAborted,
+    immediately,
     register_protocol,
 )
-from repro.protocols.registry import CAP_LOGLESS, reject_fanout
+from repro.protocols.registry import CAP_LOGLESS
 
 if TYPE_CHECKING:
-    from repro.fs.objects import ObjectId, Update
     from repro.sim.resources import Store
 
-#: How long a worker waits for the coordinator's ACK before asking for
-#: a retransmission, in units of the protocol reply timeout (mirrors
-#: the 1PC engine).
-ACK_WAIT_FACTOR = 5
 #: How many times a replication / probe / fetch is retransmitted
 #: before the peer backup is declared unreachable.
 REPLICATE_RETRIES = 3
 #: Session id used for the recovery snapshot fetch (real transaction
 #: ids start at 1).
 _RECOVERY_SESSION = 0
+
+_REPLICATION_REPLIES = frozenset({MsgKind.REPLICATED, MsgKind.REPLICATE_REJECTED})
+_BACKUP_STATE = frozenset({MsgKind.LGL_STATE})
+_BACKUP_SNAPSHOT = frozenset({MsgKind.LGL_SNAPSHOT})
+#: Replication traffic that may arrive after its session closed.
+_STALE_REPLIES = _REPLICATION_REPLIES | _BACKUP_STATE | _BACKUP_SNAPSHOT
 
 
 class LoglessOnePhaseProtocol(Protocol):
@@ -119,22 +133,18 @@ class LoglessOnePhaseProtocol(Protocol):
             self.send(self.backup, MsgKind.REPLICATE, txn_id, facet=facet, data=data)
             deadline = self.sim.now + self.params.failure.reply_timeout
             while True:
-                remaining = deadline - self.sim.now
-                if remaining <= 0:
-                    break
-                msg = yield from self.recv(
-                    inbox,
-                    kinds=frozenset({MsgKind.REPLICATED, MsgKind.REPLICATE_REJECTED}),
-                    timeout=remaining,
-                )
+                msg = yield from self.recv_until(inbox, _REPLICATION_REPLIES, deadline)
                 if msg is None:
                     break
-                if msg.payload.get("facet") != facet:
-                    continue  # stale ack from an earlier retransmission
-                return msg.kind == MsgKind.REPLICATED
+                # (Anything else is a stale ack from an earlier
+                # retransmission.)
+                if msg.payload.get("facet") == facet:
+                    return msg.kind == MsgKind.REPLICATED
         return None
 
-    def _gc_backup(self, txn_id: int) -> None:
+    def finalize(self, txn_id: int) -> None:
+        """Logless: there is no ENDED record to write — dropping the
+        backup's entry is what closes the transaction."""
         self.send(self.backup, MsgKind.LGL_GC, txn_id)
 
     # ------------------------------------------------------------------
@@ -142,79 +152,64 @@ class LoglessOnePhaseProtocol(Protocol):
     # ------------------------------------------------------------------
 
     def coordinate(self, txn: Transaction) -> Generator:
-        if self.max_workers is not None and len(txn.workers) > self.max_workers:
-            raise UnsupportedOperation(
-                reject_fanout(self.name, self.max_workers, len(txn.workers))
-            )
-        inbox = self.server.open_session(txn.txn_id)
+        self.check_fanout(txn)
+        txn_id, plan = txn.txn_id, txn.plan
+        inbox = self.server.open_session(txn_id)
         try:
             # The logless redo record: the plan must survive our crash
             # before anything else happens.
-            ok = yield from self._replicate(
-                txn.txn_id, "begin", {"plan": txn.plan.describe()}, inbox
-            )
+            ok = yield from self._replicate(txn_id, "begin", {"plan": plan.describe()}, inbox)
             if ok is not True:
-                outcome = yield from self._abort(
-                    txn, inbox, "coordinator backup unreachable", replicated=False
+                return (
+                    yield from self._abort(
+                        txn, inbox, "coordinator backup unreachable", replicated=False
+                    )
                 )
-                return outcome
             try:
-                outcome = yield from self._coordinate_body(txn, inbox)
+                yield from self._execute(txn_id, plan, inbox)
             except TransactionAborted as aborted:
-                outcome = yield from self._abort(txn, inbox, aborted.reason)
-            return outcome
+                return (yield from self._abort(txn, inbox, aborted.reason))
+            # Decision reached: reply and release before our own commit
+            # replication (the replicated BEGIN guarantees re-execution).
+            descs = [u.describe() for u in self.store.updates_of(txn_id)]
+            self.store.commit(txn_id)
+            replied_at = self.reply_to_client(txn, committed=True)
+            self.locks.release_all(txn_id)
+            ok = yield from self._replicate(
+                txn_id, "commit", {"updates": descs, "workers": plan.workers}, inbox
+            )
+            if ok is True:
+                self.store.commit_durable(txn_id)
+                self.finalize(txn_id)
+            else:
+                # Begin facet stays at the backup: a crash now still
+                # re-executes towards commit, so the reply was safe.
+                self.obs.annotate("commit_unreplicated", self.me, txn=txn_id)
+            for worker in plan.workers:
+                self.send(worker, MsgKind.ACK, txn_id)
+            return self.outcome(txn, committed=True, replied_at=replied_at)
         finally:
-            self.server.close_session(txn.txn_id)
+            self.server.close_session(txn_id)
 
-    def _coordinate_body(self, txn: Transaction, inbox: "Store") -> Generator:
-        plan, txn_id = txn.plan, txn.txn_id
+    def _execute(self, txn_id: int, plan: OpPlan, inbox: "Store") -> Generator:
+        """Lock, apply, ship the vote-carrying UPDATE_REQ and collect
+        the worker's vote — for a client request and for the replay of
+        a replicated BEGIN alike.  Raises :class:`TransactionAborted`
+        unless the worker's commit is durable at its backup."""
         yield from self.lock_all(txn_id, plan.locks(self.me))
         yield from self.apply_updates(txn_id, plan.updates[self.me])
-
-        worker = txn.workers[0] if txn.workers else None
-        if worker is not None:
-            self.send(
-                worker,
-                MsgKind.UPDATE_REQ,
-                txn_id,
-                updates=[u.describe() for u in plan.updates[worker]],
-                op=plan.op,
-                vote=True,
-            )
+        for worker in plan.workers:  # at most one (max_workers)
+            self.ship_updates(worker, txn_id, plan, vote=True)
             msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED}),
-                timeout=self.params.failure.reply_timeout,
+                inbox, UPDATE_REPLIES, timeout=self.params.failure.reply_timeout
             )
             if msg is not None and msg.kind == MsgKind.NOT_PREPARED:
                 raise TransactionAborted(
                     f"worker {worker} rejected the updates: "
                     f"{msg.payload.get('reason', 'no reason given')}"
                 )
-            if msg is None:
-                committed = yield from self._probe_worker_backup(txn_id, worker, inbox)
-                if not committed:
-                    raise TransactionAborted(f"worker {worker} crashed before committing")
-
-        # Decision reached: reply and release before our own commit
-        # replication (the replicated BEGIN guarantees re-execution).
-        descs = [u.describe() for u in self.store.updates_of(txn_id)]
-        self.store.commit(txn_id)
-        replied_at = self.reply_to_client(txn, committed=True)
-        self.locks.release_all(txn_id)
-        ok = yield from self._replicate(
-            txn_id, "commit", {"updates": descs, "workers": list(txn.workers)}, inbox
-        )
-        if ok is True:
-            self.store.commit_durable(txn_id)
-            self._gc_backup(txn_id)
-        else:
-            # Begin facet stays at the backup: a crash now still
-            # re-executes towards commit, so the reply was safe.
-            self.obs.annotate("commit_unreplicated", self.me, txn=txn_id)
-        if worker is not None:
-            self.send(worker, MsgKind.ACK, txn_id)
-        return self.outcome(txn, committed=True, replied_at=replied_at)
+            if msg is None and not (yield from self._probe_worker_backup(txn_id, worker, inbox)):
+                raise TransactionAborted(f"worker {worker} crashed before committing")
 
     def _probe_worker_backup(self, txn_id: int, worker: str, inbox: "Store") -> Generator:
         """Seal the transaction at the worker's backup and read its fate.
@@ -227,9 +222,7 @@ class LoglessOnePhaseProtocol(Protocol):
         for _attempt in range(REPLICATE_RETRIES):
             self.send(target, MsgKind.LGL_QUERY, txn_id, seal=True)
             msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.LGL_STATE}),
-                timeout=self.params.failure.reply_timeout,
+                inbox, _BACKUP_STATE, timeout=self.params.failure.reply_timeout
             )
             if msg is not None:
                 return bool(msg.payload.get("has_commit"))
@@ -249,7 +242,7 @@ class LoglessOnePhaseProtocol(Protocol):
         self.store.abort(txn_id)
         self.locks.release_all(txn_id)
         replied_at = self.reply_to_client(txn, committed=False, reason=reason)
-        self._gc_backup(txn_id)
+        self.finalize(txn_id)
         return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
 
     # ------------------------------------------------------------------
@@ -266,87 +259,33 @@ class LoglessOnePhaseProtocol(Protocol):
             # not the empty post-reboot image: wait out our recovery.
             while self.server.recovering:
                 yield self.sim.timeout(self.params.failure.reply_timeout / 20.0)
-            if self.store.has_applied(txn_id):
-                # Duplicate request (coordinator re-executed after a
-                # crash): we already committed — just re-acknowledge.
-                self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-                yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
-                return None
-
-            updates = self.decode_updates(first.payload)
-            try:
-                if self.server.fail_next_vote:
-                    self.server.fail_next_vote = False
-                    raise TransactionAborted("injected vote failure")
-                yield from self.lock_all(txn_id, self._lock_targets(updates))
-                yield from self.apply_updates(txn_id, updates)
-            except TransactionAborted as aborted:
-                self.store.abort(txn_id)
+            # A duplicate request (the coordinator re-executed after a
+            # crash) finds the commit already done and only needs the
+            # re-acknowledgement below.
+            if not self.store.has_applied(txn_id):
+                if not (yield from self.execute_as_worker(first)):
+                    return None
+                # The logless vote: the commit replicated to our backup.
+                descs = [u.describe() for u in self.store.updates_of(txn_id)]
+                ok = yield from self._replicate(
+                    txn_id, "commit", {"updates": descs, "coordinator": coordinator}, inbox
+                )
+                if ok is not True:
+                    # Sealed (the coordinator gave up on us) or backup
+                    # unreachable: the commit never became durable, so
+                    # the coordinator reads "no commit facet" and
+                    # aborts.  Drop everything locally.
+                    self.store.abort(txn_id)
+                    self.locks.release_all(txn_id)
+                    self.obs.annotate("worker_sealed_mid_commit", self.me, txn=txn_id)
+                    return None
+                self.store.commit_durable(txn_id)
                 self.locks.release_all(txn_id)
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
-                return None
-            # The logless vote: the commit replicated to our backup.
-            ok = yield from self._replicate(
-                txn_id,
-                "commit",
-                {
-                    "updates": [u.describe() for u in self.store.updates_of(txn_id)],
-                    "coordinator": coordinator,
-                },
-                inbox,
-            )
-            if ok is not True:
-                # Sealed (the coordinator gave up on us) or backup
-                # unreachable: the commit never became durable, so the
-                # coordinator reads "no commit facet" and aborts.  Drop
-                # everything locally.
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.obs.annotate("worker_sealed_mid_commit", self.me, txn=txn_id)
-                return None
-            self.store.commit_durable(txn_id)
-            self.locks.release_all(txn_id)
             self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-            yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
+            yield from self.await_ack_and_finalize(txn_id, coordinator, inbox)
             return None
         finally:
             self.server.close_session(txn_id)
-
-    @staticmethod
-    def _lock_targets(updates: Sequence[Update]) -> list[ObjectId]:
-        seen: dict = {}
-        for update in updates:
-            seen.setdefault(update.target())
-        return list(seen)
-
-    def _await_ack_and_finalize(
-        self, txn_id: int, coordinator: str, inbox: "Store"
-    ) -> Generator:
-        """Wait for the coordinator's ACK, then drop the backup entry.
-
-        A duplicate vote-carrying UPDATE_REQ in the meantime means the
-        coordinator crashed and is re-executing from its replicated
-        BEGIN: re-acknowledge with UPDATED (we already committed).
-        """
-        asked = False
-        while True:
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.ACK, MsgKind.UPDATE_REQ}),
-                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
-            )
-            if msg is None:
-                if asked:
-                    self.obs.annotate("worker_unfinalized", self.me, txn=txn_id)
-                    return
-                self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-                asked = True
-                continue
-            if msg.kind == MsgKind.UPDATE_REQ:
-                self.send(msg.src, MsgKind.UPDATED, txn_id, ok=True)
-                continue
-            break
-        self._gc_backup(txn_id)
 
     # ------------------------------------------------------------------
     # Local (single-MDS) transactions — still logless
@@ -359,32 +298,18 @@ class LoglessOnePhaseProtocol(Protocol):
             try:
                 yield from self.lock_all(txn_id, plan.locks(self.me))
                 yield from self.apply_updates(txn_id, plan.updates[self.me])
-            except TransactionAborted as aborted:
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                replied_at = self.reply_to_client(txn, committed=False, reason=aborted.reason)
-                return self.outcome(
-                    txn, committed=False, replied_at=replied_at, reason=aborted.reason
+                descs = [u.describe() for u in self.store.updates_of(txn_id)]
+                ok = yield from self._replicate(
+                    txn_id, "commit", {"updates": descs, "local": True}, inbox
                 )
-            ok = yield from self._replicate(
-                txn_id,
-                "commit",
-                {
-                    "updates": [u.describe() for u in self.store.updates_of(txn_id)],
-                    "local": True,
-                },
-                inbox,
-            )
-            if ok is not True:
-                reason = "backup unreachable"
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                replied_at = self.reply_to_client(txn, committed=False, reason=reason)
-                return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
+                if ok is not True:
+                    raise TransactionAborted("backup unreachable")
+            except TransactionAborted as aborted:
+                return self.abort_local(txn, aborted.reason)
             self.store.commit_durable(txn_id)
             self.locks.release_all(txn_id)
             replied_at = self.reply_to_client(txn, committed=True)
-            self._gc_backup(txn_id)
+            self.finalize(txn_id)
             return self.outcome(txn, committed=True, replied_at=replied_at)
         finally:
             self.server.close_session(txn_id)
@@ -400,9 +325,7 @@ class LoglessOnePhaseProtocol(Protocol):
             for _attempt in range(REPLICATE_RETRIES):
                 self.send(self.backup, MsgKind.LGL_FETCH, _RECOVERY_SESSION)
                 msg = yield from self.recv(
-                    inbox,
-                    kinds=frozenset({MsgKind.LGL_SNAPSHOT}),
-                    timeout=self.params.failure.reply_timeout,
+                    inbox, _BACKUP_SNAPSHOT, timeout=self.params.failure.reply_timeout
                 )
                 if msg is not None:
                     entries = msg.payload["entries"]
@@ -417,132 +340,64 @@ class LoglessOnePhaseProtocol(Protocol):
 
     def _recover_entry(self, txn_id: int, entry: dict) -> Generator:
         if "aborted" in entry:
-            self._gc_backup(txn_id)
+            self.finalize(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="aborted")
             return
         commit = entry.get("commit")
         if commit is None:
             # BEGIN without a commit: the coordinator's redo.
-            plan = self._plan_from_begin(entry)
-            if plan is None:
+            begin = entry.get("begin")
+            if not isinstance(begin, dict) or "plan" not in begin:
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="begin-unreadable")
-                self._gc_backup(txn_id)
+                self.finalize(txn_id)
                 return
-            yield from self._re_execute(txn_id, plan)
+            yield from self._re_execute(txn_id, OpPlan.from_description(begin["plan"]))
             return
-        if not self.store.has_applied(txn_id):
-            yield from self._reapply(txn_id, commit.get("updates", []))
-            self.store.commit_durable(txn_id)
+        yield from self.refold(txn_id, commit.get("updates", []))
         if commit.get("local"):
-            self._gc_backup(txn_id)
+            self.finalize(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="local-committed")
         elif "coordinator" in commit:
-            yield from self._worker_reclaim_ack(txn_id, commit["coordinator"])
+            yield from self.reclaim_ack(txn_id, commit["coordinator"])
         else:
             # We coordinated: make sure the worker hears the ACK.
             for worker in commit.get("workers", []):
                 self.send(worker, MsgKind.ACK, txn_id)
-            self._gc_backup(txn_id)
+            self.finalize(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="resend-ack")
-
-    def _worker_reclaim_ack(self, txn_id: int, coordinator: str) -> Generator:
-        """Recovered worker: ask the coordinator to resend the ACK."""
-        inbox = self.server.open_session(txn_id)
-        try:
-            self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.ACK}),
-                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
-            )
-            if msg is not None:
-                self._gc_backup(txn_id)
-            self.obs.annotate("recovery", self.me, txn=txn_id, action="ack-requested")
-        finally:
-            self.server.close_session(txn_id)
 
     def _re_execute(self, txn_id: int, plan: OpPlan) -> Generator:
         """Replicated-BEGIN replay: run the transaction again end to end.
 
-        No client is waiting (the reply died with the crash); the
-        operation still commits eventually, exactly like 1PC's redo.
+        No client is waiting (the reply died with the crash), so unlike
+        :meth:`coordinate` nothing is released or acknowledged before
+        our commit replication has been attempted; the operation still
+        commits eventually, exactly like 1PC's redo.
         """
         self.obs.annotate("recovery", self.me, txn=txn_id, action="redo")
         inbox = self.server.open_session(txn_id)
         try:
             try:
-                yield from self.lock_all(txn_id, plan.locks(self.me))
-                yield from self.apply_updates(txn_id, plan.updates[self.me])
+                yield from self._execute(txn_id, plan, inbox)
             except TransactionAborted:
                 self.store.abort(txn_id)
                 self.locks.release_all(txn_id)
-                self._gc_backup(txn_id)
+                self.finalize(txn_id)
+                self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-aborted")
                 return
-            workers = [n for n in plan.participants if n != self.me]
-            if workers:
-                worker = workers[0]
-                self.send(
-                    worker,
-                    MsgKind.UPDATE_REQ,
-                    txn_id,
-                    updates=[u.describe() for u in plan.updates[worker]],
-                    op=plan.op,
-                    vote=True,
-                )
-                msg = yield from self.recv(
-                    inbox,
-                    kinds=frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED}),
-                    timeout=self.params.failure.reply_timeout,
-                )
-                committed = msg is not None and msg.kind == MsgKind.UPDATED
-                if msg is None:
-                    committed = yield from self._probe_worker_backup(txn_id, worker, inbox)
-                if not committed:
-                    self.store.abort(txn_id)
-                    self.locks.release_all(txn_id)
-                    self._gc_backup(txn_id)
-                    self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-aborted")
-                    return
             descs = [u.describe() for u in self.store.updates_of(txn_id)]
             ok = yield from self._replicate(
-                txn_id, "commit", {"updates": descs, "workers": workers}, inbox
+                txn_id, "commit", {"updates": descs, "workers": plan.workers}, inbox
             )
             self.store.commit_durable(txn_id)
             self.locks.release_all(txn_id)
-            for worker in workers:
+            for worker in plan.workers:
                 self.send(worker, MsgKind.ACK, txn_id)
             if ok is True:
-                self._gc_backup(txn_id)
+                self.finalize(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-committed")
         finally:
             self.server.close_session(txn_id)
-
-    def _reapply(self, txn_id: int, descs: Sequence[dict]) -> Generator:
-        """Re-install replicated updates into the cache."""
-        from repro.fs.objects import update_from_description
-
-        for desc in descs:
-            yield self.sim.timeout(self.params.compute.write_latency)
-            self.store.apply(txn_id, update_from_description(desc))
-
-    def _plan_from_begin(self, entry: dict) -> Optional[OpPlan]:
-        from repro.fs.objects import update_from_description
-
-        begin = entry.get("begin")
-        if not isinstance(begin, dict) or "plan" not in begin:
-            return None
-        desc = begin["plan"]
-        updates = {
-            node: [update_from_description(d) for d in descs]
-            for node, descs in desc["updates"].items()
-        }
-        return OpPlan(
-            op=desc["op"],
-            path=desc["path"],
-            updates=updates,
-            coordinator=desc["coordinator"],
-            detail=dict(desc.get("detail", {})),
-        )
 
     # ------------------------------------------------------------------
     # Stray messages
@@ -557,38 +412,11 @@ class LoglessOnePhaseProtocol(Protocol):
         if msg.kind == MsgKind.ACK:
             # Late ACK for a worker whose session is gone: release the
             # backup entry it was waiting to drop.
-            def gc() -> Generator:
-                self._gc_backup(msg.txn_id)
-                return None
-                yield  # pragma: no cover - generator marker
-
-            return gc()
-        if msg.kind in (
-            MsgKind.REPLICATED,
-            MsgKind.REPLICATE_REJECTED,
-            MsgKind.LGL_STATE,
-            MsgKind.LGL_SNAPSHOT,
-        ):
+            return immediately(self.finalize, msg.txn_id)
+        if msg.kind in _STALE_REPLIES:
             # Stale replication traffic for a closed session.
             return None
-        if msg.kind == MsgKind.UPDATE_REQ and msg.payload.get("vote"):
-            if self.store.has_applied(msg.txn_id):
-                return self._stray_updated(msg)
         return super().handle_stray(msg)
-
-    def _stray_updated(self, msg: Message) -> Generator:
-        def re_ack() -> Generator:
-            self.send(msg.src, MsgKind.UPDATED, msg.txn_id, ok=True)
-            return None
-            yield  # pragma: no cover - generator marker
-
-        return re_ack()
-
-    def presumed_decision(self) -> str:
-        # An absent entry means the transaction ran to completion; the
-        # only caller is a 2PC-family DECISION_REQ, which LGL never
-        # receives for its own transactions.
-        return MsgKind.COMMIT
 
 
 register_protocol(

@@ -54,8 +54,9 @@ from repro.protocols.registry import CAP_NEEDS_ACCEPTORS
 from repro.storage.records import LogRecord, RecordKind
 
 if TYPE_CHECKING:
-    from repro.sim.process import Process
     from repro.sim.resources import Store
+
+_ACCEPTANCES = frozenset({MsgKind.PAXOS_ACCEPTED, MsgKind.NOT_PREPARED})
 
 
 class PaxosCommitProtocol(PresumeNothingProtocol):
@@ -108,19 +109,11 @@ class PaxosCommitProtocol(PresumeNothingProtocol):
         self._release_acceptors(txn.txn_id)
         return outcome
 
-    def _start_own_prepare(self, txn_id: int) -> "Process":
-        """Fork the coordinator's own prepare; announce the vote once
-        it is durable (the coordinator participates in its own
-        instance like any other participant)."""
-
-        def prepare() -> Generator:
-            yield from self.wal.force(
-                self.updates_rec(txn_id, self.store.updates_of(txn_id)),
-                self.state_rec(RecordKind.PREPARED, txn_id),
-            )
-            self._announce_vote(txn_id, self.me)
-
-        return self.server.spawn(prepare(), name=f"{self.me}:prepare:{txn_id}")
+    def _own_prepare(self, txn_id: int) -> Generator:
+        """Announce the coordinator's own vote once it is durable (it
+        participates in its own instance like any other participant)."""
+        yield from super()._own_prepare(txn_id)
+        self._announce_vote(txn_id, self.me)
 
     def _voting_round(
         self, workers: Sequence[str], txn_id: int, inbox: "Store"
@@ -142,9 +135,7 @@ class PaxosCommitProtocol(PresumeNothingProtocol):
         accepted: dict[str, set[str]] = {i: set() for i in {*workers, self.me}}
         while any(len(got) < quorum for got in accepted.values()):
             msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.PAXOS_ACCEPTED, MsgKind.NOT_PREPARED}),
-                timeout=self.params.failure.reply_timeout,
+                inbox, _ACCEPTANCES, timeout=self.params.failure.reply_timeout
             )
             if msg is None:
                 missing = sorted(i for i, got in accepted.items() if len(got) < quorum)

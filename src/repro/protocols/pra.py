@@ -21,14 +21,11 @@ workloads (every workload the paper cares about).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from typing import Any, Generator, Optional, Sequence
 
-from repro.protocols.base import MsgKind, ProtocolSpec, Transaction, register_protocol
+from repro.protocols.base import MsgKind, ProtocolSpec, immediately, register_protocol
 from repro.protocols.prn import PresumeNothingProtocol
 from repro.storage.records import LogRecord, RecordKind
-
-if TYPE_CHECKING:
-    from repro.sim.resources import Store
 
 
 class PresumedAbortProtocol(PresumeNothingProtocol):
@@ -36,12 +33,11 @@ class PresumedAbortProtocol(PresumeNothingProtocol):
 
     name = "PrA"
 
-    # Commits keep the full PrN treatment.
-    reply_before_commit_msg = False
-    worker_commit_is_forced = True
-    coordinator_writes_ended = True
-    ack_required = True
-    # Aborts are presumed: no acknowledgement round.
+    # Commits keep the full PrN treatment (every other knob inherited).
+    # Aborts are presumed: no acknowledgement round — so the inherited
+    # abort paths drop the transaction, tell whoever is listening and
+    # move on; a recovering worker that asks later is answered by the
+    # presumption.
     abort_ack_required = False
 
     def presumed_decision(self) -> str:
@@ -49,40 +45,11 @@ class PresumedAbortProtocol(PresumeNothingProtocol):
         # transaction aborted.
         return MsgKind.ABORT
 
-    def _force_abort_record(self, txn_id: int, reason: str) -> Generator:
-        """Presumed abort never makes an ABORTED record durable.
-
-        This also covers the inherited recovery paths (abort after a
-        failed re-vote): the coordinator just drops the transaction and
-        the presumption answers any later decision query.
-        """
-        return
-        yield  # pragma: no cover - generator marker
-
-    def _abort(self, txn: Transaction, inbox: "Store", reason: str) -> Generator:
-        """Presumed abort: drop state, tell whoever is listening, move on.
-
-        No forced ABORTED record and no ACK collection — a recovering
-        worker that asks later is answered by the presumption.
-        """
-        txn_id = txn.txn_id
-        self.store.abort(txn_id)
-        self.locks.release_all(txn_id)
-        for worker in txn.workers:
-            self.send(worker, MsgKind.ABORT, txn_id)
-        replied_at = self.reply_to_client(txn, committed=False, reason=reason)
-        # Forget the transaction entirely: presumption covers it.
-        self.wal.checkpoint(txn_id)
-        return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
-        yield  # pragma: no cover - generator marker
-
-    def _worker_abort(self, txn_id: int, coordinator: str, ack: bool) -> Generator:
-        """Worker-side presumed abort: discard state, nothing forced."""
-        self.store.abort(txn_id)
-        self.locks.release_all(txn_id)
-        self.wal.checkpoint(txn_id)
-        return
-        yield  # pragma: no cover - generator marker
+    def _force_abort_record(self, txn_id: int, **payload: Any) -> Generator:
+        """Presumed abort never makes an ABORTED record durable — at
+        the coordinator, at a worker, or on the inherited recovery
+        paths (abort after a failed re-vote)."""
+        return immediately()
 
     def _recover_coordinator(
         self,

@@ -28,12 +28,14 @@ path because the client reply waits for the ACK.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
-
-from repro.fs.objects import ObjectId, Update
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
 
 from repro.net.message import Message
 from repro.protocols.base import (
+    ACKS,
+    DECISIONS,
+    UPDATE_REPLIES,
+    VOTES,
     MsgKind,
     Protocol,
     ProtocolSpec,
@@ -57,6 +59,8 @@ ACK_RETRIES = 5
 #: bound only exists to keep simulations finite.
 DECISION_RETRIES = 100
 
+_PREPARE_OR_ABORT = frozenset({MsgKind.PREPARE, MsgKind.ABORT})
+
 
 class PresumeNothingProtocol(Protocol):
     """The classic 2PC protocol; generalises to any number of workers."""
@@ -79,119 +83,60 @@ class PresumeNothingProtocol(Protocol):
     # ------------------------------------------------------------------
 
     def coordinate(self, txn: Transaction) -> Generator:
-        inbox = self.server.open_session(txn.txn_id)
+        txn_id, plan = txn.txn_id, txn.plan
+        inbox = self.server.open_session(txn_id)
         try:
             yield from self.wal.force(
-                self.state_rec(
-                    RecordKind.STARTED, txn.txn_id, op=txn.plan.op, workers=txn.workers
-                )
+                self.state_rec(RecordKind.STARTED, txn_id, op=plan.op, workers=txn.workers)
             )
             try:
-                outcome = yield from self._coordinate_body(txn, inbox)
+                # Growing phase of 2PL, then the local cache updates.
+                yield from self.lock_all(txn_id, plan.locks(self.me))
+                yield from self.apply_updates(txn_id, plan.updates[self.me])
+                yield from self._collect_votes(txn, inbox)
+                yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
+                self.store.commit_durable(txn_id)
+                self.locks.release_all(txn_id)
+                replied_at = yield from self._finish_commit(txn.workers, txn_id, inbox, txn)
+                return self.outcome(txn, committed=True, replied_at=replied_at)
             except TransactionAborted as aborted:
-                outcome = yield from self._abort(txn, inbox, aborted.reason)
-            return outcome
+                return (yield from self._abort(txn, inbox, aborted.reason))
         finally:
-            self.server.close_session(txn.txn_id)
+            self.server.close_session(txn_id)
 
-    def _coordinate_body(self, txn: Transaction, inbox: "Store") -> Generator:
-        plan, txn_id = txn.plan, txn.txn_id
-        # Growing phase of 2PL, then the local cache updates.
-        yield from self.lock_all(txn_id, plan.locks(self.me))
-        yield from self.apply_updates(txn_id, plan.updates[self.me])
-
-        # Execution round: ship each worker its updates.
-        yield from self._execution_round(txn, inbox)
-
-        # Voting phase: ask the workers to prepare; prepare ourselves
-        # concurrently ("the coordinator itself ... also starts
-        # preparing").
-        own_prepare = self._start_own_prepare(txn_id)
+    def _collect_votes(self, txn: Transaction, inbox: "Store") -> Generator:
+        """Execution round (UPDATE_REQ / UPDATED with every worker),
+        then the voting phase with our own prepare running alongside
+        ("the coordinator itself ... also starts preparing")."""
+        for worker in txn.workers:
+            self.ship_updates(worker, txn.txn_id, txn.plan)
+        yield from self.gather(
+            inbox, txn.workers, UPDATE_REPLIES, "UPDATED", "rejected the updates"
+        )
+        own_prepare = self._start_own_prepare(txn.txn_id)
         try:
-            yield from self._voting_round(txn.workers, txn_id, inbox)
+            yield from self._voting_round(txn.workers, txn.txn_id, inbox)
         except TransactionAborted:
             yield from self._await_own_prepare(own_prepare)
             raise
         yield from self._await_own_prepare(own_prepare)
 
-        # Commit phase.
-        yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
-        self.store.commit_durable(txn_id)
-        self.locks.release_all(txn_id)
-
-        replied_at: Optional[float] = None
-        if self.reply_before_commit_msg:
-            replied_at = self.reply_to_client(txn, committed=True)
-        for worker in txn.workers:
-            self.send(worker, MsgKind.COMMIT, txn_id)
-        if self.ack_required:
-            yield from self._collect_acks(txn.workers, txn_id, inbox)
-        if self.coordinator_writes_ended:
-            flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
-            flush.callbacks.append(
-                lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None
-            )
-        if replied_at is None:
-            replied_at = self.reply_to_client(txn, committed=True)
-        self.wal.checkpoint(txn_id)
-        return self.outcome(txn, committed=True, replied_at=replied_at)
-
-    def _execution_round(self, txn: Transaction, inbox: "Store") -> Generator:
-        """UPDATE_REQ / UPDATED exchange with every worker."""
-        for worker in txn.workers:
-            self.send(
-                worker,
-                MsgKind.UPDATE_REQ,
-                txn.txn_id,
-                updates=[u.describe() for u in txn.plan.updates[worker]],
-                op=txn.plan.op,
-            )
-        pending = set(txn.workers)
-        while pending:
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.UPDATED, MsgKind.NOT_PREPARED}),
-                timeout=self.params.failure.reply_timeout,
-            )
-            if msg is None:
-                raise TransactionAborted(f"timeout waiting for UPDATED from {sorted(pending)}")
-            if msg.kind == MsgKind.NOT_PREPARED or not msg.payload.get("ok", True):
-                raise TransactionAborted(
-                    f"worker {msg.src} rejected the updates: "
-                    f"{msg.payload.get('reason', 'no reason given')}"
-                )
-            pending.discard(msg.src)
-
     def _voting_round(self, workers: Sequence[str], txn_id: int, inbox: "Store") -> Generator:
+        """PREPARE to every worker; one PREPARED vote from each."""
         for worker in workers:
             self.send(worker, MsgKind.PREPARE, txn_id)
-        pending = set(workers)
-        while pending:
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.PREPARED, MsgKind.NOT_PREPARED}),
-                timeout=self.params.failure.reply_timeout,
-            )
-            if msg is None:
-                raise TransactionAborted(f"timeout waiting for votes from {sorted(pending)}")
-            if msg.kind == MsgKind.NOT_PREPARED:
-                raise TransactionAborted(
-                f"worker {msg.src} voted NOT-PREPARED: "
-                f"{msg.payload.get('reason', 'no reason given')}"
-            )
-            pending.discard(msg.src)
+        return self.gather(inbox, workers, VOTES, "votes", "voted NOT-PREPARED")
+
+    def _own_prepare(self, txn_id: int) -> Generator:
+        """The coordinator's own prepare: force its updates + PREPARED."""
+        yield from self.wal.force(
+            self.updates_rec(txn_id, self.store.updates_of(txn_id)),
+            self.state_rec(RecordKind.PREPARED, txn_id),
+        )
 
     def _start_own_prepare(self, txn_id: int) -> "Process":
-        """Fork the coordinator's own prepare (force updates + PREPARED)."""
-
-        def prepare() -> Generator:
-            yield from self.wal.force(
-                self.updates_rec(txn_id, self.store.updates_of(txn_id)),
-                self.state_rec(RecordKind.PREPARED, txn_id),
-            )
-
         # Tracked by the server so a crash kills it with everything else.
-        return self.server.spawn(prepare(), name=f"{self.me}:prepare:{txn_id}")
+        return self.server.spawn(self._own_prepare(txn_id), name=f"{self.me}:prepare:{txn_id}")
 
     def _await_own_prepare(self, prepare_proc: "Process") -> Generator:
         try:
@@ -199,21 +144,43 @@ class PresumeNothingProtocol(Protocol):
         except LogLostError:
             raise TransactionAborted("coordinator log lost during prepare")
 
-    def _collect_acks(
+    def _finish_commit(
         self,
         workers: Sequence[str],
         txn_id: int,
         inbox: "Store",
-        kind: str = MsgKind.COMMIT,
+        txn: Optional[Transaction] = None,
+    ) -> Generator:
+        """The commit phase once COMMITTED is durable: announce it,
+        collect the ACKs, close the log entry.
+
+        Answers ``txn``'s client on the way — before the COMMIT
+        messages under presumed commit, after the ACKs otherwise;
+        recovery passes no ``txn``.  Returns the reply time.
+        """
+        replied_at = None
+        if self.reply_before_commit_msg:
+            replied_at = self.reply_to_client(txn, committed=True)
+        for worker in workers:
+            self.send(worker, MsgKind.COMMIT, txn_id)
+        if self.ack_required:
+            yield from self._collect_acks(workers, txn_id, inbox, MsgKind.COMMIT)
+        if self.coordinator_writes_ended:
+            self.finalize(txn_id)
+        if replied_at is None:
+            replied_at = self.reply_to_client(txn, committed=True)
+        self.wal.checkpoint(txn_id)
+        return replied_at
+
+    def _collect_acks(
+        self, workers: Sequence[str], txn_id: int, inbox: "Store", kind: str
     ) -> Generator:
         """Wait for every worker's ACK, retransmitting the decision."""
         pending = set(workers)
         for _attempt in range(ACK_RETRIES):
             while pending:
                 msg = yield from self.recv(
-                    inbox,
-                    kinds=frozenset({MsgKind.ACK}),
-                    timeout=self.params.failure.reply_timeout,
+                    inbox, ACKS, timeout=self.params.failure.reply_timeout
                 )
                 if msg is None:
                     break
@@ -227,38 +194,46 @@ class PresumeNothingProtocol(Protocol):
         )
         return False
 
-    def _force_abort_record(self, txn_id: int, reason: str) -> Generator:
-        """Make the abort decision durable before announcing it.
+    def _force_abort_record(self, txn_id: int, **payload: Any) -> Generator:
+        """Make an abort decision durable before acting on it.
 
         Overridable: presumed-abort engines skip the record entirely —
         absence of coordinator log state already answers later
         decision queries with ABORT.
         """
-        yield from self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id, reason=reason))
+        yield from self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id, **payload))
 
     def _abort(self, txn: Transaction, inbox: "Store", reason: str) -> Generator:
         """Abort path: force ABORTED, tell the workers, release, reply."""
         txn_id = txn.txn_id
-        yield from self._force_abort_record(txn_id, reason)
+        yield from self._force_abort_record(txn_id, reason=reason)
         self.store.abort(txn_id)
         self.locks.release_all(txn_id)
         for worker in txn.workers:
             self.send(worker, MsgKind.ABORT, txn_id)
         replied_at = self.reply_to_client(txn, committed=False, reason=reason)
-        acked = True
-        if self.abort_ack_required and txn.workers:
-            acked = yield from self._collect_acks(txn.workers, txn_id, inbox, kind=MsgKind.ABORT)
-        if acked:
+        if not self.abort_ack_required:
+            # Presumed abort: no record was forced, so there is nothing
+            # to acknowledge and nothing to end.
+            self.wal.checkpoint(txn_id)
+        elif (yield from self._collect_acks(txn.workers, txn_id, inbox, MsgKind.ABORT)):
             # Only a fully acknowledged abort may be forgotten: under
             # presumed commit, a missing log entry means COMMIT, so the
             # ABORTED record must survive until every prepared worker
             # has heard the decision.
-            flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
-            flush.callbacks.append(
-                lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None
-            )
+            self.finalize(txn_id)
             self.wal.checkpoint(txn_id)
         return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
+
+    def _abort_workers(self, workers: Sequence[str], txn_id: int, inbox: "Store") -> Generator:
+        """Recovery: announce a durable ABORT and forget the
+        transaction once every required ACK is in."""
+        for worker in workers:
+            self.send(worker, MsgKind.ABORT, txn_id)
+        if not self.abort_ack_required or (
+            yield from self._collect_acks(workers, txn_id, inbox, MsgKind.ABORT)
+        ):
+            self.wal.checkpoint(txn_id)
 
     # ------------------------------------------------------------------
     # Worker
@@ -266,26 +241,16 @@ class PresumeNothingProtocol(Protocol):
 
     def worker_session(self, first: Message, inbox: "Store") -> Generator:
         """Worker side: execution, voting, decision."""
-        txn_id = first.txn_id
-        coordinator = first.src
+        txn_id, coordinator = first.txn_id, first.src
         try:
             if first.kind != MsgKind.UPDATE_REQ:
                 # A PREPARE with no prior session: we lost the updates
                 # (e.g. rebooted); vote no (§II-C "no entry in the log").
                 self.send(coordinator, MsgKind.NOT_PREPARED, txn_id)
                 return None
-            ok = yield from self._worker_execute(first)
-            if not ok:
+            if not (yield from self.execute_as_worker(first)):
                 return None
-
-            # Wait for the voting phase.
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.PREPARE, MsgKind.ABORT}),
-                timeout=self.params.failure.reply_timeout * (ACK_RETRIES + 1),
-            )
-            if msg is None or msg.kind == MsgKind.ABORT:
-                yield from self._worker_abort(txn_id, coordinator, ack=msg is not None)
+            if not (yield from self._await_prepare(txn_id, coordinator, inbox)):
                 return None
             yield from self._worker_prepare(txn_id, coordinator)
             self._announce_vote(txn_id, coordinator)
@@ -310,56 +275,44 @@ class PresumeNothingProtocol(Protocol):
         finally:
             self.server.close_session(txn_id)
 
+    def _await_prepare(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
+        """Report the execution (UPDATED) and wait for the voting
+        phase; ``False`` when the coordinator aborted or went silent
+        instead, and the worker has rolled back."""
+        self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
+        msg = yield from self.recv(
+            inbox,
+            _PREPARE_OR_ABORT,
+            timeout=self.params.failure.reply_timeout * (ACK_RETRIES + 1),
+        )
+        if msg is None or msg.kind == MsgKind.ABORT:
+            yield from self._worker_abort(txn_id, coordinator, ack=msg is not None)
+            return False
+        return True
+
     def _await_decision(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
-        """Wait for COMMIT/ABORT; when it doesn't come, keep asking.
+        """Wait for COMMIT/ABORT; when it doesn't come, keep asking."""
+        msg = yield from self.recv(
+            inbox, DECISIONS, timeout=self.params.failure.reply_timeout * (ACK_RETRIES + 1)
+        )
+        if msg is None:
+            msg = yield from self._query_decision(txn_id, coordinator, inbox)
+        return msg
+
+    def _query_decision(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
+        """Ask the coordinator for the outcome until it answers.
 
         A prepared 2PC worker is *blocked*: it cannot decide
         unilaterally and must query the coordinator until it learns the
         outcome — across partitions and coordinator reboots.
         """
         interval = self.params.failure.reply_timeout * (ACK_RETRIES + 1)
-        msg = yield from self.recv(
-            inbox,
-            kinds=frozenset({MsgKind.COMMIT, MsgKind.ABORT}),
-            timeout=interval,
-        )
-        if msg is not None:
-            return msg
         for _attempt in range(DECISION_RETRIES):
             self.send(coordinator, MsgKind.DECISION_REQ, txn_id)
-            msg = yield from self.recv(
-                inbox,
-                kinds=frozenset({MsgKind.COMMIT, MsgKind.ABORT}),
-                timeout=interval,
-            )
+            msg = yield from self.recv(inbox, DECISIONS, timeout=interval)
             if msg is not None:
                 return msg
         return None
-
-    def _worker_execute(self, first: Message) -> Generator:
-        """Lock and apply the shipped updates; UPDATED / NOT_PREPARED."""
-        txn_id, coordinator = first.txn_id, first.src
-        updates = self.decode_updates(first.payload)
-        try:
-            if self.server.fail_next_vote:
-                self.server.fail_next_vote = False
-                raise TransactionAborted("injected vote failure")
-            yield from self.lock_all(txn_id, self._lock_targets(updates))
-            yield from self.apply_updates(txn_id, updates)
-        except TransactionAborted as aborted:
-            self.store.abort(txn_id)
-            self.locks.release_all(txn_id)
-            self.send(coordinator, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
-            return False
-        self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-        return True
-
-    @staticmethod
-    def _lock_targets(updates: Sequence[Update]) -> list[ObjectId]:
-        seen: dict = {}
-        for update in updates:
-            seen.setdefault(update.target())
-        return list(seen)
 
     def _worker_prepare(self, txn_id: int, coordinator: str) -> Generator:
         yield from self.wal.force(
@@ -399,7 +352,7 @@ class PresumeNothingProtocol(Protocol):
         return on_flush
 
     def _worker_abort(self, txn_id: int, coordinator: str, ack: bool) -> Generator:
-        yield from self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id))
+        yield from self._force_abort_record(txn_id)
         self.store.abort(txn_id)
         self.locks.release_all(txn_id)
         if ack and self.abort_ack_required:
@@ -409,18 +362,6 @@ class PresumeNothingProtocol(Protocol):
     # ------------------------------------------------------------------
     # Recovery (§II-C)
     # ------------------------------------------------------------------
-
-    def recover(self) -> Generator:
-        """Reboot-time log scan; §II-C enumerates the cases."""
-        for txn_id in self.wal.open_transactions():
-            records = self.wal.records_for(txn_id)
-            if not self.owns_txn(records):
-                continue
-            state = self.wal.last_state(txn_id)
-            if any(r.kind == RecordKind.STARTED for r in records):
-                yield from self._recover_coordinator(txn_id, state, records)
-            else:
-                yield from self._recover_worker(txn_id, state, records)
 
     def _workers_from(self, records: Sequence[LogRecord]) -> list[str]:
         for record in records:
@@ -439,36 +380,20 @@ class PresumeNothingProtocol(Protocol):
         try:
             if state == RecordKind.STARTED:
                 # Crashed before preparing: updates lost -> abort.
-                yield from self._force_abort_record(txn_id, "coordinator crash")
-                for worker in workers:
-                    self.send(worker, MsgKind.ABORT, txn_id)
-                acked = True
-                if self.abort_ack_required and workers:
-                    acked = yield from self._collect_acks(
-                        workers, txn_id, inbox, kind=MsgKind.ABORT
-                    )
-                if acked:
-                    self.wal.checkpoint(txn_id)
+                yield from self._force_abort_record(txn_id, reason="coordinator crash")
+                yield from self._abort_workers(workers, txn_id, inbox)
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="abort")
             elif state == RecordKind.PREPARED:
                 # "The coordinator resubmits the PREPARE request to the
                 # worker and continues with the normal protocol
                 # execution."
-                yield from self._reapply_logged_updates(txn_id, records)
+                yield from self.reapply(txn_id, self.logged_updates(records))
                 try:
                     yield from self._voting_round(workers, txn_id, inbox)
                 except TransactionAborted as aborted:
-                    yield from self._force_abort_record(txn_id, aborted.reason)
+                    yield from self._force_abort_record(txn_id, reason=aborted.reason)
                     self.store.abort(txn_id)
-                    for worker in workers:
-                        self.send(worker, MsgKind.ABORT, txn_id)
-                    acked = True
-                    if self.abort_ack_required and workers:
-                        acked = yield from self._collect_acks(
-                            workers, txn_id, inbox, kind=MsgKind.ABORT
-                        )
-                    if acked:
-                        self.wal.checkpoint(txn_id)
+                    yield from self._abort_workers(workers, txn_id, inbox)
                     self.obs.annotate("recovery", self.me, txn=txn_id, action="abort-after-vote")
                     return
                 yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
@@ -477,36 +402,14 @@ class PresumeNothingProtocol(Protocol):
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="resume-commit")
             elif state == RecordKind.COMMITTED:
                 # "The coordinator resends the COMMIT request."
-                if not self.store.has_applied(txn_id):
-                    yield from self._reapply_logged_updates(txn_id, records)
-                    self.store.commit_durable(txn_id)
+                yield from self.refold(txn_id, self.logged_updates(records))
                 yield from self._finish_commit(workers, txn_id, inbox)
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="resend-commit")
             elif state == RecordKind.ABORTED:
-                for worker in workers:
-                    self.send(worker, MsgKind.ABORT, txn_id)
-                acked = True
-                if self.abort_ack_required and workers:
-                    acked = yield from self._collect_acks(
-                        workers, txn_id, inbox, kind=MsgKind.ABORT
-                    )
-                if acked:
-                    self.wal.checkpoint(txn_id)
+                yield from self._abort_workers(workers, txn_id, inbox)
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="resend-abort")
         finally:
             self.server.close_session(txn_id)
-
-    def _finish_commit(self, workers: Sequence[str], txn_id: int, inbox: "Store") -> Generator:
-        for worker in workers:
-            self.send(worker, MsgKind.COMMIT, txn_id)
-        if self.ack_required and workers:
-            yield from self._collect_acks(workers, txn_id, inbox)
-        if self.coordinator_writes_ended:
-            flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
-            flush.callbacks.append(
-                lambda ev, t=txn_id: self.wal.checkpoint(t) if ev.ok else None
-            )
-        self.wal.checkpoint(txn_id)
 
     def _recover_worker(
         self,
@@ -516,24 +419,14 @@ class PresumeNothingProtocol(Protocol):
     ) -> Generator:
         if state == RecordKind.PREPARED:
             # "The worker asks the coordinator to resend the decision."
-            yield from self._reapply_logged_updates(txn_id, records)
-            coordinator = self._coordinator_from(records)
+            yield from self.reapply(txn_id, self.logged_updates(records))
+            coordinator = self.coordinator_from(records)
             inbox = self.server.open_session(txn_id)
             try:
                 if coordinator is None:
                     self.obs.annotate("recovery", self.me, txn=txn_id, action="no-coordinator")
                     return
-                msg = None
-                interval = self.params.failure.reply_timeout * (ACK_RETRIES + 1)
-                for _attempt in range(DECISION_RETRIES):
-                    self.send(coordinator, MsgKind.DECISION_REQ, txn_id)
-                    msg = yield from self.recv(
-                        inbox,
-                        kinds=frozenset({MsgKind.COMMIT, MsgKind.ABORT}),
-                        timeout=interval,
-                    )
-                    if msg is not None:
-                        break
+                msg = yield from self._query_decision(txn_id, coordinator, inbox)
                 if msg is None:
                     self.obs.annotate("recovery", self.me, txn=txn_id, action="still-blocked")
                     return
@@ -552,30 +445,11 @@ class PresumeNothingProtocol(Protocol):
             # decision.  The worker takes no action."  (We still fold
             # the logged updates into the committed image when the
             # crash hit between the log force and the fold.)
-            if not self.store.has_applied(txn_id):
-                yield from self._reapply_logged_updates(txn_id, records)
-                self.store.commit_durable(txn_id)
+            yield from self.refold(txn_id, self.logged_updates(records))
             self.wal.checkpoint(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="worker-done")
         elif state == RecordKind.ABORTED:
             self.wal.checkpoint(txn_id)
-
-    def _reapply_logged_updates(self, txn_id: int, records: Sequence[LogRecord]) -> Generator:
-        """Re-install a transaction's logged updates into the cache."""
-        from repro.fs.objects import update_from_description
-
-        for record in records:
-            if record.kind == RecordKind.UPDATES:
-                for desc in record.payload.get("updates", []):
-                    yield self.sim.timeout(self.params.compute.write_latency)
-                    self.store.apply(txn_id, update_from_description(desc))
-
-    @staticmethod
-    def _coordinator_from(records: Sequence[LogRecord]) -> Optional[str]:
-        for record in records:
-            if "coordinator" in record.payload:
-                return record.payload["coordinator"]
-        return None
 
     # ------------------------------------------------------------------
     # Stray messages (post-recovery decisions)
@@ -585,22 +459,19 @@ class PresumeNothingProtocol(Protocol):
         if msg.kind == MsgKind.COMMIT and self.wal.last_state(msg.txn_id) == RecordKind.PREPARED:
             # A decision arriving after reboot for a prepared txn whose
             # recovery query raced with the coordinator's retransmission.
-            def finish() -> Generator:
-                if not self.store.has_applied(msg.txn_id):
-                    records = self.wal.records_for(msg.txn_id)
-                    yield from self._reapply_logged_updates(msg.txn_id, records)
-                yield from self._worker_commit(msg.txn_id)
-                if self.ack_required:
-                    self.send(msg.src, MsgKind.ACK, msg.txn_id)
-                self.wal.checkpoint(msg.txn_id)
-
-            return finish()
+            return self._finish_stray_commit(msg)
         if msg.kind == MsgKind.ABORT and self.wal.last_state(msg.txn_id) == RecordKind.PREPARED:
-            def finish_abort() -> Generator:
-                yield from self._worker_abort(msg.txn_id, msg.src, ack=True)
-
-            return finish_abort()
+            return self._worker_abort(msg.txn_id, msg.src, ack=True)
         return super().handle_stray(msg)
+
+    def _finish_stray_commit(self, msg: Message) -> Generator:
+        if not self.store.has_applied(msg.txn_id):
+            records = self.wal.records_for(msg.txn_id)
+            yield from self.reapply(msg.txn_id, self.logged_updates(records))
+        yield from self._worker_commit(msg.txn_id)
+        if self.ack_required:
+            self.send(msg.src, MsgKind.ACK, msg.txn_id)
+        self.wal.checkpoint(msg.txn_id)
 
 
 register_protocol(

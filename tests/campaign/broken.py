@@ -20,7 +20,7 @@ from typing import Generator
 
 from repro.core.one_phase import OnePhaseCommitProtocol
 from repro.net.message import Message
-from repro.protocols.base import MsgKind, ProtocolSpec, TransactionAborted
+from repro.protocols.base import MsgKind, ProtocolSpec
 from repro.protocols.registry import CAP_SHARED_LOG
 from repro.storage.fencing import FencedError
 from repro.storage.records import RecordKind
@@ -42,31 +42,19 @@ class EarlyVoteOnePhaseCommit(OnePhaseCommitProtocol):
                 return None
             if self.wal.has(RecordKind.COMMITTED, txn_id) or self.store.has_applied(txn_id):
                 self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-                yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
+                yield from self.await_ack_and_finalize(txn_id, coordinator, inbox)
                 return None
-
-            updates = self.decode_updates(first.payload)
+            if not (yield from self.execute_as_worker(first)):
+                return None
+            # BUG: vote first, force afterwards.  A crash between the
+            # send and the force leaves a committed coordinator pointing
+            # at a worker with no durable commit record to recover from.
+            self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
             try:
-                if self.server.fail_next_vote and not first.payload.get("decided"):
-                    self.server.fail_next_vote = False
-                    raise TransactionAborted("injected vote failure")
-                yield from self.lock_all(txn_id, self._lock_targets(updates))
-                yield from self.apply_updates(txn_id, updates)
-                # BUG: vote first, force afterwards.  A crash between
-                # the send and the force leaves a committed
-                # coordinator pointing at a worker with no durable
-                # commit record to recover from.
-                self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-                updates_rec = self.updates_rec(txn_id, self.store.updates_of(txn_id))
                 yield from self.wal.force(
-                    updates_rec,
+                    self.updates_rec(txn_id, self.store.updates_of(txn_id)),
                     self.state_rec(RecordKind.COMMITTED, txn_id, coordinator=coordinator),
                 )
-            except TransactionAborted as aborted:
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
-                return None
             except (FencedError, LogLostError):
                 self.store.abort(txn_id)
                 self.locks.release_all(txn_id)
@@ -74,7 +62,7 @@ class EarlyVoteOnePhaseCommit(OnePhaseCommitProtocol):
                 return None
             self.store.commit_durable(txn_id)
             self.locks.release_all(txn_id)
-            yield from self._await_ack_and_finalize(txn_id, coordinator, inbox)
+            yield from self.await_ack_and_finalize(txn_id, coordinator, inbox)
             return None
         finally:
             self.server.close_session(txn_id)

@@ -157,6 +157,12 @@ def test_updates_of_returns_applied_order():
     store.apply(1, u2)
     assert store.updates_of(1) == [u1, u2]
     assert store.updates_of(99) == []
+    # Still answered once committed in the cache but not yet hardened
+    # (1PC forces its UPDATES record after the client reply).
+    store.commit(1)
+    assert store.updates_of(1) == [u1, u2]
+    store.harden(1)
+    assert store.updates_of(1) == []
 
 
 def test_commit_unknown_txn_is_noop():

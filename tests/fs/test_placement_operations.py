@@ -189,6 +189,39 @@ def test_plan_describe_roundtrips_updates():
     assert revived == plan.updates["only"]
 
 
+def test_plan_from_description_inverts_describe():
+    """Every planner's output survives the redo-record round trip."""
+    import json
+
+    from repro.core.batching import BatchPlanner
+    from repro.fs import OpPlan
+    from repro.fs.operations import plan_link, plan_migrate, plan_mkdir, plan_rmdir
+
+    placement = force_distributed_placement()
+    alloc = InodeAllocator(start=20)
+    plans = [
+        plan_create("/dir1/f0", placement, alloc),
+        plan_mkdir("/dir1/sub", placement, alloc),
+        plan_rmdir("/dir1/sub", ino=21, placement=placement),
+        plan_delete("/dir1/f0", ino=20, placement=placement),
+        plan_link("/dir1/f0", "/dir1/hard", ino=20, placement=placement),
+        plan_migrate("/dir1", {"f0": 20, "f1": 22}, "mds1", "mds2"),
+        plan_rename("/dir1/f0", "/dir1/f9", ino=20, placement=placement, replaced_ino=22),
+    ]
+    plans.append(
+        BatchPlanner(max_batch=3, max_workers=None).merge(
+            [plan_create(f"/dir1/b{i}", placement, alloc) for i in range(3)]
+        )
+    )
+    assert [p.op for p in plans] == [
+        "CREATE", "MKDIR", "RMDIR", "DELETE", "LINK", "MIGRATE", "RENAME", "BATCH",
+    ]
+    for plan in plans:
+        # Through JSON, as a log record on shared storage would travel.
+        desc = json.loads(json.dumps(plan.describe()))
+        assert OpPlan.from_description(desc) == plan
+
+
 def test_plan_coordinator_must_have_updates():
     from repro.fs import AddDentry, OpPlan
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.placement_study import run_placement_point, run_placement_study
-from repro.harness.scaling import StripedPlacement, run_scaling_point, sweep_scaling
+from repro.harness.scaling import StripedPlacement, run_scaling_cell, sweep_scaling
 from repro.harness.sweeps import (
     sweep_abort_rate,
     sweep_burst_size,
@@ -58,8 +58,7 @@ def test_striped_placement_pairs():
 
 
 def test_run_scaling_point_single_pair():
-    tput = run_scaling_point("1PC", 1, ops_per_dir=10)
-    assert tput > 0
+    assert run_scaling_cell("1PC", 1, ops_per_dir=10).throughput > 0
 
 
 def test_scaling_sweep_monotone():

@@ -59,13 +59,15 @@ def test_pra_prepared_worker_presumes_abort_after_coordinator_crash():
 def test_pra_abort_rate_advantage_over_prc():
     """With heavy aborts PrA outperforms PrC (whose aborts degrade to
     full PrN); with no aborts PrC is at least as good."""
-    from repro.harness.sweeps import _burst_with_aborts
+    from repro.exec import RunSpec, execute_spec
 
-    heavy_pra = _burst_with_aborts("PrA", n=30, rate=0.34, params=None)
-    heavy_prc = _burst_with_aborts("PrC", n=30, rate=0.34, params=None)
-    assert heavy_pra > heavy_prc
-    clean_pra = _burst_with_aborts("PrA", n=30, rate=0.0, params=None)
-    clean_prc = _burst_with_aborts("PrC", n=30, rate=0.0, params=None)
+    def burst(protocol, rate):
+        spec = RunSpec(kind="abort_burst", protocol=protocol, n=30, abort_rate=rate, seed=7)
+        return execute_spec(spec).throughput
+
+    assert burst("PrA", 0.34) > burst("PrC", 0.34)
+    clean_pra = burst("PrA", 0.0)
+    clean_prc = burst("PrC", 0.0)
     assert clean_prc >= clean_pra * 0.98
 
 
