@@ -6,7 +6,7 @@ from collections import deque
 from enum import Enum
 from typing import TYPE_CHECKING, Generator, Hashable, Optional
 
-from repro.sim import AnyOf, Event, Simulator
+from repro.sim import TIMED_OUT, Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.hub import Observability
@@ -162,12 +162,9 @@ class LockManager:
         waiter = _Waiter(self.sim, txn_id, mode)
         entry.queue.append(waiter)
         self.obs.lock_wait(self.name, txn=txn_id, obj=obj_id, mode=mode.value)
-        if timeout is None:
-            yield waiter.event
-            return None
-        deadline = self.sim.timeout(timeout)
-        yield AnyOf(self.sim, [waiter.event, deadline])
-        if waiter.event.triggered:
+        if timeout is not None:
+            self.sim.expire(waiter.event, timeout)
+        if (yield waiter.event) is not TIMED_OUT:
             return None
         # Withdraw from the queue and give others a chance.
         try:

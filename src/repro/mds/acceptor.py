@@ -24,11 +24,10 @@ Wire protocol:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.net.message import Message
 from repro.protocols.base import MsgKind
-from repro.sim import Process
 from repro.storage.records import LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,31 +46,18 @@ class AcceptorNode:
         self.endpoint = cluster.network.attach(name)
         self.wal = cluster.storage.provision(name)
         self.crashed = False
-        self._dispatcher: Optional[Process] = None
-        self._start_dispatcher()
+        self.endpoint.serve(self._handle, self.params.compute.msg_processing_latency)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _start_dispatcher(self) -> None:
-        self._dispatcher = self.sim.process(
-            self._dispatch_loop(), name=f"dispatch:{self.name}"
-        )
-
-    def _dispatch_loop(self) -> Generator:
-        cost = self.params.compute.msg_processing_latency
-        while True:
-            msg = yield self.endpoint.receive()
-            if cost > 0.0:
-                yield self.sim.timeout(cost)
-            if msg.kind == MsgKind.PAXOS_VOTE:
-                self.sim.process(
-                    self._accept(msg), name=f"accept:{self.name}:{msg.txn_id}"
-                )
-            elif msg.kind == MsgKind.PAXOS_GC:
-                self.wal.checkpoint(msg.txn_id)
-            # Anything else is a stray retransmission; drop it.
+    def _handle(self, msg: Message) -> None:
+        if msg.kind == MsgKind.PAXOS_VOTE:
+            self.sim.process(self._accept(msg), name=f"accept:{self.name}:{msg.txn_id}")
+        elif msg.kind == MsgKind.PAXOS_GC:
+            self.wal.checkpoint(msg.txn_id)
+        # Anything else is a stray retransmission; drop it.
 
     def _accept(self, msg: Message) -> Generator:
         """Accept a ballot into ``instance``'s consensus slot (durably)."""
@@ -114,9 +100,6 @@ class AcceptorNode:
             return
         self.crashed = True
         self.obs.node_crash(self.name)
-        if self._dispatcher is not None:
-            self._dispatcher.kill()
-            self._dispatcher = None
         self.cluster.network.detach(self.name)
         self.wal.crash()
 
@@ -128,4 +111,3 @@ class AcceptorNode:
         self.obs.node_restart(self.name)
         self.cluster.network.attach(self.name)
         self.wal.restart()
-        self._start_dispatcher()

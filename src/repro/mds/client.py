@@ -22,7 +22,7 @@ from repro.fs.operations import (
     plan_rmdir,
 )
 from repro.protocols.base import MsgKind
-from repro.sim import AnyOf
+from repro.sim import TIMED_OUT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
@@ -117,15 +117,12 @@ class Client:
         get = self.endpoint.receive(
             lambda m: m.kind == MsgKind.CLIENT_REPLY and m.payload.get("req_id") == req_id
         )
-        if timeout is None:
-            msg = yield get
-            return msg.payload
-        deadline = self.cluster.sim.timeout(timeout)
-        yield AnyOf(self.cluster.sim, [get, deadline])
-        if get.triggered:
-            return get.value.payload
-        get.succeed(None)
-        raise ClientTimeout(f"{self.name}: no reply for {plan.op} {plan.path}")
+        if timeout is not None:
+            self.cluster.sim.expire(get, timeout)
+        msg = yield get
+        if msg is TIMED_OUT:
+            raise ClientTimeout(f"{self.name}: no reply for {plan.op} {plan.path}")
+        return msg.payload
 
     def stat(self, path: str, timeout: Optional[float] = None) -> Generator:
         """Generator: metadata read of ``path`` at the directory's MDS.
@@ -142,15 +139,12 @@ class Client:
         get = self.endpoint.receive(
             lambda m: m.kind == MsgKind.STAT_REPLY and m.payload.get("path") == path
         )
-        if timeout is None:
-            msg = yield get
-            return msg.payload
-        deadline = self.cluster.sim.timeout(timeout)
-        yield AnyOf(self.cluster.sim, [get, deadline])
-        if get.triggered:
-            return get.value.payload
-        get.succeed(None)
-        raise ClientTimeout(f"{self.name}: no stat reply for {path}")
+        if timeout is not None:
+            self.cluster.sim.expire(get, timeout)
+        msg = yield get
+        if msg is TIMED_OUT:
+            raise ClientTimeout(f"{self.name}: no stat reply for {path}")
+        return msg.payload
 
     def run_with_retries(
         self,

@@ -30,11 +30,10 @@ Wire protocol:
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.net.message import Message
 from repro.protocols.base import MsgKind
-from repro.sim import Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
@@ -63,25 +62,11 @@ class BackupReplica:
         #: Transactions already garbage collected (late retransmissions
         #: of these are acknowledged without resurrecting the entry).
         self._finished: set[int] = set()
-        self._dispatcher: Optional[Process] = None
-        self._start_dispatcher()
+        self.endpoint.serve(self._handle, self.params.compute.msg_processing_latency)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-
-    def _start_dispatcher(self) -> None:
-        self._dispatcher = self.sim.process(
-            self._dispatch_loop(), name=f"dispatch:{self.name}"
-        )
-
-    def _dispatch_loop(self) -> Generator:
-        cost = self.params.compute.msg_processing_latency
-        while True:
-            msg = yield self.endpoint.receive()
-            if cost > 0.0:
-                yield self.sim.timeout(cost)
-            self._handle(msg)
 
     def _handle(self, msg: Message) -> None:
         if msg.kind == MsgKind.REPLICATE:

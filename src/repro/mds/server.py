@@ -2,7 +2,9 @@
 
 An :class:`MDSServer` bundles the paper's per-node modules — the acp
 server, its lock manager and its log manager connection — around a
-message dispatcher:
+message router.  The node's endpoint serves arriving messages one at a
+time (:meth:`Endpoint.serve`: ``msg_processing_latency`` each, heartbeats
+free) and hands each to ``_route``; the server itself runs no process:
 
 * ``CLIENT_REQUEST`` spawns a coordinator process (the protocol engine
   chosen for the cluster, or the fallback engine when the operation is
@@ -12,13 +14,13 @@ message dispatcher:
   an ``UPDATE_REQ``/``PREPARE`` with no session opens a worker session;
 * anything else goes to the protocol's stray-message handler.
 
-Crash semantics: ``crash()`` kills the dispatcher and every protocol
-process, flushes volatile state (cache overlays, lock tables, queued
-messages, unflushed log records).  ``restart()`` brings the node back:
-the dispatcher starts immediately but buffers new client requests until
-reboot-time recovery has drained the log — the ordering rule §III-D
-requires ("the coordinator will not execute new requests ... until it
-has completed all the outstanding ones").
+Crash semantics: ``crash()`` kills every protocol process and flushes
+volatile state (cache overlays, lock tables, queued messages and the
+one in service, unflushed log records).  ``restart()`` brings the node
+back: messages are served again at once, but new client requests are
+buffered until reboot-time recovery has drained the log — the ordering
+rule §III-D requires ("the coordinator will not execute new requests
+... until it has completed all the outstanding ones").
 """
 
 from __future__ import annotations
@@ -65,8 +67,11 @@ class MDSServer:
         self._sessions: dict[int, Store] = {}
         self._procs: set[Process] = set()
         self._buffered_requests: list[Message] = []
-        self._dispatcher: Optional[Process] = None
-        self._start_dispatcher()
+        self.endpoint.serve(
+            self._route,
+            self.params.compute.msg_processing_latency,
+            free=(MsgKind.HEARTBEAT,),
+        )
 
     # ------------------------------------------------------------------
     # Sessions
@@ -97,19 +102,6 @@ class MDSServer:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-
-    def _start_dispatcher(self) -> None:
-        self._dispatcher = self.sim.process(
-            self._dispatch_loop(), name=f"dispatch:{self.name}"
-        )
-
-    def _dispatch_loop(self) -> Generator:
-        cost = self.params.compute.msg_processing_latency
-        while True:
-            msg = yield self.endpoint.receive()
-            if cost > 0.0 and msg.kind != MsgKind.HEARTBEAT:
-                yield self.sim.timeout(cost)
-            self._route(msg)
 
     def _route(self, msg: Message) -> None:
         if msg.kind == MsgKind.HEARTBEAT:
@@ -241,9 +233,6 @@ class MDSServer:
             return
         self.crashed = True
         self.obs.node_crash(self.name)
-        if self._dispatcher is not None:
-            self._dispatcher.kill()
-            self._dispatcher = None
         for proc in list(self._procs):
             proc.kill()
         self._procs.clear()
@@ -267,7 +256,6 @@ class MDSServer:
         # A rebooted node re-registers with the storage fabric.
         if self.cluster.storage.fencing.is_fenced(self.name):
             self.cluster.storage.fencing.unfence(self.name, by=self.name)
-        self._start_dispatcher()
         self.spawn(self._recover_then_serve(), name=f"recovery:{self.name}")
 
     def _recover_then_serve(self) -> Generator:

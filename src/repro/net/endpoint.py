@@ -1,11 +1,19 @@
-"""Per-node network endpoint with a mailbox and timeout-aware receive."""
+"""Per-node network endpoint: a mailbox for processes, a server for nodes.
+
+A client *process* pulls arriving messages from ``mailbox`` (``receive``,
+``receive_wait``).  A *node* that only reacts to messages — a metadata
+server, a backup replica, an acceptor — calls :meth:`Endpoint.serve`
+once instead and gets a serial FIFO message server driven by one timer
+per message, with no process parked on the mailbox.
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Collection, Generator, Optional
 
 from repro.net.message import Message
-from repro.sim import AnyOf, Event, Simulator, Store
+from repro.sim import TIMED_OUT, Event, Simulator, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
@@ -18,9 +26,9 @@ class ReceiveTimeout(Exception):
 class Endpoint:
     """A node's attachment to the network.
 
-    Incoming messages land in ``mailbox``; processes consume them with
-    ``receive`` (an event) or the generator helper ``receive_wait``
-    which adds a timeout.
+    Incoming messages land in ``mailbox`` — processes consume them
+    with ``receive`` or ``receive_wait`` — unless ``serve`` installed a
+    handler, which then gets every message in arrival order.
     """
 
     def __init__(self, sim: Simulator, node: str, network: "Network"):
@@ -29,6 +37,13 @@ class Endpoint:
         self.network = network
         self.attached = True
         self.mailbox: Store = Store(sim, name=f"mailbox:{node}")
+        # Message-server state (unused until ``serve`` installs a handler).
+        self._handler: Optional[Callable[[Message], None]] = None
+        self._cost = 0.0
+        self._free: Collection[str] = ()
+        self._backlog: deque[Message] = deque()
+        self._in_service: Optional[Message] = None
+        self._epoch = 0  # bumped by flush(): a timer armed before serves nothing
 
     # -- sending ---------------------------------------------------------------
 
@@ -62,21 +77,61 @@ class Endpoint:
         within ``timeout`` seconds.
         """
         get = self.receive(predicate)
-        if timeout is None:
-            return (yield get)
-        deadline = self.sim.timeout(timeout)
-        yield AnyOf(self.sim, [get, deadline])
-        if get.triggered:
-            return get.value
-        # Withdraw the outstanding get so a late message is not consumed
-        # by a waiter that has already given up.
-        get.succeed(None)
-        raise ReceiveTimeout(f"{self.node}: no message within {timeout}s")
+        if timeout is not None:
+            self.sim.expire(get, timeout)
+        msg = yield get
+        if msg is TIMED_OUT:
+            raise ReceiveTimeout(f"{self.node}: no message within {timeout}s")
+        return msg
+
+    # -- serving ------------------------------------------------------------------
+
+    def serve(
+        self, handler: Callable[[Message], None], cost: float, free: Collection[str] = ()
+    ) -> None:
+        """Hand every arriving message to ``handler``, one at a time.
+
+        A message occupies the node for ``cost`` seconds (a kind in
+        ``free`` for none), then ``handler(message)`` runs and the next
+        queued message enters service: a backlog of k messages found at
+        ``t`` is handled at ``t + cost``, ``t + cost + cost``, ...  A
+        free message still waits its turn behind the one in service.
+        """
+        self._handler = handler
+        self._cost = cost
+        self._free = free
+
+    def deliver(self, message: Message) -> None:
+        """An arriving message (called by the network)."""
+        if self._handler is None:
+            self.mailbox.put(message)
+        elif self._in_service is None:
+            self._start(message)
+        else:
+            self._backlog.append(message)
+
+    def _start(self, message: Message) -> None:
+        self._in_service = message
+        self.sim.after(
+            0.0 if message.kind in self._free else self._cost, self._served, self._epoch
+        )
+
+    def _served(self, timer: Event) -> None:
+        if timer._value != self._epoch:
+            return  # flushed while in service: the message died with the node
+        self._handler(self._in_service)
+        if self._backlog:
+            self._start(self._backlog.popleft())
+        else:
+            self._in_service = None
 
     def flush(self) -> None:
-        """Drop all queued messages and pending receivers (crash
-        semantics: the processes waiting on the mailbox die with the
-        node, and their stale getters must not swallow post-restart
-        traffic)."""
+        """Drop all queued messages, the message in service and pending
+        receivers (crash semantics: the processes waiting on the
+        mailbox die with the node, and their stale getters must not
+        swallow post-restart traffic)."""
         self.mailbox.items.clear()
         self.mailbox.cancel_getters()
+        self._backlog.clear()
+        self._in_service = None
+        self._epoch += 1

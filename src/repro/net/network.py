@@ -169,16 +169,10 @@ class Network:
             txn=message.txn_id,
             msg_id=message.msg_id,
         )
-        # Pooled delivery timer: replaces a per-hop Timeout + closure
-        # allocation.  Scheduling order is identical — the pooled event
-        # takes its heap sequence number at the same program point the
-        # old ``sim.timeout(delay, message)`` did.
-        self.sim._trigger_pooled(self._deliver_event, message, delay)
+        self.sim.after(delay, self._deliver, message)
 
-    def _deliver_event(self, event: "Event") -> None:
-        self._deliver(event._value)
-
-    def _deliver(self, message: Message) -> None:
+    def _deliver(self, timer: "Event") -> None:
+        message: Message = timer._value
         endpoint = self._endpoints[message.dst]
         if not endpoint.attached:
             self.obs.msg_drop(message.dst, reason="receiver_down", kind=message.kind)
@@ -195,4 +189,4 @@ class Network:
             txn=message.txn_id,
             msg_id=message.msg_id,
         )
-        endpoint.mailbox.put(message)
+        endpoint.deliver(message)

@@ -258,25 +258,30 @@ class Observability:
     # -- write-ahead log ------------------------------------------------------
 
     def log_append(
-        self, actor: str, *, kind: str, txn: Optional[int], sync: bool, nbytes: float
+        self, actor: str, *, kind: Any, txn: Optional[int], sync: bool, nbytes: float
     ) -> None:
+        # ``kind`` arrives as the log's own ``RecordKind`` and becomes a
+        # ``str`` here, after the early-out: a disabled hub formats nothing.
         if not self.enabled:
             return
         self._emit(
             "log_append",
             actor,
-            {"kind": kind, "txn": txn, "sync": sync, "nbytes": nbytes},
+            {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes},
             actor,
             split=sync,
         )
 
     def log_durable(
-        self, actor: str, *, kind: str, txn: Optional[int], sync: bool, nbytes: float
+        self, actor: str, *, kind: Any, txn: Optional[int], sync: bool, nbytes: float
     ) -> None:
         if not self.enabled:
             return
         self._emit(
-            "log_durable", actor, {"kind": kind, "txn": txn, "sync": sync, "nbytes": nbytes}, actor
+            "log_durable",
+            actor,
+            {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes},
+            actor,
         )
 
     def log_crash(self, actor: str, *, lost_jobs: int) -> None:

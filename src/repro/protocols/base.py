@@ -43,7 +43,7 @@ from repro.fs.operations import OpPlan, UnsupportedOperation
 from repro.locks import LockMode, LockTimeout
 from repro.net.message import Message
 from repro.protocols.registry import ProtocolSpec, register_protocol, reject_fanout
-from repro.sim import AnyOf
+from repro.sim import TIMED_OUT
 from repro.storage.records import LogRecord, RecordKind
 
 __all__ = [
@@ -196,6 +196,15 @@ class Protocol:
 
     def __init__(self, server: "MDSServer") -> None:
         self.server = server
+        # Fixed for the server's lifetime, so plain attributes (``params``
+        # alone is read twenty times per transaction); ``locks`` stays a
+        # property because ``MDSServer.crash()`` rebinds it.
+        self.sim: "Simulator" = server.sim
+        self.me: str = server.name
+        self.wal: "WriteAheadLog" = server.wal
+        self.store: "MetadataStore" = server.store
+        self.params: "SimulationParams" = server.params
+        self.obs: "Observability" = server.obs
 
     def claims_worker_message(self, msg: Message) -> bool:
         """Whether this engine speaks ``msg`` on the worker side.
@@ -208,35 +217,9 @@ class Protocol:
         """
         return True
 
-    # -- convenience accessors ------------------------------------------------
-
-    @property
-    def sim(self) -> "Simulator":
-        return self.server.sim
-
-    @property
-    def me(self) -> str:
-        return self.server.name
-
-    @property
-    def wal(self) -> "WriteAheadLog":
-        return self.server.wal
-
     @property
     def locks(self) -> "LockManager":
         return self.server.locks
-
-    @property
-    def store(self) -> "MetadataStore":
-        return self.server.store
-
-    @property
-    def params(self) -> "SimulationParams":
-        return self.server.params
-
-    @property
-    def obs(self) -> "Observability":
-        return self.server.obs
 
     # -- log-record construction ------------------------------------------------
 
@@ -397,14 +380,10 @@ class Protocol:
             return True
 
         get = inbox.get(match)
-        if timeout is None:
-            return (yield get)
-        deadline = self.sim.timeout(timeout)
-        yield AnyOf(self.sim, [get, deadline])
-        if get.triggered:
-            return get.value
-        get.succeed(None)  # withdraw
-        return None
+        if timeout is not None:
+            self.sim.expire(get, timeout)
+        msg = yield get
+        return None if msg is TIMED_OUT else msg
 
     def recv_until(
         self,

@@ -26,7 +26,7 @@ Randomness must come from :class:`~repro.sim.rng.RngRegistry` streams.
 """
 
 from repro.sim.errors import Interrupt, SimulationError, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
+from repro.sim.events import TIMED_OUT, AllOf, AnyOf, Condition, Event, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Monitor, TraceLog, TraceRecord
 from repro.sim.process import Process
@@ -49,6 +49,7 @@ __all__ = [
     "Simulator",
     "StopSimulation",
     "Store",
+    "TIMED_OUT",
     "Timeout",
     "TraceLog",
     "TraceRecord",

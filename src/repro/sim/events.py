@@ -43,6 +43,18 @@ PROCESSED = 2  # callbacks have run
 STATE_NAMES = ("pending", "triggered", "processed")
 
 
+class _TimedOut:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "TIMED_OUT"
+
+
+#: Value of an event whose deadline (``Simulator.expire``) passed
+#: before anything else triggered it.  Compare with ``is``.
+TIMED_OUT = _TimedOut()
+
+
 class Event:
     """A one-shot occurrence processes can wait on.
 
@@ -56,7 +68,7 @@ class Event:
 
     __slots__ = ("sim", "name", "_callbacks", "_state", "_ok", "_value", "defused")
 
-    #: Pool-recycled events override this (see kernel._trigger_pooled);
+    #: Pool-recycled events override this (see Simulator.after);
     #: a class attribute costs nothing per instance.
     _pooled = False
 

@@ -16,13 +16,20 @@ subclass overrides it), and the processed-event counter is accumulated
 locally and flushed once.  ``step()`` stays the one-event-at-a-time
 public API with identical semantics.
 
-The kernel also keeps a small **freelist of trigger events**: process
-kick-starts, relays of already-processed targets, interrupt wakeups
-and network-delivery timers are all single-callback events that the
-rest of the simulation never retains, so the kernel recycles them via
-:meth:`_trigger_pooled` instead of allocating a fresh ``Event`` (plus
-name string and callback list) per occurrence.  A pooled event is
-returned to the freelist immediately after its callbacks ran.
+The kernel also keeps a small **freelist of trigger events**: every
+:meth:`Simulator.after` timer (process kick-starts and relays of
+already-processed targets included) is a single-callback event that the
+rest of the simulation never retains, so the kernel recycles it
+instead of allocating a fresh ``Event`` (plus name string and callback
+list) per occurrence.  A pooled event is returned to the freelist
+immediately after its callbacks ran.
+
+*A process is for protocol logic that waits; a device or queue that
+only serves is a callback server* built from :meth:`Simulator.after`
+(network delivery, ``Endpoint.serve``, disk channels, the WAL pump),
+and :meth:`Simulator.expire` is the one deadline built on it: a timed
+wait is the awaited event plus one pooled timer, not an
+``AnyOf(event, Timeout)`` pair with a withdrawal at every call site.
 
 Everything above is *mechanical*: event order, virtual timestamps and
 process semantics are byte-identical to the straightforward kernel
@@ -36,7 +43,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.errors import SimulationError, StopSimulation
-from repro.sim.events import PENDING, PROCESSED, TRIGGERED, Event, Timeout
+from repro.sim.events import PENDING, PROCESSED, TIMED_OUT, TRIGGERED, Event, Timeout
 from repro.sim.process import Process
 
 #: Priority of normal events.
@@ -54,9 +61,9 @@ _POOL_MAX = 4096
 class _TriggerEvent(Event):
     """A pool-recycled, single-shot trigger event (kernel-internal).
 
-    Only ever created by :meth:`Simulator._trigger_pooled`; never
-    exposed to simulation code beyond the one callback it carries, and
-    recycled the moment its callbacks have run.
+    Only ever created by :meth:`Simulator.after`; never exposed to
+    simulation code beyond the one callback it carries, and recycled
+    the moment its callbacks have run.
     """
 
     __slots__ = ()
@@ -64,13 +71,18 @@ class _TriggerEvent(Event):
     _pooled = True
 
     def __init__(self, sim: "Simulator"):
+        # ``after`` fills in value and callback; a trigger never fails.
         self.sim = sim
         self.name = ""
-        self._callbacks = None
         self._state = TRIGGERED
         self._ok = True
-        self._value = None
         self.defused = False
+
+
+def _expire(trigger: Event) -> None:
+    event = trigger._value
+    if event._state == PENDING:
+        event.succeed(TIMED_OUT)
 
 
 class Simulator:
@@ -124,21 +136,13 @@ class Simulator:
         self._sequence += 1
         heappush(self._heap, (self._now + delay, priority, self._sequence, event))
 
-    def _trigger_pooled(
-        self,
-        callback: Callable[[Event], None],
-        value: Any,
-        delay: float = 0.0,
-        ok: bool = True,
-        defused: bool = False,
-    ) -> None:
-        """Schedule a single-callback trigger event from the freelist.
+    def after(self, delay: float, callback: Callable[[Event], None], value: Any = None) -> None:
+        """Call ``callback(trigger)`` ``delay`` seconds from now, once.
 
-        Kernel-internal fast path for events that (a) are born
-        triggered, (b) carry exactly one callback, and (c) are retained
-        by nobody — process kick-starts/relays/interrupt wakeups and
-        network delivery timers.  The event is recycled right after its
-        callbacks run, so the callback must not stash a reference.
+        One heap entry, no process, no retained event: the trigger
+        (whose value is ``value``) is recycled as soon as ``callback``
+        returns, so the callback must not keep it.  Timers due at the
+        same instant fire in scheduling order.
         """
         pool = self._pool
         if pool:
@@ -146,11 +150,22 @@ class Simulator:
             event._state = TRIGGERED
         else:
             event = _TriggerEvent(self)
-        event._ok = ok
         event._value = value
-        event.defused = defused
         event._callbacks = [callback]
         self._schedule(event, delay)
+
+    def expire(self, event: Event, delay: float) -> Event:
+        """Arm a deadline on ``event`` and return it:
+        ``msg = yield sim.expire(inbox.get(), 0.5)``.
+
+        Still pending after ``delay``, ``event`` succeeds with
+        :data:`~repro.sim.events.TIMED_OUT`; once triggered, the
+        deadline is a no-op.  A timed-out event *is* triggered, so the
+        queue that handed it out (``Store`` getter, lock waiter) sees it
+        as withdrawn — even if the waiter was killed in the meantime.
+        """
+        self.after(delay, _expire, event)
+        return event
 
     # -- factories -----------------------------------------------------------
 

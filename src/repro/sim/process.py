@@ -11,14 +11,14 @@ exception), so processes can wait on each other.
 
 Hot-path notes
 --------------
-Kick-starts, relays of already-processed targets and interrupt wakeups
-used to allocate a named ``Event`` (plus f-string and callback list)
-per occurrence; they now go through the kernel's pooled trigger-event
-freelist (:meth:`Simulator._trigger_pooled`).  That is safe precisely
-because ``_resume`` never retains the event it is called with — it only
-reads the outcome and possibly marks the failure defused.  Scheduling
-order is unchanged: the pooled path assigns its heap sequence number at
-the same program point the old ``succeed()``/``fail()`` calls did.
+Kick-starts and relays of already-processed targets go through the
+kernel's pooled timers (:meth:`Simulator.after` with zero delay)
+instead of allocating a named ``Event`` per occurrence.  That is safe
+precisely because ``_resume`` never retains the event it is called
+with — it only reads the outcome and possibly marks the failure
+defused.  The rare wakeups that carry a failure (interrupts, relays of
+failed targets) are plain events; either way the heap sequence number
+is taken at the same program point.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class Process(Event):
         # Kick-start: resume at the current instant with a pooled
         # initialisation event, so process bodies begin executing in
         # creation order.
-        sim._trigger_pooled(self._resume, None)
+        sim.after(0.0, self._resume)
 
     # -- state ---------------------------------------------------------------
 
@@ -80,8 +80,7 @@ class Process(Event):
             if cbs is not None and self._resume in cbs:
                 cbs.remove(self._resume)
         self._waiting_on = None
-        # The interrupt itself is always considered observed (defused).
-        self.sim._trigger_pooled(self._resume, Interrupt(cause), ok=False, defused=True)
+        self._throw(Interrupt(cause))
 
     def kill(self, cause: Any = None) -> None:
         """Terminate the process immediately without running it further.
@@ -101,6 +100,14 @@ class Process(Event):
         self._waiting_on = None
         self._generator.close()
         self.succeed(None)
+
+    def _throw(self, exc: BaseException) -> None:
+        """Resume at the current instant with ``exc`` thrown in (always
+        considered observed, hence defused)."""
+        event = Event(self.sim)
+        event._callbacks = [self._resume]
+        event.defused = True
+        event.fail(exc)
 
     # -- kernel callback --------------------------------------------------------
 
@@ -150,8 +157,9 @@ class Process(Event):
         if target._state == PROCESSED:
             # Already-processed events resume the process immediately
             # (still via the scheduler, to preserve determinism).
-            sim._trigger_pooled(
-                self._resume, target._value, ok=target._ok, defused=not target._ok
-            )
+            if target._ok:
+                sim.after(0.0, self._resume, target._value)
+            else:
+                self._throw(target._value)
         else:
             target.callbacks.append(self._resume)

@@ -17,6 +17,12 @@ Semantics modelled after §II-A of the paper:
   durable records survive.  ``crash()``/``restart()`` model this.
 * **Checkpoint / GC** -- once a transaction has ENDED (or the protocol
   allows it), its records can be garbage collected.
+
+There is no flusher process: an append to an idle log schedules the
+*pump* one zero-delay hop later, ``_pump`` hands the next batch to
+:meth:`Disk.submit_write`, and ``_written`` marks it durable and pumps
+again while appends are queued.  A device write costs its service
+timer plus the ``flush`` completion the caller waits on.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ class WriteAheadLog:
         self.owner = owner
         self.obs = obs if obs is not None else Observability(sim, enabled=False)
         self.fencing = fencing
-        #: Group commit: the flusher coalesces every queued append (up
+        #: Group commit: the pump coalesces every queued append (up
         #: to ``group_commit_max_bytes``) into one device write, so
         #: concurrent forces share a single rotation instead of
         #: queueing one write each.
@@ -76,11 +82,14 @@ class WriteAheadLog:
         #: Durable records, in log order.
         self._durable: list[LogRecord] = []
         self._queue: deque[_FlushJob] = deque()
-        self._flusher = None
-        self._wakeup: Optional[Event] = None
+        #: True while a pump kick or a write is in flight (an append
+        #: starts the pump only when it finds this False), and from
+        #: ``crash()`` to ``restart()``, when nothing reaches the device.
+        self._pumping = False
+        #: Bumped by ``crash()``/``restart()``: a kick or a completed
+        #: write from before belongs to a log that is gone.
         self._generation = 0
         self._lsn = 0
-        self._start_flusher()
         #: Counts for statistics / Table I measurement.
         self.forced_appends = 0
         self.lazy_appends = 0
@@ -129,27 +138,21 @@ class WriteAheadLog:
                 object.__setattr__(record, "lsn", self._lsn)
         for record in records:
             self.obs.log_append(
-                self.owner,
-                kind=str(record.kind),
-                txn=record.txn_id,
-                sync=sync,
-                nbytes=record.size,
+                self.owner, kind=record.kind, txn=record.txn_id, sync=sync, nbytes=record.size
             )
-        wakeup = self._wakeup
-        if wakeup is not None:
-            # Batched wakeup: the first append of a burst triggers the
-            # flusher; the rest of the burst queues behind it without
-            # touching the event again.
-            self._wakeup = None
-            wakeup.succeed()
+        self._kick()
         return job
 
-    # -- background flusher -----------------------------------------------------
+    # -- background pump ----------------------------------------------------------
 
-    def _start_flusher(self) -> None:
-        self._flusher = self.sim.process(
-            self._flush_loop(self._generation), name=f"wal-flusher:{self.owner}"
-        )
+    def _kick(self) -> None:
+        """Start an idle pump, one zero-delay hop from now: the rest of
+        a same-instant burst queues before the batch is cut (what group
+        commit coalesces), and the fence check and device request fall
+        at one point of the instant with or without group commit."""
+        if self._queue and not self._pumping:
+            self._pumping = True
+            self.sim.after(0.0, self._pump, self._generation)
 
     def _next_batch(self) -> list[_FlushJob]:
         """The jobs the next device write covers."""
@@ -165,26 +168,16 @@ class WriteAheadLog:
             total += nbytes
         return batch
 
-    def _flush_loop(self, generation: int) -> Generator:
-        while True:
-            if generation != self._generation:
-                return
-            if not self._queue:
-                # Whoever fires this wakeup (append or crash) also
-                # clears ``self._wakeup``, so a spent event is never
-                # re-fired.
-                self._wakeup = Event(self.sim, name=f"wal-wakeup:{self.owner}")
-                yield self._wakeup
-                continue
+    def _pump(self, kick: Optional[Event] = None) -> None:
+        """Put the next batch on the device, or go idle.  Runs as the
+        kick's callback and straight from :meth:`_written`, so a log
+        has one write in flight at a time."""
+        if kick is not None and kick._value != self._generation:
+            return
+        while self._queue:
             batch = self._next_batch()
-            # NOTE: this flattened sum must not be replaced by
-            # ``sum(job.nbytes for job in batch)`` — float addition is
-            # non-associative, and regrouping per job would perturb
-            # device write times (and thus every golden trace).
-            nbytes = sum(r.size for job in batch for r in job.records)
             try:
                 self._check_fence()
-                yield from self.disk.write(nbytes, actor=self.owner)
             except FencedError as exc:
                 # Fenced mid-stream: the write never reaches the device.
                 for job in batch:
@@ -195,22 +188,34 @@ class WriteAheadLog:
                         if not job.sync:
                             job.done.defused = True
                 continue
-            if generation != self._generation:
-                # Crashed while the write was in flight: data lost.
-                return
-            for job in batch:
-                self._queue.popleft()
-                self._durable.extend(job.records)
-                for record in job.records:
-                    self.obs.log_durable(
-                        self.owner,
-                        kind=str(record.kind),
-                        txn=record.txn_id,
-                        sync=job.sync,
-                        nbytes=record.size,
-                    )
-                if not job.done.triggered:
-                    job.done.succeed()
+            if len(batch) == 1:
+                nbytes = batch[0].nbytes
+            else:
+                # NOTE: this flattened sum must not be replaced by
+                # ``sum(job.nbytes for job in batch)`` — float addition
+                # is non-associative, and regrouping per job would
+                # perturb device write times (and thus every golden
+                # trace).
+                nbytes = sum(r.size for job in batch for r in job.records)
+            self.disk.submit_write(nbytes, self.owner, self._written, batch, self._generation)
+            return
+        self._pumping = False
+
+    def _written(self, batch: list[_FlushJob], generation: int) -> None:
+        if generation != self._generation:
+            # Crashed while the write was in flight: data lost.
+            return
+        for job in batch:
+            self._queue.popleft()
+            self._durable.extend(job.records)
+            sync = job.sync
+            for record in job.records:
+                self.obs.log_durable(
+                    self.owner, kind=record.kind, txn=record.txn_id, sync=sync, nbytes=record.size
+                )
+            if not job.done.triggered:
+                job.done.succeed()
+        self._pump()
 
     # -- crash / restart -----------------------------------------------------------
 
@@ -223,18 +228,14 @@ class WriteAheadLog:
             if not job.done.triggered:
                 job.done.fail(LogLostError(f"{self.owner} crashed before flush"))
                 job.done.defused = True
-        wakeup = self._wakeup
-        if wakeup is not None:
-            # Wake the old flusher so it observes the generation change
-            # and exits; the dead flusher's wakeup must not linger, or a
-            # later append would try to re-fire the spent event.
-            self._wakeup = None
-            wakeup.succeed()
+        self._pumping = True  # held until restart()
         self.obs.log_crash(self.owner, lost_jobs=len(lost))
 
     def restart(self) -> None:
-        """Start a fresh flusher after a crash (log content unchanged)."""
-        self._start_flusher()
+        """Let the pump run again after a crash (log content unchanged)."""
+        self._generation += 1
+        self._pumping = False
+        self._kick()
         self.obs.log_restart(self.owner)
 
     # -- read path -------------------------------------------------------------------

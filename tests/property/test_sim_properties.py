@@ -110,3 +110,88 @@ def test_resource_never_exceeds_capacity(hold_times):
     sim.run()
     assert peak["v"] <= 2
     assert res.in_use == 0 and res.queue_length == 0
+
+
+# -- one deadline per wait: Simulator.expire against the spelling it replaced --
+
+
+def _recv_with_anyof(sim, box, timeout):
+    """The pre-``expire`` wait, kept here as the reference: a getter, a
+    ``Timeout``, an ``AnyOf`` over both, and a hand-written withdrawal."""
+    from repro.sim import AnyOf
+
+    get = box.get()
+    yield AnyOf(sim, [get, sim.timeout(timeout)])
+    if get.triggered:
+        return get.value
+    get.succeed(None)  # withdraw
+    return None
+
+
+def _recv_with_expire(sim, box, timeout):
+    from repro.sim import TIMED_OUT
+
+    msg = yield sim.expire(box.get(), timeout)
+    return None if msg is TIMED_OUT else msg
+
+
+def _run_wait_schedule(recv, put_gaps, timeouts):
+    from repro.sim import Store
+
+    sim = Simulator()
+    box = Store(sim)
+    resumed, put_times, deadlines = [], [], []
+
+    def producer():
+        for i, gap in enumerate(put_gaps):
+            yield sim.timeout(gap)
+            put_times.append(sim.now)
+            box.put(i)
+
+    def waiter():
+        for timeout in timeouts:
+            deadlines.append(sim.now + timeout)
+            value = yield from recv(sim, box, timeout)
+            resumed.append((sim.now, value))
+
+    sim.process(producer())
+    sim.process(waiter())
+    sim.run()
+    return resumed, put_times, deadlines, list(box.items)
+
+
+_gaps = st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=0, max_size=12)
+_timeouts = st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=1, max_size=12)
+
+
+@given(_gaps, _timeouts)
+def test_expire_resumes_like_the_anyof_spelling_it_replaced(put_gaps, timeouts):
+    """Same virtual resume time, same value (message or timeout), same
+    leftovers — for every schedule in which no message lands in the very
+    instant of a deadline (there the old spelling let a message that
+    arrived *after* the deadline fired still win; ``expire`` does not,
+    see the test below)."""
+    from hypothesis import assume
+
+    new = _run_wait_schedule(_recv_with_expire, put_gaps, timeouts)
+    assume(not set(new[1]) & set(new[2]))
+    old = _run_wait_schedule(_recv_with_anyof, put_gaps, timeouts)
+    assert new == old
+
+
+def test_expire_message_in_the_deadline_instant_after_it_is_left_queued():
+    from repro.sim import TIMED_OUT, Store
+
+    sim = Simulator()
+    box = Store(sim)
+    got = []
+
+    def waiter():
+        got.append((yield sim.expire(box.get(), 1.0)))
+
+    sim.process(waiter())
+    sim.run(until=0.0)  # the waiter arms its deadline first ...
+    sim.after(1.0, lambda trigger: box.put("photo finish"))  # ... so this fires second
+    sim.run()
+    assert got == [TIMED_OUT]
+    assert list(box.items) == ["photo finish"]

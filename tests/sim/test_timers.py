@@ -1,0 +1,107 @@
+"""`Simulator.after` and `Simulator.expire`: the callback timer and the
+one deadline primitive built on it."""
+
+import pytest
+
+from repro.sim import TIMED_OUT, Simulator, Store
+
+
+def test_after_fires_once_at_the_due_time_with_its_value():
+    sim = Simulator()
+    seen = []
+    sim.after(1.5, lambda trigger: seen.append((sim.now, trigger.value)), "payload")
+    sim.run()
+    assert seen == [(1.5, "payload")]
+    assert sim.events_processed == 1
+
+
+def test_after_same_instant_timers_fire_in_scheduling_order():
+    sim = Simulator()
+    order = []
+    for tag in "abc":
+        sim.after(1.0, lambda trigger: order.append(trigger.value), tag)
+    sim.after(0.5, lambda trigger: order.append(trigger.value), "early")
+    sim.run()
+    assert order == ["early", "a", "b", "c"]
+
+
+def test_after_recycles_its_trigger_event():
+    sim = Simulator()
+    triggers = []
+    sim.after(1.0, triggers.append)
+    sim.run()
+    sim.after(1.0, triggers.append, "again")
+    sim.run()
+    # One pooled event served both timers (which is why a callback
+    # must not keep the trigger it is called with).
+    assert triggers[0] is triggers[1]
+    assert triggers[1].value == "again"
+
+
+def test_after_rejects_a_negative_delay():
+    with pytest.raises(ValueError):
+        Simulator().after(-1.0, lambda trigger: None)
+
+
+def test_expire_delivers_timed_out_exactly_at_the_deadline():
+    sim = Simulator()
+    box = Store(sim)
+
+    def waiter():
+        value = yield sim.expire(box.get(), 0.25)
+        return value, sim.now
+
+    proc = sim.process(waiter())
+    sim.run()
+    assert proc.value == (TIMED_OUT, 0.25)
+    assert repr(TIMED_OUT) == "TIMED_OUT"
+
+
+def test_expire_is_a_noop_once_the_event_triggered():
+    sim = Simulator()
+    box = Store(sim)
+
+    def waiter():
+        return (yield sim.expire(box.get(), 1.0)), sim.now
+
+    proc = sim.process(waiter())
+    sim.after(0.4, lambda trigger: box.put("msg"))
+    sim.run()
+    assert proc.value == ("msg", 0.4)
+    assert sim.now == 1.0  # the spent deadline still pops, harmlessly
+
+
+def test_expired_getter_is_withdrawn_and_does_not_swallow_a_later_item():
+    sim = Simulator()
+    box = Store(sim)
+
+    def impatient():
+        return (yield sim.expire(box.get(), 0.1))
+
+    proc = sim.process(impatient())
+    sim.after(0.5, lambda trigger: box.put("late"))
+    sim.run()
+    assert proc.value is TIMED_OUT
+    assert list(box.items) == ["late"]
+
+
+def test_deadline_of_a_killed_waiter_withdraws_the_orphaned_getter():
+    """The waiter dies with its deadline armed: the late timer finds
+    nothing to resume, and the getter it leaves behind must not take
+    the next item."""
+    sim = Simulator()
+    box = Store(sim)
+    resumed = []
+
+    def doomed():
+        resumed.append((yield sim.expire(box.get(), 1.0)))
+
+    victim = sim.process(doomed())
+    sim.after(0.5, lambda trigger: victim.kill())
+    sim.after(2.0, lambda trigger: box.put("for the next reader"))
+    sim.run()
+    assert resumed == []
+    assert list(box.items) == ["for the next reader"]
+    next_reader = box.get()
+    sim.run()
+    assert next_reader.value == "for the next reader"

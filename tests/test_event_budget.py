@@ -1,0 +1,56 @@
+"""The kernel-event budget per protocol (ROADMAP item 1b): a CI gate.
+
+Kernel events and generator resumptions are the host cost of a
+simulated transaction that corresponds to no message, log write or lock
+of the protocol itself.  They are deterministic, so the 100-create
+burst cell of every registered protocol is pinned *exactly*: a change
+that moves a count either found a saving (re-pin the table, deliberately,
+and say why in the commit) or added overhead to every experiment the
+repo runs.  The ceiling column is the budget in the ROADMAP's unit,
+events per committed transaction.
+"""
+
+import pytest
+
+from repro.exec.runners import execute_spec
+from repro.exec.spec import RunSpec
+from repro.protocols import default_protocols
+from repro.sim.process import Process
+
+#: protocol -> (sim.events_processed, Process._resume calls, ceiling of
+#: events / committed) for RunSpec(kind="burst", n=100, seed=0).
+#: Pinned after the event diet (one deadline per wait, callback message
+#: server, process-free WAL flusher); before it 1PC read 4,197 / 2,799.
+BUDGET = {
+    "PrN": (5299, 1699, 53),
+    "PrC": (4698, 1499, 47),
+    "EP": (3786, 1299, 38),
+    "1PC": (3094, 999, 31),
+    "PrA": (5299, 1699, 53),
+    "PC": (11599, 3299, 116),
+    "LGL": (4298, 999, 43),
+    "1PC-N": (3094, 999, 31),
+}
+
+
+def test_budget_table_covers_every_registered_protocol():
+    assert set(BUDGET) == set(default_protocols())
+
+
+@pytest.mark.parametrize("protocol", default_protocols())
+def test_burst_cell_stays_within_its_event_budget(protocol, monkeypatch):
+    resumes = 0
+    resume = Process._resume
+
+    def counting_resume(self, event):
+        nonlocal resumes
+        resumes += 1
+        resume(self, event)
+
+    monkeypatch.setattr(Process, "_resume", counting_resume)
+    cell = execute_spec(RunSpec(kind="burst", protocol=protocol, n=100, seed=0), keep_cluster=True)
+    events = cell.payload.cluster.sim.events_processed
+    want_events, want_resumes, ceiling = BUDGET[protocol]
+    assert cell.committed == 100
+    assert (events, resumes) == (want_events, want_resumes)
+    assert events / cell.committed <= ceiling
