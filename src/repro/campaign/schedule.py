@@ -35,15 +35,14 @@ from repro.sim import RngRegistry
 
 FAULT_KINDS = ("crash", "partition", "link", "refuse", "stall")
 
-#: Poll interval for campaign trace triggers: coarse enough that a
-#: never-satisfied window stays cheap, fine enough (0.5 ms) to land
-#: inside the ~5 ms vote/force windows the triggers aim at.
+#: Poll-grid spacing for campaign trace triggers: fine enough (0.5 ms)
+#: to land inside the ~5 ms vote/force windows the triggers aim at.
 CAMPAIGN_POLL_INTERVAL = 0.5e-3
 
 #: Absolute virtual time past which still-untriggered window faults
 #: are abandoned.  Every protocol-critical window of a campaign
-#: workload opens within the first few seconds; polling to the end of
-#: the 300 s settle would dominate the run's event count.
+#: workload opens within the first few seconds.  Not a cost bound (a
+#: quiet trace costs nothing to watch): it decides which faults fire.
 CAMPAIGN_WATCH_HORIZON = 10.0
 
 #: Timed fault kinds (fire at an absolute time) and window-targeted
@@ -92,8 +91,8 @@ class FaultSpec:
     def build(self) -> Fault:
         """A fresh armable fault.
 
-        Compiled trigger predicates are stateful (they scan the trace
-        incrementally), so every run must build its own faults.
+        Compiled trigger predicates are stateful (they count the hits
+        pushed to them), so every run must build its own faults.
         """
         when = self.trigger.compile() if self.trigger is not None else None
         if self.kind == "crash":

@@ -3,11 +3,10 @@
 The hand-written fault scenarios use bare lambdas as trace predicates;
 campaign schedules need the same expressive power in a form that (a)
 serialises to canonical JSON (the schedule *is* the cache key), and
-(b) stays cheap when polled thousands of times per run.  A
-:class:`TraceTrigger` is a declarative record filter; :meth:`compile`
-turns it into a stateful predicate that scans only the records
-appended since the previous poll, so a whole run costs O(len(trace))
-per trigger rather than O(len(trace)) per poll.
+(b) never scans the trace.  A :class:`TraceTrigger` is a declarative
+record filter; :meth:`~TraceTrigger.compile` turns it into a hit
+counter the fault plan feeds with each new record of the trigger's
+category, so a whole run costs one filter check per such record.
 
 :data:`WINDOWS` names the protocol-critical windows the generator aims
 faults at — the narrow intervals §III's correctness argument leans on.
@@ -17,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
-
-from repro.faults.injector import TracePredicate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import TraceLog
@@ -54,29 +51,9 @@ class TraceTrigger:
             return False
         return all(record.get(key) == value for key, value in self.where)
 
-    def compile(self) -> TracePredicate:
-        """A fresh, stateful poll predicate for one run.
-
-        The returned closure remembers how far into the trace it has
-        scanned and how many matches it has seen, so repeated polling
-        is incremental.  Compile once per run — the state must never be
-        shared across runs.
-        """
-        state = {"scanned": 0, "hits": 0}
-
-        def fires(trace: "TraceLog") -> bool:
-            records = trace.records
-            i = state["scanned"]
-            hits = state["hits"]
-            while i < len(records) and hits < self.min_count:
-                if self.matches(records[i]):
-                    hits += 1
-                i += 1
-            state["scanned"] = i
-            state["hits"] = hits
-            return hits >= self.min_count
-
-        return fires
+    def compile(self) -> "CompiledTrigger":
+        """A fresh hit counter: one per run, never shared across runs."""
+        return CompiledTrigger(self)
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical plain-data form."""
@@ -106,6 +83,24 @@ class TraceTrigger:
         if self.min_count != 1:
             parts.append(f"x{self.min_count}")
         return "trigger(" + " ".join(parts) + ")"
+
+
+class CompiledTrigger:
+    """The ``when=`` predicate of one trigger in one run: true once
+    ``min_count`` matching records were pushed to :meth:`feed`.  A
+    count, not a trace position, so ``TraceLog.clear()`` loses nothing."""
+
+    def __init__(self, trigger: TraceTrigger):
+        self.trigger = trigger
+        self.category = trigger.category
+        self.hits = 0
+
+    def feed(self, record: "TraceRecord") -> None:
+        if self.hits < self.trigger.min_count and self.trigger.matches(record):
+            self.hits += 1
+
+    def __call__(self, trace: "TraceLog") -> bool:
+        return self.hits >= self.trigger.min_count
 
 
 #: Protocol-critical windows, each bound to a node by :func:`window`.

@@ -1,8 +1,8 @@
 """Declarative fault actions and schedules.
 
 A fault fires either at an absolute virtual time (``at=...``) or when a
-trace predicate first becomes true (``when=...``, checked after every
-simulation step by the plan's watcher process).  Trace-triggered faults
+trace predicate first becomes true (``when=...``, evaluated on the
+plan's poll grid once the trace has grown).  Trace-triggered faults
 make crash-point tests readable::
 
     FaultPlan([
@@ -15,15 +15,15 @@ make crash-point tests readable::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
-    from repro.sim import TraceLog
+    from repro.sim import TraceLog, TraceRecord
 
 TracePredicate = Callable[["TraceLog"], bool]
 
-#: How often trace-triggered faults are polled (seconds, virtual).
+#: Default poll-grid spacing of trace-triggered faults (seconds, virtual).
 POLL_INTERVAL = 50e-6
 
 
@@ -164,11 +164,21 @@ class VoteRefusalFault(Fault):
 class FaultPlan:
     """An ordered schedule of faults bound to a cluster.
 
-    ``poll_interval`` sets how often trace-triggered faults are
-    re-evaluated; ``watch_until`` (absolute virtual time) bounds the
-    watcher — past it, still-untriggered faults are abandoned instead
-    of polling to the end of the run.  Campaign schedules use both to
-    keep runs with never-satisfied window triggers cheap.
+    ``when=`` faults fire on a *poll grid*: the install instant plus
+    ``poll_interval``, added repeatedly.  The plan subscribes to the
+    cluster's record stream and arms one kernel timer, for the next
+    grid instant, only when the trace has grown since the last poll: a
+    ``when=`` is a function of the trace alone, so the instants between
+    can fire nothing and cost nothing.  The first grid instant at or
+    past ``watch_until`` (absolute) is the last poll; a plan with
+    nothing left to watch unsubscribes.
+
+    Tie rule: a poll sees every record appended before it runs.  One
+    stamped exactly on a grid instant is seen at that instant unless
+    its poll already ran (same-instant events run in arming order);
+    then, like a record a fired fault's own ``apply`` emits, it waits
+    one interval — except for faults later in plan order, which the
+    running poll still checks.
     """
 
     def __init__(
@@ -183,13 +193,10 @@ class FaultPlan:
         self.installed = False
 
     def install(self, cluster: "Cluster") -> None:
-        """Arm every fault on ``cluster``.
-
-        Rejects faults whose ``at=`` already lies in the past — the
-        kernel would otherwise refuse the stale ``call_at`` with an
-        error that never names the fault (or, for a plan built against
-        the wrong clock, fire it at the wrong point).
-        """
+        """Arm every fault on ``cluster``.  Rejects, naming the faults,
+        an ``at=`` already in the past (or built against the wrong
+        clock) and a ``when=`` on a cluster built with ``trace=False``,
+        whose empty trace could never fire it."""
         if self.installed:
             raise RuntimeError("fault plan already installed")
         now = cluster.sim.now
@@ -200,38 +207,77 @@ class FaultPlan:
                 f"fault plan schedules {len(stale)} fault(s) in the past "
                 f"(sim time is already {now:g}): {listing}"
             )
-        self.installed = True
-        timed = [f for f in self.faults if f.at is not None]
         watched = [f for f in self.faults if f.when is not None]
-        for fault in timed:
-            assert fault.at is not None
-            cluster.sim.call_at(fault.at, self._firer(cluster, fault))
+        if watched and not cluster.obs.enabled:
+            raise ValueError(
+                f"fault plan has {len(watched)} trace-triggered fault(s) but the cluster "
+                "records no trace, so they can never fire: "
+                + ", ".join(f.describe() for f in watched)
+            )
+        self.installed = True
+        self._cluster = cluster
+        for fault in self.faults:
+            if fault.at is not None:
+                cluster.sim.at(fault.at, lambda _trigger, fault=fault: self._fire(fault))
         if watched:
-            cluster.sim.process(self._watch(cluster, watched), name="fault-watcher")
+            self._pending = watched
+            #: category -> ``feed`` of each ``when=`` that has one (a compiled
+            #: trigger): pushed every record of its category, it never scans.
+            self._feeds: dict[str, list[Callable[["TraceRecord"], None]]] = {}
+            for when in (f.when for f in watched if hasattr(f.when, "feed")):
+                self._feeds.setdefault(when.category, []).append(when.feed)
+            #: The grid instant last polled or armed; the install instant at first.
+            self._last = now
+            self._armed = False
+            cluster.obs.subscribe(self._on_record)
+            for record in cluster.trace.records:
+                self._on_record(record)
 
-    @staticmethod
-    def _firer(cluster: "Cluster", fault: Fault) -> Callable[[], None]:
-        def fire() -> None:
-            if not fault.fired:
-                fault.fired = True
-                cluster.obs.annotate("fault", "injector", fault=fault.describe())
-                fault.apply(cluster)
+    def _fire(self, fault: Fault) -> None:
+        if not fault.fired:
+            fault.fired = True
+            self._cluster.obs.annotate("fault", "injector", fault=fault.describe())
+            fault.apply(self._cluster)
 
-        return fire
+    def _on_record(self, record: "TraceRecord") -> None:
+        """The trace grew: feed the counters, see to it a poll is armed."""
+        if record.category in self._feeds:
+            for feed in self._feeds[record.category]:
+                feed(record)
+        if not self._armed:
+            self._arm(record.time)
 
-    def _watch(self, cluster: "Cluster", watched: list[Fault]) -> Iterator[Any]:
-        pending = list(watched)
-        while pending:
-            if self.watch_until is not None and cluster.sim.now >= self.watch_until:
+    def _arm(self, now: float) -> None:
+        """Arm the first grid instant past the last that is not before
+        ``now``, or unsubscribe past the horizon.  The walk repeats a
+        timeout chain's additions: no closed form lands on its floats."""
+        until = float("inf") if self.watch_until is None else self.watch_until
+        due, step = self._last, self.poll_interval
+        if due < until:
+            due += step
+            limit = min(now, until)
+            while due < limit:
+                due += step
+            if due >= now:
+                self._last = due
+                self._armed = True
+                self._cluster.sim.at(due, self._poll)
                 return
-            yield cluster.sim.timeout(self.poll_interval)
-            for fault in list(pending):
-                assert fault.when is not None
-                if fault.when(cluster.trace):
-                    fault.fired = True
-                    cluster.obs.annotate("fault", "injector", fault=fault.describe())
-                    fault.apply(cluster)
-                    pending.remove(fault)
+        self._cluster.obs.unsubscribe(self._on_record)
+
+    def _poll(self, _trigger: Any) -> None:
+        fired = False
+        for fault in list(self._pending):
+            if fault.when(self._cluster.trace):
+                self._fire(fault)
+                self._pending.remove(fault)
+                fired = True
+        self._armed = False
+        if not self._pending:
+            self._cluster.obs.unsubscribe(self._on_record)
+        elif fired:
+            # Only what the faults fired here emitted is news to the next poll.
+            self._arm(self._last)
 
     @property
     def all_fired(self) -> bool:

@@ -12,10 +12,10 @@ before reading a suspect's log.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.protocols.base import MsgKind
-from repro.sim import Process, Simulator
+from repro.sim import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
@@ -52,28 +52,28 @@ class FailureDetector:
 
 
 class HeartbeatService:
-    """Periodic HEARTBEAT broadcast from one server to all peers."""
+    """Periodic HEARTBEAT broadcast from one server to all peers: a
+    chain of ``after`` timers, orphaned by ``stop`` (a crash)."""
 
     def __init__(self, cluster: "Cluster", node: str):
         self.cluster = cluster
         self.node = node
-        self._proc: Optional[Process] = None
+        self._token: Optional[object] = None
 
     def start(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            return
-        self._proc = self.cluster.sim.process(self._beat(), name=f"heartbeat:{self.node}")
+        if self._token is None:
+            self._token = object()
+            self.cluster.sim.after(0.0, self._beat, self._token)
 
     def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
+        self._token = None
 
-    def _beat(self) -> Generator:
-        interval = self.cluster.params.failure.heartbeat_interval
+    def _beat(self, trigger: Event) -> None:
+        if trigger._value is not self._token:
+            return
         endpoint = self.cluster.network.endpoint(self.node)
-        while True:
-            for peer in self.cluster.server_names():
-                if peer != self.node:
-                    endpoint.send_to(peer, MsgKind.HEARTBEAT)
-            yield self.cluster.sim.timeout(interval)
+        for peer in self.cluster.server_names():
+            if peer != self.node:
+                endpoint.send_to(peer, MsgKind.HEARTBEAT)
+        interval = self.cluster.params.failure.heartbeat_interval
+        self.cluster.sim.after(interval, self._beat, self._token)

@@ -21,7 +21,7 @@ all three.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.obs.span import (
     PROTOCOL_MSG_KINDS,
@@ -78,6 +78,9 @@ class Observability:
         self.trace = TraceLog(sim, enabled=enabled)
         self.spans = SpanCollector(sim)
         self.metrics = MetricsRegistry()
+        #: Called with each record as it is appended; replaced, never
+        #: mutated, so a listener may unsubscribe from inside its call.
+        self.listeners: list[Callable[[TraceRecord], None]] = []
         #: (lock-manager name, txn, obj) -> grant time, for hold-time
         #: histograms.
         self._lock_grants: dict[tuple[str, Any, Any], float] = {}
@@ -101,11 +104,20 @@ class Observability:
         """
         record = TraceRecord(self.sim.now, category, actor, detail)
         self.trace.records.append(record)
+        for listener in self.listeners:
+            listener(record)
         counter = _COUNTERS.get(category if split is None else (category, split))
         if counter is not None:
             self.metrics.inc(counter, amount)
         if node is not None:
             self.spans.record(detail.get("txn"), node, record)
+
+    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
+        """Call ``listener(record)`` for every record appended from now on."""
+        self.listeners = self.listeners + [listener]
+
+    def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
+        self.listeners = [known for known in self.listeners if known != listener]
 
     def annotate(self, category: str, actor: str, **detail: Any) -> None:
         """Generic event of any category (protocol milestones, faults,

@@ -183,14 +183,14 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None, name: str = ""):
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         # Inlined Event.__init__ plus immediate triggering: Timeout is
         # the dominant event of every workload, so it pays to skip the
         # super() call and the old per-instance f-string name.
         # Negative delays are rejected in Simulator._schedule (the
         # single owner of that validation).
         self.sim = sim
-        self.name = name
+        self.name = ""
         self._callbacks = None
         self.defused = False
         self.delay = delay
@@ -200,8 +200,7 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = self.name or f"timeout({self.delay})"
-        return f"<{label} state={STATE_NAMES[self._state]}>"
+        return f"<timeout({self.delay}) state={STATE_NAMES[self._state]}>"
 
 
 class Condition(Event):

@@ -61,9 +61,9 @@ _POOL_MAX = 4096
 class _TriggerEvent(Event):
     """A pool-recycled, single-shot trigger event (kernel-internal).
 
-    Only ever created by :meth:`Simulator.after`; never exposed to
-    simulation code beyond the one callback it carries, and recycled
-    the moment its callbacks have run.
+    Only ever created by :meth:`Simulator.after` and ``at``; never
+    exposed to simulation code beyond the one callback it carries, and
+    recycled the moment its callbacks have run.
     """
 
     __slots__ = ()
@@ -71,7 +71,7 @@ class _TriggerEvent(Event):
     _pooled = True
 
     def __init__(self, sim: "Simulator"):
-        # ``after`` fills in value and callback; a trigger never fails.
+        # ``after``/``at`` fill in value and callback; a trigger never fails.
         self.sim = sim
         self.name = ""
         self._state = TRIGGERED
@@ -153,6 +153,19 @@ class Simulator:
         event._value = value
         event._callbacks = [callback]
         self._schedule(event, delay)
+
+    def at(self, time: float, callback: Callable[[Event], None], value: Any = None) -> None:
+        """:meth:`after` with an absolute due time, taken bit for bit:
+        ``now + (time - now)`` is not always ``time``, and a walk over a
+        grid of instants has to land on each one."""
+        if time < self._now:
+            raise ValueError(f"at({time}) is in the past (now={self._now})")
+        event = self._pool.pop() if self._pool else _TriggerEvent(self)
+        event._state = TRIGGERED
+        event._value = value
+        event._callbacks = [callback]
+        self._sequence += 1
+        heappush(self._heap, (time, PRIORITY_NORMAL, self._sequence, event))
 
     def expire(self, event: Event, delay: float) -> Event:
         """Arm a deadline on ``event`` and return it:
@@ -303,10 +316,6 @@ class Simulator:
         self.run(until=AllOf(self, processes))
         return [p.value for p in processes]
 
-    def call_at(self, time: float, func: Callable[[], None]) -> Event:
-        """Invoke ``func`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise ValueError(f"call_at({time}) is in the past (now={self._now})")
-        event = Timeout(self, time - self._now, name=f"call_at({time})")
-        event.callbacks.append(lambda _e: func())
-        return event
+    def call_at(self, time: float, func: Callable[[], None]) -> None:
+        """Invoke ``func()`` at absolute virtual time ``time``."""
+        self.at(time, lambda _trigger: func())

@@ -24,14 +24,22 @@ def test_trigger_matches_category_actor_and_detail():
     assert any(trig.matches(r) for r in trace.records)
 
 
+def push(pred, trace, category, actor, **detail):
+    """Emit one record and hand it to ``pred`` the way a fault plan does."""
+    emit(trace, category, actor, **detail)
+    pred.feed(trace.records[-1])
+
+
 def test_compiled_predicate_is_incremental_and_counts():
-    trig = TraceTrigger(category="fence", min_count=2)
+    trig = TraceTrigger(category="fence", actor="mds1", min_count=2)
     pred = trig.compile()
     trace = fresh_trace()
+    assert pred.category == "fence"
     assert pred(trace) is False
-    emit(trace, "fence", "mds1")
+    push(pred, trace, "fence", "mds1")
+    push(pred, trace, "fence", "mds2")  # right category, wrong actor
     assert pred(trace) is False  # one hit < min_count
-    emit(trace, "fence", "mds1")
+    push(pred, trace, "fence", "mds1")
     assert pred(trace) is True
     # Hits are cumulative: the predicate stays satisfied.
     assert pred(trace) is True
@@ -41,10 +49,23 @@ def test_compiled_predicates_do_not_share_state():
     trig = TraceTrigger(category="fence")
     a, b = trig.compile(), trig.compile()
     trace = fresh_trace()
-    emit(trace, "fence", "mds1")
+    push(a, trace, "fence", "mds1")
     assert a(trace) is True
-    fresh = fresh_trace()
-    assert b(fresh) is False
+    assert b(trace) is False
+
+
+def test_compiled_predicate_survives_a_trace_clear():
+    """A warm-up ``clear()`` between two hits must not lose the first
+    (the old scanning predicate kept an index into the cleared list and
+    skipped every record until the trace regrew past it)."""
+    pred = TraceTrigger(category="fence", min_count=2).compile()
+    trace = fresh_trace()
+    for _ in range(3):
+        push(pred, trace, "noise", "mds1")
+    push(pred, trace, "fence", "mds1")
+    trace.clear()
+    push(pred, trace, "fence", "mds1")
+    assert pred(trace) is True
 
 
 def test_roundtrip_preserves_trigger():

@@ -60,6 +60,9 @@ HOOKS = {
 #: Span lifecycle only: the stream has no record for a worker session.
 SPAN_ONLY = {"worker_open", "worker_close"}
 
+#: Readers of the stream, not writers.
+SUBSCRIPTION = {"subscribe", "unsubscribe"}
+
 
 def span_events(obs):
     events = list(obs.spans.cluster_events)
@@ -74,7 +77,28 @@ def test_contract_table_covers_every_public_hook():
         for name, member in vars(Observability).items()
         if callable(member) and not name.startswith("_")
     }
-    assert public == set(HOOKS) | SPAN_ONLY
+    assert public == set(HOOKS) | SPAN_ONLY | SUBSCRIPTION
+
+
+def test_listeners_get_the_appended_record_and_may_unsubscribe_in_the_call():
+    obs = hub()
+    heard = []
+
+    def once(record):
+        heard.append(("once", record))
+        obs.unsubscribe(once)
+
+    obs.subscribe(once)
+    obs.subscribe(lambda record: heard.append(("always", record)))
+    obs.annotate("fence", "mds1", target="mds2")
+    obs.annotate("fence", "mds1", target="mds2")
+    first, second = obs.trace.records
+    # Dropping out mid-delivery neither skips nor repeats the other listener.
+    assert [(who, rec is first, rec is second) for who, rec in heard] == [
+        ("once", True, False),
+        ("always", True, False),
+        ("always", False, True),
+    ]
 
 
 @pytest.mark.parametrize("hook", sorted(HOOKS))

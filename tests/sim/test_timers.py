@@ -1,5 +1,5 @@
-"""`Simulator.after` and `Simulator.expire`: the callback timer and the
-one deadline primitive built on it."""
+"""`Simulator.after`, `Simulator.at` and `Simulator.expire`: the callback
+timer, its absolute-time door and the one deadline primitive."""
 
 import pytest
 
@@ -41,6 +41,44 @@ def test_after_recycles_its_trigger_event():
 def test_after_rejects_a_negative_delay():
     with pytest.raises(ValueError):
         Simulator().after(-1.0, lambda trigger: None)
+
+
+def test_at_lands_on_the_given_instant_bit_for_bit():
+    # A grid walked by repeated addition: from most clock values,
+    # now + (t - now) misses t by an ulp.
+    grid, t = [], 0.0
+    for _ in range(200):
+        t += 0.5e-3
+        grid.append(t)
+    sim = Simulator()
+    sim.run(until=0.0123)
+    assert any(sim.now + (t - sim.now) != t for t in grid if t > sim.now)
+    seen = []
+    for t in grid:
+        if t > sim.now:
+            sim.at(t, lambda trigger: seen.append((sim.now, trigger.value)), t)
+    sim.run()
+    assert seen == [(t, t) for t in grid if t > 0.0123]
+
+
+def test_at_shares_the_pool_and_the_scheduling_order_of_after():
+    sim = Simulator()
+    order, triggers = [], []
+    sim.after(1.0, lambda trigger: order.append("after"))
+    sim.at(1.0, lambda trigger: order.append("at"))
+    sim.at(1.0, triggers.append)
+    sim.run()
+    sim.after(1.0, triggers.append)
+    sim.run()
+    assert order == ["after", "at"]
+    assert triggers[0] is triggers[1]
+
+
+def test_at_rejects_an_instant_in_the_past():
+    sim = Simulator(start_time=10.0)
+    with pytest.raises(ValueError, match="past"):
+        sim.at(5.0, lambda trigger: None)
+    sim.at(10.0, lambda trigger: None)  # now is not the past
 
 
 def test_expire_delivers_timed_out_exactly_at_the_deadline():
