@@ -25,6 +25,6 @@ def test_bench_figure6(once):
     assert gains["1PC"] > 50.0, "paper: 1PC gains more than 50% over 2PC"
     assert 3.0 < gains["EP"] < 12.0, "paper: EP gains 6.6%"
     assert -0.5 < gains["PrC"] < 2.0, "paper: PrC gains 0.39%"
-    for name, result in figure.results.items():
-        assert result.committed == result.n, name
-        assert result.cluster.check_invariants() == [], name
+    for name, cell in figure.results.items():
+        assert cell.committed == cell.spec.n, name
+        assert cell.payload.cluster.check_invariants() == [], name

@@ -8,17 +8,14 @@ dead peer; the 2PC family relies on reboot + decision queries.
 
 
 from repro.analysis.tables import render_table
-from repro.harness.recovery import (
-    measure_coordinator_crash_recovery,
-    measure_worker_crash_recovery,
-)
+from repro.harness.recovery import measure_crash_recovery
 
 PROTOCOLS = ("PrN", "PrC", "EP", "1PC")
 
 
 def test_bench_recovery_worker_crash(once):
     def run_all():
-        return {p: measure_worker_crash_recovery(p) for p in PROTOCOLS}
+        return {p: measure_crash_recovery(p, "mds2") for p in PROTOCOLS}
 
     results = once(run_all)
     rows = [
@@ -39,7 +36,7 @@ def test_bench_recovery_heartbeats_accelerate_1pc(once):
     a dead worker on suspicion (~30 ms) instead of the 1 s protocol
     timeout."""
     from repro import Cluster
-    from repro.harness.scenarios import ForcedDistributedPlacement
+    from repro.fs.placement import ForcedDistributedPlacement
 
     def run(heartbeats):
         cluster = Cluster(
@@ -78,7 +75,7 @@ def test_bench_recovery_heartbeats_accelerate_1pc(once):
 
 def test_bench_recovery_coordinator_crash(once):
     def run_all():
-        return {p: measure_coordinator_crash_recovery(p) for p in PROTOCOLS}
+        return {p: measure_crash_recovery(p, "mds1") for p in PROTOCOLS}
 
     results = once(run_all)
     rows = [

@@ -7,25 +7,15 @@ up directly as a shorter mean wait on the shared directory lock.
 
 from repro.analysis.tables import render_table
 from repro.analysis.utilization import device_utilization, lock_contention
-from repro.harness.scenarios import distributed_create_cluster
+from repro.workloads import run_burst
 
 PROTOCOLS = ("PrN", "PrC", "EP", "1PC")
 N = 30
 
 
-def traced_burst(protocol):
-    cluster, client = distributed_create_cluster(protocol, trace=True)
-    for i in range(N):
-        client.submit(client.plan_create(f"/dir1/f{i}"))
-    while len(cluster.outcomes) < N:
-        cluster.sim.step()
-    cluster.sim.run(until=cluster.sim.now + 30.0)
-    return cluster
-
-
 def test_bench_utilization(once):
     def run_all():
-        return {p: traced_burst(p) for p in PROTOCOLS}
+        return {p: run_burst(p, n=N, trace=True).cluster for p in PROTOCOLS}
 
     clusters = once(run_all)
     rows = []

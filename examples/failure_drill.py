@@ -18,7 +18,7 @@ Run:  python examples/failure_drill.py
 """
 
 from repro import Cluster
-from repro.harness.scenarios import ForcedDistributedPlacement
+from repro.fs.placement import ForcedDistributedPlacement
 
 
 def build():

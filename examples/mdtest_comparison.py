@@ -13,7 +13,7 @@ Run:  python examples/mdtest_comparison.py
 """
 
 from repro.analysis.tables import render_table
-from repro.harness.scenarios import distributed_create_cluster
+from repro.mds.scenarios import distributed_create_cluster
 from repro.workloads import run_mdtest_phases
 
 N_FILES = 40

@@ -21,7 +21,7 @@ from repro.harness.diagrams import render_all_timelines
 
 
 def export_perfetto(out_dir: str) -> None:
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
     from repro.obs import write_chrome_trace
 
     os.makedirs(out_dir, exist_ok=True)

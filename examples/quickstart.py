@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Cluster
-from repro.harness.scenarios import ForcedDistributedPlacement
+from repro.fs.placement import ForcedDistributedPlacement
 
 
 def main() -> None:

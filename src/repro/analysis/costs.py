@@ -141,7 +141,7 @@ def measure_protocol_costs(protocol: str, workers: int = 1) -> MeasuredCosts:
     to be a two-MDS distributed transaction.  The counts are folded
     from the transaction's span (``cluster.obs.spans``).
     """
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
 
     cluster, client = distributed_create_cluster(protocol)
     done = cluster.sim.process(client.create("/dir1/f0"), name="measure")

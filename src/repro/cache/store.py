@@ -21,11 +21,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.cache.fingerprint import code_fingerprint
+from repro.exec.clock import utc_now_iso
 from repro.exec.results import SCHEMA_VERSION, git_revision
 from repro.exec.spec import CellResult, RunSpec
 from repro.obs.metrics import MetricsRegistry
@@ -159,7 +159,8 @@ class ResultCache:
             "spec_identity": spec.identity(),
             "cell": cell.to_dict(),
             "meta": {
-                "created_at": datetime.now(timezone.utc).isoformat(),  # repro: noqa DET001 - provenance only, never hashed
+                # Provenance only, never hashed.
+                "created_at": utc_now_iso(),
                 "git_rev": self._git_revision(),
             },
         }

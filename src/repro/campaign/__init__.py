@@ -14,14 +14,19 @@ points; this package turns :mod:`repro.faults` +
 * :mod:`repro.campaign.runner` -- executes one schedule on a live
   cluster and checks the result (namespace invariants, per-transaction
   atomicity, durability of acknowledged commits, serial equivalence,
-  conflict cycles) into a structured verdict.  Plugs into the cached
-  ``repro.exec`` executor as the ``campaign`` RunSpec kind.
+  conflict cycles) into a structured verdict.  ``repro.exec`` runs it
+  as the ``campaign`` RunSpec kind, so these three modules sit *below*
+  the executor.
 * :mod:`repro.campaign.shrink` -- a delta-debugging shrinker that
   reduces a violating schedule to a minimal repro (drop faults,
   shrink workload, tighten triggers) and emits a self-contained,
   replayable JSON repro document.
 * :mod:`repro.campaign.cli` -- the ``repro campaign`` subcommand
   (``run`` / ``shrink`` / ``replay``).
+
+``shrink`` and ``cli`` drive the executor, so they sit *above* it and
+are not imported here: ``repro.exec`` passes through this package on
+its way to ``runner``, and importing back would work in one order only.
 """
 
 from repro.campaign.schedule import (
@@ -29,17 +34,15 @@ from repro.campaign.schedule import (
     FaultSpec,
     generate_schedule,
 )
-from repro.campaign.runner import run_campaign_spec
-from repro.campaign.shrink import replay_repro, shrink_schedule
+from repro.campaign.runner import check_run, run_campaign_cell
 from repro.campaign.triggers import TraceTrigger, window
 
 __all__ = [
     "CampaignSchedule",
     "FaultSpec",
     "TraceTrigger",
+    "check_run",
     "generate_schedule",
-    "replay_repro",
-    "run_campaign_spec",
-    "shrink_schedule",
+    "run_campaign_cell",
     "window",
 ]

@@ -16,7 +16,7 @@ plan — then, after the dust settles, a battery of checks:
   are appended to the history);
 * **conflict-cycle** — the lock-grant precedence graph is acyclic.
 
-The verdict is a plain dict riding in
+The verdict is a plain dict; :mod:`repro.exec.runners` carries it in
 :class:`~repro.exec.spec.CellResult.verdict`, so campaign cells flow
 through the cached executor like any other experiment cell.
 """
@@ -28,10 +28,9 @@ from typing import Any, Iterator, Optional
 from repro.analysis.serializability import diff_against_serial, precedence_graph
 from repro.campaign.schedule import CampaignSchedule
 from repro.config import SimulationParams
-from repro.exec.spec import CellResult, RunSpec, derive_seed
 from repro.fs.objects import AddDentry, CreateInode
 from repro.fs.operations import OpPlan
-from repro.harness.scenarios import ForcedDistributedPlacement
+from repro.fs.placement import ForcedDistributedPlacement
 from repro.locks import find_deadlock_cycle
 from repro.mds.client import Client
 from repro.mds.cluster import Cluster
@@ -232,35 +231,3 @@ def run_campaign_cell(
         faults_fired=fired,
     )
     return cluster, verdict
-
-
-def run_campaign_spec(spec: RunSpec, keep_cluster: bool = False) -> CellResult:
-    """Executor runner for the ``campaign`` RunSpec kind."""
-    if spec.campaign is None:
-        raise ValueError("campaign spec is missing its schedule")
-    schedule = CampaignSchedule.from_json(spec.campaign)
-    if schedule.protocol != spec.protocol:
-        raise ValueError(
-            f"schedule protocol {schedule.protocol!r} does not match "
-            f"spec protocol {spec.protocol!r}"
-        )
-    cluster, verdict = run_campaign_cell(schedule, params=spec.seeded_params())
-    committed = int(verdict["committed"])
-    replied = [o.replied_at for o in cluster.outcomes]
-    makespan = max(replied) if replied else 0.0
-    from repro.exec.runners import wal_totals
-
-    forced, lazy = wal_totals(cluster)
-    return CellResult(
-        spec=spec,
-        derived_seed=derive_seed(spec),
-        committed=committed,
-        aborted=int(verdict["aborted"]),
-        makespan=makespan,
-        throughput=committed / makespan if makespan > 0 else 0.0,
-        latency=None,
-        forced_writes=forced,
-        lazy_writes=lazy,
-        verdict=verdict,
-        payload=cluster if keep_cluster else None,
-    )

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from repro.campaign.schedule import CampaignSchedule
+from repro.exec.runners import execute_spec
 from repro.exec.spec import CellResult, RunSpec
 
 REPRO_SCHEMA_VERSION = 1
@@ -136,8 +137,6 @@ def shrink_spec(
     candidate's verdict shares a violated check kind with the
     original".
     """
-    from repro.exec.runners import execute_spec
-
     if spec.campaign is None:
         raise ValueError("not a campaign spec (no schedule)")
     original = execute_spec(spec)
@@ -193,8 +192,6 @@ def replay_repro(doc: dict[str, Any]) -> tuple[CellResult, bool]:
     Returns the fresh cell and whether the run reproduced at least one
     of the document's recorded violation kinds.
     """
-    from repro.exec.runners import execute_spec
-
     cell = execute_spec(RunSpec.from_dict(doc["spec"]))
     expected = {v["check"] for v in doc.get("verdict", {}).get("violations", [])}
     return cell, bool(violation_kinds(cell) & expected)

@@ -93,7 +93,10 @@ def _cmd_burst(args: argparse.Namespace) -> int:
     from repro.workloads import run_burst
 
     result = run_burst(args.protocol, n=args.n, op=args.op)
-    print(result)
+    print(
+        f"{args.protocol}: {result.committed}/{args.n} committed, "
+        f"{result.throughput:.2f} tx/s (makespan {result.makespan * 1e3:.1f} ms)"
+    )
     stats = result.latency
     print(f"latency: p50 {stats.p50 * 1e3:.2f} ms, p95 {stats.p95 * 1e3:.2f} ms, "
           f"max {stats.maximum * 1e3:.2f} ms")
@@ -164,17 +167,16 @@ def _sweep_grid(args: argparse.Namespace):
 
 def _run_partitioned_sweep(specs, workers: int):
     """Execute composite specs shard-partitioned (one kernel per group)."""
-    import time
-
     from repro.exec import SweepResults, git_revision, run_partitioned_spec
+    from repro.exec.clock import monotonic
 
-    started = time.monotonic()  # repro: noqa DET001 - wall-clock provenance
+    started = monotonic()
     cells = [run_partitioned_spec(spec, workers=workers) for spec in specs]
     return SweepResults(
         kind="composite",
         cells=cells,
         workers=workers,
-        wall_time_s=time.monotonic() - started,  # repro: noqa DET001 - wall-clock provenance
+        wall_time_s=monotonic() - started,
         git_rev=git_revision(),
         computed=len(cells),
     )
@@ -250,15 +252,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_recovery(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_table
-    from repro.harness.recovery import (
-        measure_coordinator_crash_recovery,
-        measure_worker_crash_recovery,
-    )
+    from repro.harness.recovery import measure_crash_recovery
 
     rows = []
     for protocol in _protocol_names():
-        w = measure_worker_crash_recovery(protocol)
-        c = measure_coordinator_crash_recovery(protocol)
+        w = measure_crash_recovery(protocol, "mds2")
+        c = measure_crash_recovery(protocol, "mds1")
         rows.append(
             [
                 protocol,
@@ -363,7 +362,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_torture(args: argparse.Namespace) -> int:
     from repro.faults import random_fault_plan
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
 
     failures = 0
     for seed in range(args.seeds):
@@ -385,19 +384,11 @@ def _cmd_torture(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    """Wall-clock hot-path benchmarks (events/sec, txns/sec)."""
-    import sys as _sys
-
+    """The million-transaction scale run (events/sec, txns/sec, peak RSS)."""
     from repro.exec.perf import render_perf, run_perf
 
-    progress = None
-    if args.progress:
-        def progress(line: str) -> None:
-            print(line, file=_sys.stderr)
-
-    results = run_perf(
-        workloads=args.workload or None, repeats=args.repeats, progress=progress
-    )
+    announce = (lambda line: print(line, file=sys.stderr)) if args.progress else None
+    results = run_perf(progress=announce)
     print(render_perf(results))
     if args.json:
         results.write_json(args.json)
@@ -538,24 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="wall-clock hot-path benchmarks on the pinned workloads "
-        "(kernel churn, Figure-6 cell, fault-torture cell)",
+        help="the million-transaction scale run (minutes; host performance "
+        "is measured by benchmarks/ledger/run.py)",
     )
-    from repro.exec.perf import WORKLOADS
-
-    p.add_argument(
-        "--workload",
-        action="append",
-        choices=list(WORKLOADS),
-        default=None,
-        help="measure only this workload (repeatable; default: all)",
-    )
-    p.add_argument("--repeats", type=_positive_int, default=3,
-                   help="take the best wall clock of this many runs")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write machine-readable BENCH_perf.json to PATH")
     p.add_argument("--progress", action="store_true",
-                   help="report per-workload progress on stderr")
+                   help="announce the run on stderr before it starts")
     p.set_defaults(func=_cmd_perf)
 
     p = sub.add_parser(

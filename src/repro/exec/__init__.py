@@ -4,7 +4,7 @@ The substrate the evaluation fans out on: declarative
 :class:`RunSpec` grids, a process-pool :func:`run_grid` whose parallel
 output is bit-identical to serial execution (deterministic per-spec
 seeding, spec-order merge), and a machine-readable results layer
-(:class:`SweepResults`) the CI regression gate consumes.
+(:class:`SweepResults`) whose canonical form is byte-reproducible.
 
 ::
 

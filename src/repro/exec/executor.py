@@ -34,13 +34,13 @@ aggregates per-cell host seconds in a
 
 from __future__ import annotations
 
-import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, cast
 
+from repro.exec.clock import monotonic
 from repro.exec.runners import execute_spec
 from repro.exec.spec import CellResult, RunSpec
 from repro.sim.monitor import Monitor, TraceLog
@@ -58,7 +58,7 @@ class HostClock:
 
     @property
     def now(self) -> float:
-        return time.monotonic()  # repro: noqa DET001 - wall-clock provenance
+        return monotonic()
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,6 @@ class ProgressEvent:
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
-
-#: Per-cell hook invoked with every freshly *computed* cell (cache
-#: write-through); never called for cache hits.
-CellHook = Callable[[RunSpec, CellResult], None]
 
 
 def host_trace_log(enabled: bool = True) -> TraceLog:
@@ -124,7 +120,7 @@ def run_grid(
 
     results: list[Optional[CellResult]] = [None] * total
     jobs: list[int] = []
-    hits = 0
+    done = 0
     if cache is None:
         jobs = list(range(total))
     else:
@@ -139,173 +135,105 @@ def run_grid(
             if cell is None:
                 jobs.append(index)
                 continue
-            hits += 1
+            # A cache hit: nothing ran, so no host seconds to observe.
+            done += 1
             results[index] = cell
-            _report_hit(index, spec, hits, total, progress, trace)
+            if trace is not None:
+                trace.emit(
+                    "exec", "executor", event="cell_cached",
+                    index=index, done=done, total=total, spec=spec.describe(),
+                )
+            if progress is not None:
+                progress(ProgressEvent(done, total, index, spec, seconds=0.0, cached=True))
+    hits = done
+    store = None if keep_clusters else cache
 
-    on_cell: Optional[CellHook] = None
-    if cache is not None and not keep_clusters:
-        store = cache
-
-        def _write_through(spec: RunSpec, cell: CellResult) -> None:
-            if not spec.trace:
-                store.put(spec, cell)
-
-        on_cell = _write_through
-
-    if jobs:
-        if workers == 1 or len(jobs) <= 1:
-            _run_serial(
-                spec_list, jobs, results, hits, total, progress, trace, monitor,
-                keep_clusters, on_cell,
+    def finish(index: int, cell: CellResult, seconds: float) -> None:
+        """A freshly computed cell, in completion order (either path)."""
+        nonlocal done
+        spec = spec_list[index]
+        # Write through before reporting: once a cell is announced
+        # done, a kill must not lose it.
+        if store is not None and not spec.trace:
+            store.put(spec, cell)
+        done += 1
+        results[index] = cell
+        if monitor is not None:
+            monitor.observe(monotonic(), seconds)
+        if trace is not None:
+            trace.emit(
+                "exec", "executor", event="cell_done",
+                index=index, done=done, total=total, spec=spec.describe(), seconds=seconds,
             )
-        else:
-            _run_pooled(
-                spec_list, jobs, results, hits, total, workers, progress, trace,
-                monitor, on_cell,
-            )
+        if progress is not None:
+            progress(ProgressEvent(done, total, index, spec, seconds))
+
+    if workers == 1 or len(jobs) <= 1:
+        for index in jobs:
+            spec = spec_list[index]
+            started = monotonic()
+            try:
+                cell = execute_spec(spec, keep_cluster=keep_clusters)
+            except Exception as exc:
+                raise ExperimentError(
+                    f"spec {index} ({spec.describe()}) failed: {exc!r}\n"
+                    f"{traceback.format_exc()}"
+                ) from exc
+            finish(index, cell, monotonic() - started)
+    else:
+        run_pool(
+            workers,
+            {index: (execute_spec, spec_list[index]) for index in jobs},
+            finish,
+            died=lambda i: f"the grid (first unfinished spec: {i} — {spec_list[i].describe()})",
+            failed=lambda i: f"spec {i} ({spec_list[i].describe()})",
+        )
     if trace is not None:
         trace.emit("exec", "executor", event="grid_done", cells=total, cached=hits)
     return cast("list[CellResult]", list(results))
 
 
-def _run_serial(
-    specs: Sequence[RunSpec],
-    jobs: Sequence[int],
-    results: "list[Optional[CellResult]]",
-    done_offset: int,
-    total: int,
-    progress: Optional[ProgressCallback],
-    trace: Optional[TraceLog],
-    monitor: Optional[Monitor],
-    keep_clusters: bool,
-    on_cell: Optional[CellHook],
-) -> None:
-    done = done_offset
-    for index in jobs:
-        spec = specs[index]
-        started = time.monotonic()  # repro: noqa DET001 - wall-clock provenance
-        try:
-            cell = execute_spec(spec, keep_cluster=keep_clusters)
-        except Exception as exc:
-            raise ExperimentError(
-                f"spec {index} ({spec.describe()}) failed: {exc!r}\n"
-                f"{traceback.format_exc()}"
-            ) from exc
-        if on_cell is not None:
-            on_cell(spec, cell)
-        done += 1
-        _report(index, spec, started, done, total, progress, trace, monitor)
-        results[index] = cell
-
-
-def _run_pooled(
-    specs: Sequence[RunSpec],
-    jobs: Sequence[int],
-    results: "list[Optional[CellResult]]",
-    done_offset: int,
-    total: int,
+def run_pool(
     workers: int,
-    progress: Optional[ProgressCallback],
-    trace: Optional[TraceLog],
-    monitor: Optional[Monitor],
-    on_cell: Optional[CellHook],
+    jobs: "Mapping[Any, tuple[Any, ...]]",
+    on_done: Callable[[Any, Any, float], None],
+    died: Callable[[Any], str],
+    failed: Callable[[Any], str],
 ) -> None:
-    done = done_offset
+    """Run every ``key -> (fn, *args)`` job on a process pool.
+
+    The one pool loop of :mod:`repro.exec`: ``on_done(key, value,
+    seconds)`` fires in completion order; an exception in a worker, or
+    a worker dying outright, cancels what is still queued and raises
+    :class:`ExperimentError` — ``failed(key)`` / ``died(key)`` say
+    what was running.
+    """
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {
-            pool.submit(_pool_entry, index, specs[index]): index for index in jobs
-        }
+        pending = {pool.submit(_pool_entry, *job): key for key, job in jobs.items()}
         try:
             while pending:
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    index = pending.pop(future)
-                    spec = specs[index]
+                    key = pending.pop(future)
                     try:
-                        status, payload, seconds = future.result()
+                        status, value, seconds = future.result()
                     except BrokenProcessPool as exc:
                         raise ExperimentError(
-                            f"a worker process died while running the grid "
-                            f"(first unfinished spec: {index} — {spec.describe()}): {exc!r}"
+                            f"a worker process died while running {died(key)}: {exc!r}"
                         ) from exc
                     if status == "error":
-                        raise ExperimentError(
-                            f"spec {index} ({spec.describe()}) failed in worker:\n{payload}"
-                        )
-                    # Write through before reporting: once a cell is
-                    # announced done, a kill must not lose it.
-                    if on_cell is not None:
-                        on_cell(spec, payload)
-                    done += 1
-                    started = time.monotonic() - seconds  # repro: noqa DET001 - wall-clock provenance
-                    _report(index, spec, started, done, total, progress, trace, monitor)
-                    results[index] = payload
+                        raise ExperimentError(f"{failed(key)} failed in worker:\n{value}")
+                    on_done(key, value, seconds)
         finally:
             for future in pending:
                 future.cancel()
 
 
-def _pool_entry(index: int, spec: RunSpec) -> "tuple[str, Any, float]":
+def _pool_entry(fn: Callable[..., Any], *args: Any) -> "tuple[str, Any, float]":
     """Worker-side wrapper: never raises, so no exception must pickle."""
-    started = time.monotonic()  # repro: noqa DET001 - wall-clock provenance
+    started = monotonic()
     try:
-        cell = execute_spec(spec, keep_cluster=False)
+        value = fn(*args)
     except BaseException:
-        return "error", traceback.format_exc(), time.monotonic() - started  # repro: noqa DET001 - wall-clock provenance
-    return "ok", cell, time.monotonic() - started  # repro: noqa DET001 - wall-clock provenance
-
-
-def _report(
-    index: int,
-    spec: RunSpec,
-    started: float,
-    done: int,
-    total: int,
-    progress: Optional[ProgressCallback],
-    trace: Optional[TraceLog],
-    monitor: Optional[Monitor],
-) -> None:
-    seconds = time.monotonic() - started  # repro: noqa DET001 - wall-clock provenance
-    if monitor is not None:
-        monitor.observe(time.monotonic(), seconds)  # repro: noqa DET001 - wall-clock provenance
-    if trace is not None:
-        trace.emit(
-            "exec",
-            "executor",
-            event="cell_done",
-            index=index,
-            done=done,
-            total=total,
-            spec=spec.describe(),
-            seconds=seconds,
-        )
-    if progress is not None:
-        progress(ProgressEvent(done=done, total=total, index=index, spec=spec, seconds=seconds))
-
-
-def _report_hit(
-    index: int,
-    spec: RunSpec,
-    done: int,
-    total: int,
-    progress: Optional[ProgressCallback],
-    trace: Optional[TraceLog],
-) -> None:
-    """Report a cache hit (no host-seconds observation — nothing ran)."""
-    if trace is not None:
-        trace.emit(
-            "exec",
-            "executor",
-            event="cell_cached",
-            index=index,
-            done=done,
-            total=total,
-            spec=spec.describe(),
-        )
-    if progress is not None:
-        progress(
-            ProgressEvent(
-                done=done, total=total, index=index, spec=spec, seconds=0.0, cached=True
-            )
-        )
+        return "error", traceback.format_exc(), monotonic() - started
+    return "ok", value, monotonic() - started

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from repro.campaign.schedule import generate_schedule
 from repro.config import SimulationParams
 from repro.exec.spec import RunSpec
 from repro.protocols.registry import default_protocols, fanout_capable
+from repro.workloads.composite import CompositeConfig
 
 
 def figure6_grid(
@@ -176,9 +178,6 @@ def campaign_grid(
     through distinct named RNG streams, so runs are independent but
     byte-reproducible.
     """
-    # Imported lazily: the campaign package sits above repro.exec.
-    from repro.campaign.schedule import generate_schedule
-
     specs = []
     for i in range(runs):
         schedule = generate_schedule(
@@ -219,9 +218,6 @@ def composite_grid(
     skew, phases and window are part of the cell identity and cached
     cells replay warm.
     """
-    # Imported lazily: the workloads package sits above repro.exec.
-    from repro.workloads.composite import CompositeConfig
-
     if protocols is None:
         protocols = default_protocols()
     return [

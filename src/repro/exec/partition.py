@@ -26,13 +26,10 @@ naming the failing group, mirroring the grid executor's contract.
 
 from __future__ import annotations
 
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Optional
+from typing import Optional
 
 from repro.config import SimulationParams
-from repro.exec.executor import ExperimentError
+from repro.exec.executor import run_pool
 from repro.exec.runners import composite_cell
 from repro.exec.spec import CellResult, RunSpec
 from repro.workloads.composite import (
@@ -44,16 +41,12 @@ from repro.workloads.composite import (
 )
 
 
-def _group_entry(
+def _run_group(
     protocol: str, config_json: str, params: SimulationParams, group: int
-) -> "tuple[str, Any]":
-    """Worker-side wrapper: never raises, so no exception must pickle."""
-    try:
-        config = CompositeConfig.from_json(config_json)
-        outcome = run_group_standalone(protocol, config, params, group)
-    except BaseException:
-        return "error", traceback.format_exc()
-    return "ok", outcome
+) -> GroupOutcome:
+    """Pool job: one shard group on its own kernel."""
+    config = CompositeConfig.from_json(config_json)
+    return run_group_standalone(protocol, config, params, group)
 
 
 def run_partitioned_composite(
@@ -80,34 +73,18 @@ def run_partitioned_composite(
         return merge_groups(protocol, config, outcomes)
 
     config_json = config.to_json()
-    collected: "list[Optional[GroupOutcome]]" = [None] * config.groups
-    with ProcessPoolExecutor(max_workers=min(workers, config.groups)) as pool:
-        pending = {
-            pool.submit(_group_entry, protocol, config_json, params, group): group
+    outcomes = []
+    run_pool(
+        min(workers, config.groups),
+        {
+            group: (_run_group, protocol, config_json, params, group)
             for group in range(config.groups)
-        }
-        try:
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    group = pending.pop(future)
-                    try:
-                        status, payload = future.result()
-                    except BrokenProcessPool as exc:
-                        raise ExperimentError(
-                            f"a worker process died while running composite "
-                            f"group {group}: {exc!r}"
-                        ) from exc
-                    if status == "error":
-                        raise ExperimentError(
-                            f"composite group {group} failed in worker:\n{payload}"
-                        )
-                    collected[group] = payload
-        finally:
-            for future in pending:
-                future.cancel()
-    outcomes = [o for o in collected if o is not None]
-    # merge_groups validates completeness (exactly groups 0..G-1).
+        },
+        lambda _group, outcome, _seconds: outcomes.append(outcome),
+        died=lambda group: f"composite group {group}",
+        failed=lambda group: f"composite group {group}",
+    )
+    # merge_groups sorts by group and validates completeness (0..G-1).
     return merge_groups(protocol, config, outcomes)
 
 

@@ -1,75 +1,29 @@
-"""Wall-clock performance benchmarks for the simulator hot path.
+"""The million-transaction scale run (``repro perf``).
 
-Every other measurement in this repository reports *simulated* time —
-a pure function of the code, immune to host speed.  This module is the
-deliberate exception: it pins four workloads and reports how fast the
-host actually chews through them (events per wall-clock second, and
-committed transactions per wall-clock second where the workload has
-transactions).  It is the quantitative backing for the ROADMAP's "as
-fast as the hardware allows" goal and the regression story for the
-kernel hot-path work (see ``docs/performance.md``).
+Host performance is measured by the ledger (``benchmarks/ledger/``,
+``BENCHMARK.json``).  What lives here is the one run the ledger does
+not hold yet: the capstone scale run, minutes long — a composite
+mdtest-like workload committing over a million transactions through the
+streaming-statistics path (see ``docs/performance.md``).
 
-The pinned workloads:
-
-* ``kernel-churn`` — pure ``repro.sim`` kernel stress: timeout pops,
-  store ping-pong, event succeed/relay chains, two-way conditions.  No
-  cluster, no protocols: this isolates the scheduler itself.
-* ``figure6-cell`` — one cell of the headline Figure-6 experiment
-  (100-create burst under 1PC) through ``repro.exec``; the end-to-end
-  hot path including network, WAL, locks and the protocol layer.
-* ``torture-cell`` — one seeded fault-torture cell (crash/partition/
-  link faults over a create burst): the fault-handling and recovery
-  paths.
-* ``figure6-warm`` — the full Figure-6 sweep twice against a fresh
-  :class:`~repro.cache.ResultCache`: a cache-cold pass that computes
-  and writes through, then a cache-warm pass served entirely from
-  disk.  Both wall clocks (and the speedup) land in ``detail``; the
-  pass pair also asserts the warm canonical JSON is byte-identical to
-  the cold one, so the benchmark doubles as an end-to-end cache check.
-* ``million-txn`` — the capstone scale run: a composite mdtest-like
-  workload committing over a million transactions through the
-  streaming-statistics path (see ``docs/performance.md``).  A small
-  base run precedes the full run and both record the process's
-  ``ru_maxrss`` high watermark; their ratio demonstrates peak memory
-  is O(1) in transaction count.  Excluded from the default set —
-  it runs minutes, not milliseconds — and always measured once.
-
-The JSON document (``BENCH_perf.json``) mirrors the sweep-results
-style: deterministic simulation facts (event counts, committed counts,
-virtual makespans) next to volatile host measurements, with provenance
-under ``meta``.  Schema v3 adds the top-level ``peak_rss_kb`` block
-(``ru_maxrss`` of this process and its pool children, KiB on Linux).
+The JSON document (``BENCH_perf.json``, schema v3) mirrors the
+sweep-results style: deterministic simulation facts (event count,
+committed count, virtual makespan) next to volatile host measurements,
+with provenance under ``meta`` and the ``ru_maxrss`` watermarks (KiB
+on Linux) under ``peak_rss_kb``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Any, Callable, Generator, Iterator, Optional
+from typing import Any, Callable, Optional
 
+from repro.exec.clock import monotonic, utc_now_iso
 from repro.exec.results import git_revision
+from repro.workloads.composite import CompositeConfig, run_composite
 
 PERF_SCHEMA_VERSION = 3
-
-#: The pinned workload names, in report order.  ``million-txn`` is
-#: opt-in via ``--workload million-txn`` (it runs for minutes).
-WORKLOADS = (
-    "kernel-churn",
-    "figure6-cell",
-    "torture-cell",
-    "figure6-warm",
-    "million-txn",
-)
-
-#: Workloads excluded from a bare ``repro perf`` (explicit opt-in only).
-DEFAULT_SKIP = frozenset({"million-txn"})
-
-#: Per-workload repeat caps: the scale run is single-shot regardless of
-#: ``--repeats`` (a second multi-minute pass buys no precision the
-#: best-of rule needs).
-_MAX_REPEATS = {"million-txn": 1}
 
 
 def peak_rss_kb() -> dict[str, int]:
@@ -89,13 +43,11 @@ def peak_rss_kb() -> dict[str, int]:
 
 @dataclass(frozen=True)
 class WorkloadRun:
-    """One measured workload: simulation facts plus host timings.
+    """One measured workload: simulation facts plus its wall clock.
 
     ``events``, ``txns`` and ``sim_time`` are deterministic (identical
     on every host at a given revision); ``wall_s`` and the derived
-    rates are host-dependent.  ``wall_s`` is the best (minimum) of the
-    repeats — the standard way to strip scheduler noise from a
-    CPU-bound measurement.
+    rates are host-dependent.
     """
 
     name: str
@@ -103,7 +55,6 @@ class WorkloadRun:
     txns: int
     sim_time: float
     wall_s: float
-    repeats: int
     detail: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -123,7 +74,8 @@ class WorkloadRun:
             "wall_s": self.wall_s,
             "events_per_s": self.events_per_s,
             "txns_per_s": self.txns_per_s,
-            "repeats": self.repeats,
+            # Schema v3 key; the scale run is always measured once.
+            "repeats": 1,
             "detail": self.detail,
         }
 
@@ -135,11 +87,9 @@ class PerfResults:
     workloads: list[WorkloadRun]
     wall_time_s: float = 0.0
     git_rev: str = "unknown"
-    created_at: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()  # repro: noqa DET001 - wall-clock provenance
-    )
-    #: ``ru_maxrss`` watermarks at the end of the run (schema v3).
-    peak_rss: dict[str, int] = field(default_factory=dict)
+    created_at: str = field(default_factory=utc_now_iso)
+    #: ``ru_maxrss`` watermarks at the end of the run.
+    peak_rss: dict[str, int] = field(default_factory=peak_rss_kb)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -150,170 +100,16 @@ class PerfResults:
                 "created_at": self.created_at,
                 "wall_time_s": self.wall_time_s,
             },
-            "peak_rss_kb": self.peak_rss or peak_rss_kb(),
+            "peak_rss_kb": self.peak_rss,
             "workloads": [w.to_dict() for w in self.workloads],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
     def write_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+            handle.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
-# -- the pinned workloads ----------------------------------------------------
-
-
-def _kernel_churn_events(n_procs: int, rounds: int) -> tuple[int, float]:
-    """Run the kernel-churn program; return (events, final sim time).
-
-    The program stresses exactly the paths the kernel optimises for:
-    bare timeout pops, store put/get ping-pong (succeed + resume),
-    already-processed relays, and two-way AnyOf conditions.  It is
-    fully deterministic — no RNG, no host input.
-    """
-    from repro.sim import AnyOf, Simulator, Store
-
-    sim = Simulator()
-    stores = [Store(sim, name=f"churn:{i}") for i in range(n_procs)]
-
-    def worker(i: int) -> Generator[Any, Any, int]:
-        mine, peer = stores[i], stores[(i + 1) % n_procs]
-        for r in range(rounds):
-            # Bare timeout pop (the dominant event in every experiment).
-            yield sim.timeout(0.0001 * ((i + r) % 7 + 1))
-            # Mailbox ping-pong: put resumes the peer's pending get.
-            peer.put((i, r))
-            got = yield mine.get()
-            # Immediate-succeed event: exercises the relay fast path.
-            done = sim.event()
-            done.succeed(got)
-            yield done
-            # Two-way condition over timeouts.
-            yield AnyOf(sim, [sim.timeout(0.00005), sim.timeout(0.0002)])
-        return i
-
-    for i in range(n_procs):
-        sim.process(worker(i), name=f"churn-{i}")
-    sim.run()
-    return sim.events_processed, sim.now
-
-
-def _run_kernel_churn(n_procs: int = 150, rounds: int = 80) -> Callable[[], WorkloadRun]:
-    def run() -> WorkloadRun:
-        events, sim_time = _kernel_churn_events(n_procs, rounds)
-        return WorkloadRun(
-            name="kernel-churn",
-            events=events,
-            txns=0,
-            sim_time=sim_time,
-            wall_s=0.0,
-            repeats=0,
-            detail={"n_procs": n_procs, "rounds": rounds},
-        )
-
-    return run
-
-
-def _run_figure6_cell(n: int = 100, protocol: str = "1PC") -> Callable[[], WorkloadRun]:
-    def run() -> WorkloadRun:
-        from repro.exec.runners import execute_spec
-        from repro.exec.spec import RunSpec
-
-        spec = RunSpec(kind="burst", protocol=protocol, n=n, seed=0, point="perf-figure6")
-        cell = execute_spec(spec, keep_cluster=True)
-        cluster = cell.payload.cluster
-        return WorkloadRun(
-            name="figure6-cell",
-            events=cluster.sim.events_processed,
-            txns=cell.committed,
-            sim_time=cluster.sim.now,
-            wall_s=0.0,
-            repeats=0,
-            detail={"protocol": protocol, "n": n, "throughput_sim": cell.throughput},
-        )
-
-    return run
-
-
-def _run_torture_cell(
-    seed: int = 7, ops: int = 12, n_faults: int = 3, protocol: str = "1PC"
-) -> Callable[[], WorkloadRun]:
-    def run() -> WorkloadRun:
-        from repro.faults import random_fault_plan
-        from repro.harness.scenarios import distributed_create_cluster
-
-        cluster, client = distributed_create_cluster(protocol)
-        plan = random_fault_plan(seed, ["mds1", "mds2"], horizon=0.1, n_faults=n_faults)
-        plan.install(cluster)
-        for i in range(ops):
-            client.submit(client.plan_create(f"/dir1/t{i}"))
-        cluster.sim.run(until=cluster.sim.now + 300.0)
-        committed = sum(1 for o in cluster.outcomes if o.committed)
-        return WorkloadRun(
-            name="torture-cell",
-            events=cluster.sim.events_processed,
-            txns=committed,
-            sim_time=cluster.sim.now,
-            wall_s=0.0,
-            repeats=0,
-            detail={"protocol": protocol, "seed": seed, "ops": ops, "n_faults": n_faults},
-        )
-
-    return run
-
-
-def _run_figure6_warm(n: int = 100, protocols: tuple[str, ...] = ("PrN", "PrC", "EP", "1PC")) -> Callable[[], WorkloadRun]:
-    def run() -> WorkloadRun:
-        import shutil
-        import tempfile
-
-        from repro.cache import ResultCache
-        from repro.exec.grids import figure6_grid
-        from repro.exec.results import run_sweep
-
-        specs = figure6_grid(n=n, protocols=protocols)
-        tmp = tempfile.mkdtemp(prefix="repro-perf-cache-")
-        try:
-            cache = ResultCache(root=tmp)
-            cold_started = time.perf_counter()  # repro: noqa DET001 - wall-clock measurement is the product
-            cold = run_sweep(specs, kind="figure6", cache=cache)
-            cold_wall = time.perf_counter() - cold_started  # repro: noqa DET001 - wall-clock measurement is the product
-            warm_started = time.perf_counter()  # repro: noqa DET001 - wall-clock measurement is the product
-            warm = run_sweep(specs, kind="figure6", cache=cache)
-            warm_wall = time.perf_counter() - warm_started  # repro: noqa DET001 - wall-clock measurement is the product
-            if warm.to_json(canonical=True) != cold.to_json(canonical=True):
-                raise RuntimeError("warm-cache sweep is not byte-identical to cold")
-            if cache.stats.hits != len(specs):
-                raise RuntimeError(
-                    f"warm pass expected {len(specs)} hits, saw {cache.stats.hits}"
-                )
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-        return WorkloadRun(
-            name="figure6-warm",
-            events=0,
-            txns=sum(cell.committed for cell in cold.cells),
-            sim_time=sum(cell.makespan for cell in cold.cells),
-            wall_s=0.0,
-            repeats=0,
-            detail={
-                "n": n,
-                "protocols": list(protocols),
-                "cells": len(specs),
-                "cold_wall_s": cold_wall,
-                "warm_wall_s": warm_wall,
-                "speedup": cold_wall / warm_wall if warm_wall > 0 else float("inf"),
-            },
-        )
-
-    return run
-
-
-def _run_million_txn(
-    ops: int = 1_300_000, groups: int = 8, protocol: str = "1PC"
-) -> Callable[[], WorkloadRun]:
+def run_million_txn(ops: int = 1_300_000, groups: int = 8, protocol: str = "1PC") -> WorkloadRun:
     """The capstone scale run: >1M committed transactions, O(1) memory.
 
     Two composite runs back to back: a base run at one tenth the
@@ -324,150 +120,61 @@ def _run_million_txn(
     transaction count grows 10x.
     """
 
-    def run() -> WorkloadRun:
-        from repro.workloads.composite import CompositeConfig, run_composite
+    def config(n: int) -> CompositeConfig:
+        return CompositeConfig(ops=n, groups=groups, window=16, working_set=256)
 
-        def config(n: int) -> CompositeConfig:
-            return CompositeConfig(ops=n, groups=groups, window=16, working_set=256)
-
-        base = run_composite(protocol, config(ops // 10))
-        base_rss = peak_rss_kb()["self"]
-        full = run_composite(protocol, config(ops))
-        full_rss = peak_rss_kb()["self"]
-        if full.committed < 1_000_000:
-            raise RuntimeError(
-                f"million-txn committed only {full.committed:,} transactions "
-                f"(needs >= 1,000,000; raise ops from {ops:,})"
-            )
-        return WorkloadRun(
-            name="million-txn",
-            events=full.events,
-            txns=full.committed,
-            sim_time=full.makespan,
-            wall_s=0.0,
-            repeats=0,
-            detail={
-                "protocol": protocol,
-                "ops": ops,
-                "groups": groups,
-                "skipped": full.skipped,
-                "reads": full.reads,
-                "latency_mode": full.latency.mode,
-                "p99_ms": full.latency.quantile(99.0) * 1e3,
-                "base_ops": ops // 10,
-                "base_committed": base.committed,
-                "rss_base_kb": base_rss,
-                "rss_full_kb": full_rss,
-                "rss_ratio": full_rss / base_rss if base_rss else 0.0,
-            },
+    started = monotonic()
+    base = run_composite(protocol, config(ops // 10))
+    base_rss = peak_rss_kb()["self"]
+    full = run_composite(protocol, config(ops))
+    full_rss = peak_rss_kb()["self"]
+    wall = monotonic() - started
+    if full.committed < 1_000_000:
+        raise RuntimeError(
+            f"million-txn committed only {full.committed:,} transactions "
+            f"(needs >= 1,000,000; raise ops from {ops:,})"
         )
-
-    return run
-
-
-_FACTORIES: dict[str, Callable[[], Callable[[], WorkloadRun]]] = {
-    "kernel-churn": _run_kernel_churn,
-    "figure6-cell": _run_figure6_cell,
-    "torture-cell": _run_torture_cell,
-    "figure6-warm": _run_figure6_warm,
-    "million-txn": _run_million_txn,
-}
-
-
-def _measure(build: Callable[[], WorkloadRun], repeats: int) -> WorkloadRun:
-    """Run ``build`` ``repeats`` times; keep the fastest wall clock.
-
-    The simulation facts are asserted identical across repeats — a
-    drift would mean the workload is not deterministic, which would
-    invalidate every cross-revision comparison.
-    """
-    best: Optional[WorkloadRun] = None
-    best_wall = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()  # repro: noqa DET001 - wall-clock measurement is the product
-        run = build()
-        wall = time.perf_counter() - started  # repro: noqa DET001 - wall-clock measurement is the product
-        if best is not None and (run.events, run.txns, run.sim_time) != (
-            best.events,
-            best.txns,
-            best.sim_time,
-        ):
-            raise RuntimeError(
-                f"workload {run.name!r} is not deterministic across repeats"
-            )
-        if wall < best_wall:
-            best_wall = wall
-            best = run
-    assert best is not None
     return WorkloadRun(
-        name=best.name,
-        events=best.events,
-        txns=best.txns,
-        sim_time=best.sim_time,
-        wall_s=best_wall,
-        repeats=repeats,
-        detail=best.detail,
+        name="million-txn",
+        events=full.events,
+        txns=full.committed,
+        sim_time=full.makespan,
+        wall_s=wall,
+        detail={
+            "protocol": protocol,
+            "ops": ops,
+            "groups": groups,
+            "skipped": full.skipped,
+            "reads": full.reads,
+            "latency_mode": full.latency.mode,
+            "p99_ms": full.latency.quantile(99.0) * 1e3,
+            "base_ops": ops // 10,
+            "base_committed": base.committed,
+            "rss_base_kb": base_rss,
+            "rss_full_kb": full_rss,
+            "rss_ratio": full_rss / base_rss if base_rss else 0.0,
+        },
     )
 
 
-def run_perf(
-    workloads: Optional[list[str]] = None,
-    repeats: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> PerfResults:
-    """Measure the pinned workloads.
-
-    ``workloads=None`` runs the default set — every pinned workload
-    except the multi-minute ``million-txn`` scale run, which must be
-    named explicitly.
-    """
-    if workloads is not None:
-        names = list(workloads)
-    else:
-        names = [n for n in WORKLOADS if n not in DEFAULT_SKIP]
-    unknown = [n for n in names if n not in _FACTORIES]
-    if unknown:
-        raise ValueError(f"unknown perf workload(s) {unknown!r}; choose from {WORKLOADS}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    started = time.perf_counter()  # repro: noqa DET001 - wall-clock measurement is the product
-    runs: list[WorkloadRun] = []
-    for name in names:
-        reps = min(repeats, _MAX_REPEATS.get(name, repeats))
-        if progress is not None:
-            progress(f"measuring {name} (best of {reps})...")
-        runs.append(_measure(_FACTORIES[name](), reps))
-    return PerfResults(
-        workloads=runs,
-        wall_time_s=time.perf_counter() - started,  # repro: noqa DET001 - wall-clock measurement is the product
-        git_rev=git_revision(),
-        peak_rss=peak_rss_kb(),
-    )
+def run_perf(progress: Optional[Callable[[str], None]] = None) -> PerfResults:
+    """Measure the scale run once and wrap it with provenance."""
+    if progress is not None:
+        progress("measuring million-txn (minutes)...")
+    run = run_million_txn()
+    return PerfResults(workloads=[run], wall_time_s=run.wall_s, git_rev=git_revision())
 
 
 def render_perf(results: PerfResults) -> str:
     """Human-readable table of a perf run."""
     lines = [
-        "Wall-clock hot-path benchmarks (best of "
-        f"{results.workloads[0].repeats if results.workloads else 0} runs)",
-        f"{'Workload':<16} {'events':>9} {'wall (ms)':>10} {'events/s':>12} {'txns/s':>10}",
+        "Wall-clock scale run",
+        f"{'Workload':<16} {'events':>11} {'wall (s)':>10} {'events/s':>12} {'txns/s':>10}",
     ]
     for run in results.workloads:
-        txns = f"{run.txns_per_s:,.0f}" if run.txns else "-"
         lines.append(
-            f"{run.name:<16} {run.events:>9,} {run.wall_s * 1e3:>10.1f} "
-            f"{run.events_per_s:>12,.0f} {txns:>10}"
+            f"{run.name:<16} {run.events:>11,} {run.wall_s:>10.1f} "
+            f"{run.events_per_s:>12,.0f} {run.txns_per_s:>10,.0f}"
         )
-    rss = results.peak_rss or peak_rss_kb()
-    if rss.get("self"):
-        lines.append(
-            f"peak RSS: {rss['self'] / 1024:.0f} MiB self"
-            + (f", {rss['children'] / 1024:.0f} MiB pool children"
-               if rss.get("children") else "")
-        )
+    lines.append(f"peak RSS: {results.peak_rss['self'] / 1024:.0f} MiB")
     return "\n".join(lines)
-
-
-def iter_workload_names() -> Iterator[str]:
-    """The valid ``--workload`` values (pinned order)."""
-    return iter(WORKLOADS)

@@ -1,7 +1,8 @@
 """Machine-readable sweep results.
 
 Every sweep serialises to one JSON document with a stable schema — the
-format the CI benchmark-regression gate consumes:
+format CI compares byte for byte (serial against parallel, cold cache
+against warm) and ``tests/golden/`` pins:
 
 ::
 
@@ -21,7 +22,7 @@ runs of the same grid at the same revision produce byte-identical
 ``cells`` regardless of worker count.  The volatile provenance fields
 (wall time, timestamp, worker count) live under ``meta``; *canonical*
 serialisation drops ``meta`` so the whole document is bit-reproducible
-— that is the form the committed CI baselines use.
+— that is the form the byte comparisons and the goldens use.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ from __future__ import annotations
 import json
 import subprocess
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
+from repro.exec.clock import monotonic, utc_now_iso
+from repro.exec.executor import ProgressCallback, run_grid
 from repro.exec.spec import CellResult, RunSpec
+from repro.sim.monitor import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache import ResultCache
-    from repro.exec.executor import ProgressCallback
-    from repro.sim.monitor import TraceLog
 
 SCHEMA_VERSION = 1
 
@@ -85,9 +86,7 @@ class SweepResults:
     workers: int = 1
     wall_time_s: float = 0.0
     git_rev: str = "unknown"
-    created_at: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()  # repro: noqa DET001 - wall-clock provenance
-    )
+    created_at: str = field(default_factory=utc_now_iso)
     #: How many cells were served from the result cache vs executed.
     #: Provenance only — cached and computed cells are interchangeable,
     #: so these live under volatile ``meta`` and never affect the
@@ -142,8 +141,8 @@ def run_sweep(
     specs: Iterable[RunSpec],
     kind: str,
     workers: int = 1,
-    progress: "Optional[ProgressCallback]" = None,
-    trace: "Optional[TraceLog]" = None,
+    progress: Optional[ProgressCallback] = None,
+    trace: Optional[TraceLog] = None,
     cache: "Optional[ResultCache]" = None,
     refresh: bool = False,
 ) -> SweepResults:
@@ -153,12 +152,8 @@ def run_sweep(
     split is recorded under ``meta["cache"]``; the canonical document
     is identical either way.
     """
-    import time
-
-    from repro.exec.executor import run_grid
-
     before = cache.stats if cache is not None else None
-    started = time.monotonic()  # repro: noqa DET001 - wall-clock provenance
+    started = monotonic()
     cells = run_grid(
         specs, workers=workers, progress=progress, trace=trace, cache=cache, refresh=refresh
     )
@@ -167,7 +162,7 @@ def run_sweep(
         kind=kind,
         cells=cells,
         workers=workers,
-        wall_time_s=time.monotonic() - started,  # repro: noqa DET001 - wall-clock provenance
+        wall_time_s=monotonic() - started,
         git_rev=git_revision(),
         cached=cached,
         computed=len(cells) - cached,

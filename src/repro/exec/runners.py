@@ -1,28 +1,29 @@
-"""Kind-dispatched experiment runners.
+"""Kind-dispatched experiment runners: a table and one fold.
 
-Each runner executes one :class:`~repro.exec.spec.RunSpec` to
-completion inside the current process and folds the outcome into a
-plain-data :class:`~repro.exec.spec.CellResult`.  Runners are looked up
-by ``spec.kind`` in a registry so future experiment families (mixed
-workloads, fault storms, migration studies...) can fan out through the
-same executor without touching it.
-
-Harness modules are imported lazily inside the runners: the harness
-layer routes its sweeps back through :mod:`repro.exec`, and lazy
-imports keep that mutual dependency acyclic at import time.
+``spec.kind`` selects a runner from a registry; each built-in runner
+unpacks the spec into one cell function of :mod:`repro.workloads`
+(``burst``, ``abort_burst``, ``scaling``, ``fanout``, ``composite``)
+or :mod:`repro.campaign.runner` (``campaign``) and folds the
+:class:`~repro.workloads.cell.Measurement` it returns into a
+plain-data :class:`~repro.exec.spec.CellResult` through
+:func:`cell_result` — the only place a cell document is built.
+Further experiment families register through :func:`register_runner`
+without touching the executor.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Any, Callable
 
-from repro.exec.spec import CellResult, RunSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mds.cluster import Cluster
-    from repro.sim.kernel import Simulator
-    from repro.workloads.composite import CompositeResult
+from repro.analysis.metrics import LatencyStats
+from repro.campaign.runner import run_campaign_cell
+from repro.campaign.schedule import CampaignSchedule
+from repro.exec.spec import CellResult, RunSpec, derive_seed
+from repro.workloads.burst import run_abort_burst, run_burst
+from repro.workloads.cell import Measurement, wal_totals
+from repro.workloads.composite import CompositeConfig, CompositeResult, run_composite
+from repro.workloads.fanout import run_fanout_cell
+from repro.workloads.scaling import run_scaling_cell
 
 Runner = Callable[[RunSpec, bool], CellResult]
 
@@ -56,150 +57,63 @@ def execute_spec(spec: RunSpec, keep_cluster: bool = False) -> CellResult:
     return get_runner(spec.kind)(spec, keep_cluster)
 
 
-def wal_totals(cluster: "Cluster") -> tuple[int, int]:
-    """Total (forced, lazy) log appends across the cluster's servers."""
-    forced = sum(s.wal.forced_appends for s in cluster.servers.values())
-    lazy = sum(s.wal.lazy_appends for s in cluster.servers.values())
-    return forced, lazy
+def cell_result(
+    spec: RunSpec, seed: int, m: Measurement, payload: Any = None, **extras: Any
+) -> CellResult:
+    """Fold one measurement into the cell document of ``spec``.
 
-
-def _run_burst_spec(spec: RunSpec, keep_cluster: bool) -> CellResult:
-    from repro.workloads.burst import run_burst
-
-    result = run_burst(
-        spec.protocol,
-        n=spec.n,
-        params=spec.seeded_params(),
-        op=spec.op,
-        trace=spec.trace,
-    )
-    forced, lazy = wal_totals(result.cluster)
-    metrics = result.cluster.obs.metrics.snapshot() if spec.trace else None
-    payload = result if keep_cluster else replace(result, cluster=None)
-    return CellResult(
-        spec=spec,
-        derived_seed=result.cluster.params.seed,
-        committed=result.committed,
-        aborted=result.aborted,
-        makespan=result.makespan,
-        throughput=result.throughput,
-        latency=result.latency,
-        forced_writes=forced,
-        lazy_writes=lazy,
-        metrics=metrics,
-        payload=payload,
-    )
-
-
-def _run_abort_burst_spec(spec: RunSpec, keep_cluster: bool) -> CellResult:
-    """Burst with a fraction of worker-refused votes (§II-D ablation).
-
-    Vote refusals are injected deterministically via the worker's
-    ``fail_next_vote`` hook, spread evenly over the burst — the same
-    mechanism the serial harness has always used.
+    ``seed`` is the derived seed the cell ran with (a runner has it on
+    its ``seeded_params()``; deriving it again is a canonical-JSON pass
+    over the spec), ``payload`` what stays attached in-process when the
+    caller keeps the cluster, ``extras`` the kind-specific fields
+    (``metrics``, ``verdict``, ``detail``).
     """
-    from repro.analysis.metrics import LatencyStats
-    from repro.harness.scenarios import burst_cluster
-
-    rate = spec.abort_rate
-    cluster, client = burst_cluster(spec.protocol, params=spec.seeded_params())
-    sim = cluster.sim
-    worker = cluster.servers["mds2"]
-    fail_every = int(1.0 / rate) if rate > 0 else 0
-    n = spec.n
-
-    start = sim.now
-    for i in range(n):
-        client.submit(client.plan_create(f"/dir1/f{i}"))
-
-    # Arm vote failures as transactions reach the worker: flip the hook
-    # whenever the counter of started transactions crosses a multiple.
-    armed = {"count": 0}
-
-    def arm_failures(sim: "Simulator") -> Iterator[object]:
-        while armed["count"] * fail_every < n if fail_every else False:
-            target = armed["count"] * fail_every
-            while len(cluster.outcomes) < target:
-                yield sim.timeout(1e-4)
-            worker.fail_next_vote = True
-            armed["count"] += 1
-        if False:
-            yield  # pragma: no cover
-
-    if fail_every:
-        sim.process(arm_failures(sim), name="abort-injector")
-
-    while len(cluster.outcomes) < n:
-        sim.step()
-    outcomes = list(cluster.outcomes)
-    end = max(o.replied_at for o in outcomes)
-    committed = sum(1 for o in outcomes if o.committed)
-    makespan = end - start
-    forced, lazy = wal_totals(cluster)
     return CellResult(
         spec=spec,
-        derived_seed=cluster.params.seed,
-        committed=committed,
-        aborted=n - committed,
-        makespan=makespan,
-        throughput=committed / makespan if makespan > 0 else float("inf"),
-        latency=LatencyStats.from_outcomes(outcomes),
-        forced_writes=forced,
-        lazy_writes=lazy,
-        payload=cluster if keep_cluster else None,
+        derived_seed=seed,
+        committed=m.committed,
+        aborted=m.aborted,
+        makespan=m.makespan,
+        throughput=m.throughput,
+        latency=m.latency,
+        forced_writes=m.forced_writes,
+        lazy_writes=m.lazy_writes,
+        payload=payload,
+        **extras,
     )
 
 
-def _run_scaling_spec(spec: RunSpec, keep_cluster: bool) -> CellResult:
-    from repro.harness.scaling import run_scaling_cell
-
-    cell = run_scaling_cell(
-        spec.protocol,
-        spec.n_pairs,
-        ops_per_dir=spec.n,
-        params=spec.seeded_params(),
-    )
-    return CellResult(
-        spec=spec,
-        derived_seed=cell.seed,
-        committed=cell.committed,
-        aborted=cell.total - cell.committed,
-        makespan=cell.makespan,
-        throughput=cell.throughput,
-        latency=None,
-        forced_writes=cell.forced_writes,
-        lazy_writes=cell.lazy_writes,
-        payload=None,
-    )
+def _run_burst(spec: RunSpec, keep_cluster: bool) -> CellResult:
+    params = spec.seeded_params()
+    m = run_burst(spec.protocol, n=spec.n, params=params, op=spec.op, trace=spec.trace)
+    assert m.cluster is not None
+    metrics = m.cluster.obs.metrics.snapshot() if spec.trace else None
+    return cell_result(spec, params.seed, m, m if keep_cluster else None, metrics=metrics)
 
 
-def _run_fanout_spec(spec: RunSpec, keep_cluster: bool) -> CellResult:
-    from repro.harness.fanout import run_fanout_cell
+def _run_abort_burst(spec: RunSpec, keep_cluster: bool) -> CellResult:
+    params = spec.seeded_params()
+    m = run_abort_burst(spec.protocol, n=spec.n, abort_rate=spec.abort_rate, params=params)
+    return cell_result(spec, params.seed, m, m if keep_cluster else None)
 
+
+def _run_scaling(spec: RunSpec, keep_cluster: bool) -> CellResult:
+    params = spec.seeded_params()
+    m = run_scaling_cell(spec.protocol, spec.n_pairs, ops_per_dir=spec.n, params=params)
+    return cell_result(spec, params.seed, m, m if keep_cluster else None)
+
+
+def _run_fanout(spec: RunSpec, keep_cluster: bool) -> CellResult:
     if spec.fanout is None:
         raise ValueError(f"fanout spec {spec.describe()!r} has no fanout field")
-    cell = run_fanout_cell(
-        spec.protocol,
-        spec.fanout,
-        n_files=spec.n,
-        n_shards=spec.n_shards,
-        params=spec.seeded_params(),
+    params = spec.seeded_params()
+    m = run_fanout_cell(
+        spec.protocol, spec.fanout, n_files=spec.n, n_shards=spec.n_shards, params=params
     )
-    return CellResult(
-        spec=spec,
-        derived_seed=cell.seed,
-        committed=cell.committed,
-        aborted=cell.batches - cell.committed,
-        makespan=cell.makespan,
-        throughput=cell.throughput,
-        latency=None,
-        forced_writes=cell.forced_writes,
-        lazy_writes=cell.lazy_writes,
-        payload=None,
-    )
+    return cell_result(spec, params.seed, m, m if keep_cluster else None)
 
 
-def composite_cell(spec: RunSpec, result: "CompositeResult") -> CellResult:
+def composite_cell(spec: RunSpec, result: CompositeResult) -> CellResult:
     """Fold a merged composite result into a cell document.
 
     Shared by the single-kernel runner below and the partitioned
@@ -208,9 +122,6 @@ def composite_cell(spec: RunSpec, result: "CompositeResult") -> CellResult:
     same canonical group-order merge, so folding through one function
     makes the serialised cells byte-identical by construction.
     """
-    from repro.analysis.metrics import LatencyStats
-    from repro.exec.spec import derive_seed
-
     detail: dict[str, object] = {
         "groups": result.config.groups,
         "skipped": result.skipped,
@@ -228,21 +139,20 @@ def composite_cell(spec: RunSpec, result: "CompositeResult") -> CellResult:
         if reads.mode != "exact":
             read_doc["mode"] = reads.mode
         detail["read_latency"] = read_doc
-    return CellResult(
-        spec=spec,
-        derived_seed=derive_seed(spec),
+    m = Measurement(
+        attempted=result.committed + result.aborted,
         committed=result.committed,
-        aborted=result.aborted,
         makespan=result.makespan,
         throughput=result.throughput,
         latency=LatencyStats.from_streaming(result.latency),
         forced_writes=result.forced_writes,
         lazy_writes=result.lazy_writes,
-        detail=detail,
+        cluster=None,
     )
+    return cell_result(spec, derive_seed(spec), m, detail=detail)
 
 
-def _run_composite_spec(spec: RunSpec, keep_cluster: bool) -> CellResult:
+def _run_composite(spec: RunSpec, keep_cluster: bool) -> CellResult:
     """Composite mdtest-like cell, single-kernel reference mode.
 
     The partitioned mode (one DES kernel per shard group, process
@@ -250,8 +160,6 @@ def _run_composite_spec(spec: RunSpec, keep_cluster: bool) -> CellResult:
     byte-identical cells; this runner is what sweeps and the result
     cache use.
     """
-    from repro.workloads.composite import CompositeConfig, run_composite
-
     if spec.composite is None:
         raise ValueError(f"composite spec {spec.describe()!r} has no composite field")
     config = CompositeConfig.from_json(spec.composite)
@@ -259,21 +167,51 @@ def _run_composite_spec(spec: RunSpec, keep_cluster: bool) -> CellResult:
     return composite_cell(spec, result)
 
 
-def _run_campaign_spec(spec: RunSpec, keep_cluster: bool) -> CellResult:
-    """Adversarial fault-campaign cell (see :mod:`repro.campaign`).
+def _run_campaign(spec: RunSpec, keep_cluster: bool) -> CellResult:
+    """Adversarial fault-campaign cell (see :mod:`repro.campaign.runner`).
 
-    Registered here — not in the campaign package — because pool
-    workers import only this module; a registration living in
-    ``repro.campaign`` would be invisible to them.
+    The verdict rides in ``CellResult.verdict``, so campaign cells flow
+    through the cached executor like any other experiment cell.
     """
-    from repro.campaign.runner import run_campaign_spec
+    if spec.campaign is None:
+        raise ValueError("campaign spec is missing its schedule")
+    schedule = CampaignSchedule.from_json(spec.campaign)
+    if schedule.protocol != spec.protocol:
+        raise ValueError(
+            f"schedule protocol {schedule.protocol!r} does not match "
+            f"spec protocol {spec.protocol!r}"
+        )
+    params = spec.seeded_params()
+    cluster, verdict = run_campaign_cell(schedule, params=params)
+    # Not ``measure``: a fault schedule may leave every operation
+    # unanswered, and the makespan runs from time zero, not from a
+    # submission instant.
+    committed = verdict["committed"]
+    replied = [o.replied_at for o in cluster.outcomes]
+    makespan = max(replied) if replied else 0.0
+    forced, lazy = wal_totals(cluster)
+    m = Measurement(
+        attempted=committed + verdict["aborted"],
+        committed=committed,
+        makespan=makespan,
+        throughput=committed / makespan if makespan > 0 else 0.0,
+        latency=None,
+        forced_writes=forced,
+        lazy_writes=lazy,
+        cluster=cluster,
+    )
+    # The payload is the cluster itself, not the measurement holding
+    # it: benchmarks/ledger/cells.py (frozen) reads a burst cell's
+    # cluster as ``cell.payload.cluster`` but a campaign cell's as
+    # ``cell.payload``.
+    return cell_result(
+        spec, params.seed, m, cluster if keep_cluster else None, verdict=verdict
+    )
 
-    return run_campaign_spec(spec, keep_cluster)
 
-
-register_runner("burst", _run_burst_spec)
-register_runner("abort_burst", _run_abort_burst_spec)
-register_runner("scaling", _run_scaling_spec)
-register_runner("fanout", _run_fanout_spec)
-register_runner("campaign", _run_campaign_spec)
-register_runner("composite", _run_composite_spec)
+register_runner("burst", _run_burst)
+register_runner("abort_burst", _run_abort_burst)
+register_runner("scaling", _run_scaling)
+register_runner("fanout", _run_fanout)
+register_runner("campaign", _run_campaign)
+register_runner("composite", _run_composite)

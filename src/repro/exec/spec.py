@@ -18,6 +18,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Optional, Union
 
+from repro.analysis.metrics import LatencyStats
 from repro.config import SimulationParams
 
 #: The swept x-value a spec represents (network latency, burst size,
@@ -36,7 +37,11 @@ class RunSpec:
     * ``"abort_burst"`` — burst with a fraction of refused votes,
     * ``"scaling"`` — striped multi-pair cluster throughput,
     * ``"fanout"`` — hot-directory batches spanning ``fanout`` worker
-      shards of a ``n_shards``-wide sharded namespace.
+      shards of a ``n_shards``-wide sharded namespace,
+    * ``"campaign"`` — one seeded fault schedule (``campaign``) run and
+      checked into a verdict,
+    * ``"composite"`` — the mdtest-like mixed trace (``composite``)
+      over independent shard groups.
     """
 
     kind: str
@@ -121,7 +126,7 @@ class RunSpec:
             "params": asdict(self.effective_params),
         }
         # Tracing is observational only — it must not perturb the
-        # derived seed (and with it every committed baseline), so the
+        # derived seed (and with it every committed golden), so the
         # field enters the identity only when actually enabled.
         if self.trace:
             doc["trace"] = True
@@ -204,9 +209,9 @@ class CellResult:
     """Plain-data outcome of one executed spec.
 
     Everything here pickles across the process pool; ``payload``
-    optionally carries the runner's native result object (e.g. a
-    :class:`~repro.workloads.burst.BurstResult`) and is excluded from
-    the JSON serialisation.
+    optionally carries the runner's live result (the
+    :class:`~repro.workloads.cell.Measurement` with its cluster) and
+    is excluded from the JSON serialisation.
     """
 
     spec: RunSpec
@@ -215,7 +220,7 @@ class CellResult:
     aborted: int
     makespan: float
     throughput: float
-    latency: Optional[Any] = None  # LatencyStats, kept loose for pickling
+    latency: Optional[LatencyStats] = None
     forced_writes: int = 0
     lazy_writes: int = 0
     #: Metrics-registry snapshot of the run (trace-enabled runs only).
@@ -231,7 +236,7 @@ class CellResult:
     payload: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (schema consumed by the CI regression gate)."""
+        """JSON-ready form (the cell schema of a sweep-results document)."""
         latency = None
         if self.latency is not None:
             latency = {
@@ -260,7 +265,7 @@ class CellResult:
             "lazy_writes": self.lazy_writes,
         }
         # Only trace-enabled cells carry metrics; keeping the key out
-        # otherwise leaves the committed baseline documents unchanged.
+        # otherwise leaves the committed golden documents unchanged.
         if self.metrics is not None:
             doc["metrics"] = self.metrics
         # Same key-presence discipline for campaign verdicts.
@@ -280,8 +285,6 @@ class CellResult:
         (JSON floats round-trip bit-for-bit), which is what makes a
         warm-cache sweep byte-identical to a cold one.
         """
-        from repro.analysis.metrics import LatencyStats
-
         latency_doc = doc.get("latency")
         latency = None
         if latency_doc is not None:

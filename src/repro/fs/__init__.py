@@ -48,12 +48,14 @@ from repro.fs.operations import (
 )
 from repro.fs.operations import split_path
 from repro.fs.placement import (
+    ForcedDistributedPlacement,
     HashPlacement,
     PinnedPlacement,
     PlacementPolicy,
     RoundRobinPlacement,
     ShardedHashPlacement,
     ShardedSubtreePlacement,
+    StripedPlacement,
     SubtreePlacement,
 )
 from repro.fs.store import MetadataStore
@@ -64,6 +66,7 @@ __all__ = [
     "CreateInode",
     "DecLink",
     "FileType",
+    "ForcedDistributedPlacement",
     "HashPlacement",
     "IncLink",
     "Inode",
@@ -79,6 +82,7 @@ __all__ = [
     "RoundRobinPlacement",
     "ShardedHashPlacement",
     "ShardedSubtreePlacement",
+    "StripedPlacement",
     "SubtreePlacement",
     "TouchInode",
     "UnsupportedOperation",

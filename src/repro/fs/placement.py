@@ -13,6 +13,11 @@ distributed transaction.
   locality; distributed transactions become rare).
 * :class:`RoundRobinPlacement` -- deterministic striping of inodes
   across servers, directories pinned by hash.
+* :class:`ForcedDistributedPlacement` -- directories on one server,
+  inodes on another: the §IV evaluation shape, where every CREATE is a
+  two-MDS transaction.
+* :class:`StripedPlacement` -- K coordinator/worker pairs, one
+  directory per pair (the scaling experiment).
 
 The **namespace sharding layer** generalises these to N-MDS shard
 sets, deciding how many workers a CREATE/DELETE/RENAME touches (the
@@ -112,6 +117,55 @@ class RoundRobinPlacement:
         if obj.kind == "inode":
             return self.nodes[int(obj.key) % len(self.nodes)]
         return self.nodes[_stable_hash(obj.key) % len(self.nodes)]
+
+
+class ForcedDistributedPlacement:
+    """Directories on ``dir_node``, inodes on ``inode_node``.
+
+    With two servers this makes every CREATE/DELETE span both — the
+    §IV workload shape ("it makes sense to spread the files within the
+    directory across multiple MDSs").
+    """
+
+    def __init__(self, dir_node: str, inode_node: str):
+        self.dir_node = dir_node
+        self.inode_node = inode_node
+
+    def place(self, obj: ObjectId) -> str:
+        """Inodes to the worker, everything else to the coordinator."""
+        return self.inode_node if obj.kind == "inode" else self.dir_node
+
+    def pin(self, obj: ObjectId, node: str) -> None:
+        """Accepted for interface compatibility; placement is fixed."""
+
+
+class StripedPlacement:
+    """Directory ``/dirK`` on server ``mds<2K-1>``, its files' inodes on
+    ``mds<2K>``."""
+
+    def __init__(self, n_pairs: int):
+        self.n_pairs = n_pairs
+        self._dir_of_ino: dict[str, int] = {}
+
+    def place(self, obj: ObjectId) -> str:
+        """Directory K -> coordinator of pair K; inode -> its worker."""
+        if obj.kind == "dir":
+            index = self._dir_index(obj.key)
+            return f"mds{2 * index + 1}"
+        index = int(self._dir_of_ino.get(obj.key, 0))
+        return f"mds{2 * index + 2}"
+
+    def hint_inode_path(self, ino: int, path: str) -> None:
+        """Remember which directory (pair) an inode belongs to."""
+        dir_path = path.rsplit("/", 1)[0] or "/"
+        self._dir_of_ino[str(ino)] = self._dir_index(dir_path)
+
+    def _dir_index(self, path: str) -> int:
+        digits = "".join(ch for ch in path if ch.isdigit())
+        return (int(digits) - 1) % self.n_pairs if digits else 0
+
+    def pin(self, obj: ObjectId, node: str) -> None:
+        """Placement is fixed by construction."""
 
 
 def _stripe_subset(nodes: Sequence[str], stripe: Optional[Sequence[str]]) -> list[str]:

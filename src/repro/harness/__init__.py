@@ -1,50 +1,29 @@
-"""Experiment harness.
+"""Experiment harness: the top of the stack.
 
-One module per paper artifact plus the extension sweeps:
+One module per paper artifact plus the extension sweeps; everything
+here drives the layers below it (``workloads`` cells, the ``exec``
+executor, the ``cache``) and nothing below imports it:
 
-* :mod:`repro.harness.scenarios` -- shared cluster builders (the
-  forced-distributed placement the Figure 6 workload needs).
 * :mod:`repro.harness.table1` -- Table I (analytical + measured).
 * :mod:`repro.harness.figure6` -- Figure 6 (ops/s per protocol).
 * :mod:`repro.harness.diagrams` -- Figures 2-5 (protocol timelines
   regenerated from traces).
-* :mod:`repro.harness.sweeps` -- extension experiments (latency, disk
-  bandwidth, burst size, abort rate).
+* :mod:`repro.harness.sweeps`, :mod:`repro.harness.scaling`,
+  :mod:`repro.harness.fanout` -- extension sweeps (latency, disk
+  bandwidth, burst size, abort rate; pair count; fan-out width).
 * :mod:`repro.harness.recovery` -- crash/recovery timing experiment.
-
-Submodules are imported lazily: the workload generators import
-``repro.harness.scenarios``, and the figure/table modules import the
-workload generators back.
+* :mod:`repro.harness.placement_study`,
+  :mod:`repro.harness.migration_study`, :mod:`repro.harness.calibrate`,
+  :mod:`repro.harness.report` -- the studies and the one-shot report.
 """
 
-from repro.harness.scenarios import (
-    ForcedDistributedPlacement,
-    burst_cluster,
-    distributed_create_cluster,
-)
+from repro.harness.diagrams import render_timeline
+from repro.harness.figure6 import Figure6Result, run_figure6
+from repro.harness.table1 import run_table1
 
 __all__ = [
     "Figure6Result",
-    "ForcedDistributedPlacement",
-    "burst_cluster",
-    "distributed_create_cluster",
     "render_timeline",
     "run_figure6",
     "run_table1",
 ]
-
-_LAZY = {
-    "Figure6Result": ("repro.harness.figure6", "Figure6Result"),
-    "run_figure6": ("repro.harness.figure6", "run_figure6"),
-    "run_table1": ("repro.harness.table1", "run_table1"),
-    "render_timeline": ("repro.harness.diagrams", "render_timeline"),
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        module_name, attr = _LAZY[name]
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import SimulationParams
-from repro.harness.scenarios import distributed_create_cluster
+from repro.mds.scenarios import distributed_create_cluster
 
 #: Paper figure number per protocol.
 FIGURE_OF = {"PrN": 2, "PrC": 3, "EP": 4, "1PC": 5}

@@ -8,14 +8,14 @@ gain over PrN (the paper reports 1PC > +55 %, EP +6.6 %, PrC +0.39 %).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.tables import render_bar_chart
 from repro.config import SimulationParams
+from repro.exec import CellResult, figure6_grid, run_grid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache import ResultCache
-    from repro.workloads.burst import BurstResult  # noqa: F401 - referenced in docs
 
 #: Paper's Figure 6 values (distributed transactions per second).
 PAPER_FIGURE6 = {"PrN": 15.0, "PrC": 15.06, "EP": 16.0, "1PC": 24.0}
@@ -25,13 +25,11 @@ PAPER_FIGURE6 = {"PrN": 15.0, "PrC": 15.06, "EP": 16.0, "1PC": 24.0}
 class Figure6Result:
     """Throughput per protocol plus derived gains.
 
-    ``results`` values are :class:`BurstResult` on computed serial runs
-    and :class:`~repro.exec.spec.CellResult` for cells served from the
-    result cache; both expose the measured fields used here
-    (``throughput``, ``committed``).
+    A serial run's cells keep their live cluster for post-run
+    invariant checks (``results[name].payload.cluster``).
     """
 
-    results: dict[str, Any]
+    results: dict[str, CellResult]
     n: int
 
     @property
@@ -70,24 +68,14 @@ def run_figure6(
 
     The grid is routed through the parallel executor; measurements are
     identical for any ``workers`` count.  The serial path (the default)
-    keeps each run's live cluster on its :class:`BurstResult` for
-    post-run invariant checks; parallel runs return results whose
-    ``cluster`` is ``None`` (clusters do not cross process boundaries).
+    keeps each run's live cluster on the cell payload; parallel runs
+    return cells without one (clusters do not cross process
+    boundaries).
 
     ``cache`` only takes effect on parallel runs: the serial path keeps
     live clusters, which a cached document cannot reproduce, so the
-    executor bypasses the cache there.  A cell served from the cache
-    has no payload; the cell itself stands in (it carries the same
-    measured fields as a :class:`BurstResult`).
+    executor bypasses the cache there.
     """
-    from repro.exec import figure6_grid, run_grid
-
     specs = figure6_grid(n=n, protocols=protocols, params=params)
     cells = run_grid(specs, workers=workers, keep_clusters=workers == 1, cache=cache)
-    return Figure6Result(
-        results={
-            cell.spec.protocol: cell.payload if cell.payload is not None else cell
-            for cell in cells
-        },
-        n=n,
-    )
+    return Figure6Result(results={cell.spec.protocol: cell for cell in cells}, n=n)

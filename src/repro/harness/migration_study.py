@@ -25,6 +25,7 @@ from repro.config import SimulationParams
 from repro.fs.objects import ObjectId
 from repro.fs.operations import plan_migrate
 from repro.mds.cluster import Cluster
+from repro.workloads.cell import SETTLE, drain, measure
 
 
 class MigratablePlacement:
@@ -117,7 +118,7 @@ def run_strategy(
 
     p = sim.process(seed(sim), name="seed")
     sim.run(until=p)
-    sim.run(until=sim.now + 30.0)
+    sim.run(until=sim.now + SETTLE)
 
     start = sim.now
 
@@ -136,13 +137,10 @@ def run_strategy(
     p = sim.process(measured(sim), name="measured")
     sim.run(until=p)
     expected = baseline_outcomes + creates + (1 if strategy == "migrate-first" else 0)
-    while len(cluster.outcomes) < expected:
-        sim.step()
-    committed = [o for o in cluster.outcomes[baseline_outcomes:]]
-    if not all(o.committed for o in committed):
+    drain(cluster, expected, f"migration strategy {strategy}")
+    m = measure(cluster, cluster.outcomes[baseline_outcomes:], start)
+    if m.aborted:
         raise RuntimeError("measured-phase operation aborted")
-    elapsed = max(o.replied_at for o in committed) - start
-    sim.run(until=sim.now + 30.0)
     violations = cluster.check_invariants()
     if violations:
         raise RuntimeError(f"invariant violations: {violations}")
@@ -150,8 +148,8 @@ def run_strategy(
         strategy=strategy,
         creates=creates,
         existing_entries=existing_entries,
-        total_time=elapsed,
-        creates_per_second=creates / elapsed,
+        total_time=m.makespan,
+        creates_per_second=m.per_second(creates),
     )
 
 

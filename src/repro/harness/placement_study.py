@@ -23,6 +23,7 @@ from typing import Optional
 from repro.config import SimulationParams
 from repro.fs import HashPlacement, SubtreePlacement
 from repro.mds.cluster import Cluster
+from repro.workloads.cell import drain, measure
 
 SERVERS = ["mds1", "mds2", "mds3", "mds4"]
 DIRS = ["/dir1", "/dir2", "/dir3", "/dir4"]
@@ -76,20 +77,17 @@ def run_placement_point(
             if plan.is_distributed:
                 distributed += 1
             client.submit(plan)
-    while len(cluster.outcomes) < total:
-        cluster.sim.step()
-    end = max(o.replied_at for o in cluster.outcomes)
-    committed = sum(1 for o in cluster.outcomes if o.committed)
-    cluster.sim.run(until=cluster.sim.now + 30.0)
+    drain(cluster, total, f"placement point {placement_kind}/{protocol}")
+    m = measure(cluster, cluster.outcomes, start)
     violations = cluster.check_invariants()
     if violations:
         raise RuntimeError(f"invariant violations: {violations}")
     return PlacementResult(
         placement=placement_kind,
         protocol=protocol,
-        throughput=committed / (end - start),
+        throughput=m.per_second(m.committed),
         distributed_fraction=distributed / total,
-        committed=committed,
+        committed=m.committed,
     )
 
 

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import SimulationParams
-from repro.harness.scenarios import distributed_create_cluster
+from repro.mds.scenarios import distributed_create_cluster
+
+#: Role each server of the two-MDS cluster plays in the CREATE.
+ROLE_OF = {"mds1": "coordinator", "mds2": "worker"}
 
 
 @dataclass(frozen=True)
@@ -28,54 +31,30 @@ class RecoveryResult:
     invariant_violations: int
 
 
-def measure_worker_crash_recovery(
+def measure_crash_recovery(
     protocol: str,
+    victim: str,
     crash_after: float = 2e-3,
     params: Optional[SimulationParams] = None,
     settle_budget: float = 120.0,
 ) -> RecoveryResult:
-    """Crash the worker shortly after the CREATE is submitted."""
+    """Crash ``victim`` shortly after the CREATE is submitted, reboot it.
+
+    ``"mds1"`` is the coordinator of the CREATE, ``"mds2"`` its worker.
+    """
     cluster, client = distributed_create_cluster(protocol, params=params)
     sim = cluster.sim
     client.submit(client.plan_create("/dir1/f0"))
     sim.run(until=sim.now + crash_after)
     crash_time = sim.now
-    cluster.crash_server("mds2")
-    cluster.restart_server("mds2")
+    cluster.crash_server(victim)
+    cluster.restart_server(victim)
     sim.run(until=sim.now + settle_budget)
-    committed = any(o.committed for o in cluster.outcomes)
-    settle = _settle_time(cluster, crash_time)
     return RecoveryResult(
         protocol=protocol,
-        scenario="worker-crash",
-        settle_time=settle,
-        committed=committed,
-        invariant_violations=len(cluster.check_invariants()),
-    )
-
-
-def measure_coordinator_crash_recovery(
-    protocol: str,
-    crash_after: float = 2e-3,
-    params: Optional[SimulationParams] = None,
-    settle_budget: float = 120.0,
-) -> RecoveryResult:
-    """Crash the coordinator shortly after the CREATE is submitted."""
-    cluster, client = distributed_create_cluster(protocol, params=params)
-    sim = cluster.sim
-    client.submit(client.plan_create("/dir1/f0"))
-    sim.run(until=sim.now + crash_after)
-    crash_time = sim.now
-    cluster.crash_server("mds1")
-    cluster.restart_server("mds1")
-    sim.run(until=sim.now + settle_budget)
-    committed = any(o.committed for o in cluster.outcomes)
-    settle = _settle_time(cluster, crash_time)
-    return RecoveryResult(
-        protocol=protocol,
-        scenario="coordinator-crash",
-        settle_time=settle,
-        committed=committed,
+        scenario=f"{ROLE_OF[victim]}-crash",
+        settle_time=_settle_time(cluster, crash_time),
+        committed=any(o.committed for o in cluster.outcomes),
         invariant_violations=len(cluster.check_invariants()),
     )
 

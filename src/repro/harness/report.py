@@ -14,10 +14,7 @@ from repro.analysis.model import predict_figure6
 from repro.analysis.tables import render_table
 from repro.config import SimulationParams
 from repro.harness.figure6 import PAPER_FIGURE6, run_figure6
-from repro.harness.recovery import (
-    measure_coordinator_crash_recovery,
-    measure_worker_crash_recovery,
-)
+from repro.harness.recovery import measure_crash_recovery
 from repro.harness.table1 import run_table1
 from repro.protocols.registry import default_protocols
 
@@ -72,8 +69,8 @@ def generate_report(
     sections.append("")
     rows = []
     for protocol in default_protocols():
-        w = measure_worker_crash_recovery(protocol, params=params)
-        c = measure_coordinator_crash_recovery(protocol, params=params)
+        w = measure_crash_recovery(protocol, "mds2", params=params)
+        c = measure_crash_recovery(protocol, "mds1", params=params)
         rows.append(
             [
                 protocol,

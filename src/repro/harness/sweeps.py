@@ -97,8 +97,8 @@ def sweep_abort_rate(
     """Committed throughput per protocol with a fraction of refused votes.
 
     Vote refusals are injected deterministically via each server's
-    ``fail_next_vote`` hook, spread evenly over the burst (the runner
-    lives in :mod:`repro.exec.runners`).
+    ``fail_next_vote`` hook, spread evenly over the burst (the cell is
+    :func:`repro.workloads.burst.run_abort_burst`).
     """
     for rate in rates:
         if not 0.0 <= rate < 1.0:

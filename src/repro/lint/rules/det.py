@@ -21,7 +21,8 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 #: Host-clock reads.  ``sim.now`` is the only legitimate time source
-#: inside the simulation.
+#: inside the simulation; run provenance (wall seconds, timestamps)
+#: reads the host clock through :data:`SANCTIONED_CLOCK` alone.
 WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -43,6 +44,10 @@ WALL_CLOCK_CALLS = frozenset(
 )
 
 
+#: The one module allowed to read the host clock.
+SANCTIONED_CLOCK = "exec/clock.py"
+
+
 @register
 class WallClockRule(Rule):
     id = "DET001"
@@ -50,13 +55,14 @@ class WallClockRule(Rule):
     rationale = (
         "Results must be a pure function of (spec, seed); a host-clock "
         "read anywhere in the simulation or its harnesses breaks the "
-        "bit-identical replay the CI baselines depend on."
+        "bit-identical replay the goldens depend on.  Volatile run "
+        "provenance goes through repro.exec.clock, the one exempt module."
     )
     good_example = "started_at = sim.now"
     bad_example = "started_at = time.time()"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_src:
+        if not ctx.in_src or ctx.is_module(SANCTIONED_CLOCK):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -67,7 +73,7 @@ class WallClockRule(Rule):
                     node,
                     self.id,
                     f"wall-clock call {qualified}() in simulation code; "
-                    "use sim.now (or pragma volatile run metadata)",
+                    "use sim.now (or repro.exec.clock for run provenance)",
                 )
 
 

@@ -78,7 +78,7 @@ class ConformanceReport:
 
 
 def _fresh(protocol: str) -> "tuple[Cluster, Client]":
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
 
     return distributed_create_cluster(protocol)
 
@@ -203,7 +203,7 @@ def _check_fanout_partial_crash(
     one inode per worker shard) or none.
     """
     from repro.core.batching import BatchPlanner
-    from repro.harness.fanout import COORDINATOR, HOT_DIR, fanout_cluster
+    from repro.mds.scenarios import COORDINATOR, HOT_DIR, fanout_cluster
 
     cluster = fanout_cluster(protocol, k)
     client = cluster.new_client()

@@ -8,38 +8,23 @@
 ``run_burst`` submits N CREATEs at t=0 into one directory whose parent
 lives on the coordinator while all inodes live on the worker, runs the
 simulation until all replies arrive, and reports throughput.
+``run_batched_burst`` groups the burst into batches first (§VI) and
+``run_abort_burst`` has the worker refuse a fraction of the votes
+(§II-D).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import replace
+from typing import Iterator, Optional
 
-from repro.analysis.metrics import LatencyStats, throughput
 from repro.config import SimulationParams
-from repro.harness.scenarios import burst_cluster
+from repro.core.batching import BatchPlanner
+from repro.mds.client import Client
 from repro.mds.cluster import Cluster
-from repro.protocols.base import TxnOutcome
-
-
-@dataclass(frozen=True)
-class BurstResult:
-    """Outcome of one burst run."""
-
-    protocol: str
-    n: int
-    committed: int
-    aborted: int
-    makespan: float
-    throughput: float
-    latency: LatencyStats
-    cluster: Cluster
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{self.protocol}: {self.committed}/{self.n} committed, "
-            f"{self.throughput:.2f} tx/s (makespan {self.makespan * 1e3:.1f} ms)"
-        )
+from repro.mds.scenarios import distributed_create_cluster
+from repro.sim.kernel import Simulator
+from repro.workloads.cell import SETTLE, Measurement, drain, measure
 
 
 def run_burst(
@@ -47,9 +32,8 @@ def run_burst(
     n: int = 100,
     params: Optional[SimulationParams] = None,
     op: str = "create",
-    virtual_time_budget: float = 3600.0,
     trace: bool = False,
-) -> BurstResult:
+) -> Measurement:
     """Submit ``n`` simultaneous distributed operations, run to completion.
 
     ``op`` is ``"create"`` or ``"delete"`` (deletes pre-create the
@@ -59,48 +43,18 @@ def run_burst(
     """
     if op not in ("create", "delete"):
         raise ValueError(f"unsupported burst op {op!r}")
-    cluster, client = burst_cluster(protocol, params=params, trace=trace)
-    sim = cluster.sim
+    cluster, client = distributed_create_cluster(protocol, params=params, trace=trace)
     paths = [f"/dir1/f{i}" for i in range(n)]
 
     if op == "delete":
         _populate(cluster, client, paths)
 
-    start = sim.now
-    if op == "create":
-        for path in paths:
-            client.submit(client.plan_create(path))
-    else:
-        for path in paths:
-            client.submit(client.plan_delete(path))
-
-    deadline = start + virtual_time_budget
-    while len(cluster.outcomes) < n:
-        if sim.peek() > deadline:
-            raise RuntimeError(
-                f"burst did not finish within the virtual-time budget "
-                f"({len(cluster.outcomes)}/{n} outcomes)"
-            )
-        sim.step()
-    # Let trailing protocol activity (decision forwarding, lazy commit
-    # flushes, log GC) settle so post-run state inspection sees the
-    # hardened image.  Throughput uses reply times, so this does not
-    # affect the measurement.
-    sim.run(until=sim.now + 30.0)
-
-    outcomes: list[TxnOutcome] = list(cluster.outcomes)
-    committed = [o for o in outcomes if o.committed]
-    makespan = max(o.replied_at for o in outcomes) - start
-    return BurstResult(
-        protocol=protocol,
-        n=n,
-        committed=len(committed),
-        aborted=n - len(committed),
-        makespan=makespan,
-        throughput=throughput(outcomes),
-        latency=LatencyStats.from_outcomes(outcomes),
-        cluster=cluster,
-    )
+    start = cluster.sim.now
+    planner = client.plan_create if op == "create" else client.plan_delete
+    for path in paths:
+        client.submit(planner(path))
+    drain(cluster, n, "burst")
+    return measure(cluster, cluster.outcomes, start)
 
 
 def run_batched_burst(
@@ -108,44 +62,75 @@ def run_batched_burst(
     n: int = 100,
     batch_size: int = 8,
     params: Optional[SimulationParams] = None,
-) -> BurstResult:
+) -> Measurement:
     """The §VI future-work aggregation: the burst is grouped into
     batches of ``batch_size`` before submission; each batch commits as
-    one transaction."""
-    from repro.core.batching import BatchPlanner
-
-    cluster, client = burst_cluster(protocol, params=params)
-    sim = cluster.sim
+    one transaction.  Counts and throughput are in files."""
+    cluster, client = distributed_create_cluster(protocol, params=params, trace=False)
     plans = [client.plan_create(f"/dir1/f{i}") for i in range(n)]
     planner = BatchPlanner(max_batch=batch_size, max_workers=None)
     batches = planner.partition(plans)
 
-    start = sim.now
+    start = cluster.sim.now
     for batch in batches:
         client.submit(batch)
-    while len(cluster.outcomes) < len(batches):
-        sim.step()
-    sim.run(until=sim.now + 30.0)
-
-    outcomes = list(cluster.outcomes)
+    drain(cluster, len(batches), "batched burst")
+    m = measure(cluster, cluster.outcomes, start)
     # Outcomes arrive in completion order; key batch sizes by the
     # batch's (unique) first-member path.
     size_of = {b.path: b.detail.get("size", 1) for b in batches}
-    files_committed = sum(size_of[o.path] for o in outcomes if o.committed)
-    makespan = max(o.replied_at for o in outcomes) - start
-    return BurstResult(
-        protocol=protocol,
-        n=n,
-        committed=files_committed,
-        aborted=n - files_committed,
-        makespan=makespan,
-        throughput=files_committed / makespan if makespan > 0 else float("inf"),
-        latency=LatencyStats.from_outcomes(outcomes),
-        cluster=cluster,
-    )
+    files = sum(size_of[o.path] for o in cluster.outcomes if o.committed)
+    return replace(m, attempted=n, committed=files, throughput=m.per_second(files))
 
 
-def _populate(cluster: Cluster, client, paths: list[str]) -> None:
+def run_abort_burst(
+    protocol: str,
+    n: int = 100,
+    abort_rate: float = 0.0,
+    params: Optional[SimulationParams] = None,
+) -> Measurement:
+    """Burst with a fraction of worker-refused votes (§II-D ablation).
+
+    Refusals are injected deterministically through the worker's
+    ``fail_next_vote`` hook and spread evenly over the burst: refusal
+    ``k`` is armed once ``floor(k / abort_rate)`` transactions have
+    been answered, so ``ceil(n * abort_rate)`` are armed in all and the
+    realised fraction is within ``1/n`` of the request (taken to the
+    nearest per mille).  An armed refusal takes the worker's *next*
+    vote, so a protocol that lets that vote in before the previous
+    reply cannot refuse back to back: measured at ``n=40``, PrN and PC
+    follow every rate, the one-phase family and PrA up to 0.65, PrC
+    and EP up to 0.5 (they saturate there).  Throughput counts
+    committed transactions over the whole makespan.
+    """
+    cluster, client = distributed_create_cluster(protocol, params=params, trace=False)
+    worker = cluster.servers["mds2"]
+    # The rate to the nearest per mille, in integers: 0.1 is 1/10, not
+    # the float next to it, so the arming points are exact.
+    per_mille = round(abort_rate * 1000)
+    refusals = -(-n * per_mille // 1000)
+
+    start = cluster.sim.now
+    for i in range(n):
+        client.submit(client.plan_create(f"/dir1/f{i}"))
+
+    def arm_failures(sim: Simulator) -> Iterator[object]:
+        for k in range(refusals):
+            target = k * 1000 // per_mille
+            while len(cluster.outcomes) < target:
+                yield sim.timeout(1e-4)
+            worker.fail_next_vote = True
+
+    if refusals:
+        cluster.sim.process(arm_failures(cluster.sim), name="abort-injector")
+    # No settle: this cell has always counted log writes at the last
+    # reply, trailing lazy appends excluded; cached cells pin the count.
+    drain(cluster, n, "abort burst", settle=0.0)
+    m = measure(cluster, cluster.outcomes, start)
+    return replace(m, throughput=m.per_second(m.committed))
+
+
+def _populate(cluster: Cluster, client: Client, paths: list[str]) -> None:
     """Create ``paths`` sequentially before the measured phase."""
     sim = cluster.sim
 
@@ -158,5 +143,5 @@ def _populate(cluster: Cluster, client, paths: list[str]) -> None:
     proc = sim.process(seed(sim), name="seed")
     sim.run(until=proc)
     # Settle trailing seed-phase activity, then start fresh.
-    sim.run(until=sim.now + 30.0)
+    sim.run(until=sim.now + SETTLE)
     cluster.outcomes.clear()

@@ -34,9 +34,10 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.streaming import StreamingStats, merge_all
 from repro.config import SimulationParams
-from repro.harness.scenarios import ForcedDistributedPlacement
+from repro.fs.placement import ForcedDistributedPlacement
 from repro.mds.cluster import Cluster
 from repro.sim import RngRegistry, Simulator
+from repro.workloads.cell import wal_totals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fs.operations import OpPlan
@@ -380,8 +381,7 @@ def finalize_group(
     violations = cluster.check_invariants()
     if violations:
         raise RuntimeError(f"composite group {group} violations: {violations}")
-    forced = sum(s.wal.forced_appends for s in cluster.servers.values())
-    lazy = sum(s.wal.lazy_appends for s in cluster.servers.values())
+    forced, lazy = wal_totals(cluster)
     return GroupOutcome(
         group=group,
         committed=acc.committed,

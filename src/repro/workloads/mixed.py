@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.metrics import LatencyStats, throughput
 from repro.config import SimulationParams
-from repro.harness.scenarios import burst_cluster
-from repro.workloads.burst import BurstResult
+from repro.mds.scenarios import distributed_create_cluster
+from repro.workloads.cell import Measurement, drain, measure
 
 
 @dataclass
@@ -45,10 +44,10 @@ def run_mixed(
     protocol: str,
     workload: Optional[MixedWorkload] = None,
     params: Optional[SimulationParams] = None,
-) -> BurstResult:
+) -> Measurement:
     """Drive a mixed workload; returns aggregate metrics."""
     wl = workload or MixedWorkload()
-    cluster, client = burst_cluster(protocol, params=params)
+    cluster, client = distributed_create_cluster(protocol, params=params, trace=False)
     for d in range(1, wl.n_dirs):
         cluster.mkdir(f"/dir{d + 1}")
     rng = cluster.rng.spawn(f"mixed:{wl.seed}")
@@ -96,29 +95,8 @@ def run_mixed(
 
     start = sim.now
     sim.process(driver(sim), name="mixed-driver")
-    deadline = start + 3600.0
-    while len(cluster.outcomes) < wl.n_ops:
-        if sim.peek() > deadline:
-            raise RuntimeError(
-                f"mixed workload stalled at {len(cluster.outcomes)}/{wl.n_ops}"
-            )
-        sim.step()
-    # Settle trailing protocol activity before state inspection.
-    sim.run(until=sim.now + 30.0)
-
-    outcomes = list(cluster.outcomes)
-    committed = [o for o in outcomes if o.committed]
-    makespan = max(o.replied_at for o in outcomes) - start
-    return BurstResult(
-        protocol=protocol,
-        n=wl.n_ops,
-        committed=len(committed),
-        aborted=wl.n_ops - len(committed),
-        makespan=makespan,
-        throughput=throughput(outcomes),
-        latency=LatencyStats.from_outcomes(outcomes),
-        cluster=cluster,
-    )
+    drain(cluster, wl.n_ops, "mixed workload")
+    return measure(cluster, cluster.outcomes, start)
 
 
 def run_mdtest_phases(
@@ -127,22 +105,18 @@ def run_mdtest_phases(
     params: Optional[SimulationParams] = None,
 ) -> dict[str, float]:
     """mdtest-like phases: create-all then delete-all; per-phase ops/s."""
-    cluster, client = burst_cluster(protocol, params=params)
-    sim = cluster.sim
+    cluster, client = distributed_create_cluster(protocol, params=params, trace=False)
     paths = [f"/dir1/mdtest{i}" for i in range(n_files)]
     results: dict[str, float] = {}
 
     for phase, planner in (("create", client.plan_create), ("delete", client.plan_delete)):
         cluster.outcomes.clear()
-        start = sim.now
+        start = cluster.sim.now
         for path in paths:
             client.submit(planner(path))
-        while len(cluster.outcomes) < n_files:
-            sim.step()
-        end = max(o.replied_at for o in cluster.outcomes)
-        sim.run(until=sim.now + 30.0)
-        committed = sum(1 for o in cluster.outcomes if o.committed)
-        if committed != n_files:
-            raise RuntimeError(f"{phase} phase committed {committed}/{n_files}")
-        results[phase] = n_files / (end - start)
+        drain(cluster, n_files, f"mdtest {phase} phase")
+        m = measure(cluster, cluster.outcomes, start)
+        if m.committed != n_files:
+            raise RuntimeError(f"{phase} phase committed {m.committed}/{n_files}")
+        results[phase] = m.per_second(n_files)
     return results

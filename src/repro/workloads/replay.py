@@ -15,7 +15,7 @@ list of timestamped namespace operations::
 ``run_replay`` submits each operation at its virtual timestamp
 (open-loop by default; ``closed_loop=True`` instead waits for each
 reply before issuing the next, preserving order dependencies), and
-returns the usual :class:`~repro.workloads.burst.BurstResult`.
+returns the usual :class:`~repro.workloads.cell.Measurement`.
 ``load_ops`` / ``save_ops`` read and write the JSON form.
 """
 
@@ -25,10 +25,9 @@ import json
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
-from repro.analysis.metrics import LatencyStats, throughput
 from repro.config import SimulationParams
-from repro.harness.scenarios import burst_cluster
-from repro.workloads.burst import BurstResult
+from repro.mds.scenarios import distributed_create_cluster
+from repro.workloads.cell import SETTLE, Measurement, measure
 
 VALID_OPS = frozenset({"mkdir", "create", "delete", "rmdir", "rename", "link", "stat"})
 
@@ -84,7 +83,7 @@ def run_replay(
     params: Optional[SimulationParams] = None,
     closed_loop: bool = False,
     op_timeout: float = 30.0,
-) -> BurstResult:
+) -> Measurement:
     """Replay ``ops`` against a fresh two-MDS cluster.
 
     Open loop submits at each operation's timestamp; closed loop waits
@@ -93,7 +92,7 @@ def run_replay(
     as a replaying client would.
     """
     validate_ops(ops)
-    cluster, client = burst_cluster(protocol, params=params)
+    cluster, client = distributed_create_cluster(protocol, params=params, trace=False)
     sim = cluster.sim
     skipped = {"n": 0}
     stats = {"n": 0}
@@ -150,28 +149,19 @@ def run_replay(
     start = sim.now
     proc = sim.process(driver(sim), name="replay")
     sim.run(until=proc)
-    # Drain outstanding open-loop operations and trailing protocol work.
+    # Not the shared ``drain``: an open-loop replay tolerates operations
+    # that are never answered (their replies are simply missing from
+    # the measurement), so running out of events or patience here ends
+    # the wait instead of failing the cell.
     expected = len(ops) - skipped["n"] - stats["n"]
     guard = sim.now + 600.0
     while len(cluster.outcomes) < expected and sim.peek() < guard:
         sim.step()
-    sim.run(until=sim.now + 30.0)
+    sim.run(until=sim.now + SETTLE)
 
-    outcomes = list(cluster.outcomes)
-    if not outcomes:
+    if not cluster.outcomes:
         raise RuntimeError("replay produced no outcomes")
-    committed = [o for o in outcomes if o.committed]
-    makespan = max(o.replied_at for o in outcomes) - start
-    return BurstResult(
-        protocol=protocol,
-        n=len(outcomes),
-        committed=len(committed),
-        aborted=len(outcomes) - len(committed),
-        makespan=makespan,
-        throughput=throughput(outcomes),
-        latency=LatencyStats.from_outcomes(outcomes),
-        cluster=cluster,
-    )
+    return measure(cluster, cluster.outcomes, start)
 
 
 def synthetic_checkpoint_trace(

@@ -7,7 +7,7 @@ from repro.analysis.serializability import (
     verify_serial_equivalence,
 )
 from repro.fs import AddDentry, OpPlan
-from repro.harness.scenarios import distributed_create_cluster
+from repro.mds.scenarios import distributed_create_cluster
 
 
 def run_concurrent_creates(protocol, n=15):

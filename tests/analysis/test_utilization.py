@@ -15,7 +15,7 @@ from repro.workloads import run_burst
 def burst_trace():
     run_burst("1PC", n=20)
     # run_burst disables tracing by default; re-run one with tracing.
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
 
     cluster, client = distributed_create_cluster("1PC", trace=True)
     for i in range(20):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import BatchPlanner
 from repro.fs import InodeAllocator, UnsupportedOperation, plan_create
-from repro.harness.scenarios import ForcedDistributedPlacement
+from repro.fs.placement import ForcedDistributedPlacement
 from tests.protocols.conftest import drain, make_cluster
 
 

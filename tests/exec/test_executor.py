@@ -130,7 +130,7 @@ def test_payload_stripped_in_parallel_kept_in_serial():
     serial = run_grid(specs, workers=1, keep_clusters=True)
     assert serial[0].payload.cluster is not None
     parallel = run_grid(specs + figure6_grid(n=6, protocols=("1PC",)), workers=2)
-    assert all(c.payload.cluster is None for c in parallel)
+    assert all(c.payload is None for c in parallel)
 
 
 def failing_grid():

@@ -1,27 +1,13 @@
-"""Perf-suite tests: the cache-warm workload and the document schema."""
+"""``repro perf`` tests: the scale run's code path and document schema."""
 
 from __future__ import annotations
 
-from repro.exec.perf import (
-    DEFAULT_SKIP,
-    PERF_SCHEMA_VERSION,
-    WORKLOADS,
-    PerfResults,
-    _run_figure6_warm,
-    _run_million_txn,
-    peak_rss_kb,
-    run_perf,
-)
+from dataclasses import replace
 
+import pytest
 
-def test_figure6_warm_is_a_pinned_workload():
-    assert PERF_SCHEMA_VERSION == 3
-    assert "figure6-warm" in WORKLOADS
-
-
-def test_million_txn_is_pinned_but_opt_in():
-    assert "million-txn" in WORKLOADS
-    assert "million-txn" in DEFAULT_SKIP
+from repro.exec import perf
+from repro.exec.perf import PERF_SCHEMA_VERSION, PerfResults, peak_rss_kb, run_million_txn
 
 
 def test_peak_rss_watermark_is_positive_and_monotone():
@@ -35,51 +21,42 @@ def test_peak_rss_watermark_is_positive_and_monotone():
     assert peak_rss_kb()["self"] >= second["self"]
 
 
-def test_million_txn_scaled_down_records_rss_ratio():
-    # The real workload runs minutes; exercise the same code path at
-    # 1/1000 scale and relax only the absolute committed-count floor.
-    run = _run_million_txn(ops=1_500, groups=2)
-    try:
-        run()
-        raise AssertionError("1,500 ops cannot commit a million transactions")
-    except RuntimeError as exc:
-        assert "needs >= 1,000,000" in str(exc)
+@pytest.fixture
+def scaled_down(monkeypatch):
+    """The scale run at 1/1000 size with only its absolute floor relaxed:
+    every composite result claims a million commits more than it made."""
+    real = perf.run_composite
+
+    def generous(protocol, config):
+        result = real(protocol, config)
+        return replace(result, committed=result.committed + 1_000_000)
+
+    monkeypatch.setattr(perf, "run_composite", generous)
+    return run_million_txn(ops=1_500, groups=2)
 
 
-def test_figure6_warm_measures_cold_and_warm_pair():
-    run = _run_figure6_warm(n=10, protocols=("1PC", "EP"))()
-    assert run.name == "figure6-warm"
-    assert run.txns == 2 * 10  # every create commits in both cells
-    assert run.sim_time > 0
+def test_million_txn_scaled_down_records_rss_ratio(scaled_down):
+    run = scaled_down
+    assert run.name == "million-txn" and run.events > 0 and run.sim_time > 0
     detail = run.detail
-    assert detail["cells"] == 2
-    assert detail["cold_wall_s"] > 0 and detail["warm_wall_s"] > 0
-    # The whole point: serving from disk beats recomputing.
-    assert detail["speedup"] > 1.0
-    assert detail["speedup"] == detail["cold_wall_s"] / detail["warm_wall_s"]
+    assert detail["base_ops"] == 150 and detail["latency_mode"] in ("exact", "sketch")
+    assert detail["rss_full_kb"] >= detail["rss_base_kb"] > 0
+    assert detail["rss_ratio"] == detail["rss_full_kb"] / detail["rss_base_kb"]
 
 
-def test_figure6_warm_simulation_facts_are_deterministic():
-    a = _run_figure6_warm(n=8, protocols=("1PC",))()
-    b = _run_figure6_warm(n=8, protocols=("1PC",))()
-    assert (a.events, a.txns, a.sim_time) == (b.events, b.txns, b.sim_time)
+def test_million_txn_refuses_a_run_that_commits_fewer_than_a_million():
+    with pytest.raises(RuntimeError, match="needs >= 1,000,000"):
+        run_million_txn(ops=1_500, groups=2)
 
 
-def test_perf_document_schema_carries_both_wall_clocks():
-    results = run_perf(workloads=["figure6-warm"], repeats=1)
+def test_perf_document_schema_carries_both_wall_clocks(scaled_down):
+    results = PerfResults(workloads=[scaled_down], wall_time_s=scaled_down.wall_s)
     doc = results.to_dict()
-    assert doc["schema_version"] == PERF_SCHEMA_VERSION
-    assert isinstance(results, PerfResults)
+    assert doc["schema_version"] == PERF_SCHEMA_VERSION == 3 and doc["kind"] == "perf"
     (workload,) = doc["workloads"]
-    assert workload["name"] == "figure6-warm"
-    assert workload["detail"]["cold_wall_s"] > workload["detail"]["warm_wall_s"] > 0
+    assert workload["name"] == "million-txn" and workload["repeats"] == 1
+    # The workload's own wall clock and the run's, next to the rates.
+    assert workload["wall_s"] > 0 and doc["meta"]["wall_time_s"] > 0
+    assert workload["txns_per_s"] == workload["txns"] / workload["wall_s"]
     # Schema v3: the document reports the process's RSS watermark.
     assert doc["peak_rss_kb"]["self"] > 0
-
-
-def test_default_run_skips_the_scale_workload():
-    results = run_perf(workloads=["kernel-churn"], repeats=1)
-    assert [w.name for w in results.workloads] == ["kernel-churn"]
-    # And the default (workloads=None) name list excludes million-txn.
-    defaults = [n for n in WORKLOADS if n not in DEFAULT_SKIP]
-    assert "million-txn" not in defaults and len(defaults) == len(WORKLOADS) - 1

@@ -1,4 +1,4 @@
-"""Results-layer tests: JSON schema, canonical form, regression gate."""
+"""Results-layer tests: JSON schema, canonical form, provenance."""
 
 import json
 
@@ -106,36 +106,3 @@ def test_cell_key_identifies_spec(sweep):
     keys = [cell_key(c.to_dict()) for c in sweep.cells]
     assert len(set(keys)) == len(keys)
     assert all("protocol" in k for k in keys)
-
-
-def test_regression_gate_passes_and_fails(tmp_path, sweep):
-    from benchmarks import check_regression
-
-    base = tmp_path / "base.json"
-    sweep.write_json(str(base), canonical=True)
-
-    # Identical results: no problems.
-    assert check_regression.compare(str(base), str(base), threshold=0.2) == []
-
-    # A 30 % throughput drop trips the 20 % gate.
-    doc = sweep.to_dict(canonical=True)
-    doc["cells"][0]["throughput"] *= 0.7
-    slow = tmp_path / "slow.json"
-    slow.write_text(json.dumps(doc), encoding="utf-8")
-    problems = check_regression.compare(str(base), str(slow), threshold=0.2)
-    assert len(problems) == 1 and "regression" in problems[0]
-
-    # A missing cell is also a failure.
-    doc2 = sweep.to_dict(canonical=True)
-    doc2["cells"] = doc2["cells"][1:]
-    partial = tmp_path / "partial.json"
-    partial.write_text(json.dumps(doc2), encoding="utf-8")
-    problems = check_regression.compare(str(base), str(partial), threshold=0.2)
-    assert any("missing" in p for p in problems)
-
-    assert check_regression.main(
-        ["--baseline", str(base), "--current", str(base)]
-    ) == 0
-    assert check_regression.main(
-        ["--baseline", str(base), "--current", str(slow), "--threshold", "0.2"]
-    ) == 1

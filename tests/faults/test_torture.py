@@ -11,7 +11,7 @@ all-or-nothing once the dust settles.
 import pytest
 
 from repro.faults import random_fault_plan
-from repro.harness.scenarios import distributed_create_cluster
+from repro.mds.scenarios import distributed_create_cluster
 
 pytestmark = pytest.mark.slow
 

@@ -24,12 +24,9 @@ import pytest
 from repro.cache import ResultCache
 from repro.core.batching import BatchPlanner
 from repro.exec import execute_spec, fanout_grid, run_sweep
-from repro.harness.fanout import (
-    HOT_DIR,
-    fanout_cluster,
-    run_fanout_cell,
-    sweep_fanout,
-)
+from repro.harness.fanout import sweep_fanout
+from repro.mds.scenarios import HOT_DIR, fanout_cluster
+from repro.workloads.fanout import run_fanout_cell
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "fanout_sweep.json"
 

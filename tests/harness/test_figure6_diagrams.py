@@ -4,10 +4,7 @@ import pytest
 
 from repro.harness.diagrams import FIGURE_OF, render_all_timelines, render_timeline
 from repro.harness.figure6 import run_figure6
-from repro.harness.recovery import (
-    measure_coordinator_crash_recovery,
-    measure_worker_crash_recovery,
-)
+from repro.harness.recovery import measure_crash_recovery
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +29,9 @@ def test_figure6_gains_in_paper_band(figure6_small):
 
 
 def test_figure6_all_transactions_commit(figure6_small):
-    for name, result in figure6_small.results.items():
-        assert result.committed == result.n, name
-        assert result.cluster.check_invariants() == [], name
+    for name, cell in figure6_small.results.items():
+        assert cell.committed == cell.spec.n, name
+        assert cell.payload.cluster.check_invariants() == [], name
 
 
 def test_figure6_render_mentions_baseline(figure6_small):
@@ -81,21 +78,23 @@ def test_render_all_timelines_covers_figures_2_to_5():
 
 @pytest.mark.parametrize("protocol", ["PrN", "PrC", "EP", "1PC"])
 def test_worker_crash_recovery_settles_consistently(protocol):
-    result = measure_worker_crash_recovery(protocol)
+    result = measure_crash_recovery(protocol, "mds2")
+    assert result.scenario == "worker-crash"
     assert result.invariant_violations == 0
     assert result.settle_time >= 0
 
 
 @pytest.mark.parametrize("protocol", ["PrN", "PrC", "EP", "1PC"])
 def test_coordinator_crash_recovery_settles_consistently(protocol):
-    result = measure_coordinator_crash_recovery(protocol)
+    result = measure_crash_recovery(protocol, "mds1")
+    assert result.scenario == "coordinator-crash"
     assert result.invariant_violations == 0
 
 
 def test_1pc_worker_crash_recovery_is_decisive():
     """1PC resolves a dead worker by fencing + reading its log; the
     outcome is decided without waiting for the worker to return."""
-    result = measure_worker_crash_recovery("1PC")
+    result = measure_crash_recovery("1PC", "mds2")
     assert result.invariant_violations == 0
     # The coordinator reached a decision (abort: the worker died before
     # committing at t=0.1 ms).

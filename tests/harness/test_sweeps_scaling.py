@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.fs.placement import StripedPlacement
 from repro.harness.placement_study import run_placement_point, run_placement_study
-from repro.harness.scaling import StripedPlacement, run_scaling_cell, sweep_scaling
+from repro.harness.scaling import sweep_scaling
 from repro.harness.sweeps import (
     sweep_abort_rate,
     sweep_burst_size,
     sweep_disk_bandwidth,
     sweep_network_latency,
 )
+from repro.workloads.scaling import run_scaling_cell
 
 
 def test_sweep_network_latency_shape():

@@ -83,7 +83,7 @@ def test_facade_trace_and_metrics_helpers():
 
 
 def _one_create_cluster():
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
 
     cluster, client = distributed_create_cluster("1PC")
     done = cluster.sim.process(client.create("/dir1/f0"), name="t")

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Cluster
 from repro.fs import ObjectId, SubtreePlacement
-from repro.harness.scenarios import ForcedDistributedPlacement
+from repro.fs.placement import ForcedDistributedPlacement
 
 
 def test_unknown_protocol_rejected():

@@ -1,6 +1,6 @@
 """`HeartbeatService`: a chain of callback timers, one per beat."""
 
-from repro.harness.scenarios import ForcedDistributedPlacement
+from repro.fs.placement import ForcedDistributedPlacement
 from repro.mds.cluster import Cluster
 
 

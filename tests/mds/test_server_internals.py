@@ -95,7 +95,7 @@ def test_engine_for_routes_2pc_traffic_to_fallback():
 
 def test_engine_for_without_fallback():
     from repro import Cluster
-    from repro.harness.scenarios import ForcedDistributedPlacement
+    from repro.fs.placement import ForcedDistributedPlacement
 
     cluster = Cluster(
         protocol="PrN",
@@ -145,7 +145,7 @@ def test_message_processing_cost_charged():
     from dataclasses import replace
 
     from repro.config import SimulationParams
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
 
     base = SimulationParams.paper_defaults()
     slow = base.with_(compute=replace(base.compute, msg_processing_latency=5e-3))
@@ -162,7 +162,7 @@ def test_message_processing_cost_charged():
 
 def test_heartbeats_are_not_charged_dispatch_cost():
     from repro import Cluster
-    from repro.harness.scenarios import ForcedDistributedPlacement
+    from repro.fs.placement import ForcedDistributedPlacement
 
     cluster = Cluster(
         protocol="1PC",

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.harness.scenarios import distributed_create_cluster
+from repro.mds.scenarios import distributed_create_cluster
 from repro.obs import (
     SpanCollector,
     chrome_trace,

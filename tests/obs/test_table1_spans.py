@@ -9,7 +9,7 @@ by protocol, straight from ``cluster.obs.spans`` — no whole-trace scan.
 import pytest
 
 from repro.analysis.costs import TABLE1, fold_span_costs
-from repro.harness.scenarios import distributed_create_cluster
+from repro.mds.scenarios import distributed_create_cluster
 
 
 def run_one_create(protocol):

@@ -10,7 +10,7 @@ reason class) and the final tree must agree exactly.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.harness.scenarios import distributed_create_cluster
+from repro.mds.scenarios import distributed_create_cluster
 
 import pytest
 

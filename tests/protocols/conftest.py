@@ -1,6 +1,6 @@
 """Shared helpers for protocol tests (fixtures live in tests/conftest.py)."""
 
-from repro.harness.scenarios import distributed_create_cluster
+from repro.mds.scenarios import distributed_create_cluster
 
 ALL_PROTOCOLS = ("PrN", "PrC", "EP", "1PC")
 TWO_PC_FAMILY = ("PrN", "PrC", "EP")

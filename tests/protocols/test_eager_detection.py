@@ -1,7 +1,7 @@
 """Heartbeat-accelerated failure handling in the 1PC coordinator."""
 
 from repro import Cluster
-from repro.harness.scenarios import ForcedDistributedPlacement
+from repro.fs.placement import ForcedDistributedPlacement
 
 
 def heartbeat_cluster(heartbeats):

@@ -16,7 +16,7 @@ from repro import Cluster
 from repro.core.batching import BatchPlanner
 from repro.fs.operations import UnsupportedOperation
 from repro.fs.placement import ShardedSubtreePlacement
-from repro.harness.fanout import COORDINATOR, HOT_DIR, fanout_cluster
+from repro.mds.scenarios import COORDINATOR, HOT_DIR, fanout_cluster
 from repro.protocols.base import Transaction
 from repro.protocols.registry import reject_fanout
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Cluster
-from repro.harness.scenarios import ForcedDistributedPlacement
+from repro.fs.placement import ForcedDistributedPlacement
 from repro.storage import FencedError
 from tests.protocols.conftest import drain, make_cluster
 

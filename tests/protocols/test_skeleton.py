@@ -95,7 +95,7 @@ def test_skeleton_surface_has_one_definition_per_behaviour(protocol):
 def test_skeleton_recv_until_respects_the_absolute_deadline():
     """``recv_until`` waits in slices but never past the deadline, and
     takes no simulated time once the deadline has passed."""
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
     from repro.protocols.base import ACKS
 
     cluster, _client = distributed_create_cluster("1PC")
@@ -115,7 +115,7 @@ def test_skeleton_recv_until_respects_the_absolute_deadline():
 
 
 def test_skeleton_has_no_client_to_answer_on_recovery_paths():
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
 
     cluster, _client = distributed_create_cluster("PrN")
     engine = cluster.servers["mds1"].protocol

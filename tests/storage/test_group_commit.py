@@ -104,7 +104,7 @@ def test_protocol_suite_green_with_group_commit():
     from dataclasses import replace
 
     from repro.config import SimulationParams
-    from repro.harness.scenarios import distributed_create_cluster
+    from repro.mds.scenarios import distributed_create_cluster
 
     base = SimulationParams.paper_defaults()
     params = base.with_(storage=replace(base.storage, group_commit=True))

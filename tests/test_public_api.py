@@ -19,6 +19,9 @@ PACKAGES = [
     "repro.analysis",
     "repro.harness",
     "repro.cache",
+    "repro.exec",
+    "repro.campaign",
+    "repro.obs",
 ]
 
 

@@ -1,0 +1,67 @@
+"""The cell skeleton: one drain loop, both of its failure exits, and
+the abort-burst cell's realised refusal rate."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.exec import RunSpec, execute_spec
+from repro.mds.scenarios import distributed_create_cluster
+from repro.workloads.cell import drain
+
+SRC = Path(repro.__file__).resolve().parent
+
+
+def _steps_until_outcomes(loop):
+    """``while len(...outcomes) < ...:`` with a ``.step()`` in its body."""
+    test = ast.dump(loop.test)
+    body = "".join(ast.dump(stmt) for stmt in loop.body)
+    return "'outcomes'" in test and "Lt()" in test and "attr='step'" in body
+
+
+def test_the_drain_loop_is_spelled_once():
+    spelled = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.While) and _steps_until_outcomes(node)
+    )
+    # The skeleton; the open-loop replay, which tolerates unanswered
+    # operations; the conformance battery, which sits below workloads.
+    assert spelled == ["protocols/conformance.py", "workloads/cell.py", "workloads/replay.py"]
+
+
+def _one_create():
+    """The fake workload: one create, of which two answers are awaited."""
+    cluster, client = distributed_create_cluster("1PC", trace=False)
+    client.submit(client.plan_create("/dir1/f0"))
+    return cluster
+
+
+def test_drain_names_the_cell_when_the_schedule_runs_dry():
+    cluster = _one_create()
+    with pytest.raises(RuntimeError, match=r"fake cell did not finish .*\(1/2 answered\)"):
+        drain(cluster, 2, "fake cell")
+    assert cluster.sim.peek() == float("inf")
+
+
+def test_drain_stops_at_its_budget_while_a_timer_keeps_the_schedule_alive():
+    cluster = _one_create()
+
+    def tick(_event=None):
+        cluster.sim.after(1e-2, tick)
+
+    tick()
+    with pytest.raises(RuntimeError, match=r"within 5 virtual seconds \(1/2 answered\)"):
+        drain(cluster, 2, "fake cell", budget=5.0)
+    assert 5.0 - 1e-2 <= cluster.sim.now <= 5.0
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.25, 0.3, 0.34, 0.4, 0.45, 0.6, 0.75])
+def test_abort_burst_refuses_the_requested_fraction(rate):
+    n = 40
+    cell = execute_spec(RunSpec(kind="abort_burst", protocol="PrN", n=n, abort_rate=rate))
+    assert cell.committed + cell.aborted == n
+    assert abs(cell.aborted / n - rate) <= 1 / n + 1e-12
