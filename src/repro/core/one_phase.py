@@ -101,7 +101,7 @@ class OnePhaseCommitProtocol(Protocol):
             # STARTED plus the redo record for the whole namespace
             # operation, forced in a single log write.
             yield from self.wal.force(
-                self.state_rec(RecordKind.STARTED, txn_id, op=plan.op, workers=txn.workers),
+                self.state_rec(RecordKind.STARTED, txn_id, op=plan.op, workers=list(txn.workers)),
                 self.redo_rec(txn_id, plan),
             )
             try:

@@ -59,7 +59,14 @@ class InodeAllocator:
 
 @dataclass
 class OpPlan:
-    """A namespace operation resolved into per-MDS update lists."""
+    """A namespace operation resolved into per-MDS update lists.
+
+    Roles are fixed at construction: ``workers`` and ``participants``
+    are derived once and the same two lists go to every reader
+    (``Transaction.workers`` is ``plan.workers``).  Callers must not
+    mutate them — a log record keeps ``list(workers)`` — and a plan with
+    other roles is a new plan: ``dataclasses.replace`` derives them again.
+    """
 
     op: str
     path: str
@@ -69,22 +76,18 @@ class OpPlan:
     coordinator: str
     #: Extra detail (new inode number, destination path...).
     detail: dict = field(default_factory=dict)
+    #: Every participant but the coordinator, sorted.
+    workers: list[str] = field(init=False, repr=False, compare=False)
+    #: Coordinator first, then the workers.
+    participants: list[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.coordinator not in self.updates:
             raise ValueError(
                 f"coordinator {self.coordinator!r} has no updates in plan {self.op}"
             )
-
-    @property
-    def participants(self) -> list[str]:
-        """Coordinator first, then workers in deterministic order."""
-        workers = sorted(n for n in self.updates if n != self.coordinator)
-        return [self.coordinator] + workers
-
-    @property
-    def workers(self) -> list[str]:
-        return self.participants[1:]
+        self.workers = sorted(n for n in self.updates if n != self.coordinator)
+        self.participants = [self.coordinator] + self.workers
 
     @property
     def is_distributed(self) -> bool:

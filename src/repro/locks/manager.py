@@ -19,6 +19,10 @@ class LockMode(str, Enum):
     def compatible(self, other: "LockMode") -> bool:
         return self is LockMode.SHARED and other is LockMode.SHARED
 
+    #: ``str(mode)`` is the bare value, as ``enum.StrEnum`` spells it:
+    #: what the hub's lock hooks record.
+    __str__ = str.__str__
+
 
 class LockTimeout(Exception):
     """Raised when a lock is not granted within the caller's timeout.
@@ -111,9 +115,10 @@ class LockManager:
     # -- acquisition ---------------------------------------------------------------
 
     def _entry(self, obj_id: Hashable) -> _LockEntry:
-        if obj_id not in self._table:
-            self._table[obj_id] = _LockEntry()
-        return self._table[obj_id]
+        entry = self._table.get(obj_id)
+        if entry is None:
+            entry = self._table[obj_id] = _LockEntry()
+        return entry
 
     def _grantable(self, entry: _LockEntry, txn_id: Hashable, mode: LockMode) -> bool:
         others = {t: m for t, m in entry.holders.items() if t != txn_id}
@@ -144,7 +149,7 @@ class LockManager:
             return False
         if self._grantable(entry, txn_id, mode):
             entry.holders[txn_id] = mode
-            self.obs.lock_grant(self.name, txn=txn_id, obj=obj_id, mode=mode.value)
+            self.obs.lock_grant(self.name, txn=txn_id, obj=obj_id, mode=mode)
             return True
         return False
 
@@ -161,7 +166,7 @@ class LockManager:
         entry = self._entry(obj_id)
         waiter = _Waiter(self.sim, txn_id, mode)
         entry.queue.append(waiter)
-        self.obs.lock_wait(self.name, txn=txn_id, obj=obj_id, mode=mode.value)
+        self.obs.lock_wait(self.name, txn=txn_id, obj=obj_id, mode=mode)
         if timeout is not None:
             self.sim.expire(waiter.event, timeout)
         if (yield waiter.event) is not TIMED_OUT:
@@ -188,8 +193,7 @@ class LockManager:
     def release_all(self, txn_id: Hashable) -> int:
         """Release every lock ``txn_id`` holds; returns how many."""
         released = 0
-        for obj_id in list(self._table):
-            entry = self._table[obj_id]
+        for obj_id, entry in list(self._table.items()):
             if txn_id in entry.holders:
                 del entry.holders[txn_id]
                 released += 1
@@ -218,9 +222,7 @@ class LockManager:
                 entry.holders[waiter.txn_id] = LockMode.EXCLUSIVE
             elif held is None:
                 entry.holders[waiter.txn_id] = waiter.mode
-            self.obs.lock_grant(
-                self.name, txn=waiter.txn_id, obj=obj_id, mode=waiter.mode.value
-            )
+            self.obs.lock_grant(self.name, txn=waiter.txn_id, obj=obj_id, mode=waiter.mode)
             waiter.event.succeed()
             if waiter.mode is LockMode.EXCLUSIVE:
                 break

@@ -96,7 +96,8 @@ class MDSServer:
     def spawn(self, generator, name: str = "") -> Process:
         proc = self.sim.process(generator, name=name or f"{self.name}:proc")
         self._procs.add(proc)
-        proc.callbacks.append(lambda _e: self._procs.discard(proc))
+        # A process is its own completion event; ``_procs`` is never replaced.
+        proc.callbacks.append(self._procs.discard)
         return proc
 
     # ------------------------------------------------------------------
@@ -243,6 +244,9 @@ class MDSServer:
         self.store.crash()
         # The in-memory lock table vanishes with the node.
         self.locks = LockManager(self.sim, name=f"locks:{self.name}", obs=self.obs)
+        self.protocol.locks = self.locks
+        if self.fallback is not None:
+            self.fallback.locks = self.locks
 
     def restart(self) -> None:
         """Reboot: reattach, restart the log, recover, then serve."""

@@ -57,7 +57,7 @@ class Endpoint:
         """Build and transmit a message; returns it (msg_id assigned
         by the network at send time)."""
         msg = Message(src=self.node, dst=dst, kind=kind, txn_id=txn_id, payload=payload)
-        self.send(msg)
+        self.network.send(msg)  # ``src`` is this node by construction
         return msg
 
     # -- receiving ---------------------------------------------------------------
@@ -106,22 +106,22 @@ class Endpoint:
         if self._handler is None:
             self.mailbox.put(message)
         elif self._in_service is None:
-            self._start(message)
+            self._in_service = message
+            self.sim.after(
+                0.0 if message.kind in self._free else self._cost, self._served, self._epoch
+            )
         else:
             self._backlog.append(message)
-
-    def _start(self, message: Message) -> None:
-        self._in_service = message
-        self.sim.after(
-            0.0 if message.kind in self._free else self._cost, self._served, self._epoch
-        )
 
     def _served(self, timer: Event) -> None:
         if timer._value != self._epoch:
             return  # flushed while in service: the message died with the node
         self._handler(self._in_service)
         if self._backlog:
-            self._start(self._backlog.popleft())
+            message = self._in_service = self._backlog.popleft()
+            self.sim.after(
+                0.0 if message.kind in self._free else self._cost, self._served, self._epoch
+            )
         else:
             self._in_service = None
 

@@ -149,7 +149,8 @@ class Network:
             # A crashed node cannot transmit.
             self.obs.msg_drop(message.src, reason="sender_down", kind=message.kind)
             return
-        if not self.connected(message.src, message.dst):
+        # Asked only of a network that has a fault to answer with.
+        if (self._down_links or self._groups) and not self.connected(message.src, message.dst):
             self.obs.msg_drop(
                 message.src,
                 reason="partitioned",
@@ -179,7 +180,7 @@ class Network:
             return
         # Re-check connectivity at arrival time: a partition that formed
         # while the message was in flight severs it.
-        if not self.connected(message.src, message.dst):
+        if (self._down_links or self._groups) and not self.connected(message.src, message.dst):
             self.obs.msg_drop(message.dst, reason="partitioned", kind=message.kind)
             return
         self.obs.msg_recv(

@@ -314,12 +314,14 @@ class Observability:
     # -- locks ----------------------------------------------------------------
 
     def lock_grant(self, manager: str, *, txn: Any, obj: Any, mode: str) -> None:
+        # ``mode`` arrives as the table's own ``LockMode`` (a ``str``) and
+        # is unwrapped after the early-out, like ``kind`` above.
         if not self.enabled:
             return
         self._emit(
             "lock_grant",
             manager,
-            {"txn": txn, "obj": obj, "mode": mode},
+            {"txn": txn, "obj": obj, "mode": str(mode)},
             _lock_leg(manager, txn),
         )
         self._lock_grants[(manager, txn, obj)] = self.sim.now
@@ -335,7 +337,7 @@ class Observability:
         self._emit(
             "lock_wait",
             manager,
-            {"txn": txn, "obj": obj, "mode": mode},
+            {"txn": txn, "obj": obj, "mode": str(mode)},
             _lock_leg(manager, txn),
         )
 

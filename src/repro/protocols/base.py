@@ -35,7 +35,7 @@ body as the client path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional, Sequence
 
 from repro.fs.objects import ObjectId, Update, UpdateError, update_from_description
@@ -161,10 +161,11 @@ class Transaction:
     submitted_at: float
     #: Client-side request id, echoed in the CLIENT_REPLY.
     req_id: Optional[int] = None
+    #: ``plan.workers`` itself, not a copy (see :class:`OpPlan`).
+    workers: list[str] = field(init=False, repr=False, compare=False)
 
-    @property
-    def workers(self) -> list[str]:
-        return self.plan.workers
+    def __post_init__(self) -> None:
+        self.workers = self.plan.workers
 
 
 @dataclass(frozen=True)
@@ -196,15 +197,22 @@ class Protocol:
 
     def __init__(self, server: "MDSServer") -> None:
         self.server = server
-        # Fixed for the server's lifetime, so plain attributes (``params``
-        # alone is read twenty times per transaction); ``locks`` stays a
-        # property because ``MDSServer.crash()`` rebinds it.
+        # Plain attributes (``params`` alone is read twenty times per
+        # transaction), fixed for the server's lifetime — except ``locks``,
+        # which ``MDSServer.crash()`` rebinds to the new lock table.
         self.sim: "Simulator" = server.sim
         self.me: str = server.name
         self.wal: "WriteAheadLog" = server.wal
         self.store: "MetadataStore" = server.store
         self.params: "SimulationParams" = server.params
         self.obs: "Observability" = server.obs
+        self.locks: "LockManager" = server.locks
+        #: The state records that have a size of their own.
+        self._state_sizes = {
+            RecordKind.STARTED: self.params.storage.start_record_size,
+            RecordKind.ENDED: self.params.storage.end_record_size,
+            RecordKind.REDO: self.params.storage.redo_record_size,
+        }
 
     def claims_worker_message(self, msg: Message) -> bool:
         """Whether this engine speaks ``msg`` on the worker side.
@@ -217,19 +225,10 @@ class Protocol:
         """
         return True
 
-    @property
-    def locks(self) -> "LockManager":
-        return self.server.locks
-
     # -- log-record construction ------------------------------------------------
 
     def state_rec(self, kind: RecordKind, txn_id: int, **payload: Any) -> LogRecord:
-        sizes = {
-            RecordKind.STARTED: self.params.storage.start_record_size,
-            RecordKind.ENDED: self.params.storage.end_record_size,
-            RecordKind.REDO: self.params.storage.redo_record_size,
-        }
-        size = sizes.get(kind, self.params.storage.state_record_size)
+        size = self._state_sizes.get(kind, self.params.storage.state_record_size)
         payload.setdefault("proto", self.name)
         return LogRecord(kind=kind, txn_id=txn_id, size=size, payload=payload)
 

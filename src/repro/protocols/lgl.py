@@ -176,7 +176,7 @@ class LoglessOnePhaseProtocol(Protocol):
             replied_at = self.reply_to_client(txn, committed=True)
             self.locks.release_all(txn_id)
             ok = yield from self._replicate(
-                txn_id, "commit", {"updates": descs, "workers": plan.workers}, inbox
+                txn_id, "commit", {"updates": descs, "workers": list(plan.workers)}, inbox
             )
             if ok is True:
                 self.store.commit_durable(txn_id)
@@ -387,7 +387,7 @@ class LoglessOnePhaseProtocol(Protocol):
                 return
             descs = [u.describe() for u in self.store.updates_of(txn_id)]
             ok = yield from self._replicate(
-                txn_id, "commit", {"updates": descs, "workers": plan.workers}, inbox
+                txn_id, "commit", {"updates": descs, "workers": list(plan.workers)}, inbox
             )
             self.store.commit_durable(txn_id)
             self.locks.release_all(txn_id)

@@ -87,7 +87,7 @@ class PresumeNothingProtocol(Protocol):
         inbox = self.server.open_session(txn_id)
         try:
             yield from self.wal.force(
-                self.state_rec(RecordKind.STARTED, txn_id, op=plan.op, workers=txn.workers)
+                self.state_rec(RecordKind.STARTED, txn_id, op=plan.op, workers=list(txn.workers))
             )
             try:
                 # Growing phase of 2PL, then the local cache updates.

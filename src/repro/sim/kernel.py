@@ -102,7 +102,9 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: Current virtual time in seconds.  A plain attribute, read
+        #: everywhere; only this module assigns it.
+        self.now = float(start_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
@@ -111,11 +113,6 @@ class Simulator:
         self.events_processed = 0
 
     # -- clock --------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -127,14 +124,15 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
         """Insert a triggered event into the calendar queue.
 
-        The single owner of negative-delay validation: every scheduling
-        path (``Timeout``, ``succeed``/``fail`` delays, pooled trigger
-        events) funnels through here.
+        Owns negative-delay validation for every event that is
+        scheduled by being triggered (``Timeout``, ``succeed``/``fail``
+        delays); :meth:`after` repeats the check and the push for its
+        pooled timers.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._sequence += 1
-        heappush(self._heap, (self._now + delay, priority, self._sequence, event))
+        heappush(self._heap, (self.now + delay, priority, self._sequence, event))
 
     def after(self, delay: float, callback: Callable[[Event], None], value: Any = None) -> None:
         """Call ``callback(trigger)`` ``delay`` seconds from now, once.
@@ -144,6 +142,8 @@ class Simulator:
         returns, so the callback must not keep it.  Timers due at the
         same instant fire in scheduling order.
         """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         pool = self._pool
         if pool:
             event = pool.pop()
@@ -152,14 +152,16 @@ class Simulator:
             event = _TriggerEvent(self)
         event._value = value
         event._callbacks = [callback]
-        self._schedule(event, delay)
+        # ``_schedule`` spelled out, as in ``at``: one frame per timer.
+        self._sequence += 1
+        heappush(self._heap, (self.now + delay, PRIORITY_NORMAL, self._sequence, event))
 
     def at(self, time: float, callback: Callable[[Event], None], value: Any = None) -> None:
         """:meth:`after` with an absolute due time, taken bit for bit:
         ``now + (time - now)`` is not always ``time``, and a walk over a
         grid of instants has to land on each one."""
-        if time < self._now:
-            raise ValueError(f"at({time}) is in the past (now={self._now})")
+        if time < self.now:
+            raise ValueError(f"at({time}) is in the past (now={self.now})")
         event = self._pool.pop() if self._pool else _TriggerEvent(self)
         event._state = TRIGGERED
         event._value = value
@@ -207,9 +209,9 @@ class Simulator:
         if not heap:
             raise SimulationError("step() on an empty schedule")
         time, _priority, _seq, event = heappop(heap)
-        if time < self._now:
+        if time < self.now:
             raise SimulationError("event scheduled in the past")
-        self._now = time
+        self.now = time
         self.events_processed += 1
         event._run_callbacks()
         if not event._ok and not event.defused:
@@ -234,8 +236,8 @@ class Simulator:
             stop_event.callbacks.append(self._stop_on_event)
         elif until is not None:
             deadline = float(until)
-            if deadline < self._now:
-                raise ValueError(f"until={deadline} is in the past (now={self._now})")
+            if deadline < self.now:
+                raise ValueError(f"until={deadline} is in the past (now={self.now})")
 
         # The loop below is step() inlined: locals for the heap and
         # heappop, Event._run_callbacks unrolled (no subclass overrides
@@ -250,7 +252,7 @@ class Simulator:
                 while heap:
                     entry = heappop(heap)
                     event = entry[3]
-                    self._now = entry[0]
+                    self.now = entry[0]
                     processed += 1
                     event._state = PROCESSED
                     callbacks = event._callbacks
@@ -266,7 +268,7 @@ class Simulator:
                 while heap and heap[0][0] <= deadline:
                     entry = heappop(heap)
                     event = entry[3]
-                    self._now = entry[0]
+                    self.now = entry[0]
                     processed += 1
                     event._state = PROCESSED
                     callbacks = event._callbacks
@@ -293,10 +295,10 @@ class Simulator:
                     raise stop_event.value
                 return stop_event.value
             raise SimulationError(
-                f"schedule drained at t={self._now} before {stop_event!r} triggered"
+                f"schedule drained at t={self.now} before {stop_event!r} triggered"
             )
         if deadline != _INF:
-            self._now = deadline
+            self.now = deadline
         return None
 
     @staticmethod

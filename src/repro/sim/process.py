@@ -162,4 +162,9 @@ class Process(Event):
             else:
                 self._throw(target._value)
         else:
-            target.callbacks.append(self._resume)
+            # ``target.callbacks.append`` without the property's frame.
+            callbacks = target._callbacks
+            if callbacks is None:
+                target._callbacks = [self._resume]
+            else:
+                callbacks.append(self._resume)

@@ -103,18 +103,32 @@ class Disk:
         """Queue a write; ``done(*args)`` runs once it is on the device.
         The callback spelling of :meth:`write`: same FIFO, service time
         and ``disk_write`` record, for one timer and no process."""
-        self._acquire(
-            lambda: self.sim.after(
+        if nbytes < 0:
+            raise ValueError(f"negative write size {nbytes}")
+        if self._in_service < self.capacity:
+            self._in_service += 1
+            self.sim.after(
                 self.params.write_latency(nbytes),
                 self._write_served,
                 (nbytes, actor, self.sim.now, done, args),
             )
-        )
+        else:
+            # FIFO turn: the same timer, armed the instant a channel is handed over.
+            self._waiting.append(
+                lambda: self.sim.after(
+                    self.params.write_latency(nbytes),
+                    self._write_served,
+                    (nbytes, actor, self.sim.now, done, args),
+                )
+            )
 
     def _write_served(self, timer: Event) -> None:
         nbytes, actor, start, done, args = timer._value
         self._wrote(nbytes, actor, start)
-        self._release()
+        if self._waiting:  # the oldest waiter takes the channel over
+            self._waiting.popleft()()
+        else:
+            self._in_service -= 1
         done(*args)
 
     def _wrote(self, nbytes: float, actor: str, start: float) -> None:

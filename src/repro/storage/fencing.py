@@ -38,25 +38,28 @@ class FencingController:
     """Authoritative record of which nodes are cut off from storage."""
 
     def __init__(self, obs: "Observability | None" = None):
-        self._fenced: set[str] = set()
+        #: Live and never replaced: every ``WriteAheadLog`` keeps a
+        #: reference and tests ``owner in`` it on each write.  Only
+        #: :meth:`fence` and :meth:`unfence` change it.
+        self.fenced: set[str] = set()
         self.obs = obs
 
     def is_fenced(self, node: str) -> bool:
-        return node in self._fenced
+        return node in self.fenced
 
     def fence(self, node: str, by: str = "?") -> None:
-        self._fenced.add(node)
+        self.fenced.add(node)
         if self.obs is not None:
             self.obs.fence(by, target=node)
 
     def unfence(self, node: str, by: str = "?") -> None:
-        self._fenced.discard(node)
+        self.fenced.discard(node)
         if self.obs is not None:
             self.obs.unfence(by, target=node)
 
     @property
     def fenced_nodes(self) -> frozenset[str]:
-        return frozenset(self._fenced)
+        return frozenset(self.fenced)
 
 
 class FencingDriver(Protocol):

@@ -44,13 +44,12 @@ class _FlushJob:
 
     __slots__ = ("records", "done", "sync", "nbytes")
 
-    def __init__(self, sim: Simulator, records: list[LogRecord], sync: bool):
+    def __init__(self, sim: Simulator, records: list[LogRecord], sync: bool, nbytes: float):
         self.records = records
         self.done = Event(sim, name="flush")
         self.sync = sync
-        #: Per-job byte total, computed once at enqueue time (the batch
-        #: scan in ``_next_batch`` used to recompute it per iteration).
-        self.nbytes = sum(r.size for r in records)
+        #: Per-job byte total: the record sizes added left to right from 0.
+        self.nbytes = nbytes
 
 
 class WriteAheadLog:
@@ -72,7 +71,9 @@ class WriteAheadLog:
         self.disk = disk
         self.owner = owner
         self.obs = obs if obs is not None else Observability(sim, enabled=False)
-        self.fencing = fencing
+        #: The controller's live set of fenced nodes: the write path
+        #: reads state, it does not call for it.
+        self._fenced = fencing.fenced if fencing is not None else frozenset()
         #: Group commit: the pump coalesces every queued append (up
         #: to ``group_commit_max_bytes``) into one device write, so
         #: concurrent forces share a single rotation instead of
@@ -97,7 +98,7 @@ class WriteAheadLog:
     # -- write path ----------------------------------------------------------
 
     def _check_fence(self) -> None:
-        if self.fencing is not None and self.fencing.is_fenced(self.owner):
+        if self.owner in self._fenced:
             raise FencedError(f"{self.owner} is fenced; write rejected")
 
     def force(self, *records: LogRecord) -> Generator:
@@ -130,34 +131,32 @@ class WriteAheadLog:
         return job.done
 
     def _enqueue(self, records: list[LogRecord], sync: bool) -> _FlushJob:
-        job = _FlushJob(self.sim, records, sync)
-        self._queue.append(job)
+        nbytes = 0
         for record in records:
+            nbytes += record.size
             if record.lsn == 0:
                 self._lsn += 1
                 object.__setattr__(record, "lsn", self._lsn)
-        for record in records:
-            self.obs.log_append(
-                self.owner, kind=record.kind, txn=record.txn_id, sync=sync, nbytes=record.size
-            )
-        self._kick()
+        job = _FlushJob(self.sim, records, sync, nbytes)
+        self._queue.append(job)
+        if self.obs.enabled:
+            for record in records:
+                self.obs.log_append(
+                    self.owner, kind=record.kind, txn=record.txn_id, sync=sync, nbytes=record.size
+                )
+        # Start an idle pump, one zero-delay hop from now: the rest of a
+        # same-instant burst queues before the batch is cut (what group
+        # commit coalesces), and the fence check and device request fall
+        # at one point of the instant with or without group commit.
+        if not self._pumping:
+            self._pumping = True
+            self.sim.after(0.0, self._pump, self._generation)
         return job
 
     # -- background pump ----------------------------------------------------------
 
-    def _kick(self) -> None:
-        """Start an idle pump, one zero-delay hop from now: the rest of
-        a same-instant burst queues before the batch is cut (what group
-        commit coalesces), and the fence check and device request fall
-        at one point of the instant with or without group commit."""
-        if self._queue and not self._pumping:
-            self._pumping = True
-            self.sim.after(0.0, self._pump, self._generation)
-
     def _next_batch(self) -> list[_FlushJob]:
-        """The jobs the next device write covers."""
-        if not self.group_commit:
-            return [self._queue[0]]
+        """The jobs the next group-commit device write covers."""
         batch: list[_FlushJob] = []
         total = 0.0
         for job in self._queue:
@@ -175,11 +174,10 @@ class WriteAheadLog:
         if kick is not None and kick._value != self._generation:
             return
         while self._queue:
-            batch = self._next_batch()
-            try:
-                self._check_fence()
-            except FencedError as exc:
+            batch = self._next_batch() if self.group_commit else [self._queue[0]]
+            if self.owner in self._fenced:
                 # Fenced mid-stream: the write never reaches the device.
+                exc = FencedError(f"{self.owner} is fenced; write rejected")
                 for job in batch:
                     if self._queue and self._queue[0] is job:
                         self._queue.popleft()
@@ -208,11 +206,12 @@ class WriteAheadLog:
         for job in batch:
             self._queue.popleft()
             self._durable.extend(job.records)
-            sync = job.sync
-            for record in job.records:
-                self.obs.log_durable(
-                    self.owner, kind=record.kind, txn=record.txn_id, sync=sync, nbytes=record.size
-                )
+            if self.obs.enabled:
+                owner, sync = self.owner, job.sync
+                for record in job.records:
+                    self.obs.log_durable(
+                        owner, kind=record.kind, txn=record.txn_id, sync=sync, nbytes=record.size
+                    )
             if not job.done.triggered:
                 job.done.succeed()
         self._pump()
@@ -235,7 +234,9 @@ class WriteAheadLog:
         """Let the pump run again after a crash (log content unchanged)."""
         self._generation += 1
         self._pumping = False
-        self._kick()
+        if self._queue:  # appended while down: pump them, as an append would
+            self._pumping = True
+            self.sim.after(0.0, self._pump, self._generation)
         self.obs.log_restart(self.owner)
 
     # -- read path -------------------------------------------------------------------

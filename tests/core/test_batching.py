@@ -1,5 +1,7 @@
 """The §VI aggregation extension: merging namespace ops into batches."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import BatchPlanner
@@ -43,9 +45,12 @@ def test_merge_respects_max_batch():
 
 def test_merge_rejects_mixed_coordinators():
     plans = make_plans(2)
-    object.__setattr__(plans[1], "coordinator", "mds2") if False else None
-    plans[1].coordinator = "mds2"
-    plans[1].updates["mds2"] = plans[1].updates.pop("mds1") + plans[1].updates["mds2"]
+    # Roles are fixed at construction: another coordinator is another plan.
+    plans[1] = replace(
+        plans[1],
+        coordinator="mds2",
+        updates={"mds2": plans[1].updates["mds1"] + plans[1].updates["mds2"]},
+    )
     planner = BatchPlanner()
     with pytest.raises(UnsupportedOperation):
         planner.merge(plans)
@@ -54,7 +59,11 @@ def test_merge_rejects_mixed_coordinators():
 def test_merge_respects_worker_limit():
     plans = make_plans(2)
     # Move one create's inode to a third server.
-    plans[1].updates["mds3"] = plans[1].updates.pop("mds2")
+    plans[1] = replace(
+        plans[1],
+        updates={"mds1": plans[1].updates["mds1"], "mds3": plans[1].updates["mds2"]},
+    )
+    assert plans[1].workers == ["mds3"]
     planner = BatchPlanner(max_workers=1)
     with pytest.raises(UnsupportedOperation):
         planner.merge(plans)

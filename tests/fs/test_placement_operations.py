@@ -232,3 +232,32 @@ def test_plan_coordinator_must_have_updates():
             updates={"mds2": [AddDentry("/", "x", 1)]},
             coordinator="mds1",
         )
+
+
+def test_plan_roles_are_derived_once_and_rederived_by_replace():
+    """``workers``/``participants`` are fields filled at construction
+    and shared with every reader; a plan with other roles is a new plan."""
+    from dataclasses import replace
+
+    from repro.fs.placement import ForcedDistributedPlacement
+    from repro.protocols.base import Transaction
+
+    plan = plan_create("/d/f", ForcedDistributedPlacement("mds2", "mds1"), InodeAllocator())
+    assert plan.coordinator == "mds2"
+    assert plan.workers == ["mds1"] and plan.participants == ["mds2", "mds1"]
+    assert plan.workers is plan.workers and plan.participants is plan.participants
+
+    txn = Transaction(txn_id=1, plan=plan, client="c1", submitted_at=0.0)
+    assert txn.workers is plan.workers
+
+    wide = replace(plan, updates={**plan.updates, "mds4": [], "mds3": []})
+    assert wide.workers == ["mds1", "mds3", "mds4"]
+    assert wide.participants == ["mds2", "mds1", "mds3", "mds4"]
+    moved = replace(plan, coordinator="mds1")
+    assert moved.workers == ["mds2"] and moved.participants == ["mds1", "mds2"]
+    # The original is untouched, and the derived fields are not part of
+    # a plan's identity (``from_description`` round-trips compare equal).
+    assert plan.workers == ["mds1"]
+    assert replace(plan) == plan and "workers" not in repr(plan)
+    with pytest.raises(ValueError):
+        replace(plan, workers=["mds9"])

@@ -331,3 +331,23 @@ def test_holders_reports_modes():
     sim.run()
     assert mgr.holders("dir") == {1: LockMode.SHARED, 2: LockMode.SHARED}
     assert mgr.holders("nothing") == {}
+
+
+def test_lock_records_carry_the_mode_as_a_plain_str():
+    """The table hands the hub its ``LockMode``; the record holds the
+    bare value (what the goldens and the span export have always shown),
+    for an immediate grant, a wait and a dispatched grant alike."""
+    sim, mgr, trace = make_mgr()
+    assert mgr.try_acquire(1, "dir", LockMode.SHARED)
+    sim.process(mgr.acquire(2, "dir", LockMode.EXCLUSIVE))
+    sim.run()
+    mgr.release_all(1)
+    sim.run()
+    modes = [
+        (r.category, r.detail["mode"])
+        for r in trace.records
+        if r.category in ("lock_grant", "lock_wait")
+    ]
+    assert modes == [("lock_grant", "S"), ("lock_wait", "X"), ("lock_grant", "X")]
+    assert all(type(mode) is str for _category, mode in modes)
+    assert str(LockMode.SHARED) == "S" and LockMode("X") is LockMode.EXCLUSIVE

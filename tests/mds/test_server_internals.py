@@ -1,5 +1,7 @@
 """MDS server internals: sessions, spawn tracking, routing, recovery gate."""
 
+import pytest
+
 from repro.net.message import Message
 from repro.protocols.base import MsgKind
 from tests.protocols.conftest import drain, make_cluster, run_create
@@ -56,6 +58,45 @@ def test_sessions_cleared_on_crash():
     server.open_session(3)
     server.crash()
     assert server.session_inbox(3) is None
+
+
+@pytest.mark.parametrize("protocol", ["1PC", "PrN"])  # with and without a fallback engine
+def test_engines_follow_the_lock_table_across_crash_and_restart(protocol):
+    """``Protocol.locks`` is an attribute ``crash()`` rebinds: every
+    engine of the server must see the table the server sees."""
+    cluster, client = make_cluster(protocol)
+    server = cluster.servers["mds1"]
+    engines = [e for e in (server.protocol, server.fallback) if e is not None]
+    assert len(engines) == (2 if protocol == "1PC" else 1)
+    old = server.locks
+    assert all(engine.locks is old for engine in engines)
+
+    server.crash()
+    assert server.locks is not old
+    assert all(engine.locks is server.locks for engine in engines)
+    server.restart()
+    assert all(engine.locks is server.locks for engine in engines)
+    drain(cluster)  # reboot-time recovery
+
+    # A transaction coordinated now takes its locks in the new table.
+    attempts = {"old": 0, "new": 0}
+
+    def spy(table, which):
+        try_acquire = table.try_acquire
+
+        def counting(*args):
+            attempts[which] += 1
+            return try_acquire(*args)
+
+        table.try_acquire = counting
+
+    spy(old, "old")
+    spy(server.locks, "new")
+    run_create(cluster, client, "/dir1/after-restart")
+    drain(cluster)
+    assert cluster.lookup("/dir1/after-restart") is not None
+    assert attempts["old"] == 0 and attempts["new"] >= 1
+    assert server.locks._table == {} and cluster.check_invariants() == []
 
 
 def test_messages_to_open_session_are_routed():

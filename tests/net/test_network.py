@@ -58,6 +58,22 @@ def test_send_as_other_node_rejected():
         a.send(Message(src="b", dst="a", kind="FAKE"))
 
 
+def test_foreign_message_never_reaches_the_wire_and_send_to_stamps_its_own_src():
+    """``send_to`` hands its message to the network itself; ``send`` is
+    the door for a caller's own ``Message`` and keeps the ``src`` check."""
+    sim, net, trace = make_net()
+    a, b = net.attach("a"), net.attach("b")
+    with pytest.raises(ValueError, match="cannot send as b"):
+        a.send(Message(src="b", dst="a", kind="FAKE"))
+    sim.run()
+    assert trace.count("msg_send") == 0 and len(a.mailbox) == 0
+    sent = a.send_to("b", "PING")
+    assert (sent.src, sent.msg_id) == ("a", 1)
+    a.send(Message(src="a", dst="b", kind="PING"))
+    sim.run()
+    assert [m.src for m in b.mailbox.items] == ["a", "a"]
+
+
 def test_send_to_unknown_node_rejected():
     sim, net, _ = make_net()
     a = net.attach("a")
@@ -132,6 +148,20 @@ def test_link_failure_drops_messages_both_ways():
     assert trace.count("msg_drop") == 2
     net.restore_link("a", "b")
     assert net.connected("a", "b")
+
+
+def test_failed_link_between_other_nodes_leaves_this_pair_connected():
+    """The network has a fault, so ``send`` and the arrival re-check do
+    ask ``connected`` — and the answer for an unaffected pair is yes."""
+    sim, net, trace = make_net()
+    a, b = net.attach("a"), net.attach("b")
+    net.attach("c"), net.attach("d")
+    net.fail_link("c", "d")
+    assert net.connected("a", "b") and not net.connected("c", "d")
+    a.send_to("b", "PING")
+    sim.run()
+    assert [m.kind for m in b.mailbox.items] == ["PING"]
+    assert trace.count("msg_drop") == 0 and trace.count("msg_recv") == 1
 
 
 def test_unidirectional_link_failure():

@@ -49,6 +49,23 @@ def test_negative_delay_message_single_source():
     assert sim.peek() == float("inf")
 
 
+def test_after_pushes_its_own_entry_with_the_same_check_and_order():
+    """``after`` spells ``_schedule`` out (one frame per timer): same
+    message, nothing scheduled or taken from the pool on refusal, and
+    sequence numbers still interleave with triggered events in call
+    order."""
+    sim = Simulator()
+    with pytest.raises(ValueError, match=r"negative delay -1\.5"):
+        sim.after(-1.5, lambda trigger: None)
+    assert sim.peek() == float("inf") and sim._sequence == 0
+    order = []
+    sim.after(1.0, lambda trigger: order.append("after-1"))
+    sim.timeout(1.0).callbacks.append(lambda event: order.append("timeout"))
+    sim.after(1.0, lambda trigger: order.append("after-2"))
+    sim.run()
+    assert order == ["after-1", "timeout", "after-2"] and sim.now == 1.0
+
+
 def test_run_until_time_stops_clock_exactly():
     sim = Simulator()
 

@@ -91,6 +91,19 @@ def test_negative_sizes_rejected():
         sim2.run()
 
 
+def test_submit_write_rejects_a_negative_size_like_write_does():
+    """The callback spelling validates where the generator spelling
+    does: at the call, naming the disk's complaint — not later in the
+    kernel as an anonymous "negative delay"."""
+    sim, disk, trace = make_disk()
+    done = []
+    with pytest.raises(ValueError, match="negative write size"):
+        disk.submit_write(-1.0, "mds1", done.append, "served")
+    assert not disk.busy and disk.queue_length == 0
+    sim.run()
+    assert done == [] and trace.count("disk_write") == 0
+
+
 def test_statistics_accumulate():
     sim, disk, trace = make_disk(bandwidth=1000.0)
 

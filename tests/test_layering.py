@@ -102,6 +102,29 @@ def test_module_level_imports_only_point_down_the_layer_list():
     assert upward == []
 
 
+def _writes_now(node):
+    """``x.now = ...``, ``x.now += ...``, unpacking into or deleting
+    ``x.now``, and ``setattr(x, "now", ...)`` in either spelling."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "now" and isinstance(node.ctx, (ast.Store, ast.Del))
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", "")) in ("setattr", "__setattr__")
+        and any(isinstance(arg, ast.Constant) and arg.value == "now" for arg in node.args)
+    )
+
+
+def test_only_the_kernel_assigns_the_clock():
+    """``Simulator.now`` is a plain attribute, so nothing refuses a
+    write: the kernel is the one module that may spell one."""
+    writers = {
+        path.relative_to(SRC).as_posix()
+        for path, _name, tree in _sources()
+        if any(_writes_now(node) for node in ast.walk(tree))
+    }
+    assert writers == {"sim/kernel.py"}
+
+
 @pytest.mark.parametrize(
     "module",
     ["exec", "campaign", "campaign.shrink", "workloads", "harness", "harness.sweeps",
