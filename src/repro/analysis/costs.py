@@ -25,6 +25,7 @@ protocols; ``benchmarks/bench_table1.py`` renders both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.obs.span import PROTOCOL_MSG_KINDS, Span
 
@@ -81,7 +82,7 @@ def fold_span_costs(root: Span, workers: int = 1) -> CostRow:
     the parent/child links, so every WAL force and protocol message of
     the transaction — on any node — is accounted.
     """
-    events = sorted(root.iter_events(), key=lambda e: e.time)
+    events = sorted(root.iter_events(), key=attrgetter("time"))
     reply_times = [e.time for e in events if e.category == "client_reply"]
     if not reply_times:
         raise ValueError(f"span of txn {root.txn_id} has no client_reply event")
@@ -96,11 +97,12 @@ def fold_span_costs(root: Span, workers: int = 1) -> CostRow:
     sends = []
     for event in events:
         if event.category == "log_append":
-            target = sync_groups if event.get("sync") else async_groups
+            target = sync_groups if event.detail.get("sync") else async_groups
             target.setdefault((event.actor, event.time), []).append(event)
         elif event.category == "log_durable":
-            durables[(event.actor, event.get("kind"), bool(event.get("sync")))] = event.time
-        elif event.category == "msg_send" and event.get("kind") in PROTOCOL_MSG_KINDS:
+            detail = event.detail
+            durables[(event.actor, detail.get("kind"), bool(detail.get("sync")))] = event.time
+        elif event.category == "msg_send" and event.detail.get("kind") in PROTOCOL_MSG_KINDS:
             sends.append(event)
 
     sync_total = len(sync_groups)
@@ -108,7 +110,7 @@ def fold_span_costs(root: Span, workers: int = 1) -> CostRow:
 
     sync_intervals = []
     for (actor, start), evs in sync_groups.items():
-        ends = [durables.get((actor, e.get("kind"), True), float("inf")) for e in evs]
+        ends = [durables.get((actor, e.detail.get("kind"), True), float("inf")) for e in evs]
         end = max(ends)
         if end <= reply_time:
             sync_intervals.append((start, end))

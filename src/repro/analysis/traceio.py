@@ -60,25 +60,46 @@ def dump_trace(trace: TraceLog, target: Union[str, Path, IO[str]]) -> int:
             stream.close()
 
 
+class TraceFormatError(ValueError):
+    """A trace line that is not a record: names the 1-based line and
+    what is wrong with it."""
+
+
+def _record_of(raw: Any) -> TraceRecord:
+    """A parsed line as a record.  The file may be truncated or edited
+    by hand, so nothing in it is taken on trust: a line that loads must
+    not fail later inside a fold."""
+    if not isinstance(raw, dict):
+        raise ValueError("not a JSON object")
+    for key in ("t", "cat", "actor"):
+        if key not in raw:
+            raise ValueError(f"missing {key!r}")
+    if isinstance(raw["t"], bool) or not isinstance(raw["t"], (int, float)):
+        raise ValueError("'t' must be a number")
+    if not isinstance(raw["cat"], str) or not isinstance(raw["actor"], str):
+        raise ValueError("'cat' and 'actor' must be strings")
+    detail = raw.get("detail", {})
+    if not isinstance(detail, dict):
+        raise ValueError("'detail' must be an object")
+    return TraceRecord(raw["t"], raw["cat"], raw["actor"], detail)
+
+
 def load_trace_records(source: Union[str, Path, IO[str]]) -> list[TraceRecord]:
-    """Read JSON-lines records back (detail values are JSON types)."""
+    """Read JSON-lines records back (detail values are JSON types);
+    raises :class:`TraceFormatError` for a line that is not a record."""
     own = isinstance(source, (str, Path))
     stream: IO[str] = open(source) if own else source  # type: ignore[arg-type]
     try:
         records = []
-        for line in stream:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(stream, start=1):
+            if not line.strip():
                 continue
-            raw = json.loads(line)
-            records.append(
-                TraceRecord(
-                    time=raw["t"],
-                    category=raw["cat"],
-                    actor=raw["actor"],
-                    detail=raw.get("detail", {}),
-                )
-            )
+            try:
+                records.append(_record_of(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"line {number}: not JSON ({exc.msg})") from None
+            except ValueError as exc:
+                raise TraceFormatError(f"line {number}: {exc}") from None
         return records
     finally:
         if own:

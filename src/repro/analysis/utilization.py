@@ -48,20 +48,18 @@ def device_utilization(
     records = trace.select("disk_write") + trace.select("disk_read")
     if not records:
         return {}
-    end = window if window is not None else max(r.time for r in records)
+    end = window if window is not None else max([r.time for r in records])
     out: dict[str, DeviceUtilization] = {}
     per_device: dict[str, list] = {}
     for rec in records:
-        per_device.setdefault(rec.get("device", "?"), []).append(rec)
-    for device, recs in per_device.items():
-        busy = sum(r.get("service", 0.0) for r in recs)
-        moved = sum(r.get("nbytes", 0.0) for r in recs)
+        per_device.setdefault(rec.detail.get("device", "?"), []).append(rec.detail)
+    for device, details in per_device.items():
         out[device] = DeviceUtilization(
             device=device,
-            busy_time=busy,
+            busy_time=sum([d.get("service", 0.0) for d in details]),
             window=end,
-            operations=len(recs),
-            bytes_moved=moved,
+            operations=len(details),
+            bytes_moved=sum([d.get("nbytes", 0.0) for d in details]),
         )
     return out
 
@@ -91,14 +89,16 @@ def lock_contention(trace: TraceLog) -> dict[str, LockContention]:
     stats: dict[str, dict] = {}
     for rec in trace.records:
         if rec.category == "lock_wait":
-            waits[(rec.get("txn"), str(rec.get("obj")))] = rec.time
+            detail = rec.detail
+            waits[(detail.get("txn"), str(detail.get("obj")))] = rec.time
         elif rec.category == "lock_grant":
-            obj = str(rec.get("obj"))
+            detail = rec.detail
+            obj = str(detail.get("obj"))
             entry = stats.setdefault(
                 obj, {"waits": 0, "grants": 0, "total": 0.0, "max": 0.0}
             )
             entry["grants"] += 1
-            key = (rec.get("txn"), obj)
+            key = (detail.get("txn"), obj)
             if key in waits:
                 waited = rec.time - waits.pop(key)
                 entry["waits"] += 1

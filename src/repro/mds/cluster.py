@@ -161,6 +161,8 @@ class Cluster:
         self._client_ids = itertools.count(1)
         #: The "leave" module: every finished transaction's outcome.
         self.outcomes: list[TxnOutcome] = []
+        #: The outcome count :meth:`run_until_answered` is waiting for.
+        self._awaited: Optional[int] = None
         self.heartbeat_services: dict[str, HeartbeatService] = {}
         if heartbeats:
             for name in server_names:
@@ -264,6 +266,20 @@ class Cluster:
             self.outcome_sink(outcome)
         else:
             self.outcomes.append(outcome)
+            if len(self.outcomes) == self._awaited:
+                self.sim.stop()
+
+    def run_until_answered(self, expected: int, budget: float) -> bool:
+        """Run until ``expected`` outcomes were answered (the clock stays
+        on the event that recorded the last one) or ``budget`` virtual
+        seconds passed, schedule dry or not; says whether they were."""
+        if len(self.outcomes) < expected:
+            self._awaited = expected
+            try:
+                self.sim.run(until=self.sim.now + budget)
+            finally:
+                self._awaited = None
+        return len(self.outcomes) >= expected
 
     def committed_outcomes(self) -> list[TxnOutcome]:
         return [o for o in self.outcomes if o.committed]

@@ -103,17 +103,21 @@ def _span_complete_event(span: Span, pid: int) -> dict[str, Any]:
     }
 
 
-def _instant_event(event: TraceRecord, pid: int, tid: int) -> dict[str, Any]:
-    return {
-        "name": event.category,
-        "cat": event.category,
-        "ph": "i",
-        "s": "t",  # thread-scoped instant
-        "pid": pid,
-        "tid": tid,
-        "ts": event.time * _US,
-        "args": dict(event.detail),
-    }
+def _instant_events(records: list[TraceRecord], pid: int, tid: int) -> list[dict[str, Any]]:
+    """The records of one span (or of the cluster scope) as instants."""
+    return [
+        {
+            "name": event.category,
+            "cat": event.category,
+            "ph": "i",
+            "s": "t",  # thread-scoped instant
+            "pid": pid,
+            "tid": tid,
+            "ts": event.time * _US,
+            "args": dict(event.detail),
+        }
+        for event in records
+    ]
 
 
 def chrome_trace(
@@ -141,8 +145,7 @@ def chrome_trace(
     for span in spans:
         pid = pids[span.actor]
         events.append(_span_complete_event(span, pid))
-        for event in span.events:
-            events.append(_instant_event(event, pid, span.txn_id))
+        events += _instant_events(span.events, pid, span.txn_id)
     if include_cluster_events and collector.cluster_events:
         cluster_pid = len(pids) + 1
         events.append(
@@ -155,8 +158,7 @@ def chrome_trace(
                 "args": {"name": "cluster"},
             }
         )
-        for event in collector.cluster_events:
-            events.append(_instant_event(event, cluster_pid, 0))
+        events += _instant_events(collector.cluster_events, cluster_pid, 0)
     doc: dict[str, Any] = {
         "traceEvents": events,
         "displayTimeUnit": "ms",

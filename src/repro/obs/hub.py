@@ -32,7 +32,7 @@ from repro.obs.span import (
     Span,
     SpanCollector,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.sim.monitor import TraceLog, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,6 +78,9 @@ class Observability:
         self.trace = TraceLog(sim, enabled=enabled)
         self.spans = SpanCollector(sim)
         self.metrics = MetricsRegistry()
+        #: ``_COUNTERS`` key -> its counter (or None), bound at the key's
+        #: first record: the registry lists only counters that were bumped.
+        self._bound: dict[Any, Optional[Counter]] = {}
         #: Called with each record as it is appended; replaced, never
         #: mutated, so a listener may unsubscribe from inside its call.
         self.listeners: list[Callable[[TraceRecord], None]] = []
@@ -92,25 +95,32 @@ class Observability:
         category: str,
         actor: str,
         detail: dict[str, Any],
+        txn: Optional[int] = None,
         node: Optional[str] = None,
         split: Optional[bool] = None,
         amount: float = 1.0,
     ) -> None:
         """Allocate one record and feed the stream, its span and its counter.
 
-        ``node`` names the span leg of ``detail["txn"]`` that owns the
-        record (``None`` keeps it off the spans); ``split`` selects the
-        counter of a category that has two, ``amount`` is its step.
+        ``(txn, node)`` is the span leg that owns the record, from the
+        hook that holds both (no ``node`` keeps it off the spans);
+        ``split`` selects the counter of a category that has two,
+        ``amount`` is its step.
         """
         record = TraceRecord(self.sim.now, category, actor, detail)
         self.trace.records.append(record)
         for listener in self.listeners:
             listener(record)
-        counter = _COUNTERS.get(category if split is None else (category, split))
+        key = category if split is None else (category, split)
+        try:
+            counter = self._bound[key]
+        except KeyError:
+            name = _COUNTERS.get(key)
+            counter = self._bound[key] = self.metrics.counter(name) if name else None
         if counter is not None:
-            self.metrics.inc(counter, amount)
+            counter.value += amount
         if node is not None:
-            self.spans.record(detail.get("txn"), node, record)
+            self.spans.record(txn, node, record)
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Call ``listener(record)`` for every record appended from now on."""
@@ -124,9 +134,8 @@ class Observability:
         device traffic); one naming a ``txn`` also lands on its span."""
         if not self.enabled:
             return
-        self._emit(
-            category, actor, detail, actor if detail.get("txn") is not None else None
-        )
+        txn = detail.get("txn")
+        self._emit(category, actor, detail, txn, actor if txn is not None else None)
 
     # -- transaction lifecycle ----------------------------------------------
 
@@ -157,9 +166,8 @@ class Observability:
     def txn_fallback(self, actor: str, txn: int, *, op: str, workers: int) -> None:
         if not self.enabled:
             return
-        self._emit(
-            "fallback_protocol", actor, {"txn": txn, "op": op, "workers": workers}, actor
-        )
+        detail = {"txn": txn, "op": op, "workers": workers}
+        self._emit("fallback_protocol", actor, detail, txn, actor)
 
     def worker_open(self, actor: str, txn: int, *, opener: str, protocol: str = "") -> None:
         """A worker session opened for a remote transaction (span only —
@@ -188,9 +196,8 @@ class Observability:
     def client_reply(self, actor: str, txn: int, *, committed: bool, op: str) -> None:
         if not self.enabled:
             return
-        self._emit(
-            "client_reply", actor, {"txn": txn, "committed": committed, "op": op}, actor
-        )
+        detail = {"txn": txn, "committed": committed, "op": op}
+        self._emit("client_reply", actor, detail, txn, actor)
         root = self.spans.span_of(txn)
         if root is not None:
             root.attrs["replied_at"] = self.sim.now
@@ -216,7 +223,7 @@ class Observability:
             {"txn": txn, "committed": committed, "op": op, "latency": latency},
             split=committed,
         )
-        self.metrics.observe("txn.client_latency", latency)
+        self.metrics.histogram("txn.client_latency").observe(latency)
         root = self.spans.span_of(txn)
         if root is not None:
             self.spans.close(
@@ -232,15 +239,15 @@ class Observability:
         forced = 0
         messages = 0
         for event in root.iter_events():
-            if event.category == "log_append" and event.get("sync"):
+            if event.category == "log_append" and event.detail.get("sync"):
                 forced += 1
             elif (
                 event.category == "msg_send"
-                and event.get("kind") in PROTOCOL_MSG_KINDS
+                and event.detail.get("kind") in PROTOCOL_MSG_KINDS
             ):
                 messages += 1
-        self.metrics.observe("txn.forced_writes", float(forced))
-        self.metrics.observe("txn.messages", float(messages))
+        self.metrics.histogram("txn.forced_writes").observe(float(forced))
+        self.metrics.histogram("txn.messages").observe(float(messages))
 
     # -- network -------------------------------------------------------------
 
@@ -249,23 +256,22 @@ class Observability:
     ) -> None:
         if not self.enabled:
             return
-        self._emit(
-            "msg_send", actor, {"kind": kind, "dst": dst, "txn": txn, "msg_id": msg_id}, actor
-        )
+        detail = {"kind": kind, "dst": dst, "txn": txn, "msg_id": msg_id}
+        self._emit("msg_send", actor, detail, txn, actor)
 
     def msg_recv(
         self, actor: str, *, kind: str, src: str, txn: Optional[int], msg_id: int
     ) -> None:
         if not self.enabled:
             return
-        self._emit(
-            "msg_recv", actor, {"kind": kind, "src": src, "txn": txn, "msg_id": msg_id}, actor
-        )
+        detail = {"kind": kind, "src": src, "txn": txn, "msg_id": msg_id}
+        self._emit("msg_recv", actor, detail, txn, actor)
 
     def msg_drop(self, actor: str, *, reason: str, kind: str, **detail: Any) -> None:
         if not self.enabled:
             return
-        self._emit("msg_drop", actor, {"reason": reason, "kind": kind, **detail}, actor)
+        txn = detail.get("txn")
+        self._emit("msg_drop", actor, {"reason": reason, "kind": kind, **detail}, txn, actor)
 
     # -- write-ahead log ------------------------------------------------------
 
@@ -276,25 +282,16 @@ class Observability:
         # ``str`` here, after the early-out: a disabled hub formats nothing.
         if not self.enabled:
             return
-        self._emit(
-            "log_append",
-            actor,
-            {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes},
-            actor,
-            split=sync,
-        )
+        detail = {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes}
+        self._emit("log_append", actor, detail, txn, actor, split=sync)
 
     def log_durable(
         self, actor: str, *, kind: Any, txn: Optional[int], sync: bool, nbytes: float
     ) -> None:
         if not self.enabled:
             return
-        self._emit(
-            "log_durable",
-            actor,
-            {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes},
-            actor,
-        )
+        detail = {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes}
+        self._emit("log_durable", actor, detail, txn, actor)
 
     def log_crash(self, actor: str, *, lost_jobs: int) -> None:
         if not self.enabled:
@@ -318,12 +315,8 @@ class Observability:
         # is unwrapped after the early-out, like ``kind`` above.
         if not self.enabled:
             return
-        self._emit(
-            "lock_grant",
-            manager,
-            {"txn": txn, "obj": obj, "mode": str(mode)},
-            _lock_leg(manager, txn),
-        )
+        detail = {"txn": txn, "obj": obj, "mode": str(mode)}
+        self._emit("lock_grant", manager, detail, txn, _lock_leg(manager, txn))
         self._lock_grants[(manager, txn, obj)] = self.sim.now
 
     def lock_upgrade(self, manager: str, *, txn: Any, obj: Any) -> None:
@@ -334,41 +327,37 @@ class Observability:
     def lock_wait(self, manager: str, *, txn: Any, obj: Any, mode: str) -> None:
         if not self.enabled:
             return
-        self._emit(
-            "lock_wait",
-            manager,
-            {"txn": txn, "obj": obj, "mode": str(mode)},
-            _lock_leg(manager, txn),
-        )
+        detail = {"txn": txn, "obj": obj, "mode": str(mode)}
+        self._emit("lock_wait", manager, detail, txn, _lock_leg(manager, txn))
 
     def lock_timeout(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
             return
-        self._emit(
-            "lock_timeout", manager, {"txn": txn, "obj": obj}, _lock_leg(manager, txn)
-        )
+        self._emit("lock_timeout", manager, {"txn": txn, "obj": obj}, txn, _lock_leg(manager, txn))
 
     def lock_release(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
             return
-        self._emit(
-            "lock_release", manager, {"txn": txn, "obj": obj}, _lock_leg(manager, txn)
-        )
+        self._emit("lock_release", manager, {"txn": txn, "obj": obj}, txn, _lock_leg(manager, txn))
         granted = self._lock_grants.pop((manager, txn, obj), None)
         if granted is not None:
-            self.metrics.observe("locks.hold_time", self.sim.now - granted)
+            self.metrics.histogram("locks.hold_time").observe(self.sim.now - granted)
 
     # -- nodes, fencing --------------------------------------------------------
 
     def node_crash(self, actor: str) -> None:
         if not self.enabled:
             return
-        self._emit("crash", actor, {}, actor)
+        self._emit("crash", actor, {}, None, actor)
+        # Its lock table is gone and no release will name what it held:
+        # the hold-time shadow of those grants goes with it.
+        held = f"locks:{actor}"
+        self._lock_grants = {k: t for k, t in self._lock_grants.items() if k[0] != held}
 
     def node_restart(self, actor: str) -> None:
         if not self.enabled:
             return
-        self._emit("restart", actor, {}, actor)
+        self._emit("restart", actor, {}, None, actor)
 
     def node_recovered(self, actor: str) -> None:
         if not self.enabled:
@@ -378,9 +367,9 @@ class Observability:
     def fence(self, by: str, *, target: str) -> None:
         if not self.enabled:
             return
-        self._emit("fence", by, {"target": target}, by)
+        self._emit("fence", by, {"target": target}, None, by)
 
     def unfence(self, by: str, *, target: str) -> None:
         if not self.enabled:
             return
-        self._emit("unfence", by, {"target": target}, by)
+        self._emit("unfence", by, {"target": target}, None, by)

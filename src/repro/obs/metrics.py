@@ -42,14 +42,14 @@ class Histogram:
     (keyed by the histogram name, so summaries stay reproducible).
     """
 
-    __slots__ = ("name", "_stats")
+    __slots__ = ("name", "_stats", "observe")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._stats = StreamingStats(label=name)
-
-    def observe(self, value: float) -> None:
-        self._stats.observe(value)
+        #: ``observe(value)`` records one observation: the accumulator's
+        #: own method, so an observation enters one frame, not two.
+        self.observe = self._stats.observe
 
     @property
     def values(self) -> list[float]:

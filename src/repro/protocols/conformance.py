@@ -238,8 +238,12 @@ def _check_isolation(protocol: str, report: ConformanceReport) -> None:
     other.submit(other.plan_create("/dir1/race"))
     for i in range(4):
         client.submit(client.plan_create(f"/dir1/c{i}"))
-    while len(cluster.outcomes) < 6:
-        cluster.sim.step()
+    if not cluster.run_until_answered(6, 120.0):
+        # A lost reply is a finding; the checks below run on what came.
+        report.record(
+            False,
+            f"{protocol}: only {len(cluster.outcomes)}/6 operations answered within 120 s",
+        )
     cluster.sim.run(until=cluster.sim.now + 120.0)
     winners = [o for o in cluster.outcomes if o.path == "/dir1/race" and o.committed]
     report.record(len(winners) == 1, f"{protocol}: same-name race had {len(winners)} winners")

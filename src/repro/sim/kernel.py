@@ -14,7 +14,11 @@ heap and ``heappop`` are bound to locals, the callback dispatch of
 :meth:`~repro.sim.events.Event._run_callbacks` is inlined (no event
 subclass overrides it), and the processed-event counter is accumulated
 locally and flushed once.  ``step()`` stays the one-event-at-a-time
-public API with identical semantics.
+public API with identical semantics.  A driver that waits for a *count*
+runs too: it gives ``run(until=<time>)`` its budget and calls
+:meth:`Simulator.stop` in the event that completes the count.  The
+bounded loop compares due times against ``_horizon``, which ``stop()``
+pulls in (an attribute read per event); the unbounded loop checks nothing.
 
 The kernel also keeps a small **freelist of trigger events**: every
 :meth:`Simulator.after` timer (process kick-starts and relays of
@@ -109,6 +113,8 @@ class Simulator:
         self._sequence = 0
         self._active_process: Optional[Process] = None
         self._pool: list[_TriggerEvent] = []
+        #: Time bound of the ``run(until=<time>)`` in progress, else ``inf``.
+        self._horizon = _INF
         #: Number of events processed so far (exposed for statistics).
         self.events_processed = 0
 
@@ -225,7 +231,8 @@ class Simulator:
         """Run until the schedule drains, ``until`` time passes, or an
         ``until`` event triggers.
 
-        Returns the value of the ``until`` event when one is given.
+        Returns the value of the ``until`` event when one is given; a
+        time-bounded run ends with the clock at ``until`` unless stopped.
         """
         stop_event: Optional[Event] = None
         deadline = _INF
@@ -265,7 +272,8 @@ class Simulator:
                     if event._pooled and len(pool) < _POOL_MAX:
                         pool.append(event)  # type: ignore[arg-type]
             else:
-                while heap and heap[0][0] <= deadline:
+                self._horizon = deadline
+                while heap and heap[0][0] <= self._horizon:
                     entry = heappop(heap)
                     event = entry[3]
                     self.now = entry[0]
@@ -284,6 +292,7 @@ class Simulator:
             return stop.value
         finally:
             self.events_processed += processed
+            horizon, self._horizon = self._horizon, _INF
             if stop_event is not None:
                 cbs = stop_event._callbacks
                 if cbs is not None and self._stop_on_event in cbs:
@@ -297,9 +306,20 @@ class Simulator:
             raise SimulationError(
                 f"schedule drained at t={self.now} before {stop_event!r} triggered"
             )
-        if deadline != _INF:
+        if deadline != _INF and horizon == deadline:  # not stopped
             self.now = deadline
         return None
+
+    def stop(self) -> None:
+        """End the ``run(until=<time>)`` in progress after the event
+        being processed: the clock stays on that event, later entries
+        (same-instant ones included) stay scheduled, ``events_processed``
+        is what stepping up to here would count.  Time-bounded runs
+        only: a driver that waits for a count always has a budget.
+        """
+        if self._horizon == _INF:
+            raise SimulationError("stop() outside a time-bounded run")
+        self._horizon = -_INF  # before every due time
 
     @staticmethod
     def _stop_on_event(event: Event) -> None:

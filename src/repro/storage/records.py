@@ -29,8 +29,9 @@ class RecordKind(str, Enum):
     #: into that participant's consensus instance.
     BALLOT = "BALLOT"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
+    #: ``str(kind)`` is the bare value, as ``enum.StrEnum`` spells it:
+    #: what the hub's log hooks record.
+    __str__ = str.__str__
 
 
 @dataclass(frozen=True)

@@ -67,26 +67,21 @@ def wal_totals(cluster: Cluster) -> tuple[int, int]:
 def drain(
     cluster: Cluster, expected: int, what: str, budget: float = 3600.0, settle: float = SETTLE
 ) -> None:
-    """Step the simulation until ``expected`` outcomes arrived, then
-    run ``settle`` more virtual seconds.
+    """Run the simulation until ``expected`` outcomes arrived, then
+    ``settle`` more virtual seconds.
 
-    Raises ``RuntimeError`` naming the cell when the next event lies
-    more than ``budget`` virtual seconds ahead — which covers both a
-    schedule that ran dry (``peek()`` is ``inf``) and one kept alive
-    by a periodic timer while a transaction goes unanswered.
+    Raises ``RuntimeError`` naming the cell when they did not arrive
+    within ``budget`` virtual seconds — which covers both a schedule
+    that ran dry and one kept alive by a periodic timer while a
+    transaction goes unanswered.
     """
-    sim = cluster.sim
-    outcomes = cluster.outcomes
-    deadline = sim.now + budget
-    while len(outcomes) < expected:
-        if sim.peek() > deadline:
-            raise RuntimeError(
-                f"{what} did not finish within {budget:g} virtual seconds "
-                f"({len(outcomes)}/{expected} answered)"
-            )
-        sim.step()
+    if not cluster.run_until_answered(expected, budget):
+        raise RuntimeError(
+            f"{what} did not finish within {budget:g} virtual seconds "
+            f"({len(cluster.outcomes)}/{expected} answered)"
+        )
     if settle:
-        sim.run(until=sim.now + settle)
+        cluster.sim.run(until=cluster.sim.now + settle)
 
 
 def measure(cluster: Cluster, outcomes: Sequence[TxnOutcome], start: float) -> Measurement:

@@ -153,10 +153,7 @@ def run_replay(
     # that are never answered (their replies are simply missing from
     # the measurement), so running out of events or patience here ends
     # the wait instead of failing the cell.
-    expected = len(ops) - skipped["n"] - stats["n"]
-    guard = sim.now + 600.0
-    while len(cluster.outcomes) < expected and sim.peek() < guard:
-        sim.step()
+    cluster.run_until_answered(len(ops) - skipped["n"] - stats["n"], 600.0)
     sim.run(until=sim.now + SETTLE)
 
     if not cluster.outcomes:

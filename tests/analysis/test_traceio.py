@@ -2,8 +2,12 @@
 
 import io
 import json
+import types
+
+import pytest
 
 from repro.analysis.traceio import (
+    TraceFormatError,
     dump_trace,
     load_trace_records,
     summarize,
@@ -70,3 +74,37 @@ def test_load_skips_blank_lines():
     records = load_trace_records(io.StringIO('\n{"t":1,"cat":"x","actor":"a"}\n\n'))
     assert len(records) == 1
     assert records[0].detail == {}
+
+
+def test_a_dump_of_a_live_trace_round_trips_exactly():
+    text = trace_to_string(traced_run())
+    records = load_trace_records(io.StringIO(text))
+    # Loading stringifies nothing further: dumping what was loaded gives
+    # the same bytes, and loading those the same records.
+    again = trace_to_string(types.SimpleNamespace(records=records))
+    assert again == text
+    assert load_trace_records(io.StringIO(again)) == records
+
+
+GOOD = '{"t": 1.5, "cat": "x", "actor": "a", "detail": {}}'
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ('{"t": 1.5, "cat": "x", "act', "not JSON"),  # truncated mid-write
+        ("[1.5]", "not a JSON object"),
+        ('{"cat": "x", "actor": "a"}', "missing 't'"),
+        ('{"t": 1.5, "actor": "a"}', "missing 'cat'"),
+        ('{"t": 1.5, "cat": "x"}', "missing 'actor'"),
+        ('{"t": "soon", "cat": "x", "actor": "a"}', "'t' must be a number"),
+        ('{"t": true, "cat": "x", "actor": "a"}', "'t' must be a number"),
+        ('{"t": 1.5, "cat": 7, "actor": "a"}', "must be strings"),
+        ('{"t": 1.5, "cat": "x", "actor": "a", "detail": []}', "'detail' must be an object"),
+    ],
+)
+def test_a_malformed_line_is_a_typed_error_naming_line_and_field(line, problem):
+    # Line 1 is good, line 2 blank, the bad one is line 3.
+    with pytest.raises(TraceFormatError, match=f"line 3: .*{problem}") as caught:
+        load_trace_records(io.StringIO(f"{GOOD}\n\n{line}\n"))
+    assert isinstance(caught.value, ValueError)

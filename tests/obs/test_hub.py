@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mds.scenarios import distributed_create_cluster
 from repro.obs import Observability
 from repro.sim import Simulator, TraceLog
 from repro.sim.monitor import TraceRecord
@@ -230,3 +231,61 @@ def test_txn_done_folds_span_into_per_txn_metrics():
     assert obs.metrics.get_histogram("txn.forced_writes").values == [2.0]
     # Client traffic is not a protocol message.
     assert obs.metrics.get_histogram("txn.messages").values == [1.0]
+
+
+def test_a_crash_drops_the_lock_hold_shadow_of_that_nodes_manager_only():
+    sim = Simulator()
+    obs = Observability(sim)
+    obs.lock_grant("locks:mds1", txn=1, obj="/d", mode="X")
+    obs.lock_grant("locks:mds2", txn=1, obj="inode:7", mode="X")
+    sim.run(until=0.1)
+    obs.node_crash("mds1")  # the table vanishes: no release will name /d
+    assert list(obs._lock_grants) == [("locks:mds2", 1, "inode:7")]
+    sim.run(until=0.2)
+    obs.lock_grant("locks:mds1", txn=1, obj="/d", mode="X")  # recovery re-acquires
+    sim.run(until=0.5)
+    obs.lock_release("locks:mds1", txn=1, obj="/d")
+    obs.lock_release("locks:mds2", txn=1, obj="inode:7")
+    assert obs.metrics.get_histogram("locks.hold_time").values == [0.5 - 0.2, 0.5]
+    assert obs._lock_grants == {}
+
+
+def test_a_crashed_server_leaves_no_lock_hold_shadow_behind():
+    cluster, client = distributed_create_cluster("1PC")
+    client.submit(client.plan_create("/dir1/f0"))
+    cluster.sim.run(until=2e-3)
+    (held,) = [key for key in cluster.obs._lock_grants if key[0] == "locks:mds1"]
+    crashed_at = cluster.sim.now
+    cluster.crash_server("mds1")
+    assert not [key for key in cluster.obs._lock_grants if key[0] == "locks:mds1"]
+    cluster.restart_server("mds1")
+    cluster.sim.run(until=60.0)
+    # Recovery redid the transaction: its hold is timed from the new
+    # grant, not from the one the crash wiped out.
+    trace = cluster.trace
+    (regrant,) = [
+        r for r in trace.select("lock_grant", actor="locks:mds1", txn=held[1], obj=held[2])
+        if r.time > crashed_at
+    ]
+    (release,) = trace.select("lock_release", actor="locks:mds1", txn=held[1], obj=held[2])
+    assert release.time - regrant.time in cluster.metrics.get_histogram("locks.hold_time").values
+    assert cluster.obs._lock_grants == {}
+
+
+def test_counters_bind_at_their_first_bump_and_a_counterless_category_makes_none():
+    obs = hub()
+    obs.lock_upgrade("locks:mds2", txn=1, obj="/d")
+    obs.log_restart("mds2")
+    obs.log_restart("mds2")  # the bound "no counter" answer is reused
+    assert obs.metrics.snapshot()["counters"] == {}
+    obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
+    obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=2)
+    obs.log_append("mds2", kind="REDO", txn=1, sync=False, nbytes=64.0)
+    obs.log_gc("mds2", txn=1, removed=3)
+    assert obs.metrics.snapshot()["counters"] == {
+        "net.sent": 2.0,
+        "wal.gc_records": 3.0,
+        "wal.lazy_appends": 1.0,
+    }
+    # Bound, not copied: the registry's counter is the one being bumped.
+    assert obs.metrics.counter("net.sent").value == 2.0

@@ -1,6 +1,6 @@
 """Span and SpanCollector lifecycle unit tests."""
 
-from repro.obs import COORDINATOR, UNCLOSED, WORKER, Observability, SpanCollector
+from repro.obs import COORDINATOR, UNCLOSED, WORKER, Observability, Span, SpanCollector
 from repro.sim import Simulator
 from repro.sim.monitor import TraceRecord
 
@@ -118,3 +118,44 @@ def test_last_time_considers_children():
     leg = spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds2")
     leg.events.append(rec(9.0, "log_append", "mds2"))
     assert root.last_time() == 9.0
+
+
+def _recursive_iter_events(span, recurse=True):
+    """The generator ``Span.iter_events`` used to be: the order reference."""
+    yield from span.events
+    if recurse:
+        for child in span.children:
+            yield from _recursive_iter_events(child)
+
+
+def test_iter_events_walks_span_by_span_depth_first_like_the_recursive_reference():
+    spans = collector()
+    root = spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1")
+    spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds2")
+    spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds3")
+    # Interleaved in time: the walk is by span, not by timestamp.
+    for t, node in enumerate(["mds3", "mds1", "mds2", "mds1", "mds3", "mds2"]):
+        spans.record(1, node, rec(float(t), "msg_send", node))
+    walked = list(root.iter_events())
+    assert [(e.actor, e.time) for e in walked] == [
+        ("mds1", 1.0), ("mds1", 3.0), ("mds2", 2.0), ("mds2", 5.0), ("mds3", 0.0), ("mds3", 4.0),
+    ]
+    assert all(a is b for a, b in zip(walked, _recursive_iter_events(root)))
+    # Without recursion: the span's own records only, legs untouched.
+    own = list(root.iter_events(recurse=False))
+    assert own == root.events and all(a is b for a, b in zip(own, root.events))
+    assert list(root.children[0].iter_events(recurse=False)) == root.children[0].events
+
+
+def test_iter_events_reaches_a_hand_built_tree_of_any_depth():
+    def span(span_id, *events, children=()):
+        return Span(
+            span_id=span_id, txn_id=1, name="s", role=WORKER, actor="n", start=0.0,
+            events=list(events), children=list(children),
+        )
+
+    a, b, c, d = (rec(float(t), "x", "n") for t in range(4))
+    tree = span(1, a, children=[span(2, b, children=[span(3, c)]), span(4, d)])
+    assert list(tree.iter_events()) == [a, b, c, d] == list(_recursive_iter_events(tree))
+    assert list(tree.iter_events(recurse=False)) == [a]
+    assert list(span(5).iter_events()) == []

@@ -235,3 +235,72 @@ def test_deterministic_event_ordering_across_runs():
         return order
 
     assert build_and_run() == build_and_run()
+
+
+# -- stop(): ending a time-bounded run from inside an event ------------------
+
+
+def _stopping_sim():
+    """Three same-instant timers at t=1 (the second stops the run) and
+    one at t=2; returns the sim and the firing log."""
+    sim = Simulator()
+    fired = []
+    sim.after(1.0, lambda _t: fired.append("a"))
+    sim.after(1.0, lambda _t: (fired.append("b"), sim.stop()))
+    sim.after(1.0, lambda _t: fired.append("c"))
+    sim.after(2.0, lambda _t: fired.append("d"))
+    return sim, fired
+
+
+def test_stop_ends_the_run_after_the_current_event_with_the_clock_on_it():
+    sim, fired = _stopping_sim()
+    sim.run(until=10.0)
+    assert fired == ["a", "b"]
+    assert sim.now == 1.0  # not the 10.0 an unstopped run ends on
+    assert sim.events_processed == 2  # what stepping up to here counts
+
+
+def test_entries_left_by_a_stop_run_on_the_next_run():
+    sim, fired = _stopping_sim()
+    sim.run(until=10.0)
+    assert sim.peek() == 1.0  # the same-instant entry scheduled later
+    sim.run(until=10.0)
+    assert fired == ["a", "b", "c", "d"]
+    assert sim.now == 10.0 and sim.events_processed == 4
+
+
+def test_the_callbacks_of_the_stopping_event_all_run():
+    sim = Simulator()
+    fired = []
+    event = sim.event()
+    event.callbacks.append(lambda _e: sim.stop())
+    event.callbacks.append(lambda _e: fired.append("second callback"))
+    event.succeed(delay=1.0)
+    sim.run(until=5.0)
+    assert fired == ["second callback"] and sim.now == 1.0
+
+
+def test_stop_outside_a_time_bounded_run_raises():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="outside a time-bounded run"):
+        sim.stop()
+    # An unbounded run and a run until an event have no horizon to pull in.
+    sim.after(1.0, lambda _t: sim.stop())
+    with pytest.raises(SimulationError, match="outside a time-bounded run"):
+        sim.run()
+    sim.after(1.0, lambda _t: sim.stop())
+    with pytest.raises(SimulationError, match="outside a time-bounded run"):
+        sim.run(until=sim.timeout(5.0))
+    # ... and a finished bounded run leaves none behind.
+    sim.run(until=sim.now + 1.0)
+    with pytest.raises(SimulationError, match="outside a time-bounded run"):
+        sim.stop()
+
+
+def test_a_run_that_raised_leaves_no_horizon_behind():
+    sim = Simulator()
+    sim.event().fail(RuntimeError("boom"), delay=1.0)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=5.0)
+    with pytest.raises(SimulationError, match="outside a time-bounded run"):
+        sim.stop()

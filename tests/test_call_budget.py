@@ -8,28 +8,42 @@ event for every code object that lives under ``src/repro/`` —
 generator re-entries included, builtins and the dataclass-generated
 ``<string>`` frames excluded, which is what makes the number
 independent of the interpreter's builtin inventory.  The cell is the
-event budget's: ``RunSpec(kind="burst", protocol=P, n=100, seed=0)``.
+event budget's: ``RunSpec(kind="burst", protocol=P, n=100, seed=0)``,
+once with the hub off and once with ``trace=True``.
 
 It is a ceiling, not an exact pin: the exact gate is the ledger's
 ``calls_per_op`` (``benchmarks/ledger/``), which also counts builtins
 and therefore differs between Python versions.  Measured with this
 exact counter, calls per committed transaction:
 
-==========  =======  =======
-            1PC      PrN
-==========  =======  =======
-before      625.48   891.84   (the parent of the call diet; 3.10 and 3.11)
-call diet   486.51   688.82   (3.11; comprehensions are inlined from 3.12
-                               on, which only lowers it)
-==========  =======  =======
+===========  =======  =======  ==========  ==========  ===========
+             1PC      PrN      1PC traced  PrN traced  per record
+===========  =======  =======  ==========  ==========  ===========
+before       625.48   891.84
+call diet    486.51   688.82   735.60      1004.91     6.56 / 6.45
+trace path   402.93   548.00   514.15      680.22      2.93 / 2.70
+===========  =======  =======  ==========  ==========  ===========
 
-The ceilings are the second row rounded up to the next 5, so the test
-fails at the parent of the call diet by construction.  A change that
-trips one put frames back on the per-transaction path: find them with
-``python3 benchmarks/ledger/run.py --workload composite-1pc --trace 1``
-before raising a ceiling.
+(*before* is the parent of the call diet, on 3.10 and 3.11; the other
+rows are 3.11 — comprehensions are inlined from 3.12 on, which only
+lowers them.)
+
+The ceilings are the last row rounded up to the next 5, so every row
+of the test fails at the parent of the trace path by construction: the
+untraced cell left the driver's ``peek``/``step`` loop, the traced one
+also lost the frames between a hook and its record.  *Per record* is
+what switching the hub on costs, ``(traced - untraced) / records`` with
+3,799 (1PC) and 4,899 (PrN) trace records in the cell: the hook,
+``_emit`` and ``SpanCollector.record``, plus the per-transaction span
+and histogram bookkeeping spread over its records.  It is capped at 3
+package frames for both protocols, whatever the two absolute numbers
+do.  A change that trips a row put frames back on the per-transaction
+path: find them with ``python3 benchmarks/ledger/run.py --workload
+composite-1pc --trace 1`` (``traced-burst`` for a traced row) before
+raising a ceiling.
 """
 
+import functools
 import gc
 import os
 import sys
@@ -44,7 +58,11 @@ _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 #: protocol -> ceiling of Python calls under ``src/repro/`` per
 #: committed transaction of the 100-create burst cell.
-CEILING = {"1PC": 490, "PrN": 690}
+CEILING = {"1PC": 405, "PrN": 550}
+#: The same with ``trace=True``: every hook writes its record.
+TRACED_CEILING = {"1PC": 515, "PrN": 685}
+#: Ceiling of what the hub adds, in package frames per trace record.
+FRAMES_PER_RECORD = 3.0
 
 
 def _package_calls(run):
@@ -76,11 +94,32 @@ def _package_calls(run):
     return result, calls
 
 
+@functools.cache  # the traced rows subtract the untraced measurement
+def _calls_per_transaction(protocol, trace):
+    """``(calls per committed transaction, trace records)`` of the cell."""
+    spec = RunSpec(kind="burst", protocol=protocol, n=100, seed=0, trace=trace)
+    cell, calls = _package_calls(lambda: execute_spec(spec, keep_cluster=True))
+    assert cell.committed == 100
+    return calls / cell.committed, len(cell.payload.cluster.trace.records)
+
+
 @pytest.mark.parametrize("protocol", sorted(CEILING))
 def test_burst_cell_stays_within_its_call_budget(protocol):
-    spec = RunSpec(kind="burst", protocol=protocol, n=100, seed=0)
-    cell, calls = _package_calls(lambda: execute_spec(spec))
-    assert cell.committed == 100
-    assert calls / cell.committed <= CEILING[protocol], (
-        f"{protocol}: {calls / cell.committed:.2f} calls per committed transaction"
+    calls, records = _calls_per_transaction(protocol, trace=False)
+    assert records == 0
+    assert calls <= CEILING[protocol], (
+        f"{protocol}: {calls:.2f} calls per committed transaction"
+    )
+
+
+@pytest.mark.parametrize("protocol", sorted(TRACED_CEILING))
+def test_traced_burst_cell_stays_within_its_call_budget(protocol):
+    untraced, _ = _calls_per_transaction(protocol, trace=False)
+    traced, records = _calls_per_transaction(protocol, trace=True)
+    assert traced <= TRACED_CEILING[protocol], (
+        f"{protocol}: {traced:.2f} calls per committed transaction with the hub on"
+    )
+    per_record = (traced - untraced) * 100 / records
+    assert per_record <= FRAMES_PER_RECORD, (
+        f"{protocol}: the hub adds {per_record:.2f} package frames per trace record"
     )

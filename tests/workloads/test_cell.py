@@ -1,5 +1,6 @@
-"""The cell skeleton: one drain loop, both of its failure exits, and
-the abort-burst cell's realised refusal rate."""
+"""The cell skeleton: one wait for the answers (no step loop anywhere),
+both failure exits of ``drain``, and the abort-burst cell's realised
+refusal rate."""
 
 import ast
 from pathlib import Path
@@ -22,15 +23,28 @@ def _steps_until_outcomes(loop):
 
 
 def test_the_drain_loop_is_spelled_once():
-    spelled = sorted(
-        str(path.relative_to(SRC))
-        for path in SRC.rglob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
+    trees = {
+        str(path.relative_to(SRC)): ast.parse(path.read_text()) for path in SRC.rglob("*.py")
+    }
+    # Stepping until the answers are in is spelled nowhere: the driver
+    # runs the kernel's own loop and ``record_outcome`` stops it.
+    stepped = sorted(
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.While) and _steps_until_outcomes(node)
     )
-    # The skeleton; the open-loop replay, which tolerates unanswered
-    # operations; the conformance battery, which sits below workloads.
-    assert spelled == ["protocols/conformance.py", "workloads/cell.py", "workloads/replay.py"]
+    assert stepped == []
+    # The one spelling is ``Cluster.run_until_answered``; its callers
+    # are the skeleton, the open-loop replay (which tolerates unanswered
+    # operations) and the conformance battery (which sits below workloads).
+    callers = sorted(
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "run_until_answered"
+    )
+    assert callers == ["protocols/conformance.py", "workloads/cell.py", "workloads/replay.py"]
 
 
 def _one_create():
