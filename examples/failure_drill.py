@@ -18,6 +18,7 @@ Run:  python examples/failure_drill.py
 """
 
 from repro import Cluster
+from repro.faults import CrashFault, FaultPlan, PartitionFault
 from repro.fs.placement import ForcedDistributedPlacement
 
 
@@ -53,14 +54,15 @@ def narrate(cluster, since=0.0):
 def act1_worker_crash():
     print("Act 1 — worker crashes before committing")
     cluster, client = build()
+    # Crash the worker, for good, the moment the update request reaches it.
+    FaultPlan([
+        CrashFault(
+            node="mds2",
+            when=lambda t: t.select("msg_recv", actor="mds2", kind="UPDATE_REQ"),
+            restart_after=float("inf"),
+        )
+    ]).install(cluster)
     client.submit(client.plan_create("/dir1/lost"))
-    # Crash the worker the moment the update request reaches it.
-    while not any(
-        r.category == "msg_recv" and r.actor == "mds2" and r.get("kind") == "UPDATE_REQ"
-        for r in cluster.trace.records
-    ):
-        cluster.sim.step()
-    cluster.crash_server("mds2")
     cluster.sim.run(until=cluster.sim.now + 120.0)
     narrate(cluster)
     print(f"  => invariants: {cluster.check_invariants() or 'OK'};"
@@ -70,18 +72,17 @@ def act1_worker_crash():
 def act2_partition_after_commit():
     print("Act 2 — partition after the worker committed (split-brain bait)")
     cluster, client = build()
+    # Cut the worker off once its COMMITTED is durable; heal 5 s later.
+    FaultPlan([
+        PartitionFault(
+            when=lambda t: t.select("log_durable", actor="mds2", kind="COMMITTED"),
+            groups=[frozenset({"mds2"})],
+            heal_after=5.0,
+        )
+    ]).install(cluster)
     client.submit(client.plan_create("/dir1/saved"))
-    while not any(
-        r.category == "log_durable" and r.actor == "mds2" and r.get("kind") == "COMMITTED"
-        for r in cluster.trace.records
-    ):
-        cluster.sim.step()
-    t = cluster.sim.now
-    cluster.partition({"mds2"})
-    cluster.sim.run(until=cluster.sim.now + 5.0)
-    cluster.heal_partition()
-    cluster.sim.run(until=cluster.sim.now + 120.0)
-    narrate(cluster, since=t)
+    cluster.sim.run(until=cluster.sim.now + 125.0)
+    narrate(cluster, since=cluster.trace.select("fault")[0].time)
     print(f"  => invariants: {cluster.check_invariants() or 'OK'};"
           f" /dir1 = {cluster.listdir('/dir1')}\n")
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""mdtest-style phase comparison across all five protocols.
+"""mdtest-style phase comparison across every registered protocol.
 
 mdtest is the standard metadata benchmark on HPC systems: create all
 files, stat them, delete them, reporting per-phase operations per
 second.  This example runs those phases against the simulated cluster
-for every registered commit protocol, including the PrA extension.
+for every registered commit protocol, the extensions included.
 Stat is a read — it needs no commit protocol, so its rate is protocol
 independent; create and delete are two-MDS distributed transactions
 and spread exactly as Figure 6 predicts.
@@ -14,10 +14,10 @@ Run:  python examples/mdtest_comparison.py
 
 from repro.analysis.tables import render_table
 from repro.mds.scenarios import distributed_create_cluster
+from repro.protocols.registry import default_protocols
 from repro.workloads import run_mdtest_phases
 
 N_FILES = 40
-PROTOCOLS = ("PrN", "PrA", "PrC", "EP", "1PC")
 
 
 def stat_phase_rate(protocol: str, n: int) -> float:
@@ -47,7 +47,7 @@ def stat_phase_rate(protocol: str, n: int) -> float:
 
 def main() -> None:
     rows = []
-    for protocol in PROTOCOLS:
+    for protocol in default_protocols():
         phases = run_mdtest_phases(protocol, n_files=N_FILES)
         stat_rate = stat_phase_rate(protocol, N_FILES)
         rows.append(

@@ -19,7 +19,7 @@ are folded from the *transaction span* of one distributed CREATE
   reply.
 
 ``test_table1.py`` asserts measured == analytical for all four
-protocols; ``benchmarks/bench_table1.py`` renders both.
+protocols; the ``table1`` report artifact renders both.
 """
 
 from __future__ import annotations

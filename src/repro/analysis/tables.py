@@ -1,7 +1,7 @@
 """Plain-text rendering of tables and bar charts.
 
-The benchmarks print the paper's artifacts in a terminal-friendly
-form: Table I as an aligned table, Figure 6 as a horizontal bar chart.
+The report prints the paper's artifacts in a terminal-friendly form:
+Table I as an aligned table, Figure 6 as a horizontal bar chart.
 """
 
 from __future__ import annotations

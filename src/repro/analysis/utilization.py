@@ -10,7 +10,7 @@ per-transaction time breakdowns:
 * per-transaction phase breakdown (lock wait, log forces, messaging)
   reconstructed from the transaction's trace records.
 
-Used by ``benchmarks/bench_utilization.py`` to explain *why* Figure 6
+Used by the ``utilization`` report artifact to explain *why* Figure 6
 comes out the way it does — the coordinator's log device and the
 directory lock are the two contended resources, and the protocols
 differ exactly in how long they sit on each.

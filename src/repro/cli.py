@@ -2,14 +2,11 @@
 
 ::
 
-    python -m repro table1                  # Table I, paper vs measured
-    python -m repro figure6 --n 100         # Figure 6 burst
-    python -m repro timeline --protocol 1PC # one of Figures 2-5
-    python -m repro model                   # analytical predictions
+    python -m repro report                  # every table and figure
+    python -m repro report --only table1,figure6
+    python -m repro report --check EXPERIMENTS.md
     python -m repro burst --protocol EP --n 50
     python -m repro sweep --kind latency
-    python -m repro recovery
-    python -m repro batching --n 96
     python -m repro perf --json BENCH_perf.json
     python -m repro cache stats
     python -m repro campaign run --runs 10 --seed 0
@@ -34,61 +31,6 @@ def _protocol_names() -> tuple:
     return default_protocols()
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.harness.table1 import run_table1
-
-    print(run_table1(measured=not args.paper_only))
-    return 0
-
-
-def _cmd_figure6(args: argparse.Namespace) -> int:
-    from repro.harness.figure6 import PAPER_FIGURE6, run_figure6
-
-    figure = run_figure6(n=args.n)
-    print(figure.render())
-    print("\nPaper reference (tx/s):", PAPER_FIGURE6)
-    gains = figure.gain_over("PrN")
-    print("Measured gains vs PrN: " + ", ".join(
-        f"{k} {v:+.2f}%" for k, v in gains.items()
-    ))
-    return 0
-
-
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.harness.diagrams import render_all_timelines, render_timeline
-
-    if args.protocol == "all":
-        print(render_all_timelines())
-    else:
-        print(render_timeline(args.protocol))
-    return 0
-
-
-def _cmd_model(args: argparse.Namespace) -> int:
-    from repro.analysis.model import predict_figure6
-    from repro.analysis.tables import render_table
-
-    preds = predict_figure6()
-    rows = [
-        [
-            name,
-            f"{p.lock_hold * 1e3:.2f}",
-            f"{p.coordinator_disk * 1e3:.2f}",
-            f"{p.worker_disk * 1e3:.2f}",
-            f"{p.throughput:.1f}",
-            f"{p.solo_latency * 1e3:.2f}",
-        ]
-        for name, p in preds.items()
-    ]
-    print(render_table(
-        ["Protocol", "Lock hold (ms)", "Coord disk (ms)", "Worker disk (ms)",
-         "Throughput (tx/s)", "Solo latency (ms)"],
-        rows,
-        title="Analytical model (deep-burst steady state)",
-    ))
-    return 0
-
-
 def _cmd_burst(args: argparse.Namespace) -> int:
     from repro.workloads import run_burst
 
@@ -108,36 +50,19 @@ def _cmd_burst(args: argparse.Namespace) -> int:
 def _sweep_grid(args: argparse.Namespace):
     """Build ``(specs, labeller, title)`` for the chosen sweep kind."""
     from repro import exec as rexec
-    from repro.config import KB
+    from repro.harness.sweeps import SWEEPS
 
-    if args.kind == "latency":
-        points = [10e-6, 100e-6, 1e-3, 5e-3]
-        specs = rexec.network_latency_grid(points, n=args.n, seed=args.seed)
-
-        def label(value):
-            return f"{value * 1e6:.0f} us"
-
-        return specs, label, "Throughput (tx/s) vs network latency"
-    if args.kind == "disk":
-        points = [100 * KB, 400 * KB, 4000 * KB]
-        specs = rexec.disk_bandwidth_grid(points, n=args.n, seed=args.seed)
-
-        def label(value):
-            return f"{value / KB:.0f} KB/s"
-
-        return specs, label, "Throughput (tx/s) vs log-device bandwidth"
-    if args.kind == "burst":
-        points = [1, 10, 50, 150]
-        specs = rexec.burst_size_grid(points, seed=args.seed)
-        return specs, str, "Throughput (tx/s) vs burst size"
-    if args.kind == "abort":
-        points = [0.0, 0.1, 0.25]
-        specs = rexec.abort_rate_grid(points, n=args.n, seed=args.seed)
-
-        def label(value):
-            return f"{value:.0%}"
-
-        return specs, label, "Committed tx/s vs abort rate"
+    if args.kind in SWEEPS:
+        points, title, _axis, label = SWEEPS[args.kind]
+        grid = {
+            "latency": rexec.network_latency_grid,
+            "disk": rexec.disk_bandwidth_grid,
+            "burst": rexec.burst_size_grid,
+            "abort": rexec.abort_rate_grid,
+        }[args.kind]
+        # The burst sweep's axis is the size: it takes no --n.
+        sized = {} if args.kind == "burst" else {"n": args.n}
+        return grid(points, seed=args.seed, **sized), label, title
     if args.kind == "figure6":
         specs = rexec.figure6_grid(n=args.n, seed=args.seed)
         return specs, str, f"Figure 6 grid — throughput (tx/s), burst of {args.n}"
@@ -250,60 +175,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recovery(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import render_table
-    from repro.harness.recovery import measure_crash_recovery
-
-    rows = []
-    for protocol in _protocol_names():
-        w = measure_crash_recovery(protocol, "mds2")
-        c = measure_crash_recovery(protocol, "mds1")
-        rows.append(
-            [
-                protocol,
-                f"{w.settle_time * 1e3:.1f}",
-                str(w.committed),
-                f"{c.settle_time * 1e3:.1f}",
-                str(c.committed),
-                str(w.invariant_violations + c.invariant_violations),
-            ]
-        )
-    print(render_table(
-        ["Protocol", "Worker-crash settle (ms)", "Committed",
-         "Coord-crash settle (ms)", "Committed", "Violations"],
-        rows,
-        title="Recovery after a crash 2 ms into a distributed CREATE",
-    ))
-    return 0
-
-
-def _cmd_batching(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import render_table
-    from repro.workloads import run_batched_burst
-
-    rows = []
-    for batch in (1, 4, 16, 48):
-        result = run_batched_burst(args.protocol, n=args.n, batch_size=batch)
-        rows.append([str(batch), f"{result.throughput:.1f}", f"{result.makespan * 1e3:.1f}"])
-    print(render_table(
-        ["Batch size", "Files/s", "Makespan (ms)"],
-        rows,
-        title=f"§VI aggregation: {args.n} creates under {args.protocol}",
-    ))
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import cli as lint_cli
 
     return lint_cli.run(args)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.harness.report import generate_report
+def _artifact_names(text: str) -> list:
+    """``--only NAME[,NAME...]``: names from the artifact table."""
+    from repro.harness.report import select
 
-    print(generate_report(n=args.n))
-    return 0
+    try:
+        return [artifact.name for artifact in select(text.split(","))]
+    except KeyError as unknown:
+        raise argparse.ArgumentTypeError(unknown.args[0]) from None
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.harness.report import run
+
+    return run(args.only, args.check, args.update)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -358,29 +249,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     best = points[0]
     print(f"\nBest: {best.describe()}")
     return 0
-
-
-def _cmd_torture(args: argparse.Namespace) -> int:
-    from repro.faults import random_fault_plan
-    from repro.mds.scenarios import distributed_create_cluster
-
-    failures = 0
-    for seed in range(args.seeds):
-        cluster, client = distributed_create_cluster(args.protocol)
-        random_fault_plan(seed, ["mds1", "mds2"], horizon=0.1, n_faults=args.faults).install(
-            cluster
-        )
-        for i in range(args.ops):
-            client.submit(client.plan_create(f"/dir1/t{i}"))
-        cluster.sim.run(until=cluster.sim.now + 300.0)
-        violations = cluster.check_invariants()
-        committed = sum(1 for o in cluster.outcomes if o.committed)
-        status = "OK" if not violations else f"VIOLATIONS: {violations}"
-        print(f"seed {seed}: {committed}/{args.ops} committed, {status}")
-        if violations:
-            failures += 1
-    print(f"\n{args.seeds - failures}/{args.seeds} seeds consistent")
-    return 1 if failures else 0
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
@@ -455,21 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     protocol_names = _protocol_names()
 
-    p = sub.add_parser("table1", help="Table I: cost accounting")
-    p.add_argument("--paper-only", action="store_true", help="skip the measurement run")
-    p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("figure6", help="Figure 6: burst throughput")
-    p.add_argument("--n", type=int, default=100, help="burst size")
-    p.set_defaults(func=_cmd_figure6)
-
-    p = sub.add_parser("timeline", help="Figures 2-5: protocol timelines")
-    p.add_argument("--protocol", choices=[*protocol_names, "all"], default="all")
-    p.set_defaults(func=_cmd_timeline)
-
-    p = sub.add_parser("model", help="analytical throughput model")
-    p.set_defaults(func=_cmd_model)
-
     p = sub.add_parser("burst", help="run one burst workload")
     p.add_argument("--protocol", choices=protocol_names, default="1PC")
     p.add_argument("--n", type=int, default=100)
@@ -508,24 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recompute every cell, overwriting cached entries")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("recovery", help="crash recovery timing")
-    p.set_defaults(func=_cmd_recovery)
-
-    p = sub.add_parser("batching", help="§VI aggregation sweep")
-    p.add_argument("--protocol", choices=protocol_names, default="1PC")
-    p.add_argument("--n", type=int, default=96)
-    p.set_defaults(func=_cmd_batching)
-
     p = sub.add_parser("calibrate", help="re-run the calibration grid search")
     p.add_argument("--n", type=int, default=40, help="burst size per grid point")
     p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("torture", help="random fault plans over a create burst")
-    p.add_argument("--protocol", choices=protocol_names, default="1PC")
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--ops", type=int, default=12)
-    p.add_argument("--faults", type=int, default=3)
-    p.set_defaults(func=_cmd_torture)
 
     p = sub.add_parser(
         "perf",
@@ -564,8 +402,17 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cli.add_arguments(p)
     p.set_defaults(func=_cmd_lint)
 
-    p = sub.add_parser("report", help="full reproduction report (all core artifacts)")
-    p.add_argument("--n", type=int, default=100, help="Figure 6 burst size")
+    p = sub.add_parser(
+        "report", help="every table and figure of EXPERIMENTS.md, and the check holding it to them"
+    )
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--only", metavar="NAME[,NAME...]", type=_artifact_names, default=None,
+                      help="print these artifacts instead of all of them")
+    mode.add_argument("--check", metavar="PATH", default=None,
+                      help="re-measure; exit 1 on any block of PATH that differs from its "
+                      "artifact, any claim that fails, any block or artifact without the other")
+    mode.add_argument("--update", metavar="PATH", default=None,
+                      help="rewrite the report blocks of PATH in place")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser(

@@ -73,7 +73,7 @@ class StorageParams:
     san_concurrency: int = 0
     #: Group commit: coalesce queued log appends into one device write
     #: (up to ``group_commit_max_bytes``).  Off by default; the
-    #: bench_group_commit ablation quantifies the effect.
+    #: ``group-commit`` report artifact quantifies the effect.
     group_commit: bool = False
     group_commit_max_bytes: float = 64 * KB
 

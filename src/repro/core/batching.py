@@ -12,7 +12,7 @@ record covers the whole batch, and a single commit round finishes all
 of the member operations — semantics are unchanged (each member is
 still atomic; the batch merely shares the protocol overhead).
 
-The ``bench_batching`` benchmark sweeps the batch size to quantify the
+The ``batching`` report artifact sweeps the batch size to quantify the
 predicted gain.
 """
 

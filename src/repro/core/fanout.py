@@ -21,7 +21,7 @@ per-worker verdicts:
   log.
 
 The second case is where the paper's two-party argument genuinely bites
-(the sharded-transaction framing of Nawab et al., "Reconfigurable
+(the sharded-transaction framing of Bravo et al., "Reconfigurable
 Atomic Transaction Commit" makes the same observation about
 single-round commits): once *any* worker force-commits, a sibling's
 refusal can no longer abort the transaction — its "no" vote is
@@ -66,7 +66,7 @@ register_protocol(
         paper_figure6=None,
         table1_row=(3, 1, 2, 0, 1, 0),
         citation=(
-            "Congiu et al. (CLUSTER 2012) §III generalised per Nawab et al., "
+            "Congiu et al. (CLUSTER 2012) §III generalised per Bravo et al., "
             "'Reconfigurable Atomic Transaction Commit'"
         ),
         order=7,

@@ -11,7 +11,7 @@ Declarative fault schedules executed against a running cluster:
 * :class:`~repro.faults.injector.FaultPlan` -- an ordered schedule of
   faults installed onto a cluster.
 * :mod:`repro.faults.scenarios` -- a library of named scenarios used by
-  the recovery benchmarks and the torture tests, plus a seeded random
+  the conformance battery and the torture tests, plus a seeded random
   fault-plan generator.
 """
 

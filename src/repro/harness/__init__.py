@@ -13,8 +13,11 @@ executor, the ``cache``) and nothing below imports it:
   bandwidth, burst size, abort rate; pair count; fan-out width).
 * :mod:`repro.harness.recovery` -- crash/recovery timing experiment.
 * :mod:`repro.harness.placement_study`,
-  :mod:`repro.harness.migration_study`, :mod:`repro.harness.calibrate`,
-  :mod:`repro.harness.report` -- the studies and the one-shot report.
+  :mod:`repro.harness.migration_study`, :mod:`repro.harness.calibrate`
+  -- the studies and the calibration search.
+* :mod:`repro.harness.artifacts`, :mod:`repro.harness.report` -- the
+  closed list of what ``EXPERIMENTS.md`` reports (measure, render,
+  claims) and the report/check/update loop over it.
 """
 
 from repro.harness.diagrams import render_timeline

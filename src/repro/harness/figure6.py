@@ -48,12 +48,17 @@ class Figure6Result:
 
     def render(self) -> str:
         """Figure 6 as an ASCII bar chart with gains annotated."""
-        return render_bar_chart(
-            self.throughputs,
-            title=f"Figure 6 — distributed namespace operations per second (burst of {self.n})",
-            unit="tx/s",
-            baseline="PrN" if "PrN" in self.results else None,
-        )
+        return render_figure6(self.throughputs, self.n)
+
+
+def render_figure6(throughputs: dict[str, float], n: int) -> str:
+    """Protocol -> tx/s of a burst of ``n`` as the Figure 6 bar chart."""
+    return render_bar_chart(
+        throughputs,
+        title=f"Figure 6 — distributed namespace operations per second (burst of {n})",
+        unit="tx/s",
+        baseline="PrN" if "PrN" in throughputs else None,
+    )
 
 
 def run_figure6(

@@ -12,11 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.campaign.triggers import window
 from repro.config import SimulationParams
+from repro.faults import CrashFault, FaultPlan
+from repro.fs.placement import ForcedDistributedPlacement
+from repro.mds.cluster import Cluster
 from repro.mds.scenarios import distributed_create_cluster
 
 #: Role each server of the two-MDS cluster plays in the CREATE.
 ROLE_OF = {"mds1": "coordinator", "mds2": "worker"}
+#: How long after the CREATE is submitted the victim crashes, seconds.
+CRASH_AFTER = 2e-3
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,7 @@ class RecoveryResult:
 def measure_crash_recovery(
     protocol: str,
     victim: str,
-    crash_after: float = 2e-3,
+    crash_after: float = CRASH_AFTER,
     params: Optional[SimulationParams] = None,
     settle_budget: float = 120.0,
 ) -> RecoveryResult:
@@ -70,3 +76,28 @@ def _settle_time(cluster, crash_time: float) -> float:
     if not times:
         return 0.0
     return max(times) - crash_time
+
+
+def measure_detection(heartbeats: bool) -> float:
+    """Seconds from a 1PC worker's crash to the client's answer.
+
+    The worker dies for good the moment the update request reaches it.
+    With the heartbeat detector on, the coordinator fences it on
+    suspicion; without, only after the protocol's reply timeout.
+    """
+    cluster = Cluster(
+        protocol="1PC",
+        server_names=["mds1", "mds2"],
+        placement=ForcedDistributedPlacement("mds1", "mds2"),
+        heartbeats=heartbeats,
+    )
+    cluster.mkdir("/dir1")
+    client = cluster.new_client()
+    cluster.sim.run(until=0.2)
+    at_vote = window("at-vote", "mds2").compile()
+    FaultPlan([CrashFault(node="mds2", when=at_vote, restart_after=float("inf"))]).install(cluster)
+    client.submit(client.plan_create("/dir1/f0"))
+    # Bounded: heartbeat timers never let the schedule run dry.
+    cluster.sim.run(until=cluster.sim.now + 10.0)
+    crashed_at = cluster.trace.select("crash", actor="mds2")[0].time
+    return cluster.outcomes[0].replied_at - crashed_at

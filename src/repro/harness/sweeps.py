@@ -20,9 +20,9 @@ keyword-only and mean the same thing everywhere.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from repro.config import SimulationParams
+from repro.config import KB, SimulationParams
 from repro.exec import (
     CellResult,
     abort_rate_grid,
@@ -34,6 +34,21 @@ from repro.exec import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache import ResultCache
+
+#: ``repro sweep --kind`` -> its default points, table title, axis header
+#: and point label.  The report's sweep artifacts
+#: (:mod:`repro.harness.artifacts`) run and render exactly these.
+SWEEPS: dict[str, tuple[tuple, str, str, Callable[[Any], str]]] = {
+    "latency": ((10e-6, 100e-6, 1e-3, 5e-3), "Throughput (tx/s) vs network latency",
+                "Latency", lambda seconds: f"{seconds * 1e6:.0f} us"),
+    "disk": ((100 * KB, 400 * KB, 4000 * KB, 100_000 * KB),
+             "Throughput (tx/s) vs log-device bandwidth",
+             "Bandwidth", lambda bandwidth: f"{bandwidth / KB:.0f} KB/s"),
+    "burst": ((1, 10, 50, 150), "Throughput (tx/s) vs burst size", "Burst", str),
+    "abort": ((0.0, 0.1, 0.25), "Committed tx/s vs injected abort rate",
+              "Abort rate", lambda rate: f"{rate:.0%}"),
+}
+
 
 def _fold(cells: Sequence[CellResult]) -> dict:
     """Cells (point-major order) -> ``{point: {protocol: throughput}}``."""

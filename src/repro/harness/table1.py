@@ -9,7 +9,8 @@ declares, and a protocol with neither shows its measured counts alone.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import astuple
+from typing import Callable, Optional
 
 from repro.analysis.costs import TABLE1, CostRow, measure_protocol_costs
 from repro.analysis.tables import render_table
@@ -29,9 +30,24 @@ def reference_row(name: str) -> Optional[CostRow]:
     return CostRow(*row) if row is not None else None
 
 
-def run_table1(measured: bool = True) -> str:
-    """Render Table I; with ``measured`` the trace-derived counts are
-    placed next to the paper's numbers (they must agree)."""
+def measure_table1(measured: bool = True) -> dict[str, dict[str, Optional[tuple]]]:
+    """Plain data behind Table I: per registered protocol its analytical
+    ``reference`` row and (with ``measured``) its trace-derived
+    ``measured`` row, each a :class:`CostRow` as a tuple or ``None``."""
+    out: dict[str, dict[str, Optional[tuple]]] = {}
+    for name in default_protocols():
+        paper = reference_row(name)
+        out[name] = {
+            "reference": astuple(paper) if paper is not None else None,
+            "measured": astuple(measure_protocol_costs(name).row) if measured else None,
+        }
+    return out
+
+
+def render_table1(data: dict[str, dict[str, Optional[tuple]]]) -> str:
+    """Table I as text: ``paper [measured]`` per cell, ``-`` where no
+    analytical row is claimed; unmeasured data renders the paper alone
+    (and skips protocols that claim no row)."""
     headers = [
         "Protocol",
         "Total Log Writes (sync, async)",
@@ -39,47 +55,31 @@ def run_table1(measured: bool = True) -> str:
         "Total Messages",
         "Messages in Critical Path",
     ]
-    rows = []
-    for name in default_protocols():
-        paper = reference_row(name)
-        if measured:
-            m = measure_protocol_costs(name).row
-            rows.append(
-                [
-                    name,
-                    _pair(paper, "sync_total", "async_total", m),
-                    _pair(paper, "sync_critical", "async_critical", m),
-                    _single(paper, "msgs_total", m),
-                    _single(paper, "msgs_critical", m),
-                ]
-            )
-        elif paper is not None:
-            rows.append(
-                [
-                    name,
-                    f"({paper.sync_total}, {paper.async_total})",
-                    f"({paper.sync_critical}, {paper.async_critical})",
-                    str(paper.msgs_total),
-                    str(paper.msgs_critical),
-                ]
-            )
+    measured = any(row["measured"] is not None for row in data.values())
+    rows = [
+        [name, _pair(row, 0), _pair(row, 2), _single(row, 4), _single(row, 5)]
+        for name, row in data.items()
+        if measured or row["reference"] is not None
+    ]
     suffix = " — paper [measured]" if measured else " — paper"
     return render_table(headers, rows, title="Table I" + suffix)
 
 
-def _pair(paper: Optional[CostRow], sync: str, async_: str, m: CostRow) -> str:
-    got = f"({getattr(m, sync)}, {getattr(m, async_)})"
-    if paper is None:
-        return f"- [{got}]"
-    return f"({getattr(paper, sync)}, {getattr(paper, async_)}) [{got}]"
+def run_table1(measured: bool = True) -> str:
+    """Render Table I; with ``measured`` the trace-derived counts are
+    placed next to the paper's numbers (they must agree)."""
+    return render_table1(measure_table1(measured))
 
 
-def _single(paper: Optional[CostRow], field: str, m: CostRow) -> str:
-    if paper is None:
-        return f"- [{getattr(m, field)}]"
-    return f"{getattr(paper, field)} [{getattr(m, field)}]"
+def _cell(row: dict[str, Optional[tuple]], show: Callable[[tuple], str]) -> str:
+    paper, measured = row["reference"], row["measured"]
+    text = "-" if paper is None else show(paper)
+    return text if measured is None else f"{text} [{show(measured)}]"
 
 
-def measured_rows() -> dict[str, CostRow]:
-    """Measured Table I rows for every registered protocol."""
-    return {name: measure_protocol_costs(name).row for name in default_protocols()}
+def _pair(row: dict[str, Optional[tuple]], i: int) -> str:
+    return _cell(row, lambda r: f"({r[i]}, {r[i + 1]})")
+
+
+def _single(row: dict[str, Optional[tuple]], i: int) -> str:
+    return _cell(row, lambda r: str(r[i]))

@@ -14,7 +14,7 @@ and the natural ablation partner for PrC: where PrC streamlines
   both sides, ACK from the worker and an ENDED record before the
   coordinator's log may be garbage collected.
 
-The ``bench_presumed.py`` extension benchmark shows the crossover: PrA
+The ``presumed`` report artifact shows the crossover: PrA
 beats PrC when the abort rate is high, and loses on commit-heavy
 workloads (every workload the paper cares about).
 """

@@ -53,15 +53,6 @@ def test_cli_calibrate(capsys):
     assert "Best:" in out and "Target gains" in out
 
 
-def test_cli_torture_consistent(capsys):
-    from repro.cli import main
-
-    code = main(["torture", "--seeds", "2", "--ops", "6", "--protocol", "1PC"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "2/2 seeds consistent" in out
-
-
 def test_cli_trace_writes_jsonl(tmp_path, capsys):
     from repro.cli import main
 

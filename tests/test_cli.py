@@ -20,41 +20,68 @@ def test_cli_requires_command(capsys):
         main([])
 
 
-def test_cli_table1_paper_only(capsys):
-    code, out = run_cli(capsys, "table1", "--paper-only")
+#: What each artifact's rendering is headed by.
+TITLES = {
+    "table1": "Table I — paper [measured]",
+    "figure6": "Figure 6 — distributed namespace operations per second (burst of 100)",
+    "model": "Analytical model (deep-burst steady state) vs simulation",
+    "timelines": "Figure 5 — 1PC timeline",
+    "recovery": "Recovery after a crash 2 ms into a distributed CREATE",
+    "detection": "1PC worker-crash decision latency",
+    "sweep-latency": "Throughput (tx/s) vs network latency",
+    "sweep-disk": "Throughput (tx/s) vs log-device bandwidth",
+    "sweep-burst": "Throughput (tx/s) vs burst size",
+    "abort-rate": "Committed tx/s vs injected abort rate",
+    "presumed": "Presumption crossover: committed tx/s vs abort rate",
+    "batching": "§VI aggregation: 96 creates under 1PC",
+    "utilization": "Resource profile of a 30-create burst",
+    "scaling": "Aggregate throughput (tx/s) vs cluster size",
+    "group-commit": "Group-commit ablation (40-create burst)",
+    "placement": "Placement study: 80 creates over 4 directories, 4 MDSs",
+    "migration": "Migration vs distributed 1PC (40-entry directory)",
+}
+
+
+def test_the_titles_cover_the_artifact_table():
+    from repro.harness.artifacts import ARTIFACTS
+
+    assert list(TITLES) == [artifact.name for artifact in ARTIFACTS]
+
+
+@pytest.mark.parametrize("name", TITLES)
+def test_cli_report_only(capsys, name):
+    """Every artifact by name — six of them used to be subcommands."""
+    code, out = run_cli(capsys, "report", "--only", name)
     assert code == 0
-    assert "Table I" in out and "1PC" in out
+    assert TITLES[name] in out
+    assert sum(title in out for title in TITLES.values()) == 1
 
 
-def test_cli_table1_measured(capsys):
-    code, out = run_cli(capsys, "table1")
+def test_cli_report_only_takes_a_list_in_table_order(capsys):
+    code, out = run_cli(capsys, "report", "--only", "detection,table1")
     assert code == 0
-    assert "[(3, 1)]" in out  # measured 1PC totals
+    assert 0 < out.index("Table I") < out.index("decision latency")
+    assert "Figure 6" not in out
 
 
-def test_cli_figure6_small(capsys):
-    code, out = run_cli(capsys, "figure6", "--n", "20")
-    assert code == 0
-    assert "Figure 6" in out and "vs PrN" in out
+def test_cli_report_only_rejects_an_unknown_artifact(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["report", "--only", "table1,nosuch"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "no artifact named nosuch" in err
+    for name in ("table1", "figure6", "sweep-latency", "migration"):
+        assert name in err
 
 
-def test_cli_timeline_single(capsys):
-    code, out = run_cli(capsys, "timeline", "--protocol", "1PC")
-    assert code == 0
-    assert "Figure 5" in out
-
-
-def test_cli_timeline_all(capsys):
-    code, out = run_cli(capsys, "timeline")
-    assert code == 0
-    for fig in (2, 3, 4, 5):
-        assert f"Figure {fig}" in out
-
-
-def test_cli_model(capsys):
-    code, out = run_cli(capsys, "model")
-    assert code == 0
-    assert "Analytical model" in out and "Lock hold" in out
+@pytest.mark.parametrize(
+    "gone", ["table1", "figure6", "timeline", "model", "recovery", "batching", "torture"]
+)
+def test_cli_deleted_subcommands_are_gone(capsys, gone):
+    with pytest.raises(SystemExit) as exit_:
+        main([gone])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_burst(capsys):
@@ -72,18 +99,6 @@ def test_cli_sweep_burst(capsys):
     code, out = run_cli(capsys, "sweep", "--kind", "burst")
     assert code == 0
     assert "burst size" in out
-
-
-def test_cli_recovery(capsys):
-    code, out = run_cli(capsys, "recovery")
-    assert code == 0
-    assert "Recovery" in out
-
-
-def test_cli_batching(capsys):
-    code, out = run_cli(capsys, "batching", "--n", "32")
-    assert code == 0
-    assert "aggregation" in out
 
 
 def test_cli_rejects_unknown_protocol(capsys):

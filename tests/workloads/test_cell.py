@@ -1,6 +1,6 @@
-"""The cell skeleton: one wait for the answers (no step loop anywhere),
-both failure exits of ``drain``, and the abort-burst cell's realised
-refusal rate."""
+"""The cell skeleton: one wait for the answers (no step loop anywhere,
+the examples included), both failure exits of ``drain``, and the
+abort-burst cell's realised refusal rate."""
 
 import ast
 from pathlib import Path
@@ -13,26 +13,35 @@ from repro.mds.scenarios import distributed_create_cluster
 from repro.workloads.cell import drain
 
 SRC = Path(repro.__file__).resolve().parent
+EXAMPLES = SRC.parents[1] / "examples"
 
 
-def _steps_until_outcomes(loop):
-    """``while len(...outcomes) < ...:`` with a ``.step()`` in its body."""
-    test = ast.dump(loop.test)
-    body = "".join(ast.dump(stmt) for stmt in loop.body)
-    return "'outcomes'" in test and "Lt()" in test and "attr='step'" in body
+def _steps(loop):
+    """A ``while`` whose body calls ``.step()``."""
+    return any(
+        isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "step"
+        for stmt in loop.body
+        for node in ast.walk(stmt)
+    )
 
 
 def test_the_drain_loop_is_spelled_once():
     trees = {
         str(path.relative_to(SRC)): ast.parse(path.read_text()) for path in SRC.rglob("*.py")
     }
-    # Stepping until the answers are in is spelled nowhere: the driver
-    # runs the kernel's own loop and ``record_outcome`` stops it.
+    examples = {
+        f"examples/{path.name}": ast.parse(path.read_text()) for path in EXAMPLES.glob("*.py")
+    }
+    assert examples
+    # Stepping the kernel until the trace or the outcomes show something
+    # is spelled nowhere: waiting for answers is ``run_until_answered``
+    # (``record_outcome`` stops the kernel's own loop), acting on a
+    # trace record is a ``FaultPlan`` with ``when=``.
     stepped = sorted(
         name
-        for name, tree in trees.items()
+        for name, tree in {**trees, **examples}.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.While) and _steps_until_outcomes(node)
+        if isinstance(node, ast.While) and _steps(node)
     )
     assert stepped == []
     # The one spelling is ``Cluster.run_until_answered``; its callers
