@@ -15,7 +15,7 @@ make crash-point tests readable::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
@@ -218,7 +218,7 @@ class FaultPlan:
         self._cluster = cluster
         for fault in self.faults:
             if fault.at is not None:
-                cluster.sim.at(fault.at, lambda _trigger, fault=fault: self._fire(fault))
+                cluster.sim.at(fault.at, self._fire, fault)
         if watched:
             self._pending = watched
             #: category -> ``feed`` of each ``when=`` that has one (a compiled
@@ -265,7 +265,7 @@ class FaultPlan:
                 return
         self._cluster.obs.unsubscribe(self._on_record)
 
-    def _poll(self, _trigger: Any) -> None:
+    def _poll(self, _value: None) -> None:
         fired = False
         for fault in list(self._pending):
             if fault.when(self._cluster.trace):

@@ -7,6 +7,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Generator, Hashable, Optional
 
 from repro.sim import TIMED_OUT, Event, Simulator
+from repro.sim.events import PENDING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.hub import Observability
@@ -211,7 +212,7 @@ class LockManager:
             return
         while entry.queue:
             waiter = entry.queue[0]
-            if waiter.event.triggered:
+            if waiter.event._state != PENDING:
                 entry.queue.popleft()
                 continue
             if not self._grantable(entry, waiter.txn_id, waiter.mode):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.protocols.base import MsgKind
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
@@ -68,8 +68,8 @@ class HeartbeatService:
     def stop(self) -> None:
         self._token = None
 
-    def _beat(self, trigger: Event) -> None:
-        if trigger._value is not self._token:
+    def _beat(self, token: object) -> None:
+        if token is not self._token:
             return
         endpoint = self.cluster.network.endpoint(self.node)
         for peer in self.cluster.server_names():

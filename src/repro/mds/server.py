@@ -96,8 +96,9 @@ class MDSServer:
     def spawn(self, generator, name: str = "") -> Process:
         proc = self.sim.process(generator, name=name or f"{self.name}:proc")
         self._procs.add(proc)
-        # A process is its own completion event; ``_procs`` is never replaced.
-        proc.callbacks.append(self._procs.discard)
+        # A process is its own completion event, and this its first
+        # callback; ``_procs`` is never replaced.
+        proc._callbacks = [self._procs.discard]
         return proc
 
     # ------------------------------------------------------------------

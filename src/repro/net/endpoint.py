@@ -113,8 +113,8 @@ class Endpoint:
         else:
             self._backlog.append(message)
 
-    def _served(self, timer: Event) -> None:
-        if timer._value != self._epoch:
+    def _served(self, epoch: int) -> None:
+        if epoch != self._epoch:
             return  # flushed while in service: the message died with the node
         self._handler(self._in_service)
         if self._backlog:

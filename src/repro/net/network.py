@@ -11,7 +11,6 @@ from repro.sim import RngRegistry, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.hub import Observability
-    from repro.sim.events import Event
 
 
 class Network:
@@ -172,8 +171,7 @@ class Network:
         )
         self.sim.after(delay, self._deliver, message)
 
-    def _deliver(self, timer: "Event") -> None:
-        message: Message = timer._value
+    def _deliver(self, message: Message) -> None:
         endpoint = self._endpoints[message.dst]
         if not endpoint.attached:
             self.obs.msg_drop(message.dst, reason="receiver_down", kind=message.kind)

@@ -481,7 +481,8 @@ class Protocol:
         """Close the transaction's log entry: a lazy ENDED, garbage
         collected once the flush lands."""
         flush = self.wal.append_lazy(self.state_rec(RecordKind.ENDED, txn_id))
-        flush.callbacks.append(lambda ev: self.wal.checkpoint(txn_id) if ev.ok else None)
+        # The first callback of the fresh event ``append_lazy`` hands out.
+        flush._callbacks = [lambda ev: self.wal.checkpoint(txn_id) if ev._ok else None]
 
     # -- one-phase workers: the commit was the vote, only the ACK is left -------------
 

@@ -340,12 +340,13 @@ class PresumeNothingProtocol(Protocol):
             # presumed-commit transaction again.
             self.store.commit(txn_id)
             flush = self.wal.append_lazy(self.state_rec(RecordKind.COMMITTED, txn_id))
-            flush.callbacks.append(self._harden_and_gc(txn_id))
+            # The first callback of the fresh event ``append_lazy`` hands out.
+            flush._callbacks = [self._harden_and_gc(txn_id)]
         self.locks.release_all(txn_id)
 
     def _harden_and_gc(self, txn_id: int) -> Callable[["Event"], None]:
         def on_flush(event: "Event") -> None:
-            if event.ok:
+            if event._ok:
                 self.store.harden(txn_id)
                 self.wal.checkpoint(txn_id)
 

@@ -27,6 +27,7 @@ without changing any observable behaviour:
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.sim.errors import EventRefusedError
@@ -67,10 +68,6 @@ class Event:
     """
 
     __slots__ = ("sim", "name", "_callbacks", "_state", "_ok", "_value", "defused")
-
-    #: Pool-recycled events override this (see Simulator.after);
-    #: a class attribute costs nothing per instance.
-    _pooled = False
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -128,10 +125,16 @@ class Event:
         """Schedule the event to succeed with ``value`` after ``delay``."""
         if self._state != PENDING:
             raise EventRefusedError(f"{self!r} already triggered")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         self._ok = True
         self._value = value
         self._state = TRIGGERED
-        self.sim._schedule(self, delay)
+        # The push spelled out, as in ``Simulator.after``: no frame
+        # between the code that triggers and the heap.
+        sim = self.sim
+        sim._sequence += 1
+        heappush(sim._heap, (sim.now + delay, 1, sim._sequence, None, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -140,10 +143,14 @@ class Event:
             raise EventRefusedError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         self._ok = False
         self._value = exception
         self._state = TRIGGERED
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        sim._sequence += 1
+        heappush(sim._heap, (sim.now + delay, 1, sim._sequence, None, self))
         return self
 
     def trigger_like(self, other: "Event") -> None:
@@ -187,8 +194,8 @@ class Timeout(Event):
         # Inlined Event.__init__ plus immediate triggering: Timeout is
         # the dominant event of every workload, so it pays to skip the
         # super() call and the old per-instance f-string name.
-        # Negative delays are rejected in Simulator._schedule (the
-        # single owner of that validation).
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         self.sim = sim
         self.name = ""
         self._callbacks = None
@@ -197,7 +204,8 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._state = TRIGGERED
-        sim._schedule(self, delay)
+        sim._sequence += 1
+        heappush(sim._heap, (sim.now + delay, 1, sim._sequence, None, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<timeout({self.delay}) state={STATE_NAMES[self._state]}>"

@@ -1,10 +1,13 @@
 """The simulator event loop.
 
 The kernel is a classic calendar-queue DES core: a binary heap of
-``(time, priority, sequence, event)`` entries.  ``sequence`` is a
-monotonically increasing integer that makes scheduling fully
-deterministic: two events scheduled for the same instant always fire in
-the order they were scheduled.
+``(time, priority, sequence, callback, arg)`` entries.  ``sequence`` is
+a monotonically increasing integer that makes scheduling fully
+deterministic: two entries scheduled for the same instant always fire in
+the order they were scheduled, and no comparison reaches past it.  A
+triggered event is the entry ``(due, 1, seq, None, event)``; a timer
+(:meth:`Simulator.after`, ``at``) is ``(due, 1, seq, callback, value)``
+and nothing else — no event is allocated for it.
 
 Hot-path notes
 --------------
@@ -20,19 +23,11 @@ runs too: it gives ``run(until=<time>)`` its budget and calls
 bounded loop compares due times against ``_horizon``, which ``stop()``
 pulls in (an attribute read per event); the unbounded loop checks nothing.
 
-The kernel also keeps a small **freelist of trigger events**: every
-:meth:`Simulator.after` timer (process kick-starts and relays of
-already-processed targets included) is a single-callback event that the
-rest of the simulation never retains, so the kernel recycles it
-instead of allocating a fresh ``Event`` (plus name string and callback
-list) per occurrence.  A pooled event is returned to the freelist
-immediately after its callbacks ran.
-
 *A process is for protocol logic that waits; a device or queue that
 only serves is a callback server* built from :meth:`Simulator.after`
 (network delivery, ``Endpoint.serve``, disk channels, the WAL pump),
 and :meth:`Simulator.expire` is the one deadline built on it: a timed
-wait is the awaited event plus one pooled timer, not an
+wait is the awaited event plus one timer entry, not an
 ``AnyOf(event, Timeout)`` pair with a withdrawal at every call site.
 
 Everything above is *mechanical*: event order, virtual timestamps and
@@ -47,44 +42,13 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.errors import SimulationError, StopSimulation
-from repro.sim.events import PENDING, PROCESSED, TIMED_OUT, TRIGGERED, Event, Timeout
+from repro.sim.events import PENDING, PROCESSED, TIMED_OUT, Event, Timeout
 from repro.sim.process import Process
-
-#: Priority of normal events.
-PRIORITY_NORMAL = 1
-#: Priority of urgent events (used by the kernel for process resumption).
-PRIORITY_URGENT = 0
 
 _INF = float("inf")
 
-#: Freelist size cap — beyond this, trigger events are simply dropped
-#: for the garbage collector (a bound, not a tuning knob).
-_POOL_MAX = 4096
 
-
-class _TriggerEvent(Event):
-    """A pool-recycled, single-shot trigger event (kernel-internal).
-
-    Only ever created by :meth:`Simulator.after` and ``at``; never
-    exposed to simulation code beyond the one callback it carries, and
-    recycled the moment its callbacks have run.
-    """
-
-    __slots__ = ()
-
-    _pooled = True
-
-    def __init__(self, sim: "Simulator"):
-        # ``after``/``at`` fill in value and callback; a trigger never fails.
-        self.sim = sim
-        self.name = ""
-        self._state = TRIGGERED
-        self._ok = True
-        self.defused = False
-
-
-def _expire(trigger: Event) -> None:
-    event = trigger._value
+def _expire(event: Event) -> None:
     if event._state == PENDING:
         event.succeed(TIMED_OUT)
 
@@ -109,10 +73,11 @@ class Simulator:
         #: Current virtual time in seconds.  A plain attribute, read
         #: everywhere; only this module assigns it.
         self.now = float(start_time)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: ``(time, priority, sequence, callback, arg)``; an event's entry
+        #: has no callback and the event as ``arg``.
+        self._heap: list[tuple[float, int, int, Optional[Callable[[Any], None]], Any]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
-        self._pool: list[_TriggerEvent] = []
         #: Time bound of the ``run(until=<time>)`` in progress, else ``inf``.
         self._horizon = _INF
         #: Number of events processed so far (exposed for statistics).
@@ -127,53 +92,26 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
-        """Insert a triggered event into the calendar queue.
+    def after(self, delay: float, callback: Callable[[Any], None], value: Any = None) -> None:
+        """Call ``callback(value)`` ``delay`` seconds from now, once.
 
-        Owns negative-delay validation for every event that is
-        scheduled by being triggered (``Timeout``, ``succeed``/``fail``
-        delays); :meth:`after` repeats the check and the push for its
-        pooled timers.
+        One heap entry and nothing else: no process, no event.  Entries
+        due at the same instant fire in scheduling order, whether they
+        are timers or triggered events.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._sequence += 1
-        heappush(self._heap, (self.now + delay, priority, self._sequence, event))
+        heappush(self._heap, (self.now + delay, 1, self._sequence, callback, value))
 
-    def after(self, delay: float, callback: Callable[[Event], None], value: Any = None) -> None:
-        """Call ``callback(trigger)`` ``delay`` seconds from now, once.
-
-        One heap entry, no process, no retained event: the trigger
-        (whose value is ``value``) is recycled as soon as ``callback``
-        returns, so the callback must not keep it.  Timers due at the
-        same instant fire in scheduling order.
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event._state = TRIGGERED
-        else:
-            event = _TriggerEvent(self)
-        event._value = value
-        event._callbacks = [callback]
-        # ``_schedule`` spelled out, as in ``at``: one frame per timer.
-        self._sequence += 1
-        heappush(self._heap, (self.now + delay, PRIORITY_NORMAL, self._sequence, event))
-
-    def at(self, time: float, callback: Callable[[Event], None], value: Any = None) -> None:
+    def at(self, time: float, callback: Callable[[Any], None], value: Any = None) -> None:
         """:meth:`after` with an absolute due time, taken bit for bit:
         ``now + (time - now)`` is not always ``time``, and a walk over a
         grid of instants has to land on each one."""
         if time < self.now:
             raise ValueError(f"at({time}) is in the past (now={self.now})")
-        event = self._pool.pop() if self._pool else _TriggerEvent(self)
-        event._state = TRIGGERED
-        event._value = value
-        event._callbacks = [callback]
         self._sequence += 1
-        heappush(self._heap, (time, PRIORITY_NORMAL, self._sequence, event))
+        heappush(self._heap, (time, 1, self._sequence, callback, value))
 
     def expire(self, event: Event, delay: float) -> Event:
         """Arm a deadline on ``event`` and return it:
@@ -214,18 +152,19 @@ class Simulator:
         heap = self._heap
         if not heap:
             raise SimulationError("step() on an empty schedule")
-        time, _priority, _seq, event = heappop(heap)
+        time, _priority, _seq, timer, event = heappop(heap)
         if time < self.now:
             raise SimulationError("event scheduled in the past")
         self.now = time
         self.events_processed += 1
+        if timer is not None:
+            timer(event)  # slot 4 of a timer entry is its value
+            return
         event._run_callbacks()
         if not event._ok and not event.defused:
             # A failure nobody waited on: surface it instead of silently
             # swallowing a broken process.
             raise event._value
-        if event._pooled and len(self._pool) < _POOL_MAX:
-            self._pool.append(event)  # type: ignore[arg-type]
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run until the schedule drains, ``until`` time passes, or an
@@ -248,19 +187,22 @@ class Simulator:
 
         # The loop below is step() inlined: locals for the heap and
         # heappop, Event._run_callbacks unrolled (no subclass overrides
-        # it), counter flushed once in the finally.  Scheduling in the
-        # past is impossible through _schedule (delay >= 0), so the
+        # it), counter flushed once in the finally.  No push accepts a
+        # due time in the past (delay >= 0, at() >= now), so the
         # defensive check step() keeps is skipped here.
         heap = self._heap
-        pool = self._pool
         processed = 0
         try:
             if deadline == _INF:
                 while heap:
                     entry = heappop(heap)
-                    event = entry[3]
                     self.now = entry[0]
                     processed += 1
+                    timer = entry[3]
+                    if timer is not None:
+                        timer(entry[4])
+                        continue
+                    event = entry[4]
                     event._state = PROCESSED
                     callbacks = event._callbacks
                     if callbacks is not None:
@@ -269,15 +211,17 @@ class Simulator:
                             callback(event)
                     if not event._ok and not event.defused:
                         raise event._value
-                    if event._pooled and len(pool) < _POOL_MAX:
-                        pool.append(event)  # type: ignore[arg-type]
             else:
                 self._horizon = deadline
                 while heap and heap[0][0] <= self._horizon:
                     entry = heappop(heap)
-                    event = entry[3]
                     self.now = entry[0]
                     processed += 1
+                    timer = entry[3]
+                    if timer is not None:
+                        timer(entry[4])
+                        continue
+                    event = entry[4]
                     event._state = PROCESSED
                     callbacks = event._callbacks
                     if callbacks is not None:
@@ -286,8 +230,6 @@ class Simulator:
                             callback(event)
                     if not event._ok and not event.defused:
                         raise event._value
-                    if event._pooled and len(pool) < _POOL_MAX:
-                        pool.append(event)  # type: ignore[arg-type]
         except StopSimulation as stop:
             return stop.value
         finally:
@@ -340,4 +282,4 @@ class Simulator:
 
     def call_at(self, time: float, func: Callable[[], None]) -> None:
         """Invoke ``func()`` at absolute virtual time ``time``."""
-        self.at(time, lambda _trigger: func())
+        self.at(time, lambda _value: func())

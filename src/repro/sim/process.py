@@ -11,14 +11,15 @@ exception), so processes can wait on each other.
 
 Hot-path notes
 --------------
-Kick-starts and relays of already-processed targets go through the
-kernel's pooled timers (:meth:`Simulator.after` with zero delay)
-instead of allocating a named ``Event`` per occurrence.  That is safe
-precisely because ``_resume`` never retains the event it is called
-with — it only reads the outcome and possibly marks the failure
-defused.  The rare wakeups that carry a failure (interrupts, relays of
-failed targets) are plain events; either way the heap sequence number
-is taken at the same program point.
+Kick-starts and relays of already-processed targets are zero-delay
+timers (:meth:`Simulator.after`) whose value is the outcome
+``_resume`` reads: the processed target itself for a relay, one shared
+constant for a kick-start.  No event is allocated for either, because
+``_resume`` never retains what it is called with — it only reads
+``_ok``/``_value`` and possibly marks a failure defused.  The rare
+wakeups that carry a failure (interrupts, relays of failed targets)
+are plain events; either way the heap sequence number is taken at the
+same program point.
 """
 
 from __future__ import annotations
@@ -32,21 +33,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 
+class _Started:
+    """The outcome a kick-start resumes with: ``send(None)``."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_STARTED = _Started()
+
+
 class Process(Event):
     """A running simulation actor wrapping a generator."""
 
     __slots__ = ("_generator", "_waiting_on")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(f"Process requires a generator, got {type(generator).__name__}")
+        try:
+            generator.send, generator.throw
+        except AttributeError:
+            raise TypeError(
+                f"Process requires a generator, got {type(generator).__name__}"
+            ) from None
         super().__init__(sim, name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Optional[Event] = None
-        # Kick-start: resume at the current instant with a pooled
-        # initialisation event, so process bodies begin executing in
-        # creation order.
-        sim.after(0.0, self._resume)
+        # Kick-start: resume at the current instant, so process bodies
+        # begin executing in creation order.
+        sim.after(0.0, self._resume, _STARTED)
 
     # -- state ---------------------------------------------------------------
 
@@ -139,7 +154,10 @@ class Process(Event):
         finally:
             sim._active_process = None
 
-        if not isinstance(target, Event):
+        try:
+            state = target._state
+            foreign = target.sim is not sim
+        except AttributeError:  # not an event
             exc = SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield events"
             )
@@ -149,16 +167,16 @@ class Process(Event):
                 pass
             self.fail(exc)
             return
-        if target.sim is not sim:
+        if foreign:
             self.fail(SimulationError("yielded an event belonging to another simulator"))
             return
 
         self._waiting_on = target
-        if target._state == PROCESSED:
+        if state == PROCESSED:
             # Already-processed events resume the process immediately
             # (still via the scheduler, to preserve determinism).
             if target._ok:
-                sim.after(0.0, self._resume, target._value)
+                sim.after(0.0, self._resume, target)
             else:
                 self._throw(target._value)
         else:

@@ -176,7 +176,7 @@ class Store:
         while made_progress and self._getters and self.items:
             made_progress = False
             for gi, (event, predicate) in enumerate(self._getters):
-                if event.triggered:  # cancelled externally
+                if event._state != PENDING:  # cancelled externally
                     del self._getters[gi]
                     made_progress = True
                     break

@@ -122,8 +122,8 @@ class Disk:
                 )
             )
 
-    def _write_served(self, timer: Event) -> None:
-        nbytes, actor, start, done, args = timer._value
+    def _write_served(self, job: tuple[float, str, float, Callable[..., None], tuple]) -> None:
+        nbytes, actor, start, done, args = job
         self._wrote(nbytes, actor, start)
         if self._waiting:  # the oldest waiter takes the channel over
             self._waiting.popleft()()

@@ -31,6 +31,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.sim import Event, Simulator
+from repro.sim.events import PENDING
 from repro.storage.disk import Disk
 from repro.storage.fencing import FencedError, FencingController
 from repro.storage.records import LogRecord, RecordKind
@@ -167,11 +168,12 @@ class WriteAheadLog:
             total += nbytes
         return batch
 
-    def _pump(self, kick: Optional[Event] = None) -> None:
+    def _pump(self, generation: Optional[int] = None) -> None:
         """Put the next batch on the device, or go idle.  Runs as the
-        kick's callback and straight from :meth:`_written`, so a log
-        has one write in flight at a time."""
-        if kick is not None and kick._value != self._generation:
+        kick timer's callback (with the generation that armed it) and
+        straight from :meth:`_written`, so a log has one write in
+        flight at a time."""
+        if generation is not None and generation != self._generation:
             return
         while self._queue:
             batch = self._next_batch() if self.group_commit else [self._queue[0]]
@@ -181,7 +183,7 @@ class WriteAheadLog:
                 for job in batch:
                     if self._queue and self._queue[0] is job:
                         self._queue.popleft()
-                    if not job.done.triggered:
+                    if job.done._state == PENDING:
                         job.done.fail(exc)
                         if not job.sync:
                             job.done.defused = True
@@ -212,7 +214,7 @@ class WriteAheadLog:
                     self.obs.log_durable(
                         owner, kind=record.kind, txn=record.txn_id, sync=sync, nbytes=record.size
                     )
-            if not job.done.triggered:
+            if job.done._state == PENDING:
                 job.done.succeed()
         self._pump()
 
@@ -224,7 +226,7 @@ class WriteAheadLog:
         lost = list(self._queue)
         self._queue.clear()
         for job in lost:
-            if not job.done.triggered:
+            if job.done._state == PENDING:
                 job.done.fail(LogLostError(f"{self.owner} crashed before flush"))
                 job.done.defused = True
         self._pumping = True  # held until restart()

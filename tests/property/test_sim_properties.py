@@ -191,7 +191,7 @@ def test_expire_message_in_the_deadline_instant_after_it_is_left_queued():
 
     sim.process(waiter())
     sim.run(until=0.0)  # the waiter arms its deadline first ...
-    sim.after(1.0, lambda trigger: box.put("photo finish"))  # ... so this fires second
+    sim.after(1.0, lambda value: box.put("photo finish"))  # ... so this fires second
     sim.run()
     assert got == [TIMED_OUT]
     assert list(box.items) == ["photo finish"]

@@ -44,7 +44,7 @@ def test_isolation_check_records_a_lost_reply_instead_of_crashing_or_hanging(mon
     def fresh_with_tick(protocol):
         cluster, client = fresh(protocol)
 
-        def tick(_trigger=None):
+        def tick(_value=None):
             cluster.sim.after(1.0, tick)
 
         if ticking:

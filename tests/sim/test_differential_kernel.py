@@ -5,8 +5,8 @@ at exactly the same ``(time, priority, sequence)`` as in the frozen
 pre-overhaul reference kernel (``reference_kernel.py``), and every
 process must finish with exactly the same return value.  A seeded
 generator produces hundreds of randomized schedules — timeout storms,
-already-processed relays, AllOf/AnyOf fan-ins, caught failures,
-cross-process waits and interrupts — and each one is interpreted twice,
+callback timers, already-processed relays, AllOf/AnyOf fan-ins, caught
+failures, cross-process waits and interrupts — and each one is interpreted twice,
 once per kernel, from the same immutable program spec.
 
 If this test fails, a hot-path "optimization" changed event ordering:
@@ -20,11 +20,12 @@ from typing import Any
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AllOf, AnyOf, Interrupt, SimulationError, Simulator
 from tests.sim.reference_kernel import (
     RefAllOf,
     RefAnyOf,
     RefInterrupt,
+    RefSimulationError,
     RefSimulator,
 )
 
@@ -49,7 +50,7 @@ def make_program(rng: random.Random) -> list[list[tuple]]:
     for i in range(n_procs):
         ops: list[tuple] = []
         for _ in range(rng.randrange(3, 9)):
-            kind = rng.randrange(8)
+            kind = rng.randrange(9)
             if kind <= 2:
                 ops.append(("timeout", delay(), rng.randrange(1000)))
             elif kind == 3:
@@ -67,6 +68,10 @@ def make_program(rng: random.Random) -> list[list[tuple]]:
             elif kind == 6:
                 # A failure the process catches (defused by _resume).
                 ops.append(("fail_caught", delay()))
+            elif kind == 7:
+                # A callback timer (``Simulator.after``) that wakes the
+                # process through an event it succeeds.
+                ops.append(("timer", delay(), rng.randrange(1000)))
             else:
                 # Wait on a peer process (may already be finished).
                 ops.append(("wait_peer", rng.randrange(n_procs)))
@@ -80,6 +85,7 @@ def make_program(rng: random.Random) -> list[list[tuple]]:
 def build(sim: Any, api: dict[str, Any], program: list[list[tuple]]) -> list[Any]:
     """Instantiate ``program`` against a kernel; returns the processes."""
     allof, anyof, interrupt_exc = api["AllOf"], api["AnyOf"], api["Interrupt"]
+    after = api["after"]
     procs: list[Any] = []
 
     def worker(ops: list[tuple]):
@@ -112,6 +118,10 @@ def build(sim: Any, api: dict[str, Any], program: list[list[tuple]]) -> list[Any
                         yield event
                     except RuntimeError as exc:
                         digest.append(str(exc))
+                elif op[0] == "timer":
+                    event = sim.event()
+                    after(sim, op[1], event.succeed, op[2])
+                    digest.append((yield event))
                 elif op[0] == "wait_peer":
                     target = procs[op[1]]
                     if target is not None:
@@ -139,10 +149,20 @@ def outcomes(procs: list[Any]) -> list[Any]:
     return [p.value if p.triggered else "pending" for p in procs]
 
 
+def ref_after(sim: RefSimulator, delay: float, callback: Any, value: Any) -> None:
+    """``Simulator.after`` on the reference kernel, which has no timers:
+    a timeout and a callback that unwraps it — one sequence number at
+    the same program point, one pop."""
+    sim.timeout(delay, value).callbacks.append(lambda event: callback(event.value))
+
+
+REF_API = {"AllOf": RefAllOf, "AnyOf": RefAnyOf, "Interrupt": RefInterrupt, "after": ref_after}
+OPT_API = {"AllOf": AllOf, "AnyOf": AnyOf, "Interrupt": Interrupt, "after": Simulator.after}
+
+
 def run_reference(program: list[list[tuple]]):
     sim = RefSimulator()
-    api = {"AllOf": RefAllOf, "AnyOf": RefAnyOf, "Interrupt": RefInterrupt}
-    procs = build(sim, api, program)
+    procs = build(sim, REF_API, program)
     sim.run()
     return sim.pop_log, outcomes(procs), sim.now, sim.events_processed
 
@@ -150,8 +170,7 @@ def run_reference(program: list[list[tuple]]):
 def run_optimized_stepwise(program: list[list[tuple]]):
     """Drive the optimized kernel one step() at a time, logging pops."""
     sim = Simulator()
-    api = {"AllOf": AllOf, "AnyOf": AnyOf, "Interrupt": Interrupt}
-    procs = build(sim, api, program)
+    procs = build(sim, OPT_API, program)
     pop_log: list[tuple[float, int, int]] = []
     while sim._heap:
         entry = sim._heap[0]
@@ -163,8 +182,7 @@ def run_optimized_stepwise(program: list[list[tuple]]):
 def run_optimized_inline(program: list[list[tuple]]):
     """Drive the optimized kernel through the inlined run() loop."""
     sim = Simulator()
-    api = {"AllOf": AllOf, "AnyOf": AnyOf, "Interrupt": Interrupt}
-    procs = build(sim, api, program)
+    procs = build(sim, OPT_API, program)
     sim.run()
     return outcomes(procs), sim.now, sim.events_processed
 
@@ -193,3 +211,46 @@ def test_differential_pop_log_nonempty():
     program = make_program(random.Random(0))
     ref_log, _, _, count = run_reference(program)
     assert len(ref_log) == count > 0
+
+
+def test_schedules_exercise_the_timer_op():
+    """Meta-check: callback timers are in the generated programs."""
+    programs = [make_program(random.Random(seed)) for seed in range(N_SCHEDULES)]
+    timers = sum(op[0] == "timer" for program in programs for ops in program for op in ops)
+    assert timers > N_SCHEDULES
+
+
+def _guard_messages(simulator: Any, error: type) -> list[str]:
+    """The text of the three guards a process trips by construction or
+    by what it yields, on one kernel."""
+    messages = []
+    sim, other = simulator(), simulator()
+    with pytest.raises(TypeError) as refused:
+        sim.process(lambda: None, name="p")
+    messages.append(str(refused.value))
+
+    def yields(thing):
+        try:
+            yield thing
+        except error as exc:  # thrown into the generator first
+            messages.append(f"thrown: {exc}")
+            raise
+
+    for thing in (42, other.event()):
+        proc = sim.process(yields(thing), name="p")
+        with pytest.raises(error) as failure:
+            sim.run()
+        assert proc.triggered and not proc.ok and proc.value is failure.value
+        messages.append(str(failure.value))
+    return messages
+
+
+def test_process_guards_keep_the_reference_messages():
+    """The guards read attributes instead of calling ``isinstance`` /
+    ``hasattr``; what they say and do when tripped is the reference's."""
+    messages = _guard_messages(Simulator, SimulationError)
+    assert messages == _guard_messages(RefSimulator, RefSimulationError)
+    requires, thrown, must_yield, another = messages
+    assert "requires a generator, got function" in requires
+    assert thrown == f"thrown: {must_yield}" and "must yield events" in must_yield
+    assert "another simulator" in another

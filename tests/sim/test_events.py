@@ -76,6 +76,29 @@ def test_succeed_with_delay():
     assert times == [(5.0, "late")]
 
 
+@pytest.mark.parametrize("refused", ["succeed", "fail"])
+def test_a_refused_trigger_leaves_the_event_pending(refused):
+    """A negative delay is refused before the event is touched: it stays
+    pending, nothing is scheduled, and a later trigger is delivered."""
+    sim = Simulator()
+    e = sim.event()
+    got = []
+
+    def waiter():
+        got.append((yield e))
+
+    sim.process(waiter())
+    with pytest.raises(ValueError, match=r"negative delay -1\.0"):
+        if refused == "succeed":
+            e.succeed(1, delay=-1.0)
+        else:
+            e.fail(RuntimeError("never"), delay=-1.0)
+    assert not e.triggered and sim._sequence == 1  # the kick-start only
+    e.succeed("second try", delay=2.0)
+    sim.run()
+    assert got == ["second try"] and sim.now == 2.0
+
+
 def test_waiting_on_already_processed_event():
     sim = Simulator()
     e = sim.event()

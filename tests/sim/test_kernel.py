@@ -34,8 +34,8 @@ def test_negative_timeout_rejected():
 
 
 def test_negative_delay_message_single_source():
-    """The negative-delay check lives in ``Simulator._schedule`` alone;
-    every scheduling path must surface its exact message."""
+    """Every scheduling path spells the negative-delay check itself
+    (no shared ``_schedule`` frame) and must surface the same message."""
     sim = Simulator()
     with pytest.raises(ValueError, match=r"negative delay -1\.0"):
         sim.timeout(-1.0)
@@ -44,24 +44,23 @@ def test_negative_delay_message_single_source():
     with pytest.raises(ValueError, match=r"negative delay -2"):
         sim.event().fail(RuntimeError("x"), delay=-2)
     with pytest.raises(ValueError, match=r"negative delay -3\.5"):
-        sim._schedule(sim.event(), delay=-3.5)
-    # The rejected timeout never reached the schedule.
-    assert sim.peek() == float("inf")
+        sim.after(-3.5, print)
+    # Nothing that was refused reached the schedule.
+    assert sim.peek() == float("inf") and sim._sequence == 0
 
 
 def test_after_pushes_its_own_entry_with_the_same_check_and_order():
-    """``after`` spells ``_schedule`` out (one frame per timer): same
-    message, nothing scheduled or taken from the pool on refusal, and
-    sequence numbers still interleave with triggered events in call
-    order."""
+    """``after`` pushes its own heap entry (one frame per timer): same
+    message, nothing scheduled on refusal, and sequence numbers still
+    interleave with triggered events in call order."""
     sim = Simulator()
     with pytest.raises(ValueError, match=r"negative delay -1\.5"):
-        sim.after(-1.5, lambda trigger: None)
+        sim.after(-1.5, lambda value: None)
     assert sim.peek() == float("inf") and sim._sequence == 0
     order = []
-    sim.after(1.0, lambda trigger: order.append("after-1"))
+    sim.after(1.0, lambda value: order.append("after-1"))
     sim.timeout(1.0).callbacks.append(lambda event: order.append("timeout"))
-    sim.after(1.0, lambda trigger: order.append("after-2"))
+    sim.after(1.0, lambda value: order.append("after-2"))
     sim.run()
     assert order == ["after-1", "timeout", "after-2"] and sim.now == 1.0
 

@@ -22,6 +22,7 @@ exact counter, calls per committed transaction:
 before       625.48   891.84
 call diet    486.51   688.82   735.60      1004.91     6.56 / 6.45
 trace path   402.93   548.00   514.15      680.22      2.93 / 2.70
+timer diet   377.93   508.00   489.15      640.22      2.93 / 2.70
 ===========  =======  =======  ==========  ==========  ===========
 
 (*before* is the parent of the call diet, on 3.10 and 3.11; the other
@@ -29,9 +30,9 @@ rows are 3.11 — comprehensions are inlined from 3.12 on, which only
 lowers them.)
 
 The ceilings are the last row rounded up to the next 5, so every row
-of the test fails at the parent of the trace path by construction: the
-untraced cell left the driver's ``peek``/``step`` loop, the traced one
-also lost the frames between a hook and its record.  *Per record* is
+of the test fails at the parent of the timer diet by construction:
+triggering an event lost the ``_schedule`` frame, and the ``triggered``
+/ ``callbacks`` properties left the per-transaction path.  *Per record* is
 what switching the hub on costs, ``(traced - untraced) / records`` with
 3,799 (1PC) and 4,899 (PrN) trace records in the cell: the hook,
 ``_emit`` and ``SpanCollector.record``, plus the per-transaction span
@@ -41,28 +42,51 @@ do.  A change that trips a row put frames back on the per-transaction
 path: find them with ``python3 benchmarks/ledger/run.py --workload
 composite-1pc --trace 1`` (``traced-burst`` for a traced row) before
 raising a ceiling.
+
+The kernel rows at the bottom count builtins too, exactly: a timer is
+one ``heappush``, one ``heappop`` and the frames of ``after`` and of its
+callback; a process resumption adds ``send`` and no guard call.  Any
+edit under ``src/repro/sim/`` that trips them also shows on the
+ledger's ``kernel-churn``.
 """
 
 import functools
 import gc
 import os
 import sys
+from collections import Counter
 
 import pytest
 
 import repro
 from repro.exec.runners import execute_spec
 from repro.exec.spec import RunSpec
+from repro.sim import Simulator
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 #: protocol -> ceiling of Python calls under ``src/repro/`` per
 #: committed transaction of the 100-create burst cell.
-CEILING = {"1PC": 405, "PrN": 550}
+CEILING = {"1PC": 380, "PrN": 510}
 #: The same with ``trace=True``: every hook writes its record.
-TRACED_CEILING = {"1PC": 515, "PrN": 685}
+TRACED_CEILING = {"1PC": 490, "PrN": 645}
 #: Ceiling of what the hub adds, in package frames per trace record.
 FRAMES_PER_RECORD = 3.0
+
+
+def _profiled(profiler, run):
+    """``run()`` under ``sys.setprofile(profiler)``, collector off."""
+    previous = sys.getprofile()
+    # Finalising a suspended generator raises a ``call``; when the
+    # collector runs is not a property of the code under test.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        return run()
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
 
 
 def _package_calls(run):
@@ -80,18 +104,7 @@ def _package_calls(run):
                 mine = owned[code] = os.path.abspath(code.co_filename).startswith(_PACKAGE)
             calls += mine
 
-    previous = sys.getprofile()
-    # Finalising a suspended generator raises a ``call``; when the
-    # collector runs is not a property of the code under test.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        result = run()
-    finally:
-        sys.setprofile(previous)
-        gc.enable()
-    return result, calls
+    return _profiled(profiler, run), calls
 
 
 @functools.cache  # the traced rows subtract the untraced measurement
@@ -123,3 +136,55 @@ def test_traced_burst_cell_stays_within_its_call_budget(protocol):
     assert per_record <= FRAMES_PER_RECORD, (
         f"{protocol}: the hub adds {per_record:.2f} package frames per trace record"
     )
+
+
+def _all_calls(run):
+    """``(frames, builtins)``: every Python frame ``run()`` entered and
+    every C function it called, counted by name."""
+    frames, builtins = Counter(), Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            frames[frame.f_code.co_name] += 1
+        elif event == "c_call":
+            builtins[arg.__name__] += 1
+
+    _profiled(profiler, run)
+    del builtins["setprofile"]  # the switch-off is a C call too
+    return frames, builtins
+
+
+def test_a_timer_costs_one_heap_entry_and_two_frames():
+    sim = Simulator()
+
+    def tick(left):
+        if left:
+            sim.after(1e-3, tick, left - 1)
+
+    def chain():
+        sim.after(0.0, tick, 999)
+        sim.run()
+
+    frames, builtins = _all_calls(chain)
+    assert sim.events_processed == 1000
+    assert frames == {"chain": 1, "run": 1, "after": 1000, "tick": 1000}
+    # ``isinstance`` is ``run()`` looking at ``until``, once.
+    assert builtins == {"heappush": 1000, "heappop": 1000, "isinstance": 1}
+
+
+def test_a_resumption_costs_its_event_and_a_send_and_no_guard_call():
+    sim = Simulator()
+
+    def sleeper():
+        for _ in range(1000):
+            yield sim.timeout(1e-3)
+
+    def drive():
+        sim.process(sleeper(), name="sleeper")
+        sim.run()
+
+    frames, builtins = _all_calls(drive)
+    assert sim.events_processed == 1002  # kick-start, 1000 timeouts, completion
+    assert frames["_resume"] == frames["sleeper"] == 1001 and frames["timeout"] == 1000
+    assert "_schedule" not in frames
+    assert builtins == {"heappush": 1002, "heappop": 1002, "send": 1001, "isinstance": 1}
