@@ -18,7 +18,7 @@ Run:  python examples/failure_drill.py
 """
 
 from repro import Cluster
-from repro.faults import CrashFault, FaultPlan, PartitionFault
+from repro.faults import Fault, FaultPlan, TraceTrigger, window
 from repro.fs.placement import ForcedDistributedPlacement
 
 
@@ -56,11 +56,7 @@ def act1_worker_crash():
     cluster, client = build()
     # Crash the worker, for good, the moment the update request reaches it.
     FaultPlan([
-        CrashFault(
-            node="mds2",
-            when=lambda t: t.select("msg_recv", actor="mds2", kind="UPDATE_REQ"),
-            restart_after=float("inf"),
-        )
+        Fault("crash", "mds2", trigger=window("at-vote", "mds2"), restart_after=float("inf"))
     ]).install(cluster)
     client.submit(client.plan_create("/dir1/lost"))
     cluster.sim.run(until=cluster.sim.now + 120.0)
@@ -73,13 +69,8 @@ def act2_partition_after_commit():
     print("Act 2 — partition after the worker committed (split-brain bait)")
     cluster, client = build()
     # Cut the worker off once its COMMITTED is durable; heal 5 s later.
-    FaultPlan([
-        PartitionFault(
-            when=lambda t: t.select("log_durable", actor="mds2", kind="COMMITTED"),
-            groups=[frozenset({"mds2"})],
-            heal_after=5.0,
-        )
-    ]).install(cluster)
+    committed = TraceTrigger("log_durable", actor="mds2", where=(("kind", "COMMITTED"),))
+    FaultPlan([Fault("partition", "mds2", trigger=committed, heal_after=5.0)]).install(cluster)
     client.submit(client.plan_create("/dir1/saved"))
     cluster.sim.run(until=cluster.sim.now + 125.0)
     narrate(cluster, since=cluster.trace.select("fault")[0].time)

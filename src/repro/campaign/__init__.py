@@ -4,18 +4,18 @@ The conformance suite probes each protocol at hand-picked crash
 points; this package turns :mod:`repro.faults` +
 :mod:`repro.analysis.serializability` into a *search* harness:
 
-* :mod:`repro.campaign.triggers` -- serialisable trace-predicate
-  triggers aimed at protocol-critical windows (at-vote, after-vote,
-  between fence and remote log read, during recovery, on WAL flush).
 * :mod:`repro.campaign.schedule` -- :class:`CampaignSchedule`, a
   seeded, canonical-JSON description of one run (workload shape +
-  fault specs), and :func:`generate_schedule`, the randomized
-  generator.
+  :class:`repro.faults.Fault` records), and :func:`generate_schedule`,
+  the randomized generator, which aims trace-triggered faults at the
+  protocol-critical windows of :mod:`repro.faults.triggers` (at-vote,
+  after-vote, between fence and remote log read, during recovery, on
+  WAL flush).
 * :mod:`repro.campaign.runner` -- executes one schedule on a live
   cluster and checks the result (namespace invariants, per-transaction
   atomicity, durability of acknowledged commits, serial equivalence,
   conflict cycles) into a structured verdict.  ``repro.exec`` runs it
-  as the ``campaign`` RunSpec kind, so these three modules sit *below*
+  as the ``campaign`` RunSpec kind, so these two modules sit *below*
   the executor.
 * :mod:`repro.campaign.shrink` -- a delta-debugging shrinker that
   reduces a violating schedule to a minimal repro (drop faults,
@@ -29,20 +29,12 @@ are not imported here: ``repro.exec`` passes through this package on
 its way to ``runner``, and importing back would work in one order only.
 """
 
-from repro.campaign.schedule import (
-    CampaignSchedule,
-    FaultSpec,
-    generate_schedule,
-)
+from repro.campaign.schedule import CampaignSchedule, generate_schedule
 from repro.campaign.runner import check_run, run_campaign_cell
-from repro.campaign.triggers import TraceTrigger, window
 
 __all__ = [
     "CampaignSchedule",
-    "FaultSpec",
-    "TraceTrigger",
     "check_run",
     "generate_schedule",
     "run_campaign_cell",
-    "window",
 ]

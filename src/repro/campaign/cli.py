@@ -230,8 +230,13 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.campaign.shrink import load_repro, replay_repro, violation_kinds
+    from repro.faults import ScheduleFormatError
 
-    doc = load_repro(args.repro)
+    try:
+        doc = load_repro(args.repro)
+    except ScheduleFormatError as err:
+        print(err, file=sys.stderr)
+        return 2
     cell, reproduced = replay_repro(doc)
     expected = sorted({v["check"] for v in doc["verdict"].get("violations", [])})
     observed = sorted(violation_kinds(cell))

@@ -209,7 +209,7 @@ def run_campaign_cell(
     violations = check_run(cluster, plans, bootstrap_dirs)
     committed = sum(1 for o in cluster.outcomes if o.committed)
     aborted = sum(1 for o in cluster.outcomes if not o.committed)
-    fired = sum(1 for f in fault_plan.faults if f.fired)
+    fired = len(fault_plan.fired)
     verdict: dict[str, Any] = {
         "ok": not violations,
         "protocol": schedule.protocol,

@@ -30,6 +30,7 @@ from typing import Any, Callable, Optional
 from repro.campaign.schedule import CampaignSchedule
 from repro.exec.runners import execute_spec
 from repro.exec.spec import CellResult, RunSpec
+from repro.faults.triggers import ScheduleFormatError, read_fields
 
 REPRO_SCHEMA_VERSION = 1
 REPRO_KIND = "campaign-repro"
@@ -104,15 +105,15 @@ def shrink_schedule(
 
         # Pass 3: tighten trigger predicates.
         for i in range(len(current.faults)):
-            spec = current.faults[i]
-            if spec.trigger is not None and spec.trigger.actor is None and spec.node:
-                tightened = replace(spec, trigger=replace(spec.trigger, actor=spec.node))
+            fault = current.faults[i]
+            if fault.trigger is not None and fault.trigger.actor is None:
+                tightened = replace(fault, trigger=replace(fault.trigger, actor=fault.node))
                 faults = current.faults[:i] + (tightened,) + current.faults[i + 1 :]
                 if attempt(replace(current, faults=faults), f"pin trigger #{i} actor"):
                     changed = True
-            spec = current.faults[i]
-            if spec.trigger is not None and spec.trigger.min_count > 1:
-                tightened = replace(spec, trigger=replace(spec.trigger, min_count=1))
+            fault = current.faults[i]
+            if fault.trigger is not None and fault.trigger.min_count > 1:
+                tightened = replace(fault, trigger=replace(fault.trigger, min_count=1))
                 faults = current.faults[:i] + (tightened,) + current.faults[i + 1 :]
                 if attempt(replace(current, faults=faults), f"trigger #{i} min_count=1"):
                     changed = True
@@ -172,17 +173,38 @@ def repro_document(cell: CellResult, shrunk: ShrinkResult) -> dict[str, Any]:
 
 
 def load_repro(path: str) -> dict[str, Any]:
-    """Load and validate a repro document from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if doc.get("kind") != REPRO_KIND:
-        raise ValueError(f"{path}: not a campaign repro document")
-    version = doc.get("schema_version")
-    if version != REPRO_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported repro schema {version!r} "
-            f"(expected {REPRO_SCHEMA_VERSION})"
-        )
+    """Load a repro document from disk, held to what
+    :func:`repro_document` writes: anything else is a
+    :class:`~repro.faults.ScheduleFormatError` naming the file and the
+    field (``spec.campaign.faults[0].at``)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+        if not isinstance(doc, dict) or doc.get("kind") != REPRO_KIND:
+            raise ScheduleFormatError("not a campaign repro document")
+        version = doc.get("schema_version")
+        if version != REPRO_SCHEMA_VERSION:
+            raise ScheduleFormatError(
+                f"unsupported repro schema {version!r} (expected {REPRO_SCHEMA_VERSION})"
+            )
+        fields = dict.fromkeys(("spec", "verdict", "shrink"), dict)
+        read_fields(doc, "", fields | {"kind": str, "schema_version": int})
+        expected = doc["verdict"].get("violations", [])
+        if not isinstance(expected, list) or not all(
+            isinstance(v, dict) and isinstance(v.get("check"), str) for v in expected
+        ):
+            raise ScheduleFormatError("verdict.violations: expected a list of {check: ...}")
+        try:
+            spec = RunSpec.from_dict(doc["spec"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise ScheduleFormatError(f"spec: {err!r}") from None
+        if not isinstance(spec.campaign, str):
+            raise ScheduleFormatError("spec.campaign: missing")
+        CampaignSchedule.from_json(spec.campaign, "spec.campaign")
+    except json.JSONDecodeError as err:
+        raise ScheduleFormatError(f"{path}: not JSON ({err})") from None
+    except ScheduleFormatError as err:
+        raise ScheduleFormatError(f"{path}: {err}") from None
     return doc
 
 

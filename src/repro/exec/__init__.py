@@ -17,7 +17,6 @@ seeding, spec-order merge), and a machine-readable results layer
 from repro.exec.executor import (
     ExperimentError,
     ProgressEvent,
-    host_trace_log,
     run_grid,
 )
 from repro.exec.grids import (
@@ -59,7 +58,6 @@ __all__ = [
     "fanout_grid",
     "figure6_grid",
     "git_revision",
-    "host_trace_log",
     "load_results",
     "network_latency_grid",
     "register_runner",

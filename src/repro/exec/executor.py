@@ -25,11 +25,9 @@ interchangeable by construction (the cache stores the canonical cell
 document and rebuilding it round-trips byte-identically), so the
 spec-order merge and the bit-identity contract are unchanged.
 
-Progress and metrics reporting reuses the simulator's observability
-conventions: the executor emits ``exec``-category records into a
-:class:`~repro.sim.monitor.TraceLog` driven by a host wall clock, and
-aggregates per-cell host seconds in a
-:class:`~repro.sim.monitor.Monitor`.
+Progress has one channel: ``progress`` is called with a
+:class:`ProgressEvent` per finished cell (position, host seconds,
+whether the cache served it), in completion order.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, ca
 from repro.exec.clock import monotonic
 from repro.exec.runners import execute_spec
 from repro.exec.spec import CellResult, RunSpec
-from repro.sim.monitor import Monitor, TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache import ResultCache
@@ -51,14 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class ExperimentError(RuntimeError):
     """A grid cell failed; the message names the spec and the cause."""
-
-
-class HostClock:
-    """Adapter giving :class:`TraceLog` a wall clock instead of sim time."""
-
-    @property
-    def now(self) -> float:
-        return monotonic()
 
 
 @dataclass(frozen=True)
@@ -81,17 +70,10 @@ class ProgressEvent:
 ProgressCallback = Callable[[ProgressEvent], None]
 
 
-def host_trace_log(enabled: bool = True) -> TraceLog:
-    """A TraceLog timestamped with host wall time, for executor events."""
-    return TraceLog(HostClock(), enabled=enabled)
-
-
 def run_grid(
     specs: Iterable[RunSpec],
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
-    trace: Optional[TraceLog] = None,
-    monitor: Optional[Monitor] = None,
     keep_clusters: bool = False,
     cache: "Optional[ResultCache]" = None,
     refresh: bool = False,
@@ -115,8 +97,6 @@ def run_grid(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     total = len(spec_list)
-    if trace is not None:
-        trace.emit("exec", "executor", event="grid_start", cells=total, workers=workers)
 
     results: list[Optional[CellResult]] = [None] * total
     jobs: list[int] = []
@@ -138,14 +118,8 @@ def run_grid(
             # A cache hit: nothing ran, so no host seconds to observe.
             done += 1
             results[index] = cell
-            if trace is not None:
-                trace.emit(
-                    "exec", "executor", event="cell_cached",
-                    index=index, done=done, total=total, spec=spec.describe(),
-                )
             if progress is not None:
                 progress(ProgressEvent(done, total, index, spec, seconds=0.0, cached=True))
-    hits = done
     store = None if keep_clusters else cache
 
     def finish(index: int, cell: CellResult, seconds: float) -> None:
@@ -158,13 +132,6 @@ def run_grid(
             store.put(spec, cell)
         done += 1
         results[index] = cell
-        if monitor is not None:
-            monitor.observe(monotonic(), seconds)
-        if trace is not None:
-            trace.emit(
-                "exec", "executor", event="cell_done",
-                index=index, done=done, total=total, spec=spec.describe(), seconds=seconds,
-            )
         if progress is not None:
             progress(ProgressEvent(done, total, index, spec, seconds))
 
@@ -188,8 +155,6 @@ def run_grid(
             died=lambda i: f"the grid (first unfinished spec: {i} — {spec_list[i].describe()})",
             failed=lambda i: f"spec {i} ({spec_list[i].describe()})",
         )
-    if trace is not None:
-        trace.emit("exec", "executor", event="grid_done", cells=total, cached=hits)
     return cast("list[CellResult]", list(results))
 
 

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 from repro.exec.clock import monotonic, utc_now_iso
 from repro.exec.executor import ProgressCallback, run_grid
 from repro.exec.spec import CellResult, RunSpec
-from repro.sim.monitor import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache import ResultCache
@@ -142,7 +141,6 @@ def run_sweep(
     kind: str,
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
-    trace: Optional[TraceLog] = None,
     cache: "Optional[ResultCache]" = None,
     refresh: bool = False,
 ) -> SweepResults:
@@ -154,9 +152,7 @@ def run_sweep(
     """
     before = cache.stats if cache is not None else None
     started = monotonic()
-    cells = run_grid(
-        specs, workers=workers, progress=progress, trace=trace, cache=cache, refresh=refresh
-    )
+    cells = run_grid(specs, workers=workers, progress=progress, cache=cache, refresh=refresh)
     cached = (cache.stats - before).hits if cache is not None and before is not None else 0
     return SweepResults(
         kind=kind,

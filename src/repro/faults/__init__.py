@@ -1,38 +1,30 @@
-"""Fault injection.
+"""Fault injection: a fault is data, a plan fires it.
 
-Declarative fault schedules executed against a running cluster:
-
-* :class:`~repro.faults.injector.CrashFault`,
-  :class:`~repro.faults.injector.PartitionFault`,
-  :class:`~repro.faults.injector.LinkFault`,
-  :class:`~repro.faults.injector.VoteRefusalFault` -- individual fault
-  actions with a trigger time (absolute, or "when trace predicate
-  fires").
+* :class:`~repro.faults.injector.Fault` -- one frozen, serialisable
+  record: a kind (a row of :data:`~repro.faults.injector.ACTIONS`), a
+  victim, and when to fire (absolute time, or a trace trigger).
+* :class:`~repro.faults.triggers.TraceTrigger` -- a declarative record
+  filter with a hit count; :func:`~repro.faults.triggers.window` names
+  the protocol-critical ones.
 * :class:`~repro.faults.injector.FaultPlan` -- an ordered schedule of
   faults installed onto a cluster.
-* :mod:`repro.faults.scenarios` -- a library of named scenarios used by
-  the conformance battery and the torture tests, plus a seeded random
-  fault-plan generator.
+* :mod:`repro.faults.scenarios` -- the named scenarios of the
+  conformance battery and the recovery goldens.
 """
 
-from repro.faults.injector import (
-    CrashFault,
-    DiskStallFault,
-    FaultPlan,
-    LinkFault,
-    PartitionFault,
-    VoteRefusalFault,
-)
-from repro.faults.scenarios import SCENARIOS, random_fault_plan, scenario
+from repro.faults.injector import ACTIONS, FAULT_KINDS, Fault, FaultPlan
+from repro.faults.scenarios import SCENARIOS, scenario
+from repro.faults.triggers import WINDOWS, ScheduleFormatError, TraceTrigger, window
 
 __all__ = [
-    "CrashFault",
-    "DiskStallFault",
+    "ACTIONS",
+    "FAULT_KINDS",
+    "Fault",
     "FaultPlan",
-    "LinkFault",
-    "PartitionFault",
     "SCENARIOS",
-    "VoteRefusalFault",
-    "random_fault_plan",
+    "ScheduleFormatError",
+    "TraceTrigger",
+    "WINDOWS",
     "scenario",
+    "window",
 ]

@@ -1,177 +1,200 @@
-"""Declarative fault actions and schedules.
+"""Faults as data, and the plan that fires them.
 
-A fault fires either at an absolute virtual time (``at=...``) or when a
-trace predicate first becomes true (``when=...``, evaluated on the
-plan's poll grid once the trace has grown).  Trace-triggered faults
-make crash-point tests readable::
+A :class:`Fault` is one frozen, serialisable record: a kind, a victim
+and when to fire — at an absolute virtual time (``at=``) or once a
+:class:`~repro.faults.triggers.TraceTrigger` has matched (``trigger=``,
+tested on the plan's poll grid).  What a kind *does* is its row of
+:data:`ACTIONS`::
 
     FaultPlan([
-        CrashFault("mds2", when=lambda t: t.count("log_durable",
-                                                  kind="PREPARED") > 0),
-        ...
+        Fault("crash", "mds2", trigger=window("at-vote", "mds2")),
+        Fault("link", "mds1", peer="mds2", at=1e-3, restore_after=2.0),
     ]).install(cluster)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+
+from repro.faults.triggers import (
+    NUMBER,
+    ScheduleFormatError,
+    TraceTrigger,
+    TriggerCounter,
+    read_fields,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
-    from repro.sim import TraceLog, TraceRecord
-
-TracePredicate = Callable[["TraceLog"], bool]
+    from repro.sim import TraceRecord
 
 #: Default poll-grid spacing of trace-triggered faults (seconds, virtual).
 POLL_INTERVAL = 50e-6
 
+#: A fault's optional fields, in the order ``to_dict`` writes them.
+_DELAYS = ("restart_after", "heal_after", "restore_after", "duration")
 
-@dataclass
+
+@dataclass(frozen=True)
 class Fault:
-    """Base fault: a trigger plus an action."""
+    """One fault: a kind, a victim, and when it fires.
 
-    #: Absolute virtual firing time; mutually exclusive with ``when``.
-    at: Optional[float] = None
-    #: Trace predicate; fires on the first poll where it returns True.
-    when: Optional[TracePredicate] = None
-    #: Set once the fault has fired.
-    fired: bool = field(default=False, init=False)
-
-    def __post_init__(self) -> None:
-        if (self.at is None) == (self.when is None):
-            raise ValueError("exactly one of 'at' or 'when' must be given")
-
-    def apply(self, cluster: "Cluster") -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def describe(self) -> str:  # pragma: no cover - cosmetic
-        trigger = f"at={self.at}" if self.at is not None else "on-trace"
-        return f"{type(self).__name__}({trigger})"
-
-
-@dataclass
-class CrashFault(Fault):
-    """Crash a server; optionally schedule its restart."""
-
-    node: str = ""
-    #: Seconds after the crash to restart; None = use the cluster's
-    #: reboot delay; float("inf") = never restart.
-    restart_after: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.node:
-            raise ValueError("CrashFault requires a node")
-
-    def apply(self, cluster: "Cluster") -> None:
-        cluster.crash_server(self.node)
-        delay = (
-            cluster.params.failure.reboot_delay
-            if self.restart_after is None
-            else self.restart_after
-        )
-        if delay != float("inf"):
-            cluster.restart_server(self.node, after=delay)
-
-
-@dataclass
-class PartitionFault(Fault):
-    """Split the network; optionally heal after ``heal_after`` seconds."""
-
-    groups: Sequence[frozenset] = ()
-    heal_after: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.groups:
-            raise ValueError("PartitionFault requires at least one group")
-
-    def apply(self, cluster: "Cluster") -> None:
-        cluster.partition(*self.groups)
-        if self.heal_after is not None:
-            cluster.sim.call_at(
-                cluster.sim.now + self.heal_after, cluster.heal_partition
-            )
-
-
-@dataclass
-class LinkFault(Fault):
-    """Fail one link; optionally restore it."""
-
-    a: str = ""
-    b: str = ""
-    restore_after: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.a or not self.b:
-            raise ValueError("LinkFault requires both endpoints")
-
-    def apply(self, cluster: "Cluster") -> None:
-        cluster.network.fail_link(self.a, self.b)
-        if self.restore_after is not None:
-            cluster.sim.call_at(
-                cluster.sim.now + self.restore_after,
-                lambda: cluster.network.restore_link(self.a, self.b),
-            )
-
-
-@dataclass
-class DiskStallFault(Fault):
-    """Stall a node's log device for ``duration`` seconds.
-
-    Occupies one service slot of the disk serving ``node`` (the node's
-    private log device, or the shared log manager when the cluster runs
-    the shared-log architecture), so queued WAL flushes and remote log
-    reads wait the stall out — the classic slow-disk hazard for the 1PC
-    fence-then-read recovery path.
+    Exactly one of ``at`` (absolute virtual time) and ``trigger`` must
+    be set.  The canonical form (:meth:`to_dict`) rides inside campaign
+    schedules and so inside run identities, seeds and cache keys.
     """
 
+    kind: str
     node: str = ""
-    duration: float = 1.0
+    #: Second endpoint (link faults only).
+    peer: str = ""
+    at: Optional[float] = None
+    trigger: Optional[TraceTrigger] = None
+    #: crash: seconds until the restart; None = the cluster's reboot
+    #: delay, ``float("inf")`` = never.  The other three: None = never
+    #: healed / never restored / stalled for one second.
+    restart_after: Optional[float] = None
+    heal_after: Optional[float] = None
+    restore_after: Optional[float] = None
+    duration: Optional[float] = None
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        if self.kind not in ACTIONS:
+            raise ValueError(f"unknown fault kind {self.kind!r}; have {FAULT_KINDS}")
+        if (self.at is None) == (self.trigger is None):
+            raise ValueError("exactly one of 'at' or 'trigger' must be given")
         if not self.node:
-            raise ValueError("DiskStallFault requires a node")
-        if self.duration <= 0:
-            raise ValueError(f"DiskStallFault requires a positive duration, got {self.duration}")
+            raise ValueError(f"{self.kind} fault requires a node")
+        if self.kind == "link" and not self.peer:
+            raise ValueError("link fault requires a peer")
+        if self.kind == "stall" and self.duration is not None and not self.duration > 0:
+            raise ValueError(f"stall fault requires a positive duration, got {self.duration}")
 
     def apply(self, cluster: "Cluster") -> None:
-        disk = cluster.storage.disk_of(self.node)
-        cluster.sim.process(
-            disk.stall(self.duration, actor=f"stall:{self.node}"),
-            name=f"disk-stall:{self.node}",
+        """Do to ``cluster`` what this fault's kind does."""
+        ACTIONS[self.kind](cluster, self)
+
+    def describe(self) -> str:
+        """Deterministic one-line label (the shrinker's unit of work)."""
+        when = f"at={self.at:g}" if self.trigger is None else self.trigger.describe()
+        target = self.node if not self.peer else f"{self.node}<->{self.peer}"
+        return f"{self.kind}({target}, {when})"
+
+    def to_dict(self) -> dict[str, Any]:
+        """Canonical plain-data form (optional fields only when set)."""
+        doc: dict[str, Any] = {"kind": self.kind, "node": self.node}
+        if self.peer:
+            doc["peer"] = self.peer
+        if self.at is not None:
+            doc["at"] = self.at
+        if self.trigger is not None:
+            doc["trigger"] = self.trigger.to_dict()
+        for key in _DELAYS:
+            value = getattr(self, key)
+            if value is not None:
+                doc[key] = value
+        return doc
+
+    @staticmethod
+    def from_dict(doc: Any, path: str = "fault") -> "Fault":
+        """Exact inverse of :meth:`to_dict`; anything else is a
+        :class:`~repro.faults.triggers.ScheduleFormatError` naming the
+        field under ``path``, where ``doc`` sits in its document."""
+        optional = {"peer": str, "at": NUMBER, "trigger": dict, **dict.fromkeys(_DELAYS, NUMBER)}
+        read_fields(doc, path, {"kind": str, "node": str}, optional)
+        values = dict(doc)
+        if "trigger" in values:
+            values["trigger"] = TraceTrigger.from_dict(values["trigger"], f"{path}.trigger")
+        try:
+            return Fault(**values)
+        except ValueError as err:
+            raise ScheduleFormatError(f"{path}: {err}") from None
+
+
+def _crash(cluster: "Cluster", fault: Fault) -> None:
+    """Crash a server; schedule its restart."""
+    cluster.crash_server(fault.node)
+    if fault.restart_after != float("inf"):
+        cluster.restart_server(fault.node, after=fault.restart_after)
+
+
+def _partition(cluster: "Cluster", fault: Fault) -> None:
+    """Cut one node off from the rest; optionally heal."""
+    cluster.partition(frozenset({fault.node}))
+    if fault.heal_after is not None:
+        cluster.sim.call_at(cluster.sim.now + fault.heal_after, cluster.heal_partition)
+
+
+def _link(cluster: "Cluster", fault: Fault) -> None:
+    """Fail one link; optionally restore it."""
+    cluster.network.fail_link(fault.node, fault.peer)
+    if fault.restore_after is not None:
+        cluster.sim.call_at(
+            cluster.sim.now + fault.restore_after,
+            lambda: cluster.network.restore_link(fault.node, fault.peer),
         )
 
 
-@dataclass
-class VoteRefusalFault(Fault):
+def _refuse(cluster: "Cluster", fault: Fault) -> None:
     """Make a server refuse its next worker-side vote."""
+    cluster.servers[fault.node].fail_next_vote = True
 
-    node: str = ""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.node:
-            raise ValueError("VoteRefusalFault requires a node")
+def _stall(cluster: "Cluster", fault: Fault) -> None:
+    """Stall a node's log device: occupy one service slot of the disk
+    serving it (its private log device, or the shared log manager under
+    the shared-log architecture), so queued WAL flushes and remote log
+    reads wait the stall out — the classic slow-disk hazard for the 1PC
+    fence-then-read recovery path."""
+    disk = cluster.storage.disk_of(fault.node)
+    cluster.sim.process(
+        disk.stall(1.0 if fault.duration is None else fault.duration, actor=f"stall:{fault.node}"),
+        name=f"disk-stall:{fault.node}",
+    )
 
-    def apply(self, cluster: "Cluster") -> None:
-        cluster.servers[self.node].fail_next_vote = True
+
+#: What each fault kind does.  A new kind is one row here, its field on
+#: :class:`Fault` if it needs one, and an entry of the
+#: ``generate_schedule`` menu.
+ACTIONS: dict[str, Callable[["Cluster", Fault], None]] = {
+    "crash": _crash,
+    "partition": _partition,
+    "link": _link,
+    "refuse": _refuse,
+    "stall": _stall,
+}
+FAULT_KINDS = tuple(ACTIONS)
+
+#: The name a kind has in the trace's ``fault`` record.  Pinned: the
+#: record's text is inside the recovery and campaign digest goldens.
+_TRACE_LABELS = {
+    "crash": "CrashFault",
+    "partition": "PartitionFault",
+    "link": "LinkFault",
+    "refuse": "VoteRefusalFault",
+    "stall": "DiskStallFault",
+}
+
+
+def _reject(faults: list[Fault], why: str) -> None:
+    if faults:
+        listing = ", ".join(f.describe() for f in faults)
+        raise ValueError(f"{len(faults)} fault(s) of the plan {why}: {listing}")
 
 
 class FaultPlan:
     """An ordered schedule of faults bound to a cluster.
 
-    ``when=`` faults fire on a *poll grid*: the install instant plus
+    ``trigger=`` faults fire on a *poll grid*: the install instant plus
     ``poll_interval``, added repeatedly.  The plan subscribes to the
-    cluster's record stream and arms one kernel timer, for the next
-    grid instant, only when the trace has grown since the last poll: a
-    ``when=`` is a function of the trace alone, so the instants between
-    can fire nothing and cost nothing.  The first grid instant at or
-    past ``watch_until`` (absolute) is the last poll; a plan with
-    nothing left to watch unsubscribes.
+    cluster's record stream, feeds each record to the hit counters of
+    its category, and arms one kernel timer, for the next grid instant,
+    only when the trace has grown since the last poll: a trigger is a
+    function of the trace alone, so the instants between can fire
+    nothing and cost nothing.  The first grid instant at or past
+    ``watch_until`` (absolute) is the last poll; a plan with nothing
+    left to watch unsubscribes.
 
     Tie rule: a poll sees every record appended before it runs.  One
     stamped exactly on a grid instant is seen at that instant unless
@@ -191,41 +214,46 @@ class FaultPlan:
         self.poll_interval = poll_interval
         self.watch_until = watch_until
         self.installed = False
+        #: The faults that have fired, in firing order: a fault is immutable
+        #: and may serve many plans, so what happened in one run is the plan's.
+        self.fired: list[Fault] = []
 
     def install(self, cluster: "Cluster") -> None:
         """Arm every fault on ``cluster``.  Rejects, naming the faults,
-        an ``at=`` already in the past (or built against the wrong
-        clock) and a ``when=`` on a cluster built with ``trace=False``,
-        whose empty trace could never fire it."""
+        a node the cluster does not have, an ``at=`` already in the
+        past (or built against the wrong clock) and a ``trigger=`` on a
+        cluster built with ``trace=False``, whose empty trace could
+        never fire it."""
         if self.installed:
             raise RuntimeError("fault plan already installed")
-        now = cluster.sim.now
-        stale = [f for f in self.faults if f.at is not None and f.at < now]
-        if stale:
-            listing = ", ".join(f.describe() for f in stale)
-            raise ValueError(
-                f"fault plan schedules {len(stale)} fault(s) in the past "
-                f"(sim time is already {now:g}): {listing}"
-            )
-        watched = [f for f in self.faults if f.when is not None]
-        if watched and not cluster.obs.enabled:
-            raise ValueError(
-                f"fault plan has {len(watched)} trace-triggered fault(s) but the cluster "
-                "records no trace, so they can never fire: "
-                + ", ".join(f.describe() for f in watched)
+        now, nodes = cluster.sim.now, cluster.servers
+        _reject(
+            [f for f in self.faults if f.node not in nodes or (f.peer and f.peer not in nodes)],
+            f"name a node the cluster does not have (it has {sorted(nodes)})",
+        )
+        _reject(
+            [f for f in self.faults if f.at is not None and f.at < now],
+            f"are scheduled in the past (sim time is already {now:g})",
+        )
+        if not cluster.obs.enabled:
+            _reject(
+                [f for f in self.faults if f.trigger is not None],
+                "are trace-triggered but the cluster records no trace, so they can never fire",
             )
         self.installed = True
         self._cluster = cluster
+        #: Still-unfired triggered faults, each with its hit counter.
+        self._pending: list[tuple[Fault, TriggerCounter]] = [
+            (f, f.trigger.compile()) for f in self.faults if f.trigger is not None
+        ]
         for fault in self.faults:
             if fault.at is not None:
                 cluster.sim.at(fault.at, self._fire, fault)
-        if watched:
-            self._pending = watched
-            #: category -> ``feed`` of each ``when=`` that has one (a compiled
-            #: trigger): pushed every record of its category, it never scans.
+        if self._pending:
+            #: category -> ``feed`` of every counter that filters on it.
             self._feeds: dict[str, list[Callable[["TraceRecord"], None]]] = {}
-            for when in (f.when for f in watched if hasattr(f.when, "feed")):
-                self._feeds.setdefault(when.category, []).append(when.feed)
+            for _fault, counter in self._pending:
+                self._feeds.setdefault(counter.trigger.category, []).append(counter.feed)
             #: The grid instant last polled or armed; the install instant at first.
             self._last = now
             self._armed = False
@@ -234,10 +262,12 @@ class FaultPlan:
                 self._on_record(record)
 
     def _fire(self, fault: Fault) -> None:
-        if not fault.fired:
-            fault.fired = True
-            self._cluster.obs.annotate("fault", "injector", fault=fault.describe())
-            fault.apply(self._cluster)
+        self.fired.append(fault)
+        trigger = f"at={fault.at}" if fault.at is not None else "on-trace"
+        self._cluster.obs.annotate(
+            "fault", "injector", fault=f"{_TRACE_LABELS[fault.kind]}({trigger})"
+        )
+        fault.apply(self._cluster)
 
     def _on_record(self, record: "TraceRecord") -> None:
         """The trace grew: feed the counters, see to it a poll is armed."""
@@ -267,10 +297,11 @@ class FaultPlan:
 
     def _poll(self, _value: None) -> None:
         fired = False
-        for fault in list(self._pending):
-            if fault.when(self._cluster.trace):
+        for entry in list(self._pending):
+            fault, counter = entry
+            if counter.hits >= counter.min_count:
                 self._fire(fault)
-                self._pending.remove(fault)
+                self._pending.remove(entry)
                 fired = True
         self._armed = False
         if not self._pending:
@@ -278,8 +309,3 @@ class FaultPlan:
         elif fired:
             # Only what the faults fired here emitted is news to the next poll.
             self._arm(self._last)
-
-    @property
-    def all_fired(self) -> bool:
-        """True once every fault in the plan has fired."""
-        return all(f.fired for f in self.faults)

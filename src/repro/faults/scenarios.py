@@ -1,98 +1,35 @@
-"""Named fault scenarios and a seeded random fault-plan generator.
-
-The named scenarios parametrise the recovery experiments; the random
-generator drives the torture tests (random faults over a mixed
-workload must never violate the namespace invariants).
-"""
+"""Named fault scenarios: the recovery experiments' and the conformance
+battery's fixed cast, each a tuple of faults against the two-server
+cluster whose ``mds1`` coordinates and ``mds2`` works."""
 
 from __future__ import annotations
 
-from typing import Callable
+from repro.faults.injector import Fault, FaultPlan
+from repro.faults.triggers import TraceTrigger
 
-from repro.faults.injector import (
-    CrashFault,
-    Fault,
-    FaultPlan,
-    LinkFault,
-    PartitionFault,
-    VoteRefusalFault,
-)
-from repro.sim import RngRegistry
-
-
-def _worker_crash_before_commit() -> FaultPlan:
-    return FaultPlan(
-        [
-            CrashFault(
-                node="mds2",
-                when=lambda t: t.count("msg_recv", kind="UPDATE_REQ") > 0,
-            )
-        ]
-    )
-
-
-def _worker_crash_after_prepare() -> FaultPlan:
-    return FaultPlan(
-        [
-            CrashFault(
-                node="mds2",
-                when=lambda t: any(
-                    r.category == "log_durable"
-                    and r.actor == "mds2"
-                    and r.get("kind") in ("PREPARED", "COMMITTED")
-                    for r in t.records
-                ),
-            )
-        ]
-    )
-
-
-def _coordinator_crash_after_start() -> FaultPlan:
-    return FaultPlan(
-        [
-            CrashFault(
-                node="mds1",
-                when=lambda t: any(
-                    r.category == "log_durable"
-                    and r.actor == "mds1"
-                    and r.get("kind") == "STARTED"
-                    for r in t.records
-                ),
-            )
-        ]
-    )
-
-
-def _partition_at_vote() -> FaultPlan:
-    return FaultPlan(
-        [
-            PartitionFault(
-                groups=[frozenset({"mds2"})],
-                heal_after=5.0,
-                when=lambda t: t.count("msg_recv", kind="UPDATE_REQ") > 0,
-            )
-        ]
-    )
-
-
-def _flaky_link() -> FaultPlan:
-    return FaultPlan(
-        [LinkFault(a="mds1", b="mds2", restore_after=2.0, at=1e-3)]
-    )
-
-
-def _vote_refusal() -> FaultPlan:
-    return FaultPlan([VoteRefusalFault(node="mds2", at=0.0)])
-
-
-#: Scenario name -> zero-argument FaultPlan factory.
-SCENARIOS: dict[str, Callable[[], FaultPlan]] = {
-    "worker-crash-before-commit": _worker_crash_before_commit,
-    "worker-crash-after-prepare": _worker_crash_after_prepare,
-    "coordinator-crash-after-start": _coordinator_crash_after_start,
-    "partition-at-vote": _partition_at_vote,
-    "flaky-link": _flaky_link,
-    "vote-refusal": _vote_refusal,
+#: Scenario name -> its faults.
+SCENARIOS: dict[str, tuple[Fault, ...]] = {
+    "worker-crash-before-commit": (
+        Fault("crash", "mds2", trigger=TraceTrigger("msg_recv", where=(("kind", "UPDATE_REQ"),))),
+    ),
+    # The worker's first forced record is its vote: PREPARED under the
+    # 2PC family, COMMITTED under 1PC.
+    "worker-crash-after-prepare": (
+        Fault("crash", "mds2", trigger=TraceTrigger("log_durable", "mds2", (("sync", True),))),
+    ),
+    "coordinator-crash-after-start": (
+        Fault("crash", "mds1", trigger=TraceTrigger("log_durable", "mds1", (("kind", "STARTED"),))),
+    ),
+    "partition-at-vote": (
+        Fault(
+            "partition",
+            "mds2",
+            trigger=TraceTrigger("msg_recv", where=(("kind", "UPDATE_REQ"),)),
+            heal_after=5.0,
+        ),
+    ),
+    "flaky-link": (Fault("link", "mds1", peer="mds2", at=1e-3, restore_after=2.0),),
+    "vote-refusal": (Fault("refuse", "mds2", at=0.0),),
 }
 
 
@@ -100,61 +37,4 @@ def scenario(name: str) -> FaultPlan:
     """A fresh FaultPlan for the named scenario."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
-    return SCENARIOS[name]()
-
-
-def random_fault_plan(
-    seed: int,
-    nodes: list[str],
-    horizon: float = 0.5,
-    n_faults: int = 3,
-    allow_coordinator_crash: bool = True,
-) -> FaultPlan:
-    """A seeded random schedule of crashes, partitions and link faults.
-
-    Fault times are uniform over ``[horizon/10, horizon]`` so the
-    workload gets started before chaos begins.
-
-    Single-node lists only draw from the kinds that make sense there:
-    a link fault needs two distinct endpoints and partitioning the only
-    node would just stall the whole cluster until the heal.
-    """
-    if not nodes:
-        raise ValueError("random_fault_plan requires at least one node")
-    if not allow_coordinator_crash and len(nodes) < 2:
-        raise ValueError(
-            "allow_coordinator_crash=False leaves no crash victims "
-            f"in a {len(nodes)}-node cluster"
-        )
-    rng = RngRegistry(seed)
-    faults: list[Fault] = []
-    kinds = ["crash", "partition", "link", "refuse"]
-    if len(nodes) < 2:
-        kinds = ["crash", "refuse"]
-    for i in range(n_faults):
-        kind = rng.choice(f"kind{i}", kinds)
-        at = rng.uniform(f"time{i}", horizon / 10.0, horizon)
-        if kind == "crash":
-            pool = nodes if allow_coordinator_crash else nodes[1:]
-            node = rng.choice(f"node{i}", pool)
-            faults.append(
-                CrashFault(node=node, at=at, restart_after=rng.uniform(f"rb{i}", 0.05, 0.3))
-            )
-        elif kind == "partition":
-            victim = rng.choice(f"victim{i}", nodes)
-            faults.append(
-                PartitionFault(
-                    groups=[frozenset({victim})],
-                    heal_after=rng.uniform(f"heal{i}", 0.5, 2.0),
-                    at=at,
-                )
-            )
-        elif kind == "link":
-            a = rng.choice(f"a{i}", nodes)
-            b = rng.choice(f"b{i}", [n for n in nodes if n != a])
-            faults.append(
-                LinkFault(a=a, b=b, restore_after=rng.uniform(f"rl{i}", 0.5, 2.0), at=at)
-            )
-        else:
-            faults.append(VoteRefusalFault(node=rng.choice(f"r{i}", nodes), at=at))
-    return FaultPlan(faults)
+    return FaultPlan(SCENARIOS[name])

@@ -1,15 +1,15 @@
-"""Serialisable trace triggers for campaign fault schedules.
+"""Serialisable trace triggers: when a fault that has no ``at=`` fires.
 
-The hand-written fault scenarios use bare lambdas as trace predicates;
-campaign schedules need the same expressive power in a form that (a)
-serialises to canonical JSON (the schedule *is* the cache key), and
-(b) never scans the trace.  A :class:`TraceTrigger` is a declarative
-record filter; :meth:`~TraceTrigger.compile` turns it into a hit
+A :class:`TraceTrigger` is a declarative record filter — category,
+actor, detail-field equalities, a hit count — that (a) serialises to
+canonical JSON (a campaign schedule *is* its cache key) and (b) never
+scans the trace: :meth:`~TraceTrigger.compile` makes the per-run hit
 counter the fault plan feeds with each new record of the trigger's
 category, so a whole run costs one filter check per such record.
 
-:data:`WINDOWS` names the protocol-critical windows the generator aims
-faults at — the narrow intervals §III's correctness argument leans on.
+:data:`WINDOWS` names the protocol-critical windows the campaign
+generator aims faults at — the narrow intervals §III's correctness
+argument leans on.
 """
 
 from __future__ import annotations
@@ -18,8 +18,47 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim import TraceLog
-    from repro.sim.monitor import TraceRecord
+    from repro.sim import TraceRecord
+
+
+class ScheduleFormatError(ValueError):
+    """A trigger, fault, schedule or repro document that does not parse.
+    The message starts with the path of the offending field
+    (``faults[1].restart_afer``)."""
+
+
+NUMBER = (int, float)
+
+
+def field_path(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def read_fields(
+    doc: Any, path: str, required: dict[str, Any], optional: Optional[dict[str, Any]] = None
+) -> None:
+    """``doc`` held to its fields (name -> class or classes): an object
+    with no key outside ``required`` and ``optional``, none of
+    ``required`` missing and no value of another class, else
+    :class:`ScheduleFormatError` naming the field under ``path``.
+    Classes are compared, not asked with ``isinstance``: a JSON parser
+    makes no subclasses, a ``bool`` is not an ``int`` here, and every
+    campaign cell parses its schedule on the ledger's call count."""
+    if doc.__class__ is not dict:
+        raise ScheduleFormatError(
+            f"{path or 'document'}: expected an object, got {doc.__class__.__name__}"
+        )
+    fields = {**required, **(optional or {})}
+    for key in (*doc, *required):
+        if key not in fields:
+            raise ScheduleFormatError(f"{field_path(path, key)}: unknown field")
+        if key not in doc:
+            raise ScheduleFormatError(f"{field_path(path, key)}: missing")
+        cls, want = doc[key].__class__, fields[key]
+        if cls is not want and (want.__class__ is not tuple or cls not in want):
+            raise ScheduleFormatError(
+                f"{field_path(path, key)}: wrong type {cls.__name__} ({doc[key]!r})"
+            )
 
 
 @dataclass(frozen=True)
@@ -51,9 +90,9 @@ class TraceTrigger:
             return False
         return all(record.get(key) == value for key, value in self.where)
 
-    def compile(self) -> "CompiledTrigger":
-        """A fresh hit counter: one per run, never shared across runs."""
-        return CompiledTrigger(self)
+    def compile(self) -> "TriggerCounter":
+        """A fresh hit counter: one per installed plan."""
+        return TriggerCounter(self)
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical plain-data form."""
@@ -65,14 +104,15 @@ class TraceTrigger:
         }
 
     @staticmethod
-    def from_dict(doc: dict[str, Any]) -> "TraceTrigger":
-        """Exact inverse of :meth:`to_dict`."""
-        return TraceTrigger(
-            category=doc["category"],
-            actor=doc.get("actor"),
-            where=tuple(doc.get("where", {}).items()),
-            min_count=int(doc.get("min_count", 1)),
-        )
+    def from_dict(doc: Any, path: str = "trigger") -> "TraceTrigger":
+        """Exact inverse of :meth:`to_dict`; anything else is a
+        :class:`ScheduleFormatError` naming the field under ``path``."""
+        fields = {"category": str, "actor": (str, type(None)), "where": dict, "min_count": int}
+        read_fields(doc, path, fields)
+        try:
+            return TraceTrigger(**{**doc, "where": tuple(doc["where"].items())})
+        except ValueError as err:
+            raise ScheduleFormatError(f"{path}: {err}") from None
 
     def describe(self) -> str:
         """Deterministic one-line label."""
@@ -85,22 +125,19 @@ class TraceTrigger:
         return "trigger(" + " ".join(parts) + ")"
 
 
-class CompiledTrigger:
-    """The ``when=`` predicate of one trigger in one run: true once
-    ``min_count`` matching records were pushed to :meth:`feed`.  A
-    count, not a trace position, so ``TraceLog.clear()`` loses nothing."""
+class TriggerCounter:
+    """One trigger in one run: the matching records pushed to
+    :meth:`feed` so far, capped at ``min_count``.  A count, not a trace
+    position, so ``TraceLog.clear()`` loses nothing."""
 
     def __init__(self, trigger: TraceTrigger):
         self.trigger = trigger
-        self.category = trigger.category
+        self.min_count = trigger.min_count
         self.hits = 0
 
     def feed(self, record: "TraceRecord") -> None:
-        if self.hits < self.trigger.min_count and self.trigger.matches(record):
+        if self.hits < self.min_count and self.trigger.matches(record):
             self.hits += 1
-
-    def __call__(self, trace: "TraceLog") -> bool:
-        return self.hits >= self.trigger.min_count
 
 
 #: Protocol-critical windows, each bound to a node by :func:`window`.

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.campaign.triggers import window
 from repro.config import SimulationParams
-from repro.faults import CrashFault, FaultPlan
+from repro.faults import Fault, FaultPlan, window
 from repro.fs.placement import ForcedDistributedPlacement
 from repro.mds.cluster import Cluster
 from repro.mds.scenarios import distributed_create_cluster
@@ -94,8 +93,8 @@ def measure_detection(heartbeats: bool) -> float:
     cluster.mkdir("/dir1")
     client = cluster.new_client()
     cluster.sim.run(until=0.2)
-    at_vote = window("at-vote", "mds2").compile()
-    FaultPlan([CrashFault(node="mds2", when=at_vote, restart_after=float("inf"))]).install(cluster)
+    at_vote = window("at-vote", "mds2")
+    FaultPlan([Fault("crash", "mds2", trigger=at_vote, restart_after=float("inf"))]).install(cluster)
     client.submit(client.plan_create("/dir1/f0"))
     # Bounded: heartbeat timers never let the schedule run dry.
     cluster.sim.run(until=cluster.sim.now + 10.0)

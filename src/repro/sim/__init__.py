@@ -28,7 +28,7 @@ Randomness must come from :class:`~repro.sim.rng.RngRegistry` streams.
 from repro.sim.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.events import TIMED_OUT, AllOf, AnyOf, Condition, Event, Timeout
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import Monitor, TraceLog, TraceRecord
+from repro.sim.monitor import TraceLog, TraceRecord
 from repro.sim.process import Process
 from repro.sim.resources import PriorityResource, Queue, Resource, Store
 from repro.sim.rng import RngRegistry
@@ -39,7 +39,6 @@ __all__ = [
     "Condition",
     "Event",
     "Interrupt",
-    "Monitor",
     "PriorityResource",
     "Process",
     "Queue",

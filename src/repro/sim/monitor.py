@@ -1,4 +1,4 @@
-"""Trace collection and time-series monitoring.
+"""Trace collection.
 
 ``TraceLog`` is the statistics module of the simulated cluster (the
 paper's ACID Sim Tools has a dedicated ``statistics`` module).  Every
@@ -97,49 +97,3 @@ class TraceLog:
         self.records.clear()
         return dropped
 
-
-class Monitor:
-    """Aggregates a numeric time series (utilisation, queue length...)."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.times: list[float] = []
-        self.values: list[float] = []
-
-    def observe(self, time: float, value: float) -> None:
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        if not self.values:
-            raise ValueError(f"monitor {self.name!r} is empty")
-        return sum(self.values) / len(self.values)
-
-    @property
-    def maximum(self) -> float:
-        if not self.values:
-            raise ValueError(f"monitor {self.name!r} is empty")
-        return max(self.values)
-
-    @property
-    def minimum(self) -> float:
-        if not self.values:
-            raise ValueError(f"monitor {self.name!r} is empty")
-        return min(self.values)
-
-    def time_weighted_mean(self, end_time: float) -> float:
-        """Mean of a step function defined by the observations."""
-        if not self.values:
-            raise ValueError(f"monitor {self.name!r} is empty")
-        total = 0.0
-        for i, (t, v) in enumerate(zip(self.times, self.values)):
-            t_next = self.times[i + 1] if i + 1 < len(self.times) else end_time
-            total += v * max(0.0, t_next - t)
-        span = end_time - self.times[0]
-        if span <= 0:
-            return self.values[-1]
-        return total / span

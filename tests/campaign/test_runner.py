@@ -7,6 +7,7 @@ from repro.campaign.schedule import CampaignSchedule, generate_schedule
 from repro.campaign.shrink import violation_kinds
 from repro.exec import campaign_grid, run_sweep
 from repro.exec.runners import execute_spec
+from repro.faults import Fault
 from repro.protocols.registry import default_protocols
 
 
@@ -25,6 +26,13 @@ def test_verdict_counts_fired_faults():
     _cluster, verdict = run_campaign_cell(sched)
     assert verdict["faults_planned"] == 3
     assert 0 <= verdict["faults_fired"] <= 3
+
+
+def test_fault_on_a_node_the_cell_lacks_is_refused_before_the_run():
+    """It used to surface as ``KeyError('mds9')`` out of a kernel timer."""
+    sched = CampaignSchedule(protocol="1PC", seed=0, faults=(Fault("crash", "mds9", at=0.01),))
+    with pytest.raises(ValueError, match=r"node the cluster does not have.*: crash\(mds9, at=0.01\)"):
+        run_campaign_cell(sched)
 
 
 def test_campaign_grid_specs_are_cacheable_identities():

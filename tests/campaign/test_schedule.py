@@ -1,15 +1,29 @@
-"""Schedule generation: determinism, serialisation, validation."""
+"""Schedule generation and loading: determinism, serialisation,
+validation, and loaders that reject what they do not understand.  The
+shape of what ``generate_schedule`` draws is held by
+``tests/faults/test_random_plans.py`` and ``test_small_clusters.py``."""
+
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.schedule import (
     WINDOW_KINDS,
     CampaignSchedule,
-    FaultSpec,
     generate_schedule,
 )
-from repro.campaign.triggers import window
-from repro.faults.injector import FaultPlan
+from repro.faults import (
+    FAULT_KINDS,
+    Fault,
+    FaultPlan,
+    ScheduleFormatError,
+    TraceTrigger,
+    window,
+)
+
+NODES = ["mds1", "mds2", "mds3"]
 
 
 def test_same_seed_same_schedule():
@@ -32,24 +46,25 @@ def test_roundtrip_is_exact():
 
 
 def test_generated_plans_install():
-    plan = generate_schedule("1PC", seed=3, n_faults=5).build_plan()
+    schedule = generate_schedule("1PC", seed=3, n_faults=5)
+    plan = schedule.build_plan()
     assert isinstance(plan, FaultPlan)
-    assert len(plan.faults) == 5
+    assert plan.faults == list(schedule.faults) and len(plan.faults) == 5
 
 
 def test_single_node_menu_drops_partition_and_link():
     for seed in range(30):
         sched = generate_schedule("1PC", seed=seed, nodes=("mds1",), n_faults=4)
-        for spec in sched.faults:
-            assert spec.kind not in ("partition", "link"), spec
+        for fault in sched.faults:
+            assert fault.kind not in ("partition", "link"), fault
 
 
 def test_window_kinds_produce_triggers():
     hit = False
     for seed in range(30):
-        for spec in generate_schedule("1PC", seed=seed, n_faults=4).faults:
-            assert (spec.at is None) != (spec.trigger is None)
-            if spec.trigger is not None:
+        for fault in generate_schedule("1PC", seed=seed, n_faults=4).faults:
+            assert (fault.at is None) != (fault.trigger is None)
+            if fault.trigger is not None:
                 hit = True
     assert hit, "no window-targeted fault drawn in 30 seeds"
 
@@ -61,15 +76,15 @@ def test_empty_nodes_rejected():
 
 def test_fault_spec_validation():
     with pytest.raises(ValueError, match="unknown fault kind"):
-        FaultSpec(kind="meteor", node="mds1", at=0.01)
+        Fault(kind="meteor", node="mds1", at=0.01)
     with pytest.raises(ValueError, match="exactly one"):
-        FaultSpec(kind="crash", node="mds1")
+        Fault(kind="crash", node="mds1")
     with pytest.raises(ValueError, match="exactly one"):
-        FaultSpec(kind="crash", node="mds1", at=0.01, trigger=window("at-vote", "mds1"))
+        Fault(kind="crash", node="mds1", at=0.01, trigger=window("at-vote", "mds1"))
     with pytest.raises(ValueError, match="requires a node"):
-        FaultSpec(kind="crash", at=0.01)
+        Fault(kind="crash", at=0.01)
     with pytest.raises(ValueError, match="requires a peer"):
-        FaultSpec(kind="link", node="mds1", at=0.01)
+        Fault(kind="link", node="mds1", at=0.01)
 
 
 def test_schedule_validation():
@@ -84,7 +99,175 @@ def test_schedule_validation():
 def test_every_window_kind_builds():
     for entry in WINDOW_KINDS:
         kind, window_name = entry.split("@", 1)
-        spec = FaultSpec(kind=kind, node="mds2", trigger=window(window_name, "mds2"))
-        fault = spec.build()
-        assert fault.when is not None
-        assert spec.describe().startswith(f"{kind}(mds2")
+        fault = Fault(kind, "mds2", trigger=window(window_name, "mds2"))
+        assert fault.describe().startswith(f"{kind}(mds2, trigger(")
+
+
+# -- serialisation --------------------------------------------------------------
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=4))
+DELAYS = st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e3), st.just(float("inf")))
+
+
+@st.composite
+def triggers(draw):
+    return TraceTrigger(
+        category=draw(st.text(min_size=1, max_size=6)),
+        actor=draw(st.one_of(st.none(), st.sampled_from(NODES))),
+        where=tuple(draw(st.dictionaries(st.text(max_size=4), SCALARS, max_size=3)).items()),
+        min_count=draw(st.integers(1, 4)),
+    )
+
+
+@st.composite
+def faults(draw):
+    timed = draw(st.booleans())
+    return Fault(
+        kind=draw(st.sampled_from(FAULT_KINDS)),
+        node=draw(st.sampled_from(NODES)),
+        peer=draw(st.sampled_from(NODES)),
+        at=draw(st.floats(min_value=0.0, max_value=10.0)) if timed else None,
+        trigger=None if timed else draw(triggers()),
+        restart_after=draw(DELAYS),
+        heal_after=draw(DELAYS),
+        restore_after=draw(DELAYS),
+        duration=draw(DELAYS),
+    )
+
+
+@st.composite
+def schedules(draw):
+    return CampaignSchedule(
+        protocol=draw(st.sampled_from(["1PC", "PrN", "EP"])),
+        seed=draw(st.integers(0, 2**31)),
+        n_ops=draw(st.integers(1, 20)),
+        n_clients=draw(st.integers(1, 4)),
+        hot_ratio=draw(st.floats(min_value=0.0, max_value=1.0)),
+        horizon=draw(st.floats(min_value=1e-3, max_value=5.0)),
+        faults=tuple(draw(st.lists(faults(), max_size=4))),
+    )
+
+
+@given(faults())
+@settings(deadline=None)
+def test_fault_roundtrips_through_its_canonical_form(fault):
+    assert Fault.from_dict(fault.to_dict()) == fault
+    # ... and through JSON text, which is what a cache key holds.
+    assert Fault.from_dict(json.loads(json.dumps(fault.to_dict()))) == fault
+
+
+@given(schedules())
+@settings(deadline=None)
+def test_schedule_json_is_a_fixed_point(schedule):
+    text = schedule.to_json()
+    assert CampaignSchedule.from_json(text) == schedule
+    assert CampaignSchedule.from_json(text).to_json() == text
+
+
+def test_canonical_form_is_pinned():
+    """These bytes are inside ``RunSpec.identity()``, every derived
+    seed and every cache key."""
+    fault = Fault("link", "mds1", peer="mds2", trigger=window("at-vote", "mds1"), restore_after=2.0)
+    assert json.dumps(fault.to_dict(), sort_keys=True) == (
+        '{"kind": "link", "node": "mds1", "peer": "mds2", "restore_after": 2.0, "trigger": '
+        '{"actor": "mds1", "category": "msg_recv", "min_count": 1, "where": {"kind": "UPDATE_REQ"}}}'
+    )
+    assert Fault("crash", "mds2", at=0.5).to_dict() == {"kind": "crash", "node": "mds2", "at": 0.5}
+
+
+# -- loaders trust nothing ------------------------------------------------------
+
+
+def test_fault_loader_names_what_it_rejects():
+    good = {"kind": "crash", "node": "mds1", "at": 0.01, "restart_after": 5.0}
+    assert Fault.from_dict(good) == Fault("crash", "mds1", at=0.01, restart_after=5.0)
+    # A misspelt key used to be dropped: a *different* fault ran.
+    misspelt = {"kind": "crash", "node": "mds1", "at": 0.01, "restart_afer": 5.0}
+    with pytest.raises(ScheduleFormatError, match=r"^fault\.restart_afer: unknown field"):
+        Fault.from_dict(misspelt)
+    # A missing key used to be a bare KeyError('node').
+    with pytest.raises(ScheduleFormatError, match=r"^fault\.node: missing"):
+        Fault.from_dict({"kind": "crash", "at": 0.01})
+    # A wrong type used to die inside install() as '<' between str and float.
+    with pytest.raises(ScheduleFormatError, match=r"^faults\[0\]\.at: wrong type str \('soon'\)"):
+        Fault.from_dict(good | {"at": "soon"}, "faults[0]")
+    with pytest.raises(ScheduleFormatError, match=r"^fault\.trigger\.category: missing"):
+        Fault.from_dict({"kind": "crash", "node": "mds1", "trigger": {}})
+    with pytest.raises(ScheduleFormatError, match=r"^fault: unknown fault kind 'meteor'"):
+        Fault.from_dict(good | {"kind": "meteor"})
+    with pytest.raises(ScheduleFormatError, match=r"^fault: exactly one of 'at' or 'trigger'"):
+        Fault.from_dict({"kind": "crash", "node": "mds1"})
+
+
+def test_schedule_loader_names_the_field_path():
+    doc = generate_schedule("1PC", seed=1, n_faults=3).to_dict()
+    assert CampaignSchedule.from_dict(doc).to_dict() == doc
+    broken = json.loads(json.dumps(doc))
+    broken["faults"][1]["restart_afer"] = 5.0
+    with pytest.raises(ScheduleFormatError, match=r"^faults\[1\]\.restart_afer: unknown field"):
+        CampaignSchedule.from_dict(broken)
+    with pytest.raises(ScheduleFormatError, match=r"^n_ops: wrong type str"):
+        CampaignSchedule.from_dict(doc | {"n_ops": "6"})
+    with pytest.raises(ScheduleFormatError, match=r"^n_opz: unknown field"):
+        CampaignSchedule.from_dict(doc | {"n_opz": 6})
+    with pytest.raises(ScheduleFormatError, match=r"^horizon: missing"):
+        CampaignSchedule.from_dict({k: v for k, v in doc.items() if k != "horizon"})
+    with pytest.raises(ScheduleFormatError, match=r"^faults: wrong type dict"):
+        CampaignSchedule.from_dict(doc | {"faults": {}})
+    with pytest.raises(ScheduleFormatError, match=r"^schedule: n_ops must be >= 1"):
+        CampaignSchedule.from_dict(doc | {"n_ops": 0})
+    with pytest.raises(ScheduleFormatError, match=r"^schedule: not JSON"):
+        CampaignSchedule.from_json("{")
+    with pytest.raises(ScheduleFormatError, match=r"^document: expected an object, got list"):
+        CampaignSchedule.from_json("[]")
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+              st.text(max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_documents(draw):
+    """A valid schedule document with one node of its tree deleted,
+    replaced or joined by a stranger."""
+    doc = json.loads(draw(schedules().filter(lambda s: s.faults)).to_json())
+    holders = [doc, *doc["faults"]]
+    holders += [f["trigger"] for f in doc["faults"] if "trigger" in f]
+    holder = draw(st.sampled_from(holders))
+    action = draw(st.sampled_from(["delete", "replace", "add"]))
+    if action == "add":
+        holder[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    else:
+        key = draw(st.sampled_from(sorted(holder)))
+        if action == "delete":
+            del holder[key]
+        else:
+            holder[key] = draw(JSON_VALUES)
+    return doc
+
+
+@given(damaged_documents())
+@settings(max_examples=300, deadline=None)
+def test_loader_fuzz_yields_a_schedule_or_one_typed_error(doc):
+    try:
+        schedule = CampaignSchedule.from_dict(doc)
+    except ScheduleFormatError as err:
+        assert ": " in str(err)  # "<field path>: <what is wrong>"
+        return
+    # Accepted: then it is a schedule like any other.
+    assert CampaignSchedule.from_json(schedule.to_json()) == schedule
+    schedule.build_plan()
+
+
+@given(st.one_of(st.text(max_size=40), JSON_VALUES.map(json.dumps)))
+@settings(max_examples=200, deadline=None)
+def test_from_json_never_leaks_another_exception(text):
+    try:
+        CampaignSchedule.from_json(text)
+    except ScheduleFormatError:
+        pass

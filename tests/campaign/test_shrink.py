@@ -4,14 +4,14 @@ import dataclasses
 
 import pytest
 
-from repro.campaign.schedule import CampaignSchedule, FaultSpec
+from repro.campaign.schedule import CampaignSchedule
 from repro.campaign.shrink import shrink_schedule
-from repro.campaign.triggers import TraceTrigger
+from repro.faults import Fault, TraceTrigger
 
 
 def sched(n_faults=4, n_ops=8, n_clients=2):
     faults = tuple(
-        FaultSpec(kind="crash", node=f"mds{i % 2 + 1}", at=0.01 * (i + 1))
+        Fault(kind="crash", node=f"mds{i % 2 + 1}", at=0.01 * (i + 1))
         for i in range(n_faults)
     )
     return CampaignSchedule(
@@ -63,9 +63,7 @@ def test_non_reproducing_schedule_rejected():
 
 def test_trigger_tightening():
     """An unbound trigger gets pinned to the fault's node."""
-    loose = FaultSpec(
-        kind="crash", node="mds2", trigger=TraceTrigger(category="fence", min_count=3)
-    )
+    loose = Fault("crash", "mds2", trigger=TraceTrigger(category="fence", min_count=3))
 
     def oracle(candidate):
         # Reproduces as long as a crash on mds2 with a fence trigger

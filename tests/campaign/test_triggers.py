@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.campaign.triggers import WINDOWS, TraceTrigger, window
+from repro.faults import WINDOWS, ScheduleFormatError, TraceTrigger, window
 from repro.sim import Simulator, TraceLog
 
 
@@ -24,25 +24,25 @@ def test_trigger_matches_category_actor_and_detail():
     assert any(trig.matches(r) for r in trace.records)
 
 
-def push(pred, trace, category, actor, **detail):
-    """Emit one record and hand it to ``pred`` the way a fault plan does."""
+def push(counter, trace, category, actor, **detail):
+    """Emit one record and hand it to ``counter`` the way a fault plan does."""
     emit(trace, category, actor, **detail)
-    pred.feed(trace.records[-1])
+    counter.feed(trace.records[-1])
 
 
 def test_compiled_predicate_is_incremental_and_counts():
     trig = TraceTrigger(category="fence", actor="mds1", min_count=2)
-    pred = trig.compile()
+    counter = trig.compile()
     trace = fresh_trace()
-    assert pred.category == "fence"
-    assert pred(trace) is False
-    push(pred, trace, "fence", "mds1")
-    push(pred, trace, "fence", "mds2")  # right category, wrong actor
-    assert pred(trace) is False  # one hit < min_count
-    push(pred, trace, "fence", "mds1")
-    assert pred(trace) is True
-    # Hits are cumulative: the predicate stays satisfied.
-    assert pred(trace) is True
+    assert (counter.trigger, counter.min_count, counter.hits) == (trig, 2, 0)
+    push(counter, trace, "fence", "mds1")
+    push(counter, trace, "fence", "mds2")  # right category, wrong actor
+    assert counter.hits == 1
+    push(counter, trace, "fence", "mds1")
+    assert counter.hits == 2
+    # Satisfied stays satisfied; later matches are not even filtered.
+    push(counter, trace, "fence", "mds1")
+    assert counter.hits == 2
 
 
 def test_compiled_predicates_do_not_share_state():
@@ -50,22 +50,21 @@ def test_compiled_predicates_do_not_share_state():
     a, b = trig.compile(), trig.compile()
     trace = fresh_trace()
     push(a, trace, "fence", "mds1")
-    assert a(trace) is True
-    assert b(trace) is False
+    assert (a.hits, b.hits) == (1, 0)
 
 
 def test_compiled_predicate_survives_a_trace_clear():
     """A warm-up ``clear()`` between two hits must not lose the first
     (the old scanning predicate kept an index into the cleared list and
     skipped every record until the trace regrew past it)."""
-    pred = TraceTrigger(category="fence", min_count=2).compile()
+    counter = TraceTrigger(category="fence", min_count=2).compile()
     trace = fresh_trace()
     for _ in range(3):
-        push(pred, trace, "noise", "mds1")
-    push(pred, trace, "fence", "mds1")
+        push(counter, trace, "noise", "mds1")
+    push(counter, trace, "fence", "mds1")
     trace.clear()
-    push(pred, trace, "fence", "mds1")
-    assert pred(trace) is True
+    push(counter, trace, "fence", "mds1")
+    assert counter.hits == 2
 
 
 def test_roundtrip_preserves_trigger():
@@ -74,6 +73,33 @@ def test_roundtrip_preserves_trigger():
     )
     again = TraceTrigger.from_dict(trig.to_dict())
     assert again == trig
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"actr": "mds2"}, r"^trigger\.actr: unknown field"),
+        ({"min_count": "2"}, r"^trigger\.min_count: wrong type str"),
+        ({"min_count": True}, r"^trigger\.min_count: wrong type bool"),
+        ({"where": [["kind", "UPDATED"]]}, r"^trigger\.where: wrong type list"),
+        ({"min_count": 0}, r"^trigger: min_count must be >= 1"),
+        ({"category": ""}, r"^trigger: TraceTrigger requires a category"),
+    ],
+)
+def test_loader_names_the_field_it_rejects(change, message):
+    doc = TraceTrigger("fence", actor="mds1").to_dict() | change
+    with pytest.raises(ScheduleFormatError, match=message):
+        TraceTrigger.from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["category", "actor", "where", "min_count"])
+def test_loader_wants_every_key_to_dict_writes(key):
+    doc = TraceTrigger("fence").to_dict()
+    del doc[key]
+    with pytest.raises(ScheduleFormatError, match=rf"^trigger\.{key}: missing"):
+        TraceTrigger.from_dict(doc)
+    with pytest.raises(ScheduleFormatError, match="^trigger: expected an object, got list"):
+        TraceTrigger.from_dict([])
 
 
 def test_where_keys_sorted_for_stable_identity():

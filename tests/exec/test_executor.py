@@ -13,13 +13,11 @@ from repro.exec import (
     derive_seed,
     execute_spec,
     figure6_grid,
-    host_trace_log,
     network_latency_grid,
     register_runner,
     run_grid,
     scaling_grid,
 )
-from repro.sim.monitor import Monitor
 
 
 def small_grid():
@@ -112,17 +110,14 @@ def test_worker_process_death_propagates():
 
 
 def test_progress_trace_and_monitor_reporting():
+    """``progress`` is the one reporting channel (the host-clock trace
+    and the seconds monitor it once fed said nothing more)."""
     events = []
-    trace = host_trace_log()
-    monitor = Monitor("cell-seconds")
     specs = figure6_grid(n=5, protocols=("1PC", "EP"))
-    run_grid(specs, workers=1, progress=events.append, trace=trace, monitor=monitor)
-    assert [e.done for e in events] == [1, 2]
-    assert {e.spec.protocol for e in events} == {"1PC", "EP"}
-    assert trace.count("exec", event="grid_start") == 1
-    assert trace.count("exec", event="cell_done") == 2
-    assert trace.count("exec", event="grid_done") == 1
-    assert len(monitor) == 2 and monitor.mean >= 0.0
+    run_grid(specs, workers=1, progress=events.append)
+    assert [(e.done, e.total, e.index) for e in events] == [(1, 2, 0), (2, 2, 1)]
+    assert [e.spec for e in events] == specs
+    assert all(e.seconds > 0.0 and not e.cached for e in events)
 
 
 def test_payload_stripped_in_parallel_kept_in_serial():

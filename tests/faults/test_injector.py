@@ -2,52 +2,76 @@
 
 import pytest
 
-from repro.faults import (
-    CrashFault,
-    DiskStallFault,
-    FaultPlan,
-    LinkFault,
-    PartitionFault,
-    VoteRefusalFault,
-    scenario,
-)
+from repro.faults import ACTIONS, FAULT_KINDS, Fault, FaultPlan, TraceTrigger, scenario, window
 from tests.protocols.conftest import drain, make_cluster, run_create
 
 
 def test_fault_requires_exactly_one_trigger():
-    with pytest.raises(ValueError):
-        CrashFault(node="mds1")
-    with pytest.raises(ValueError):
-        CrashFault(node="mds1", at=1.0, when=lambda t: True)
+    with pytest.raises(ValueError, match="exactly one"):
+        Fault("crash", "mds1")
+    with pytest.raises(ValueError, match="exactly one"):
+        Fault("crash", "mds1", at=1.0, trigger=window("at-vote", "mds1"))
 
 
 def test_crash_fault_requires_node():
-    with pytest.raises(ValueError):
-        CrashFault(at=1.0)
+    with pytest.raises(ValueError, match="crash fault requires a node"):
+        Fault("crash", at=1.0)
 
 
 def test_partition_fault_requires_groups():
-    with pytest.raises(ValueError):
-        PartitionFault(at=1.0)
+    """The group a partition cuts off is its node."""
+    with pytest.raises(ValueError, match="partition fault requires a node"):
+        Fault("partition", at=1.0)
 
 
 def test_link_fault_requires_endpoints():
-    with pytest.raises(ValueError):
-        LinkFault(at=1.0, a="mds1")
+    with pytest.raises(ValueError, match="link fault requires a peer"):
+        Fault("link", "mds1", at=1.0)
+    with pytest.raises(ValueError, match="link fault requires a node"):
+        Fault("link", peer="mds2", at=1.0)
 
 
 def test_vote_refusal_requires_node():
-    with pytest.raises(ValueError):
-        VoteRefusalFault(at=1.0)
+    with pytest.raises(ValueError, match="refuse fault requires a node"):
+        Fault("refuse", at=1.0)
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown fault kind 'meteor'"):
+        Fault("meteor", "mds1", at=1.0)
+
+
+def test_a_fault_is_a_frozen_value_and_a_kind_is_a_table_row():
+    fault = Fault("crash", "mds2", at=1e-3)
+    assert fault == Fault("crash", "mds2", at=1e-3) and hash(fault) == hash(
+        Fault("crash", "mds2", at=1e-3)
+    )
+    with pytest.raises(AttributeError):
+        fault.node = "mds1"
+    assert FAULT_KINDS == tuple(ACTIONS) == ("crash", "partition", "link", "refuse", "stall")
+
+
+def test_one_fault_tuple_serves_two_runs():
+    """What fired is the plan's, not the fault's: the same immutable
+    faults installed on two clusters fire on both."""
+    faults = (Fault("crash", "mds2", trigger=window("at-vote", "mds2")),)
+    for _ in range(2):
+        cluster, client = make_cluster("1PC")
+        plan = FaultPlan(faults)
+        plan.install(cluster)
+        client.submit(client.plan_create("/dir1/f0"))
+        cluster.sim.run(until=cluster.sim.now + 120.0)
+        assert plan.fired == list(faults)
+        assert cluster.trace.count("fault") == 1
 
 
 def test_timed_crash_fires_and_restarts():
     cluster, client = make_cluster("1PC")
-    plan = FaultPlan([CrashFault(node="mds2", at=1e-3, restart_after=0.05)])
+    plan = FaultPlan([Fault("crash", "mds2", at=1e-3, restart_after=0.05)])
     plan.install(cluster)
     client.submit(client.plan_create("/dir1/f0"))
     cluster.sim.run(until=cluster.sim.now + 120.0)
-    assert plan.all_fired
+    assert plan.fired == plan.faults
     assert cluster.trace.count("crash", actor="mds2") >= 1
     assert not cluster.servers["mds2"].crashed
     assert cluster.check_invariants() == []
@@ -55,7 +79,7 @@ def test_timed_crash_fires_and_restarts():
 
 def test_crash_without_restart():
     cluster, _client = make_cluster("1PC")
-    plan = FaultPlan([CrashFault(node="mds2", at=1e-3, restart_after=float("inf"))])
+    plan = FaultPlan([Fault("crash", "mds2", at=1e-3, restart_after=float("inf"))])
     plan.install(cluster)
     cluster.sim.run(until=1.0)
     assert cluster.servers["mds2"].crashed
@@ -63,18 +87,12 @@ def test_crash_without_restart():
 
 def test_trace_triggered_crash():
     cluster, client = make_cluster("1PC")
-    plan = FaultPlan(
-        [
-            CrashFault(
-                node="mds2",
-                when=lambda t: t.count("msg_recv", kind="UPDATE_REQ") > 0,
-            )
-        ]
-    )
+    received = TraceTrigger("msg_recv", where=(("kind", "UPDATE_REQ"),))
+    plan = FaultPlan([Fault("crash", "mds2", trigger=received)])
     plan.install(cluster)
     client.submit(client.plan_create("/dir1/f0"))
     cluster.sim.run(until=cluster.sim.now + 120.0)
-    assert plan.all_fired
+    assert plan.fired == plan.faults
     # The crash happened after the worker had received the request.
     crash_time = cluster.trace.select("crash", actor="mds2")[0].time
     recv_time = cluster.trace.select("msg_recv", kind="UPDATE_REQ")[0].time
@@ -84,9 +102,7 @@ def test_trace_triggered_crash():
 
 def test_partition_fault_heals():
     cluster, client = make_cluster("1PC")
-    plan = FaultPlan(
-        [PartitionFault(groups=[frozenset({"mds2"})], heal_after=0.5, at=1e-3)]
-    )
+    plan = FaultPlan([Fault("partition", "mds2", heal_after=0.5, at=1e-3)])
     plan.install(cluster)
     cluster.sim.run(until=0.1)
     assert not cluster.network.connected("mds1", "mds2")
@@ -96,7 +112,7 @@ def test_partition_fault_heals():
 
 def test_link_fault_restores():
     cluster, _client = make_cluster("1PC")
-    plan = FaultPlan([LinkFault(a="mds1", b="mds2", restore_after=0.5, at=1e-3)])
+    plan = FaultPlan([Fault("link", "mds1", peer="mds2", restore_after=0.5, at=1e-3)])
     plan.install(cluster)
     cluster.sim.run(until=0.1)
     assert not cluster.network.connected("mds1", "mds2")
@@ -106,7 +122,7 @@ def test_link_fault_restores():
 
 def test_vote_refusal_fault_aborts_next_txn():
     cluster, client = make_cluster("1PC")
-    FaultPlan([VoteRefusalFault(node="mds2", at=0.0)]).install(cluster)
+    FaultPlan([Fault("refuse", "mds2", at=0.0)]).install(cluster)
     result = run_create(cluster, client)
     assert result["committed"] is False
     drain(cluster)
@@ -114,15 +130,15 @@ def test_vote_refusal_fault_aborts_next_txn():
 
 
 def test_disk_stall_fault_requires_node_and_duration():
-    with pytest.raises(ValueError):
-        DiskStallFault(at=1.0)
-    with pytest.raises(ValueError):
-        DiskStallFault(node="mds2", duration=0.0, at=1.0)
+    with pytest.raises(ValueError, match="stall fault requires a node"):
+        Fault("stall", at=1.0)
+    with pytest.raises(ValueError, match="positive duration"):
+        Fault("stall", "mds2", duration=0.0, at=1.0)
 
 
 def test_disk_stall_fault_delays_wal_traffic():
     cluster, client = make_cluster("1PC")
-    FaultPlan([DiskStallFault(node="mds2", duration=2.0, at=1e-3)]).install(cluster)
+    FaultPlan([Fault("stall", "mds2", duration=2.0, at=1e-3)]).install(cluster)
     client.submit(client.plan_create("/dir1/f0"))
     cluster.sim.run(until=cluster.sim.now + 300.0)
     stalls = cluster.trace.select("disk_stall")
@@ -134,27 +150,48 @@ def test_disk_stall_fault_delays_wal_traffic():
 def test_past_at_rejected_at_install():
     cluster, _client = make_cluster("1PC")
     cluster.sim.run(until=1.0)
-    plan = FaultPlan([CrashFault(node="mds2", at=0.5)])
+    plan = FaultPlan([Fault("crash", "mds2", at=0.5)])
     with pytest.raises(ValueError) as excinfo:
         plan.install(cluster)
     # The error names the stale fault and the current clock.
-    assert "CrashFault(at=0.5)" in str(excinfo.value)
+    assert "crash(mds2, at=0.5)" in str(excinfo.value)
     assert "sim time is already 1" in str(excinfo.value)
     assert not plan.installed
+
+
+def test_unknown_node_rejected_at_install():
+    """Not a ``KeyError('mds9')`` out of a kernel timer mid-run."""
+    cluster, _client = make_cluster("1PC")
+    plan = FaultPlan(
+        [
+            Fault("crash", "mds2", at=0.5),
+            Fault("crash", "mds9", at=0.01),
+            Fault("link", "mds1", peer="mds7", trigger=window("at-vote", "mds1")),
+        ]
+    )
+    with pytest.raises(ValueError) as excinfo:
+        plan.install(cluster)
+    message = str(excinfo.value)
+    assert "2 fault(s)" in message and "['mds1', 'mds2']" in message
+    assert "crash(mds9, at=0.01)" in message and "link(mds1<->mds7, trigger(" in message
+    assert "crash(mds2" not in message
+    assert not plan.installed
+    cluster.sim.run(until=1.0)
+    assert cluster.trace.count("fault") == 0
 
 
 def test_at_equal_to_now_still_allowed():
     # The vote-refusal scenario arms at t=0 on a fresh cluster; an
     # at==now fault must keep installing fine.
     cluster, client = make_cluster("1PC")
-    FaultPlan([VoteRefusalFault(node="mds2", at=0.0)]).install(cluster)
+    FaultPlan([Fault("refuse", "mds2", at=0.0)]).install(cluster)
     result = run_create(cluster, client)
     assert result["committed"] is False
 
 
 def test_double_install_rejected():
     cluster, _client = make_cluster("1PC")
-    plan = FaultPlan([CrashFault(node="mds2", at=1.0)])
+    plan = FaultPlan([Fault("crash", "mds2", at=1.0)])
     plan.install(cluster)
     with pytest.raises(RuntimeError):
         plan.install(cluster)
@@ -162,11 +199,12 @@ def test_double_install_rejected():
 
 def test_fault_emits_trace_record():
     cluster, _client = make_cluster("1PC")
-    FaultPlan([CrashFault(node="mds2", at=1e-3)]).install(cluster)
+    FaultPlan([Fault("crash", "mds2", at=1e-3)]).install(cluster)
     cluster.sim.run(until=0.01)
     faults = cluster.trace.select("fault")
     assert len(faults) == 1
-    assert "CrashFault" in faults[0].get("fault")
+    # The record's text is pinned by the digest goldens.
+    assert faults[0].get("fault") == "CrashFault(at=0.001)"
 
 
 def test_named_scenarios_construct():

@@ -8,10 +8,14 @@ loadable, and the shrunk schedule still tears the transaction on the
 broken engine.
 """
 
+import json
 import pathlib
+
+import pytest
 
 from repro.campaign.schedule import CampaignSchedule
 from repro.campaign.shrink import load_repro, replay_repro, violation_kinds
+from repro.faults import ScheduleFormatError
 from repro.protocols.registry import temporary_protocol
 from tests.campaign.broken import broken_spec
 
@@ -36,3 +40,50 @@ def test_golden_repro_replays():
         cell, reproduced = replay_repro(doc)
     assert reproduced
     assert "atomicity" in violation_kinds(cell)
+
+
+def _damaged(tmp_path, damage):
+    doc = json.loads(GOLDEN.read_text())
+    damage(doc)
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _misspell_a_fault_field(doc):
+    schedule = json.loads(doc["spec"]["campaign"])
+    schedule["faults"][0]["restart_afer"] = schedule["faults"][0].pop("restart_after")
+    doc["spec"]["campaign"] = json.dumps(schedule)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_misspell_a_fault_field, r"repro\.json: spec\.campaign\.faults\[0\]\.restart_afer: unknown"),
+        (lambda d: d["spec"].update(campaign="{"), r"repro\.json: spec\.campaign: not JSON"),
+        (lambda d: d["spec"].pop("campaign"), r"repro\.json: spec: ValueError\('campaign kind requires"),
+        (lambda d: d["spec"].update(kind="burst", campaign=None), r"spec\.campaign: missing"),
+        (lambda d: d["spec"].pop("protocol"), r"repro\.json: spec: KeyError\('protocol'\)"),
+        (lambda d: d.pop("verdict"), r"repro\.json: verdict: missing"),
+        (lambda d: d.update(verdikt={}), r"repro\.json: verdikt: unknown field"),
+        (lambda d: d.update(shrink=[]), r"repro\.json: shrink: wrong type list"),
+        (lambda d: d["verdict"].update(violations=[{}]), r"verdict\.violations: expected a list"),
+        (lambda d: d["verdict"].update(violations=3), r"verdict\.violations: expected a list"),
+        (lambda d: d.update(kind="campaign"), r"repro\.json: not a campaign repro document"),
+        (lambda d: d.update(schema_version=2), r"repro\.json: unsupported repro schema 2"),
+    ],
+)
+def test_loader_names_the_file_and_the_field(tmp_path, damage, message):
+    with pytest.raises(ScheduleFormatError, match=message):
+        load_repro(_damaged(tmp_path, damage))
+
+
+def test_replay_prints_a_format_error_and_exits_2(tmp_path, capsys):
+    from repro.cli import main
+
+    assert main(["campaign", "replay", _damaged(tmp_path, _misspell_a_fault_field)]) == 2
+    captured = capsys.readouterr()
+    assert "spec.campaign.faults[0].restart_afer: unknown field" in captured.err
+    assert captured.out == ""
+    (tmp_path / "list.json").write_text("[]")
+    assert main(["campaign", "replay", str(tmp_path / "list.json")]) == 2

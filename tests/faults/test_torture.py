@@ -1,83 +1,67 @@
 """Torture tests: random fault schedules over concurrent workloads.
 
 The strongest correctness statement in the suite: for a battery of
-seeded random fault plans (crashes with restarts, partitions that heal,
-link flaps, vote refusals) injected into a burst of concurrent
-distributed creates, the durable namespace must stay consistent — no
-orphaned inodes, no dangling dentries — and every transaction must be
-all-or-nothing once the dust settles.
+seeded schedules from the one generator, ``generate_schedule`` (timed
+crashes with restarts, partitions that heal, link flaps, vote refusals
+and disk stalls, plus crashes, partitions and stalls aimed at the
+protocol-critical windows), run as campaign cells over a dozen
+concurrent distributed creates, the campaign verdict must be clean:
+namespace invariants, per-transaction atomicity, durability of every
+acknowledged commit, serial equivalence and no conflict cycle.
+
+A seed that ever fails is not swapped: shrink it (``repro campaign
+shrink``) and commit the repro document beside this file.
 """
 
 import pytest
 
-from repro.faults import random_fault_plan
+from repro.campaign import generate_schedule, run_campaign_cell
 from repro.mds.scenarios import distributed_create_cluster
 
 pytestmark = pytest.mark.slow
 
 
 def run_torture(protocol, seed, n_ops=12, n_faults=3):
-    cluster, client = distributed_create_cluster(protocol, trace=True)
-    plan = random_fault_plan(
-        seed,
-        nodes=["mds1", "mds2"],
-        horizon=0.1,
-        n_faults=n_faults,
-    )
-    plan.install(cluster)
-    for i in range(n_ops):
-        client.submit(client.plan_create(f"/dir1/t{i}"))
-    # Long settle: reboots, healed partitions and decision queries all
-    # need to play out (timeout ladders reach ~12 s of virtual time).
-    cluster.sim.run(until=cluster.sim.now + 300.0)
-    return cluster
+    """One campaign cell; returns the settled cluster and its verdict."""
+    return run_campaign_cell(generate_schedule(protocol, seed, n_faults=n_faults, n_ops=n_ops))
 
 
-def assert_all_or_nothing(cluster):
-    """Every created inode is referenced; every dentry's inode exists."""
-    violations = cluster.check_invariants()
-    assert violations == [], violations
-    dentries = cluster.store_of("mds1").stable_directories.get("/dir1", {})
-    inodes = set(cluster.store_of("mds2").stable_inodes)
-    assert set(dentries.values()) == inodes
+def assert_clean(run):
+    _cluster, verdict = run
+    assert verdict["ok"], verdict["violations"]
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_torture_1pc(seed):
-    cluster = run_torture("1PC", seed)
-    assert_all_or_nothing(cluster)
+    assert_clean(run_torture("1PC", seed))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_torture_prn(seed):
-    cluster = run_torture("PrN", seed)
-    assert_all_or_nothing(cluster)
+    assert_clean(run_torture("PrN", seed))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_torture_prc(seed):
-    cluster = run_torture("PrC", seed)
-    assert_all_or_nothing(cluster)
+    assert_clean(run_torture("PrC", seed))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_torture_ep(seed):
-    cluster = run_torture("EP", seed)
-    assert_all_or_nothing(cluster)
+    assert_clean(run_torture("EP", seed))
 
 
 @pytest.mark.parametrize("seed", [100, 101, 102])
 def test_torture_heavy_faults(protocol, seed):
     """Five faults over a dozen transactions."""
-    cluster = run_torture(protocol, seed, n_ops=12, n_faults=5)
-    assert_all_or_nothing(cluster)
+    assert_clean(run_torture(protocol, seed, n_ops=12, n_faults=5))
 
 
 def run_torture_mixed(protocol, seed, n_faults=3):
     """Mixed mkdir/create/delete/rmdir stream under random faults."""
     cluster, client = distributed_create_cluster(protocol, trace=True)
-    plan = random_fault_plan(seed, nodes=["mds1", "mds2"], horizon=0.15, n_faults=n_faults)
-    plan.install(cluster)
+    schedule = generate_schedule(protocol, seed, n_faults=n_faults, horizon=0.15)
+    schedule.build_plan().install(cluster)
 
     def driver(sim):
         ops = [
@@ -125,8 +109,8 @@ def test_torture_mixed_ops_2pc_family(protocol_name, seed):
 
 
 def test_torture_is_deterministic():
-    a = run_torture("1PC", seed=3)
-    b = run_torture("1PC", seed=3)
+    a, _ = run_torture("1PC", seed=3)
+    b, _ = run_torture("1PC", seed=3)
     sig_a = [(r.time, r.category, r.actor) for r in a.trace.records]
     sig_b = [(r.time, r.category, r.actor) for r in b.trace.records]
     assert sig_a == sig_b

@@ -2,10 +2,11 @@
 no wake-up when the trace is quiet.
 
 ``FaultPlan`` used to run a process that woke every ``poll_interval``
-and evaluated every ``when=`` predicate.  It now subscribes to the
-record stream and arms one timer for the next grid instant only when
-the trace has grown.  The polling loop lives on here, as the reference
-the fire instants are compared against (``==`` on floats).
+and scanned the trace for every pending fault.  It now subscribes to
+the record stream, counts each trigger's hits as records arrive, and
+arms one timer for the next grid instant only when the trace has
+grown.  The polling loop lives on here, as the reference the fire
+instants are compared against (``==`` on floats).
 """
 
 from dataclasses import dataclass
@@ -15,9 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.triggers import TraceTrigger
-from repro.faults import CrashFault, FaultPlan
-from repro.faults.injector import Fault
+from repro.faults import Fault, FaultPlan, TraceTrigger
 from repro.obs import Observability
 from repro.sim import Simulator
 from tests.protocols.conftest import make_cluster
@@ -26,25 +25,28 @@ NEVER = TraceTrigger("no-such-category")
 
 
 def reference_watch(cluster, faults, poll_interval, watch_until):
-    """The polling watcher this repo ran before triggers subscribed."""
+    """The polling watcher this repo ran before triggers subscribed:
+    every grid instant, every pending trigger, the whole trace."""
     pending = list(faults)
     while pending:
         if watch_until is not None and cluster.sim.now >= watch_until:
             return
         yield cluster.sim.timeout(poll_interval)
         for fault in list(pending):
-            if fault.when(cluster.trace):
-                fault.fired = True
+            hits = sum(map(fault.trigger.matches, cluster.trace.records))
+            if hits >= fault.trigger.min_count:
                 cluster.obs.annotate("fault", "injector", fault=fault.describe())
                 fault.apply(cluster)
                 pending.remove(fault)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mark(Fault):
     """Records when it fired; optionally emits a record some other
     fault may be waiting for, now or ``echo_after`` seconds later."""
 
+    kind: str = "refuse"
+    node: str = "n"
     name: str = ""
     echo: str = ""
     echo_after: float = 0.0
@@ -63,7 +65,7 @@ def bare_cluster():
     """Just what a plan touches: a kernel, a hub, its trace."""
     sim = Simulator()
     obs = Observability(sim)
-    return SimpleNamespace(sim=sim, obs=obs, trace=obs.trace, fired=[])
+    return SimpleNamespace(sim=sim, obs=obs, trace=obs.trace, fired=[], servers={"n": None})
 
 
 def grid(start, step, k):
@@ -86,11 +88,8 @@ def run_once(subscribing, install_at, step, until, emissions, specs, horizon=1.0
     cluster.sim.run(until=install_at)
     faults = []
     for i, (category, n, echo, echo_after) in enumerate(specs):
-        if subscribing and i % 2 == 0:
-            when = TraceTrigger(category, min_count=n).compile()
-        else:
-            when = lambda t, c=category, n=n: t.count(c) >= n  # noqa: E731
-        faults.append(Mark(when=when, name=f"f{i}", echo=echo, echo_after=echo_after))
+        trigger = TraceTrigger(category, min_count=n)
+        faults.append(Mark(trigger=trigger, name=f"f{i}", echo=echo, echo_after=echo_after))
     if subscribing:
         FaultPlan(faults, poll_interval=step, watch_until=until).install(cluster)
     else:
@@ -176,7 +175,7 @@ def test_quiet_trace_costs_no_kernel_events():
 
     step = 0.5e-3
     bare, bare_busy = run(None)
-    plan = FaultPlan([CrashFault(node="mds2", when=NEVER.compile())], poll_interval=step)
+    plan = FaultPlan([Fault("crash", "mds2", trigger=NEVER)], poll_interval=step)
     watched, watched_busy = run(plan)
     assert len(watched.trace) == len(bare.trace) > 0
     slots = {int(r.time / step) for r in bare.trace.records}
@@ -185,7 +184,7 @@ def test_quiet_trace_costs_no_kernel_events():
     # 299 virtual seconds of silence: not one wake-up (a polling loop
     # would have spent 598,000 events here).
     assert watched.sim.events_processed - watched_busy == bare.sim.events_processed - bare_busy
-    assert not plan.all_fired
+    assert plan.fired == []
 
 
 def test_plan_unsubscribes_when_every_fault_has_fired():
@@ -195,7 +194,7 @@ def test_plan_unsubscribes_when_every_fault_has_fired():
 
 def test_plan_unsubscribes_at_the_first_record_past_its_horizon():
     cluster = bare_cluster()
-    plan = FaultPlan([Mark(when=NEVER.compile())], poll_interval=0.5e-3, watch_until=0.01)
+    plan = FaultPlan([Mark(trigger=NEVER)], poll_interval=0.5e-3, watch_until=0.01)
     plan.install(cluster)
     assert len(cluster.obs.listeners) == 1
     cluster.sim.at(0.005, lambda _t: cluster.obs.annotate("a", "src"))
@@ -211,28 +210,38 @@ def test_plan_unsubscribes_at_the_first_record_past_its_horizon():
 def test_plan_installed_past_its_horizon_never_polls():
     cluster = bare_cluster()
     cluster.sim.run(until=1.0)
-    FaultPlan([Mark(when=NEVER.compile())], watch_until=0.5).install(cluster)
+    FaultPlan([Mark(trigger=NEVER)], watch_until=0.5).install(cluster)
     cluster.obs.annotate("a", "src")
     assert cluster.obs.listeners == []
     assert cluster.sim.peek() == float("inf")
 
 
 def test_records_older_than_the_plan_count():
-    """The predicates read the whole trace, not just what follows the
+    """A trigger counts the whole trace, not just what follows the
     install: a window already open fires at the first grid instant."""
     cluster = bare_cluster()
     cluster.obs.annotate("a", "src")
     cluster.sim.run(until=0.25)
-    compiled = Mark(when=TraceTrigger("a").compile(), name="compiled")
-    scanning = Mark(when=lambda t: t.count("a") > 0, name="scanning")
-    FaultPlan([compiled, scanning], poll_interval=0.5e-3).install(cluster)
+    FaultPlan([Mark(trigger=TraceTrigger("a"), name="open")], poll_interval=0.5e-3).install(cluster)
     cluster.sim.run(until=1.0)
-    assert cluster.fired == [("compiled", 0.25 + 0.5e-3), ("scanning", 0.25 + 0.5e-3)]
+    assert cluster.fired == [("open", 0.25 + 0.5e-3)]
+
+
+def test_equal_faults_each_fire_once():
+    """Faults are values: two equal ones are still two faults."""
+    cluster = bare_cluster()
+    twin = Mark(trigger=TraceTrigger("a"), name="twin")
+    plan = FaultPlan([twin, twin], poll_interval=0.5e-3)
+    plan.install(cluster)
+    cluster.sim.at(1e-3, lambda _t: cluster.obs.annotate("a", "src"))
+    cluster.sim.run(until=1.0)
+    assert [name for name, _ in cluster.fired] == ["twin", "twin"]
+    assert plan.fired == [twin, twin] and cluster.obs.listeners == []
 
 
 def test_trace_clear_between_two_hits_does_not_strand_a_trigger():
     cluster = bare_cluster()
-    fault = Mark(when=TraceTrigger("a", min_count=2).compile(), name="twice")
+    fault = Mark(trigger=TraceTrigger("a", min_count=2), name="twice")
     FaultPlan([fault], poll_interval=0.5e-3).install(cluster)
     for when in (1e-3, 2e-3, 3e-3):
         cluster.sim.at(when, lambda _t: cluster.obs.annotate("noise", "src"))
@@ -247,14 +256,16 @@ def test_trace_triggered_fault_on_an_untraced_cluster_is_rejected():
     cluster, _client = make_cluster("1PC", trace=False)
     plan = FaultPlan(
         [
-            CrashFault(node="mds2", at=1e-3),
-            CrashFault(node="mds1", when=lambda t: t.count("fence") > 0),
+            Fault("crash", "mds2", at=1e-3),
+            Fault("crash", "mds1", trigger=TraceTrigger("fence")),
         ]
     )
-    with pytest.raises(ValueError, match=r"1 trace-triggered.*CrashFault\(on-trace\)"):
+    with pytest.raises(
+        ValueError, match=r"1 fault\(s\).*trace-triggered.*: crash\(mds1, trigger\(fence\)\)$"
+    ):
         plan.install(cluster)
     assert not plan.installed
     # Timed faults never needed the trace.
-    FaultPlan([CrashFault(node="mds2", at=1e-3)]).install(cluster)
+    FaultPlan([Fault("crash", "mds2", at=1e-3)]).install(cluster)
     cluster.sim.run(until=0.01)
     assert cluster.servers["mds2"].crashed

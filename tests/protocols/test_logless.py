@@ -155,8 +155,7 @@ def test_lgl_burst_matches_other_protocols_semantics():
 
 
 def test_lgl_torture():
-    from tests.faults.test_torture import assert_all_or_nothing, run_torture
+    from tests.faults.test_torture import assert_clean, run_torture
 
     for seed in range(3):
-        cluster = run_torture("LGL", seed)
-        assert_all_or_nothing(cluster)
+        assert_clean(run_torture("LGL", seed))

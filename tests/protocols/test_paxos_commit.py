@@ -145,8 +145,7 @@ def test_pc_acceptor_crash_restart_mid_burst_stays_atomic():
 
 
 def test_pc_torture():
-    from tests.faults.test_torture import assert_all_or_nothing, run_torture
+    from tests.faults.test_torture import assert_clean, run_torture
 
     for seed in range(3):
-        cluster = run_torture("PC", seed)
-        assert_all_or_nothing(cluster)
+        assert_clean(run_torture("PC", seed))

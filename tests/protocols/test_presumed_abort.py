@@ -121,8 +121,7 @@ def test_pra_differential_diverges_from_prn_under_aborts():
 
 
 def test_pra_torture():
-    from tests.faults.test_torture import assert_all_or_nothing, run_torture
+    from tests.faults.test_torture import assert_clean, run_torture
 
     for seed in range(4):
-        cluster = run_torture("PrA", seed)
-        assert_all_or_nothing(cluster)
+        assert_clean(run_torture("PrA", seed))

@@ -1,8 +1,8 @@
-"""Unit tests for RNG streams, trace log and monitors."""
+"""Unit tests for RNG streams and the trace log."""
 
 import pytest
 
-from repro.sim import Monitor, RngRegistry, Simulator, TraceLog
+from repro.sim import RngRegistry, Simulator, TraceLog
 
 
 def test_rng_same_seed_same_draws():
@@ -124,26 +124,3 @@ def test_tracelog_predicate_select():
         trace.emit("msg", "a", seq=i)
     assert len(trace.select(predicate=lambda r: r.get("seq", 0) >= 3)) == 2
 
-
-def test_monitor_statistics():
-    mon = Monitor("queue")
-    for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)]:
-        mon.observe(t, v)
-    assert mon.mean == 2.0
-    assert mon.maximum == 3.0
-    assert mon.minimum == 1.0
-    assert len(mon) == 3
-
-
-def test_monitor_empty_raises():
-    mon = Monitor()
-    with pytest.raises(ValueError):
-        _ = mon.mean
-
-
-def test_monitor_time_weighted_mean():
-    mon = Monitor()
-    mon.observe(0.0, 0.0)
-    mon.observe(1.0, 10.0)
-    # 0 for 1s, 10 for 1s -> 5 average over [0, 2].
-    assert mon.time_weighted_mean(2.0) == 5.0

@@ -1,0 +1,21 @@
+"""The scripts under ``examples/`` run: nothing else executes them."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_failure_drill_runs_and_every_act_ends_consistent():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / "failure_drill.py")],
+        env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    verdicts = [line for line in done.stdout.splitlines() if line.lstrip().startswith("=>")]
+    assert len(verdicts) == 3
+    assert all("invariants: OK" in line for line in verdicts), verdicts
+    # Act 1 aborts the create, acts 2 and 3 decide it from the log.
+    assert "/dir1 = {}" in verdicts[0]
+    assert "'saved'" in verdicts[1] and "'redone'" in verdicts[2]

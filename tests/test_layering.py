@@ -1,6 +1,6 @@
 """One import direction through the experiment layer (ROADMAP 4c).
 
-``fs → mds → workloads → campaign.{triggers,schedule,runner} → exec →
+``fs → mds → workloads → campaign.{schedule,runner} → exec →
 cache → campaign.{shrink,cli} → harness``: every module-level import
 among these points down the list, none hides inside a function to
 dodge a cycle, and each package imports in a fresh interpreter (an
@@ -22,7 +22,7 @@ LAYERS = [
     ("repro.fs",),
     ("repro.mds",),
     ("repro.workloads",),
-    ("repro.campaign.triggers", "repro.campaign.schedule", "repro.campaign.runner"),
+    ("repro.campaign.schedule", "repro.campaign.runner"),
     ("repro.exec",),
     ("repro.cache",),
     ("repro.campaign.shrink", "repro.campaign.cli"),

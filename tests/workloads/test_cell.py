@@ -36,7 +36,7 @@ def test_the_drain_loop_is_spelled_once():
     # Stepping the kernel until the trace or the outcomes show something
     # is spelled nowhere: waiting for answers is ``run_until_answered``
     # (``record_outcome`` stops the kernel's own loop), acting on a
-    # trace record is a ``FaultPlan`` with ``when=``.
+    # trace record is a ``FaultPlan`` with ``trigger=``.
     stepped = sorted(
         name
         for name, tree in {**trees, **examples}.items()
