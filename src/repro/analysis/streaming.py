@@ -24,8 +24,7 @@ is O(1) in observation count:
 **Exact-mode cutover.**  Below :data:`EXACT_THRESHOLD` observations the
 accumulator simply buffers raw values and finalisation reproduces the
 legacy list-based computations bit-for-bit (same sort, same summation
-order), so every existing golden file, cache key and CI baseline
-stands.  Crossing the threshold promotes the buffer into the sketch;
+order), so every existing golden file and CI baseline stands.  Crossing the threshold promotes the buffer into the sketch;
 the sketch built through promotion is identical to one built
 sketch-first, because each observation's priority depends only on its
 origin stream identity ``(seed, label)`` and its index in that stream.

@@ -7,11 +7,11 @@
     repro campaign shrink --protocol 1PC --runs 25 --out REPRO.json
     repro campaign replay REPRO.json
 
-``run`` fans seeded campaign cells through the cached executor and
-exits non-zero if any cell's verdict records a violation.  The
-``--json`` document is always canonical (no volatile meta), so two
-invocations at the same revision are byte-identical and the CI
-artifact doubles as a determinism check.  ``shrink`` hunts the grid
+``run`` fans seeded campaign cells through the executor and exits
+non-zero if any cell's verdict records a violation.  The ``--json``
+document is always canonical (no volatile meta), so two invocations at
+the same revision are byte-identical and the CI artifact doubles as a
+determinism check.  ``shrink`` hunts the grid
 for the first violating cell and delta-debugs it to a minimal repro
 document; ``replay`` re-executes such a document and reports whether
 the violation recurs.
@@ -46,7 +46,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         p.add_argument("--ops", type=int, default=6, help="operations per run")
         p.add_argument("--clients", type=int, default=2, help="concurrent clients per run")
 
-    p = sub.add_parser("run", help="run a campaign block through the cached executor")
+    p = sub.add_parser("run", help="run a campaign block through the executor")
     common(p, default_protocol=None)
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool size (1 = serial; results are identical)")
@@ -54,11 +54,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                    help="write the canonical campaign document to PATH")
     p.add_argument("--progress", action="store_true",
                    help="report per-cell progress on stderr")
-    p.add_argument("--cache", action=argparse.BooleanOptionalAction, default=True,
-                   help="serve already-computed cells from the result cache "
-                   "and write new ones through (default: on)")
-    p.add_argument("--refresh", action="store_true",
-                   help="recompute every cell, overwriting cached entries")
     p.set_defaults(campaign_func=_cmd_run)
 
     p = sub.add_parser("shrink", help="shrink the block's first violating run "
@@ -111,26 +106,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         def progress(event: Any) -> None:
             print(event, file=sys.stderr)
 
-    cache = None
-    if args.cache or args.refresh:
-        from repro.cache import ResultCache
-
-        cache = ResultCache()
-
-    sweep = run_sweep(
-        specs,
-        kind="campaign",
-        workers=args.workers,
-        progress=progress,
-        cache=cache,
-        refresh=args.refresh,
-    )
-    if cache is not None:
-        print(
-            f"cache: {sweep.cached} hit{'s' if sweep.cached != 1 else ''}, "
-            f"{sweep.computed} computed ({cache.root})",
-            file=sys.stderr,
-        )
+    sweep = run_sweep(specs, kind="campaign", workers=args.workers, progress=progress)
 
     rows = []
     total_violations = 0

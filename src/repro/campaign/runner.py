@@ -18,7 +18,7 @@ plan — then, after the dust settles, a battery of checks:
 
 The verdict is a plain dict; :mod:`repro.exec.runners` carries it in
 :class:`~repro.exec.spec.CellResult.verdict`, so campaign cells flow
-through the cached executor like any other experiment cell.
+through the executor like any other experiment cell.
 """
 
 from __future__ import annotations

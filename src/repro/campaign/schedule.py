@@ -5,8 +5,8 @@ explores — one workload shape (operation count, client count,
 hot-directory ratio) plus a tuple of :class:`~repro.faults.Fault`
 records.  Its canonical JSON form rides inside the executor's
 ``RunSpec`` (the ``campaign`` field), so schedules inherit the
-cache/identity discipline of every other experiment cell: same
-schedule, same fingerprint ⇒ warm cache hit.
+identity discipline of every other experiment cell: same schedule,
+same derived seed, same cell document.
 
 :func:`generate_schedule` is the one random generator: timed faults of
 every kind plus trace-triggered ones aimed at the protocol-critical

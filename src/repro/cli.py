@@ -8,7 +8,6 @@
     python -m repro burst --protocol EP --n 50
     python -m repro sweep --kind latency
     python -m repro perf --json BENCH_perf.json
-    python -m repro cache stats
     python -m repro campaign run --runs 10 --seed 0
     python -m repro protocols --json
 
@@ -103,7 +102,6 @@ def _run_partitioned_sweep(specs, workers: int):
         workers=workers,
         wall_time_s=monotonic() - started,
         git_rev=git_revision(),
-        computed=len(cells),
     )
 
 
@@ -120,36 +118,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         def progress(event):
             print(event, file=_sys.stderr)
 
-    cache = None
     if args.partition:
         if args.kind != "composite":
             print("--partition requires --kind composite", file=_sys.stderr)
             return 2
-        # Partitioned execution bypasses the result cache: the cells
-        # are byte-identical to the single-kernel runner's, so serving
-        # one mode's cache to the other would hide the very equivalence
-        # the mode exists to demonstrate.
         sweep = _run_partitioned_sweep(specs, args.workers)
     else:
-        if args.cache or args.refresh:
-            from repro.cache import ResultCache
-
-            cache = ResultCache()
-
-        sweep = run_sweep(
-            specs,
-            kind=args.kind,
-            workers=args.workers,
-            progress=progress,
-            cache=cache,
-            refresh=args.refresh,
-        )
-    if cache is not None:
-        print(
-            f"cache: {sweep.cached} hit{'s' if sweep.cached != 1 else ''}, "
-            f"{sweep.computed} computed ({cache.root})",
-            file=_sys.stderr,
-        )
+        sweep = run_sweep(specs, kind=args.kind, workers=args.workers, progress=progress)
 
     if args.kind in ("figure6", "scaling"):
         rows = [
@@ -195,12 +170,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.harness.report import run
 
     return run(args.only, args.check, args.update)
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.cache import cli as cache_cli
-
-    return cache_cli.run(args)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -354,11 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit volatile meta from --json (bit-reproducible output)")
     p.add_argument("--progress", action="store_true",
                    help="report per-cell progress on stderr")
-    p.add_argument("--cache", action=argparse.BooleanOptionalAction, default=True,
-                   help="serve already-computed cells from the result cache "
-                   "and write new ones through (default: on)")
-    p.add_argument("--refresh", action="store_true",
-                   help="recompute every cell, overwriting cached entries")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("calibrate", help="re-run the calibration grid search")
@@ -414,15 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--update", metavar="PATH", default=None,
                       help="rewrite the report blocks of PATH in place")
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser(
-        "cache",
-        help="inspect/manage the content-addressed experiment result cache",
-    )
-    from repro.cache import cli as cache_cli
-
-    cache_cli.add_arguments(p)
-    p.set_defaults(func=_cmd_cache)
 
     p = sub.add_parser(
         "campaign",

@@ -167,21 +167,6 @@ class SimulationParams:
         """The §IV configuration (1 µs compute, 100 µs net, 400 KB/s log)."""
         return SimulationParams()
 
-    @staticmethod
-    def from_dict(doc: dict[str, Any]) -> "SimulationParams":
-        """Rebuild a parameter bundle from its ``asdict`` form.
-
-        Exact inverse of ``dataclasses.asdict`` for this type — the
-        round trip the result cache and serialised run specs rely on.
-        """
-        return SimulationParams(
-            network=NetworkParams(**doc["network"]),
-            storage=StorageParams(**doc["storage"]),
-            compute=ComputeParams(**doc["compute"]),
-            failure=FailureParams(**doc["failure"]),
-            seed=doc["seed"],
-        )
-
     def with_(self, **overrides: Any) -> "SimulationParams":
         """A copy with top-level fields replaced."""
         return replace(self, **overrides)

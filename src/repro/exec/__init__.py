@@ -33,9 +33,7 @@ from repro.exec.grids import (
 from repro.exec.partition import run_partitioned_spec
 from repro.exec.results import (
     SweepResults,
-    cell_key,
     git_revision,
-    load_results,
     run_sweep,
 )
 from repro.exec.runners import execute_spec, register_runner
@@ -50,7 +48,6 @@ __all__ = [
     "abort_rate_grid",
     "burst_size_grid",
     "campaign_grid",
-    "cell_key",
     "composite_grid",
     "derive_seed",
     "disk_bandwidth_grid",
@@ -58,7 +55,6 @@ __all__ = [
     "fanout_grid",
     "figure6_grid",
     "git_revision",
-    "load_results",
     "network_latency_grid",
     "register_runner",
     "run_grid",

@@ -16,18 +16,9 @@ path a drop-in replacement for the serial one:
   the worker's traceback; a worker process dying outright (OOM kill,
   hard crash) is reported the same way.
 
-With a :class:`~repro.cache.ResultCache` attached, every cell is
-looked up *before* dispatch — on both the serial and the pooled path —
-and computed cells are written through as they complete (not at the
-end), so a killed sweep resumes for free: already-completed cells hit,
-only the remainder computes.  Cached and computed cells are
-interchangeable by construction (the cache stores the canonical cell
-document and rebuilding it round-trips byte-identically), so the
-spec-order merge and the bit-identity contract are unchanged.
-
 Progress has one channel: ``progress`` is called with a
-:class:`ProgressEvent` per finished cell (position, host seconds,
-whether the cache served it), in completion order.
+:class:`ProgressEvent` per finished cell (position, host seconds), in
+completion order.
 """
 
 from __future__ import annotations
@@ -36,14 +27,11 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, cast
+from typing import Any, Callable, Iterable, Mapping, Optional, cast
 
 from repro.exec.clock import monotonic
 from repro.exec.runners import execute_spec
 from repro.exec.spec import CellResult, RunSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache import ResultCache
 
 
 class ExperimentError(RuntimeError):
@@ -59,12 +47,9 @@ class ProgressEvent:
     index: int
     spec: RunSpec
     seconds: float
-    #: True when the cell was served from the result cache.
-    cached: bool = False
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        suffix = " (cached)" if self.cached else f" ({self.seconds:.2f}s)"
-        return f"[{self.done}/{self.total}] {self.spec.describe()}{suffix}"
+        return f"[{self.done}/{self.total}] {self.spec.describe()} ({self.seconds:.2f}s)"
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
@@ -75,8 +60,6 @@ def run_grid(
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
     keep_clusters: bool = False,
-    cache: "Optional[ResultCache]" = None,
-    refresh: bool = False,
 ) -> list[CellResult]:
     """Execute every spec and return results in spec order.
 
@@ -85,13 +68,6 @@ def run_grid(
     ``workers>1`` fans out over a process pool, where payloads are
     stripped to picklable data.  Both paths produce identical
     measurements for identical specs.
-
-    ``cache`` short-circuits cells already on disk and writes computed
-    cells through incrementally; ``refresh`` recomputes every cell but
-    still writes through (overwriting existing entries).  Cells are
-    bypassed — never read or written — when ``keep_clusters`` is set
-    or the spec is trace-enabled: both carry process-local state a
-    cached document cannot reproduce.
     """
     spec_list = list(specs)
     if workers < 1:
@@ -99,45 +75,18 @@ def run_grid(
     total = len(spec_list)
 
     results: list[Optional[CellResult]] = [None] * total
-    jobs: list[int] = []
     done = 0
-    if cache is None:
-        jobs = list(range(total))
-    else:
-        for index, spec in enumerate(spec_list):
-            cell = None
-            if keep_clusters or spec.trace:
-                cache.count_bypass()
-            elif refresh:
-                cache.count_miss()
-            else:
-                cell = cache.get(spec)
-            if cell is None:
-                jobs.append(index)
-                continue
-            # A cache hit: nothing ran, so no host seconds to observe.
-            done += 1
-            results[index] = cell
-            if progress is not None:
-                progress(ProgressEvent(done, total, index, spec, seconds=0.0, cached=True))
-    store = None if keep_clusters else cache
 
     def finish(index: int, cell: CellResult, seconds: float) -> None:
-        """A freshly computed cell, in completion order (either path)."""
+        """A computed cell, in completion order (either path)."""
         nonlocal done
-        spec = spec_list[index]
-        # Write through before reporting: once a cell is announced
-        # done, a kill must not lose it.
-        if store is not None and not spec.trace:
-            store.put(spec, cell)
         done += 1
         results[index] = cell
         if progress is not None:
-            progress(ProgressEvent(done, total, index, spec, seconds))
+            progress(ProgressEvent(done, total, index, spec_list[index], seconds))
 
-    if workers == 1 or len(jobs) <= 1:
-        for index in jobs:
-            spec = spec_list[index]
+    if workers == 1 or total <= 1:
+        for index, spec in enumerate(spec_list):
             started = monotonic()
             try:
                 cell = execute_spec(spec, keep_cluster=keep_clusters)
@@ -150,7 +99,7 @@ def run_grid(
     else:
         run_pool(
             workers,
-            {index: (execute_spec, spec_list[index]) for index in jobs},
+            {index: (execute_spec, spec) for index, spec in enumerate(spec_list)},
             finish,
             died=lambda i: f"the grid (first unfinished spec: {i} — {spec_list[i].describe()})",
             failed=lambda i: f"spec {i} ({spec_list[i].describe()})",
@@ -174,21 +123,25 @@ def run_pool(
     what was running.
     """
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {pool.submit(_pool_entry, *job): key for key, job in jobs.items()}
+        pending: dict[Any, Any] = {}
+        key = None
         try:
+            # A worker can die before the last job is queued, and then
+            # ``submit`` itself raises: both moments are one handler's.
+            for key, job in jobs.items():
+                pending[pool.submit(_pool_entry, *job)] = key
             while pending:
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
                     key = pending.pop(future)
-                    try:
-                        status, value, seconds = future.result()
-                    except BrokenProcessPool as exc:
-                        raise ExperimentError(
-                            f"a worker process died while running {died(key)}: {exc!r}"
-                        ) from exc
+                    status, value, seconds = future.result()
                     if status == "error":
                         raise ExperimentError(f"{failed(key)} failed in worker:\n{value}")
                     on_done(key, value, seconds)
+        except BrokenProcessPool as exc:
+            raise ExperimentError(
+                f"a worker process died while running {died(key)}: {exc!r}"
+            ) from exc
         finally:
             for future in pending:
                 future.cancel()

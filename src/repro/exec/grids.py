@@ -173,7 +173,7 @@ def campaign_grid(
 
     Each cell carries its own generated :class:`CampaignSchedule`
     (canonical JSON in ``spec.campaign``), so the schedule is part of
-    the cell's identity and cached campaign runs replay warm.  The
+    the cell's identity.  The
     per-run schedule seed mixes the base seed with the run index
     through distinct named RNG streams, so runs are independent but
     byte-reproducible.
@@ -215,8 +215,7 @@ def composite_grid(
 
     Each cell carries its full workload shape as canonical JSON in
     ``spec.composite`` (the campaign-schedule discipline), so the mix,
-    skew, phases and window are part of the cell identity and cached
-    cells replay warm.
+    skew, phases and window are part of the cell identity.
     """
     if protocols is None:
         protocols = default_protocols()

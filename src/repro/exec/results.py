@@ -1,8 +1,8 @@
 """Machine-readable sweep results.
 
 Every sweep serialises to one JSON document with a stable schema — the
-format CI compares byte for byte (serial against parallel, cold cache
-against warm) and ``tests/golden/`` pins:
+format CI compares byte for byte (serial against parallel, partitioned
+against single-kernel) and ``tests/golden/`` pins:
 
 ::
 
@@ -30,14 +30,11 @@ from __future__ import annotations
 import json
 import subprocess
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.exec.clock import monotonic, utc_now_iso
 from repro.exec.executor import ProgressCallback, run_grid
 from repro.exec.spec import CellResult, RunSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache import ResultCache
 
 SCHEMA_VERSION = 1
 
@@ -86,12 +83,6 @@ class SweepResults:
     wall_time_s: float = 0.0
     git_rev: str = "unknown"
     created_at: str = field(default_factory=utc_now_iso)
-    #: How many cells were served from the result cache vs executed.
-    #: Provenance only — cached and computed cells are interchangeable,
-    #: so these live under volatile ``meta`` and never affect the
-    #: canonical document.
-    cached: int = 0
-    computed: int = 0
 
     def to_dict(self, canonical: bool = False) -> dict[str, Any]:
         """JSON-ready document; ``canonical`` drops the volatile meta."""
@@ -106,7 +97,6 @@ class SweepResults:
                 "created_at": self.created_at,
                 "wall_time_s": self.wall_time_s,
                 "workers": self.workers,
-                "cache": {"cached": self.cached, "computed": self.computed},
             }
         return doc
 
@@ -118,48 +108,19 @@ class SweepResults:
             handle.write(self.to_json(canonical=canonical))
 
 
-def load_results(path: str) -> dict[str, Any]:
-    """Load a sweep-results document, validating the schema version."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported sweep-results schema {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    return doc
-
-
-def cell_key(cell_dict: dict[str, Any]) -> str:
-    """Stable identity of a serialised cell — its canonical spec JSON."""
-    return json.dumps(cell_dict["spec"], sort_keys=True, separators=(",", ":"))
-
-
 def run_sweep(
     specs: Iterable[RunSpec],
     kind: str,
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
-    cache: "Optional[ResultCache]" = None,
-    refresh: bool = False,
 ) -> SweepResults:
-    """Execute a grid and wrap it with provenance for serialisation.
-
-    With ``cache``, already-computed cells are served from disk and the
-    split is recorded under ``meta["cache"]``; the canonical document
-    is identical either way.
-    """
-    before = cache.stats if cache is not None else None
+    """Execute a grid and wrap it with provenance for serialisation."""
     started = monotonic()
-    cells = run_grid(specs, workers=workers, progress=progress, cache=cache, refresh=refresh)
-    cached = (cache.stats - before).hits if cache is not None and before is not None else 0
+    cells = run_grid(specs, workers=workers, progress=progress)
     return SweepResults(
         kind=kind,
         cells=cells,
         workers=workers,
         wall_time_s=monotonic() - started,
         git_rev=git_revision(),
-        cached=cached,
-        computed=len(cells) - cached,
     )

@@ -157,8 +157,7 @@ def _run_composite(spec: RunSpec, keep_cluster: bool) -> CellResult:
 
     The partitioned mode (one DES kernel per shard group, process
     pool) lives in :mod:`repro.exec.partition` and produces
-    byte-identical cells; this runner is what sweeps and the result
-    cache use.
+    byte-identical cells; this runner is what sweeps use.
     """
     if spec.composite is None:
         raise ValueError(f"composite spec {spec.describe()!r} has no composite field")
@@ -171,7 +170,7 @@ def _run_campaign(spec: RunSpec, keep_cluster: bool) -> CellResult:
     """Adversarial fault-campaign cell (see :mod:`repro.campaign.runner`).
 
     The verdict rides in ``CellResult.verdict``, so campaign cells flow
-    through the cached executor like any other experiment cell.
+    through the executor like any other experiment cell.
     """
     if spec.campaign is None:
         raise ValueError("campaign spec is missing its schedule")

@@ -15,11 +15,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Optional, Union
 
 from repro.analysis.metrics import LatencyStats
-from repro.config import SimulationParams
+from repro.config import (
+    ComputeParams,
+    FailureParams,
+    NetworkParams,
+    SimulationParams,
+    StorageParams,
+)
+from repro.faults.triggers import NUMBER, ScheduleFormatError, read_fields
 
 #: The swept x-value a spec represents (network latency, burst size,
 #: abort rate, pair count...).  Purely a label: the physics of the run
@@ -64,7 +71,7 @@ class RunSpec:
     trace: bool = False
     #: Workers per transaction for the fanout kind; ``None`` elsewhere
     #: (the field enters the identity only when set, so every pre-fanout
-    #: baseline and cache key is untouched).
+    #: baseline and derived seed is untouched).
     fanout: Optional[int] = None
     #: Worker shards in the sharded namespace (fanout kind); defaults
     #: to ``fanout`` when unset.
@@ -131,8 +138,8 @@ class RunSpec:
         if self.trace:
             doc["trace"] = True
         # Same discipline for the fanout axes: absent unless set, so
-        # pre-fanout spec identities (seeds, goldens, cache keys) are
-        # byte-for-byte what they always were.
+        # pre-fanout spec identities (seeds, goldens) are byte-for-byte
+        # what they always were.
         if self.fanout is not None:
             doc["fanout"] = self.fanout
         if self.n_shards is not None:
@@ -144,29 +151,29 @@ class RunSpec:
         return doc
 
     @staticmethod
-    def from_dict(doc: dict[str, Any]) -> "RunSpec":
-        """Rebuild a spec from its :meth:`to_dict` form.
-
-        Exact inverse of :meth:`to_dict`: the round trip preserves the
-        canonical identity — and with it the derived seed — which is
-        what lets the result cache address cells by serialised spec.
-        """
-        return RunSpec(
-            kind=doc["kind"],
-            protocol=doc["protocol"],
-            n=doc["n"],
-            op=doc["op"],
-            abort_rate=doc["abort_rate"],
-            n_pairs=doc["n_pairs"],
-            seed=doc["seed"],
-            point=doc["point"],
-            params=SimulationParams.from_dict(doc["params"]),
-            trace=bool(doc.get("trace", False)),
-            fanout=doc.get("fanout"),
-            n_shards=doc.get("n_shards"),
-            campaign=doc.get("campaign"),
-            composite=doc.get("composite"),
+    def from_dict(doc: Any) -> "RunSpec":
+        """Exact inverse of :meth:`to_dict` (the round trip preserves
+        the identity and with it the derived seed); any other key, a
+        missing one or a value of another type is a
+        :class:`~repro.faults.ScheduleFormatError` naming the field
+        (``spec.fanuot: unknown field``)."""
+        read_fields(
+            doc,
+            "spec",
+            {"kind": str, "protocol": str, "n": int, "op": str, "abort_rate": NUMBER,
+             "n_pairs": int, "seed": int, "point": (*NUMBER, str, type(None)), "params": dict},
+            {"trace": bool, "fanout": int, "n_shards": int, "campaign": str, "composite": str},
         )
+        params = doc["params"]
+        read_fields(params, "spec.params", {**dict.fromkeys(_PARAM_SECTIONS, dict), "seed": int})
+        for name, cls in _PARAM_SECTIONS.items():
+            types = {f.name: _PARAM_TYPES[f.type] for f in fields(cls)}
+            read_fields(params[name], f"spec.params.{name}", types)
+        try:
+            sections = {name: cls(**params[name]) for name, cls in _PARAM_SECTIONS.items()}
+            return RunSpec(**{**doc, "params": SimulationParams(**sections, seed=params["seed"])})
+        except ValueError as err:
+            raise ScheduleFormatError(f"spec: {err}") from None
 
     def identity(self) -> str:
         """Canonical JSON identity — stable across processes and runs."""
@@ -192,6 +199,17 @@ class RunSpec:
         if self.point is not None:
             bits.append(f"point={self.point}")
         return " ".join(bits)
+
+
+#: ``params`` section -> its class; a field's annotation -> the JSON
+#: class(es) :meth:`RunSpec.from_dict` accepts for it.
+_PARAM_SECTIONS = {
+    "network": NetworkParams,
+    "storage": StorageParams,
+    "compute": ComputeParams,
+    "failure": FailureParams,
+}
+_PARAM_TYPES = {"float": NUMBER, "int": int, "bool": bool}
 
 
 def derive_seed(spec: RunSpec) -> int:
@@ -274,41 +292,3 @@ class CellResult:
         if self.detail is not None:
             doc["detail"] = self.detail
         return doc
-
-    @staticmethod
-    def from_dict(doc: dict[str, Any]) -> "CellResult":
-        """Rebuild a plain-data cell from its :meth:`to_dict` form.
-
-        Inverse of :meth:`to_dict` for everything that serialises:
-        ``payload`` never leaves the process, so rebuilt cells carry
-        none.  Re-serialising the result reproduces ``doc`` exactly
-        (JSON floats round-trip bit-for-bit), which is what makes a
-        warm-cache sweep byte-identical to a cold one.
-        """
-        latency_doc = doc.get("latency")
-        latency = None
-        if latency_doc is not None:
-            latency = LatencyStats(
-                count=latency_doc["count"],
-                mean=latency_doc["mean"],
-                minimum=latency_doc["min"],
-                maximum=latency_doc["max"],
-                p50=latency_doc["p50"],
-                p95=latency_doc["p95"],
-                p99=latency_doc["p99"],
-                mode=latency_doc.get("mode", "exact"),
-            )
-        return CellResult(
-            spec=RunSpec.from_dict(doc["spec"]),
-            derived_seed=doc["derived_seed"],
-            committed=doc["committed"],
-            aborted=doc["aborted"],
-            makespan=doc["makespan"],
-            throughput=doc["throughput"],
-            latency=latency,
-            forced_writes=doc["forced_writes"],
-            lazy_writes=doc["lazy_writes"],
-            metrics=doc.get("metrics"),
-            verdict=doc.get("verdict"),
-            detail=doc.get("detail"),
-        )

@@ -42,7 +42,7 @@ class Fault:
 
     Exactly one of ``at`` (absolute virtual time) and ``trigger`` must
     be set.  The canonical form (:meth:`to_dict`) rides inside campaign
-    schedules and so inside run identities, seeds and cache keys.
+    schedules and so inside run identities and derived seeds.
     """
 
     kind: str

@@ -2,8 +2,8 @@
 
 A :class:`TraceTrigger` is a declarative record filter — category,
 actor, detail-field equalities, a hit count — that (a) serialises to
-canonical JSON (a campaign schedule *is* its cache key) and (b) never
-scans the trace: :meth:`~TraceTrigger.compile` makes the per-run hit
+canonical JSON (a campaign schedule is part of its cell's identity)
+and (b) never scans the trace: :meth:`~TraceTrigger.compile` makes the per-run hit
 counter the fault plan feeds with each new record of the trigger's
 category, so a whole run costs one filter check per such record.
 

@@ -2,7 +2,7 @@
 
 One module per paper artifact plus the extension sweeps; everything
 here drives the layers below it (``workloads`` cells, the ``exec``
-executor, the ``cache``) and nothing below imports it:
+executor) and nothing below imports it:
 
 * :mod:`repro.harness.table1` -- Table I (analytical + measured).
 * :mod:`repro.harness.figure6` -- Figure 6 (ops/s per protocol).

@@ -7,13 +7,10 @@ transaction spans.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import SimulationParams
 from repro.exec import fanout_grid, run_grid
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache import ResultCache
 
 
 def sweep_fanout(
@@ -24,7 +21,6 @@ def sweep_fanout(
     n_shards: Optional[int] = None,
     params: Optional[SimulationParams] = None,
     workers: int = 1,
-    cache: "Optional[ResultCache]" = None,
 ) -> dict[tuple[str, int], float]:
     """File throughput per ``(protocol, fanout)`` point.
 
@@ -41,7 +37,7 @@ def sweep_fanout(
         n_shards=n_shards,
         params=params,
     )
-    cells = run_grid(specs, workers=workers, cache=cache)
+    cells = run_grid(specs, workers=workers)
     out: dict[tuple[str, int], float] = {}
     for cell in cells:
         assert cell.spec.fanout is not None

@@ -8,14 +8,11 @@ gain over PrN (the paper reports 1PC > +55 %, EP +6.6 %, PrC +0.39 %).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.tables import render_bar_chart
 from repro.config import SimulationParams
 from repro.exec import CellResult, figure6_grid, run_grid
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache import ResultCache
 
 #: Paper's Figure 6 values (distributed transactions per second).
 PAPER_FIGURE6 = {"PrN": 15.0, "PrC": 15.06, "EP": 16.0, "1PC": 24.0}
@@ -67,7 +64,6 @@ def run_figure6(
     n: int = 100,
     params: Optional[SimulationParams] = None,
     workers: int = 1,
-    cache: "Optional[ResultCache]" = None,
 ) -> Figure6Result:
     """Run the Figure 6 experiment for every protocol.
 
@@ -76,11 +72,7 @@ def run_figure6(
     keeps each run's live cluster on the cell payload; parallel runs
     return cells without one (clusters do not cross process
     boundaries).
-
-    ``cache`` only takes effect on parallel runs: the serial path keeps
-    live clusters, which a cached document cannot reproduce, so the
-    executor bypasses the cache there.
     """
     specs = figure6_grid(n=n, protocols=protocols, params=params)
-    cells = run_grid(specs, workers=workers, keep_clusters=workers == 1, cache=cache)
+    cells = run_grid(specs, workers=workers, keep_clusters=workers == 1)
     return Figure6Result(results={cell.spec.protocol: cell for cell in cells}, n=n)

@@ -7,14 +7,11 @@ aggregate distributed-create throughput as the workload fans out over
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import SimulationParams
 from repro.exec import run_grid, scaling_grid
 from repro.protocols.registry import default_protocols
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache import ResultCache
 
 
 def sweep_scaling(
@@ -24,13 +21,12 @@ def sweep_scaling(
     ops_per_dir: int = 25,
     params: Optional[SimulationParams] = None,
     workers: int = 1,
-    cache: "Optional[ResultCache]" = None,
 ) -> dict[int, dict[str, float]]:
     """Aggregate throughput per ``(pair count, protocol)`` point.
 
     Shares the harness-wide calling convention (the swept axis
-    positional; ``protocols=``, ``workers=``, ``cache=`` keyword-only
-    — see ``docs/architecture.md``).  ``protocols`` defaults to every
+    positional; ``protocols=``, ``workers=`` keyword-only — see
+    ``docs/architecture.md``).  ``protocols`` defaults to every
     registered protocol.  Routed through the parallel executor;
     ``workers=1`` is the serial fallback and produces identical
     results to any worker count.
@@ -45,7 +41,7 @@ def sweep_scaling(
             proto, pair_counts=(k,), ops_per_dir=ops_per_dir, params=params
         )
     ]
-    cells = run_grid(specs, workers=workers, cache=cache)
+    cells = run_grid(specs, workers=workers)
     table: dict[int, dict[str, float]] = {}
     for cell in cells:
         table.setdefault(cell.spec.n_pairs, {})[cell.spec.protocol] = cell.throughput

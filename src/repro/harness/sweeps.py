@@ -14,13 +14,13 @@ derive from the spec rather than scheduling order.
 
 All entry points share one calling convention (documented in
 ``docs/architecture.md``): the swept axis is the only positional
-argument, and ``protocols=``, ``workers=`` and ``cache=`` are
-keyword-only and mean the same thing everywhere.
+argument, and ``protocols=`` and ``workers=`` are keyword-only and mean
+the same thing everywhere.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.config import KB, SimulationParams
 from repro.exec import (
@@ -31,9 +31,6 @@ from repro.exec import (
     network_latency_grid,
     run_grid,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache import ResultCache
 
 #: ``repro sweep --kind`` -> its default points, table title, axis header
 #: and point label.  The report's sweep artifacts
@@ -65,11 +62,10 @@ def sweep_network_latency(
     n: int = 50,
     params: Optional[SimulationParams] = None,
     workers: int = 1,
-    cache: "Optional[ResultCache]" = None,
 ) -> dict[float, dict[str, float]]:
     """Throughput per protocol for each one-way network latency."""
     specs = network_latency_grid(latencies, protocols=protocols, n=n, params=params)
-    return _fold(run_grid(specs, workers=workers, cache=cache))
+    return _fold(run_grid(specs, workers=workers))
 
 
 def sweep_disk_bandwidth(
@@ -79,11 +75,10 @@ def sweep_disk_bandwidth(
     n: int = 50,
     params: Optional[SimulationParams] = None,
     workers: int = 1,
-    cache: "Optional[ResultCache]" = None,
 ) -> dict[float, dict[str, float]]:
     """Throughput per protocol for each log-device bandwidth."""
     specs = disk_bandwidth_grid(bandwidths, protocols=protocols, n=n, params=params)
-    return _fold(run_grid(specs, workers=workers, cache=cache))
+    return _fold(run_grid(specs, workers=workers))
 
 
 def sweep_burst_size(
@@ -92,11 +87,10 @@ def sweep_burst_size(
     protocols: Optional[Sequence[str]] = None,
     params: Optional[SimulationParams] = None,
     workers: int = 1,
-    cache: "Optional[ResultCache]" = None,
 ) -> dict[int, dict[str, float]]:
     """Throughput per protocol for each burst size."""
     specs = burst_size_grid(sizes, protocols=protocols, params=params)
-    return _fold(run_grid(specs, workers=workers, cache=cache))
+    return _fold(run_grid(specs, workers=workers))
 
 
 def sweep_abort_rate(
@@ -107,7 +101,6 @@ def sweep_abort_rate(
     params: Optional[SimulationParams] = None,
     seed: int = 7,
     workers: int = 1,
-    cache: "Optional[ResultCache]" = None,
 ) -> dict[float, dict[str, float]]:
     """Committed throughput per protocol with a fraction of refused votes.
 
@@ -119,4 +112,4 @@ def sweep_abort_rate(
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"abort rate must be in [0, 1), got {rate}")
     specs = abort_rate_grid(rates, protocols=protocols, n=n, params=params, seed=seed)
-    return _fold(run_grid(specs, workers=workers, cache=cache))
+    return _fold(run_grid(specs, workers=workers))

@@ -1,10 +1,12 @@
-"""CACHE — result-cache determinism rules.
+"""CACHE — canonical-JSON rules for the executor (the family name is
+from the result cache these documents once fed).
 
-The experiment cache's contract is that a warm sweep is byte-identical
-to a cold one.  That only holds if every JSON document on the cache
-path is serialised canonically — ``json.dumps`` with
-``sort_keys=True`` — because dict iteration order is an implementation
-detail the on-disk format must not depend on.
+A spec's derived seed is a hash of its canonical JSON identity, and
+sweep documents are compared byte for byte (serial against parallel,
+goldens).  Both only hold if every JSON document ``exec/`` writes is
+serialised canonically — ``json.dumps`` with ``sort_keys=True`` —
+because dict iteration order is an implementation detail neither a
+seed nor an on-disk format may depend on.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from typing import Iterator
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
-
-#: The areas whose JSON output feeds cache entries or sweep documents.
-_AREAS = frozenset({"cache", "exec"})
 
 
 def _sorts_keys(call: ast.Call) -> bool:
@@ -31,19 +30,19 @@ def _sorts_keys(call: ast.Call) -> bool:
 @register
 class SortedJsonRule(Rule):
     id = "CACHE001"
-    summary = "cache/exec JSON serialisation must pass sort_keys=True"
+    summary = "exec JSON serialisation must pass sort_keys=True"
     rationale = (
-        "Cache entries and sweep documents are compared byte-for-byte "
-        "(warm-vs-cold identity, CI baselines); json.dumps without "
-        "sort_keys=True leaks dict insertion order into the on-disk "
-        "format, breaking that identity the first time a field is "
-        "added in a different place."
+        "Derived seeds are hashed from a spec's canonical JSON and "
+        "sweep documents are compared byte-for-byte (serial-vs-parallel "
+        "identity, goldens); json.dumps without sort_keys=True leaks "
+        "dict insertion order into both, breaking them the first time "
+        "a field is added in a different place."
     )
     good_example = "payload = json.dumps(doc, sort_keys=True)"
     bad_example = "payload = json.dumps(doc)"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not (ctx.in_src and ctx.area in _AREAS):
+        if not (ctx.in_src and ctx.area == "exec"):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -55,6 +54,6 @@ class SortedJsonRule(Rule):
             yield ctx.finding(
                 node,
                 self.id,
-                "json.dumps on the cache/exec path without sort_keys=True "
-                "(on-disk documents must be canonical)",
+                "json.dumps on the exec path without sort_keys=True "
+                "(identities and on-disk documents must be canonical)",
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.fs.objects import FileType
+from repro.fs.objects import FileType, ObjectId
 from repro.fs.operations import (
     OpPlan,
     plan_create,
@@ -20,6 +20,7 @@ from repro.fs.operations import (
     plan_mkdir,
     plan_rename,
     plan_rmdir,
+    split_path,
 )
 from repro.protocols.base import MsgKind
 from repro.sim import TIMED_OUT
@@ -130,9 +131,6 @@ class Client:
         Returns the STAT_REPLY payload: ``found`` / ``ino`` (or
         ``error`` on a lock timeout).
         """
-        from repro.fs.objects import ObjectId
-        from repro.fs.operations import split_path
-
         parent, _name = split_path(path)
         target = self.cluster.placement.place(ObjectId.directory(parent))
         self.endpoint.send_to(target, MsgKind.STAT_REQUEST, path=path)

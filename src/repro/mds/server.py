@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.fs.operations import OpPlan
-from repro.locks import LockManager
+from repro.fs.objects import ObjectId
+from repro.fs.operations import OpPlan, split_path
+from repro.locks import LockManager, LockMode, LockTimeout
 from repro.net.message import Message
 from repro.protocols.base import SESSION_OPENERS, MsgKind, Protocol, Transaction
 from repro.sim import Process, Store
@@ -189,10 +190,6 @@ class MDSServer:
         in-flight exclusive holder — which is why the lock-hold time of
         the commit protocol matters for read latency too.
         """
-        from repro.fs.operations import split_path
-        from repro.fs.objects import ObjectId
-        from repro.locks import LockMode, LockTimeout
-
         path = msg.payload["path"]
         parent, name = split_path(path)
         reader = ("stat", msg.msg_id)

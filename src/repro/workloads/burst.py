@@ -124,7 +124,7 @@ def run_abort_burst(
     if refusals:
         cluster.sim.process(arm_failures(cluster.sim), name="abort-injector")
     # No settle: this cell has always counted log writes at the last
-    # reply, trailing lazy appends excluded; cached cells pin the count.
+    # reply, trailing lazy appends excluded.
     drain(cluster, n, "abort burst", settle=0.0)
     m = measure(cluster, cluster.outcomes, start)
     return replace(m, throughput=m.per_second(m.committed))

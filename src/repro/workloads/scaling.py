@@ -51,6 +51,5 @@ def run_scaling_cell(
     violations = cluster.check_invariants()
     if violations:
         raise RuntimeError(f"invariant violations at n_pairs={n_pairs}: {violations}")
-    # Scaling cell documents have never carried latency: cached cells
-    # and the sweep goldens pin ``null``.
+    # Scaling cell documents have never carried latency.
     return replace(m, throughput=m.per_second(total), latency=None)

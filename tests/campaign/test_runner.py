@@ -52,9 +52,8 @@ def test_campaign_cell_executes_through_executor():
     assert cell.spec.kind == "campaign"
     assert cell.verdict is not None
     assert violation_kinds(cell) == set()
-    # Verdict survives the cell's JSON round-trip (the cache path).
-    again = type(cell).from_dict(cell.to_dict())
-    assert again.verdict == cell.verdict
+    # The verdict is part of the cell's document.
+    assert cell.to_dict()["verdict"] == cell.verdict
 
 
 @pytest.mark.slow

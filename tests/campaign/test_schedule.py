@@ -14,6 +14,8 @@ from repro.campaign.schedule import (
     CampaignSchedule,
     generate_schedule,
 )
+from repro.config import NetworkParams, SimulationParams, StorageParams
+from repro.exec import RunSpec
 from repro.faults import (
     FAULT_KINDS,
     Fault,
@@ -152,7 +154,7 @@ def schedules(draw):
 @settings(deadline=None)
 def test_fault_roundtrips_through_its_canonical_form(fault):
     assert Fault.from_dict(fault.to_dict()) == fault
-    # ... and through JSON text, which is what a cache key holds.
+    # ... and through JSON text, which is what a spec identity holds.
     assert Fault.from_dict(json.loads(json.dumps(fault.to_dict()))) == fault
 
 
@@ -166,7 +168,7 @@ def test_schedule_json_is_a_fixed_point(schedule):
 
 def test_canonical_form_is_pinned():
     """These bytes are inside ``RunSpec.identity()``, every derived
-    seed and every cache key."""
+    seed and every canonical document."""
     fault = Fault("link", "mds1", peer="mds2", trigger=window("at-vote", "mds1"), restore_after=2.0)
     assert json.dumps(fault.to_dict(), sort_keys=True) == (
         '{"kind": "link", "node": "mds1", "peer": "mds2", "restore_after": 2.0, "trigger": '
@@ -231,13 +233,8 @@ JSON_VALUES = st.recursive(
 )
 
 
-@st.composite
-def damaged_documents(draw):
-    """A valid schedule document with one node of its tree deleted,
-    replaced or joined by a stranger."""
-    doc = json.loads(draw(schedules().filter(lambda s: s.faults)).to_json())
-    holders = [doc, *doc["faults"]]
-    holders += [f["trigger"] for f in doc["faults"] if "trigger" in f]
+def _damage(draw, holders):
+    """Delete or replace one key of one of ``holders``, or add one."""
     holder = draw(st.sampled_from(holders))
     action = draw(st.sampled_from(["delete", "replace", "add"]))
     if action == "add":
@@ -248,6 +245,16 @@ def damaged_documents(draw):
             del holder[key]
         else:
             holder[key] = draw(JSON_VALUES)
+
+
+@st.composite
+def damaged_documents(draw):
+    """A valid schedule document with one node of its tree deleted,
+    replaced or joined by a stranger."""
+    doc = json.loads(draw(schedules().filter(lambda s: s.faults)).to_json())
+    holders = [doc, *doc["faults"]]
+    holders += [f["trigger"] for f in doc["faults"] if "trigger" in f]
+    _damage(draw, holders)
     return doc
 
 
@@ -271,3 +278,65 @@ def test_from_json_never_leaks_another_exception(text):
         CampaignSchedule.from_json(text)
     except ScheduleFormatError:
         pass
+
+
+@st.composite
+def run_specs(draw):
+    """Every optional key of the spec document present in some draws."""
+    schedule = draw(st.one_of(st.none(), schedules()))
+    fanout = draw(st.one_of(st.none(), st.integers(1, 4)))
+    params = SimulationParams(
+        network=NetworkParams(latency=draw(st.floats(min_value=0.0, max_value=1.0))),
+        storage=StorageParams(group_commit=draw(st.booleans()), san_concurrency=draw(st.integers(0, 3))),
+        seed=draw(st.integers(0, 9)),
+    )
+    return RunSpec(
+        kind=draw(st.sampled_from(["burst", "abort_burst", "scaling"])) if schedule is None else "campaign",
+        protocol=draw(st.sampled_from(["1PC", "PrN", "EP"])),
+        n=draw(st.integers(1, 200)),
+        abort_rate=draw(st.floats(min_value=0.0, max_value=0.99)),
+        n_pairs=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**31)),
+        point=draw(st.one_of(st.none(), st.integers(0, 9), st.floats(0.0, 1.0), st.text(max_size=4))),
+        params=draw(st.one_of(st.none(), st.just(params))),
+        trace=draw(st.booleans()),
+        fanout=fanout,
+        n_shards=None if fanout is None else draw(st.one_of(st.none(), st.integers(fanout, 8))),
+        campaign=None if schedule is None else schedule.to_json(),
+        composite=draw(st.one_of(st.none(), st.just("{}"))),
+    )
+
+
+@given(run_specs())
+@settings(deadline=None)
+def test_run_spec_document_is_a_fixed_point(spec):
+    """Through JSON text, which is what a repro document holds; the
+    identity, and with it the derived seed, survives the trip."""
+    again = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert again.to_dict() == spec.to_dict()
+    assert again.identity() == spec.identity()
+
+
+@st.composite
+def damaged_spec_documents(draw):
+    """A valid spec document with one key of it, of its ``params`` or
+    of one ``params`` section deleted, replaced or joined by a stranger."""
+    doc = json.loads(json.dumps(draw(run_specs()).to_dict()))
+    sections = [doc["params"][name] for name in ("network", "storage", "compute", "failure")]
+    _damage(draw, [doc, doc["params"], *sections])
+    return doc
+
+
+@given(damaged_spec_documents())
+@settings(max_examples=300, deadline=None)
+def test_spec_loader_fuzz_yields_a_spec_or_one_typed_error(doc):
+    try:
+        spec = RunSpec.from_dict(doc)
+    except ScheduleFormatError as err:
+        assert str(err).startswith("spec") and ": " in str(err)
+        return
+    # Accepted: then nothing of the document was dropped (``trace`` is
+    # written only when set).
+    if doc.get("trace") is False:
+        del doc["trace"]
+    assert json.loads(json.dumps(spec.to_dict())) == doc

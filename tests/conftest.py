@@ -1,29 +1,9 @@
-"""Repo-wide fixtures: protocol parametrisation, cache isolation."""
+"""Repo-wide fixtures: protocol parametrisation."""
 
 import pytest
 
 ALL_PROTOCOLS = ("PrN", "PrC", "EP", "1PC")
 TWO_PC_FAMILY = ("PrN", "PrC", "EP")
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_result_cache(tmp_path_factory):
-    """Point ``REPRO_CACHE_DIR`` at a session tmpdir.
-
-    Tests must never read results cached by earlier runs (or other
-    checkouts) on the developer's machine, nor litter ``~/.cache`` —
-    see docs/testing.md.
-    """
-    import os
-
-    root = tmp_path_factory.mktemp("repro-cache")
-    old = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(root)
-    yield
-    if old is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = old
 
 
 @pytest.fixture(params=ALL_PROTOCOLS)

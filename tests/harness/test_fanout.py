@@ -21,9 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import ResultCache
 from repro.core.batching import BatchPlanner
-from repro.exec import execute_spec, fanout_grid, run_sweep
+from repro.exec import execute_spec, fanout_grid
 from repro.harness.fanout import sweep_fanout
 from repro.mds.scenarios import HOT_DIR, fanout_cluster
 from repro.workloads.fanout import run_fanout_cell
@@ -61,15 +60,6 @@ def test_fanout_golden_is_nontrivial():
         assert doc["committed"] == 16 // doc["spec"]["fanout"]
         assert doc["aborted"] == 0
         assert doc["throughput"] > 0
-
-
-def test_fanout_sweep_warm_cache_is_byte_identical(tmp_path):
-    cache = ResultCache(root=tmp_path / "cache")
-    cold = run_sweep(_golden_specs(), kind="fanout", cache=cache)
-    warm = run_sweep(_golden_specs(), kind="fanout", cache=cache)
-    assert cold.cached == 0 and cold.computed == len(_golden_specs())
-    assert warm.cached == len(_golden_specs()) and warm.computed == 0
-    assert cold.to_json(canonical=True) == warm.to_json(canonical=True)
 
 
 def test_batches_span_exactly_k_workers():

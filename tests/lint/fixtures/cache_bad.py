@@ -1,5 +1,5 @@
-# repro: path src/repro/cache/cache_fixture.py
-"""CACHE fixture: cache-path JSON that leaks dict insertion order."""
+# repro: path src/repro/exec/cache_fixture.py
+"""CACHE fixture: exec-path JSON that leaks dict insertion order."""
 
 import json
 

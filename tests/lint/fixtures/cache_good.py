@@ -1,5 +1,5 @@
-# repro: path src/repro/cache/cache_fixture.py
-"""CACHE fixture: canonical serialisation on the cache path."""
+# repro: path src/repro/exec/cache_fixture.py
+"""CACHE fixture: canonical serialisation on the exec path."""
 
 import json
 

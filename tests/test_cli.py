@@ -178,64 +178,22 @@ def test_cli_sweep_progress_reports_cells(capsys, tmp_path):
     assert f"[{N_PROTOCOLS}/{N_PROTOCOLS}]" in captured.err
 
 
-def test_cli_sweep_cache_warm_run_hits_and_matches(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    cold_json = tmp_path / "cold.json"
-    warm_json = tmp_path / "warm.json"
-
-    code = main(["sweep", "--kind", "figure6", "--n", "7",
-                 "--json", str(cold_json), "--canonical"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert f"0 hits, {N_PROTOCOLS} computed" in captured.err
-
-    code = main(["sweep", "--kind", "figure6", "--n", "7",
-                 "--json", str(warm_json), "--canonical"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert f"{N_PROTOCOLS} hits, 0 computed" in captured.err
-    assert cold_json.read_bytes() == warm_json.read_bytes()
-
-
-def test_cli_sweep_no_cache_and_refresh(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    code = main(["sweep", "--kind", "figure6", "--n", "7", "--no-cache"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "cache:" not in captured.err
-    assert not (tmp_path / "cache").exists()
-
-    main(["sweep", "--kind", "figure6", "--n", "7"])
-    capsys.readouterr()
-    code = main(["sweep", "--kind", "figure6", "--n", "7", "--refresh"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert f"0 hits, {N_PROTOCOLS} computed" in captured.err
-
-
-def test_cli_cache_stats_clear_gc(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    main(["sweep", "--kind", "figure6", "--n", "7"])
-    capsys.readouterr()
-
-    code, out = run_cli(capsys, "cache", "stats")
-    assert code == 0
-    assert f"entries:     {N_PROTOCOLS}" in out and f"burst={N_PROTOCOLS}" in out
-
-    code, out = run_cli(capsys, "cache", "gc", "--max-size", "0")
-    assert code == 0
-    assert f"evicted {N_PROTOCOLS} entries" in out
-
-    code, out = run_cli(capsys, "cache", "clear")
-    assert code == 0
-    assert "removed 0 cached entries" in out
-
-
-def test_cli_cache_gc_rejects_negative_budget(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    code, out = run_cli(capsys, "cache", "gc", "--max-size", "-1")
-    assert code == 2
-    assert "must be >= 0" in out
+def test_cli_runs_leave_nothing_but_their_json(capsys, tmp_path, monkeypatch):
+    """There is no result cache: a run writes ``--json`` and nothing else."""
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    monkeypatch.chdir(home)
+    sweep_json, campaign_json = tmp_path / "sweep.json", tmp_path / "campaign.json"
+    assert main(["sweep", "--kind", "figure6", "--n", "7", "--json", str(sweep_json)]) == 0
+    assert main(["campaign", "run", "--runs", "1", "--protocol", "1PC",
+                 "--json", str(campaign_json)]) == 0
+    assert "cache" not in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [campaign_json, home, sweep_json]
+    for gone in (["sweep", "--cache"], ["campaign", "run", "--cache"], ["cache", "stats"]):
+        with pytest.raises(SystemExit):
+            main(gone)
 
 
 def test_cli_protocols_lists_registry(capsys):

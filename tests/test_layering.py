@@ -1,7 +1,7 @@
 """One import direction through the experiment layer (ROADMAP 4c).
 
 ``fs → mds → workloads → campaign.{schedule,runner} → exec →
-cache → campaign.{shrink,cli} → harness``: every module-level import
+campaign.{shrink,cli} → harness``: every module-level import
 among these points down the list, none hides inside a function to
 dodge a cycle, and each package imports in a fresh interpreter (an
 order-dependent cycle must fail here, not in a user's shell).
@@ -24,12 +24,11 @@ LAYERS = [
     ("repro.workloads",),
     ("repro.campaign.schedule", "repro.campaign.runner"),
     ("repro.exec",),
-    ("repro.cache",),
     ("repro.campaign.shrink", "repro.campaign.cli"),
     ("repro.harness",),
 ]
 #: Where a function-local ``repro.*`` import is a finding.
-TOP_LEVEL_ONLY = ["exec", "harness", "workloads", "campaign/runner.py", "campaign/shrink.py"]
+TOP_LEVEL_ONLY = ["exec", "harness", "mds", "workloads", "campaign/runner.py", "campaign/shrink.py"]
 
 
 def _layer(module):
@@ -128,7 +127,7 @@ def test_only_the_kernel_assigns_the_clock():
 @pytest.mark.parametrize(
     "module",
     ["exec", "campaign", "campaign.shrink", "workloads", "harness", "harness.sweeps",
-     "cache", "mds.scenarios"],
+     "mds.scenarios"],
 )
 def test_package_imports_in_a_fresh_interpreter(module):
     done = subprocess.run(
@@ -141,8 +140,7 @@ def test_package_imports_in_a_fresh_interpreter(module):
 def test_exec_does_not_load_the_layers_above_it():
     code = (
         "import sys, repro.exec, repro.exec.perf, repro.exec.partition\n"
-        "above = ('repro.harness', 'repro.cache', 'repro.campaign.shrink',"
-        " 'repro.campaign.cli', 'repro.lint')\n"
+        "above = ('repro.harness', 'repro.campaign.shrink', 'repro.campaign.cli', 'repro.lint')\n"
         "print(sorted(m for m in sys.modules if m.startswith(above)))"
     )
     done = subprocess.run(

@@ -18,7 +18,6 @@ PACKAGES = [
     "repro.workloads",
     "repro.analysis",
     "repro.harness",
-    "repro.cache",
     "repro.exec",
     "repro.campaign",
     "repro.obs",
