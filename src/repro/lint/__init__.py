@@ -4,7 +4,7 @@ The paper's evaluation rests on a deterministic, seedable simulation,
 and its correctness argument rests on a discipline the type system
 cannot see: a coordinator may read another MDS's shared log *only
 after fencing it* (§III).  This package enforces both statically, as a
-zero-new-findings CI gate:
+zero-findings CI gate:
 
 * **DET** — determinism: no wall-clock or unseeded global ``random``
   in ``src/repro``; no iteration over unordered ``set``/``.keys()``
@@ -15,9 +15,9 @@ zero-new-findings CI gate:
   is silently dropped instead of being driven with ``yield from``.
 * **FENCE** — protocol discipline: ``read_remote_log(...,
   require_fenced=False)`` stays confined to recovery internals and
-  tests; every remote-log read must be fence-dominated in its own
-  file (FENCE002), and — interprocedurally — every call into a helper
-  that reaches a read must be fence-dominated too (FENCE003).
+  tests (FENCE001); every remote-log read, direct or reached through
+  a chain of helpers, must be fence-dominated, and one that is not is
+  reported at the call-graph root it escapes to (FENCE002).
 * **OBS** — instrumentation hooks early-out on ``enabled`` before any
   other work, keeping tracing near-zero-cost when off.
 * **PROTO** — registry conformance, for every engine in
@@ -29,26 +29,24 @@ zero-new-findings CI gate:
   generator processes must not be written from a snapshot that
   crossed a yield point (the lost-update race).
 
-FENCE003, PROTO and RACE are *whole-program* rules built on the
+FENCE002, PROTO and RACE are *whole-program* rules built on the
 :mod:`repro.lint.flow` layer (project index, call graph, per-function
 CFGs with dominance and yield-path queries, interprocedural fence
-summaries).  Findings can be suppressed per line with
-``# repro: noqa RULE-ID`` or grandfathered in a committed baseline
-file (see :mod:`repro.lint.baseline`).  ``docs/static-analysis.md``
+summaries).  There is no suppression: a finding is fixed, or the
+rule's scope says why it does not apply.  ``docs/static-analysis.md``
 holds the full rule catalog; ``repro lint --explain RULE-ID`` prints
 one entry with good/bad examples.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
-from repro.lint.engine import LintReport, iter_python_files, lint_file, run_lint
+import repro.lint.rules  # noqa: F401  (registers every built-in rule)
+from repro.lint.engine import LintReport, iter_python_files, run_lint
 from repro.lint.findings import Finding
 from repro.lint.registry import ProjectRule, Rule, all_rules, get_rule
 from repro.lint.reporters import render_json, render_sarif, render_text
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "ProjectRule",
@@ -56,7 +54,6 @@ __all__ = [
     "all_rules",
     "get_rule",
     "iter_python_files",
-    "lint_file",
     "render_json",
     "render_sarif",
     "render_text",

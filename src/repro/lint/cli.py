@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, TextIO
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline, BaselineError
 from repro.lint.engine import run_lint
 from repro.lint.registry import all_rules, get_rule, select_rules
 from repro.lint.reporters import render_json, render_sarif, render_text
@@ -29,29 +27,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "GitHub code scanning)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=f"baseline file of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE_NAME} when present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record all current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--select",
         metavar="RULES",
         default=None,
         help="comma-separated rule ids or families to run (e.g. DET,FENCE002)",
-    )
-    parser.add_argument(
-        "--rule",
-        metavar="RULE",
-        action="append",
-        default=None,
-        help="rule id or family to run; repeatable, merged with --select",
     )
     parser.add_argument(
         "--list-rules",
@@ -65,21 +44,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the catalog entry for one rule (summary, rationale, "
         "good/bad example) and exit",
     )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also print baselined findings in text format",
-    )
-
-
-def _resolve_baseline(arg: Optional[str]) -> tuple[Optional[Path], Baseline]:
-    if arg is not None:
-        path = Path(arg)
-        return path, Baseline.load(path)
-    default = Path(DEFAULT_BASELINE_NAME)
-    if default.exists():
-        return default, Baseline.load(default)
-    return default, Baseline()
 
 
 def _explain(rule_id: str, stream: TextIO) -> int:
@@ -101,15 +65,6 @@ def _explain(rule_id: str, stream: TextIO) -> int:
     return 0
 
 
-def _selected_tokens(args: argparse.Namespace) -> Optional[list[str]]:
-    tokens: list[str] = []
-    if args.select:
-        tokens.extend(args.select.split(","))
-    if args.rule:
-        tokens.extend(args.rule)
-    return tokens or None
-
-
 def run(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
     """Execute ``repro lint``; returns the process exit code."""
     stream = out if out is not None else sys.stdout
@@ -120,26 +75,15 @@ def run(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
             print(f"{rule.id}  {rule.summary}", file=stream)
         return 0
     try:
-        tokens = _selected_tokens(args)
-        rules = select_rules(tokens) if tokens is not None else None
-        baseline_path, baseline = _resolve_baseline(args.baseline)
-        report = run_lint(args.paths, rules=rules, baseline=baseline)
-    except (FileNotFoundError, BaselineError, KeyError) as exc:
+        rules = select_rules(args.select.split(",")) if args.select else None
+        report = run_lint(args.paths, rules=rules)
+    except (FileNotFoundError, KeyError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        target = baseline_path if baseline_path is not None else Path(DEFAULT_BASELINE_NAME)
-        Baseline.write(target, [*report.findings, *report.baselined])
-        print(
-            f"wrote {len(report.findings) + len(report.baselined)} findings "
-            f"to {target}",
-            file=stream,
-        )
-        return 0
     if args.format == "json":
         stream.write(render_json(report))
     elif args.format == "sarif":
         stream.write(render_sarif(report))
     else:
-        print(render_text(report, verbose=args.verbose), file=stream)
+        print(render_text(report), file=stream)
     return 0 if report.ok else 1

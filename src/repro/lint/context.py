@@ -1,22 +1,41 @@
 """Per-file analysis context shared by all rules.
 
 One :class:`FileContext` is built per linted file: the parsed AST, a
-parent map, an import table for resolving dotted call names, the
-pragma index, and the path-classification helpers rules scope
-themselves with (``in_src``, ``in_tests``, ``area`` ...).
+parent map, an import table for resolving dotted call names, and the
+path-classification helpers rules scope themselves with (``in_src``,
+``in_tests``, ``area`` ...).
+
+A file can be linted *as if* it lived at another path — the test
+fixtures exercise path-scoped rules (e.g. "only in ``src/repro/sim``")
+from ``tests/lint/fixtures`` with a header directive::
+
+    # repro: path src/repro/sim/fixture.py
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.lint.findings import Finding
-from repro.lint.pragmas import PragmaIndex, virtual_path
 
 #: Module areas whose event ordering feeds the deterministic schedule.
 EVENT_ORDERING_AREAS = frozenset({"sim", "net", "locks", "core"})
+
+_PATH_RE = re.compile(r"^#\s*repro:\s*path\s+(?P<path>\S+)\s*$")
+
+
+def virtual_path(source: str, max_lines: int = 5) -> Optional[str]:
+    """The ``# repro: path ...`` directive, if present in the header."""
+    for lineno, text in enumerate(source.splitlines(), start=1):
+        if lineno > max_lines:
+            break
+        match = _PATH_RE.match(text.strip())
+        if match is not None:
+            return match.group("path")
+    return None
 
 
 class FileContext:
@@ -29,10 +48,7 @@ class FileContext:
         #: Path used for *scoping* — a ``# repro: path`` directive
         #: (test fixtures) overrides the real location.
         self.lint_path = virtual_path(source) or self.display_path
-        self.source = source
         self.tree = tree
-        self.lines = source.splitlines()
-        self.pragmas = PragmaIndex.scan(source)
         self._parents: dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):

@@ -1,4 +1,4 @@
-"""The analyzer driver: collect files, run rules, apply pragmas/baseline."""
+"""The analyzer's entry point: collect files, parse them, run every rule."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.lint.baseline import Baseline
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.registry import ProjectRule, Rule, all_rules
+from repro.lint.flow.project import ProjectContext
+from repro.lint.registry import Rule, all_rules
 
 #: Rule id reported for files the parser rejects.
 SYNTAX_RULE = "SYN001"
@@ -39,59 +39,24 @@ def iter_python_files(paths: Iterable[Union[str, Path]]) -> list[Path]:
     return sorted(files)
 
 
-def _display_path(path: Path, root: Optional[Path]) -> Path:
-    base = root or Path.cwd()
-    try:
-        return path.resolve().relative_to(base.resolve())
-    except ValueError:
-        return path
-
-
-def _parse_file(
-    path: Union[str, Path], root: Optional[Path]
-) -> tuple[Optional[FileContext], Optional[Finding]]:
+def _parse_file(file: Path, root: Path) -> Union[FileContext, Finding]:
     """Parse one file into a context, or a SYN001 finding."""
-    file = Path(path)
     source = file.read_text(encoding="utf-8")
-    display = _display_path(file, root)
+    try:
+        display = file.resolve().relative_to(root.resolve())
+    except ValueError:
+        display = file
     try:
         tree = ast.parse(source, filename=str(file))
     except SyntaxError as exc:
-        return None, Finding(
+        return Finding(
             path=display.as_posix(),
             line=exc.lineno or 0,
             col=(exc.offset or 0),
             rule=SYNTAX_RULE,
             message=f"file does not parse: {exc.msg}",
         )
-    return FileContext(display, source, tree), None
-
-
-def _check_file(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
-    findings: list[Finding] = []
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            continue
-        for finding in rule.check(ctx):
-            if not ctx.pragmas.suppresses(finding.line, finding.rule):
-                findings.append(finding)
-    return findings
-
-
-def lint_file(
-    path: Union[str, Path],
-    rules: Optional[Sequence[Rule]] = None,
-    root: Optional[Path] = None,
-) -> list[Finding]:
-    """All (pragma-filtered) per-file findings of one file.
-
-    Project rules (:class:`~repro.lint.registry.ProjectRule`) need the
-    whole project and only run under :func:`run_lint`.
-    """
-    ctx, syntax_error = _parse_file(path, root)
-    if ctx is None:
-        return [syntax_error] if syntax_error is not None else []
-    return sorted(_check_file(ctx, rules if rules is not None else all_rules()))
+    return FileContext(display, source, tree)
 
 
 @dataclass
@@ -99,60 +64,38 @@ class LintReport:
     """Outcome of one analyzer run."""
 
     findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     files_checked: int = 0
 
     @property
     def ok(self) -> bool:
-        """Gate condition: no findings beyond the baseline."""
+        """Gate condition: no findings."""
         return not self.findings
-
-    @property
-    def all_findings(self) -> list[Finding]:
-        return sorted([*self.findings, *self.baselined])
 
 
 def run_lint(
     paths: Iterable[Union[str, Path]],
     *,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
     root: Optional[Union[str, Path]] = None,
 ) -> LintReport:
-    """Lint ``paths`` and split findings against ``baseline``.
+    """Lint ``paths`` with ``rules`` (default: every registered rule).
 
-    Per-file rules run file by file; project rules
-    (:class:`~repro.lint.registry.ProjectRule`) run once afterwards
-    over a :class:`~repro.lint.flow.project.ProjectContext` built from
-    every file that parsed.  Project findings honour the same per-line
-    ``# repro: noqa`` pragmas and baseline as per-file ones.
+    Every file that parses joins one
+    :class:`~repro.lint.flow.project.ProjectContext`, and each rule is
+    one pass over it: a per-file rule checks each file in turn, a
+    :class:`~repro.lint.registry.ProjectRule` sees them all at once.
     """
     base = Path(root) if root is not None else Path(os.getcwd())
     files = iter_python_files(paths)
-    active = list(rules) if rules is not None else all_rules()
     findings: list[Finding] = []
     contexts: list[FileContext] = []
     for file in files:
-        ctx, syntax_error = _parse_file(file, base)
-        if ctx is None:
-            if syntax_error is not None:
-                findings.append(syntax_error)
-            continue
-        contexts.append(ctx)
-        findings.extend(_check_file(ctx, active))
-    project_rules = [rule for rule in active if isinstance(rule, ProjectRule)]
-    if project_rules:
-        from repro.lint.flow.project import ProjectContext
-
-        project = ProjectContext(contexts)
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                ctx_for = project.files.get(finding.path)
-                if ctx_for is not None and ctx_for.pragmas.suppresses(
-                    finding.line, finding.rule
-                ):
-                    continue
-                findings.append(finding)
-    findings.sort()
-    new, old = (baseline or Baseline()).split(findings)
-    return LintReport(findings=new, baselined=old, files_checked=len(files))
+        parsed = _parse_file(file, base)
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
+        else:
+            contexts.append(parsed)
+    project = ProjectContext(contexts)
+    for rule in rules if rules is not None else all_rules():
+        findings.extend(rule.check_project(project))
+    return LintReport(findings=sorted(findings), files_checked=len(files))

@@ -8,24 +8,13 @@ from typing import Any
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """A single rule violation.
-
-    The *baseline identity* of a finding is ``(path, rule, message)``
-    — deliberately excluding the line number, so a grandfathered
-    finding keeps matching when unrelated edits shift it around the
-    file.
-    """
+    """A single rule violation; ``line`` and ``col`` are 1-based."""
 
     path: str
     line: int
     col: int
     rule: str
     message: str
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Baseline identity (line-shift tolerant)."""
-        return (self.path, self.rule, self.message)
 
     @property
     def location(self) -> str:
@@ -39,13 +28,3 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "Finding":
-        return cls(
-            path=str(doc["path"]),
-            line=int(doc.get("line", 0)),
-            col=int(doc.get("col", 0)),
-            rule=str(doc["rule"]),
-            message=str(doc["message"]),
-        )

@@ -1,10 +1,9 @@
 """Whole-program analysis layer for ``repro lint``.
 
-PR 3's analyzer is strictly per-file: every rule sees one
-:class:`~repro.lint.context.FileContext` at a time.  That is enough
-for the determinism rules, but the paper's §III fencing
-discipline and the plug-in registry's record-vocabulary contract are
-*interprocedural* properties — a ``fence()`` or a
+Some rules need only one :class:`~repro.lint.context.FileContext` at a
+time.  That is enough for the determinism rules, but the paper's §III
+fencing discipline and the plug-in registry's record-vocabulary
+contract are *interprocedural* properties — a ``fence()`` or a
 ``read_remote_log()`` hidden in a helper, or a log append buried three
 ``self.``-calls deep in an engine's method-resolution order, escapes
 any per-function check.
@@ -19,7 +18,7 @@ This package lifts the analysis to the project level:
   with dominance and yield-point reachability.
 * :mod:`repro.lint.flow.summaries` — fence-discipline function
   summaries (``establishes_fence`` / escaping unfenced reads) computed
-  to a fixpoint over the call graph; feeds rule FENCE003.
+  to a fixpoint over the call graph; feeds rule FENCE002.
 * :mod:`repro.lint.flow.records` — per-engine log-record extraction
   (append sites, record kinds, recovery-path references) resolved over
   each registered engine's *live* MRO; feeds rules PROTO001-003.
@@ -28,29 +27,5 @@ This package lifts the analysis to the project level:
 
 Rules that need this layer subclass
 :class:`repro.lint.registry.ProjectRule`; the engine builds one
-:class:`ProjectContext` per run and hands it to them after the
-per-file pass.
+:class:`ProjectContext` per run and hands it to every rule.
 """
-
-from __future__ import annotations
-
-from repro.lint.flow.callgraph import CallGraph, CallSite, build_call_graph
-from repro.lint.flow.dataflow import FunctionCFG, build_cfg
-from repro.lint.flow.project import ClassInfo, FunctionInfo, ProjectContext
-from repro.lint.flow.records import EngineRecordUsage, extract_engine_records
-from repro.lint.flow.summaries import FenceSummaries, compute_fence_summaries
-
-__all__ = [
-    "CallGraph",
-    "CallSite",
-    "ClassInfo",
-    "EngineRecordUsage",
-    "FenceSummaries",
-    "FunctionCFG",
-    "FunctionInfo",
-    "ProjectContext",
-    "build_call_graph",
-    "build_cfg",
-    "compute_fence_summaries",
-    "extract_engine_records",
-]

@@ -15,16 +15,16 @@ function —
 * anything else (``obj.m(...)`` on an arbitrary receiver) adds no
   edge.
 
-Unresolved receivers make the downstream analyses *under*-approximate,
-which for FENCE003 means a fence hidden behind truly dynamic dispatch
-still needs a pragma — the same trade every practical whole-program
-linter makes.
+Unresolved receivers make the downstream analyses *under*-approximate:
+for FENCE002 a function reached only through dynamic dispatch has no
+resolved caller, so its unfenced reads are reported at that function
+itself — the same trade every practical whole-program linter makes.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.lint.context import walk_own
 from repro.lint.flow.project import FuncKey, FunctionInfo, ProjectContext
@@ -33,27 +33,25 @@ from repro.lint.flow.project import FuncKey, FunctionInfo, ProjectContext
 class CallSite:
     """One resolved call edge, anchored at its AST call node."""
 
-    def __init__(
-        self, caller: FuncKey, callee: FuncKey, node: ast.Call, kind: str
-    ) -> None:
+    def __init__(self, caller: FuncKey, callee: FuncKey, node: ast.Call) -> None:
         self.caller = caller
         self.callee = callee
         self.node = node
-        #: ``"plain"`` (bare/module/imported), ``"self"`` or ``"super"``.
-        self.kind = kind
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CallSite({self.caller} -> {self.callee})"
 
 
 class CallGraph:
-    """Resolved call edges, indexed by caller."""
+    """Resolved call edges, indexed by caller and by callee."""
 
     def __init__(self) -> None:
         self._edges: Dict[FuncKey, List[CallSite]] = {}
+        self._callers: Dict[FuncKey, Set[FuncKey]] = {}
 
     def add(self, site: CallSite) -> None:
         self._edges.setdefault(site.caller, []).append(site)
+        self._callers.setdefault(site.callee, set()).add(site.caller)
 
     def sites_from(self, caller: FuncKey) -> List[CallSite]:
         return self._edges.get(caller, [])
@@ -61,8 +59,8 @@ class CallGraph:
     def callees(self, caller: FuncKey) -> List[FuncKey]:
         return [site.callee for site in self.sites_from(caller)]
 
-    def callers(self) -> List[FuncKey]:
-        return sorted(self._edges)
+    def callers(self, callee: FuncKey) -> Set[FuncKey]:
+        return self._callers.get(callee, set())
 
 
 def _is_super_call(node: ast.expr) -> bool:
@@ -138,30 +136,25 @@ def resolve_super_call(
 
 def resolve_call(
     project: ProjectContext, caller: FunctionInfo, node: ast.Call
-) -> Optional[Tuple[FunctionInfo, str]]:
-    """Resolve one call node to ``(callee, edge_kind)`` when possible."""
+) -> Optional[FunctionInfo]:
+    """Resolve one call node to its project callee when possible."""
     func = node.func
     if isinstance(func, ast.Name):
-        callee = resolve_bare_call(project, caller, func.id)
-        return (callee, "plain") if callee is not None else None
+        return resolve_bare_call(project, caller, func.id)
     if _is_super_call(func):
         assert isinstance(func, ast.Attribute)
-        callee = resolve_super_call(project, caller, func.attr)
-        return (callee, "super") if callee is not None else None
+        return resolve_super_call(project, caller, func.attr)
     if (
         isinstance(func, ast.Attribute)
         and isinstance(func.value, ast.Name)
         and func.value.id == "self"
     ):
-        callee = resolve_self_call(project, caller, func.attr)
-        return (callee, "self") if callee is not None else None
+        return resolve_self_call(project, caller, func.attr)
     if isinstance(func, ast.Attribute):
         dotted = caller.ctx.qualified_name(func)
         if dotted is not None and "." in dotted:
             module, _, name = dotted.rpartition(".")
-            imported = project.function(module, name)
-            if imported is not None:
-                return (imported, "plain")
+            return project.function(module, name)
     return None
 
 
@@ -174,14 +167,16 @@ def own_calls(info: FunctionInfo) -> Iterator[ast.Call]:
 
 
 def build_call_graph(project: ProjectContext) -> CallGraph:
-    """Resolve every call in every project function."""
+    """Resolve every call in every project function.
+
+    A recursive call adds no edge: it reaches nothing its caller does
+    not reach already.
+    """
     graph = CallGraph()
     for key in sorted(project.functions):
         info = project.functions[key]
         for call in own_calls(info):
-            resolved = resolve_call(project, info, call)
-            if resolved is None:
-                continue
-            callee, kind = resolved
-            graph.add(CallSite(key, callee.key, call, kind))
+            callee = resolve_call(project, info, call)
+            if callee is not None and callee.key != key:
+                graph.add(CallSite(key, callee.key, call))
     return graph

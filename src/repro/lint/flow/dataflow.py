@@ -2,10 +2,9 @@
 
 The whole-program rules need exactly two graph queries:
 
-* **dominance** — FENCE003 accepts a remote-log read only when some
+* **dominance** — FENCE002 accepts a remote-log read only when some
   statement that establishes the fence dominates it (runs on *every*
-  path from function entry), the proper generalisation of FENCE002's
-  same-function textual-precedence check;
+  path from function entry);
 * **yield-crossing paths** — RACE001 asks whether a value read from
   shared state can flow into a later write along a path that passes a
   ``yield`` (the only points where the deterministic kernel interleaves

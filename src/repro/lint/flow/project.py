@@ -12,7 +12,7 @@ like the production module they impersonate.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lint.context import FileContext
 
@@ -221,10 +221,3 @@ class ProjectContext:
 
         visit(cls)
         return order
-
-    def iter_src_contexts(self) -> Iterator[FileContext]:
-        """Src-scoped file contexts, in display-path order."""
-        for path in sorted(self.files):
-            ctx = self.files[path]
-            if ctx.in_src:
-                yield ctx

@@ -10,22 +10,22 @@ Per function, two facts computed to a fixpoint over the call graph:
   fence-establishing statement, and therefore become the obligation of
   every caller.
 
-FENCE002 keeps reporting uncovered *direct* reads per file; FENCE003
-reports uncovered *helper-call* sites — the interprocedural blind spot
-— with the helper chain down to the actual read spelled out in the
-message.
+FENCE002 reports a function's escaping reads only where nothing in
+the project calls the function — at the call-graph root, where no
+caller is left to fence — with the helper chain down to the actual
+read spelled out in the message.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.lint.flow.callgraph import CallGraph, CallSite
 from repro.lint.flow.dataflow import FunctionCFG, build_cfg, node_expressions
 from repro.lint.flow.project import FuncKey, FunctionInfo, ProjectContext
 
-#: Calls that establish (or verify) the fence (mirrors rules/fence.py).
+#: Calls that establish (or verify) the fence.
 FENCE_CALLEES = frozenset({"fence", "is_fenced"})
 #: The remote-read entry point the discipline protects.
 READ_CALLEE = "read_remote_log"
@@ -37,9 +37,8 @@ DEFINING_MODULES = ("storage/shared.py",)
 class EscapingRead:
     """One read site a function exposes to its callers."""
 
-    def __init__(self, site: CallSite | None, node: ast.Call, chain: Tuple[str, ...]) -> None:
-        #: The resolved helper-call edge, or ``None`` for a direct read.
-        self.site = site
+    def __init__(self, node: ast.Call, chain: Tuple[str, ...]) -> None:
+        #: The read call, or the helper call that leads to it.
         self.node = node
         #: Helper names from this function down to the read
         #: (empty for a direct ``read_remote_log`` call).
@@ -151,13 +150,13 @@ def _escaping_reads(
     sites = graph.sites_from(info.key)
     fence_nodes = _fence_nodes(info, cfg, summaries, sites)
 
-    candidates: List[Tuple[int, Optional[CallSite], ast.Call, Tuple[str, ...]]] = []
+    candidates: List[Tuple[int, ast.Call, Tuple[str, ...]]] = []
     # Direct reads in this function's own scope.
     for index, cfg_node in enumerate(cfg.nodes):
         for expr in node_expressions(cfg_node.stmt):
             if _is_read_call(info, expr):
                 assert isinstance(expr, ast.Call)
-                candidates.append((index, None, expr, ()))
+                candidates.append((index, expr, ()))
     # Helper calls that expose escaping reads of their own.
     for site in sites:
         exposed = summaries.escaping_reads(site.callee)
@@ -168,15 +167,15 @@ def _escaping_reads(
             continue
         callee_name = site.callee[1].rsplit(".", 1)[-1]
         chain = (callee_name, *exposed[0].chain)
-        candidates.append((where, site, site.node, chain))
+        candidates.append((where, site.node, chain))
 
     escaping: List[EscapingRead] = []
-    for index, site, node, chain in candidates:
+    for index, node, chain in candidates:
         # Covered when a fence-establishing node dominates the read
         # (the read's own statement counts: "fence, then read" inside
         # one statement is textually ordered by evaluation).
         if cfg.dominated_by(index, fence_nodes):
             continue
-        escaping.append(EscapingRead(site, node, chain))
+        escaping.append(EscapingRead(node, chain))
     escaping.sort(key=lambda read: (read.node.lineno, read.node.col_offset))
     return escaping

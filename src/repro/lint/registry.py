@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Type, TypeVar
+from typing import Iterable, Iterator, Optional, Type, TypeVar
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.pragmas import rule_family
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.flow.project import ProjectContext
+from repro.lint.flow.project import ProjectContext
 
 
 class Rule(ABC):
@@ -31,27 +28,33 @@ class Rule(ABC):
 
     @property
     def family(self) -> str:
-        return rule_family(self.id)
+        """``DET003`` -> ``DET``."""
+        return self.id.rstrip("0123456789")
 
     @abstractmethod
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one file."""
         raise NotImplementedError
 
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        """Yield findings for one run: a per-file rule checks every file."""
+        for ctx in project.files.values():
+            yield from self.check(ctx)
+
 
 class ProjectRule(Rule):
     """A whole-program check over the :class:`ProjectContext`.
 
     Project rules see every linted file at once (call graph, engine
-    registry, shared-state index) and run after the per-file pass;
-    their per-file :meth:`check` is a no-op by construction.
+    registry, shared-state index); their per-file :meth:`check` is a
+    no-op by construction.
     """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         return iter(())
 
     @abstractmethod
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         """Yield findings for the whole project."""
         raise NotImplementedError
 
@@ -72,18 +75,11 @@ def register(cls: R) -> R:
     return cls
 
 
-def _ensure_loaded() -> None:
-    # Importing the rules package registers every built-in rule.
-    import repro.lint.rules  # noqa: F401
-
-
 def all_rules() -> list[Rule]:
-    _ensure_loaded()
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
 
 def get_rule(rule_id: str) -> Rule:
-    _ensure_loaded()
     try:
         return _REGISTRY[rule_id]
     except KeyError:

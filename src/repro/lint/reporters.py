@@ -9,7 +9,7 @@ from repro.lint.engine import LintReport
 from repro.lint.findings import Finding
 from repro.lint.registry import all_rules
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 #: SARIF 2.1.0 — the static-analysis interchange format GitHub code
 #: scanning ingests (via codeql-action/upload-sarif in CI).
@@ -20,20 +20,14 @@ SARIF_SCHEMA_URI = (
 )
 
 
-def render_text(report: LintReport, verbose: bool = False) -> str:
+def render_text(report: LintReport) -> str:
     """Human-readable report, one ``path:line:col RULE message`` per line."""
     lines: list[str] = []
     for finding in report.findings:
         lines.append(f"{finding.location} {finding.rule} {finding.message}")
-    if verbose:
-        for finding in report.baselined:
-            lines.append(
-                f"{finding.location} {finding.rule} {finding.message} [baselined]"
-            )
     noun = "finding" if len(report.findings) == 1 else "findings"
     summary = (
-        f"{len(report.findings)} new {noun}, {len(report.baselined)} baselined, "
-        f"{report.files_checked} files checked"
+        f"{len(report.findings)} {noun}, {report.files_checked} files checked"
     )
     lines.append(summary)
     return "\n".join(lines)
@@ -46,15 +40,12 @@ def render_json(report: LintReport) -> str:
         "ok": report.ok,
         "files_checked": report.files_checked,
         "findings": [finding.to_dict() for finding in report.findings],
-        "baselined": [finding.to_dict() for finding in report.baselined],
         "rules": {rule.id: rule.summary for rule in all_rules()},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _sarif_result(
-    finding: Finding, rule_index: dict[str, int], suppressed: bool
-) -> dict[str, Any]:
+def _sarif_result(finding: Finding, rule_index: dict[str, int]) -> dict[str, Any]:
     result: dict[str, Any] = {
         "ruleId": finding.rule,
         "level": "error",
@@ -65,7 +56,7 @@ def _sarif_result(
                     "artifactLocation": {"uri": finding.path},
                     "region": {
                         "startLine": max(finding.line, 1),
-                        "startColumn": max(finding.col, 0) + 1,
+                        "startColumn": max(finding.col, 1),
                     },
                 }
             }
@@ -73,19 +64,12 @@ def _sarif_result(
     }
     if finding.rule in rule_index:
         result["ruleIndex"] = rule_index[finding.rule]
-    if suppressed:
-        # Baselined findings travel in the log but arrive pre-dismissed.
-        result["suppressions"] = [{"kind": "external"}]
     return result
 
 
 def render_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0 log for GitHub code-scanning upload.
-
-    New findings become plain ``error`` results; baselined ones are
-    included with an external suppression so code scanning shows them
-    as dismissed rather than resurrecting them as alerts.
-    """
+    """SARIF 2.1.0 log for GitHub code-scanning upload: every finding
+    is an ``error`` result at its 1-based ``line:col``."""
     rules = all_rules()
     rule_index = {rule.id: index for index, rule in enumerate(rules)}
     descriptors = [
@@ -97,13 +81,7 @@ def render_sarif(report: LintReport) -> str:
         }
         for rule in rules
     ]
-    results = [
-        _sarif_result(finding, rule_index, suppressed=False)
-        for finding in report.findings
-    ] + [
-        _sarif_result(finding, rule_index, suppressed=True)
-        for finding in report.baselined
-    ]
+    results = [_sarif_result(finding, rule_index) for finding in report.findings]
     doc: dict[str, Any] = {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,

@@ -9,7 +9,6 @@ from repro.lint.rules import (  # noqa: F401
     cache,
     det,
     fence,
-    fence_flow,
     gen,
     mem,
     obs,

@@ -14,20 +14,16 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.context import FileContext, walk_own
+from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.flow.callgraph import build_call_graph
+from repro.lint.flow.project import ProjectContext
+from repro.lint.flow.summaries import READ_CALLEE, compute_fence_summaries
+from repro.lint.registry import ProjectRule, Rule, register
 
 #: The only non-test module allowed to spell ``require_fenced=False``
 #: (it is the recovery implementation the escape hatch exists for).
 _RECOVERY_MODULES = ("core/recovery.py",)
-
-#: The module that *defines* read_remote_log (its own body is the
-#: enforcement point, not a caller).
-_DEFINING_MODULES = ("storage/shared.py",)
-
-#: Calls that establish (or verify) the fence dominating a read.
-_FENCE_CALLEES = frozenset({"fence", "is_fenced"})
 
 
 def _read_remote_log_calls(ctx: FileContext) -> Iterator[ast.Call]:
@@ -35,42 +31,8 @@ def _read_remote_log_calls(ctx: FileContext) -> Iterator[ast.Call]:
         if not isinstance(node, ast.Call):
             continue
         dotted = ctx.dotted_name(node.func)
-        if dotted is not None and dotted[-1] == "read_remote_log":
+        if dotted is not None and dotted[-1] == READ_CALLEE:
             yield node
-
-
-def _file_functions(ctx: FileContext) -> dict[str, ast.AST]:
-    """Every function/method defined in this file, by bare name."""
-    table: dict[str, ast.AST] = {}
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            table.setdefault(node.name, node)
-    return table
-
-
-def _fences_transitively(
-    ctx: FileContext,
-    fn: ast.AST,
-    table: dict[str, ast.AST],
-    seen: frozenset,
-) -> bool:
-    """Whether ``fn`` calls fence()/is_fenced(), possibly via same-file
-    helpers (so a fence factored into ``_ensure_fenced()`` still counts)."""
-    if id(fn) in seen:
-        return False
-    seen = seen | {id(fn)}
-    for node in walk_own(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = ctx.dotted_name(node.func)
-        if dotted is None:
-            continue
-        if dotted[-1] in _FENCE_CALLEES:
-            return True
-        callee = table.get(dotted[-1])
-        if callee is not None and _fences_transitively(ctx, callee, table, seen):
-            return True
-    return False
 
 
 @register
@@ -105,58 +67,45 @@ class UnfencedEscapeHatchRule(Rule):
 
 
 @register
-class UnfencedReadRule(Rule):
+class UnfencedReadRule(ProjectRule):
     id = "FENCE002"
-    summary = "remote-log reads must be fence-dominated in the same file"
+    summary = "remote-log reads, direct or through helpers, must be fence-dominated"
     rationale = (
         "A coordinator may mount another MDS's log partition only "
-        "after fencing it; statically, every read_remote_log call must "
-        "be preceded in its function by a fence()/is_fenced() call or "
-        "a call to a same-file helper that performs one.  Reads hidden "
-        "behind helpers in *other* files are FENCE003's territory."
+        "after fencing it.  A read_remote_log call, or a call into a "
+        "helper that reaches one, is covered when a fence()/is_fenced() "
+        "call — or a call to a function that makes one — dominates it; "
+        "an uncovered read becomes every caller's obligation and is "
+        "reported once, in the function nothing calls, where no caller "
+        "is left to fence."
     )
     good_example = (
-        "yield from cluster.fencing_driver.fence(worker)\n"
-        "records = read_remote_log(worker, txn_id)"
+        "if not cluster.storage.fencing.is_fenced(worker):\n"
+        "    yield from cluster.fencing_driver.fence(worker)\n"
+        "records = yield from pull_worker_records(worker, txn_id)"
     )
-    bad_example = "records = read_remote_log(worker, txn_id)  # no fence first"
+    bad_example = (
+        "# pull_worker_records() hides a read_remote_log(...):\n"
+        "records = yield from pull_worker_records(worker, txn_id)"
+    )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.in_tests or ctx.is_module(*_DEFINING_MODULES):
-            return
-        table = _file_functions(ctx)
-        for call in _read_remote_log_calls(ctx):
-            fn = ctx.enclosing_function(call)
-            if fn is None:
-                yield ctx.finding(
-                    call,
-                    self.id,
-                    "read_remote_log(...) at module level cannot be fenced; "
-                    "move it into a recovery process",
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        graph = build_call_graph(project)
+        summaries = compute_fence_summaries(project, graph)
+        for key in sorted(summaries.escaping):
+            if graph.callers(key):
+                continue  # the obligation escapes to a caller
+            info = project.functions[key]
+            for read in summaries.escaping_reads(key):
+                via = "' -> '".join(f"{name}()" for name in read.chain)
+                what = (
+                    f"call in {info.name!r} reaches read_remote_log(...) via helper '{via}'"
+                    if read.chain
+                    else f"read_remote_log(...) in {info.name!r}"
                 )
-                continue
-            dominated = any(
-                isinstance(node, ast.Call)
-                and (dotted := ctx.dotted_name(node.func)) is not None
-                and node.lineno <= call.lineno
-                and node is not call
-                and (
-                    dotted[-1] in _FENCE_CALLEES
-                    or (
-                        (callee := table.get(dotted[-1])) is not None
-                        and callee is not fn
-                        and _fences_transitively(
-                            ctx, callee, table, frozenset({id(fn)})
-                        )
-                    )
-                )
-                for node in walk_own(fn)
-            )
-            if not dominated:
-                yield ctx.finding(
-                    call,
+                yield info.ctx.finding(
+                    read.node,
                     self.id,
-                    f"read_remote_log(...) in {fn.name!r} is not preceded by a "
-                    "fence()/is_fenced() call in the same function (§III "
-                    "discipline: fence before reading a remote log)",
+                    f"{what} without a dominating fence()/is_fenced() call "
+                    "(§III discipline: fence before reading a remote log)",
                 )

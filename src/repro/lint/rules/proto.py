@@ -22,23 +22,19 @@ plug-ins linted standalone) are skipped, not failed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.lint.findings import Finding
+from repro.lint.flow.project import ProjectContext
+from repro.lint.flow.records import EngineRecordUsage, extract_engine_records
 from repro.lint.registry import ProjectRule, register
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.flow.project import ProjectContext
-    from repro.lint.flow.records import EngineRecordUsage
+from repro.protocols.registry import CAP_LOGLESS, specs
 
 
 def _engine_usages(
-    project: "ProjectContext",
-) -> Iterator[tuple[str, frozenset, bool, "EngineRecordUsage"]]:
+    project: ProjectContext,
+) -> Iterator[tuple[str, frozenset, bool, EngineRecordUsage]]:
     """``(name, declared, logless, usage)`` per analysable engine."""
-    from repro.lint.flow.records import extract_engine_records
-    from repro.protocols.registry import CAP_LOGLESS, specs
-
     for spec in specs():
         usage = extract_engine_records(
             project, spec.engine, record_sources=spec.record_sources
@@ -54,7 +50,7 @@ def _engine_usages(
 
 
 def _class_finding(
-    usage: "EngineRecordUsage", rule_id: str, message: str
+    usage: EngineRecordUsage, rule_id: str, message: str
 ) -> Finding:
     return usage.engine_class.ctx.finding(usage.engine_class.node, rule_id, message)
 
@@ -80,7 +76,7 @@ class UndeclaredRecordRule(ProjectRule):
         "yield from self.wal.force(self.state_rec(RecordKind.PREPARED, txn_id))"
     )
 
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for name, declared, logless, usage in _engine_usages(project):
             if logless:
                 # Any append at all is PROTO003's (stronger) finding.
@@ -105,7 +101,7 @@ class UndeclaredRecordRule(ProjectRule):
                 )
 
     @staticmethod
-    def _first_site(usage: "EngineRecordUsage", kind: str) -> Optional[object]:
+    def _first_site(usage: EngineRecordUsage, kind: str) -> Optional[object]:
         sites = usage.sites_for(kind)
         return sites[0] if sites else None
 
@@ -130,7 +126,7 @@ class UnhandledRecordRule(ProjectRule):
         "if state == RecordKind.COMMITTED: ..."
     )
 
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for name, declared, logless, usage in _engine_usages(project):
             if logless:
                 continue
@@ -161,7 +157,7 @@ class LoglessAppendRule(ProjectRule):
         "yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))"
     )
 
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for name, _declared, logless, usage in _engine_usages(project):
             if not logless:
                 continue

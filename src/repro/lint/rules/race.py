@@ -11,13 +11,12 @@ processes; the happens-before legwork lives in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.lint.findings import Finding
+from repro.lint.flow.project import ProjectContext
+from repro.lint.flow.races import find_races
 from repro.lint.registry import ProjectRule, register
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.flow.project import ProjectContext
 
 
 @register
@@ -40,9 +39,7 @@ class StaleSharedWriteRule(ProjectRule):
         "self.count = snapshot + 1     # clobbers their update"
     )
 
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        from repro.lint.flow.races import find_races
-
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for report in find_races(project):
             module, scope, attr = report.state
             state_name = f"{scope}.{attr}" if scope else attr

@@ -1,20 +1,20 @@
 # repro: path src/repro/core/flow_probe.py
-"""FENCE003 fixture: the remote-log read hides inside a helper.
+"""FENCE002 fixture: the remote-log read hides inside a helper.
 
-FENCE002 cannot see past the call: the helper suppresses its own
-in-function finding with a pragma (the fence obligation belongs to
-the callers), and the caller contains no read at all — exactly the
-blind spot the interprocedural rule closes.
+The helper's read is not fenced, so it becomes the obligation of its
+caller; the caller contains no read at all and fences nothing, and no
+one calls it, so the finding lands at the call in the caller with the
+helper chain spelled out.
 """
 
 
 def _pull_records(cluster, requester, worker, txn_id):
-    records = yield from cluster.storage.read_remote_log(requester, worker)  # repro: noqa FENCE002 - callers fence first
+    records = yield from cluster.storage.read_remote_log(requester, worker)
     return [r for r in records if r.txn_id == txn_id]
 
 
 def unfenced_sweep(cluster, requester, worker, txn_id):
-    # FENCE003: _pull_records() reaches read_remote_log and nothing
+    # FENCE002: _pull_records() reaches read_remote_log and nothing
     # here fences the worker first.
     records = yield from _pull_records(cluster, requester, worker, txn_id)
     return records

@@ -1,12 +1,11 @@
 # repro: path src/repro/core/flow_probe_ok.py
-"""FENCE003/FENCE002 fixture: fences factored into helpers — clean.
+"""FENCE002 fixture: fences factored into helpers — clean.
 
 Exercises both halves of the helper-aware discipline:
 
 * ``fenced_sweep`` calls a read-hiding helper, but a fence-establishing
-  helper call dominates it (FENCE003 clean);
-* ``direct_probe`` reads directly after calling the fencing helper —
-  FENCE002 follows same-file helpers, so no pragma is needed.
+  helper call dominates it, which discharges the helper's read;
+* ``direct_probe`` reads directly after calling the fencing helper.
 """
 
 
@@ -16,7 +15,7 @@ def _ensure_fenced(cluster, requester, worker):
 
 
 def _pull_records(cluster, requester, worker, txn_id):
-    records = yield from cluster.storage.read_remote_log(requester, worker)  # repro: noqa FENCE002 - callers fence first
+    records = yield from cluster.storage.read_remote_log(requester, worker)
     return [r for r in records if r.txn_id == txn_id]
 
 

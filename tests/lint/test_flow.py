@@ -1,8 +1,9 @@
-"""The whole-program layer: call graph, CFG facts, and FENCE003.
+"""The whole-program layer: call graph, CFG facts, and FENCE002.
 
-The paired fence_flow fixtures are the proof obligation from the
-issue: FENCE002 alone provably misses the fence-in-helper /
-read-in-helper split, and FENCE003 catches it with caller context.
+The paired fence_flow fixtures split the fence and the read across
+helpers: FENCE002 follows the call graph, so the unfenced read hidden
+in a helper is reported at the caller that escapes it, and a fence
+factored into a helper discharges the read without a pragma.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from repro.lint.flow.callgraph import build_call_graph
 from repro.lint.flow.dataflow import build_cfg
 from repro.lint.flow.project import ProjectContext
 from repro.lint.flow.summaries import compute_fence_summaries
-from repro.lint.registry import select_rules
+from repro.lint.registry import get_rule, select_rules
 
-ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -144,44 +144,58 @@ def test_fence_summaries_propagate_through_helpers():
     module = "repro.core.snippet0"
     assert (module, "_ensure_fenced") in summaries.establishes
     escaping = {key[1] for key in summaries.escaping}
-    assert "_pull" in escaping  # the direct, pragma-able read
-    assert "exposed" in escaping  # the caller FENCE003 reports
+    assert "_pull" in escaping  # the direct read, an obligation of its callers
+    assert "exposed" in escaping  # the root FENCE002 reports
     assert "covered" not in escaping
 
 
-# -- FENCE003 end-to-end ------------------------------------------------------
+# -- FENCE002 end-to-end ------------------------------------------------------
 
 
-def test_fence003_catches_read_hidden_in_helper():
+def test_fence002_catches_read_hidden_in_helper():
     report = run_lint(
         [FIXTURES / "fence_flow_bad.py"], rules=select_rules(["FENCE"])
     )
-    assert [f.rule for f in report.findings] == ["FENCE003"]
+    assert [f.rule for f in report.findings] == ["FENCE002"]
     finding = report.findings[0]
     assert "unfenced_sweep" in finding.message
     assert "_pull_records()" in finding.message  # helper chain context
 
 
-def test_fence002_alone_provably_misses_the_split():
-    # The same fixture under FENCE002 only: zero findings — the helper
-    # pragma suppresses the in-helper read and the caller has no read.
-    report = run_lint(
-        [FIXTURES / "fence_flow_bad.py"], rules=select_rules(["FENCE002"])
+def test_fence002_reports_each_escape_once_at_its_root():
+    project = _project(
+        """
+        def _read(cluster, worker):
+            return (yield from cluster.storage.read_remote_log(worker))
+
+        def _middle(cluster, worker):
+            return (yield from _read(cluster, worker))
+
+        def fenced(cluster, worker):
+            yield from cluster.fencing_driver.fence(worker)
+            yield from _middle(cluster, worker)
+
+        def unfenced(cluster, worker):
+            yield from _middle(cluster, worker)
+
+        def retrying(cluster, worker):
+            records = yield from cluster.storage.read_remote_log(worker)
+            if not records:
+                yield from retrying(cluster, worker)
+        """
     )
-    assert report.findings == []
+    findings = sorted(get_rule("FENCE002").check_project(project))
+    assert [(f.line, f.message.split(" without ")[0]) for f in findings] == [
+        (13, "call in 'unfenced' reaches read_remote_log(...) via helper "
+             "'_middle()' -> '_read()'"),
+        (16, "read_remote_log(...) in 'retrying'"),
+    ]
 
 
 def test_fence_flow_good_fixture_is_clean():
-    # Fence-in-helper satisfies both FENCE002 (same file, no pragma on
-    # direct_probe's read) and FENCE003 (helper summaries).
+    # A fence factored into a helper covers both the read hidden in
+    # _pull_records() (fenced_sweep) and direct_probe's own read.
     report = run_lint(
         [FIXTURES / "fence_flow_good.py"], rules=select_rules(["FENCE"])
-    )
-    assert report.findings == []
-
-
-def test_fence003_is_quiet_on_the_real_tree():
-    report = run_lint(
-        [ROOT / "src" / "repro"], rules=select_rules(["FENCE003"]), root=ROOT
     )
     assert report.findings == []

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_file
+from repro.lint import run_lint
+from repro.lint.context import virtual_path
 from repro.lint.registry import all_rules, get_rule, select_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -24,7 +25,7 @@ EXPECTED = {
 
 
 def rules_hit(path: Path) -> set[str]:
-    return {finding.rule for finding in lint_file(path)}
+    return {finding.rule for finding in run_lint([path]).findings}
 
 
 @pytest.mark.parametrize("family", sorted(EXPECTED))
@@ -57,7 +58,7 @@ def test_select_rules_by_family_and_id():
 
 
 def test_findings_report_position_and_path():
-    findings = lint_file(FIXTURES / "obs_bad.py")
+    findings = run_lint([FIXTURES / "obs_bad.py"]).findings
     assert findings, "obs_bad fixture must produce findings"
     for finding in findings:
         assert finding.path.endswith("obs_bad.py")
@@ -68,9 +69,9 @@ def test_findings_report_position_and_path():
 def test_det003_respects_sorted_wrapping_and_dicts():
     # The good fixture iterates the same data sorted()-wrapped or via
     # insertion-ordered dicts; DET003 must distinguish the two.
-    bad = [f for f in lint_file(FIXTURES / "det_bad.py") if f.rule == "DET003"]
+    bad = run_lint([FIXTURES / "det_bad.py"], rules=select_rules(["DET003"])).findings
     assert len(bad) == 3
-    good = [f for f in lint_file(FIXTURES / "det_good.py") if f.rule == "DET003"]
+    good = run_lint([FIXTURES / "det_good.py"], rules=select_rules(["DET003"])).findings
     assert good == []
 
 
@@ -90,3 +91,8 @@ def test_fence_rules_do_not_fire_in_tests_or_recovery(tmp_path):
         tmp.write_text(relocated, encoding="utf-8")
         hit = rules_hit(tmp)
         assert not (hit & allowed), f"{virtual} must allow {allowed}, got {hit}"
+
+
+def test_virtual_path_directive():
+    assert virtual_path("# repro: path src/repro/net/x.py\n") == "src/repro/net/x.py"
+    assert virtual_path("print('hi')\n") is None

@@ -28,7 +28,9 @@ LAYERS = [
     ("repro.harness",),
 ]
 #: Where a function-local ``repro.*`` import is a finding.
-TOP_LEVEL_ONLY = ["exec", "harness", "mds", "workloads", "campaign/runner.py", "campaign/shrink.py"]
+TOP_LEVEL_ONLY = [
+    "exec", "harness", "lint", "mds", "workloads", "campaign/runner.py", "campaign/shrink.py",
+]
 
 
 def _layer(module):
