@@ -32,21 +32,27 @@ from repro.config import SimulationParams
 from repro.exec.executor import run_pool
 from repro.exec.runners import composite_cell
 from repro.exec.spec import CellResult, RunSpec
+from repro.sim import Simulator
 from repro.workloads.composite import (
     CompositeConfig,
     CompositeResult,
     GroupOutcome,
+    finalize_group,
     merge_groups,
-    run_group_standalone,
+    setup_group,
 )
 
 
-def _run_group(
+def run_group(
     protocol: str, config_json: str, params: SimulationParams, group: int
 ) -> GroupOutcome:
-    """Pool job: one shard group on its own kernel."""
+    """One shard group on its own kernel: the partitioned unit, and the
+    pool job (plain arguments in, plain data out)."""
+    sim = Simulator()
     config = CompositeConfig.from_json(config_json)
-    return run_group_standalone(protocol, config, params, group)
+    cluster, outcome = setup_group(sim, protocol, config, params, group)
+    sim.run()
+    return finalize_group(cluster, outcome, group, sim.events_processed)
 
 
 def run_partitioned_composite(
@@ -65,19 +71,18 @@ def run_partitioned_composite(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     params = params or SimulationParams.paper_defaults()
+    config_json = config.to_json()
     if workers == 1:
         outcomes = [
-            run_group_standalone(protocol, config, params, group)
-            for group in range(config.groups)
+            run_group(protocol, config_json, params, group) for group in range(config.groups)
         ]
         return merge_groups(protocol, config, outcomes)
 
-    config_json = config.to_json()
     outcomes = []
     run_pool(
         min(workers, config.groups),
         {
-            group: (_run_group, protocol, config_json, params, group)
+            group: (run_group, protocol, config_json, params, group)
             for group in range(config.groups)
         },
         lambda _group, outcome, _seconds: outcomes.append(outcome),

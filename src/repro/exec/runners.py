@@ -19,11 +19,14 @@ from repro.analysis.metrics import LatencyStats
 from repro.campaign.runner import run_campaign_cell
 from repro.campaign.schedule import CampaignSchedule
 from repro.exec.spec import CellResult, RunSpec, derive_seed
-from repro.workloads.burst import run_abort_burst, run_burst
+from repro.workloads.burst import (
+    run_abort_burst,
+    run_burst,
+    run_fanout_cell,
+    run_scaling_cell,
+)
 from repro.workloads.cell import Measurement, wal_totals
 from repro.workloads.composite import CompositeConfig, CompositeResult, run_composite
-from repro.workloads.fanout import run_fanout_cell
-from repro.workloads.scaling import run_scaling_cell
 
 Runner = Callable[[RunSpec, bool], CellResult]
 
@@ -66,8 +69,10 @@ def cell_result(
     its ``seeded_params()``; deriving it again is a canonical-JSON pass
     over the spec), ``payload`` what stays attached in-process when the
     caller keeps the cluster, ``extras`` the kind-specific fields
-    (``metrics``, ``verdict``, ``detail``).
+    (``verdict``, ``detail``).  A traced cell that kept its cluster
+    carries the cluster's metrics snapshot.
     """
+    metrics = m.cluster.obs.metrics.snapshot() if spec.trace and m.cluster else None
     return CellResult(
         spec=spec,
         derived_seed=seed,
@@ -79,6 +84,7 @@ def cell_result(
         forced_writes=m.forced_writes,
         lazy_writes=m.lazy_writes,
         payload=payload,
+        metrics=metrics,
         **extras,
     )
 
@@ -86,20 +92,22 @@ def cell_result(
 def _run_burst(spec: RunSpec, keep_cluster: bool) -> CellResult:
     params = spec.seeded_params()
     m = run_burst(spec.protocol, n=spec.n, params=params, op=spec.op, trace=spec.trace)
-    assert m.cluster is not None
-    metrics = m.cluster.obs.metrics.snapshot() if spec.trace else None
-    return cell_result(spec, params.seed, m, m if keep_cluster else None, metrics=metrics)
+    return cell_result(spec, params.seed, m, m if keep_cluster else None)
 
 
 def _run_abort_burst(spec: RunSpec, keep_cluster: bool) -> CellResult:
     params = spec.seeded_params()
-    m = run_abort_burst(spec.protocol, n=spec.n, abort_rate=spec.abort_rate, params=params)
+    m = run_abort_burst(
+        spec.protocol, n=spec.n, abort_rate=spec.abort_rate, params=params, trace=spec.trace
+    )
     return cell_result(spec, params.seed, m, m if keep_cluster else None)
 
 
 def _run_scaling(spec: RunSpec, keep_cluster: bool) -> CellResult:
     params = spec.seeded_params()
-    m = run_scaling_cell(spec.protocol, spec.n_pairs, ops_per_dir=spec.n, params=params)
+    m = run_scaling_cell(
+        spec.protocol, spec.n_pairs, ops_per_dir=spec.n, params=params, trace=spec.trace
+    )
     return cell_result(spec, params.seed, m, m if keep_cluster else None)
 
 
@@ -108,7 +116,12 @@ def _run_fanout(spec: RunSpec, keep_cluster: bool) -> CellResult:
         raise ValueError(f"fanout spec {spec.describe()!r} has no fanout field")
     params = spec.seeded_params()
     m = run_fanout_cell(
-        spec.protocol, spec.fanout, n_files=spec.n, n_shards=spec.n_shards, params=params
+        spec.protocol,
+        spec.fanout,
+        n_files=spec.n,
+        n_shards=spec.n_shards,
+        params=params,
+        trace=spec.trace,
     )
     return cell_result(spec, params.seed, m, m if keep_cluster else None)
 

@@ -27,6 +27,7 @@ from repro.config import (
     StorageParams,
 )
 from repro.faults.triggers import NUMBER, ScheduleFormatError, read_fields
+from repro.workloads.cell import TRACE
 
 #: The swept x-value a spec represents (network latency, burst size,
 #: abort rate, pair count...).  Purely a label: the physics of the run
@@ -66,9 +67,9 @@ class RunSpec:
     point: Point = None
     params: Optional[SimulationParams] = None
     #: Enable the observability layer (spans + metrics + trace log) for
-    #: this run.  Off by default: long sweeps stay lean, and a
-    #: trace-enabled run is the explicit exception (``repro trace``).
-    trace: bool = False
+    #: this run; every kind that keeps its cluster honours it.  The
+    #: default is the cells' own (:data:`repro.workloads.cell.TRACE`).
+    trace: bool = TRACE
     #: Workers per transaction for the fanout kind; ``None`` elsewhere
     #: (the field enters the identity only when set, so every pre-fanout
     #: baseline and derived seed is untouched).

@@ -1,6 +1,6 @@
 """Extension — participant fan-out over a sharded namespace.
 
-The sweep entry point over :func:`repro.workloads.fanout.run_fanout_cell`:
+The sweep entry point over :func:`repro.workloads.burst.run_fanout_cell`:
 file throughput against the number of worker shards one batched
 transaction spans.
 """

@@ -25,7 +25,7 @@ from repro.config import SimulationParams
 from repro.fs.objects import ObjectId
 from repro.fs.operations import plan_migrate
 from repro.mds.cluster import Cluster
-from repro.workloads.cell import SETTLE, drain, measure
+from repro.workloads.cell import SETTLE, TRACE, drain, drive, measure
 
 
 class MigratablePlacement:
@@ -88,7 +88,7 @@ def _build(params: Optional[SimulationParams], inode_home: str):
         server_names=["mds1", "mds2"],
         placement=placement,
         params=params,
-        trace=False,
+        trace=TRACE,
     )
     cluster.mkdir("/hot")
     return cluster, cluster.new_client()
@@ -128,10 +128,7 @@ def run_strategy(
             assert result["committed"]
         # The create storm itself is open loop (the paper's throughput
         # perspective): submit everything, then drain.
-        for i in range(creates):
-            client.submit(client.plan_create(f"/hot/new{i}"))
-        if False:  # pragma: no cover - generator marker
-            yield
+        drive(cluster, ((client, client.plan_create(f"/hot/new{i}")) for i in range(creates)))
 
     baseline_outcomes = len(cluster.outcomes)
     p = sim.process(measured(sim), name="measured")

@@ -23,7 +23,7 @@ from typing import Optional
 from repro.config import SimulationParams
 from repro.fs import HashPlacement, SubtreePlacement
 from repro.mds.cluster import Cluster
-from repro.workloads.cell import drain, measure
+from repro.workloads.cell import TRACE, drain, drive, measure
 
 SERVERS = ["mds1", "mds2", "mds3", "mds4"]
 DIRS = ["/dir1", "/dir2", "/dir3", "/dir4"]
@@ -56,27 +56,22 @@ def run_placement_point(
     params: Optional[SimulationParams] = None,
 ) -> PlacementResult:
     """Create ``files_per_dir`` files in each of four directories."""
-    placement = _make_placement(placement_kind)
     cluster = Cluster(
         protocol=protocol,
         server_names=SERVERS,
-        placement=placement,
+        placement=_make_placement(placement_kind),
         params=params,
-        trace=False,
+        trace=TRACE,
     )
     for d in DIRS:
         cluster.mkdir(d)
     client = cluster.new_client()
 
-    total = files_per_dir * len(DIRS)
-    distributed = 0
     start = cluster.sim.now
-    for d in DIRS:
-        for i in range(files_per_dir):
-            plan = client.plan_create(f"{d}/f{i}")
-            if plan.is_distributed:
-                distributed += 1
-            client.submit(plan)
+    plans = [client.plan_create(f"{d}/f{i}") for d in DIRS for i in range(files_per_dir)]
+    total = len(plans)
+    distributed = len([plan for plan in plans if plan.is_distributed])
+    drive(cluster, ((client, plan) for plan in plans))
     drain(cluster, total, f"placement point {placement_kind}/{protocol}")
     m = measure(cluster, cluster.outcomes, start)
     violations = cluster.check_invariants()

@@ -17,6 +17,7 @@ from repro.faults import Fault, FaultPlan, window
 from repro.fs.placement import ForcedDistributedPlacement
 from repro.mds.cluster import Cluster
 from repro.mds.scenarios import distributed_create_cluster
+from repro.workloads.cell import drive
 
 #: Role each server of the two-MDS cluster plays in the CREATE.
 ROLE_OF = {"mds1": "coordinator", "mds2": "worker"}
@@ -49,7 +50,7 @@ def measure_crash_recovery(
     """
     cluster, client = distributed_create_cluster(protocol, params=params)
     sim = cluster.sim
-    client.submit(client.plan_create("/dir1/f0"))
+    drive(cluster, [(client, client.plan_create("/dir1/f0"))])
     sim.run(until=sim.now + crash_after)
     crash_time = sim.now
     cluster.crash_server(victim)
@@ -95,7 +96,7 @@ def measure_detection(heartbeats: bool) -> float:
     cluster.sim.run(until=0.2)
     at_vote = window("at-vote", "mds2")
     FaultPlan([Fault("crash", "mds2", trigger=at_vote, restart_after=float("inf"))]).install(cluster)
-    client.submit(client.plan_create("/dir1/f0"))
+    drive(cluster, [(client, client.plan_create("/dir1/f0"))])
     # Bounded: heartbeat timers never let the schedule run dry.
     cluster.sim.run(until=cluster.sim.now + 10.0)
     crashed_at = cluster.trace.select("crash", actor="mds2")[0].time

@@ -1,6 +1,6 @@
 """Extension — metadata-service scaling across coordinators.
 
-The sweep entry point over :func:`repro.workloads.scaling.run_scaling_cell`:
+The sweep entry point over :func:`repro.workloads.burst.run_scaling_cell`:
 aggregate distributed-create throughput as the workload fans out over
 1..K coordinator/worker pairs.
 """

@@ -50,7 +50,7 @@ def fanout_cluster(
     protocol: str,
     n_shards: int,
     params: Optional[SimulationParams] = None,
-    trace: bool = False,
+    trace: bool = True,
 ) -> Cluster:
     """A ``1 + n_shards`` cluster with a sharded hot directory.
 

@@ -30,22 +30,16 @@ import dataclasses
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.streaming import StreamingStats, merge_all
 from repro.config import SimulationParams
+from repro.faults.triggers import NUMBER, read_fields
 from repro.fs.placement import ForcedDistributedPlacement
 from repro.mds.cluster import Cluster
+from repro.mds.scenarios import HOT_DIR
 from repro.sim import RngRegistry, Simulator
-from repro.workloads.cell import wal_totals
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fs.operations import OpPlan
-    from repro.mds.client import Client
-    from repro.protocols.base import TxnOutcome
-
-#: The skewed directory every group hammers.
-HOT_DIR = "/hot"
+from repro.workloads.cell import TRACE, Tally, TraceOp, drive, wal_totals
 
 #: Trace operation kinds the generator emits.
 TRACE_OPS = ("create", "delete", "rename", "stat")
@@ -121,14 +115,8 @@ class CompositeConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "ops": self.ops,
-            "groups": self.groups,
+            **dataclasses.asdict(self),
             "mix": [[kind, weight] for kind, weight in self.mix],
-            "hot_fraction": self.hot_fraction,
-            "cold_dirs": self.cold_dirs,
-            "window": self.window,
-            "working_set": self.working_set,
-            "mean_gap": self.mean_gap,
             "phases": list(self.phases),
         }
 
@@ -137,22 +125,25 @@ class CompositeConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def from_dict(doc: Dict[str, Any]) -> "CompositeConfig":
-        return CompositeConfig(
-            ops=doc["ops"],
-            groups=doc["groups"],
-            mix=tuple((kind, weight) for kind, weight in doc["mix"]),
-            hot_fraction=doc["hot_fraction"],
-            cold_dirs=doc["cold_dirs"],
-            window=doc["window"],
-            working_set=doc["working_set"],
-            mean_gap=doc["mean_gap"],
-            phases=tuple(doc["phases"]),
-        )
+    def from_dict(doc: Any) -> "CompositeConfig":
+        """Exact inverse of :meth:`to_dict`; any other key, a missing one
+        or a value of another type is a
+        :class:`~repro.faults.ScheduleFormatError` naming the field
+        (``composite.window: missing``)."""
+        read_fields(doc, "composite", _FIELDS)
+        mix = tuple((kind, weight) for kind, weight in doc["mix"])
+        return CompositeConfig(**{**doc, "mix": mix, "phases": tuple(doc["phases"])})
 
     @staticmethod
     def from_json(text: str) -> "CompositeConfig":
         return CompositeConfig.from_dict(json.loads(text))
+
+
+#: The fields of :meth:`CompositeConfig.to_dict`, by JSON class.
+_FIELDS = {
+    "ops": int, "groups": int, "mix": list, "hot_fraction": NUMBER, "cold_dirs": int,
+    "window": int, "working_set": int, "mean_gap": NUMBER, "phases": list,
+}
 
 
 def group_seed(params_seed: int, group: int) -> int:
@@ -169,7 +160,7 @@ def group_ops(config: CompositeConfig, group: int) -> int:
 
 def composite_trace(
     config: CompositeConfig, seed: int, n_ops: Optional[int] = None
-) -> Iterator[Dict[str, Any]]:
+) -> Iterator[TraceOp]:
     """Lazily generate one group's operation stream.
 
     Yields ``{"op", "path", "gap"[, "dst"]}`` dicts, one at a time —
@@ -232,21 +223,16 @@ def composite_trace(
             yield {"op": "stat", "path": path, "gap": gap}
 
 
-@dataclass(frozen=True)
-class GroupOutcome:
-    """Plain-data result of one shard group (pickles across the pool)."""
+@dataclass
+class GroupOutcome(Tally):
+    """One shard group's tally plus what its cluster spent, filled in
+    by :func:`finalize_group`; plain data, so it pickles across the
+    pool."""
 
-    group: int
-    committed: int
-    aborted: int
-    skipped: int
-    reads: int
-    last_reply: float
-    events: int
-    forced_writes: int
-    lazy_writes: int
-    latency: StreamingStats
-    read_latency: StreamingStats
+    group: int = 0
+    events: int = 0
+    forced_writes: int = 0
+    lazy_writes: int = 0
 
 
 @dataclass(frozen=True)
@@ -269,81 +255,13 @@ class CompositeResult:
     per_group: Tuple[GroupOutcome, ...]
 
 
-class _GroupAccumulator:
-    """Streaming sinks for one group — the bounded-memory 'leave' module."""
-
-    def __init__(self, seed: int, label: str) -> None:
-        self.latency = StreamingStats(seed=seed, label=f"{label}:latency")
-        self.read_latency = StreamingStats(seed=seed, label=f"{label}:stat")
-        self.committed = 0
-        self.aborted = 0
-        self.skipped = 0
-        self.reads = 0
-        self.last_reply = 0.0
-
-    def on_outcome(self, outcome: "TxnOutcome") -> None:
-        if outcome.committed:
-            self.committed += 1
-        else:
-            self.aborted += 1
-        self.latency.observe(outcome.client_latency)
-        if outcome.replied_at > self.last_reply:
-            self.last_reply = outcome.replied_at
-
-
-def _plan_for(client: "Client", op: Dict[str, Any]) -> "Optional[OpPlan]":
-    """Plan a trace operation; ``None`` when the target is gone (the
-    replaying-client convention: skip and move on)."""
-    kind = op["op"]
-    try:
-        if kind == "create":
-            return client.plan_create(op["path"])
-        if kind == "delete":
-            return client.plan_delete(op["path"])
-        return client.plan_rename(op["path"], op["dst"], touch_inode=False)
-    except (FileNotFoundError, ValueError):
-        return None
-
-
-def _worker(
-    sim: Simulator,
-    client: "Client",
-    ops: Iterator[Dict[str, Any]],
-    acc: _GroupAccumulator,
-) -> Iterator[Any]:
-    """One closed-loop client: pull the next trace op, think, run it.
-
-    All of a group's workers share one lazy iterator, so the group's
-    in-flight operations are bounded by the worker count (the window) —
-    and with it the WAL's open-transaction scan stays O(window), not
-    O(n): the deep-burst quadratic is designed out.
-    """
-    for op in ops:
-        gap = op["gap"]
-        if gap > 0:
-            yield sim.timeout(gap)
-        if op["op"] == "stat":
-            started = sim.now
-            yield from client.stat(op["path"])
-            acc.reads += 1
-            acc.read_latency.observe(sim.now - started)
-            if sim.now > acc.last_reply:
-                acc.last_reply = sim.now
-            continue
-        plan = _plan_for(client, op)
-        if plan is None:
-            acc.skipped += 1
-            continue
-        yield from client.run(plan)
-
-
 def setup_group(
     sim: Simulator,
     protocol: str,
     config: CompositeConfig,
     params: SimulationParams,
     group: int,
-) -> Tuple[Cluster, _GroupAccumulator]:
+) -> Tuple[Cluster, GroupOutcome]:
     """Wire one shard group onto ``sim`` (shared or private kernel).
 
     The group is a self-contained two-MDS cluster — own network, own
@@ -351,60 +269,40 @@ def setup_group(
     therefore identical whether the kernel is shared or not.
     """
     seed = group_seed(params.seed, group)
-    acc = _GroupAccumulator(seed=seed, label=f"g{group}")
+    outcome = GroupOutcome(
+        latency=StreamingStats(seed=seed, label=f"g{group}:latency"),
+        read_latency=StreamingStats(seed=seed, label=f"g{group}:stat"),
+        group=group,
+    )
     cluster = Cluster(
         protocol=protocol,
         server_names=["mds1", "mds2"],
         params=dataclasses.replace(params, seed=seed),
         placement=ForcedDistributedPlacement("mds1", "mds2"),
-        trace=False,
+        trace=TRACE,
         sim=sim,
-        outcome_sink=acc.on_outcome,
+        outcome_sink=outcome.on_outcome,
     )
     cluster.mkdir(HOT_DIR)
     for j in range(config.cold_dirs):
         cluster.mkdir(f"/cold{j}")
     trace_seed = RngRegistry(seed).spawn("trace").root_seed
     ops = composite_trace(config, trace_seed, group_ops(config, group))
-    for _ in range(config.window):
-        client = cluster.new_client()
-        sim.process(
-            _worker(sim, client, ops, acc), name=f"composite-g{group}-{client.name}"
-        )
-    return cluster, acc
+    drive(cluster, ops, config.window, outcome)
+    return cluster, outcome
 
 
 def finalize_group(
-    cluster: Cluster, acc: _GroupAccumulator, group: int, events: int
+    cluster: Cluster, outcome: GroupOutcome, group: int, events: int
 ) -> GroupOutcome:
-    """Fold a finished group into plain data (checks invariants first)."""
+    """Complete a finished group's outcome with what its cluster spent
+    (checks invariants first)."""
     violations = cluster.check_invariants()
     if violations:
         raise RuntimeError(f"composite group {group} violations: {violations}")
-    forced, lazy = wal_totals(cluster)
-    return GroupOutcome(
-        group=group,
-        committed=acc.committed,
-        aborted=acc.aborted,
-        skipped=acc.skipped,
-        reads=acc.reads,
-        last_reply=acc.last_reply,
-        events=events,
-        forced_writes=forced,
-        lazy_writes=lazy,
-        latency=acc.latency,
-        read_latency=acc.read_latency,
-    )
-
-
-def run_group_standalone(
-    protocol: str, config: CompositeConfig, params: SimulationParams, group: int
-) -> GroupOutcome:
-    """Run one shard group on its own kernel (the partitioned unit)."""
-    sim = Simulator()
-    cluster, acc = setup_group(sim, protocol, config, params, group)
-    sim.run()
-    return finalize_group(cluster, acc, group, sim.events_processed)
+    outcome.events = events
+    outcome.forced_writes, outcome.lazy_writes = wal_totals(cluster)
+    return outcome
 
 
 def merge_groups(
@@ -458,12 +356,12 @@ def run_composite(
     ]
     sim.run()
     outcomes = [
-        finalize_group(cluster, acc, group, 0)
-        for group, (cluster, acc) in enumerate(hosted)
+        finalize_group(cluster, outcome, group, 0)
+        for group, (cluster, outcome) in enumerate(hosted)
     ]
     # Events cannot be attributed per group on a shared kernel; report
     # the kernel total on group 0 so the merged sum matches the
     # partitioned mode (each group's standalone event count sums to
     # the co-hosted total — groups share no events).
-    outcomes[0] = dataclasses.replace(outcomes[0], events=sim.events_processed)
+    outcomes[0].events = sim.events_processed
     return merge_groups(protocol, config, outcomes)

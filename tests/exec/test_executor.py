@@ -170,3 +170,18 @@ def test_cell_result_counts_forced_writes():
     # mkdir provisioning write.
     assert cell.forced_writes > 0
     assert cell.committed == 4
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RunSpec(kind="scaling", protocol="1PC", n=4, n_pairs=2, trace=True),
+        RunSpec(kind="fanout", protocol="1PC", n=4, fanout=2, trace=True),
+        RunSpec(kind="abort_burst", protocol="PrN", n=4, abort_rate=0.25, trace=True),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_every_cell_kind_honours_spec_trace(spec):
+    cell = execute_spec(spec, keep_cluster=True)
+    assert cell.payload.cluster.trace.records
+    assert cell.metrics is not None

@@ -25,7 +25,7 @@ from repro.core.batching import BatchPlanner
 from repro.exec import execute_spec, fanout_grid
 from repro.harness.fanout import sweep_fanout
 from repro.mds.scenarios import HOT_DIR, fanout_cluster
-from repro.workloads.fanout import run_fanout_cell
+from repro.workloads.burst import run_fanout_cell
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "fanout_sweep.json"
 

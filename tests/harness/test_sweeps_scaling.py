@@ -11,7 +11,7 @@ from repro.harness.sweeps import (
     sweep_disk_bandwidth,
     sweep_network_latency,
 )
-from repro.workloads.scaling import run_scaling_cell
+from repro.workloads.burst import run_scaling_cell
 
 
 def test_sweep_network_latency_shape():

@@ -1,8 +1,17 @@
-"""Workload generators: burst, delete-burst, mixed, mdtest phases."""
+"""Workload generators: burst, delete-burst, and mixed streams and
+mdtest phases put to the cluster through ``drive``."""
 
 import pytest
 
-from repro.workloads import MixedWorkload, run_burst, run_mdtest_phases, run_mixed
+from repro.mds.scenarios import HOT_DIR, distributed_create_cluster
+from repro.workloads import drain, drive, measure, run_burst
+from repro.workloads.cell import Tally
+from repro.workloads.composite import CompositeConfig, composite_trace
+
+#: Create / delete / rename in the one hot directory, closed loop.
+MIX = CompositeConfig(
+    ops=60, mix=(("create", 0.6), ("delete", 0.2), ("rename", 0.2)), hot_fraction=1.0, window=4
+)
 
 
 def test_burst_create_all_commit():
@@ -41,40 +50,47 @@ def test_burst_latency_stats_sane():
     assert stats.maximum > stats.minimum * 3
 
 
+def run_mix(protocol, seed):
+    cluster, _ = distributed_create_cluster(protocol)
+    cluster.mkdir(HOT_DIR)
+    tally = Tally()
+    drive(cluster, composite_trace(MIX, seed), MIX.window, tally)
+    cluster.sim.run()
+    return cluster, tally
+
+
 def test_mixed_workload_runs_clean():
-    wl = MixedWorkload(n_ops=60, seed=3)
-    result = run_mixed("1PC", wl)
-    assert result.committed + result.aborted == 60
+    cluster, tally = run_mix("1PC", seed=3)
+    assert len(cluster.outcomes) + tally.skipped == MIX.ops
     # The vast majority commit (aborts only from benign plan races).
-    assert result.committed >= 50
-    assert result.cluster.check_invariants() == []
+    assert len([o for o in cluster.outcomes if o.committed]) >= 50
+    assert cluster.check_invariants() == []
 
 
 def test_mixed_workload_deterministic():
-    wl = MixedWorkload(n_ops=40, seed=9)
-    a = run_mixed("1PC", wl)
-    b = run_mixed("1PC", wl)
-    assert a.throughput == b.throughput
-    assert a.committed == b.committed
-
-
-def test_mixed_workload_validation():
-    with pytest.raises(ValueError):
-        MixedWorkload(n_ops=0)
-    with pytest.raises(ValueError):
-        MixedWorkload(create_weight=0, delete_weight=0, rename_weight=0)
-    with pytest.raises(ValueError):
-        MixedWorkload(mean_interarrival=0)
+    a, tally_a = run_mix("1PC", seed=9)
+    b, tally_b = run_mix("1PC", seed=9)
+    assert [o.replied_at for o in a.outcomes] == [o.replied_at for o in b.outcomes]
+    assert tally_a.skipped == tally_b.skipped
 
 
 def test_mixed_all_protocols_consistent():
-    wl = MixedWorkload(n_ops=40, seed=5)
     for protocol in ("PrN", "PrC", "EP", "1PC"):
-        result = run_mixed(protocol, wl)
-        assert result.cluster.check_invariants() == [], protocol
+        cluster, _ = run_mix(protocol, seed=5)
+        assert cluster.check_invariants() == [], protocol
 
 
 def test_mdtest_phases_create_then_delete():
-    phases = run_mdtest_phases("1PC", n_files=12)
-    assert set(phases) == {"create", "delete"}
-    assert phases["create"] > 0 and phases["delete"] > 0
+    cluster, client = distributed_create_cluster("1PC")
+    paths = [f"/dir1/mdtest{i}" for i in range(12)]
+    rates = {}
+    for phase, planner in (("create", client.plan_create), ("delete", client.plan_delete)):
+        cluster.outcomes.clear()
+        start = cluster.sim.now
+        drive(cluster, [(client, planner(path)) for path in paths])
+        drain(cluster, len(paths), f"mdtest {phase} phase")
+        m = measure(cluster, cluster.outcomes, start)
+        assert m.committed == len(paths), phase
+        rates[phase] = m.per_second(m.committed)
+    assert rates["create"] > 0 and rates["delete"] > 0
+    assert cluster.listdir("/dir1") == {}

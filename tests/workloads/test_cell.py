@@ -1,4 +1,5 @@
-"""The cell skeleton: one wait for the answers (no step loop anywhere,
+"""The cell skeleton: one driver (the only submit loop of the
+experiment layer), one wait for the answers (no step loop anywhere,
 the examples included), both failure exits of ``drain``, and the
 abort-burst cell's realised refusal rate."""
 
@@ -45,15 +46,39 @@ def test_the_drain_loop_is_spelled_once():
     )
     assert stepped == []
     # The one spelling is ``Cluster.run_until_answered``; its callers
-    # are the skeleton, the open-loop replay (which tolerates unanswered
-    # operations) and the conformance battery (which sits below workloads).
+    # are the skeleton and the conformance battery (which sits below
+    # workloads).
     callers = sorted(
         name
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "run_until_answered"
     )
-    assert callers == ["protocols/conformance.py", "workloads/cell.py", "workloads/replay.py"]
+    assert callers == ["protocols/conformance.py", "workloads/cell.py"]
+
+
+def _submit_lines(tree):
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "submit"
+    ]
+
+
+def test_drive_is_the_only_submit_loop():
+    # Every workload and study puts its operations to the cluster
+    # through ``drive``: no other ``.submit(`` in either layer.
+    sites = sorted(
+        f"{path.relative_to(SRC)}:{line}"
+        for layer in ("workloads", "harness")
+        for path in (SRC / layer).rglob("*.py")
+        for line in _submit_lines(ast.parse(path.read_text()))
+    )
+    cell = ast.parse((SRC / "workloads" / "cell.py").read_text())
+    # The last definition: the ones before it are its typing overloads.
+    drive = [f for f in cell.body if isinstance(f, ast.FunctionDef) and f.name == "drive"][-1]
+    assert len(sites) == 1
+    assert sites == [f"workloads/cell.py:{line}" for line in _submit_lines(drive)]
 
 
 def _one_create():

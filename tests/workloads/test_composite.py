@@ -8,9 +8,10 @@ import pickle
 
 import pytest
 
-from repro.exec.partition import run_partitioned_composite, run_partitioned_spec
+from repro.exec.partition import run_group, run_partitioned_composite, run_partitioned_spec
 from repro.exec.runners import composite_cell, execute_spec
 from repro.exec.spec import RunSpec, derive_seed
+from repro.faults import ScheduleFormatError
 from repro.workloads.composite import (
     HOT_DIR,
     CompositeConfig,
@@ -18,7 +19,6 @@ from repro.workloads.composite import (
     group_ops,
     group_seed,
     run_composite,
-    run_group_standalone,
 )
 
 SMALL = CompositeConfig(ops=240, groups=3, window=8, working_set=32)
@@ -41,6 +41,25 @@ def test_config_round_trips_through_canonical_json():
     text = config.to_json()
     assert " " not in text
     assert list(json.loads(text)) == sorted(json.loads(text))
+
+
+def _doc(**changes):
+    doc = {**CompositeConfig().to_dict(), **changes}
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_doc(bogus=1), r"composite\.bogus: unknown field"),
+        (_doc(ops=True), r"composite\.ops: wrong type bool"),
+        (_doc(window=None), r"composite\.window: missing"),
+    ],
+    ids=["unknown", "bool-for-int", "missing"],
+)
+def test_config_from_dict_names_the_bad_field(doc, message):
+    with pytest.raises(ScheduleFormatError, match=message):
+        CompositeConfig.from_dict(doc)
 
 
 def test_config_validation():
@@ -141,7 +160,7 @@ def test_small_composite_run_commits_and_reads():
 
 
 def test_group_outcome_pickles():
-    outcome = run_group_standalone("1PC", SMALL, small_spec().seeded_params(), 0)
+    outcome = run_group("1PC", SMALL.to_json(), small_spec().seeded_params(), 0)
     clone = pickle.loads(pickle.dumps(outcome))
     assert clone.committed == outcome.committed
     assert clone.latency.count == outcome.latency.count

@@ -1,70 +1,44 @@
-"""Trace-replay workload tests."""
+"""Replaying an operation stream through ``drive``: closed loop keeps
+order dependencies and skips what it cannot plan, open loop submits
+independent operations at once."""
 
-import io
-import json
-
-import pytest
-
-from repro.workloads.replay import (
-    load_ops,
-    run_replay,
-    save_ops,
-    synthetic_checkpoint_trace,
-    validate_ops,
-)
+from repro.mds.scenarios import distributed_create_cluster
+from repro.workloads import drain, drive, measure
+from repro.workloads.cell import Tally
 
 SIMPLE = [
-    {"t": 0.0, "op": "mkdir", "path": "/dir1/run"},
-    {"t": 0.001, "op": "create", "path": "/dir1/run/a"},
-    {"t": 0.002, "op": "create", "path": "/dir1/run/b"},
-    {"t": 0.003, "op": "rename", "path": "/dir1/run/a", "dst": "/dir1/run/a2"},
-    {"t": 0.004, "op": "delete", "path": "/dir1/run/b"},
+    {"op": "create", "path": "/dir1/run/a", "gap": 1e-3},
+    {"op": "create", "path": "/dir1/run/b", "gap": 1e-3},
+    {"op": "rename", "path": "/dir1/run/a", "dst": "/dir1/run/a2", "gap": 1e-3},
+    {"op": "delete", "path": "/dir1/run/b", "gap": 1e-3},
 ]
 
 
-def test_validate_rejects_unknown_op():
-    with pytest.raises(ValueError):
-        validate_ops([{"t": 0, "op": "chmod", "path": "/x"}])
+def replay(protocol, ops, window=1):
+    """Run ``ops`` closed loop against a fresh two-MDS cluster."""
+    cluster, _ = distributed_create_cluster(protocol)
+    cluster.mkdir("/dir1/run")
+    tally = Tally()
+    drive(cluster, iter(ops), window, tally)
+    cluster.sim.run()
+    return cluster, tally
 
 
-def test_validate_rejects_missing_path():
-    with pytest.raises(ValueError):
-        validate_ops([{"t": 0, "op": "create"}])
-
-
-def test_validate_rejects_time_travel():
-    with pytest.raises(ValueError):
-        validate_ops(
-            [
-                {"t": 1.0, "op": "create", "path": "/a"},
-                {"t": 0.5, "op": "create", "path": "/b"},
-            ]
-        )
-
-
-def test_validate_rename_requires_dst():
-    with pytest.raises(ValueError):
-        validate_ops([{"t": 0, "op": "rename", "path": "/a"}])
-
-
-def test_save_load_roundtrip():
-    buffer = io.StringIO()
-    save_ops(SIMPLE, buffer)
-    buffer.seek(0)
-    assert load_ops(buffer) == SIMPLE
-
-
-def test_save_load_file_roundtrip(tmp_path):
-    path = tmp_path / "ops.json"
-    save_ops(SIMPLE, path)
-    assert load_ops(path) == SIMPLE
-    assert json.loads(path.read_text())  # plain JSON on disk
+def checkpoint_rounds(ranks, rounds, period=0.01):
+    """Every round each rank writes a checkpoint, then the previous
+    round's are rotated out."""
+    for r in range(rounds):
+        for rank in range(ranks):
+            yield {"op": "create", "path": f"/dir1/run/rank{rank}.r{r}", "gap": 0.0}
+        for rank in range(ranks if r else 0):
+            yield {"op": "delete", "path": f"/dir1/run/rank{rank}.r{r - 1}", "gap": 0.0}
+        yield {"op": "stat", "path": "/dir1/run/rank0.r0", "gap": period}
 
 
 def test_closed_loop_replay_preserves_dependencies(protocol):
-    result = run_replay(protocol, SIMPLE, closed_loop=True)
-    assert result.committed == len(SIMPLE)
-    cluster = result.cluster
+    cluster, tally = replay(protocol, SIMPLE)
+    assert len([o for o in cluster.outcomes if o.committed]) == len(SIMPLE)
+    assert tally.skipped == 0
     assert cluster.check_invariants() == []
     assert cluster.lookup("/dir1/run/a2") is not None
     assert cluster.lookup("/dir1/run/a") is None
@@ -72,36 +46,37 @@ def test_closed_loop_replay_preserves_dependencies(protocol):
 
 
 def test_open_loop_replay_of_independent_ops():
-    ops = [
-        {"t": 0.0, "op": "create", "path": f"/dir1/f{i}"} for i in range(10)
-    ]
-    result = run_replay("1PC", ops)
-    assert result.committed == 10
-    assert result.cluster.check_invariants() == []
+    cluster, client = distributed_create_cluster("1PC")
+    drive(cluster, ((client, client.plan_create(f"/dir1/f{i}")) for i in range(10)))
+    drain(cluster, 10, "open-loop replay")
+    assert measure(cluster, cluster.outcomes, 0.0).committed == 10
+    assert cluster.check_invariants() == []
 
 
 def test_replay_skips_unplannable_ops():
     ops = [
-        {"t": 0.0, "op": "delete", "path": "/dir1/never-existed"},
-        {"t": 0.001, "op": "create", "path": "/dir1/real"},
+        {"op": "delete", "path": "/dir1/run/never-existed", "gap": 0.0},
+        {"op": "create", "path": "/dir1/run/real", "gap": 1e-3},
     ]
-    result = run_replay("1PC", ops, closed_loop=True)
-    assert result.committed == 1
-    assert result.cluster.lookup("/dir1/real") is not None
+    cluster, tally = replay("1PC", ops)
+    assert tally.skipped == 1
+    assert [o.committed for o in cluster.outcomes] == [True]
+    assert cluster.lookup("/dir1/run/real") is not None
 
 
-def test_synthetic_checkpoint_trace_valid_and_runs():
-    ops = synthetic_checkpoint_trace(ranks=4, period=0.02, rounds=2)
-    validate_ops(ops)
-    result = run_replay("1PC", ops, closed_loop=True)
-    assert result.cluster.check_invariants() == []
-    # Round 1's checkpoints were deleted; round 2's survive.
-    listing = result.cluster.listdir("/dir1/ckpt")
-    assert set(listing) == {f"rank{r}.r1" for r in range(4)}
+def test_checkpoint_rotation_leaves_only_the_last_round():
+    # Four clients share the stream: a round's deletes start only once
+    # its creates were pulled.
+    cluster, tally = replay("1PC", checkpoint_rounds(ranks=4, rounds=2), window=4)
+    assert cluster.check_invariants() == []
+    assert tally.skipped == 0 and tally.reads == 2
+    # Round 0's checkpoints were rotated out; round 1's survive.
+    assert set(cluster.listdir("/dir1/run")) == {f"rank{r}.r1" for r in range(4)}
 
 
 def test_replay_throughput_ordering_between_protocols():
-    ops = synthetic_checkpoint_trace(ranks=6, period=0.01, rounds=2)
-    prn = run_replay("PrN", ops, closed_loop=True)
-    one = run_replay("1PC", ops, closed_loop=True)
-    assert one.makespan < prn.makespan
+    makespan = {}
+    for protocol in ("PrN", "1PC"):
+        cluster, _ = replay(protocol, checkpoint_rounds(ranks=6, rounds=2))
+        makespan[protocol] = measure(cluster, cluster.outcomes, 0.0).makespan
+    assert makespan["1PC"] < makespan["PrN"]
