@@ -25,7 +25,7 @@ protocols; the ``table1`` report artifact renders both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 from repro.obs.span import PROTOCOL_MSG_KINDS, Span
 
@@ -68,7 +68,7 @@ def _disjoint_interval_count(intervals: list[tuple[float, float]]) -> int:
     """Maximum number of pairwise-disjoint intervals (greedy by end)."""
     count = 0
     last_end = float("-inf")
-    for start, end in sorted(intervals, key=lambda iv: (iv[1], iv[0])):
+    for start, end in sorted(intervals, key=itemgetter(1, 0)):
         if start >= last_end:
             count += 1
             last_end = end
@@ -80,50 +80,68 @@ def fold_span_costs(root: Span, workers: int = 1) -> CostRow:
 
     ``root`` is the coordinator span; its worker legs are traversed via
     the parent/child links, so every WAL force and protocol message of
-    the transaction — on any node — is accounted.
+    the transaction — on any node — is accounted.  One pass, in span
+    order: nothing below depends on the order the records arrive in.
     """
-    events = sorted(root.iter_events(), key=attrgetter("time"))
-    reply_times = [e.time for e in events if e.category == "client_reply"]
-    if not reply_times:
-        raise ValueError(f"span of txn {root.txn_id} has no client_reply event")
-    reply_time = reply_times[0]
-
+    reply_time = None
     # Forced appends are one force() call each; group multi-record
-    # forces by (actor, time).  Durable completions are matched by
-    # (actor, record kind, sync flag).
+    # forces by (actor, time) -> record kinds, lazy ones by (actor,
+    # time) alone.  Durable completions are matched by (actor, record
+    # kind, sync flag), the latest one wins.  ``log_append`` and
+    # ``log_durable`` details always carry ``kind`` and ``sync``,
+    # ``msg_send`` ones ``kind``.
     sync_groups: dict[tuple[str, float], list] = {}
-    async_groups: dict[tuple[str, float], list] = {}
+    async_groups: dict[tuple[str, float], bool] = {}
     durables: dict[tuple[str, str, bool], float] = {}
     sends = []
-    for event in events:
-        if event.category == "log_append":
-            target = sync_groups if event.detail.get("sync") else async_groups
-            target.setdefault((event.actor, event.time), []).append(event)
-        elif event.category == "log_durable":
+    for event in root.iter_events():
+        category = event.category
+        if category == "log_append":
             detail = event.detail
-            durables[(event.actor, detail.get("kind"), bool(detail.get("sync")))] = event.time
-        elif event.category == "msg_send" and event.detail.get("kind") in PROTOCOL_MSG_KINDS:
-            sends.append(event)
+            group = (event.actor, event.time)
+            if not detail["sync"]:
+                async_groups[group] = True
+            elif group in sync_groups:
+                sync_groups[group].append(detail["kind"])
+            else:
+                sync_groups[group] = [detail["kind"]]
+        elif category == "log_durable":
+            detail = event.detail
+            key = (event.actor, detail["kind"], detail["sync"])
+            if key not in durables or durables[key] < event.time:
+                durables[key] = event.time
+        elif category == "msg_send":
+            if event.detail["kind"] in PROTOCOL_MSG_KINDS:
+                sends.append(event.time)
+        elif category == "client_reply":
+            if reply_time is None or event.time < reply_time:
+                reply_time = event.time
+    if reply_time is None:
+        raise ValueError(f"span of txn {root.txn_id} has no client_reply event")
 
     sync_total = len(sync_groups)
     async_total = len(async_groups)
 
+    # A group is durable when its last record is; a record never made
+    # durable keeps the group off the critical path.
     sync_intervals = []
-    for (actor, start), evs in sync_groups.items():
-        ends = [durables.get((actor, e.detail.get("kind"), True), float("inf")) for e in evs]
-        end = max(ends)
+    for (actor, start), kinds in sync_groups.items():
+        end = float("-inf")
+        for kind in kinds:
+            key = (actor, kind, True)
+            done = durables[key] if key in durables else float("inf")
+            if done > end:
+                end = done
         if end <= reply_time:
             sync_intervals.append((start, end))
     sync_critical = _disjoint_interval_count(sync_intervals)
-    async_critical = sum(1 for (_a, t) in async_groups if t <= reply_time)
+    async_critical = len([t for (_a, t) in async_groups if t <= reply_time])
 
     msgs_total = len(sends) - BASE_MESSAGES * workers
     # Strictly before the reply: a COMMIT fired in the same instant as
     # the client reply is already off the critical path (PrC/EP reply
     # first, then forward the decision).
-    msgs_critical = (
-        sum(1 for e in sends if e.time < reply_time) - BASE_MESSAGES * workers
-    )
+    msgs_critical = len([t for t in sends if t < reply_time]) - BASE_MESSAGES * workers
 
     return CostRow(
         sync_total=sync_total,

@@ -44,22 +44,39 @@ class DeviceUtilization:
 def device_utilization(
     trace: TraceLog, window: Optional[float] = None
 ) -> dict[str, DeviceUtilization]:
-    """Per-device busy statistics from ``disk_write``/``disk_read``."""
-    records = trace.select("disk_write") + trace.select("disk_read")
-    if not records:
+    """Per-device busy statistics from ``disk_write``/``disk_read``.
+
+    One pass over the trace.  A device's sums run over its writes, then
+    its reads, each in trace order, and devices are listed writers
+    first: float addition is not associative.  Disk records always
+    carry ``device``, ``nbytes`` and ``service``.
+    """
+    writes: dict[str, list] = {}
+    reads: dict[str, list] = {}
+    latest = None
+    for rec in trace.records:
+        category = rec.category
+        if category == "disk_write":
+            per_device = writes
+        elif category == "disk_read":
+            per_device = reads
+        else:
+            continue
+        if latest is None or rec.time > latest:
+            latest = rec.time
+        per_device.setdefault(rec.detail["device"], []).append(rec.detail)
+    if latest is None:
         return {}
-    end = window if window is not None else max([r.time for r in records])
+    end = window if window is not None else latest
     out: dict[str, DeviceUtilization] = {}
-    per_device: dict[str, list] = {}
-    for rec in records:
-        per_device.setdefault(rec.detail.get("device", "?"), []).append(rec.detail)
-    for device, details in per_device.items():
+    for device in dict.fromkeys([*writes, *reads]):
+        details = writes.get(device, []) + reads.get(device, [])
         out[device] = DeviceUtilization(
             device=device,
-            busy_time=sum([d.get("service", 0.0) for d in details]),
+            busy_time=sum([d["service"] for d in details]),
             window=end,
             operations=len(details),
-            bytes_moved=sum([d.get("nbytes", 0.0) for d in details]),
+            bytes_moved=sum([d["nbytes"] for d in details]),
         )
     return out
 
@@ -83,22 +100,23 @@ def lock_contention(trace: TraceLog) -> dict[str, LockContention]:
     """Wait-time distribution per locked object.
 
     A wait interval runs from a ``lock_wait`` record to the matching
-    ``lock_grant`` for the same (txn, obj).
+    ``lock_grant`` for the same (txn, obj); both always carry them.
     """
     waits: dict[tuple, float] = {}
     stats: dict[str, dict] = {}
     for rec in trace.records:
-        if rec.category == "lock_wait":
+        category = rec.category
+        if category == "lock_wait":
             detail = rec.detail
-            waits[(detail.get("txn"), str(detail.get("obj")))] = rec.time
-        elif rec.category == "lock_grant":
+            waits[(detail["txn"], str(detail["obj"]))] = rec.time
+        elif category == "lock_grant":
             detail = rec.detail
-            obj = str(detail.get("obj"))
+            obj = str(detail["obj"])
             entry = stats.setdefault(
                 obj, {"waits": 0, "grants": 0, "total": 0.0, "max": 0.0}
             )
             entry["grants"] += 1
-            key = (detail.get("txn"), obj)
+            key = (detail["txn"], obj)
             if key in waits:
                 waited = rec.time - waits.pop(key)
                 entry["waits"] += 1

@@ -43,6 +43,9 @@ class Network:
         self.params = params or NetworkParams()
         self.obs = obs if obs is not None else Observability(sim, enabled=False)
         self.rng = rng or RngRegistry(0)
+        #: The jitter stream, bound once (no registry lookup per message);
+        #: None on a jitter-free network.
+        self._jitter = self.rng.stream("net.jitter") if self.params.jitter else None
         self._endpoints: dict[str, Endpoint] = {}
         #: Current partition groups as sorted tuples (any iteration over
         #: a group must be hash-order independent); empty means fully
@@ -160,8 +163,8 @@ class Network:
             return
 
         delay = self.params.latency + self.params.byte_cost * message.size
-        if self.params.jitter:
-            delay += self.rng.uniform("net.jitter", 0.0, self.params.jitter)
+        if self._jitter is not None:
+            delay += self._jitter.uniform(0.0, self.params.jitter)
         self.obs.msg_send(
             message.src,
             kind=message.kind,

@@ -77,6 +77,8 @@ class Observability:
         self.enabled = enabled
         self.trace = TraceLog(sim, enabled=enabled)
         self.spans = SpanCollector(sim)
+        #: The collector's leg table, which ``_emit`` files records by.
+        self._route = self.spans.route
         self.metrics = MetricsRegistry()
         #: ``_COUNTERS`` key -> its counter (or None), bound at the key's
         #: first record: the registry lists only counters that were bumped.
@@ -120,7 +122,12 @@ class Observability:
         if counter is not None:
             counter.value += amount
         if node is not None:
-            self.spans.record(txn, node, record)
+            # The leg at ``node``, else the root, else cluster scope
+            # (``SpanCollector.begin`` keeps the table).
+            events = self._route.get((txn, node))
+            if events is None:
+                events = self._route.get((txn, None), self.spans.cluster_events)
+            events.append(record)
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Call ``listener(record)`` for every record appended from now on."""
@@ -238,13 +245,14 @@ class Observability:
         """Per-transaction histograms derived from the closed span."""
         forced = 0
         messages = 0
+        # ``log_append`` and ``msg_send`` details always carry ``sync`` /
+        # ``kind`` (see their hooks below).
         for event in root.iter_events():
-            if event.category == "log_append" and event.detail.get("sync"):
-                forced += 1
-            elif (
-                event.category == "msg_send"
-                and event.detail.get("kind") in PROTOCOL_MSG_KINDS
-            ):
+            category = event.category
+            if category == "log_append":
+                if event.detail["sync"]:
+                    forced += 1
+            elif category == "msg_send" and event.detail["kind"] in PROTOCOL_MSG_KINDS:
                 messages += 1
         self.metrics.histogram("txn.forced_writes").observe(float(forced))
         self.metrics.histogram("txn.messages").observe(float(messages))

@@ -116,6 +116,12 @@ class SpanCollector:
     ``(txn_id, None)``, plus one child span per ``(txn_id, worker)``
     leg.  The collector is the store behind ``repro.trace(cluster)``;
     only the :class:`~repro.obs.hub.Observability` hub writes to it.
+
+    Routing: a record at ``(txn_id, node)`` belongs to the leg at that
+    node, else to the transaction's root, else to ``cluster_events``.
+    :meth:`begin` decides the first two once per leg, in ``route``, so
+    the hub files a record with one lookup (two when the node has no
+    leg) and an append.
     """
 
     def __init__(self, sim: "Simulator") -> None:
@@ -125,6 +131,10 @@ class SpanCollector:
         self.cluster_events: list[TraceRecord] = []
         #: Every span, in open order.
         self._spans: dict[tuple[int, Optional[str]], Span] = {}
+        #: ``(txn_id, node)`` -> the ``events`` list of the span owning
+        #: that node's records; ``(txn_id, None)`` is the root's, for
+        #: nodes without a leg.
+        self.route: dict[tuple[int, Optional[str]], list[TraceRecord]] = {}
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -149,6 +159,10 @@ class SpanCollector:
         Re-opening an existing leg (duplicate UPDATE_REQ after a crash,
         coordinator re-execution) returns the original span so its
         history stays in one place.
+
+        A worker leg takes its node's records from now on; a root takes
+        those of every node without a leg, its own node included until
+        a leg opens there.
         """
         key = (txn_id, actor if role == WORKER else None)
         span = self._spans.get(key)
@@ -168,6 +182,9 @@ class SpanCollector:
         )
         if root is not None:
             root.children.append(span)
+        self.route[key] = span.events
+        if role != WORKER:
+            self.route.setdefault((txn_id, actor), span.events)
         return span
 
     def close(self, span: Span, status: str, **attrs: Any) -> None:
@@ -190,18 +207,6 @@ class SpanCollector:
             span.end = max(self.sim.now, span.last_time())
             span.status = status
         return closed
-
-    # -- event routing ------------------------------------------------------
-
-    def record(self, txn_id: Optional[int], node: str, event: TraceRecord) -> None:
-        """Attach ``event`` to the span owning ``(txn_id, node)``.
-
-        Falls back to the transaction's root span when the node has no
-        leg of its own; events with no transaction (or no span) go to
-        the cluster-scope list.
-        """
-        owner = self._spans.get((txn_id, node)) or self._spans.get((txn_id, None))
-        (owner.events if owner is not None else self.cluster_events).append(event)
 
     # -- queries ------------------------------------------------------------
 

@@ -44,26 +44,81 @@ def test_reopening_a_leg_returns_the_original():
     assert spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1") is spans.span_of(1)
 
 
+def hub():
+    return Observability(Simulator())
+
+
+def open_txn(obs, txn=1, coordinator="mds1"):
+    return obs.txn_start(coordinator, txn, op="CREATE", protocol="1PC", submitted_at=0.0)
+
+
+def leg(obs, actor, txn=1):
+    obs.worker_open(actor, txn, opener="UPDATE_REQ")
+    return obs.spans.leg_of(txn, actor)
+
+
+def categories(events):
+    return [e.category for e in events]
+
+
 def test_record_prefers_the_actors_leg_over_the_root():
-    spans = collector()
-    root = spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1")
-    leg = spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds2")
-    spans.record(1, "mds2", rec(0.0, "log_append", "mds2", sync=True))
-    spans.record(1, "mds1", rec(0.0, "msg_send", "mds1", kind="UPDATE_REQ"))
+    obs = hub()
+    root = open_txn(obs)
+    worker = leg(obs, "mds2")
+    obs.annotate("log_append", "mds2", txn=1, sync=True)
+    obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
     # A lock record's actor is the manager; the node names its leg.
-    spans.record(1, "mds2", rec(0.0, "lock_grant", "locks:mds2"))
-    assert [e.category for e in leg.events] == ["log_append", "lock_grant"]
-    assert [e.category for e in root.events] == ["msg_send"]
+    obs.lock_grant("locks:mds2", txn=1, obj="/d", mode="X")
+    assert categories(worker.events) == ["log_append", "lock_grant"]
+    assert categories(root.events) == ["msg_send"]
     # iter_events recurses into the legs.
     assert len(list(root.iter_events())) == 3
     assert len(list(root.iter_events(recurse=False))) == 1
 
 
+def test_a_record_at_a_worker_node_before_its_leg_opens_lands_on_the_root():
+    obs = hub()
+    root = open_txn(obs)
+    obs.msg_recv("mds2", kind="UPDATE_REQ", src="mds1", txn=1, msg_id=1)
+    worker = leg(obs, "mds2")
+    obs.annotate("log_append", "mds2", txn=1, sync=True)
+    assert categories(root.events) == ["msg_recv"]
+    assert categories(worker.events) == ["log_append"]
+
+
+def test_a_leg_at_the_coordinators_node_takes_its_records_from_then_on():
+    obs = hub()
+    root = open_txn(obs)
+    obs.annotate("log_append", "mds1", txn=1, sync=True)
+    local = leg(obs, "mds1")
+    obs.annotate("log_durable", "mds1", txn=1, sync=True)
+    obs.msg_send("mds1", kind="UPDATED", dst="mds2", txn=1, msg_id=1)
+    assert categories(root.events) == ["log_append"]
+    assert categories(local.events) == ["log_durable", "msg_send"]
+    assert root.children == [local]
+
+
+def test_reopening_a_leg_changes_no_routing():
+    obs = hub()
+    root = open_txn(obs)
+    worker = leg(obs, "mds2")
+    route = dict(obs.spans.route)
+    assert leg(obs, "mds2") is worker
+    assert open_txn(obs) is root
+    assert obs.spans.route == route
+    obs.annotate("log_append", "mds2", txn=1, sync=True)
+    obs.annotate("log_append", "mds1", txn=1, sync=True)
+    assert [e.actor for e in worker.events] == ["mds2"]
+    assert [e.actor for e in root.events] == ["mds1"]
+
+
 def test_record_without_txn_goes_to_cluster_events():
-    spans = collector()
-    spans.record(None, "mds2", rec(1.0, "crash", "mds2"))
-    spans.record(99, "mds1", rec(2.0, "msg_send", "mds1"))  # unknown txn
-    assert [e.category for e in spans.cluster_events] == ["crash", "msg_send"]
+    obs = hub()
+    open_txn(obs)
+    obs.node_crash("mds2")  # txn=None
+    obs.annotate("msg_send", "mds1", txn=99)  # unknown txn
+    assert categories(obs.spans.cluster_events) == ["crash", "msg_send"]
+    assert list(obs.spans.span_of(1).iter_events()) == []
 
 
 def test_disabled_collector_records_nothing():
@@ -103,13 +158,17 @@ def test_close_is_idempotent():
 
 
 def test_events_of_merges_legs_in_time_order():
-    spans = collector()
-    spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1")
-    spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds2")
-    spans.record(1, "mds2", rec(2.0, "log_append", "mds2"))
-    spans.record(1, "mds1", rec(1.0, "msg_send", "mds1"))
-    assert [e.time for e in spans.events_of(1)] == [1.0, 2.0]
-    assert spans.events_of(42) == []
+    obs = hub()
+    open_txn(obs)
+    leg(obs, "mds2")
+    obs.sim.run(until=1.0)
+    obs.annotate("log_append", "mds2", txn=1, sync=True)
+    obs.sim.run(until=2.0)
+    obs.annotate("msg_send", "mds1", txn=1)
+    # The root's record comes first span by span, last in time.
+    assert [e.time for e in obs.spans.span_of(1).iter_events()] == [2.0, 1.0]
+    assert [e.time for e in obs.spans.events_of(1)] == [1.0, 2.0]
+    assert obs.spans.events_of(42) == []
 
 
 def test_last_time_considers_children():
@@ -129,13 +188,14 @@ def _recursive_iter_events(span, recurse=True):
 
 
 def test_iter_events_walks_span_by_span_depth_first_like_the_recursive_reference():
-    spans = collector()
-    root = spans.begin(1, name="CREATE", role=COORDINATOR, actor="mds1")
-    spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds2")
-    spans.begin(1, name="UPDATE_REQ", role=WORKER, actor="mds3")
+    obs = hub()
+    root = open_txn(obs)
+    leg(obs, "mds2")
+    leg(obs, "mds3")
     # Interleaved in time: the walk is by span, not by timestamp.
     for t, node in enumerate(["mds3", "mds1", "mds2", "mds1", "mds3", "mds2"]):
-        spans.record(1, node, rec(float(t), "msg_send", node))
+        obs.sim.run(until=float(t))
+        obs.annotate("msg_send", node, txn=1)
     walked = list(root.iter_events())
     assert [(e.actor, e.time) for e in walked] == [
         ("mds1", 1.0), ("mds1", 3.0), ("mds2", 2.0), ("mds2", 5.0), ("mds3", 0.0), ("mds3", 4.0),

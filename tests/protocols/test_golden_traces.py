@@ -70,6 +70,41 @@ def test_obs_views_match_golden(protocol):
     assert obs_views(cluster) == golden
 
 
+def _event_rows(events):
+    return [[e.time, e.category, e.actor] for e in events]
+
+
+def figure6_views():
+    """The hub's views of every protocol's traced Figure-6 burst cell
+    (n=100, seed 0), one JSON line per span: the metrics snapshot, each
+    span with the ``(time, category, actor)`` of every record it owns,
+    and the cluster-scope records, in order."""
+    from repro.exec.runners import execute_spec
+    from repro.exec.spec import RunSpec
+
+    lines = []
+    for protocol in default_protocols():
+        spec = RunSpec(kind="burst", protocol=protocol, n=100, seed=0, trace=True)
+        obs = execute_spec(spec, keep_cluster=True).payload.cluster.obs
+        rows = [["protocol", protocol], ["metrics", obs.metrics.snapshot()]]
+        rows += [
+            ["span", s.role, s.actor, s.start, s.end, s.status,
+             _event_rows(s.events), [child.actor for child in s.children]]
+            for s in obs.spans
+        ]
+        rows.append(["cluster_events", _event_rows(obs.spans.cluster_events)])
+        lines += [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_figure6_views_match_golden():
+    """Which span owns each record, for every protocol, record by
+    record: routing or fold changes that keep the counts but move a
+    record between legs fail here.  Regenerate deliberately with
+    ``open("tests/golden/figure6_views.json", "w").write(figure6_views())``."""
+    assert figure6_views() == (GOLDEN_DIR / "figure6_views.json").read_text()
+
+
 def test_golden_traces_exist_and_are_nontrivial():
     for name in ("prn_create.jsonl", "1pc_create.jsonl"):
         path = GOLDEN_DIR / name

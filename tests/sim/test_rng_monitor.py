@@ -1,8 +1,12 @@
 """Unit tests for RNG streams and the trace log."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.sim import RngRegistry, Simulator, TraceLog
+from repro.sim.monitor import TraceRecord
 
 
 def test_rng_same_seed_same_draws():
@@ -124,3 +128,14 @@ def test_tracelog_predicate_select():
         trace.emit("msg", "a", seq=i)
     assert len(trace.select(predicate=lambda r: r.get("seq", 0) >= 3)) == 2
 
+
+
+def test_trace_record_is_frozen_slotted_and_pickles():
+    record = TraceRecord(1.5, "msg_send", "mds1", {"kind": "PREPARE", "txn": 3})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.time = 2.0
+    assert not hasattr(record, "__dict__")
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and copy is not record
+    assert repr(copy) == repr(record)
+    assert record.get("kind") == "PREPARE" and record.get("missing", 0) == 0
