@@ -60,6 +60,7 @@ from repro.protocols.base import (
     register_protocol,
 )
 from repro.protocols.registry import CAP_SHARED_LOG
+from repro.sim import TIMED_OUT
 from repro.storage.fencing import FencedError
 from repro.storage.records import RecordKind
 from repro.storage.wal import LogLostError
@@ -100,7 +101,7 @@ class OnePhaseCommitProtocol(Protocol):
         try:
             # STARTED plus the redo record for the whole namespace
             # operation, forced in a single log write.
-            yield from self.wal.force(
+            yield self.wal.force(
                 self.state_rec(RecordKind.STARTED, txn_id, op=plan.op, workers=list(txn.workers)),
                 self.redo_rec(txn_id, plan),
             )
@@ -119,8 +120,7 @@ class OnePhaseCommitProtocol(Protocol):
         Runs for a client's ``txn`` and, with none, for the §III-C redo
         replay: the same steps, nobody to answer.
         """
-        yield from self.lock_all(txn_id, plan.locks(self.me))
-        yield from self.apply_updates(txn_id, plan.updates[self.me])
+        yield from self.lock_and_apply(txn_id, plan.locks(self.me), plan.updates[self.me])
 
         workers = plan.workers
         for worker in workers:
@@ -155,7 +155,7 @@ class OnePhaseCommitProtocol(Protocol):
         replied_at = self.reply_to_client(txn, committed=True)
         self.locks.release_all(txn_id)
         # Force UPDATES+COMMITTED, then harden the stable image.
-        yield from self.wal.force(
+        yield self.wal.force(
             self.updates_rec(txn_id, self.store.updates_of(txn_id)),
             self.state_rec(RecordKind.COMMITTED, txn_id),
         )
@@ -185,7 +185,7 @@ class OnePhaseCommitProtocol(Protocol):
         failed: dict = {}
         while pending:
             msg = yield from self._await_worker_reply(txn_id, pending, inbox, watch_detector)
-            if msg is None:
+            if msg is TIMED_OUT:
                 break
             if msg.src not in pending:
                 continue  # duplicate reply from an already-counted worker
@@ -218,7 +218,8 @@ class OnePhaseCommitProtocol(Protocol):
         still-silent worker is *suspected* instead of sitting out the
         full protocol timeout — heartbeats accelerate the fencing
         decision (they can never make it wrong: fencing + the shared
-        log settle the outcome either way).
+        log settle the outcome either way).  :data:`~repro.sim.TIMED_OUT`
+        when no reply comes in time.
         """
         detector = self.server.cluster.failure_detector
         heartbeats_on = watch_detector and bool(self.server.cluster.heartbeat_services)
@@ -230,16 +231,16 @@ class OnePhaseCommitProtocol(Protocol):
         )
         while True:
             msg = yield from self.recv_until(inbox, UPDATE_REPLIES, deadline, slice_)
-            if msg is not None:
+            if msg is not TIMED_OUT:
                 return msg
             if heartbeats_on and all(detector.suspects(self.me, w) for w in pending):
                 for worker in pending:
                     self.obs.annotate(
                         "early_suspicion", self.me, txn=txn_id, worker=worker
                     )
-                return None
+                return TIMED_OUT
             if self.sim.now >= deadline:
-                return None
+                return TIMED_OUT
 
     def _drive_stragglers(self, txn_id: int, plan: OpPlan, stragglers, inbox) -> Generator:
         """Drive workers that missed a COMMIT decision to apply it.
@@ -258,7 +259,7 @@ class OnePhaseCommitProtocol(Protocol):
             for _ in range(COMMIT_DRIVE_RETRIES):
                 self.ship_updates(worker, txn_id, plan, commit=True, decided=True)
                 msg = yield from self._await_commit_confirmation(txn_id, worker, inbox)
-                if msg is not None and msg.kind == MsgKind.UPDATED:
+                if msg is not TIMED_OUT and msg.kind == MsgKind.UPDATED:
                     self.send(worker, MsgKind.ACK, txn_id)
                     break
             else:
@@ -272,8 +273,8 @@ class OnePhaseCommitProtocol(Protocol):
         deadline = self.sim.now + self.params.failure.reply_timeout * ACK_WAIT_FACTOR
         while True:
             msg = yield from self.recv_until(inbox, _CONFIRMATIONS, deadline)
-            if msg is None:
-                return None
+            if msg is TIMED_OUT:
+                return msg
             if msg.kind == MsgKind.ACK_REQ:
                 self.send(msg.src, MsgKind.ACK, msg.txn_id)
             elif msg.src == worker:
@@ -288,7 +289,7 @@ class OnePhaseCommitProtocol(Protocol):
     def _abort(
         self, txn_id: int, reason: str, txn: Optional[Transaction] = None
     ) -> Generator:
-        yield from self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id, reason=reason))
+        yield self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id, reason=reason))
         self.store.abort(txn_id)
         self.locks.release_all(txn_id)
         replied_at = self.reply_to_client(txn, committed=False, reason=reason)
@@ -313,7 +314,7 @@ class OnePhaseCommitProtocol(Protocol):
                     return None
                 try:
                     # The worker's commit *is* its vote.
-                    yield from self.wal.force(
+                    yield self.wal.force(
                         self.updates_rec(txn_id, self.store.updates_of(txn_id)),
                         self.state_rec(RecordKind.COMMITTED, txn_id, coordinator=coordinator),
                     )

@@ -11,8 +11,9 @@ zero-findings CI gate:
   views in the event-ordering modules (``sim/``, ``net/``, ``locks/``,
   ``core/``) unless wrapped in ``sorted()``.
 * **GEN** — coroutine safety: no blocking host calls inside simulation
-  generator processes, and no process-returning call whose generator
-  is silently dropped instead of being driven with ``yield from``.
+  generator processes, and no call that returns a wait (a WAL force,
+  an inbox receive, a fencing or remote-read generator) whose result
+  is silently dropped instead of being yielded.
 * **FENCE** — protocol discipline: ``read_remote_log(...,
   require_fenced=False)`` stays confined to recovery internals and
   tests (FENCE001); every remote-log read, direct or reached through

@@ -6,9 +6,11 @@ kernel (:mod:`repro.sim.kernel`).  Two classes of bugs defeat them:
 * a *blocking host call* (``time.sleep``, real file/socket IO) inside
   a process stalls the whole single-threaded kernel and couples the
   run to the host environment;
-* a call to a *process-returning function* whose generator is dropped
-  on the floor — the body silently never executes (the classic
-  "forgot ``yield from``" bug).
+* a call that *returns a wait* — a generator to drive or an event to
+  yield — whose result is dropped on the floor: a generator's body
+  silently never executes (the classic "forgot ``yield from``" bug), a
+  WAL force is never waited for, and an inbox getter nobody yields
+  still takes the session's next matching message.
 """
 
 from __future__ import annotations
@@ -43,18 +45,20 @@ BLOCKING_CALLS = frozenset(
     }
 )
 
-#: Known process-returning (generator) functions by dotted-name
-#: suffix.  One-part suffixes match any call spelled ``...name(...)``;
-#: two-part suffixes require the receiver attribute as well, so e.g.
-#: ``obs.fence`` (a plain hook) is not confused with
-#: ``fencing_driver.fence`` (a generator process).
-PROCESS_SUFFIXES: frozenset[tuple[str, ...]] = frozenset(
+#: Calls that return a wait, by dotted-name suffix: the events
+#: ``wal.force`` (the flush) and ``recv`` (the inbox getter), and the
+#: generators ``lock_and_apply``, ``probe_worker_log``,
+#: ``read_remote_log`` and ``fencing_driver.fence``.  One-part
+#: suffixes match any call spelled ``...name(...)``; two-part suffixes
+#: require the receiver attribute as well, so e.g. ``obs.fence`` (a
+#: plain hook) is not confused with ``fencing_driver.fence``.
+WAIT_SUFFIXES: frozenset[tuple[str, ...]] = frozenset(
     {
+        ("wal", "force"),
+        ("recv",),
+        ("lock_and_apply",),
         ("probe_worker_log",),
         ("read_remote_log",),
-        ("lock_all",),
-        ("apply_updates",),
-        ("wal", "force"),
         ("fencing_driver", "fence"),
     }
 )
@@ -96,16 +100,19 @@ class BlockingCallRule(Rule):
 
 
 @register
-class DroppedProcessRule(Rule):
+class DroppedWaitRule(Rule):
     id = "GEN002"
-    summary = "process-returning calls must be driven with `yield from`"
+    summary = "a call that returns a wait must be yielded"
     rationale = (
-        "Calling a generator function only builds the generator; "
-        "without `yield from` (or sim.process(...)) its body — a WAL "
-        "force, a fencing action, a remote log read — never runs."
+        "A WAL force or an inbox receive returns the event to wait on, "
+        "and a fencing action or a remote log read returns a generator; "
+        "unless the caller yields it (`yield`, `yield from` or "
+        "sim.process(...)) nobody waits for the flush, a generator's "
+        "body never runs, and an orphaned getter takes the session's "
+        "next matching message."
     )
-    good_example = "yield from self.wal.force(record)"
-    bad_example = "self.wal.force(record)  # generator built, never driven"
+    good_example = "yield self.wal.force(record)"
+    bad_example = "self.wal.force(record)  # flush event dropped, never waited for"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_src:
@@ -114,31 +121,31 @@ class DroppedProcessRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             dotted = ctx.dotted_name(node.func)
-            if dotted is None or not _is_process_call(dotted):
+            if dotted is None or not _is_wait_call(dotted):
                 continue
             if _is_consumed(ctx, node):
                 continue
             yield ctx.finding(
                 node,
                 self.id,
-                f"result of process-returning call {'.'.join(dotted)}(...) is "
-                "never yielded; drive it with `yield from` or sim.process(...)",
+                f"the wait {'.'.join(dotted)}(...) returns is never yielded; "
+                "yield it (`yield`, `yield from`) or hand it to sim.process(...)",
             )
 
 
-def _is_process_call(dotted: tuple[str, ...]) -> bool:
-    for suffix in PROCESS_SUFFIXES:
+def _is_wait_call(dotted: tuple[str, ...]) -> bool:
+    for suffix in WAIT_SUFFIXES:
         if len(dotted) >= len(suffix) and tuple(dotted[-len(suffix) :]) == suffix:
             return True
     return False
 
 
 def _is_consumed(ctx: FileContext, call: ast.Call) -> bool:
-    """Whether the generator built by ``call`` is actually driven."""
+    """Whether the wait ``call`` returns is actually waited for."""
     parent = ctx.parent(call)
     if isinstance(parent, (ast.YieldFrom, ast.Yield, ast.Await, ast.Return)):
-        # `yield from f(...)` drives it; `return f(...)` hands the
-        # generator to the caller to drive.
+        # `yield` / `yield from f(...)` waits on it; `return f(...)`
+        # hands the wait to the caller.
         return True
     if isinstance(parent, ast.Call) and parent.func is not call:
         callee = ctx.dotted_name(parent.func)

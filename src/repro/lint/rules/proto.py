@@ -68,12 +68,12 @@ class UndeclaredRecordRule(ProjectRule):
     good_example = (
         'log_records=("STARTED", "COMMITTED")\n'
         "...\n"
-        "yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))"
+        "yield self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))"
     )
     bad_example = (
         'log_records=("STARTED", "COMMITTED")\n'
         "...\n"
-        "yield from self.wal.force(self.state_rec(RecordKind.PREPARED, txn_id))"
+        "yield self.wal.force(self.state_rec(RecordKind.PREPARED, txn_id))"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
@@ -154,7 +154,7 @@ class LoglessAppendRule(ProjectRule):
     good_example = "ok = yield from self._replicate(txn_id, 'commit', data, inbox)"
     bad_example = (
         "# in an engine whose spec has CAP_LOGLESS:\n"
-        "yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))"
+        "yield self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:

@@ -66,7 +66,7 @@ class AcceptorNode:
         vote = msg.payload.get("vote", MsgKind.PREPARED)
         leader = msg.payload["leader"]
         if not self._has_ballot(txn_id, instance):
-            yield from self.wal.force(self._ballot_rec(txn_id, instance, vote))
+            yield self.wal.force(self._ballot_rec(txn_id, instance, vote))
         # Acknowledge from durable state — idempotent under retransmits.
         self.endpoint.send_to(
             leader,

@@ -129,13 +129,17 @@ class Client:
         """Generator: metadata read of ``path`` at the directory's MDS.
 
         Returns the STAT_REPLY payload: ``found`` / ``ino`` (or
-        ``error`` on a lock timeout).
+        ``error`` on a lock timeout).  The request carries a request id,
+        as :meth:`submit`'s does, so the late reply to a timed-out stat
+        never answers a later stat of the same path.
         """
         parent, _name = split_path(path)
         target = self.cluster.placement.place(ObjectId.directory(parent))
-        self.endpoint.send_to(target, MsgKind.STAT_REQUEST, path=path)
+        self._req_counter += 1
+        req_id = self._req_counter
+        self.endpoint.send_to(target, MsgKind.STAT_REQUEST, path=path, req_id=req_id)
         get = self.endpoint.receive(
-            lambda m: m.kind == MsgKind.STAT_REPLY and m.payload.get("path") == path
+            lambda m: m.kind == MsgKind.STAT_REPLY and m.payload.get("req_id") == req_id
         )
         if timeout is not None:
             self.cluster.sim.expire(get, timeout)

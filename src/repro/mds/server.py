@@ -180,7 +180,10 @@ class MDSServer:
             submitted_at=txn.submitted_at,
             client=txn.client,
         )
-        self.spawn(self._run_coordinator(engine, txn), name=f"coord:{self.name}:{txn.txn_id}")
+        # Single-MDS operations need no commit protocol at all.  The
+        # engine reports the outcome itself (``Protocol.outcome``).
+        body = engine.coordinate(txn) if plan.is_distributed else engine.run_local(txn)
+        self.spawn(body, name=f"coord:{self.name}:{txn.txn_id}")
 
     def _serve_stat(self, msg: Message) -> Generator:
         """Metadata read: lookup under a shared directory lock.
@@ -190,7 +193,7 @@ class MDSServer:
         in-flight exclusive holder — which is why the lock-hold time of
         the commit protocol matters for read latency too.
         """
-        path = msg.payload["path"]
+        path, req_id = msg.payload["path"], msg.payload.get("req_id")
         parent, name = split_path(path)
         reader = ("stat", msg.msg_id)
         try:
@@ -201,7 +204,9 @@ class MDSServer:
                 timeout=self.params.failure.lock_timeout,
             )
         except LockTimeout:
-            self.endpoint.send_to(msg.src, MsgKind.STAT_REPLY, path=path, error="timeout")
+            self.endpoint.send_to(
+                msg.src, MsgKind.STAT_REPLY, path=path, req_id=req_id, error="timeout"
+            )
             return
         try:
             yield self.sim.timeout(self.params.compute.read_latency)
@@ -209,18 +214,13 @@ class MDSServer:
         finally:
             self.locks.release_all(reader)
         self.endpoint.send_to(
-            msg.src, MsgKind.STAT_REPLY, path=path, found=ino is not None, ino=ino
+            msg.src,
+            MsgKind.STAT_REPLY,
+            path=path,
+            req_id=req_id,
+            found=ino is not None,
+            ino=ino,
         )
-
-    def _run_coordinator(self, engine: Protocol, txn: Transaction) -> Generator:
-        if txn.plan.is_distributed:
-            outcome = yield from engine.coordinate(txn)
-        else:
-            # Single-MDS operations need no commit protocol at all.
-            outcome = yield from engine.run_local(txn)
-        if outcome is not None:
-            self.cluster.record_outcome(outcome)
-        return outcome
 
     # ------------------------------------------------------------------
     # Crash / restart

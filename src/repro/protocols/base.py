@@ -69,6 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.locks.manager import LockManager
     from repro.mds.server import MDSServer
     from repro.obs.hub import Observability
+    from repro.sim.events import Event
     from repro.sim.kernel import Simulator
     from repro.sim.resources import Store
     from repro.storage.wal import WriteAheadLog
@@ -207,6 +208,10 @@ class Protocol:
         self.params: "SimulationParams" = server.params
         self.obs: "Observability" = server.obs
         self.locks: "LockManager" = server.locks
+        #: ``send(dst, kind, txn_id, **payload)``: the endpoint's own
+        #: method, no wrapper frame.  ``Network.attach`` hands a restarted
+        #: node the same endpoint, so the binding outlives crashes.
+        self.send: Callable[..., Message] = server.endpoint.send_to
         #: The state records that have a size of their own.
         self._state_sizes = {
             RecordKind.STARTED: self.params.storage.start_record_size,
@@ -229,7 +234,7 @@ class Protocol:
 
     def state_rec(self, kind: RecordKind, txn_id: int, **payload: Any) -> LogRecord:
         size = self._state_sizes.get(kind, self.params.storage.state_record_size)
-        payload.setdefault("proto", self.name)
+        payload["proto"] = self.name
         return LogRecord(kind=kind, txn_id=txn_id, size=size, payload=payload)
 
     def updates_rec(self, txn_id: int, updates: Iterable[Update]) -> LogRecord:
@@ -279,9 +284,15 @@ class Protocol:
             seen.setdefault(update.target())
         return list(seen)
 
-    def lock_all(self, txn_id: int, objects: Iterable[ObjectId]) -> Generator:
-        """Acquire exclusive locks in deterministic order (2PL growing
-        phase).  Raises :class:`TransactionAborted` on lock timeout."""
+    def lock_and_apply(
+        self, txn_id: int, objects: Iterable[ObjectId], updates: Iterable[Update]
+    ) -> Generator:
+        """The growing phase of 2PL, then the cache updates: exclusive
+        locks on ``objects`` in deterministic order, then ``updates``
+        applied to the volatile cache, charging compute time.
+
+        Raises :class:`TransactionAborted` on a lock timeout or an
+        inconsistent update (e.g. EEXIST / ENOENT)."""
         for obj in objects:
             try:
                 yield from self.locks.acquire(
@@ -289,12 +300,6 @@ class Protocol:
                 )
             except LockTimeout:
                 raise TransactionAborted(f"lock timeout on {obj}")
-
-    def apply_updates(self, txn_id: int, updates: Iterable[Update]) -> Generator:
-        """Apply ``updates`` to the volatile cache, charging compute time.
-
-        Raises :class:`TransactionAborted` when an update is
-        inconsistent (e.g. EEXIST / ENOENT)."""
         for update in updates:
             yield self.sim.timeout(self.params.compute.write_latency)
             try:
@@ -319,8 +324,7 @@ class Protocol:
             if self.server.fail_next_vote and not first.payload.get("decided"):
                 self.server.fail_next_vote = False
                 raise TransactionAborted("injected vote failure")
-            yield from self.lock_all(txn_id, self.lock_targets(updates))
-            yield from self.apply_updates(txn_id, updates)
+            yield from self.lock_and_apply(txn_id, self.lock_targets(updates), updates)
         except TransactionAborted as aborted:
             self.store.abort(txn_id)
             self.locks.release_all(txn_id)
@@ -342,9 +346,6 @@ class Protocol:
             yield from self.reapply(txn_id, descs)
             self.store.commit_durable(txn_id)
 
-    def send(self, dst: str, kind: str, txn_id: int, **payload: Any) -> None:
-        self.server.endpoint.send_to(dst, kind, txn_id=txn_id, **payload)
-
     def ship_updates(self, worker: str, txn_id: int, plan: OpPlan, **flags: Any) -> None:
         """Send ``worker`` its share of ``plan`` in an UPDATE_REQ;
         ``flags`` mark the protocol's variant of the request on the
@@ -364,11 +365,14 @@ class Protocol:
         kinds: Optional[frozenset] = None,
         timeout: Optional[float] = None,
         from_: Optional[str] = None,
-    ) -> Generator:
-        """Generator: next matching message from a session inbox.
+    ) -> "Event":
+        """The getter of the next matching message from a session inbox,
+        its deadline armed: ``msg = yield self.recv(inbox, kinds, t)``.
 
-        Returns ``None`` on timeout (callers decide whether that aborts
-        the transaction or triggers recovery).
+        It yields :data:`~repro.sim.TIMED_OUT` when ``timeout`` passes
+        first (callers decide whether that aborts the transaction or
+        triggers recovery).  A getter nobody yields still takes the
+        session's next matching message.
         """
 
         def match(msg: Message) -> bool:
@@ -381,8 +385,7 @@ class Protocol:
         get = inbox.get(match)
         if timeout is not None:
             self.sim.expire(get, timeout)
-        msg = yield get
-        return None if msg is TIMED_OUT else msg
+        return get
 
     def recv_until(
         self,
@@ -392,13 +395,16 @@ class Protocol:
         at_most: Optional[float] = None,
     ) -> Generator:
         """Next message of ``kinds`` before the absolute time
-        ``deadline``, waiting ``at_most`` seconds in one go; ``None``
-        when that wait times out or the deadline has already passed."""
+        ``deadline``, waiting ``at_most`` seconds in one go;
+        :data:`~repro.sim.TIMED_OUT` when that wait times out, and at
+        once, with no kernel event, when the deadline has passed."""
         remaining = deadline - self.sim.now
         if remaining <= 0:
-            return immediately()
-        return self.recv(
-            inbox, kinds, timeout=remaining if at_most is None else min(at_most, remaining)
+            return TIMED_OUT
+        return (
+            yield self.recv(
+                inbox, kinds, timeout=remaining if at_most is None else min(at_most, remaining)
+            )
         )
 
     def gather(
@@ -413,8 +419,8 @@ class Protocol:
         """
         waiting = set(pending)
         while waiting:
-            msg = yield from self.recv(inbox, kinds, timeout=self.params.failure.reply_timeout)
-            if msg is None:
+            msg = yield self.recv(inbox, kinds, timeout=self.params.failure.reply_timeout)
+            if msg is TIMED_OUT:
                 raise TransactionAborted(f"timeout waiting for {what} from {sorted(waiting)}")
             if msg.kind == MsgKind.NOT_PREPARED or not msg.payload.get("ok", True):
                 raise TransactionAborted(
@@ -452,7 +458,9 @@ class Protocol:
         replied_at: Optional[float],
         reason: str = "",
     ) -> Optional[TxnOutcome]:
-        """Report the finished transaction (nothing without a client)."""
+        """Report the finished transaction to the trace and to the
+        cluster's outcome record, and return it (nothing without a
+        client)."""
         if txn is None or replied_at is None:
             return None
         out = TxnOutcome(
@@ -475,6 +483,7 @@ class Protocol:
             replied_at=replied_at,
             reason=reason,
         )
+        self.server.cluster.record_outcome(out)
         return out
 
     def finalize(self, txn_id: int) -> None:
@@ -496,12 +505,12 @@ class Protocol:
         """
         asked = False
         while True:
-            msg = yield from self.recv(
+            msg = yield self.recv(
                 inbox,
                 _ACK_OR_DUPLICATE,
                 timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
             )
-            if msg is None:
+            if msg is TIMED_OUT:
                 if asked:
                     self.obs.annotate("worker_unfinalized", self.me, txn=txn_id)
                     return
@@ -519,10 +528,10 @@ class Protocol:
         inbox = self.server.open_session(txn_id)
         try:
             self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-            msg = yield from self.recv(
+            msg = yield self.recv(
                 inbox, ACKS, timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR
             )
-            if msg is not None:
+            if msg is not TIMED_OUT:
                 self.finalize(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="ack-requested")
         finally:
@@ -542,11 +551,10 @@ class Protocol:
         """
         txn_id, plan = txn.txn_id, txn.plan
         try:
-            yield from self.lock_all(txn_id, plan.locks(self.me))
-            yield from self.apply_updates(txn_id, plan.updates[self.me])
+            yield from self.lock_and_apply(txn_id, plan.locks(self.me), plan.updates[self.me])
         except TransactionAborted as aborted:
             return self.abort_local(txn, aborted.reason)
-        yield from self.wal.force(
+        yield self.wal.force(
             self.updates_rec(txn_id, self.store.updates_of(txn_id)),
             self.state_rec(RecordKind.COMMITTED, txn_id),
         )

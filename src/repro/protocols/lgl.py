@@ -80,6 +80,7 @@ from repro.protocols.base import (
     register_protocol,
 )
 from repro.protocols.registry import CAP_LOGLESS
+from repro.sim import TIMED_OUT
 
 if TYPE_CHECKING:
     from repro.sim.resources import Store
@@ -134,7 +135,7 @@ class LoglessOnePhaseProtocol(Protocol):
             deadline = self.sim.now + self.params.failure.reply_timeout
             while True:
                 msg = yield from self.recv_until(inbox, _REPLICATION_REPLIES, deadline)
-                if msg is None:
+                if msg is TIMED_OUT:
                     break
                 # (Anything else is a stale ack from an earlier
                 # retransmission.)
@@ -196,19 +197,18 @@ class LoglessOnePhaseProtocol(Protocol):
         the worker's vote — for a client request and for the replay of
         a replicated BEGIN alike.  Raises :class:`TransactionAborted`
         unless the worker's commit is durable at its backup."""
-        yield from self.lock_all(txn_id, plan.locks(self.me))
-        yield from self.apply_updates(txn_id, plan.updates[self.me])
+        yield from self.lock_and_apply(txn_id, plan.locks(self.me), plan.updates[self.me])
         for worker in plan.workers:  # at most one (max_workers)
             self.ship_updates(worker, txn_id, plan, vote=True)
-            msg = yield from self.recv(
-                inbox, UPDATE_REPLIES, timeout=self.params.failure.reply_timeout
-            )
-            if msg is not None and msg.kind == MsgKind.NOT_PREPARED:
+            msg = yield self.recv(inbox, UPDATE_REPLIES, timeout=self.params.failure.reply_timeout)
+            if msg is not TIMED_OUT and msg.kind == MsgKind.NOT_PREPARED:
                 raise TransactionAborted(
                     f"worker {worker} rejected the updates: "
                     f"{msg.payload.get('reason', 'no reason given')}"
                 )
-            if msg is None and not (yield from self._probe_worker_backup(txn_id, worker, inbox)):
+            if msg is TIMED_OUT and not (
+                yield from self._probe_worker_backup(txn_id, worker, inbox)
+            ):
                 raise TransactionAborted(f"worker {worker} crashed before committing")
 
     def _probe_worker_backup(self, txn_id: int, worker: str, inbox: "Store") -> Generator:
@@ -221,10 +221,8 @@ class LoglessOnePhaseProtocol(Protocol):
         target = backup_name(worker)
         for _attempt in range(REPLICATE_RETRIES):
             self.send(target, MsgKind.LGL_QUERY, txn_id, seal=True)
-            msg = yield from self.recv(
-                inbox, _BACKUP_STATE, timeout=self.params.failure.reply_timeout
-            )
-            if msg is not None:
+            msg = yield self.recv(inbox, _BACKUP_STATE, timeout=self.params.failure.reply_timeout)
+            if msg is not TIMED_OUT:
                 return bool(msg.payload.get("has_commit"))
         self.obs.annotate("probe_unreachable", self.me, txn=txn_id, worker=worker)
         return False
@@ -296,8 +294,7 @@ class LoglessOnePhaseProtocol(Protocol):
         inbox = self.server.open_session(txn_id)
         try:
             try:
-                yield from self.lock_all(txn_id, plan.locks(self.me))
-                yield from self.apply_updates(txn_id, plan.updates[self.me])
+                yield from self.lock_and_apply(txn_id, plan.locks(self.me), plan.updates[self.me])
                 descs = [u.describe() for u in self.store.updates_of(txn_id)]
                 ok = yield from self._replicate(
                     txn_id, "commit", {"updates": descs, "local": True}, inbox
@@ -324,10 +321,10 @@ class LoglessOnePhaseProtocol(Protocol):
         try:
             for _attempt in range(REPLICATE_RETRIES):
                 self.send(self.backup, MsgKind.LGL_FETCH, _RECOVERY_SESSION)
-                msg = yield from self.recv(
+                msg = yield self.recv(
                     inbox, _BACKUP_SNAPSHOT, timeout=self.params.failure.reply_timeout
                 )
-                if msg is not None:
+                if msg is not TIMED_OUT:
                     entries = msg.payload["entries"]
                     break
         finally:

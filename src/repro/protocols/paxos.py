@@ -51,6 +51,7 @@ from repro.protocols.base import (
 )
 from repro.protocols.prn import PresumeNothingProtocol
 from repro.protocols.registry import CAP_NEEDS_ACCEPTORS
+from repro.sim import TIMED_OUT
 from repro.storage.records import LogRecord, RecordKind
 
 if TYPE_CHECKING:
@@ -134,10 +135,8 @@ class PaxosCommitProtocol(PresumeNothingProtocol):
         quorum = self._quorum()
         accepted: dict[str, set[str]] = {i: set() for i in {*workers, self.me}}
         while any(len(got) < quorum for got in accepted.values()):
-            msg = yield from self.recv(
-                inbox, _ACCEPTANCES, timeout=self.params.failure.reply_timeout
-            )
-            if msg is None:
+            msg = yield self.recv(inbox, _ACCEPTANCES, timeout=self.params.failure.reply_timeout)
+            if msg is TIMED_OUT:
                 missing = sorted(i for i, got in accepted.items() if len(got) < quorum)
                 raise TransactionAborted(f"no acceptor quorum for instances {missing}")
             if msg.kind == MsgKind.NOT_PREPARED:

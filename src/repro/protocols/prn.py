@@ -43,6 +43,7 @@ from repro.protocols.base import (
     TransactionAborted,
     register_protocol,
 )
+from repro.sim import TIMED_OUT
 from repro.storage.records import LogRecord, RecordKind
 from repro.storage.wal import LogLostError
 
@@ -86,15 +87,14 @@ class PresumeNothingProtocol(Protocol):
         txn_id, plan = txn.txn_id, txn.plan
         inbox = self.server.open_session(txn_id)
         try:
-            yield from self.wal.force(
+            yield self.wal.force(
                 self.state_rec(RecordKind.STARTED, txn_id, op=plan.op, workers=list(txn.workers))
             )
             try:
                 # Growing phase of 2PL, then the local cache updates.
-                yield from self.lock_all(txn_id, plan.locks(self.me))
-                yield from self.apply_updates(txn_id, plan.updates[self.me])
+                yield from self.lock_and_apply(txn_id, plan.locks(self.me), plan.updates[self.me])
                 yield from self._collect_votes(txn, inbox)
-                yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
+                yield self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
                 self.store.commit_durable(txn_id)
                 self.locks.release_all(txn_id)
                 replied_at = yield from self._finish_commit(txn.workers, txn_id, inbox, txn)
@@ -129,7 +129,7 @@ class PresumeNothingProtocol(Protocol):
 
     def _own_prepare(self, txn_id: int) -> Generator:
         """The coordinator's own prepare: force its updates + PREPARED."""
-        yield from self.wal.force(
+        yield self.wal.force(
             self.updates_rec(txn_id, self.store.updates_of(txn_id)),
             self.state_rec(RecordKind.PREPARED, txn_id),
         )
@@ -179,10 +179,8 @@ class PresumeNothingProtocol(Protocol):
         pending = set(workers)
         for _attempt in range(ACK_RETRIES):
             while pending:
-                msg = yield from self.recv(
-                    inbox, ACKS, timeout=self.params.failure.reply_timeout
-                )
-                if msg is None:
+                msg = yield self.recv(inbox, ACKS, timeout=self.params.failure.reply_timeout)
+                if msg is TIMED_OUT:
                     break
                 pending.discard(msg.src)
             if not pending:
@@ -201,7 +199,7 @@ class PresumeNothingProtocol(Protocol):
         absence of coordinator log state already answers later
         decision queries with ABORT.
         """
-        yield from self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id, **payload))
+        yield self.wal.force(self.state_rec(RecordKind.ABORTED, txn_id, **payload))
 
     def _abort(self, txn: Transaction, inbox: "Store", reason: str) -> Generator:
         """Abort path: force ABORTED, tell the workers, release, reply."""
@@ -252,12 +250,12 @@ class PresumeNothingProtocol(Protocol):
                 return None
             if not (yield from self._await_prepare(txn_id, coordinator, inbox)):
                 return None
-            yield from self._worker_prepare(txn_id, coordinator)
+            yield self._worker_prepare(txn_id, coordinator)
             self._announce_vote(txn_id, coordinator)
 
             # Decision.
             msg = yield from self._await_decision(txn_id, coordinator, inbox)
-            if msg is None:
+            if msg is TIMED_OUT:
                 self.obs.annotate("worker_blocked", self.me, txn=txn_id)
                 return None
             if msg.kind == MsgKind.ABORT:
@@ -280,22 +278,22 @@ class PresumeNothingProtocol(Protocol):
         phase; ``False`` when the coordinator aborted or went silent
         instead, and the worker has rolled back."""
         self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-        msg = yield from self.recv(
+        msg = yield self.recv(
             inbox,
             _PREPARE_OR_ABORT,
             timeout=self.params.failure.reply_timeout * (ACK_RETRIES + 1),
         )
-        if msg is None or msg.kind == MsgKind.ABORT:
-            yield from self._worker_abort(txn_id, coordinator, ack=msg is not None)
+        if msg is TIMED_OUT or msg.kind == MsgKind.ABORT:
+            yield from self._worker_abort(txn_id, coordinator, ack=msg is not TIMED_OUT)
             return False
         return True
 
     def _await_decision(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
         """Wait for COMMIT/ABORT; when it doesn't come, keep asking."""
-        msg = yield from self.recv(
+        msg = yield self.recv(
             inbox, DECISIONS, timeout=self.params.failure.reply_timeout * (ACK_RETRIES + 1)
         )
-        if msg is None:
+        if msg is TIMED_OUT:
             msg = yield from self._query_decision(txn_id, coordinator, inbox)
         return msg
 
@@ -305,17 +303,19 @@ class PresumeNothingProtocol(Protocol):
         A prepared 2PC worker is *blocked*: it cannot decide
         unilaterally and must query the coordinator until it learns the
         outcome — across partitions and coordinator reboots.
+        :data:`~repro.sim.TIMED_OUT` when it never does.
         """
         interval = self.params.failure.reply_timeout * (ACK_RETRIES + 1)
         for _attempt in range(DECISION_RETRIES):
             self.send(coordinator, MsgKind.DECISION_REQ, txn_id)
-            msg = yield from self.recv(inbox, DECISIONS, timeout=interval)
-            if msg is not None:
+            msg = yield self.recv(inbox, DECISIONS, timeout=interval)
+            if msg is not TIMED_OUT:
                 return msg
-        return None
+        return TIMED_OUT
 
-    def _worker_prepare(self, txn_id: int, coordinator: str) -> Generator:
-        yield from self.wal.force(
+    def _worker_prepare(self, txn_id: int, coordinator: str) -> "Event":
+        """Force the worker's updates + PREPARED; the flush event."""
+        return self.wal.force(
             self.updates_rec(txn_id, self.store.updates_of(txn_id)),
             self.state_rec(RecordKind.PREPARED, txn_id, coordinator=coordinator),
         )
@@ -331,7 +331,7 @@ class PresumeNothingProtocol(Protocol):
     def _worker_commit(self, txn_id: int) -> Generator:
         """Write the worker's COMMITTED record, apply and release."""
         if self.worker_commit_is_forced:
-            yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
+            yield self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
             self.store.commit_durable(txn_id)
         else:
             # Lazy commit record (PrC/EP): visible in the cache now,
@@ -397,7 +397,7 @@ class PresumeNothingProtocol(Protocol):
                     yield from self._abort_workers(workers, txn_id, inbox)
                     self.obs.annotate("recovery", self.me, txn=txn_id, action="abort-after-vote")
                     return
-                yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
+                yield self.wal.force(self.state_rec(RecordKind.COMMITTED, txn_id))
                 self.store.commit_durable(txn_id)
                 yield from self._finish_commit(workers, txn_id, inbox)
                 self.obs.annotate("recovery", self.me, txn=txn_id, action="resume-commit")
@@ -428,7 +428,7 @@ class PresumeNothingProtocol(Protocol):
                     self.obs.annotate("recovery", self.me, txn=txn_id, action="no-coordinator")
                     return
                 msg = yield from self._query_decision(txn_id, coordinator, inbox)
-                if msg is None:
+                if msg is TIMED_OUT:
                     self.obs.annotate("recovery", self.me, txn=txn_id, action="still-blocked")
                     return
                 if msg.kind == MsgKind.COMMIT:

@@ -26,7 +26,7 @@ pulls in (an attribute read per event); the unbounded loop checks nothing.
 *A process is for protocol logic that waits; a device or queue that
 only serves is a callback server* built from :meth:`Simulator.after`
 (network delivery, ``Endpoint.serve``, disk channels, the WAL pump),
-and :meth:`Simulator.expire` is the one deadline built on it: a timed
+and :meth:`Simulator.expire` is the one deadline, one such timer: a timed
 wait is the awaited event plus one timer entry, not an
 ``AnyOf(event, Timeout)`` pair with a withdrawal at every call site.
 
@@ -122,8 +122,12 @@ class Simulator:
         deadline is a no-op.  A timed-out event *is* triggered, so the
         queue that handed it out (``Store`` getter, lock waiter) sees it
         as withdrawn — even if the waiter was killed in the meantime.
+        The deadline is the timer :meth:`after` would push, pushed here.
         """
-        self.after(delay, _expire, event)
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        self._sequence += 1
+        heappush(self._heap, (self.now + delay, 1, self._sequence, _expire, event))
         return event
 
     # -- factories -----------------------------------------------------------

@@ -98,23 +98,21 @@ class WriteAheadLog:
 
     # -- write path ----------------------------------------------------------
 
-    def _check_fence(self) -> None:
+    def force(self, *records: LogRecord) -> Event:
+        """Durably append ``records``: returns the flush event, which the
+        caller yields (``yield wal.force(rec)``) to resume once durable.
+
+        Earlier buffered lazy records are flushed first (log order).  The
+        event fails with :class:`LogLostError` when a crash loses the job
+        and with :class:`FencedError` when the log is fenced before the
+        write reaches the device; a log fenced already refuses here.
+        """
         if self.owner in self._fenced:
             raise FencedError(f"{self.owner} is fenced; write rejected")
-
-    def force(self, *records: LogRecord) -> Generator:
-        """Generator: durably append ``records``; resumes when durable.
-
-        Earlier buffered lazy records are flushed first (log order).
-        """
-        self._check_fence()
         if not records:
             raise ValueError("force() requires at least one record")
         self.forced_appends += 1
-        job = self._enqueue(list(records), sync=True)
-        yield job.done
-        # A crash between enqueue and flush fails the job.
-        return None
+        return self._enqueue(list(records), sync=True).done
 
     def append_lazy(self, *records: LogRecord) -> Event:
         """Buffer ``records``; flushed in the background.
@@ -122,7 +120,8 @@ class WriteAheadLog:
         Returns the flush-completion event (callers normally ignore it;
         tests and the checkpointer use it).
         """
-        self._check_fence()
+        if self.owner in self._fenced:
+            raise FencedError(f"{self.owner} is fenced; write rejected")
         if not records:
             raise ValueError("append_lazy() requires at least one record")
         self.lazy_appends += 1

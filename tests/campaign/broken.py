@@ -51,7 +51,7 @@ class EarlyVoteOnePhaseCommit(OnePhaseCommitProtocol):
             # at a worker with no durable commit record to recover from.
             self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
             try:
-                yield from self.wal.force(
+                yield self.wal.force(
                     self.updates_rec(txn_id, self.store.updates_of(txn_id)),
                     self.state_rec(RecordKind.COMMITTED, txn_id, coordinator=coordinator),
                 )

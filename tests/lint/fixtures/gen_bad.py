@@ -1,5 +1,5 @@
 # repro: path src/repro/core/gen_fixture.py
-"""GEN fixture: blocking calls and dropped generators in processes."""
+"""GEN fixture: blocking calls and dropped waits in processes."""
 
 import time
 
@@ -20,3 +20,10 @@ def forgetful_coordinator(cluster, sim):
     probe_worker_log(cluster, "mds1", "mds2", 7)  # GEN002: never yielded
     result = yield from probe_worker_log(cluster, "mds1", "mds2", 8)
     return result
+
+
+class ForgetfulEngine:
+    def worker_step(self, inbox, record):
+        self.recv(inbox, timeout=0.5)  # GEN002: the getter steals the next message
+        self.wal.force(record)  # GEN002: the flush is never waited for
+        yield self.sim.timeout(0.5)

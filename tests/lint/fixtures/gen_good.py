@@ -21,3 +21,14 @@ def diligent_coordinator(cluster, sim):
 def delegating_helper(cluster):
     # Returning the generator hands it to the caller to drive.
     return probe_worker_log(cluster, "mds1", "mds2", 9)
+
+
+class PatientEngine:
+    def worker_step(self, inbox, record):
+        msg = yield self.recv(inbox, timeout=0.5)  # the getter is waited on
+        yield self.wal.force(record)  # so is the flush
+        return msg
+
+    def prepare(self, record):
+        # Returning the flush event hands it to the caller to yield.
+        return self.wal.force(record)

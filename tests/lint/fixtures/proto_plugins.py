@@ -19,7 +19,7 @@ class ChattyCommitProtocol(OnePhaseCommitProtocol):
 
     def coordinate(self, txn):
         # PROTO001: PREPARED is outside the registered vocabulary.
-        yield from self.wal.force(self.state_rec(RecordKind.PREPARED, txn.txn_id))
+        yield self.wal.force(self.state_rec(RecordKind.PREPARED, txn.txn_id))
         yield from super().coordinate(txn)
 
 
@@ -48,5 +48,5 @@ class NoisyLoglessProtocol(LoglessOnePhaseProtocol):
     name = "XNOISY"
 
     def run_local(self, txn):
-        yield from self.wal.force(self.state_rec(RecordKind.COMMITTED, txn.txn_id))
+        yield self.wal.force(self.state_rec(RecordKind.COMMITTED, txn.txn_id))
         yield from super().run_local(txn)

@@ -75,6 +75,17 @@ def test_det003_respects_sorted_wrapping_and_dicts():
     assert good == []
 
 
+def test_gen002_flags_every_dropped_wait_once():
+    # A dropped generator, a dropped inbox getter and a dropped flush.
+    findings = run_lint([FIXTURES / "gen_bad.py"], rules=select_rules(["GEN002"])).findings
+    assert [f.message.split("(")[0] for f in findings] == [
+        "the wait probe_worker_log",
+        "the wait self.recv",
+        "the wait self.wal.force",
+    ]
+    assert all("is never yielded" in f.message for f in findings)
+
+
 def test_fence_rules_do_not_fire_in_tests_or_recovery(tmp_path):
     # The same source as fence_bad.py, but virtually located in tests/
     # and in core/recovery.py: the escape hatch is sanctioned there.

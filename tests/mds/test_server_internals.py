@@ -76,6 +76,9 @@ def test_engines_follow_the_lock_table_across_crash_and_restart(protocol):
     assert all(engine.locks is server.locks for engine in engines)
     server.restart()
     assert all(engine.locks is server.locks for engine in engines)
+    # ``send`` is bound once to the endpoint, which a restart reuses.
+    assert cluster.network.endpoint("mds1") is server.endpoint
+    assert all(engine.send.__self__ is server.endpoint for engine in engines)
     drain(cluster)  # reboot-time recovery
 
     # A transaction coordinated now takes its locks in the new table.
@@ -220,3 +223,68 @@ def test_heartbeats_are_not_charged_dispatch_cost():
     assert cluster.outcomes == [] or True
     latency = done.value
     assert latency["committed"] is True
+
+
+def _outcomes_per_txn(cluster):
+    txns = [o.txn_id for o in cluster.outcomes]
+    assert len(txns) == len(set(txns)), f"an outcome recorded twice: {txns}"
+    return txns
+
+
+def test_a_distributed_op_records_one_outcome():
+    cluster, client = make_cluster("1PC")
+    run_create(cluster, client)
+    drain(cluster)
+    assert len(_outcomes_per_txn(cluster)) == 1
+    assert cluster.outcomes[0].committed
+
+
+def test_a_local_op_records_one_outcome():
+    from repro.fs.placement import ForcedDistributedPlacement
+    from repro.mds.cluster import Cluster
+
+    cluster = Cluster(
+        protocol="1PC",
+        server_names=["mds1", "mds2"],
+        placement=ForcedDistributedPlacement("mds1", "mds1"),
+    )
+    cluster.mkdir("/dir1")
+    client = cluster.new_client()
+    assert not client.plan_create("/dir1/f0").is_distributed
+    assert run_create(cluster, client)["committed"]
+    drain(cluster)
+    assert len(_outcomes_per_txn(cluster)) == 1
+
+
+def test_a_fallback_op_records_one_outcome():
+    """A wide RENAME under 1PC runs on the PrN fallback engine."""
+    from tests.protocols.test_multiworker import four_mds_cluster, seed_file
+
+    cluster, client = four_mds_cluster("1PC")
+    seed_file(cluster, client)
+    done = cluster.sim.process(client.rename("/src/x", "/dst/y"), name="rename")
+    cluster.sim.run(until=done)
+    assert done.value["committed"]
+    drain(cluster)
+    assert cluster.trace.count("fallback_protocol") == 1
+    assert len(_outcomes_per_txn(cluster)) == 2  # the seed create and the rename
+
+
+def test_the_1pc_redo_replay_records_no_outcome():
+    """The coordinator crashed with the create's STARTED+REDO durable:
+    the replay commits it, but no client is waiting for an answer."""
+    cluster, client = make_cluster("1PC")
+    client.submit(client.plan_create("/dir1/f0"))
+    while not cluster.trace.select(
+        "log_durable", actor="mds1", predicate=lambda r: r.get("kind") == "REDO"
+    ):
+        cluster.sim.step()
+    cluster.crash_server("mds1")
+    cluster.restart_server("mds1")
+    drain(cluster, budget=400.0)
+    assert [r.get("action") for r in cluster.trace.select("recovery", actor="mds1")] == [
+        "redo",
+        "redo-committed",
+    ]
+    assert cluster.lookup("/dir1/f0") is not None
+    assert cluster.outcomes == []

@@ -114,3 +114,44 @@ def test_stat_timeout_raises():
     p = cluster.sim.process(reader(cluster.sim))
     cluster.sim.run(until=p)
     assert p.value == "timeout"
+
+
+def test_stat_after_a_timed_out_stat_waits_for_its_own_reply():
+    """A timed-out stat's late reply stays in the client's mailbox; the
+    next stat of the same path must not take it for its own answer."""
+    from repro.fs.objects import ObjectId
+    from repro.locks import LockMode
+    from repro.mds.client import ClientTimeout
+
+    cluster, client = make_cluster("1PC")
+    locks = cluster.servers["mds1"].locks
+
+    def holder(sim):
+        yield from locks.acquire("holder", ObjectId.directory("/dir1"), LockMode.EXCLUSIVE)
+        yield sim.timeout(0.05)
+        locks.release_all("holder")
+
+    def first_reader(sim):
+        try:
+            yield from client.stat("/dir1/f0", timeout=0.01)
+        except ClientTimeout:
+            return "timeout"
+
+    cluster.sim.process(holder(cluster.sim))
+    p = cluster.sim.process(first_reader(cluster.sim))
+    cluster.sim.run(until=p)
+    assert p.value == "timeout"
+    drain(cluster, budget=1.0)  # the late reply ({"found": False}) arrives
+    assert run_create(cluster, client)["committed"]
+    assert cluster.lookup("/dir1/f0") is not None
+
+    def second_reader(sim):
+        started = sim.now
+        result = yield from client.stat("/dir1/f0")
+        return result, sim.now - started
+
+    p = cluster.sim.process(second_reader(cluster.sim))
+    cluster.sim.run(until=p)
+    result, waited = p.value
+    assert result["found"] is True and result["ino"] == cluster.lookup("/dir1/f0")
+    assert waited > 0

@@ -20,6 +20,7 @@ import pytest
 
 import repro
 from repro.protocols.registry import get_spec, specs
+from repro.sim import TIMED_OUT
 
 SRC = Path(repro.__file__).resolve().parent
 ENGINE_FILES = [
@@ -111,7 +112,50 @@ def test_skeleton_recv_until_respects_the_absolute_deadline():
 
     cluster.sim.process(waiter(), name="waiter")
     cluster.sim.run(until=5.0)
-    assert seen == [(None, 0.4), (None, 0.8), (None, 1.0), (None, 1.0)]
+    assert seen == [(TIMED_OUT, 0.4), (TIMED_OUT, 0.8), (TIMED_OUT, 1.0), (TIMED_OUT, 1.0)]
+
+
+def test_skeleton_recv_hands_back_the_getter_with_its_deadline_armed():
+    """``recv`` is no generator: it returns the inbox getter, and on an
+    empty inbox the yielded getter comes back ``TIMED_OUT`` at exactly
+    ``now + timeout``."""
+    from repro.mds.scenarios import distributed_create_cluster
+    from repro.protocols.base import ACKS
+    from repro.sim import Event
+
+    cluster, _client = distributed_create_cluster("1PC")
+    engine = cluster.servers["mds1"].protocol
+    inbox = cluster.servers["mds1"].open_session(99)
+    seen = []
+
+    def waiter():
+        start = engine.sim.now
+        get = engine.recv(inbox, ACKS, timeout=0.25)
+        assert isinstance(get, Event)
+        msg = yield get
+        seen.append((msg, engine.sim.now == start + 0.25))
+
+    cluster.sim.process(waiter(), name="waiter")
+    cluster.sim.run(until=5.0)
+    assert seen == [(TIMED_OUT, True)]
+
+
+def test_skeleton_recv_until_past_its_deadline_costs_no_kernel_event():
+    from repro.mds.scenarios import distributed_create_cluster
+    from repro.protocols.base import ACKS
+
+    cluster, _client = distributed_create_cluster("1PC")
+    sim = cluster.sim
+    engine = cluster.servers["mds1"].protocol
+    inbox = cluster.servers["mds1"].open_session(99)
+    sim.run(until=1.0)
+    before = (sim.events_processed, len(sim._heap))
+    for deadline in (sim.now, sim.now - 0.5):
+        with pytest.raises(StopIteration) as done:
+            next(engine.recv_until(inbox, ACKS, deadline))
+        assert done.value.value is TIMED_OUT
+    sim.run(until=2.0)
+    assert (sim.events_processed, len(sim._heap)) == before
 
 
 def test_skeleton_has_no_client_to_answer_on_recovery_paths():

@@ -45,6 +45,8 @@ def test_negative_delay_message_single_source():
         sim.event().fail(RuntimeError("x"), delay=-2)
     with pytest.raises(ValueError, match=r"negative delay -3\.5"):
         sim.after(-3.5, print)
+    with pytest.raises(ValueError, match=r"negative delay -0\.25"):
+        sim.expire(sim.event(), -0.25)
     # Nothing that was refused reached the schedule.
     assert sim.peek() == float("inf") and sim._sequence == 0
 

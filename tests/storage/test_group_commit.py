@@ -26,7 +26,7 @@ def force_n_concurrently(sim, wal, n):
     done_times = []
 
     def writer(sim, i):
-        yield from wal.force(rec(i))
+        yield wal.force(rec(i))
         done_times.append(sim.now)
 
     for i in range(1, n + 1):
@@ -85,7 +85,7 @@ def test_group_commit_crash_loses_whole_batch():
 
     def writer(sim, i):
         try:
-            yield from wal.force(rec(i))
+            yield wal.force(rec(i))
             outcomes.append(("ok", i))
         except Exception:
             outcomes.append(("lost", i))

@@ -39,7 +39,7 @@ def test_shared_device_serializes_all_logs():
     done = []
 
     def writer(sim, log, tag):
-        yield from log.force(rec(RecordKind.STARTED, size=100.0))
+        yield log.force(rec(RecordKind.STARTED, size=100.0))
         done.append((tag, sim.now))
 
     sim.process(writer(sim, log1, "a"))
@@ -57,7 +57,7 @@ def test_separate_devices_run_in_parallel():
     done = []
 
     def writer(sim, log, tag):
-        yield from log.force(rec(RecordKind.STARTED, size=100.0))
+        yield log.force(rec(RecordKind.STARTED, size=100.0))
         done.append((tag, sim.now))
 
     sim.process(writer(sim, log1, "a"))
@@ -95,7 +95,7 @@ def test_remote_read_after_fencing_returns_records():
     storage.provision("mds1")
 
     def setup(sim):
-        yield from log2.force(rec(RecordKind.COMMITTED, txn=5))
+        yield log2.force(rec(RecordKind.COMMITTED, txn=5))
 
     sim.process(setup(sim))
     sim.run()
@@ -136,7 +136,7 @@ def test_split_brain_hazard_demonstrable_without_fencing():
         return len(records)
 
     def concurrent_writer(sim):
-        yield from log2.force(rec(RecordKind.COMMITTED))
+        yield log2.force(rec(RecordKind.COMMITTED))
 
     r = sim.process(unsafe_reader(sim))
     sim.process(concurrent_writer(sim))
@@ -207,7 +207,7 @@ def test_fenced_node_cannot_write_shared_partition():
     storage.fencing.fence("mds2")
 
     def writer(sim):
-        yield from log.force(rec(RecordKind.COMMITTED))
+        yield log.force(rec(RecordKind.COMMITTED))
 
     sim.process(writer(sim))
     with pytest.raises(FencedError):
@@ -220,7 +220,7 @@ def test_crash_and_restart_node_log_via_storage():
     log = storage.provision("mds1")
 
     def phase1(sim):
-        yield from log.force(rec(RecordKind.STARTED))
+        yield log.force(rec(RecordKind.STARTED))
 
     sim.process(phase1(sim))
     sim.run()
@@ -228,7 +228,7 @@ def test_crash_and_restart_node_log_via_storage():
     storage.restart_node_log("mds1")
 
     def phase2(sim):
-        yield from log.force(rec(RecordKind.COMMITTED))
+        yield log.force(rec(RecordKind.COMMITTED))
 
     sim.process(phase2(sim))
     sim.run()

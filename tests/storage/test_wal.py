@@ -27,7 +27,7 @@ def test_force_blocks_until_durable():
     done = []
 
     def proc(sim):
-        yield from wal.force(rec(RecordKind.STARTED, size=500.0))
+        yield wal.force(rec(RecordKind.STARTED, size=500.0))
         done.append(sim.now)
 
     sim.process(proc(sim))
@@ -40,7 +40,7 @@ def test_force_requires_records():
     sim, wal, _ = make_wal()
 
     def proc(sim):
-        yield from wal.force()
+        yield wal.force()
 
     sim.process(proc(sim))
     with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ def test_force_flushes_earlier_lazy_records_first():
 
     def proc(sim):
         wal.append_lazy(rec(RecordKind.ENDED, txn=1, size=100.0))
-        yield from wal.force(rec(RecordKind.STARTED, txn=2, size=100.0))
+        yield wal.force(rec(RecordKind.STARTED, txn=2, size=100.0))
         done.append(sim.now)
 
     sim.process(proc(sim))
@@ -98,7 +98,7 @@ def test_multi_record_force_single_disk_write():
     sim, wal, _ = make_wal(bandwidth=100.0)
 
     def proc(sim):
-        yield from wal.force(
+        yield wal.force(
             rec(RecordKind.UPDATES, size=100.0), rec(RecordKind.COMMITTED, size=100.0)
         )
 
@@ -113,7 +113,7 @@ def test_crash_loses_buffered_records():
     sim, wal, _ = make_wal(bandwidth=100.0)
 
     def proc(sim):
-        yield from wal.force(rec(RecordKind.STARTED, size=100.0))
+        yield wal.force(rec(RecordKind.STARTED, size=100.0))
         ev = wal.append_lazy(rec(RecordKind.COMMITTED, size=100.0))
         # Crash before the lazy flush completes.
         wal.crash()
@@ -133,7 +133,7 @@ def test_crash_loses_in_flight_force():
 
     def writer(sim):
         try:
-            yield from wal.force(rec(RecordKind.COMMITTED, size=100.0))
+            yield wal.force(rec(RecordKind.COMMITTED, size=100.0))
             outcomes.append("durable")
         except LogLostError:
             outcomes.append("lost")
@@ -150,7 +150,7 @@ def test_restart_after_crash_allows_new_writes():
     sim, wal, _ = make_wal(bandwidth=1000.0)
 
     def phase1(sim):
-        yield from wal.force(rec(RecordKind.STARTED, size=100.0))
+        yield wal.force(rec(RecordKind.STARTED, size=100.0))
         wal.crash()
 
     sim.process(phase1(sim))
@@ -158,7 +158,7 @@ def test_restart_after_crash_allows_new_writes():
     wal.restart()
 
     def phase2(sim):
-        yield from wal.force(rec(RecordKind.COMMITTED, size=100.0))
+        yield wal.force(rec(RecordKind.COMMITTED, size=100.0))
 
     sim.process(phase2(sim))
     sim.run()
@@ -170,10 +170,10 @@ def test_records_for_and_last_state():
     sim, wal, _ = make_wal(bandwidth=1e9)
 
     def proc(sim):
-        yield from wal.force(rec(RecordKind.STARTED, txn=1))
-        yield from wal.force(rec(RecordKind.UPDATES, txn=1))
-        yield from wal.force(rec(RecordKind.COMMITTED, txn=1))
-        yield from wal.force(rec(RecordKind.STARTED, txn=2))
+        yield wal.force(rec(RecordKind.STARTED, txn=1))
+        yield wal.force(rec(RecordKind.UPDATES, txn=1))
+        yield wal.force(rec(RecordKind.COMMITTED, txn=1))
+        yield wal.force(rec(RecordKind.STARTED, txn=2))
 
     sim.process(proc(sim))
     sim.run()
@@ -185,7 +185,7 @@ def test_records_for_and_last_state():
     sim2, wal2, _ = make_wal(bandwidth=1e9)
 
     def proc2(sim):
-        yield from wal2.force(rec(RecordKind.UPDATES, txn=1))
+        yield wal2.force(rec(RecordKind.UPDATES, txn=1))
 
     sim2.process(proc2(sim2))
     sim2.run()
@@ -196,9 +196,9 @@ def test_open_transactions_excludes_ended():
     sim, wal, _ = make_wal(bandwidth=1e9)
 
     def proc(sim):
-        yield from wal.force(rec(RecordKind.STARTED, txn=1))
-        yield from wal.force(rec(RecordKind.STARTED, txn=2))
-        yield from wal.force(rec(RecordKind.ENDED, txn=1))
+        yield wal.force(rec(RecordKind.STARTED, txn=1))
+        yield wal.force(rec(RecordKind.STARTED, txn=2))
+        yield wal.force(rec(RecordKind.ENDED, txn=1))
 
     sim.process(proc(sim))
     sim.run()
@@ -209,9 +209,9 @@ def test_checkpoint_garbage_collects_txn():
     sim, wal, _ = make_wal(bandwidth=1e9)
 
     def proc(sim):
-        yield from wal.force(rec(RecordKind.STARTED, txn=1, size=100.0))
-        yield from wal.force(rec(RecordKind.COMMITTED, txn=1, size=100.0))
-        yield from wal.force(rec(RecordKind.STARTED, txn=2, size=100.0))
+        yield wal.force(rec(RecordKind.STARTED, txn=1, size=100.0))
+        yield wal.force(rec(RecordKind.COMMITTED, txn=1, size=100.0))
+        yield wal.force(rec(RecordKind.STARTED, txn=2, size=100.0))
 
     sim.process(proc(sim))
     sim.run()
@@ -226,7 +226,7 @@ def test_read_takes_device_time():
     sim, wal, _ = make_wal(bandwidth=100.0)
 
     def proc(sim):
-        yield from wal.force(rec(RecordKind.STARTED, size=100.0))
+        yield wal.force(rec(RecordKind.STARTED, size=100.0))
         start = sim.now
         records = yield from wal.read(actor="mds2")
         return (sim.now - start, records)
@@ -242,7 +242,7 @@ def test_trace_distinguishes_sync_async():
     sim, wal, trace = make_wal(bandwidth=1e9)
 
     def proc(sim):
-        yield from wal.force(rec(RecordKind.STARTED))
+        yield wal.force(rec(RecordKind.STARTED))
         wal.append_lazy(rec(RecordKind.ENDED))
         yield sim.timeout(1.0)
 
@@ -266,10 +266,64 @@ def test_fenced_wal_rejects_writes():
     from repro.storage import FencedError
 
     def proc(sim):
-        yield from wal.force(rec(RecordKind.COMMITTED))
+        yield wal.force(rec(RecordKind.COMMITTED))
 
     sim.process(proc(sim))
     with pytest.raises(FencedError):
         sim.run()
     with pytest.raises(FencedError):
         wal.append_lazy(rec(RecordKind.ENDED))
+
+
+def test_force_returns_the_flush_event_and_refuses_at_the_call():
+    from repro.sim import Event
+    from repro.storage import FencedError, FencingController
+
+    sim = Simulator()
+    fencing = FencingController()
+    wal = WriteAheadLog(sim, Disk(sim, StorageParams(bandwidth=1e9)), owner="mds1", fencing=fencing)
+    flush = wal.force(rec(RecordKind.STARTED))
+    assert isinstance(flush, Event) and not flush.triggered
+    sim.run()
+    assert flush.ok and wal.has(RecordKind.STARTED, 1)
+    with pytest.raises(ValueError):
+        wal.force()
+    fencing.fence("mds1")
+    with pytest.raises(FencedError):
+        wal.force(rec(RecordKind.COMMITTED))
+    assert wal.forced_appends == 1
+
+
+def test_force_event_fails_with_log_lost_on_a_crash():
+    sim, wal, _ = make_wal(bandwidth=100.0)
+    flush = wal.force(rec(RecordKind.COMMITTED, size=100.0))  # a 1 s write
+    sim.run(until=0.5)
+    wal.crash()
+    sim.run()
+    assert not flush.ok and isinstance(flush.value, LogLostError)
+    assert not wal.has(RecordKind.COMMITTED, 1)
+
+
+def test_force_event_fails_with_fenced_when_fenced_mid_stream():
+    """Fenced after the append but before the pump puts the batch on the
+    device: the write never happens and the waiter hears why."""
+    from repro.storage import FencedError, FencingController
+
+    sim = Simulator()
+    fencing = FencingController()
+    wal = WriteAheadLog(sim, Disk(sim, StorageParams(bandwidth=1e9)), owner="mds1", fencing=fencing)
+    seen = []
+
+    def proc(sim):
+        try:
+            yield wal.force(rec(RecordKind.COMMITTED))
+        except FencedError as exc:
+            seen.append(exc)
+
+    sim.process(proc(sim))
+    sim.step()  # the kick-start: the job is queued, the pump one hop away
+    assert wal.forced_appends == 1 and not seen
+    fencing.fence("mds1")
+    sim.run()
+    assert len(seen) == 1
+    assert not wal.has(RecordKind.COMMITTED, 1)

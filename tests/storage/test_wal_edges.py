@@ -36,8 +36,8 @@ def test_size_bytes_tracks_durable_content():
     sim, wal = make_wal(bandwidth=1e9)
 
     def writer(sim):
-        yield from wal.force(LogRecord(RecordKind.STARTED, txn_id=1, size=128.0))
-        yield from wal.force(LogRecord(RecordKind.COMMITTED, txn_id=1, size=256.0))
+        yield wal.force(LogRecord(RecordKind.STARTED, txn_id=1, size=128.0))
+        yield wal.force(LogRecord(RecordKind.COMMITTED, txn_id=1, size=256.0))
 
     sim.process(writer(sim))
     sim.run()
@@ -50,8 +50,8 @@ def test_records_with_none_txn_are_ignored_by_open_transactions():
     sim, wal = make_wal(bandwidth=1e9)
 
     def writer(sim):
-        yield from wal.force(LogRecord(RecordKind.UPDATES, txn_id=None, size=64.0))
-        yield from wal.force(LogRecord(RecordKind.STARTED, txn_id=5, size=64.0))
+        yield wal.force(LogRecord(RecordKind.UPDATES, txn_id=None, size=64.0))
+        yield wal.force(LogRecord(RecordKind.STARTED, txn_id=5, size=64.0))
 
     sim.process(writer(sim))
     sim.run()
@@ -66,7 +66,7 @@ def test_restart_without_crash_adds_second_flusher_harmlessly():
     wal.restart()
 
     def writer(sim):
-        yield from wal.force(LogRecord(RecordKind.STARTED, txn_id=1, size=64.0))
+        yield wal.force(LogRecord(RecordKind.STARTED, txn_id=1, size=64.0))
 
     sim.process(writer(sim))
     sim.run()
@@ -80,7 +80,7 @@ def test_explicit_lsn_is_preserved():
     rec = LogRecord(RecordKind.STARTED, txn_id=1, size=64.0, lsn=999)
 
     def writer(sim):
-        yield from wal.force(rec)
+        yield wal.force(rec)
 
     sim.process(writer(sim))
     sim.run()
@@ -91,7 +91,7 @@ def test_forced_and_lazy_counters():
     sim, wal = make_wal(bandwidth=1e9)
 
     def writer(sim):
-        yield from wal.force(LogRecord(RecordKind.STARTED, txn_id=1, size=64.0))
+        yield wal.force(LogRecord(RecordKind.STARTED, txn_id=1, size=64.0))
         wal.append_lazy(LogRecord(RecordKind.ENDED, txn_id=1, size=64.0))
 
     sim.process(writer(sim))

@@ -29,7 +29,7 @@ def rec(txn, kind=RecordKind.UPDATES, size=100.0):
 def forcing(wal, txn, log):
     def proc():
         try:
-            yield from wal.force(rec(txn))
+            yield wal.force(rec(txn))
             log.append(("durable", txn, wal.sim.now))
         except (LogLostError, FencedError) as exc:
             log.append((type(exc).__name__, txn, wal.sim.now))
@@ -43,9 +43,9 @@ def test_pump_writes_lazy_and_forced_appends_in_log_order():
 
     def writer():
         wal.append_lazy(rec(1, RecordKind.ENDED))
-        yield from wal.force(rec(2))
+        yield wal.force(rec(2))
         wal.append_lazy(rec(3, RecordKind.ENDED))
-        yield from wal.force(rec(4))
+        yield wal.force(rec(4))
         log.append(sim.now)
 
     sim.process(writer())
