@@ -57,14 +57,6 @@ class _LockEntry:
         self.holders: dict[Hashable, LockMode] = {}
         self.queue: deque[_Waiter] = deque()
 
-    @property
-    def mode(self) -> Optional[LockMode]:
-        if not self.holders:
-            return None
-        if any(m is LockMode.EXCLUSIVE for m in self.holders.values()):
-            return LockMode.EXCLUSIVE
-        return LockMode.SHARED
-
 
 class LockManager:
     """Per-MDS strict-2PL lock table."""
@@ -122,12 +114,18 @@ class LockManager:
         return entry
 
     def _grantable(self, entry: _LockEntry, txn_id: Hashable, mode: LockMode) -> bool:
-        others = {t: m for t, m in entry.holders.items() if t != txn_id}
-        if not others:
-            return True
+        """Whether ``txn_id`` may hold ``mode`` beside the other holders:
+        a shared request fits only other shared holders, an exclusive one
+        none.  Reads the holders in place and allocates nothing."""
         if mode is LockMode.SHARED:
-            return all(m is LockMode.SHARED for m in others.values())
-        return False
+            for holder, held in entry.holders.items():
+                if held is not LockMode.SHARED and holder != txn_id:
+                    return False
+            return True
+        for holder in entry.holders:
+            if holder != txn_id:
+                return False
+        return True
 
     def try_acquire(self, txn_id: Hashable, obj_id: Hashable, mode: LockMode) -> bool:
         """Non-blocking acquire; True when granted immediately.
@@ -150,7 +148,8 @@ class LockManager:
             return False
         if self._grantable(entry, txn_id, mode):
             entry.holders[txn_id] = mode
-            self.obs.lock_grant(self.name, txn=txn_id, obj=obj_id, mode=mode)
+            if self.obs.enabled:
+                self.obs.lock_grant(self.name, txn=txn_id, obj=obj_id, mode=mode)
             return True
         return False
 
@@ -167,7 +166,8 @@ class LockManager:
         entry = self._entry(obj_id)
         waiter = _Waiter(self.sim, txn_id, mode)
         entry.queue.append(waiter)
-        self.obs.lock_wait(self.name, txn=txn_id, obj=obj_id, mode=mode)
+        if self.obs.enabled:
+            self.obs.lock_wait(self.name, txn=txn_id, obj=obj_id, mode=mode)
         if timeout is not None:
             self.sim.expire(waiter.event, timeout)
         if (yield waiter.event) is not TIMED_OUT:
@@ -177,7 +177,11 @@ class LockManager:
             entry.queue.remove(waiter)
         except ValueError:  # pragma: no cover - granted in same instant
             pass
-        self._dispatch(obj_id)
+        # Looked up again: the entry may have been dropped and re-created
+        # while the request waited, and the table's entry is the live one.
+        current = self._table.get(obj_id)
+        if current is not None:
+            self._dispatch(obj_id, current)
         self.obs.lock_timeout(self.name, txn=txn_id, obj=obj_id)
         raise LockTimeout(txn_id, obj_id)
 
@@ -188,8 +192,9 @@ class LockManager:
         if entry is None or txn_id not in entry.holders:
             raise KeyError(f"txn {txn_id} does not hold a lock on {obj_id!r}")
         del entry.holders[txn_id]
-        self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
-        self._dispatch(obj_id)
+        if self.obs.enabled:
+            self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
+        self._dispatch(obj_id, entry)
 
     def release_all(self, txn_id: Hashable) -> int:
         """Release every lock ``txn_id`` holds; returns how many."""
@@ -198,18 +203,19 @@ class LockManager:
             if txn_id in entry.holders:
                 del entry.holders[txn_id]
                 released += 1
-                self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
-                self._dispatch(obj_id)
+                if self.obs.enabled:
+                    self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
+                self._dispatch(obj_id, entry)
             # Also withdraw any queued request by this transaction.
-            for waiter in [w for w in entry.queue if w.txn_id == txn_id]:
-                entry.queue.remove(waiter)
-                self._dispatch(obj_id)
+            if entry.queue:
+                for waiter in [w for w in entry.queue if w.txn_id == txn_id]:
+                    entry.queue.remove(waiter)
+                    self._dispatch(obj_id, entry)
         return released
 
-    def _dispatch(self, obj_id: Hashable) -> None:
-        entry = self._table.get(obj_id)
-        if entry is None:
-            return
+    def _dispatch(self, obj_id: Hashable, entry: _LockEntry) -> None:
+        """Grant ``obj_id``'s queue head(s) what the holders now allow;
+        ``entry`` is the table's entry for it, which the caller holds."""
         while entry.queue:
             waiter = entry.queue[0]
             if waiter.event._state != PENDING:
@@ -223,7 +229,8 @@ class LockManager:
                 entry.holders[waiter.txn_id] = LockMode.EXCLUSIVE
             elif held is None:
                 entry.holders[waiter.txn_id] = waiter.mode
-            self.obs.lock_grant(self.name, txn=waiter.txn_id, obj=obj_id, mode=waiter.mode)
+            if self.obs.enabled:
+                self.obs.lock_grant(self.name, txn=waiter.txn_id, obj=obj_id, mode=waiter.mode)
             waiter.event.succeed()
             if waiter.mode is LockMode.EXCLUSIVE:
                 break

@@ -87,7 +87,7 @@ class MDSServer:
         return self._sessions.get(txn_id)
 
     def close_session(self, txn_id: int) -> None:
-        if self._sessions.pop(txn_id, None) is not None:
+        if self._sessions.pop(txn_id, None) is not None and self.obs.enabled:
             self.obs.worker_close(self.name, txn_id)
 
     # ------------------------------------------------------------------
@@ -126,9 +126,10 @@ class MDSServer:
         engine = self._engine_for(msg)
         if msg.kind in SESSION_OPENERS:
             session = self.open_session(msg.txn_id)
-            self.obs.worker_open(
-                self.name, msg.txn_id, opener=msg.kind, protocol=engine.name
-            )
+            if self.obs.enabled:
+                self.obs.worker_open(
+                    self.name, msg.txn_id, opener=msg.kind, protocol=engine.name
+                )
             self.spawn(
                 engine.worker_session(msg, session),
                 name=f"worker:{self.name}:{msg.txn_id}",
@@ -172,14 +173,15 @@ class MDSServer:
             self.obs.txn_fallback(
                 self.name, txn.txn_id, op=plan.op, workers=len(plan.workers)
             )
-        self.obs.txn_start(
-            self.name,
-            txn.txn_id,
-            op=plan.op,
-            protocol=engine.name,
-            submitted_at=txn.submitted_at,
-            client=txn.client,
-        )
+        if self.obs.enabled:
+            self.obs.txn_start(
+                self.name,
+                txn.txn_id,
+                op=plan.op,
+                protocol=engine.name,
+                submitted_at=txn.submitted_at,
+                client=txn.client,
+            )
         # Single-MDS operations need no commit protocol at all.  The
         # engine reports the outcome itself (``Protocol.outcome``).
         body = engine.coordinate(txn) if plan.is_distributed else engine.run_local(txn)

@@ -102,7 +102,32 @@ class Endpoint:
         self._free = free
 
     def deliver(self, message: Message) -> None:
-        """An arriving message (called by the network)."""
+        """A message arriving here: the callback of the delivery timer
+        :meth:`Network.send` armed.
+
+        It is dropped when this node is down, or when a partition or a
+        link failure formed while it was in flight; otherwise it goes to
+        the handler (or the mailbox).
+        """
+        network = self.network
+        if not self.attached:
+            network.obs.msg_drop(self.node, reason="receiver_down", kind=message.kind)
+            return
+        # The network's fault state is read in place, as ``send`` reads it.
+        if (network._down_links or network._groups) and not network.connected(
+            message.src, self.node
+        ):
+            network.obs.msg_drop(self.node, reason="partitioned", kind=message.kind)
+            return
+        obs = network.obs
+        if obs.enabled:
+            obs.msg_recv(
+                self.node,
+                kind=message.kind,
+                src=message.src,
+                txn=message.txn_id,
+                msg_id=message.msg_id,
+            )
         if self._handler is None:
             self.mailbox.put(message)
         elif self._in_service is None:

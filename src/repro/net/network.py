@@ -94,7 +94,8 @@ class Network:
         """Split the cluster into disjoint ``groups``.
 
         Nodes not named in any group form an implicit extra group and
-        keep communicating among themselves.
+        keep communicating among themselves, a node attached later
+        included.
         """
         named = [tuple(sorted(set(g))) for g in groups]
         seen: set[str] = set()
@@ -103,9 +104,11 @@ class Network:
             if overlap:
                 raise ValueError(f"nodes {sorted(overlap)} appear in multiple groups")
             seen.update(group)
+        self._groups = named
+        # The record lists the implicit group as the nodes attached now.
         rest = tuple(sorted(n for n in self._endpoints if n not in seen))
-        self._groups = named + ([rest] if rest else [])
-        self.obs.annotate("net_partition", "network", groups=[list(g) for g in self._groups])
+        recorded = named + ([rest] if rest else [])
+        self.obs.annotate("net_partition", "network", groups=[list(g) for g in recorded])
 
     def heal_partition(self) -> None:
         """Restore full connectivity."""
@@ -134,15 +137,27 @@ class Network:
         for group in self._groups:
             if a in group:
                 return b in group
-        return False
+        # ``a`` is in the implicit group: so must ``b`` be.
+        for group in self._groups:
+            if b in group:
+                return False
+        return True
 
     # -- transmission -------------------------------------------------------------
 
     def send(self, message: Message) -> None:
         """Transmit ``message``; delivery is asynchronous and may fail
-        silently."""
-        if message.dst not in self._endpoints:
-            raise KeyError(f"message to unknown node {message.dst!r}")
+        silently.
+
+        The delivery timer runs the destination endpoint's
+        :meth:`~repro.net.endpoint.Endpoint.deliver`, which makes the
+        arrival checks: the endpoint is looked up here, once, and a
+        restart reuses it (:meth:`attach`).
+        """
+        try:
+            endpoint = self._endpoints[message.dst]
+        except KeyError:
+            raise KeyError(f"message to unknown node {message.dst!r}") from None
         if message.msg_id == 0:
             self._msg_counter += 1
             message.msg_id = self._msg_counter
@@ -165,30 +180,12 @@ class Network:
         delay = self.params.latency + self.params.byte_cost * message.size
         if self._jitter is not None:
             delay += self._jitter.uniform(0.0, self.params.jitter)
-        self.obs.msg_send(
-            message.src,
-            kind=message.kind,
-            dst=message.dst,
-            txn=message.txn_id,
-            msg_id=message.msg_id,
-        )
-        self.sim.after(delay, self._deliver, message)
-
-    def _deliver(self, message: Message) -> None:
-        endpoint = self._endpoints[message.dst]
-        if not endpoint.attached:
-            self.obs.msg_drop(message.dst, reason="receiver_down", kind=message.kind)
-            return
-        # Re-check connectivity at arrival time: a partition that formed
-        # while the message was in flight severs it.
-        if (self._down_links or self._groups) and not self.connected(message.src, message.dst):
-            self.obs.msg_drop(message.dst, reason="partitioned", kind=message.kind)
-            return
-        self.obs.msg_recv(
-            message.dst,
-            kind=message.kind,
-            src=message.src,
-            txn=message.txn_id,
-            msg_id=message.msg_id,
-        )
-        endpoint.deliver(message)
+        if self.obs.enabled:
+            self.obs.msg_send(
+                message.src,
+                kind=message.kind,
+                dst=message.dst,
+                txn=message.txn_id,
+                msg_id=message.msg_id,
+            )
+        self.sim.after(delay, endpoint.deliver, message)

@@ -448,7 +448,8 @@ class Protocol:
             reason=reason,
             req_id=txn.req_id,
         )
-        self.obs.client_reply(self.me, txn.txn_id, committed=committed, op=txn.plan.op)
+        if self.obs.enabled:
+            self.obs.client_reply(self.me, txn.txn_id, committed=committed, op=txn.plan.op)
         return self.sim.now
 
     def outcome(
@@ -474,15 +475,16 @@ class Protocol:
             coordinator=self.me,
             reason=reason,
         )
-        self.obs.txn_done(
-            self.me,
-            txn.txn_id,
-            committed=committed,
-            op=txn.plan.op,
-            latency=out.client_latency,
-            replied_at=replied_at,
-            reason=reason,
-        )
+        if self.obs.enabled:
+            self.obs.txn_done(
+                self.me,
+                txn.txn_id,
+                committed=committed,
+                op=txn.plan.op,
+                latency=out.client_latency,
+                replied_at=replied_at,
+                reason=reason,
+            )
         self.server.cluster.record_outcome(out)
         return out
 

@@ -35,26 +35,11 @@ class RngRegistry:
         """A child registry whose root seed is derived from ``name``."""
         return RngRegistry(_derive_seed(self.root_seed, name))
 
-    def exponential(self, name: str, mean: float) -> float:
-        """One draw from an exponential distribution with ``mean``."""
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        return self.stream(name).expovariate(1.0 / mean)
-
     def uniform(self, name: str, low: float, high: float) -> float:
         return self.stream(name).uniform(low, high)
 
     def choice(self, name: str, seq):
         return self.stream(name).choice(seq)
-
-    def shuffled(self, name: str, seq) -> list:
-        items = list(seq)
-        self.stream(name).shuffle(items)
-        return items
-
-    def integers(self, name: str, low: int, high: int) -> int:
-        """A random integer in ``[low, high]`` inclusive."""
-        return self.stream(name).randint(low, high)
 
     def bernoulli(self, name: str, p: float) -> bool:
         if not 0.0 <= p <= 1.0:

@@ -134,9 +134,10 @@ class Disk:
     def _wrote(self, nbytes: float, actor: str, start: float) -> None:
         self.bytes_written += nbytes
         self.writes += 1
-        self.obs.annotate(
-            "disk_write", actor, device=self.name, nbytes=nbytes, service=self.sim.now - start
-        )
+        if self.obs.enabled:
+            self.obs.annotate(
+                "disk_write", actor, device=self.name, nbytes=nbytes, service=self.sim.now - start
+            )
 
     def write(self, nbytes: float, actor: str = "?") -> Generator:
         """Generator: occupy the device for the write's service time."""

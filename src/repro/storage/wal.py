@@ -292,7 +292,7 @@ class WriteAheadLog:
         """Garbage-collect every record belonging to ``txn_id``."""
         before = len(self._durable)
         self._durable = [r for r in self._durable if r.txn_id != txn_id]
-        if len(self._durable) != before:
+        if len(self._durable) != before and self.obs.enabled:
             self.obs.log_gc(self.owner, txn=txn_id, removed=before - len(self._durable))
 
     def size_bytes(self) -> float:

@@ -171,8 +171,13 @@ def composite_trace(
     """
     if n_ops is None:
         n_ops = config.ops
+    # Each named stream is bound once; ``CompositeConfig`` has checked
+    # every parameter the draws take.
     rng = RngRegistry(seed)
     mix_stream = rng.stream("mix")
+    gap_stream = rng.stream("gap")
+    target_stream = rng.stream("target")
+    dir_stream = rng.stream("dir")
     kinds = [kind for kind, _ in config.mix]
     weights = [weight for _, weight in config.mix]
     total_weight = sum(weights)
@@ -187,9 +192,11 @@ def composite_trace(
     counter = 0
     for i in range(n_ops):
         rate = phases[min(i * n_phases // n_ops, n_phases - 1)]
-        gap = rng.exponential("gap", config.mean_gap / rate) if config.mean_gap > 0 else 0.0
-        if config.cold_dirs and not rng.bernoulli("target", config.hot_fraction):
-            directory = f"/cold{rng.integers('dir', 0, config.cold_dirs - 1)}"
+        gap = (
+            gap_stream.expovariate(1.0 / (config.mean_gap / rate)) if config.mean_gap > 0 else 0.0
+        )
+        if config.cold_dirs and not (target_stream.random() < config.hot_fraction):
+            directory = f"/cold{dir_stream.randint(0, config.cold_dirs - 1)}"
         else:
             directory = HOT_DIR
         draw = mix_stream.random()

@@ -218,6 +218,43 @@ def test_timeout_withdrawal_lets_next_waiter_through():
     assert order == ["timeout", ("granted", 1.0)]
 
 
+def test_timeout_after_the_entry_was_recreated_leaves_the_new_entry_intact():
+    """The waiter's deadline fires, then (same instant) the holder
+    releases: the timed-out waiter is popped and the empty entry
+    dropped, and a new entry is made for the object before the waiter
+    resumes.  Its withdrawal must dispatch the table's live entry, not
+    drop it as the empty one it queued on."""
+    sim, mgr, trace = make_mgr()
+    assert mgr.try_acquire(1, "dir", LockMode.EXCLUSIVE)
+    outcome = []
+
+    def impatient(sim):
+        try:
+            yield from mgr.acquire(2, "dir", LockMode.EXCLUSIVE, timeout=0.5)
+        except LockTimeout:
+            outcome.append(sim.now)
+
+    sim.process(impatient(sim))
+    sim.run(until=0.1)
+    stale = mgr._table["dir"]
+    fresh = []
+
+    def release_and_relock(_):
+        mgr.release(1, "dir")
+        assert "dir" not in mgr._table
+        assert mgr.try_acquire(3, "dir", LockMode.SHARED)
+        next(mgr.acquire(4, "dir", LockMode.EXCLUSIVE))  # queues behind 3
+        fresh.append(mgr._table["dir"])
+
+    sim.at(0.5, release_and_relock)  # after the deadline armed at t=0
+    sim.run()
+    assert outcome == [0.5]
+    assert fresh[0] is not stale and mgr._table["dir"] is fresh[0]
+    assert mgr.holders("dir") == {3: LockMode.SHARED}
+    assert mgr.queue_length("dir") == 1
+    assert trace.count("lock_timeout") == 1
+
+
 def test_release_unheld_lock_raises():
     sim, mgr, _ = make_mgr()
     with pytest.raises(KeyError):

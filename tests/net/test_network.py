@@ -30,6 +30,19 @@ def test_message_delivered_with_latency():
     assert got == [(0.001, "PING")]
 
 
+def test_a_delivery_is_one_timer_running_the_destination_endpoint():
+    """``send`` looks the destination up once and arms its ``deliver``:
+    the arrival checks and the ``msg_recv`` record run in that frame."""
+    sim, net, trace = make_net(latency=0.001)
+    a, b = net.attach("a"), net.attach("b")
+    a.send_to("b", "PING")
+    [(due, _priority, _seq, callback, message)] = sim._heap
+    assert (due, callback, message.kind) == (0.001, b.deliver, "PING")
+    sim.run()
+    assert [m.kind for m in b.mailbox.items] == ["PING"]
+    assert [r.actor for r in trace.select("msg_recv")] == ["b"]
+
+
 def test_message_reply_routes_back():
     sim, net, _ = make_net(latency=0.001)
     a, b = net.attach("a"), net.attach("b")
@@ -99,6 +112,22 @@ def test_partition_implicit_rest_group():
     assert not net.connected("a", "b")
     assert net.connected("c", "d")  # both in the implicit rest group
     assert net.connected("b", "c")
+
+
+def test_node_attached_after_partition_joins_the_implicit_group():
+    """A node named in no group is in the implicit group, whenever it
+    was attached; the record still lists that group as it stood."""
+    sim, net, trace = make_net(latency=0.001)
+    for n in ("a", "b", "c"):
+        net.attach(n)
+    net.partition({"a"})
+    late = net.attach("late")
+    assert net.connected("late", "b") and net.connected("c", "late")
+    assert not net.connected("late", "a") and not net.connected("a", "late")
+    late.send_to("b", "PING")
+    sim.run()
+    assert [m.kind for m in net.endpoint("b").mailbox.items] == ["PING"]
+    assert trace.select("net_partition")[0].get("groups") == [["a"], ["b", "c"]]
 
 
 def test_partition_overlapping_groups_rejected():

@@ -38,32 +38,12 @@ def test_rng_spawn_derives_child():
     assert RngRegistry(7).spawn("node1").root_seed == child1.root_seed
 
 
-def test_rng_exponential_positive_and_validated():
-    reg = RngRegistry(0)
-    assert reg.exponential("e", 1.0) > 0
-    with pytest.raises(ValueError):
-        reg.exponential("e", 0.0)
-
-
 def test_rng_bernoulli_validated():
     reg = RngRegistry(0)
     with pytest.raises(ValueError):
         reg.bernoulli("b", 1.5)
     assert reg.bernoulli("always", 1.0) is True
     assert reg.bernoulli("never", 0.0) is False
-
-
-def test_rng_integers_in_range():
-    reg = RngRegistry(3)
-    for _ in range(50):
-        v = reg.integers("i", 2, 4)
-        assert 2 <= v <= 4
-
-
-def test_rng_shuffled_is_permutation():
-    reg = RngRegistry(5)
-    out = reg.shuffled("s", range(10))
-    assert sorted(out) == list(range(10))
 
 
 def test_tracelog_emit_and_select():

@@ -25,35 +25,39 @@ trace path   402.93   548.00   514.15      680.22      2.93 / 2.70
 timer diet   377.93   508.00   489.15      640.22      2.93 / 2.70
 route table  377.93   508.00   459.16      602.23      2.14 / 1.92
 frame diet   354.95   467.02   436.18      561.25      2.14 / 1.92
+hub-off      318.93   418.01   428.15      549.23      2.87 / 2.68
 ===========  =======  =======  ==========  ==========  ===========
 
-The other registered protocols, untraced, at the frame diet: PrC
-420.01, EP 369.77, PrA 467.02, PC 878.25 or 881.25, LGL 408.15, 1PC-N
-353.92.  PC's two values are the hash seed's: its vote tally iterates
+The other registered protocols, untraced, at the hub-off diet: PrC
+376.99, EP 332.75, PrA 418.01, PC 778.24 or 781.24, LGL 354.13, 1PC-N
+317.90.  PC's two values are the hash seed's: its vote tally iterates
 a set of node names, so where an ``any(...)`` stops varies by run.
 
 (*before* is the parent of the call diet, on 3.10 and 3.11; the other
 rows are 3.11 — comprehensions are inlined from 3.12 on, which only
 lowers them.)
 
-Every ceiling is the frame diet measurement rounded up to the next 5,
-so it fails at that row's parent by construction: a leaf wait (a WAL
-force, an inbox receive) hands back its event instead of running as a
-generator frame the caller re-enters on every resumption, the
-coordinator process runs the engine's own generator, a protocol
-message is sent by the endpoint's bound method with no wrapper frame,
-and locking and applying are one growing-phase generator.  Every
+Every ceiling is the hub-off diet measurement rounded up to the next
+5, so it fails at that row's parent by construction: every hook site
+on the per-transaction path reads ``obs.enabled`` before it calls the
+hub, a delivery is the destination endpoint's own ``deliver`` run by
+its timer, and the lock table's grant check allocates nothing.  Every
 registered protocol has an untraced ceiling, so none of them can put
 frames back unnoticed; the traced rows are the two the paper
 compares.  *Per record* is what switching the hub on costs,
 ``(traced - untraced) / records`` with 3,799 (1PC) and 4,899 (PrN)
 trace records in the cell: the hook and ``_emit``, plus the
 per-transaction span and histogram bookkeeping spread over its
-records.  It is capped at 2.2 package frames for both protocols,
-whatever the two absolute numbers do.  A change that trips a row put
-frames back on the per-transaction path: find them with ``python3
-benchmarks/ledger/run.py --workload composite-1pc --trace 1``
-(``traced-burst`` for a traced row) before raising a ceiling.
+records.  It is capped at 2.9 package frames for both protocols,
+whatever the two absolute numbers do.  The cap rose from 2.2 at the
+hub-off diet although the traced rows fell: the untraced row no longer
+pays about 27 (1PC) / 36 (PrN) disabled-hook frames per transaction,
+so the difference now counts the hook frames themselves, which it
+used to cancel.  An untraced burst enters ``src/repro/obs/`` only to
+build the hub, as many times at n=10 as at n=100.  A change that trips
+a row put frames back on the per-transaction path: find them with
+``python3 benchmarks/ledger/run.py --workload composite-1pc --trace
+1`` (``traced-burst`` for a traced row) before raising a ceiling.
 
 The kernel rows at the bottom count builtins too, exactly: a timer is
 one ``heappush``, one ``heappop`` and the frames of ``after`` and of its
@@ -77,23 +81,27 @@ from repro.protocols import default_protocols
 from repro.sim import Simulator
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_HUB = os.path.join(_PACKAGE, "obs") + os.sep
 
 #: protocol -> ceiling of Python calls under ``src/repro/`` per
 #: committed transaction of the 100-create burst cell.
 CEILING = {
-    "PrN": 470,
-    "PrC": 425,
-    "EP": 370,
-    "1PC": 355,
-    "PrA": 470,
-    "PC": 885,
-    "LGL": 410,
-    "1PC-N": 355,
+    "PrN": 420,
+    "PrC": 380,
+    "EP": 335,
+    "1PC": 320,
+    "PrA": 420,
+    "PC": 785,
+    "LGL": 355,
+    "1PC-N": 320,
 }
 #: The same with ``trace=True``: every hook writes its record.
-TRACED_CEILING = {"1PC": 440, "PrN": 565}
+TRACED_CEILING = {"1PC": 430, "PrN": 550}
 #: Ceiling of what the hub adds, in package frames per trace record.
-FRAMES_PER_RECORD = 2.2
+FRAMES_PER_RECORD = 2.9
+#: Frames an untraced burst runs under ``src/repro/obs/``: the
+#: constructors of the disabled hub and its span and metric views.
+HUB_CONSTRUCTORS = 3
 
 
 def _profiled(profiler, run):
@@ -111,9 +119,9 @@ def _profiled(profiler, run):
         gc.enable()
 
 
-def _package_calls(run):
+def _package_calls(run, under=_PACKAGE):
     """``(result, calls)``: ``run()`` and the ``call`` events it raised
-    in code objects under ``src/repro/``."""
+    in code objects under ``under`` (by default all of ``src/repro/``)."""
     owned = {}
     calls = 0
 
@@ -123,7 +131,7 @@ def _package_calls(run):
             code = frame.f_code
             mine = owned.get(code)
             if mine is None:
-                mine = owned[code] = os.path.abspath(code.co_filename).startswith(_PACKAGE)
+                mine = owned[code] = os.path.abspath(code.co_filename).startswith(under)
             calls += mine
 
     return _profiled(profiler, run), calls
@@ -162,6 +170,19 @@ def test_traced_burst_cell_stays_within_its_call_budget(protocol):
     assert per_record <= FRAMES_PER_RECORD, (
         f"{protocol}: the hub adds {per_record:.2f} package frames per trace record"
     )
+
+
+@pytest.mark.parametrize("protocol", default_protocols())
+def test_an_untraced_burst_enters_the_hub_only_to_build_it(protocol):
+    """No hook site on the per-transaction path calls a disabled hub:
+    the count is the hub's constructors, whatever the burst's size."""
+    entries = []
+    for n in (10, 100):
+        spec = RunSpec(kind="burst", protocol=protocol, n=n, seed=0)
+        cell, calls = _package_calls(lambda: execute_spec(spec), under=_HUB)
+        assert cell.committed == n
+        entries.append(calls)
+    assert entries[0] == entries[1] == HUB_CONSTRUCTORS, entries
 
 
 def _all_calls(run):
