@@ -1,8 +1,8 @@
 """Adversarial fault-campaign harness.
 
-The conformance suite probes each protocol at hand-picked crash
-points; this package turns :mod:`repro.faults` +
-:mod:`repro.analysis.serializability` into a *search* harness:
+The conformance battery probes each protocol at hand-picked crash
+points; this package turns :mod:`repro.faults` + the one oracle
+(:func:`repro.analysis.oracle.check`) into a *search* harness:
 
 * :mod:`repro.campaign.schedule` -- :class:`CampaignSchedule`, a
   seeded, canonical-JSON description of one run (workload shape +
@@ -12,9 +12,10 @@ points; this package turns :mod:`repro.faults` +
   after-vote, between fence and remote log read, during recovery, on
   WAL flush).
 * :mod:`repro.campaign.runner` -- executes one schedule on a live
-  cluster and checks the result (namespace invariants, per-transaction
-  atomicity, durability of acknowledged commits, serial equivalence,
-  conflict cycles) into a structured verdict.  ``repro.exec`` runs it
+  cluster and folds the oracle's findings (namespace invariants,
+  per-transaction atomicity, durability of acknowledged commits, no
+  residue of answered aborts, serial equivalence, conflict cycles)
+  into a structured verdict.  ``repro.exec`` runs it
   as the ``campaign`` RunSpec kind, so these two modules sit *below*
   the executor.
 * :mod:`repro.campaign.shrink` -- a delta-debugging shrinker that
@@ -30,11 +31,10 @@ its way to ``runner``, and importing back would work in one order only.
 """
 
 from repro.campaign.schedule import CampaignSchedule, generate_schedule
-from repro.campaign.runner import check_run, run_campaign_cell
+from repro.campaign.runner import run_campaign_cell
 
 __all__ = [
     "CampaignSchedule",
-    "check_run",
     "generate_schedule",
     "run_campaign_cell",
 ]

@@ -17,7 +17,7 @@ the paper, which studies namespace operations only.
   violation the ACPs exist to prevent.
 """
 
-from repro.fs.invariants import InvariantViolation, check_invariants
+from repro.fs.invariants import Violation, check_invariants
 from repro.fs.objects import (
     AddDentry,
     CreateDirTable,
@@ -71,7 +71,6 @@ __all__ = [
     "IncLink",
     "Inode",
     "InodeAllocator",
-    "InvariantViolation",
     "MetadataStore",
     "ObjectId",
     "OpPlan",
@@ -88,6 +87,7 @@ __all__ = [
     "UnsupportedOperation",
     "Update",
     "UpdateError",
+    "Violation",
     "check_invariants",
     "plan_create",
     "plan_delete",

@@ -17,35 +17,45 @@ state an atomic commitment protocol must keep consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Protocol
 
 from repro.fs.objects import FileType, Inode
-from repro.fs.store import MetadataStore
 
 
 @dataclass(frozen=True)
-class InvariantViolation:
-    """One detected inconsistency."""
+class Violation:
+    """One finding of a correctness check.  The rules below report
+    ``check="invariant"`` and lead ``detail`` with the rule's name."""
 
-    rule: str
+    check: str
     subject: str
     detail: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.rule}] {self.subject}: {self.detail}"
+    def __str__(self) -> str:
+        return f"[{self.check}] {self.subject}: {self.detail}"
 
 
-def check_invariants(
-    stores: Iterable[MetadataStore], allow_directory_orphans: bool = True
-) -> list[InvariantViolation]:
-    """All violations across the cluster's committed state.
+class StableImage(Protocol):
+    """What the rules read of a store: a ``MetadataStore`` or the
+    oracle's one-read snapshot of it."""
 
-    ``allow_directory_orphans`` exempts directories from rule (b):
-    directories are bootstrapped outside transactions (mkdir in the
-    stable image) and the root has no parent dentry.
+    @property
+    def node(self) -> str: ...
+    @property
+    def stable_directories(self) -> dict[str, dict[str, int]]: ...
+    @property
+    def stable_inodes(self) -> dict[int, Inode]: ...
+
+
+def check_invariants(stores: Iterable[StableImage]) -> list[Violation]:
+    """All violations across the cluster's committed state, reading each
+    image once.  Directories are exempt from rule (b): they are
+    provisioned outside transactions and the root has no parent dentry.
     """
-    stores = list(stores)
-    violations: list[InvariantViolation] = []
+    violations: list[Violation] = []
+
+    def violation(rule: str, subject: str, detail: str) -> None:
+        violations.append(Violation("invariant", subject, f"{rule}: {detail}"))
 
     # Union the images, flagging double ownership on the way.
     directories: dict[str, dict[str, int]] = {}
@@ -55,24 +65,20 @@ def check_invariants(
     for store in stores:
         for path, entries in store.stable_directories.items():
             if path in directories:
-                violations.append(
-                    InvariantViolation(
-                        "unique-ownership",
-                        path,
-                        f"directory owned by both {dir_owner[path]} and {store.node}",
-                    )
+                violation(
+                    "unique-ownership",
+                    path,
+                    f"directory owned by both {dir_owner[path]} and {store.node}",
                 )
                 continue
             directories[path] = entries
             dir_owner[path] = store.node
         for ino, inode in store.stable_inodes.items():
             if ino in inodes:
-                violations.append(
-                    InvariantViolation(
-                        "unique-ownership",
-                        f"inode {ino}",
-                        f"inode owned by both {inode_owner[ino]} and {store.node}",
-                    )
+                violation(
+                    "unique-ownership",
+                    f"inode {ino}",
+                    f"inode owned by both {inode_owner[ino]} and {store.node}",
                 )
                 continue
             inodes[ino] = inode
@@ -84,33 +90,26 @@ def check_invariants(
         for name, ino in entries.items():
             refs[ino] = refs.get(ino, 0) + 1
             if ino not in inodes:
-                violations.append(
-                    InvariantViolation(
-                        "no-dangling-reference",
-                        f"{path.rstrip('/')}/{name}",
-                        f"references inode {ino}, which does not exist",
-                    )
+                violation(
+                    "no-dangling-reference",
+                    f"{path.rstrip('/')}/{name}",
+                    f"references inode {ino}, which does not exist",
                 )
 
     for ino, inode in inodes.items():
         referenced = refs.get(ino, 0)
         if referenced == 0:
-            if allow_directory_orphans and inode.ftype is FileType.DIRECTORY:
-                continue
-            violations.append(
-                InvariantViolation(
+            if inode.ftype is not FileType.DIRECTORY:
+                violation(
                     "no-orphaned-inode",
                     f"inode {ino}",
                     "exists but is not referenced anywhere in the namespace",
                 )
-            )
         elif inode.nlink != referenced:
-            violations.append(
-                InvariantViolation(
-                    "link-count",
-                    f"inode {ino}",
-                    f"nlink={inode.nlink} but referenced {referenced} times",
-                )
+            violation(
+                "link-count",
+                f"inode {ino}",
+                f"nlink={inode.nlink} but referenced {referenced} times",
             )
 
     return violations

@@ -30,8 +30,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import repro.core  # noqa: F401  (registers the 1PC protocol)
 from repro.config import SimulationParams
-from repro.fs import MetadataStore, ObjectId, check_invariants
-from repro.fs.invariants import InvariantViolation
+from repro.fs import MetadataStore, ObjectId, Violation, check_invariants
 from repro.fs.operations import InodeAllocator, split_path
 from repro.fs.placement import HashPlacement, PinnedPlacement, PlacementPolicy
 from repro.mds.acceptor import AcceptorNode
@@ -147,6 +146,9 @@ class Cluster:
                 self.backups[name] = BackupReplica(self, name)
 
         self._stores: dict[str, MetadataStore] = {}
+        #: What :meth:`mkdir` provisioned outside transactions: path ->
+        #: owning server (the start state of a serial replay).
+        self.provisioned: dict[str, str] = {}
         self.servers: dict[str, MDSServer] = {}
         for name in server_names:
             self.servers[name] = MDSServer(self, name, protocol_cls, fallback_cls)
@@ -309,6 +311,7 @@ class Cluster:
                 )
             self.placement.pin(ObjectId.directory(path), owner)
         self.store_of(node).mkdir(path)
+        self.provisioned[path] = node
         return node
 
     def lookup(self, path: str) -> Optional[int]:
@@ -351,7 +354,7 @@ class Cluster:
     # Verification
     # ------------------------------------------------------------------
 
-    def check_invariants(self) -> list[InvariantViolation]:
+    def check_invariants(self) -> list[Violation]:
         """File-system invariants over all committed state (§II)."""
         return check_invariants(self._stores.values())
 

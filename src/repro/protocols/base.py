@@ -182,6 +182,9 @@ class TxnOutcome:
     finished_at: float
     coordinator: str
     reason: str = ""
+    #: The plan the client submitted, itself: what the outcome decided
+    #: (the oracle matches outcomes to plans by identity).
+    plan: Optional[OpPlan] = field(default=None, compare=False, repr=False)
 
     @property
     def client_latency(self) -> float:
@@ -474,6 +477,7 @@ class Protocol:
             finished_at=self.sim.now,
             coordinator=self.me,
             reason=reason,
+            plan=txn.plan,
         )
         if self.obs.enabled:
             self.obs.txn_done(

@@ -1,4 +1,4 @@
-"""A deliberately broken 1PC variant for the campaign mutation self-test.
+"""Deliberately broken 1PC variants for the mutation self-tests.
 
 ``1PC-BRK`` sends the worker's UPDATED message *before* forcing the
 UPDATES+COMMITTED record — exactly the §III invariant the real
@@ -12,21 +12,29 @@ Correct protocols only send UPDATED after the commit record is
 durable, so the same crash window aborts or re-drives the transaction
 instead — the mutation is invisible to them and the campaign stays
 green.
+
+``1PC-EAR`` ("early abort reply") keeps every durable step of 1PC but
+lies to the client: once a worker goes silent it answers "aborted"
+right away, then follows the fence and the log read as usual — and
+commits when the worker's commit record turns out durable.  The
+namespace stays consistent; only the oracle's aborted-residue pass
+sees that the client was told "no" about a durable transaction.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.core.one_phase import OnePhaseCommitProtocol
 from repro.net.message import Message
-from repro.protocols.base import MsgKind, ProtocolSpec
+from repro.protocols.base import MsgKind, ProtocolSpec, Transaction, TxnOutcome
 from repro.protocols.registry import CAP_SHARED_LOG
 from repro.storage.fencing import FencedError
 from repro.storage.records import RecordKind
 from repro.storage.wal import LogLostError
 
 BROKEN_NAME = "1PC-BRK"
+EAR_NAME = "1PC-EAR"
 
 
 class EarlyVoteOnePhaseCommit(OnePhaseCommitProtocol):
@@ -74,6 +82,65 @@ def broken_spec() -> ProtocolSpec:
         name=BROKEN_NAME,
         engine=EarlyVoteOnePhaseCommit,
         summary="1PC mutated to vote before forcing its commit (test only)",
+        log_records=("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED"),
+        capabilities=frozenset({CAP_SHARED_LOG}),
+    )
+
+
+class EarlyAbortReplyOnePhaseCommit(OnePhaseCommitProtocol):
+    """1PC that answers "aborted" before its probe decides."""
+
+    name = EAR_NAME
+
+    def __init__(self, server) -> None:
+        super().__init__(server)
+        #: txn_id -> the client's transaction, while it is coordinated.
+        self._clients: dict[int, Transaction] = {}
+        #: txn_id -> when the client was told "aborted".
+        self._told: dict[int, float] = {}
+
+    def coordinate(self, txn: Transaction) -> Generator:
+        self._clients[txn.txn_id] = txn
+        try:
+            return (yield from super().coordinate(txn))
+        finally:
+            del self._clients[txn.txn_id]
+
+    def _probe_worker(self, txn_id: int, worker: str) -> Generator:
+        txn = self._clients.get(txn_id)
+        if txn is not None and txn_id not in self._told:
+            # BUG: a silent worker is not a refusal; only the probe
+            # below can say whether its commit record is durable.
+            replied = super().reply_to_client(txn, committed=False, reason=f"{worker} silent")
+            self._told[txn_id] = replied
+        return (yield from super()._probe_worker(txn_id, worker))
+
+    def reply_to_client(
+        self, txn: Optional[Transaction], committed: bool, reason: str = ""
+    ) -> Optional[float]:
+        if txn is not None and txn.txn_id in self._told:
+            return self._told[txn.txn_id]  # the client already has its answer
+        return super().reply_to_client(txn, committed, reason)
+
+    def outcome(
+        self,
+        txn: Optional[Transaction],
+        committed: bool,
+        replied_at: Optional[float],
+        reason: str = "",
+    ) -> Optional[TxnOutcome]:
+        if txn is not None and txn.txn_id in self._told:
+            committed, reason = False, reason or "worker silent"
+            replied_at = self._told.pop(txn.txn_id)
+        return super().outcome(txn, committed, replied_at, reason)
+
+
+def early_abort_spec() -> ProtocolSpec:
+    """A registrable spec for the early-abort-reply engine."""
+    return ProtocolSpec(
+        name=EAR_NAME,
+        engine=EarlyAbortReplyOnePhaseCommit,
+        summary="1PC mutated to answer 'aborted' before its probe decides (test only)",
         log_records=("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED"),
         capabilities=frozenset({CAP_SHARED_LOG}),
     )

@@ -1,10 +1,12 @@
-"""Mutation self-test: the campaign must catch a broken protocol.
+"""Mutation self-tests: the nets must catch broken protocols.
 
 ``1PC-BRK`` votes before forcing its commit record (see
 :mod:`tests.campaign.broken`).  A seeded campaign block must flag it,
 the shrinker must reduce the catch to a tiny schedule, and the emitted
 repro document must replay to the same violation.  The same block on
 the real 1PC stays green — the checker has no false positives.
+``1PC-EAR`` answers "aborted" before its probe decides; only the
+oracle's aborted-residue pass sees it.
 
 Everything here runs in-process (``execute_spec``): ``temporary_protocol``
 registrations don't cross process-pool boundaries.
@@ -16,8 +18,9 @@ from repro.campaign.schedule import CampaignSchedule
 from repro.campaign.shrink import shrink_spec, violation_kinds
 from repro.exec import campaign_grid
 from repro.exec.runners import execute_spec
+from repro.harness.conformance import check_protocol
 from repro.protocols.registry import temporary_protocol
-from tests.campaign.broken import BROKEN_NAME, broken_spec
+from tests.campaign.broken import BROKEN_NAME, EAR_NAME, broken_spec, early_abort_spec
 
 #: The block the self-test sweeps; run 11 is the first catch.
 RUNS, SEED = 12, 0
@@ -54,6 +57,17 @@ def test_campaign_catches_and_shrinks_early_vote_mutation():
 def test_same_block_is_green_on_real_1pc():
     for spec in campaign_grid("1PC", runs=RUNS, seed=SEED):
         assert violation_kinds(execute_spec(spec)) == set(), spec.point
+
+
+def test_conformance_catches_the_early_abort_reply_as_aborted_residue():
+    """A silent worker whose commit record is durable: the mutant tells
+    the client "aborted", then commits after the fence and log read."""
+    with temporary_protocol(early_abort_spec()):
+        report = check_protocol(EAR_NAME)
+    assert report.failures == (
+        "1PC-EAR: scenario 'partition-at-vote': [aborted-residue] /dir1/f0: "
+        "CREATE answered aborted, 2/2 effects durable",
+    )
 
 
 #: Cells that once reported a lock-precedence cycle after a coordinator

@@ -39,7 +39,10 @@ def test_golden_repro_replays():
     with temporary_protocol(broken_spec()):
         cell, reproduced = replay_repro(doc)
     assert reproduced
-    assert "atomicity" in violation_kinds(cell)
+    recorded = {v["check"] for v in doc["verdict"]["violations"]}
+    assert violation_kinds(cell) == recorded == {
+        "atomicity", "durability", "invariant", "serializability"
+    }
 
 
 def _damaged(tmp_path, damage):

@@ -24,7 +24,7 @@ import pytest
 from repro.analysis.traceio import trace_to_string
 from repro.faults import scenario
 from repro.mds.scenarios import distributed_create_cluster
-from repro.protocols.conformance import DEFAULT_CRASH_POINTS
+from repro.harness.conformance import DEFAULT_CRASH_POINTS
 from repro.protocols.registry import default_protocols
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "recovery_digests.json"

@@ -95,7 +95,7 @@ def test_toy_protocol_appears_in_cli_listing(capsys):
 
 
 def test_toy_protocol_passes_conformance():
-    from repro.protocols.conformance import check_protocol
+    from repro.harness.conformance import check_protocol
 
     with temporary_protocol(toy_spec()):
         report = check_protocol("TOY")

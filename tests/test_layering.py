@@ -29,7 +29,8 @@ LAYERS = [
 ]
 #: Where a function-local ``repro.*`` import is a finding.
 TOP_LEVEL_ONLY = [
-    "exec", "harness", "lint", "mds", "workloads", "campaign/runner.py", "campaign/shrink.py",
+    "exec", "harness", "lint", "mds", "protocols", "workloads", "campaign/runner.py",
+    "campaign/shrink.py",
 ]
 
 
@@ -128,8 +129,8 @@ def test_only_the_kernel_assigns_the_clock():
 
 @pytest.mark.parametrize(
     "module",
-    ["exec", "campaign", "campaign.shrink", "workloads", "harness", "harness.sweeps",
-     "mds.scenarios"],
+    ["exec", "campaign", "campaign.shrink", "workloads", "harness", "harness.conformance",
+     "harness.sweeps", "mds.scenarios"],
 )
 def test_package_imports_in_a_fresh_interpreter(module):
     done = subprocess.run(

@@ -46,15 +46,15 @@ def test_the_drain_loop_is_spelled_once():
     )
     assert stepped == []
     # The one spelling is ``Cluster.run_until_answered``; its callers
-    # are the skeleton and the conformance battery (which sits below
-    # workloads).
+    # are the skeleton and the conformance battery (whose isolation
+    # check records a lost reply instead of raising like ``drain``).
     callers = sorted(
         name
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "run_until_answered"
     )
-    assert callers == ["protocols/conformance.py", "workloads/cell.py"]
+    assert callers == ["harness/conformance.py", "workloads/cell.py"]
 
 
 def _submit_lines(tree):
