@@ -188,13 +188,14 @@ class FaultPlan:
 
     ``trigger=`` faults fire on a *poll grid*: the install instant plus
     ``poll_interval``, added repeatedly.  The plan subscribes to the
-    cluster's record stream, feeds each record to the hit counters of
-    its category, and arms one kernel timer, for the next grid instant,
-    only when the trace has grown since the last poll: a trigger is a
-    function of the trace alone, so the instants between can fire
-    nothing and cost nothing.  The first grid instant at or past
-    ``watch_until`` (absolute) is the last poll; a plan with nothing
-    left to watch unsubscribes.
+    records of the categories its pending triggers filter on, feeds
+    each to the hit counters of its category, and arms one kernel
+    timer, for the first grid instant not before the record, only when
+    a counter reaches its ``min_count``: a trigger is a function of the
+    trace alone, so the instants between can fire nothing and cost
+    nothing.  The first grid instant at or past ``watch_until``
+    (absolute) is the last poll; a plan with nothing left to watch
+    unsubscribes.
 
     Tie rule: a poll sees every record appended before it runs.  One
     stamped exactly on a grid instant is seen at that instant unless
@@ -249,17 +250,27 @@ class FaultPlan:
         for fault in self.faults:
             if fault.at is not None:
                 cluster.sim.at(fault.at, self._fire, fault)
-        if self._pending:
-            #: category -> ``feed`` of every counter that filters on it.
-            self._feeds: dict[str, list[Callable[["TraceRecord"], None]]] = {}
-            for _fault, counter in self._pending:
-                self._feeds.setdefault(counter.trigger.category, []).append(counter.feed)
-            #: The grid instant last polled or armed; the install instant at first.
-            self._last = now
-            self._armed = False
-            cluster.obs.subscribe(self._on_record)
-            for record in cluster.trace.records:
+        if not self._pending:
+            return
+        #: The grid instant last polled or armed; the install instant at first.
+        self._last = now
+        self._armed = False
+        if self.watch_until is not None and now >= self.watch_until:
+            return  # past its horizon: no poll left to arm
+        self._listen()
+        for record in cluster.trace.records:
+            if record.category in self._feeds:
                 self._on_record(record)
+
+    def _listen(self) -> None:
+        """Hear the categories the pending triggers filter on, no other."""
+        obs = self._cluster.obs
+        obs.unsubscribe(self._on_record)
+        #: category -> ``feed`` of every pending counter that filters on it.
+        self._feeds: dict[str, list[Callable[["TraceRecord"], bool]]] = {}
+        for _fault, counter in self._pending:
+            self._feeds.setdefault(counter.trigger.category, []).append(counter.feed)
+        obs.subscribe(self._on_record, self._feeds)
 
     def _fire(self, fault: Fault) -> None:
         self.fired.append(fault)
@@ -270,12 +281,11 @@ class FaultPlan:
         fault.apply(self._cluster)
 
     def _on_record(self, record: "TraceRecord") -> None:
-        """The trace grew: feed the counters, see to it a poll is armed."""
-        if record.category in self._feeds:
-            for feed in self._feeds[record.category]:
-                feed(record)
-        if not self._armed:
-            self._arm(record.time)
+        """A record of a watched category: feed its counters; the first
+        to reach its count sees to it a poll is armed."""
+        for feed in self._feeds[record.category]:
+            if feed(record) and not self._armed:
+                self._arm(record.time)
 
     def _arm(self, now: float) -> None:
         """Arm the first grid instant past the last that is not before
@@ -296,16 +306,19 @@ class FaultPlan:
         self._cluster.obs.unsubscribe(self._on_record)
 
     def _poll(self, _value: None) -> None:
-        fired = False
+        """Fire every pending fault whose count is reached.  A poll is
+        armed only when one is, so each poll fires something."""
         for entry in list(self._pending):
             fault, counter = entry
             if counter.hits >= counter.min_count:
                 self._fire(fault)
                 self._pending.remove(entry)
-                fired = True
         self._armed = False
         if not self._pending:
             self._cluster.obs.unsubscribe(self._on_record)
-        elif fired:
-            # Only what the faults fired here emitted is news to the next poll.
+            return
+        self._listen()
+        # A count the fired faults' own records completed is seen at the
+        # next poll.
+        if any(counter.hits >= counter.min_count for _fault, counter in self._pending):
             self._arm(self._last)

@@ -135,9 +135,13 @@ class TriggerCounter:
         self.min_count = trigger.min_count
         self.hits = 0
 
-    def feed(self, record: "TraceRecord") -> None:
+    def feed(self, record: "TraceRecord") -> bool:
+        """Count ``record`` if it matches; True for the hit that reaches
+        ``min_count``."""
         if self.hits < self.min_count and self.trigger.matches(record):
             self.hits += 1
+            return self.hits == self.min_count
+        return False
 
 
 #: Protocol-critical windows, each bound to a node by :func:`window`.

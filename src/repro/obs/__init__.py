@@ -1,9 +1,9 @@
 """repro.obs — transaction-span observability.
 
 The instrumentation layer of the simulator: one hub that appends every
-observation to the cluster's trace once and derives per-transaction
-spans and a metrics registry from the same records, plus exporters
-(JSONL + Chrome ``trace_event`` for Perfetto).  See
+observation to the cluster's trace once and, when they are read, folds
+per-transaction spans and a metrics registry from the same records,
+plus exporters (JSONL + Chrome ``trace_event`` for Perfetto).  See
 ``docs/observability.md``.
 
 Most code interacts with this package through the

@@ -1,7 +1,7 @@
 """The observability hub: one object every subsystem reports into.
 
 :class:`Observability` owns the cluster's event stream and the two
-views derived from it:
+views folded from it:
 
 * ``trace`` — the :class:`~repro.sim.monitor.TraceLog`, an append-only
   list of :class:`~repro.sim.monitor.TraceRecord` (what golden traces,
@@ -10,18 +10,32 @@ views derived from it:
   *the same record objects* by transaction leg (what the Table-I
   accounting and the exporters fold);
 * ``metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry`
-  (counters bumped per record category, simulated-time histograms).
+  (a counter per record category, simulated-time histograms).
 
 Subsystems call the typed hooks below (``msg_send``, ``log_append``,
 ``lock_grant``, ``txn_start``...) instead of writing trace strings.
 Every hook early-outs when the hub is disabled, then makes one call to
-:meth:`Observability._emit`, which allocates the record once and feeds
-all three.
+:meth:`Observability._emit`, which does three things: allocate the
+record, append it to the stream, hand it to the listeners.  The record
+carries the node of the span leg its hook names (``TraceRecord.node``;
+the leg is ``(detail["txn"], node)``).
+
+Spans and metrics are one fold of the stream (:meth:`Observability._fold`),
+run from where the last one stopped whenever either view is *read*, and
+before :meth:`~repro.sim.monitor.TraceLog.clear` drops records.  A run
+that reads only the stream never pays for them.  The fold is exact by
+construction: a span notes the stream position it opened at, so a
+record is filed where it would have been filed the moment it was
+appended, and a ``txn_done`` observes its tree's forced writes and
+protocol messages as of its own position.  Span *lifecycle* — open,
+close, attributes, children — has no record of its own (a worker
+session opening, ``txn_start``'s client) and stays eager.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.obs.span import (
     PROTOCOL_MSG_KINDS,
@@ -32,7 +46,7 @@ from repro.obs.span import (
     Span,
     SpanCollector,
 )
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.monitor import TraceLog, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,11 +74,27 @@ _COUNTERS: dict[Any, str] = {
     "fence": "fencing.fences",
 }
 
+#: The categories that split, and the detail flag they split on.
+_SPLIT = {"txn_done": "committed", "log_append": "sync"}
 
-def _lock_leg(manager: str, txn: Any) -> Optional[str]:
-    """The node whose leg of ``txn`` owns a record of lock manager
-    ``locks:<node>``; locks of non-transaction owners stay off the spans."""
-    return manager.removeprefix("locks:") if isinstance(txn, int) else None
+
+class _Memo(dict):
+    """A dict that computes a missing value once, with ``make``: a hit
+    is a plain subscript, which costs no call.  (No ``__init__``: a hub
+    is built on every run, traced or not, so its constructor enters no
+    frame of its own.)"""
+
+    __slots__ = ("make",)
+    make: Callable[[Any], Any]
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
+def _lock_node(manager: str) -> str:
+    """The node a lock manager ``locks:<node>`` serves."""
+    return manager.removeprefix("locks:")
 
 
 class Observability:
@@ -75,20 +105,36 @@ class Observability:
         #: The one switch: a disabled hub appends nothing, opens no span
         #: and counts nothing.
         self.enabled = enabled
-        self.trace = TraceLog(sim, enabled=enabled)
-        self.spans = SpanCollector(sim)
-        #: The collector's leg table, which ``_emit`` files records by.
-        self._route = self.spans.route
+        self.trace = TraceLog(sim)
+        self.spans = SpanCollector(sim, self.trace)
         self.metrics = MetricsRegistry()
+        # Both views are read through the one fold, which also runs
+        # before the trace drops records.
+        self.spans.refresh = self.metrics.refresh = self.trace.before_clear = self._fold
+        #: The collector's span table, for the lifecycle hooks (a lookup
+        #: there folds nothing).
+        self._spans = self.spans._spans
+        #: Listeners of every record, and category -> listeners of that
+        #: category only.  Replaced, never mutated, so a listener may
+        #: unsubscribe from inside its call.
+        self._every: list[Callable[[TraceRecord], None]] = []
+        self._heard: dict[str, list[Callable[[TraceRecord], None]]] = {}
+        #: Lock-manager name -> the node whose legs its records belong to.
+        self._lock_nodes = _Memo()
+        self._lock_nodes.make = _lock_node
+        # -- the fold's state --------------------------------------------
+        #: Stream position of the first record not yet folded.
+        self._folded = 0
         #: ``_COUNTERS`` key -> its counter (or None), bound at the key's
         #: first record: the registry lists only counters that were bumped.
-        self._bound: dict[Any, Optional[Counter]] = {}
-        #: Called with each record as it is appended; replaced, never
-        #: mutated, so a listener may unsubscribe from inside its call.
-        self.listeners: list[Callable[[TraceRecord], None]] = []
-        #: (lock-manager name, txn, obj) -> grant time, for hold-time
-        #: histograms.
-        self._lock_grants: dict[tuple[str, Any, Any], float] = {}
+        self._bound = _Memo()
+        self._bound.make = self._bind
+        #: Histogram name -> its ``observe``, the histogram created at
+        #: its first observation.
+        self._observe = _Memo()
+        self._observe.make = self._observer
+        #: (lock-manager name, txn, obj) -> grant time, for hold times.
+        self._grants: dict[tuple[str, Any, Any], float] = {}
 
     # -- the single write path ------------------------------------------------
 
@@ -97,44 +143,47 @@ class Observability:
         category: str,
         actor: str,
         detail: dict[str, Any],
-        txn: Optional[int] = None,
         node: Optional[str] = None,
-        split: Optional[bool] = None,
-        amount: float = 1.0,
     ) -> None:
-        """Allocate one record and feed the stream, its span and its counter.
-
-        ``(txn, node)`` is the span leg that owns the record, from the
-        hook that holds both (no ``node`` keeps it off the spans);
-        ``split`` selects the counter of a category that has two,
-        ``amount`` is its step.
-        """
-        record = TraceRecord(self.sim.now, category, actor, detail)
+        """Allocate one record, append it to the stream, hand it to the
+        listeners.  ``node`` names the span leg that owns the record,
+        ``(detail["txn"], node)``, from the hook that holds both; None
+        keeps the record off the spans."""
+        record = TraceRecord(self.sim.now, category, actor, detail, node)
         self.trace.records.append(record)
-        for listener in self.listeners:
+        for listener in self._every:
             listener(record)
-        key = category if split is None else (category, split)
-        try:
-            counter = self._bound[key]
-        except KeyError:
-            name = _COUNTERS.get(key)
-            counter = self._bound[key] = self.metrics.counter(name) if name else None
-        if counter is not None:
-            counter.value += amount
-        if node is not None:
-            # The leg at ``node``, else the root, else cluster scope
-            # (``SpanCollector.begin`` keeps the table).
-            events = self._route.get((txn, node))
-            if events is None:
-                events = self._route.get((txn, None), self.spans.cluster_events)
-            events.append(record)
+        if category in self._heard:
+            for listener in self._heard[category]:
+                listener(record)
 
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Call ``listener(record)`` for every record appended from now on."""
-        self.listeners = self.listeners + [listener]
+    def subscribe(
+        self, listener: Callable[[TraceRecord], None], categories: Optional[Iterable[str]] = None
+    ) -> None:
+        """Call ``listener(record)`` for every record appended from now
+        on, or only for those of ``categories`` when given.  A record
+        reaches the listeners of every record first, then those of its
+        category, each in subscription order."""
+        if categories is None:
+            self._every = self._every + [listener]
+            return
+        heard = {category: list(known) for category, known in self._heard.items()}
+        for category in categories:
+            heard.setdefault(category, []).append(listener)
+        self._heard = heard
 
     def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        self.listeners = [known for known in self.listeners if known != listener]
+        self._every = [known for known in self._every if known != listener]
+        heard = {
+            category: [known for known in listeners if known != listener]
+            for category, listeners in self._heard.items()
+        }
+        self._heard = {category: known for category, known in heard.items() if known}
+
+    @property
+    def listeners(self) -> list[Callable[[TraceRecord], None]]:
+        """Every subscribed listener, once, whatever it listens to."""
+        return list(dict.fromkeys(chain(self._every, *self._heard.values())))
 
     def annotate(self, category: str, actor: str, **detail: Any) -> None:
         """Generic event of any category (protocol milestones, faults,
@@ -142,7 +191,83 @@ class Observability:
         if not self.enabled:
             return
         txn = detail.get("txn")
-        self._emit(category, actor, detail, txn, actor if txn is not None else None)
+        self._emit(category, actor, detail, None if txn is None else actor)
+
+    # -- the fold ---------------------------------------------------------------
+
+    def _bind(self, key: Any) -> Any:
+        name = _COUNTERS.get(key)
+        return None if name is None else self.metrics._counter(name)
+
+    def _observer(self, name: str) -> Callable[[float], None]:
+        return self.metrics._histogram(name).observe
+
+    def _fold(self) -> None:
+        """File the records appended since the last fold: each into its
+        span (the leg at its node if that opened before it, else its
+        root if that did, else ``cluster_events``), its counter, and the
+        histograms — lock hold times, client latency, and each finished
+        transaction's forced writes and protocol messages."""
+        trace = self.trace
+        records = trace.records
+        start = self._folded - trace.dropped
+        if start >= len(records):
+            return
+        spans = self._spans
+        unowned = self.spans._cluster_events
+        bound = self._bound
+        observe = self._observe
+        grants = self._grants
+        position = self._folded
+        for record in islice(records, start, None):
+            category = record.category
+            detail = record.detail
+            if record.node is not None:
+                txn = detail["txn"] if "txn" in detail else None
+                key = (txn, record.node)
+                span = spans[key] if key in spans else None
+                if span is None or span.opened > position:
+                    key = (txn, None)
+                    span = spans[key] if key in spans else None
+                    if span is not None and span.opened > position:
+                        span = None
+                (unowned if span is None else span.events).append(record)
+            counter = bound[(category, detail[_SPLIT[category]]) if category in _SPLIT else category]
+            if counter is not None:
+                counter.value += detail["removed"] if category == "log_gc" else 1.0
+            if category == "lock_grant":
+                grants[(record.actor, detail["txn"], detail["obj"])] = record.time
+            elif category == "lock_release":
+                held = (record.actor, detail["txn"], detail["obj"])
+                if held in grants:
+                    observe["locks.hold_time"](record.time - grants[held])
+                    del grants[held]
+            elif category == "txn_done":
+                observe["txn.client_latency"](detail["latency"])
+                key = (detail["txn"], None)
+                root = spans[key] if key in spans else None
+                if root is not None and root.opened <= position:
+                    # The tree as filed so far: what it held at this record.
+                    forced = messages = 0
+                    for event in root.iter_events():
+                        if event.category == "log_append":
+                            if event.detail["sync"]:
+                                forced += 1
+                        elif (
+                            event.category == "msg_send"
+                            and event.detail["kind"] in PROTOCOL_MSG_KINDS
+                        ):
+                            messages += 1
+                    observe["txn.forced_writes"](float(forced))
+                    observe["txn.messages"](float(messages))
+            elif category == "crash":
+                # Its lock table is gone and no release will name what it
+                # held: the hold-time shadow of those grants goes with it.
+                manager = f"locks:{record.actor}"
+                grants = {k: t for k, t in grants.items() if k[0] != manager}
+                self._grants = grants
+            position += 1
+        self._folded = position
 
     # -- transaction lifecycle ----------------------------------------------
 
@@ -174,7 +299,7 @@ class Observability:
         if not self.enabled:
             return
         detail = {"txn": txn, "op": op, "workers": workers}
-        self._emit("fallback_protocol", actor, detail, txn, actor)
+        self._emit("fallback_protocol", actor, detail, actor)
 
     def worker_open(self, actor: str, txn: int, *, opener: str, protocol: str = "") -> None:
         """A worker session opened for a remote transaction (span only —
@@ -194,9 +319,9 @@ class Observability:
         """
         if not self.enabled:
             return
-        leg = self.spans.leg_of(txn, actor)
+        leg = self._spans.get((txn, actor))
         if leg is not None:
-            root = self.spans.span_of(txn)
+            root = self._spans.get((txn, None))
             status = root.status if root is not None and root.closed else "closed"
             self.spans.close(leg, status)
 
@@ -204,8 +329,8 @@ class Observability:
         if not self.enabled:
             return
         detail = {"txn": txn, "committed": committed, "op": op}
-        self._emit("client_reply", actor, detail, txn, actor)
-        root = self.spans.span_of(txn)
+        self._emit("client_reply", actor, detail, actor)
+        root = self._spans.get((txn, None))
         if root is not None:
             root.attrs["replied_at"] = self.sim.now
 
@@ -221,17 +346,15 @@ class Observability:
         reason: str = "",
     ) -> None:
         """A transaction finished at its coordinator: close the root
-        span and fold its per-transaction metrics."""
+        span (its per-transaction metrics are the fold's)."""
         if not self.enabled:
             return
         self._emit(
             "txn_done",
             actor,
             {"txn": txn, "committed": committed, "op": op, "latency": latency},
-            split=committed,
         )
-        self.metrics.histogram("txn.client_latency").observe(latency)
-        root = self.spans.span_of(txn)
+        root = self._spans.get((txn, None))
         if root is not None:
             self.spans.close(
                 root,
@@ -239,23 +362,6 @@ class Observability:
                 replied_at=replied_at,
                 reason=reason,
             )
-            self._fold_span_metrics(root)
-
-    def _fold_span_metrics(self, root: Span) -> None:
-        """Per-transaction histograms derived from the closed span."""
-        forced = 0
-        messages = 0
-        # ``log_append`` and ``msg_send`` details always carry ``sync`` /
-        # ``kind`` (see their hooks below).
-        for event in root.iter_events():
-            category = event.category
-            if category == "log_append":
-                if event.detail["sync"]:
-                    forced += 1
-            elif category == "msg_send" and event.detail["kind"] in PROTOCOL_MSG_KINDS:
-                messages += 1
-        self.metrics.histogram("txn.forced_writes").observe(float(forced))
-        self.metrics.histogram("txn.messages").observe(float(messages))
 
     # -- network -------------------------------------------------------------
 
@@ -265,7 +371,7 @@ class Observability:
         if not self.enabled:
             return
         detail = {"kind": kind, "dst": dst, "txn": txn, "msg_id": msg_id}
-        self._emit("msg_send", actor, detail, txn, actor)
+        self._emit("msg_send", actor, detail, actor)
 
     def msg_recv(
         self, actor: str, *, kind: str, src: str, txn: Optional[int], msg_id: int
@@ -273,13 +379,12 @@ class Observability:
         if not self.enabled:
             return
         detail = {"kind": kind, "src": src, "txn": txn, "msg_id": msg_id}
-        self._emit("msg_recv", actor, detail, txn, actor)
+        self._emit("msg_recv", actor, detail, actor)
 
     def msg_drop(self, actor: str, *, reason: str, kind: str, **detail: Any) -> None:
         if not self.enabled:
             return
-        txn = detail.get("txn")
-        self._emit("msg_drop", actor, {"reason": reason, "kind": kind, **detail}, txn, actor)
+        self._emit("msg_drop", actor, {"reason": reason, "kind": kind, **detail}, actor)
 
     # -- write-ahead log ------------------------------------------------------
 
@@ -291,7 +396,7 @@ class Observability:
         if not self.enabled:
             return
         detail = {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes}
-        self._emit("log_append", actor, detail, txn, actor, split=sync)
+        self._emit("log_append", actor, detail, actor)
 
     def log_durable(
         self, actor: str, *, kind: Any, txn: Optional[int], sync: bool, nbytes: float
@@ -299,7 +404,7 @@ class Observability:
         if not self.enabled:
             return
         detail = {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes}
-        self._emit("log_durable", actor, detail, txn, actor)
+        self._emit("log_durable", actor, detail, actor)
 
     def log_crash(self, actor: str, *, lost_jobs: int) -> None:
         if not self.enabled:
@@ -314,9 +419,13 @@ class Observability:
     def log_gc(self, actor: str, *, txn: int, removed: int) -> None:
         if not self.enabled:
             return
-        self._emit("log_gc", actor, {"txn": txn, "removed": removed}, amount=removed)
+        self._emit("log_gc", actor, {"txn": txn, "removed": removed})
 
     # -- locks ----------------------------------------------------------------
+    #
+    # A lock record's actor is its manager, ``locks:<node>``; it belongs
+    # to that node's leg of a transaction owner (an ``int``), and an
+    # owner that is not a transaction keeps it off the spans.
 
     def lock_grant(self, manager: str, *, txn: Any, obj: Any, mode: str) -> None:
         # ``mode`` arrives as the table's own ``LockMode`` (a ``str``) and
@@ -324,8 +433,8 @@ class Observability:
         if not self.enabled:
             return
         detail = {"txn": txn, "obj": obj, "mode": str(mode)}
-        self._emit("lock_grant", manager, detail, txn, _lock_leg(manager, txn))
-        self._lock_grants[(manager, txn, obj)] = self.sim.now
+        node = self._lock_nodes[manager] if txn.__class__ is int else None
+        self._emit("lock_grant", manager, detail, node)
 
     def lock_upgrade(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
@@ -336,36 +445,32 @@ class Observability:
         if not self.enabled:
             return
         detail = {"txn": txn, "obj": obj, "mode": str(mode)}
-        self._emit("lock_wait", manager, detail, txn, _lock_leg(manager, txn))
+        node = self._lock_nodes[manager] if txn.__class__ is int else None
+        self._emit("lock_wait", manager, detail, node)
 
     def lock_timeout(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
             return
-        self._emit("lock_timeout", manager, {"txn": txn, "obj": obj}, txn, _lock_leg(manager, txn))
+        node = self._lock_nodes[manager] if txn.__class__ is int else None
+        self._emit("lock_timeout", manager, {"txn": txn, "obj": obj}, node)
 
     def lock_release(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
             return
-        self._emit("lock_release", manager, {"txn": txn, "obj": obj}, txn, _lock_leg(manager, txn))
-        granted = self._lock_grants.pop((manager, txn, obj), None)
-        if granted is not None:
-            self.metrics.histogram("locks.hold_time").observe(self.sim.now - granted)
+        node = self._lock_nodes[manager] if txn.__class__ is int else None
+        self._emit("lock_release", manager, {"txn": txn, "obj": obj}, node)
 
     # -- nodes, fencing --------------------------------------------------------
 
     def node_crash(self, actor: str) -> None:
         if not self.enabled:
             return
-        self._emit("crash", actor, {}, None, actor)
-        # Its lock table is gone and no release will name what it held:
-        # the hold-time shadow of those grants goes with it.
-        held = f"locks:{actor}"
-        self._lock_grants = {k: t for k, t in self._lock_grants.items() if k[0] != held}
+        self._emit("crash", actor, {}, actor)
 
     def node_restart(self, actor: str) -> None:
         if not self.enabled:
             return
-        self._emit("restart", actor, {}, None, actor)
+        self._emit("restart", actor, {}, actor)
 
     def node_recovered(self, actor: str) -> None:
         if not self.enabled:
@@ -375,9 +480,9 @@ class Observability:
     def fence(self, by: str, *, target: str) -> None:
         if not self.enabled:
             return
-        self._emit("fence", by, {"target": target}, None, by)
+        self._emit("fence", by, {"target": target}, by)
 
     def unfence(self, by: str, *, target: str) -> None:
         if not self.enabled:
             return
-        self._emit("unfence", by, {"target": target}, None, by)
+        self._emit("unfence", by, {"target": target}, by)

@@ -2,17 +2,21 @@
 
 Protocols and the MDS server report structured measurements here via
 the :class:`~repro.obs.hub.Observability` hooks instead of writing
-trace strings: the hub bumps one counter per record category and
-observes the simulated-time histograms.  A disabled hub never reaches
-the registry, so it stays empty.
+trace strings.  The hub's own metrics — one counter per record
+category and the simulated-time histograms — are a fold of the record
+stream, run when the registry is *read*: every query below first calls
+``refresh``; :meth:`MetricsRegistry.inc` and
+:meth:`MetricsRegistry.observe` write and fold nothing.  A disabled
+hub has no records, so its registry stays empty.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.analysis.metrics import percentile
 from repro.analysis.streaming import StreamingStats
+from repro.sim.monitor import nothing_to_fold
 
 
 class Counter:
@@ -131,41 +135,58 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: Folds the records appended since the last query (the hub's).
+        self.refresh: Callable[[], None] = nothing_to_fold
 
-    def counter(self, name: str) -> Counter:
+    def _counter(self, name: str) -> Counter:
+        """Counter ``name``, created if new; folds nothing (a write path)."""
         counter = self._counters.get(name)
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
 
-    def histogram(self, name: str) -> Histogram:
+    def _histogram(self, name: str) -> Histogram:
+        """Histogram ``name``, created if new; folds nothing."""
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram(name)
         return histogram
 
+    def counter(self, name: str) -> Counter:
+        self.refresh()
+        return self._counter(name)
+
+    def histogram(self, name: str) -> Histogram:
+        self.refresh()
+        return self._histogram(name)
+
     def inc(self, name: str, amount: float = 1.0) -> None:
         """Bump counter ``name``."""
-        self.counter(name).inc(amount)
+        self._counter(name).inc(amount)
 
     def observe(self, name: str, value: float) -> None:
         """Record ``value`` into histogram ``name``."""
-        self.histogram(name).observe(value)
+        self._histogram(name).observe(value)
 
     def get_counter(self, name: str) -> Optional[Counter]:
+        self.refresh()
         return self._counters.get(name)
 
     def get_histogram(self, name: str) -> Optional[Histogram]:
+        self.refresh()
         return self._histograms.get(name)
 
     def counters(self) -> Iterator[Counter]:
+        self.refresh()
         return iter(self._counters.values())
 
     def histograms(self) -> Iterator[Histogram]:
+        self.refresh()
         return iter(self._histograms.values())
 
     def snapshot(self) -> dict[str, Any]:
         """Plain-data view of every metric, sorted by name."""
+        self.refresh()
         return {
             "counters": {
                 name: self._counters[name].value for name in sorted(self._counters)

@@ -8,6 +8,11 @@ to the trace (message send/recv, WAL force, lock traffic, crash/fence),
 and spans carry parent/child links so a coordinator span owns its
 worker legs.
 
+Span *lifecycle* (open, close, attributes, children) happens as the
+run goes.  Span *membership* is a fold of the stream, run when the
+collector is read: a span's ``events`` are current as of the last
+read of its :class:`SpanCollector`.
+
 This is the native abstraction Gray & Lamport's *Consensus on
 Transaction Commit* frames commit protocols in: per-transaction message
 and stable-write complexity.  The analysis layer folds spans directly
@@ -19,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from repro.sim.monitor import TraceRecord
+from repro.sim.monitor import TraceLog, TraceRecord, nothing_to_fold
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -79,6 +84,9 @@ class Span:
     attrs: dict[str, Any] = field(default_factory=dict)
     events: list[TraceRecord] = field(default_factory=list)
     children: list["Span"] = field(default_factory=list)
+    #: Stream position at which the span opened: it owns no record
+    #: appended before.
+    opened: int = field(default=0, compare=False, repr=False)
 
     @property
     def closed(self) -> bool:
@@ -117,30 +125,37 @@ class SpanCollector:
     leg.  The collector is the store behind ``repro.trace(cluster)``;
     only the :class:`~repro.obs.hub.Observability` hub writes to it.
 
-    Routing: a record at ``(txn_id, node)`` belongs to the leg at that
-    node, else to the transaction's root, else to ``cluster_events``.
-    :meth:`begin` decides the first two once per leg, in ``route``, so
-    the hub files a record with one lookup (two when the node has no
-    leg) and an append.
+    Membership: a record at leg ``(txn_id, node)`` belongs to the leg at
+    that node if the leg opened before it, else to the transaction's
+    root if the root did, else to ``cluster_events``.  Every query
+    below first calls ``refresh``, through which the hub files the
+    records appended since the last query; the hub's own lifecycle
+    calls read ``_spans`` and fold nothing.
     """
 
-    def __init__(self, sim: "Simulator") -> None:
+    def __init__(self, sim: "Simulator", trace: Optional[TraceLog] = None) -> None:
         self.sim = sim
+        #: The stream the spans group; a span notes its position at open.
+        self.trace = TraceLog(sim) if trace is None else trace
+        #: Files the records appended since the last query (the hub's fold).
+        self.refresh: Callable[[], None] = nothing_to_fold
         #: Records with no owning span (crash, fence, messages outside
         #: any transaction...), kept for the exporters.
-        self.cluster_events: list[TraceRecord] = []
+        self._cluster_events: list[TraceRecord] = []
         #: Every span, in open order.
         self._spans: dict[tuple[int, Optional[str]], Span] = {}
-        #: ``(txn_id, node)`` -> the ``events`` list of the span owning
-        #: that node's records; ``(txn_id, None)`` is the root's, for
-        #: nodes without a leg.
-        self.route: dict[tuple[int, Optional[str]], list[TraceRecord]] = {}
 
     def __len__(self) -> int:
         return len(self._spans)
 
     def __iter__(self) -> Iterator[Span]:
+        self.refresh()
         return iter(self._spans.values())
+
+    @property
+    def cluster_events(self) -> list[TraceRecord]:
+        self.refresh()
+        return self._cluster_events
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -159,16 +174,13 @@ class SpanCollector:
         Re-opening an existing leg (duplicate UPDATE_REQ after a crash,
         coordinator re-execution) returns the original span so its
         history stays in one place.
-
-        A worker leg takes its node's records from now on; a root takes
-        those of every node without a leg, its own node included until
-        a leg opens there.
         """
         key = (txn_id, actor if role == WORKER else None)
         span = self._spans.get(key)
         if span is not None:
             return span
         root = self._spans.get((txn_id, None))
+        trace = self.trace
         span = self._spans[key] = Span(
             span_id=len(self._spans) + 1,
             txn_id=txn_id,
@@ -179,12 +191,10 @@ class SpanCollector:
             protocol=protocol,
             parent_id=root.span_id if root is not None else None,
             attrs=attrs,
+            opened=trace.dropped + len(trace.records),
         )
         if root is not None:
             root.children.append(span)
-        self.route[key] = span.events
-        if role != WORKER:
-            self.route.setdefault((txn_id, actor), span.events)
         return span
 
     def close(self, span: Span, status: str, **attrs: Any) -> None:
@@ -216,10 +226,12 @@ class SpanCollector:
 
     def span_of(self, txn_id: int) -> Optional[Span]:
         """The coordinator span of ``txn_id``."""
+        self.refresh()
         return self._spans.get((txn_id, None))
 
     def leg_of(self, txn_id: int, actor: str) -> Optional[Span]:
         """The worker leg of ``txn_id`` at ``actor``."""
+        self.refresh()
         return self._spans.get((txn_id, actor))
 
     def open_spans(self) -> list[Span]:

@@ -6,12 +6,15 @@ subsystem emits :class:`TraceRecord` entries tagged with a category
 (``msg_send``, ``log_append``, ``lock_grant``, ``txn_start``,
 ``crash``...).
 
-The log is the cluster's one event stream: instrumentation reaches it
-only through the :class:`~repro.obs.hub.Observability` hub, which
-appends one record per hook call.  Golden-trace tests, fault triggers,
-the timeline renderer and the utilisation folds read the records
-directly; transaction spans and metrics (:mod:`repro.obs`) are views
-the hub derives from the same record objects.
+The log is the cluster's one event stream, and the
+:class:`~repro.obs.hub.Observability` hub is its one writer: a hook
+allocates a record, appends it here and hands it to the hub's
+listeners, nothing more.  Golden-trace tests, fault triggers, the
+timeline renderer and the utilisation folds read the records
+directly; transaction spans and metrics (:mod:`repro.obs`) are folded
+from the same record objects when they are read, from where the last
+read stopped.  :meth:`TraceLog.clear` lets those folds catch up before
+it drops anything.
 """
 
 from __future__ import annotations
@@ -23,36 +26,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 
+def nothing_to_fold() -> None:
+    """The fold of a view that reads no stream: always up to date."""
+
+
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One timestamped observation.
 
     Slotted: a traced run allocates one per hook call, and a record
-    without a ``__dict__`` is 64 bytes instead of 160 and cheaper to
+    without a ``__dict__`` is 72 bytes instead of 160 and cheaper to
     build.
+
+    ``node`` names the span leg its hook files it under,
+    ``(detail["txn"], node)`` — cluster scope when there is no ``txn`` —
+    or is ``None`` for a record on no span.  It is the actor's own name,
+    except for a lock manager's records, which name the node the
+    manager serves; a reference, so it costs no allocation.  It is
+    bookkeeping, not an observation, so equality, ``repr`` and every
+    serialised form leave it out.
     """
 
     time: float
     category: str
     actor: str
     detail: dict[str, Any] = field(default_factory=dict)
+    node: Optional[str] = field(default=None, compare=False, repr=False)
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.detail.get(key, default)
 
 
 class TraceLog:
-    """An append-only, queryable event trace."""
+    """An append-only, queryable event trace.
 
-    def __init__(self, sim: "Simulator", enabled: bool = True):
+    A record's *stream position* is ``dropped + i`` for ``records[i]``:
+    it counts every record ever appended, so it survives :meth:`clear`.
+    """
+
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.enabled = enabled
         self.records: list[TraceRecord] = []
-
-    def emit(self, category: str, actor: str, **detail: Any) -> None:
-        if not self.enabled:
-            return
-        self.records.append(TraceRecord(self.sim.now, category, actor, detail))
+        #: Records :meth:`clear` has dropped so far.
+        self.dropped = 0
+        #: Called before :meth:`clear` drops anything, so the views folded
+        #: from the records (the hub's) catch up first.
+        self.before_clear: Callable[[], None] = nothing_to_fold
 
     def __len__(self) -> int:
         return len(self.records)
@@ -97,8 +116,10 @@ class TraceLog:
 
     def clear(self) -> int:
         """Drop all records (e.g. after a warm-up phase); returns how
-        many were dropped."""
+        many were dropped.  The views folded from them lose nothing."""
+        self.before_clear()
         dropped = len(self.records)
+        self.dropped += dropped
         self.records.clear()
         return dropped
 

@@ -10,7 +10,8 @@ from repro.fs import AddDentry, DecLink, OpPlan, UpdateError
 from repro.mds.scenarios import distributed_create_cluster
 from repro.protocols.base import TxnOutcome
 from repro.protocols.registry import default_protocols
-from repro.sim import Simulator, TraceLog
+from repro.obs import Observability
+from repro.sim import Simulator
 
 
 def settled_create(protocol="1PC"):
@@ -73,7 +74,7 @@ def test_precedence_graph_detects_artificial_cycle():
     cluster, plan = settled_create()
     # txn 1 then 2 on object A; txn 2 then 1 on object B: a cycle.
     for txn, obj in ((1, "A"), (2, "A"), (2, "B"), (1, "B")):
-        cluster.trace.emit("lock_grant", "m", txn=txn, obj=obj)
+        cluster.obs.annotate("lock_grant", "m", txn=txn, obj=obj)
     found = check(cluster, [plan])
     assert kinds(found) == ["conflict-cycle"]
     assert "lock-precedence cycle" in found[0].detail
@@ -83,16 +84,17 @@ def test_precedence_graph_cuts_grant_history_at_a_crash():
     """A reboot loses the lock table: recovery's re-acquisitions must
     not be chained onto the grants the crash wiped (campaign seed 9
     cell 14 read 9, 10, <crash>, 9, <crash>, 9, 10 on one object)."""
-    trace = TraceLog(Simulator())
+    obs = Observability(Simulator())
+    trace = obs.trace
     for step in (9, 10, "crash", 9, "crash", 9, 10):
         if step == "crash":
-            trace.emit("crash", "mds1")
+            obs.node_crash("mds1")
         else:
-            trace.emit("lock_grant", "locks:mds1", txn=step, obj="/hot")
+            obs.annotate("lock_grant", "locks:mds1", txn=step, obj="/hot")
     assert precedence_graph(trace) == [(9, 10), (9, 10)]
     # Another node's crash cuts nothing here.
-    trace.emit("crash", "mds2")
-    trace.emit("lock_grant", "locks:mds1", txn=9, obj="/hot")
+    obs.node_crash("mds2")
+    obs.annotate("lock_grant", "locks:mds1", txn=9, obj="/hot")
     assert precedence_graph(trace)[-1] == (10, 9)
 
 

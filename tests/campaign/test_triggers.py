@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import WINDOWS, ScheduleFormatError, TraceTrigger, window
-from repro.sim import Simulator, TraceLog
+from repro.sim import Simulator, TraceLog, TraceRecord
 
 
 def fresh_trace():
@@ -11,7 +11,8 @@ def fresh_trace():
 
 
 def emit(trace, category, actor, **detail):
-    trace.emit(category, actor, **detail)
+    """Append the record a hook would (a trigger reads nothing else)."""
+    trace.records.append(TraceRecord(trace.sim.now, category, actor, detail))
 
 
 def test_trigger_matches_category_actor_and_detail():
@@ -27,7 +28,7 @@ def test_trigger_matches_category_actor_and_detail():
 def push(counter, trace, category, actor, **detail):
     """Emit one record and hand it to ``counter`` the way a fault plan does."""
     emit(trace, category, actor, **detail)
-    counter.feed(trace.records[-1])
+    return counter.feed(trace.records[-1])
 
 
 def test_compiled_predicate_is_incremental_and_counts():
@@ -35,13 +36,14 @@ def test_compiled_predicate_is_incremental_and_counts():
     counter = trig.compile()
     trace = fresh_trace()
     assert (counter.trigger, counter.min_count, counter.hits) == (trig, 2, 0)
-    push(counter, trace, "fence", "mds1")
-    push(counter, trace, "fence", "mds2")  # right category, wrong actor
+    assert push(counter, trace, "fence", "mds1") is False
+    assert push(counter, trace, "fence", "mds2") is False  # right category, wrong actor
     assert counter.hits == 1
-    push(counter, trace, "fence", "mds1")
+    # The hit that reaches min_count says so: the plan arms a poll on it.
+    assert push(counter, trace, "fence", "mds1") is True
     assert counter.hits == 2
     # Satisfied stays satisfied; later matches are not even filtered.
-    push(counter, trace, "fence", "mds1")
+    assert push(counter, trace, "fence", "mds1") is False
     assert counter.hits == 2
 
 

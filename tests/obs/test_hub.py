@@ -4,7 +4,7 @@ import pytest
 
 from repro.mds.scenarios import distributed_create_cluster
 from repro.obs import Observability
-from repro.sim import Simulator, TraceLog
+from repro.sim import Simulator
 from repro.sim.monitor import TraceRecord
 
 
@@ -187,21 +187,21 @@ def test_worker_leg_closed_before_decision_reads_closed():
 
 
 def test_annotate_matches_legacy_emit_bytes():
-    """annotate() must produce the record a bare TraceLog.emit would."""
+    """annotate() must produce the record built from its arguments."""
     sim = Simulator()
     obs = Observability(sim)
-    reference = TraceLog(sim)
     obs.annotate("ack_gave_up", "mds2", txn=3, waited=0.5)
-    reference.emit("ack_gave_up", "mds2", txn=3, waited=0.5)
-    rec, ref = obs.trace.records[0], reference.records[0]
-    assert (rec.category, rec.actor, rec.detail) == (ref.category, ref.actor, ref.detail)
+    ref = TraceRecord(sim.now, "ack_gave_up", "mds2", {"txn": 3, "waited": 0.5})
+    rec = obs.trace.records[0]
+    assert rec == ref and repr(rec) == repr(ref)
     assert list(rec.detail) == list(ref.detail)  # kwargs order preserved
+    assert rec.node == "mds2"
     # The span side sees the same record, under its own category.
     events = obs.spans.cluster_events  # txn 3 has no span -> cluster scope
     assert events == [rec]
     # Without a txn an annotation stays off the spans entirely.
     obs.annotate("net_heal", "network")
-    assert len(obs.trace) == 2 and len(events) == 1
+    assert len(obs.trace) == 2 and obs.spans.cluster_events == [rec]
 
 
 def test_lock_hold_time_histogram():
@@ -240,24 +240,27 @@ def test_a_crash_drops_the_lock_hold_shadow_of_that_nodes_manager_only():
     obs.lock_grant("locks:mds2", txn=1, obj="inode:7", mode="X")
     sim.run(until=0.1)
     obs.node_crash("mds1")  # the table vanishes: no release will name /d
-    assert list(obs._lock_grants) == [("locks:mds2", 1, "inode:7")]
+    obs.metrics.snapshot()  # a read folds the stream so far
+    assert list(obs._grants) == [("locks:mds2", 1, "inode:7")]
     sim.run(until=0.2)
     obs.lock_grant("locks:mds1", txn=1, obj="/d", mode="X")  # recovery re-acquires
     sim.run(until=0.5)
     obs.lock_release("locks:mds1", txn=1, obj="/d")
     obs.lock_release("locks:mds2", txn=1, obj="inode:7")
     assert obs.metrics.get_histogram("locks.hold_time").values == [0.5 - 0.2, 0.5]
-    assert obs._lock_grants == {}
+    assert obs._grants == {}
 
 
 def test_a_crashed_server_leaves_no_lock_hold_shadow_behind():
     cluster, client = distributed_create_cluster("1PC")
     client.submit(client.plan_create("/dir1/f0"))
     cluster.sim.run(until=2e-3)
-    (held,) = [key for key in cluster.obs._lock_grants if key[0] == "locks:mds1"]
+    cluster.metrics.snapshot()  # fold the stream so far
+    (held,) = [key for key in cluster.obs._grants if key[0] == "locks:mds1"]
     crashed_at = cluster.sim.now
     cluster.crash_server("mds1")
-    assert not [key for key in cluster.obs._lock_grants if key[0] == "locks:mds1"]
+    cluster.metrics.snapshot()
+    assert not [key for key in cluster.obs._grants if key[0] == "locks:mds1"]
     cluster.restart_server("mds1")
     cluster.sim.run(until=60.0)
     # Recovery redid the transaction: its hold is timed from the new
@@ -269,7 +272,7 @@ def test_a_crashed_server_leaves_no_lock_hold_shadow_behind():
     ]
     (release,) = trace.select("lock_release", actor="locks:mds1", txn=held[1], obj=held[2])
     assert release.time - regrant.time in cluster.metrics.get_histogram("locks.hold_time").values
-    assert cluster.obs._lock_grants == {}
+    assert cluster.obs._grants == {}
 
 
 def test_counters_bind_at_their_first_bump_and_a_counterless_category_makes_none():

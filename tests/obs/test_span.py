@@ -69,6 +69,8 @@ def test_record_prefers_the_actors_leg_over_the_root():
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
     # A lock record's actor is the manager; the node names its leg.
     obs.lock_grant("locks:mds2", txn=1, obj="/d", mode="X")
+    # Membership is folded when the collector is read.
+    assert obs.spans.leg_of(1, "mds2") is worker and obs.spans.span_of(1) is root
     assert categories(worker.events) == ["log_append", "lock_grant"]
     assert categories(root.events) == ["msg_send"]
     # iter_events recurses into the legs.
@@ -82,6 +84,7 @@ def test_a_record_at_a_worker_node_before_its_leg_opens_lands_on_the_root():
     obs.msg_recv("mds2", kind="UPDATE_REQ", src="mds1", txn=1, msg_id=1)
     worker = leg(obs, "mds2")
     obs.annotate("log_append", "mds2", txn=1, sync=True)
+    assert obs.spans.span_of(1) is root
     assert categories(root.events) == ["msg_recv"]
     assert categories(worker.events) == ["log_append"]
 
@@ -93,6 +96,7 @@ def test_a_leg_at_the_coordinators_node_takes_its_records_from_then_on():
     local = leg(obs, "mds1")
     obs.annotate("log_durable", "mds1", txn=1, sync=True)
     obs.msg_send("mds1", kind="UPDATED", dst="mds2", txn=1, msg_id=1)
+    assert obs.spans.span_of(1) is root
     assert categories(root.events) == ["log_append"]
     assert categories(local.events) == ["log_durable", "msg_send"]
     assert root.children == [local]
@@ -102,12 +106,13 @@ def test_reopening_a_leg_changes_no_routing():
     obs = hub()
     root = open_txn(obs)
     worker = leg(obs, "mds2")
-    route = dict(obs.spans.route)
+    opened = [span.opened for span in obs.spans]
     assert leg(obs, "mds2") is worker
     assert open_txn(obs) is root
-    assert obs.spans.route == route
+    assert [span.opened for span in obs.spans] == opened
     obs.annotate("log_append", "mds2", txn=1, sync=True)
     obs.annotate("log_append", "mds1", txn=1, sync=True)
+    assert obs.spans.span_of(1) is root
     assert [e.actor for e in worker.events] == ["mds2"]
     assert [e.actor for e in root.events] == ["mds1"]
 
@@ -196,6 +201,7 @@ def test_iter_events_walks_span_by_span_depth_first_like_the_recursive_reference
     for t, node in enumerate(["mds3", "mds1", "mds2", "mds1", "mds3", "mds2"]):
         obs.sim.run(until=float(t))
         obs.annotate("msg_send", node, txn=1)
+    assert obs.spans.span_of(1) is root
     walked = list(root.iter_events())
     assert [(e.actor, e.time) for e in walked] == [
         ("mds1", 1.0), ("mds1", 3.0), ("mds2", 2.0), ("mds2", 5.0), ("mds3", 0.0), ("mds3", 4.0),

@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from repro.sim import RngRegistry, Simulator, TraceLog
+from repro.obs import Observability
+from repro.sim import RngRegistry, Simulator
 from repro.sim.monitor import TraceRecord
 
 
@@ -46,12 +47,18 @@ def test_rng_bernoulli_validated():
     assert reg.bernoulli("never", 0.0) is False
 
 
+def hub(sim, enabled=True):
+    """A trace is written through the hub, its one write path."""
+    obs = Observability(sim, enabled=enabled)
+    return obs, obs.trace
+
+
 def test_tracelog_emit_and_select():
     sim = Simulator()
-    trace = TraceLog(sim)
-    trace.emit("msg", "mds1", kind="PREPARE", txn=1)
-    trace.emit("msg", "mds2", kind="PREPARED", txn=1)
-    trace.emit("log_write", "mds1", sync=True)
+    obs, trace = hub(sim)
+    obs.annotate("msg", "mds1", kind="PREPARE", txn=1)
+    obs.annotate("msg", "mds2", kind="PREPARED", txn=1)
+    obs.annotate("log_write", "mds1", sync=True)
     assert len(trace) == 3
     assert trace.count("msg") == 2
     assert trace.count("msg", kind="PREPARE") == 1
@@ -60,11 +67,11 @@ def test_tracelog_emit_and_select():
 
 def test_tracelog_records_simulation_time():
     sim = Simulator()
-    trace = TraceLog(sim)
+    obs, trace = hub(sim)
 
     def proc(sim):
         yield sim.timeout(2.0)
-        trace.emit("tick", "p")
+        obs.annotate("tick", "p")
 
     sim.process(proc(sim))
     sim.run()
@@ -73,41 +80,42 @@ def test_tracelog_records_simulation_time():
 
 def test_tracelog_disabled_records_nothing():
     sim = Simulator()
-    trace = TraceLog(sim, enabled=False)
-    trace.emit("msg", "a")
+    obs, trace = hub(sim, enabled=False)
+    obs.annotate("msg", "a")
     assert len(trace) == 0
 
 
 def test_tracelog_categories_counts_sorted():
     sim = Simulator()
-    trace = TraceLog(sim)
-    trace.emit("msg", "a")
-    trace.emit("lock", "a")
-    trace.emit("msg", "b")
+    obs, trace = hub(sim)
+    obs.annotate("msg", "a")
+    obs.annotate("lock", "a")
+    obs.annotate("msg", "b")
     assert trace.categories() == {"lock": 1, "msg": 2}
     assert list(trace.categories()) == ["lock", "msg"]
 
 
 def test_tracelog_clear_drops_everything():
     sim = Simulator()
-    trace = TraceLog(sim)
+    obs, trace = hub(sim)
     for _ in range(4):
-        trace.emit("msg", "a")
+        obs.annotate("msg", "a")
     assert trace.clear() == 4
     assert len(trace) == 0 and trace.categories() == {}
     assert trace.clear() == 0
     # The log keeps accepting records after a clear (warm-up pattern).
-    trace.emit("msg", "a")
+    obs.annotate("msg", "a")
     assert len(trace) == 1
+    # Stream positions count the dropped records too.
+    assert trace.dropped == 4
 
 
 def test_tracelog_predicate_select():
     sim = Simulator()
-    trace = TraceLog(sim)
+    obs, trace = hub(sim)
     for i in range(5):
-        trace.emit("msg", "a", seq=i)
+        obs.annotate("msg", "a", seq=i)
     assert len(trace.select(predicate=lambda r: r.get("seq", 0) >= 3)) == 2
-
 
 
 def test_trace_record_is_frozen_slotted_and_pickles():
@@ -119,3 +127,6 @@ def test_trace_record_is_frozen_slotted_and_pickles():
     assert copy == record and copy is not record
     assert repr(copy) == repr(record)
     assert record.get("kind") == "PREPARE" and record.get("missing", 0) == 0
+    # The span leg a hook files a record by is not part of what it observed.
+    filed = TraceRecord(1.5, "msg_send", "mds1", {"kind": "PREPARE", "txn": 3}, "mds1")
+    assert filed == record and repr(filed) == repr(record) and filed.node == "mds1"

@@ -26,6 +26,7 @@ timer diet   377.93   508.00   489.15      640.22      2.93 / 2.70
 route table  377.93   508.00   459.16      602.23      2.14 / 1.92
 frame diet   354.95   467.02   436.18      561.25      2.14 / 1.92
 hub-off      318.93   418.01   428.15      549.23      2.87 / 2.68
+stream only  318.93   418.01   412.59      533.67      2.47 / 2.36
 ===========  =======  =======  ==========  ==========  ===========
 
 The other registered protocols, untraced, at the hub-off diet: PrC
@@ -37,8 +38,8 @@ a set of node names, so where an ``any(...)`` stops varies by run.
 rows are 3.11 — comprehensions are inlined from 3.12 on, which only
 lowers them.)
 
-Every ceiling is the hub-off diet measurement rounded up to the next
-5, so it fails at that row's parent by construction: every hook site
+Every untraced ceiling is the hub-off diet measurement rounded up to
+the next 5, so it fails at that row's parent by construction: every hook site
 on the per-transaction path reads ``obs.enabled`` before it calls the
 hub, a delivery is the destination endpoint's own ``deliver`` run by
 its timer, and the lock table's grant check allocates nothing.  Every
@@ -47,13 +48,16 @@ frames back unnoticed; the traced rows are the two the paper
 compares.  *Per record* is what switching the hub on costs,
 ``(traced - untraced) / records`` with 3,799 (1PC) and 4,899 (PrN)
 trace records in the cell: the hook and ``_emit``, plus the
-per-transaction span and histogram bookkeeping spread over its
-records.  It is capped at 2.9 package frames for both protocols,
-whatever the two absolute numbers do.  The cap rose from 2.2 at the
-hub-off diet although the traced rows fell: the untraced row no longer
-pays about 27 (1PC) / 36 (PrN) disabled-hook frames per transaction,
-so the difference now counts the hook frames themselves, which it
-used to cancel.  An untraced burst enters ``src/repro/obs/`` only to
+per-transaction span lifecycle and the one fold of spans and metrics
+that reading the cell's metrics runs, spread over its records.  It is
+capped at 2.5 package frames for both protocols, whatever the two
+absolute numbers do.  The cap rose from 2.2 at the hub-off diet
+although the traced rows fell: the untraced row no longer pays about
+27 (1PC) / 36 (PrN) disabled-hook frames per transaction, so the
+difference now counts the hook frames themselves, which it used to
+cancel.  *Stream only* is where a hook writes the record and nothing
+else — spans and metrics are folded when read — and set the traced
+ceilings and the cap (each rounded up, to the next 5 and 0.1).  An untraced burst enters ``src/repro/obs/`` only to
 build the hub, as many times at n=10 as at n=100.  A change that trips
 a row put frames back on the per-transaction path: find them with
 ``python3 benchmarks/ledger/run.py --workload composite-1pc --trace
@@ -96,9 +100,9 @@ CEILING = {
     "1PC-N": 320,
 }
 #: The same with ``trace=True``: every hook writes its record.
-TRACED_CEILING = {"1PC": 430, "PrN": 550}
+TRACED_CEILING = {"1PC": 415, "PrN": 535}
 #: Ceiling of what the hub adds, in package frames per trace record.
-FRAMES_PER_RECORD = 2.9
+FRAMES_PER_RECORD = 2.5
 #: Frames an untraced burst runs under ``src/repro/obs/``: the
 #: constructors of the disabled hub and its span and metric views.
 HUB_CONSTRUCTORS = 3
