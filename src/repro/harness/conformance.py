@@ -8,29 +8,43 @@ the scenario adds at most one expectation of its own:
    write-ahead logs are garbage collected;
 2. **abort** — a refused vote aborts the CREATE and leaves no lock held;
 3. **crash sweep** — the coordinator or the worker crashes and restarts
-   at each crash point;
-4. **fault scenarios** — the named :mod:`repro.faults` scenarios whose
+   at each crash point, and every server's log drains;
+4. **crash after record** — for each distinct ``(server, kind)`` the
+   liveness and abort runs make durable, that server crashes when the
+   record first lands and restarts, and every server's log drains:
+   §II-C's recovery by the last record in the log, with the crash
+   points read from the runs instead of listed per protocol;
+5. **fault scenarios** — the named :mod:`repro.faults` scenarios whose
    triggers fire for any protocol family (the ``log_durable``-triggered
    ones never fire for logless protocols; the crash sweep covers them);
-5. **isolation** — a same-name race between two clients plus four
+6. **isolation** — a same-name race between two clients plus four
    creates, all six answered;
-6. **fan-out crash** — engines with ``max_workers is None`` also run a
+7. **local** — a CREATE whose every update lands on the coordinator
+   (no workers), so the engine's ``run_local`` commits it and its log
+   drains;
+8. **fan-out crash** — engines with ``max_workers is None`` also run a
    four-worker batched CREATE whose middle worker crashes at each crash
-   point, when some workers may already have force-committed.
+   point, when some workers may already have force-committed, and
+   every server's log drains;
+9. **vocabulary** — across every cluster above, the record kinds the
+   logs were asked to append equal the spec's ``log_records``: an
+   undeclared kind (any kind, for a logless spec) or a declared kind
+   never written fails, naming the first offending record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.analysis.oracle import check
 from repro.core.batching import BatchPlanner
-from repro.faults import scenario
+from repro.faults import Fault, FaultPlan, TraceTrigger, scenario
 from repro.fs.operations import OpPlan
+from repro.fs.placement import SubtreePlacement
 from repro.mds.cluster import Cluster
 from repro.mds.scenarios import HOT_DIR, distributed_create_cluster, fanout_cluster
-from repro.protocols.registry import get_spec
+from repro.protocols.registry import ProtocolSpec, get_spec
 from repro.workloads.cell import drive
 
 DEFAULT_CRASH_POINTS = (0.5e-3, 2e-3, 4e-3, 7e-3)
@@ -56,40 +70,53 @@ class ConformanceReport:
         return f"<Conformance {self.protocol}: {self.checks_run} checks, {status}>"
 
 
+class _Run(NamedTuple):
+    """One check: its label, the cluster it settled, its failure."""
+
+    label: str
+    cluster: Cluster
+    failure: Optional[str]
+
+
 def check_protocol(
     protocol: str,
     crash_points: Sequence[float] = DEFAULT_CRASH_POINTS,
     settle: float = 300.0,
 ) -> ConformanceReport:
     """Run the full conformance battery for ``protocol``."""
-    verdicts = [_check_liveness(protocol), _check_abort(protocol)]
-    verdicts += [
+    liveness, abort = _check_liveness(protocol), _check_abort(protocol)
+    runs = [liveness, abort]
+    runs += [
         _check_crash(protocol, victim, crash_at, settle)
         for victim in ("mds1", "mds2")
         for crash_at in crash_points
     ]
-    verdicts += [_check_fault_scenario(protocol, name, settle) for name in FAULT_SCENARIOS]
-    verdicts.append(_check_isolation(protocol))
-    if get_spec(protocol).engine.max_workers is None:
-        verdicts += [_check_fanout_crash(protocol, crash_at, settle) for crash_at in crash_points]
+    runs += _checks_after_records(protocol, settle, (liveness, ()), (abort, (_refuse_vote,)))
+    runs += [_check_fault_scenario(protocol, name, settle) for name in FAULT_SCENARIOS]
+    runs.append(_check_isolation(protocol))
+    runs.append(_check_local(protocol))
+    spec = get_spec(protocol)
+    if spec.engine.max_workers is None:
+        runs += [_check_fanout_crash(protocol, crash_at, settle) for crash_at in crash_points]
+    verdicts = [run.failure for run in runs] + [_check_vocabulary(spec, runs)]
     return ConformanceReport(protocol, tuple(v for v in verdicts if v), len(verdicts))
 
 
 def _verdict(
     label: str, cluster: Cluster, plans: Sequence[OpPlan], unmet: Optional[str] = None
-) -> Optional[str]:
+) -> _Run:
     """One check's failure message — the scenario's ``unmet``
     expectation, if any, plus the oracle's findings — or ``None``."""
     found = ([unmet] if unmet else []) + [str(v) for v in check(cluster, plans)]
-    return f"{cluster.protocol_name}: {label}: {'; '.join(found)}" if found else None
+    failure = f"{cluster.protocol_name}: {label}: {'; '.join(found)}" if found else None
+    return _Run(label, cluster, failure)
 
 
-def _create(
-    protocol: str, prepare: Callable[[Cluster], None] = lambda cluster: None
-) -> tuple[Cluster, OpPlan]:
-    """A two-server cluster readied by ``prepare``, one CREATE submitted."""
+def _create(protocol: str, *prepare: Callable[[Cluster], None]) -> tuple[Cluster, OpPlan]:
+    """A two-server cluster readied by each ``prepare``, one CREATE submitted."""
     cluster, client = distributed_create_cluster(protocol)
-    prepare(cluster)
+    for step in prepare:
+        step(cluster)
     plan = client.plan_create("/dir1/f0")
     drive(cluster, [(client, plan)])
     return cluster, plan
@@ -106,13 +133,27 @@ def _answers(cluster: Cluster) -> list[bool]:
     return [o.committed for o in cluster.outcomes]
 
 
-def _check_liveness(protocol: str) -> Optional[str]:
+def _undrained(cluster: Cluster) -> Optional[str]:
+    """Which servers' logs still hold records, and of which kinds."""
+    kept = [
+        f"{name} keeping {'+'.join(sorted({str(r.kind) for r in records}))}"
+        for name in sorted(cluster.servers)
+        if (records := cluster.storage.log_of(name).durable_records)
+    ]
+    return f"logs not drained: {', '.join(kept)}" if kept else None
+
+
+def _committed_and_drained(what: str, cluster: Cluster) -> Optional[str]:
+    undrained = _undrained(cluster)
+    if _answers(cluster) == [True] and not undrained:
+        return None
+    return f"{what} answered {_answers(cluster)}, {undrained or 'logs drained'}"
+
+
+def _check_liveness(protocol: str) -> _Run:
     cluster, plan = _create(protocol)
     cluster.sim.run(until=cluster.sim.now + 120.0)
-    left = [len(cluster.storage.log_of(node).durable_records) for node in ("mds1", "mds2")]
-    unmet = None
-    if _answers(cluster) != [True] or left != [0, 0]:
-        unmet = f"failure-free CREATE answered {_answers(cluster)}, logs kept {left} records"
+    unmet = _committed_and_drained("failure-free CREATE", cluster)
     return _verdict("liveness", cluster, [plan], unmet)
 
 
@@ -120,7 +161,7 @@ def _refuse_vote(cluster: Cluster) -> None:
     cluster.servers["mds2"].fail_next_vote = True
 
 
-def _check_abort(protocol: str) -> Optional[str]:
+def _check_abort(protocol: str) -> _Run:
     cluster, plan = _create(protocol, _refuse_vote)
     cluster.sim.run(until=cluster.sim.now + 120.0)
     held = [name for name, server in cluster.servers.items() if server.locks._table]
@@ -130,19 +171,42 @@ def _check_abort(protocol: str) -> Optional[str]:
     return _verdict("abort", cluster, [plan], unmet)
 
 
-def _check_crash(protocol: str, victim: str, crash_at: float, settle: float) -> Optional[str]:
+def _check_crash(protocol: str, victim: str, crash_at: float, settle: float) -> _Run:
     cluster, plan = _create(protocol)
     _crash_and_settle(cluster, victim, crash_at, settle)
-    return _verdict(f"crash of {victim} at {crash_at * 1e3:.1f} ms", cluster, [plan])
+    label = f"crash of {victim} at {crash_at * 1e3:.1f} ms"
+    return _verdict(label, cluster, [plan], _undrained(cluster))
 
 
-def _check_fault_scenario(protocol: str, name: str, settle: float) -> Optional[str]:
+def _checks_after_records(
+    protocol: str, settle: float, *bases: tuple[_Run, tuple[Callable[[Cluster], None], ...]]
+) -> list[_Run]:
+    """One check per distinct ``(server, kind)`` a base run made
+    durable, in order of first landing: the base run again, with that
+    server crashed (and restarted) when that record first lands."""
+    landed: dict[tuple[str, str], tuple[Callable[[Cluster], None], ...]] = {}
+    for run, prepare in bases:
+        for record in run.cluster.trace.records:
+            if record.category == "log_durable" and record.actor in run.cluster.servers:
+                landed.setdefault((record.actor, record.detail["kind"]), prepare)
+    runs = []
+    for (server, kind), prepare in landed.items():
+        trigger = TraceTrigger("log_durable", server, (("kind", kind),))
+        crash = FaultPlan([Fault("crash", server, trigger=trigger)])
+        cluster, plan = _create(protocol, *prepare, crash.install)
+        cluster.sim.run(until=cluster.sim.now + settle)
+        label = f"crash of {server} after {kind}" + (" (refused vote)" if prepare else "")
+        runs.append(_verdict(label, cluster, [plan], _undrained(cluster)))
+    return runs
+
+
+def _check_fault_scenario(protocol: str, name: str, settle: float) -> _Run:
     cluster, plan = _create(protocol, scenario(name).install)
     cluster.sim.run(until=cluster.sim.now + settle)
     return _verdict(f"scenario {name!r}", cluster, [plan])
 
 
-def _check_isolation(protocol: str) -> Optional[str]:
+def _check_isolation(protocol: str) -> _Run:
     cluster, client = distributed_create_cluster(protocol)
     other = cluster.new_client()
     ops = [(client, client.plan_create("/dir1/race")), (other, other.plan_create("/dir1/race"))]
@@ -156,7 +220,21 @@ def _check_isolation(protocol: str) -> Optional[str]:
     return _verdict("isolation", cluster, [plan for _client, plan in ops], unmet)
 
 
-def _check_fanout_crash(protocol: str, crash_at: float, settle: float, k: int = 4) -> Optional[str]:
+def _check_local(protocol: str) -> _Run:
+    # "/" and so every inode (placed by its home directory) on mds1:
+    # the CREATE has no workers and the engine's ``run_local`` runs it.
+    servers = ["mds1", "mds2"]
+    placement = SubtreePlacement(servers, {"/": "mds1"})
+    cluster = Cluster(protocol=protocol, server_names=servers, placement=placement)
+    cluster.mkdir("/dir1")
+    client = cluster.new_client()
+    plan = client.plan_create("/dir1/f0")
+    drive(cluster, [(client, plan)])
+    cluster.sim.run(until=cluster.sim.now + 120.0)
+    return _verdict("local", cluster, [plan], _committed_and_drained("local CREATE", cluster))
+
+
+def _check_fanout_crash(protocol: str, crash_at: float, settle: float, k: int = 4) -> _Run:
     cluster = fanout_cluster(protocol, k)
     client = cluster.new_client()
     plans = [client.plan_create(f"{HOT_DIR}/f{i}") for i in range(k)]
@@ -164,4 +242,28 @@ def _check_fanout_crash(protocol: str, crash_at: float, settle: float, k: int = 
     victim = batch.workers[k // 2]
     drive(cluster, [(client, batch)])
     _crash_and_settle(cluster, victim, crash_at, settle)
-    return _verdict(f"k={k} crash of {victim} at {crash_at * 1e3:.1f} ms", cluster, [batch])
+    label = f"k={k} crash of {victim} at {crash_at * 1e3:.1f} ms"
+    return _verdict(label, cluster, [batch], _undrained(cluster))
+
+
+def _check_vocabulary(spec: ProtocolSpec, runs: Sequence[_Run]) -> Optional[str]:
+    """The kinds the runs' logs were asked to append must be the
+    declared vocabulary: the first undeclared append is named (check,
+    time, actor), a kind never written is dead vocabulary."""
+    appends = [
+        (run.label, record)
+        for run in runs
+        for record in run.cluster.trace.records
+        if record.category == "log_append"
+    ]
+    found = [
+        f"undeclared record {record.detail['kind']} appended in {label} "
+        f"at {record.time * 1e3:.3f} ms by {record.actor}"
+        for label, record in appends
+        if record.detail["kind"] not in spec.log_records
+    ][:1]
+    written = {record.detail["kind"] for _label, record in appends}
+    dead = [kind for kind in spec.log_records if kind not in written]
+    if dead:
+        found.append(f"declared but never written: {', '.join(dead)}")
+    return f"{spec.name}: vocabulary: {'; '.join(found)}" if found else None

@@ -21,22 +21,20 @@ zero-findings CI gate:
   reported at the call-graph root it escapes to (FENCE002).
 * **OBS** — instrumentation hooks early-out on ``enabled`` before any
   other work, keeping tracing near-zero-cost when off.
-* **PROTO** — registry conformance, for every engine in
-  :mod:`repro.protocols.registry` including ``temporary_protocol``
-  plug-ins: emitted log records stay inside the spec's declared
-  vocabulary, every declared durable record is consulted on the
-  recovery path, and logless engines append nothing.
 * **RACE** — a happens-before check for the DES: state written by two
   generator processes must not be written from a snapshot that
   crossed a yield point (the lost-update race).
 
-FENCE002, PROTO and RACE are *whole-program* rules built on the
+FENCE002 and RACE are *whole-program* rules built on the
 :mod:`repro.lint.flow` layer (project index, call graph, per-function
 CFGs with dominance and yield-path queries, interprocedural fence
 summaries).  There is no suppression: a finding is fixed, or the
 rule's scope says why it does not apply.  ``docs/static-analysis.md``
 holds the full rule catalog; ``repro lint --explain RULE-ID`` prints
-one entry with good/bad examples.
+one entry with good/bad examples.  The package imports nothing from
+``repro`` outside ``repro.lint``: a protocol's log-record vocabulary
+is a property of its runs, checked by the conformance battery
+(:mod:`repro.harness.conformance`), not read off its source.
 """
 
 from __future__ import annotations

@@ -2,11 +2,9 @@
 
 Some rules need only one :class:`~repro.lint.context.FileContext` at a
 time.  That is enough for the determinism rules, but the paper's §III
-fencing discipline and the plug-in registry's record-vocabulary
-contract are *interprocedural* properties — a ``fence()`` or a
-``read_remote_log()`` hidden in a helper, or a log append buried three
-``self.``-calls deep in an engine's method-resolution order, escapes
-any per-function check.
+fencing discipline is an *interprocedural* property — a ``fence()`` or
+a ``read_remote_log()`` hidden in a helper escapes any per-function
+check — and so is the lost-update race across a ``yield``.
 
 This package lifts the analysis to the project level:
 
@@ -19,9 +17,6 @@ This package lifts the analysis to the project level:
 * :mod:`repro.lint.flow.summaries` — fence-discipline function
   summaries (``establishes_fence`` / escaping unfenced reads) computed
   to a fixpoint over the call graph; feeds rule FENCE002.
-* :mod:`repro.lint.flow.records` — per-engine log-record extraction
-  (append sites, record kinds, recovery-path references) resolved over
-  each registered engine's *live* MRO; feeds rules PROTO001-003.
 * :mod:`repro.lint.flow.races` — a happens-before check for DES
   shared state (stale reads crossing a ``yield``); feeds rule RACE001.
 

@@ -173,32 +173,6 @@ class ProjectContext:
         owner, _, name = dotted.rpartition(".")
         return self.class_named(owner, name)
 
-    def class_for_runtime(self, cls: type) -> Optional[ClassInfo]:
-        """The :class:`ClassInfo` matching a *live* class object.
-
-        Exact ``(module, name)`` match first; fixture files relocated
-        with ``# repro: path`` run under a different import path, so
-        fall back to matching the module's last component, then to a
-        project-unique class name.
-        """
-        exact = self.classes.get((cls.__module__, cls.__name__))
-        if exact is not None:
-            return exact
-        tail = cls.__module__.rsplit(".", 1)[-1]
-        by_tail = [
-            info
-            for key, info in sorted(self.classes.items())
-            if info.name == cls.__name__ and key[0].rsplit(".", 1)[-1] == tail
-        ]
-        if len(by_tail) == 1:
-            return by_tail[0]
-        by_name = [
-            info
-            for key, info in sorted(self.classes.items())
-            if info.name == cls.__name__
-        ]
-        return by_name[0] if len(by_name) == 1 else None
-
     def static_mro(self, cls: ClassInfo) -> List[ClassInfo]:
         """Left-to-right depth-first base linearisation within the project.
 

@@ -12,6 +12,5 @@ from repro.lint.rules import (  # noqa: F401
     gen,
     mem,
     obs,
-    proto,
     race,
 )

@@ -185,7 +185,6 @@ register_protocol(
         ),
         order=5,
         # BALLOT records are forced by the acceptor nodes, not the
-        # engine class; the static verifier searches that module too.
-        record_sources=("repro.mds.acceptor",),
+        # engine class.
     )
 )

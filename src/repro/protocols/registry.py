@@ -4,8 +4,9 @@ A protocol plugs into the harness by registering a
 :class:`ProtocolSpec` — a descriptor bundling the engine class with
 everything the surrounding tooling needs to enumerate it:
 
-* the **log-record vocabulary** the engine writes (documentation and
-  ``repro protocols`` output);
+* the **log-record vocabulary** the engine writes (``repro protocols``
+  output; checked by the conformance battery, which runs the engine and
+  requires the kinds its logs append to equal the declared ones);
 * **capability flags** the cluster assembly reads (``shared_log``
   provisions one central device with remote log reads, stored
   ``needs_acceptors`` spawns the 2F+1 acceptor nodes Paxos Commit
@@ -63,7 +64,8 @@ class ProtocolSpec:
     engine: Type["Protocol"]
     #: One-line description for listings.
     summary: str = ""
-    #: Log-record kinds the engine writes (empty for logless designs).
+    #: Log-record kinds the engine writes (empty for logless designs);
+    #: checked by the conformance battery.
     log_records: Tuple[str, ...] = ()
     #: Capability flags the cluster assembly honours.
     capabilities: frozenset = frozenset()
@@ -79,12 +81,6 @@ class ProtocolSpec:
     #: Explicit position in grid enumeration order; unordered specs
     #: come after all ordered ones, in registration order.
     order: Optional[int] = None
-    #: Dotted modules that manage part of the declared vocabulary on
-    #: the engine's behalf (e.g. Paxos Commit's BALLOT records live in
-    #: ``repro.mds.acceptor``, not the engine class).  The static
-    #: verifier (PROTO001-003) extends its emission/recovery search to
-    #: these modules.
-    record_sources: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -100,10 +96,6 @@ class ProtocolSpec:
         if self.table1_row is not None and len(self.table1_row) != 6:
             raise ValueError("table1_row must have six entries")
 
-    def declared_records(self) -> frozenset:
-        """The spec's durable-record vocabulary as a set of kind names."""
-        return frozenset(self.log_records)
-
     def describe(self) -> dict:
         """JSON-friendly summary (``repro protocols --json``)."""
         return {
@@ -116,7 +108,6 @@ class ProtocolSpec:
             "table1_row": list(self.table1_row) if self.table1_row else None,
             "citation": self.citation,
             "max_workers": self.engine.max_workers,
-            "record_sources": list(self.record_sources),
         }
 
 
@@ -205,17 +196,6 @@ def specs() -> Tuple[ProtocolSpec, ...]:
         return (1, 0, _SEQ[spec.name])
 
     return tuple(sorted(_SPECS.values(), key=key))
-
-
-def record_vocabulary() -> dict[str, Tuple[str, ...]]:
-    """Declared log-record vocabulary per registered protocol.
-
-    The introspection surface the whole-program verifier
-    (:mod:`repro.lint.flow.records`, rules PROTO001-003) checks the
-    engines' *actual* append sites against: ``{name: log_records}`` in
-    grid enumeration order.  Logless protocols map to an empty tuple.
-    """
-    return {spec.name: tuple(spec.log_records) for spec in specs()}
 
 
 def default_protocols() -> Tuple[str, ...]:

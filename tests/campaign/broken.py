@@ -1,4 +1,4 @@
-"""Deliberately broken 1PC variants for the mutation self-tests.
+"""Deliberately broken engines for the mutation self-tests.
 
 ``1PC-BRK`` sends the worker's UPDATED message *before* forcing the
 UPDATES+COMMITTED record — exactly the §III invariant the real
@@ -19,6 +19,16 @@ right away, then follows the fence and the log read as usual — and
 commits when the worker's commit record turns out durable.  The
 namespace stays consistent; only the oracle's aborted-residue pass
 sees that the client was told "no" about a durable transaction.
+
+Four more engines each break one clause of the contract the
+conformance battery runs (``tests/campaign/test_broken_engines.py``):
+
+* ``XCHAT`` forces a PREPARED record its spec never declares;
+* ``XNOISY`` is registered logless yet forces a record when it
+  commits a single-server transaction;
+* ``XFORGET`` recovers without reading its log;
+* ``XPrN`` is PrN whose recovery skips a transaction whose last
+  record is ABORTED, so nobody finishes that abort.
 """
 
 from __future__ import annotations
@@ -26,15 +36,20 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.core.one_phase import OnePhaseCommitProtocol
+from repro.protocols.lgl import LoglessOnePhaseProtocol
+from repro.protocols.prn import PresumeNothingProtocol
 from repro.net.message import Message
 from repro.protocols.base import MsgKind, ProtocolSpec, Transaction, TxnOutcome
-from repro.protocols.registry import CAP_SHARED_LOG
+from repro.protocols.registry import CAP_LOGLESS, CAP_SHARED_LOG
 from repro.storage.fencing import FencedError
 from repro.storage.records import RecordKind
 from repro.storage.wal import LogLostError
 
 BROKEN_NAME = "1PC-BRK"
 EAR_NAME = "1PC-EAR"
+
+#: 1PC's declared vocabulary, which its variants below keep.
+ONEPC_RECORDS = ("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED")
 
 
 class EarlyVoteOnePhaseCommit(OnePhaseCommitProtocol):
@@ -82,7 +97,7 @@ def broken_spec() -> ProtocolSpec:
         name=BROKEN_NAME,
         engine=EarlyVoteOnePhaseCommit,
         summary="1PC mutated to vote before forcing its commit (test only)",
-        log_records=("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED"),
+        log_records=ONEPC_RECORDS,
         capabilities=frozenset({CAP_SHARED_LOG}),
     )
 
@@ -141,6 +156,82 @@ def early_abort_spec() -> ProtocolSpec:
         name=EAR_NAME,
         engine=EarlyAbortReplyOnePhaseCommit,
         summary="1PC mutated to answer 'aborted' before its probe decides (test only)",
-        log_records=("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED"),
+        log_records=ONEPC_RECORDS,
         capabilities=frozenset({CAP_SHARED_LOG}),
     )
+
+
+class ChattyCommitProtocol(OnePhaseCommitProtocol):
+    """1PC that forces a record kind its spec never declared."""
+
+    name = "XCHAT"
+
+    def coordinate(self, txn: Transaction) -> Generator:
+        # BUG: PREPARED is outside the declared vocabulary.
+        yield self.wal.force(self.state_rec(RecordKind.PREPARED, txn.txn_id))
+        return (yield from super().coordinate(txn))
+
+
+class NoisyLoglessProtocol(LoglessOnePhaseProtocol):
+    """Logless 1PC that forces a WAL record for a local commit."""
+
+    name = "XNOISY"
+
+    def run_local(self, txn: Transaction) -> Generator:
+        # BUG: a logless engine writes no log, ever.
+        yield self.wal.force(self.state_rec(RecordKind.COMMITTED, txn.txn_id))
+        self.wal.checkpoint(txn.txn_id)
+        return (yield from super().run_local(txn))
+
+
+class ForgetfulProtocol(OnePhaseCommitProtocol):
+    """1PC whose reboot ignores the log."""
+
+    name = "XFORGET"
+
+    def recover(self) -> Generator:
+        # BUG: no log scan, so no transaction is resolved after a crash.
+        yield from ()
+
+
+class AbortBlindPresumeNothing(PresumeNothingProtocol):
+    """PrN whose recovery returns early on an ABORTED last record."""
+
+    name = "XPrN"
+
+    def _recover_coordinator(self, txn_id, state, records) -> Generator:
+        if state == RecordKind.ABORTED:
+            return  # BUG: the workers never hear the abort again
+        yield from super()._recover_coordinator(txn_id, state, records)
+
+    def _recover_worker(self, txn_id, state, records) -> Generator:
+        if state == RecordKind.ABORTED:
+            return  # BUG: the abort is never acknowledged or forgotten
+        yield from super()._recover_worker(txn_id, state, records)
+
+
+#: The four contract-breaking engines, as registrable specs.
+CONTRACT_BREAKERS = {
+    "XCHAT": ProtocolSpec(
+        name="XCHAT",
+        engine=ChattyCommitProtocol,
+        log_records=ONEPC_RECORDS,
+        capabilities=frozenset({CAP_SHARED_LOG}),
+    ),
+    "XNOISY": ProtocolSpec(
+        name="XNOISY",
+        engine=NoisyLoglessProtocol,
+        capabilities=frozenset({CAP_LOGLESS}),
+    ),
+    "XFORGET": ProtocolSpec(
+        name="XFORGET",
+        engine=ForgetfulProtocol,
+        log_records=ONEPC_RECORDS,
+        capabilities=frozenset({CAP_SHARED_LOG}),
+    ),
+    "XPrN": ProtocolSpec(
+        name="XPrN",
+        engine=AbortBlindPresumeNothing,
+        log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
+    ),
+}

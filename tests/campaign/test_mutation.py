@@ -6,7 +6,8 @@ the shrinker must reduce the catch to a tiny schedule, and the emitted
 repro document must replay to the same violation.  The same block on
 the real 1PC stays green — the checker has no false positives.
 ``1PC-EAR`` answers "aborted" before its probe decides; only the
-oracle's aborted-residue pass sees it.
+oracle's aborted-residue pass sees it.  The four contract breakers each
+fail the conformance battery in the check named for what they break.
 
 Everything here runs in-process (``execute_spec``): ``temporary_protocol``
 registrations don't cross process-pool boundaries.
@@ -20,7 +21,13 @@ from repro.exec import campaign_grid
 from repro.exec.runners import execute_spec
 from repro.harness.conformance import check_protocol
 from repro.protocols.registry import temporary_protocol
-from tests.campaign.broken import BROKEN_NAME, EAR_NAME, broken_spec, early_abort_spec
+from tests.campaign.broken import (
+    BROKEN_NAME,
+    CONTRACT_BREAKERS,
+    EAR_NAME,
+    broken_spec,
+    early_abort_spec,
+)
 
 #: The block the self-test sweeps; run 11 is the first catch.
 RUNS, SEED = 12, 0
@@ -68,6 +75,50 @@ def test_conformance_catches_the_early_abort_reply_as_aborted_residue():
         "1PC-EAR: scenario 'partition-at-vote': [aborted-residue] /dir1/f0: "
         "CREATE answered aborted, 2/2 effects durable",
     )
+
+
+#: Engine -> (the checks it fails, a phrase the decisive failure holds).
+BREAKER_VERDICTS = {
+    # The 1PC recovery scan has no arm for the undeclared PREPARED, so
+    # a crash after it also leaves the record behind.
+    "XCHAT": (
+        ("crash of mds1 after PREPARED", "vocabulary"),
+        "vocabulary: undeclared record PREPARED appended in liveness",
+    ),
+    # Only the local check reaches ``run_local``.
+    "XNOISY": (("vocabulary",), "vocabulary: undeclared record COMMITTED appended in local"),
+    # Three timed coordinator crashes tear the CREATE; every crash
+    # leaves its records behind.
+    "XFORGET": (
+        (
+            "crash of mds1 at 2.0 ms",
+            "crash of mds1 at 4.0 ms",
+            "crash of mds1 at 7.0 ms",
+            "crash of mds2 at 7.0 ms",
+            "crash of mds1 after STARTED",
+            "crash of mds1 after REDO",
+            "crash of mds2 after UPDATES",
+            "crash of mds2 after COMMITTED",
+        ),
+        "crash of mds1 at 2.0 ms: logs not drained: mds1 keeping REDO+STARTED, "
+        "mds2 keeping COMMITTED+UPDATES; [invariant]",
+    ),
+    "XPrN": (
+        ("crash of mds1 after ABORTED (refused vote)",),
+        "logs not drained: mds1 keeping ABORTED+STARTED",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAKER_VERDICTS))
+def test_each_contract_breaker_fails_its_named_check(name):
+    with temporary_protocol(CONTRACT_BREAKERS[name]):
+        report = check_protocol(name)
+    checks, phrase = BREAKER_VERDICTS[name]
+    assert tuple(failure.split(": ")[1] for failure in report.failures) == checks
+    assert any(phrase in failure for failure in report.failures), report.failures
+    if name == "XFORGET":  # the timed sweep's coordinator crashes
+        assert all("(torn)" in failure for failure in report.failures[:3])
 
 
 #: Cells that once reported a lock-precedence cycle after a coordinator

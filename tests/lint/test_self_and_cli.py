@@ -9,16 +9,14 @@ import pytest
 
 from repro.cli import main
 from repro.lint import render_sarif, render_text, run_lint
-from repro.protocols.registry import specs
 
 ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_self_lint_src_is_clean():
-    # Every rule over src/: the PROTO rules check every registered
-    # protocol, FENCE002 and RACE001 the real fencing and commit paths.
-    assert len(specs()) >= 8
+    # Every rule over src/: FENCE002 and RACE001 check the real
+    # fencing and commit paths.
     report = run_lint([ROOT / "src"], root=ROOT)
     assert report.files_checked > 80
     assert report.ok, "findings in src/:\n" + "\n".join(
@@ -65,9 +63,17 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("DET001", "DET002", "DET003", "GEN001", "GEN002",
                     "FENCE001", "FENCE002",
-                    "OBS001", "PROTO001", "PROTO002", "PROTO003", "RACE001"):
+                    "OBS001", "RACE001"):
         assert rule_id in out
     assert "FENCE003" not in out
+    # The record-vocabulary contract is checked by running it (the
+    # conformance battery), not by a lint rule.
+    assert "PROTO" not in out
+
+
+def test_cli_select_of_the_retired_proto_family_is_an_unknown_rule(capsys):
+    assert main(["lint", str(FIXTURES / "det_bad.py"), "--select", "PROTO"]) == 2
+    assert "unknown rule(s) ['PROTO']" in capsys.readouterr().err
 
 
 def test_self_lint_gate_covers_the_new_families():
@@ -76,7 +82,7 @@ def test_self_lint_gate_covers_the_new_families():
     from repro.lint.registry import ProjectRule, all_rules
 
     project_ids = {r.id for r in all_rules() if isinstance(r, ProjectRule)}
-    assert {"FENCE002", "PROTO001", "PROTO002", "PROTO003", "RACE001"} <= project_ids
+    assert {"FENCE002", "RACE001"} <= project_ids
 
 
 def test_cli_explain_prints_catalog_entry(capsys):

@@ -5,18 +5,38 @@ import pytest
 from repro.harness import conformance
 from repro.harness.conformance import ConformanceReport, check_protocol
 from repro.mds.cluster import Cluster
-from repro.protocols import default_protocols, get_spec
+from repro.protocols import default_protocols
+
+#: Checks per protocol: liveness, abort, the timed crash sweep (2
+#: victims x 4 points), 3 fault scenarios, isolation, local and the
+#: vocabulary verdict (16); the fan-out crash at 4 points for
+#: multi-worker engines; one crash after each distinct (server, kind)
+#: the liveness and abort runs make durable.
+CHECKS_RUN = {
+    # mds1 STARTED, UPDATES, PREPARED, COMMITTED, ENDED; mds2 UPDATES,
+    # PREPARED, COMMITTED; mds1 ABORTED (refused vote).
+    "PrN": 16 + 4 + 9,
+    # mds1 writes ENDED only after an abort.
+    "PrC": 16 + 4 + 9,
+    "EP": 16 + 4 + 9,
+    # Presumed abort forces no ABORTED record.
+    "PrA": 16 + 4 + 8,
+    # The acceptors' BALLOT records land on no server.
+    "PC": 16 + 4 + 9,
+    # mds1 STARTED, REDO, UPDATES, COMMITTED; mds2 UPDATES, COMMITTED,
+    # ENDED; mds1 ABORTED (refused vote).
+    "1PC": 16 + 8,
+    "1PC-N": 16 + 4 + 8,
+    # Logless: no record lands.
+    "LGL": 16,
+}
 
 
 @pytest.mark.parametrize("name", sorted(default_protocols()))
 def test_registered_protocol_conforms(name):
     report = check_protocol(name)
     assert report.ok, f"{name} failed conformance: {report.failures}"
-    # One (scenario, oracle) check each: liveness, abort, the crash
-    # sweep (2 victims x 4 points), 3 fault scenarios, isolation, and
-    # for multi-worker engines the fan-out crash at each of 4 points.
-    multi_worker = get_spec(name).engine.max_workers is None
-    assert report.checks_run == (18 if multi_worker else 14)
+    assert report.checks_run == CHECKS_RUN[name]
 
 
 def test_report_records_failures():
@@ -54,7 +74,7 @@ def test_isolation_check_records_a_lost_reply_instead_of_crashing_or_hanging(mon
 
     monkeypatch.setattr(Cluster, "record_outcome", lossy)
     monkeypatch.setattr(conformance, "distributed_create_cluster", fresh_with_tick)
-    failure = conformance._check_isolation("1PC")
+    failure = conformance._check_isolation("1PC").failure
     assert len(answered) == 6
     # The lost reply is the check's one finding; the oracle still ran.
     assert failure == "1PC: isolation: only 5/6 operations answered within 120 s"

@@ -35,7 +35,8 @@ def toy_spec(**overrides):
         name="TOY",
         engine=ToyProtocol,
         summary="toy protocol for plug-in tests",
-        log_records=("STARTED", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
+        # PrN's vocabulary: its prepares force UPDATES with PREPARED.
+        log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
     )
     defaults.update(overrides)
     return ProtocolSpec(**defaults)
@@ -100,6 +101,14 @@ def test_toy_protocol_passes_conformance():
     with temporary_protocol(toy_spec()):
         report = check_protocol("TOY")
     assert report.ok, report.failures
+    # The battery checks the declared vocabulary against what the
+    # engine writes: a PrN clone that leaves out UPDATES is rejected.
+    without_updates = ("STARTED", "PREPARED", "COMMITTED", "ABORTED", "ENDED")
+    with temporary_protocol(toy_spec(log_records=without_updates)):
+        report = check_protocol("TOY")
+    assert report.failures == (
+        "TOY: vocabulary: undeclared record UPDATES appended in liveness at 1.598 ms by mds1",
+    )
 
 
 def test_registry_order_paper_protocols_lead():

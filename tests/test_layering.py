@@ -93,6 +93,19 @@ def test_only_the_harness_and_the_cli_import_the_harness():
     assert users == set()
 
 
+def test_lint_imports_nothing_from_repro_outside_lint():
+    """``repro lint`` stands alone: it reads the source it is given and
+    never the live packages it checks."""
+    outside = [
+        f"{path.relative_to(SRC)}:{line} {module}"
+        for path, name, tree in _sources()
+        if name == "repro.lint" or name.startswith("repro.lint.")
+        for module, line, _top in _imports(tree)
+        if not (module == "repro.lint" or module.startswith("repro.lint."))
+    ]
+    assert outside == []
+
+
 def test_module_level_imports_only_point_down_the_layer_list():
     upward = [
         f"{name} (layer {_layer(name)}) imports {module} (layer {_layer(module)})"
