@@ -1,16 +1,19 @@
 """GEN — coroutine-safety rules.
 
 Simulation processes are generators driven by the deterministic
-kernel (:mod:`repro.sim.kernel`).  Two classes of bugs defeat them:
+kernel (:mod:`repro.sim.kernel`), and protocol sessions are steps the
+step interpreter (:class:`repro.protocols.base.Session`) calls back.
+Two classes of bugs defeat them:
 
 * a *blocking host call* (``time.sleep``, real file/socket IO) inside
   a process stalls the whole single-threaded kernel and couples the
   run to the host environment;
 * a call that *returns a wait* — a generator to drive or an event to
-  yield — whose result is dropped on the floor: a generator's body
-  silently never executes (the classic "forgot ``yield from``" bug), a
-  WAL force is never waited for, and an inbox getter nobody yields
-  still takes the session's next matching message.
+  yield or hand to ``session.wait`` — whose result is dropped on the
+  floor: a generator's body silently never executes (the classic
+  "forgot ``yield from``" bug), a WAL force is never waited for, and an
+  inbox getter nobody waits on still takes the session's next matching
+  message.
 """
 
 from __future__ import annotations
@@ -47,25 +50,25 @@ BLOCKING_CALLS = frozenset(
 
 #: Calls that return a wait, by dotted-name suffix: the events
 #: ``wal.force`` (the flush) and ``recv`` (the inbox getter), and the
-#: generators ``lock_and_apply``, ``probe_worker_log``,
-#: ``read_remote_log`` and ``fencing_driver.fence``.  One-part
-#: suffixes match any call spelled ``...name(...)``; two-part suffixes
-#: require the receiver attribute as well, so e.g. ``obs.fence`` (a
-#: plain hook) is not confused with ``fencing_driver.fence``.
+#: generators ``probe_worker_log``, ``read_remote_log`` and
+#: ``fencing_driver.fence``.  One-part suffixes match any call spelled
+#: ``...name(...)``; two-part suffixes require the receiver attribute
+#: as well, so e.g. ``obs.fence`` (a plain hook) is not confused with
+#: ``fencing_driver.fence``.
 WAIT_SUFFIXES: frozenset[tuple[str, ...]] = frozenset(
     {
         ("wal", "force"),
         ("recv",),
-        ("lock_and_apply",),
         ("probe_worker_log",),
         ("read_remote_log",),
         ("fencing_driver", "fence"),
     }
 )
 
-#: Call targets that legitimately *consume* a generator besides
-#: ``yield from``: scheduling it as a kernel process.
-_CONSUMER_CALLEES = frozenset({"process", "run_all", "Process"})
+#: Call targets that legitimately *consume* a wait besides ``yield``
+#: and ``yield from``: a protocol session's ``wait`` (the step
+#: interpreter), and scheduling a generator as a kernel process.
+_CONSUMER_CALLEES = frozenset({"wait", "process", "run_all", "Process"})
 
 
 @register
@@ -106,12 +109,12 @@ class DroppedWaitRule(Rule):
     rationale = (
         "A WAL force or an inbox receive returns the event to wait on, "
         "and a fencing action or a remote log read returns a generator; "
-        "unless the caller yields it (`yield`, `yield from` or "
-        "sim.process(...)) nobody waits for the flush, a generator's "
-        "body never runs, and an orphaned getter takes the session's "
-        "next matching message."
+        "unless the caller waits on it (`yield`, `yield from`, "
+        "session.wait(...) or sim.process(...)) nobody waits for the "
+        "flush, a generator's body never runs, and an orphaned getter "
+        "takes the session's next matching message."
     )
-    good_example = "yield self.wal.force(record)"
+    good_example = "self.wait(self.wal.force(record), self._durable)"
     bad_example = "self.wal.force(record)  # flush event dropped, never waited for"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -129,7 +132,7 @@ class DroppedWaitRule(Rule):
                 node,
                 self.id,
                 f"the wait {'.'.join(dotted)}(...) returns is never yielded; "
-                "yield it (`yield`, `yield from`) or hand it to sim.process(...)",
+                "yield it (`yield`, `yield from`) or hand it to wait(...) or sim.process(...)",
             )
 
 

@@ -38,13 +38,13 @@ class LockTimeout(Exception):
         self.obj_id = obj_id
 
 
-class _Waiter:
-    __slots__ = ("txn_id", "mode", "event")
+class _Waiter(Event):  # a queued request is its own grant event
+    __slots__ = ("txn_id", "mode")
 
     def __init__(self, sim: Simulator, txn_id: Hashable, mode: LockMode):
         self.txn_id = txn_id
         self.mode = mode
-        self.event = Event(sim, name=f"lock-grant:{txn_id}")
+        Event.__init__(self, sim, name=f"lock-grant:{txn_id}")
 
 
 class _LockEntry:
@@ -153,6 +153,41 @@ class LockManager:
             return True
         return False
 
+    def request(
+        self,
+        txn_id: Hashable,
+        obj_id: Hashable,
+        mode: LockMode = LockMode.EXCLUSIVE,
+        timeout: Optional[float] = None,
+    ) -> Optional[Event]:
+        """Acquire without waiting: ``None`` when granted at once, else
+        the grant event to wait on.  It succeeds once the lock is held,
+        or with :data:`~repro.sim.TIMED_OUT` when ``timeout`` passes
+        first, and then the caller must :meth:`withdraw` the request."""
+        if self.try_acquire(txn_id, obj_id, mode):
+            return None
+        waiter = _Waiter(self.sim, txn_id, mode)
+        self._entry(obj_id).queue.append(waiter)
+        if self.obs.enabled:
+            self.obs.lock_wait(self.name, txn=txn_id, obj=obj_id, mode=mode)
+        if timeout is not None:
+            self.sim.expire(waiter, timeout)
+        return waiter
+
+    def withdraw(self, grant: Event, obj_id: Hashable) -> LockTimeout:
+        """Take a timed-out request off ``obj_id``'s queue (the table's
+        entry: the one it joined may have been dropped and re-created
+        since), give the others a chance; the :class:`LockTimeout`."""
+        entry = self._table.get(obj_id)
+        if entry is not None:
+            try:
+                entry.queue.remove(grant)
+            except ValueError:  # pragma: no cover - granted in same instant
+                pass
+            self._dispatch(obj_id, entry)
+        self.obs.lock_timeout(self.name, txn=grant.txn_id, obj=obj_id)
+        return LockTimeout(grant.txn_id, obj_id)
+
     def acquire(
         self,
         txn_id: Hashable,
@@ -161,29 +196,9 @@ class LockManager:
         timeout: Optional[float] = None,
     ) -> Generator:
         """Generator: block until granted; :class:`LockTimeout` on expiry."""
-        if self.try_acquire(txn_id, obj_id, mode):
-            return None
-        entry = self._entry(obj_id)
-        waiter = _Waiter(self.sim, txn_id, mode)
-        entry.queue.append(waiter)
-        if self.obs.enabled:
-            self.obs.lock_wait(self.name, txn=txn_id, obj=obj_id, mode=mode)
-        if timeout is not None:
-            self.sim.expire(waiter.event, timeout)
-        if (yield waiter.event) is not TIMED_OUT:
-            return None
-        # Withdraw from the queue and give others a chance.
-        try:
-            entry.queue.remove(waiter)
-        except ValueError:  # pragma: no cover - granted in same instant
-            pass
-        # Looked up again: the entry may have been dropped and re-created
-        # while the request waited, and the table's entry is the live one.
-        current = self._table.get(obj_id)
-        if current is not None:
-            self._dispatch(obj_id, current)
-        self.obs.lock_timeout(self.name, txn=txn_id, obj=obj_id)
-        raise LockTimeout(txn_id, obj_id)
+        grant = self.request(txn_id, obj_id, mode, timeout)
+        if grant is not None and (yield grant) is TIMED_OUT:
+            raise self.withdraw(grant, obj_id)
 
     # -- release ----------------------------------------------------------------------
 
@@ -218,7 +233,7 @@ class LockManager:
         ``entry`` is the table's entry for it, which the caller holds."""
         while entry.queue:
             waiter = entry.queue[0]
-            if waiter.event._state != PENDING:
+            if waiter._state != PENDING:
                 entry.queue.popleft()
                 continue
             if not self._grantable(entry, waiter.txn_id, waiter.mode):
@@ -231,7 +246,7 @@ class LockManager:
                 entry.holders[waiter.txn_id] = waiter.mode
             if self.obs.enabled:
                 self.obs.lock_grant(self.name, txn=waiter.txn_id, obj=obj_id, mode=waiter.mode)
-            waiter.event.succeed()
+            waiter.succeed()
             if waiter.mode is LockMode.EXCLUSIVE:
                 break
         if not entry.holders and not entry.queue:

@@ -24,10 +24,10 @@ Wire protocol:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Any
 
 from repro.net.message import Message
-from repro.protocols.base import MsgKind
+from repro.protocols.base import MsgKind, Session
 from repro.storage.records import LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,6 +46,9 @@ class AcceptorNode:
         self.endpoint = cluster.network.attach(name)
         self.wal = cluster.storage.provision(name)
         self.crashed = False
+        #: The ballot sessions running here; unlike a server's, they
+        #: outlive a crash: the log decides what survives it.
+        self._live: dict[Session, None] = {}
         self.endpoint.serve(self._handle, self.params.compute.msg_processing_latency)
 
     # ------------------------------------------------------------------
@@ -54,27 +57,11 @@ class AcceptorNode:
 
     def _handle(self, msg: Message) -> None:
         if msg.kind == MsgKind.PAXOS_VOTE:
-            self.sim.process(self._accept(msg), name=f"accept:{self.name}:{msg.txn_id}")
+            ballot = _Ballot(self, msg.txn_id)
+            ballot.start(ballot.begin, msg)
         elif msg.kind == MsgKind.PAXOS_GC:
             self.wal.checkpoint(msg.txn_id)
         # Anything else is a stray retransmission; drop it.
-
-    def _accept(self, msg: Message) -> Generator:
-        """Accept a ballot into ``instance``'s consensus slot (durably)."""
-        txn_id = msg.txn_id
-        instance = msg.payload["instance"]
-        vote = msg.payload.get("vote", MsgKind.PREPARED)
-        leader = msg.payload["leader"]
-        if not self._has_ballot(txn_id, instance):
-            yield self.wal.force(self._ballot_rec(txn_id, instance, vote))
-        # Acknowledge from durable state — idempotent under retransmits.
-        self.endpoint.send_to(
-            leader,
-            MsgKind.PAXOS_ACCEPTED,
-            txn_id=txn_id,
-            instance=instance,
-            vote=vote,
-        )
 
     def _has_ballot(self, txn_id: int, instance: str) -> bool:
         for record in self.wal.records_for(txn_id):
@@ -111,3 +98,29 @@ class AcceptorNode:
         self.obs.node_restart(self.name)
         self.cluster.network.attach(self.name)
         self.wal.restart()
+
+
+class _Ballot(Session):
+    """Accept a ballot into ``instance``'s consensus slot durably, then
+    acknowledge it from the log — idempotent under retransmits."""
+
+    def begin(self, msg: Message) -> None:
+        node, self.msg = self.p, msg
+        instance = msg.payload["instance"]
+        if node._has_ballot(msg.txn_id, instance):
+            return self._accepted(None)
+        vote = msg.payload.get("vote", MsgKind.PREPARED)
+        self.wait(node.wal.force(node._ballot_rec(msg.txn_id, instance, vote)), self._accepted)
+
+    def _accepted(self, flush: Any) -> None:
+        if flush is not None and not flush._ok:
+            raise flush._value  # the ballot never became durable
+        msg = self.msg
+        self.end()
+        self.p.endpoint.send_to(
+            msg.payload["leader"],
+            MsgKind.PAXOS_ACCEPTED,
+            txn_id=msg.txn_id,
+            instance=msg.payload["instance"],
+            vote=msg.payload.get("vote", MsgKind.PREPARED),
+        )

@@ -4,17 +4,20 @@ An :class:`MDSServer` bundles the paper's per-node modules — the acp
 server, its lock manager and its log manager connection — around a
 message router.  The node's endpoint serves arriving messages one at a
 time (:meth:`Endpoint.serve`: ``msg_processing_latency`` each, heartbeats
-free) and hands each to ``_route``; the server itself runs no process:
+free) and hands each to ``_route``; the server itself runs no process,
+and neither does anything it starts — every one is a protocol session
+on the step interpreter (:class:`repro.protocols.base.Session`):
 
-* ``CLIENT_REQUEST`` spawns a coordinator process (the protocol engine
+* ``CLIENT_REQUEST`` starts a coordinator session (the protocol engine
   chosen for the cluster, or the fallback engine when the operation is
   wider than the primary protocol supports — e.g. a four-MDS RENAME
   under 1PC);
+* ``STAT_REQUEST`` starts a read session;
 * protocol messages are routed into per-transaction session inboxes;
   an ``UPDATE_REQ``/``PREPARE`` with no session opens a worker session;
 * anything else goes to the protocol's stray-message handler.
 
-Crash semantics: ``crash()`` kills every protocol process and flushes
+Crash semantics: ``crash()`` kills every live session and flushes
 volatile state (cache overlays, lock tables, queued messages and the
 one in service, unflushed log records).  ``restart()`` brings the node
 back: messages are served again at once, but new client requests are
@@ -25,14 +28,14 @@ rule §III-D requires ("the coordinator will not execute new requests
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.fs.objects import ObjectId
 from repro.fs.operations import OpPlan, split_path
-from repro.locks import LockManager, LockMode, LockTimeout
+from repro.locks import LockManager, LockMode
 from repro.net.message import Message
-from repro.protocols.base import SESSION_OPENERS, MsgKind, Protocol, Transaction
-from repro.sim import Process, Store
+from repro.protocols.base import SESSION_OPENERS, MsgKind, Protocol, Session, Transaction
+from repro.sim import TIMED_OUT, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
@@ -57,6 +60,8 @@ class MDSServer:
         self.wal = cluster.storage.provision(name)
         self.locks = LockManager(self.sim, name=f"locks:{name}", obs=self.obs)
         self.store = cluster.store_of(name)
+        #: Every session running here, in start order: what a crash kills.
+        self._live: dict[Session, None] = {}
         self.protocol: Protocol = protocol_cls(self)
         #: Engine used when an operation exceeds the primary protocol's
         #: worker limit (wide RENAMEs under 1PC).
@@ -66,7 +71,6 @@ class MDSServer:
         self.crashed = False
         self.recovering = False
         self._sessions: dict[int, Store] = {}
-        self._procs: set[Process] = set()
         self._buffered_requests: list[Message] = []
         self.endpoint.serve(
             self._route,
@@ -91,18 +95,6 @@ class MDSServer:
             self.obs.worker_close(self.name, txn_id)
 
     # ------------------------------------------------------------------
-    # Process tracking (so a crash can kill everything at this node)
-    # ------------------------------------------------------------------
-
-    def spawn(self, generator, name: str = "") -> Process:
-        proc = self.sim.process(generator, name=name or f"{self.name}:proc")
-        self._procs.add(proc)
-        # A process is its own completion event, and this its first
-        # callback; ``_procs`` is never replaced.
-        proc._callbacks = [self._procs.discard]
-        return proc
-
-    # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
 
@@ -117,7 +109,8 @@ class MDSServer:
                 self._start_coordinator(msg)
             return
         if msg.kind == MsgKind.STAT_REQUEST:
-            self.spawn(self._serve_stat(msg), name=f"stat:{self.name}")
+            stat = _StatRead(self.protocol)
+            stat.start(stat.begin, msg)
             return
         inbox = self._sessions.get(msg.txn_id)
         if inbox is not None:
@@ -130,14 +123,9 @@ class MDSServer:
                 self.obs.worker_open(
                     self.name, msg.txn_id, opener=msg.kind, protocol=engine.name
                 )
-            self.spawn(
-                engine.worker_session(msg, session),
-                name=f"worker:{self.name}:{msg.txn_id}",
-            )
+            engine.worker_session(msg, session)
             return
-        handler = engine.handle_stray(msg)
-        if handler is not None:
-            self.spawn(handler, name=f"stray:{self.name}:{msg.kind}:{msg.txn_id}")
+        engine.stray(msg)
 
     def _engine_for(self, msg: Message) -> Protocol:
         """Route worker-side traffic to the engine that speaks it.
@@ -184,45 +172,10 @@ class MDSServer:
             )
         # Single-MDS operations need no commit protocol at all.  The
         # engine reports the outcome itself (``Protocol.outcome``).
-        body = engine.coordinate(txn) if plan.is_distributed else engine.run_local(txn)
-        self.spawn(body, name=f"coord:{self.name}:{txn.txn_id}")
-
-    def _serve_stat(self, msg: Message) -> Generator:
-        """Metadata read: lookup under a shared directory lock.
-
-        POSIX semantics ("a consistent view of the parent directory
-        across multiple clients", §VI) make reads queue behind an
-        in-flight exclusive holder — which is why the lock-hold time of
-        the commit protocol matters for read latency too.
-        """
-        path, req_id = msg.payload["path"], msg.payload.get("req_id")
-        parent, name = split_path(path)
-        reader = ("stat", msg.msg_id)
-        try:
-            yield from self.locks.acquire(
-                reader,
-                ObjectId.directory(parent),
-                LockMode.SHARED,
-                timeout=self.params.failure.lock_timeout,
-            )
-        except LockTimeout:
-            self.endpoint.send_to(
-                msg.src, MsgKind.STAT_REPLY, path=path, req_id=req_id, error="timeout"
-            )
-            return
-        try:
-            yield self.sim.timeout(self.params.compute.read_latency)
-            ino = self.store.lookup(parent, name)
-        finally:
-            self.locks.release_all(reader)
-        self.endpoint.send_to(
-            msg.src,
-            MsgKind.STAT_REPLY,
-            path=path,
-            req_id=req_id,
-            found=ino is not None,
-            ino=ino,
-        )
+        if plan.is_distributed:
+            engine.coordinate(txn)
+        else:
+            engine.run_local(txn)
 
     # ------------------------------------------------------------------
     # Crash / restart
@@ -234,9 +187,9 @@ class MDSServer:
             return
         self.crashed = True
         self.obs.node_crash(self.name)
-        for proc in list(self._procs):
-            proc.kill()
-        self._procs.clear()
+        for session in list(self._live):
+            session.kill()
+        self._live.clear()
         self._sessions.clear()
         self._buffered_requests.clear()
         self.cluster.network.detach(self.name)
@@ -260,16 +213,72 @@ class MDSServer:
         # A rebooted node re-registers with the storage fabric.
         if self.cluster.storage.fencing.is_fenced(self.name):
             self.cluster.storage.fencing.unfence(self.name, by=self.name)
-        self.spawn(self._recover_then_serve(), name=f"recovery:{self.name}")
+        reboot = _Reboot(self.protocol)
+        reboot.start(reboot.begin)
 
-    def _recover_then_serve(self) -> Generator:
-        try:
-            yield from self.protocol.recover()
-            if self.fallback is not None:
-                yield from self.fallback.recover()
-        finally:
-            self.recovering = False
-            buffered, self._buffered_requests = self._buffered_requests, []
-            for msg in buffered:
-                self._start_coordinator(msg)
-        self.obs.node_recovered(self.name)
+
+class _StatRead(Session):
+    """Metadata read: lookup under a shared directory lock.
+
+    POSIX semantics ("a consistent view of the parent directory across
+    multiple clients", §VI) make reads queue behind an in-flight
+    exclusive holder — which is why the lock-hold time of the commit
+    protocol matters for read latency too.
+    """
+
+    _held = False
+
+    def begin(self, msg: Message) -> None:
+        server = self.p.server
+        self.msg, (self.parent, self.name) = msg, split_path(msg.payload["path"])
+        self.reader, self.directory = ("stat", msg.msg_id), ObjectId.directory(self.parent)
+        grant = server.locks.request(
+            self.reader, self.directory, LockMode.SHARED, server.params.failure.lock_timeout
+        )
+        self.wait(grant, self._granted)
+
+    def _granted(self, grant: Any) -> None:
+        server = self.p.server
+        if grant is not None and grant._value is TIMED_OUT:
+            server.locks.withdraw(grant, self.directory)
+            self.end()
+            return self._reply(error="timeout")
+        self._held = True
+        self.wait(server.sim.timeout(server.params.compute.read_latency), self._read)
+
+    def _read(self, _: Any) -> None:
+        ino = self.p.server.store.lookup(self.parent, self.name)
+        self.end()
+        self._reply(found=ino is not None, ino=ino)
+
+    def _reply(self, **result: Any) -> None:
+        payload, src = self.msg.payload, self.msg.src
+        self.p.server.endpoint.send_to(
+            src, MsgKind.STAT_REPLY, path=payload["path"], req_id=payload.get("req_id"), **result
+        )
+
+    def close(self) -> None:  # the read lock, once held, goes with the node
+        if self._held:
+            self.p.server.locks.release_all(self.reader)
+
+
+class _Reboot(Session):
+    """Reboot-time recovery of both engines, then the requests it held
+    back are served — also when a crash cuts it short."""
+
+    def begin(self, _: Any) -> None:
+        self.p.recover(self._recovered if self.p.server.fallback is None else self._primary)
+
+    def _primary(self, _: Any) -> None:
+        self.p.server.fallback.recover(self._recovered)
+
+    def _recovered(self, _: Any) -> None:
+        self.end()
+        self.p.obs.node_recovered(self.p.me)
+
+    def close(self) -> None:
+        server = self.p.server
+        server.recovering = False
+        buffered, server._buffered_requests = server._buffered_requests, []
+        for msg in buffered:
+            server._start_coordinator(msg)

@@ -26,7 +26,6 @@ from repro.protocols.base import (
     MsgKind,
     Protocol,
     Transaction,
-    TransactionAborted,
     TxnOutcome,
     register_protocol,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "Protocol",
     "ProtocolSpec",
     "Transaction",
-    "TransactionAborted",
     "TxnOutcome",
     "default_protocols",
     "get_spec",

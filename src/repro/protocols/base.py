@@ -3,47 +3,53 @@
 Each MDS owns one protocol engine instance (a subclass of
 :class:`Protocol`).  The engine plays both roles:
 
-* **coordinator** -- :meth:`Protocol.coordinate` runs as a process for
+* **coordinator** -- :meth:`Protocol.coordinate` starts a session for
   every client request the server receives;
-* **worker** -- :meth:`Protocol.worker_session` runs as a process for
+* **worker** -- :meth:`Protocol.worker_session` starts a session for
   every remote transaction the server participates in; the server's
   dispatcher feeds it messages through a per-transaction inbox.
 
 Recovery hooks: :meth:`Protocol.recover` runs once after reboot (by
 default a log scan that hands each open transaction to the engine's
 ``_recover_coordinator`` or ``_recover_worker``);
-:meth:`Protocol.handle_stray` deals with protocol messages for
-transactions that have no live session (typically retransmissions
-arriving after a crash or after checkpointing).
+:meth:`Protocol.handle_stray` answers protocol messages for
+transactions that have no live session (retransmissions arriving
+after a crash or after checkpointing).
 
-:class:`Protocol` owns every step of the choreography that more than
-one engine performs -- lock/apply/refuse at a worker
-(:meth:`~Protocol.execute_as_worker`), one reply per worker or abort
-(:meth:`~Protocol.gather`), waiting against a deadline
-(:meth:`~Protocol.recv_until`), the lazy ENDED that closes a log entry
-(:meth:`~Protocol.finalize`), replaying logged updates
-(:meth:`~Protocol.reapply`, :meth:`~Protocol.refold`), the one-phase
-worker's ACK wait -- so an engine module reads as its *delta*: which
-records it forces, whom it asks, what it presumes.  ``docs/protocols.md``
-("The skeleton and the deltas") tabulates those deltas per protocol.
+Every leg is a :class:`Session`: its fields hold the leg's state, a
+*step* is a method holding the code between two waits, and
+:meth:`Session.wait` is the only wait.  A session pushes the heap
+entries a kernel process would, at the same points — a zero-delay timer
+to start from, one relay per wait on an event already processed — but
+no completion entry when it ends, so the event order, and every trace,
+is the process model's; the storage and fencing generators (fence,
+remote log read) are driven inline.  The steps two
+or more engines run live here -- lock/apply/refuse at a worker
+(:meth:`Worker.execute`), one reply per worker or abort
+(:meth:`~Session.gather`), waiting against a deadline, replaying logged
+updates, the one-phase worker's ACK wait -- so an engine module reads
+as its *delta*: which records it forces, whom it asks, what it
+presumes (``docs/protocols.md``, "The skeleton and the deltas").
 
 Recovery has no client to answer: the steps that reply
 (:meth:`~Protocol.reply_to_client`, :meth:`~Protocol.outcome`) accept
 ``txn=None`` and do nothing, which lets a recovery path run the same
-body as the client path.
+steps as the client path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional, Sequence
+from types import GeneratorType, SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.fs.objects import ObjectId, Update, UpdateError, update_from_description
 from repro.fs.operations import OpPlan, UnsupportedOperation
-from repro.locks import LockMode, LockTimeout
+from repro.locks import LockMode
 from repro.net.message import Message
 from repro.protocols.registry import ProtocolSpec, register_protocol, reject_fanout
 from repro.sim import TIMED_OUT
+from repro.sim.events import PROCESSED
 from repro.storage.records import LogRecord, RecordKind
 
 __all__ = [
@@ -56,10 +62,10 @@ __all__ = [
     "MsgKind",
     "Protocol",
     "ProtocolSpec",
+    "Session",
     "Transaction",
-    "TransactionAborted",
     "TxnOutcome",
-    "immediately",
+    "Worker",
     "register_protocol",
 ]
 
@@ -73,6 +79,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
     from repro.sim.resources import Store
     from repro.storage.wal import WriteAheadLog
+
+#: A step: called with the event it waited for (or the value a
+#: sub-sequence hands on).
+Step = Callable[[Any], None]
 
 
 class MsgKind:
@@ -133,23 +143,8 @@ _ACK_OR_DUPLICATE = frozenset({MsgKind.ACK, MsgKind.UPDATE_REQ})
 ACK_WAIT_FACTOR = 5
 
 
-def immediately(fn: Optional[Callable[..., Any]] = None, *args: Any) -> Generator:
-    """A generator that takes no simulated time.
-
-    Runs ``fn(*args)`` when driven and returns its result: for stray
-    replies the server spawns as processes, and for overridden steps
-    with nothing to wait for where the skeleton expects a generator.
-    """
-    return fn(*args) if fn is not None else None
-    yield  # pragma: no cover - generator marker
-
-
-class TransactionAborted(Exception):
-    """Internal control-flow signal: the transaction must be aborted."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+#: What a step gets for a deadline already passed: no kernel event.
+_EXPIRED = SimpleNamespace(_ok=True, _value=TIMED_OUT)
 
 
 @dataclass
@@ -191,6 +186,319 @@ class TxnOutcome:
         return self.replied_at - self.submitted_at
 
 
+class Session:
+    """One protocol leg at one server, run by the step interpreter.
+
+    Live sessions are tracked by their server, whose ``crash()`` kills
+    them.  A stored continuation (``_next``, ``_then``, a sub-sequence's
+    own) is a bound method of the session, so it is cleared when used:
+    left behind, it is a reference cycle only the collector breaks.  A
+    refusal (lock timeout, inconsistent update, refused or missing
+    reply) goes to the subclass's ``abort(reason)``.
+    """
+
+    #: The event waited on (what :meth:`kill` detaches from), the step a
+    #: zero-delay relay runs, a generator driven inline and the step its
+    #: value goes to, the parent's step once this session ends.
+    _on = _next = _gen = _then = _done = None
+    inbox: Optional["Store"] = None
+    #: The transaction a coordinator answers (``None`` on recovery).
+    txn: Optional[Transaction] = None
+    #: The clean-up, beyond closing the inbox, that ending and being
+    #: killed both run, if any.
+    close: Optional[Callable[[], None]] = None
+
+    def __init__(self, engine: "Protocol", txn_id: Optional[int] = None) -> None:
+        self.p, self.sim, self.txn_id = engine, engine.sim, txn_id
+        engine._live[self] = None
+
+    def start(self, step: Step, value: Any = None) -> "Session":
+        """Run ``step(value)`` from a zero-delay timer."""
+        self._next = step
+        self.sim.after(0.0, self._relay, value)
+        return self
+
+    def wait(self, event: Any, step: Step) -> None:
+        """Call ``step(event)`` once ``event`` is processed (at once for
+        ``None``); a generator is driven inline, ``step`` getting its
+        return value.  A failed event reaches the step as it is: a step
+        that handles it marks it ``defused``, else the kernel raises it."""
+        if event is None:
+            return step(None)
+        if event.__class__ is GeneratorType:
+            self._gen, self._then = event, step
+            return self._drive(None)
+        if event._state == PROCESSED:
+            self._next = step
+            self.sim.after(0.0, self._relay, event)
+            return
+        callbacks = event._callbacks
+        if callbacks is None:
+            event._callbacks = [step]
+        else:
+            callbacks.append(step)
+        self._on = event
+
+    def _relay(self, event: Any) -> None:
+        step = self._next
+        if step is not None:  # else killed since the timer was pushed
+            self._next = None
+            step(event)
+
+    def _drive(self, event: Optional["Event"]) -> None:
+        gen = self._gen
+        try:
+            if event is None or event._ok:
+                target = gen.send(None if event is None else event._value)
+            else:
+                event.defused = True
+                target = gen.throw(event._value)
+        except StopIteration as stop:
+            then, self._then, self._gen = self._then, None, None
+            return then(stop.value)
+        self.wait(target, self._drive)
+
+    def end(self, value: Any = None) -> None:
+        """The leg is over: leave the live set, close the inbox and run
+        :attr:`close`, then hand ``value`` to the parent's step if any."""
+        try:
+            del self.p._live[self]
+        except KeyError:  # started by a crash's own clean-up: untracked
+            pass
+        if self.inbox is not None:
+            self.p.server.close_session(self.txn_id)
+        if self.close is not None:
+            self.close()
+        done = self._done
+        if done is not None:
+            self._done = None
+            done(value)
+
+    def kill(self) -> None:
+        """Crash: detach from the event, close the generator driven, the
+        inbox and :attr:`close`, and drop every field — continuations
+        included — so that no step runs again."""
+        callbacks = self._on._callbacks if self._on is not None else None
+        if callbacks:
+            callbacks[:] = [cb for cb in callbacks if getattr(cb, "__self__", None) is not self]
+        if self._gen is not None:
+            self._gen.close()
+        if self.inbox is not None:
+            self.p.server.close_session(self.txn_id)
+        if self.close is not None:
+            self.close()
+        vars(self).clear()
+
+    # -- shared sub-sequences -------------------------------------------------------
+
+    def _refuse(self, reason: str) -> None:
+        self._then = None
+        self.abort(reason)
+
+    def lock_and_apply(self, objects: list[ObjectId], updates: list[Update], then: Step) -> None:
+        """The growing phase of 2PL, then the cache updates: exclusive
+        locks on ``objects`` in order, then ``updates`` applied to the
+        volatile cache at compute cost; ``then(None)``.  A lock timeout
+        or an inconsistent update (EEXIST / ENOENT) is a refusal."""
+        self._then, self._objects, self._updates, self._k = then, objects, updates, 0
+        self._locked(None)
+
+    def _locked(self, grant: Optional["Event"]) -> None:
+        p, k = self.p, self._k
+        if grant is not None and grant._value is TIMED_OUT:
+            obj = self._objects[k - 1]
+            p.locks.withdraw(grant, obj)
+            return self._refuse(f"lock timeout on {obj}")
+        for obj in self._objects[k:]:
+            k += 1
+            timeout = p.params.failure.lock_timeout
+            grant = p.locks.request(self.txn_id, obj, LockMode.EXCLUSIVE, timeout)
+            if grant is not None:
+                self._k = k
+                return self.wait(grant, self._locked)
+        self._k = 0
+        self._applied(None)
+
+    def _applied(self, ev: Optional["Event"]) -> None:
+        p, k = self.p, self._k
+        if ev is not None:  # the write latency of update k has passed
+            try:
+                p.store.apply(self.txn_id, self._updates[k])
+            except UpdateError as exc:
+                return self._refuse(str(exc))
+            self._k = k = k + 1
+        for _update in self._updates[k:]:
+            return self.wait(p.sim.timeout(p.params.compute.write_latency), self._applied)
+        then, self._then = self._then, None
+        then(None)
+
+    def gather(self, pending: Iterable[str], kinds: frozenset, what: str, no: str, then: Step):
+        """One reply of ``kinds`` from every ``pending`` sender, then
+        ``then(None)``; the reply timeout (``what`` was awaited) or a
+        ``NOT_PREPARED`` (``no`` says what it means here) is a refusal."""
+        self._waiting, self._round = set(pending), (kinds, what, no)
+        if not self._waiting:
+            return then(None)
+        self._then = then
+        timeout = self.p.params.failure.reply_timeout
+        self.wait(self.p.recv(self.inbox, kinds, timeout=timeout), self._gathered)
+
+    def _gathered(self, ev: "Event") -> None:
+        p, msg = self.p, ev._value
+        kinds, what, no = self._round
+        if msg is TIMED_OUT:
+            return self._refuse(f"timeout waiting for {what} from {sorted(self._waiting)}")
+        if msg.kind == MsgKind.NOT_PREPARED or not msg.payload.get("ok", True):
+            reason = msg.payload.get("reason", "no reason given")
+            return self._refuse(f"worker {msg.src} {no}: {reason}")
+        self._waiting.discard(msg.src)
+        if self._waiting:
+            timeout = p.params.failure.reply_timeout
+            return self.wait(p.recv(self.inbox, kinds, timeout=timeout), self._gathered)
+        then, self._then = self._then, None
+        then(None)
+
+    def recv_until(self, kinds: frozenset, deadline: float, step: Step, at_most: float = 0.0):
+        """``step`` gets the next message of ``kinds`` before the absolute
+        ``deadline``, waiting at most ``at_most`` (if set) in one go;
+        ``TIMED_OUT`` at once, with no kernel event, once it has passed."""
+        remaining = deadline - self.sim.now
+        if remaining <= 0:
+            return step(_EXPIRED)
+        timeout = min(at_most, remaining) if at_most else remaining
+        self.wait(self.p.recv(self.inbox, kinds, timeout=timeout), step)
+
+    def reapply(self, descs: Iterable[dict], then: Step, fold: bool = False) -> None:
+        """Re-install logged or replicated updates into the cache unless
+        the stable image has them, then ``then(None)``; ``fold`` folds
+        them into it too (the crash hit between durable commit and fold)."""
+        if self.p.store.has_applied(self.txn_id):
+            return then(None)
+        self._then, self._todo, self._fold = then, iter(descs), fold
+        self._reapplied(None)
+
+    def _reapplied(self, ev: Optional["Event"]) -> None:
+        p = self.p
+        if ev is not None:
+            p.store.apply(self.txn_id, update_from_description(self._desc))
+        for self._desc in self._todo:
+            return self.wait(p.sim.timeout(p.params.compute.write_latency), self._reapplied)
+        if self._fold:
+            p.store.commit_durable(self.txn_id)
+        then, self._then = self._then, None
+        then(None)
+
+    def reclaim_ack(self, coordinator: str) -> None:
+        """Recovered worker, commit durable (§III-C): "the worker asks
+        the coordinator to resend the ACKNOWLEDGE message"; then end."""
+        p = self.p
+        self.inbox = p.server.open_session(self.txn_id)
+        p.send(coordinator, MsgKind.ACK_REQ, self.txn_id)
+        timeout = p.params.failure.reply_timeout * ACK_WAIT_FACTOR
+        self.wait(p.recv(self.inbox, ACKS, timeout=timeout), self._reclaimed)
+
+    def _reclaimed(self, ev: "Event") -> None:
+        p = self.p
+        if ev._value is not TIMED_OUT:
+            p.finalize(self.txn_id)
+        p.obs.annotate("recovery", p.me, txn=self.txn_id, action="ack-requested")
+        self.end()
+
+
+class Worker(Session):
+    """A worker leg of ``coordinator``'s transaction: from ``begin`` with
+    the message that opened ``inbox``, or from recovery or a stray."""
+
+    _ack_asked = False
+
+    def __init__(self, engine: "Protocol", txn_id: int, coordinator: Optional[str], inbox=None):
+        super().__init__(engine, txn_id)
+        self.coordinator, self.inbox = coordinator, inbox
+
+    def execute(self, first: Message, then: Step) -> None:
+        """Lock and apply the updates ``first`` shipped; ``then(None)``
+        with the locks held.  An injected vote failure or a refusal rolls
+        back, answers ``NOT_PREPARED`` and ends the leg — unless
+        ``first`` is ``decided`` (1PC-N): no vote is left to refuse."""
+        p = self.p
+        updates = [update_from_description(d) for d in first.payload.get("updates", [])]
+        if p.server.fail_next_vote and not first.payload.get("decided"):
+            p.server.fail_next_vote = False
+            return self.abort("injected vote failure")
+        self.lock_and_apply(p.lock_targets(updates), updates, then)
+
+    def abort(self, reason: str) -> None:
+        p, txn_id = self.p, self.txn_id
+        p.store.abort(txn_id)
+        p.locks.release_all(txn_id)
+        p.send(self.coordinator, MsgKind.NOT_PREPARED, txn_id, reason=reason)
+        self.end()
+
+    def vote(self) -> None:
+        """One-phase worker, commit durable — it *is* the vote: report it
+        (UPDATED), wait for the ACK, finalize.  §III-C: an ACK that does
+        not come is asked for once; a duplicate commit-carrying
+        UPDATE_REQ meanwhile (the coordinator re-executes its redo
+        record) is re-acknowledged with UPDATED."""
+        self.p.send(self.coordinator, MsgKind.UPDATED, self.txn_id, ok=True)
+        self.await_ack()
+
+    def await_ack(self) -> None:
+        p = self.p
+        timeout = p.params.failure.reply_timeout * ACK_WAIT_FACTOR
+        self.wait(p.recv(self.inbox, _ACK_OR_DUPLICATE, timeout=timeout), self._acked)
+
+    def _acked(self, ev: "Event") -> None:
+        p, msg = self.p, ev._value
+        if msg is TIMED_OUT:
+            if self._ack_asked:
+                p.obs.annotate("worker_unfinalized", p.me, txn=self.txn_id)
+                return self.end()
+            p.send(self.coordinator, MsgKind.ACK_REQ, self.txn_id)
+            self._ack_asked = True
+            return self.await_ack()
+        if msg.kind == MsgKind.UPDATE_REQ:
+            p.send(msg.src, MsgKind.UPDATED, self.txn_id, ok=True)
+            return self.await_ack()
+        p.finalize(self.txn_id)
+        self.end()
+
+
+class LocalCommit(Session):
+    """A transaction whose every update is local: no atomic commitment
+    protocol is needed (the paper's ACPs exist for *distributed*
+    namespace operations) — lock, apply, force one UPDATES+COMMITTED
+    record, reply.  Shared by every log-based protocol, so locality
+    comparisons measure the protocols only where they differ."""
+
+    def begin(self, txn: Transaction) -> None:
+        self.txn, me = txn, self.p.me
+        self.lock_and_apply(txn.plan.locks(me), txn.plan.updates[me], self._applied_all)
+
+    def _applied_all(self, _: Any) -> None:
+        p, txn_id = self.p, self.txn_id
+        updates = p.updates_rec(txn_id, p.store.updates_of(txn_id))
+        self.wait(p.wal.force(updates, p.state_rec(RecordKind.COMMITTED, txn_id)), self._durable)
+
+    def _durable(self, _: Any) -> None:
+        p, txn_id = self.p, self.txn_id
+        p.store.commit_durable(txn_id)
+        p.locks.release_all(txn_id)
+        replied_at = p.reply_to_client(self.txn, committed=True)
+        p.wal.checkpoint(txn_id)
+        p.outcome(self.txn, committed=True, replied_at=replied_at)
+        self.end()
+
+    def abort(self, reason: str) -> None:
+        """Roll the transaction back and tell the client."""
+        p, txn = self.p, self.txn
+        p.store.abort(txn.txn_id)
+        p.locks.release_all(txn.txn_id)
+        replied_at = p.reply_to_client(txn, committed=False, reason=reason)
+        p.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
+        self.end()
+
+
 class Protocol:
     """Base class with the machinery every protocol engine shares."""
 
@@ -198,9 +506,15 @@ class Protocol:
     name = ""
     #: Maximum number of workers the protocol supports (None = any).
     max_workers: Optional[int] = None
+    #: The session classes the entry points start.
+    Coordinator: type[Session]
+    Worker: type[Worker]
+    Local: type[Session] = LocalCommit
 
     def __init__(self, server: "MDSServer") -> None:
         self.server = server
+        #: The server's live sessions, which its ``crash()`` kills.
+        self._live = server._live
         # Plain attributes (``params`` alone is read twenty times per
         # transaction), fixed for the server's lifetime — except ``locks``,
         # which ``MDSServer.crash()`` rebinds to the new lock table.
@@ -232,6 +546,59 @@ class Protocol:
         fallback traffic reaches the fallback engine.
         """
         return True
+
+    # -- entry points: each starts a session ---------------------------------------------
+
+    def coordinate(self, txn: Transaction) -> Session:
+        """Run the distributed transaction ``txn`` as its coordinator; one
+        wider than ``max_workers`` is refused (the server routes those to
+        the fallback engine when one is configured)."""
+        if self.max_workers is not None and len(txn.workers) > self.max_workers:
+            refusal = reject_fanout(self.name, self.max_workers, len(txn.workers))
+            raise UnsupportedOperation(refusal)
+        session = self.Coordinator(self, txn.txn_id)
+        return session.start(session.begin, txn)
+
+    def run_local(self, txn: Transaction) -> Session:
+        """Commit a transaction whose every update is local."""
+        session = self.Local(self, txn.txn_id)
+        return session.start(session.begin, txn)
+
+    def worker_session(self, first: Message, inbox: "Store") -> Session:
+        """Participate in a remote transaction; ``first`` opened it."""
+        session = self.Worker(self, first.txn_id, first.src, inbox)
+        return session.start(session.begin, first)
+
+    def handle_stray(self, msg: Message) -> Optional[Callable[[Message], None]]:
+        """React to a protocol message with no live session.
+
+        Returns the step to run with ``msg``, or ``None`` to ignore the
+        message.  The default handles the cases common to the 2PC family
+        (§II-C "no entry in the log"); subclasses extend it.
+        """
+        if msg.kind == MsgKind.PREPARE:
+            # Rebooted before preparing: vote no.
+            return self._refuse_stray
+        if msg.kind in (MsgKind.COMMIT, MsgKind.ABORT):
+            # Already committed and checkpointed; the coordinator just
+            # never saw the ACK.  (Or an abort nobody remembers.)
+            return self._ack_stray
+        if msg.kind == MsgKind.ACK and self.wal.last_state(msg.txn_id) == RecordKind.ABORTED:
+            # A worker finally acknowledged an abort whose session is
+            # long gone: the abort information may now be forgotten.
+            return self._forget_stray
+        if msg.kind == MsgKind.DECISION_REQ:
+            return self._answer_decision_req
+        return None
+
+    def stray(self, msg: Message) -> None:
+        """Run :meth:`handle_stray`'s step for ``msg``, if any, as a
+        session that ends at once (so a crash before it runs cancels it)."""
+        act = self.handle_stray(msg)
+        if act is not None:
+            session = Session(self)
+            session._done = act
+            session.start(session.end, msg)
 
     # -- log-record construction ------------------------------------------------
 
@@ -271,14 +638,6 @@ class Protocol:
 
     # -- execution helpers ----------------------------------------------------------
 
-    def check_fanout(self, txn: Transaction) -> None:
-        """Refuse a transaction wider than ``max_workers`` (the server
-        routes those to the fallback engine when one is configured)."""
-        if self.max_workers is not None and len(txn.workers) > self.max_workers:
-            raise UnsupportedOperation(
-                reject_fanout(self.name, self.max_workers, len(txn.workers))
-            )
-
     @staticmethod
     def lock_targets(updates: Iterable[Update]) -> list[ObjectId]:
         """Objects ``updates`` touch, deduplicated in first-use order."""
@@ -286,68 +645,6 @@ class Protocol:
         for update in updates:
             seen.setdefault(update.target())
         return list(seen)
-
-    def lock_and_apply(
-        self, txn_id: int, objects: Iterable[ObjectId], updates: Iterable[Update]
-    ) -> Generator:
-        """The growing phase of 2PL, then the cache updates: exclusive
-        locks on ``objects`` in deterministic order, then ``updates``
-        applied to the volatile cache, charging compute time.
-
-        Raises :class:`TransactionAborted` on a lock timeout or an
-        inconsistent update (e.g. EEXIST / ENOENT)."""
-        for obj in objects:
-            try:
-                yield from self.locks.acquire(
-                    txn_id, obj, LockMode.EXCLUSIVE, timeout=self.params.failure.lock_timeout
-                )
-            except LockTimeout:
-                raise TransactionAborted(f"lock timeout on {obj}")
-        for update in updates:
-            yield self.sim.timeout(self.params.compute.write_latency)
-            try:
-                self.store.apply(txn_id, update)
-            except UpdateError as exc:
-                raise TransactionAborted(str(exc))
-
-    def execute_as_worker(self, first: Message) -> Generator:
-        """Worker side of the execution step: lock and apply the
-        updates ``first`` shipped.
-
-        Returns ``True`` with the locks held and the updates in the
-        cache overlay.  On an injected vote failure, a lock timeout or
-        an inconsistent update it rolls back, answers ``NOT_PREPARED``
-        and returns ``False``.  A ``decided`` retransmission (1PC-N)
-        carries an outcome that is already COMMIT: there is no vote
-        left to refuse.
-        """
-        txn_id = first.txn_id
-        updates = [update_from_description(d) for d in first.payload.get("updates", [])]
-        try:
-            if self.server.fail_next_vote and not first.payload.get("decided"):
-                self.server.fail_next_vote = False
-                raise TransactionAborted("injected vote failure")
-            yield from self.lock_and_apply(txn_id, self.lock_targets(updates), updates)
-        except TransactionAborted as aborted:
-            self.store.abort(txn_id)
-            self.locks.release_all(txn_id)
-            self.send(first.src, MsgKind.NOT_PREPARED, txn_id, reason=aborted.reason)
-            return False
-        return True
-
-    def reapply(self, txn_id: int, descs: Iterable[dict]) -> Generator:
-        """Re-install logged or replicated updates into the cache."""
-        for desc in descs:
-            yield self.sim.timeout(self.params.compute.write_latency)
-            self.store.apply(txn_id, update_from_description(desc))
-
-    def refold(self, txn_id: int, descs: Iterable[dict]) -> Generator:
-        """Fold a durably committed transaction's updates into the
-        stable image unless they are already there (the crash hit
-        between the durable commit and the fold)."""
-        if not self.store.has_applied(txn_id):
-            yield from self.reapply(txn_id, descs)
-            self.store.commit_durable(txn_id)
 
     def ship_updates(self, worker: str, txn_id: int, plan: OpPlan, **flags: Any) -> None:
         """Send ``worker`` its share of ``plan`` in an UPDATE_REQ;
@@ -362,75 +659,15 @@ class Protocol:
             **flags,
         )
 
-    def recv(
-        self,
-        inbox: "Store",
-        kinds: Optional[frozenset] = None,
-        timeout: Optional[float] = None,
-        from_: Optional[str] = None,
-    ) -> "Event":
-        """The getter of the next matching message from a session inbox,
-        its deadline armed: ``msg = yield self.recv(inbox, kinds, t)``.
-
-        It yields :data:`~repro.sim.TIMED_OUT` when ``timeout`` passes
-        first (callers decide whether that aborts the transaction or
-        triggers recovery).  A getter nobody yields still takes the
-        session's next matching message.
-        """
-
-        def match(msg: Message) -> bool:
-            if kinds is not None and msg.kind not in kinds:
-                return False
-            if from_ is not None and msg.src != from_:
-                return False
-            return True
-
-        get = inbox.get(match)
+    def recv(self, inbox: "Store", kinds: frozenset, timeout: Optional[float] = None) -> "Event":
+        """The getter of the next message of ``kinds`` from a session
+        inbox, its deadline armed: it gets :data:`~repro.sim.TIMED_OUT`
+        when ``timeout`` passes first.  A getter nobody waits on still
+        takes the session's next matching message."""
+        get = inbox.get(lambda msg: msg.kind in kinds)
         if timeout is not None:
             self.sim.expire(get, timeout)
         return get
-
-    def recv_until(
-        self,
-        inbox: "Store",
-        kinds: frozenset,
-        deadline: float,
-        at_most: Optional[float] = None,
-    ) -> Generator:
-        """Next message of ``kinds`` before the absolute time
-        ``deadline``, waiting ``at_most`` seconds in one go;
-        :data:`~repro.sim.TIMED_OUT` when that wait times out, and at
-        once, with no kernel event, when the deadline has passed."""
-        remaining = deadline - self.sim.now
-        if remaining <= 0:
-            return TIMED_OUT
-        return (
-            yield self.recv(
-                inbox, kinds, timeout=remaining if at_most is None else min(at_most, remaining)
-            )
-        )
-
-    def gather(
-        self, inbox: "Store", pending: Iterable[str], kinds: frozenset, what: str, refusal: str
-    ) -> Generator:
-        """One reply of ``kinds`` from every ``pending`` sender.
-
-        Raises :class:`TransactionAborted` when the reply timeout
-        passes first (``what`` names what was awaited) or a sender
-        answers ``NOT_PREPARED`` (``refusal`` says what that means in
-        this round).
-        """
-        waiting = set(pending)
-        while waiting:
-            msg = yield self.recv(inbox, kinds, timeout=self.params.failure.reply_timeout)
-            if msg is TIMED_OUT:
-                raise TransactionAborted(f"timeout waiting for {what} from {sorted(waiting)}")
-            if msg.kind == MsgKind.NOT_PREPARED or not msg.payload.get("ok", True):
-                raise TransactionAborted(
-                    f"worker {msg.src} {refusal}: "
-                    f"{msg.payload.get('reason', 'no reason given')}"
-                )
-            waiting.discard(msg.src)
 
     def reply_to_client(
         self, txn: Optional[Transaction], committed: bool, reason: str = ""
@@ -499,124 +736,32 @@ class Protocol:
         # The first callback of the fresh event ``append_lazy`` hands out.
         flush._callbacks = [lambda ev: self.wal.checkpoint(txn_id) if ev._ok else None]
 
-    # -- one-phase workers: the commit was the vote, only the ACK is left -------------
-
-    def await_ack_and_finalize(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
-        """Wait for the coordinator's ACK, then :meth:`finalize`.
-
-        §III-C: when the ACK does not come, ask once for it to be
-        resent.  A duplicate commit-carrying UPDATE_REQ in the meantime
-        means the coordinator crashed and is re-executing from its redo
-        record: re-acknowledge with UPDATED (we already committed).
-        """
-        asked = False
-        while True:
-            msg = yield self.recv(
-                inbox,
-                _ACK_OR_DUPLICATE,
-                timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR,
-            )
-            if msg is TIMED_OUT:
-                if asked:
-                    self.obs.annotate("worker_unfinalized", self.me, txn=txn_id)
-                    return
-                self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-                asked = True
-            elif msg.kind == MsgKind.UPDATE_REQ:
-                self.send(msg.src, MsgKind.UPDATED, txn_id, ok=True)
-            else:
-                break
-        self.finalize(txn_id)
-
-    def reclaim_ack(self, txn_id: int, coordinator: str) -> Generator:
-        """Recovered worker, commit durable (§III-C): "the worker asks
-        the coordinator to resend the ACKNOWLEDGE message"."""
-        inbox = self.server.open_session(txn_id)
-        try:
-            self.send(coordinator, MsgKind.ACK_REQ, txn_id)
-            msg = yield self.recv(
-                inbox, ACKS, timeout=self.params.failure.reply_timeout * ACK_WAIT_FACTOR
-            )
-            if msg is not TIMED_OUT:
-                self.finalize(txn_id)
-            self.obs.annotate("recovery", self.me, txn=txn_id, action="ack-requested")
-        finally:
-            self.server.close_session(txn_id)
-
-    # -- local (single-MDS) transactions ----------------------------------------------
-
-    def run_local(self, txn: Transaction) -> Generator:
-        """Commit a transaction whose every update is local.
-
-        No atomic commitment protocol is needed when only one MDS is
-        involved (the paper's ACPs exist for *distributed* namespace
-        operations): lock, apply, force one UPDATES+COMMITTED record,
-        reply.  Shared by every protocol, so placement-locality
-        comparisons measure the protocols only where they actually
-        differ.
-        """
-        txn_id, plan = txn.txn_id, txn.plan
-        try:
-            yield from self.lock_and_apply(txn_id, plan.locks(self.me), plan.updates[self.me])
-        except TransactionAborted as aborted:
-            return self.abort_local(txn, aborted.reason)
-        yield self.wal.force(
-            self.updates_rec(txn_id, self.store.updates_of(txn_id)),
-            self.state_rec(RecordKind.COMMITTED, txn_id),
-        )
-        self.store.commit_durable(txn_id)
-        self.locks.release_all(txn_id)
-        replied_at = self.reply_to_client(txn, committed=True)
-        self.wal.checkpoint(txn_id)
-        return self.outcome(txn, committed=True, replied_at=replied_at)
-
-    def abort_local(self, txn: Transaction, reason: str) -> Optional[TxnOutcome]:
-        """Roll a single-MDS transaction back and tell the client."""
-        self.store.abort(txn.txn_id)
-        self.locks.release_all(txn.txn_id)
-        replied_at = self.reply_to_client(txn, committed=False, reason=reason)
-        return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
-
-    # -- interface to implement -------------------------------------------------------
-
-    def coordinate(self, txn: Transaction) -> Generator:  # pragma: no cover - abstract
-        """Run the transaction as coordinator; returns a TxnOutcome."""
-        raise NotImplementedError
-
-    def worker_session(self, first: Message, inbox: "Store") -> Generator:  # pragma: no cover
-        """Participate in a remote transaction; ``first`` opened it."""
-        raise NotImplementedError
-
-    def _recover_coordinator(
-        self, txn_id: int, state: Optional[RecordKind], records: Sequence[LogRecord]
-    ) -> Generator:  # pragma: no cover - abstract
-        """Resolve an open transaction this node coordinated."""
-        raise NotImplementedError
-
-    def _recover_worker(
-        self, txn_id: int, state: Optional[RecordKind], records: Sequence[LogRecord]
-    ) -> Generator:  # pragma: no cover - abstract
-        """Resolve an open transaction this node was a worker of."""
-        raise NotImplementedError
-
     # -- recovery -------------------------------------------------------------------------
 
-    def recover(self) -> Generator:
-        """Reboot-time log scan (§II-C, §III-C enumerate the cases).
-
-        Every open transaction this engine tagged is resolved as its
-        coordinator when its records include STARTED, as a worker
-        otherwise.
-        """
-        for txn_id in self.wal.open_transactions():
+    def recover(self, then: Step, txns: Optional[Iterator[int]] = None) -> None:
+        """Reboot-time log scan (§II-C, §III-C enumerate the cases), then
+        ``then(None)``: one open transaction this engine tagged after the
+        other, as its coordinator when its records include STARTED, as a
+        worker otherwise — the ``recover`` step of that role's session."""
+        txns = iter(self.wal.open_transactions()) if txns is None else txns
+        for txn_id in txns:
             records = self.wal.records_for(txn_id)
-            if not self.owns_txn(records):
-                continue
-            state = self.wal.last_state(txn_id)
-            if any(r.kind == RecordKind.STARTED for r in records):
-                yield from self._recover_coordinator(txn_id, state, records)
-            else:
-                yield from self._recover_worker(txn_id, state, records)
+            if self.owns_txn(records):
+                state = self.wal.last_state(txn_id)
+                started = any(r.kind == RecordKind.STARTED for r in records)
+                role = self._recover_coordinator if started else self._recover_worker
+                return role(txn_id, state, records, lambda _: self.recover(then, txns))
+        then(None)
+
+    def _recover_coordinator(self, txn_id: int, state: Any, records: Any, then: Step) -> None:
+        session = self.Coordinator(self, txn_id)
+        session._done = then
+        session.recover(state, records)
+
+    def _recover_worker(self, txn_id: int, state: Any, records: Any, then: Step) -> None:
+        session = self.Worker(self, txn_id, self.coordinator_from(records))
+        session._done = then
+        session.recover(state, records)
 
     @staticmethod
     def logged_updates(records: Iterable[LogRecord]) -> list[dict]:
@@ -636,32 +781,17 @@ class Protocol:
                 return record.payload["coordinator"]
         return None
 
-    def handle_stray(self, msg: Message) -> Optional[Generator]:
-        """React to a protocol message with no live session.
+    def _refuse_stray(self, msg: Message) -> None:
+        self.send(msg.src, MsgKind.NOT_PREPARED, msg.txn_id)
 
-        Returns a generator to run, or ``None`` to ignore the message.
-        The default handles the cases common to the 2PC family (§II-C
-        "no entry in the log"); subclasses extend it.
-        """
-        if msg.kind == MsgKind.PREPARE:
-            # Rebooted before preparing: vote no.
-            return self._stray_reply(msg, MsgKind.NOT_PREPARED)
-        if msg.kind == MsgKind.COMMIT:
-            # Already committed and checkpointed; the coordinator just
-            # never saw the ACK.
-            return self._stray_reply(msg, MsgKind.ACK)
-        if msg.kind == MsgKind.ABORT:
-            return self._stray_reply(msg, MsgKind.ACK)
-        if msg.kind == MsgKind.ACK and self.wal.last_state(msg.txn_id) == RecordKind.ABORTED:
-            # A worker finally acknowledged an abort whose session is
-            # long gone: the abort information may now be forgotten.
-            return immediately(self.wal.checkpoint, msg.txn_id)
-        if msg.kind == MsgKind.DECISION_REQ:
-            return immediately(self._answer_decision_req, msg)
-        return None
+    def _ack_stray(self, msg: Message) -> None:
+        self.send(msg.src, MsgKind.ACK, msg.txn_id)
 
-    def _stray_reply(self, msg: Message, kind: str) -> Generator:
-        return immediately(self.send, msg.src, kind, msg.txn_id)
+    def _forget_stray(self, msg: Message) -> None:
+        self.wal.checkpoint(msg.txn_id)
+
+    def _finalize_stray(self, msg: Message) -> None:
+        self.finalize(msg.txn_id)
 
     def _answer_decision_req(self, msg: Message) -> None:
         """Coordinator-side: a restarted worker asks for the outcome."""

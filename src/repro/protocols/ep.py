@@ -35,46 +35,39 @@ critical path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import Any
 
-from repro.protocols.base import (
-    VOTES,
-    ProtocolSpec,
-    Transaction,
-    TransactionAborted,
-    immediately,
-    register_protocol,
-)
+from repro.protocols.base import VOTES, ProtocolSpec, register_protocol
 from repro.protocols.prc import PresumeCommitProtocol
+from repro.protocols.prn import PrNCoordinator, PrNWorker
 
-if TYPE_CHECKING:
-    from repro.sim.resources import Store
+
+class EPCoordinator(PrNCoordinator):
+    def collect_votes(self, _: Any) -> None:
+        """Single round: ship the updates with the prepare flag set and
+        start our own prepare concurrently; each worker's one reply is
+        its vote."""
+        p, txn = self.p, self.txn
+        self.own = p.OwnPrepare(p, txn.txn_id)
+        for worker in txn.workers:
+            p.ship_updates(worker, txn.txn_id, txn.plan, prepare=True)
+        self.gather(txn.workers, VOTES, "votes", "voted NOT-PREPARED", self._voted)
+
+
+class EPWorker(PrNWorker):
+    def await_prepare(self, _: Any) -> None:
+        """The request carried the prepare flag: prepare autonomously,
+        no UPDATED and no PREPARE round (EP workers only ever see
+        prepare-carrying requests)."""
+        self.prepare(None)
 
 
 class EarlyPrepareProtocol(PresumeCommitProtocol):
     """PrC with the execution piggybacked into the voting phase."""
 
     name = "EP"
-
-    def _collect_votes(self, txn: Transaction, inbox: "Store") -> Generator:
-        """Single round: ship the updates with the prepare flag set and
-        start our own prepare concurrently; each worker's one reply is
-        its vote."""
-        own_prepare = self._start_own_prepare(txn.txn_id)
-        for worker in txn.workers:
-            self.ship_updates(worker, txn.txn_id, txn.plan, prepare=True)
-        try:
-            yield from self.gather(inbox, txn.workers, VOTES, "votes", "voted NOT-PREPARED")
-        except TransactionAborted:
-            yield from self._await_own_prepare(own_prepare)
-            raise
-        yield from self._await_own_prepare(own_prepare)
-
-    def _await_prepare(self, txn_id: int, coordinator: str, inbox: "Store") -> Generator:
-        """The request carried the prepare flag: prepare autonomously,
-        no UPDATED and no PREPARE round (EP workers only ever see
-        prepare-carrying requests)."""
-        return immediately(bool, True)
+    Coordinator = EPCoordinator
+    Worker = EPWorker
 
 
 register_protocol(

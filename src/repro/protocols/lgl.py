@@ -50,40 +50,36 @@ Like 1PC, the protocol pairs one coordinator with one worker
 (``max_workers = 1``); wider operations fall back to the cluster's
 2PC-family fallback engine, which keeps using its log.
 
-Relative to the shared skeleton (:mod:`repro.protocols.base`) and to
-1PC this module is three swapped steps — make durable (``_replicate``
-for every WAL force), probe (seal-and-query for fence-and-read) and
-:meth:`~LoglessOnePhaseProtocol.finalize` (backup GC for the lazy
-ENDED) — plus the snapshot-fetch ``recover`` and a replicated
-``run_local``; the worker-side execution, the ACK wait and the
-fan-out guard are the base class's.  The redo replay shares
-``_execute`` with ``coordinate`` but keeps its own commit tail: with
-no client to answer it holds its locks until the commit replication
-was attempted.
+Relative to the skeleton (:mod:`repro.protocols.base`) and to 1PC,
+three steps are swapped — make durable (``replicate`` for every WAL
+force), probe (seal-and-query for fence-and-read) and ``finalize``
+(backup GC for the lazy ENDED) — plus the snapshot-fetch ``recover``
+and a replicated local commit.  The redo replay runs the client's
+steps up to the vote but keeps its own commit tail: with no client to
+answer it holds its locks until the commit replication was attempted.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.fs.operations import OpPlan
 from repro.mds.replica import backup_name
 from repro.net.message import Message
 from repro.protocols.base import (
     UPDATE_REPLIES,
+    LocalCommit,
     MsgKind,
     Protocol,
     ProtocolSpec,
+    Session,
+    Step,
     Transaction,
-    TransactionAborted,
-    immediately,
+    Worker,
     register_protocol,
 )
 from repro.protocols.registry import CAP_LOGLESS
-from repro.sim import TIMED_OUT
-
-if TYPE_CHECKING:
-    from repro.sim.resources import Store
+from repro.sim import TIMED_OUT, Event
 
 #: How many times a replication / probe / fetch is retransmitted
 #: before the peer backup is declared unreachable.
@@ -99,12 +95,320 @@ _BACKUP_SNAPSHOT = frozenset({MsgKind.LGL_SNAPSHOT})
 _STALE_REPLIES = _REPLICATION_REPLIES | _BACKUP_STATE | _BACKUP_SNAPSHOT
 
 
+class _Replicating(Session):
+    """Make durable, logless: every session of the engine replicates."""
+
+    def replicate(self, facet: str, data: Any, then: Step, attempts: int = REPLICATE_RETRIES):
+        """Synchronously replicate one facet to our backup:
+        ``then(True)`` on acknowledgement, ``then(False)`` when the
+        backup refused (the transaction was sealed), ``then(None)`` when
+        the backup is unreachable."""
+        p = self.p
+        self._facet, self._data, self._replicated_then = facet, data, then
+        self._attempts = attempts
+        p.send(p.backup, MsgKind.REPLICATE, self.txn_id, facet=facet, data=data)
+        self._facet_deadline = self.sim.now + p.params.failure.reply_timeout
+        self.recv_until(_REPLICATION_REPLIES, self._facet_deadline, self._facet_reply)
+
+    def _facet_reply(self, ev: Event) -> None:
+        msg = ev._value
+        if msg is not TIMED_OUT:
+            if msg.payload.get("facet") == self._facet:
+                then, self._replicated_then = self._replicated_then, None
+                return then(msg.kind == MsgKind.REPLICATED)
+            # A stale ack from an earlier retransmission.
+            return self.recv_until(_REPLICATION_REPLIES, self._facet_deadline, self._facet_reply)
+        then, self._replicated_then = self._replicated_then, None
+        if self._attempts > 1:
+            return self.replicate(self._facet, self._data, then, self._attempts - 1)
+        then(None)
+
+
+class LGLCoordinator(_Replicating):
+    """The logless coordinator of a client's transaction (:meth:`begin`)
+    or of a replicated BEGIN's replay (:meth:`redo`)."""
+
+    def begin(self, txn: Transaction) -> None:
+        self.txn, self.plan = txn, txn.plan
+        self.inbox = self.p.server.open_session(self.txn_id)
+        # The logless redo record: the plan must survive our crash
+        # before anything else happens.
+        self.replicate("begin", {"plan": txn.plan.describe()}, self._begun)
+
+    def _begun(self, ok: Optional[bool]) -> None:
+        if ok is not True:
+            self._reason = "coordinator backup unreachable"
+            return self._aborted(True)
+        self.execute()
+
+    def redo(self, plan: OpPlan) -> None:
+        """Replicated-BEGIN replay: run the transaction again end to
+        end.  No client is waiting (the reply died with the crash), so
+        nothing is released or acknowledged before our commit
+        replication was attempted; it still commits eventually, exactly
+        like 1PC's redo."""
+        p = self.p
+        p.obs.annotate("recovery", p.me, txn=self.txn_id, action="redo")
+        self.plan = plan
+        self.inbox = p.server.open_session(self.txn_id)
+        self.execute()
+
+    def execute(self) -> None:
+        """Lock, apply, ship the vote-carrying UPDATE_REQ and collect
+        the worker's vote — for a client request and for the replay of
+        a replicated BEGIN alike.  :meth:`abort` unless the worker's
+        commit is durable at its backup."""
+        plan, me = self.plan, self.p.me
+        self._workers = iter(plan.workers)  # at most one (max_workers)
+        self.lock_and_apply(plan.locks(me), plan.updates[me], self._next_worker)
+
+    def _next_worker(self, _: Any = None) -> None:
+        p = self.p
+        for self._worker in self._workers:
+            p.ship_updates(self._worker, self.txn_id, self.plan, vote=True)
+            timeout = p.params.failure.reply_timeout
+            return self.wait(p.recv(self.inbox, UPDATE_REPLIES, timeout=timeout), self._voted)
+        self._commit()
+
+    def _voted(self, ev: Event) -> None:
+        msg = ev._value
+        if msg is TIMED_OUT:
+            return self._seal()
+        if msg.kind == MsgKind.NOT_PREPARED:
+            reason = msg.payload.get("reason", "no reason given")
+            return self.abort(f"worker {self._worker} rejected the updates: {reason}")
+        self._next_worker()
+
+    def _seal(self, attempts: int = REPLICATE_RETRIES) -> None:
+        """Seal the transaction at the worker's backup and read its fate:
+        a commit replication that has not landed by the seal never will."""
+        p, self._attempts = self.p, attempts
+        if attempts == REPLICATE_RETRIES:
+            p.obs.annotate("probe_start", p.me, txn=self.txn_id, worker=self._worker)
+        p.send(backup_name(self._worker), MsgKind.LGL_QUERY, self.txn_id, seal=True)
+        timeout = p.params.failure.reply_timeout
+        self.wait(p.recv(self.inbox, _BACKUP_STATE, timeout=timeout), self._sealed)
+
+    def _sealed(self, ev: Event) -> None:
+        p, msg = self.p, ev._value
+        if msg is TIMED_OUT and self._attempts > 1:
+            return self._seal(self._attempts - 1)
+        if msg is TIMED_OUT:
+            p.obs.annotate("probe_unreachable", p.me, txn=self.txn_id, worker=self._worker)
+        if msg is TIMED_OUT or not msg.payload.get("has_commit"):
+            return self.abort(f"worker {self._worker} crashed before committing")
+        self._next_worker()
+
+    def _commit(self) -> None:
+        p, txn_id = self.p, self.txn_id
+        descs = [u.describe() for u in p.store.updates_of(txn_id)]
+        if self.txn is None:
+            then = self._redo_replicated
+        else:
+            # Decision reached: reply and release before our own commit
+            # replication (the replicated BEGIN guarantees re-execution).
+            p.store.commit(txn_id)
+            self._replied_at = p.reply_to_client(self.txn, committed=True)
+            p.locks.release_all(txn_id)
+            then = self._commit_replicated
+        self.replicate("commit", {"updates": descs, "workers": list(self.plan.workers)}, then)
+
+    def _commit_replicated(self, ok: Optional[bool]) -> None:
+        p, txn_id = self.p, self.txn_id
+        if ok is True:
+            p.store.commit_durable(txn_id)
+            p.finalize(txn_id)
+        else:
+            # Begin facet stays at the backup: a crash now still
+            # re-executes towards commit, so the reply was safe.
+            p.obs.annotate("commit_unreplicated", p.me, txn=txn_id)
+        for worker in self.plan.workers:
+            p.send(worker, MsgKind.ACK, txn_id)
+        p.outcome(self.txn, committed=True, replied_at=self._replied_at)
+        self.end()
+
+    def _redo_replicated(self, ok: Optional[bool]) -> None:
+        p, txn_id = self.p, self.txn_id
+        p.store.commit_durable(txn_id)
+        p.locks.release_all(txn_id)
+        for worker in self.plan.workers:
+            p.send(worker, MsgKind.ACK, txn_id)
+        if ok is True:
+            p.finalize(txn_id)
+        p.obs.annotate("recovery", p.me, txn=txn_id, action="redo-committed")
+        self.end()
+
+    def abort(self, reason: str) -> None:
+        p, txn_id = self.p, self.txn_id
+        if self.txn is not None:
+            # Make the abort durable at the backup *before* the client
+            # hears it, so a crash cannot re-execute into a commit.
+            self._reason = reason
+            return self.replicate("aborted", True, self._aborted)
+        p.store.abort(txn_id)
+        p.locks.release_all(txn_id)
+        p.finalize(txn_id)
+        p.obs.annotate("recovery", p.me, txn=txn_id, action="redo-aborted")
+        self.end()
+
+    def _aborted(self, ok: Optional[bool]) -> None:
+        p, txn_id, reason = self.p, self.txn_id, self._reason
+        if ok is not True:
+            p.obs.annotate("abort_unreplicated", p.me, txn=txn_id)
+        p.store.abort(txn_id)
+        p.locks.release_all(txn_id)
+        replied_at = p.reply_to_client(self.txn, committed=False, reason=reason)
+        p.finalize(txn_id)
+        p.outcome(self.txn, committed=False, replied_at=replied_at, reason=reason)
+        self.end()
+
+
+class LGLWorker(_Replicating, Worker):
+    """The logless worker: its replicated commit is its vote."""
+
+    def begin(self, first: Message) -> None:
+        if first.kind != MsgKind.UPDATE_REQ or not first.payload.get("vote"):
+            self.p.send(self.coordinator, MsgKind.NOT_PREPARED, self.txn_id)
+            return self.end()
+        self.first = first
+        self._after_recovery(None)
+
+    def _after_recovery(self, _: Any) -> None:
+        # A duplicate request must see the refetched backup state, not
+        # the empty post-reboot image: wait out our recovery.
+        p = self.p
+        if p.server.recovering:
+            pause = p.sim.timeout(p.params.failure.reply_timeout / 20.0)
+            return self.wait(pause, self._after_recovery)
+        # A duplicate request (the coordinator re-executed after a
+        # crash) finds the commit already done and only needs the
+        # re-acknowledgement.
+        if p.store.has_applied(self.txn_id):
+            return self.vote()
+        self.execute(self.first, self._replicate_commit)
+
+    def _replicate_commit(self, _: Any) -> None:
+        # The logless vote: the commit replicated to our backup.
+        descs = [u.describe() for u in self.p.store.updates_of(self.txn_id)]
+        data = {"updates": descs, "coordinator": self.coordinator}
+        self.replicate("commit", data, self._vote_replicated)
+
+    def _vote_replicated(self, ok: Optional[bool]) -> None:
+        p, txn_id = self.p, self.txn_id
+        if ok is not True:
+            # Sealed (the coordinator gave up on us) or backup
+            # unreachable: the commit never became durable, so the
+            # coordinator reads "no commit facet" and aborts.  Drop
+            # everything locally.
+            p.store.abort(txn_id)
+            p.locks.release_all(txn_id)
+            p.obs.annotate("worker_sealed_mid_commit", p.me, txn=txn_id)
+            return self.end()
+        p.store.commit_durable(txn_id)
+        p.locks.release_all(txn_id)
+        self.vote()
+
+
+class LGLLocal(_Replicating, LocalCommit):
+    """A single-MDS transaction, still logless."""
+
+    def begin(self, txn: Transaction) -> None:
+        self.inbox = self.p.server.open_session(self.txn_id)
+        super().begin(txn)
+
+    def _applied_all(self, _: Any) -> None:
+        descs = [u.describe() for u in self.p.store.updates_of(self.txn_id)]
+        self.replicate("commit", {"updates": descs, "local": True}, self._local_replicated)
+
+    def _local_replicated(self, ok: Optional[bool]) -> None:
+        if ok is not True:
+            return self.abort("backup unreachable")
+        p, txn_id = self.p, self.txn_id
+        p.store.commit_durable(txn_id)
+        p.locks.release_all(txn_id)
+        replied_at = p.reply_to_client(self.txn, committed=True)
+        p.finalize(txn_id)
+        p.outcome(self.txn, committed=True, replied_at=replied_at)
+        self.end()
+
+
+class LGLRecovery(Session):
+    """Recovery: refetch the backup's entries instead of scanning a log,
+    then move each towards the outcome it already durably has."""
+
+    def fetch(self, attempts: int = REPLICATE_RETRIES) -> None:
+        p = self.p
+        self.inbox, self._attempts = p.server.open_session(self.txn_id), attempts
+        p.send(p.backup, MsgKind.LGL_FETCH, _RECOVERY_SESSION)
+        timeout = p.params.failure.reply_timeout
+        self.wait(p.recv(self.inbox, _BACKUP_SNAPSHOT, timeout=timeout), self._fetched)
+
+    def _fetched(self, ev: Event) -> None:
+        p, msg = self.p, ev._value
+        if msg is TIMED_OUT and self._attempts > 1:
+            return self.fetch(self._attempts - 1)
+        p.server.close_session(self.txn_id)
+        self.inbox = None
+        if msg is TIMED_OUT:
+            p.obs.annotate("recovery", p.me, action="backup-unreachable")
+            return self.end()
+        self._entries = msg.payload["entries"]
+        self._txns = iter(sorted(self._entries))
+        self._next_entry()
+
+    def _next_entry(self, _: Any = None) -> None:
+        p = self.p
+        for txn_id in self._txns:
+            entry = self._entries[txn_id]
+            if "aborted" in entry:
+                p.finalize(txn_id)
+                p.obs.annotate("recovery", p.me, txn=txn_id, action="aborted")
+                continue
+            commit = entry.get("commit")
+            if commit is None:
+                # BEGIN without a commit: the coordinator's redo.
+                begin = entry.get("begin")
+                if not isinstance(begin, dict) or "plan" not in begin:
+                    p.obs.annotate("recovery", p.me, txn=txn_id, action="begin-unreadable")
+                    p.finalize(txn_id)
+                    continue
+                session = p.Coordinator(p, txn_id)
+                session._done = self._next_entry
+                return session.redo(OpPlan.from_description(begin["plan"]))
+            session = _CommittedEntry(p, txn_id)
+            session.commit, session._done = commit, self._next_entry
+            return session.reapply(commit.get("updates", []), session.settle, fold=True)
+        self.end()
+
+
+class _CommittedEntry(Session):
+    """A commit facet the backup holds: folded, then settled."""
+
+    def settle(self, _: Any) -> None:
+        p, txn_id, commit = self.p, self.txn_id, self.commit
+        if commit.get("local"):
+            p.finalize(txn_id)
+            p.obs.annotate("recovery", p.me, txn=txn_id, action="local-committed")
+        elif "coordinator" in commit:
+            return self.reclaim_ack(commit["coordinator"])
+        else:
+            # We coordinated: make sure the worker hears the ACK.
+            for worker in commit.get("workers", []):
+                p.send(worker, MsgKind.ACK, txn_id)
+            p.finalize(txn_id)
+            p.obs.annotate("recovery", p.me, txn=txn_id, action="resend-ack")
+        self.end()
+
+
 class LoglessOnePhaseProtocol(Protocol):
     """One-phase commit with synchronous replication instead of a WAL."""
 
     name = "LGL"
     #: Like 1PC: one coordinator + one worker.
     max_workers = 1
+    Coordinator = LGLCoordinator
+    Worker = LGLWorker
+    Local = LGLLocal
 
     def claims_worker_message(self, msg: Message) -> bool:
         """LGL marks its UPDATE_REQ with ``vote=True``; a bare
@@ -115,301 +419,30 @@ class LoglessOnePhaseProtocol(Protocol):
             return False
         return True
 
-    # ------------------------------------------------------------------
-    # Replication plumbing
-    # ------------------------------------------------------------------
-
     @property
     def backup(self) -> str:
         return backup_name(self.me)
-
-    def _replicate(self, txn_id: int, facet: str, data: Any, inbox: "Store") -> Generator:
-        """Synchronously replicate one facet to our backup.
-
-        Returns ``True`` on acknowledgement, ``False`` when the backup
-        refused (the transaction was sealed), ``None`` when the backup
-        is unreachable.
-        """
-        for _attempt in range(REPLICATE_RETRIES):
-            self.send(self.backup, MsgKind.REPLICATE, txn_id, facet=facet, data=data)
-            deadline = self.sim.now + self.params.failure.reply_timeout
-            while True:
-                msg = yield from self.recv_until(inbox, _REPLICATION_REPLIES, deadline)
-                if msg is TIMED_OUT:
-                    break
-                # (Anything else is a stale ack from an earlier
-                # retransmission.)
-                if msg.payload.get("facet") == facet:
-                    return msg.kind == MsgKind.REPLICATED
-        return None
 
     def finalize(self, txn_id: int) -> None:
         """Logless: there is no ENDED record to write — dropping the
         backup's entry is what closes the transaction."""
         self.send(self.backup, MsgKind.LGL_GC, txn_id)
 
-    # ------------------------------------------------------------------
-    # Coordinator
-    # ------------------------------------------------------------------
+    def recover(self, then: Step) -> None:
+        session = LGLRecovery(self, _RECOVERY_SESSION)
+        session._done = then
+        session.fetch()
 
-    def coordinate(self, txn: Transaction) -> Generator:
-        self.check_fanout(txn)
-        txn_id, plan = txn.txn_id, txn.plan
-        inbox = self.server.open_session(txn_id)
-        try:
-            # The logless redo record: the plan must survive our crash
-            # before anything else happens.
-            ok = yield from self._replicate(txn_id, "begin", {"plan": plan.describe()}, inbox)
-            if ok is not True:
-                return (
-                    yield from self._abort(
-                        txn, inbox, "coordinator backup unreachable", replicated=False
-                    )
-                )
-            try:
-                yield from self._execute(txn_id, plan, inbox)
-            except TransactionAborted as aborted:
-                return (yield from self._abort(txn, inbox, aborted.reason))
-            # Decision reached: reply and release before our own commit
-            # replication (the replicated BEGIN guarantees re-execution).
-            descs = [u.describe() for u in self.store.updates_of(txn_id)]
-            self.store.commit(txn_id)
-            replied_at = self.reply_to_client(txn, committed=True)
-            self.locks.release_all(txn_id)
-            ok = yield from self._replicate(
-                txn_id, "commit", {"updates": descs, "workers": list(plan.workers)}, inbox
-            )
-            if ok is True:
-                self.store.commit_durable(txn_id)
-                self.finalize(txn_id)
-            else:
-                # Begin facet stays at the backup: a crash now still
-                # re-executes towards commit, so the reply was safe.
-                self.obs.annotate("commit_unreplicated", self.me, txn=txn_id)
-            for worker in plan.workers:
-                self.send(worker, MsgKind.ACK, txn_id)
-            return self.outcome(txn, committed=True, replied_at=replied_at)
-        finally:
-            self.server.close_session(txn_id)
-
-    def _execute(self, txn_id: int, plan: OpPlan, inbox: "Store") -> Generator:
-        """Lock, apply, ship the vote-carrying UPDATE_REQ and collect
-        the worker's vote — for a client request and for the replay of
-        a replicated BEGIN alike.  Raises :class:`TransactionAborted`
-        unless the worker's commit is durable at its backup."""
-        yield from self.lock_and_apply(txn_id, plan.locks(self.me), plan.updates[self.me])
-        for worker in plan.workers:  # at most one (max_workers)
-            self.ship_updates(worker, txn_id, plan, vote=True)
-            msg = yield self.recv(inbox, UPDATE_REPLIES, timeout=self.params.failure.reply_timeout)
-            if msg is not TIMED_OUT and msg.kind == MsgKind.NOT_PREPARED:
-                raise TransactionAborted(
-                    f"worker {worker} rejected the updates: "
-                    f"{msg.payload.get('reason', 'no reason given')}"
-                )
-            if msg is TIMED_OUT and not (
-                yield from self._probe_worker_backup(txn_id, worker, inbox)
-            ):
-                raise TransactionAborted(f"worker {worker} crashed before committing")
-
-    def _probe_worker_backup(self, txn_id: int, worker: str, inbox: "Store") -> Generator:
-        """Seal the transaction at the worker's backup and read its fate.
-
-        Sealing first makes the answer final: a commit replication that
-        has not landed when the seal does never will.
-        """
-        self.obs.annotate("probe_start", self.me, txn=txn_id, worker=worker)
-        target = backup_name(worker)
-        for _attempt in range(REPLICATE_RETRIES):
-            self.send(target, MsgKind.LGL_QUERY, txn_id, seal=True)
-            msg = yield self.recv(inbox, _BACKUP_STATE, timeout=self.params.failure.reply_timeout)
-            if msg is not TIMED_OUT:
-                return bool(msg.payload.get("has_commit"))
-        self.obs.annotate("probe_unreachable", self.me, txn=txn_id, worker=worker)
-        return False
-
-    def _abort(
-        self, txn: Transaction, inbox: "Store", reason: str, replicated: bool = True
-    ) -> Generator:
-        """Abort: make the abort durable at the backup *before* the
-        client hears it, so a crash cannot re-execute into a commit."""
-        txn_id = txn.txn_id
-        if replicated:
-            ok = yield from self._replicate(txn_id, "aborted", True, inbox)
-            if ok is not True:
-                self.obs.annotate("abort_unreplicated", self.me, txn=txn_id)
-        self.store.abort(txn_id)
-        self.locks.release_all(txn_id)
-        replied_at = self.reply_to_client(txn, committed=False, reason=reason)
-        self.finalize(txn_id)
-        return self.outcome(txn, committed=False, replied_at=replied_at, reason=reason)
-
-    # ------------------------------------------------------------------
-    # Worker
-    # ------------------------------------------------------------------
-
-    def worker_session(self, first: Message, inbox: "Store") -> Generator:
-        txn_id, coordinator = first.txn_id, first.src
-        try:
-            if first.kind != MsgKind.UPDATE_REQ or not first.payload.get("vote"):
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id)
-                return None
-            # A duplicate request must see the refetched backup state,
-            # not the empty post-reboot image: wait out our recovery.
-            while self.server.recovering:
-                yield self.sim.timeout(self.params.failure.reply_timeout / 20.0)
-            # A duplicate request (the coordinator re-executed after a
-            # crash) finds the commit already done and only needs the
-            # re-acknowledgement below.
-            if not self.store.has_applied(txn_id):
-                if not (yield from self.execute_as_worker(first)):
-                    return None
-                # The logless vote: the commit replicated to our backup.
-                descs = [u.describe() for u in self.store.updates_of(txn_id)]
-                ok = yield from self._replicate(
-                    txn_id, "commit", {"updates": descs, "coordinator": coordinator}, inbox
-                )
-                if ok is not True:
-                    # Sealed (the coordinator gave up on us) or backup
-                    # unreachable: the commit never became durable, so
-                    # the coordinator reads "no commit facet" and
-                    # aborts.  Drop everything locally.
-                    self.store.abort(txn_id)
-                    self.locks.release_all(txn_id)
-                    self.obs.annotate("worker_sealed_mid_commit", self.me, txn=txn_id)
-                    return None
-                self.store.commit_durable(txn_id)
-                self.locks.release_all(txn_id)
-            self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-            yield from self.await_ack_and_finalize(txn_id, coordinator, inbox)
-            return None
-        finally:
-            self.server.close_session(txn_id)
-
-    # ------------------------------------------------------------------
-    # Local (single-MDS) transactions — still logless
-    # ------------------------------------------------------------------
-
-    def run_local(self, txn: Transaction) -> Generator:
-        txn_id, plan = txn.txn_id, txn.plan
-        inbox = self.server.open_session(txn_id)
-        try:
-            try:
-                yield from self.lock_and_apply(txn_id, plan.locks(self.me), plan.updates[self.me])
-                descs = [u.describe() for u in self.store.updates_of(txn_id)]
-                ok = yield from self._replicate(
-                    txn_id, "commit", {"updates": descs, "local": True}, inbox
-                )
-                if ok is not True:
-                    raise TransactionAborted("backup unreachable")
-            except TransactionAborted as aborted:
-                return self.abort_local(txn, aborted.reason)
-            self.store.commit_durable(txn_id)
-            self.locks.release_all(txn_id)
-            replied_at = self.reply_to_client(txn, committed=True)
-            self.finalize(txn_id)
-            return self.outcome(txn, committed=True, replied_at=replied_at)
-        finally:
-            self.server.close_session(txn_id)
-
-    # ------------------------------------------------------------------
-    # Recovery: refetch from the backup instead of scanning a log
-    # ------------------------------------------------------------------
-
-    def recover(self) -> Generator:
-        inbox = self.server.open_session(_RECOVERY_SESSION)
-        entries = None
-        try:
-            for _attempt in range(REPLICATE_RETRIES):
-                self.send(self.backup, MsgKind.LGL_FETCH, _RECOVERY_SESSION)
-                msg = yield self.recv(
-                    inbox, _BACKUP_SNAPSHOT, timeout=self.params.failure.reply_timeout
-                )
-                if msg is not TIMED_OUT:
-                    entries = msg.payload["entries"]
-                    break
-        finally:
-            self.server.close_session(_RECOVERY_SESSION)
-        if entries is None:
-            self.obs.annotate("recovery", self.me, action="backup-unreachable")
-            return
-        for txn_id in sorted(entries):
-            yield from self._recover_entry(txn_id, entries[txn_id])
-
-    def _recover_entry(self, txn_id: int, entry: dict) -> Generator:
-        if "aborted" in entry:
-            self.finalize(txn_id)
-            self.obs.annotate("recovery", self.me, txn=txn_id, action="aborted")
-            return
-        commit = entry.get("commit")
-        if commit is None:
-            # BEGIN without a commit: the coordinator's redo.
-            begin = entry.get("begin")
-            if not isinstance(begin, dict) or "plan" not in begin:
-                self.obs.annotate("recovery", self.me, txn=txn_id, action="begin-unreadable")
-                self.finalize(txn_id)
-                return
-            yield from self._re_execute(txn_id, OpPlan.from_description(begin["plan"]))
-            return
-        yield from self.refold(txn_id, commit.get("updates", []))
-        if commit.get("local"):
-            self.finalize(txn_id)
-            self.obs.annotate("recovery", self.me, txn=txn_id, action="local-committed")
-        elif "coordinator" in commit:
-            yield from self.reclaim_ack(txn_id, commit["coordinator"])
-        else:
-            # We coordinated: make sure the worker hears the ACK.
-            for worker in commit.get("workers", []):
-                self.send(worker, MsgKind.ACK, txn_id)
-            self.finalize(txn_id)
-            self.obs.annotate("recovery", self.me, txn=txn_id, action="resend-ack")
-
-    def _re_execute(self, txn_id: int, plan: OpPlan) -> Generator:
-        """Replicated-BEGIN replay: run the transaction again end to end.
-
-        No client is waiting (the reply died with the crash), so unlike
-        :meth:`coordinate` nothing is released or acknowledged before
-        our commit replication has been attempted; the operation still
-        commits eventually, exactly like 1PC's redo.
-        """
-        self.obs.annotate("recovery", self.me, txn=txn_id, action="redo")
-        inbox = self.server.open_session(txn_id)
-        try:
-            try:
-                yield from self._execute(txn_id, plan, inbox)
-            except TransactionAborted:
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.finalize(txn_id)
-                self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-aborted")
-                return
-            descs = [u.describe() for u in self.store.updates_of(txn_id)]
-            ok = yield from self._replicate(
-                txn_id, "commit", {"updates": descs, "workers": list(plan.workers)}, inbox
-            )
-            self.store.commit_durable(txn_id)
-            self.locks.release_all(txn_id)
-            for worker in plan.workers:
-                self.send(worker, MsgKind.ACK, txn_id)
-            if ok is True:
-                self.finalize(txn_id)
-            self.obs.annotate("recovery", self.me, txn=txn_id, action="redo-committed")
-        finally:
-            self.server.close_session(txn_id)
-
-    # ------------------------------------------------------------------
-    # Stray messages
-    # ------------------------------------------------------------------
-
-    def handle_stray(self, msg: Message) -> Optional[Generator]:
+    def handle_stray(self, msg: Message) -> Optional[Callable[[Message], None]]:
         if msg.kind == MsgKind.ACK_REQ:
             # A recovered worker wants its ACK.  A worker only ever
             # commits when its replication landed before any seal — in
             # which case we committed too.  Always acknowledge.
-            return self._stray_reply(msg, MsgKind.ACK)
+            return self._ack_stray
         if msg.kind == MsgKind.ACK:
             # Late ACK for a worker whose session is gone: release the
             # backup entry it was waiting to drop.
-            return immediately(self.finalize, msg.txn_id)
+            return self._finalize_stray
         if msg.kind in _STALE_REPLIES:
             # Stale replication traffic for a closed session.
             return None

@@ -40,30 +40,82 @@ fault tolerance (see the measured Table-I extension row).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.protocols.base import (
-    MsgKind,
-    ProtocolSpec,
-    Transaction,
-    TransactionAborted,
-    register_protocol,
-)
-from repro.protocols.prn import PresumeNothingProtocol
+from repro.protocols.base import MsgKind, ProtocolSpec, Step, register_protocol
+from repro.protocols.prn import OwnPrepare, PresumeNothingProtocol, PrNCoordinator
 from repro.protocols.registry import CAP_NEEDS_ACCEPTORS
-from repro.sim import TIMED_OUT
-from repro.storage.records import LogRecord, RecordKind
-
-if TYPE_CHECKING:
-    from repro.sim.resources import Store
+from repro.sim import TIMED_OUT, Event
+from repro.storage.records import RecordKind
 
 _ACCEPTANCES = frozenset({MsgKind.PAXOS_ACCEPTED, MsgKind.NOT_PREPARED})
+
+
+class PaxosOwnPrepare(OwnPrepare):
+    def _prepared(self, ev: Event) -> None:
+        """Announce the coordinator's own vote once it is durable (it
+        participates in its own instance like any other participant)."""
+        if ev._ok:
+            self.p._announce_vote(self.txn_id, self.p.me)
+        super()._prepared(ev)
+
+
+class PaxosCoordinator(PrNCoordinator):
+    """The leader: PrN's coordinator with the votes tallied per Paxos
+    instance, releasing the acceptors' ballots when it ends."""
+
+    def voting_round(self, then: Step) -> None:
+        """Drive every instance to a quorum of accepted PREPARED ballots.
+
+        Acceptances for the coordinator's own instance arrive from the
+        concurrently started own prepare; during coordinator recovery
+        (own PREPARED already durable, nothing started) the vote is
+        re-announced here and the acceptors answer idempotently from
+        their durable ballots.
+        """
+        p, txn_id = self.p, self.txn_id
+        for worker in self.workers:
+            p.send(worker, MsgKind.PREPARE, txn_id)
+        if p.wal.last_state(txn_id) == RecordKind.PREPARED:
+            p._announce_vote(txn_id, p.me)
+        self._quorum = p._quorum()
+        self._accepted: dict[str, set[str]] = {i: set() for i in {*self.workers, p.me}}
+        self._then = then
+        self._tally(None)
+
+    def _tally(self, ev: Optional[Event]) -> None:
+        p, accepted, quorum = self.p, self._accepted, self._quorum
+        if ev is not None:
+            msg = ev._value
+            if msg is TIMED_OUT:
+                missing = sorted(i for i, got in accepted.items() if len(got) < quorum)
+                return self._refuse(f"no acceptor quorum for instances {missing}")
+            if msg.kind == MsgKind.NOT_PREPARED:
+                return self._refuse(
+                    f"worker {msg.src} voted NOT-PREPARED: "
+                    f"{msg.payload.get('reason', 'no reason given')}"
+                )
+            accepted.setdefault(msg.payload["instance"], set()).add(msg.src)
+        if any(len(got) < quorum for got in accepted.values()):
+            timeout = p.params.failure.reply_timeout
+            return self.wait(p.recv(self.inbox, _ACCEPTANCES, timeout=timeout), self._tally)
+        then, self._then = self._then, None
+        then(None)
+
+    def end(self, value: Any = None) -> None:
+        done, self._done = self._done, None
+        super().end(value)
+        self.p._release_acceptors(self.txn_id)
+        if done is not None:
+            done(value)
 
 
 class PaxosCommitProtocol(PresumeNothingProtocol):
     """2PC with the voting phase run through Paxos acceptors."""
 
     name = "PC"
+    Coordinator = PaxosCoordinator
+    OwnPrepare = PaxosOwnPrepare
 
     #: 2F + 1 acceptor processes (F = 1): the cluster provisions this
     #: many :class:`~repro.mds.acceptor.AcceptorNode` instances.
@@ -100,64 +152,6 @@ class PaxosCommitProtocol(PresumeNothingProtocol):
         """The outcome is settled: let the acceptors drop their ballots."""
         for acceptor in self._acceptors():
             self.send(acceptor, MsgKind.PAXOS_GC, txn_id)
-
-    # ------------------------------------------------------------------
-    # Coordinator (leader)
-    # ------------------------------------------------------------------
-
-    def coordinate(self, txn: Transaction) -> Generator:
-        outcome = yield from super().coordinate(txn)
-        self._release_acceptors(txn.txn_id)
-        return outcome
-
-    def _own_prepare(self, txn_id: int) -> Generator:
-        """Announce the coordinator's own vote once it is durable (it
-        participates in its own instance like any other participant)."""
-        yield from super()._own_prepare(txn_id)
-        self._announce_vote(txn_id, self.me)
-
-    def _voting_round(
-        self, workers: Sequence[str], txn_id: int, inbox: "Store"
-    ) -> Generator:
-        """Drive every instance to a quorum of accepted PREPARED ballots.
-
-        Acceptances for the coordinator's own instance arrive from the
-        concurrently forked own-prepare; during coordinator recovery
-        (own PREPARED already durable, nothing forked) the vote is
-        re-announced here and the acceptors answer idempotently from
-        their durable ballots.
-        """
-        for worker in workers:
-            self.send(worker, MsgKind.PREPARE, txn_id)
-        if self.wal.last_state(txn_id) == RecordKind.PREPARED:
-            self._announce_vote(txn_id, self.me)
-
-        quorum = self._quorum()
-        accepted: dict[str, set[str]] = {i: set() for i in {*workers, self.me}}
-        while any(len(got) < quorum for got in accepted.values()):
-            msg = yield self.recv(inbox, _ACCEPTANCES, timeout=self.params.failure.reply_timeout)
-            if msg is TIMED_OUT:
-                missing = sorted(i for i, got in accepted.items() if len(got) < quorum)
-                raise TransactionAborted(f"no acceptor quorum for instances {missing}")
-            if msg.kind == MsgKind.NOT_PREPARED:
-                raise TransactionAborted(
-                    f"worker {msg.src} voted NOT-PREPARED: "
-                    f"{msg.payload.get('reason', 'no reason given')}"
-                )
-            accepted.setdefault(msg.payload["instance"], set()).add(msg.src)
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-
-    def _recover_coordinator(
-        self,
-        txn_id: int,
-        state: Optional[RecordKind],
-        records: Sequence[LogRecord],
-    ) -> Generator:
-        yield from super()._recover_coordinator(txn_id, state, records)
-        self._release_acceptors(txn_id)
 
 
 register_protocol(

@@ -21,9 +21,9 @@ workloads (every workload the paper cares about).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from repro.protocols.base import MsgKind, ProtocolSpec, immediately, register_protocol
+from repro.protocols.base import MsgKind, ProtocolSpec, Step, register_protocol
 from repro.protocols.prn import PresumeNothingProtocol
 from repro.storage.records import LogRecord, RecordKind
 
@@ -45,25 +45,22 @@ class PresumedAbortProtocol(PresumeNothingProtocol):
         # transaction aborted.
         return MsgKind.ABORT
 
-    def _force_abort_record(self, txn_id: int, **payload: Any) -> Generator:
+    def _force_abort_record(self, txn_id: int, **payload: Any) -> None:
         """Presumed abort never makes an ABORTED record durable — at
         the coordinator, at a worker, or on the inherited recovery
         paths (abort after a failed re-vote)."""
-        return immediately()
+        return None
 
     def _recover_coordinator(
-        self,
-        txn_id: int,
-        state: Optional[RecordKind],
-        records: Sequence[LogRecord],
-    ) -> Generator:
+        self, txn_id: int, state: Optional[RecordKind], records: Sequence[LogRecord], then: Step
+    ) -> None:
         if state == RecordKind.STARTED:
             # Crashed before preparing: just forget — workers presume
             # the abort when they ask.
             self.wal.checkpoint(txn_id)
             self.obs.annotate("recovery", self.me, txn=txn_id, action="presume-abort")
-            return
-        yield from super()._recover_coordinator(txn_id, state, records)
+            return then(None)
+        super()._recover_coordinator(txn_id, state, records, then)
 
 
 register_protocol(

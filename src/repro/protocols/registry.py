@@ -32,9 +32,8 @@ registrations pass a full :class:`ProtocolSpec`.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple, Type, Union, overload
+from typing import TYPE_CHECKING, Optional, Tuple, Type, Union, overload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.base import Protocol
@@ -162,18 +161,21 @@ def unregister(name: str) -> ProtocolSpec:
     return spec
 
 
-@contextmanager
-def temporary_protocol(spec: ProtocolSpec) -> Iterator[ProtocolSpec]:
+class temporary_protocol:  # a context manager, named as it is called
     """Register ``spec`` for the duration of a ``with`` block.
 
     The toy-protocol harness tests use this so a failing assertion
     never leaks a registration into other tests.
     """
-    register_protocol(spec)
-    try:
-        yield spec
-    finally:
-        unregister(spec.name)
+
+    def __init__(self, spec: ProtocolSpec) -> None:
+        self.spec = spec
+
+    def __enter__(self) -> ProtocolSpec:
+        return register_protocol(self.spec)
+
+    def __exit__(self, *_exc: object) -> None:
+        unregister(self.spec.name)
 
 
 def get_spec(name: str) -> ProtocolSpec:

@@ -23,8 +23,10 @@ runs too: it gives ``run(until=<time>)`` its budget and calls
 bounded loop compares due times against ``_horizon``, which ``stop()``
 pulls in (an attribute read per event); the unbounded loop checks nothing.
 
-*A process is for protocol logic that waits; a device or queue that
-only serves is a callback server* built from :meth:`Simulator.after`
+*Protocol sessions run on the step interpreter
+(``repro.protocols.base``); processes drive load and harnesses; a
+device or queue that only serves is a callback server* built from
+:meth:`Simulator.after`
 (network delivery, ``Endpoint.serve``, disk channels, the WAL pump),
 and :meth:`Simulator.expire` is the one deadline, one such timer: a timed
 wait is the awaited event plus one timer entry, not an

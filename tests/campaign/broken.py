@@ -33,17 +33,14 @@ conformance battery runs (``tests/campaign/test_broken_engines.py``):
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
-from repro.core.one_phase import OnePhaseCommitProtocol
-from repro.protocols.lgl import LoglessOnePhaseProtocol
+from repro.core.one_phase import OnePhaseCommitProtocol, OnePhaseCoordinator, OnePhaseWorker
+from repro.protocols.base import MsgKind, Protocol, ProtocolSpec, Transaction, TxnOutcome
+from repro.protocols.lgl import LGLLocal, LoglessOnePhaseProtocol
 from repro.protocols.prn import PresumeNothingProtocol
-from repro.net.message import Message
-from repro.protocols.base import MsgKind, ProtocolSpec, Transaction, TxnOutcome
 from repro.protocols.registry import CAP_LOGLESS, CAP_SHARED_LOG
-from repro.storage.fencing import FencedError
 from repro.storage.records import RecordKind
-from repro.storage.wal import LogLostError
 
 BROKEN_NAME = "1PC-BRK"
 EAR_NAME = "1PC-EAR"
@@ -52,43 +49,30 @@ EAR_NAME = "1PC-EAR"
 ONEPC_RECORDS = ("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED")
 
 
+class EarlyVoteWorker(OnePhaseWorker):
+    """A 1PC worker that votes before it forces its commit."""
+
+    _voted = False
+
+    def force_commit(self, _) -> None:
+        # BUG: vote first, force afterwards.  A crash between the
+        # send and the force leaves a committed coordinator pointing
+        # at a worker with no durable commit record to recover from.
+        self.p.send(self.coordinator, MsgKind.UPDATED, self.txn_id, ok=True)
+        self._voted = True
+        super().force_commit(_)
+
+    def vote(self, _=None) -> None:
+        if self._voted:
+            return self.await_ack()
+        super().vote()
+
+
 class EarlyVoteOnePhaseCommit(OnePhaseCommitProtocol):
     """1PC with the worker's vote moved ahead of its forced commit."""
 
     name = BROKEN_NAME
-
-    def worker_session(self, first: Message, inbox) -> Generator:
-        txn_id, coordinator = first.txn_id, first.src
-        try:
-            if first.kind != MsgKind.UPDATE_REQ or not first.payload.get("commit"):
-                self.send(coordinator, MsgKind.NOT_PREPARED, txn_id)
-                return None
-            if self.wal.has(RecordKind.COMMITTED, txn_id) or self.store.has_applied(txn_id):
-                self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-                yield from self.await_ack_and_finalize(txn_id, coordinator, inbox)
-                return None
-            if not (yield from self.execute_as_worker(first)):
-                return None
-            # BUG: vote first, force afterwards.  A crash between the
-            # send and the force leaves a committed coordinator pointing
-            # at a worker with no durable commit record to recover from.
-            self.send(coordinator, MsgKind.UPDATED, txn_id, ok=True)
-            try:
-                yield self.wal.force(
-                    self.updates_rec(txn_id, self.store.updates_of(txn_id)),
-                    self.state_rec(RecordKind.COMMITTED, txn_id, coordinator=coordinator),
-                )
-            except (FencedError, LogLostError):
-                self.store.abort(txn_id)
-                self.locks.release_all(txn_id)
-                self.obs.annotate("worker_fenced_mid_commit", self.me, txn=txn_id)
-                return None
-            self.store.commit_durable(txn_id)
-            self.locks.release_all(txn_id)
-            yield from self.await_ack_and_finalize(txn_id, coordinator, inbox)
-            return None
-        finally:
-            self.server.close_session(txn_id)
+    Worker = EarlyVoteWorker
 
 
 def broken_spec() -> ProtocolSpec:
@@ -102,10 +86,33 @@ def broken_spec() -> ProtocolSpec:
     )
 
 
+class EarlyAbortReplyCoordinator(OnePhaseCoordinator):
+    """The 1PC coordinator, registering its client while it runs."""
+
+    def begin(self, txn: Transaction) -> None:
+        self.p._clients[txn.txn_id] = txn
+        super().begin(txn)
+
+    def close(self) -> None:
+        if self.txn is not None:
+            del self.p._clients[self.txn_id]
+
+    def probe(self, worker: str) -> None:
+        p, txn_id = self.p, self.txn_id
+        txn = p._clients.get(txn_id)
+        if txn is not None and txn_id not in p._told:
+            # BUG: a silent worker is not a refusal; only the probe
+            # below can say whether its commit record is durable.
+            replied = Protocol.reply_to_client(p, txn, committed=False, reason=f"{worker} silent")
+            p._told[txn_id] = replied
+        super().probe(worker)
+
+
 class EarlyAbortReplyOnePhaseCommit(OnePhaseCommitProtocol):
     """1PC that answers "aborted" before its probe decides."""
 
     name = EAR_NAME
+    Coordinator = EarlyAbortReplyCoordinator
 
     def __init__(self, server) -> None:
         super().__init__(server)
@@ -113,22 +120,6 @@ class EarlyAbortReplyOnePhaseCommit(OnePhaseCommitProtocol):
         self._clients: dict[int, Transaction] = {}
         #: txn_id -> when the client was told "aborted".
         self._told: dict[int, float] = {}
-
-    def coordinate(self, txn: Transaction) -> Generator:
-        self._clients[txn.txn_id] = txn
-        try:
-            return (yield from super().coordinate(txn))
-        finally:
-            del self._clients[txn.txn_id]
-
-    def _probe_worker(self, txn_id: int, worker: str) -> Generator:
-        txn = self._clients.get(txn_id)
-        if txn is not None and txn_id not in self._told:
-            # BUG: a silent worker is not a refusal; only the probe
-            # below can say whether its commit record is durable.
-            replied = super().reply_to_client(txn, committed=False, reason=f"{worker} silent")
-            self._told[txn_id] = replied
-        return (yield from super()._probe_worker(txn_id, worker))
 
     def reply_to_client(
         self, txn: Optional[Transaction], committed: bool, reason: str = ""
@@ -161,27 +152,39 @@ def early_abort_spec() -> ProtocolSpec:
     )
 
 
+class ChattyCoordinator(OnePhaseCoordinator):
+    def begin(self, txn: Transaction) -> None:
+        # BUG: PREPARED is outside the declared vocabulary.
+        self.txn = txn
+        self.wait(self.p.wal.force(self.p.state_rec(RecordKind.PREPARED, txn.txn_id)), self._chatted)
+
+    def _chatted(self, _) -> None:
+        super().begin(self.txn)
+
+
 class ChattyCommitProtocol(OnePhaseCommitProtocol):
     """1PC that forces a record kind its spec never declared."""
 
     name = "XCHAT"
+    Coordinator = ChattyCoordinator
 
-    def coordinate(self, txn: Transaction) -> Generator:
-        # BUG: PREPARED is outside the declared vocabulary.
-        yield self.wal.force(self.state_rec(RecordKind.PREPARED, txn.txn_id))
-        return (yield from super().coordinate(txn))
+
+class NoisyLocal(LGLLocal):
+    def begin(self, txn: Transaction) -> None:
+        # BUG: a logless engine writes no log, ever.
+        self.txn = txn
+        self.wait(self.p.wal.force(self.p.state_rec(RecordKind.COMMITTED, txn.txn_id)), self._noted)
+
+    def _noted(self, _) -> None:
+        self.p.wal.checkpoint(self.txn_id)
+        super().begin(self.txn)
 
 
 class NoisyLoglessProtocol(LoglessOnePhaseProtocol):
     """Logless 1PC that forces a WAL record for a local commit."""
 
     name = "XNOISY"
-
-    def run_local(self, txn: Transaction) -> Generator:
-        # BUG: a logless engine writes no log, ever.
-        yield self.wal.force(self.state_rec(RecordKind.COMMITTED, txn.txn_id))
-        self.wal.checkpoint(txn.txn_id)
-        return (yield from super().run_local(txn))
+    Local = NoisyLocal
 
 
 class ForgetfulProtocol(OnePhaseCommitProtocol):
@@ -189,9 +192,9 @@ class ForgetfulProtocol(OnePhaseCommitProtocol):
 
     name = "XFORGET"
 
-    def recover(self) -> Generator:
+    def recover(self, then) -> None:
         # BUG: no log scan, so no transaction is resolved after a crash.
-        yield from ()
+        then(None)
 
 
 class AbortBlindPresumeNothing(PresumeNothingProtocol):
@@ -199,15 +202,15 @@ class AbortBlindPresumeNothing(PresumeNothingProtocol):
 
     name = "XPrN"
 
-    def _recover_coordinator(self, txn_id, state, records) -> Generator:
+    def _recover_coordinator(self, txn_id, state, records, then) -> None:
         if state == RecordKind.ABORTED:
-            return  # BUG: the workers never hear the abort again
-        yield from super()._recover_coordinator(txn_id, state, records)
+            return then(None)  # BUG: the workers never hear the abort again
+        super()._recover_coordinator(txn_id, state, records, then)
 
-    def _recover_worker(self, txn_id, state, records) -> Generator:
+    def _recover_worker(self, txn_id, state, records, then) -> None:
         if state == RecordKind.ABORTED:
-            return  # BUG: the abort is never acknowledged or forgotten
-        yield from super()._recover_worker(txn_id, state, records)
+            return then(None)  # BUG: the abort is never acknowledged or forgotten
+        super()._recover_worker(txn_id, state, records, then)
 
 
 #: The four contract-breaking engines, as registrable specs.

@@ -199,3 +199,11 @@ def test_fence_flow_good_fixture_is_clean():
         [FIXTURES / "fence_flow_good.py"], rules=select_rules(["FENCE"])
     )
     assert report.findings == []
+
+
+def test_fence002_reports_an_unfenced_read_in_a_session_step():
+    # A step is handed to ``wait``, never called: it is a root of the
+    # call graph, so its unfenced read is reported in the step itself.
+    report = run_lint([FIXTURES / "fence_step_bad.py"], rules=select_rules(["FENCE"]))
+    assert [f.rule for f in report.findings] == ["FENCE002"]
+    assert "read_remote_log(...) in 'probe'" in report.findings[0].message

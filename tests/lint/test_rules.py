@@ -86,6 +86,20 @@ def test_gen002_flags_every_dropped_wait_once():
     assert all("is never yielded" in f.message for f in findings)
 
 
+def test_gen002_flags_a_session_step_that_drops_a_wait():
+    # Steps are plain methods: the flush and the getter each count as
+    # waited on only when handed to ``self.wait(...)``.
+    findings = run_lint([FIXTURES / "gen_step_bad.py"], rules=select_rules(["GEN"])).findings
+    assert [f.message.split("(")[0] for f in findings] == [
+        "the wait self.p.wal.force",
+        "the wait self.p.recv",
+    ]
+
+
+def test_gen002_accepts_a_wait_handed_to_the_session():
+    assert rules_hit(FIXTURES / "gen_step_good.py") == set()
+
+
 def test_fence_rules_do_not_fire_in_tests_or_recovery(tmp_path):
     # The same source as fence_bad.py, but virtually located in tests/
     # and in core/recovery.py: the escape hatch is sanctioned there.

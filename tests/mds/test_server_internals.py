@@ -1,9 +1,9 @@
-"""MDS server internals: sessions, spawn tracking, routing, recovery gate."""
+"""MDS server internals: sessions, session tracking, routing, recovery gate."""
 
 import pytest
 
 from repro.net.message import Message
-from repro.protocols.base import MsgKind
+from repro.protocols.base import MsgKind, Session
 from tests.protocols.conftest import drain, make_cluster, run_create
 
 
@@ -18,38 +18,61 @@ def test_open_session_is_idempotent():
     server.close_session(7)  # idempotent
 
 
-def test_spawn_tracks_and_untracks_processes():
-    cluster, _ = make_cluster("1PC")
-    server = cluster.servers["mds1"]
+class _Sleeper(Session):
+    """A session that sleeps, then ends; ``log`` records what ran."""
 
-    def proc(sim):
-        yield sim.timeout(0.5)
+    def __init__(self, engine, log):
+        super().__init__(engine)
+        self.log = log
 
-    p = server.spawn(proc(cluster.sim))
-    assert p in server._procs
-    cluster.sim.run(until=1.0)
-    assert p not in server._procs
+    def begin(self, delay):
+        self.wait(self.sim.timeout(delay), self._woke)
+
+    def _woke(self, _):
+        self.log.append("survived")
+        self.end()
+
+    def close(self):
+        self.log.append("cleanup")
 
 
-def test_crash_kills_tracked_processes():
+def test_sessions_are_tracked_until_they_end():
     cluster, _ = make_cluster("1PC")
     server = cluster.servers["mds1"]
     log = []
+    session = _Sleeper(server.protocol, log)
+    session.start(session.begin, 0.5)
+    assert session in server._live
+    cluster.sim.run(until=1.0)
+    assert session not in server._live
+    assert log == ["survived", "cleanup"]
 
-    def proc(sim):
-        try:
-            yield sim.timeout(10.0)
-            log.append("survived")
-        finally:
-            log.append("cleanup")
 
-    server.spawn(proc(cluster.sim))
+def test_crash_kills_live_sessions():
+    cluster, _ = make_cluster("1PC")
+    server = cluster.servers["mds1"]
+    log = []
+    session = _Sleeper(server.protocol, log)
+    session.start(session.begin, 10.0)
     cluster.sim.run(until=0.1)
     server.crash()
     cluster.sim.run(until=1.0)
     assert log == ["cleanup"]
-    assert server._procs == set()
+    assert server._live == {}
     assert server._sessions == {}
+
+
+def test_a_session_killed_before_its_start_never_runs():
+    """A crash between a session's start and the zero-delay timer it
+    starts from cancels it, as a kill cancelled a process kick-start."""
+    cluster, _ = make_cluster("1PC")
+    server = cluster.servers["mds1"]
+    log = []
+    session = _Sleeper(server.protocol, log)
+    session.start(session.begin, 0.5)
+    server.crash()
+    cluster.sim.run(until=1.0)
+    assert log == ["cleanup"]
 
 
 def test_sessions_cleared_on_crash():
@@ -165,9 +188,8 @@ def test_recovering_server_buffers_then_serves():
     gate = cluster.sim.event("recovery-gate")
     original_recover = server.protocol.recover
 
-    def slow_recover():
-        yield gate
-        yield from original_recover()
+    def slow_recover(then):
+        gate.callbacks.append(lambda _: original_recover(then))
 
     server.protocol.recover = slow_recover
     server.crash()

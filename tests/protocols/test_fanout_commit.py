@@ -131,7 +131,7 @@ def test_1pc_engine_rejects_wide_plan_at_coordinate():
     txn = Transaction(txn_id=1, plan=batch, client=client.name, submitted_at=0.0)
     engine = cluster.servers["mds0"].protocol
     with pytest.raises(UnsupportedOperation, match="fan-out-capable"):
-        next(engine.coordinate(txn))
+        engine.coordinate(txn)
 
 
 def test_fanout_capable_protocol_gets_no_fallback_engine():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import scenario
+from repro.protocols.lgl import LGLCoordinator
 from tests.protocols.conftest import drain, make_cluster, run_create
 
 
@@ -58,19 +59,20 @@ def test_lgl_sealed_backup_rejects_late_commit_facet():
     drain(cluster)
     replica = cluster.backup_of("mds2")
     replica.sealed.add(99)
-    proto = cluster.servers["mds2"].protocol
+    server = cluster.servers["mds2"]
+    session = LGLCoordinator(server.protocol, 99)
+    session.inbox = server.open_session(99)
+    verdicts = []
 
-    def attempt():
-        inbox = cluster.servers["mds2"].open_session(99)
-        try:
-            verdict = yield from proto._replicate(99, "commit", {"data": 1}, inbox)
-        finally:
-            cluster.servers["mds2"].close_session(99)
-        assert verdict is False  # rejected, not unreachable
-        verdict = yield from proto._replicate(99, "aborted", True, inbox)
+    def committed(verdict):
+        verdicts.append(verdict)
+        server.close_session(99)
+        session.replicate("aborted", True, verdicts.append)
 
-    done = cluster.sim.process(attempt(), name="seal-test")
-    cluster.sim.run(until=done)
+    session.replicate("commit", {"data": 1}, committed)
+    cluster.sim.run(until=cluster.sim.now + 10.0)
+    assert verdicts[0] is False  # rejected, not unreachable
+    assert len(verdicts) == 2
     assert "commit" not in replica.entries.get(99, {})
 
 

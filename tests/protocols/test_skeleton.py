@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.protocols.base import ACKS, Session
 from repro.protocols.registry import get_spec, specs
 from repro.sim import TIMED_OUT
 
@@ -66,17 +67,22 @@ FAMILY = {
     **dict.fromkeys(("1PC", "1PC-N"), ONE_PC),
     "LGL": LGL,
 }
-#: method -> protocol -> the class whose definition the engine runs.
-#: One row per distinct behaviour: the 2PC family shares PrN's
-#: surface (Paxos Commit wraps ``coordinate`` to release its
-#: acceptors), 1PC-N is 1PC, and only the logless engine replaces the
-#: log-based ``recover``/``run_local`` of the base class.
+#: attribute -> protocol -> the class whose definition the engine runs.
+#: One row per distinct behaviour: every entry point is the base
+#: class's (it starts the engine's session), the 2PC family shares
+#: PrN's sessions (Early Prepare and Paxos Commit override the steps
+#: that differ), 1PC-N is 1PC, and only the logless engine replaces
+#: the log-based ``recover`` and local commit of the base class.
+EVERYONE = dict.fromkeys(FAMILY, "Protocol")
 DEFINED_BY = {
-    "coordinate": {**FAMILY, "PC": "PaxosCommitProtocol"},
-    "worker_session": FAMILY,
+    "coordinate": EVERYONE,
+    "worker_session": EVERYONE,
+    "run_local": EVERYONE,
     "handle_stray": FAMILY,
-    "recover": {**dict.fromkeys(FAMILY, "Protocol"), "LGL": LGL},
-    "run_local": {**dict.fromkeys(FAMILY, "Protocol"), "LGL": LGL},
+    "recover": {**EVERYONE, "LGL": LGL},
+    "Local": {**EVERYONE, "LGL": LGL},
+    "Coordinator": {**FAMILY, "EP": "EarlyPrepareProtocol", "PC": "PaxosCommitProtocol"},
+    "Worker": {**FAMILY, "EP": "EarlyPrepareProtocol"},
 }
 
 
@@ -93,67 +99,66 @@ def test_skeleton_surface_has_one_definition_per_behaviour(protocol):
         )
 
 
+class _Listener(Session):
+    """A session that receives on txn 99's inbox and logs what it got."""
+
+    def __init__(self, cluster):
+        server = cluster.servers["mds1"]
+        super().__init__(server.protocol, 99)
+        self.inbox = server.open_session(99)
+        self.seen = []
+
+    def log(self, ev):
+        self.seen.append((ev._value, round(self.sim.now, 9)))
+
+
 def test_skeleton_recv_until_respects_the_absolute_deadline():
     """``recv_until`` waits in slices but never past the deadline, and
     takes no simulated time once the deadline has passed."""
     from repro.mds.scenarios import distributed_create_cluster
-    from repro.protocols.base import ACKS
 
     cluster, _client = distributed_create_cluster("1PC")
-    engine = cluster.servers["mds1"].protocol
-    inbox = cluster.servers["mds1"].open_session(99)
-    seen = []
+    session = _Listener(cluster)
+    deadline = cluster.sim.now + 1.0
 
-    def waiter():
-        deadline = engine.sim.now + 1.0
-        for _ in range(4):
-            msg = yield from engine.recv_until(inbox, ACKS, deadline, at_most=0.4)
-            seen.append((msg, round(engine.sim.now, 9)))
+    def again(ev):
+        session.log(ev)
+        if len(session.seen) < 4:
+            session.recv_until(ACKS, deadline, again, at_most=0.4)
 
-    cluster.sim.process(waiter(), name="waiter")
+    session.recv_until(ACKS, deadline, again, at_most=0.4)
     cluster.sim.run(until=5.0)
-    assert seen == [(TIMED_OUT, 0.4), (TIMED_OUT, 0.8), (TIMED_OUT, 1.0), (TIMED_OUT, 1.0)]
+    assert session.seen == [(TIMED_OUT, 0.4), (TIMED_OUT, 0.8), (TIMED_OUT, 1.0), (TIMED_OUT, 1.0)]
 
 
 def test_skeleton_recv_hands_back_the_getter_with_its_deadline_armed():
     """``recv`` is no generator: it returns the inbox getter, and on an
-    empty inbox the yielded getter comes back ``TIMED_OUT`` at exactly
+    empty inbox the awaited getter comes back ``TIMED_OUT`` at exactly
     ``now + timeout``."""
     from repro.mds.scenarios import distributed_create_cluster
-    from repro.protocols.base import ACKS
     from repro.sim import Event
 
     cluster, _client = distributed_create_cluster("1PC")
-    engine = cluster.servers["mds1"].protocol
-    inbox = cluster.servers["mds1"].open_session(99)
-    seen = []
-
-    def waiter():
-        start = engine.sim.now
-        get = engine.recv(inbox, ACKS, timeout=0.25)
-        assert isinstance(get, Event)
-        msg = yield get
-        seen.append((msg, engine.sim.now == start + 0.25))
-
-    cluster.sim.process(waiter(), name="waiter")
+    session = _Listener(cluster)
+    start = cluster.sim.now
+    get = session.p.recv(session.inbox, ACKS, timeout=0.25)
+    assert isinstance(get, Event)
+    session.wait(get, session.log)
     cluster.sim.run(until=5.0)
-    assert seen == [(TIMED_OUT, True)]
+    assert session.seen == [(TIMED_OUT, round(start + 0.25, 9))]
 
 
 def test_skeleton_recv_until_past_its_deadline_costs_no_kernel_event():
     from repro.mds.scenarios import distributed_create_cluster
-    from repro.protocols.base import ACKS
 
     cluster, _client = distributed_create_cluster("1PC")
     sim = cluster.sim
-    engine = cluster.servers["mds1"].protocol
-    inbox = cluster.servers["mds1"].open_session(99)
+    session = _Listener(cluster)
     sim.run(until=1.0)
     before = (sim.events_processed, len(sim._heap))
     for deadline in (sim.now, sim.now - 0.5):
-        with pytest.raises(StopIteration) as done:
-            next(engine.recv_until(inbox, ACKS, deadline))
-        assert done.value.value is TIMED_OUT
+        session.recv_until(ACKS, deadline, session.log)
+    assert session.seen == [(TIMED_OUT, 1.0), (TIMED_OUT, 1.0)]
     sim.run(until=2.0)
     assert (sim.events_processed, len(sim._heap)) == before
 

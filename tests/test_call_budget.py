@@ -27,22 +27,27 @@ route table  377.93   508.00   459.16      602.23      2.14 / 1.92
 frame diet   354.95   467.02   436.18      561.25      2.14 / 1.92
 hub-off      318.93   418.01   428.15      549.23      2.87 / 2.68
 stream only  318.93   418.01   412.59      533.67      2.47 / 2.36
+steps        312.96   410.03   406.62      525.69      2.47 / 2.36
 ===========  =======  =======  ==========  ==========  ===========
 
 The other registered protocols, untraced, at the hub-off diet: PrC
 376.99, EP 332.75, PrA 418.01, PC 778.24 or 781.24, LGL 354.13, 1PC-N
-317.90.  PC's two values are the hash seed's: its vote tally iterates
-a set of node names, so where an ``any(...)`` stops varies by run.
+317.90; since *steps*: PrC 372.01, EP 329.77, PrA 410.03, PC 744.27 or 747.27,
+LGL 350.16, 1PC-N 311.93.  PC's two values are the hash seed's: its
+vote tally iterates a set of node names, so where an ``any(...)``
+stops varies by run.
 
 (*before* is the parent of the call diet, on 3.10 and 3.11; the other
 rows are 3.11 — comprehensions are inlined from 3.12 on, which only
 lowers them.)
 
-Every untraced ceiling is the hub-off diet measurement rounded up to
-the next 5, so it fails at that row's parent by construction: every hook site
-on the per-transaction path reads ``obs.enabled`` before it calls the
-hub, a delivery is the destination endpoint's own ``deliver`` run by
-its timer, and the lock table's grant check allocates nothing.  Every
+Every untraced ceiling is the *steps* measurement rounded up to the
+next 5: every hook site on the per-transaction path reads
+``obs.enabled`` before it calls the hub, a delivery is the destination
+endpoint's own ``deliver`` run by its timer, the lock table's grant
+check allocates nothing, and a protocol session is steps the kernel
+calls back, not a process whose generator frames it re-enters (*steps*
+set every ceiling, the traced ones included).  Every
 registered protocol has an untraced ceiling, so none of them can put
 frames back unnoticed; the traced rows are the two the paper
 compares.  *Per record* is what switching the hub on costs,
@@ -56,8 +61,8 @@ although the traced rows fell: the untraced row no longer pays about
 27 (1PC) / 36 (PrN) disabled-hook frames per transaction, so the
 difference now counts the hook frames themselves, which it used to
 cancel.  *Stream only* is where a hook writes the record and nothing
-else — spans and metrics are folded when read — and set the traced
-ceilings and the cap (each rounded up, to the next 5 and 0.1).  An untraced burst enters ``src/repro/obs/`` only to
+else — spans and metrics are folded when read — and set the cap
+(rounded up to the next 0.1).  An untraced burst enters ``src/repro/obs/`` only to
 build the hub, as many times at n=10 as at n=100.  A change that trips
 a row put frames back on the per-transaction path: find them with
 ``python3 benchmarks/ledger/run.py --workload composite-1pc --trace
@@ -90,17 +95,17 @@ _HUB = os.path.join(_PACKAGE, "obs") + os.sep
 #: protocol -> ceiling of Python calls under ``src/repro/`` per
 #: committed transaction of the 100-create burst cell.
 CEILING = {
-    "PrN": 420,
-    "PrC": 380,
-    "EP": 335,
-    "1PC": 320,
-    "PrA": 420,
-    "PC": 785,
+    "PrN": 415,
+    "PrC": 375,
+    "EP": 330,
+    "1PC": 315,
+    "PrA": 415,
+    "PC": 750,
     "LGL": 355,
-    "1PC-N": 320,
+    "1PC-N": 315,
 }
 #: The same with ``trace=True``: every hook writes its record.
-TRACED_CEILING = {"1PC": 415, "PrN": 535}
+TRACED_CEILING = {"1PC": 410, "PrN": 530}
 #: Ceiling of what the hub adds, in package frames per trace record.
 FRAMES_PER_RECORD = 2.5
 #: Frames an untraced burst runs under ``src/repro/obs/``: the
