@@ -57,7 +57,7 @@ def trace(cluster: Cluster) -> list[Span]:
 
     Each root span covers one transaction from submission to client
     reply and links the worker-side legs as children.  Empty unless the
-    cluster was built with ``trace=True``.
+    cluster was built with ``trace="full"``.
     """
     return cluster.obs.spans.roots()
 
@@ -66,7 +66,7 @@ def metrics(cluster: Cluster) -> dict:
     """Plain-data snapshot of the cluster's metrics registry.
 
     ``{"counters": {name: value}, "histograms": {name: summary}}`` —
-    empty sections unless the cluster was built with ``trace=True``.
+    empty sections when the cluster's hub is ``"off"``.
     """
     return cluster.obs.metrics.snapshot()
 

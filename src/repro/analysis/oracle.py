@@ -11,7 +11,9 @@ stable images (each read once per call) and the plans submitted to it:
   the committed outcomes' plans in reply order (strict 2PL holds every
   lock until the decision), followed by the plans recovery committed
   without a reply, in path order;
-* **conflict-cycle** — the lock-grant precedence graph is acyclic.
+* **conflict-cycle** — the lock-grant precedence graph
+  (:meth:`~repro.obs.hub.Observability.precedence`, in either hub mode
+  that keeps it) is acyclic.
 
 An outcome carries its plan, so outcomes match plans by identity.  A
 plan's effects are its ``AddDentry`` and ``CreateInode`` updates: the
@@ -32,9 +34,8 @@ from repro.locks import find_deadlock_cycle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mds.cluster import Cluster
-    from repro.sim import TraceLog
 
-__all__ = ["Violation", "check", "precedence_graph", "replay_serial"]
+__all__ = ["Violation", "check", "replay_serial"]
 
 
 class _Snapshot(NamedTuple):
@@ -73,7 +74,7 @@ def check(cluster: "Cluster", plans: Iterable[OpPlan]) -> list[Violation]:
     ordered = [o.plan for o in replies if o.plan is not None]
     ordered += sorted(recovered, key=lambda p: p.path)
     violations += _serial_equivalence(images, ordered, cluster.provisioned)
-    cycle = find_deadlock_cycle(set(precedence_graph(cluster.trace)))
+    cycle = find_deadlock_cycle(cluster.obs.precedence())
     if cycle is not None:
         violations.append(
             Violation("conflict-cycle", "*", f"lock-precedence cycle between transactions {cycle}")
@@ -142,32 +143,3 @@ def _serial_equivalence(
             message = f"inodes-differ: run={run_inodes} serial={serial_inodes}"
             violations.append(Violation("serializability", node, message))
     return violations
-
-
-def precedence_graph(trace: "TraceLog") -> "list[tuple[object, object]]":
-    """Conflict-precedence edges from the lock-grant trace: for every
-    object of a lock manager, each consecutive pair of grants is an
-    edge ``earlier -> later``.  Strict 2PL keeps their union acyclic.
-
-    A node's lock table is volatile, so its ``crash`` record cuts every
-    grant chain of its manager (``locks:<node>``): recovery re-acquires
-    locks for the transactions it redoes, in an order of its own, and
-    chaining those onto pre-crash grants would report a cycle between
-    transactions that never held conflicting locks at the same time.
-    """
-    last_grant: dict[str, dict[str, int]] = {}
-    edges: list[tuple[object, object]] = []
-    for rec in trace.records:
-        if rec.category == "crash":
-            last_grant.pop(f"locks:{rec.actor}", None)
-        elif rec.category == "lock_grant":
-            txn = rec.get("txn")
-            if not isinstance(txn, int):
-                continue  # stat readers and other non-transaction lockers
-            granted = last_grant.setdefault(rec.actor, {})
-            obj = str(rec.get("obj"))
-            earlier = granted.get(obj)
-            if earlier is not None and earlier != txn:
-                edges.append((earlier, txn))
-            granted[obj] = txn
-    return edges

@@ -6,6 +6,9 @@ plan — then, after the dust settles, the one oracle
 (:func:`repro.analysis.oracle.check`: invariants, atomicity,
 durability, aborted residue, serializability, conflict cycles).
 
+The hub runs in ``"attribute"`` mode: it folds at each hook what the
+oracle reads, and keeps no stream (``trace="full"`` does).
+
 The verdict is a plain dict; :mod:`repro.exec.runners` carries it in
 :class:`~repro.exec.spec.CellResult.verdict`, so campaign cells flow
 through the executor like any other experiment cell.
@@ -45,14 +48,16 @@ def _submit_all(
 def run_campaign_cell(
     schedule: CampaignSchedule,
     params: Optional[SimulationParams] = None,
+    trace: str = "attribute",
 ) -> tuple[Cluster, dict[str, Any]]:
-    """Execute one schedule; returns the settled cluster + verdict."""
+    """Execute one schedule with the hub in mode ``trace``; returns the
+    settled cluster + verdict."""
     cluster = Cluster(
         protocol=schedule.protocol,
         server_names=["mds1", "mds2"],
         params=params,
         placement=ForcedDistributedPlacement("mds1", "mds2"),
-        trace=True,
+        trace=trace,
     )
     cluster.mkdir("/hot")
     for c in range(schedule.n_clients):

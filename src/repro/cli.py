@@ -6,6 +6,7 @@
     python -m repro report --only table1,figure6
     python -m repro report --check EXPERIMENTS.md
     python -m repro burst --protocol EP --n 50
+    python -m repro explain --protocol PrN
     python -m repro sweep --kind latency
     python -m repro perf --json BENCH_perf.json
     python -m repro campaign run --runs 10 --seed 0
@@ -244,7 +245,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import dump_spans, write_chrome_trace
 
     spec = RunSpec(
-        kind="burst", protocol=args.protocol, n=args.n, seed=args.seed, trace=True
+        kind="burst", protocol=args.protocol, n=args.n, seed=args.seed, trace="full"
     )
     cell = execute_spec(spec, keep_cluster=True)
     cluster = cell.payload.cluster
@@ -273,6 +274,29 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"{args.protocol} n={args.n}: {cell.committed} committed, "
         f"{cell.throughput:.1f} tx/s"
     )
+    return 0
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    """Where a Figure-6 cell's latency went, per op: p50 / p99 of each
+    attribute-mode component (seconds or counts), and Table I's forced
+    writes and messages (beyond the execution pair) per transaction."""
+    from repro.analysis.costs import BASE_MESSAGES
+    from repro.analysis.tables import render_table
+    from repro.exec import figure6_grid
+    from repro.obs.hub import COMPONENTS
+    from repro.workloads import run_burst
+
+    (spec,) = figure6_grid(args.n, [args.protocol])
+    burst = run_burst(args.protocol, n=args.n, params=spec.seeded_params(), trace="attribute")
+    found, rows = burst.cluster.obs.attribution(), []
+    for protocol, op in sorted({key[:2] for key in found}):
+        stats = [found[protocol, op, component] for component in COMPONENTS]
+        quantiles = [f"{s.quantile(50):.4g} / {s.quantile(99):.4g}" for s in stats]
+        means = [f"{stats[3].mean:.2f}", f"{stats[4].mean - BASE_MESSAGES:.2f}"]
+        rows.append([protocol, op, stats[0].count, *quantiles, *means])
+    headers = ["protocol", "op", "txns", *COMPONENTS, "forced writes/txn", "extra msgs/txn"]
+    print(render_table(headers, rows, title=f"{args.protocol}: Figure-6 burst of {args.n}"))
     return 0
 
 
@@ -355,6 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="trace.jsonl")
     p.set_defaults(func=_cmd_trace)
+
+    p = sub.add_parser("explain", help="where a Figure-6 cell's latency went, by component")
+    p.add_argument("--protocol", choices=protocol_names, default="1PC")
+    p.add_argument("--n", type=_positive_int, default=100, help="burst size")
+    p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser(
         "lint",

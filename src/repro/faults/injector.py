@@ -220,11 +220,12 @@ class FaultPlan:
         self.fired: list[Fault] = []
 
     def install(self, cluster: "Cluster") -> None:
-        """Arm every fault on ``cluster``.  Rejects, naming the faults,
-        a node the cluster does not have, an ``at=`` already in the
-        past (or built against the wrong clock) and a ``trigger=`` on a
-        cluster built with ``trace=False``, whose empty trace could
-        never fire it."""
+        """Arm every fault on ``cluster``, replaying its stream to the
+        triggers.  Rejects, naming the faults, a node the cluster does
+        not have, an ``at=`` already in the past (or built against the
+        wrong clock), a ``trigger=`` on an ``"off"`` hub, and on an
+        ``"attribute"`` one, which has no stream to replay, a
+        ``trigger=`` on a category the hub has already counted."""
         if self.installed:
             raise RuntimeError("fault plan already installed")
         now, nodes = cluster.sim.now, cluster.servers
@@ -236,11 +237,13 @@ class FaultPlan:
             [f for f in self.faults if f.at is not None and f.at < now],
             f"are scheduled in the past (sim time is already {now:g})",
         )
+        triggered = [f for f in self.faults if f.trigger is not None]
         if not cluster.obs.enabled:
-            _reject(
-                [f for f in self.faults if f.trigger is not None],
-                "are trace-triggered but the cluster records no trace, so they can never fire",
-            )
+            _reject(triggered, "are trace-triggered but the hub is off, so they can never fire")
+        elif cluster.obs.mode == "attribute":  # no stream to replay
+            seen = cluster.obs.categories_seen()
+            late = [f for f in triggered if f.trigger is not None and f.trigger.category in seen]
+            _reject(late, "are triggered by a category the hub already counted")
         self.installed = True
         self._cluster = cluster
         #: Still-unfired triggered faults, each with its hit counter.

@@ -160,7 +160,7 @@ def _measure_batching() -> dict:
 def _measure_utilization() -> dict:
     out = {}
     for protocol in PAPER4:
-        cluster = run_burst(protocol, n=30, trace=True).cluster
+        cluster = run_burst(protocol, n=30, trace="full").cluster
         disks = device_utilization(cluster.trace)
         lock = lock_contention(cluster.trace)["dir:/dir1"]
         out[protocol] = {

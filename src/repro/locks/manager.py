@@ -71,7 +71,7 @@ class LockManager:
 
         self.sim = sim
         self.name = name
-        self.obs = obs if obs is not None else Observability(sim, enabled=False)
+        self.obs = obs if obs is not None else Observability(sim, "off")
         self._table: dict[Hashable, _LockEntry] = {}
 
     # -- introspection ----------------------------------------------------------

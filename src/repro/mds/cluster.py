@@ -71,7 +71,7 @@ class Cluster:
         fallback: Optional[str] = "PrN",
         fencing: str = "stonith",
         heartbeats: bool = False,
-        trace: bool = True,
+        trace: str = "full",
         seed: Optional[int] = None,
         sim: Optional[Simulator] = None,
         outcome_sink: Optional[Callable[[TxnOutcome], None]] = None,
@@ -94,8 +94,9 @@ class Cluster:
         #: instead of accumulating on the ``outcomes`` list — the
         #: bounded-memory path for million-transaction workloads.
         self.outcome_sink = outcome_sink
-        #: The observability hub: the trace plus its span and metric views.
-        self.obs = Observability(self.sim, enabled=trace)
+        #: The observability hub, in mode ``trace`` (one of
+        #: :data:`repro.obs.hub.MODES`; a ``bool`` is a TypeError).
+        self.obs = Observability(self.sim, trace)
         self.trace = self.obs.trace
         self.rng = RngRegistry(self.params.seed)
         self.network = Network(self.sim, self.params.network, rng=self.rng, obs=self.obs)

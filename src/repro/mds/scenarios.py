@@ -27,7 +27,7 @@ HOT_DIR = "/hot"
 def distributed_create_cluster(
     protocol: str,
     params: Optional[SimulationParams] = None,
-    trace: bool = True,
+    trace: str = "full",
 ) -> tuple[Cluster, Client]:
     """A two-server cluster where every CREATE is distributed.
 
@@ -50,7 +50,7 @@ def fanout_cluster(
     protocol: str,
     n_shards: int,
     params: Optional[SimulationParams] = None,
-    trace: bool = True,
+    trace: str = "full",
 ) -> Cluster:
     """A ``1 + n_shards`` cluster with a sharded hot directory.
 

@@ -41,7 +41,7 @@ class Network:
 
         self.sim = sim
         self.params = params or NetworkParams()
-        self.obs = obs if obs is not None else Observability(sim, enabled=False)
+        self.obs = obs if obs is not None else Observability(sim, "off")
         self.rng = rng or RngRegistry(0)
         #: The jitter stream, bound once (no registry lookup per message);
         #: None on a jitter-free network.

@@ -30,6 +30,10 @@ appended, and a ``txn_done`` observes its tree's forced writes and
 protocol messages as of its own position.  Span *lifecycle* — open,
 close, attributes, children — has no record of its own (a worker
 session opening, ``txn_start``'s client) and stays eager.
+
+That is the ``"full"`` mode of :data:`MODES`.  An ``"attribute"`` hub
+has no stream and no span: its ``_emit`` is a fold of each hook's
+arguments, which a full hub feeds its stream when that fold is read.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from repro.obs.span import (
     SpanCollector,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.analysis.streaming import StreamingStats
 from repro.sim.monitor import TraceLog, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,6 +82,16 @@ _COUNTERS: dict[Any, str] = {
 #: The categories that split, and the detail flag they split on.
 _SPLIT = {"txn_done": "committed", "log_append": "sync"}
 
+#: What a hub keeps: nothing; what the hooks fold; or the stream.
+MODES = ("off", "attribute", "full")
+
+#: A transaction's accumulator at ``txn_done``: seconds in lock waits,
+#: in a node's forces (overlapping ones once) and on the wire; forces
+#: (Table I's sync writes, one per node and instant); protocol messages.
+COMPONENTS = ("lock_wait", "forced_write", "network", "forces", "messages")
+# Accumulator slots: protocol, op, the COMPONENTS, sync appends.
+_LOCK_WAIT, _FORCE_TIME, _NETWORK, _FORCES, _MESSAGES, _APPENDS = range(2, 8)
+
 
 class _Memo(dict):
     """A dict that computes a missing value once, with ``make``: a hit
@@ -100,17 +115,20 @@ def _lock_node(manager: str) -> str:
 class Observability:
     """Injected instrumentation hub (see module docstring)."""
 
-    def __init__(self, sim: "Simulator", enabled: bool = True) -> None:
+    def __init__(self, sim: "Simulator", mode: str = "full") -> None:
+        if mode not in MODES:
+            raise TypeError(f"a hub's mode is one of {MODES}, not {mode!r}")
         self.sim = sim
-        #: The one switch: a disabled hub appends nothing, opens no span
-        #: and counts nothing.
-        self.enabled = enabled
+        self.mode = mode
+        #: The hot-path guard: an ``off`` hub counts nothing.
+        self.enabled = mode != "off"
         self.trace = TraceLog(sim)
         self.spans = SpanCollector(sim, self.trace)
         self.metrics = MetricsRegistry()
         # Both views are read through the one fold, which also runs
         # before the trace drops records.
-        self.spans.refresh = self.metrics.refresh = self.trace.before_clear = self._fold
+        self.spans.refresh = self.metrics.refresh = self._fold
+        self.trace.before_clear = self._catch_up
         #: The collector's span table, for the lifecycle hooks (a lookup
         #: there folds nothing).
         self._spans = self.spans._spans
@@ -135,6 +153,25 @@ class Observability:
         self._observe.make = self._observer
         #: (lock-manager name, txn, obj) -> grant time, for hold times.
         self._grants: dict[tuple[str, Any, Any], float] = {}
+        # -- the attribute fold's state (full mode: the shadow hub's) ----
+        self._shadow: Optional[Observability] = None
+        self._replayed = 0  # stream position the shadow was fed up to
+        self._edges: set[tuple[Any, Any]] = set()  # (earlier, later)
+        #: Lock manager -> obj -> [last integer grantee, {owner: grant
+        #: time}]: one lookup serves the chain and the hold time.
+        self._locks: dict[str, dict[Any, list]] = {}
+        #: (lock manager, txn) -> wait start: a leg waits on one lock.
+        self._waits: dict[tuple[str, int], float] = {}
+        #: (node, txn) -> [first pending start, pending, last force time].
+        self._forcing: dict[tuple[str, int], list] = {}
+        self._sent: dict[int, float] = {}  # msg_id -> send time
+        self._txns: dict[int, list] = {}  # txn -> accumulator, start to done
+        self._components = _Memo()  # (protocol, op) -> StreamingStats each
+        self._components.make = lambda key: tuple(
+            StreamingStats(label="/".join((*key, c))) for c in COMPONENTS
+        )
+        if mode == "attribute":
+            self._emit = self._attribute  # type: ignore[method-assign]
 
     # -- the single write path ------------------------------------------------
 
@@ -269,6 +306,148 @@ class Observability:
             position += 1
         self._folded = position
 
+    # -- the attribute fold ------------------------------------------------------
+
+    def _attribute(
+        self,
+        category: str,
+        actor: str,
+        detail: dict[str, Any],
+        node: Optional[str] = None,
+        now: Optional[float] = None,
+    ) -> None:
+        """Attribute mode's ``_emit``: fold one hook's arguments, in this
+        one frame, as the full fold would file its record, into the edges
+        and the accumulator; build the record only for a listener.  A
+        replay passes the record's time as ``now``."""
+        now = self.sim.now if now is None else now
+        split = (category, detail[_SPLIT[category]]) if category in _SPLIT else category
+        counter = self._bound[split]
+        if counter is not None:
+            counter.value += detail["removed"] if category == "log_gc" else 1.0
+        txns = self._txns
+        if category == "log_append":
+            if detail["sync"] and detail["txn"] in txns:
+                accumulator = txns[detail["txn"]]
+                accumulator[_APPENDS] += 1
+                key = (actor, detail["txn"])
+                if key not in self._forcing:
+                    self._forcing[key] = [now, 0, None]
+                pending = self._forcing[key]
+                pending[1] += 1
+                if pending[2] != now:
+                    pending[2] = now
+                    accumulator[_FORCES] += 1
+        elif category == "log_durable":
+            key = (actor, detail["txn"])
+            if detail["sync"] and key in self._forcing:
+                pending = self._forcing[key]
+                pending[1] -= 1
+                if not pending[1]:
+                    del self._forcing[key]
+                    if key[1] in txns:
+                        txns[key[1]][_FORCE_TIME] += now - pending[0]
+        elif category == "msg_send":
+            if detail["txn"] in txns:
+                self._sent[detail["msg_id"]] = now
+                txns[detail["txn"]][_MESSAGES] += detail["kind"] in PROTOCOL_MSG_KINDS
+        elif category == "msg_recv":
+            sent = self._sent
+            if detail["msg_id"] in sent:
+                if detail["txn"] in txns:
+                    txns[detail["txn"]][_NETWORK] += now - sent[detail["msg_id"]]
+                del sent[detail["msg_id"]]
+        elif category == "lock_wait":
+            if detail["txn"] in txns:
+                self._waits[(actor, detail["txn"])] = now
+        elif category == "lock_grant" or category == "lock_timeout":
+            txn = detail["txn"]
+            waits = self._waits
+            key = (actor, txn)
+            if key in waits:
+                if txn in txns:
+                    txns[txn][_LOCK_WAIT] += now - waits[key]
+                del waits[key]
+            if category == "lock_grant":
+                locks = self._locks
+                held = locks[actor] if actor in locks else locks.setdefault(actor, {})
+                slot = held.get(detail["obj"])
+                if slot is None:
+                    slot = held[detail["obj"]] = [None, {}]
+                slot[1][txn] = now
+                if txn.__class__ is int:
+                    if slot[0] is not None and slot[0] != txn:
+                        self._edges.add((slot[0], txn))
+                    slot[0] = txn
+        elif category == "lock_release" and actor in self._locks:
+            slot = self._locks[actor].get(detail["obj"])
+            if slot is not None and detail["txn"] in slot[1]:
+                self._observe["locks.hold_time"](now - slot[1][detail["txn"]])
+                del slot[1][detail["txn"]]
+        elif category == "txn_start":
+            if detail["txn"] not in txns:
+                txns[detail["txn"]] = [detail["protocol"], detail["op"], 0.0, 0.0, 0.0, 0, 0, 0]
+        elif category == "txn_done":
+            self._observe["txn.client_latency"](detail["latency"])
+            if detail["txn"] in txns:
+                accumulator = txns[detail["txn"]]
+                del txns[detail["txn"]]
+                self._observe["txn.forced_writes"](float(accumulator[_APPENDS]))
+                self._observe["txn.messages"](float(accumulator[_MESSAGES]))
+                row = self._components[accumulator[0], accumulator[1]]
+                for stats, value in zip(row, accumulator[_LOCK_WAIT:_APPENDS]):
+                    stats.observe(value)
+        elif category == "crash":
+            # Its lock table is gone, and with it chains, holds and waits.
+            manager = f"locks:{actor}"
+            self._locks.pop(manager, None)
+            self._waits = {k: t for k, t in self._waits.items() if k[0] != manager}
+        elif category == "log_crash":
+            # Its pending forces will never be durable.
+            self._forcing = {k: f for k, f in self._forcing.items() if k[0] != actor}
+        if self._every or category in self._heard:
+            record = TraceRecord(now, category, actor, detail, node)
+            for listener in self._every:
+                listener(record)
+            if category in self._heard:
+                for listener in self._heard[category]:
+                    listener(record)
+
+    def _attributed(self) -> "Observability":
+        """This hub, or for a full one the shadow hub whose attribute
+        fold it feeds the records appended since the last read."""
+        if self.mode != "full":
+            return self
+        if self._shadow is None:
+            self._shadow = Observability(self.sim, "attribute")
+        trace = self.trace
+        for r in islice(trace.records, self._replayed - trace.dropped, None):
+            self._shadow._attribute(r.category, r.actor, r.detail, r.node, r.time)
+        self._replayed = trace.dropped + len(trace.records)
+        return self._shadow
+
+    def _catch_up(self) -> None:
+        """Before the trace drops records: every fold of them catches up."""
+        self._fold()
+        self._attributed()
+
+    def categories_seen(self) -> set[str]:
+        """The categories of every record counted so far."""
+        self._fold()
+        return {key[0] if key.__class__ is tuple else key for key in self._bound}
+
+    def precedence(self) -> set[tuple[Any, Any]]:
+        """``earlier -> later`` for consecutive grants of one object by one
+        lock manager to distinct integer transactions.  A node's ``crash``
+        cuts its manager's chains: recovery re-acquires in its own order."""
+        return set(self._attributed()._edges)
+
+    def attribution(self) -> dict[tuple[str, str, str], StreamingStats]:
+        """``(protocol, op, component)`` -> the distribution, over the
+        finished transactions, of each of :data:`COMPONENTS`."""
+        rows = self._attributed()._components.items()
+        return {(*key, c): stats for key, row in rows for c, stats in zip(COMPONENTS, row)}
+
     # -- transaction lifecycle ----------------------------------------------
 
     def txn_start(
@@ -285,6 +464,8 @@ class Observability:
         if not self.enabled:
             return None
         self._emit("txn_start", actor, {"txn": txn, "op": op, "protocol": protocol})
+        if self.mode != "full":
+            return None
         return self.spans.begin(
             txn,
             name=op,
@@ -304,7 +485,7 @@ class Observability:
     def worker_open(self, actor: str, txn: int, *, opener: str, protocol: str = "") -> None:
         """A worker session opened for a remote transaction (span only —
         the stream has no record for this)."""
-        if not self.enabled:
+        if not self.enabled or self.mode == "attribute":
             return
         self.spans.begin(
             txn, name=opener, role=WORKER, actor=actor, protocol=protocol
@@ -317,7 +498,7 @@ class Observability:
         decided; otherwise it just reads "closed" (e.g. a 2PC worker
         ACKs and closes before the coordinator finishes).
         """
-        if not self.enabled:
+        if not self.enabled or self.mode == "attribute":
             return
         leg = self._spans.get((txn, actor))
         if leg is not None:
@@ -330,7 +511,7 @@ class Observability:
             return
         detail = {"txn": txn, "committed": committed, "op": op}
         self._emit("client_reply", actor, detail, actor)
-        root = self._spans.get((txn, None))
+        root = self._spans.get((txn, None)) if self.mode == "full" else None
         if root is not None:
             root.attrs["replied_at"] = self.sim.now
 
@@ -354,7 +535,7 @@ class Observability:
             actor,
             {"txn": txn, "committed": committed, "op": op, "latency": latency},
         )
-        root = self._spans.get((txn, None))
+        root = self._spans.get((txn, None)) if self.mode == "full" else None
         if root is not None:
             self.spans.close(
                 root,

@@ -44,7 +44,7 @@ class Disk:
         self.sim = sim
         self.params = params or StorageParams()
         self.name = name
-        self.obs = obs if obs is not None else Observability(sim, enabled=False)
+        self.obs = obs if obs is not None else Observability(sim, "off")
         self.capacity = capacity
         self._in_service = 0
         #: Grant callbacks of the requests waiting for a channel, FIFO.

@@ -43,7 +43,7 @@ class SharedStorage:
         self.sim = sim
         self.params = params or StorageParams()
         self.shared_device = shared_device
-        self.obs = obs if obs is not None else Observability(sim, enabled=False)
+        self.obs = obs if obs is not None else Observability(sim, "off")
         self.fencing = FencingController(obs=self.obs)
         self._logs: dict[str, WriteAheadLog] = {}
         self._disks: dict[str, Disk] = {}

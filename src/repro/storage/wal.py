@@ -71,7 +71,7 @@ class WriteAheadLog:
         self.sim = sim
         self.disk = disk
         self.owner = owner
-        self.obs = obs if obs is not None else Observability(sim, enabled=False)
+        self.obs = obs if obs is not None else Observability(sim, "off")
         #: The controller's live set of fenced nodes: the write path
         #: reads state, it does not call for it.
         self._fenced = fencing.fenced if fencing is not None else frozenset()

@@ -45,15 +45,15 @@ def run_burst(
     n: int = 100,
     params: Optional[SimulationParams] = None,
     op: str = "create",
-    trace: bool = TRACE,
+    trace: str = TRACE,
 ) -> Measurement:
     """Submit ``n`` simultaneous distributed operations, run to completion.
 
     ``op`` is ``"create"`` or ``"delete"`` (deletes pre-create the
     files in an unmeasured create burst first, then measure the burst
     of deletes).
-    ``trace`` turns the observability layer on (spans, metrics, trace
-    log).
+    ``trace`` is the hub's mode (``"off"``, ``"attribute"`` or
+    ``"full"``).
     """
     if op not in ("create", "delete"):
         raise ValueError(f"unsupported burst op {op!r}")
@@ -99,7 +99,7 @@ def run_abort_burst(
     n: int = 100,
     abort_rate: float = 0.0,
     params: Optional[SimulationParams] = None,
-    trace: bool = TRACE,
+    trace: str = TRACE,
 ) -> Measurement:
     """Burst with a fraction of worker-refused votes (§II-D ablation).
 
@@ -146,7 +146,7 @@ def run_scaling_cell(
     n_pairs: int,
     ops_per_dir: int = 25,
     params: Optional[SimulationParams] = None,
-    trace: bool = TRACE,
+    trace: str = TRACE,
 ) -> Measurement:
     """Aggregate throughput with ``n_pairs`` coordinator/worker pairs."""
     cluster = Cluster(
@@ -182,7 +182,7 @@ def run_fanout_cell(
     n_files: int = 16,
     n_shards: Optional[int] = None,
     params: Optional[SimulationParams] = None,
-    trace: bool = TRACE,
+    trace: str = TRACE,
 ) -> Measurement:
     """Create ``n_files`` in one hot directory, ``fanout`` per batch.
 

@@ -3,8 +3,8 @@
 The paper's §IV evaluation has one source module that submits
 transactions and one statistics module that folds their replies.
 Every cell in this package (and the study cells in
-:mod:`repro.harness`) is that shape — build a cluster with
-``trace=TRACE`` (or the caller's ``trace``), then::
+:mod:`repro.harness`) is that shape — build a cluster in
+hub mode ``trace=TRACE`` (or the caller's ``trace``), then::
 
     drive(cluster, ops)
     drain(cluster, expected, "burst")
@@ -34,10 +34,10 @@ from repro.sim import Simulator
 #: are already fixed by then, so no measurement moves.
 SETTLE = 30.0
 
-#: The one trace default, off so long simulations stay lean: every
-#: cell here and in :mod:`repro.harness` builds with it unless its
-#: caller asks, and ``RunSpec.trace`` overrides it for every kind.
-TRACE = False
+#: The one trace default, the hub mode ``"off"`` so long simulations
+#: stay lean: every cell here and in :mod:`repro.harness` builds with it
+#: unless its caller asks, and ``RunSpec.trace`` overrides it.
+TRACE = "off"
 
 #: An open-loop operation: a ready plan (one file, a batch, a
 #: migration) and the client that submits it.

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.oracle import check, precedence_graph, replay_serial
+from repro.analysis.oracle import check, replay_serial
 from repro.fs import AddDentry, DecLink, OpPlan, UpdateError
 from repro.mds.scenarios import distributed_create_cluster
 from repro.protocols.base import TxnOutcome
@@ -84,18 +84,18 @@ def test_precedence_graph_cuts_grant_history_at_a_crash():
     """A reboot loses the lock table: recovery's re-acquisitions must
     not be chained onto the grants the crash wiped (campaign seed 9
     cell 14 read 9, 10, <crash>, 9, <crash>, 9, 10 on one object)."""
-    obs = Observability(Simulator())
-    trace = obs.trace
-    for step in (9, 10, "crash", 9, "crash", 9, 10):
-        if step == "crash":
-            obs.node_crash("mds1")
-        else:
-            obs.annotate("lock_grant", "locks:mds1", txn=step, obj="/hot")
-    assert precedence_graph(trace) == [(9, 10), (9, 10)]
-    # Another node's crash cuts nothing here.
-    obs.node_crash("mds2")
-    obs.annotate("lock_grant", "locks:mds1", txn=9, obj="/hot")
-    assert precedence_graph(trace)[-1] == (10, 9)
+    for mode in ("attribute", "full"):
+        obs = Observability(Simulator(), mode)
+        for step in (9, 10, "crash", 9, "crash", 9, 10):
+            if step == "crash":
+                obs.node_crash("mds1")
+            else:
+                obs.annotate("lock_grant", "locks:mds1", txn=step, obj="/hot")
+        assert obs.precedence() == {(9, 10)}
+        # Another node's crash cuts nothing here.
+        obs.node_crash("mds2")
+        obs.annotate("lock_grant", "locks:mds1", txn=9, obj="/hot")
+        assert obs.precedence() == {(9, 10), (10, 9)}
 
 
 def test_replay_serial_detects_impossible_history():

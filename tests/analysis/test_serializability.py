@@ -1,7 +1,7 @@
 """The oracle's serializability pass on concurrent runs: the durable
 image equals a serial replay of the committed plans in reply order."""
 
-from repro.analysis.oracle import check, precedence_graph
+from repro.analysis.oracle import check
 from repro.fs import AddDentry
 from repro.mds.scenarios import distributed_create_cluster
 
@@ -81,5 +81,5 @@ def test_verify_flags_divergent_state():
 def test_precedence_graph_acyclic_for_concurrent_runs(protocol):
     cluster, plans = run_concurrent_creates(protocol, n=12)
     # Twelve creates through one directory: a long chain of conflicts.
-    assert len(precedence_graph(cluster.trace)) >= 11
+    assert len(cluster.obs.precedence()) >= 11
     assert [v for v in check(cluster, plans) if v.check == "conflict-cycle"] == []

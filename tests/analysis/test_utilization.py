@@ -17,7 +17,7 @@ def burst_trace():
     # run_burst disables tracing by default; re-run one with tracing.
     from repro.mds.scenarios import distributed_create_cluster
 
-    cluster, client = distributed_create_cluster("1PC", trace=True)
+    cluster, client = distributed_create_cluster("1PC", trace="full")
     for i in range(20):
         client.submit(client.plan_create(f"/dir1/f{i}"))
     while len(cluster.outcomes) < 20:

@@ -21,27 +21,36 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import campaign_grid, execute_spec
+from repro.campaign.runner import run_campaign_cell
+from repro.campaign.schedule import CampaignSchedule
+from repro.exec import campaign_grid
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "campaign_digests.json"
 PROTOCOLS = ("1PC", "PrN")
 
 
-def cell_digest(cell):
-    cluster = cell.payload
+def cell_digest(cluster, verdict):
     digest = hashlib.sha256()
     for rec in cluster.trace.records:
         line = (rec.time.hex(), rec.category, rec.actor, sorted(rec.detail.items()))
         digest.update(repr(line).encode())
-    digest.update(json.dumps(cell.verdict, sort_keys=True).encode())
+    digest.update(json.dumps(verdict, sort_keys=True).encode())
     digest.update(repr([o.replied_at.hex() for o in cluster.outcomes]).encode())
     return digest.hexdigest()
 
 
 def protocol_digests(protocol):
-    """One digest per pinned campaign cell, in grid order."""
+    """One digest per pinned campaign cell, in grid order: each cell
+    run as the executor runs it, but with the hub in full mode (the
+    stream is what the digest hashes)."""
     return [
-        cell_digest(execute_spec(spec, keep_cluster=True))
+        cell_digest(
+            *run_campaign_cell(
+                CampaignSchedule.from_json(spec.campaign),
+                params=spec.seeded_params(),
+                trace="full",
+            )
+        )
         for spec in campaign_grid(protocol, runs=24, seed=0, n_ops=12, n_clients=2)
     ]
 

@@ -175,9 +175,9 @@ def test_cell_result_counts_forced_writes():
 @pytest.mark.parametrize(
     "spec",
     [
-        RunSpec(kind="scaling", protocol="1PC", n=4, n_pairs=2, trace=True),
-        RunSpec(kind="fanout", protocol="1PC", n=4, fanout=2, trace=True),
-        RunSpec(kind="abort_burst", protocol="PrN", n=4, abort_rate=0.25, trace=True),
+        RunSpec(kind="scaling", protocol="1PC", n=4, n_pairs=2, trace="full"),
+        RunSpec(kind="fanout", protocol="1PC", n=4, fanout=2, trace="full"),
+        RunSpec(kind="abort_burst", protocol="PrN", n=4, abort_rate=0.25, trace="full"),
     ],
     ids=lambda spec: spec.kind,
 )

@@ -59,7 +59,7 @@ def test_torture_heavy_faults(protocol, seed):
 
 def run_torture_mixed(protocol, seed, n_faults=3):
     """Mixed mkdir/create/delete/rmdir stream under random faults."""
-    cluster, client = distributed_create_cluster(protocol, trace=True)
+    cluster, client = distributed_create_cluster(protocol, trace="full")
     schedule = generate_schedule(protocol, seed, n_faults=n_faults, horizon=0.15)
     schedule.build_plan().install(cluster)
 

@@ -254,7 +254,7 @@ def test_trace_clear_between_two_hits_does_not_strand_a_trigger():
 
 
 def test_trace_triggered_fault_on_an_untraced_cluster_is_rejected():
-    cluster, _client = make_cluster("1PC", trace=False)
+    cluster, _client = make_cluster("1PC", trace="off")
     plan = FaultPlan(
         [
             Fault("crash", "mds2", at=1e-3),

@@ -16,7 +16,7 @@ from repro.mds.client import Client
 def test_keyword_construction_emits_no_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cluster = Cluster(protocol="1PC", server_names=["mds1", "mds2"], trace=False)
+        cluster = Cluster(protocol="1PC", server_names=["mds1", "mds2"], trace="off")
     assert cluster.protocol_name == "1PC"
 
 
@@ -37,10 +37,10 @@ def test_trace_enabled_spelling_is_a_type_error():
 
 def test_seed_keyword_overrides_params_seed():
     params = SimulationParams.paper_defaults()
-    cluster = Cluster(params=params, seed=1234, trace=False)
+    cluster = Cluster(params=params, seed=1234, trace="off")
     assert cluster.params.seed == 1234
     # The original params object is untouched (frozen dataclass).
-    assert Cluster(params=params, trace=False).params.seed == params.seed
+    assert Cluster(params=params, trace="off").params.seed == params.seed
 
 
 def test_from_params_builds_equivalent_cluster():
@@ -52,13 +52,13 @@ def test_from_params_builds_equivalent_cluster():
 
 
 def test_cluster_exposes_spans_and_metrics_properties():
-    cluster = Cluster(trace=True)
+    cluster = Cluster(trace="full")
     assert cluster.spans is cluster.obs.spans
     assert cluster.metrics is cluster.obs.metrics
 
 
 def test_client_keyword_name():
-    cluster = Cluster(trace=False)
+    cluster = Cluster(trace="off")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         client = Client(cluster, name="c9")
@@ -66,7 +66,7 @@ def test_client_keyword_name():
 
 
 def test_client_positional_name_is_a_type_error():
-    cluster = Cluster(trace=False)
+    cluster = Cluster(trace="off")
     with pytest.raises(TypeError, match="positional"):
         Client(cluster, "legacy")
 

@@ -9,7 +9,7 @@ def heartbeat_cluster():
         protocol="1PC",
         server_names=["mds1", "mds2"],
         placement=ForcedDistributedPlacement("mds1", "mds2"),
-        trace=True,
+        trace="full",
         heartbeats=True,
     )
 

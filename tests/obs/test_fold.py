@@ -39,14 +39,14 @@ SCENARIOS = [("burst", p) for p in default_protocols()] + [
 
 
 def _burst(protocol):
-    params = RunSpec(kind="burst", protocol=protocol, n=100, seed=0, trace=True).seeded_params()
-    return run_burst(protocol, n=100, params=params, trace=True).cluster
+    params = RunSpec(kind="burst", protocol=protocol, n=100, seed=0, trace="full").seeded_params()
+    return run_burst(protocol, n=100, params=params, trace="full").cluster
 
 
 def _campaign(protocol, index):
     spec = campaign_grid(protocol, runs=24, seed=0, n_ops=12, n_clients=2)[index]
     cluster, _verdict = run_campaign_cell(
-        CampaignSchedule.from_json(spec.campaign), params=spec.seeded_params()
+        CampaignSchedule.from_json(spec.campaign), params=spec.seeded_params(), trace="full"
     )
     return cluster
 
@@ -65,8 +65,10 @@ def run(scenario, monkeypatch, reads=(), clears=()):
     found = []
     original = Observability.__init__
 
-    def init(self, sim, enabled=True):
-        original(self, sim, enabled)
+    def init(self, sim, mode="full"):
+        original(self, sim, mode)
+        if mode != "full":
+            return  # the shadow a clear feeds the attribute fold through
         reference = EagerReference(self)
         attached.append(reference)
         for when in reads:

@@ -13,7 +13,7 @@ def hub():
 
 
 def test_disabled_hub_records_nothing():
-    obs = Observability(Simulator(), enabled=False)
+    obs = Observability(Simulator(), "off")
     assert not obs.enabled
     obs.txn_start("mds1", 1, op="CREATE", protocol="1PC", submitted_at=0.0)
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
@@ -64,6 +64,9 @@ SPAN_ONLY = {"worker_open", "worker_close"}
 #: Readers of the stream, not writers.
 SUBSCRIPTION = {"subscribe", "unsubscribe"}
 
+#: Readers of the attribute fold (a full hub feeds it its stream).
+VIEWS = {"categories_seen", "precedence", "attribution"}
+
 
 def span_events(obs):
     events = list(obs.spans.cluster_events)
@@ -78,7 +81,7 @@ def test_contract_table_covers_every_public_hook():
         for name, member in vars(Observability).items()
         if callable(member) and not name.startswith("_")
     }
-    assert public == set(HOOKS) | SPAN_ONLY | SUBSCRIPTION
+    assert public == set(HOOKS) | SPAN_ONLY | SUBSCRIPTION | VIEWS
 
 
 def test_listeners_get_the_appended_record_and_may_unsubscribe_in_the_call():
@@ -120,7 +123,7 @@ def test_hook_appends_one_record_shared_with_its_span(hook):
 @pytest.mark.parametrize("hook", sorted(HOOKS))
 def test_disabled_hub_appends_nothing_and_opens_no_span(hook):
     args, kwargs, _ = HOOKS[hook]
-    obs = Observability(Simulator(), enabled=False)
+    obs = Observability(Simulator(), "off")
     obs.worker_open("mds2", 1, opener="UPDATE_REQ")
     getattr(obs, hook)(*args, **kwargs)
     obs.worker_close("mds2", 1)

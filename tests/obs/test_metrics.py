@@ -40,7 +40,7 @@ def test_disabled_registry_is_a_noop():
     from repro.obs import Observability
     from repro.sim import Simulator
 
-    obs = Observability(Simulator(), enabled=False)
+    obs = Observability(Simulator(), "off")
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
     obs.lock_grant("locks:mds1", txn=1, obj="d", mode="X")
     obs.lock_release("locks:mds1", txn=1, obj="d")

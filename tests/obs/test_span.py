@@ -128,7 +128,7 @@ def test_record_without_txn_goes_to_cluster_events():
 
 def test_disabled_collector_records_nothing():
     """The hub's one switch is the collector's too: no span, no event."""
-    obs = Observability(Simulator(), enabled=False)
+    obs = Observability(Simulator(), "off")
     assert obs.txn_start("mds1", 1, op="CREATE", protocol="1PC", submitted_at=0.0) is None
     obs.worker_open("mds2", 1, opener="UPDATE_REQ")
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)

@@ -125,7 +125,7 @@ def apply_real(cluster, client, op, path, dst=None):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_cluster_agrees_with_tree_model(script):
-    cluster, client = distributed_create_cluster("1PC", trace=False)
+    cluster, client = distributed_create_cluster("1PC", trace="off")
     model = TreeModel()
 
     for op, n1, n2 in script:

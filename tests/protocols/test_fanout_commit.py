@@ -55,7 +55,7 @@ def test_single_refusal_is_overridden_once_siblings_committed():
     # The documented 1PC-N caveat: a worker's refusal cannot veto a
     # transaction its siblings already force-committed — the refuser
     # is driven with a decided retransmission instead.
-    cluster = fanout_cluster("1PC-N", K, trace=True)
+    cluster = fanout_cluster("1PC-N", K, trace="full")
     client = cluster.new_client()
     batch = batch_of(client)
     cluster.servers[batch.workers[-1]].fail_next_vote = True
@@ -122,7 +122,7 @@ def test_1pc_engine_rejects_wide_plan_at_coordinate():
         server_names=["mds0", *workers],
         placement=placement,
         fallback=None,
-        trace=False,
+        trace="off",
     )
     cluster.mkdir(HOT_DIR)
     client = cluster.new_client()

@@ -84,7 +84,7 @@ def figure6_views():
 
     lines = []
     for protocol in default_protocols():
-        spec = RunSpec(kind="burst", protocol=protocol, n=100, seed=0, trace=True)
+        spec = RunSpec(kind="burst", protocol=protocol, n=100, seed=0, trace="full")
         obs = execute_spec(spec, keep_cluster=True).payload.cluster.obs
         rows = [["protocol", protocol], ["metrics", obs.metrics.snapshot()]]
         rows += [

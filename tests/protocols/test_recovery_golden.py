@@ -45,14 +45,14 @@ def protocol_digests(protocol):
     cells = {}
     for victim in ("mds1", "mds2"):
         for at in DEFAULT_CRASH_POINTS:
-            cluster, client = distributed_create_cluster(protocol, trace=True)
+            cluster, client = distributed_create_cluster(protocol, trace="full")
             client.submit(client.plan_create("/dir1/f0"))
             cluster.sim.run(until=cluster.sim.now + at)
             cluster.crash_server(victim)
             cluster.restart_server(victim)
             cluster.sim.run(until=cluster.sim.now + SETTLE)
             cells[f"crash-{victim}-{at * 1e3:.1f}ms"] = _digest(cluster)
-    cluster, client = distributed_create_cluster(protocol, trace=True)
+    cluster, client = distributed_create_cluster(protocol, trace="full")
     scenario("vote-refusal").install(cluster)
     client.submit(client.plan_create("/dir1/f0"))
     cluster.sim.run(until=cluster.sim.now + SETTLE)

@@ -58,7 +58,7 @@ def test_killed_and_recovering_sessions_are_freed_by_refcount(protocol, index, s
     spec = campaign_grid(protocol, runs=24, seed=0, n_ops=12, n_clients=2)[index]
     cell = execute_spec(spec, keep_cluster=True)
     assert cell.verdict["ok"]
-    trace = cell.payload.trace
-    assert trace.count("crash") >= 1 and trace.count("restart") >= 1
+    # The cell's attribute-mode hub keeps no stream, but it counts.
+    assert {"crash", "restart"} <= cell.payload.obs.categories_seen()
     assert all(server._live == {} for server in cell.payload.servers.values())
     assert _survivors(sessions) == []

@@ -47,9 +47,9 @@ def test_rng_bernoulli_validated():
     assert reg.bernoulli("never", 0.0) is False
 
 
-def hub(sim, enabled=True):
+def hub(sim, mode="full"):
     """A trace is written through the hub, its one write path."""
-    obs = Observability(sim, enabled=enabled)
+    obs = Observability(sim, mode)
     return obs, obs.trace
 
 
@@ -80,7 +80,7 @@ def test_tracelog_records_simulation_time():
 
 def test_tracelog_disabled_records_nothing():
     sim = Simulator()
-    obs, trace = hub(sim, enabled=False)
+    obs, trace = hub(sim, "off")
     obs.annotate("msg", "a")
     assert len(trace) == 0
 

@@ -83,7 +83,7 @@ def test_drive_is_the_only_submit_loop():
 
 def _one_create():
     """The fake workload: one create, of which two answers are awaited."""
-    cluster, client = distributed_create_cluster("1PC", trace=False)
+    cluster, client = distributed_create_cluster("1PC", trace="off")
     client.submit(client.plan_create("/dir1/f0"))
     return cluster
 

@@ -53,7 +53,7 @@ def _drive(monkeypatch, wait, cell):
 @pytest.mark.parametrize("protocol", sorted(default_protocols()))
 def test_a_traced_burst_runs_exactly_as_it_steps(monkeypatch, protocol):
     def cell():
-        return run_burst(protocol, n=20, trace=True)
+        return run_burst(protocol, n=20, trace="full")
 
     stepped = _drive(monkeypatch, _stepped_until_answered, cell)
     ran = _drive(monkeypatch, Cluster.run_until_answered, cell)
