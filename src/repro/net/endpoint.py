@@ -111,13 +111,17 @@ class Endpoint:
         """
         network = self.network
         if not self.attached:
-            network.obs.msg_drop(self.node, reason="receiver_down", kind=message.kind)
+            network.obs.msg_drop(
+                self.node, reason="receiver_down", kind=message.kind, msg_id=message.msg_id
+            )
             return
         # The network's fault state is read in place, as ``send`` reads it.
         if (network._down_links or network._groups) and not network.connected(
             message.src, self.node
         ):
-            network.obs.msg_drop(self.node, reason="partitioned", kind=message.kind)
+            network.obs.msg_drop(
+                self.node, reason="partitioned", kind=message.kind, msg_id=message.msg_id
+            )
             return
         obs = network.obs
         if obs.enabled:

@@ -2,12 +2,13 @@
 
 Protocols and the MDS server report structured measurements here via
 the :class:`~repro.obs.hub.Observability` hooks instead of writing
-trace strings.  The hub's own metrics — one counter per record
-category and the simulated-time histograms — are a fold of the record
-stream, run when the registry is *read*: every query below first calls
-``refresh``; :meth:`MetricsRegistry.inc` and
-:meth:`MetricsRegistry.observe` write and fold nothing.  A disabled
-hub has no records, so its registry stays empty.
+trace strings.  The hub's own metrics are folded by its hooks as they
+run: each hook observes its histograms on the spot and counts its
+category in a plain table, which ``refresh`` copies into the counters
+when the registry is *read* — every query below first calls it;
+:meth:`MetricsRegistry.inc` and :meth:`MetricsRegistry.observe` write
+and copy nothing.  A disabled hub counts nothing, so its registry
+stays empty.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
-        #: Folds the records appended since the last query (the hub's).
+        #: Brings the counters up to date before a query (the hub's).
         self.refresh: Callable[[], None] = nothing_to_fold
 
     def _counter(self, name: str) -> Counter:

@@ -8,13 +8,14 @@ subsystem emits :class:`TraceRecord` entries tagged with a category
 
 The log is the cluster's one event stream, and the
 :class:`~repro.obs.hub.Observability` hub is its one writer: a hook
+folds its own arguments into the hub's counts and histograms, then
 allocates a record, appends it here and hands it to the hub's
-listeners, nothing more.  Golden-trace tests, fault triggers, the
-timeline renderer and the utilisation folds read the records
-directly; transaction spans and metrics (:mod:`repro.obs`) are folded
-from the same record objects when they are read, from where the last
-read stopped.  :meth:`TraceLog.clear` lets those folds catch up before
-it drops anything.
+listeners.  Golden-trace tests, fault triggers, the timeline renderer
+and the utilisation folds read the records directly; transaction
+spans (:mod:`repro.obs`) are filed from the same record objects when
+they are read, from where the last read stopped.
+:meth:`TraceLog.clear` lets that fold catch up before it drops
+anything.
 """
 
 from __future__ import annotations

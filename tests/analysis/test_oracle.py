@@ -74,7 +74,7 @@ def test_precedence_graph_detects_artificial_cycle():
     cluster, plan = settled_create()
     # txn 1 then 2 on object A; txn 2 then 1 on object B: a cycle.
     for txn, obj in ((1, "A"), (2, "A"), (2, "B"), (1, "B")):
-        cluster.obs.annotate("lock_grant", "m", txn=txn, obj=obj)
+        cluster.obs.lock_grant("m", txn=txn, obj=obj, mode="X")
     found = check(cluster, [plan])
     assert kinds(found) == ["conflict-cycle"]
     assert "lock-precedence cycle" in found[0].detail
@@ -90,11 +90,11 @@ def test_precedence_graph_cuts_grant_history_at_a_crash():
             if step == "crash":
                 obs.node_crash("mds1")
             else:
-                obs.annotate("lock_grant", "locks:mds1", txn=step, obj="/hot")
+                obs.lock_grant("locks:mds1", txn=step, obj="/hot", mode="X")
         assert obs.precedence() == {(9, 10)}
         # Another node's crash cuts nothing here.
         obs.node_crash("mds2")
-        obs.annotate("lock_grant", "locks:mds1", txn=9, obj="/hot")
+        obs.lock_grant("locks:mds1", txn=9, obj="/hot", mode="X")
         assert obs.precedence() == {(9, 10), (10, 9)}
 
 

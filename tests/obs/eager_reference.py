@@ -6,8 +6,10 @@ each record into a span leg through a route table that
 a root mapped ``(txn, None)`` and, until a leg opened there, its own
 node), bumped the record's counter, and the lock and ``txn_done``
 hooks kept a grant-time shadow and observed the per-transaction
-histograms on the spot.  Now the hub only appends, and both views are
-one fold of the stream when read (``Observability._fold``).
+histograms on the spot.  Now each hook folds its own arguments —
+counts, hold times, a per-transaction accumulator for the forced writes
+and messages — and span membership is a fold of the stream when read
+(``Observability._fold``).
 
 :class:`EagerReference` is that old bookkeeping as a listener of every
 record, the way ``reference_watch`` keeps the polling fault watcher.

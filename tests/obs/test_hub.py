@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.campaign.runner import run_campaign_cell
+from repro.campaign.schedule import CampaignSchedule
+from repro.exec.grids import campaign_grid
 from repro.mds.scenarios import distributed_create_cluster
 from repro.obs import Observability
+from repro.obs.hub import _FINISHED
 from repro.sim import Simulator
 from repro.sim.monitor import TraceRecord
 
@@ -64,7 +68,7 @@ SPAN_ONLY = {"worker_open", "worker_close"}
 #: Readers of the stream, not writers.
 SUBSCRIPTION = {"subscribe", "unsubscribe"}
 
-#: Readers of the attribute fold (a full hub feeds it its stream).
+#: Readers of what the hooks fold, in both modes that are on.
 VIEWS = {"categories_seen", "precedence", "attribution"}
 
 
@@ -94,8 +98,8 @@ def test_listeners_get_the_appended_record_and_may_unsubscribe_in_the_call():
 
     obs.subscribe(once)
     obs.subscribe(lambda record: heard.append(("always", record)))
-    obs.annotate("fence", "mds1", target="mds2")
-    obs.annotate("fence", "mds1", target="mds2")
+    obs.fence("mds1", target="mds2")
+    obs.fence("mds1", target="mds2")
     first, second = obs.trace.records
     # Dropping out mid-delivery neither skips nor repeats the other listener.
     assert [(who, rec is first, rec is second) for who, rec in heard] == [
@@ -118,6 +122,20 @@ def test_hook_appends_one_record_shared_with_its_span(hook):
     assert isinstance(record, TraceRecord)
     # The span view holds the very object the stream holds — never a copy.
     assert [e for e in span_events(obs) if e is record] == [record] * on_span
+
+
+@pytest.mark.parametrize("hook", sorted(set(HOOKS) - {"annotate"}))
+def test_annotate_refuses_a_category_its_typed_hook_folds(hook):
+    """A record written through ``annotate`` would bypass the hook's
+    fold (a ``lock_grant`` there would be missing from ``precedence()``),
+    so ``annotate`` names the hook instead."""
+    args, kwargs, _ = HOOKS[hook]
+    obs = hub()
+    getattr(obs, hook)(*args, **kwargs)
+    (record,) = obs.trace.records
+    with pytest.raises(ValueError, match=rf"annotate\('{record.category}'\).* {hook}\(\)"):
+        obs.annotate(record.category, record.actor, **record.detail)
+    assert obs.trace.records == [record]
 
 
 @pytest.mark.parametrize("hook", sorted(HOOKS))
@@ -236,6 +254,48 @@ def test_txn_done_folds_span_into_per_txn_metrics():
     assert obs.metrics.get_histogram("txn.messages").values == [1.0]
 
 
+def test_a_message_dropped_in_flight_leaves_no_send_time_behind():
+    """Ledger campaign cell PrN 22: its partition drops a message in
+    flight, and the delivery names the ``msg_id`` to ``msg_drop``, which
+    forgets its send time; the record does not carry it."""
+    spec = campaign_grid("PrN", runs=24, seed=0, n_ops=12, n_clients=2)[22]
+    schedule = CampaignSchedule.from_json(spec.campaign)
+    for mode in ("attribute", "full"):
+        cluster, _ = run_campaign_cell(schedule, params=spec.seeded_params(), trace=mode)
+        assert cluster.obs._sent == {}
+    in_flight = [r.detail for r in cluster.trace.select("msg_drop") if "dst" not in r.detail]
+    assert any(d["reason"] == "partitioned" for d in in_flight)
+    assert not any("msg_id" in d for d in in_flight)
+
+
+def test_attribution_observes_every_finished_transaction_in_order_across_buffer_fills():
+    sim = Simulator()
+    obs = Observability(sim, "attribute")
+    waited = []
+    for txn in range(1, 2 * _FINISHED + 4):
+        obs.txn_start("mds1", txn, op="CREATE", protocol="1PC", submitted_at=sim.now)
+        obs.lock_wait("locks:mds1", txn=txn, obj="/d", mode="X")
+        asked = sim.now
+        sim.run(until=sim.now + txn * 1e-6)
+        obs.lock_grant("locks:mds1", txn=txn, obj="/d", mode="X")
+        waited.append(sim.now - asked)
+        obs.txn_done("mds1", txn, committed=True, op="CREATE", latency=0.0, replied_at=sim.now)
+    assert obs._filled == 3  # two full buffers were observed as they filled
+    assert obs.attribution()["1PC", "CREATE", "lock_wait"].values == waited
+    assert obs._filled == 0
+
+
+def held(obs):
+    """``(manager, owner, obj)`` of every grant the fold's lock table
+    still times a hold from."""
+    return [
+        (manager, owner, obj)
+        for manager, table in obs._locks.items()
+        for obj, (_, owners) in table.items()
+        for owner in owners
+    ]
+
+
 def test_a_crash_drops_the_lock_hold_shadow_of_that_nodes_manager_only():
     sim = Simulator()
     obs = Observability(sim)
@@ -243,55 +303,59 @@ def test_a_crash_drops_the_lock_hold_shadow_of_that_nodes_manager_only():
     obs.lock_grant("locks:mds2", txn=1, obj="inode:7", mode="X")
     sim.run(until=0.1)
     obs.node_crash("mds1")  # the table vanishes: no release will name /d
-    obs.metrics.snapshot()  # a read folds the stream so far
-    assert list(obs._grants) == [("locks:mds2", 1, "inode:7")]
+    assert held(obs) == [("locks:mds2", 1, "inode:7")]
     sim.run(until=0.2)
     obs.lock_grant("locks:mds1", txn=1, obj="/d", mode="X")  # recovery re-acquires
     sim.run(until=0.5)
     obs.lock_release("locks:mds1", txn=1, obj="/d")
     obs.lock_release("locks:mds2", txn=1, obj="inode:7")
     assert obs.metrics.get_histogram("locks.hold_time").values == [0.5 - 0.2, 0.5]
-    assert obs._grants == {}
+    assert held(obs) == []
 
 
 def test_a_crashed_server_leaves_no_lock_hold_shadow_behind():
     cluster, client = distributed_create_cluster("1PC")
     client.submit(client.plan_create("/dir1/f0"))
     cluster.sim.run(until=2e-3)
-    cluster.metrics.snapshot()  # fold the stream so far
-    (held,) = [key for key in cluster.obs._grants if key[0] == "locks:mds1"]
+    (grant,) = [key for key in held(cluster.obs) if key[0] == "locks:mds1"]
     crashed_at = cluster.sim.now
     cluster.crash_server("mds1")
-    cluster.metrics.snapshot()
-    assert not [key for key in cluster.obs._grants if key[0] == "locks:mds1"]
+    assert not [key for key in held(cluster.obs) if key[0] == "locks:mds1"]
     cluster.restart_server("mds1")
     cluster.sim.run(until=60.0)
     # Recovery redid the transaction: its hold is timed from the new
     # grant, not from the one the crash wiped out.
     trace = cluster.trace
     (regrant,) = [
-        r for r in trace.select("lock_grant", actor="locks:mds1", txn=held[1], obj=held[2])
+        r for r in trace.select("lock_grant", actor="locks:mds1", txn=grant[1], obj=grant[2])
         if r.time > crashed_at
     ]
-    (release,) = trace.select("lock_release", actor="locks:mds1", txn=held[1], obj=held[2])
+    (release,) = trace.select("lock_release", actor="locks:mds1", txn=grant[1], obj=grant[2])
     assert release.time - regrant.time in cluster.metrics.get_histogram("locks.hold_time").values
-    assert cluster.obs._grants == {}
+    assert held(cluster.obs) == []
 
 
-def test_counters_bind_at_their_first_bump_and_a_counterless_category_makes_none():
-    obs = hub()
+@pytest.mark.parametrize("mode", ["attribute", "full"])
+def test_counters_are_copied_from_the_counts_when_read_and_a_counterless_category_makes_none(mode):
+    obs = Observability(Simulator(), mode)
     obs.lock_upgrade("locks:mds2", txn=1, obj="/d")
     obs.log_restart("mds2")
-    obs.log_restart("mds2")  # the bound "no counter" answer is reused
+    obs.log_restart("mds2")
     assert obs.metrics.snapshot()["counters"] == {}
+    assert obs.categories_seen() == {"lock_upgrade", "log_restart"}
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=2)
     obs.log_append("mds2", kind="REDO", txn=1, sync=False, nbytes=64.0)
     obs.log_gc("mds2", txn=1, removed=3)
+    # Counted in the hook, copied at the read: the registry holds nothing yet.
+    assert obs.metrics._counters == {}
     assert obs.metrics.snapshot()["counters"] == {
         "net.sent": 2.0,
         "wal.gc_records": 3.0,
         "wal.lazy_appends": 1.0,
     }
-    # Bound, not copied: the registry's counter is the one being bumped.
-    assert obs.metrics.counter("net.sent").value == 2.0
+    # A counter written through the registry is the registry's own.
+    obs.metrics.inc("campaign.runs")
+    obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=3)
+    assert obs.metrics.counter("net.sent").value == 3.0
+    assert obs.metrics.counter("campaign.runs").value == 1.0

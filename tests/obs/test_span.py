@@ -65,7 +65,7 @@ def test_record_prefers_the_actors_leg_over_the_root():
     obs = hub()
     root = open_txn(obs)
     worker = leg(obs, "mds2")
-    obs.annotate("log_append", "mds2", txn=1, sync=True)
+    obs.log_append("mds2", kind="REDO", txn=1, sync=True, nbytes=64.0)
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
     # A lock record's actor is the manager; the node names its leg.
     obs.lock_grant("locks:mds2", txn=1, obj="/d", mode="X")
@@ -83,7 +83,7 @@ def test_a_record_at_a_worker_node_before_its_leg_opens_lands_on_the_root():
     root = open_txn(obs)
     obs.msg_recv("mds2", kind="UPDATE_REQ", src="mds1", txn=1, msg_id=1)
     worker = leg(obs, "mds2")
-    obs.annotate("log_append", "mds2", txn=1, sync=True)
+    obs.log_append("mds2", kind="REDO", txn=1, sync=True, nbytes=64.0)
     assert obs.spans.span_of(1) is root
     assert categories(root.events) == ["msg_recv"]
     assert categories(worker.events) == ["log_append"]
@@ -92,9 +92,9 @@ def test_a_record_at_a_worker_node_before_its_leg_opens_lands_on_the_root():
 def test_a_leg_at_the_coordinators_node_takes_its_records_from_then_on():
     obs = hub()
     root = open_txn(obs)
-    obs.annotate("log_append", "mds1", txn=1, sync=True)
+    obs.log_append("mds1", kind="REDO", txn=1, sync=True, nbytes=64.0)
     local = leg(obs, "mds1")
-    obs.annotate("log_durable", "mds1", txn=1, sync=True)
+    obs.log_durable("mds1", kind="REDO", txn=1, sync=True, nbytes=64.0)
     obs.msg_send("mds1", kind="UPDATED", dst="mds2", txn=1, msg_id=1)
     assert obs.spans.span_of(1) is root
     assert categories(root.events) == ["log_append"]
@@ -110,8 +110,8 @@ def test_reopening_a_leg_changes_no_routing():
     assert leg(obs, "mds2") is worker
     assert open_txn(obs) is root
     assert [span.opened for span in obs.spans] == opened
-    obs.annotate("log_append", "mds2", txn=1, sync=True)
-    obs.annotate("log_append", "mds1", txn=1, sync=True)
+    obs.log_append("mds2", kind="REDO", txn=1, sync=True, nbytes=64.0)
+    obs.log_append("mds1", kind="REDO", txn=1, sync=True, nbytes=64.0)
     assert obs.spans.span_of(1) is root
     assert [e.actor for e in worker.events] == ["mds2"]
     assert [e.actor for e in root.events] == ["mds1"]
@@ -121,7 +121,7 @@ def test_record_without_txn_goes_to_cluster_events():
     obs = hub()
     open_txn(obs)
     obs.node_crash("mds2")  # txn=None
-    obs.annotate("msg_send", "mds1", txn=99)  # unknown txn
+    obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=99, msg_id=1)  # unknown txn
     assert categories(obs.spans.cluster_events) == ["crash", "msg_send"]
     assert list(obs.spans.span_of(1).iter_events()) == []
 
@@ -167,9 +167,9 @@ def test_events_of_merges_legs_in_time_order():
     open_txn(obs)
     leg(obs, "mds2")
     obs.sim.run(until=1.0)
-    obs.annotate("log_append", "mds2", txn=1, sync=True)
+    obs.log_append("mds2", kind="REDO", txn=1, sync=True, nbytes=64.0)
     obs.sim.run(until=2.0)
-    obs.annotate("msg_send", "mds1", txn=1)
+    obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
     # The root's record comes first span by span, last in time.
     assert [e.time for e in obs.spans.span_of(1).iter_events()] == [2.0, 1.0]
     assert [e.time for e in obs.spans.events_of(1)] == [1.0, 2.0]
@@ -200,7 +200,7 @@ def test_iter_events_walks_span_by_span_depth_first_like_the_recursive_reference
     # Interleaved in time: the walk is by span, not by timestamp.
     for t, node in enumerate(["mds3", "mds1", "mds2", "mds1", "mds3", "mds2"]):
         obs.sim.run(until=float(t))
-        obs.annotate("msg_send", node, txn=1)
+        obs.msg_send(node, kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
     assert obs.spans.span_of(1) is root
     walked = list(root.iter_events())
     assert [(e.actor, e.time) for e in walked] == [

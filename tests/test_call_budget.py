@@ -18,9 +18,9 @@ It is a ceiling, not an exact pin: the exact gate is the ledger's
 and therefore differs between Python versions.  Measured with this
 exact counter, calls per committed transaction:
 
-===========  =======  =======  ==========  ==========  ===========  =========  =========
-             1PC      PrN      1PC traced  PrN traced  per record   1PC attr.  PrN attr.
-===========  =======  =======  ==========  ==========  ===========  =========  =========
+===========  =======  =======  ==========  ==========  ===========  =========  =========  ===========
+             1PC      PrN      1PC traced  PrN traced  per record   1PC attr.  PrN attr.  per hook
+===========  =======  =======  ==========  ==========  ===========  =========  =========  ===========
 before       625.48   891.84
 call diet    486.51   688.82   735.60      1004.91     6.56 / 6.45
 trace path   402.93   548.00   514.15      680.22      2.93 / 2.70
@@ -30,8 +30,9 @@ frame diet   354.95   467.02   436.18      561.25      2.14 / 1.92
 hub-off      318.93   418.01   428.15      549.23      2.87 / 2.68
 stream only  318.93   418.01   412.59      533.67      2.47 / 2.36
 steps        312.96   410.03   406.62      525.69      2.47 / 2.36
-attribute    312.96   410.03   406.62      525.69      2.47 / 2.36   403.54     522.61
-===========  =======  =======  ==========  ==========  ===========  =========  =========
+attribute    312.96   410.03   406.62      525.69      2.47 / 2.36   403.54     522.61     2.38 / 2.30
+hook fold    312.96   410.03   404.36      523.43      2.41 / 2.32   359.94     468.01     1.24 / 1.18
+===========  =======  =======  ==========  ==========  ===========  =========  =========  ===========
 
 The other registered protocols, untraced, at the hub-off diet: PrC
 376.99, EP 332.75, PrA 418.01, PC 778.24 or 781.24, LGL 354.13, 1PC-N
@@ -44,15 +45,17 @@ stops varies by run.
 rows are 3.11 — comprehensions are inlined from 3.12 on, which only
 lowers them.)
 
-*Attribute* is the attribute-mode hub: every hook folds its arguments
-at once into counters, histograms, precedence edges and the
-transaction's accumulator, and allocates no record (the cell keeps
-none); its two ceilings are that row rounded up to the next 5.  It
-costs about the frames of the full row, which writes its records and
-folds them once when the cell reads its metrics: what attribute mode
-saves is builtins (no ``list.append``) and the reads a full cell's
-readers make of the stream, both of which the ledger counts and this
-counter does not.
+*Attribute* is the attribute-mode hub, whose hooks still called a
+second frame to fold; *hook fold* is where each hook folds its own
+arguments, inline, into counts, histograms, precedence edges and the
+transaction's accumulator, in both modes, and calls ``_emit`` only for
+a record it builds (in attribute mode none: the cell keeps none).  The
+two attribute ceilings are that row rounded up to the next 5.  *Per
+hook* is what attribute mode adds, ``(attribute - untraced) * 100 /
+records`` with the full row's record count, one per hook call: the
+hook frame itself plus the histograms' ``observe`` frames and the
+span-lifecycle hooks that return at once.  It is capped at 1.25
+package frames, so a hook that calls out to fold again trips it.
 
 Every untraced ceiling is the *steps* measurement rounded up to the
 next 5: every hook site on the per-transaction path reads
@@ -121,9 +124,11 @@ CEILING = {
 #: The same with ``trace="full"``: every hook writes its record.
 TRACED_CEILING = {"1PC": 410, "PrN": 530}
 #: The same with ``trace="attribute"``: every hook folds, none records.
-ATTRIBUTE_CEILING = {"1PC": 405, "PrN": 525}
+ATTRIBUTE_CEILING = {"1PC": 360, "PrN": 470}
 #: Ceiling of what the hub adds, in package frames per trace record.
 FRAMES_PER_RECORD = 2.5
+#: Ceiling of what an attribute hub adds, in package frames per hook call.
+FRAMES_PER_HOOK = 1.25
 #: Frames an untraced burst runs under ``src/repro/obs/``: the
 #: constructors of the disabled hub and its span and metric views.
 HUB_CONSTRUCTORS = 3
@@ -212,6 +217,20 @@ def test_attribute_mode_burst_cell_stays_within_its_call_budget(protocol):
     assert records == 0
     assert calls <= ATTRIBUTE_CEILING[protocol], (
         f"{protocol}: {calls:.2f} calls per committed transaction in attribute mode"
+    )
+
+
+@pytest.mark.parametrize("protocol", sorted(ATTRIBUTE_CEILING))
+def test_an_attribute_hook_costs_about_one_frame(protocol):
+    """Each hook folds its own arguments in its own frame: the
+    attribute hub adds at most ``FRAMES_PER_HOOK`` package frames per
+    hook call, counted as the same burst's full-mode records."""
+    untraced, _ = _calls_per_transaction(protocol, trace="off")
+    attribute, _ = _calls_per_transaction(protocol, trace="attribute")
+    _, hooks = _calls_per_transaction(protocol, trace="full")
+    per_hook = (attribute - untraced) * 100 / hooks
+    assert per_hook <= FRAMES_PER_HOOK, (
+        f"{protocol}: the attribute hub adds {per_hook:.2f} package frames per hook"
     )
 
 
