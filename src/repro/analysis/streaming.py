@@ -8,7 +8,7 @@ the list with a :class:`StreamingStats` accumulator whose peak memory
 is O(1) in observation count:
 
 * **count / min / max** — exact, one word each.
-* **mean / variance** — Welford's online algorithm; partitions merge
+* **mean / variance** — Welford's online algorithm; accumulators merge
   with Chan's parallel update.
 * **quantiles** — a deterministic mergeable bottom-k sketch
   (:class:`QuantileSketch`): every observation gets a 64-bit priority
@@ -16,7 +16,7 @@ is O(1) in observation count:
   smallest priorities.  The kept set is a uniform random sample *keyed
   off the spec-derived seed*, so results are seed-reproducible, and it
   is a pure function of the observation multiset — independent of add
-  order and of how partitions are merged (set union is associative).
+  order and of how accumulators are merged (set union is associative).
   Rank error of a quantile estimated from a uniform sample of size
   ``k`` is ~``1/sqrt(k)`` (standard error ``sqrt(p(1-p)/k)``, about
   0.008 at the default ``k`` = 4096).
@@ -29,17 +29,15 @@ the sketch built through promotion is identical to one built
 sketch-first, because each observation's priority depends only on its
 origin stream identity ``(seed, label)`` and its index in that stream.
 
-**Merging.**  ``merge`` is the partition-merge path of the
-shard-partitioned parallel DES mode: per-group accumulators are merged
-in canonical group order.  count/min/max and the sketch sample merge
-exactly associatively; the Welford/Chan moment merge is deterministic
-for a fixed merge order (floating-point addition is not associative,
-which is why *both* execution modes — single-kernel and partitioned —
-compute per-group accumulators and merge them in the same group
-order).  Observing into an accumulator after it has absorbed a merge
-is forbidden: a merged exact buffer holds values from several origin
-streams, and only merge-at-finalisation keeps every observation's
-sketch priority well defined.
+**Merging.**  ``merge`` folds the composite workload's per-group
+accumulators together in canonical group order.  count/min/max and the
+sketch sample merge exactly associatively; the Welford/Chan moment
+merge is deterministic for a fixed merge order (floating-point
+addition is not associative, which is why every caller merges in
+group order).  Observing into an accumulator after it has absorbed a
+merge is forbidden: a merged exact buffer holds values from several
+origin streams, and only merge-at-finalisation keeps every
+observation's sketch priority well defined.
 """
 
 from __future__ import annotations
@@ -132,8 +130,8 @@ class StreamingStats:
     """O(1)-memory accumulator: count, min, max, moments, quantiles.
 
     ``seed``/``label`` name the origin stream for sketch priorities —
-    derive them from the spec seed and (for partitioned runs) the shard
-    group, so every group's sample is an independent reproducible
+    derive them from the spec seed and (for the composite workload) the
+    shard group, so every group's sample is an independent reproducible
     stream.  See the module docstring for the exact-mode cutover and
     the merge contract.
     """
@@ -233,7 +231,7 @@ class StreamingStats:
         self._own = []
 
     def merge(self, other: "StreamingStats") -> None:
-        """Fold a partition's accumulator in (canonical-order merge).
+        """Fold another accumulator in (canonical-order merge).
 
         count/min/max and the sketch sample merge exactly; the moment
         merge (Chan) is deterministic for a fixed merge order.  After
@@ -341,11 +339,11 @@ class StreamingStats:
 
 
 def merge_all(parts: "List[StreamingStats]") -> StreamingStats:
-    """Merge partition accumulators in list (canonical) order.
+    """Merge accumulators in list (canonical) order.
 
-    Both execution modes of a partitioned workload must call this with
-    the same group ordering — that, plus the associative sketch, is
-    what makes partitioned output byte-identical to single-kernel.
+    Callers pass them in group order: the moment merge is
+    deterministic only for a fixed order, so that order is what makes
+    the merged result reproducible.
     """
     if not parts:
         raise ValueError("nothing to merge")

@@ -90,22 +90,6 @@ def _sweep_grid(args: argparse.Namespace):
     raise ValueError(f"unknown sweep kind {args.kind!r}")
 
 
-def _run_partitioned_sweep(specs, workers: int):
-    """Execute composite specs shard-partitioned (one kernel per group)."""
-    from repro.exec import SweepResults, git_revision, run_partitioned_spec
-    from repro.exec.clock import monotonic
-
-    started = monotonic()
-    cells = [run_partitioned_spec(spec, workers=workers) for spec in specs]
-    return SweepResults(
-        kind="composite",
-        cells=cells,
-        workers=workers,
-        wall_time_s=monotonic() - started,
-        git_rev=git_revision(),
-    )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Run one experiment grid through the parallel executor."""
     import sys as _sys
@@ -119,13 +103,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         def progress(event):
             print(event, file=_sys.stderr)
 
-    if args.partition:
-        if args.kind != "composite":
-            print("--partition requires --kind composite", file=_sys.stderr)
-            return 2
-        sweep = _run_partitioned_sweep(specs, args.workers)
-    else:
-        sweep = run_sweep(specs, kind=args.kind, workers=args.workers, progress=progress)
+    sweep = run_sweep(specs, kind=args.kind, workers=args.workers, progress=progress)
 
     if args.kind in ("figure6", "scaling"):
         rows = [
@@ -335,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="protocol for --kind scaling")
     p.add_argument("--groups", type=_positive_int, default=2,
                    help="independent shard groups for --kind composite")
-    p.add_argument("--partition", action="store_true",
-                   help="composite only: run one DES kernel per shard group "
-                   "across the --workers pool (byte-identical results)")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="process-pool size (1 = serial; results are identical)")
     p.add_argument("--seed", type=int, default=0, help="base seed for the grid")

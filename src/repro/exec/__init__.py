@@ -30,7 +30,6 @@ from repro.exec.grids import (
     network_latency_grid,
     scaling_grid,
 )
-from repro.exec.partition import run_partitioned_spec
 from repro.exec.results import (
     SweepResults,
     git_revision,
@@ -58,7 +57,6 @@ __all__ = [
     "network_latency_grid",
     "register_runner",
     "run_grid",
-    "run_partitioned_spec",
     "run_sweep",
     "scaling_grid",
 ]

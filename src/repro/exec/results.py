@@ -1,8 +1,8 @@
 """Machine-readable sweep results.
 
 Every sweep serialises to one JSON document with a stable schema — the
-format CI compares byte for byte (serial against parallel, partitioned
-against single-kernel) and ``tests/golden/`` pins:
+format CI compares byte for byte (serial against parallel) and
+``tests/golden/`` pins:
 
 ::
 

@@ -127,14 +127,7 @@ def _run_fanout(spec: RunSpec, keep_cluster: bool) -> CellResult:
 
 
 def composite_cell(spec: RunSpec, result: CompositeResult) -> CellResult:
-    """Fold a merged composite result into a cell document.
-
-    Shared by the single-kernel runner below and the partitioned
-    executor (:mod:`repro.exec.partition`): both modes produce their
-    :class:`~repro.workloads.composite.CompositeResult` through the
-    same canonical group-order merge, so folding through one function
-    makes the serialised cells byte-identical by construction.
-    """
+    """Fold a merged composite result into a cell document."""
     detail: dict[str, object] = {
         "groups": result.config.groups,
         "skipped": result.skipped,
@@ -166,12 +159,8 @@ def composite_cell(spec: RunSpec, result: CompositeResult) -> CellResult:
 
 
 def _run_composite(spec: RunSpec, keep_cluster: bool) -> CellResult:
-    """Composite mdtest-like cell, single-kernel reference mode.
-
-    The partitioned mode (one DES kernel per shard group, process
-    pool) lives in :mod:`repro.exec.partition` and produces
-    byte-identical cells; this runner is what sweeps use.
-    """
+    """Composite mdtest-like cell: every shard group co-hosted on one
+    kernel; a grid's cells run in parallel across the sweep's pool."""
     if spec.composite is None:
         raise ValueError(f"composite spec {spec.describe()!r} has no composite field")
     config = CompositeConfig.from_json(spec.composite)

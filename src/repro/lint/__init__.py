@@ -11,9 +11,9 @@ zero-findings CI gate:
   views in the event-ordering modules (``sim/``, ``net/``, ``locks/``,
   ``core/``) unless wrapped in ``sorted()``.
 * **GEN** — coroutine safety: no blocking host calls inside simulation
-  generator processes, and no call that returns a wait (a WAL force,
-  an inbox receive, a fencing or remote-read generator) whose result
-  is silently dropped instead of being yielded.
+  processes or protocol-session steps, and no call that returns a wait
+  (a WAL force, an inbox receive, a fencing or remote-read generator)
+  whose result is silently dropped instead of being yielded.
 * **FENCE** — protocol discipline: ``read_remote_log(...,
   require_fenced=False)`` stays confined to recovery internals and
   tests (FENCE001); every remote-log read, direct or reached through
@@ -21,17 +21,14 @@ zero-findings CI gate:
   reported at the call-graph root it escapes to (FENCE002).
 * **OBS** — instrumentation hooks early-out on ``enabled`` before any
   other work, keeping tracing near-zero-cost when off.
-* **RACE** — a happens-before check for the DES: state written by two
-  generator processes must not be written from a snapshot that
-  crossed a yield point (the lost-update race).
 
-FENCE002 and RACE are *whole-program* rules built on the
+FENCE002 is the *whole-program* rule, built on the
 :mod:`repro.lint.flow` layer (project index, call graph, per-function
-CFGs with dominance and yield-path queries, interprocedural fence
-summaries).  There is no suppression: a finding is fixed, or the
-rule's scope says why it does not apply.  ``docs/static-analysis.md``
-holds the full rule catalog; ``repro lint --explain RULE-ID`` prints
-one entry with good/bad examples.  The package imports nothing from
+CFGs with dominance, interprocedural fence summaries).  There is no
+suppression: a finding is fixed, or the rule's scope says why it does
+not apply.  ``docs/static-analysis.md`` holds the full rule catalog;
+``repro lint --explain RULE-ID`` prints one entry with good/bad
+examples.  The package imports nothing from
 ``repro`` outside ``repro.lint``: a protocol's log-record vocabulary
 is a property of its runs, checked by the conformance battery
 (:mod:`repro.harness.conformance`), not read off its source.

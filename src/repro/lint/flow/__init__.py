@@ -4,7 +4,7 @@ Some rules need only one :class:`~repro.lint.context.FileContext` at a
 time.  That is enough for the determinism rules, but the paper's §III
 fencing discipline is an *interprocedural* property — a ``fence()`` or
 a ``read_remote_log()`` hidden in a helper escapes any per-function
-check — and so is the lost-update race across a ``yield``.
+check.
 
 This package lifts the analysis to the project level:
 
@@ -13,12 +13,10 @@ This package lifts the analysis to the project level:
 * :mod:`repro.lint.flow.callgraph` — a static call graph (bare names,
   imports, ``self.``/``super().`` dispatch over a static MRO).
 * :mod:`repro.lint.flow.dataflow` — per-function statement-level CFGs
-  with dominance and yield-point reachability.
+  with dominance.
 * :mod:`repro.lint.flow.summaries` — fence-discipline function
   summaries (``establishes_fence`` / escaping unfenced reads) computed
   to a fixpoint over the call graph; feeds rule FENCE002.
-* :mod:`repro.lint.flow.races` — a happens-before check for DES
-  shared state (stale reads crossing a ``yield``); feeds rule RACE001.
 
 Rules that need this layer subclass
 :class:`repro.lint.registry.ProjectRule`; the engine builds one

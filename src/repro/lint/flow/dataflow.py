@@ -1,19 +1,13 @@
-"""Statement-level control flow graphs with dominance and yield facts.
+"""Statement-level control flow graphs with dominance.
 
-The whole-program rules need exactly two graph queries:
-
-* **dominance** — FENCE002 accepts a remote-log read only when some
-  statement that establishes the fence dominates it (runs on *every*
-  path from function entry);
-* **yield-crossing paths** — RACE001 asks whether a value read from
-  shared state can flow into a later write along a path that passes a
-  ``yield`` (the only points where the deterministic kernel interleaves
-  another process).
+FENCE002 needs exactly one graph query: **dominance** — it accepts a
+remote-log read only when some statement that establishes the fence
+dominates it (runs on *every* path from function entry).
 
 The CFG is statement-granular: one node per simple statement, one node
 per compound-statement *header* (its test/iter expressions), bodies
 recursed.  ``try`` is approximated by letting handlers start from the
-header — conservative for both queries.  Nested function/class scopes
+header — conservative for dominance.  Nested function/class scopes
 are opaque (they build their own CFGs).
 """
 
@@ -35,11 +29,6 @@ class CFGNode:
         self.index = index
         self.stmt = stmt
         self.succs: List[int] = []
-        #: Whether this node's own expressions contain a yield point.
-        self.has_yield = any(
-            isinstance(expr, (ast.Yield, ast.YieldFrom))
-            for expr in node_expressions(stmt)
-        )
 
 
 def node_expressions(stmt: ast.stmt) -> Iterator[ast.AST]:
@@ -81,7 +70,6 @@ class FunctionCFG:
     def __init__(self, fn: FuncNode) -> None:
         self.fn = fn
         self.nodes: List[CFGNode] = []
-        self._stmt_index: Dict[int, int] = {}
         self._dominators: Optional[List[Set[int]]] = None
         builder = _Builder(self)
         builder.build(fn.body)
@@ -91,14 +79,9 @@ class FunctionCFG:
     def add_node(self, stmt: ast.stmt) -> CFGNode:
         node = CFGNode(len(self.nodes), stmt)
         self.nodes.append(node)
-        self._stmt_index[id(stmt)] = node.index
         return node
 
     # -- lookups -------------------------------------------------------------
-
-    def node_of(self, stmt: ast.stmt) -> Optional[int]:
-        """CFG node index of a (top-level-in-some-body) statement."""
-        return self._stmt_index.get(id(stmt))
 
     def node_containing(self, target: ast.AST) -> Optional[int]:
         """CFG node whose own expressions contain ``target``."""
@@ -148,39 +131,6 @@ class FunctionCFG:
             return True
         dom = self.dominators()
         return bool(dom[node] & candidates) if node < len(dom) else False
-
-    # -- yield reachability --------------------------------------------------
-
-    def path_crosses_yield(
-        self, src: int, dst: int, blocked: Set[int]
-    ) -> bool:
-        """Is there a path ``src -> dst`` passing a yield point?
-
-        ``blocked`` nodes cannot be traversed (RACE001 uses them for
-        statements that redefine the local being tracked).  Yields on
-        strictly intermediate nodes count; a yield inside ``src`` or
-        ``dst`` themselves does not (statement execution is atomic at
-        the granularity the kernel interleaves).
-        """
-        seen: Set[Tuple[int, bool]] = set()
-        stack: List[Tuple[int, bool]] = [(src, False)]
-        while stack:
-            node, yielded = stack.pop()
-            for succ in self.nodes[node].succs:
-                if succ == dst:
-                    if yielded:
-                        return True
-                    # dst reached without a yield so far; other paths
-                    # may still cross one — keep exploring.
-                    continue
-                if succ in blocked:
-                    continue
-                state = (succ, yielded or self.nodes[succ].has_yield)
-                if state in seen:
-                    continue
-                seen.add(state)
-                stack.append(state)
-        return False
 
 
 class _Builder:

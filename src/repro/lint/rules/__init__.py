@@ -12,5 +12,4 @@ from repro.lint.rules import (  # noqa: F401
     gen,
     mem,
     obs,
-    race,
 )

@@ -6,8 +6,8 @@ step interpreter (:class:`repro.protocols.base.Session`) calls back.
 Two classes of bugs defeat them:
 
 * a *blocking host call* (``time.sleep``, real file/socket IO) inside
-  a process stalls the whole single-threaded kernel and couples the
-  run to the host environment;
+  a process or a session step stalls the whole single-threaded kernel
+  and couples the run to the host environment;
 * a call that *returns a wait* — a generator to drive or an event to
   yield or hand to ``session.wait`` — whose result is dropped on the
   floor: a generator's body silently never executes (the classic
@@ -26,7 +26,7 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 #: Calls that block on the host or do real IO: forbidden inside
-#: simulation generator processes.
+#: simulation generator processes and anywhere in the protocol engines.
 BLOCKING_CALLS = frozenset(
     {
         "time.sleep",
@@ -70,24 +70,30 @@ WAIT_SUFFIXES: frozenset[tuple[str, ...]] = frozenset(
 #: interpreter), and scheduling a generator as a kernel process.
 _CONSUMER_CALLEES = frozenset({"wait", "process", "run_all", "Process"})
 
+#: Areas whose every function may run inside the kernel: a protocol
+#: session's steps are plain methods, so "is a generator" misses them.
+_ENGINE_AREAS = frozenset({"protocols", "core"})
+
 
 @register
 class BlockingCallRule(Rule):
     id = "GEN001"
-    summary = "no blocking host calls (time.sleep, real IO) in generator processes"
+    summary = "no blocking host calls (time.sleep, real IO) in processes or session steps"
     rationale = (
-        "A simulation process must advance virtual time with "
-        "yield sim.timeout(...); a host sleep or real IO call blocks "
-        "the deterministic kernel and ties results to the machine."
+        "A simulation process or a protocol-session step must advance "
+        "virtual time through the kernel (yield sim.timeout(...), "
+        "self.wait(...)); a host sleep or real IO call blocks the "
+        "deterministic kernel and ties results to the machine."
     )
     good_example = "yield sim.timeout(0.5)"
-    bad_example = "time.sleep(0.5)  # inside a generator process"
+    bad_example = "time.sleep(0.5)  # inside a generator process or a session step"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_src:
             return
+        engine = ctx.area in _ENGINE_AREAS
         for fn in ctx.functions():
-            if not is_generator(fn):
+            if not (engine or is_generator(fn)):
                 continue
             for node in walk_own(fn):
                 if not isinstance(node, ast.Call):
@@ -97,8 +103,8 @@ class BlockingCallRule(Rule):
                     yield ctx.finding(
                         node,
                         self.id,
-                        f"blocking call {qualified}() inside generator process "
-                        f"{fn.name!r}; use sim.timeout()/simulated resources",
+                        f"blocking call {qualified}() inside {fn.name!r}, which "
+                        "runs on the kernel; use sim.timeout()/simulated resources",
                     )
 
 

@@ -87,8 +87,8 @@ class Cluster:
         if seed is not None:
             self.params = dataclasses.replace(self.params, seed=seed)
         # ``sim`` lets several *independent* clusters co-host on one
-        # kernel (the single-kernel reference run of the partitioned
-        # composite workload); by default each cluster owns its own.
+        # kernel (the shard groups of the composite workload); by
+        # default each cluster owns its own.
         self.sim = sim if sim is not None else Simulator()
         #: When set, finished-transaction outcomes are routed here
         #: instead of accumulating on the ``outcomes`` list — the

@@ -13,15 +13,13 @@ a bounded live-file window, the WAL garbage-collects as transactions
 finish, and no per-transaction list grows anywhere.
 
 Shard groups are fully independent (disjoint namespaces, servers,
-networks, logs — the sharded-placement regime of PR 7 taken to its
-decoupled limit), which is what makes the workload *partitionable*:
-the same groups can run co-hosted on one DES kernel (the reference
-mode, :func:`run_composite`) or one kernel per group in a process pool
-(:mod:`repro.exec.partition`), with byte-identical merged results.
-The single-kernel argument: the kernel's event heap breaks ties by a
-monotone sequence number, so co-hosted groups interleave without ever
-reordering events *within* a group, and groups share no state — each
-group's event sequence is exactly its standalone sequence.
+networks, logs — the sharded-placement regime taken to its decoupled
+limit) and run co-hosted on one DES kernel (:func:`run_composite`).
+The kernel's event heap breaks ties by a monotone sequence number, so
+co-hosted groups interleave without ever reordering events *within* a
+group, and groups share no state — each group's event sequence is
+exactly its standalone sequence.  A sweep's parallelism is across
+cells (``run_sweep --workers``), not across the groups of one cell.
 """
 
 from __future__ import annotations
@@ -233,8 +231,7 @@ def composite_trace(
 @dataclass
 class GroupOutcome(Tally):
     """One shard group's tally plus what its cluster spent, filled in
-    by :func:`finalize_group`; plain data, so it pickles across the
-    pool."""
+    by :func:`finalize_group`."""
 
     group: int = 0
     events: int = 0
@@ -244,7 +241,7 @@ class GroupOutcome(Tally):
 
 @dataclass(frozen=True)
 class CompositeResult:
-    """Merged outcome of a composite run (either execution mode)."""
+    """Merged outcome of a composite run."""
 
     protocol: str
     config: CompositeConfig
@@ -269,7 +266,7 @@ def setup_group(
     params: SimulationParams,
     group: int,
 ) -> Tuple[Cluster, GroupOutcome]:
-    """Wire one shard group onto ``sim`` (shared or private kernel).
+    """Wire one shard group onto ``sim``.
 
     The group is a self-contained two-MDS cluster — own network, own
     logs, own RNG root (:func:`group_seed`) — whose behaviour is
@@ -315,12 +312,9 @@ def finalize_group(
 def merge_groups(
     protocol: str, config: CompositeConfig, outcomes: List[GroupOutcome]
 ) -> CompositeResult:
-    """Merge per-group outcomes in group order — the canonical merge.
-
-    Both execution modes call this with outcomes sorted by group, so
-    the floating-point merge sequence (and hence the serialised JSON)
-    is identical by construction.
-    """
+    """Merge per-group outcomes in group order — the canonical merge,
+    which fixes the floating-point merge sequence (and hence the
+    serialised JSON)."""
     outcomes = sorted(outcomes, key=lambda o: o.group)
     if [o.group for o in outcomes] != list(range(config.groups)):
         raise ValueError(f"expected groups 0..{config.groups - 1}, got {outcomes}")
@@ -349,12 +343,8 @@ def run_composite(
     config: CompositeConfig,
     params: Optional[SimulationParams] = None,
 ) -> CompositeResult:
-    """Single-kernel reference run: all groups co-hosted on one DES.
-
-    Per-group statistics are accumulated separately and merged through
-    :func:`merge_groups` — the same code path the partitioned mode
-    uses — so the two modes are byte-identical by construction.
-    """
+    """All groups co-hosted on one DES kernel; per-group statistics
+    are accumulated separately and merged through :func:`merge_groups`."""
     params = params or SimulationParams.paper_defaults()
     sim = Simulator()
     hosted = [
@@ -367,8 +357,6 @@ def run_composite(
         for group, (cluster, outcome) in enumerate(hosted)
     ]
     # Events cannot be attributed per group on a shared kernel; report
-    # the kernel total on group 0 so the merged sum matches the
-    # partitioned mode (each group's standalone event count sums to
-    # the co-hosted total — groups share no events).
+    # the kernel total on group 0 so the merged sum is the total.
     outcomes[0].events = sim.events_processed
     return merge_groups(protocol, config, outcomes)

@@ -12,14 +12,15 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.lint import run_lint
+from repro.lint import iter_python_files, run_lint
 from repro.lint.context import FileContext
 from repro.lint.flow.callgraph import build_call_graph
 from repro.lint.flow.dataflow import build_cfg
 from repro.lint.flow.project import ProjectContext
-from repro.lint.flow.summaries import compute_fence_summaries
+from repro.lint.flow.summaries import READ_CALLEE, compute_fence_summaries
 from repro.lint.registry import get_rule, select_rules
 
+ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -95,27 +96,6 @@ def test_cfg_dominance_and_yield_paths():
     assert cfg.dominated_by(last, {first})
     yield_node = nodes["Expr"]
     assert not cfg.dominated_by(last, {yield_node})
-    # One path a -> b crosses the yield, so the relation holds.
-    assert cfg.path_crosses_yield(first, last, set())
-
-
-def test_cfg_yield_path_respects_blocked_nodes():
-    source = textwrap.dedent(
-        """
-        def proc(sim):
-            a = 1
-            yield sim.timeout(1.0)
-            a = 2
-            consume(a)
-        """
-    )
-    fn = ast.parse(source).body[0]
-    cfg = build_cfg(fn)
-    assigns = [n.index for n in cfg.nodes if isinstance(n.stmt, ast.Assign)]
-    use = max(n.index for n in cfg.nodes if isinstance(n.stmt, ast.Expr))
-    # Blocking the redefinition kills the only yield-crossing path.
-    assert cfg.path_crosses_yield(assigns[0], use, set())
-    assert not cfg.path_crosses_yield(assigns[0], use, {assigns[1]})
 
 
 # -- fence summaries ----------------------------------------------------------
@@ -147,6 +127,25 @@ def test_fence_summaries_propagate_through_helpers():
     assert "_pull" in escaping  # the direct read, an obligation of its callers
     assert "exposed" in escaping  # the root FENCE002 reports
     assert "covered" not in escaping
+
+
+def test_fence_summaries_over_src_see_the_recovery_probe():
+    # FENCE002's traffic on the real tree: the recovery probe is the
+    # fenced read of §III.  If the analysis ever finds nothing to look
+    # at, this fails instead of the rule going quietly empty.
+    project = ProjectContext(
+        [
+            _context(path.read_text(encoding="utf-8"), str(path.relative_to(ROOT)))
+            for path in iter_python_files([ROOT / "src"])
+        ]
+    )
+    summaries = compute_fence_summaries(project, build_call_graph(project))
+    probe = project.function("repro.core.recovery", "probe_worker_log")
+    assert probe is not None
+    calls = [node for node in ast.walk(probe.node) if isinstance(node, ast.Call)]
+    assert any((probe.ctx.dotted_name(c.func) or ("",))[-1] == READ_CALLEE for c in calls)
+    assert summaries.establishes_fence(probe.key)
+    assert {key: reads for key, reads in summaries.escaping.items() if reads} == {}
 
 
 # -- FENCE002 end-to-end ------------------------------------------------------

@@ -89,10 +89,19 @@ def test_gen002_flags_every_dropped_wait_once():
 def test_gen002_flags_a_session_step_that_drops_a_wait():
     # Steps are plain methods: the flush and the getter each count as
     # waited on only when handed to ``self.wait(...)``.
-    findings = run_lint([FIXTURES / "gen_step_bad.py"], rules=select_rules(["GEN"])).findings
+    findings = run_lint([FIXTURES / "gen_step_bad.py"], rules=select_rules(["GEN002"])).findings
     assert [f.message.split("(")[0] for f in findings] == [
         "the wait self.p.wal.force",
         "the wait self.p.recv",
+    ]
+
+
+def test_gen001_flags_a_blocking_call_in_a_session_step():
+    # A step is no generator, but in protocols/ and core/ every
+    # function may run on the kernel.
+    findings = run_lint([FIXTURES / "gen_step_bad.py"], rules=select_rules(["GEN001"])).findings
+    assert [(f.line, f.message.split("(")[0]) for f in findings] == [
+        (20, "blocking call time.sleep"),
     ]
 
 

@@ -15,8 +15,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_self_lint_src_is_clean():
-    # Every rule over src/: FENCE002 and RACE001 check the real
-    # fencing and commit paths.
+    # Every rule over src/: FENCE002 checks the real fencing paths
+    # (test_flow.py pins that it has some to check).
     report = run_lint([ROOT / "src"], root=ROOT)
     assert report.files_checked > 80
     assert report.ok, "findings in src/:\n" + "\n".join(
@@ -62,18 +62,20 @@ def test_cli_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("DET001", "DET002", "DET003", "GEN001", "GEN002",
-                    "FENCE001", "FENCE002",
-                    "OBS001", "RACE001"):
+                    "FENCE001", "FENCE002", "OBS001"):
         assert rule_id in out
     assert "FENCE003" not in out
     # The record-vocabulary contract is checked by running it (the
-    # conformance battery), not by a lint rule.
+    # conformance battery), not by a lint rule; RACE001 had no shared
+    # state left to check in src/.
     assert "PROTO" not in out
+    assert "RACE001" not in out
 
 
 def test_cli_select_of_the_retired_proto_family_is_an_unknown_rule(capsys):
-    assert main(["lint", str(FIXTURES / "det_bad.py"), "--select", "PROTO"]) == 2
-    assert "unknown rule(s) ['PROTO']" in capsys.readouterr().err
+    for retired in ("PROTO", "RACE001"):
+        assert main(["lint", str(FIXTURES / "det_bad.py"), "--select", retired]) == 2
+        assert f"unknown rule(s) ['{retired}']" in capsys.readouterr().err
 
 
 def test_self_lint_gate_covers_the_new_families():
@@ -82,15 +84,15 @@ def test_self_lint_gate_covers_the_new_families():
     from repro.lint.registry import ProjectRule, all_rules
 
     project_ids = {r.id for r in all_rules() if isinstance(r, ProjectRule)}
-    assert {"FENCE002", "RACE001"} <= project_ids
+    assert "FENCE002" in project_ids
 
 
 def test_cli_explain_prints_catalog_entry(capsys):
-    assert main(["lint", "--explain", "RACE001"]) == 0
+    assert main(["lint", "--explain", "FENCE002"]) == 0
     out = capsys.readouterr().out
-    assert "RACE001" in out and "(RACE)" in out
+    assert "FENCE002" in out and "(FENCE)" in out
     assert "good:" in out and "bad:" in out
-    assert "snapshot = self.count" in out
+    assert "read_remote_log" in out
 
 
 def test_cli_explain_unknown_rule_errors(capsys):
@@ -125,7 +127,8 @@ def test_cli_sarif_format_is_valid_2_1_0(capsys):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro-lint"
     ids = [rule["id"] for rule in driver["rules"]]
-    assert "FENCE002" in ids and "RACE001" in ids
+    assert "FENCE002" in ids and "GEN001" in ids
+    assert not any(rule_id.startswith("RACE") for rule_id in ids)
     for rule in driver["rules"]:
         assert rule["shortDescription"]["text"]
         assert rule["fullDescription"]["text"]

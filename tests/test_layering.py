@@ -155,7 +155,7 @@ def test_package_imports_in_a_fresh_interpreter(module):
 
 def test_exec_does_not_load_the_layers_above_it():
     code = (
-        "import sys, repro.exec, repro.exec.perf, repro.exec.partition\n"
+        "import sys, repro.exec, repro.exec.perf\n"
         "above = ('repro.harness', 'repro.campaign.shrink', 'repro.campaign.cli', 'repro.lint')\n"
         "print(sorted(m for m in sys.modules if m.startswith(above)))"
     )

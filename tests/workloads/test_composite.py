@@ -1,14 +1,12 @@
-"""Composite workload tests: trace generation, execution modes,
-partitioned byte-identity, and spec-identity preservation."""
+"""Composite workload tests: trace generation, execution, and
+spec-identity preservation."""
 
 from __future__ import annotations
 
 import json
-import pickle
 
 import pytest
 
-from repro.exec.partition import run_group, run_partitioned_composite, run_partitioned_spec
 from repro.exec.runners import composite_cell, execute_spec
 from repro.exec.spec import RunSpec, derive_seed
 from repro.faults import ScheduleFormatError
@@ -157,41 +155,6 @@ def test_small_composite_run_commits_and_reads():
     assert result.events > 0
     assert result.latency.count == result.committed + result.aborted
     assert len(result.per_group) == SMALL.groups
-
-
-def test_group_outcome_pickles():
-    outcome = run_group("1PC", SMALL.to_json(), small_spec().seeded_params(), 0)
-    clone = pickle.loads(pickle.dumps(outcome))
-    assert clone.committed == outcome.committed
-    assert clone.latency.count == outcome.latency.count
-    assert clone.latency.mean == outcome.latency.mean
-
-
-def test_partitioned_serial_matches_single_kernel_byte_for_byte():
-    spec = small_spec()
-    single = execute_spec(spec)
-    partitioned = run_partitioned_spec(spec, workers=1)
-    assert json.dumps(single.to_dict(), sort_keys=True) == json.dumps(
-        partitioned.to_dict(), sort_keys=True
-    )
-
-
-@pytest.mark.slow
-def test_partitioned_pool_matches_single_kernel_byte_for_byte():
-    spec = small_spec()
-    single = execute_spec(spec)
-    pooled = run_partitioned_spec(spec, workers=2)
-    assert json.dumps(single.to_dict(), sort_keys=True) == json.dumps(
-        pooled.to_dict(), sort_keys=True
-    )
-
-
-def test_partitioned_requires_composite_spec():
-    burst = RunSpec(kind="burst", protocol="1PC", n=10)
-    with pytest.raises(ValueError):
-        run_partitioned_spec(burst)
-    with pytest.raises(ValueError):
-        run_partitioned_composite("1PC", SMALL, workers=0)
 
 
 def test_composite_cell_detail_carries_read_latency():
