@@ -1,14 +1,14 @@
 """Where does the time go?  Derived statistics from a simulation trace.
 
-Folds a :class:`~repro.sim.TraceLog` into per-resource utilisation and
-per-transaction time breakdowns:
+Folds a :class:`~repro.sim.TraceLog` into per-resource statistics:
 
 * device busy fraction per disk (from ``disk_write``/``disk_read``
   service intervals);
-* lock contention: distribution of lock-wait times per object;
-* message counts and network-time totals per protocol kind;
-* per-transaction phase breakdown (lock wait, log forces, messaging)
-  reconstructed from the transaction's trace records.
+* lock contention: distribution of lock-wait times per object.
+
+Where one transaction's latency went (lock wait, forced writes,
+network) is the hub's attribute-mode fold,
+:meth:`repro.obs.Observability.attribution`, not a rescan of the trace.
 
 Used by the ``utilization`` report artifact to explain *why* Figure 6
 comes out the way it does — the coordinator's log device and the
@@ -132,98 +132,3 @@ def lock_contention(trace: TraceLog) -> dict[str, LockContention]:
         )
         for obj, e in stats.items()
     }
-
-
-@dataclass(frozen=True)
-class MessageStats:
-    """Counts and totals per message kind."""
-
-    kind: str
-    sent: int
-    received: int
-    dropped: int
-
-
-def message_stats(trace: TraceLog) -> dict[str, MessageStats]:
-    kinds: dict[str, dict[str, int]] = {}
-    for rec in trace.records:
-        if rec.category in ("msg_send", "msg_recv", "msg_drop"):
-            kind = rec.get("kind", "?")
-            entry = kinds.setdefault(kind, {"msg_send": 0, "msg_recv": 0, "msg_drop": 0})
-            entry[rec.category] += 1
-    return {
-        kind: MessageStats(
-            kind=kind,
-            sent=e["msg_send"],
-            received=e["msg_recv"],
-            dropped=e["msg_drop"],
-        )
-        for kind, e in kinds.items()
-    }
-
-
-@dataclass(frozen=True)
-class TxnBreakdown:
-    """Phase breakdown of one transaction at its coordinator."""
-
-    txn_id: int
-    lock_wait: float
-    log_force_wait: float
-    total: float
-    committed: bool
-
-    @property
-    def other(self) -> float:
-        """Messaging, compute, queueing — whatever is not lock or log."""
-        return max(0.0, self.total - self.lock_wait - self.log_force_wait)
-
-
-def txn_breakdown(trace: TraceLog, txn_id: int) -> Optional[TxnBreakdown]:
-    """Reconstruct where one transaction's wall time went."""
-    records = [r for r in trace.records if r.get("txn") == txn_id]
-    if not records:
-        return None
-    start = min(r.time for r in records)
-    done = [r for r in records if r.category == "txn_done"]
-    end = done[0].time if done else max(r.time for r in records)
-    committed = bool(done[0].get("committed")) if done else False
-
-    lock_wait = 0.0
-    pending_waits: dict[str, float] = {}
-    for rec in records:
-        if rec.category == "lock_wait":
-            pending_waits[str(rec.get("obj"))] = rec.time
-        elif rec.category == "lock_grant":
-            obj = str(rec.get("obj"))
-            if obj in pending_waits:
-                lock_wait += rec.time - pending_waits.pop(obj)
-
-    # Forced-write wait: sum of (durable - append) for sync appends,
-    # grouped per force call (same actor+append time).
-    appends: dict[tuple, float] = {}
-    force_wait = 0.0
-    for rec in records:
-        if rec.category == "log_append" and rec.get("sync"):
-            appends.setdefault((rec.actor, rec.time), rec.time)
-    durables: dict[tuple, float] = {}
-    for rec in records:
-        if rec.category == "log_durable" and rec.get("sync"):
-            key = (rec.actor, rec.get("kind"))
-            durables[key] = rec.time
-    # Pair append groups with the completion of their last record.
-    for (actor, t_append) in appends:
-        completions = [
-            r.time
-            for r in records
-            if r.category == "log_durable" and r.actor == actor and r.time >= t_append
-        ]
-        if completions:
-            force_wait += min(completions) - t_append
-
-    return TxnBreakdown(
-        txn_id=txn_id,
-        lock_wait=lock_wait,
-        log_force_wait=force_wait,
-        total=end - start,
-        committed=committed,
-    )

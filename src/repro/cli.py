@@ -47,81 +47,37 @@ def _cmd_burst(args: argparse.Namespace) -> int:
     return 0 if not violations else 1
 
 
-def _sweep_grid(args: argparse.Namespace):
-    """Build ``(specs, labeller, title)`` for the chosen sweep kind."""
-    from repro import exec as rexec
-    from repro.harness.sweeps import SWEEPS
-
-    if args.kind in SWEEPS:
-        points, title, _axis, label = SWEEPS[args.kind]
-        grid = {
-            "latency": rexec.network_latency_grid,
-            "disk": rexec.disk_bandwidth_grid,
-            "burst": rexec.burst_size_grid,
-            "abort": rexec.abort_rate_grid,
-        }[args.kind]
-        # The burst sweep's axis is the size: it takes no --n.
-        sized = {} if args.kind == "burst" else {"n": args.n}
-        return grid(points, seed=args.seed, **sized), label, title
-    if args.kind == "figure6":
-        specs = rexec.figure6_grid(n=args.n, seed=args.seed)
-        return specs, str, f"Figure 6 grid — throughput (tx/s), burst of {args.n}"
-    if args.kind == "scaling":
-        specs = rexec.scaling_grid(args.protocol, ops_per_dir=args.n, seed=args.seed)
-        return specs, str, f"Scaling — aggregate tx/s per pair count ({args.protocol})"
-    if args.kind == "fanout":
-        specs = rexec.fanout_grid(n_files=args.n, seed=args.seed)
-
-        def label(value):
-            return f"k={value}"
-
-        return specs, label, "Fan-out — files/s vs workers per transaction"
-    if args.kind == "composite":
-        # --n is the total operation count per cell here (the mdtest
-        # scale knob), split over --groups independent shard groups.
-        specs = rexec.composite_grid(
-            ops_counts=[args.n], groups=args.groups, seed=args.seed
-        )
-
-        def label(value):
-            return f"{value} ops"
-
-        return specs, label, "Composite workload — committed tx/s"
-    raise ValueError(f"unknown sweep kind {args.kind!r}")
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Run one experiment grid through the parallel executor."""
-    import sys as _sys
-
+    """Run one row of the experiment table through the parallel executor."""
     from repro.analysis.tables import render_table
     from repro.exec import run_sweep
+    from repro.harness.sweeps import SWEEPS, fold
 
-    specs, label, title = _sweep_grid(args)
+    row = SWEEPS[args.kind]
+    if args.kind == "composite":
+        # --n is the cell's total operation count (the mdtest scale
+        # knob), split over --groups independent shard groups.
+        specs = row.specs((args.n,), groups=args.groups, seed=args.seed)
+    else:
+        # The burst sweep's axis is the size: it takes no --n.
+        specs = row.specs(seed=args.seed, **({} if args.kind == "burst" else {"n": args.n}))
     progress = None
     if args.progress:
         def progress(event):
-            print(event, file=_sys.stderr)
+            print(event, file=sys.stderr)
 
     sweep = run_sweep(specs, kind=args.kind, workers=args.workers, progress=progress)
 
-    if args.kind in ("figure6", "scaling"):
-        rows = [
-            [str(label(cell.spec.point)), f"{cell.throughput:.1f}", str(cell.committed)]
-            for cell in sweep.cells
-        ]
-        print(render_table(["Point", "Throughput (tx/s)", "Committed"], rows, title=title))
-    else:
-        table: dict = {}
-        for cell in sweep.cells:
-            table.setdefault(cell.spec.point, {})[cell.spec.protocol] = cell.throughput
-        seen = {cell.spec.protocol for cell in sweep.cells}
-        columns = [p for p in _protocol_names() if p in seen]
-        columns += sorted(seen - set(columns))  # unregistered stragglers
-        rows = [
-            [label(pt)] + [f"{table[pt][p]:.1f}" for p in columns] for pt in table
-        ]
-        print(render_table(["Point", *columns], rows, title=title))
+    # One line per point label (figure6's cells share one), one column
+    # per protocol, in registry order.
+    table: dict = {}
+    for point, by_protocol in fold(sweep.cells).items():
+        table.setdefault(row.label(point), {}).update(by_protocol)
+    seen = {cell.spec.protocol for cell in sweep.cells}
+    columns = [p for p in _protocol_names() if p in seen]
+    columns += sorted(seen - set(columns))  # unregistered stragglers
+    rows = [[label] + [f"{tps[p]:.1f}" for p in columns] for label, tps in table.items()]
+    print(render_table([row.axis, *columns], rows, title=row.title))
     if args.json:
         sweep.write_json(args.json, canonical=args.canonical)
         print(f"wrote {len(sweep.cells)} cells to {args.json}"
@@ -265,7 +221,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.hub import COMPONENTS
     from repro.workloads import run_burst
 
-    (spec,) = figure6_grid(args.n, [args.protocol])
+    (spec,) = figure6_grid([args.protocol], n=args.n)
     burst = run_burst(args.protocol, n=args.n, params=spec.seeded_params(), trace="attribute")
     found, rows = burst.cluster.obs.attribution(), []
     for protocol, op in sorted({key[:2] for key in found}):
@@ -301,16 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_burst)
 
     p = sub.add_parser("sweep", help="parameter sweeps via the parallel executor")
-    p.add_argument(
-        "--kind",
-        choices=["latency", "disk", "burst", "abort", "figure6", "scaling",
-                 "fanout", "composite"],
-        default="latency",
-    )
+    from repro.harness.sweeps import SWEEPS
+
+    p.add_argument("--kind", choices=tuple(SWEEPS), default="latency")
     p.add_argument("--n", type=int, default=40,
-                   help="burst size / ops per directory / total composite ops")
-    p.add_argument("--protocol", choices=protocol_names, default="1PC",
-                   help="protocol for --kind scaling")
+                   help="burst size / ops per directory / files / total composite ops")
     p.add_argument("--groups", type=_positive_int, default=2,
                    help="independent shard groups for --kind composite")
     p.add_argument("--workers", type=_positive_int, default=1,

@@ -1,10 +1,12 @@
 """Declarative grid builders for the paper's experiment families.
 
 Each builder expands an experiment axis into the flat ``RunSpec`` list
-the executor fans out on.  Specs are emitted point-major (all
-protocols of one point before the next point), matching the historical
-serial iteration order so refactored harness entry points return their
-tables in the same order as before.
+the executor fans out on.  The sweep builders share one shape: the
+swept axis is the one positional argument, and ``protocols=`` (``None``
+= the registry), ``n=``, ``params=`` and ``seed=`` are keywords.
+Specs are emitted point-major (all protocols of one point before the
+next point).  ``repro.harness.sweeps.SWEEPS`` names each sweep's
+builder, default points and labels.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from repro.workloads.composite import CompositeConfig
 
 
 def figure6_grid(
-    n: int = 100,
     protocols: Optional[Sequence[str]] = None,
+    *,
+    n: int = 100,
     params: Optional[SimulationParams] = None,
     seed: int = 0,
 ) -> list[RunSpec]:
-    """The Figure 6 experiment: one burst of ``n`` per protocol."""
+    """The Figure 6 experiment: one burst of ``n`` per protocol (the
+    protocol is the swept axis and each cell's point)."""
     if protocols is None:
         protocols = default_protocols()
     return [
@@ -36,6 +40,7 @@ def figure6_grid(
 
 def network_latency_grid(
     latencies: Sequence[float],
+    *,
     protocols: Optional[Sequence[str]] = None,
     n: int = 50,
     params: Optional[SimulationParams] = None,
@@ -61,6 +66,7 @@ def network_latency_grid(
 
 def disk_bandwidth_grid(
     bandwidths: Sequence[float],
+    *,
     protocols: Optional[Sequence[str]] = None,
     n: int = 50,
     params: Optional[SimulationParams] = None,
@@ -86,6 +92,7 @@ def disk_bandwidth_grid(
 
 def burst_size_grid(
     sizes: Sequence[int],
+    *,
     protocols: Optional[Sequence[str]] = None,
     params: Optional[SimulationParams] = None,
     seed: int = 0,
@@ -102,6 +109,7 @@ def burst_size_grid(
 
 def abort_rate_grid(
     rates: Sequence[float],
+    *,
     protocols: Optional[Sequence[str]] = None,
     n: int = 50,
     params: Optional[SimulationParams] = None,
@@ -126,9 +134,10 @@ def abort_rate_grid(
 
 
 def fanout_grid(
-    fanouts: Sequence[int] = (1, 2, 4, 8),
+    fanouts: Sequence[int],
+    *,
     protocols: Optional[Sequence[str]] = None,
-    n_files: int = 16,
+    n: int = 16,
     n_shards: Optional[int] = None,
     params: Optional[SimulationParams] = None,
     seed: int = 0,
@@ -136,10 +145,10 @@ def fanout_grid(
     """File throughput vs workers-per-transaction on a sharded namespace.
 
     One hot directory on a coordinator shard, inodes striped over
-    worker shards, creates batched so each transaction spans exactly
-    ``k`` workers.  ``protocols`` defaults to the registered protocols
-    that accept the widest requested transaction; ``n_shards`` defaults
-    to ``k`` per point (the tightest cluster hosting the width).
+    worker shards, ``n`` creates batched so each transaction spans
+    exactly ``k`` workers.  ``protocols`` defaults to the registered
+    protocols that accept the widest requested transaction; ``n_shards``
+    defaults to ``k`` per point (the tightest cluster hosting the width).
     """
     if protocols is None:
         protocols = fanout_capable(max(fanouts))
@@ -147,7 +156,7 @@ def fanout_grid(
         RunSpec(
             kind="fanout",
             protocol=proto,
-            n=n_files,
+            n=n,
             fanout=k,
             n_shards=k if n_shards is None else n_shards,
             seed=seed,
@@ -203,7 +212,8 @@ def campaign_grid(
 
 
 def composite_grid(
-    ops_counts: Sequence[int] = (1000, 4000),
+    ops_counts: Sequence[int],
+    *,
     protocols: Optional[Sequence[str]] = None,
     groups: int = 2,
     params: Optional[SimulationParams] = None,
@@ -237,22 +247,27 @@ def composite_grid(
 
 
 def scaling_grid(
-    protocol: str,
-    pair_counts: Sequence[int] = (1, 2, 4),
-    ops_per_dir: int = 25,
+    pair_counts: Sequence[int],
+    *,
+    protocols: Optional[Sequence[str]] = None,
+    n: int = 25,
     params: Optional[SimulationParams] = None,
     seed: int = 0,
 ) -> list[RunSpec]:
-    """Aggregate throughput across 1..K coordinator/worker pairs."""
+    """Aggregate throughput across 1..K coordinator/worker pairs, ``n``
+    creates per directory."""
+    if protocols is None:
+        protocols = default_protocols()
     return [
         RunSpec(
             kind="scaling",
-            protocol=protocol,
-            n=ops_per_dir,
+            protocol=proto,
+            n=n,
             n_pairs=k,
             seed=seed,
             point=k,
             params=params,
         )
         for k in pair_counts
+        for proto in protocols
     ]

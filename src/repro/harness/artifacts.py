@@ -8,9 +8,11 @@ shape gates — what about the paper the numbers must keep reproducing,
 as named predicates over the data.  :mod:`repro.harness.report` prints
 the table, checks a document against it and rewrites one from it.
 
-The inputs (points, protocol sets, burst sizes) are fixed here and in
-:mod:`repro.harness.sweeps`: a different run is ``repro sweep``,
-``repro burst`` or the Python entry point, not a flag of the report.
+The sweep artifacts run rows of :data:`repro.harness.sweeps.SWEEPS`,
+the table ``repro sweep`` runs.  The inputs (points, protocol sets,
+burst sizes) are fixed here and in that table: a different run is
+``repro sweep``, ``repro burst`` or a row's ``run``, not a flag of the
+report.
 """
 
 from __future__ import annotations
@@ -19,27 +21,22 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Sequence
 
 from repro.analysis.model import predict_figure6
-from repro.analysis.tables import render_table
+from repro.analysis.tables import render_bar_chart, render_table
 from repro.analysis.utilization import device_utilization, lock_contention
 from repro.config import SimulationParams
+from repro.exec import run_grid
 from repro.harness.calibrate import PAPER_GAINS
 from repro.harness.diagrams import FIGURE_OF, render_timelines, timeline_events
-from repro.harness.figure6 import PAPER_FIGURE6, render_figure6, run_figure6
 from repro.harness.migration_study import run_migration_study
 from repro.harness.placement_study import run_placement_study
 from repro.harness.recovery import CRASH_AFTER, ROLE_OF, measure_crash_recovery, measure_detection
-from repro.harness.scaling import sweep_scaling
-from repro.harness.sweeps import (
-    SWEEPS,
-    sweep_abort_rate,
-    sweep_burst_size,
-    sweep_disk_bandwidth,
-    sweep_network_latency,
-)
+from repro.harness.sweeps import SWEEPS, Sweep, fold, gain, per_protocol
 from repro.harness.table1 import measure_table1, render_table1
 from repro.protocols.registry import default_protocols
 from repro.workloads import run_batched_burst, run_burst
 
+#: Paper's Figure 6 values (distributed transactions per second).
+PAPER_FIGURE6 = {"PrN": 15.0, "PrC": 15.06, "EP": 16.0, "1PC": 24.0}
 #: The paper's four protocols, in Figure 6 order.
 PAPER4 = tuple(PAPER_FIGURE6)
 REPLY = "==> reply to client"
@@ -55,11 +52,6 @@ class Artifact:
     render: Callable[[Any], str]
     #: ``(text, predicate over measure()'s data)``, all of which must hold.
     claims: tuple[tuple[str, Callable[[Any], bool]], ...]
-
-
-def _gain(row: dict, name: str, base: str = "PrN") -> float:
-    """Percent by which ``row[name]`` exceeds ``row[base]``."""
-    return (row[name] / row[base] - 1.0) * 100.0
 
 
 def _ahead(table: dict, name: str = "1PC", base: str = "PrN") -> bool:
@@ -98,36 +90,44 @@ def _table(
 
 
 def _versus(
-    title: str, axis: str, label: Callable[[Any], str],
-    protocols: Sequence[str] = PAPER4, name: str = "1PC", base: str = "PrN",
+    sweep: Sweep, protocols: Sequence[str] = PAPER4, name: str = "1PC", base: str = "PrN",
+    title: str = "",
 ) -> Callable[[dict], str]:
-    """Renderer of a ``{point: {protocol: tx/s}}`` sweep; the last
-    column is ``name``'s gain over ``base`` at that point."""
-    gain = (f"{name} vs {base}", lambda row: f"{_gain(row, name, base):+.1f}%")
-    return _table(title, [axis], [*((p, _show(p, ".1f")) for p in protocols), gain], label)
+    """Renderer of a ``{point: {protocol: tx/s}}`` run of ``sweep``;
+    the last column is ``name``'s gain over ``base`` at that point."""
+    versus = (f"{name} vs {base}", lambda row: f"{gain(row, name, base):+.1f}%")
+    columns = [*((p, _show(p, ".1f")) for p in protocols), versus]
+    return _table(title or sweep.title, [sweep.axis], columns, sweep.label)
 
 
-def _measure_figure6() -> dict:
-    figure = run_figure6()
+def _measure_figure6(n: int = 100) -> dict:
+    cells = run_grid(SWEEPS["figure6"].specs(n=n), keep_clusters=True)
     return {
-        "n": figure.n,
-        "throughput": figure.throughputs,
+        "n": n,
+        "throughput": per_protocol(fold(cells)),
         "clean": {
-            name: cell.committed == cell.spec.n and not cell.payload.cluster.check_invariants()
-            for name, cell in figure.results.items()
+            cell.spec.protocol:
+            cell.committed == cell.spec.n and not cell.payload.cluster.check_invariants()
+            for cell in cells
         },
     }
 
 
 def _render_figure6(data: dict) -> str:
+    chart = render_bar_chart(
+        data["throughput"],
+        title=f"Figure 6 — distributed namespace operations per second (burst of {data['n']})",
+        unit="tx/s",
+        baseline="PrN",
+    )
     paper = ", ".join(f"{name} {tps:g}" for name, tps in PAPER_FIGURE6.items())
-    gains = ", ".join(f"{name} {gain:+.2f}%" for name, gain in PAPER_GAINS.items())
-    return f"{render_figure6(data['throughput'], data['n'])}\npaper: {paper} tx/s ({gains} vs PrN)"
+    gains = ", ".join(f"{name} {percent:+.2f}%" for name, percent in PAPER_GAINS.items())
+    return f"{chart}\npaper: {paper} tx/s ({gains} vs PrN)"
 
 
 def _measure_model() -> dict:
     predictions = predict_figure6()
-    simulated = run_figure6(protocols=tuple(predictions)).throughputs
+    simulated = per_protocol(SWEEPS["figure6"].run(tuple(predictions)))
     return {
         name: {**asdict(p), "model": p.throughput, "simulated": simulated[name]}
         for name, p in predictions.items()
@@ -228,11 +228,11 @@ ARTIFACTS: tuple[Artifact, ...] = (
         ("1PC > EP > PrC >= PrN (PrC at worst 0.1 % below)",
          lambda d: _paper_order(d["throughput"])),
         ("1PC gains more than 50 % over PrN (paper: +60 %)",
-         lambda d: _gain(d["throughput"], "1PC") > 50.0),
+         lambda d: gain(d["throughput"], "1PC") > 50.0),
         ("EP gains between 3 and 12 % over PrN (paper: +6.6 %)",
-         lambda d: 3.0 < _gain(d["throughput"], "EP") < 12.0),
+         lambda d: 3.0 < gain(d["throughput"], "EP") < 12.0),
         ("PrC gains between -0.5 and 2 % over PrN (paper: +0.39 %)",
-         lambda d: -0.5 < _gain(d["throughput"], "PrC") < 2.0),
+         lambda d: -0.5 < gain(d["throughput"], "PrC") < 2.0),
         ("every protocol commits the whole burst and leaves no invariant violation",
          lambda d: all(d["clean"].values())),
     )),
@@ -246,10 +246,10 @@ ARTIFACTS: tuple[Artifact, ...] = (
             ("Solo latency (ms)", _show("solo_latency", ".2f", 1e3)),
             ("Model (tx/s)", _show("model", ".1f")),
             ("Simulated (tx/s)", _show("simulated", ".1f")),
-            ("Model error", lambda row: f"{_gain(row, 'model', 'simulated'):+.1f}%"),
+            ("Model error", lambda row: f"{gain(row, 'model', 'simulated'):+.1f}%"),
         ]),
         (("the model is within 12 % of the simulator for all four protocols",
-          lambda d: all(abs(_gain(row, "model", "simulated")) < 12.0 for row in d.values())),
+          lambda d: all(abs(gain(row, "model", "simulated")) < 12.0 for row in d.values())),
          ("the model orders Figure 6 as the paper does: 1PC > EP > PrC >= PrN",
           lambda d: _paper_order({name: row["model"] for name, row in d.items()}))),
     ),
@@ -286,47 +286,47 @@ ARTIFACTS: tuple[Artifact, ...] = (
     ),
     Artifact(
         "sweep-latency",
-        lambda: sweep_network_latency(SWEEPS["latency"][0], protocols=PAPER4, n=40),
-        _versus(*SWEEPS["latency"][1:]),
+        lambda: SWEEPS["latency"].run(protocols=PAPER4, n=40),
+        _versus(SWEEPS["latency"]),
         (("1PC beats PrN at every latency", _ahead),
          ("1PC's lead over PrN is larger on the slowest network than on the fastest",
-          lambda d: _gain(d[5e-3], "1PC") > _gain(d[10e-6], "1PC"))),
+          lambda d: gain(d[5e-3], "1PC") > gain(d[10e-6], "1PC"))),
     ),
     Artifact(
         "sweep-disk",
-        lambda: sweep_disk_bandwidth(SWEEPS["disk"][0], protocols=PAPER4, n=40),
-        _versus(*SWEEPS["disk"][1:]),
+        lambda: SWEEPS["disk"].run(protocols=PAPER4, n=40),
+        _versus(SWEEPS["disk"]),
         (("1PC beats PrN at every bandwidth", _ahead),
          ("every protocol is faster on the fastest device than on the slowest",
           lambda d: all(d[max(d)][p] > d[min(d)][p] for p in PAPER4)),
          ("1PC leads PrN by more than 30 % on both the slowest and the fastest device",
-          lambda d: min(_gain(d[min(d)], "1PC"), _gain(d[max(d)], "1PC")) > 30.0)),
+          lambda d: min(gain(d[min(d)], "1PC"), gain(d[max(d)], "1PC")) > 30.0)),
     ),
     Artifact(
         "sweep-burst",
-        lambda: sweep_burst_size(SWEEPS["burst"][0], protocols=PAPER4),
-        _versus(*SWEEPS["burst"][1:]),
+        lambda: SWEEPS["burst"].run(protocols=PAPER4),
+        _versus(SWEEPS["burst"]),
         (("1PC beats PrN at every burst size", _ahead),
          ("1PC saturates: 150 creates run within 25 % of the rate of 50",
           lambda d: abs(d[150]["1PC"] / d[50]["1PC"] - 1.0) < 0.25)),
     ),
     Artifact(
         "abort-rate",
-        lambda: sweep_abort_rate(SWEEPS["abort"][0], protocols=PAPER4, n=40),
-        _versus(*SWEEPS["abort"][1:]),
+        lambda: SWEEPS["abort"].run(protocols=PAPER4, n=40),
+        _versus(SWEEPS["abort"]),
         (("1PC beats PrN at every abort rate", _ahead),
          ("1PC's committed throughput falls as aborts are injected",
           lambda d: d[max(d)]["1PC"] < d[0.0]["1PC"])),
     ),
     Artifact(
         "presumed",
-        lambda: sweep_abort_rate((0.0, 0.2, 0.45), protocols=("PrC", "PrA"), n=40),
-        _versus("Presumption crossover: committed tx/s vs abort rate", *SWEEPS["abort"][2:],
-                ("PrC", "PrA"), "PrA", "PrC"),
+        lambda: SWEEPS["abort"].run((0.0, 0.2, 0.45), protocols=("PrC", "PrA"), n=40),
+        _versus(SWEEPS["abort"], ("PrC", "PrA"), "PrA", "PrC",
+                "Presumption crossover: committed tx/s vs abort rate"),
         (("with no aborts PrC is at least on par with PrA (within 2 %)",
           lambda d: d[0.0]["PrC"] >= d[0.0]["PrA"] * 0.98),
          ("PrA overtakes PrC at the highest abort rate",
-          lambda d: _gain(d[max(d)], "PrA", "PrC") > 0)),
+          lambda d: gain(d[max(d)], "PrA", "PrC") > 0)),
     ),
     Artifact(
         "batching",
@@ -357,9 +357,8 @@ ARTIFACTS: tuple[Artifact, ...] = (
     ),
     Artifact(
         "scaling",
-        lambda: sweep_scaling((1, 2, 4), protocols=("PrN", "1PC")),
-        _versus("Aggregate throughput (tx/s) vs cluster size", "Coordinator pairs",
-                lambda pairs: f"{pairs} ({2 * pairs} MDSs)", ("PrN", "1PC")),
+        lambda: SWEEPS["scaling"].run(protocols=("PrN", "1PC")),
+        _versus(SWEEPS["scaling"], ("PrN", "1PC")),
         (("4 pairs give more than 3 x, 2 pairs more than 1.6 x one pair, for PrN and 1PC",
           lambda d: all(d[4][p] > 3.0 * d[1][p] and d[2][p] > 1.6 * d[1][p] for p in d[1])),
          ("1PC beats PrN at every cluster size", _ahead)),

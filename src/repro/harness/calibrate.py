@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.config import SimulationParams
-from repro.workloads import run_burst
+from repro.harness.sweeps import SWEEPS, gain, per_protocol
 
 #: Target relative gains over PrN, in percent (from Figure 6).
 PAPER_GAINS = {"PrC": 0.39, "EP": 6.60, "1PC": 60.0}
@@ -51,13 +51,11 @@ class CalibrationPoint:
 
 
 def measure_gains(params: SimulationParams, n: int = 60) -> dict[str, float]:
-    """Relative throughput gains over PrN for one parameter set."""
-    tputs = {
-        proto: run_burst(proto, n=n, params=params).throughput
-        for proto in ("PrN", "PrC", "EP", "1PC")
-    }
-    base = tputs["PrN"]
-    return {k: (tputs[k] / base - 1.0) * 100.0 for k in ("PrC", "EP", "1PC")}
+    """Relative throughput gains over PrN for one parameter set: the
+    figure6 row's cells of PrN and the three protocols the paper
+    compares with it."""
+    tps = per_protocol(SWEEPS["figure6"].run(("PrN", *PAPER_GAINS), n=n, params=params))
+    return {name: gain(tps, name) for name in PAPER_GAINS}
 
 
 def score(gains: dict[str, float]) -> float:

@@ -1,53 +1,70 @@
-"""Extension sweeps: sensitivity of Figure 6 to the model parameters.
+"""The table of experiments: one row per ``repro sweep --kind``.
 
-Not in the paper, but the natural ablations of its design choices:
+Figure 6 and its natural ablations, none but the first in the paper:
 
+* figure6 — one burst per protocol (§IV),
 * network latency (does 1PC's advantage survive slow networks?),
 * log-device bandwidth (the protocols differ mainly in forced writes),
 * burst size (contention scaling on one directory),
-* abort rate (PrC degrades to PrN on aborts — §II-D).
+* abort rate (PrC degrades to PrN on aborts — §II-D),
+* coordinator/worker pair count, participant fan-out, and the
+  composite mdtest-like workload.
 
-Every sweep is a declarative grid routed through the parallel
-executor (:mod:`repro.exec`): ``workers=1`` is the serial fallback and
-any worker count produces bit-identical results, because per-run seeds
-derive from the spec rather than scheduling order.
-
-All entry points share one calling convention (documented in
-``docs/architecture.md``): the swept axis is the only positional
-argument, and ``protocols=`` and ``workers=`` are keyword-only and mean
-the same thing everywhere.
+A row names its grid builder (:mod:`repro.exec.grids`), its default
+points and how a table of it is titled and labelled.  ``repro sweep``,
+the report's sweep artifacts (:mod:`repro.harness.artifacts`) and the
+calibration search all build their specs from a row, run them through
+:func:`repro.exec.run_grid` and :func:`fold` the cells.  Any worker
+count gives bit-identical results, because per-run seeds derive from
+the spec rather than scheduling order.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.config import KB, SimulationParams
+from repro.config import KB
 from repro.exec import (
     CellResult,
+    RunSpec,
     abort_rate_grid,
     burst_size_grid,
+    composite_grid,
     disk_bandwidth_grid,
+    fanout_grid,
+    figure6_grid,
     network_latency_grid,
     run_grid,
+    scaling_grid,
 )
 
-#: ``repro sweep --kind`` -> its default points, table title, axis header
-#: and point label.  The report's sweep artifacts
-#: (:mod:`repro.harness.artifacts`) run and render exactly these.
-SWEEPS: dict[str, tuple[tuple, str, str, Callable[[Any], str]]] = {
-    "latency": ((10e-6, 100e-6, 1e-3, 5e-3), "Throughput (tx/s) vs network latency",
-                "Latency", lambda seconds: f"{seconds * 1e6:.0f} us"),
-    "disk": ((100 * KB, 400 * KB, 4000 * KB, 100_000 * KB),
-             "Throughput (tx/s) vs log-device bandwidth",
-             "Bandwidth", lambda bandwidth: f"{bandwidth / KB:.0f} KB/s"),
-    "burst": ((1, 10, 50, 150), "Throughput (tx/s) vs burst size", "Burst", str),
-    "abort": ((0.0, 0.1, 0.25), "Committed tx/s vs injected abort rate",
-              "Abort rate", lambda rate: f"{rate:.0%}"),
-}
+
+@dataclass(frozen=True)
+class Sweep:
+    """One experiment family: a grid builder and how to present it."""
+
+    #: ``grid(points, *, protocols=, n=, params=, seed=, ...)``.
+    grid: Callable[..., list[RunSpec]]
+    #: The default points (``None``: the builder's default).
+    points: Optional[tuple]
+    title: str
+    #: The header of the point column, and the label of a point in it.
+    axis: str
+    label: Callable[[Any], str] = str
+
+    def specs(self, points: Optional[Sequence[Any]] = None, **options: Any) -> list[RunSpec]:
+        """The grid at ``points`` (default: the row's)."""
+        return self.grid(self.points if points is None else points, **options)
+
+    def run(
+        self, points: Optional[Sequence[Any]] = None, *, workers: int = 1, **options: Any
+    ) -> dict:
+        """The grid run and folded: ``{point: {protocol: throughput}}``."""
+        return fold(run_grid(self.specs(points, **options), workers=workers))
 
 
-def _fold(cells: Sequence[CellResult]) -> dict:
+def fold(cells: Sequence[CellResult]) -> dict:
     """Cells (point-major order) -> ``{point: {protocol: throughput}}``."""
     out: dict = {}
     for cell in cells:
@@ -55,61 +72,37 @@ def _fold(cells: Sequence[CellResult]) -> dict:
     return out
 
 
-def sweep_network_latency(
-    latencies: Sequence[float],
-    *,
-    protocols: Optional[Sequence[str]] = None,
-    n: int = 50,
-    params: Optional[SimulationParams] = None,
-    workers: int = 1,
-) -> dict[float, dict[str, float]]:
-    """Throughput per protocol for each one-way network latency."""
-    specs = network_latency_grid(latencies, protocols=protocols, n=n, params=params)
-    return _fold(run_grid(specs, workers=workers))
+def per_protocol(table: dict) -> dict:
+    """A fold whose points are its protocols (figure6's) ->
+    ``{protocol: throughput}``."""
+    return {protocol: tps for row in table.values() for protocol, tps in row.items()}
 
 
-def sweep_disk_bandwidth(
-    bandwidths: Sequence[float],
-    *,
-    protocols: Optional[Sequence[str]] = None,
-    n: int = 50,
-    params: Optional[SimulationParams] = None,
-    workers: int = 1,
-) -> dict[float, dict[str, float]]:
-    """Throughput per protocol for each log-device bandwidth."""
-    specs = disk_bandwidth_grid(bandwidths, protocols=protocols, n=n, params=params)
-    return _fold(run_grid(specs, workers=workers))
+def gain(row: dict, name: str, base: str = "PrN") -> float:
+    """Percent by which ``row[name]`` exceeds ``row[base]``."""
+    return (row[name] / row[base] - 1.0) * 100.0
 
 
-def sweep_burst_size(
-    sizes: Sequence[int],
-    *,
-    protocols: Optional[Sequence[str]] = None,
-    params: Optional[SimulationParams] = None,
-    workers: int = 1,
-) -> dict[int, dict[str, float]]:
-    """Throughput per protocol for each burst size."""
-    specs = burst_size_grid(sizes, protocols=protocols, params=params)
-    return _fold(run_grid(specs, workers=workers))
-
-
-def sweep_abort_rate(
-    rates: Sequence[float],
-    *,
-    protocols: Optional[Sequence[str]] = None,
-    n: int = 50,
-    params: Optional[SimulationParams] = None,
-    seed: int = 7,
-    workers: int = 1,
-) -> dict[float, dict[str, float]]:
-    """Committed throughput per protocol with a fraction of refused votes.
-
-    Vote refusals are injected deterministically via each server's
-    ``fail_next_vote`` hook, spread evenly over the burst (the cell is
-    :func:`repro.workloads.burst.run_abort_burst`).
-    """
-    for rate in rates:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"abort rate must be in [0, 1), got {rate}")
-    specs = abort_rate_grid(rates, protocols=protocols, n=n, params=params, seed=seed)
-    return _fold(run_grid(specs, workers=workers))
+SWEEPS: dict[str, Sweep] = {
+    "latency": Sweep(network_latency_grid, (10e-6, 100e-6, 1e-3, 5e-3),
+                     "Throughput (tx/s) vs network latency", "Latency",
+                     lambda seconds: f"{seconds * 1e6:.0f} us"),
+    "disk": Sweep(disk_bandwidth_grid, (100 * KB, 400 * KB, 4000 * KB, 100_000 * KB),
+                  "Throughput (tx/s) vs log-device bandwidth", "Bandwidth",
+                  lambda bandwidth: f"{bandwidth / KB:.0f} KB/s"),
+    "burst": Sweep(burst_size_grid, (1, 10, 50, 150),
+                   "Throughput (tx/s) vs burst size", "Burst"),
+    "abort": Sweep(abort_rate_grid, (0.0, 0.1, 0.25),
+                   "Committed tx/s vs injected abort rate", "Abort rate",
+                   lambda rate: f"{rate:.0%}"),
+    # The point of a Figure-6 cell is its protocol, which is also its
+    # column: the whole grid is one line of a table.
+    "figure6": Sweep(figure6_grid, None, "Figure 6 — throughput (tx/s) per protocol",
+                     "Cell", lambda _protocol: "burst"),
+    "scaling": Sweep(scaling_grid, (1, 2, 4), "Aggregate throughput (tx/s) vs cluster size",
+                     "Coordinator pairs", lambda pairs: f"{pairs} ({2 * pairs} MDSs)"),
+    "fanout": Sweep(fanout_grid, (1, 2, 4, 8), "Fan-out — files/s vs workers per transaction",
+                    "Workers", lambda k: f"k={k}"),
+    "composite": Sweep(composite_grid, (1000, 4000), "Composite workload — committed tx/s",
+                       "Operations", lambda ops: f"{ops} ops"),
+}

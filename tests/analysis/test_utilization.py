@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.utilization import (
-    device_utilization,
-    lock_contention,
-    message_stats,
-    txn_breakdown,
-)
+from repro.analysis.utilization import device_utilization, lock_contention
 from repro.workloads import run_burst
 
 
@@ -56,35 +51,3 @@ def test_lock_contention_on_shared_directory(burst_trace):
     assert stats.grants == 20
     assert stats.waits >= 18  # all but the first couple had to wait
     assert stats.max_wait >= stats.mean_wait > 0
-
-
-def test_message_stats_counts(burst_trace):
-    stats = message_stats(burst_trace)
-    assert stats["UPDATE_REQ"].sent == 20
-    assert stats["UPDATE_REQ"].received == 20
-    assert stats["UPDATE_REQ"].dropped == 0
-    assert stats["ACK"].sent == 20
-
-
-def test_txn_breakdown_accounts_for_total(burst_trace):
-    # The last transaction waited behind 19 others: its lock wait
-    # dominates.
-    breakdown = txn_breakdown(burst_trace, 20)
-    assert breakdown is not None
-    assert breakdown.committed
-    assert breakdown.total > 0
-    assert breakdown.lock_wait + breakdown.log_force_wait <= breakdown.total + 1e-9
-    assert breakdown.other >= 0
-    first = txn_breakdown(burst_trace, 1)
-    assert first.lock_wait <= breakdown.lock_wait
-
-
-def test_txn_breakdown_unknown_txn():
-    from repro.sim import Simulator, TraceLog
-
-    assert txn_breakdown(TraceLog(Simulator()), 42) is None
-
-
-def test_breakdown_identifies_lock_wait_as_dominant_for_late_txns(burst_trace):
-    late = txn_breakdown(burst_trace, 20)
-    assert late.lock_wait > late.log_force_wait

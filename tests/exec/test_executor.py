@@ -46,7 +46,7 @@ def test_results_merge_in_spec_order():
 
 
 def test_repeated_runs_are_deterministic():
-    specs = scaling_grid("1PC", pair_counts=(1, 2), ops_per_dir=6)
+    specs = scaling_grid((1, 2), protocols=("1PC",), n=6)
     first = run_grid(specs, workers=2)
     second = run_grid(specs, workers=2)
     assert cells_json(first) == cells_json(second)

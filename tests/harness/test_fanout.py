@@ -7,7 +7,7 @@ Regenerate after an intentional kernel/protocol change with:
     PYTHONPATH=src python -c "
     import json
     from repro.exec import fanout_grid, execute_spec
-    specs = fanout_grid(fanouts=(1, 2, 4, 8), protocols=('PrN', '1PC-N'), n_files=16, seed=0)
+    specs = fanout_grid((1, 2, 4, 8), protocols=('PrN', '1PC-N'), n=16, seed=0)
     docs = [execute_spec(s).to_dict() for s in specs]
     open('tests/golden/fanout_sweep.json', 'w').write(
         json.dumps(docs, sort_keys=True, separators=(',', ':')) + '\\n')
@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.batching import BatchPlanner
 from repro.exec import execute_spec, fanout_grid
-from repro.harness.fanout import sweep_fanout
+from repro.harness.sweeps import SWEEPS
 from repro.mds.scenarios import HOT_DIR, fanout_cluster
 from repro.workloads.burst import run_fanout_cell
 
@@ -34,9 +34,7 @@ GOLDEN_FANOUTS = (1, 2, 4, 8)
 
 
 def _golden_specs():
-    return fanout_grid(
-        fanouts=GOLDEN_FANOUTS, protocols=GOLDEN_PROTOCOLS, n_files=16, seed=0
-    )
+    return fanout_grid(GOLDEN_FANOUTS, protocols=GOLDEN_PROTOCOLS, n=16, seed=0)
 
 
 def test_fanout_sweep_matches_golden():
@@ -82,15 +80,15 @@ def test_wider_transactions_amortise_forced_writes():
 
 
 def test_fanout_defaults_exclude_single_worker_protocols():
-    names = {spec.protocol for spec in fanout_grid(fanouts=(2,), n_files=4)}
+    names = {spec.protocol for spec in fanout_grid((2,), n=4)}
     assert "1PC" not in names and "LGL" not in names
     assert {"PrN", "1PC-N"} <= names
 
 
 def test_sweep_fanout_entry_point():
-    table = sweep_fanout((1, 2), protocols=("1PC-N",), n_files=4)
-    assert set(table) == {("1PC-N", 1), ("1PC-N", 2)}
-    assert all(v > 0 for v in table.values())
+    table = SWEEPS["fanout"].run((1, 2), protocols=("1PC-N",), n=4)
+    assert {(p, k) for k, row in table.items() for p in row} == {("1PC-N", 1), ("1PC-N", 2)}
+    assert all(v > 0 for row in table.values() for v in row.values())
 
 
 def test_run_fanout_cell_rejects_fanout_wider_than_shards():

@@ -2,25 +2,28 @@
 
 import pytest
 
+from repro.exec import run_grid
 from repro.harness.diagrams import FIGURE_OF, render_all_timelines, render_timeline
-from repro.harness.figure6 import run_figure6
 from repro.harness.recovery import measure_crash_recovery
+from repro.harness.report import select
+from repro.harness.sweeps import SWEEPS, fold, gain, per_protocol
 
 
 @pytest.fixture(scope="module")
 def figure6_small():
     # A reduced burst keeps the test quick; the ordering is stable from
-    # n ≈ 20 upward.
-    return run_figure6(n=40)
+    # n ≈ 20 upward.  Serial, so each cell keeps its cluster.
+    return run_grid(SWEEPS["figure6"].specs(n=40), keep_clusters=True)
 
 
 def test_figure6_ordering_matches_paper(figure6_small):
-    t = figure6_small.throughputs
+    t = per_protocol(fold(figure6_small))
     assert t["1PC"] > t["EP"] > t["PrC"] >= t["PrN"] * 0.999
 
 
 def test_figure6_gains_in_paper_band(figure6_small):
-    gains = figure6_small.gain_over("PrN")
+    t = per_protocol(fold(figure6_small))
+    gains = {name: gain(t, name) for name in t if name != "PrN"}
     # Paper: 1PC > 50 %, EP ≈ 6.6 %, PrC ≈ 0.4 %.  At the reduced
     # burst the bands are slightly wider.
     assert gains["1PC"] > 35.0
@@ -29,13 +32,16 @@ def test_figure6_gains_in_paper_band(figure6_small):
 
 
 def test_figure6_all_transactions_commit(figure6_small):
-    for name, cell in figure6_small.results.items():
+    for cell in figure6_small:
+        name = cell.spec.protocol
         assert cell.committed == cell.spec.n, name
         assert cell.payload.cluster.check_invariants() == [], name
 
 
 def test_figure6_render_mentions_baseline(figure6_small):
-    text = figure6_small.render()
+    (figure6,) = select(["figure6"])
+    rendered = figure6.render({"n": 40, "throughput": per_protocol(fold(figure6_small))})
+    text, _paper = rendered.split("\npaper: ")  # the chart, then the paper's values
     assert "Figure 6" in text
     for name in ("PrN", "PrC", "EP", "1PC"):
         assert name in text

@@ -1,21 +1,15 @@
-"""Direct unit tests for the sweep, scaling and placement harnesses."""
+"""Direct unit tests for the sweep table's rows and the placement harness."""
 
 import pytest
 
 from repro.fs.placement import StripedPlacement
 from repro.harness.placement_study import run_placement_point, run_placement_study
-from repro.harness.scaling import sweep_scaling
-from repro.harness.sweeps import (
-    sweep_abort_rate,
-    sweep_burst_size,
-    sweep_disk_bandwidth,
-    sweep_network_latency,
-)
+from repro.harness.sweeps import SWEEPS
 from repro.workloads.burst import run_scaling_cell
 
 
 def test_sweep_network_latency_shape():
-    table = sweep_network_latency([100e-6, 1e-3], protocols=("PrN", "1PC"), n=15)
+    table = SWEEPS["latency"].run([100e-6, 1e-3], protocols=("PrN", "1PC"), n=15)
     assert set(table) == {100e-6, 1e-3}
     for row in table.values():
         assert set(row) == {"PrN", "1PC"}
@@ -27,23 +21,23 @@ def test_sweep_network_latency_shape():
 def test_sweep_disk_bandwidth_shape():
     from repro.config import KB
 
-    table = sweep_disk_bandwidth([200 * KB, 800 * KB], protocols=("1PC",), n=15)
+    table = SWEEPS["disk"].run([200 * KB, 800 * KB], protocols=("1PC",), n=15)
     assert table[800 * KB]["1PC"] > table[200 * KB]["1PC"]
 
 
 def test_sweep_burst_size_shape():
-    table = sweep_burst_size([5, 20], protocols=("1PC",))
+    table = SWEEPS["burst"].run([5, 20], protocols=("1PC",))
     assert set(table) == {5, 20}
     assert all(v > 0 for row in table.values() for v in row.values())
 
 
 def test_sweep_abort_rate_validates_rate():
-    with pytest.raises(ValueError):
-        sweep_abort_rate([1.5], protocols=("1PC",), n=5)
+    with pytest.raises(ValueError, match="abort_rate must be in"):
+        SWEEPS["abort"].specs([1.5], protocols=("1PC",), n=5)
 
 
 def test_sweep_abort_rate_zero_equals_burst():
-    table = sweep_abort_rate([0.0], protocols=("1PC",), n=10)
+    table = SWEEPS["abort"].run([0.0], protocols=("1PC",), n=10)
     assert table[0.0]["1PC"] > 0
 
 
@@ -64,7 +58,7 @@ def test_run_scaling_point_single_pair():
 
 
 def test_scaling_sweep_monotone():
-    table = sweep_scaling((1, 2), protocols=("1PC",), ops_per_dir=10)
+    table = SWEEPS["scaling"].run((1, 2), protocols=("1PC",), n=10)
     assert table[2]["1PC"] > table[1]["1PC"]
 
 

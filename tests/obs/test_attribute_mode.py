@@ -176,7 +176,7 @@ def test_explain_counts_the_table_one_columns_the_span_fold_counts(protocol):
     Figure-6 cell, and ``fold_span_costs`` over the same cell's spans in
     full mode."""
     n = 20
-    (spec,) = figure6_grid(n, [protocol])
+    (spec,) = figure6_grid([protocol], n=n)
     burst = run_burst(protocol, n=n, params=spec.seeded_params(), trace="attribute")
     found = burst.cluster.obs.attribution()
     full = run_burst(protocol, n=n, params=spec.seeded_params(), trace="full").cluster

@@ -128,10 +128,27 @@ def test_cli_sweep_figure6_json_parallel_matches_serial(capsys, tmp_path):
 
 
 def test_cli_sweep_scaling_table(capsys):
-    code, out = run_cli(capsys, "sweep", "--kind", "scaling", "--n", "6",
-                        "--protocol", "1PC")
+    code, out = run_cli(capsys, "sweep", "--kind", "scaling", "--n", "6")
     assert code == 0
-    assert "Scaling" in out and "1PC" in out
+    assert "cluster size" in out and "1PC" in out
+
+
+def test_cli_sweep_kinds_are_the_sweep_table():
+    from repro.cli import build_parser
+    from repro.harness.sweeps import SWEEPS
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    (kind,) = [a for a in sub.choices["sweep"]._actions if a.dest == "kind"]
+    assert tuple(kind.choices) == tuple(SWEEPS)
+
+
+def test_cli_sweep_scaling_runs_every_protocol(capsys):
+    code, out = run_cli(capsys, "sweep", "--kind", "scaling", "--n", "6")
+    assert code == 0
+    header = out.splitlines()[1].split(" | ")
+    assert [name.strip() for name in header[1:]] == list(default_protocols())
+    with pytest.raises(SystemExit):
+        main(["sweep", "--kind", "scaling", "--protocol", "1PC"])
 
 
 def test_cli_trace_spans_jsonl(capsys, tmp_path):
