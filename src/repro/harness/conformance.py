@@ -13,7 +13,9 @@ the scenario adds at most one expectation of its own:
    liveness and abort runs make durable, that server crashes when the
    record first lands and restarts, and every server's log drains:
    §II-C's recovery by the last record in the log, with the crash
-   points read from the runs instead of listed per protocol;
+   points read from the runs instead of listed per protocol; a
+   coordinator crashed at its own PREPARED must recover by
+   ``resume-commit``;
 5. **fault scenarios** — the named :mod:`repro.faults` scenarios whose
    triggers fire for any protocol family (the ``log_durable``-triggered
    ones never fire for logless protocols; the crash sweep covers them);
@@ -196,8 +198,20 @@ def _checks_after_records(
         cluster, plan = _create(protocol, *prepare, crash.install)
         cluster.sim.run(until=cluster.sim.now + settle)
         label = f"crash of {server} after {kind}" + (" (refused vote)" if prepare else "")
-        runs.append(_verdict(label, cluster, [plan], _undrained(cluster)))
+        unmet = _undrained(cluster)
+        if (server, kind) == ("mds1", "PREPARED") and not prepare:
+            unmet = _resumed(cluster) or unmet
+        runs.append(_verdict(label, cluster, [plan], unmet))
     return runs
+
+
+def _resumed(cluster: Cluster) -> Optional[str]:
+    """§II-C: a coordinator that finds its own PREPARED "resubmits the
+    PREPARE request ... and continues", so its recovery commits."""
+    actions = [r.detail["action"] for r in cluster.trace.select("recovery", actor="mds1")]
+    if actions == ["resume-commit"]:
+        return None
+    return f"recovery took {', '.join(actions) or 'no action'}, expected resume-commit"
 
 
 def _check_fault_scenario(protocol: str, name: str, settle: float) -> _Run:

@@ -58,6 +58,9 @@ ACK_RETRIES = 5
 DECISION_RETRIES = 100
 
 _PREPARE_OR_ABORT = frozenset({MsgKind.PREPARE, MsgKind.ABORT})
+#: What a prepared worker waits for: the decision, or a PREPARE that a
+#: recovering coordinator resent, which it answers with its vote again.
+_DECISION_OR_PREPARE = DECISIONS | {MsgKind.PREPARE}
 
 
 class OwnPrepare(Session):
@@ -332,13 +335,23 @@ class PrNWorker(Worker):
         p = self.p
         p._announce_vote(self.txn_id, self.coordinator)
         timeout = p.params.failure.reply_timeout * (ACK_RETRIES + 1)
-        self.wait(p.recv(self.inbox, DECISIONS, timeout=timeout), self._decided)
+        self._deadline = self.sim.now + timeout
+        self.wait(p.recv(self.inbox, _DECISION_OR_PREPARE, timeout=timeout), self._decided)
 
     def _decided(self, ev: Event) -> None:
         """The decision, or — when it doesn't come — keep asking."""
-        if ev._value is TIMED_OUT:
+        msg = ev._value
+        if msg is TIMED_OUT:
             return self.query_decision()
-        self._resolve(ev._value)
+        if msg.kind == MsgKind.PREPARE:
+            return self._revote(self._decided)
+        self._resolve(msg)
+
+    def _revote(self, step: Step) -> None:
+        """A recovering coordinator resent PREPARE (§II-C "resubmits the
+        PREPARE request"): vote again, wait on until the same deadline."""
+        self.p._announce_vote(self.txn_id, self.coordinator)
+        self.recv_until(_DECISION_OR_PREPARE, self._deadline, step)
 
     def query_decision(self, attempts: int = DECISION_RETRIES) -> None:
         """Ask the coordinator for the outcome until it answers.  A
@@ -347,12 +360,16 @@ class PrNWorker(Worker):
         p, self._attempts = self.p, attempts
         p.send(self.coordinator, MsgKind.DECISION_REQ, self.txn_id)
         interval = p.params.failure.reply_timeout * (ACK_RETRIES + 1)
-        self.wait(p.recv(self.inbox, DECISIONS, timeout=interval), self._answered)
+        self._deadline = self.sim.now + interval
+        self.wait(p.recv(self.inbox, _DECISION_OR_PREPARE, timeout=interval), self._answered)
 
     def _answered(self, ev: Event) -> None:
-        if ev._value is TIMED_OUT and self._attempts > 1:
+        msg = ev._value
+        if msg is TIMED_OUT and self._attempts > 1:
             return self.query_decision(self._attempts - 1)
-        self._resolve(ev._value)
+        if msg is not TIMED_OUT and msg.kind == MsgKind.PREPARE:
+            return self._revote(self._answered)
+        self._resolve(msg)
 
     def _resolve(self, msg: Any) -> None:
         p = self.p

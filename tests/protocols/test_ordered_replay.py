@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.faults import Fault, FaultPlan
+from repro.storage.records import RecordKind
 from tests.protocols.conftest import make_cluster
 
 
@@ -62,6 +64,10 @@ def test_2pc_coordinator_aborts_all_unprepared_outstanding(twopc_protocol):
     """The 2PC dual: outstanding transactions whose log shows only
     STARTED are aborted on reboot — nothing survives, consistently."""
     cluster, client = make_cluster(twopc_protocol)
+    # Hold the coordinator's log device for 2 ms so that the three
+    # STARTED records land before any PREPARED (EP's coordinator starts
+    # its own prepare as soon as the first transaction's STARTED lands).
+    FaultPlan([Fault("stall", "mds1", at=0.0, duration=2e-3)]).install(cluster)
     for i in range(3):
         client.submit(client.plan_create(f"/dir1/f{i}"))
     while (
@@ -75,6 +81,8 @@ def test_2pc_coordinator_aborts_all_unprepared_outstanding(twopc_protocol):
         < 3
     ):
         cluster.sim.step()
+    durable = cluster.storage.log_of("mds1").durable_records
+    assert [r.kind for r in durable] == [RecordKind.STARTED] * 3
     cluster.crash_server("mds1")
     cluster.restart_server("mds1")
     cluster.sim.run(until=cluster.sim.now + 400.0)

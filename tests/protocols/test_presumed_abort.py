@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.costs import CostRow, measure_protocol_costs
+from repro.faults import Fault, FaultPlan, TraceTrigger
 from repro.storage.records import RecordKind
 from tests.protocols.conftest import drain, make_cluster, run_create
 
@@ -40,6 +41,11 @@ def test_pra_prepared_worker_presumes_abort_after_coordinator_crash():
     """The defining recovery rule: a prepared worker asking a
     coordinator with no log entry must be told ABORT."""
     cluster, client = make_cluster("PrA")
+    # Stall the coordinator's log device once its STARTED lands, so its
+    # own PREPARED is still queued when the worker's is durable: after
+    # the crash, recovery finds STARTED only and forgets the entry.
+    started = TraceTrigger("log_durable", "mds1", (("kind", "STARTED"),))
+    FaultPlan([Fault("stall", "mds1", trigger=started, duration=1.0)]).install(cluster)
     client.submit(client.plan_create("/dir1/f0"))
     # Run until the worker's PREPARED record is durable.
     while not any(
@@ -47,6 +53,8 @@ def test_pra_prepared_worker_presumes_abort_after_coordinator_crash():
         for r in cluster.trace.records
     ):
         cluster.sim.step()
+    durable = cluster.storage.log_of("mds1").durable_records
+    assert [r.kind for r in durable] == [RecordKind.STARTED]
     cluster.crash_server("mds1")
     cluster.restart_server("mds1")
     cluster.sim.run(until=cluster.sim.now + 200.0)
