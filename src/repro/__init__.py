@@ -26,10 +26,10 @@ Quickstart::
 
 Observability (see :mod:`repro.obs` and ``docs/observability.md``)::
 
-    import repro
-
-    spans = repro.trace(cluster)      # per-transaction span trees
-    counters = repro.metrics(cluster) # counters + histograms snapshot
+    cluster = Cluster(protocol="1PC", trace="full")
+    ...
+    spans = cluster.obs.spans.roots()         # per-transaction span trees
+    counters = cluster.obs.metrics.snapshot() # counters + histograms
 """
 
 from repro.config import (
@@ -52,25 +52,6 @@ from repro.protocols import (
 __version__ = "1.0.0"
 
 
-def trace(cluster: Cluster) -> list[Span]:
-    """The cluster's per-transaction root spans (coordinator side).
-
-    Each root span covers one transaction from submission to client
-    reply and links the worker-side legs as children.  Empty unless the
-    cluster was built with ``trace="full"``.
-    """
-    return cluster.obs.spans.roots()
-
-
-def metrics(cluster: Cluster) -> dict:
-    """Plain-data snapshot of the cluster's metrics registry.
-
-    ``{"counters": {name: value}, "histograms": {name: summary}}`` —
-    empty sections when the cluster's hub is ``"off"``.
-    """
-    return cluster.obs.metrics.snapshot()
-
-
 __all__ = [
     "BatchPlanner",
     "Client",
@@ -91,6 +72,4 @@ __all__ = [
     "StorageParams",
     "TxnOutcome",
     "__version__",
-    "metrics",
-    "trace",
 ]

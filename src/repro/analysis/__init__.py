@@ -15,7 +15,6 @@ from repro.analysis.costs import (
     MeasuredCosts,
     measure_protocol_costs,
 )
-from repro.analysis.compare import TraceDiff, compare_traces
 from repro.analysis.metrics import LatencyStats, throughput
 from repro.analysis.model import (
     ProtocolPrediction,
@@ -30,8 +29,6 @@ __all__ = [
     "CostRow",
     "LatencyStats",
     "MeasuredCosts",
-    "TraceDiff",
-    "compare_traces",
     "ProtocolPrediction",
     "TABLE1",
     "measure_protocol_costs",

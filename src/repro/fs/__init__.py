@@ -52,8 +52,6 @@ from repro.fs.placement import (
     HashPlacement,
     PinnedPlacement,
     PlacementPolicy,
-    RoundRobinPlacement,
-    ShardedHashPlacement,
     ShardedSubtreePlacement,
     StripedPlacement,
     SubtreePlacement,
@@ -78,8 +76,6 @@ __all__ = [
     "PlacementPolicy",
     "RemoveDentry",
     "RemoveDirTable",
-    "RoundRobinPlacement",
-    "ShardedHashPlacement",
     "ShardedSubtreePlacement",
     "StripedPlacement",
     "SubtreePlacement",

@@ -11,8 +11,6 @@ distributed transaction.
   across MDSs" strategy that maximises distribution).
 * :class:`SubtreePlacement` -- directories pin subtrees (Ceph-style
   locality; distributed transactions become rare).
-* :class:`RoundRobinPlacement` -- deterministic striping of inodes
-  across servers, directories pinned by hash.
 * :class:`ForcedDistributedPlacement` -- directories on one server,
   inodes on another: the §IV evaluation shape, where every CREATE is a
   two-MDS transaction.
@@ -23,16 +21,11 @@ The **namespace sharding layer** generalises these to N-MDS shard
 sets, deciding how many workers a CREATE/DELETE/RENAME touches (the
 participant fan-out of ``repro sweep --kind fanout``):
 
-* :class:`ShardedHashPlacement` -- every directory has a home shard
-  (stable hash of its path); the files within it stripe across the
-  shard set by inode number.
 * :class:`ShardedSubtreePlacement` -- directories pin by subtree map
-  (longest prefix) while files stripe across the shard set instead of
-  co-locating with their home directory.
-
-Both accept a ``stripe`` subset so experiments can keep directory
-metadata on dedicated coordinator shards while spreading inodes over
-the workers.
+  (longest prefix) while files stripe across the shard set by inode
+  number instead of co-locating with their home directory.  A
+  ``stripe`` subset keeps directory metadata on dedicated coordinator
+  shards while spreading inodes over the workers.
 """
 
 from __future__ import annotations
@@ -105,20 +98,6 @@ class SubtreePlacement:
         return self.subtree_map[best]
 
 
-class RoundRobinPlacement:
-    """Inodes striped across nodes by inode number; directories hashed."""
-
-    def __init__(self, nodes: Sequence[str]):
-        if not nodes:
-            raise ValueError("placement requires at least one node")
-        self.nodes = list(nodes)
-
-    def place(self, obj: ObjectId) -> str:
-        if obj.kind == "inode":
-            return self.nodes[int(obj.key) % len(self.nodes)]
-        return self.nodes[_stable_hash(obj.key) % len(self.nodes)]
-
-
 class ForcedDistributedPlacement:
     """Directories on ``dir_node``, inodes on ``inode_node``.
 
@@ -186,34 +165,6 @@ def _stripe_inode(key: str, stripe: Sequence[str]) -> str:
     if key.isdigit():
         return stripe[int(key) % len(stripe)]
     return stripe[_stable_hash(key) % len(stripe)]
-
-
-class ShardedHashPlacement:
-    """Hash sharding of the namespace over an N-MDS shard set.
-
-    Every directory has a *home shard* (stable hash of its path) that
-    owns its dentries; the files within it stripe across ``stripe``
-    (default: all shards) by inode number — §I's "spread the files
-    within the directory across multiple MDSs" as a first-class
-    policy.  A CREATE touches the directory's home shard plus the
-    inode's stripe shard; a batched transaction over one hot directory
-    touches up to ``len(stripe)`` workers.
-    """
-
-    def __init__(self, nodes: Sequence[str], stripe: Optional[Sequence[str]] = None):
-        if not nodes:
-            raise ValueError("placement requires at least one node")
-        self.nodes = list(nodes)
-        self.stripe = _stripe_subset(self.nodes, stripe)
-
-    def shard_of_dir(self, path: str) -> str:
-        """The home shard owning ``path``'s dentries."""
-        return self.nodes[_stable_hash(f"dir:{path}") % len(self.nodes)]
-
-    def place(self, obj: ObjectId) -> str:
-        if obj.kind == "dir":
-            return self.shard_of_dir(obj.key)
-        return _stripe_inode(obj.key, self.stripe)
 
 
 class ShardedSubtreePlacement(SubtreePlacement):

@@ -104,12 +104,10 @@ def check_protocol(
     return ConformanceReport(protocol, tuple(v for v in verdicts if v), len(verdicts))
 
 
-def _verdict(
-    label: str, cluster: Cluster, plans: Sequence[OpPlan], unmet: Optional[str] = None
-) -> _Run:
+def _verdict(label: str, cluster: Cluster, plans: Sequence[OpPlan], *unmet: Optional[str]) -> _Run:
     """One check's failure message — the scenario's ``unmet``
-    expectation, if any, plus the oracle's findings — or ``None``."""
-    found = ([unmet] if unmet else []) + [str(v) for v in check(cluster, plans)]
+    expectations, if any, plus the oracle's findings — or ``None``."""
+    found = [u for u in unmet if u] + [str(v) for v in check(cluster, plans)]
     failure = f"{cluster.protocol_name}: {label}: {'; '.join(found)}" if found else None
     return _Run(label, cluster, failure)
 
@@ -198,10 +196,10 @@ def _checks_after_records(
         cluster, plan = _create(protocol, *prepare, crash.install)
         cluster.sim.run(until=cluster.sim.now + settle)
         label = f"crash of {server} after {kind}" + (" (refused vote)" if prepare else "")
-        unmet = _undrained(cluster)
+        resumed = None
         if (server, kind) == ("mds1", "PREPARED") and not prepare:
-            unmet = _resumed(cluster) or unmet
-        runs.append(_verdict(label, cluster, [plan], unmet))
+            resumed = _resumed(cluster)
+        runs.append(_verdict(label, cluster, [plan], _undrained(cluster), resumed))
     return runs
 
 

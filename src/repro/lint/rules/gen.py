@@ -68,7 +68,7 @@ WAIT_SUFFIXES: frozenset[tuple[str, ...]] = frozenset(
 #: Call targets that legitimately *consume* a wait besides ``yield``
 #: and ``yield from``: a protocol session's ``wait`` (the step
 #: interpreter), and scheduling a generator as a kernel process.
-_CONSUMER_CALLEES = frozenset({"wait", "process", "run_all", "Process"})
+_CONSUMER_CALLEES = frozenset({"wait", "process", "Process"})
 
 #: Areas whose every function may run inside the kernel: a protocol
 #: session's steps are plain methods, so "is a generator" misses them.

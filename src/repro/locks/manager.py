@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import TYPE_CHECKING, Generator, Hashable, Optional
+from typing import TYPE_CHECKING, Hashable, Optional
 
-from repro.sim import TIMED_OUT, Event, Simulator
+from repro.sim import Event, Simulator
 from repro.sim.events import PENDING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -187,18 +187,6 @@ class LockManager:
             self._dispatch(obj_id, entry)
         self.obs.lock_timeout(self.name, txn=grant.txn_id, obj=obj_id)
         return LockTimeout(grant.txn_id, obj_id)
-
-    def acquire(
-        self,
-        txn_id: Hashable,
-        obj_id: Hashable,
-        mode: LockMode = LockMode.EXCLUSIVE,
-        timeout: Optional[float] = None,
-    ) -> Generator:
-        """Generator: block until granted; :class:`LockTimeout` on expiry."""
-        grant = self.request(txn_id, obj_id, mode, timeout)
-        if grant is not None and (yield grant) is TIMED_OUT:
-            raise self.withdraw(grant, obj_id)
 
     # -- release ----------------------------------------------------------------------
 

@@ -148,31 +148,6 @@ class Client:
             raise ClientTimeout(f"{self.name}: no stat reply for {path}")
         return msg.payload
 
-    def run_with_retries(
-        self,
-        plan_factory,
-        max_retries: int = 3,
-        timeout: Optional[float] = None,
-        backoff: float = 0.0,
-    ) -> Generator:
-        """Generator: submit, resubmitting on abort (the paper's
-        ``leave`` module behaviour: "aborted transactions can be
-        resubmitted to the responsible source that reprocesses them").
-
-        ``plan_factory`` is called before every attempt so the plan is
-        rebuilt against current state (fresh inode numbers, current
-        lookups).  Returns the last reply payload, augmented with an
-        ``attempts`` count.
-        """
-        attempts = 0
-        while True:
-            attempts += 1
-            result = yield from self.run(plan_factory(), timeout=timeout)
-            if result.get("committed") or attempts > max_retries:
-                return {**result, "attempts": attempts}
-            if backoff > 0:
-                yield self.cluster.sim.timeout(backoff)
-
     def create(self, path: str, timeout: Optional[float] = None) -> Generator:
         result = yield from self.run(self.plan_create(path), timeout=timeout)
         return result

@@ -177,27 +177,6 @@ class Cluster:
     # Construction helpers
     # ------------------------------------------------------------------
 
-    @classmethod
-    def from_params(
-        cls, params: SimulationParams, *, protocol: str = "1PC", **kwargs
-    ) -> "Cluster":
-        """Build a cluster from a :class:`SimulationParams` bundle.
-
-        The facade entry point: ``Cluster.from_params(params,
-        protocol="1PC", server_names=[...])``.  All remaining keyword
-        arguments are forwarded to the constructor.
-        """
-        return cls(protocol=protocol, params=params, **kwargs)
-
-    @property
-    def spans(self):
-        """The span collector (``repro.trace(cluster)`` facade target)."""
-        return self.obs.spans
-
-    @property
-    def metrics(self):
-        """The metrics registry (``repro.metrics(cluster)`` facade target)."""
-        return self.obs.metrics
 
     def _make_fencing_driver(self, kind: str):
         delay = self.params.failure.fencing_delay

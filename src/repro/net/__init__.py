@@ -9,8 +9,8 @@ failures only through protocol timeouts or the heartbeat failure
 detector, never by an error return from ``send``.
 """
 
-from repro.net.endpoint import Endpoint, ReceiveTimeout
+from repro.net.endpoint import Endpoint
 from repro.net.message import Message
 from repro.net.network import Network
 
-__all__ = ["Endpoint", "Message", "Network", "ReceiveTimeout"]
+__all__ = ["Endpoint", "Message", "Network"]

@@ -1,7 +1,7 @@
 """Per-node network endpoint: a mailbox for processes, a server for nodes.
 
-A client *process* pulls arriving messages from ``mailbox`` (``receive``,
-``receive_wait``).  A *node* that only reacts to messages — a metadata
+A client *process* pulls arriving messages from ``mailbox``
+(``receive``, its deadline armed with ``Simulator.expire``).  A *node* that only reacts to messages — a metadata
 server, a backup replica, an acceptor — calls :meth:`Endpoint.serve`
 once instead and gets a serial FIFO message server driven by one timer
 per message, with no process parked on the mailbox.
@@ -10,24 +10,20 @@ per message, with no process parked on the mailbox.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Collection, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Collection, Optional
 
 from repro.net.message import Message
-from repro.sim import TIMED_OUT, Event, Simulator, Store
+from repro.sim import Event, Simulator, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
-
-
-class ReceiveTimeout(Exception):
-    """Raised by :meth:`Endpoint.receive_wait` when the deadline passes."""
 
 
 class Endpoint:
     """A node's attachment to the network.
 
     Incoming messages land in ``mailbox`` — processes consume them
-    with ``receive`` or ``receive_wait`` — unless ``serve`` installed a
+    with ``receive`` — unless ``serve`` installed a
     handler, which then gets every message in arrival order.
     """
 
@@ -47,12 +43,6 @@ class Endpoint:
 
     # -- sending ---------------------------------------------------------------
 
-    def send(self, message: Message) -> None:
-        """Transmit ``message`` (must originate from this node)."""
-        if message.src != self.node:
-            raise ValueError(f"endpoint {self.node} cannot send as {message.src}")
-        self.network.send(message)
-
     def send_to(self, dst: str, kind: str, txn_id: Optional[int] = None, **payload) -> Message:
         """Build and transmit a message; returns it (msg_id assigned
         by the network at send time)."""
@@ -65,24 +55,6 @@ class Endpoint:
     def receive(self, predicate: Optional[Callable[[Message], bool]] = None) -> Event:
         """Event triggering with the next (matching) message."""
         return self.mailbox.get(predicate)
-
-    def receive_wait(
-        self,
-        predicate: Optional[Callable[[Message], bool]] = None,
-        timeout: Optional[float] = None,
-    ) -> Generator:
-        """Generator helper: ``msg = yield from ep.receive_wait(...)``.
-
-        Raises :class:`ReceiveTimeout` if no matching message arrives
-        within ``timeout`` seconds.
-        """
-        get = self.receive(predicate)
-        if timeout is not None:
-            self.sim.expire(get, timeout)
-        msg = yield get
-        if msg is TIMED_OUT:
-            raise ReceiveTimeout(f"{self.node}: no message within {timeout}s")
-        return msg
 
     # -- serving ------------------------------------------------------------------
 

@@ -28,11 +28,6 @@ class Message:
     size: float = 256.0
     msg_id: int = 0
 
-    def reply(self, kind: str, **payload: Any) -> "Message":
-        """Construct a response going back to this message's sender."""
-        # ``**payload`` is already a fresh dict owned by the new message.
-        return Message(src=self.dst, dst=self.src, kind=kind, txn_id=self.txn_id, payload=payload)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         txn = f" txn={self.txn_id}" if self.txn_id is not None else ""
         return f"<Message {self.kind} {self.src}->{self.dst}{txn}>"

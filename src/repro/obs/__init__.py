@@ -8,8 +8,8 @@ plus exporters (JSONL + Chrome ``trace_event`` for Perfetto).  See
 
 Most code interacts with this package through the
 :class:`Observability` hub a :class:`~repro.mds.cluster.Cluster` owns
-(``cluster.obs``) and the top-level facade ``repro.trace(cluster)`` /
-``repro.metrics(cluster)``.
+(``cluster.obs``): ``cluster.obs.spans.roots()`` and
+``cluster.obs.metrics.snapshot()``.
 """
 
 from repro.obs.span import (

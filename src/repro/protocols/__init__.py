@@ -43,8 +43,6 @@ from repro.protocols.registry import (
     default_protocols,
     get_spec,
     specs,
-    temporary_protocol,
-    unregister,
 )
 
 __all__ = [
@@ -66,6 +64,4 @@ __all__ = [
     "get_spec",
     "register_protocol",
     "specs",
-    "temporary_protocol",
-    "unregister",
 ]

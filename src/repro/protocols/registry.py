@@ -152,32 +152,6 @@ def register_protocol(
     return obj
 
 
-def unregister(name: str) -> ProtocolSpec:
-    """Remove a protocol from the registry; returns its spec."""
-    if name not in _SPECS:
-        raise KeyError(f"unknown protocol {name!r}; have {sorted(_SPECS)}")
-    spec = _SPECS.pop(name)
-    _SEQ.pop(name, None)
-    return spec
-
-
-class temporary_protocol:  # a context manager, named as it is called
-    """Register ``spec`` for the duration of a ``with`` block.
-
-    The toy-protocol harness tests use this so a failing assertion
-    never leaks a registration into other tests.
-    """
-
-    def __init__(self, spec: ProtocolSpec) -> None:
-        self.spec = spec
-
-    def __enter__(self) -> ProtocolSpec:
-        return register_protocol(self.spec)
-
-    def __exit__(self, *_exc: object) -> None:
-        unregister(self.spec.name)
-
-
 def get_spec(name: str) -> ProtocolSpec:
     """The spec registered under ``name``."""
     if name not in _SPECS:

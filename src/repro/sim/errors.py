@@ -21,17 +21,5 @@ class StopSimulation(Exception):
         self.value = value
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupting party may attach a ``cause`` describing why the
-    process was interrupted (e.g. a crash injection or a lock timeout).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class EventRefusedError(SimulationError):
     """An operation was attempted on an event in an illegal state."""

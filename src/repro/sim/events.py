@@ -176,14 +176,6 @@ class Event:
         label = self.name or self.__class__.__name__
         return f"<{label} state={STATE_NAMES[self._state]}>"
 
-    # -- composition ---------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
 
 class Timeout(Event):
     """An event that triggers after a fixed virtual-time delay."""
@@ -265,21 +257,8 @@ class Condition(Event):
             self.succeed(self._collect())
 
     @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        return count == len(events)
-
-    @staticmethod
     def any_event(events: list[Event], count: int) -> bool:
         return count >= 1
-
-
-class AllOf(Condition):
-    """Triggers once every constituent event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, Condition.all_events, events, name="AllOf")
 
 
 class AnyOf(Condition):

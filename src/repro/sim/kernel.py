@@ -41,7 +41,7 @@ frozen reference implementation, and by the golden traces).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import PENDING, PROCESSED, TIMED_OUT, Event, Timeout
@@ -277,14 +277,6 @@ class Simulator:
         raise event._value
 
     # -- convenience ----------------------------------------------------------
-
-    def run_all(self, processes: Iterable[Process]) -> list[Any]:
-        """Run until all ``processes`` finish; return their values in order."""
-        processes = list(processes)
-        from repro.sim.events import AllOf
-
-        self.run(until=AllOf(self, processes))
-        return [p.value for p in processes]
 
     def call_at(self, time: float, func: Callable[[], None]) -> None:
         """Invoke ``func()`` at absolute virtual time ``time``."""

@@ -17,16 +17,16 @@ timers (:meth:`Simulator.after`) whose value is the outcome
 constant for a kick-start.  No event is allocated for either, because
 ``_resume`` never retains what it is called with — it only reads
 ``_ok``/``_value`` and possibly marks a failure defused.  The rare
-wakeups that carry a failure (interrupts, relays of failed targets)
-are plain events; either way the heap sequence number is taken at the
+wakeups that carry a failure (relays of failed targets) are plain
+events; either way the heap sequence number is taken at the
 same program point.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.sim.errors import Interrupt, SimulationError
+from repro.sim.errors import SimulationError
 from repro.sim.events import PENDING, PROCESSED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,46 +75,7 @@ class Process(Event):
         """The event this process currently waits on, if any."""
         return self._waiting_on
 
-    # -- control --------------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        The process is detached from whatever event it was waiting on
-        (the event itself is unaffected and may still trigger later).
-        Interrupting a dead process is a no-op so that crash injection
-        does not have to care about races with normal completion.
-        """
-        if self._state != PENDING:
-            return
-        if self is self.sim.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        # Detach from the waited-on event.
-        if self._waiting_on is not None:
-            cbs = self._waiting_on._callbacks
-            if cbs is not None and self._resume in cbs:
-                cbs.remove(self._resume)
-        self._waiting_on = None
-        self._throw(Interrupt(cause))
-
-    def kill(self, cause: Any = None) -> None:
-        """Terminate the process immediately without running it further.
-
-        Unlike :meth:`interrupt`, the generator gets no chance to handle
-        the event — this models a hard crash where volatile execution
-        state is simply lost.  The process event *succeeds* with
-        ``None`` so that waiters are not poisoned; crash semantics are
-        the responsibility of higher layers.
-        """
-        if self._state != PENDING:
-            return
-        if self._waiting_on is not None:
-            cbs = self._waiting_on._callbacks
-            if cbs is not None and self._resume in cbs:
-                cbs.remove(self._resume)
-        self._waiting_on = None
-        self._generator.close()
-        self.succeed(None)
+    # -- kernel callbacks -------------------------------------------------------
 
     def _throw(self, exc: BaseException) -> None:
         """Resume at the current instant with ``exc`` thrown in (always
@@ -124,16 +85,8 @@ class Process(Event):
         event.defused = True
         event.fail(exc)
 
-    # -- kernel callback --------------------------------------------------------
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        if self._state != PENDING:
-            # Already finished (e.g. kill() raced with a pending
-            # kick-start or relay event): ignore stale wakeups.
-            if not event._ok:
-                event.defused = True
-            return
         sim = self.sim
         sim._active_process = self
         self._waiting_on = None

@@ -1,8 +1,6 @@
-"""Contended resources: counted resources, stores and message queues.
+"""The mailbox store: every endpoint mailbox and session inbox.
 
-These model the serially-shared hardware in the simulated cluster:
-disks (FIFO service), CPUs, and mailbox-style message queues between
-processes.
+(Disks queue in :class:`repro.storage.disk.Disk`, a callback server.)
 """
 
 from __future__ import annotations
@@ -14,112 +12,6 @@ from repro.sim.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
-
-    Usable as a context manager inside a process::
-
-        with resource.request() as req:
-            yield req
-            ... use the resource ...
-        # released on exit
-    """
-
-    __slots__ = ("resource", "priority", "_order")
-
-    def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.sim, name=resource._request_name)
-        self.resource = resource
-        self.priority = priority
-        self._order = resource._next_order()
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw an ungranted request."""
-        self.resource._cancel(self)
-
-
-class Resource:
-    """A counted resource with FIFO (or priority) granting.
-
-    ``capacity`` slots; ``request()`` returns an event that triggers
-    when a slot is granted; ``release(request)`` frees the slot.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource"):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        # Shared by every Request of this resource (repr label only);
-        # saves an f-string per request on the disk/lock hot path.
-        self._request_name = f"request:{name}"
-        self._order_counter = 0
-        self._waiting: list[Request] = []
-        self._granted: set[Request] = set()
-
-    def _next_order(self) -> int:
-        self._order_counter += 1
-        return self._order_counter
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def in_use(self) -> int:
-        return len(self._granted)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    # -- operations --------------------------------------------------------------
-
-    def request(self, priority: int = 0) -> Request:
-        req = Request(self, priority)
-        self._waiting.append(req)
-        self._dispatch()
-        return req
-
-    def release(self, request: Request) -> None:
-        if request in self._granted:
-            self._granted.remove(request)
-            self._dispatch()
-        else:
-            self._cancel(request)
-
-    def _cancel(self, request: Request) -> None:
-        if request in self._waiting:
-            self._waiting.remove(request)
-            self._dispatch()
-
-    def _sort_key(self, request: Request) -> tuple:
-        return (request._order,)
-
-    def _dispatch(self) -> None:
-        waiting = self._waiting
-        granted = self._granted
-        while waiting and len(granted) < self.capacity:
-            if len(waiting) > 1:
-                waiting.sort(key=self._sort_key)
-            req = waiting.pop(0)
-            granted.add(req)
-            req.succeed(req)
-
-
-class PriorityResource(Resource):
-    """A resource granting lower ``priority`` values first, FIFO within a
-    priority level."""
-
-    def _sort_key(self, request: Request) -> tuple:
-        return (request.priority, request._order)
 
 
 class Store:
@@ -190,13 +82,3 @@ class Store:
                 if made_progress:
                     break
 
-
-class Queue(Store):
-    """Alias of :class:`Store` with message-queue naming, used as a
-    process mailbox."""
-
-    def send(self, item: Any) -> None:
-        self.put(item)
-
-    def receive(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        return self.get(predicate)

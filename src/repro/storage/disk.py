@@ -9,9 +9,10 @@ to one log manager) naturally serialises them.
 The device only *serves*, so it is a callback server, not a process: a
 freed channel goes to the oldest waiter by a plain call, and a log
 write (:meth:`Disk.submit_write`) costs one service timer.  ``write``,
-``read`` and ``stall`` are generator spellings for callers that are
-processes, waiting in the same FIFO; a process killed inside one gives
-its channel (or queue place) back at kill time and leaves no record.
+``read`` and ``stall`` are generator spellings for callers that wait
+(a process, or a session driving one inline), in the same FIFO; one
+closed early — a crash kills the session driving it — gives its
+channel (or queue place) back at once and leaves no record.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class Disk:
     def _occupy(self, duration: float) -> Generator:
         """Generator: queue for a channel, hold it ``duration`` seconds,
         return the grant time.  The channel is released when the hold
-        ends *or the calling process is killed*."""
+        ends *or the generator is closed*."""
         granted = Event(self.sim, name="disk-grant")
         grant = granted.succeed
         self._acquire(grant)

@@ -50,7 +50,7 @@ def test_campaign_shrink_clean_block_reports_nothing(capsys, tmp_path):
 
 def test_campaign_replay_roundtrip(capsys, tmp_path):
     """shrink → replay through the CLI, on the broken protocol."""
-    from repro.protocols.registry import temporary_protocol
+    from tests.conftest import temporary_protocol
     from tests.campaign.broken import BROKEN_NAME, broken_spec
 
     out = tmp_path / "repro.json"

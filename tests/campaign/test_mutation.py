@@ -20,7 +20,7 @@ from repro.campaign.shrink import shrink_spec, violation_kinds
 from repro.exec import campaign_grid
 from repro.exec.runners import execute_spec
 from repro.harness.conformance import check_protocol
-from repro.protocols.registry import temporary_protocol
+from tests.conftest import temporary_protocol
 from tests.campaign.broken import (
     BROKEN_NAME,
     CONTRACT_BREAKERS,

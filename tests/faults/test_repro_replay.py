@@ -16,7 +16,7 @@ import pytest
 from repro.campaign.schedule import CampaignSchedule
 from repro.campaign.shrink import load_repro, replay_repro, violation_kinds
 from repro.faults import ScheduleFormatError
-from repro.protocols.registry import temporary_protocol
+from tests.conftest import temporary_protocol
 from tests.campaign.broken import broken_spec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_minimal_repro.json"

@@ -8,7 +8,6 @@ from repro.fs import (
     InodeAllocator,
     ObjectId,
     PinnedPlacement,
-    RoundRobinPlacement,
     SubtreePlacement,
     plan_create,
     plan_delete,
@@ -38,13 +37,6 @@ def test_hash_placement_deterministic_and_covers_nodes():
 def test_hash_placement_requires_nodes():
     with pytest.raises(ValueError):
         HashPlacement([])
-
-
-def test_round_robin_stripes_inodes():
-    p = RoundRobinPlacement(NODES)
-    assert p.place(ObjectId.inode(0)) == "mds1"
-    assert p.place(ObjectId.inode(1)) == "mds2"
-    assert p.place(ObjectId.inode(5)) == "mds2"
 
 
 def test_subtree_placement_longest_prefix():

@@ -5,8 +5,7 @@ import pytest
 from repro.fs import (
     ObjectId,
     PinnedPlacement,
-    RoundRobinPlacement,
-    ShardedHashPlacement,
+    HashPlacement,
     ShardedSubtreePlacement,
     SubtreePlacement,
 )
@@ -14,34 +13,25 @@ from repro.fs import (
 NODES = ["mds0", "mds1", "mds2", "mds3"]
 
 
-def test_sharded_hash_dir_home_shard_is_stable():
-    p = ShardedHashPlacement(NODES)
-    home = p.shard_of_dir("/hot")
-    assert home in NODES
-    assert p.place(ObjectId.directory("/hot")) == home
-    # Stable across policy instances (pure function of the path).
-    assert ShardedHashPlacement(NODES).shard_of_dir("/hot") == home
-
-
-def test_sharded_hash_stripes_consecutive_inodes_over_stripe_set():
+def test_sharded_subtree_stripes_consecutive_inodes_over_stripe_set():
     stripe = ["mds1", "mds2", "mds3"]
-    p = ShardedHashPlacement(NODES, stripe=stripe)
+    p = ShardedSubtreePlacement(NODES, {"/": "mds0"}, stripe=stripe)
     homes = [p.place(ObjectId.inode(1000 + i)) for i in range(6)]
     # Consecutive inode numbers visit consecutive stripe shards.
     assert homes[:3] == homes[3:]
     assert sorted(set(homes)) == sorted(stripe)
 
 
-def test_sharded_hash_non_numeric_inode_key_hashes_into_stripe():
-    p = ShardedHashPlacement(NODES, stripe=["mds1", "mds2"])
+def test_sharded_subtree_non_numeric_inode_key_hashes_into_stripe():
+    p = ShardedSubtreePlacement(NODES, {"/": "mds0"}, stripe=["mds1", "mds2"])
     assert p.place(ObjectId.inode("ino-abc")) in ("mds1", "mds2")
 
 
 def test_stripe_must_be_subset_of_nodes():
     with pytest.raises(ValueError, match="unknown nodes"):
-        ShardedHashPlacement(NODES, stripe=["mds9"])
+        ShardedSubtreePlacement(NODES, {"/": "mds0"}, stripe=["mds9"])
     with pytest.raises(ValueError, match="at least one"):
-        ShardedHashPlacement(NODES, stripe=[])
+        ShardedSubtreePlacement(NODES, {"/": "mds0"}, stripe=[])
     with pytest.raises(ValueError, match="unknown nodes"):
         ShardedSubtreePlacement(NODES, {"/": "mds0"}, stripe=["nope"])
 
@@ -72,7 +62,7 @@ def test_subtree_hint_inode_path_colocates_with_home_directory():
 
 
 def test_pinned_placement_falls_back_when_unpinned():
-    fallback = RoundRobinPlacement(NODES)
+    fallback = HashPlacement(NODES)
     p = PinnedPlacement({ObjectId.directory("/d"): "mds3"}, fallback)
     assert p.place(ObjectId.directory("/d")) == "mds3"
     assert p.place(ObjectId.inode(1002)) == fallback.place(ObjectId.inode(1002))

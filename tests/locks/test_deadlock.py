@@ -62,14 +62,18 @@ def test_live_deadlock_detected_from_lock_manager():
     mgr = LockManager(sim)
 
     def t1(sim):
-        yield from mgr.acquire(1, "a")
+        if grant := mgr.request(1, "a"):
+            yield grant
         yield sim.timeout(0.1)
-        yield from mgr.acquire(1, "b")
+        if grant := mgr.request(1, "b"):
+            yield grant
 
     def t2(sim):
-        yield from mgr.acquire(2, "b")
+        if grant := mgr.request(2, "b"):
+            yield grant
         yield sim.timeout(0.1)
-        yield from mgr.acquire(2, "a")
+        if grant := mgr.request(2, "a"):
+            yield grant
 
     sim.process(t1(sim))
     sim.process(t2(sim))

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.locks import LockManager, LockMode, LockTimeout
+from repro.locks import LockManager, LockMode
 from repro.obs import Observability
-from repro.sim import Simulator
+from repro.sim import TIMED_OUT, Simulator
 
 
 def make_mgr():
@@ -17,7 +17,8 @@ def test_exclusive_lock_granted_when_free():
     sim, mgr, _ = make_mgr()
 
     def proc(sim):
-        yield from mgr.acquire(1, "dir", LockMode.EXCLUSIVE)
+        if grant := mgr.request(1, "dir", LockMode.EXCLUSIVE):
+            yield grant
         return sim.now
 
     p = sim.process(proc(sim))
@@ -31,14 +32,16 @@ def test_exclusive_blocks_second_txn():
     order = []
 
     def first(sim):
-        yield from mgr.acquire(1, "dir")
+        if grant := mgr.request(1, "dir"):
+            yield grant
         order.append(("t1", sim.now))
         yield sim.timeout(2.0)
         mgr.release(1, "dir")
 
     def second(sim):
         yield sim.timeout(0.1)
-        yield from mgr.acquire(2, "dir")
+        if grant := mgr.request(2, "dir"):
+            yield grant
         order.append(("t2", sim.now))
         mgr.release(2, "dir")
 
@@ -53,7 +56,8 @@ def test_shared_locks_coexist():
     order = []
 
     def reader(sim, txn):
-        yield from mgr.acquire(txn, "dir", LockMode.SHARED)
+        if grant := mgr.request(txn, "dir", LockMode.SHARED):
+            yield grant
         order.append((txn, sim.now))
         yield sim.timeout(1.0)
         mgr.release(txn, "dir")
@@ -69,13 +73,15 @@ def test_exclusive_waits_for_all_shared():
     order = []
 
     def reader(sim, txn, hold):
-        yield from mgr.acquire(txn, "dir", LockMode.SHARED)
+        if grant := mgr.request(txn, "dir", LockMode.SHARED):
+            yield grant
         yield sim.timeout(hold)
         mgr.release(txn, "dir")
 
     def writer(sim):
         yield sim.timeout(0.1)
-        yield from mgr.acquire(9, "dir", LockMode.EXCLUSIVE)
+        if grant := mgr.request(9, "dir", LockMode.EXCLUSIVE):
+            yield grant
         order.append(sim.now)
         mgr.release(9, "dir")
 
@@ -93,20 +99,23 @@ def test_fifo_no_overtaking_shared_behind_exclusive():
     order = []
 
     def holder(sim):
-        yield from mgr.acquire(1, "dir", LockMode.SHARED)
+        if grant := mgr.request(1, "dir", LockMode.SHARED):
+            yield grant
         yield sim.timeout(1.0)
         mgr.release(1, "dir")
 
     def writer(sim):
         yield sim.timeout(0.1)
-        yield from mgr.acquire(2, "dir", LockMode.EXCLUSIVE)
+        if grant := mgr.request(2, "dir", LockMode.EXCLUSIVE):
+            yield grant
         order.append(("writer", sim.now))
         yield sim.timeout(1.0)
         mgr.release(2, "dir")
 
     def late_reader(sim):
         yield sim.timeout(0.2)
-        yield from mgr.acquire(3, "dir", LockMode.SHARED)
+        if grant := mgr.request(3, "dir", LockMode.SHARED):
+            yield grant
         order.append(("reader", sim.now))
         mgr.release(3, "dir")
 
@@ -121,9 +130,12 @@ def test_reacquire_held_lock_is_noop():
     sim, mgr, _ = make_mgr()
 
     def proc(sim):
-        yield from mgr.acquire(1, "dir", LockMode.EXCLUSIVE)
-        yield from mgr.acquire(1, "dir", LockMode.EXCLUSIVE)
-        yield from mgr.acquire(1, "dir", LockMode.SHARED)  # X covers S
+        if grant := mgr.request(1, "dir", LockMode.EXCLUSIVE):
+            yield grant
+        if grant := mgr.request(1, "dir", LockMode.EXCLUSIVE):
+            yield grant
+        if grant := mgr.request(1, "dir", LockMode.SHARED):  # X covers S
+            yield grant
         return True
 
     p = sim.process(proc(sim))
@@ -135,8 +147,10 @@ def test_upgrade_shared_to_exclusive_sole_holder():
     sim, mgr, _ = make_mgr()
 
     def proc(sim):
-        yield from mgr.acquire(1, "dir", LockMode.SHARED)
-        yield from mgr.acquire(1, "dir", LockMode.EXCLUSIVE)
+        if grant := mgr.request(1, "dir", LockMode.SHARED):
+            yield grant
+        if grant := mgr.request(1, "dir", LockMode.EXCLUSIVE):
+            yield grant
         return mgr.holds(1, "dir", LockMode.EXCLUSIVE)
 
     p = sim.process(proc(sim))
@@ -149,14 +163,17 @@ def test_upgrade_waits_for_other_shared_holder():
     order = []
 
     def other(sim):
-        yield from mgr.acquire(2, "dir", LockMode.SHARED)
+        if grant := mgr.request(2, "dir", LockMode.SHARED):
+            yield grant
         yield sim.timeout(1.0)
         mgr.release(2, "dir")
 
     def upgrader(sim):
-        yield from mgr.acquire(1, "dir", LockMode.SHARED)
+        if grant := mgr.request(1, "dir", LockMode.SHARED):
+            yield grant
         yield sim.timeout(0.1)
-        yield from mgr.acquire(1, "dir", LockMode.EXCLUSIVE)
+        if grant := mgr.request(1, "dir", LockMode.EXCLUSIVE):
+            yield grant
         order.append(sim.now)
 
     sim.process(other(sim))
@@ -171,14 +188,15 @@ def test_timeout_raises_and_withdraws():
     outcome = []
 
     def holder(sim):
-        yield from mgr.acquire(1, "dir")
+        if grant := mgr.request(1, "dir"):
+            yield grant
         yield sim.timeout(10.0)
         mgr.release(1, "dir")
 
     def impatient(sim):
-        try:
-            yield from mgr.acquire(2, "dir", timeout=0.5)
-        except LockTimeout as exc:
+        grant = mgr.request(2, "dir", timeout=0.5)
+        if (yield grant) is TIMED_OUT:
+            exc = mgr.withdraw(grant, "dir")
             outcome.append((exc.txn_id, exc.obj_id, sim.now))
 
     sim.process(holder(sim))
@@ -194,20 +212,22 @@ def test_timeout_withdrawal_lets_next_waiter_through():
     order = []
 
     def holder(sim):
-        yield from mgr.acquire(1, "dir")
+        if grant := mgr.request(1, "dir"):
+            yield grant
         yield sim.timeout(1.0)
         mgr.release(1, "dir")
 
     def impatient(sim):
         yield sim.timeout(0.1)
-        try:
-            yield from mgr.acquire(2, "dir", timeout=0.2)
-        except LockTimeout:
+        grant = mgr.request(2, "dir", timeout=0.2)
+        if (yield grant) is TIMED_OUT:
+            mgr.withdraw(grant, "dir")
             order.append("timeout")
 
     def patient(sim):
         yield sim.timeout(0.2)
-        yield from mgr.acquire(3, "dir")
+        if grant := mgr.request(3, "dir"):
+            yield grant
         order.append(("granted", sim.now))
         mgr.release(3, "dir")
 
@@ -229,9 +249,9 @@ def test_timeout_after_the_entry_was_recreated_leaves_the_new_entry_intact():
     outcome = []
 
     def impatient(sim):
-        try:
-            yield from mgr.acquire(2, "dir", LockMode.EXCLUSIVE, timeout=0.5)
-        except LockTimeout:
+        grant = mgr.request(2, "dir", LockMode.EXCLUSIVE, timeout=0.5)
+        if (yield grant) is TIMED_OUT:
+            mgr.withdraw(grant, "dir")
             outcome.append(sim.now)
 
     sim.process(impatient(sim))
@@ -243,7 +263,7 @@ def test_timeout_after_the_entry_was_recreated_leaves_the_new_entry_intact():
         mgr.release(1, "dir")
         assert "dir" not in mgr._table
         assert mgr.try_acquire(3, "dir", LockMode.SHARED)
-        next(mgr.acquire(4, "dir", LockMode.EXCLUSIVE))  # queues behind 3
+        assert mgr.request(4, "dir", LockMode.EXCLUSIVE) is not None  # queues behind 3
         fresh.append(mgr._table["dir"])
 
     sim.at(0.5, release_and_relock)  # after the deadline armed at t=0
@@ -265,9 +285,12 @@ def test_release_all_releases_everything():
     sim, mgr, _ = make_mgr()
 
     def proc(sim):
-        yield from mgr.acquire(1, "a")
-        yield from mgr.acquire(1, "b")
-        yield from mgr.acquire(1, "c", LockMode.SHARED)
+        if grant := mgr.request(1, "a"):
+            yield grant
+        if grant := mgr.request(1, "b"):
+            yield grant
+        if grant := mgr.request(1, "c", LockMode.SHARED):
+            yield grant
 
     sim.process(proc(sim))
     sim.run()
@@ -280,13 +303,15 @@ def test_release_all_withdraws_queued_requests():
     sim, mgr, _ = make_mgr()
 
     def holder(sim):
-        yield from mgr.acquire(1, "dir")
+        if grant := mgr.request(1, "dir"):
+            yield grant
         yield sim.timeout(1.0)
         mgr.release(1, "dir")
 
     def waiter(sim):
         yield sim.timeout(0.1)
-        yield from mgr.acquire(2, "dir")
+        if grant := mgr.request(2, "dir"):
+            yield grant
 
     sim.process(holder(sim))
     sim.process(waiter(sim))
@@ -307,13 +332,15 @@ def test_try_acquire_respects_queue():
     sim, mgr, _ = make_mgr()
 
     def holder(sim):
-        yield from mgr.acquire(1, "dir", LockMode.SHARED)
+        if grant := mgr.request(1, "dir", LockMode.SHARED):
+            yield grant
         yield sim.timeout(1.0)
         mgr.release(1, "dir")
 
     def waiter(sim):
         yield sim.timeout(0.1)
-        yield from mgr.acquire(2, "dir", LockMode.EXCLUSIVE)
+        if grant := mgr.request(2, "dir", LockMode.EXCLUSIVE):
+            yield grant
         mgr.release(2, "dir")
 
     sim.process(holder(sim))
@@ -328,13 +355,15 @@ def test_wait_edges_reflect_blocking():
     sim, mgr, _ = make_mgr()
 
     def holder(sim):
-        yield from mgr.acquire(1, "dir")
+        if grant := mgr.request(1, "dir"):
+            yield grant
         yield sim.timeout(1.0)
         mgr.release(1, "dir")
 
     def waiter(sim):
         yield sim.timeout(0.1)
-        yield from mgr.acquire(2, "dir")
+        if grant := mgr.request(2, "dir"):
+            yield grant
         mgr.release(2, "dir")
 
     sim.process(holder(sim))
@@ -349,7 +378,8 @@ def test_lock_table_entry_cleaned_up():
     sim, mgr, _ = make_mgr()
 
     def proc(sim):
-        yield from mgr.acquire(1, "dir")
+        if grant := mgr.request(1, "dir"):
+            yield grant
         mgr.release(1, "dir")
 
     sim.process(proc(sim))
@@ -361,8 +391,10 @@ def test_holders_reports_modes():
     sim, mgr, _ = make_mgr()
 
     def proc(sim):
-        yield from mgr.acquire(1, "dir", LockMode.SHARED)
-        yield from mgr.acquire(2, "dir", LockMode.SHARED)
+        if grant := mgr.request(1, "dir", LockMode.SHARED):
+            yield grant
+        if grant := mgr.request(2, "dir", LockMode.SHARED):
+            yield grant
 
     sim.process(proc(sim))
     sim.run()
@@ -376,7 +408,7 @@ def test_lock_records_carry_the_mode_as_a_plain_str():
     for an immediate grant, a wait and a dispatched grant alike."""
     sim, mgr, trace = make_mgr()
     assert mgr.try_acquire(1, "dir", LockMode.SHARED)
-    sim.process(mgr.acquire(2, "dir", LockMode.EXCLUSIVE))
+    assert mgr.request(2, "dir", LockMode.EXCLUSIVE) is not None
     sim.run()
     mgr.release_all(1)
     sim.run()

@@ -43,20 +43,6 @@ def test_seed_keyword_overrides_params_seed():
     assert Cluster(params=params, trace="off").params.seed == params.seed
 
 
-def test_from_params_builds_equivalent_cluster():
-    params = SimulationParams.paper_defaults()
-    cluster = Cluster.from_params(params, protocol="EP", server_names=["a", "b"])
-    assert cluster.protocol_name == "EP"
-    assert sorted(cluster.servers) == ["a", "b"]
-    assert cluster.params == params
-
-
-def test_cluster_exposes_spans_and_metrics_properties():
-    cluster = Cluster(trace="full")
-    assert cluster.spans is cluster.obs.spans
-    assert cluster.metrics is cluster.obs.metrics
-
-
 def test_client_keyword_name():
     cluster = Cluster(trace="off")
     with warnings.catch_warnings():
@@ -69,24 +55,3 @@ def test_client_positional_name_is_a_type_error():
     cluster = Cluster(trace="off")
     with pytest.raises(TypeError, match="positional"):
         Client(cluster, "legacy")
-
-
-def test_facade_trace_and_metrics_helpers():
-    import repro
-
-    cluster, client = _one_create_cluster()
-    spans = repro.trace(cluster)
-    assert len(spans) == 1 and spans[0].status == "committed"
-    snap = repro.metrics(cluster)
-    assert snap["counters"]["txn.committed"] == 1.0
-    assert snap["histograms"]["txn.client_latency"]["count"] == 1
-
-
-def _one_create_cluster():
-    from repro.mds.scenarios import distributed_create_cluster
-
-    cluster, client = distributed_create_cluster("1PC")
-    done = cluster.sim.process(client.create("/dir1/f0"), name="t")
-    cluster.sim.run(until=done)
-    cluster.sim.run(until=cluster.sim.now + 60.0)
-    return cluster, client

@@ -1,73 +1,6 @@
-"""Client-side resubmission of aborted transactions."""
+"""A client matches each reply to its own request."""
 
 from tests.protocols.conftest import drain, make_cluster
-
-
-def test_retry_succeeds_after_single_refusal(protocol):
-    cluster, client = make_cluster(protocol)
-    cluster.servers["mds2"].fail_next_vote = True
-
-    def scenario(sim):
-        result = yield from client.run_with_retries(
-            lambda: client.plan_create("/dir1/f0"), max_retries=3
-        )
-        return result
-
-    p = cluster.sim.process(scenario(cluster.sim))
-    cluster.sim.run(until=p)
-    assert p.value["committed"] is True
-    assert p.value["attempts"] == 2
-    drain(cluster)
-    assert cluster.check_invariants() == []
-
-
-def test_retry_gives_up_after_max_retries():
-    cluster, client = make_cluster("1PC")
-    worker = cluster.servers["mds2"]
-
-    # Refuse every vote by re-arming the hook whenever it is consumed.
-    class AlwaysRefuse:
-        def __get__(self, obj, objtype=None):
-            return True
-
-        def __set__(self, obj, value):
-            pass
-
-    type(worker).fail_next_vote = AlwaysRefuse()
-    try:
-        def scenario(sim):
-            result = yield from client.run_with_retries(
-                lambda: client.plan_create("/dir1/f0"), max_retries=2
-            )
-            return result
-
-        p = cluster.sim.process(scenario(cluster.sim))
-        cluster.sim.run(until=p)
-        assert p.value["committed"] is False
-        assert p.value["attempts"] == 3  # initial + 2 retries
-    finally:
-        del type(worker).fail_next_vote
-        worker.fail_next_vote = False
-    drain(cluster)
-    assert cluster.check_invariants() == []
-
-
-def test_retry_backoff_spaces_attempts():
-    cluster, client = make_cluster("1PC")
-    cluster.servers["mds2"].fail_next_vote = True
-
-    def scenario(sim):
-        start = sim.now
-        result = yield from client.run_with_retries(
-            lambda: client.plan_create("/dir1/f0"), max_retries=2, backoff=0.5
-        )
-        return result, sim.now - start
-
-    p = cluster.sim.process(scenario(cluster.sim))
-    cluster.sim.run(until=p)
-    result, elapsed = p.value
-    assert result["committed"] is True and result["attempts"] == 2
-    assert elapsed > 0.5
 
 
 def test_stale_fire_and_forget_reply_does_not_poison_run():
@@ -92,27 +25,3 @@ def test_stale_fire_and_forget_reply_does_not_poison_run():
     assert p.value["committed"] is True
     drain(cluster)
     assert cluster.check_invariants() == []
-
-
-def test_retry_replans_each_attempt():
-    """The factory runs per attempt, so inode numbers are fresh."""
-    cluster, client = make_cluster("1PC")
-    cluster.servers["mds2"].fail_next_vote = True
-    inos = []
-
-    def factory():
-        plan = client.plan_create("/dir1/f0")
-        inos.append(plan.detail["ino"])
-        return plan
-
-    def scenario(sim):
-        result = yield from client.run_with_retries(factory, max_retries=2)
-        return result
-
-    p = cluster.sim.process(scenario(cluster.sim))
-    cluster.sim.run(until=p)
-    assert p.value["committed"] is True
-    assert len(inos) == 2 and inos[0] != inos[1]
-    drain(cluster)
-    # The aborted attempt's inode never materialised.
-    assert set(cluster.store_of("mds2").stable_inodes) == {inos[1]}

@@ -127,7 +127,8 @@ def test_stat_after_a_timed_out_stat_waits_for_its_own_reply():
     locks = cluster.servers["mds1"].locks
 
     def holder(sim):
-        yield from locks.acquire("holder", ObjectId.directory("/dir1"), LockMode.EXCLUSIVE)
+        if grant := locks.request("holder", ObjectId.directory("/dir1"), LockMode.EXCLUSIVE):
+            yield grant
         yield sim.timeout(0.05)
         locks.release_all("holder")
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import NetworkParams
-from repro.net import Message, Network, ReceiveTimeout
+from repro.net import Message, Network
 from repro.obs import Observability
 from repro.sim import Simulator
 
@@ -50,7 +50,7 @@ def test_message_reply_routes_back():
 
     def server(sim):
         msg = yield b.receive()
-        b.send(msg.reply("PONG", echoed=msg.payload["n"]))
+        b.send_to(msg.src, "PONG", msg.txn_id, echoed=msg.payload["n"])
 
     def client(sim):
         a.send_to("b", "PING", n=7)
@@ -63,27 +63,18 @@ def test_message_reply_routes_back():
     assert got == [(pytest.approx(0.002), "PONG", 7)]
 
 
-def test_send_as_other_node_rejected():
-    sim, net, _ = make_net()
-    a = net.attach("a")
-    net.attach("b")
-    with pytest.raises(ValueError):
-        a.send(Message(src="b", dst="a", kind="FAKE"))
-
-
 def test_foreign_message_never_reaches_the_wire_and_send_to_stamps_its_own_src():
-    """``send_to`` hands its message to the network itself; ``send`` is
-    the door for a caller's own ``Message`` and keeps the ``src`` check."""
+    """An endpoint's one door is ``send_to``: it builds the message with
+    this node as ``src`` and hands it to the network itself, so a
+    foreign ``Message`` has no way onto the wire through an endpoint."""
     sim, net, trace = make_net()
     a, b = net.attach("a"), net.attach("b")
-    with pytest.raises(ValueError, match="cannot send as b"):
-        a.send(Message(src="b", dst="a", kind="FAKE"))
-    sim.run()
-    assert trace.count("msg_send") == 0 and len(a.mailbox) == 0
+    assert not hasattr(a, "send")
     sent = a.send_to("b", "PING")
     assert (sent.src, sent.msg_id) == ("a", 1)
-    a.send(Message(src="a", dst="b", kind="PING"))
+    a.send_to("b", "PING")
     sim.run()
+    assert trace.count("msg_send") == 2 and len(a.mailbox) == 0
     assert [m.src for m in b.mailbox.items] == ["a", "a"]
 
 
@@ -259,61 +250,6 @@ def test_receive_with_predicate():
     assert got == ["WANTED"]
 
 
-def test_receive_wait_timeout_raises():
-    sim, net, _ = make_net()
-    net.attach("a")
-    b = net.attach("b")
-    outcome = []
-
-    def receiver(sim):
-        try:
-            yield from b.receive_wait(timeout=0.5)
-        except ReceiveTimeout:
-            outcome.append(("timeout", sim.now))
-
-    sim.process(receiver(sim))
-    sim.run()
-    assert outcome == [("timeout", 0.5)]
-
-
-def test_receive_wait_returns_message_before_timeout():
-    sim, net, _ = make_net(latency=0.001)
-    a, b = net.attach("a"), net.attach("b")
-    got = []
-
-    def receiver(sim):
-        msg = yield from b.receive_wait(timeout=1.0)
-        got.append(msg.kind)
-
-    sim.process(receiver(sim))
-    a.send_to("b", "PING")
-    sim.run()
-    assert got == ["PING"]
-
-
-def test_receive_wait_abandoned_get_does_not_steal_message():
-    sim, net, _ = make_net(latency=1.0)
-    a, b = net.attach("a"), net.attach("b")
-    got = []
-
-    def impatient(sim):
-        try:
-            yield from b.receive_wait(timeout=0.1)
-        except ReceiveTimeout:
-            pass
-
-    def patient(sim):
-        yield sim.timeout(0.2)
-        msg = yield b.receive()
-        got.append(msg.kind)
-
-    sim.process(impatient(sim))
-    sim.process(patient(sim))
-    a.send_to("b", "LATE")
-    sim.run()
-    assert got == ["LATE"]
-
-
 def test_byte_cost_adds_size_dependent_delay():
     sim, net, _ = make_net(latency=0.001, byte_cost=1e-6)
     a, b = net.attach("a"), net.attach("b")
@@ -324,7 +260,7 @@ def test_byte_cost_adds_size_dependent_delay():
         got.append(sim.now)
 
     sim.process(receiver(sim))
-    a.send(Message(src="a", dst="b", kind="BIG", size=1000.0))
+    net.send(Message(src="a", dst="b", kind="BIG", size=1000.0))
     sim.run()
     assert got == [pytest.approx(0.002)]
 

@@ -331,7 +331,7 @@ def test_a_crashed_server_leaves_no_lock_hold_shadow_behind():
         if r.time > crashed_at
     ]
     (release,) = trace.select("lock_release", actor="locks:mds1", txn=grant[1], obj=grant[2])
-    assert release.time - regrant.time in cluster.metrics.get_histogram("locks.hold_time").values
+    assert release.time - regrant.time in cluster.obs.metrics.get_histogram("locks.hold_time").values
     assert held(cluster.obs) == []
 
 

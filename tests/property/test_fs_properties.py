@@ -11,7 +11,7 @@ from repro.fs import (
     MetadataStore,
     ObjectId,
     RemoveDentry,
-    RoundRobinPlacement,
+    ShardedSubtreePlacement,
     UpdateError,
     check_invariants,
     plan_create,
@@ -26,7 +26,8 @@ nodes = st.lists(st.sampled_from(["mds1", "mds2", "mds3", "mds4"]), min_size=1, 
 
 @given(nodes, st.lists(names, min_size=1, max_size=20))
 def test_placement_always_maps_to_known_node(node_list, keys):
-    for placement in (HashPlacement(node_list), RoundRobinPlacement(node_list)):
+    sharded = ShardedSubtreePlacement(node_list, {"/": node_list[0]})
+    for placement in (HashPlacement(node_list), sharded):
         for key in keys:
             assert placement.place(ObjectId.directory("/" + key)) in node_list
             assert placement.place(ObjectId.inode(abs(hash(key)) % 10_000)) in node_list

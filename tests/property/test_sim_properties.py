@@ -89,27 +89,24 @@ def test_rng_stream_isolation(seed, names):
     assert reg.stream(names[0]).random() == solo
 
 
-@given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=30))
+@given(st.lists(st.floats(min_value=1e-3, max_value=100, allow_nan=False), min_size=1, max_size=30))
 @settings(max_examples=50)
 def test_resource_never_exceeds_capacity(hold_times):
-    from repro.sim import Resource
+    """A two-channel disk never serves more than two holds at once."""
+    from repro.obs import Observability
+    from repro.storage import Disk
 
     sim = Simulator()
-    res = Resource(sim, capacity=2)
-    peak = {"v": 0}
-
-    def proc(sim, hold):
-        with res.request() as req:
-            yield req
-            peak["v"] = max(peak["v"], res.in_use)
-            assert res.in_use <= 2
-            yield sim.timeout(hold)
-
-    for h in hold_times:
-        sim.process(proc(sim, h))
+    obs = Observability(sim)
+    disk = Disk(sim, name="san", capacity=2, obs=obs)
+    for hold in hold_times:
+        sim.process(disk.stall(hold))
     sim.run()
-    assert peak["v"] <= 2
-    assert res.in_use == 0 and res.queue_length == 0
+    spans = [(r.get("granted"), r.get("granted") + r.get("duration")) for r in obs.trace.select("disk_stall")]
+    assert len(spans) == len(hold_times)
+    for start, _end in spans:
+        assert sum(1 for s, e in spans if s <= start < e) <= 2
+    assert not disk.busy and disk.queue_length == 0
 
 
 # -- one deadline per wait: Simulator.expire against the spelling it replaced --

@@ -149,7 +149,8 @@ def test_lock_timeout_produces_clean_abort():
         from repro.fs import ObjectId
         from repro.locks import LockMode
 
-        yield from mgr.acquire("hog", ObjectId.directory("/dir1"), LockMode.EXCLUSIVE)
+        if grant := mgr.request("hog", ObjectId.directory("/dir1"), LockMode.EXCLUSIVE):
+            yield grant
         yield sim.timeout(2.0)
         mgr.release_all("hog")
 

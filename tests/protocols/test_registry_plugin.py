@@ -19,9 +19,8 @@ from repro.protocols.registry import (
     get_spec,
     register_protocol,
     specs,
-    temporary_protocol,
-    unregister,
 )
+from tests.conftest import temporary_protocol, unregister
 
 
 class ToyProtocol(PresumeNothingProtocol):

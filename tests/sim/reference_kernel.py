@@ -40,12 +40,6 @@ class RefStopSimulation(Exception):
         self.value = value
 
 
-class RefInterrupt(Exception):
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class RefEventRefusedError(RefSimulationError):
     pass
 
@@ -114,12 +108,6 @@ class RefEvent:
         for callback in callbacks:
             callback(self)
 
-    def __and__(self, other: "RefEvent") -> "RefAllOf":
-        return RefAllOf(self.sim, [self, other])
-
-    def __or__(self, other: "RefEvent") -> "RefAnyOf":
-        return RefAnyOf(self.sim, [self, other])
-
 
 class RefTimeout(RefEvent):
     def __init__(self, sim: "RefSimulator", delay: float, value: Any = None, name: str = ""):
@@ -172,17 +160,8 @@ class RefCondition(RefEvent):
             self.succeed(self._collect())
 
     @staticmethod
-    def all_events(events: list[RefEvent], count: int) -> bool:
-        return count == len(events)
-
-    @staticmethod
     def any_event(events: list[RefEvent], count: int) -> bool:
         return count >= 1
-
-
-class RefAllOf(RefCondition):
-    def __init__(self, sim: "RefSimulator", events: Iterable[RefEvent]):
-        super().__init__(sim, RefCondition.all_events, events, name="AllOf")
 
 
 class RefAnyOf(RefCondition):
@@ -208,28 +187,6 @@ class RefProcess(RefEvent):
     @property
     def target(self) -> Optional[RefEvent]:
         return self._waiting_on
-
-    def interrupt(self, cause: Any = None) -> None:
-        if not self.is_alive:
-            return
-        if self is self.sim.active_process:
-            raise RefSimulationError("a process cannot interrupt itself")
-        if self._waiting_on is not None and self._resume in self._waiting_on.callbacks:
-            self._waiting_on.callbacks.remove(self._resume)
-        self._waiting_on = None
-        wakeup = RefEvent(self.sim, name=f"interrupt:{self.name}")
-        wakeup.callbacks.append(self._resume)
-        wakeup.fail(RefInterrupt(cause))
-        wakeup.defused = True
-
-    def kill(self, cause: Any = None) -> None:
-        if not self.is_alive:
-            return
-        if self._waiting_on is not None and self._resume in self._waiting_on.callbacks:
-            self._waiting_on.callbacks.remove(self._resume)
-        self._waiting_on = None
-        self._generator.close()
-        self.succeed(None)
 
     def _resume(self, event: RefEvent) -> None:
         if self.triggered:

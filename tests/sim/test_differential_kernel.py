@@ -5,8 +5,8 @@ at exactly the same ``(time, priority, sequence)`` as in the frozen
 pre-overhaul reference kernel (``reference_kernel.py``), and every
 process must finish with exactly the same return value.  A seeded
 generator produces hundreds of randomized schedules — timeout storms,
-callback timers, already-processed relays, AllOf/AnyOf fan-ins, caught
-failures, cross-process waits and interrupts — and each one is interpreted twice,
+callback timers, already-processed relays, AnyOf fan-ins, caught
+failures and cross-process waits — and each one is interpreted twice,
 once per kernel, from the same immutable program spec.
 
 If this test fails, a hot-path "optimization" changed event ordering:
@@ -20,14 +20,8 @@ from typing import Any
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, SimulationError, Simulator
-from tests.sim.reference_kernel import (
-    RefAllOf,
-    RefAnyOf,
-    RefInterrupt,
-    RefSimulationError,
-    RefSimulator,
-)
+from repro.sim import AnyOf, SimulationError, Simulator
+from tests.sim.reference_kernel import RefAnyOf, RefSimulationError, RefSimulator
 
 N_SCHEDULES = 200
 
@@ -63,8 +57,7 @@ def make_program(rng: random.Random) -> list[list[tuple]]:
                 ops.append(("stale", delay(), rng.randrange(1000)))
             elif kind == 5:
                 n = rng.randrange(2, 5)
-                which = rng.choice(("allof", "anyof"))
-                ops.append((which, [delay() for _ in range(n)]))
+                ops.append(("anyof", [delay() for _ in range(n)]))
             elif kind == 6:
                 # A failure the process catches (defused by _resume).
                 ops.append(("fail_caught", delay()))
@@ -76,62 +69,46 @@ def make_program(rng: random.Random) -> list[list[tuple]]:
                 # Wait on a peer process (may already be finished).
                 ops.append(("wait_peer", rng.randrange(n_procs)))
         program.append(ops)
-    # Sometimes add an interrupter poking a random worker mid-flight.
-    if rng.random() < 0.5:
-        program.append([("interrupt", rng.randrange(n_procs), delay())])
     return program
 
 
 def build(sim: Any, api: dict[str, Any], program: list[list[tuple]]) -> list[Any]:
     """Instantiate ``program`` against a kernel; returns the processes."""
-    allof, anyof, interrupt_exc = api["AllOf"], api["AnyOf"], api["Interrupt"]
-    after = api["after"]
+    anyof, after = api["AnyOf"], api["after"]
     procs: list[Any] = []
 
     def worker(ops: list[tuple]):
         digest: list[Any] = []
         for op in ops:
-            try:
-                if op[0] == "timeout":
-                    digest.append((yield sim.timeout(op[1], op[2])))
-                elif op[0] == "ready":
-                    event = sim.event()
-                    event.succeed(op[1])
-                    digest.append((yield event))
-                elif op[0] == "stale":
-                    event = sim.event()
-                    event.succeed(op[2])
-                    yield sim.timeout(op[1])
-                    digest.append((yield event))
-                elif op[0] in ("allof", "anyof"):
-                    cond = allof if op[0] == "allof" else anyof
-                    result = yield cond(sim, [sim.timeout(d, j) for j, d in enumerate(op[1])])
-                    digest.append(sorted(result.values()))
-                elif op[0] == "fail_caught":
-                    event = sim.event()
-                    event.fail(RuntimeError("boom"), delay=op[1])
-                    # Pre-defused: if an interrupt detaches us before the
-                    # failure fires, the orphaned failure must not crash
-                    # the kernel (identically in both implementations).
-                    event.defused = True
-                    try:
-                        yield event
-                    except RuntimeError as exc:
-                        digest.append(str(exc))
-                elif op[0] == "timer":
-                    event = sim.event()
-                    after(sim, op[1], event.succeed, op[2])
-                    digest.append((yield event))
-                elif op[0] == "wait_peer":
-                    target = procs[op[1]]
-                    if target is not None:
-                        digest.append((yield target))
-                elif op[0] == "interrupt":
-                    yield sim.timeout(op[2])
-                    procs[op[1]].interrupt("poke")
-                    digest.append("poked")
-            except interrupt_exc as exc:
-                digest.append(("interrupted", str(exc.cause)))
+            if op[0] == "timeout":
+                digest.append((yield sim.timeout(op[1], op[2])))
+            elif op[0] == "ready":
+                event = sim.event()
+                event.succeed(op[1])
+                digest.append((yield event))
+            elif op[0] == "stale":
+                event = sim.event()
+                event.succeed(op[2])
+                yield sim.timeout(op[1])
+                digest.append((yield event))
+            elif op[0] == "anyof":
+                result = yield anyof(sim, [sim.timeout(d, j) for j, d in enumerate(op[1])])
+                digest.append(sorted(result.values()))
+            elif op[0] == "fail_caught":
+                event = sim.event()
+                event.fail(RuntimeError("boom"), delay=op[1])
+                try:
+                    yield event
+                except RuntimeError as exc:
+                    digest.append(str(exc))
+            elif op[0] == "timer":
+                event = sim.event()
+                after(sim, op[1], event.succeed, op[2])
+                digest.append((yield event))
+            elif op[0] == "wait_peer":
+                target = procs[op[1]]
+                if target is not None:
+                    digest.append((yield target))
         return digest
 
     for i, ops in enumerate(program):
@@ -156,8 +133,8 @@ def ref_after(sim: RefSimulator, delay: float, callback: Any, value: Any) -> Non
     sim.timeout(delay, value).callbacks.append(lambda event: callback(event.value))
 
 
-REF_API = {"AllOf": RefAllOf, "AnyOf": RefAnyOf, "Interrupt": RefInterrupt, "after": ref_after}
-OPT_API = {"AllOf": AllOf, "AnyOf": AnyOf, "Interrupt": Interrupt, "after": Simulator.after}
+REF_API = {"AnyOf": RefAnyOf, "after": ref_after}
+OPT_API = {"AnyOf": AnyOf, "after": Simulator.after}
 
 
 def run_reference(program: list[list[tuple]]):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator, Timeout
+from repro.sim import AnyOf, Condition, Simulator, Timeout
 from repro.sim.errors import EventRefusedError
 
 
@@ -54,26 +54,14 @@ def test_anyof_value_contains_only_triggered_members():
     assert results == [{fast: "F"}]
 
 
-def test_allof_value_maps_every_member():
-    sim = Simulator()
-    a, b = sim.event(), sim.event()
-    results = []
-
-    def waiter(sim):
-        values = yield AllOf(sim, [a, b])
-        results.append((values[a], values[b]))
-
-    sim.process(waiter(sim))
-    a.succeed(1)
-    b.succeed(2)
-    sim.run()
-    assert results == [(1, 2)]
-
-
 def test_condition_with_duplicate_member_counts_once_per_entry():
     sim = Simulator()
     e = sim.event()
-    cond = AllOf(sim, [e, e])
+
+    def both(events, count):
+        return count == len(events)
+
+    cond = Condition(sim, both, [e, e])
     e.succeed("x")
     sim.run()
     assert cond.ok

@@ -1,8 +1,8 @@
-"""Unit tests for event primitives: succeed/fail, conditions, composition."""
+"""Unit tests for event primitives: succeed/fail and conditions."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AnyOf, Simulator
 from repro.sim.errors import EventRefusedError
 
 
@@ -115,25 +115,6 @@ def test_waiting_on_already_processed_event():
     assert got == ["early"]
 
 
-def test_allof_waits_for_all():
-    sim = Simulator()
-    results = []
-
-    def worker(sim, delay, val):
-        yield sim.timeout(delay)
-        return val
-
-    def waiter(sim, a, b):
-        values = yield AllOf(sim, [a, b])
-        results.append((sim.now, values[a], values[b]))
-
-    a = sim.process(worker(sim, 1.0, "a"))
-    b = sim.process(worker(sim, 3.0, "b"))
-    sim.process(waiter(sim, a, b))
-    sim.run()
-    assert results == [(3.0, "a", "b")]
-
-
 def test_anyof_triggers_on_first():
     sim = Simulator()
     results = []
@@ -154,12 +135,6 @@ def test_anyof_triggers_on_first():
     assert list(results[0][1].values()) == ["a"]
 
 
-def test_allof_empty_triggers_immediately():
-    sim = Simulator()
-    cond = AllOf(sim, [])
-    assert cond.triggered
-
-
 def test_condition_fails_if_member_fails():
     sim = Simulator()
     good = sim.event()
@@ -168,7 +143,7 @@ def test_condition_fails_if_member_fails():
 
     def waiter(sim):
         try:
-            yield AllOf(sim, [good, bad])
+            yield AnyOf(sim, [good, bad])
         except RuntimeError as exc:
             caught.append(str(exc))
 
@@ -179,19 +154,10 @@ def test_condition_fails_if_member_fails():
     assert caught == ["member failed"]
 
 
-def test_and_or_operators():
-    sim = Simulator()
-    a, b = sim.event(), sim.event()
-    both = a & b
-    either = a | b
-    assert isinstance(both, AllOf)
-    assert isinstance(either, AnyOf)
-
-
 def test_condition_rejects_cross_simulator_events():
     sim1, sim2 = Simulator(), Simulator()
     with pytest.raises(ValueError):
-        AllOf(sim1, [sim1.event(), sim2.event()])
+        AnyOf(sim1, [sim1.event(), sim2.event()])
 
 
 def test_condition_with_pretriggered_members():
@@ -200,9 +166,9 @@ def test_condition_with_pretriggered_members():
     a.succeed("pre")
     sim.run()
     b = sim.event()
-    cond = AllOf(sim, [a, b])
-    assert not cond.triggered
+    cond = AnyOf(sim, [a, b])
+    assert cond.triggered
     b.succeed("post")
     sim.run()
     assert cond.ok
-    assert cond.value[a] == "pre" and cond.value[b] == "post"
+    assert cond.value == {a: "pre"}

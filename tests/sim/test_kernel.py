@@ -200,17 +200,6 @@ def test_call_at_in_past_rejected():
         sim.call_at(5.0, lambda: None)
 
 
-def test_run_all_collects_values():
-    sim = Simulator()
-
-    def proc(sim, delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    procs = [sim.process(proc(sim, d, d * 10)) for d in (3.0, 1.0, 2.0)]
-    assert sim.run_all(procs) == [30.0, 10.0, 20.0]
-
-
 def test_unobserved_event_failure_surfaces():
     sim = Simulator()
     boom = sim.event("boom")

@@ -1,8 +1,8 @@
-"""Unit tests for processes: lifecycle, interrupts, kill, waiting."""
+"""Unit tests for processes: lifecycle and waiting."""
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 from repro.sim.errors import SimulationError
 
 
@@ -70,134 +70,6 @@ def test_unhandled_process_exception_surfaces_in_run():
     sim.process(proc(sim))
     with pytest.raises(RuntimeError, match="unhandled"):
         sim.run()
-
-
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as i:
-            log.append((sim.now, i.cause))
-
-    def interrupter(sim, target):
-        yield sim.timeout(1.0)
-        target.interrupt("crash")
-
-    target = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, target))
-    sim.run()
-    assert log == [(1.0, "crash")]
-
-
-def test_interrupt_dead_process_is_noop():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(0.5)
-
-    p = sim.process(quick(sim))
-    sim.run()
-    p.interrupt("too late")  # must not raise
-
-
-def test_process_cannot_interrupt_itself():
-    sim = Simulator()
-
-    def selfish(sim):
-        # Yield once so that self-reference is available.
-        yield sim.timeout(0.0)
-
-    sim.process(selfish(sim))
-
-    def meta(sim):
-        yield sim.timeout(0.0)
-
-    # Build a process that tries to interrupt itself.
-    holder = {}
-
-    def suicidal(sim):
-        yield sim.timeout(0.1)
-        holder["proc"].interrupt()
-        yield sim.timeout(1.0)
-
-    holder["proc"] = sim.process(suicidal(sim))
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_interrupted_process_original_event_still_fires():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        t = sim.timeout(5.0)
-        try:
-            yield t
-        except Interrupt:
-            log.append("interrupted")
-        yield sim.timeout(10.0)
-        log.append(sim.now)
-
-    target = sim.process(sleeper(sim))
-
-    def interrupter(sim):
-        yield sim.timeout(1.0)
-        target.interrupt()
-
-    sim.process(interrupter(sim))
-    sim.run()
-    assert log == ["interrupted", 11.0]
-
-
-def test_kill_terminates_without_resume():
-    sim = Simulator()
-    log = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(10.0)
-            log.append("survived")
-        finally:
-            log.append("cleanup")
-
-    p = sim.process(victim(sim))
-
-    def killer(sim):
-        yield sim.timeout(1.0)
-        p.kill()
-
-    sim.process(killer(sim))
-    sim.run()
-    assert log == ["cleanup"]
-    assert p.ok and p.value is None
-
-
-def test_kill_dead_process_is_noop():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(0.1)
-
-    p = sim.process(quick(sim))
-    sim.run()
-    p.kill()
-
-
-def test_kill_before_first_resume_is_safe():
-    """Killing a process whose kick-start event has not fired yet must
-    not poison the schedule (regression: crash injection at t=0)."""
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(1.0)
-
-    p = sim.process(proc(sim))
-    p.kill()  # the init event is still queued
-    sim.run()
-    assert not p.is_alive and p.ok
 
 
 def test_yielding_non_event_fails_process():

@@ -1,164 +1,6 @@
-"""Unit tests for resources, stores and queues."""
+"""Unit tests for the mailbox store."""
 
-import pytest
-
-from repro.sim import PriorityResource, Queue, Resource, Simulator, Store
-
-
-def test_resource_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_grants_immediately_when_free():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    grabbed = []
-
-    def proc(sim):
-        req = res.request()
-        yield req
-        grabbed.append(sim.now)
-        res.release(req)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert grabbed == [0.0]
-
-
-def test_resource_serializes_users_fifo():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def proc(sim, tag, hold):
-        req = res.request()
-        yield req
-        order.append((tag, sim.now))
-        yield sim.timeout(hold)
-        res.release(req)
-
-    sim.process(proc(sim, "a", 2.0))
-    sim.process(proc(sim, "b", 1.0))
-    sim.process(proc(sim, "c", 1.0))
-    sim.run()
-    assert order == [("a", 0.0), ("b", 2.0), ("c", 3.0)]
-
-
-def test_resource_capacity_two_allows_parallelism():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    order = []
-
-    def proc(sim, tag):
-        req = res.request()
-        yield req
-        order.append((tag, sim.now))
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    for tag in "abc":
-        sim.process(proc(sim, tag))
-    sim.run()
-    assert order == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_context_manager_releases():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def proc(sim, tag):
-        with res.request() as req:
-            yield req
-            order.append((tag, sim.now))
-            yield sim.timeout(1.0)
-
-    sim.process(proc(sim, "a"))
-    sim.process(proc(sim, "b"))
-    sim.run()
-    assert order == [("a", 0.0), ("b", 1.0)]
-
-
-def test_resource_cancel_waiting_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def holder(sim):
-        req = res.request()
-        yield req
-        yield sim.timeout(5.0)
-        res.release(req)
-
-    def impatient(sim):
-        req = res.request()
-        yield sim.timeout(1.0)
-        req.cancel()
-        order.append("gave up")
-
-    def patient(sim):
-        req = res.request()
-        yield req
-        order.append(("patient", sim.now))
-        res.release(req)
-
-    sim.process(holder(sim))
-    sim.process(impatient(sim))
-    sim.process(patient(sim))
-    sim.run()
-    assert order == ["gave up", ("patient", 5.0)]
-
-
-def test_resource_introspection():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder(sim):
-        req = res.request()
-        yield req
-        yield sim.timeout(2.0)
-        res.release(req)
-
-    def waiter(sim):
-        req = res.request()
-        yield req
-        res.release(req)
-
-    sim.process(holder(sim))
-    sim.process(waiter(sim))
-    sim.run(until=1.0)
-    assert res.in_use == 1
-    assert res.queue_length == 1
-    sim.run()
-    assert res.in_use == 0
-    assert res.queue_length == 0
-
-
-def test_priority_resource_orders_by_priority():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder(sim):
-        req = res.request()
-        yield req
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    def proc(sim, tag, prio):
-        yield sim.timeout(0.1)
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    sim.process(holder(sim))
-    sim.process(proc(sim, "low", 10))
-    sim.process(proc(sim, "high", 1))
-    sim.run()
-    assert order == ["high", "low"]
+from repro.sim import Simulator, Store
 
 
 def test_store_get_blocks_until_put():
@@ -228,20 +70,6 @@ def test_store_multiple_getters_served_in_order():
     store.put("b")
     sim.run()
     assert got == [("first", "a"), ("second", "b")]
-
-
-def test_queue_send_receive_aliases():
-    sim = Simulator()
-    q = Queue(sim)
-    got = []
-
-    def consumer(sim):
-        got.append((yield q.receive()))
-
-    sim.process(consumer(sim))
-    q.send("msg")
-    sim.run()
-    assert got == ["msg"]
 
 
 def test_store_len():

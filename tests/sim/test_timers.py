@@ -4,6 +4,7 @@ timer, its absolute-time door and the one deadline primitive."""
 import pytest
 
 from repro.sim import TIMED_OUT, Simulator, Store
+from tests.conftest import session_waiting
 
 
 def test_after_fires_once_at_the_due_time_with_its_value():
@@ -161,10 +162,7 @@ def test_deadline_of_a_killed_waiter_withdraws_the_orphaned_getter():
     box = Store(sim)
     resumed = []
 
-    def doomed():
-        resumed.append((yield sim.expire(box.get(), 1.0)))
-
-    victim = sim.process(doomed())
+    victim = session_waiting(sim, sim.expire(box.get(), 1.0), resumed.append)
     sim.after(0.5, lambda value: victim.kill())
     sim.after(2.0, lambda value: box.put("for the next reader"))
     sim.run()

@@ -10,6 +10,7 @@ from repro.sim import Simulator
 from repro.storage import Disk, LogRecord, RecordKind, WriteAheadLog
 from repro.storage.fencing import FencedError, FencingController
 from repro.storage.wal import LogLostError
+from tests.conftest import session_waiting
 
 BANDWIDTH = 1000.0  # a 100-byte record takes 0.1 s
 
@@ -140,10 +141,8 @@ def test_fence_at_pump_time_fails_exactly_the_jobs_of_that_batch():
 def test_process_killed_inside_a_disk_op_frees_its_channel_at_kill_time(op, category):
     sim, disk, (wal,), trace = make()
 
-    def holder():
-        yield from (disk.read(1000.0, actor="peer") if op == "read" else disk.stall(1.0))
-
-    victim = sim.process(holder())
+    hold = disk.read(1000.0, actor="peer") if op == "read" else disk.stall(1.0)
+    victim = session_waiting(sim, hold)
     log = []
     sim.run(until=0.2)  # the 1 s hold has the only channel
     sim.process(forcing(wal, 1, log))
@@ -160,11 +159,8 @@ def test_process_killed_inside_a_disk_op_frees_its_channel_at_kill_time(op, cate
 def test_process_killed_while_queued_for_the_disk_leaves_the_queue():
     sim, disk, _wals, trace = make()
 
-    def reader(nbytes):
-        yield from disk.read(nbytes)
-
-    sim.process(reader(1000.0))
-    queued = sim.process(reader(500.0))
+    session_waiting(sim, disk.read(1000.0))
+    queued = session_waiting(sim, disk.read(500.0))
     sim.run(until=0.5)
     assert disk.queue_length == 1
     queued.kill()
