@@ -1,24 +1,18 @@
 """Which functions of ``src/`` does anything but the tests reach?
 
-Runs every product entry point, the CI battery and tier-1, each in a
-child process under a call tracer, and classes every function defined
-under ``src/`` by the first set that reaches it:
-
-* **product** -- a CLI command, an example or a ledger workload;
-* **ci** -- the per-protocol conformance battery and the Chrome-trace
-  schema check;
-* **test-only** -- tier-1 alone;
-* **nothing** -- no run at all.
-
-Prints each class's function and line totals (a function's own lines:
-its nested functions count for themselves), then the names of every
-non-product function with its lines.  Stdlib only; serial; it takes
-minutes, so it is a tool to run by hand, not a CI step::
+Runs the product entry points (CLI commands, examples, ledger
+workloads), the CI battery (conformance, Chrome-trace schema check)
+and tier-1, each command in a child process under a call tracer, and
+classes every ``src/`` function by the first set that reaches it:
+product, ci, test-only or nothing.  Prints each class's function and
+line totals (a function's own lines; nested functions count for
+themselves), then one ``lines  path qualname`` row per function.
+Stdlib only and serial; it takes minutes, so it is run by hand::
 
     python benchmarks/traffic.py > traffic.txt
 
 Not traced: ``repro perf``, ``campaign shrink``/``replay``, and
-process-pool children (every run here is serial).
+process-pool children.
 """
 
 from __future__ import annotations
@@ -35,18 +29,17 @@ SRC = ROOT / "src"
 PROTOCOLS = ("PrN", "PrC", "EP", "1PC", "PrA", "PC", "LGL", "1PC-N")
 SWEEP_KINDS = ("latency", "disk", "burst", "abort", "figure6", "scaling", "fanout")
 
-#: The child's ``sitecustomize``: record ``(file, qualname, first line)``
-#: of every code object under ``src/`` that is called, write them at exit.
+#: The child's ``sitecustomize``: every ``src/`` code object called, by (file, first line).
 TRACER = """\
 import atexit, os, sys, tempfile, threading
 _src, _out, _seen = {src!r}, {out!r}, set()
 def _trace(frame, event, arg):
     code = frame.f_code
     if code.co_filename.startswith(_src):
-        _seen.add((code.co_filename, code.co_qualname, code.co_firstlineno))
+        _seen.add((code.co_filename, code.co_firstlineno))
 def _dump():
     with os.fdopen(tempfile.mkstemp(".txt", dir=_out)[0], "w") as fp:
-        fp.writelines(f"{{f}}\\t{{q}}\\t{{n}}\\n" for f, q, n in _seen)
+        fp.writelines(f"{{f}}\\t{{n}}\\n" for f, n in _seen)
 atexit.register(_dump)
 sys.settrace(_trace)
 threading.settrace(_trace)
@@ -63,9 +56,8 @@ def product_runs() -> list[list[str]]:
     runs += [repro + ["sweep", "--kind", kind, "--n", "8"] for kind in SWEEP_KINDS]
     runs += [repro + ["sweep", "--kind", "composite", "--n", "400", "--groups", "2"]]
     runs += [repro + ["calibrate", "--n", "8"]]
-    formats = ("spans", "chrome", "records")
-    runs += [repro + ["trace", "--format", f, "--out", "out"] for f in formats]
-    runs += [repro + ["lint", "src/", "--format", fmt] for fmt in ("text", "json", "sarif")]
+    runs += [repro + ["trace", "--format", f, "--out", "o"] for f in ("spans", "chrome", "records")]
+    runs += [repro + ["lint", str(SRC), "--format", f] for f in ("text", "json", "sarif")]
     runs += [repro + ["report", "--check", "EXPERIMENTS.md"]]
     runs += [repro + ["campaign", "run", "--protocol", p, "--runs", "4"] for p in ("1PC", "PrN")]
     runs += [repro + ["protocols"], repro + ["protocols", "--json"]]
@@ -89,36 +81,45 @@ def traced(runs: list[list[str]], scratch: Path) -> set[tuple[str, int]]:
     (site / "sitecustomize.py").write_text(TRACER.format(src=str(SRC), out=str(out)))
     env = dict(os.environ, PYTHONPATH=f"{site}:{SRC}", PYTHONHASHSEED="0")
     for cmd in runs:
-        done = subprocess.run(
-            cmd, cwd=scratch, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
-        )
+        done = subprocess.run(cmd, cwd=scratch, env=env, capture_output=True)
         if done.returncode not in (0, 1):  # lint/report/pytest exit 1 on findings
             sys.exit(f"{' '.join(cmd)} failed:\n{done.stderr.decode()[-2000:]}")
     seen = set()
     for dump in out.glob("*.txt"):
         for line in dump.read_text().splitlines():
-            path, _qualname, first = line.split("\t")
+            path, first = line.split("\t")
             seen.add((path, int(first)))
     return seen
 
 
 def functions() -> dict[tuple[str, int], tuple[str, int]]:
-    """``(file, first line) -> (name, own lines)`` for every function
-    under ``src/``; the first line is the code object's (a decorator's)."""
+    """``(file, first line) -> ("path qualname", own lines)`` per ``src/``
+    function; the first line is the code object's (a decorator's)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     table = {}
+
+    def nested(node: ast.AST):  # the functions defined in node's body, not deeper
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, defs):
+                yield child
+            else:
+                yield from nested(child)
+
+    def visit(node: ast.AST, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, defs):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                inner = sum(sub.end_lineno - sub.lineno + 1 for sub in nested(child))
+                name = f"{path.relative_to(SRC)} {prefix}{child.name}"
+                table[(str(path), first)] = (name, child.end_lineno - first + 1 - inner)
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, path, prefix)
+
     for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                inner = sum(
-                    child.end_lineno - child.lineno + 1
-                    for child in ast.iter_child_nodes(node)
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                )
-                own = node.end_lineno - first + 1 - inner
-                name = f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
-                table[(str(path), first)] = (name, own)
+        visit(ast.parse(path.read_text()), path, "")
     return table
 
 
@@ -139,7 +140,7 @@ def main() -> None:
         classes[label].append((name, lines))
     for label, members in classes.items():
         print(f"{label:10} {len(members):5} functions {sum(n for _, n in members):6} lines")
-    for label in ("ci", "test-only", "nothing"):
+    for label in classes:
         print(f"\n## {label}")
         for name, lines in sorted(classes[label]):
             print(f"{lines:5}  {name}")

@@ -1,10 +1,11 @@
 """Per-node network endpoint: a mailbox for processes, a server for nodes.
 
 A client *process* pulls arriving messages from ``mailbox``
-(``receive``, its deadline armed with ``Simulator.expire``).  A *node* that only reacts to messages — a metadata
-server, a backup replica, an acceptor — calls :meth:`Endpoint.serve`
-once instead and gets a serial FIFO message server driven by one timer
-per message, with no process parked on the mailbox.
+(``receive``, its deadline armed with ``Simulator.expire``).  A *node*
+that only reacts to messages — a metadata server, a backup replica, an
+acceptor — calls :meth:`Endpoint.serve` once instead and gets a serial
+FIFO message server driven by one timer per message, with no process
+parked on the mailbox.
 """
 
 from __future__ import annotations

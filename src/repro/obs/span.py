@@ -122,7 +122,8 @@ class SpanCollector:
 
     Indexing: one *root* (coordinator) span per transaction, keyed
     ``(txn_id, None)``, plus one child span per ``(txn_id, worker)``
-    leg.  The collector is ``cluster.obs.spans``; only the :class:`~repro.obs.hub.Observability` hub writes to it.
+    leg.  The collector is ``cluster.obs.spans``; only the
+    :class:`~repro.obs.hub.Observability` hub writes to it.
 
     Membership: a record at leg ``(txn_id, node)`` belongs to the leg at
     that node if the leg opened before it, else to the transaction's

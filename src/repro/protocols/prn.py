@@ -344,10 +344,10 @@ class PrNWorker(Worker):
         if msg is TIMED_OUT:
             return self.query_decision()
         if msg.kind == MsgKind.PREPARE:
-            return self._revote(self._decided)
+            return self._vote_again(self._decided)
         self._resolve(msg)
 
-    def _revote(self, step: Step) -> None:
+    def _vote_again(self, step: Step) -> None:
         """A recovering coordinator resent PREPARE (§II-C "resubmits the
         PREPARE request"): vote again, wait on until the same deadline."""
         self.p._announce_vote(self.txn_id, self.coordinator)
@@ -368,7 +368,7 @@ class PrNWorker(Worker):
         if msg is TIMED_OUT and self._attempts > 1:
             return self.query_decision(self._attempts - 1)
         if msg is not TIMED_OUT and msg.kind == MsgKind.PREPARE:
-            return self._revote(self._answered)
+            return self._vote_again(self._answered)
         self._resolve(msg)
 
     def _resolve(self, msg: Any) -> None:

@@ -79,18 +79,10 @@ class Simulator:
         #: has no callback and the event as ``arg``.
         self._heap: list[tuple[float, int, int, Optional[Callable[[Any], None]], Any]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         #: Time bound of the ``run(until=<time>)`` in progress, else ``inf``.
         self._horizon = _INF
         #: Number of events processed so far (exposed for statistics).
         self.events_processed = 0
-
-    # -- clock --------------------------------------------------------------
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- scheduling ----------------------------------------------------------
 

@@ -88,7 +88,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
         sim = self.sim
-        sim._active_process = self
         self._waiting_on = None
         try:
             if event._ok:
@@ -104,8 +103,6 @@ class Process(Event):
                 raise
             self.fail(exc)
             return
-        finally:
-            sim._active_process = None
 
         try:
             state = target._state

@@ -102,7 +102,8 @@ def test_resource_never_exceeds_capacity(hold_times):
     for hold in hold_times:
         sim.process(disk.stall(hold))
     sim.run()
-    spans = [(r.get("granted"), r.get("granted") + r.get("duration")) for r in obs.trace.select("disk_stall")]
+    stalls = obs.trace.select("disk_stall")
+    spans = [(r.get("granted"), r.get("granted") + r.get("duration")) for r in stalls]
     assert len(spans) == len(hold_times)
     for start, _end in spans:
         assert sum(1 for s, e in spans if s <= start < e) <= 2

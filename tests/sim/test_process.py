@@ -122,3 +122,24 @@ def test_many_processes_complete():
         sim.process(proc(sim, i))
     sim.run()
     assert sorted(done) == list(range(200))
+
+
+def test_waiting_on_an_already_failed_event_throws_its_failure():
+    """A target that failed and was processed before the process yields
+    it is relayed at the current instant with its exception thrown in."""
+    sim = Simulator()
+    failed = sim.event()
+    failed.defused = True
+    failed.fail(RuntimeError("earlier"))
+    sim.run()
+    caught = []
+
+    def late(sim):
+        try:
+            yield failed
+        except RuntimeError as exc:
+            caught.append((str(exc), sim.now))
+
+    sim.process(late(sim))
+    sim.run()
+    assert caught == [("earlier", 0.0)]
