@@ -24,8 +24,8 @@ class Endpoint:
     """A node's attachment to the network.
 
     Incoming messages land in ``mailbox`` — processes consume them
-    with ``receive`` — unless ``serve`` installed a
-    handler, which then gets every message in arrival order.
+    with ``receive`` — unless ``serve`` installed a handler, which then
+    gets every message in arrival order.
     """
 
     def __init__(self, sim: Simulator, node: str, network: "Network"):
