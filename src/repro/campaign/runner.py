@@ -6,8 +6,13 @@ plan — then, after the dust settles, the one oracle
 (:func:`repro.analysis.oracle.check`: invariants, atomicity,
 durability, aborted residue, serializability, conflict cycles).
 
-The hub runs in ``"attribute"`` mode: it folds at each hook what the
-oracle reads, and keeps no stream (``trace="full"`` does).
+The hub runs in ``"attribute"`` mode and keeps no stream
+(``trace="full"`` does).  The runner asks it for the lock-precedence
+edges before the run, so every lock grant folds its edge — what the
+oracle's conflict-cycle pass reads; the fault triggers hear their own
+categories; the rest of the hub attributes only its sampled
+transactions (1 in :data:`repro.obs.hub.SAMPLE_EVERY`), which no
+campaign reads.
 
 The verdict is a plain dict; :mod:`repro.exec.runners` carries it in
 :class:`~repro.exec.spec.CellResult.verdict`, so campaign cells flow
@@ -59,6 +64,7 @@ def run_campaign_cell(
         placement=ForcedDistributedPlacement("mds1", "mds2"),
         trace=trace,
     )
+    cluster.obs.keep_precedence()
     cluster.mkdir("/hot")
     for c in range(schedule.n_clients):
         cluster.mkdir(f"/cold{c}")

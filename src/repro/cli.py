@@ -213,8 +213,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Where a Figure-6 cell's latency went, per op: p50 / p99 of each
-    attribute-mode component (seconds or counts), and Table I's forced
-    writes and messages (beyond the execution pair) per transaction."""
+    attributed component (seconds or counts), and Table I's forced
+    writes and messages (beyond the execution pair) per transaction.
+    The burst runs in full mode, whose hub attributes every transaction."""
     from repro.analysis.costs import BASE_MESSAGES
     from repro.analysis.tables import render_table
     from repro.exec import figure6_grid
@@ -222,7 +223,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.workloads import run_burst
 
     (spec,) = figure6_grid([args.protocol], n=args.n)
-    burst = run_burst(args.protocol, n=args.n, params=spec.seeded_params(), trace="attribute")
+    burst = run_burst(args.protocol, n=args.n, params=spec.seeded_params(), trace="full")
     found, rows = burst.cluster.obs.attribution(), []
     for protocol, op in sorted({key[:2] for key in found}):
         stats = [found[protocol, op, component] for component in COMPONENTS]

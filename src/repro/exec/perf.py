@@ -21,6 +21,7 @@ from typing import Any, Callable, Optional
 
 from repro.exec.clock import monotonic, utc_now_iso
 from repro.exec.results import git_revision
+from repro.obs.hub import SAMPLE_EVERY
 from repro.workloads.composite import CompositeConfig, run_composite
 
 PERF_SCHEMA_VERSION = 3
@@ -117,7 +118,9 @@ def run_million_txn(ops: int = 1_300_000, groups: int = 8, protocol: str = "1PC"
     ``ru_maxrss`` watermark afterwards; because the watermark is
     monotone, ``rss_ratio = full/base`` close to 1.0 is direct evidence
     the streaming-statistics path holds peak memory flat while the
-    transaction count grows 10x.
+    transaction count grows 10x.  ``attribution`` is the full run's
+    latency components per op, over the 1 transaction in
+    ``sample_every`` its hubs attribute.
     """
 
     def config(n: int) -> CompositeConfig:
@@ -153,6 +156,18 @@ def run_million_txn(ops: int = 1_300_000, groups: int = 8, protocol: str = "1PC"
             "rss_base_kb": base_rss,
             "rss_full_kb": full_rss,
             "rss_ratio": full_rss / base_rss if base_rss else 0.0,
+            "attribution": {
+                "sample_every": SAMPLE_EVERY,
+                "components": {
+                    "/".join(key): {
+                        "count": stats.count,
+                        "mean": stats.mean,
+                        "p50": stats.quantile(50.0),
+                        "p99": stats.quantile(99.0),
+                    }
+                    for key, stats in full.attribution.items()
+                },
+            },
         },
     )
 

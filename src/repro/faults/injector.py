@@ -225,7 +225,9 @@ class FaultPlan:
         not have, an ``at=`` already in the past (or built against the
         wrong clock), a ``trigger=`` on an ``"off"`` hub, and on an
         ``"attribute"`` one, which has no stream to replay, a
-        ``trigger=`` on a category the hub has already counted."""
+        ``trigger=`` on a category the hub may have seen already
+        (:meth:`~repro.obs.hub.Observability.categories_seen`: once the
+        kernel has run, that is every category of a sampled hook site)."""
         if self.installed:
             raise RuntimeError("fault plan already installed")
         now, nodes = cluster.sim.now, cluster.servers
@@ -243,7 +245,7 @@ class FaultPlan:
         elif cluster.obs.mode == "attribute":  # no stream to replay
             seen = cluster.obs.categories_seen()
             late = [f for f in triggered if f.trigger is not None and f.trigger.category in seen]
-            _reject(late, "are triggered by a category the hub already counted")
+            _reject(late, "are triggered by a category the hub may have already counted")
         self.installed = True
         self._cluster = cluster
         #: Still-unfired triggered faults, each with its hit counter.

@@ -148,7 +148,7 @@ class LockManager:
             return False
         if self._grantable(entry, txn_id, mode):
             entry.holders[txn_id] = mode
-            if self.obs.enabled:
+            if txn_id in self.obs.sampled or "lock_grant" in self.obs.hears:
                 self.obs.lock_grant(self.name, txn=txn_id, obj=obj_id, mode=mode)
             return True
         return False
@@ -168,7 +168,7 @@ class LockManager:
             return None
         waiter = _Waiter(self.sim, txn_id, mode)
         self._entry(obj_id).queue.append(waiter)
-        if self.obs.enabled:
+        if txn_id in self.obs.sampled or "lock_wait" in self.obs.hears:
             self.obs.lock_wait(self.name, txn=txn_id, obj=obj_id, mode=mode)
         if timeout is not None:
             self.sim.expire(waiter, timeout)
@@ -195,7 +195,7 @@ class LockManager:
         if entry is None or txn_id not in entry.holders:
             raise KeyError(f"txn {txn_id} does not hold a lock on {obj_id!r}")
         del entry.holders[txn_id]
-        if self.obs.enabled:
+        if txn_id in self.obs.sampled or "lock_release" in self.obs.hears:
             self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
         self._dispatch(obj_id, entry)
 
@@ -206,7 +206,7 @@ class LockManager:
             if txn_id in entry.holders:
                 del entry.holders[txn_id]
                 released += 1
-                if self.obs.enabled:
+                if txn_id in self.obs.sampled or "lock_release" in self.obs.hears:
                     self.obs.lock_release(self.name, txn=txn_id, obj=obj_id)
                 self._dispatch(obj_id, entry)
             # Also withdraw any queued request by this transaction.
@@ -232,7 +232,7 @@ class LockManager:
                 entry.holders[waiter.txn_id] = LockMode.EXCLUSIVE
             elif held is None:
                 entry.holders[waiter.txn_id] = waiter.mode
-            if self.obs.enabled:
+            if waiter.txn_id in self.obs.sampled or "lock_grant" in self.obs.hears:
                 self.obs.lock_grant(self.name, txn=waiter.txn_id, obj=obj_id, mode=waiter.mode)
             waiter.succeed()
             if waiter.mode is LockMode.EXCLUSIVE:

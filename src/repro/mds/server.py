@@ -34,6 +34,7 @@ from repro.fs.objects import ObjectId
 from repro.fs.operations import OpPlan, split_path
 from repro.locks import LockManager, LockMode
 from repro.net.message import Message
+from repro.obs.hub import SPREAD, WORD
 from repro.protocols.base import SESSION_OPENERS, MsgKind, Protocol, Session, Transaction
 from repro.sim import TIMED_OUT, Store
 
@@ -91,7 +92,7 @@ class MDSServer:
         return self._sessions.get(txn_id)
 
     def close_session(self, txn_id: int) -> None:
-        if self._sessions.pop(txn_id, None) is not None and self.obs.enabled:
+        if self._sessions.pop(txn_id, None) is not None and "worker_close" in self.obs.hears:
             self.obs.worker_close(self.name, txn_id)
 
     # ------------------------------------------------------------------
@@ -119,7 +120,7 @@ class MDSServer:
         engine = self._engine_for(msg)
         if msg.kind in SESSION_OPENERS:
             session = self.open_session(msg.txn_id)
-            if self.obs.enabled:
+            if "worker_open" in self.obs.hears:
                 self.obs.worker_open(
                     self.name, msg.txn_id, opener=msg.kind, protocol=engine.name
                 )
@@ -161,7 +162,7 @@ class MDSServer:
             self.obs.txn_fallback(
                 self.name, txn.txn_id, op=plan.op, workers=len(plan.workers)
             )
-        if self.obs.enabled:
+        if txn.txn_id * SPREAD & WORD < self.obs.sample_below or "txn_start" in self.obs.hears:
             self.obs.txn_start(
                 self.name,
                 txn.txn_id,

@@ -97,7 +97,7 @@ class Endpoint:
             )
             return
         obs = network.obs
-        if obs.enabled:
+        if message.msg_id in obs.sent or "msg_recv" in obs.hears:
             obs.msg_recv(
                 self.node,
                 kind=message.kind,

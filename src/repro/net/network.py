@@ -180,8 +180,9 @@ class Network:
         delay = self.params.latency + self.params.byte_cost * message.size
         if self._jitter is not None:
             delay += self._jitter.uniform(0.0, self.params.jitter)
-        if self.obs.enabled:
-            self.obs.msg_send(
+        obs = self.obs
+        if message.txn_id in obs.sampled or "msg_send" in obs.hears:
+            obs.msg_send(
                 message.src,
                 kind=message.kind,
                 dst=message.dst,

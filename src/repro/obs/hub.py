@@ -25,6 +25,16 @@ it to a full hub's stream and hands it to the listeners.  The record
 carries the node of the span leg its hook names (``TraceRecord.node``;
 the leg is ``(detail["txn"], node)``).
 
+A hub attributes a sample of the transactions: every one in full mode,
+1 in :data:`SAMPLE_EVERY` in attribute mode, chosen at ``txn_start`` by
+an arithmetic hash of the transaction id.  The per-operation hook
+sites (``net``, ``storage``, ``locks``, ``mds``, ``protocols``) decide
+whether to call with no call of their own, from three plain
+attributes: a sampled transaction's (``sampled``, or ``sent`` for a
+message it sent), a category a listener hears (``hears``, every
+category in full mode), and ``lock_grant`` once a reader asked for the
+precedence edges (:meth:`Observability.keep_precedence`).
+
 A read of the registry copies the counts into its counters; a read of
 ``attribution()`` observes the finished accumulators a fixed buffer
 holds.  Span membership is a fold of the stream
@@ -104,6 +114,36 @@ _LOCK_WAIT, _FORCE_TIME, _NETWORK, _FORCES, _MESSAGES, _APPENDS = range(2, 8)
 #: Finished accumulators a hub holds before it observes their components.
 _FINISHED = 256
 
+#: An attribute hub attributes 1 transaction in ``SAMPLE_EVERY`` (a
+#: power of two); a full hub attributes every one, an off hub none.
+SAMPLE_EVERY = 16
+#: Transaction ``t`` is sampled when ``t * SPREAD & WORD`` is below its
+#: hub's ``sample_below``: Knuth's multiplicative hash spreads
+#: consecutive ids over the word, so the sampled set is a pure function
+#: of the ids, draws from no RNG stream and costs a hook site no call.
+SPREAD = 0x9E3779B1
+WORD = 0xFFFFFFFF
+
+#: Every category a per-operation hook site tests before it calls (the
+#: two worker-session hooks write spans only): a hub that builds every
+#: record hears them all.
+_SITES = frozenset(
+    (
+        "txn_start", "client_reply", "txn_done", "msg_send", "msg_recv",
+        "log_append", "log_durable", "log_gc", "disk_write",
+        "lock_grant", "lock_wait", "lock_release", "worker_open", "worker_close",
+    )
+)
+#: What a reader of the precedence edges adds to what an attribute hub hears.
+_EDGES = frozenset(("lock_grant",))
+
+#: An attribute hub's histograms and attribution keep this many raw
+#: values each (more than a ledger composite's shard group observes),
+#: then a bottom-k sketch of this size, which takes no more memory than
+#: the buffer it replaces: what a million-transaction run holds stays
+#: flat as it grows.
+_EXACT, _SKETCH = 256, 64
+
 
 class _Memo(dict):
     """A dict that computes a missing value once, with ``make``: a hit
@@ -134,9 +174,10 @@ class Observability:
         self.mode = mode
         #: The hot-path guard: an ``off`` hub counts nothing.
         self.enabled = mode != "off"
+        bounds = dict(exact_threshold=_EXACT, sketch_size=_SKETCH) if mode == "attribute" else {}
         self.trace = TraceLog(sim)
         self.spans = SpanCollector(sim, self.trace)
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry(**bounds)
         # The spans are filed when read, and before the trace drops
         # records; the counters are copied when the registry is read.
         self.spans.refresh = self.trace.before_clear = self._fold
@@ -152,6 +193,13 @@ class Observability:
         #: Whether every hook builds its record: a full hub streams them
         #: all, and a listener of every record hears them all.
         self._every_record = mode == "full"
+        #: The categories whose every hook site calls, sampled or not
+        #: (kept by :meth:`_rehear`; inline here, where no frame may run).
+        self.hears = _SITES if self._every_record else frozenset()
+        #: Transaction ``t`` is sampled when ``t * SPREAD & WORD`` is below this.
+        self.sample_below = {
+            "off": 0, "attribute": (WORD + 1) // SAMPLE_EVERY, "full": WORD + 1
+        }[mode]
         #: Lock-manager name -> the node whose legs its records belong to.
         self._lock_nodes = _Memo()
         self._lock_nodes.make = _lock_node
@@ -164,22 +212,28 @@ class Observability:
         #: its first observation.
         self._observe = _Memo()
         self._observe.make = self._observer
-        self._edges: set[tuple[Any, Any]] = set()  # (earlier, later)
+        #: (earlier, later) precedence edges; None until a reader asks
+        #: (:meth:`keep_precedence`), which a full hub has done.
+        self._edges: Optional[set[tuple[Any, Any]]] = set() if mode == "full" else None
         #: Lock manager -> obj -> [last integer grantee, {owner: grant
-        #: time}]: one lookup serves the chain and the hold time.
+        #: time}]: one lookup serves the chain and the hold time.  Without
+        #: edges a slot lives while a sampled transaction holds the lock.
         self._locks: dict[str, dict[Any, list]] = {}
         #: (lock manager, txn) -> wait start: a leg waits on one lock.
         self._waits: dict[tuple[str, int], float] = {}
         #: (node, txn) -> [first pending start, pending, last force time].
         self._forcing: dict[tuple[str, int], list] = {}
-        self._sent: dict[int, float] = {}  # msg_id -> send time
-        self._txns: dict[int, list] = {}  # txn -> accumulator, start to done
+        #: msg_id -> send time of a sampled transaction's message in
+        #: flight: its delivery calls even after ``txn_done``.
+        self.sent: dict[int, float] = {}
+        #: Sampled transaction -> its accumulator, ``txn_start`` to ``txn_done``.
+        self.sampled: dict[int, list] = {}
         #: Finished accumulators whose components are not yet observed.
         self._finished: list[Optional[list]] = [None] * _FINISHED
         self._filled = 0
         self._components = _Memo()  # (protocol, op) -> StreamingStats each
         self._components.make = lambda key: tuple(
-            StreamingStats(label="/".join((*key, c))) for c in COMPONENTS
+            StreamingStats(label="/".join((*key, c)), **bounds) for c in COMPONENTS
         )
 
     # -- the single write path ------------------------------------------------
@@ -214,11 +268,12 @@ class Observability:
         if categories is None:
             self._every = self._every + [listener]
             self._every_record = True
-            return
-        heard = {category: list(known) for category, known in self._heard.items()}
-        for category in categories:
-            heard.setdefault(category, []).append(listener)
-        self._heard = heard
+        else:
+            heard = {category: list(known) for category, known in self._heard.items()}
+            for category in categories:
+                heard.setdefault(category, []).append(listener)
+            self._heard = heard
+        self._rehear()
 
     def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         self._every = [known for known in self._every if known != listener]
@@ -228,6 +283,31 @@ class Observability:
             for category, listeners in self._heard.items()
         }
         self._heard = {category: known for category, known in heard.items() if known}
+        self._rehear()
+
+    def _rehear(self) -> None:
+        """Recompute ``hears``: every site category while every hook
+        builds its record, else the listened ones, plus ``lock_grant``
+        while the edges are kept."""
+        if self._every_record:
+            self.hears = _SITES
+        elif self._edges is None:
+            self.hears = frozenset(self._heard)
+        else:
+            self.hears = frozenset(self._heard) | _EDGES
+
+    def keep_precedence(self) -> None:
+        """Fold the precedence edge of every lock grant from now on,
+        sampled transaction or not: what :meth:`precedence` answers (a
+        full hub always does).  Ask before the run: a grant already made
+        is not folded later."""
+        if not self.enabled:
+            raise ValueError("an off hub folds no precedence edge")
+        if self._edges is None:
+            if self._ran():
+                raise ValueError("ask for the precedence edges before the run")
+            self._edges = set()
+            self._rehear()
 
     @property
     def listeners(self) -> list[Callable[[TraceRecord], None]]:
@@ -298,14 +378,27 @@ class Observability:
                 stats.observe(value)
         self._filled = 0
 
+    def _ran(self) -> bool:
+        """Whether the kernel has run an event: every hook runs in one."""
+        return self.sim.now > 0 or self.sim.events_processed > 0
+
     def categories_seen(self) -> set[str]:
-        """The categories of every hook and annotation counted so far."""
-        return {key[0] if key.__class__ is tuple else key for key in self._counts}
+        """The categories of every hook and annotation counted so far.
+        An attribute hub's per-operation sites skip an unsampled
+        transaction uncounted, so once the kernel has run, every site
+        category counts as seen there."""
+        seen = {key[0] if key.__class__ is tuple else key for key in self._counts}
+        if self.mode == "attribute" and self._ran():
+            seen |= _SITES
+        return seen
 
     def precedence(self) -> set[tuple[Any, Any]]:
         """``earlier -> later`` for consecutive grants of one object by one
         lock manager to distinct integer transactions.  A node's ``crash``
-        cuts its manager's chains: recovery re-acquires in its own order."""
+        cuts its manager's chains: recovery re-acquires in its own order.
+        A hub that never asked (:meth:`keep_precedence`) has no edges to give."""
+        if self._edges is None:
+            raise ValueError("precedence() on a hub that never asked: call keep_precedence() first")
         return set(self._edges)
 
     def attribution(self) -> dict[tuple[str, str, str], StreamingStats]:
@@ -327,13 +420,13 @@ class Observability:
         submitted_at: float,
         client: str = "",
     ) -> Optional[Span]:
-        """A coordinator opened a transaction: its accumulator, its
-        record and its root span."""
+        """A coordinator opened a transaction: its accumulator if it is
+        sampled, its record and its root span."""
         if not self.enabled:
             return None
         self._counts["txn_start"] += 1.0
-        if txn not in self._txns:
-            self._txns[txn] = [protocol, op, 0.0, 0.0, 0.0, 0, 0, 0.0]
+        if txn * SPREAD & WORD < self.sample_below and txn not in self.sampled:
+            self.sampled[txn] = [protocol, op, 0.0, 0.0, 0.0, 0, 0, 0.0]
         if self._every_record or "txn_start" in self._heard:
             self._emit("txn_start", actor, {"txn": txn, "op": op, "protocol": protocol})
         if self.mode != "full":
@@ -409,10 +502,10 @@ class Observability:
             return
         self._counts["txn_done", committed] += 1.0
         self._observe["txn.client_latency"](latency)
-        txns = self._txns
-        if txn in txns:
-            accumulator = txns[txn]
-            del txns[txn]
+        sampled = self.sampled
+        if txn in sampled:
+            accumulator = sampled[txn]
+            del sampled[txn]
             self._observe["txn.forced_writes"](accumulator[_APPENDS])
             self._observe["txn.messages"](float(accumulator[_MESSAGES]))
             self._finished[self._filled] = accumulator
@@ -439,9 +532,9 @@ class Observability:
         if not self.enabled:
             return
         self._counts["msg_send"] += 1.0
-        if txn in self._txns:
-            self._sent[msg_id] = self.sim.now
-            self._txns[txn][_MESSAGES] += kind in PROTOCOL_MSG_KINDS
+        if txn in self.sampled:
+            self.sent[msg_id] = self.sim.now
+            self.sampled[txn][_MESSAGES] += kind in PROTOCOL_MSG_KINDS
         if self._every_record or "msg_send" in self._heard:
             detail = {"kind": kind, "dst": dst, "txn": txn, "msg_id": msg_id}
             self._emit("msg_send", actor, detail, actor)
@@ -452,10 +545,10 @@ class Observability:
         if not self.enabled:
             return
         self._counts["msg_recv"] += 1.0
-        sent = self._sent
+        sent = self.sent
         if msg_id in sent:
-            if txn in self._txns:
-                self._txns[txn][_NETWORK] += self.sim.now - sent[msg_id]
+            if txn in self.sampled:
+                self.sampled[txn][_NETWORK] += self.sim.now - sent[msg_id]
             del sent[msg_id]
         if self._every_record or "msg_recv" in self._heard:
             detail = {"kind": kind, "src": src, "txn": txn, "msg_id": msg_id}
@@ -469,8 +562,8 @@ class Observability:
         if not self.enabled:
             return
         self._counts["msg_drop"] += 1.0
-        if msg_id in self._sent:
-            del self._sent[msg_id]
+        if msg_id in self.sent:
+            del self.sent[msg_id]
         if self._every_record or "msg_drop" in self._heard:
             self._emit("msg_drop", actor, {"reason": reason, "kind": kind, **detail}, actor)
 
@@ -484,8 +577,8 @@ class Observability:
         if not self.enabled:
             return
         self._counts["log_append", sync] += 1.0
-        if sync and txn in self._txns:
-            accumulator = self._txns[txn]
+        if sync and txn in self.sampled:
+            accumulator = self.sampled[txn]
             accumulator[_APPENDS] += 1
             key = (actor, txn)
             if key not in self._forcing:
@@ -511,8 +604,8 @@ class Observability:
             pending[1] -= 1
             if not pending[1]:
                 del self._forcing[key]
-                if txn in self._txns:
-                    self._txns[txn][_FORCE_TIME] += self.sim.now - pending[0]
+                if txn in self.sampled:
+                    self.sampled[txn][_FORCE_TIME] += self.sim.now - pending[0]
         if self._every_record or "log_durable" in self._heard:
             detail = {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes}
             self._emit("log_durable", actor, detail, actor)
@@ -555,19 +648,25 @@ class Observability:
         now = self.sim.now
         key = (manager, txn)
         if key in self._waits:
-            if txn in self._txns:
-                self._txns[txn][_LOCK_WAIT] += now - self._waits[key]
+            if txn in self.sampled:
+                self.sampled[txn][_LOCK_WAIT] += now - self._waits[key]
             del self._waits[key]
-        locks = self._locks
-        held = locks[manager] if manager in locks else locks.setdefault(manager, {})
-        slot = held.get(obj)
-        if slot is None:
-            slot = held[obj] = [None, {}]
-        slot[1][txn] = now
-        if txn.__class__ is int:
-            if slot[0] is not None and slot[0] != txn:
-                self._edges.add((slot[0], txn))
-            slot[0] = txn
+        # A full hub times every hold; an attribute hub, a sampled
+        # transaction's, whose release it will hear.
+        timed = txn in self.sampled or self.mode == "full"
+        edges = self._edges
+        if timed or edges is not None:
+            locks = self._locks
+            held = locks[manager] if manager in locks else locks.setdefault(manager, {})
+            slot = held.get(obj)
+            if slot is None:
+                slot = held[obj] = [None, {}]
+            if timed:
+                slot[1][txn] = now
+            if edges is not None and txn.__class__ is int:
+                if slot[0] is not None and slot[0] != txn:
+                    edges.add((slot[0], txn))
+                slot[0] = txn
         if self._every_record or "lock_grant" in self._heard:
             detail = {"txn": txn, "obj": obj, "mode": str(mode)}
             node = self._lock_nodes[manager] if txn.__class__ is int else None
@@ -584,7 +683,7 @@ class Observability:
         if not self.enabled:
             return
         self._counts["lock_wait"] += 1.0
-        if txn in self._txns:
+        if txn in self.sampled:
             self._waits[(manager, txn)] = self.sim.now
         if self._every_record or "lock_wait" in self._heard:
             detail = {"txn": txn, "obj": obj, "mode": str(mode)}
@@ -597,8 +696,8 @@ class Observability:
         self._counts["lock_timeout"] += 1.0
         key = (manager, txn)
         if key in self._waits:
-            if txn in self._txns:
-                self._txns[txn][_LOCK_WAIT] += self.sim.now - self._waits[key]
+            if txn in self.sampled:
+                self.sampled[txn][_LOCK_WAIT] += self.sim.now - self._waits[key]
             del self._waits[key]
         if self._every_record or "lock_timeout" in self._heard:
             node = self._lock_nodes[manager] if txn.__class__ is int else None
@@ -609,10 +708,13 @@ class Observability:
             return
         self._counts["lock_release"] += 1.0
         if manager in self._locks:
-            slot = self._locks[manager].get(obj)
+            held = self._locks[manager]
+            slot = held.get(obj)
             if slot is not None and txn in slot[1]:
                 self._observe["locks.hold_time"](self.sim.now - slot[1][txn])
                 del slot[1][txn]
+                if not slot[1] and self._edges is None:
+                    del held[obj]  # no chain to continue
         if self._every_record or "lock_release" in self._heard:
             node = self._lock_nodes[manager] if txn.__class__ is int else None
             self._emit("lock_release", manager, {"txn": txn, "obj": obj}, node)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Optional
 
 from repro.analysis.metrics import percentile
-from repro.analysis.streaming import StreamingStats
+from repro.analysis.streaming import EXACT_THRESHOLD, SKETCH_SIZE, StreamingStats
 from repro.sim.monitor import nothing_to_fold
 
 
@@ -49,9 +49,13 @@ class Histogram:
 
     __slots__ = ("name", "_stats", "observe")
 
-    def __init__(self, name: str) -> None:
+    def __init__(
+        self, name: str, exact_threshold: int = EXACT_THRESHOLD, sketch_size: int = SKETCH_SIZE
+    ) -> None:
         self.name = name
-        self._stats = StreamingStats(label=name)
+        self._stats = StreamingStats(
+            label=name, exact_threshold=exact_threshold, sketch_size=sketch_size
+        )
         #: ``observe(value)`` records one observation: the accumulator's
         #: own method, so an observation enters one frame, not two.
         self.observe = self._stats.observe
@@ -131,9 +135,13 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters and histograms, created on first use."""
+    """Named counters and histograms, created on first use; each
+    histogram with the registry's exact threshold and sketch size."""
 
-    def __init__(self) -> None:
+    def __init__(
+        self, exact_threshold: int = EXACT_THRESHOLD, sketch_size: int = SKETCH_SIZE
+    ) -> None:
+        self._bounds = {"exact_threshold": exact_threshold, "sketch_size": sketch_size}
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
         #: Brings the counters up to date before a query (the hub's).
@@ -150,7 +158,7 @@ class MetricsRegistry:
         """Histogram ``name``, created if new; folds nothing."""
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(name)
+            histogram = self._histograms[name] = Histogram(name, **self._bounds)
         return histogram
 
     def counter(self, name: str) -> Counter:

@@ -688,7 +688,7 @@ class Protocol:
             reason=reason,
             req_id=txn.req_id,
         )
-        if self.obs.enabled:
+        if txn.txn_id in self.obs.sampled or "client_reply" in self.obs.hears:
             self.obs.client_reply(self.me, txn.txn_id, committed=committed, op=txn.plan.op)
         return self.sim.now
 
@@ -716,7 +716,7 @@ class Protocol:
             reason=reason,
             plan=txn.plan,
         )
-        if self.obs.enabled:
+        if txn.txn_id in self.obs.sampled or "txn_done" in self.obs.hears:
             self.obs.txn_done(
                 self.me,
                 txn.txn_id,

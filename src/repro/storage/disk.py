@@ -135,7 +135,7 @@ class Disk:
     def _wrote(self, nbytes: float, actor: str, start: float) -> None:
         self.bytes_written += nbytes
         self.writes += 1
-        if self.obs.enabled:
+        if "disk_write" in self.obs.hears:
             self.obs.annotate(
                 "disk_write", actor, device=self.name, nbytes=nbytes, service=self.sim.now - start
             )

@@ -139,9 +139,10 @@ class WriteAheadLog:
                 object.__setattr__(record, "lsn", self._lsn)
         job = _FlushJob(self.sim, records, sync, nbytes)
         self._queue.append(job)
-        if self.obs.enabled:
-            for record in records:
-                self.obs.log_append(
+        obs = self.obs
+        for record in records:
+            if record.txn_id in obs.sampled or "log_append" in obs.hears:
+                obs.log_append(
                     self.owner, kind=record.kind, txn=record.txn_id, sync=sync, nbytes=record.size
                 )
         # Start an idle pump, one zero-delay hop from now: the rest of a
@@ -204,13 +205,14 @@ class WriteAheadLog:
         if generation != self._generation:
             # Crashed while the write was in flight: data lost.
             return
+        obs = self.obs
         for job in batch:
             self._queue.popleft()
             self._durable.extend(job.records)
-            if self.obs.enabled:
-                owner, sync = self.owner, job.sync
-                for record in job.records:
-                    self.obs.log_durable(
+            owner, sync = self.owner, job.sync
+            for record in job.records:
+                if record.txn_id in obs.sampled or "log_durable" in obs.hears:
+                    obs.log_durable(
                         owner, kind=record.kind, txn=record.txn_id, sync=sync, nbytes=record.size
                     )
             if job.done._state == PENDING:
@@ -292,7 +294,9 @@ class WriteAheadLog:
         """Garbage-collect every record belonging to ``txn_id``."""
         before = len(self._durable)
         self._durable = [r for r in self._durable if r.txn_id != txn_id]
-        if len(self._durable) != before and self.obs.enabled:
+        if len(self._durable) != before and (
+            txn_id in self.obs.sampled or "log_gc" in self.obs.hears
+        ):
             self.obs.log_gc(self.owner, txn=txn_id, removed=before - len(self._durable))
 
     def size_bytes(self) -> float:

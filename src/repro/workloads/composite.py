@@ -15,6 +15,9 @@ finish, and no per-transaction list grows anywhere.
 Shard groups are fully independent (disjoint namespaces, servers,
 networks, logs — the sharded-placement regime taken to its decoupled
 limit) and run co-hosted on one DES kernel (:func:`run_composite`).
+Each group's hub runs in ``"attribute"`` mode: it attributes 1
+transaction in :data:`repro.obs.hub.SAMPLE_EVERY` in bounded memory,
+and the merge folds the groups' attributions in group order.
 The kernel's event heap breaks ties by a monotone sequence number, so
 co-hosted groups interleave without ever reordering events *within* a
 group, and groups share no state — each group's event sequence is
@@ -27,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.streaming import StreamingStats, merge_all
@@ -37,7 +40,7 @@ from repro.fs.placement import ForcedDistributedPlacement
 from repro.mds.cluster import Cluster
 from repro.mds.scenarios import HOT_DIR
 from repro.sim import RngRegistry, Simulator
-from repro.workloads.cell import TRACE, Tally, TraceOp, drive, wal_totals
+from repro.workloads.cell import Tally, TraceOp, drive, wal_totals
 
 #: Trace operation kinds the generator emits.
 TRACE_OPS = ("create", "delete", "rename", "stat")
@@ -237,6 +240,9 @@ class GroupOutcome(Tally):
     events: int = 0
     forced_writes: int = 0
     lazy_writes: int = 0
+    #: The hub's attribution: ``(protocol, op, component)`` -> its
+    #: distribution over the group's sampled transactions.
+    attribution: Dict[Tuple[str, str, str], StreamingStats] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -257,6 +263,8 @@ class CompositeResult:
     latency: StreamingStats
     read_latency: StreamingStats
     per_group: Tuple[GroupOutcome, ...]
+    #: The groups' attributions merged, key by key, in group order.
+    attribution: Dict[Tuple[str, str, str], StreamingStats]
 
 
 def setup_group(
@@ -283,7 +291,7 @@ def setup_group(
         server_names=["mds1", "mds2"],
         params=dataclasses.replace(params, seed=seed),
         placement=ForcedDistributedPlacement("mds1", "mds2"),
-        trace=TRACE,
+        trace="attribute",
         sim=sim,
         outcome_sink=outcome.on_outcome,
     )
@@ -300,12 +308,13 @@ def finalize_group(
     cluster: Cluster, outcome: GroupOutcome, group: int, events: int
 ) -> GroupOutcome:
     """Complete a finished group's outcome with what its cluster spent
-    (checks invariants first)."""
+    and its hub attributed (checks invariants first)."""
     violations = cluster.check_invariants()
     if violations:
         raise RuntimeError(f"composite group {group} violations: {violations}")
     outcome.events = events
     outcome.forced_writes, outcome.lazy_writes = wal_totals(cluster)
+    outcome.attribution = cluster.obs.attribution()
     return outcome
 
 
@@ -320,6 +329,7 @@ def merge_groups(
         raise ValueError(f"expected groups 0..{config.groups - 1}, got {outcomes}")
     makespan = max(o.last_reply for o in outcomes)
     committed = sum(o.committed for o in outcomes)
+    keys = sorted({key for o in outcomes for key in o.attribution})
     return CompositeResult(
         protocol=protocol,
         config=config,
@@ -335,6 +345,10 @@ def merge_groups(
         latency=merge_all([o.latency for o in outcomes]),
         read_latency=merge_all([o.read_latency for o in outcomes]),
         per_group=tuple(outcomes),
+        attribution={
+            key: merge_all([o.attribution[key] for o in outcomes if key in o.attribution])
+            for key in keys
+        },
     )
 
 

@@ -86,6 +86,7 @@ def test_precedence_graph_cuts_grant_history_at_a_crash():
     cell 14 read 9, 10, <crash>, 9, <crash>, 9, 10 on one object)."""
     for mode in ("attribute", "full"):
         obs = Observability(Simulator(), mode)
+        obs.keep_precedence()  # what the campaign runner asks before its run
         for step in (9, 10, "crash", 9, "crash", 9, 10):
             if step == "crash":
                 obs.node_crash("mds1")

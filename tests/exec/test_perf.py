@@ -8,6 +8,7 @@ import pytest
 
 from repro.exec import perf
 from repro.exec.perf import PERF_SCHEMA_VERSION, PerfResults, peak_rss_kb, run_million_txn
+from repro.obs.hub import SAMPLE_EVERY
 
 
 def test_peak_rss_watermark_is_positive_and_monotone():
@@ -42,6 +43,11 @@ def test_million_txn_scaled_down_records_rss_ratio(scaled_down):
     assert detail["base_ops"] == 150 and detail["latency_mode"] in ("exact", "sketch")
     assert detail["rss_full_kb"] >= detail["rss_base_kb"] > 0
     assert detail["rss_ratio"] == detail["rss_full_kb"] / detail["rss_base_kb"]
+    # The full run's attribution, over the 1 transaction in K its hubs sample.
+    attribution = detail["attribution"]
+    assert attribution["sample_every"] == SAMPLE_EVERY
+    creates = attribution["components"]["1PC/CREATE/forces"]
+    assert 0 < creates["count"] < run.txns / SAMPLE_EVERY * 1.1 and creates["p50"] >= 1
 
 
 def test_million_txn_refuses_a_run_that_commits_fewer_than_a_million():

@@ -1,13 +1,16 @@
-"""Attribute mode answers what full mode answers, without the stream.
+"""Attribute mode decides what full mode decides, without the stream,
+and attributes a sample of what full mode attributes.
 
 Each scenario runs twice, with the hub in ``"attribute"`` and in
-``"full"`` mode, and everything a run decides or reports must be
-identical: the verdict, the faults fired and the instant each fired,
-every reply instant, the kernel's event count and final clock, the
-metrics snapshot, the lock-precedence edges, and the per-transaction
-attribution — in full mode the same fold fed from the stream.  The
-scenarios: every registered protocol's Figure-6 burst (100 creates)
-and the 48 fault schedules of the ledger's ``fault-campaign``.
+``"full"`` mode, and everything a run decides must be identical: the
+verdict, the faults fired and the instant each fired, every reply
+instant, the kernel's event count and final clock, and the
+lock-precedence edges where a reader asked for them (a campaign cell
+does).  An attribute hub attributes 1 transaction in
+``SAMPLE_EVERY``: its attribution must equal, value for value, the full
+hub's restricted to the sampled transactions.  The scenarios: every
+registered protocol's Figure-6 burst (100 creates) and the 48 fault
+schedules of the ledger's ``fault-campaign``.
 """
 
 import pytest
@@ -16,14 +19,17 @@ from repro.analysis.costs import BASE_MESSAGES, fold_span_costs
 from repro.campaign.runner import run_campaign_cell
 from repro.campaign.schedule import CampaignSchedule
 from repro.cli import main
+from repro.config import SimulationParams
 from repro.exec import RunSpec, campaign_grid, figure6_grid
 from repro.faults import Fault, FaultPlan, TraceTrigger
 from repro.mds.cluster import Cluster
 from repro.mds.scenarios import distributed_create_cluster
 from repro.obs import Observability
+from repro.obs.hub import SAMPLE_EVERY, SPREAD, WORD
 from repro.protocols import default_protocols
 from repro.sim import Simulator
 from repro.workloads.burst import run_burst
+from repro.workloads.composite import CompositeConfig, run_composite, setup_group
 
 CAMPAIGN_PROTOCOLS = ("1PC", "PrN")
 
@@ -49,21 +55,48 @@ def _campaign(spec, mode, monkeypatch):
     return cluster, (verdict, fired)
 
 
-def observed(cluster):
-    """What a run reports, as plain data."""
-    attribution = {key: stats.values for key, stats in cluster.obs.attribution().items()}
+def sampled(txn):
+    """Whether an attribute hub attributes transaction ``txn``."""
+    return txn * SPREAD & WORD < (WORD + 1) // SAMPLE_EVERY
+
+
+def decisions(cluster):
+    """What a run decides, as plain data."""
     return {
         "replied_at": [o.replied_at.hex() for o in cluster.outcomes],
         "events": cluster.sim.events_processed,
         "now": cluster.sim.now.hex(),
-        "metrics": cluster.obs.metrics.snapshot(),
-        "precedence": cluster.obs.precedence(),
-        "attribution": attribution,
     }
 
 
+def attributed(cluster):
+    return {key: stats.values for key, stats in cluster.obs.attribution().items()}
+
+
+def restricted(full):
+    """The full hub's attribution restricted to the sampled
+    transactions: each ``(protocol, op)`` row observes its transactions
+    in ``txn_done`` order, which the full stream replays."""
+    opened, observed = {}, {}
+    for record in full.trace.records:
+        txn = record.detail.get("txn")
+        if record.category == "txn_start" and txn not in opened:
+            opened[txn] = (record.detail["protocol"], record.detail["op"])
+        elif record.category == "txn_done" and txn in opened:
+            observed.setdefault(opened.pop(txn), []).append(txn)
+    rows = {}
+    for key, values in attributed(full).items():
+        txns = observed[key[:2]]
+        assert len(txns) == len(values)
+        kept = [value for value, txn in zip(values, txns) if sampled(txn)]
+        if kept:
+            rows[key] = kept
+    return rows
+
+
 def assert_same(attribute, full):
-    assert observed(attribute) == observed(full)
+    assert decisions(attribute) == decisions(full)
+    assert attributed(attribute) == restricted(full)
     assert len(attribute.trace.records) == 0 and len(attribute.obs.spans) == 0
     assert len(full.trace.records) > 0
 
@@ -73,9 +106,14 @@ def test_a_burst_reports_the_same_in_attribute_and_full_mode(protocol):
     attribute, _ = _burst(protocol, "attribute")
     full, _ = _burst(protocol, "full")
     assert_same(attribute, full)
-    # Every transaction was attributed: one observation per component.
+    # Every sampled transaction was attributed, one observation per
+    # component, and only those: the burst's are transactions 1-100.
     counts = {stats.count for stats in attribute.obs.attribution().values()}
-    assert counts == {100}
+    assert counts == {sum(map(sampled, range(1, 101)))} and counts != {0}
+    # Nobody asked this burst's hub for edges; a full hub keeps them.
+    with pytest.raises(ValueError, match="never asked"):
+        attribute.obs.precedence()
+    assert full.obs.precedence()
 
 
 @pytest.mark.parametrize("protocol", CAMPAIGN_PROTOCOLS)
@@ -87,6 +125,7 @@ def test_every_ledger_campaign_cell_decides_the_same_in_attribute_and_full_mode(
         full, decided_full = _campaign(spec, "full", monkeypatch)
         assert decided == decided_full, spec.point
         assert_same(attribute, full)
+        assert attribute.obs.precedence() == full.obs.precedence(), spec.point
 
 
 def test_the_executor_runs_a_campaign_cell_in_attribute_mode():
@@ -162,7 +201,6 @@ def test_a_plan_installed_before_any_record_fires_where_full_mode_fires_it():
         fired[mode] = (
             [f.describe() for f in plan.fired],
             instants,
-            cluster.obs.metrics.snapshot()["counters"],
             [o.replied_at.hex() for o in cluster.outcomes],
         )
     assert fired["attribute"] == fired["full"]
@@ -171,15 +209,14 @@ def test_a_plan_installed_before_any_record_fires_where_full_mode_fires_it():
 
 @pytest.mark.parametrize("protocol", default_protocols())
 def test_explain_counts_the_table_one_columns_the_span_fold_counts(protocol):
-    """Forced writes and messages per transaction, measured two ways:
-    the attribute-mode accumulator ``repro explain`` prints for a
-    Figure-6 cell, and ``fold_span_costs`` over the same cell's spans in
-    full mode."""
+    """Forced writes and messages per transaction, measured two ways
+    over one full-mode Figure-6 cell: the hooks' accumulator that
+    ``repro explain`` prints, and ``fold_span_costs`` over the cell's
+    spans."""
     n = 20
     (spec,) = figure6_grid([protocol], n=n)
-    burst = run_burst(protocol, n=n, params=spec.seeded_params(), trace="attribute")
-    found = burst.cluster.obs.attribution()
     full = run_burst(protocol, n=n, params=spec.seeded_params(), trace="full").cluster
+    found = full.obs.attribution()
     rows = [fold_span_costs(root) for root in full.obs.spans.roots()]
     assert len(rows) == n
     forces, messages = (found[protocol, "CREATE", c].values for c in ("forces", "messages"))
@@ -193,3 +230,65 @@ def test_repro_explain_prints_the_table_one_row_of_its_cell(capsys):
     assert [cell.strip() for cell in row[:3]] == ["PrN", "CREATE", "10"]
     # Table I's PrN row: 5 forced writes, 4 messages beyond the two.
     assert [cell.strip() for cell in row[-2:]] == ["5.00", "4.00"]
+
+
+#: The ledger's composite shape: two shard groups, 16 clients each.
+COMPOSITE = CompositeConfig(ops=4000, groups=2, window=16, working_set=256)
+
+
+def test_the_sampled_set_is_a_pure_function_of_transaction_ids():
+    """A hub samples the ids the hash picks, whatever else it is told,
+    and each shard group of a 4,000-op composite attributes exactly the
+    sampled ones among its transactions (a group numbers them from 1):
+    about 1 in ``SAMPLE_EVERY``."""
+    obs = Observability(Simulator(), "attribute")
+    for txn in range(1, 4001):
+        obs.txn_start("mds1", txn, op="CREATE", protocol="1PC", submitted_at=0.0)
+    assert set(obs.sampled) == set(filter(sampled, range(1, 4001)))
+    result = run_composite("1PC", COMPOSITE)
+    for outcome in result.per_group:
+        txns = outcome.committed + outcome.aborted
+        found = sum(s.count for key, s in outcome.attribution.items() if key[2] == "forces")
+        assert found == sum(map(sampled, range(1, txns + 1)))
+        assert abs(found - txns / SAMPLE_EVERY) < 0.05 * txns / SAMPLE_EVERY
+    # The merge folds the groups' rows, key by key.
+    merged = {key: stats.count for key, stats in result.attribution.items()}
+    assert merged == {
+        key: sum(o.attribution[key].count for o in result.per_group if key in o.attribution)
+        for key in merged
+    }
+
+
+def test_a_drained_composite_group_leaves_no_hub_state_behind():
+    """Nothing the hooks hold for a transaction outlives it: a sampled
+    transaction's last message arrives after its ``txn_done`` (its
+    delivery still calls, by ``msg_id``), and a lock slot goes with its
+    last sampled holder when nobody asked for the edges."""
+    sim = Simulator()
+    params = SimulationParams.paper_defaults()
+    hosted = [setup_group(sim, "1PC", COMPOSITE, params, group) for group in range(2)]
+    sim.run()
+    for cluster, _ in hosted:
+        obs = cluster.obs
+        assert obs.sampled == {} and obs.sent == {}
+        assert obs._forcing == {} and obs._waits == {}
+        assert all(owners for table in obs._locks.values() for _, owners in table.values())
+
+
+def test_precedence_is_refused_by_a_hub_that_never_asked():
+    attribute = Observability(Simulator(), "attribute")
+    with pytest.raises(ValueError, match="never asked"):
+        attribute.precedence()
+    attribute.keep_precedence()
+    attribute.lock_grant("locks:mds1", txn=1, obj="/d", mode="X")
+    attribute.lock_grant("locks:mds1", txn=2, obj="/d", mode="X")
+    assert attribute.precedence() == {(1, 2)}
+    # A full hub keeps them unasked; an off hub has none to keep.
+    assert Observability(Simulator(), "full").precedence() == set()
+    with pytest.raises(ValueError, match="off hub"):
+        Observability(Simulator(), "off").keep_precedence()
+    # An edge is kept from the ask on, so the ask comes before the run.
+    cluster, client = distributed_create_cluster("1PC", trace="attribute")
+    cluster.sim.run(until=cluster.sim.process(client.create("/dir1/f0")))
+    with pytest.raises(ValueError, match="before the run"):
+        cluster.obs.keep_precedence()

@@ -71,6 +71,9 @@ SUBSCRIPTION = {"subscribe", "unsubscribe"}
 #: Readers of what the hooks fold, in both modes that are on.
 VIEWS = {"categories_seen", "precedence", "attribution"}
 
+#: What a reader asks of the hub before the run: a fold beyond its sample.
+ASKS = {"keep_precedence"}
+
 
 def span_events(obs):
     events = list(obs.spans.cluster_events)
@@ -85,7 +88,7 @@ def test_contract_table_covers_every_public_hook():
         for name, member in vars(Observability).items()
         if callable(member) and not name.startswith("_")
     }
-    assert public == set(HOOKS) | SPAN_ONLY | SUBSCRIPTION | VIEWS
+    assert public == set(HOOKS) | SPAN_ONLY | SUBSCRIPTION | VIEWS | ASKS
 
 
 def test_listeners_get_the_appended_record_and_may_unsubscribe_in_the_call():
@@ -262,15 +265,16 @@ def test_a_message_dropped_in_flight_leaves_no_send_time_behind():
     schedule = CampaignSchedule.from_json(spec.campaign)
     for mode in ("attribute", "full"):
         cluster, _ = run_campaign_cell(schedule, params=spec.seeded_params(), trace=mode)
-        assert cluster.obs._sent == {}
+        assert cluster.obs.sent == {}
     in_flight = [r.detail for r in cluster.trace.select("msg_drop") if "dst" not in r.detail]
     assert any(d["reason"] == "partitioned" for d in in_flight)
     assert not any("msg_id" in d for d in in_flight)
 
 
 def test_attribution_observes_every_finished_transaction_in_order_across_buffer_fills():
+    # A full hub: it samples every transaction and keeps every raw value.
     sim = Simulator()
-    obs = Observability(sim, "attribute")
+    obs = Observability(sim, "full")
     waited = []
     for txn in range(1, 2 * _FINISHED + 4):
         obs.txn_start("mds1", txn, op="CREATE", protocol="1PC", submitted_at=sim.now)

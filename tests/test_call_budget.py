@@ -32,6 +32,7 @@ stream only  318.93   418.01   412.59      533.67      2.47 / 2.36
 steps        312.96   410.03   406.62      525.69      2.47 / 2.36
 attribute    312.96   410.03   406.62      525.69      2.47 / 2.36   403.54     522.61     2.38 / 2.30
 hook fold    312.96   410.03   404.36      523.43      2.41 / 2.32   359.94     468.01     1.24 / 1.18
+sampled      312.96   410.03   404.36      523.43      2.41 / 2.32   315.05     412.72     0.06 / 0.05
 ===========  =======  =======  ==========  ==========  ===========  =========  =========  ===========
 
 The other registered protocols, untraced, at the hub-off diet: PrC
@@ -49,17 +50,21 @@ lowers them.)
 second frame to fold; *hook fold* is where each hook folds its own
 arguments, inline, into counts, histograms, precedence edges and the
 transaction's accumulator, in both modes, and calls ``_emit`` only for
-a record it builds (in attribute mode none: the cell keeps none).  The
+a record it builds (in attribute mode none: the cell keeps none).
+*Sampled* is where an attribute hub attributes 1 transaction in
+``SAMPLE_EVERY`` (16) and the hook sites call it for those alone; the
 two attribute ceilings are that row rounded up to the next 5.  *Per
 hook* is what attribute mode adds, ``(attribute - untraced) * 100 /
-records`` with the full row's record count, one per hook call: the
-hook frame itself plus the histograms' ``observe`` frames and the
-span-lifecycle hooks that return at once.  It is capped at 1.25
-package frames, so a hook that calls out to fold again trips it.
+records`` with the full row's record count: at *hook fold*, with every
+hook called, the hook frame itself plus the histograms' ``observe``
+frames and the span-lifecycle hooks that return at once (capped at
+1.25); since *sampled*, that for one hook in 16.  It is capped at 0.1
+package frames, so a hook that calls out to fold again, or a site that
+calls an unsampled transaction's hook, trips it.
 
 Every untraced ceiling is the *steps* measurement rounded up to the
-next 5: every hook site on the per-transaction path reads
-``obs.enabled`` before it calls the hub, a delivery is the destination
+next 5: every hook site on the per-transaction path tests plain
+attributes of the hub before it calls it, a delivery is the destination
 endpoint's own ``deliver`` run by its timer, the lock table's grant
 check allocates nothing, and a protocol session is steps the kernel
 calls back, not a process whose generator frames it re-enters (*steps*
@@ -102,9 +107,12 @@ import pytest
 import repro
 from repro.exec.runners import execute_spec
 from repro.exec.spec import RunSpec
+from repro.mds.scenarios import distributed_create_cluster
+from repro.obs import hub
 from repro.protocols import default_protocols
 from repro.sim import Simulator
 from repro.workloads import run_burst
+from repro.workloads.cell import drive
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _HUB = os.path.join(_PACKAGE, "obs") + os.sep
@@ -123,12 +131,14 @@ CEILING = {
 }
 #: The same with ``trace="full"``: every hook writes its record.
 TRACED_CEILING = {"1PC": 410, "PrN": 530}
-#: The same with ``trace="attribute"``: every hook folds, none records.
-ATTRIBUTE_CEILING = {"1PC": 360, "PrN": 470}
+#: The same with ``trace="attribute"``: a sampled transaction's hooks
+#: fold, none records.
+ATTRIBUTE_CEILING = {"1PC": 320, "PrN": 415}
 #: Ceiling of what the hub adds, in package frames per trace record.
 FRAMES_PER_RECORD = 2.5
-#: Ceiling of what an attribute hub adds, in package frames per hook call.
-FRAMES_PER_HOOK = 1.25
+#: Ceiling of what an attribute hub adds, in package frames per hook
+#: call of a full hub.
+FRAMES_PER_HOOK = 0.1
 #: Frames an untraced burst runs under ``src/repro/obs/``: the
 #: constructors of the disabled hub and its span and metric views.
 HUB_CONSTRUCTORS = 3
@@ -245,6 +255,51 @@ def test_an_untraced_burst_enters_the_hub_only_to_build_it(protocol):
         assert cell.committed == n
         entries.append(calls)
     assert entries[0] == entries[1] == HUB_CONSTRUCTORS, entries
+
+
+@pytest.mark.parametrize("protocol", sorted(ATTRIBUTE_CEILING))
+def test_an_attribute_burst_that_samples_nothing_enters_the_hub_only_to_build_it(
+    protocol, monkeypatch
+):
+    """An attribute hub's sites call only for a sampled transaction, a
+    category a listener hears, or a lock grant once a reader asked for
+    the precedence edges.  With no transaction sampled, a burst enters
+    ``src/repro/obs/`` through the hub's constructors alone, and a
+    cluster whose edges were asked for, through the ask and one
+    ``lock_grant`` per grant besides."""
+    monkeypatch.setattr(hub, "SAMPLE_EVERY", 2**33)  # no hash falls below 0
+    params = RunSpec(kind="burst", protocol=protocol, n=100, seed=0).seeded_params()
+    _, frames = _hub_frames(lambda: run_burst(protocol, n=100, params=params, trace="attribute"))
+    assert frames == {"__init__": HUB_CONSTRUCTORS}
+
+    def asked():
+        cluster, client = distributed_create_cluster(protocol, params=params, trace="attribute")
+        cluster.obs.keep_precedence()
+        drive(cluster, [(client, client.plan_create(f"/dir1/f{i}")) for i in range(20)])
+        assert cluster.run_until_answered(20, 60.0)
+        return cluster
+
+    cluster, frames = _hub_frames(asked)
+    granted = cluster.obs.metrics.counter("locks.granted").value
+    assert granted > 0 and frames == {
+        "__init__": HUB_CONSTRUCTORS,
+        "keep_precedence": 1,
+        "_ran": 1,
+        "_rehear": 1,
+        "lock_grant": granted,
+    }
+
+
+def _hub_frames(run):
+    """``(result, frames)``: ``run()`` and the frames it entered under
+    ``src/repro/obs/``, counted by name."""
+    frames = Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call" and os.path.abspath(frame.f_code.co_filename).startswith(_HUB):
+            frames[frame.f_code.co_name] += 1
+
+    return _profiled(profiler, run), frames
 
 
 def _all_calls(run):
