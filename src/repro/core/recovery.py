@@ -34,10 +34,7 @@ class WorkerProbeResult:
     """Outcome of reading a fenced worker's log for one transaction."""
 
     worker: str
-    txn_id: int
     committed: bool
-    fenced_at: float
-    read_at: float
 
 
 def probe_worker_log(cluster: "Cluster", requester: str, worker: str, txn_id: int) -> Generator:
@@ -47,10 +44,8 @@ def probe_worker_log(cluster: "Cluster", requester: str, worker: str, txn_id: in
     idempotent: probing an already-fenced worker skips straight to the
     read.
     """
-    sim = cluster.sim
     if not cluster.storage.fencing.is_fenced(worker):
         yield from cluster.fencing_driver.fence(requester, worker)
-    fenced_at = sim.now
     records = yield from cluster.storage.read_remote_log(requester, worker)
     committed = any(
         r.txn_id == txn_id and r.kind in (RecordKind.COMMITTED, RecordKind.ENDED)
@@ -59,10 +54,4 @@ def probe_worker_log(cluster: "Cluster", requester: str, worker: str, txn_id: in
     cluster.obs.annotate(
         "worker_probe", requester, worker=worker, txn=txn_id, committed=committed
     )
-    return WorkerProbeResult(
-        worker=worker,
-        txn_id=txn_id,
-        committed=committed,
-        fenced_at=fenced_at,
-        read_at=sim.now,
-    )
+    return WorkerProbeResult(worker=worker, committed=committed)

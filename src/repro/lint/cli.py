@@ -30,7 +30,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--select",
         metavar="RULES",
         default=None,
-        help="comma-separated rule ids or families to run (e.g. DET,FENCE002)",
+        help="comma-separated rule ids or families to run (e.g. DET,GEN002)",
     )
     parser.add_argument(
         "--list-rules",

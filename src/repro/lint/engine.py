@@ -10,7 +10,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.flow.project import ProjectContext
 from repro.lint.registry import Rule, all_rules
 
 #: Rule id reported for files the parser rejects.
@@ -78,13 +77,8 @@ def run_lint(
     rules: Optional[Sequence[Rule]] = None,
     root: Optional[Union[str, Path]] = None,
 ) -> LintReport:
-    """Lint ``paths`` with ``rules`` (default: every registered rule).
-
-    Every file that parses joins one
-    :class:`~repro.lint.flow.project.ProjectContext`, and each rule is
-    one pass over it: a per-file rule checks each file in turn, a
-    :class:`~repro.lint.registry.ProjectRule` sees them all at once.
-    """
+    """Lint ``paths`` with ``rules`` (default: every registered rule):
+    each rule checks each file that parses."""
     base = Path(root) if root is not None else Path(os.getcwd())
     files = iter_python_files(paths)
     findings: list[Finding] = []
@@ -95,7 +89,7 @@ def run_lint(
             findings.append(parsed)
         else:
             contexts.append(parsed)
-    project = ProjectContext(contexts)
     for rule in rules if rules is not None else all_rules():
-        findings.extend(rule.check_project(project))
+        for ctx in contexts:
+            findings.extend(rule.check(ctx))
     return LintReport(findings=sorted(findings), files_checked=len(files))

@@ -7,7 +7,6 @@ from typing import Iterable, Iterator, Optional, Type, TypeVar
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.flow.project import ProjectContext
 
 
 class Rule(ABC):
@@ -34,28 +33,6 @@ class Rule(ABC):
     @abstractmethod
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one file."""
-        raise NotImplementedError
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        """Yield findings for one run: a per-file rule checks every file."""
-        for ctx in project.files.values():
-            yield from self.check(ctx)
-
-
-class ProjectRule(Rule):
-    """A whole-program check over the :class:`ProjectContext`.
-
-    Project rules see every linted file at once (call graph, engine
-    registry, shared-state index); their per-file :meth:`check` is a
-    no-op by construction.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    @abstractmethod
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        """Yield findings for the whole project."""
         raise NotImplementedError
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 from repro.lint.rules import (  # noqa: F401
     cache,
     det,
-    fence,
     gen,
     mem,
     obs,

@@ -108,8 +108,8 @@ MODES = ("off", "attribute", "full")
 #: in a node's forces (overlapping ones once) and on the wire; forces
 #: (Table I's sync writes, one per node and instant); protocol messages.
 COMPONENTS = ("lock_wait", "forced_write", "network", "forces", "messages")
-# Accumulator slots: protocol, op, the COMPONENTS, sync appends.
-_LOCK_WAIT, _FORCE_TIME, _NETWORK, _FORCES, _MESSAGES, _APPENDS = range(2, 8)
+# Accumulator slots: protocol, op, the COMPONENTS, sync appends, coordinator.
+_LOCK_WAIT, _FORCE_TIME, _NETWORK, _FORCES, _MESSAGES, _APPENDS, _COORDINATOR = range(2, 9)
 
 #: Finished accumulators a hub holds before it observes their components.
 _FINISHED = 256
@@ -226,7 +226,8 @@ class Observability:
         #: msg_id -> send time of a sampled transaction's message in
         #: flight: its delivery calls even after ``txn_done``.
         self.sent: dict[int, float] = {}
-        #: Sampled transaction -> its accumulator, ``txn_start`` to ``txn_done``.
+        #: Sampled transaction -> its accumulator, ``txn_start`` to ``txn_done``
+        #: or its coordinator's ``node_crash``.
         self.sampled: dict[int, list] = {}
         #: Finished accumulators whose components are not yet observed.
         self._finished: list[Optional[list]] = [None] * _FINISHED
@@ -426,7 +427,7 @@ class Observability:
             return None
         self._counts["txn_start"] += 1.0
         if txn * SPREAD & WORD < self.sample_below and txn not in self.sampled:
-            self.sampled[txn] = [protocol, op, 0.0, 0.0, 0.0, 0, 0, 0.0]
+            self.sampled[txn] = [protocol, op, 0.0, 0.0, 0.0, 0, 0, 0.0, actor]
         if self._every_record or "txn_start" in self._heard:
             self._emit("txn_start", actor, {"txn": txn, "op": op, "protocol": protocol})
         if self.mode != "full":
@@ -725,6 +726,12 @@ class Observability:
         if not self.enabled:
             return
         self._counts["crash"] += 1.0
+        # The transactions it coordinated never report done: their sites
+        # skip them from now on, as they skip an unsampled transaction.
+        sampled = self.sampled
+        orphans = [t for t, acc in sampled.items() if acc[_COORDINATOR] == actor] if sampled else ()
+        for txn in orphans:
+            del sampled[txn]
         # Its lock table is gone, and with it chains, holds and waits.
         manager = f"locks:{actor}"
         self._locks.pop(manager, None)

@@ -100,23 +100,21 @@ class SharedStorage:
 
     # -- remote read (the heart of the 1PC recovery) ---------------------------------
 
-    def read_remote_log(
-        self, reader: str, owner: str, require_fenced: bool = True
-    ) -> Generator:
+    def read_remote_log(self, reader: str, owner: str) -> Generator:
         """Generator: ``reader`` mounts and reads ``owner``'s partition.
 
         The paper requires the owner to be fenced before anyone else
         reads its log (otherwise a network partition could let both
         nodes access the log concurrently — the split-brain hazard).
-        ``require_fenced=True`` enforces that discipline; tests use
-        ``False`` to demonstrate the hazard.
+        An unfenced owner is refused with :class:`FencedError`; there
+        is no other way to read a remote partition.
 
         Returns a tuple of the owner's durable records.
         """
         if reader == owner:
             raise ValueError("read_remote_log is for reading someone else's partition")
         log = self.log_of(owner)
-        if require_fenced and not self.fencing.is_fenced(owner):
+        if not self.fencing.is_fenced(owner):
             raise FencedError(
                 f"{reader} may not read {owner}'s log: {owner} is not fenced"
             )

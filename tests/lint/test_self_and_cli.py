@@ -15,8 +15,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_self_lint_src_is_clean():
-    # Every rule over src/: FENCE002 checks the real fencing paths
-    # (test_flow.py pins that it has some to check).
+    # Every rule over src/.
     report = run_lint([ROOT / "src"], root=ROOT)
     assert report.files_checked > 80
     assert report.ok, "findings in src/:\n" + "\n".join(
@@ -34,7 +33,7 @@ def test_cli_exit_codes(capsys):
 
 
 def test_cli_json_format(capsys):
-    code = main(["lint", str(FIXTURES / "fence_bad.py"), "--format", "json"])
+    code = main(["lint", str(FIXTURES / "gen_bad.py"), "--format", "json"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema_version"] == 2
@@ -42,12 +41,12 @@ def test_cli_json_format(capsys):
     assert doc["ok"] is False
     assert doc["files_checked"] == 1
     rules = {finding["rule"] for finding in doc["findings"]}
-    assert {"FENCE001", "FENCE002"} <= rules
+    assert {"GEN001", "GEN002"} <= rules
     assert [
         (finding["line"], finding["col"])
         for finding in doc["findings"]
-        if finding["rule"] == "FENCE002"
-    ] == [(7, 26), (14, 26)]
+        if finding["rule"] == "GEN002"
+    ] == [(20, 5), (27, 9), (28, 9)]
     assert "DET001" in doc["rules"]
 
 
@@ -62,37 +61,29 @@ def test_cli_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("DET001", "DET002", "DET003", "GEN001", "GEN002",
-                    "FENCE001", "FENCE002", "OBS001"):
+                    "OBS001", "CACHE001", "MEM001"):
         assert rule_id in out
-    assert "FENCE003" not in out
     # The record-vocabulary contract is checked by running it (the
     # conformance battery), not by a lint rule; RACE001 had no shared
-    # state left to check in src/.
+    # state left to check in src/; read_remote_log refuses an unfenced
+    # owner at run time, so no FENCE rule re-proves its call site.
     assert "PROTO" not in out
     assert "RACE001" not in out
+    assert "FENCE" not in out
 
 
 def test_cli_select_of_the_retired_proto_family_is_an_unknown_rule(capsys):
-    for retired in ("PROTO", "RACE001"):
+    for retired in ("PROTO", "RACE001", "FENCE", "FENCE002"):
         assert main(["lint", str(FIXTURES / "det_bad.py"), "--select", retired]) == 2
         assert f"unknown rule(s) ['{retired}']" in capsys.readouterr().err
 
 
-def test_self_lint_gate_covers_the_new_families():
-    # The dogfooding gate above runs with the default rule set; this
-    # pins that the whole-program families are part of that set.
-    from repro.lint.registry import ProjectRule, all_rules
-
-    project_ids = {r.id for r in all_rules() if isinstance(r, ProjectRule)}
-    assert "FENCE002" in project_ids
-
-
 def test_cli_explain_prints_catalog_entry(capsys):
-    assert main(["lint", "--explain", "FENCE002"]) == 0
+    assert main(["lint", "--explain", "GEN002"]) == 0
     out = capsys.readouterr().out
-    assert "FENCE002" in out and "(FENCE)" in out
+    assert "GEN002" in out and "(GEN)" in out
     assert "good:" in out and "bad:" in out
-    assert "read_remote_log" in out
+    assert "self.wal.force(record)" in out
 
 
 def test_cli_explain_unknown_rule_errors(capsys):
@@ -118,7 +109,7 @@ def test_cli_has_no_suppression_or_second_select_flags(flags, capsys):
 
 
 def test_cli_sarif_format_is_valid_2_1_0(capsys):
-    code = main(["lint", str(FIXTURES / "fence_bad.py"), "--format", "sarif"])
+    code = main(["lint", str(FIXTURES / "gen_bad.py"), "--format", "sarif"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
@@ -127,12 +118,12 @@ def test_cli_sarif_format_is_valid_2_1_0(capsys):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro-lint"
     ids = [rule["id"] for rule in driver["rules"]]
-    assert "FENCE002" in ids and "GEN001" in ids
-    assert not any(rule_id.startswith("RACE") for rule_id in ids)
+    assert "GEN002" in ids and "DET001" in ids
+    assert not any(rule_id.startswith(("RACE", "FENCE")) for rule_id in ids)
     for rule in driver["rules"]:
         assert rule["shortDescription"]["text"]
         assert rule["fullDescription"]["text"]
-    assert run["results"], "fence_bad must produce results"
+    assert run["results"], "gen_bad must produce results"
     for result in run["results"]:
         assert result["level"] == "error"
         assert result["message"]["text"]
@@ -141,12 +132,12 @@ def test_cli_sarif_format_is_valid_2_1_0(capsys):
         region = location["physicalLocation"]["region"]
         assert region["startLine"] >= 1 and region["startColumn"] >= 1
         uri = location["physicalLocation"]["artifactLocation"]["uri"]
-        assert uri.endswith("fence_bad.py")
+        assert uri.endswith("gen_bad.py")
 
 
 def test_sarif_schema_validation_when_available():
     jsonschema = pytest.importorskip("jsonschema")
-    report = run_lint([FIXTURES / "fence_bad.py"])
+    report = run_lint([FIXTURES / "gen_bad.py"])
     doc = json.loads(render_sarif(report))
     # Offline structural subset of the SARIF 2.1.0 schema: the full
     # schema lives at $schema and CI's upload step validates the rest.

@@ -126,6 +126,22 @@ def test_every_ledger_campaign_cell_decides_the_same_in_attribute_and_full_mode(
         assert decided == decided_full, spec.point
         assert_same(attribute, full)
         assert attribute.obs.precedence() == full.obs.precedence(), spec.point
+        assert attribute.obs.sampled == {} == full.obs.sampled, spec.point
+
+
+@pytest.mark.parametrize("protocol, point", [("1PC", 10), ("PrN", 23)])
+def test_a_crashed_coordinator_leaves_no_accumulator_behind(protocol, point):
+    # Each cell crashes the coordinator of 12 transactions it opened,
+    # which no txn_done will file: node_crash drops their accumulators.
+    spec = campaign_grid(protocol, runs=24, seed=0, n_ops=12, n_clients=2)[point]
+    cluster, _ = run_campaign_cell(
+        CampaignSchedule.from_json(spec.campaign), params=spec.seeded_params(), trace="full"
+    )
+    starts = {r.detail["txn"]: r.actor for r in cluster.trace.records if r.category == "txn_start"}
+    done = {r.detail["txn"] for r in cluster.trace.records if r.category == "txn_done"}
+    crashed = {r.actor for r in cluster.trace.records if r.category == "crash"}
+    assert len([t for t, actor in starts.items() if t not in done and actor in crashed]) == 12
+    assert cluster.obs.sampled == {}
 
 
 def test_the_executor_runs_a_campaign_cell_in_attribute_mode():

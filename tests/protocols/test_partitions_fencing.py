@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Cluster
+from repro.core.recovery import probe_worker_log
 from repro.fs.placement import ForcedDistributedPlacement
 from repro.storage import FencedError
 from tests.protocols.conftest import drain, make_cluster
@@ -96,6 +97,27 @@ def test_unfenced_remote_read_is_refused():
     cluster.sim.process(unsafe(cluster.sim))
     with pytest.raises(FencedError):
         cluster.sim.run()
+
+
+def test_probe_fences_an_unfenced_worker_before_reading_its_log():
+    cluster, _client = cluster_with_fencing("resource")
+
+    def probe_twice(sim):
+        first = yield from probe_worker_log(cluster, "mds1", "mds2", 7)
+        second = yield from probe_worker_log(cluster, "mds1", "mds2", 7)
+        return first, second
+
+    done = cluster.sim.process(probe_twice(cluster.sim))
+    cluster.sim.run(until=done)
+    # The first probe fences, then reads; the second finds the worker
+    # already fenced and reads with no second fence.
+    steps = [
+        (r.category, r.actor)
+        for r in cluster.trace.records
+        if r.category in ("fence", "remote_log_read")
+    ]
+    assert steps == [("fence", "mds1"), ("remote_log_read", "mds1"), ("remote_log_read", "mds1")]
+    assert [(r.worker, r.committed) for r in done.value] == [("mds2", False)] * 2
 
 
 def test_rebooted_node_is_unfenced_on_restart():

@@ -124,15 +124,16 @@ def test_remote_read_own_log_rejected():
 
 
 def test_split_brain_hazard_demonstrable_without_fencing():
-    """With require_fenced=False the unsafe read is permitted — this is
-    the §III-A hazard the fencing requirement exists to prevent."""
+    """Reading the owner's partition directly, past read_remote_log's
+    fencing check, is permitted — this is the §III-A hazard the fencing
+    requirement exists to prevent."""
     sim = Simulator()
     storage = SharedStorage(sim, StorageParams(bandwidth=1e9))
     storage.provision("mds1")
     log2 = storage.provision("mds2")
 
     def unsafe_reader(sim):
-        records = yield from storage.read_remote_log("mds1", "mds2", require_fenced=False)
+        records = yield from log2.read(actor="mds1")
         return len(records)
 
     def concurrent_writer(sim):
