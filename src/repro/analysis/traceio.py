@@ -81,7 +81,7 @@ def _record_of(raw: Any) -> TraceRecord:
     detail = raw.get("detail", {})
     if not isinstance(detail, dict):
         raise ValueError("'detail' must be an object")
-    return TraceRecord(raw["t"], raw["cat"], raw["actor"], detail)
+    return TraceRecord((raw["t"], raw["cat"], raw["actor"], detail, None))
 
 
 def load_trace_records(source: Union[str, Path, IO[str]]) -> list[TraceRecord]:

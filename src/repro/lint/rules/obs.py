@@ -4,7 +4,8 @@ PR 2's contract (docs/observability.md, and the CI smoke bench that
 gates it): with the hub disabled, tracing costs near zero.  That only
 holds if every public hook checks ``enabled`` *before* doing any other
 work — in particular before formatting strings or building the detail
-dictionary it hands to the hub's single ``_emit``.
+dictionary of the record it hands to the hub's one sink,
+``self._sink(TraceRecord(...))``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from repro.lint.context import FileContext, body_statements, walk_own
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
-#: The hub's one write path; a public method calling it is a hook.
-_EMIT = frozenset({"_emit"})
+#: The hub's one write path; a public method reaching it is a hook.
+_SINK = frozenset({"_sink"})
 
 #: The stream and its two views: reaching through one of these (span
 #: lifecycle hooks do) marks a method as a hook too.
@@ -46,11 +47,11 @@ def _is_self_attr(node: ast.AST, names: frozenset[str]) -> bool:
     )
 
 
-def _reaches_emit(fn: _FuncDef) -> bool:
-    """Whether the method calls ``self._emit`` or reads through
+def _reaches_sink(fn: _FuncDef) -> bool:
+    """Whether the method reaches ``self._sink`` or reads through
     ``self.trace/spans/metrics``."""
     for node in walk_own(fn):
-        if _is_self_attr(node, _EMIT):
+        if _is_self_attr(node, _SINK):
             return True
         if isinstance(node, ast.Attribute) and _is_self_attr(node.value, _VIEWS):
             return True
@@ -81,13 +82,13 @@ class EnabledGuardRule(Rule):
         "def on_send(self, msg):\n"
         "    if not self.enabled:\n"
         "        return\n"
-        '    self._emit("msg_send", msg.src, {"dst": msg.dst})'
+        '    self._sink(TraceRecord((self.sim.now, "msg_send", msg.src, {"dst": msg.dst}, None)))'
     )
     bad_example = (
         "def on_send(self, msg):\n"
         '    detail = {"dst": msg.dst}  # paid even when disabled\n'
         "    if self.enabled:\n"
-        '        self._emit("msg_send", msg.src, detail)'
+        '        self._sink(TraceRecord((self.sim.now, "msg_send", msg.src, detail, None)))'
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -99,7 +100,7 @@ class EnabledGuardRule(Rule):
             for fn in klass.body:
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                if _is_exempt(fn) or not _reaches_emit(fn):
+                if _is_exempt(fn) or not _reaches_sink(fn):
                     continue
                 body = body_statements(fn)
                 if body and _is_enabled_guard(body[0]):
@@ -107,6 +108,6 @@ class EnabledGuardRule(Rule):
                 yield ctx.finding(
                     fn,
                     self.id,
-                    f"hook {klass.name}.{fn.name} reaches the emit without an "
+                    f"hook {klass.name}.{fn.name} reaches the sink without an "
                     "`enabled` early-out as its first statement",
                 )

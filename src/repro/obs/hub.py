@@ -20,10 +20,13 @@ arguments, inline in its own frame, into what its category feeds: its
 count, the lock table, the per-transaction accumulator, the
 histograms.  Only when a record is wanted — always in a full hub, in
 an attribute hub for a category a listener subscribed to — does it
-call :meth:`Observability._emit`, which allocates the record, appends
-it to a full hub's stream and hands it to the listeners.  The record
-carries the node of the span leg its hook names (``TraceRecord.node``;
-the leg is ``(detail["txn"], node)``).
+build one, ``TraceRecord((now, category, actor, detail, node))``, in
+its own frame, and hand it to the hub's one sink: the stream's bound
+``records.append`` while a full hub has no listener, else
+:meth:`Observability._dispatch`, which appends it to a full hub's
+stream and hands it to the listeners.  A record costs the hook's frame
+and one C call.  It carries the node of the span leg its hook names
+(``TraceRecord.node``; the leg is ``(detail["txn"], node)``).
 
 A hub attributes a sample of the transactions: every one in full mode,
 1 in :data:`SAMPLE_EVERY` in attribute mode, chosen at ``txn_start`` by
@@ -193,6 +196,12 @@ class Observability:
         #: Whether every hook builds its record: a full hub streams them
         #: all, and a listener of every record hears them all.
         self._every_record = mode == "full"
+        #: Where a hook hands its record: the stream's own ``append``
+        #: while a full hub has no listener, else :meth:`_dispatch`
+        #: (kept by :meth:`_rehear`; picked inline here, too).
+        self._sink: Callable[[TraceRecord], None] = (
+            self.trace.records.append if mode == "full" else self._dispatch
+        )
         #: The categories whose every hook site calls, sampled or not
         #: (kept by :meth:`_rehear`; inline here, where no frame may run).
         self.hears = _SITES if self._every_record else frozenset()
@@ -239,24 +248,16 @@ class Observability:
 
     # -- the single write path ------------------------------------------------
 
-    def _emit(
-        self,
-        category: str,
-        actor: str,
-        detail: dict[str, Any],
-        node: Optional[str] = None,
-    ) -> None:
-        """Allocate one record, append it to a full hub's stream, hand it
-        to the listeners.  ``node`` names the span leg that owns the
-        record, ``(detail["txn"], node)``, from the hook that holds both;
-        None keeps the record off the spans."""
-        record = TraceRecord(self.sim.now, category, actor, detail, node)
+    def _dispatch(self, record: TraceRecord) -> None:
+        """The sink while a listener listens: append ``record`` to a full
+        hub's stream, then hand it to the listeners of every record and
+        to those of its category, each in subscription order."""
         if self.mode == "full":
             self.trace.records.append(record)
         for listener in self._every:
             listener(record)
-        if category in self._heard:
-            for listener in self._heard[category]:
+        if record.category in self._heard:
+            for listener in self._heard[record.category]:
                 listener(record)
 
     def subscribe(
@@ -289,7 +290,11 @@ class Observability:
     def _rehear(self) -> None:
         """Recompute ``hears``: every site category while every hook
         builds its record, else the listened ones, plus ``lock_grant``
-        while the edges are kept."""
+        while the edges are kept; and pick the sink again."""
+        if self.mode == "full" and not (self._every or self._heard):
+            self._sink = self.trace.records.append
+        else:
+            self._sink = self._dispatch
         if self._every_record:
             self.hears = _SITES
         elif self._edges is None:
@@ -329,7 +334,8 @@ class Observability:
             )
         self._counts[category] += 1.0
         if self._every_record or category in self._heard:
-            self._emit(category, actor, detail, None if detail.get("txn") is None else actor)
+            node = actor if "txn" in detail and detail["txn"] is not None else None
+            self._sink(TraceRecord((self.sim.now, category, actor, detail, node)))
 
     # -- reads ----------------------------------------------------------------
 
@@ -429,7 +435,8 @@ class Observability:
         if txn * SPREAD & WORD < self.sample_below and txn not in self.sampled:
             self.sampled[txn] = [protocol, op, 0.0, 0.0, 0.0, 0, 0, 0.0, actor]
         if self._every_record or "txn_start" in self._heard:
-            self._emit("txn_start", actor, {"txn": txn, "op": op, "protocol": protocol})
+            detail = {"txn": txn, "op": op, "protocol": protocol}
+            self._sink(TraceRecord((self.sim.now, "txn_start", actor, detail, None)))
         if self.mode != "full":
             return None
         return self.spans.begin(
@@ -448,7 +455,7 @@ class Observability:
         self._counts["fallback_protocol"] += 1.0
         if self._every_record or "fallback_protocol" in self._heard:
             detail = {"txn": txn, "op": op, "workers": workers}
-            self._emit("fallback_protocol", actor, detail, actor)
+            self._sink(TraceRecord((self.sim.now, "fallback_protocol", actor, detail, actor)))
 
     def worker_open(self, actor: str, txn: int, *, opener: str, protocol: str = "") -> None:
         """A worker session opened for a remote transaction (span only —
@@ -480,7 +487,7 @@ class Observability:
         self._counts["client_reply"] += 1.0
         if self._every_record or "client_reply" in self._heard:
             detail = {"txn": txn, "committed": committed, "op": op}
-            self._emit("client_reply", actor, detail, actor)
+            self._sink(TraceRecord((self.sim.now, "client_reply", actor, detail, actor)))
         root = self._spans.get((txn, None)) if self.mode == "full" else None
         if root is not None:
             root.attrs["replied_at"] = self.sim.now
@@ -515,7 +522,7 @@ class Observability:
                 self._settle()
         if self._every_record or "txn_done" in self._heard:
             detail = {"txn": txn, "committed": committed, "op": op, "latency": latency}
-            self._emit("txn_done", actor, detail)
+            self._sink(TraceRecord((self.sim.now, "txn_done", actor, detail, None)))
         root = self._spans.get((txn, None)) if self.mode == "full" else None
         if root is not None:
             self.spans.close(
@@ -538,7 +545,7 @@ class Observability:
             self.sampled[txn][_MESSAGES] += kind in PROTOCOL_MSG_KINDS
         if self._every_record or "msg_send" in self._heard:
             detail = {"kind": kind, "dst": dst, "txn": txn, "msg_id": msg_id}
-            self._emit("msg_send", actor, detail, actor)
+            self._sink(TraceRecord((self.sim.now, "msg_send", actor, detail, actor)))
 
     def msg_recv(
         self, actor: str, *, kind: str, src: str, txn: Optional[int], msg_id: int
@@ -553,7 +560,7 @@ class Observability:
             del sent[msg_id]
         if self._every_record or "msg_recv" in self._heard:
             detail = {"kind": kind, "src": src, "txn": txn, "msg_id": msg_id}
-            self._emit("msg_recv", actor, detail, actor)
+            self._sink(TraceRecord((self.sim.now, "msg_recv", actor, detail, actor)))
 
     def msg_drop(
         self, actor: str, *, reason: str, kind: str, msg_id: Optional[int] = None, **detail: Any
@@ -566,7 +573,8 @@ class Observability:
         if msg_id in self.sent:
             del self.sent[msg_id]
         if self._every_record or "msg_drop" in self._heard:
-            self._emit("msg_drop", actor, {"reason": reason, "kind": kind, **detail}, actor)
+            detail = {"reason": reason, "kind": kind, **detail}
+            self._sink(TraceRecord((self.sim.now, "msg_drop", actor, detail, actor)))
 
     # -- write-ahead log ------------------------------------------------------
 
@@ -591,7 +599,7 @@ class Observability:
                 accumulator[_FORCES] += 1
         if self._every_record or "log_append" in self._heard:
             detail = {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes}
-            self._emit("log_append", actor, detail, actor)
+            self._sink(TraceRecord((self.sim.now, "log_append", actor, detail, actor)))
 
     def log_durable(
         self, actor: str, *, kind: Any, txn: Optional[int], sync: bool, nbytes: float
@@ -609,7 +617,7 @@ class Observability:
                     self.sampled[txn][_FORCE_TIME] += self.sim.now - pending[0]
         if self._every_record or "log_durable" in self._heard:
             detail = {"kind": str(kind), "txn": txn, "sync": sync, "nbytes": nbytes}
-            self._emit("log_durable", actor, detail, actor)
+            self._sink(TraceRecord((self.sim.now, "log_durable", actor, detail, actor)))
 
     def log_crash(self, actor: str, *, lost_jobs: int) -> None:
         if not self.enabled:
@@ -618,21 +626,23 @@ class Observability:
         # Its pending forces will never be durable.
         self._forcing = {k: f for k, f in self._forcing.items() if k[0] != actor}
         if self._every_record or "log_crash" in self._heard:
-            self._emit("log_crash", actor, {"lost_jobs": lost_jobs})
+            detail = {"lost_jobs": lost_jobs}
+            self._sink(TraceRecord((self.sim.now, "log_crash", actor, detail, None)))
 
     def log_restart(self, actor: str) -> None:
         if not self.enabled:
             return
         self._counts["log_restart"] += 1.0
         if self._every_record or "log_restart" in self._heard:
-            self._emit("log_restart", actor, {})
+            self._sink(TraceRecord((self.sim.now, "log_restart", actor, {}, None)))
 
     def log_gc(self, actor: str, *, txn: int, removed: int) -> None:
         if not self.enabled:
             return
         self._counts["log_gc"] += removed
         if self._every_record or "log_gc" in self._heard:
-            self._emit("log_gc", actor, {"txn": txn, "removed": removed})
+            detail = {"txn": txn, "removed": removed}
+            self._sink(TraceRecord((self.sim.now, "log_gc", actor, detail, None)))
 
     # -- locks ----------------------------------------------------------------
     #
@@ -671,14 +681,15 @@ class Observability:
         if self._every_record or "lock_grant" in self._heard:
             detail = {"txn": txn, "obj": obj, "mode": str(mode)}
             node = self._lock_nodes[manager] if txn.__class__ is int else None
-            self._emit("lock_grant", manager, detail, node)
+            self._sink(TraceRecord((self.sim.now, "lock_grant", manager, detail, node)))
 
     def lock_upgrade(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
             return
         self._counts["lock_upgrade"] += 1.0
         if self._every_record or "lock_upgrade" in self._heard:
-            self._emit("lock_upgrade", manager, {"txn": txn, "obj": obj})
+            detail = {"txn": txn, "obj": obj}
+            self._sink(TraceRecord((self.sim.now, "lock_upgrade", manager, detail, None)))
 
     def lock_wait(self, manager: str, *, txn: Any, obj: Any, mode: str) -> None:
         if not self.enabled:
@@ -689,7 +700,7 @@ class Observability:
         if self._every_record or "lock_wait" in self._heard:
             detail = {"txn": txn, "obj": obj, "mode": str(mode)}
             node = self._lock_nodes[manager] if txn.__class__ is int else None
-            self._emit("lock_wait", manager, detail, node)
+            self._sink(TraceRecord((self.sim.now, "lock_wait", manager, detail, node)))
 
     def lock_timeout(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
@@ -702,7 +713,8 @@ class Observability:
             del self._waits[key]
         if self._every_record or "lock_timeout" in self._heard:
             node = self._lock_nodes[manager] if txn.__class__ is int else None
-            self._emit("lock_timeout", manager, {"txn": txn, "obj": obj}, node)
+            detail = {"txn": txn, "obj": obj}
+            self._sink(TraceRecord((self.sim.now, "lock_timeout", manager, detail, node)))
 
     def lock_release(self, manager: str, *, txn: Any, obj: Any) -> None:
         if not self.enabled:
@@ -718,7 +730,8 @@ class Observability:
                     del held[obj]  # no chain to continue
         if self._every_record or "lock_release" in self._heard:
             node = self._lock_nodes[manager] if txn.__class__ is int else None
-            self._emit("lock_release", manager, {"txn": txn, "obj": obj}, node)
+            detail = {"txn": txn, "obj": obj}
+            self._sink(TraceRecord((self.sim.now, "lock_release", manager, detail, node)))
 
     # -- nodes, fencing --------------------------------------------------------
 
@@ -737,32 +750,32 @@ class Observability:
         self._locks.pop(manager, None)
         self._waits = {k: t for k, t in self._waits.items() if k[0] != manager}
         if self._every_record or "crash" in self._heard:
-            self._emit("crash", actor, {}, actor)
+            self._sink(TraceRecord((self.sim.now, "crash", actor, {}, actor)))
 
     def node_restart(self, actor: str) -> None:
         if not self.enabled:
             return
         self._counts["restart"] += 1.0
         if self._every_record or "restart" in self._heard:
-            self._emit("restart", actor, {}, actor)
+            self._sink(TraceRecord((self.sim.now, "restart", actor, {}, actor)))
 
     def node_recovered(self, actor: str) -> None:
         if not self.enabled:
             return
         self._counts["recovered"] += 1.0
         if self._every_record or "recovered" in self._heard:
-            self._emit("recovered", actor, {})
+            self._sink(TraceRecord((self.sim.now, "recovered", actor, {}, None)))
 
     def fence(self, by: str, *, target: str) -> None:
         if not self.enabled:
             return
         self._counts["fence"] += 1.0
         if self._every_record or "fence" in self._heard:
-            self._emit("fence", by, {"target": target}, by)
+            self._sink(TraceRecord((self.sim.now, "fence", by, {"target": target}, by)))
 
     def unfence(self, by: str, *, target: str) -> None:
         if not self.enabled:
             return
         self._counts["unfence"] += 1.0
         if self._every_record or "unfence" in self._heard:
-            self._emit("unfence", by, {"target": target}, by)
+            self._sink(TraceRecord((self.sim.now, "unfence", by, {"target": target}, by)))

@@ -9,18 +9,19 @@ subsystem emits :class:`TraceRecord` entries tagged with a category
 The log is the cluster's one event stream, and the
 :class:`~repro.obs.hub.Observability` hub is its one writer: a hook
 folds its own arguments into the hub's counts and histograms, then
-allocates a record, appends it here and hands it to the hub's
-listeners.  Golden-trace tests, fault triggers, the timeline renderer
-and the utilisation folds read the records directly; transaction
-spans (:mod:`repro.obs`) are filed from the same record objects when
-they are read, from where the last read stopped.
-:meth:`TraceLog.clear` lets that fold catch up before it drops
-anything.
+builds a record in its own frame and hands it to the hub's sink —
+this log's bound ``records.append`` while nothing listens, else the
+hub's dispatch to the stream and the listeners.  Golden-trace tests,
+fault triggers, the timeline renderer and the utilisation folds read
+the records directly; transaction spans (:mod:`repro.obs`) are filed
+from the same record objects when they are read, from where the last
+read stopped.  :meth:`TraceLog.clear` lets that fold catch up before
+it drops anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -31,31 +32,53 @@ def nothing_to_fold() -> None:
     """The fold of a view that reads no stream: always up to date."""
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One timestamped observation.
+class TraceRecord(tuple):
+    """One timestamped observation: the 5-tuple ``(time, category,
+    actor, detail, node)``, built as ``TraceRecord((time, category,
+    actor, detail, node))``.
 
-    Slotted: a traced run allocates one per hook call, and a record
-    without a ``__dict__`` is 72 bytes instead of 160 and cheaper to
-    build.
+    A slotted ``tuple``: a traced run builds one per hook call, and
+    calling the class runs no Python frame.  The fields are read-only
+    properties over ``itemgetter``, which run none either.
 
     ``node`` names the span leg its hook files it under,
     ``(detail["txn"], node)`` — cluster scope when there is no ``txn`` —
     or is ``None`` for a record on no span.  It is the actor's own name,
     except for a lock manager's records, which name the node the
     manager serves; a reference, so it costs no allocation.  It is
-    bookkeeping, not an observation, so equality, ``repr`` and every
-    serialised form leave it out.
+    bookkeeping, not an observation, so equality, ``repr`` and the
+    JSON-lines trace leave it out; a pickle keeps it.
     """
 
-    time: float
-    category: str
-    actor: str
-    detail: dict[str, Any] = field(default_factory=dict)
-    node: Optional[str] = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+
+    time = property(itemgetter(0))
+    category = property(itemgetter(1))
+    actor = property(itemgetter(2))
+    detail = property(itemgetter(3))
+    node = property(itemgetter(4))
 
     def get(self, key: str, default: Any = None) -> Any:
-        return self.detail.get(key, default)
+        return self[3].get(key, default)
+
+    # ``tuple`` would compare ``node`` too; defining ``__eq__`` also
+    # leaves the record unhashable, as its ``detail`` dict is.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return self[:4] != other[:4]
+
+    def __repr__(self) -> str:
+        time, category, actor, detail = self[:4]
+        return (
+            f"TraceRecord(time={time!r}, category={category!r}, "
+            f"actor={actor!r}, detail={detail!r})"
+        )
 
 
 class TraceLog:

@@ -12,7 +12,7 @@ def fresh_trace():
 
 def emit(trace, category, actor, **detail):
     """Append the record a hook would (a trigger reads nothing else)."""
-    trace.records.append(TraceRecord(trace.sim.now, category, actor, detail))
+    trace.records.append(TraceRecord((trace.sim.now, category, actor, detail, None)))
 
 
 def test_trigger_matches_category_actor_and_detail():

@@ -8,16 +8,17 @@ class FrugalHub:
         self.trace = trace
         self.spans = spans
         self.enabled = True
+        self._sink = self._dispatch
 
     def msg_send(self, actor, kind, dst):
         if not self.enabled:
             return
-        self._emit("msg_send", actor, {"kind": kind, "dst": dst})
+        self._sink((self.sim.now, "msg_send", actor, {"kind": kind, "dst": dst}, None))
 
     def worker_open(self, actor, txn):
         if self.enabled:
             self.spans.begin(txn, actor)
 
-    def _emit(self, category, actor, detail):
-        # The private emit is the callee side of a guarded hook.
-        self.trace.records.append((self.sim.now, category, actor, detail))
+    def _dispatch(self, record):
+        # The private dispatch is the callee side of a guarded hook.
+        self.trace.records.append(record)

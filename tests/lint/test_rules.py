@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.obs.hub
 from repro.lint import run_lint
 from repro.lint.context import virtual_path
 from repro.lint.registry import all_rules, get_rule, select_rules
@@ -63,6 +64,28 @@ def test_findings_report_position_and_path():
         assert finding.path.endswith("obs_bad.py")
         assert finding.line > 0
         assert finding.col > 0
+
+
+def test_obs001_flags_a_hub_hook_that_builds_its_record_before_the_guard(tmp_path):
+    """The rule recognises the real hub's hooks by the sink they reach:
+    a copy of ``obs/hub.py`` whose ``msg_send`` builds its detail above
+    the ``enabled`` check is flagged there, and only there."""
+    source = Path(repro.obs.hub.__file__).read_text()
+    guard = "dst: str, txn: Optional[int], msg_id: int\n    ) -> None:\n        if not self.enabled:"
+    assert source.count(guard) == 1
+    leaky = source.replace(
+        guard,
+        "dst: str, txn: Optional[int], msg_id: int\n    ) -> None:\n"
+        '        detail = {"kind": kind, "dst": dst, "txn": txn, "msg_id": msg_id}\n'
+        "        if not self.enabled:",
+    )
+    header = "# repro: path src/repro/obs/hub.py\n"
+    rules = select_rules(["OBS001"])
+    for name, text, hooks in (("hub.py", source, []), ("leaky.py", leaky, ["msg_send"])):
+        path = tmp_path / name
+        path.write_text(header + text)
+        findings = run_lint([path], rules=rules).findings
+        assert [f.message.split(".")[1].split(" ")[0] for f in findings] == hooks, name
 
 
 def test_det003_respects_sorted_wrapping_and_dicts():

@@ -127,7 +127,7 @@ def test_open_span_exports_with_bounded_duration():
     sim = Simulator()
     spans = SpanCollector(sim)
     span = spans.begin(1, name="CREATE", role="coordinator", actor="mds1")
-    span.events.append(TraceRecord(3.0, "msg_send", "mds1", {"kind": "UPDATE_REQ"}))
+    span.events.append(TraceRecord((3.0, "msg_send", "mds1", {"kind": "UPDATE_REQ"}, None)))
     doc = chrome_trace(spans)
     complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert complete[0]["dur"] == pytest.approx(3.0 * 1e6)

@@ -112,6 +112,66 @@ def test_listeners_get_the_appended_record_and_may_unsubscribe_in_the_call():
     ]
 
 
+def appends_directly(obs):
+    """Whether the hub's sink is its stream's own bound ``append``."""
+    return getattr(obs._sink, "__self__", None) is obs.trace.records
+
+
+def test_a_full_hub_with_no_listener_appends_through_the_streams_own_append():
+    obs = hub()
+    assert appends_directly(obs)
+    obs.fence("mds1", target="mds2")
+    obs.annotate("ack_gave_up", "mds2", txn=None)
+    fence, gave_up = obs.trace.records
+    assert (fence.category, fence.node) == ("fence", "mds1")
+    assert (gave_up.category, gave_up.node) == ("ack_gave_up", None)
+    # A category listener routes the records through the dispatch, and
+    # its going restores the direct append.
+    heard = []
+    obs.subscribe(heard.append, ["fence"])
+    assert not appends_directly(obs)
+    obs.fence("mds1", target="mds3")
+    obs.unsubscribe(heard.append)
+    assert appends_directly(obs)
+    assert heard == [obs.trace.records[-1]]
+
+
+def test_a_listener_of_every_record_hears_the_stream_and_may_leave_mid_call():
+    obs = hub()
+    heard = []
+
+    def listener(record):
+        heard.append(record)
+        if len(heard) == 3:
+            obs.unsubscribe(listener)
+
+    obs.subscribe(listener)
+    assert not appends_directly(obs)
+    for target in ("mds2", "mds3"):
+        obs.fence("mds1", target=target)
+    assert heard == obs.trace.records
+    assert all(a is b for a, b in zip(heard, obs.trace.records))
+    obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
+    # It left inside its third call: the stream appends directly again,
+    # and every record is in it once, in order.
+    assert appends_directly(obs) and len(heard) == 3
+    obs.msg_recv("mds2", kind="UPDATE_REQ", src="mds1", txn=1, msg_id=1)
+    assert [r.category for r in obs.trace.records] == ["fence", "fence", "msg_send", "msg_recv"]
+    assert [r is h for r, h in zip(obs.trace.records, heard)] == [True] * 3
+    assert len({id(r) for r in obs.trace.records}) == 4
+
+
+def test_an_attribute_hubs_category_listener_hears_its_category_and_the_stream_stays_empty():
+    obs = Observability(Simulator(), "attribute")
+    heard = []
+    obs.subscribe(heard.append, ["fence"])
+    obs.fence("mds1", target="mds2")
+    obs.unfence("mds1", target="mds2")
+    obs.annotate("ack_gave_up", "mds2", txn=1)
+    assert [(r.category, r.get("target"), r.node) for r in heard] == [("fence", "mds2", "mds1")]
+    assert len(obs.trace) == 0
+
+
 @pytest.mark.parametrize("hook", sorted(HOOKS))
 def test_hook_appends_one_record_shared_with_its_span(hook):
     args, kwargs, on_span = HOOKS[hook]
@@ -215,7 +275,7 @@ def test_annotate_matches_legacy_emit_bytes():
     sim = Simulator()
     obs = Observability(sim)
     obs.annotate("ack_gave_up", "mds2", txn=3, waited=0.5)
-    ref = TraceRecord(sim.now, "ack_gave_up", "mds2", {"txn": 3, "waited": 0.5})
+    ref = TraceRecord((sim.now, "ack_gave_up", "mds2", {"txn": 3, "waited": 0.5}, None))
     rec = obs.trace.records[0]
     assert rec == ref and repr(rec) == repr(ref)
     assert list(rec.detail) == list(ref.detail)  # kwargs order preserved

@@ -10,7 +10,7 @@ def collector():
 
 
 def rec(time, category, actor, **detail):
-    return TraceRecord(time, category, actor, detail)
+    return TraceRecord((time, category, actor, detail, None))
 
 
 def test_root_span_opens_and_closes():

@@ -1,6 +1,5 @@
 """Unit tests for RNG streams and the trace log."""
 
-import dataclasses
 import pickle
 
 import pytest
@@ -119,14 +118,25 @@ def test_tracelog_predicate_select():
 
 
 def test_trace_record_is_frozen_slotted_and_pickles():
-    record = TraceRecord(1.5, "msg_send", "mds1", {"kind": "PREPARE", "txn": 3})
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    record = TraceRecord((1.5, "msg_send", "mds1", {"kind": "PREPARE", "txn": 3}, None))
+    assert (record.time, record.category, record.actor) == (1.5, "msg_send", "mds1")
+    assert record.detail == {"kind": "PREPARE", "txn": 3} and record.node is None
+    with pytest.raises(AttributeError):
         record.time = 2.0
+    with pytest.raises(AttributeError):
+        record.extra = 1
     assert not hasattr(record, "__dict__")
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record and copy is not record
     assert repr(copy) == repr(record)
+    assert repr(record) == (
+        "TraceRecord(time=1.5, category='msg_send', actor='mds1', "
+        "detail={'kind': 'PREPARE', 'txn': 3})"
+    )
     assert record.get("kind") == "PREPARE" and record.get("missing", 0) == 0
     # The span leg a hook files a record by is not part of what it observed.
-    filed = TraceRecord(1.5, "msg_send", "mds1", {"kind": "PREPARE", "txn": 3}, "mds1")
+    filed = TraceRecord((1.5, "msg_send", "mds1", {"kind": "PREPARE", "txn": 3}, "mds1"))
     assert filed == record and repr(filed) == repr(record) and filed.node == "mds1"
+    assert not filed != record
+    assert pickle.loads(pickle.dumps(filed)).node == "mds1"
+    assert filed != TraceRecord((1.5, "msg_send", "mds2", {"kind": "PREPARE", "txn": 3}, "mds1"))

@@ -33,6 +33,7 @@ steps        312.96   410.03   406.62      525.69      2.47 / 2.36
 attribute    312.96   410.03   406.62      525.69      2.47 / 2.36   403.54     522.61     2.38 / 2.30
 hook fold    312.96   410.03   404.36      523.43      2.41 / 2.32   359.94     468.01     1.24 / 1.18
 sampled      312.96   410.03   404.36      523.43      2.41 / 2.32   315.05     412.72     0.06 / 0.05
+record sink  312.96   410.03   366.37      474.44      1.41 / 1.31   315.05     412.72     0.06 / 0.05
 ===========  =======  =======  ==========  ==========  ===========  =========  =========  ===========
 
 The other registered protocols, untraced, at the hub-off diet: PrC
@@ -68,23 +69,27 @@ attributes of the hub before it calls it, a delivery is the destination
 endpoint's own ``deliver`` run by its timer, the lock table's grant
 check allocates nothing, and a protocol session is steps the kernel
 calls back, not a process whose generator frames it re-enters (*steps*
-set every ceiling, the traced ones included).  Every
+set the traced ceilings too, until *record sink*).  Every
 registered protocol has an untraced ceiling, so none of them can put
 frames back unnoticed; the traced rows are the two the paper
 compares.  *Per record* is what switching the hub on costs,
 ``(traced - untraced) / records`` with 3,799 (1PC) and 4,899 (PrN)
-trace records in the cell: the hook and ``_emit``, plus the
-per-transaction span lifecycle and the one fold of spans and metrics
-that reading the cell's metrics runs, spread over its records.  It is
-capped at 2.5 package frames for both protocols, whatever the two
-absolute numbers do.  The cap rose from 2.2 at the hub-off diet
-although the traced rows fell: the untraced row no longer pays about
-27 (1PC) / 36 (PrN) disabled-hook frames per transaction, so the
-difference now counts the hook frames themselves, which it used to
-cancel.  *Stream only* is where a hook writes the record and nothing
-else — spans and metrics are folded when read — and set the cap
-(rounded up to the next 0.1).  An untraced burst enters ``src/repro/obs/`` only to
-build the hub, as many times at n=10 as at n=100.  A change that trips
+trace records in the cell: the hook, plus the per-transaction span
+lifecycle and the one fold of spans and metrics that reading the
+cell's metrics runs, spread over its records.  It is capped at 1.5
+package frames for both protocols, whatever the two absolute numbers
+do.  The cap rose from 2.2 to 2.5 at the hub-off diet although the
+traced rows fell: the untraced row no longer pays about 27 (1PC) / 36
+(PrN) disabled-hook frames per transaction, so the difference now
+counts the hook frames themselves, which it used to cancel.  *Stream
+only* is where a hook writes the record and nothing else — spans and
+metrics are folded when read.  *Record sink* is where a hook builds
+its record in its own frame and hands it to the stream's bound
+``append``, a C call, with no ``_emit`` frame between: that row sets
+the cap (rounded up to the next 0.1) and the two traced ceilings
+(each rounded up to the next 5).  An untraced burst enters
+``src/repro/obs/`` only to build the hub, as many times at n=10 as at
+n=100.  A change that trips
 a row put frames back on the per-transaction path: find them with
 ``python3 benchmarks/ledger/run.py --workload composite-1pc --trace
 1`` (``traced-burst`` for a traced row) before raising a ceiling.
@@ -130,12 +135,12 @@ CEILING = {
     "1PC-N": 315,
 }
 #: The same with ``trace="full"``: every hook writes its record.
-TRACED_CEILING = {"1PC": 410, "PrN": 530}
+TRACED_CEILING = {"1PC": 370, "PrN": 475}
 #: The same with ``trace="attribute"``: a sampled transaction's hooks
 #: fold, none records.
 ATTRIBUTE_CEILING = {"1PC": 320, "PrN": 415}
 #: Ceiling of what the hub adds, in package frames per trace record.
-FRAMES_PER_RECORD = 2.5
+FRAMES_PER_RECORD = 1.5
 #: Ceiling of what an attribute hub adds, in package frames per hook
 #: call of a full hub.
 FRAMES_PER_HOOK = 0.1
