@@ -149,16 +149,16 @@ def test_a_listener_of_every_record_hears_the_stream_and_may_leave_mid_call():
     assert not appends_directly(obs)
     for target in ("mds2", "mds3"):
         obs.fence("mds1", target=target)
-    assert heard == obs.trace.records
-    assert all(a is b for a, b in zip(heard, obs.trace.records))
+    assert [id(r) for r in heard] == [id(r) for r in obs.trace.records]
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
     # It left inside its third call: the stream appends directly again,
     # and every record is in it once, in order.
     assert appends_directly(obs) and len(heard) == 3
     obs.msg_recv("mds2", kind="UPDATE_REQ", src="mds1", txn=1, msg_id=1)
-    assert [r.category for r in obs.trace.records] == ["fence", "fence", "msg_send", "msg_recv"]
-    assert [r is h for r, h in zip(obs.trace.records, heard)] == [True] * 3
-    assert len({id(r) for r in obs.trace.records}) == 4
+    records = obs.trace.records
+    assert [r.category for r in records] == ["fence", "fence", "msg_send", "msg_recv"]
+    assert [id(r) for r in heard] == [id(r) for r in records[:3]]
+    assert len({id(r) for r in records}) == 4
 
 
 def test_an_attribute_hubs_category_listener_hears_its_category_and_the_stream_stays_empty():
