@@ -1,7 +1,7 @@
 """Analysis: cost accounting, metrics and table/figure rendering.
 
-* :mod:`repro.analysis.costs` -- the analytical Table I model and the
-  trace-based measurement that must agree with it.
+* :mod:`repro.analysis.costs` -- the trace-based Table I measurement
+  that must agree with each protocol spec's declared row.
 * :mod:`repro.analysis.metrics` -- throughput and latency statistics
   over transaction outcomes.
 * :mod:`repro.analysis.tables` -- plain-text rendering of the paper's
@@ -10,7 +10,6 @@
 
 from repro.analysis.costs import (
     BASE_MESSAGES,
-    TABLE1,
     CostRow,
     MeasuredCosts,
     measure_protocol_costs,
@@ -30,7 +29,6 @@ __all__ = [
     "LatencyStats",
     "MeasuredCosts",
     "ProtocolPrediction",
-    "TABLE1",
     "measure_protocol_costs",
     "predict",
     "predict_figure6",

@@ -1,7 +1,8 @@
-"""Table I: protocol cost accounting — analytical and measured.
+"""Table I: protocol cost accounting, measured.
 
-The analytical rows are transcribed from the paper.  The measured rows
-are folded from the *transaction span* of one distributed CREATE
+The analytical rows are declared once, as each protocol's
+:attr:`~repro.protocols.registry.ProtocolSpec.table1_row` (the paper's
+four among them).  The measured rows are folded from the *transaction span* of one distributed CREATE
 (:func:`fold_span_costs` — the trace records on the span and its legs):
 
 * *total* synchronous / asynchronous log writes: count of forced / lazy
@@ -18,8 +19,8 @@ are folded from the *transaction span* of one distributed CREATE
 * *critical-path messages*: extra messages sent before the client
   reply.
 
-``test_table1.py`` asserts measured == analytical for all four
-protocols; the ``table1`` report artifact renders both.
+``test_table1.py`` asserts measured == declared for every protocol
+that declares a row; the ``table1`` report artifact renders both.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ class CostRow:
     async_critical: int
     msgs_total: int
     msgs_critical: int
-
-
-#: Table I as printed in the paper.
-TABLE1: dict[str, CostRow] = {
-    "PrN": CostRow(5, 1, 4, 1, 4, 4),
-    "PrC": CostRow(4, 1, 3, 0, 3, 2),
-    "EP": CostRow(4, 1, 3, 0, 1, 0),
-    "1PC": CostRow(3, 1, 2, 0, 1, 0),
-}
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ spread over ``n_clients`` concurrent clients, and the schedule's fault
 plan — then, after the dust settles, the one oracle
 (:func:`repro.analysis.oracle.check`: invariants, atomicity,
 durability, aborted residue, serializability, conflict cycles).
+Install, submit, settle and judge is :func:`run_fault_cell`, which the
+conformance battery and the recovery artifact run too.
 
 The hub runs in ``"attribute"`` mode and keeps no stream
 (``trace="full"`` does).  The runner asks it for the lock-precedence
@@ -22,11 +24,13 @@ through the executor like any other experiment cell.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Iterator, Optional
+from operator import itemgetter
+from typing import Any, Optional, Sequence
 
-from repro.analysis.oracle import check
+from repro.analysis.oracle import Violation, check
 from repro.campaign.schedule import CampaignSchedule
 from repro.config import SimulationParams
+from repro.faults import FaultPlan
 from repro.fs.operations import OpPlan
 from repro.fs.placement import ForcedDistributedPlacement
 from repro.mds.client import Client
@@ -39,15 +43,28 @@ from repro.sim import RngRegistry
 SETTLE_SECONDS = 300.0
 
 
-def _submit_all(
-    cluster: Cluster, submissions: list[tuple[float, int, Client, OpPlan]]
-) -> Iterator[Any]:
-    """Driver process: fire each submission at its scheduled time."""
-    for when, _idx, client, plan in submissions:
-        delay = when - cluster.sim.now
-        if delay > 0:
-            yield cluster.sim.timeout(delay)
-        client.submit(plan)
+#: A fault cell's submission: the instant it is due, its client, its plan.
+TimedSubmission = tuple[float, Client, OpPlan]
+
+
+def run_fault_cell(
+    cluster: Cluster, submissions: Sequence[TimedSubmission], faults: FaultPlan
+) -> list[Violation]:
+    """The one fault cell: install ``faults``, submit each plan when it
+    is due (same-instant ones in the order given), settle for
+    :data:`SETTLE_SECONDS`, and judge the plans, in the order given,
+    with the oracle.  Each submission is one timer, due where a driver
+    sleeping ``when - now`` before each later ``when`` would wake:
+    ``due + (when - due)`` is not always ``when``."""
+    faults.install(cluster)
+    sim = cluster.sim
+    due = sim.now
+    for when, client, plan in sorted(submissions, key=itemgetter(0)):
+        if when > due:
+            due += when - due
+        sim.at(due, client.submit, plan)
+    sim.run(until=sim.now + SETTLE_SECONDS)
+    return check(cluster, [plan for _when, _client, plan in submissions])
 
 
 def run_campaign_cell(
@@ -71,25 +88,16 @@ def run_campaign_cell(
     clients = [cluster.new_client() for _ in range(schedule.n_clients)]
 
     rng = RngRegistry(schedule.seed)
-    plans: list[OpPlan] = []
-    submissions: list[tuple[float, int, Client, OpPlan]] = []
+    submissions: list[TimedSubmission] = []
     for i in range(schedule.n_ops):
         c = i % schedule.n_clients
         hot = rng.bernoulli(f"hot{i}", schedule.hot_ratio)
         parent = "/hot" if hot else f"/cold{c}"
         plan = clients[c].plan_create(f"{parent}/f{i}")
-        plans.append(plan)
-        submissions.append(
-            (rng.uniform(f"submit{i}", 0.0, schedule.horizon), i, clients[c], plan)
-        )
-    submissions.sort(key=lambda s: (s[0], s[1]))
+        submissions.append((rng.uniform(f"submit{i}", 0.0, schedule.horizon), clients[c], plan))
 
     fault_plan = schedule.build_plan()
-    fault_plan.install(cluster)
-    cluster.sim.process(_submit_all(cluster, submissions), name="campaign-driver")
-    cluster.sim.run(until=cluster.sim.now + SETTLE_SECONDS)
-
-    violations = [asdict(v) for v in check(cluster, plans)]
+    violations = [asdict(v) for v in run_fault_cell(cluster, submissions, fault_plan)]
     committed = sum(1 for o in cluster.outcomes if o.committed)
     aborted = sum(1 for o in cluster.outcomes if not o.committed)
     fired = len(fault_plan.fired)

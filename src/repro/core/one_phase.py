@@ -441,7 +441,7 @@ register_protocol(
         log_records=("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED"),
         capabilities=frozenset({CAP_SHARED_LOG}),
         paper_figure6=24.0,
-        table1_row=(3, 1, 2, 0, 1, 0),
+        table1_row=(3, 1, 2, 0, 1, 0),  # Table I as printed in the paper
         citation=(
             "Congiu, Narasimhamurthy, Suess & Brinkmann, 'One Phase Commit: "
             "A Low Overhead Atomic Commitment Protocol for Scalable Metadata "

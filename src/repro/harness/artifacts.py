@@ -141,7 +141,7 @@ def _measure_recovery() -> dict:
         for victim, role in ROLE_OF.items():
             r = measure_crash_recovery(protocol, victim)
             row.update({f"{role}_settle": r.settle_time, f"{role}_committed": r.committed})
-            row["violations"] += r.invariant_violations
+            row["violations"] += r.violations
     return out
 
 

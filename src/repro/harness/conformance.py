@@ -1,8 +1,10 @@
 """Protocol conformance kit: what every registered protocol must survive.
 
-A check is a (scenario, oracle) pair: the scenario builds, drives and
-settles a cluster, :func:`repro.analysis.oracle.check` judges it, and
-the scenario adds at most one expectation of its own:
+Every check is one fault cell
+(:func:`repro.campaign.runner.run_fault_cell`): a cluster, its
+submissions and its faults, settled for the campaign's budget and
+judged by the one oracle (:func:`repro.analysis.oracle.check`) and by
+any expectation of its own:
 
 1. **liveness** — a failure-free distributed CREATE commits and both
    write-ahead logs are garbage collected;
@@ -37,22 +39,25 @@ the scenario adds at most one expectation of its own:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from repro.analysis.oracle import check
+from repro.campaign.runner import SETTLE_SECONDS, TimedSubmission, run_fault_cell
 from repro.core.batching import BatchPlanner
-from repro.faults import Fault, FaultPlan, TraceTrigger, scenario
-from repro.fs.operations import OpPlan
+from repro.faults import SCENARIOS, Fault, FaultPlan, TraceTrigger
 from repro.fs.placement import SubtreePlacement
 from repro.mds.cluster import Cluster
 from repro.mds.scenarios import HOT_DIR, distributed_create_cluster, fanout_cluster
 from repro.protocols.registry import ProtocolSpec, get_spec
-from repro.workloads.cell import drive
 
 DEFAULT_CRASH_POINTS = (0.5e-3, 2e-3, 4e-3, 7e-3)
 
 #: Named fault scenarios every protocol must survive atomically.
 FAULT_SCENARIOS = ("worker-crash-before-commit", "partition-at-vote", "vote-refusal")
+
+#: What a check expects of its settled cluster beyond the oracle: the
+#: unmet expectation's message, or ``None``.
+Expectation = Callable[[Cluster], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -80,53 +85,48 @@ class _Run(NamedTuple):
     failure: Optional[str]
 
 
-def check_protocol(
-    protocol: str,
-    crash_points: Sequence[float] = DEFAULT_CRASH_POINTS,
-    settle: float = 300.0,
-) -> ConformanceReport:
+def check_protocol(protocol: str) -> ConformanceReport:
     """Run the full conformance battery for ``protocol``."""
-    liveness, abort = _check_liveness(protocol), _check_abort(protocol)
+    committed = partial(_committed_and_drained, "failure-free CREATE")
+    liveness = _one_create(protocol, "liveness", (), committed)
+    refuse = SCENARIOS["vote-refusal"]  # mds2 refuses its vote
+    abort = _one_create(protocol, "abort", refuse, _aborted_unlocked)
     runs = [liveness, abort]
-    runs += [
-        _check_crash(protocol, victim, crash_at, settle)
-        for victim in ("mds1", "mds2")
-        for crash_at in crash_points
-    ]
-    runs += _checks_after_records(protocol, settle, (liveness, ()), (abort, (_refuse_vote,)))
-    runs += [_check_fault_scenario(protocol, name, settle) for name in FAULT_SCENARIOS]
+    for victim in ("mds1", "mds2"):
+        for at in DEFAULT_CRASH_POINTS:
+            label, crash = f"crash of {victim} at {at * 1e3:.1f} ms", Fault("crash", victim, at=at)
+            runs.append(_one_create(protocol, label, (crash,), _undrained))
+    runs += _checks_after_records(protocol, (liveness, ()), (abort, refuse))
+    runs += [_one_create(protocol, f"scenario {n!r}", SCENARIOS[n]) for n in FAULT_SCENARIOS]
     runs.append(_check_isolation(protocol))
     runs.append(_check_local(protocol))
     spec = get_spec(protocol)
     if spec.engine.max_workers is None:
-        runs += [_check_fanout_crash(protocol, crash_at, settle) for crash_at in crash_points]
+        runs += [_check_fanout_crash(protocol, at) for at in DEFAULT_CRASH_POINTS]
     verdicts = [run.failure for run in runs] + [_check_vocabulary(spec, runs)]
     return ConformanceReport(protocol, tuple(v for v in verdicts if v), len(verdicts))
 
 
-def _verdict(label: str, cluster: Cluster, plans: Sequence[OpPlan], *unmet: Optional[str]) -> _Run:
-    """One check's failure message — the scenario's ``unmet``
-    expectations, if any, plus the oracle's findings — or ``None``."""
-    found = [u for u in unmet if u] + [str(v) for v in check(cluster, plans)]
+def _verdict(
+    label: str,
+    cluster: Cluster,
+    submissions: Sequence[TimedSubmission],
+    faults: Sequence[Fault],
+    *expect: Expectation,
+) -> _Run:
+    """One check through the fault cell; its failure message names the
+    unmet expectations, if any, then the oracle's findings."""
+    violations = run_fault_cell(cluster, submissions, FaultPlan(faults))
+    found = [unmet for e in expect if (unmet := e(cluster))] + [str(v) for v in violations]
     failure = f"{cluster.protocol_name}: {label}: {'; '.join(found)}" if found else None
     return _Run(label, cluster, failure)
 
 
-def _create(protocol: str, *prepare: Callable[[Cluster], None]) -> tuple[Cluster, OpPlan]:
-    """A two-server cluster readied by each ``prepare``, one CREATE submitted."""
+def _one_create(protocol: str, label: str, faults: Sequence[Fault], *expect: Expectation) -> _Run:
+    """One CREATE on the two-server cluster, under ``faults``."""
     cluster, client = distributed_create_cluster(protocol)
-    for step in prepare:
-        step(cluster)
-    plan = client.plan_create("/dir1/f0")
-    drive(cluster, [(client, plan)])
-    return cluster, plan
-
-
-def _crash_and_settle(cluster: Cluster, victim: str, crash_at: float, settle: float) -> None:
-    cluster.sim.run(until=crash_at)
-    cluster.crash_server(victim)
-    cluster.restart_server(victim)
-    cluster.sim.run(until=cluster.sim.now + settle)
+    submission = (0.0, client, client.plan_create("/dir1/f0"))
+    return _verdict(label, cluster, [submission], faults, *expect)
 
 
 def _answers(cluster: Cluster) -> list[bool]:
@@ -150,56 +150,29 @@ def _committed_and_drained(what: str, cluster: Cluster) -> Optional[str]:
     return f"{what} answered {_answers(cluster)}, {undrained or 'logs drained'}"
 
 
-def _check_liveness(protocol: str) -> _Run:
-    cluster, plan = _create(protocol)
-    cluster.sim.run(until=cluster.sim.now + 120.0)
-    unmet = _committed_and_drained("failure-free CREATE", cluster)
-    return _verdict("liveness", cluster, [plan], unmet)
-
-
-def _refuse_vote(cluster: Cluster) -> None:
-    cluster.servers["mds2"].fail_next_vote = True
-
-
-def _check_abort(protocol: str) -> _Run:
-    cluster, plan = _create(protocol, _refuse_vote)
-    cluster.sim.run(until=cluster.sim.now + 120.0)
+def _aborted_unlocked(cluster: Cluster) -> Optional[str]:
     held = [name for name, server in cluster.servers.items() if server.locks._table]
-    unmet = None
-    if _answers(cluster) != [False] or held:
-        unmet = f"refused vote answered {_answers(cluster)}, locks held at {held}"
-    return _verdict("abort", cluster, [plan], unmet)
+    if _answers(cluster) == [False] and not held:
+        return None
+    return f"refused vote answered {_answers(cluster)}, locks held at {held}"
 
 
-def _check_crash(protocol: str, victim: str, crash_at: float, settle: float) -> _Run:
-    cluster, plan = _create(protocol)
-    _crash_and_settle(cluster, victim, crash_at, settle)
-    label = f"crash of {victim} at {crash_at * 1e3:.1f} ms"
-    return _verdict(label, cluster, [plan], _undrained(cluster))
-
-
-def _checks_after_records(
-    protocol: str, settle: float, *bases: tuple[_Run, tuple[Callable[[Cluster], None], ...]]
-) -> list[_Run]:
+def _checks_after_records(protocol: str, *bases: tuple[_Run, tuple[Fault, ...]]) -> list[_Run]:
     """One check per distinct ``(server, kind)`` a base run made
     durable, in order of first landing: the base run again, with that
     server crashed (and restarted) when that record first lands."""
-    landed: dict[tuple[str, str], tuple[Callable[[Cluster], None], ...]] = {}
-    for run, prepare in bases:
+    landed: dict[tuple[str, str], tuple[Fault, ...]] = {}
+    for run, faults in bases:
         for record in run.cluster.trace.records:
             if record.category == "log_durable" and record.actor in run.cluster.servers:
-                landed.setdefault((record.actor, record.detail["kind"]), prepare)
+                landed.setdefault((record.actor, record.detail["kind"]), faults)
     runs = []
-    for (server, kind), prepare in landed.items():
+    for (server, kind), faults in landed.items():
         trigger = TraceTrigger("log_durable", server, (("kind", kind),))
-        crash = FaultPlan([Fault("crash", server, trigger=trigger)])
-        cluster, plan = _create(protocol, *prepare, crash.install)
-        cluster.sim.run(until=cluster.sim.now + settle)
-        label = f"crash of {server} after {kind}" + (" (refused vote)" if prepare else "")
-        resumed = None
-        if (server, kind) == ("mds1", "PREPARED") and not prepare:
-            resumed = _resumed(cluster)
-        runs.append(_verdict(label, cluster, [plan], _undrained(cluster), resumed))
+        crash = Fault("crash", server, trigger=trigger)
+        label = f"crash of {server} after {kind}" + (" (refused vote)" if faults else "")
+        resumed = (_resumed,) if (server, kind) == ("mds1", "PREPARED") and not faults else ()
+        runs.append(_one_create(protocol, label, (*faults, crash), _undrained, *resumed))
     return runs
 
 
@@ -212,24 +185,19 @@ def _resumed(cluster: Cluster) -> Optional[str]:
     return f"recovery took {', '.join(actions) or 'no action'}, expected resume-commit"
 
 
-def _check_fault_scenario(protocol: str, name: str, settle: float) -> _Run:
-    cluster, plan = _create(protocol, scenario(name).install)
-    cluster.sim.run(until=cluster.sim.now + settle)
-    return _verdict(f"scenario {name!r}", cluster, [plan])
-
-
 def _check_isolation(protocol: str) -> _Run:
     cluster, client = distributed_create_cluster(protocol)
     other = cluster.new_client()
-    ops = [(client, client.plan_create("/dir1/race")), (other, other.plan_create("/dir1/race"))]
-    ops += [(client, client.plan_create(f"/dir1/c{i}")) for i in range(4)]
-    drive(cluster, ops)
-    unmet = None
-    if not cluster.run_until_answered(6, 120.0):
-        # A lost reply is a finding; the oracle still judges what came.
-        unmet = f"only {len(cluster.outcomes)}/6 operations answered within 120 s"
-    cluster.sim.run(until=cluster.sim.now + 120.0)
-    return _verdict("isolation", cluster, [plan for _client, plan in ops], unmet)
+    paths = [(client, "/dir1/race"), (other, "/dir1/race")]
+    paths += [(client, f"/dir1/c{i}") for i in range(4)]
+    submissions = [(0.0, c, c.plan_create(path)) for c, path in paths]
+    return _verdict("isolation", cluster, submissions, (), _six_answered)
+
+
+def _six_answered(cluster: Cluster) -> Optional[str]:
+    # A lost reply is a finding; the oracle still judges what came.
+    n = len(cluster.outcomes)
+    return None if n >= 6 else f"only {n}/6 operations answered within {SETTLE_SECONDS:g} s"
 
 
 def _check_local(protocol: str) -> _Run:
@@ -240,22 +208,20 @@ def _check_local(protocol: str) -> _Run:
     cluster = Cluster(protocol=protocol, server_names=servers, placement=placement)
     cluster.mkdir("/dir1")
     client = cluster.new_client()
-    plan = client.plan_create("/dir1/f0")
-    drive(cluster, [(client, plan)])
-    cluster.sim.run(until=cluster.sim.now + 120.0)
-    return _verdict("local", cluster, [plan], _committed_and_drained("local CREATE", cluster))
+    submission = (0.0, client, client.plan_create("/dir1/f0"))
+    local = partial(_committed_and_drained, "local CREATE")
+    return _verdict("local", cluster, [submission], (), local)
 
 
-def _check_fanout_crash(protocol: str, crash_at: float, settle: float, k: int = 4) -> _Run:
+def _check_fanout_crash(protocol: str, crash_at: float, k: int = 4) -> _Run:
     cluster = fanout_cluster(protocol, k)
     client = cluster.new_client()
     plans = [client.plan_create(f"{HOT_DIR}/f{i}") for i in range(k)]
     batch = BatchPlanner(max_batch=k, max_workers=None).merge(plans)
     victim = batch.workers[k // 2]
-    drive(cluster, [(client, batch)])
-    _crash_and_settle(cluster, victim, crash_at, settle)
     label = f"k={k} crash of {victim} at {crash_at * 1e3:.1f} ms"
-    return _verdict(label, cluster, [batch], _undrained(cluster))
+    crash = Fault("crash", victim, at=crash_at)
+    return _verdict(label, cluster, [(0.0, client, batch)], (crash,), _undrained)
 
 
 def _check_vocabulary(spec: ProtocolSpec, runs: Sequence[_Run]) -> Optional[str]:

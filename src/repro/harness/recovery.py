@@ -10,9 +10,8 @@ delay for never blocking on the dead peer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.config import SimulationParams
+from repro.campaign.runner import run_fault_cell
 from repro.faults import Fault, FaultPlan, window
 from repro.fs.placement import ForcedDistributedPlacement
 from repro.mds.cluster import Cluster
@@ -34,34 +33,25 @@ class RecoveryResult:
     #: Virtual time from crash injection to a consistent, decided state.
     settle_time: float
     committed: bool
-    invariant_violations: int
+    #: The oracle's findings in the settled cluster.
+    violations: int
 
 
-def measure_crash_recovery(
-    protocol: str,
-    victim: str,
-    crash_after: float = CRASH_AFTER,
-    params: Optional[SimulationParams] = None,
-    settle_budget: float = 120.0,
-) -> RecoveryResult:
-    """Crash ``victim`` shortly after the CREATE is submitted, reboot it.
+def measure_crash_recovery(protocol: str, victim: str) -> RecoveryResult:
+    """Crash ``victim`` :data:`CRASH_AFTER` seconds after the CREATE is
+    submitted, reboot it.
 
     ``"mds1"`` is the coordinator of the CREATE, ``"mds2"`` its worker.
     """
-    cluster, client = distributed_create_cluster(protocol, params=params)
-    sim = cluster.sim
-    drive(cluster, [(client, client.plan_create("/dir1/f0"))])
-    sim.run(until=sim.now + crash_after)
-    crash_time = sim.now
-    cluster.crash_server(victim)
-    cluster.restart_server(victim)
-    sim.run(until=sim.now + settle_budget)
+    cluster, client = distributed_create_cluster(protocol)
+    crash = FaultPlan([Fault("crash", victim, at=CRASH_AFTER)])
+    violations = run_fault_cell(cluster, [(0.0, client, client.plan_create("/dir1/f0"))], crash)
     return RecoveryResult(
         protocol=protocol,
         scenario=f"{ROLE_OF[victim]}-crash",
-        settle_time=_settle_time(cluster, crash_time),
+        settle_time=_settle_time(cluster, CRASH_AFTER),
         committed=any(o.committed for o in cluster.outcomes),
-        invariant_violations=len(cluster.check_invariants()),
+        violations=len(violations),
     )
 
 

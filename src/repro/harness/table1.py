@@ -1,10 +1,10 @@
 """Table I: log writes and messages per protocol, analytical + measured.
 
 The protocol list comes from the plug-in registry
-(:mod:`repro.protocols.registry`): the paper's four rows are rendered
-against :data:`~repro.analysis.costs.TABLE1`, extension protocols
-against the ``table1_row`` their :class:`~repro.protocols.registry.ProtocolSpec`
-declares, and a protocol with neither shows its measured counts alone.
+(:mod:`repro.protocols.registry`): each protocol is rendered against
+the ``table1_row`` its :class:`~repro.protocols.registry.ProtocolSpec`
+declares (the paper's four rows on PrN, PrC, EP and 1PC); one that
+declares none shows its measured counts alone.
 """
 
 from __future__ import annotations
@@ -12,20 +12,13 @@ from __future__ import annotations
 from dataclasses import astuple
 from typing import Callable, Optional
 
-from repro.analysis.costs import TABLE1, CostRow, measure_protocol_costs
+from repro.analysis.costs import CostRow, measure_protocol_costs
 from repro.analysis.tables import render_table
 from repro.protocols.registry import default_protocols, get_spec
 
 
 def reference_row(name: str) -> Optional[CostRow]:
-    """The analytical Table-I row claimed for ``name``.
-
-    The paper's table (:data:`TABLE1`) wins; extension protocols fall
-    back to the ``table1_row`` declared on their spec; ``None`` when no
-    analytical row is claimed.
-    """
-    if name in TABLE1:
-        return TABLE1[name]
+    """The analytical Table-I row ``name``'s spec declares, or ``None``."""
     row = get_spec(name).table1_row
     return CostRow(*row) if row is not None else None
 

@@ -77,7 +77,7 @@ register_protocol(
         summary="Early Prepare: voting piggybacked on execution (§II-E)",
         log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
         paper_figure6=16.0,
-        table1_row=(4, 1, 3, 0, 1, 0),
+        table1_row=(4, 1, 3, 0, 1, 0),  # Table I as printed in the paper
         citation=(
             "Stamos & Cristian, 'Coordinator Log Transaction Execution "
             "Protocol' (Distributed and Parallel Databases, 1993)"

@@ -55,7 +55,7 @@ register_protocol(
         summary="2PC with the presumed-commit optimisation (§II-D)",
         log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
         paper_figure6=15.06,
-        table1_row=(4, 1, 3, 0, 3, 2),
+        table1_row=(4, 1, 3, 0, 3, 2),  # Table I as printed in the paper
         citation=(
             "Mohan, Lindsay & Obermarck, 'Transaction Management in the R* "
             "Distributed Database Management System' (TODS 1986)"

@@ -552,7 +552,7 @@ register_protocol(
         summary="Two Phase Commit, baseline Presume Nothing variant (§II-A)",
         log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
         paper_figure6=15.0,
-        table1_row=(5, 1, 4, 1, 4, 4),
+        table1_row=(5, 1, 4, 1, 4, 4),  # Table I as printed in the paper
         citation=(
             "Mohan, Lindsay & Obermarck, 'Transaction Management in the R* "
             "Distributed Database Management System' (TODS 1986)"

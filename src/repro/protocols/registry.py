@@ -71,9 +71,9 @@ class ProtocolSpec:
     #: Paper-expected Figure-6 throughput (tx/s), when the paper
     #: measures this protocol; None otherwise.
     paper_figure6: Optional[float] = None
-    #: Expected Table-I row as ``(sync_total, async_total,
-    #: sync_critical, async_critical, msgs_total, msgs_critical)``;
-    #: None when no analytical row is claimed.
+    #: Expected Table-I row as ``(sync_total, async_total, sync_critical,
+    #: async_critical, msgs_total, msgs_critical)``, declared here only
+    #: (the paper's for PrN, PrC, EP and 1PC); None when none is claimed.
     table1_row: Optional[Tuple[int, int, int, int, int, int]] = None
     #: Bibliographic origin of the protocol.
     citation: str = ""

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.campaign.runner import SETTLE_SECONDS, run_fault_cell
 from repro.faults import ACTIONS, FAULT_KINDS, Fault, FaultPlan, TraceTrigger, scenario, window
+from repro.harness.conformance import DEFAULT_CRASH_POINTS
+from repro.protocols import default_protocols
 from tests.protocols.conftest import drain, make_cluster, run_create
 
 
@@ -246,3 +249,27 @@ def test_every_scenario_preserves_atomicity(protocol, name):
     dentry = cluster.store_of("mds1").stable_directories.get("/dir1", {}).get("f0")
     inodes = cluster.store_of("mds2").stable_inodes
     assert (dentry is not None) == (len(inodes) > 0), (protocol, name)
+
+
+@pytest.mark.parametrize("crash_at", DEFAULT_CRASH_POINTS, ids=lambda t: f"{t * 1e3:g}ms")
+@pytest.mark.parametrize("victim", ["mds1", "mds2"])
+@pytest.mark.parametrize("protocol", sorted(default_protocols()))
+def test_timed_crash_fault_is_a_direct_crash_and_restart(protocol, victim, crash_at):
+    """The fault cell's timed crash (what the conformance sweep and the
+    recovery artifact run) leaves the trace a direct ``crash_server`` +
+    ``restart_server`` at the same instant leaves, record for record,
+    plus its one ``fault`` record."""
+    direct, client = make_cluster(protocol)
+    client.submit(client.plan_create("/dir1/f0"))
+    direct.sim.run(until=crash_at)
+    direct.crash_server(victim)
+    direct.restart_server(victim)
+    direct.sim.run(until=direct.sim.now + SETTLE_SECONDS)
+
+    faulted, client = make_cluster(protocol)
+    crash = FaultPlan([Fault("crash", victim, at=crash_at)])
+    run_fault_cell(faulted, [(0.0, client, client.plan_create("/dir1/f0"))], crash)
+
+    records = faulted.trace.records
+    assert [r.category for r in records].count("fault") == 1
+    assert [r for r in records if r.category != "fault"] == direct.trace.records

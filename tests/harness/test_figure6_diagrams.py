@@ -86,7 +86,7 @@ def test_render_all_timelines_covers_figures_2_to_5():
 def test_worker_crash_recovery_settles_consistently(protocol):
     result = measure_crash_recovery(protocol, "mds2")
     assert result.scenario == "worker-crash"
-    assert result.invariant_violations == 0
+    assert result.violations == 0
     assert result.settle_time >= 0
 
 
@@ -94,14 +94,14 @@ def test_worker_crash_recovery_settles_consistently(protocol):
 def test_coordinator_crash_recovery_settles_consistently(protocol):
     result = measure_crash_recovery(protocol, "mds1")
     assert result.scenario == "coordinator-crash"
-    assert result.invariant_violations == 0
+    assert result.violations == 0
 
 
 def test_1pc_worker_crash_recovery_is_decisive():
     """1PC resolves a dead worker by fencing + reading its log; the
     outcome is decided without waiting for the worker to return."""
     result = measure_crash_recovery("1PC", "mds2")
-    assert result.invariant_violations == 0
+    assert result.violations == 0
     # The coordinator reached a decision (abort: the worker died before
     # committing at t=0.1 ms).
     assert result.committed is False

@@ -1,15 +1,19 @@
-"""Conformance: span-derived cost counts equal the paper's Table I.
+"""Conformance: span-derived cost counts equal the declared Table-I rows.
 
 The Table-I accounting folds the trace records attached to each
 transaction's span tree.  These tests prove
-the span-derived counts reproduce the paper's table exactly, protocol
-by protocol, straight from ``cluster.obs.spans`` — no whole-trace scan.
+the span-derived counts reproduce each spec's declared row exactly
+(the paper's table for its four protocols), protocol by protocol, straight from ``cluster.obs.spans`` — no whole-trace scan.
 """
 
 import pytest
 
-from repro.analysis.costs import TABLE1, fold_span_costs
+from repro.analysis.costs import CostRow, fold_span_costs
 from repro.mds.scenarios import distributed_create_cluster
+from repro.protocols.registry import get_spec, specs
+
+#: Protocols whose spec declares a Table-I row.
+DECLARED = sorted(s.name for s in specs() if s.table1_row is not None)
 
 
 def run_one_create(protocol):
@@ -21,18 +25,17 @@ def run_one_create(protocol):
     return cluster
 
 
-@pytest.mark.parametrize("protocol", sorted(TABLE1))
+@pytest.mark.parametrize("protocol", DECLARED)
 def test_span_fold_matches_paper_table1(protocol):
     cluster = run_one_create(protocol)
     roots = cluster.obs.spans.roots()
     assert len(roots) == 1
     row = fold_span_costs(roots[0], workers=1)
-    assert row == TABLE1[protocol], (
-        f"{protocol}: span-derived {row} != paper {TABLE1[protocol]}"
-    )
+    declared = CostRow(*get_spec(protocol).table1_row)
+    assert row == declared, f"{protocol}: span-derived {row} != declared {declared}"
 
 
-@pytest.mark.parametrize("protocol", sorted(TABLE1))
+@pytest.mark.parametrize("protocol", ["1PC", "EP", "PrC", "PrN"])
 def test_root_span_covers_the_worker_leg(protocol):
     cluster = run_one_create(protocol)
     root = cluster.obs.spans.roots()[0]

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.campaign.runner import run_fault_cell
+from repro.faults import scenario
 from repro.harness import conformance
 from repro.harness.conformance import ConformanceReport, check_protocol
 from repro.mds.cluster import Cluster
+from repro.mds.scenarios import distributed_create_cluster
 from repro.protocols import default_protocols
 
 #: Checks per protocol: liveness, abort, the timed crash sweep (2
@@ -77,4 +80,28 @@ def test_isolation_check_records_a_lost_reply_instead_of_crashing_or_hanging(mon
     failure = conformance._check_isolation("1PC").failure
     assert len(answered) == 6
     # The lost reply is the check's one finding; the oracle still ran.
-    assert failure == "1PC: isolation: only 5/6 operations answered within 120 s"
+    assert failure == "1PC: isolation: only 5/6 operations answered within 300 s"
+
+
+#: A 1PC worker's log never drains after ``partition-at-vote``: its one
+#: ACK_REQ at the 1.15 s restart is dropped by the partition, which
+#: heals only at 5 s, and the request times out at 6.15 s without a
+#: retry, so mds2 keeps UPDATES+COMMITTED.  The scenario check itself
+#: expects only the oracle's verdict.
+_UNDRAINED = pytest.mark.xfail(
+    strict=True, reason="1PC worker sends one ACK_REQ; the partition drops it"
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=_UNDRAINED) if name in ("1PC", "1PC-N") else name
+        for name in sorted(default_protocols())
+    ],
+)
+def test_partition_at_vote_drains_every_log(name):
+    cluster, client = distributed_create_cluster(name)
+    submission = (0.0, client, client.plan_create("/dir1/f0"))
+    assert run_fault_cell(cluster, [submission], scenario("partition-at-vote")) == []
+    assert conformance._undrained(cluster) is None

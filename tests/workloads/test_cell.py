@@ -45,16 +45,16 @@ def test_the_drain_loop_is_spelled_once():
         if isinstance(node, ast.While) and _steps(node)
     )
     assert stepped == []
-    # The one spelling is ``Cluster.run_until_answered``; its callers
-    # are the skeleton and the conformance battery (whose isolation
-    # check records a lost reply instead of raising like ``drain``).
+    # The one spelling is ``Cluster.run_until_answered``, and the
+    # skeleton is its one caller: the fault cells (the conformance
+    # battery among them) settle for a fixed budget instead.
     callers = sorted(
         name
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "run_until_answered"
     )
-    assert callers == ["harness/conformance.py", "workloads/cell.py"]
+    assert callers == ["workloads/cell.py"]
 
 
 def _submit_lines(tree):
