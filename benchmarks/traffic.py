@@ -4,15 +4,18 @@ Runs the product entry points (CLI commands, examples, ledger
 workloads), the CI battery (conformance, Chrome-trace schema check)
 and tier-1, each command in a child process under a call tracer, and
 classes every ``src/`` function by the first set that reaches it:
-product, ci, test-only or nothing.  Prints each class's function and
-line totals (a function's own lines; nested functions count for
-themselves), then one ``lines  path qualname`` row per function.
-Stdlib only and serial; it takes minutes, so it is run by hand::
+product, ci, test-only or nothing.  Process-pool children (``--workers
+2``) are traced too.  Prints each class's function and line totals (a
+function's own lines; nested functions count for themselves), then one
+``lines  path qualname`` row per function.  Stdlib only and serial; it
+takes minutes::
 
     python benchmarks/traffic.py > traffic.txt
 
-Not traced: ``repro perf``, ``campaign shrink``/``replay``, and
-process-pool children.
+Not traced: ``repro sweep --kind million``, which runs for minutes
+(its cells are composite cells, which ``--kind composite`` reaches),
+and ``campaign replay`` and the shrinker's search, which only a
+violating block reaches.
 """
 
 from __future__ import annotations
@@ -30,8 +33,13 @@ PROTOCOLS = ("PrN", "PrC", "EP", "1PC", "PrA", "PC", "LGL", "1PC-N")
 SWEEP_KINDS = ("latency", "disk", "burst", "abort", "figure6", "scaling", "fanout")
 
 #: The child's ``sitecustomize``: every ``src/`` code object called, by (file, first line).
+#: A forked pool child leaves through ``os._exit``, so ``atexit`` never
+#: runs there; ``BaseProcess._bootstrap`` clears the finalizers the
+#: fork copied and then calls the after-fork hooks, so the child's dump
+#: is a finalizer registered from such a hook.
 TRACER = """\
 import atexit, os, sys, tempfile, threading
+from multiprocessing import util
 _src, _out, _seen = {src!r}, {out!r}, set()
 def _trace(frame, event, arg):
     code = frame.f_code
@@ -40,7 +48,10 @@ def _trace(frame, event, arg):
 def _dump():
     with os.fdopen(tempfile.mkstemp(".txt", dir=_out)[0], "w") as fp:
         fp.writelines(f"{{f}}\\t{{n}}\\n" for f, n in _seen)
+def _forked(_):
+    util.Finalize(None, _dump, exitpriority=0)
 atexit.register(_dump)
+util.register_after_fork(_dump, _forked)
 sys.settrace(_trace)
 threading.settrace(_trace)
 """
@@ -55,11 +66,22 @@ def product_runs() -> list[list[str]]:
     runs += [repro + ["burst", "--protocol", p, *delete] for p in ("1PC", "PrN")]
     runs += [repro + ["sweep", "--kind", kind, "--n", "8"] for kind in SWEEP_KINDS]
     runs += [repro + ["sweep", "--kind", "composite", "--n", "400", "--groups", "2"]]
+    pooled = ["--workers", "2", "--progress", "--json", "sweep.json"]
+    runs += [repro + ["sweep", "--kind", "figure6", "--n", "8", *pooled]]
     runs += [repro + ["calibrate", "--n", "8"]]
     runs += [repro + ["trace", "--format", f, "--out", "o"] for f in ("spans", "chrome", "records")]
-    runs += [repro + ["lint", str(SRC), "--format", f] for f in ("text", "json", "sarif")]
+    fixtures = "tests/lint/fixtures"
+    for where in (str(SRC), fixtures):
+        runs += [repro + ["lint", where, "--format", f] for f in ("text", "json", "sarif")]
+    runs += [repro + ["lint", fixtures, "--select", "DET,GEN002"]]
+    runs += [repro + ["lint", "--explain", "DET001"], repro + ["lint", "--list-rules"]]
     runs += [repro + ["report", "--check", "EXPERIMENTS.md"]]
+    runs += [repro + ["report", "--only", "table1"]]
     runs += [repro + ["campaign", "run", "--protocol", p, "--runs", "4"] for p in ("1PC", "PrN")]
+    campaign = ["--protocol", "1PC", "--runs", "4"]
+    runs += [repro + ["campaign", "run", *campaign, "--workers", "2", "--progress",
+                      "--json", "campaign.json"]]
+    runs += [repro + ["campaign", "shrink", *campaign, "--out", "repro.json"]]
     runs += [repro + ["protocols"], repro + ["protocols", "--json"]]
     runs += [[sys.executable, str(path)] for path in sorted((ROOT / "examples").glob("*.py"))]
     runs += [[sys.executable, "benchmarks/ledger/run.py", "--quick"]]

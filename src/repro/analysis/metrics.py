@@ -69,8 +69,8 @@ class LatencyStats:
         In exact mode this reproduces the legacy list computation
         bit-for-bit: sort the raw values, sum the *sorted* values for
         the mean, interpolate percentiles over the sorted list.  In
-        sketch mode the moments come from the Welford accumulators and
-        the quantiles from the bottom-k sample.
+        sketch mode the count, extremes and mean come from the running
+        accumulators and the quantiles from the bottom-k sample.
         """
         if stats.count == 0:
             raise ValueError("no observations to summarise")

@@ -8,8 +8,8 @@ the list with a :class:`StreamingStats` accumulator whose peak memory
 is O(1) in observation count:
 
 * **count / min / max** — exact, one word each.
-* **mean / variance** — Welford's online algorithm; accumulators merge
-  with Chan's parallel update.
+* **mean** — the online running mean; accumulators merge with Chan's
+  parallel update.
 * **quantiles** — a deterministic mergeable bottom-k sketch
   (:class:`QuantileSketch`): every observation gets a 64-bit priority
   from ``sha256(seed:label:index)`` and the sketch keeps the ``k``
@@ -31,8 +31,8 @@ origin stream identity ``(seed, label)`` and its index in that stream.
 
 **Merging.**  ``merge`` folds the composite workload's per-group
 accumulators together in canonical group order.  count/min/max and the
-sketch sample merge exactly associatively; the Welford/Chan moment
-merge is deterministic for a fixed merge order (floating-point
+sketch sample merge exactly associatively; the Chan mean merge is
+deterministic for a fixed merge order (floating-point
 addition is not associative, which is why every caller merges in
 group order).  Observing into an accumulator after it has absorbed a
 merge is forbidden: a merged exact buffer holds values from several
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 from typing import Iterator, List, Optional, Tuple
 
 from repro.analysis.metrics import percentile
@@ -127,7 +126,7 @@ class QuantileSketch:
 
 
 class StreamingStats:
-    """O(1)-memory accumulator: count, min, max, moments, quantiles.
+    """O(1)-memory accumulator: count, min, max, mean, quantiles.
 
     ``seed``/``label`` name the origin stream for sketch priorities —
     derive them from the spec seed and (for the composite workload) the
@@ -145,7 +144,6 @@ class StreamingStats:
         "_min",
         "_max",
         "_mean",
-        "_m2",
         "_segments",
         "_own",
         "_sketch",
@@ -169,7 +167,6 @@ class StreamingStats:
         self._min: Optional[float] = None
         self._max: Optional[float] = None
         self._mean = 0.0
-        self._m2 = 0.0
         #: Exact-mode storage: origin-tagged runs of raw values.  Own
         #: observations land in ``_own``; merged-in exact buffers keep
         #: their origin ``(seed, label)`` so a later promotion can
@@ -200,9 +197,7 @@ class StreamingStats:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self.count
         if self._sketch is not None:
             self._sketch.add(value)
         else:
@@ -233,7 +228,7 @@ class StreamingStats:
     def merge(self, other: "StreamingStats") -> None:
         """Fold another accumulator in (canonical-order merge).
 
-        count/min/max and the sketch sample merge exactly; the moment
+        count/min/max and the sketch sample merge exactly; the mean
         merge (Chan) is deterministic for a fixed merge order.  After
         merging, this accumulator is finalisation-only.
         """
@@ -242,7 +237,7 @@ class StreamingStats:
             return
         if self.count == 0:
             self._min, self._max = other._min, other._max
-            self._mean, self._m2 = other._mean, other._m2
+            self._mean = other._mean
         else:
             assert other._min is not None and other._max is not None
             assert self._min is not None and self._max is not None
@@ -251,9 +246,7 @@ class StreamingStats:
             if other._max > self._max:
                 self._max = other._max
             delta = other._mean - self._mean
-            total = self.count + other.count
-            self._mean += delta * other.count / total
-            self._m2 += other._m2 + delta * delta * self.count * other.count / total
+            self._mean += delta * other.count / (self.count + other.count)
         combined = self.count + other.count
         self.count = combined
         if (
@@ -310,21 +303,10 @@ class StreamingStats:
 
     @property
     def mean(self) -> float:
-        """Welford running mean (exact consumers recompute from ``values``)."""
+        """Running mean (exact consumers recompute from ``values``)."""
         if self.count == 0:
             raise ValueError("empty stream")
         return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Population variance (Welford ``M2 / n``)."""
-        if self.count == 0:
-            raise ValueError("empty stream")
-        return self._m2 / self.count
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
 
     def quantile(self, pct: float) -> float:
         """Exact percentile below the threshold, sketch estimate above."""
@@ -341,7 +323,7 @@ class StreamingStats:
 def merge_all(parts: "List[StreamingStats]") -> StreamingStats:
     """Merge accumulators in list (canonical) order.
 
-    Callers pass them in group order: the moment merge is
+    Callers pass them in group order: the mean merge is
     deterministic only for a fixed order, so that order is what makes
     the merged result reproducible.
     """

@@ -8,7 +8,7 @@
     python -m repro burst --protocol EP --n 50
     python -m repro explain --protocol PrN
     python -m repro sweep --kind latency
-    python -m repro perf --json BENCH_perf.json
+    python -m repro sweep --kind million --progress --json BENCH_million.json
     python -m repro campaign run --runs 10 --seed 0
     python -m repro protocols --json
 
@@ -59,8 +59,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # knob), split over --groups independent shard groups.
         specs = row.specs((args.n,), groups=args.groups, seed=args.seed)
     else:
-        # The burst sweep's axis is the size: it takes no --n.
-        specs = row.specs(seed=args.seed, **({} if args.kind == "burst" else {"n": args.n}))
+        # The burst sweep's axis is the size, and the scale run's points
+        # are its operation counts: neither takes --n.
+        fixed = args.kind in ("burst", "million")
+        specs = row.specs(seed=args.seed, **({} if fixed else {"n": args.n}))
     progress = None
     if args.progress:
         def progress(event):
@@ -152,19 +154,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         print(point.describe())
     best = points[0]
     print(f"\nBest: {best.describe()}")
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    """The million-transaction scale run (events/sec, txns/sec, peak RSS)."""
-    from repro.exec.perf import render_perf, run_perf
-
-    announce = (lambda line: print(line, file=sys.stderr)) if args.progress else None
-    results = run_perf(progress=announce)
-    print(render_perf(results))
-    if args.json:
-        results.write_json(args.json)
-        print(f"wrote {len(results.workloads)} workloads to {args.json}")
     return 0
 
 
@@ -279,17 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="re-run the calibration grid search")
     p.add_argument("--n", type=int, default=40, help="burst size per grid point")
     p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser(
-        "perf",
-        help="the million-transaction scale run (minutes; host performance "
-        "is measured by benchmarks/ledger/run.py)",
-    )
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="write machine-readable BENCH_perf.json to PATH")
-    p.add_argument("--progress", action="store_true",
-                   help="announce the run on stderr before it starts")
-    p.set_defaults(func=_cmd_perf)
 
     p = sub.add_parser(
         "trace", help="run one trace-enabled Figure-6 cell and export it"

@@ -1,11 +1,11 @@
-"""The one sanctioned host clock.
+"""The one sanctioned reader of host state.
 
 Everything the package computes is a function of ``(spec, seed)``;
-what the host clock may touch is provenance only — wall seconds of a
-sweep, the timestamp in a results document, the ``repro perf`` wall
-clock.  Those reads all go through this module, which is the single
-file the ``DET001`` lint rule exempts: a wall-clock call anywhere else
-in ``src/repro`` is a finding.
+what the host may touch is provenance only — wall seconds of a sweep,
+the timestamp in a results document, the process's peak RSS.  Those
+reads all go through this module, which is the single file the
+``DET001`` lint rule exempts: a wall-clock call anywhere else in
+``src/repro`` is a finding.
 """
 
 from __future__ import annotations
@@ -22,3 +22,18 @@ def monotonic() -> float:
 def utc_now_iso() -> str:
     """The current UTC time as an ISO-8601 string, for ``created_at``."""
     return datetime.now(timezone.utc).isoformat()
+
+
+def peak_rss_kb() -> dict[str, int]:
+    """``ru_maxrss`` high watermarks, KiB (Linux): self + pool children.
+
+    Returns zeros on platforms without the ``resource`` module.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX hosts
+        return {"self": 0, "children": 0}
+    return {
+        "self": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+        "children": int(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss),
+    }

@@ -17,8 +17,8 @@ path a drop-in replacement for the serial one:
   hard crash) is reported the same way.
 
 Progress has one channel: ``progress`` is called with a
-:class:`ProgressEvent` per finished cell (position, host seconds), in
-completion order.
+:class:`ProgressEvent` per finished cell (position, host seconds, the
+process's peak RSS), in completion order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, cast
 
-from repro.exec.clock import monotonic
+from repro.exec.clock import monotonic, peak_rss_kb
 from repro.exec.runners import execute_spec
 from repro.exec.spec import CellResult, RunSpec
 
@@ -47,9 +47,15 @@ class ProgressEvent:
     index: int
     spec: RunSpec
     seconds: float
+    #: This process's ``ru_maxrss`` watermark (KiB) when the cell
+    #: finished: in a serial run it covers the cell itself.
+    rss_kb: int
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.done}/{self.total}] {self.spec.describe()} ({self.seconds:.2f}s)"
+        return (
+            f"[{self.done}/{self.total}] {self.spec.describe()} "
+            f"({self.seconds:.2f}s, peak RSS {self.rss_kb / 1024:.1f} MiB)"
+        )
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
@@ -83,7 +89,8 @@ def run_grid(
         done += 1
         results[index] = cell
         if progress is not None:
-            progress(ProgressEvent(done, total, index, spec_list[index], seconds))
+            rss = peak_rss_kb()["self"]
+            progress(ProgressEvent(done, total, index, spec_list[index], seconds, rss))
 
     if workers == 1 or total <= 1:
         for index, spec in enumerate(spec_list):

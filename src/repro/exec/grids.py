@@ -218,8 +218,6 @@ def composite_grid(
     groups: int = 2,
     params: Optional[SimulationParams] = None,
     seed: int = 0,
-    window: int = 32,
-    working_set: int = 512,
 ) -> list[RunSpec]:
     """Composite mdtest-like workload cells along a total-operations axis.
 
@@ -237,9 +235,7 @@ def composite_grid(
             seed=seed,
             point=ops,
             params=params,
-            composite=CompositeConfig(
-                ops=ops, groups=groups, window=window, working_set=working_set
-            ).to_json(),
+            composite=CompositeConfig(ops=ops, groups=groups).to_json(),
         )
         for ops in ops_counts
         for proto in protocols

@@ -10,7 +10,8 @@ format CI compares byte for byte (serial against parallel) and
       "schema_version": 1,
       "kind": "figure6",
       "git_rev": "<rev of the working tree>",
-      "meta": {"created_at": ..., "wall_time_s": ..., "workers": ...},
+      "meta": {"created_at": ..., "wall_time_s": ..., "workers": ...,
+               "peak_rss_kb": {"self": ..., "children": ...}},
       "cells": [
         {"spec": {...}, "derived_seed": ..., "committed": ...,
          "throughput": ..., "latency": {...}, "forced_writes": ...}, ...
@@ -20,9 +21,10 @@ format CI compares byte for byte (serial against parallel) and
 ``cells`` is pure simulation output and therefore deterministic: two
 runs of the same grid at the same revision produce byte-identical
 ``cells`` regardless of worker count.  The volatile provenance fields
-(wall time, timestamp, worker count) live under ``meta``; *canonical*
-serialisation drops ``meta`` so the whole document is bit-reproducible
-— that is the form the byte comparisons and the goldens use.
+(wall time, timestamp, worker count, the ``ru_maxrss`` watermarks in
+KiB) live under ``meta``; *canonical* serialisation drops ``meta`` so
+the whole document is bit-reproducible — that is the form the byte
+comparisons and the goldens use.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from repro.exec.clock import monotonic, utc_now_iso
+from repro.exec.clock import monotonic, peak_rss_kb, utc_now_iso
 from repro.exec.executor import ProgressCallback, run_grid
 from repro.exec.spec import CellResult, RunSpec
 
@@ -83,6 +85,8 @@ class SweepResults:
     wall_time_s: float = 0.0
     git_rev: str = "unknown"
     created_at: str = field(default_factory=utc_now_iso)
+    #: ``ru_maxrss`` watermarks once the grid has run.
+    peak_rss: dict[str, int] = field(default_factory=peak_rss_kb)
 
     def to_dict(self, canonical: bool = False) -> dict[str, Any]:
         """JSON-ready document; ``canonical`` drops the volatile meta."""
@@ -97,6 +101,7 @@ class SweepResults:
                 "created_at": self.created_at,
                 "wall_time_s": self.wall_time_s,
                 "workers": self.workers,
+                "peak_rss_kb": self.peak_rss,
             }
         return doc
 

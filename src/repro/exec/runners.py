@@ -19,6 +19,7 @@ from repro.analysis.metrics import LatencyStats
 from repro.campaign.runner import run_campaign_cell
 from repro.campaign.schedule import CampaignSchedule
 from repro.exec.spec import CellResult, RunSpec, derive_seed
+from repro.obs.hub import SAMPLE_EVERY
 from repro.workloads.burst import (
     run_abort_burst,
     run_burst,
@@ -145,6 +146,20 @@ def composite_cell(spec: RunSpec, result: CompositeResult) -> CellResult:
         if reads.mode != "exact":
             read_doc["mode"] = reads.mode
         detail["read_latency"] = read_doc
+    # Latency components per op, over the 1 transaction in
+    # ``sample_every`` the groups' attribute hubs sample.
+    detail["attribution"] = {
+        "sample_every": SAMPLE_EVERY,
+        "components": {
+            "/".join(key): {
+                "count": stats.count,
+                "mean": stats.mean,
+                "p50": stats.quantile(50.0),
+                "p99": stats.quantile(99.0),
+            }
+            for key, stats in result.attribution.items()
+        },
+    }
     m = Measurement(
         attempted=result.committed + result.aborted,
         committed=result.committed,

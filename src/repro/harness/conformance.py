@@ -20,7 +20,8 @@ any expectation of its own:
    ``resume-commit``;
 5. **fault scenarios** — the named :mod:`repro.faults` scenarios whose
    triggers fire for any protocol family (the ``log_durable``-triggered
-   ones never fire for logless protocols; the crash sweep covers them);
+   ones never fire for logless protocols; the crash sweep covers them),
+   bar ``vote-refusal``, whose cell is the abort check's;
 6. **isolation** — a same-name race between two clients plus four
    creates, all six answered;
 7. **local** — a CREATE whose every update lands on the coordinator
@@ -53,7 +54,7 @@ from repro.protocols.registry import ProtocolSpec, get_spec
 DEFAULT_CRASH_POINTS = (0.5e-3, 2e-3, 4e-3, 7e-3)
 
 #: Named fault scenarios every protocol must survive atomically.
-FAULT_SCENARIOS = ("worker-crash-before-commit", "partition-at-vote", "vote-refusal")
+FAULT_SCENARIOS = ("worker-crash-before-commit", "partition-at-vote")
 
 #: What a check expects of its settled cluster beyond the oracle: the
 #: unmet expectation's message, or ``None``.

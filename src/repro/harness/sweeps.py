@@ -8,7 +8,13 @@ Figure 6 and its natural ablations, none but the first in the paper:
 * burst size (contention scaling on one directory),
 * abort rate (PrC degrades to PrN on aborts — §II-D),
 * coordinator/worker pair count, participant fan-out, and the
-  composite mdtest-like workload.
+  composite mdtest-like workload,
+* million — the scale run: the composite workload under 1PC on 8
+  shard groups at 130,000 and 1,300,000 operations (minutes; the full
+  cell commits over a million transactions).  Run serially with
+  ``--progress``, its two lines give the peak RSS after each cell, so
+  the size-against-memory comparison of the streaming statistics reads
+  off one run.
 
 A row names its grid builder (:mod:`repro.exec.grids`), its default
 points and how a table of it is titled and labelled.  ``repro sweep``,
@@ -22,6 +28,7 @@ the spec rather than scheduling order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.config import KB
@@ -105,4 +112,7 @@ SWEEPS: dict[str, Sweep] = {
                     "Workers", lambda k: f"k={k}"),
     "composite": Sweep(composite_grid, (1000, 4000), "Composite workload — committed tx/s",
                        "Operations", lambda ops: f"{ops} ops"),
+    "million": Sweep(partial(composite_grid, protocols=("1PC",), groups=8),
+                     (130_000, 1_300_000), "Million-transaction scale run — committed tx/s",
+                     "Operations", lambda ops: f"{ops:,} ops"),
 }

@@ -97,14 +97,6 @@ class LockManager:
     def locks_of(self, txn_id: Hashable) -> list[Hashable]:
         return [obj for obj, entry in self._table.items() if txn_id in entry.holders]
 
-    def waiting_for(self, txn_id: Hashable) -> list[Hashable]:
-        """Objects ``txn_id`` is currently queued on (for wait-for graphs)."""
-        out = []
-        for obj, entry in self._table.items():
-            if any(w.txn_id == txn_id for w in entry.queue):
-                out.append(obj)
-        return out
-
     # -- acquisition ---------------------------------------------------------------
 
     def _entry(self, obj_id: Hashable) -> _LockEntry:

@@ -337,8 +337,3 @@ class Cluster:
     def check_invariants(self) -> list[Violation]:
         """File-system invariants over all committed state (§II)."""
         return check_invariants(self._stores.values())
-
-    def quiesce(self, limit: float = 60.0) -> None:
-        """Run the simulation until the event schedule drains (or the
-        virtual-time budget runs out — heartbeats never drain)."""
-        self.sim.run(until=self.sim.now + limit if self.heartbeat_services else None)

@@ -34,9 +34,6 @@ class FailureDetector:
     def observe(self, observer: str, peer: str, when: float) -> None:
         self._last_seen[(observer, peer)] = when
 
-    def last_seen(self, observer: str, peer: str) -> Optional[float]:
-        return self._last_seen.get((observer, peer))
-
     def suspects(self, observer: str, peer: str) -> bool:
         """True when ``observer`` should currently suspect ``peer``."""
         seen = self._last_seen.get((observer, peer))

@@ -66,11 +66,6 @@ class Histogram:
         return self._stats.values
 
     @property
-    def mode(self) -> str:
-        """``"exact"`` or ``"sketch"`` (see the streaming module)."""
-        return self._stats.mode
-
-    @property
     def count(self) -> int:
         return self._stats.count
 

@@ -72,11 +72,11 @@ class CompositeConfig:
     #: Cold directories per group (the non-hot targets).
     cold_dirs: int = 4
     #: Closed-loop clients per group — the in-flight operation bound.
-    window: int = 32
+    window: int = 16
     #: Live-file cap per group: creates beyond it become deletes, so
     #: the simulated namespace (and the generator's own state) stays
     #: bounded no matter how many operations flow through.
-    working_set: int = 512
+    working_set: int = 256
     #: Mean client think time between operations (seconds).
     mean_gap: float = 5e-4
     #: Diurnal rate multipliers; the trace is split into equal phases

@@ -37,7 +37,6 @@ def test_exact_mode_matches_statistics_module():
     assert stats.minimum == min(values)
     assert stats.maximum == max(values)
     assert stats.mean == pytest.approx(statistics.fmean(values), rel=1e-12)
-    assert stats.variance == pytest.approx(statistics.pvariance(values), rel=1e-9)
     # Raw values are preserved verbatim, in arrival order.
     assert stats.values == values
     assert stats.quantile(50.0) == percentile(values, 50.0)
@@ -58,7 +57,7 @@ def test_exact_mode_finalises_byte_identically_to_legacy():
 
 def test_empty_stream_raises():
     stats = StreamingStats()
-    for prop in ("minimum", "maximum", "mean", "variance"):
+    for prop in ("minimum", "maximum", "mean"):
         with pytest.raises(ValueError):
             getattr(stats, prop)
     with pytest.raises(ValueError):

@@ -153,6 +153,8 @@ def test_progress_trace_and_monitor_reporting():
     assert [(e.done, e.total, e.index) for e in events] == [(1, 2, 0), (2, 2, 1)]
     assert [e.spec for e in events] == specs
     assert all(e.seconds > 0.0 for e in events)
+    # The process's RSS watermark as each cell finished: never falls.
+    assert 0 < events[0].rss_kb <= events[1].rss_kb
 
 
 def test_payload_stripped_in_parallel_kept_in_serial():

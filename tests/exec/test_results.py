@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exec import figure6_grid, run_sweep
+from repro.exec.clock import peak_rss_kb
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +16,8 @@ def test_document_schema(sweep):
     assert doc["schema_version"] == 1
     assert doc["kind"] == "figure6"
     assert isinstance(doc["git_rev"], str) and doc["git_rev"]
-    assert set(doc["meta"]) == {"created_at", "wall_time_s", "workers"}
+    assert set(doc["meta"]) == {"created_at", "wall_time_s", "workers", "peak_rss_kb"}
+    assert doc["meta"]["peak_rss_kb"]["self"] > 0
     assert len(doc["cells"]) == 2
     cell = doc["cells"][0]
     assert cell["spec"]["protocol"] == "PrN"
@@ -23,6 +25,17 @@ def test_document_schema(sweep):
     assert cell["throughput"] > 0
     assert cell["forced_writes"] > 0
     assert cell["latency"]["p50"] > 0
+
+
+def test_peak_rss_watermark_is_positive_and_monotone():
+    first = peak_rss_kb()
+    assert first["self"] > 0
+    ballast = [0.0] * 2_000_000  # ~16 MB: push the watermark up
+    second = peak_rss_kb()
+    del ballast
+    assert second["self"] >= first["self"]
+    # High watermark: releasing the ballast must not lower it.
+    assert peak_rss_kb()["self"] >= second["self"]
 
 
 def test_canonical_form_drops_volatile_meta(sweep):

@@ -6,6 +6,21 @@ from repro.fs.placement import StripedPlacement
 from repro.harness.placement_study import run_placement_point, run_placement_study
 from repro.harness.sweeps import SWEEPS
 from repro.workloads.burst import run_scaling_cell
+from repro.workloads.composite import CompositeConfig
+
+
+def test_million_row_is_two_1pc_composite_cells_in_the_16_256_shape():
+    """The scale run's specs, built and not run: 1PC on 8 groups at
+    130,000 and 1,300,000 operations, 16 clients and 256 live files
+    per group."""
+    specs = SWEEPS["million"].specs()
+    assert [(s.kind, s.protocol, s.n) for s in specs] == [
+        ("composite", "1PC", 130_000), ("composite", "1PC", 1_300_000)
+    ]
+    configs = [CompositeConfig.from_json(s.composite) for s in specs]
+    assert [(c.ops, c.groups, c.window, c.working_set) for c in configs] == [
+        (130_000, 8, 16, 256), (1_300_000, 8, 16, 256)
+    ]
 
 
 def test_sweep_network_latency_shape():

@@ -11,27 +11,28 @@ from repro.mds.scenarios import distributed_create_cluster
 from repro.protocols import default_protocols
 
 #: Checks per protocol: liveness, abort, the timed crash sweep (2
-#: victims x 4 points), 3 fault scenarios, isolation, local and the
-#: vocabulary verdict (16); the fan-out crash at 4 points for
-#: multi-worker engines; one crash after each distinct (server, kind)
-#: the liveness and abort runs make durable.
+#: victims x 4 points), 2 fault scenarios (vote-refusal is the abort
+#: check's cell), isolation, local and the vocabulary verdict (15);
+#: the fan-out crash at 4 points for multi-worker engines; one crash
+#: after each distinct (server, kind) the liveness and abort runs make
+#: durable.
 CHECKS_RUN = {
     # mds1 STARTED, UPDATES, PREPARED, COMMITTED, ENDED; mds2 UPDATES,
     # PREPARED, COMMITTED; mds1 ABORTED (refused vote).
-    "PrN": 16 + 4 + 9,
+    "PrN": 15 + 4 + 9,
     # mds1 writes ENDED only after an abort.
-    "PrC": 16 + 4 + 9,
-    "EP": 16 + 4 + 9,
+    "PrC": 15 + 4 + 9,
+    "EP": 15 + 4 + 9,
     # Presumed abort forces no ABORTED record.
-    "PrA": 16 + 4 + 8,
+    "PrA": 15 + 4 + 8,
     # The acceptors' BALLOT records land on no server.
-    "PC": 16 + 4 + 9,
+    "PC": 15 + 4 + 9,
     # mds1 STARTED, REDO, UPDATES, COMMITTED; mds2 UPDATES, COMMITTED,
     # ENDED; mds1 ABORTED (refused vote).
-    "1PC": 16 + 8,
-    "1PC-N": 16 + 4 + 8,
+    "1PC": 15 + 8,
+    "1PC-N": 15 + 4 + 8,
     # Logless: no record lands.
-    "LGL": 16,
+    "LGL": 15,
 }
 
 

@@ -7,9 +7,11 @@ import json
 
 import pytest
 
+from repro.exec.grids import composite_grid
 from repro.exec.runners import composite_cell, execute_spec
 from repro.exec.spec import RunSpec, derive_seed
 from repro.faults import ScheduleFormatError
+from repro.obs.hub import SAMPLE_EVERY
 from repro.workloads.composite import (
     HOT_DIR,
     CompositeConfig,
@@ -165,6 +167,17 @@ def test_composite_cell_detail_carries_read_latency():
     assert doc["detail"]["reads"] == result.reads
     assert doc["detail"]["read_latency"]["count"] == result.reads
     assert doc["throughput"] == pytest.approx(result.throughput)
+
+
+def test_composite_cell_detail_carries_sampled_attribution():
+    """Latency components per op over the 1 transaction in
+    ``sample_every`` the groups' attribute hubs sample."""
+    (spec,) = composite_grid((1500,), protocols=("1PC",))
+    cell = execute_spec(spec)
+    attribution = cell.detail["attribution"]
+    assert attribution["sample_every"] == SAMPLE_EVERY
+    creates = attribution["components"]["1PC/CREATE/forces"]
+    assert 0 < creates["count"] < cell.committed / SAMPLE_EVERY * 1.1 and creates["p50"] >= 1
 
 
 # -- identity preservation ----------------------------------------------------
