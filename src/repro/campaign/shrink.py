@@ -31,6 +31,7 @@ from repro.campaign.schedule import CampaignSchedule
 from repro.exec.runners import execute_spec
 from repro.exec.spec import CellResult, RunSpec
 from repro.faults.triggers import ScheduleFormatError, read_fields
+from repro.protocols.registry import default_protocols
 
 REPRO_SCHEMA_VERSION = 1
 REPRO_KIND = "campaign-repro"
@@ -174,9 +175,9 @@ def repro_document(cell: CellResult, shrunk: ShrinkResult) -> dict[str, Any]:
 
 def load_repro(path: str) -> dict[str, Any]:
     """Load a repro document from disk, held to what
-    :func:`repro_document` writes: anything else is a
-    :class:`~repro.faults.ScheduleFormatError` naming the file and the
-    field (``spec.campaign.faults[0].at``)."""
+    :func:`repro_document` writes, for a registered protocol: anything
+    else is a :class:`~repro.faults.ScheduleFormatError` naming the
+    file and the field (``spec.campaign.faults[0].at``)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -198,6 +199,11 @@ def load_repro(path: str) -> dict[str, Any]:
         if spec.campaign is None:
             raise ScheduleFormatError("spec.campaign: missing")
         CampaignSchedule.from_json(spec.campaign, "spec.campaign")
+        known = default_protocols()
+        if spec.protocol not in known:
+            raise ScheduleFormatError(
+                f"spec.protocol: unknown protocol {spec.protocol!r}; have {sorted(known)}"
+            )
     except json.JSONDecodeError as err:
         raise ScheduleFormatError(f"{path}: not JSON ({err})") from None
     except ScheduleFormatError as err:

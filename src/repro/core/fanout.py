@@ -62,6 +62,7 @@ register_protocol(
         engine=OnePhaseFanoutProtocol,
         summary="One Phase Commit generalised to k workers (sharded namespaces)",
         log_records=("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED"),
+        recovery_actions=("redo", "redo-committed", "already-committed", "ack-requested"),
         capabilities=frozenset({CAP_SHARED_LOG}),
         paper_figure6=None,
         table1_row=(3, 1, 2, 0, 1, 0),

@@ -297,35 +297,26 @@ class OnePhaseCoordinator(Session):
         if state == RecordKind.STARTED:
             # "The coordinator restarts the transaction from the
             # beginning" using the redo record.
-            if plan is not None:
-                return self.redo(plan)
-            p.obs.annotate("recovery", p.me, txn=self.txn_id, action="redo-missing")
-        elif state == RecordKind.COMMITTED:
+            return self.redo(plan)
+        if state == RecordKind.COMMITTED:
             # "The transaction is already committed and the coordinator
             # does nothing."  We still fold the updates if the crash hit
             # between the log force and the fold.
             self.plan = plan
             return self.reapply(p.logged_updates(records), self._redrive, fold=True)
-        elif state == RecordKind.ABORTED:
-            p.wal.checkpoint(self.txn_id)
+        # ABORTED is checkpointed in the callback that sees it durable.
         self.end()
 
     def _redrive(self, _: Any) -> None:
-        workers = self.plan.workers if self.plan is not None else []
-        if len(workers) > 1:
-            # With one worker, our COMMITTED record proves the worker
-            # committed first.  With k > 1 it only proves the decision
-            # — a straggler may have missed it, so re-drive everyone;
-            # committed workers simply re-acknowledge from their logs.
-            self.inbox = self.p.server.open_session(self.txn_id)
-            return self.drive(workers, self._redriven)
-        self._redriven(None)
+        # COMMITTED outlives its callback only while stragglers are
+        # driven (1PC-N): it proves the decision, not that everyone
+        # heard it, so re-drive every worker; committed workers simply
+        # re-acknowledge from their logs.
+        self.inbox = self.p.server.open_session(self.txn_id)
+        self.drive(self.plan.workers, self._redriven)
 
     def _redriven(self, _: Any) -> None:
         p = self.p
-        if self.inbox is not None:
-            p.server.close_session(self.txn_id)
-            self.inbox = None
         p.wal.checkpoint(self.txn_id)
         p.obs.annotate("recovery", p.me, txn=self.txn_id, action="already-committed")
         self.end()
@@ -379,17 +370,13 @@ class OnePhaseWorker(Worker):
         self.end()
 
     def recover(self, state: Optional[RecordKind], records: Sequence[LogRecord]) -> None:
+        # ENDED closes a transaction, so the log scan never hands one on.
         if state == RecordKind.COMMITTED:
             return self.reapply(self.p.logged_updates(records), self._reclaim, fold=True)
-        if state == RecordKind.ENDED:
-            # "The coordinator has committed and it does not need the
-            # log anymore."
-            self.p.wal.checkpoint(self.txn_id)
         self.end()
 
     def _reclaim(self, _: Any) -> None:
-        if self.coordinator is None:
-            return self.end()
+        # ``force_commit`` wrote the coordinator into COMMITTED.
         self.reclaim_ack(self.coordinator)
 
 
@@ -400,24 +387,17 @@ class OnePhaseCommitProtocol(Protocol):
     #: §III: the protocol is designed for namespace operations that
     #: involve exactly two MDSs (one coordinator + one worker).
     max_workers = 1
+    update_flag = "commit"
     Coordinator = OnePhaseCoordinator
     Worker = OnePhaseWorker
 
-    def claims_worker_message(self, msg: Message) -> bool:
-        """1PC marks its UPDATE_REQ with ``commit=True``; a bare
-        UPDATE_REQ or a PREPARE belongs to the 2PC-family fallback."""
-        if msg.kind == MsgKind.UPDATE_REQ and not msg.payload.get("commit"):
-            return False
-        if msg.kind == MsgKind.PREPARE:
-            return False
-        return True
-
     @staticmethod
-    def _redo_plan(records: Sequence[LogRecord]) -> Optional[OpPlan]:
+    def _redo_plan(records: Sequence[LogRecord]) -> OpPlan:
+        """The plan of the REDO record, forced in one write with STARTED."""
         for record in records:
             if record.kind == RecordKind.REDO:
                 return OpPlan.from_description(record.payload["plan"])
-        return None
+        raise ValueError(f"transaction {records[0].txn_id} has STARTED but no REDO record")
 
     def handle_stray(self, msg: Message) -> Optional[Callable[[Message], None]]:
         if msg.kind == MsgKind.ACK_REQ:
@@ -427,9 +407,6 @@ class OnePhaseCommitProtocol(Protocol):
             if self.wal.last_state(msg.txn_id) in (None, RecordKind.COMMITTED, RecordKind.ENDED):
                 return self._ack_stray
             return None
-        if msg.kind == MsgKind.ACK and self.wal.last_state(msg.txn_id) == RecordKind.COMMITTED:
-            # Late ACK for a worker whose session is gone.
-            return self._finalize_stray
         return super().handle_stray(msg)
 
 
@@ -439,6 +416,9 @@ register_protocol(
         engine=OnePhaseCommitProtocol,
         summary="The paper's One Phase Commit over a shared log (§III)",
         log_records=("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED"),
+        # One worker: COMMITTED is checkpointed in the callback that
+        # sees it land, so no recovery finds it (1PC-N's does).
+        recovery_actions=("redo", "redo-committed", "ack-requested"),
         capabilities=frozenset({CAP_SHARED_LOG}),
         paper_figure6=24.0,
         table1_row=(3, 1, 2, 0, 1, 0),  # Table I as printed in the paper

@@ -25,15 +25,14 @@ def utc_now_iso() -> str:
 
 
 def peak_rss_kb() -> dict[str, int]:
-    """``ru_maxrss`` high watermarks, KiB (Linux): self + pool children.
+    """The process's ``ru_maxrss`` high watermark, KiB (Linux).
 
-    Returns zeros on platforms without the ``resource`` module.
+    Pool children are not counted: on Linux a fork+exec child inherits
+    its parent's watermark, so ``RUSAGE_CHILDREN`` cannot say what the
+    workers used.  Returns zero on platforms without ``resource``.
     """
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX hosts
-        return {"self": 0, "children": 0}
-    return {
-        "self": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
-        "children": int(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss),
-    }
+        return {"self": 0}
+    return {"self": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)}

@@ -11,7 +11,7 @@ format CI compares byte for byte (serial against parallel) and
       "kind": "figure6",
       "git_rev": "<rev of the working tree>",
       "meta": {"created_at": ..., "wall_time_s": ..., "workers": ...,
-               "peak_rss_kb": {"self": ..., "children": ...}},
+               "peak_rss_kb": {"self": ...}},
       "cells": [
         {"spec": {...}, "derived_seed": ..., "committed": ...,
          "throughput": ..., "latency": {...}, "forced_writes": ...}, ...

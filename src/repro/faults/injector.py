@@ -177,6 +177,11 @@ _TRACE_LABELS = {
 }
 
 
+def _no_backup(cluster: "Cluster", node: str) -> bool:
+    """``node`` is no server's backup replica (a link may end at one)."""
+    return all(backup.name != node for backup in cluster.backups.values())
+
+
 def _reject(faults: list[Fault], why: str) -> None:
     if faults:
         listing = ", ".join(f.describe() for f in faults)
@@ -222,8 +227,9 @@ class FaultPlan:
     def install(self, cluster: "Cluster") -> None:
         """Arm every fault on ``cluster``, replaying its stream to the
         triggers.  Rejects, naming the faults, a node the cluster does
-        not have, an ``at=`` already in the past (or built against the
-        wrong clock), a ``trigger=`` on an ``"off"`` hub, and on an
+        not have (a link's peer may also be a server's backup replica),
+        an ``at=`` already in the past (or built against the wrong
+        clock), a ``trigger=`` on an ``"off"`` hub, and on an
         ``"attribute"`` one, which has no stream to replay, a
         ``trigger=`` on a category the hub may have seen already
         (:meth:`~repro.obs.hub.Observability.categories_seen`: once the
@@ -231,10 +237,12 @@ class FaultPlan:
         if self.installed:
             raise RuntimeError("fault plan already installed")
         now, nodes = cluster.sim.now, cluster.servers
-        _reject(
-            [f for f in self.faults if f.node not in nodes or (f.peer and f.peer not in nodes)],
-            f"name a node the cluster does not have (it has {sorted(nodes)})",
-        )
+        unknown = [
+            f
+            for f in self.faults
+            if f.node not in nodes or f.peer and f.peer not in nodes and _no_backup(cluster, f.peer)
+        ]
+        _reject(unknown, f"name a node the cluster does not have (it has {sorted(nodes)})")
         _reject(
             [f for f in self.faults if f.at is not None and f.at < now],
             f"are scheduled in the past (sim time is already {now:g})",

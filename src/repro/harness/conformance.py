@@ -31,10 +31,15 @@ any expectation of its own:
    four-worker batched CREATE whose middle worker crashes at each crash
    point, when some workers may already have force-committed, and
    every server's log drains;
-9. **vocabulary** — across every cluster above, the record kinds the
-   logs were asked to append equal the spec's ``log_records``: an
-   undeclared kind (any kind, for a logless spec) or a declared kind
-   never written fails, naming the first offending record.
+9. **recovery cells** — one cell per declared recovery action the
+   runs above cannot reach (:data:`ACTION_CELLS`), each built from the
+   existing fault kinds, after which every server's log drains;
+10. **vocabulary** — across every cluster above, the record kinds the
+    logs were asked to append equal the spec's ``log_records``, and the
+    actions their recoveries report equal its ``recovery_actions``: an
+    undeclared kind or action (any kind, for a logless spec) fails,
+    naming the first one emitted (check, time, actor), and so does a
+    declared one no check reaches.
 """
 
 from __future__ import annotations
@@ -44,11 +49,13 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.campaign.runner import SETTLE_SECONDS, TimedSubmission, run_fault_cell
+from repro.config import FailureParams, SimulationParams
 from repro.core.batching import BatchPlanner
 from repro.faults import SCENARIOS, Fault, FaultPlan, TraceTrigger
 from repro.fs.placement import SubtreePlacement
 from repro.mds.cluster import Cluster
-from repro.mds.scenarios import HOT_DIR, distributed_create_cluster, fanout_cluster
+from repro.mds.replica import backup_name
+from repro.mds.scenarios import COORDINATOR, HOT_DIR, distributed_create_cluster, fanout_cluster
 from repro.protocols.registry import ProtocolSpec, get_spec
 
 DEFAULT_CRASH_POINTS = (0.5e-3, 2e-3, 4e-3, 7e-3)
@@ -72,10 +79,6 @@ class ConformanceReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        status = "OK" if self.ok else f"{len(self.failures)} FAILURES"
-        return f"<Conformance {self.protocol}: {self.checks_run} checks, {status}>"
 
 
 class _Run(NamedTuple):
@@ -104,6 +107,7 @@ def check_protocol(protocol: str) -> ConformanceReport:
     spec = get_spec(protocol)
     if spec.engine.max_workers is None:
         runs += [_check_fanout_crash(protocol, at) for at in DEFAULT_CRASH_POINTS]
+    runs += [cell(protocol) for act, cell in ACTION_CELLS.items() if act in spec.recovery_actions]
     verdicts = [run.failure for run in runs] + [_check_vocabulary(spec, runs)]
     return ConformanceReport(protocol, tuple(v for v in verdicts if v), len(verdicts))
 
@@ -169,8 +173,7 @@ def _checks_after_records(protocol: str, *bases: tuple[_Run, tuple[Fault, ...]])
                 landed.setdefault((record.actor, record.detail["kind"]), faults)
     runs = []
     for (server, kind), faults in landed.items():
-        trigger = TraceTrigger("log_durable", server, (("kind", kind),))
-        crash = Fault("crash", server, trigger=trigger)
+        crash = Fault("crash", server, trigger=_trigger("log_durable", server, kind))
         label = f"crash of {server} after {kind}" + (" (refused vote)" if faults else "")
         resumed = (_resumed,) if (server, kind) == ("mds1", "PREPARED") and not faults else ()
         runs.append(_one_create(protocol, label, (*faults, crash), _undrained, *resumed))
@@ -201,7 +204,7 @@ def _six_answered(cluster: Cluster) -> Optional[str]:
     return None if n >= 6 else f"only {n}/6 operations answered within {SETTLE_SECONDS:g} s"
 
 
-def _check_local(protocol: str) -> _Run:
+def _check_local(protocol: str, label: str = "local", faults: Sequence[Fault] = ()) -> _Run:
     # "/" and so every inode (placed by its home directory) on mds1:
     # the CREATE has no workers and the engine's ``run_local`` runs it.
     servers = ["mds1", "mds2"]
@@ -210,39 +213,124 @@ def _check_local(protocol: str) -> _Run:
     cluster.mkdir("/dir1")
     client = cluster.new_client()
     submission = (0.0, client, client.plan_create("/dir1/f0"))
-    local = partial(_committed_and_drained, "local CREATE")
-    return _verdict("local", cluster, [submission], (), local)
+    # A crash answers nobody: then only the oracle judges.
+    expect = () if faults else (partial(_committed_and_drained, "local CREATE"),)
+    return _verdict(label, cluster, [submission], faults, *expect)
 
 
-def _check_fanout_crash(protocol: str, crash_at: float, k: int = 4) -> _Run:
+def _check_fanout_crash(protocol: str, crash_at: float, k: int = 4, also: str = "") -> _Run:
     cluster = fanout_cluster(protocol, k)
     client = cluster.new_client()
     plans = [client.plan_create(f"{HOT_DIR}/f{i}") for i in range(k)]
     batch = BatchPlanner(max_batch=k, max_workers=None).merge(plans)
     victim = batch.workers[k // 2]
     label = f"k={k} crash of {victim} at {crash_at * 1e3:.1f} ms"
-    crash = Fault("crash", victim, at=crash_at)
-    return _verdict(label, cluster, [(0.0, client, batch)], (crash,), _undrained)
+    faults = [Fault("crash", victim, at=crash_at)]
+    if also:  # the coordinator crashes too, when its ``also`` record lands
+        label += f" and of {COORDINATOR} after {also}"
+        landed = _trigger("log_durable", COORDINATOR, also)
+        faults.append(Fault("crash", COORDINATOR, trigger=landed))
+    return _verdict(label, cluster, [(0.0, client, batch)], faults, _undrained)
+
+
+def _trigger(category: str, actor: Optional[str], kind: str, count: int = 1) -> TraceTrigger:
+    """The ``count``-th ``category`` record of ``kind`` by ``actor``."""
+    return TraceTrigger(category, actor, (("kind", kind),), count)
+
+
+#: A reply timeout under which a blocked worker's ``DECISION_RETRIES``
+#: queries, 6 timeouts apart, end in about 60 s: within the settle.
+_IMPATIENT = SimulationParams(failure=FailureParams(reply_timeout=0.1))
+
+
+def _check_blocked(server: str, kind: str, protocol: str) -> _Run:
+    """§II-C's blocking, run: both servers crash when ``server``'s
+    ``kind`` lands; the rebooted worker asks the absent coordinator for
+    the decision until it gives up (``still-blocked``), and the
+    coordinator, back at 120 s, reaches it as a stray."""
+    cluster, client = distributed_create_cluster(protocol, _IMPATIENT)
+    landed = _trigger("log_durable", server, kind)
+    crashes = (
+        Fault("crash", "mds2", trigger=landed),
+        Fault("crash", "mds1", trigger=landed, restart_after=120.0),
+    )
+    label = f"crash of both after {server} {kind}, mds1 back at 120 s"
+    submission = (0.0, client, client.plan_create("/dir1/f0"))
+    return _verdict(label, cluster, [submission], crashes, _undrained)
+
+
+_REFUSED, _BACKUP = SCENARIOS["vote-refusal"], backup_name("mds1")
+#: The ``n``-th replication mds1's backup receives.
+_REPLICATION = partial(_trigger, "msg_recv", _BACKUP, "REPLICATE")
+
+#: Declared recovery action -> the cell that takes it, for the actions
+#: the checks above never take (a cell may take others on the way).
+ACTION_CELLS: dict[str, Callable[[str], _Run]] = {
+    "still-blocked": partial(_check_blocked, "mds2", "PREPARED"),
+    # Only a coordinator that keeps COMMITTED until the ACKs resends it.
+    "stray-commit": partial(_check_blocked, "mds1", "COMMITTED"),
+    # 1PC-N's coordinator crashes while it drives the crashed worker.
+    "already-committed": partial(_check_fanout_crash, crash_at=2e-3, also="COMMITTED"),
+    # LGL: the coordinator crashes while its refused vote is on the
+    # wire, and the vote its redo replays is refused too.
+    "redo-aborted": partial(
+        _one_create,
+        label="crash of mds1 at UPDATE_REQ (refused vote, twice)",
+        faults=(
+            *_REFUSED,
+            Fault("crash", "mds1", trigger=_trigger("msg_recv", None, "UPDATE_REQ")),
+            Fault("refuse", "mds2", trigger=_trigger("msg_send", "mds2", "NOT_PREPARED")),
+        ),
+    ),
+    # LGL: a refused CREATE's second replication is its abort.
+    "aborted": partial(
+        _one_create,
+        label="crash of mds1 at its abort's replication (refused vote)",
+        faults=(*_REFUSED, Fault("crash", "mds1", trigger=_REPLICATION(2))),
+    ),
+    "local-committed": partial(
+        _check_local,
+        label="local, crash of mds1 at its commit's replication",
+        faults=(Fault("crash", "mds1", trigger=_REPLICATION(1)),),
+    ),
+    # LGL: mds1 reboots after the CREATE, cut off from its backup for
+    # longer than its snapshot fetch retries.
+    "backup-unreachable": partial(
+        _one_create,
+        label="crash of mds1 at 1 s, its backup cut off for 5 s",
+        faults=(
+            Fault("crash", "mds1", at=1.0),
+            Fault("link", "mds1", peer=_BACKUP, at=1.0, restore_after=5.0),
+        ),
+    ),
+}
 
 
 def _check_vocabulary(spec: ProtocolSpec, runs: Sequence[_Run]) -> Optional[str]:
-    """The kinds the runs' logs were asked to append must be the
-    declared vocabulary: the first undeclared append is named (check,
-    time, actor), a kind never written is dead vocabulary."""
-    appends = [
-        (run.label, record)
-        for run in runs
-        for record in run.cluster.trace.records
-        if record.category == "log_append"
-    ]
-    found = [
-        f"undeclared record {record.detail['kind']} appended in {label} "
-        f"at {record.time * 1e3:.3f} ms by {record.actor}"
-        for label, record in appends
-        if record.detail["kind"] not in spec.log_records
-    ][:1]
-    written = {record.detail["kind"] for _label, record in appends}
-    dead = [kind for kind in spec.log_records if kind not in written]
-    if dead:
-        found.append(f"declared but never written: {', '.join(dead)}")
+    """Two vocabularies, one loop: the record kinds the runs' logs were
+    asked to append must be the spec's ``log_records``, the actions
+    their recoveries report its ``recovery_actions``.  The first
+    undeclared one is named (check, time, actor); a declared one that
+    no check reaches is dead vocabulary."""
+    found = []
+    for category, field, noun, did, never, declared in (
+        ("log_append", "kind", "record", "appended", "written", spec.log_records),
+        ("recovery", "action", "action", "taken", "taken", spec.recovery_actions),
+    ):
+        emitted = [
+            (run.label, record)
+            for run in runs
+            for record in run.cluster.trace.records
+            if record.category == category
+        ]
+        found += [
+            f"undeclared {noun} {record.detail[field]} {did} in {label} "
+            f"at {record.time * 1e3:.3f} ms by {record.actor}"
+            for label, record in emitted
+            if record.detail[field] not in declared
+        ][:1]
+        reached = {record.detail[field] for _label, record in emitted}
+        dead = [name for name in declared if name not in reached]
+        if dead:
+            found.append(f"declared but never {never}: {', '.join(dead)}")
     return f"{spec.name}: vocabulary: {'; '.join(found)}" if found else None

@@ -131,15 +131,17 @@ class MDSServer:
     def _engine_for(self, msg: Message) -> Protocol:
         """Route worker-side traffic to the engine that speaks it.
 
-        Each engine declares which worker-side messages it speaks via
-        :meth:`Protocol.claims_worker_message` (e.g. the 1PC engine
-        marks its UPDATE_REQ with ``commit=True`` and disowns bare
-        PREPAREs); disowned traffic goes to the fallback engine when
-        one is configured.
+        Only a bounded primary (``max_workers`` set) has a fallback, and
+        it marks its UPDATE_REQ with its :attr:`Protocol.update_flag`
+        (1PC ``commit=True``): a bare UPDATE_REQ or a PREPARE goes to
+        the fallback engine.
         """
         if self.fallback is None:
             return self.protocol
-        if not self.protocol.claims_worker_message(msg):
+        kind = msg.kind
+        if kind == MsgKind.PREPARE or (
+            kind == MsgKind.UPDATE_REQ and not msg.payload.get(self.protocol.update_flag)
+        ):
             return self.fallback
         return self.protocol
 

@@ -506,6 +506,13 @@ class Protocol:
     name = ""
     #: Maximum number of workers the protocol supports (None = any).
     max_workers: Optional[int] = None
+    #: The flag a bounded engine (``max_workers`` set) marks its
+    #: UPDATE_REQ with: a server that also runs a fallback engine routes
+    #: a sessionless UPDATE_REQ without it, or a PREPARE, to the fallback.
+    update_flag = ""
+    #: The decision an absent coordinator log entry implies
+    #: (``DECISION_REQ``).
+    presumed_decision = MsgKind.COMMIT
     #: The session classes the entry points start.
     Coordinator: type[Session]
     Worker: type[Worker]
@@ -536,17 +543,6 @@ class Protocol:
             RecordKind.REDO: self.params.storage.redo_record_size,
         }
 
-    def claims_worker_message(self, msg: Message) -> bool:
-        """Whether this engine speaks ``msg`` on the worker side.
-
-        Servers running a primary + fallback engine pair route each
-        sessionless protocol message to the primary only when it claims
-        the message; engines whose wire format is distinguishable (1PC
-        marks its UPDATE_REQ with ``commit=True``) override this so
-        fallback traffic reaches the fallback engine.
-        """
-        return True
-
     # -- entry points: each starts a session ---------------------------------------------
 
     def coordinate(self, txn: Transaction) -> Session:
@@ -574,11 +570,10 @@ class Protocol:
 
         Returns the step to run with ``msg``, or ``None`` to ignore the
         message.  The default handles the cases common to the 2PC family
-        (§II-C "no entry in the log"); subclasses extend it.
+        (§II-C "no entry in the log"); subclasses extend it.  A PREPARE
+        never gets here: it opens a worker session (``SESSION_OPENERS``),
+        whose ``begin`` refuses it.
         """
-        if msg.kind == MsgKind.PREPARE:
-            # Rebooted before preparing: vote no.
-            return self._refuse_stray
         if msg.kind in (MsgKind.COMMIT, MsgKind.ABORT):
             # Already committed and checkpointed; the coordinator just
             # never saw the ACK.  (Or an abort nobody remembers.)
@@ -781,17 +776,11 @@ class Protocol:
                 return record.payload["coordinator"]
         return None
 
-    def _refuse_stray(self, msg: Message) -> None:
-        self.send(msg.src, MsgKind.NOT_PREPARED, msg.txn_id)
-
     def _ack_stray(self, msg: Message) -> None:
         self.send(msg.src, MsgKind.ACK, msg.txn_id)
 
     def _forget_stray(self, msg: Message) -> None:
         self.wal.checkpoint(msg.txn_id)
-
-    def _finalize_stray(self, msg: Message) -> None:
-        self.finalize(msg.txn_id)
 
     def _answer_decision_req(self, msg: Message) -> None:
         """Coordinator-side: a restarted worker asks for the outcome."""
@@ -803,12 +792,8 @@ class Protocol:
         elif state is None:
             # Log already checkpointed: apply the protocol's
             # presumption.
-            self.send(msg.src, self.presumed_decision(), msg.txn_id)
+            self.send(msg.src, self.presumed_decision, msg.txn_id)
         # STARTED / PREPARED: no decision yet; the coordinator's own
         # recovery or timeout path will drive the outcome.  Aborting
         # the worker is not known to be safe, so stay silent and let it
         # retry.
-
-    def presumed_decision(self) -> str:
-        """Decision implied by an absent coordinator log entry."""
-        return MsgKind.COMMIT

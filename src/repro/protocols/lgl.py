@@ -367,14 +367,9 @@ class LGLRecovery(Session):
             commit = entry.get("commit")
             if commit is None:
                 # BEGIN without a commit: the coordinator's redo.
-                begin = entry.get("begin")
-                if not isinstance(begin, dict) or "plan" not in begin:
-                    p.obs.annotate("recovery", p.me, txn=txn_id, action="begin-unreadable")
-                    p.finalize(txn_id)
-                    continue
                 session = p.Coordinator(p, txn_id)
                 session._done = self._next_entry
-                return session.redo(OpPlan.from_description(begin["plan"]))
+                return session.redo(OpPlan.from_description(entry["begin"]["plan"]))
             session = _CommittedEntry(p, txn_id)
             session.commit, session._done = commit, self._next_entry
             return session.reapply(commit.get("updates", []), session.settle, fold=True)
@@ -406,18 +401,10 @@ class LoglessOnePhaseProtocol(Protocol):
     name = "LGL"
     #: Like 1PC: one coordinator + one worker.
     max_workers = 1
+    update_flag = "vote"
     Coordinator = LGLCoordinator
     Worker = LGLWorker
     Local = LGLLocal
-
-    def claims_worker_message(self, msg: Message) -> bool:
-        """LGL marks its UPDATE_REQ with ``vote=True``; a bare
-        UPDATE_REQ or a PREPARE belongs to the 2PC-family fallback."""
-        if msg.kind == MsgKind.UPDATE_REQ and not msg.payload.get("vote"):
-            return False
-        if msg.kind == MsgKind.PREPARE:
-            return False
-        return True
 
     @property
     def backup(self) -> str:
@@ -439,10 +426,6 @@ class LoglessOnePhaseProtocol(Protocol):
             # commits when its replication landed before any seal — in
             # which case we committed too.  Always acknowledge.
             return self._ack_stray
-        if msg.kind == MsgKind.ACK:
-            # Late ACK for a worker whose session is gone: release the
-            # backup entry it was waiting to drop.
-            return self._finalize_stray
         if msg.kind in _STALE_REPLIES:
             # Stale replication traffic for a closed session.
             return None
@@ -455,6 +438,10 @@ register_protocol(
         engine=LoglessOnePhaseProtocol,
         summary="Logless 1PC: backup replication replaces the WAL (extension)",
         log_records=(),
+        recovery_actions=(
+            "redo", "redo-committed", "redo-aborted", "aborted", "local-committed", "resend-ack",
+            "ack-requested", "backup-unreachable",
+        ),
         capabilities=frozenset({CAP_LOGLESS}),
         # Zero log writes (logless); 7 replication/ack messages total,
         # of which 4 (begin + worker-commit REPLICATE/REPLICATED pairs)

@@ -55,8 +55,7 @@ class PaxosOwnPrepare(OwnPrepare):
     def _prepared(self, ev: Event) -> None:
         """Announce the coordinator's own vote once it is durable (it
         participates in its own instance like any other participant)."""
-        if ev._ok:
-            self.p._announce_vote(self.txn_id, self.p.me)
+        self.p._announce_vote(self.txn_id, self.p.me)
         super()._prepared(ev)
 
 
@@ -167,6 +166,10 @@ register_protocol(
             "COMMITTED",
             "ABORTED",
             "ENDED",
+        ),
+        recovery_actions=(
+            "abort", "resume-commit", "resend-commit", "resend-abort", "abort-after-vote",
+            "worker-resolved", "still-blocked", "stray-commit",
         ),
         capabilities=frozenset({CAP_NEEDS_ACCEPTORS}),
         # PrN's row plus 6 acceptor ballot forces (one on the critical

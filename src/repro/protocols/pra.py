@@ -39,11 +39,9 @@ class PresumedAbortProtocol(PresumeNothingProtocol):
     # move on; a recovering worker that asks later is answered by the
     # presumption.
     abort_ack_required = False
-
-    def presumed_decision(self) -> str:
-        # The defining rule: an absent coordinator log entry means the
-        # transaction aborted.
-        return MsgKind.ABORT
+    # The defining rule: an absent coordinator log entry means the
+    # transaction aborted.
+    presumed_decision = MsgKind.ABORT
 
     def _force_abort_record(self, txn_id: int, **payload: Any) -> None:
         """Presumed abort never makes an ABORTED record durable — at
@@ -69,6 +67,11 @@ register_protocol(
         engine=PresumedAbortProtocol,
         summary="2PC with the presumed-abort optimisation (extension)",
         log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ENDED"),
+        # An abort leaves no record to resend.
+        recovery_actions=(
+            "presume-abort", "resume-commit", "resend-commit", "abort-after-vote",
+            "worker-resolved", "still-blocked", "stray-commit",
+        ),
         # Commits keep the full PrN treatment, so the commit-path cost
         # row is PrN's; the saving is entirely on the abort path.
         table1_row=(5, 1, 4, 1, 4, 4),

@@ -23,7 +23,7 @@ path.
 
 from __future__ import annotations
 
-from repro.protocols.base import MsgKind, ProtocolSpec, register_protocol
+from repro.protocols.base import ProtocolSpec, register_protocol
 from repro.protocols.prn import PresumeNothingProtocol
 
 
@@ -40,12 +40,8 @@ class PresumeCommitProtocol(PresumeNothingProtocol):
     # The abort path behaves exactly like PrN via ``abort_ack_required``
     # (inherited as True): the ABORTED record is forced, the workers
     # acknowledge the abort, and the log keeps the abort information —
-    # only *commit* outcomes may be presumed away.
-
-    def presumed_decision(self) -> str:
-        # The defining rule: an absent coordinator log entry means the
-        # transaction committed.
-        return MsgKind.COMMIT
+    # only *commit* outcomes may be presumed away, and an absent
+    # coordinator log entry means COMMIT (``presumed_decision``).
 
 
 register_protocol(
@@ -54,6 +50,12 @@ register_protocol(
         engine=PresumeCommitProtocol,
         summary="2PC with the presumed-commit optimisation (§II-D)",
         log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
+        # COMMITTED is checkpointed in the callback that sees it land:
+        # no resend-commit, and no COMMIT outlives a blocked worker.
+        recovery_actions=(
+            "abort", "resume-commit", "resend-abort", "abort-after-vote", "worker-resolved",
+            "still-blocked",
+        ),
         paper_figure6=15.06,
         table1_row=(4, 1, 3, 0, 3, 2),  # Table I as printed in the paper
         citation=(

@@ -47,7 +47,6 @@ from repro.protocols.base import (
 )
 from repro.sim import TIMED_OUT, Event
 from repro.storage.records import LogRecord, RecordKind
-from repro.storage.wal import LogLostError
 
 #: How many times a coordinator retransmits COMMIT/ABORT waiting for ACK.
 ACK_RETRIES = 5
@@ -65,7 +64,9 @@ _DECISION_OR_PREPARE = DECISIONS | {MsgKind.PREPARE}
 
 class OwnPrepare(Session):
     """The coordinator's own prepare, alongside the voting round; ``done``
-    succeeds once its UPDATES+PREPARED are durable (fails as they did)."""
+    succeeds once its UPDATES+PREPARED are durable.  A crash kills this
+    session before the log fails the write; a fenced log's failed write
+    is left undefused, so the kernel raises it."""
 
     def __init__(self, engine: "PresumeNothingProtocol", txn_id: int) -> None:
         super().__init__(engine, txn_id)
@@ -77,13 +78,9 @@ class OwnPrepare(Session):
         updates = p.updates_rec(txn_id, p.store.updates_of(txn_id))
         self.wait(p.wal.force(updates, p.state_rec(RecordKind.PREPARED, txn_id)), self._prepared)
 
-    def _prepared(self, ev: Event) -> None:
+    def _prepared(self, _: Any) -> None:
         self.end()
-        if ev._ok:
-            self.done.succeed()
-        else:
-            ev.defused = True
-            self.done.fail(ev._value)
+        self.done.succeed()
 
 
 class PrNCoordinator(Session):
@@ -124,20 +121,7 @@ class PrNCoordinator(Session):
         self.gather(self.workers, VOTES, "votes", "voted NOT-PREPARED", then)
 
     def _voted(self, _: Any) -> None:
-        self.wait(self.own.done, self._own_prepared)
-
-    def _own_prepared(self, ev: Event) -> None:
-        if not ev._ok:
-            return self._abort(self._log_lost(ev))
-        self._commit()
-
-    @staticmethod
-    def _log_lost(ev: Event) -> str:
-        """The own prepare failed: a lost log aborts, anything else raises."""
-        ev.defused = True
-        if not isinstance(ev._value, LogLostError):
-            raise ev._value
-        return "coordinator log lost during prepare"
+        self.wait(self.own.done, self._commit)
 
     def _commit(self, _: Any = None) -> None:
         p = self.p
@@ -216,8 +200,8 @@ class PrNCoordinator(Session):
         self._reason = reason
         self.wait(self.own.done, self._abort_when_prepared)
 
-    def _abort_when_prepared(self, ev: Event) -> None:
-        self._abort(self._reason if ev._ok else self._log_lost(ev))
+    def _abort_when_prepared(self, _: Any) -> None:
+        self._abort(self._reason)
 
     def _abort(self, reason: str) -> None:
         """Abort path: force ABORTED, tell the workers, release, reply."""
@@ -304,7 +288,7 @@ class PrNCoordinator(Session):
 class PrNWorker(Worker):
     """The 2PC worker of a remote transaction (:meth:`begin`: execution,
     voting, decision), of one a crash left prepared (:meth:`recover`),
-    or of a decision that arrives for one after a reboot (a stray).
+    or of a decision that arrives for one after it gave up (a stray).
     ``_action`` names what recovery reports (``None`` in a live leg)."""
 
     _action: Optional[str] = None
@@ -435,42 +419,23 @@ class PrNWorker(Worker):
     # -- recovery (§II-C) and the decisions that outlive a session -----------------------
 
     def recover(self, state: Optional[RecordKind], records: Sequence[LogRecord]) -> None:
+        # A worker's COMMITTED or ABORTED is checkpointed in the
+        # callback that sees it durable: only PREPARED is left to find.
         if state == RecordKind.PREPARED:
             # "The worker asks the coordinator to resend the decision."
             self._action = "worker-resolved"
             return self.reapply(self.p.logged_updates(records), self._requery)
-        if state == RecordKind.COMMITTED:
-            # "The failure occurred after the worker has received the
-            # decision.  The worker takes no action."  (We still fold
-            # the logged updates into the committed image when the
-            # crash hit between the log force and the fold.)
-            self._action = "worker-done"
-            return self.reapply(self.p.logged_updates(records), self._settle, fold=True)
-        if state == RecordKind.ABORTED:
-            self.p.wal.checkpoint(self.txn_id)
         self.end()
 
     def _requery(self, _: Any) -> None:
-        p = self.p
-        self.inbox = p.server.open_session(self.txn_id)
-        if self.coordinator is None:
-            p.obs.annotate("recovery", p.me, txn=self.txn_id, action="no-coordinator")
-            return self.end()
+        self.inbox = self.p.server.open_session(self.txn_id)
         self.query_decision()
 
     def _settle(self, _: Any) -> None:
         p = self.p
         p.wal.checkpoint(self.txn_id)
-        if self._action:
-            p.obs.annotate("recovery", p.me, txn=self.txn_id, action=self._action)
+        p.obs.annotate("recovery", p.me, txn=self.txn_id, action=self._action)
         self.end()
-
-    def stray_commit(self, msg: Message) -> None:
-        """A COMMIT after reboot for a prepared transaction whose
-        recovery query raced with the coordinator's retransmission."""
-        self._action = ""
-        records = self.p.wal.records_for(self.txn_id)
-        self.reapply(self.p.logged_updates(records), self.commit)
 
 
 class PresumeNothingProtocol(Protocol):
@@ -530,15 +495,19 @@ class PresumeNothingProtocol(Protocol):
 
     def handle_stray(self, msg: Message) -> Optional[Callable[[Message], None]]:
         if msg.kind == MsgKind.COMMIT and self.wal.last_state(msg.txn_id) == RecordKind.PREPARED:
-            # A decision arriving after reboot for a prepared txn whose
-            # recovery query raced with the coordinator's retransmission.
+            # The decision, late, for a prepared txn whose worker gave up.
             return self._stray_commit
         if msg.kind == MsgKind.ABORT and self.wal.last_state(msg.txn_id) == RecordKind.PREPARED:
             return self._stray_abort
         return super().handle_stray(msg)
 
     def _stray_commit(self, msg: Message) -> None:
-        self.Worker(self, msg.txn_id, msg.src).stray_commit(msg)
+        """A COMMIT for a prepared transaction whose recovered worker
+        stopped asking (``still-blocked``): its recovery re-installed
+        the logged updates, so commit them."""
+        session = self.Worker(self, msg.txn_id, msg.src)
+        session._action = "stray-commit"
+        session.commit()
 
     def _stray_abort(self, msg: Message) -> None:
         session = self.Worker(self, msg.txn_id, msg.src)
@@ -551,6 +520,10 @@ register_protocol(
         engine=PresumeNothingProtocol,
         summary="Two Phase Commit, baseline Presume Nothing variant (§II-A)",
         log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
+        recovery_actions=(
+            "abort", "resume-commit", "resend-commit", "resend-abort", "abort-after-vote",
+            "worker-resolved", "still-blocked", "stray-commit",
+        ),
         paper_figure6=15.0,
         table1_row=(5, 1, 4, 1, 4, 4),  # Table I as printed in the paper
         citation=(

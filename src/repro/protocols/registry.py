@@ -4,9 +4,11 @@ A protocol plugs into the harness by registering a
 :class:`ProtocolSpec` — a descriptor bundling the engine class with
 everything the surrounding tooling needs to enumerate it:
 
-* the **log-record vocabulary** the engine writes (``repro protocols``
-  output; checked by the conformance battery, which runs the engine and
-  requires the kinds its logs append to equal the declared ones);
+* the **log-record vocabulary** the engine writes and the **recovery
+  actions** it takes after a reboot (``repro protocols`` output;
+  checked by the conformance battery, which runs the engine and
+  requires the kinds its logs append, and the actions its recoveries
+  report, to equal the declared ones);
 * **capability flags** the cluster assembly reads (``shared_log``
   provisions one central device with remote log reads, stored
   ``needs_acceptors`` spawns the 2F+1 acceptor nodes Paxos Commit
@@ -66,6 +68,10 @@ class ProtocolSpec:
     #: Log-record kinds the engine writes (empty for logless designs);
     #: checked by the conformance battery.
     log_records: Tuple[str, ...] = ()
+    #: Recovery actions the engine reports (``annotate("recovery",
+    #: action=...)``); checked by the conformance battery, whose cells
+    #: must reach each one.
+    recovery_actions: Tuple[str, ...] = ()
     #: Capability flags the cluster assembly honours.
     capabilities: frozenset = frozenset()
     #: Paper-expected Figure-6 throughput (tx/s), when the paper
@@ -102,6 +108,7 @@ class ProtocolSpec:
             "engine": self.engine.__name__,
             "summary": self.summary,
             "log_records": list(self.log_records),
+            "recovery_actions": list(self.recovery_actions),
             "capabilities": sorted(self.capabilities),
             "paper_figure6": self.paper_figure6,
             "table1_row": list(self.table1_row) if self.table1_row else None,

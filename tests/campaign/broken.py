@@ -20,15 +20,19 @@ commits when the worker's commit record turns out durable.  The
 namespace stays consistent; only the oracle's aborted-residue pass
 sees that the client was told "no" about a durable transaction.
 
-Four more engines each break one clause of the contract the
-conformance battery runs (``tests/campaign/test_broken_engines.py``):
+Five more engines each break one clause of the contract the
+conformance battery runs (``tests/campaign/test_mutation.py``):
 
 * ``XCHAT`` forces a PREPARED record its spec never declares;
 * ``XNOISY`` is registered logless yet forces a record when it
   commits a single-server transaction;
 * ``XFORGET`` recovers without reading its log;
 * ``XPrN`` is PrN whose recovery skips a transaction whose last
-  record is ABORTED, so nobody finishes that abort.
+  record is ABORTED, so nobody finishes that abort;
+* ``XLOUD`` is 1PC whose coordinator reports a recovery action its
+  spec never declares.
+
+Each spec declares the vocabularies of the engine it mutates.
 """
 
 from __future__ import annotations
@@ -39,14 +43,15 @@ from repro.core.one_phase import OnePhaseCommitProtocol, OnePhaseCoordinator, On
 from repro.protocols.base import MsgKind, Protocol, ProtocolSpec, Transaction, TxnOutcome
 from repro.protocols.lgl import LGLLocal, LoglessOnePhaseProtocol
 from repro.protocols.prn import PresumeNothingProtocol
-from repro.protocols.registry import CAP_LOGLESS, CAP_SHARED_LOG
+from repro.protocols.registry import CAP_LOGLESS, CAP_SHARED_LOG, get_spec
 from repro.storage.records import RecordKind
 
 BROKEN_NAME = "1PC-BRK"
 EAR_NAME = "1PC-EAR"
 
-#: 1PC's declared vocabulary, which its variants below keep.
-ONEPC_RECORDS = ("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED")
+#: 1PC's declared vocabularies, which its variants below keep.
+ONEPC_RECORDS = get_spec("1PC").log_records
+ONEPC_ACTIONS = get_spec("1PC").recovery_actions
 
 
 class EarlyVoteWorker(OnePhaseWorker):
@@ -82,6 +87,7 @@ def broken_spec() -> ProtocolSpec:
         engine=EarlyVoteOnePhaseCommit,
         summary="1PC mutated to vote before forcing its commit (test only)",
         log_records=ONEPC_RECORDS,
+        recovery_actions=ONEPC_ACTIONS,
         capabilities=frozenset({CAP_SHARED_LOG}),
     )
 
@@ -148,6 +154,7 @@ def early_abort_spec() -> ProtocolSpec:
         engine=EarlyAbortReplyOnePhaseCommit,
         summary="1PC mutated to answer 'aborted' before its probe decides (test only)",
         log_records=ONEPC_RECORDS,
+        recovery_actions=ONEPC_ACTIONS,
         capabilities=frozenset({CAP_SHARED_LOG}),
     )
 
@@ -197,6 +204,20 @@ class ForgetfulProtocol(OnePhaseCommitProtocol):
         then(None)
 
 
+class LoudRecoveryCoordinator(OnePhaseCoordinator):
+    def redo(self, plan) -> None:
+        # BUG: an action outside the declared vocabulary.
+        self.p.obs.annotate("recovery", self.p.me, txn=self.txn_id, action="replay")
+        super().redo(plan)
+
+
+class LoudRecoveryProtocol(OnePhaseCommitProtocol):
+    """1PC that reports an undeclared recovery action."""
+
+    name = "XLOUD"
+    Coordinator = LoudRecoveryCoordinator
+
+
 class AbortBlindPresumeNothing(PresumeNothingProtocol):
     """PrN whose recovery returns early on an ABORTED last record."""
 
@@ -213,28 +234,39 @@ class AbortBlindPresumeNothing(PresumeNothingProtocol):
         super()._recover_worker(txn_id, state, records, then)
 
 
-#: The four contract-breaking engines, as registrable specs.
+#: The five contract-breaking engines, as registrable specs.
 CONTRACT_BREAKERS = {
     "XCHAT": ProtocolSpec(
         name="XCHAT",
         engine=ChattyCommitProtocol,
         log_records=ONEPC_RECORDS,
+        recovery_actions=ONEPC_ACTIONS,
         capabilities=frozenset({CAP_SHARED_LOG}),
     ),
     "XNOISY": ProtocolSpec(
         name="XNOISY",
         engine=NoisyLoglessProtocol,
+        recovery_actions=get_spec("LGL").recovery_actions,
         capabilities=frozenset({CAP_LOGLESS}),
     ),
     "XFORGET": ProtocolSpec(
         name="XFORGET",
         engine=ForgetfulProtocol,
         log_records=ONEPC_RECORDS,
+        recovery_actions=ONEPC_ACTIONS,
         capabilities=frozenset({CAP_SHARED_LOG}),
     ),
     "XPrN": ProtocolSpec(
         name="XPrN",
         engine=AbortBlindPresumeNothing,
-        log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
+        log_records=get_spec("PrN").log_records,
+        recovery_actions=get_spec("PrN").recovery_actions,
+    ),
+    "XLOUD": ProtocolSpec(
+        name="XLOUD",
+        engine=LoudRecoveryProtocol,
+        log_records=ONEPC_RECORDS,
+        recovery_actions=ONEPC_ACTIONS,
+        capabilities=frozenset({CAP_SHARED_LOG}),
     ),
 }

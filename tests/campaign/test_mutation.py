@@ -6,7 +6,7 @@ the shrinker must reduce the catch to a tiny schedule, and the emitted
 repro document must replay to the same violation.  The same block on
 the real 1PC stays green — the checker has no false positives.
 ``1PC-EAR`` answers "aborted" before its probe decides; only the
-oracle's aborted-residue pass sees it.  The four contract breakers each
+oracle's aborted-residue pass sees it.  The five contract breakers each
 fail the conformance battery in the check named for what they break.
 
 Everything here runs in-process (``execute_spec``): ``temporary_protocol``
@@ -88,7 +88,7 @@ BREAKER_VERDICTS = {
     # Only the local check reaches ``run_local``.
     "XNOISY": (("vocabulary",), "vocabulary: undeclared record COMMITTED appended in local"),
     # Three timed coordinator crashes tear the CREATE; every crash
-    # leaves its records behind.
+    # leaves its records behind, and no recovery action is ever taken.
     "XFORGET": (
         (
             "crash of mds1 at 2.0 ms",
@@ -99,13 +99,22 @@ BREAKER_VERDICTS = {
             "crash of mds1 after REDO",
             "crash of mds2 after UPDATES",
             "crash of mds2 after COMMITTED",
+            "vocabulary",
         ),
         "crash of mds1 at 2.0 ms: logs not drained: mds1 keeping REDO+STARTED, "
         "mds2 keeping COMMITTED+UPDATES; [invariant]",
     ),
+    # The skipped abort is never resent: the declared resend-abort is
+    # never taken.
     "XPrN": (
-        ("crash of mds1 after ABORTED (refused vote)",),
+        ("crash of mds1 after ABORTED (refused vote)", "vocabulary"),
         "logs not drained: mds1 keeping ABORTED+STARTED",
+    ),
+    # Only the redo replays report; nothing else breaks.
+    "XLOUD": (
+        ("vocabulary",),
+        "vocabulary: undeclared action replay taken in crash of mds1 at 2.0 ms "
+        "at 102.000 ms by mds1",
     ),
 }
 

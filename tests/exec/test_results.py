@@ -17,6 +17,7 @@ def test_document_schema(sweep):
     assert doc["kind"] == "figure6"
     assert isinstance(doc["git_rev"], str) and doc["git_rev"]
     assert set(doc["meta"]) == {"created_at", "wall_time_s", "workers", "peak_rss_kb"}
+    assert set(doc["meta"]["peak_rss_kb"]) == {"self"}
     assert doc["meta"]["peak_rss_kb"]["self"] > 0
     assert len(doc["cells"]) == 2
     cell = doc["cells"][0]

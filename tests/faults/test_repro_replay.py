@@ -23,7 +23,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden_minimal_repro.json"
 
 
 def test_golden_repro_is_minimal():
-    doc = load_repro(str(GOLDEN))
+    with temporary_protocol(broken_spec()):
+        doc = load_repro(str(GOLDEN))
     schedule = CampaignSchedule.from_json(doc["spec"]["campaign"])
     assert len(schedule.faults) == 1
     assert schedule.n_ops == 1
@@ -35,8 +36,8 @@ def test_golden_repro_is_minimal():
 
 
 def test_golden_repro_replays():
-    doc = load_repro(str(GOLDEN))
     with temporary_protocol(broken_spec()):
+        doc = load_repro(str(GOLDEN))
         cell, reproduced = replay_repro(doc)
     assert reproduced
     recorded = {v["check"] for v in doc["verdict"]["violations"]}
@@ -68,6 +69,8 @@ def _misspell_a_fault_field(doc):
         (lambda d: (d["spec"].update(kind="burst"), d["spec"].pop("campaign")),
          r"spec\.campaign: missing"),
         (lambda d: d["spec"].pop("protocol"), r"repro\.json: spec\.protocol: missing"),
+        (lambda d: d["spec"].update(protocol="NOPE"),
+         r"repro\.json: spec\.protocol: unknown protocol 'NOPE'"),
         # A misspelt optional key used to be dropped: a *different* cell ran.
         (lambda d: d["spec"].update(fanuot=2), r"repro\.json: spec\.fanuot: unknown field"),
         (lambda d: d["spec"].update(n="6"), r"repro\.json: spec\.n: wrong type str"),
@@ -97,5 +100,9 @@ def test_replay_prints_a_format_error_and_exits_2(tmp_path, capsys):
     misspelt_spec = _damaged(tmp_path, lambda d: d["spec"].update(fanuot=2))
     assert main(["campaign", "replay", misspelt_spec]) == 2
     assert "spec.fanuot: unknown field" in capsys.readouterr().err
+    unregistered = _damaged(tmp_path, lambda d: d["spec"].update(protocol="NOPE"))
+    assert main(["campaign", "replay", unregistered]) == 2
+    assert "spec.protocol: unknown protocol 'NOPE'" in capsys.readouterr().err
     (tmp_path / "list.json").write_text("[]")
     assert main(["campaign", "replay", str(tmp_path / "list.json")]) == 2
+

@@ -1,6 +1,11 @@
 """Every registered protocol must pass the conformance kit."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.campaign.runner import run_fault_cell
 from repro.faults import scenario
@@ -9,30 +14,35 @@ from repro.harness.conformance import ConformanceReport, check_protocol
 from repro.mds.cluster import Cluster
 from repro.mds.scenarios import distributed_create_cluster
 from repro.protocols import default_protocols
+from repro.protocols.registry import specs
 
 #: Checks per protocol: liveness, abort, the timed crash sweep (2
 #: victims x 4 points), 2 fault scenarios (vote-refusal is the abort
 #: check's cell), isolation, local and the vocabulary verdict (15);
 #: the fan-out crash at 4 points for multi-worker engines; one crash
 #: after each distinct (server, kind) the liveness and abort runs make
-#: durable.
+#: durable; one recovery cell per declared action that has one
+#: (``conformance.ACTION_CELLS``).
 CHECKS_RUN = {
     # mds1 STARTED, UPDATES, PREPARED, COMMITTED, ENDED; mds2 UPDATES,
-    # PREPARED, COMMITTED; mds1 ABORTED (refused vote).
-    "PrN": 15 + 4 + 9,
-    # mds1 writes ENDED only after an abort.
-    "PrC": 15 + 4 + 9,
-    "EP": 15 + 4 + 9,
+    # PREPARED, COMMITTED; mds1 ABORTED (refused vote); still-blocked,
+    # stray-commit.
+    "PrN": 15 + 4 + 9 + 2,
+    # mds1 writes ENDED only after an abort; still-blocked.
+    "PrC": 15 + 4 + 9 + 1,
+    "EP": 15 + 4 + 9 + 1,
     # Presumed abort forces no ABORTED record.
-    "PrA": 15 + 4 + 8,
+    "PrA": 15 + 4 + 8 + 2,
     # The acceptors' BALLOT records land on no server.
-    "PC": 15 + 4 + 9,
+    "PC": 15 + 4 + 9 + 2,
     # mds1 STARTED, REDO, UPDATES, COMMITTED; mds2 UPDATES, COMMITTED,
     # ENDED; mds1 ABORTED (refused vote).
     "1PC": 15 + 8,
-    "1PC-N": 15 + 4 + 8,
-    # Logless: no record lands.
-    "LGL": 15,
+    # already-committed.
+    "1PC-N": 15 + 4 + 8 + 1,
+    # Logless: no record lands; redo-aborted, aborted, local-committed,
+    # backup-unreachable.
+    "LGL": 15 + 4,
 }
 
 
@@ -106,3 +116,32 @@ def test_partition_at_vote_drains_every_log(name):
     submission = (0.0, client, client.plan_create("/dir1/f0"))
     assert run_fault_cell(cluster, [submission], scenario("partition-at-vote")) == []
     assert conformance._undrained(cluster) is None
+
+
+def _action_literals():
+    """``(where, action)`` for every recovery action the engines spell:
+    an ``action="..."`` keyword or an ``_action = "..."`` assignment."""
+    src = Path(repro.__file__).resolve().parent
+    for path in sorted([*(src / "protocols").glob("*.py"), *(src / "core").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword) and node.arg == "action":
+                value = node.value
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Attribute) and t.attr == "_action" for t in node.targets
+            ):
+                value = node.value
+            else:
+                continue
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                yield f"{path.name}:{node.value.lineno}", value.value
+
+
+def test_every_recovery_action_the_engines_spell_is_declared():
+    """A branch cannot hide from the vocabulary check by never being
+    declared: every action literal in ``protocols/`` and ``core/`` is
+    some spec's, and every declared action is spelled somewhere."""
+    declared = {action for spec in specs() for action in spec.recovery_actions}
+    spelled = dict(_action_literals())
+    undeclared = sorted(f"{where} {action}" for where, action in spelled.items() if action not in declared)
+    assert undeclared == []
+    assert declared == set(spelled.values())

@@ -36,6 +36,7 @@ def toy_spec(**overrides):
         summary="toy protocol for plug-in tests",
         # PrN's vocabulary: its prepares force UPDATES with PREPARED.
         log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
+        recovery_actions=get_spec("PrN").recovery_actions,
     )
     defaults.update(overrides)
     return ProtocolSpec(**defaults)
