@@ -304,14 +304,16 @@ class OnePhaseCoordinator(Session):
             # between the log force and the fold.
             self.plan = plan
             return self.reapply(p.logged_updates(records), self._redrive, fold=True)
-        # ABORTED is checkpointed in the callback that sees it durable.
+        # ABORTED: its callback checkpoints it, unless the crash landed
+        # at the instant the record did.
+        p.wal.checkpoint(self.txn_id)
         self.end()
 
     def _redrive(self, _: Any) -> None:
-        # COMMITTED outlives its callback only while stragglers are
-        # driven (1PC-N): it proves the decision, not that everyone
-        # heard it, so re-drive every worker; committed workers simply
-        # re-acknowledge from their logs.
+        # COMMITTED outlives its callback while stragglers are driven
+        # (1PC-N), or when the crash lands at the instant it does: it
+        # proves the decision, not that everyone heard it, so re-drive
+        # every worker; committed workers re-acknowledge from their logs.
         self.inbox = self.p.server.open_session(self.txn_id)
         self.drive(self.plan.workers, self._redriven)
 
@@ -416,9 +418,7 @@ register_protocol(
         engine=OnePhaseCommitProtocol,
         summary="The paper's One Phase Commit over a shared log (§III)",
         log_records=("STARTED", "REDO", "UPDATES", "COMMITTED", "ABORTED", "ENDED"),
-        # One worker: COMMITTED is checkpointed in the callback that
-        # sees it land, so no recovery finds it (1PC-N's does).
-        recovery_actions=("redo", "redo-committed", "ack-requested"),
+        recovery_actions=("redo", "redo-committed", "already-committed", "ack-requested"),
         capabilities=frozenset({CAP_SHARED_LOG}),
         paper_figure6=24.0,
         table1_row=(3, 1, 2, 0, 1, 0),  # Table I as printed in the paper

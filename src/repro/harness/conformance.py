@@ -15,7 +15,9 @@ any expectation of its own:
    liveness and abort runs make durable, that server crashes when the
    record first lands and restarts, and every server's log drains:
    §II-C's recovery by the last record in the log, with the crash
-   points read from the runs instead of listed per protocol; a
+   points read from the runs instead of listed per protocol; once at
+   the next poll, once at the landing instant itself, before the
+   callback that acts on the write (folds, checkpoints) runs; a
    coordinator crashed at its own PREPARED must recover by
    ``resume-commit``;
 5. **fault scenarios** — the named :mod:`repro.faults` scenarios whose
@@ -33,7 +35,11 @@ any expectation of its own:
    every server's log drains;
 9. **recovery cells** — one cell per declared recovery action the
    runs above cannot reach (:data:`ACTION_CELLS`), each built from the
-   existing fault kinds, after which every server's log drains;
+   existing fault kinds, after which every server's log drains.  A
+   cell shows its branch runs, not that it is safe in every timing:
+   ``still-blocked`` (PrC, EP) and ``backup-unreachable`` (LGL) can
+   lose a committed update in timings their cells avoid (CHANGES.md's
+   FOUND lines);
 10. **vocabulary** — across every cluster above, the record kinds the
     logs were asked to append equal the spec's ``log_records``, and the
     actions their recoveries report equal its ``recovery_actions``: an
@@ -52,10 +58,11 @@ from repro.campaign.runner import SETTLE_SECONDS, TimedSubmission, run_fault_cel
 from repro.config import FailureParams, SimulationParams
 from repro.core.batching import BatchPlanner
 from repro.faults import SCENARIOS, Fault, FaultPlan, TraceTrigger
+from repro.faults.injector import POLL_INTERVAL
 from repro.fs.placement import SubtreePlacement
 from repro.mds.cluster import Cluster
 from repro.mds.replica import backup_name
-from repro.mds.scenarios import COORDINATOR, HOT_DIR, distributed_create_cluster, fanout_cluster
+from repro.mds.scenarios import HOT_DIR, distributed_create_cluster, fanout_cluster
 from repro.protocols.registry import ProtocolSpec, get_spec
 
 DEFAULT_CRASH_POINTS = (0.5e-3, 2e-3, 4e-3, 7e-3)
@@ -118,20 +125,24 @@ def _verdict(
     submissions: Sequence[TimedSubmission],
     faults: Sequence[Fault],
     *expect: Expectation,
+    poll: float = POLL_INTERVAL,
 ) -> _Run:
-    """One check through the fault cell; its failure message names the
-    unmet expectations, if any, then the oracle's findings."""
-    violations = run_fault_cell(cluster, submissions, FaultPlan(faults))
+    """One check through the fault cell, its triggers polled every
+    ``poll`` s; its failure message names the unmet expectations, if
+    any, then the oracle's findings."""
+    violations = run_fault_cell(cluster, submissions, FaultPlan(faults, poll))
     found = [unmet for e in expect if (unmet := e(cluster))] + [str(v) for v in violations]
     failure = f"{cluster.protocol_name}: {label}: {'; '.join(found)}" if found else None
     return _Run(label, cluster, failure)
 
 
-def _one_create(protocol: str, label: str, faults: Sequence[Fault], *expect: Expectation) -> _Run:
+def _one_create(
+    protocol: str, label: str, faults: Sequence[Fault], *expect: Expectation, poll=POLL_INTERVAL
+) -> _Run:
     """One CREATE on the two-server cluster, under ``faults``."""
     cluster, client = distributed_create_cluster(protocol)
     submission = (0.0, client, client.plan_create("/dir1/f0"))
-    return _verdict(label, cluster, [submission], faults, *expect)
+    return _verdict(label, cluster, [submission], faults, *expect, poll=poll)
 
 
 def _answers(cluster: Cluster) -> list[bool]:
@@ -163,20 +174,25 @@ def _aborted_unlocked(cluster: Cluster) -> Optional[str]:
 
 
 def _checks_after_records(protocol: str, *bases: tuple[_Run, tuple[Fault, ...]]) -> list[_Run]:
-    """One check per distinct ``(server, kind)`` a base run made
+    """Two checks per distinct ``(server, kind)`` a base run made
     durable, in order of first landing: the base run again, with that
-    server crashed (and restarted) when that record first lands."""
-    landed: dict[tuple[str, str], tuple[Fault, ...]] = {}
+    server crashed (and restarted) when that record first lands — at
+    the next poll, and at the instant it lands, before the callbacks
+    of its write run (the poll grid then starts at that instant)."""
+    landed: dict[tuple[str, str], tuple[tuple[Fault, ...], float]] = {}
     for run, faults in bases:
         for record in run.cluster.trace.records:
             if record.category == "log_durable" and record.actor in run.cluster.servers:
-                landed.setdefault((record.actor, record.detail["kind"]), faults)
+                landed.setdefault((record.actor, record.detail["kind"]), (faults, record.time))
     runs = []
-    for (server, kind), faults in landed.items():
+    for (server, kind), (faults, at) in landed.items():
         crash = Fault("crash", server, trigger=_trigger("log_durable", server, kind))
-        label = f"crash of {server} after {kind}" + (" (refused vote)" if faults else "")
-        resumed = (_resumed,) if (server, kind) == ("mds1", "PREPARED") and not faults else ()
-        runs.append(_one_create(protocol, label, (*faults, crash), _undrained, *resumed))
+        refused = " (refused vote)" if faults else ""
+        resumed = (server, kind) == ("mds1", "PREPARED") and not faults
+        expect = (_undrained, _resumed) if resumed else (_undrained,)
+        for when, poll in ((f"after {kind}", POLL_INTERVAL), (f"as {kind} lands", at)):
+            label = f"crash of {server} {when}{refused}"
+            runs.append(_one_create(protocol, label, (*faults, crash), *expect, poll=poll))
     return runs
 
 
@@ -218,19 +234,15 @@ def _check_local(protocol: str, label: str = "local", faults: Sequence[Fault] = 
     return _verdict(label, cluster, [submission], faults, *expect)
 
 
-def _check_fanout_crash(protocol: str, crash_at: float, k: int = 4, also: str = "") -> _Run:
+def _check_fanout_crash(protocol: str, crash_at: float, k: int = 4) -> _Run:
     cluster = fanout_cluster(protocol, k)
     client = cluster.new_client()
     plans = [client.plan_create(f"{HOT_DIR}/f{i}") for i in range(k)]
     batch = BatchPlanner(max_batch=k, max_workers=None).merge(plans)
     victim = batch.workers[k // 2]
     label = f"k={k} crash of {victim} at {crash_at * 1e3:.1f} ms"
-    faults = [Fault("crash", victim, at=crash_at)]
-    if also:  # the coordinator crashes too, when its ``also`` record lands
-        label += f" and of {COORDINATOR} after {also}"
-        landed = _trigger("log_durable", COORDINATOR, also)
-        faults.append(Fault("crash", COORDINATOR, trigger=landed))
-    return _verdict(label, cluster, [(0.0, client, batch)], faults, _undrained)
+    crash = Fault("crash", victim, at=crash_at)
+    return _verdict(label, cluster, [(0.0, client, batch)], (crash,), _undrained)
 
 
 def _trigger(category: str, actor: Optional[str], kind: str, count: int = 1) -> TraceTrigger:
@@ -265,12 +277,15 @@ _REPLICATION = partial(_trigger, "msg_recv", _BACKUP, "REPLICATE")
 
 #: Declared recovery action -> the cell that takes it, for the actions
 #: the checks above never take (a cell may take others on the way).
+#: A green cell is no proof of safety: see ``still-blocked`` and
+#: ``backup-unreachable``.
 ACTION_CELLS: dict[str, Callable[[str], _Run]] = {
+    # The abort path only.  A PrC or EP worker that gives up after its
+    # coordinator committed stays PREPARED for good (a torn CREATE): no
+    # one resends a presumed commit.
     "still-blocked": partial(_check_blocked, "mds2", "PREPARED"),
     # Only a coordinator that keeps COMMITTED until the ACKs resends it.
     "stray-commit": partial(_check_blocked, "mds1", "COMMITTED"),
-    # 1PC-N's coordinator crashes while it drives the crashed worker.
-    "already-committed": partial(_check_fanout_crash, crash_at=2e-3, also="COMMITTED"),
     # LGL: the coordinator crashes while its refused vote is on the
     # wire, and the vote its redo replays is refused too.
     "redo-aborted": partial(
@@ -294,7 +309,9 @@ ACTION_CELLS: dict[str, Callable[[str], _Run]] = {
         faults=(Fault("crash", "mds1", trigger=_REPLICATION(1)),),
     ),
     # LGL: mds1 reboots after the CREATE, cut off from its backup for
-    # longer than its snapshot fetch retries.
+    # longer than its snapshot fetch retries.  Known unsafe: rebooted
+    # while a BEGIN it replicated is open, it serves on without redoing
+    # it and tears the CREATE; this cell reboots only after the CREATE.
     "backup-unreachable": partial(
         _one_create,
         label="crash of mds1 at 1 s, its backup cut off for 5 s",

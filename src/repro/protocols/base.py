@@ -737,11 +737,14 @@ class Protocol:
         """Reboot-time log scan (§II-C, §III-C enumerate the cases), then
         ``then(None)``: one open transaction this engine tagged after the
         other, as its coordinator when its records include STARTED, as a
-        worker otherwise — the ``recover`` step of that role's session."""
+        worker otherwise — the ``recover`` step of that role's session.
+        One a stray decision's session has meanwhile taken over (its
+        inbox is open) or closed (its records are gone) is skipped."""
         txns = iter(self.wal.open_transactions()) if txns is None else txns
+        sessions = self.server._sessions
         for txn_id in txns:
             records = self.wal.records_for(txn_id)
-            if self.owns_txn(records):
+            if records and txn_id not in sessions and self.owns_txn(records):
                 state = self.wal.last_state(txn_id)
                 started = any(r.kind == RecordKind.STARTED for r in records)
                 role = self._recover_coordinator if started else self._recover_worker

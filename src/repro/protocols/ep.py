@@ -77,10 +77,11 @@ register_protocol(
         summary="Early Prepare: voting piggybacked on execution (§II-E)",
         log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
         # COMMITTED is checkpointed in the callback that sees it land:
-        # no resend-commit, and no COMMIT outlives a blocked worker.
+        # no COMMIT outlives a blocked worker, and only a crash at the
+        # instant it lands leaves it to resend.
         recovery_actions=(
-            "abort", "resume-commit", "resend-abort", "abort-after-vote", "worker-resolved",
-            "still-blocked",
+            "abort", "resume-commit", "resend-commit", "resend-abort", "abort-after-vote",
+            "worker-resolved", "worker-done", "still-blocked",
         ),
         paper_figure6=16.0,
         table1_row=(4, 1, 3, 0, 1, 0),  # Table I as printed in the paper

@@ -169,7 +169,7 @@ register_protocol(
         ),
         recovery_actions=(
             "abort", "resume-commit", "resend-commit", "resend-abort", "abort-after-vote",
-            "worker-resolved", "still-blocked", "stray-commit",
+            "worker-resolved", "worker-done", "still-blocked", "stray-commit",
         ),
         capabilities=frozenset({CAP_NEEDS_ACCEPTORS}),
         # PrN's row plus 6 acceptor ballot forces (one on the critical

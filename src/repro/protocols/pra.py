@@ -70,7 +70,7 @@ register_protocol(
         # An abort leaves no record to resend.
         recovery_actions=(
             "presume-abort", "resume-commit", "resend-commit", "abort-after-vote",
-            "worker-resolved", "still-blocked", "stray-commit",
+            "worker-resolved", "worker-done", "still-blocked", "stray-commit",
         ),
         # Commits keep the full PrN treatment, so the commit-path cost
         # row is PrN's; the saving is entirely on the abort path.

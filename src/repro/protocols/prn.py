@@ -419,16 +419,24 @@ class PrNWorker(Worker):
     # -- recovery (§II-C) and the decisions that outlive a session -----------------------
 
     def recover(self, state: Optional[RecordKind], records: Sequence[LogRecord]) -> None:
-        # A worker's COMMITTED or ABORTED is checkpointed in the
-        # callback that sees it durable: only PREPARED is left to find.
+        p = self.p
         if state == RecordKind.PREPARED:
             # "The worker asks the coordinator to resend the decision."
+            # The inbox opens first: a decision that comes while the
+            # updates are re-installed waits there, not as a stray.
             self._action = "worker-resolved"
-            return self.reapply(self.p.logged_updates(records), self._requery)
-        self.end()
+            self.inbox = p.server.open_session(self.txn_id)
+            return self.reapply(p.logged_updates(records), self._requery)
+        # "The failure occurred after the worker has received the
+        # decision.  The worker takes no action."  Its COMMITTED or
+        # ABORTED outlives the callback that folds or drops the updates
+        # and checkpoints only when the crash lands at the instant the
+        # record does: fold a commit here, then checkpoint.
+        self._action = "worker-done"
+        committed = state == RecordKind.COMMITTED
+        self.reapply(p.logged_updates(records) if committed else (), self._settle, fold=committed)
 
     def _requery(self, _: Any) -> None:
-        self.inbox = self.p.server.open_session(self.txn_id)
         self.query_decision()
 
     def _settle(self, _: Any) -> None:
@@ -481,7 +489,9 @@ class PresumeNothingProtocol(Protocol):
 
     def _harden_and_gc(self, txn_id: int) -> Callable[[Event], None]:
         def on_flush(event: Event) -> None:
-            if event._ok:
+            # A crash at the instant the record landed dropped the
+            # cache's commit: the reboot's recovery folds it (worker-done).
+            if event._ok and not self.server.crashed:
                 self.store.harden(txn_id)
                 self.wal.checkpoint(txn_id)
 
@@ -502,12 +512,16 @@ class PresumeNothingProtocol(Protocol):
         return super().handle_stray(msg)
 
     def _stray_commit(self, msg: Message) -> None:
-        """A COMMIT for a prepared transaction whose recovered worker
-        stopped asking (``still-blocked``): its recovery re-installed
-        the logged updates, so commit them."""
-        session = self.Worker(self, msg.txn_id, msg.src)
+        """A COMMIT for a prepared transaction with no session here: its
+        worker stopped asking (``still-blocked``, the updates still in
+        the cache), or the reboot's recovery has not reached it yet (the
+        crash dropped them).  Re-install what the cache lacks, commit;
+        copies of the COMMIT meanwhile wait in the inbox."""
+        txn_id = msg.txn_id
+        session = self.Worker(self, txn_id, msg.src, self.server.open_session(txn_id))
         session._action = "stray-commit"
-        session.commit()
+        lost = self.logged_updates(self.wal.records_for(txn_id))
+        session.reapply(() if self.store.updates_of(txn_id) else lost, session.commit)
 
     def _stray_abort(self, msg: Message) -> None:
         session = self.Worker(self, msg.txn_id, msg.src)
@@ -522,7 +536,7 @@ register_protocol(
         log_records=("STARTED", "UPDATES", "PREPARED", "COMMITTED", "ABORTED", "ENDED"),
         recovery_actions=(
             "abort", "resume-commit", "resend-commit", "resend-abort", "abort-after-vote",
-            "worker-resolved", "still-blocked", "stray-commit",
+            "worker-resolved", "worker-done", "still-blocked", "stray-commit",
         ),
         paper_figure6=15.0,
         table1_row=(5, 1, 4, 1, 4, 4),  # Table I as printed in the paper

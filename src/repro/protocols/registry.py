@@ -100,6 +100,9 @@ class ProtocolSpec:
             raise ValueError(f"unknown capability flags {sorted(unknown)}")
         if self.table1_row is not None and len(self.table1_row) != 6:
             raise ValueError("table1_row must have six entries")
+        if self.engine.max_workers is not None and not self.engine.update_flag:
+            # A server runs a fallback beside it and routes by the flag.
+            raise ValueError(f"{self.name} sets max_workers but no update_flag")
 
     def describe(self) -> dict:
         """JSON-friendly summary (``repro protocols --json``)."""

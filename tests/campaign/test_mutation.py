@@ -68,21 +68,25 @@ def test_same_block_is_green_on_real_1pc():
 
 def test_conformance_catches_the_early_abort_reply_as_aborted_residue():
     """A silent worker whose commit record is durable: the mutant tells
-    the client "aborted", then commits after the fence and log read."""
+    the client "aborted", then commits after the fence and log read:
+    in the partition scenario, and when the worker crashes as its
+    UPDATES+COMMITTED land (it reboots after the probe gave up)."""
     with temporary_protocol(early_abort_spec()):
         report = check_protocol(EAR_NAME)
+    residue = "[aborted-residue] /dir1/f0: CREATE answered aborted, 2/2 effects durable"
     assert report.failures == (
-        "1PC-EAR: scenario 'partition-at-vote': [aborted-residue] /dir1/f0: "
-        "CREATE answered aborted, 2/2 effects durable",
+        f"1PC-EAR: crash of mds2 as UPDATES lands: {residue}",
+        f"1PC-EAR: crash of mds2 as COMMITTED lands: {residue}",
+        f"1PC-EAR: scenario 'partition-at-vote': {residue}",
     )
 
 
 #: Engine -> (the checks it fails, a phrase the decisive failure holds).
 BREAKER_VERDICTS = {
     # The 1PC recovery scan has no arm for the undeclared PREPARED, so
-    # a crash after it also leaves the record behind.
+    # a crash after it, or as it lands, also leaves the record behind.
     "XCHAT": (
-        ("crash of mds1 after PREPARED", "vocabulary"),
+        ("crash of mds1 after PREPARED", "crash of mds1 as PREPARED lands", "vocabulary"),
         "vocabulary: undeclared record PREPARED appended in liveness",
     ),
     # Only the local check reaches ``run_local``.
@@ -96,9 +100,16 @@ BREAKER_VERDICTS = {
             "crash of mds1 at 7.0 ms",
             "crash of mds2 at 7.0 ms",
             "crash of mds1 after STARTED",
+            "crash of mds1 as STARTED lands",
             "crash of mds1 after REDO",
+            "crash of mds1 as REDO lands",
             "crash of mds2 after UPDATES",
+            "crash of mds2 as UPDATES lands",
             "crash of mds2 after COMMITTED",
+            "crash of mds2 as COMMITTED lands",
+            "crash of mds1 as UPDATES lands",
+            "crash of mds1 as COMMITTED lands",
+            "crash of mds1 as ABORTED lands (refused vote)",
             "vocabulary",
         ),
         "crash of mds1 at 2.0 ms: logs not drained: mds1 keeping REDO+STARTED, "
@@ -107,7 +118,11 @@ BREAKER_VERDICTS = {
     # The skipped abort is never resent: the declared resend-abort is
     # never taken.
     "XPrN": (
-        ("crash of mds1 after ABORTED (refused vote)", "vocabulary"),
+        (
+            "crash of mds1 after ABORTED (refused vote)",
+            "crash of mds1 as ABORTED lands (refused vote)",
+            "vocabulary",
+        ),
         "logs not drained: mds1 keeping ABORTED+STARTED",
     ),
     # Only the redo replays report; nothing else breaks.

@@ -19,27 +19,27 @@ from repro.protocols.registry import specs
 #: Checks per protocol: liveness, abort, the timed crash sweep (2
 #: victims x 4 points), 2 fault scenarios (vote-refusal is the abort
 #: check's cell), isolation, local and the vocabulary verdict (15);
-#: the fan-out crash at 4 points for multi-worker engines; one crash
-#: after each distinct (server, kind) the liveness and abort runs make
-#: durable; one recovery cell per declared action that has one
+#: the fan-out crash at 4 points for multi-worker engines; two crashes
+#: (at the next poll, and at the instant it lands) for each distinct
+#: (server, kind) the liveness and abort runs make durable; one
+#: recovery cell per declared action that has one
 #: (``conformance.ACTION_CELLS``).
 CHECKS_RUN = {
     # mds1 STARTED, UPDATES, PREPARED, COMMITTED, ENDED; mds2 UPDATES,
     # PREPARED, COMMITTED; mds1 ABORTED (refused vote); still-blocked,
     # stray-commit.
-    "PrN": 15 + 4 + 9 + 2,
+    "PrN": 15 + 4 + 2 * 9 + 2,
     # mds1 writes ENDED only after an abort; still-blocked.
-    "PrC": 15 + 4 + 9 + 1,
-    "EP": 15 + 4 + 9 + 1,
+    "PrC": 15 + 4 + 2 * 9 + 1,
+    "EP": 15 + 4 + 2 * 9 + 1,
     # Presumed abort forces no ABORTED record.
-    "PrA": 15 + 4 + 8 + 2,
+    "PrA": 15 + 4 + 2 * 8 + 2,
     # The acceptors' BALLOT records land on no server.
-    "PC": 15 + 4 + 9 + 2,
+    "PC": 15 + 4 + 2 * 9 + 2,
     # mds1 STARTED, REDO, UPDATES, COMMITTED; mds2 UPDATES, COMMITTED,
     # ENDED; mds1 ABORTED (refused vote).
-    "1PC": 15 + 8,
-    # already-committed.
-    "1PC-N": 15 + 4 + 8 + 1,
+    "1PC": 15 + 2 * 8,
+    "1PC-N": 15 + 4 + 2 * 8,
     # Logless: no record lands; redo-aborted, aborted, local-committed,
     # backup-unreachable.
     "LGL": 15 + 4,

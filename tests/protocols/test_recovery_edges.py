@@ -1,5 +1,11 @@
 """Recovery edge cases: stray handlers, crash loops, crash-during-recovery."""
 
+import pytest
+
+from repro.campaign.runner import run_fault_cell
+from repro.faults import Fault, FaultPlan, TraceTrigger
+from repro.fs.placement import ShardedSubtreePlacement
+from repro.mds.cluster import Cluster
 from repro.protocols.base import MsgKind
 from repro.storage.records import RecordKind
 from tests.protocols.conftest import drain, make_cluster, run_create
@@ -139,3 +145,39 @@ def test_recovery_is_idempotent_when_nothing_pending(protocol):
     assert done.value["committed"] is True
     drain(cluster)
     assert cluster.check_invariants() == []
+
+
+@pytest.mark.parametrize("protocol", ["PrN", "PrA"])
+@pytest.mark.parametrize(
+    "back",
+    # mds1 back long after mds3's COMMIT retransmissions: T2's COMMIT
+    # comes while mds2's recovery still waits on T1, before it reached T2.
+    # Back at 1.049 s: T1 resolves while T2's stray commit is in its
+    # forced write, so the recovery reaches T2 with its session live.
+    [120.0, 1.049],
+    ids=["behind-a-blocked-txn", "while-the-stray-commits"],
+)
+def test_two_in_doubt_transactions_on_one_rebooted_worker(protocol, back):
+    """mds2 is the worker of T1 (coordinator mds1) and T2 (mds3) and
+    reboots with both PREPARED; T1's coordinator is down, so the
+    recovery, one transaction after the other, waits on T1 while mds3
+    retransmits T2's COMMIT.  That COMMIT finds no session: the crash
+    dropped T2's updates from the cache, so its stray commit must
+    re-install them from the log before committing."""
+    servers = ["mds1", "mds2", "mds3"]
+    placement = ShardedSubtreePlacement(servers, {"/": "mds1", "/b": "mds3"}, stripe=["mds2"])
+    cluster = Cluster(protocol=protocol, server_names=servers, placement=placement)
+    cluster.mkdir("/a")
+    cluster.mkdir("/b")
+    client = cluster.new_client()
+    t1, t2 = client.plan_create("/a/f"), client.plan_create("/b/f")
+    voted = TraceTrigger("log_durable", "mds2", (("kind", "PREPARED"),))
+    heard = TraceTrigger("msg_recv", "mds3", (("kind", "PREPARED"),))
+    faults = (
+        Fault("crash", "mds1", trigger=voted, restart_after=back),
+        Fault("crash", "mds2", trigger=heard),
+    )
+    violations = run_fault_cell(cluster, [(0.0, client, t1), (0.05, client, t2)], FaultPlan(faults))
+    assert [str(v) for v in violations] == []
+    strays = cluster.trace.select("recovery", actor="mds2")
+    assert (2, "stray-commit") in [(r.detail["txn"], r.detail["action"]) for r in strays]

@@ -136,6 +136,18 @@ def test_spec_validation_rejects_bad_registrations():
     assert "teleportation" not in KNOWN_CAPABILITIES
 
 
+def test_a_bounded_engine_must_name_its_update_flag():
+    """A server routes a bounded engine's traffic apart from its
+    fallback's by the flag on its UPDATE_REQ: without one, every
+    UPDATE_REQ and PREPARE would reach the fallback."""
+
+    class Bounded(ToyProtocol):
+        max_workers = 1
+
+    with pytest.raises(ValueError, match="TOY sets max_workers but no update_flag"):
+        toy_spec(engine=Bounded)
+
+
 def test_unregister_unknown_raises():
     with pytest.raises(KeyError):
         unregister("NOPE")
