@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,31 +29,54 @@ class FileType(str, Enum):
     DIRECTORY = "dir"
 
 
-@dataclass(frozen=True)
-class ObjectId:
-    """A lockable, locatable metadata object.
+class ObjectId(str):
+    """A lockable, locatable metadata object: ``kind`` is ``"dir"``
+    (keyed by absolute path) or ``"inode"`` (keyed by inode number).
 
-    ``kind`` is ``"dir"`` (directory, keyed by absolute path) or
-    ``"inode"`` (keyed by inode number rendered as a string).
+    The value is the text ``kind:key``, so hashing and comparing one
+    runs no Python frame, and ``str()`` and JSON give that text.
+    ``kind`` is a class attribute of one subclass per kind, ``key`` a
+    C-level slice of the text; there is no ``__dict__`` to assign to.
     """
 
+    __slots__ = ()
     kind: str
-    key: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("dir", "inode"):
-            raise ValueError(f"unknown object kind {self.kind!r}")
+    def __new__(cls, kind: str, key: str) -> "ObjectId":
+        sub = _KINDS.get(kind)
+        if sub is None:
+            raise ValueError(f"unknown object kind {kind!r}")
+        return str.__new__(sub, f"{kind}:{key}")
 
     @staticmethod
     def directory(path: str) -> "ObjectId":
-        return ObjectId("dir", path)
+        return str.__new__(_DirectoryId, "dir:" + path)
 
     @staticmethod
     def inode(ino: int) -> "ObjectId":
-        return ObjectId("inode", str(ino))
+        return str.__new__(_InodeId, f"inode:{ino}")
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.kind}:{self.key}"
+    def __repr__(self) -> str:
+        return f"ObjectId(kind={self.kind!r}, key={self.key!r})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # str's own reduction would call ``__new__`` with the text alone.
+        return (ObjectId, (self.kind, self.key))
+
+
+class _DirectoryId(ObjectId):
+    __slots__ = ()
+    kind = "dir"
+    key = property(itemgetter(slice(len("dir:"), None)))
+
+
+class _InodeId(ObjectId):
+    __slots__ = ()
+    kind = "inode"
+    key = property(itemgetter(slice(len("inode:"), None)))
+
+
+_KINDS = {"dir": _DirectoryId, "inode": _InodeId}
 
 
 @dataclass

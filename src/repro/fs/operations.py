@@ -80,18 +80,17 @@ class OpPlan:
     workers: list[str] = field(init=False, repr=False, compare=False)
     #: Coordinator first, then the workers.
     participants: list[str] = field(init=False, repr=False, compare=False)
+    #: More than one participant.
+    is_distributed: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.coordinator not in self.updates:
             raise ValueError(
                 f"coordinator {self.coordinator!r} has no updates in plan {self.op}"
             )
-        self.workers = sorted(n for n in self.updates if n != self.coordinator)
+        self.workers = sorted(self.updates.keys() - {self.coordinator})
         self.participants = [self.coordinator] + self.workers
-
-    @property
-    def is_distributed(self) -> bool:
-        return len(self.updates) > 1
+        self.is_distributed = bool(self.workers)
 
     def locks(self, node: str) -> list[ObjectId]:
         """Objects ``node`` must lock, in deterministic order."""
@@ -107,7 +106,7 @@ class OpPlan:
             "path": self.path,
             "coordinator": self.coordinator,
             "updates": {
-                node: [u.describe() for u in ups] for node, ups in self.updates.items()
+                node: list(map(Update.describe, ups)) for node, ups in self.updates.items()
             },
             "detail": dict(self.detail),
         }
@@ -127,10 +126,6 @@ class OpPlan:
         )
 
 
-def _merge(updates: dict[str, list[Update]], node: str, update: Update) -> None:
-    updates.setdefault(node, []).append(update)
-
-
 def plan_create(
     path: str,
     placement: PlacementPolicy,
@@ -147,8 +142,8 @@ def plan_create(
     dir_node = placement.place(ObjectId.directory(parent))
     ino_node = placement.place(ObjectId.inode(ino))
     updates: dict[str, list[Update]] = {}
-    _merge(updates, dir_node, AddDentry(parent, name, ino))
-    _merge(updates, ino_node, CreateInode(ino, ftype))
+    updates.setdefault(dir_node, []).append(AddDentry(parent, name, ino))
+    updates.setdefault(ino_node, []).append(CreateInode(ino, ftype))
     return OpPlan(
         op="CREATE", path=path, updates=updates, coordinator=dir_node, detail={"ino": ino}
     )
@@ -174,9 +169,9 @@ def plan_mkdir(
     parent_node = placement.place(ObjectId.directory(parent))
     dir_node = placement.place(ObjectId.directory(path))
     updates: dict[str, list[Update]] = {}
-    _merge(updates, parent_node, AddDentry(parent, name, ino))
-    _merge(updates, dir_node, CreateInode(ino, FileType.DIRECTORY))
-    _merge(updates, dir_node, CreateDirTable(path))
+    updates.setdefault(parent_node, []).append(AddDentry(parent, name, ino))
+    updates.setdefault(dir_node, []).append(CreateInode(ino, FileType.DIRECTORY))
+    updates.setdefault(dir_node, []).append(CreateDirTable(path))
     return OpPlan(
         op="MKDIR", path=path, updates=updates, coordinator=parent_node, detail={"ino": ino}
     )
@@ -190,9 +185,9 @@ def plan_rmdir(path: str, ino: int, placement: PlacementPolicy) -> OpPlan:
     parent_node = placement.place(ObjectId.directory(parent))
     dir_node = placement.place(ObjectId.directory(path))
     updates: dict[str, list[Update]] = {}
-    _merge(updates, parent_node, RemoveDentry(parent, name))
-    _merge(updates, dir_node, RemoveDirTable(path))
-    _merge(updates, dir_node, DecLink(ino))
+    updates.setdefault(parent_node, []).append(RemoveDentry(parent, name))
+    updates.setdefault(dir_node, []).append(RemoveDirTable(path))
+    updates.setdefault(dir_node, []).append(DecLink(ino))
     return OpPlan(
         op="RMDIR", path=path, updates=updates, coordinator=parent_node, detail={"ino": ino}
     )
@@ -205,8 +200,8 @@ def plan_delete(path: str, ino: int, placement: PlacementPolicy) -> OpPlan:
     dir_node = placement.place(ObjectId.directory(parent))
     ino_node = placement.place(ObjectId.inode(ino))
     updates: dict[str, list[Update]] = {}
-    _merge(updates, dir_node, RemoveDentry(parent, name))
-    _merge(updates, ino_node, DecLink(ino))
+    updates.setdefault(dir_node, []).append(RemoveDentry(parent, name))
+    updates.setdefault(ino_node, []).append(DecLink(ino))
     return OpPlan(
         op="DELETE", path=path, updates=updates, coordinator=dir_node, detail={"ino": ino}
     )
@@ -229,8 +224,8 @@ def plan_link(
     dir_node = placement.place(ObjectId.directory(parent))
     ino_node = placement.place(ObjectId.inode(ino))
     updates: dict[str, list[Update]] = {}
-    _merge(updates, dir_node, AddDentry(parent, name, ino))
-    _merge(updates, ino_node, IncLink(ino))
+    updates.setdefault(dir_node, []).append(AddDentry(parent, name, ino))
+    updates.setdefault(ino_node, []).append(IncLink(ino))
     return OpPlan(
         op="LINK",
         path=link_path,
@@ -301,17 +296,19 @@ def plan_rename(
     src_node = placement.place(ObjectId.directory(src_parent))
     dst_node = placement.place(ObjectId.directory(dst_parent))
     updates: dict[str, list[Update]] = {}
-    _merge(updates, src_node, RemoveDentry(src_parent, src_name))
+    updates.setdefault(src_node, []).append(RemoveDentry(src_parent, src_name))
     if replaced_ino is not None:
         # POSIX rename atomically replaces an existing target: drop the
         # old dentry before installing the new one, and unlink the
         # replaced inode wherever it lives.
-        _merge(updates, dst_node, RemoveDentry(dst_parent, dst_name))
-    _merge(updates, dst_node, AddDentry(dst_parent, dst_name, ino))
+        updates.setdefault(dst_node, []).append(RemoveDentry(dst_parent, dst_name))
+    updates.setdefault(dst_node, []).append(AddDentry(dst_parent, dst_name, ino))
     if replaced_ino is not None:
-        _merge(updates, placement.place(ObjectId.inode(replaced_ino)), DecLink(replaced_ino))
+        replaced_node = placement.place(ObjectId.inode(replaced_ino))
+        updates.setdefault(replaced_node, []).append(DecLink(replaced_ino))
     if touch_inode:
-        _merge(updates, placement.place(ObjectId.inode(ino)), TouchInode(ino))
+        ino_node = placement.place(ObjectId.inode(ino))
+        updates.setdefault(ino_node, []).append(TouchInode(ino))
     return OpPlan(
         op="RENAME",
         path=src,

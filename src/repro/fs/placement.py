@@ -56,7 +56,8 @@ class HashPlacement:
         self.nodes = list(nodes)
 
     def place(self, obj: ObjectId) -> str:
-        return self.nodes[_stable_hash(f"{obj.kind}:{obj.key}") % len(self.nodes)]
+        # The id is the text "kind:key" itself.
+        return self.nodes[_stable_hash(obj) % len(self.nodes)]
 
 
 class SubtreePlacement:

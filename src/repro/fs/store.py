@@ -20,12 +20,13 @@ coincide).  ``abort`` discards an overlay; ``crash`` discards every
 overlay *and* resets the cache to the stable image — volatile state is
 gone, exactly what reboot-time recovery must rebuild from the log.
 
-Both per-transaction paths are O(objects touched), not O(namespace):
-overlays and the commit/harden folds run against copy-on-write
-:class:`_DeltaView`\\ s of the underlying image, and the applied-txn
-watermark is kept as compressed integer ranges (:class:`_AppliedSet`).
-Million-transaction runs therefore cost the same per transaction as
-ten-transaction runs — see docs/performance.md.
+No per-transaction path copies the namespace: overlays and the
+commit/harden folds run against copy-on-write :class:`_DeltaView`\\ s
+of the image, and the applied-txn watermark is compressed integer
+ranges (:class:`_AppliedSet`).  A view copies a directory's whole
+entries dict, though, in each of the three views a dentry update passes
+(overlay, cache commit, stable harden): a transaction costs O(size of
+the directories it updates), at a million transactions as at ten.
 """
 
 from __future__ import annotations
@@ -110,82 +111,18 @@ class _Image:
         self.inodes.pop(ino, None)
 
 
-class _DeltaDirs:
-    """Copy-on-write view of an image's directory table.
-
-    Reads fall through to the base table; the first mutation of a
-    directory copies only that directory's entries dict.  Mutations
-    land in the delta until :meth:`_DeltaView.fold` pushes them into
-    the base — or are simply dropped when the view is discarded.
-    """
-
-    __slots__ = ("_base", "_local", "_deleted")
-
-    def __init__(self, base: dict[str, dict[str, int]]) -> None:
-        self._base = base
-        #: path -> this view's private (mutable) entries dict
-        self._local: dict[str, dict[str, int]] = {}
-        #: paths removed in this view
-        self._deleted: set[str] = set()
-
-    def __contains__(self, path: object) -> bool:
-        if path in self._local:
-            return True
-        return path in self._base and path not in self._deleted
-
-    def get(self, path: str) -> Optional[dict[str, int]]:
-        """Read-only view of ``path``'s entries (None when absent).
-
-        Callers must not mutate the result: use :meth:`writable`
-        (via ``_DeltaView.directory``) or the item protocol instead.
-        """
-        local = self._local.get(path)
-        if local is not None:
-            return local
-        if path in self._deleted:
-            return None
-        return self._base.get(path)
-
-    def writable(self, path: str) -> Optional[dict[str, int]]:
-        """Entries dict for ``path`` that is safe to mutate (None when
-        absent): the first call copies the base entries into the delta."""
-        local = self._local.get(path)
-        if local is not None:
-            return local
-        if path in self._deleted:
-            return None
-        base = self._base.get(path)
-        if base is None:
-            return None
-        copy = dict(base)
-        self._local[path] = copy
-        return copy
-
-    def __setitem__(self, path: str, entries: dict[str, int]) -> None:
-        self._deleted.discard(path)
-        self._local[path] = entries
-
-    def __delitem__(self, path: str) -> None:
-        self._local.pop(path, None)
-        self._deleted.add(path)
-
-    def fold(self) -> None:
-        """Push this view's changes into the base table, in place."""
-        for path in self._deleted:
-            self._base.pop(path, None)
-        self._base.update(self._local)
-
-
 class _DeltaView:
     """Copy-on-write overlay over an :class:`_Image`.
 
     Presents the exact surface :meth:`Update.apply` uses, so a
     transaction's updates run against the live image without copying
-    it: only the directories and inodes the transaction touches are
-    duplicated.  Discarding the view (abort, or an
+    it: the first update of a directory copies that directory's entries
+    dict, the first update of an inode copies that inode, and nothing
+    else is duplicated.  :meth:`fold` pushes the copies into the base
+    image in place; discarding the view (abort, or an
     :class:`UpdateError` mid-fold) leaves the base image untouched —
     the same all-or-nothing contract the old scratch-copy-and-swap
-    gave, at O(objects touched) instead of O(namespace).
+    gave, without copying the namespace.
 
     Correctness under concurrent transactions rests on strict 2PL:
     every object a transaction reads or writes is locked before its
@@ -194,21 +131,32 @@ class _DeltaView:
     this view.
     """
 
-    __slots__ = ("_base", "directories", "_inodes")
+    __slots__ = ("_base", "_dirs", "_inodes")
 
     def __init__(self, base: _Image) -> None:
         self._base = base
-        self.directories = _DeltaDirs(base.directories)
+        #: path -> this view's private entries dict, or None when removed
+        self._dirs: dict[str, Optional[dict[str, int]]] = {}
         #: ino -> this view's private Inode copy, or None when deleted
         self._inodes: dict[int, Optional[Inode]] = {}
 
     # -- accessors used by Update.apply (mirror _Image's) -------------------
 
     def directory(self, path: str) -> dict[str, int]:
-        entries = self.directories.writable(path)
+        dirs = self._dirs
+        entries = dirs[path] if path in dirs else self._base.directories.get(path)
         if entries is None:
             raise UpdateError(f"directory {path!r} does not exist here")
+        if path not in dirs:
+            # Updates mutate the returned entries in place (AddDentry,
+            # RemoveDentry), so hand out a private copy, never the base's.
+            entries = dirs[path] = dict(entries)
         return entries
+
+    @property
+    def directories(self) -> "_DeltaDirs":
+        """The table as ``CreateDirTable`` and ``RemoveDirTable`` see it."""
+        return _DeltaDirs(self._dirs, self._base.directories)
 
     def has_inode(self, ino: int) -> bool:
         if ino in self._inodes:
@@ -235,12 +183,41 @@ class _DeltaView:
 
     def fold(self) -> None:
         """Push this view's changes into the base image, in place."""
-        self.directories.fold()
-        for ino, node in self._inodes.items():
-            if node is None:
-                self._base.inodes.pop(ino, None)
-            else:
-                self._base.inodes[ino] = node
+        for table, changes in (
+            (self._base.directories, self._dirs),
+            (self._base.inodes, self._inodes),
+        ):
+            for key, value in changes.items():
+                if value is None:
+                    table.pop(key, None)
+                else:
+                    table[key] = value
+
+
+class _DeltaDirs:
+    """A view's directory table behind the mapping surface the
+    table-level updates use: ``in``, ``get``, item assignment and
+    deletion.  Reads fall through to the base table; writes land in
+    the view."""
+
+    __slots__ = ("_local", "_base")
+
+    def __init__(self, local: dict, base: dict[str, dict[str, int]]) -> None:
+        self._local = local
+        self._base = base
+
+    def __contains__(self, path: str) -> bool:
+        return self.get(path) is not None
+
+    def get(self, path: str) -> Optional[dict[str, int]]:
+        """Read-only entries of ``path`` (None when absent)."""
+        return self._local[path] if path in self._local else self._base.get(path)
+
+    def __setitem__(self, path: str, entries: dict[str, int]) -> None:
+        self._local[path] = entries
+
+    def __delitem__(self, path: str) -> None:
+        self._local[path] = None
 
 
 class MetadataStore:

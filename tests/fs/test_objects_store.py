@@ -1,5 +1,9 @@
 """Unit tests for metadata objects, updates and the transactional store."""
 
+import copy
+import json
+import pickle
+
 import pytest
 
 from repro.fs import (
@@ -30,6 +34,49 @@ def test_object_id_validation_and_factories():
     assert ObjectId.inode(5) == ObjectId("inode", "5")
     with pytest.raises(ValueError):
         ObjectId("bogus", "x")
+
+
+def test_object_id_is_its_text_kind_colon_key():
+    oid = ObjectId.directory("/a/b")
+    assert (oid.kind, oid.key) == ("dir", "/a/b")
+    assert str(oid) == f"{oid}" == "dir:/a/b"
+    assert repr(oid) == "ObjectId(kind='dir', key='/a/b')"
+    assert repr(ObjectId.inode(7)) == "ObjectId(kind='inode', key='7')"
+    # The exporters' ``default=str`` text, and the same without it.
+    record = {"obj": oid, "ino": ObjectId.inode(7)}
+    expected = '{"obj": "dir:/a/b", "ino": "inode:7"}'
+    assert json.dumps(record, default=str) == json.dumps(record) == expected
+
+
+@pytest.mark.parametrize("oid", [ObjectId.directory("/d"), ObjectId.inode(12)])
+def test_object_id_survives_pickle_and_deepcopy(oid):
+    for clone in (pickle.loads(pickle.dumps(oid)), copy.deepcopy(oid), copy.copy(oid)):
+        assert clone == oid and hash(clone) == hash(oid)
+        assert type(clone) is type(oid) and (clone.kind, clone.key) == (oid.kind, oid.key)
+
+
+def test_object_id_constructor_and_factories_agree():
+    for built, made in (
+        (ObjectId("dir", "/p"), ObjectId.directory("/p")),
+        (ObjectId("inode", "9"), ObjectId.inode(9)),
+    ):
+        assert built == made and hash(built) == hash(made)
+        assert type(built) is type(made) and isinstance(made, ObjectId)
+
+
+def test_object_ids_of_different_kinds_are_never_equal():
+    assert ObjectId.directory("9") != ObjectId.inode(9)
+    assert ObjectId("dir", "inode:1") != ObjectId.inode(1)
+    assert len({ObjectId.directory("1"), ObjectId.inode(1)}) == 2
+
+
+def test_object_id_refuses_attribute_assignment():
+    oid = ObjectId.inode(3)
+    for name in ("kind", "key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(oid, name, "x")
+    assert not hasattr(oid, "__dict__")
+    assert (oid.kind, oid.key) == ("inode", "3")
 
 
 def test_mkdir_duplicate_rejected():

@@ -12,7 +12,15 @@ import random
 
 import pytest
 
-from repro.fs import AddDentry, CreateInode, MetadataStore, RemoveDentry, UpdateError
+from repro.fs import (
+    AddDentry,
+    CreateDirTable,
+    CreateInode,
+    MetadataStore,
+    RemoveDentry,
+    RemoveDirTable,
+    UpdateError,
+)
 from repro.fs.store import _AppliedSet
 
 
@@ -91,6 +99,33 @@ def test_failed_commit_leaves_no_partial_state():
     assert store.lookup("/d", "a") is None
     assert store.lookup("/d", "clash") == 3
     assert not store.is_visible(1)
+
+
+def test_directory_tables_commit_and_harden_through_a_view():
+    """``CreateDirTable`` and ``RemoveDirTable`` reach the table through
+    a view's ``directories``: the overlay sees its own writes, the
+    cache and then the stable image get them at commit and harden."""
+    store = make_store()
+    store.apply(1, CreateDirTable("/new"))
+    store.apply(1, AddDentry("/new", "f", 5))
+    store.apply(1, RemoveDirTable("/d"))
+    with pytest.raises(UpdateError):  # the view already dropped it
+        store.apply(1, AddDentry("/d", "g", 6))
+    assert store.has_dir("/d") and not store.has_dir("/new")
+    store.commit(1)
+    assert not store.has_dir("/d") and store.listdir("/new") == {"f": 5}
+    assert "/d" in store.stable_directories and "/new" not in store.stable_directories
+    store.harden(1)
+    assert store.stable_directories == {"/new": {"f": 5}}
+    # Emptiness is checked through the view too.
+    with pytest.raises(UpdateError):
+        store.apply(2, RemoveDirTable("/new"))
+    store.abort(2)
+    store.apply(3, RemoveDentry("/new", "f"))
+    store.apply(3, RemoveDirTable("/new"))
+    store.apply(3, CreateDirTable("/new"))
+    store.commit_durable(3)
+    assert store.stable_directories == {"/new": {}}
 
 
 def test_abort_discards_overlay_without_touching_cache():

@@ -34,14 +34,16 @@ attribute    312.96   410.03   406.62      525.69      2.47 / 2.36   403.54     
 hook fold    312.96   410.03   404.36      523.43      2.41 / 2.32   359.94     468.01     1.24 / 1.18
 sampled      312.96   410.03   404.36      523.43      2.41 / 2.32   315.05     412.72     0.06 / 0.05
 record sink  312.96   410.03   366.37      474.44      1.41 / 1.31   315.05     412.72     0.06 / 0.05
+fs diet      287.95   387.02   341.36      451.43      1.41 / 1.31   290.04     389.71     0.06 / 0.05
 ===========  =======  =======  ==========  ==========  ===========  =========  =========  ===========
 
 The other registered protocols, untraced, at the hub-off diet: PrC
 376.99, EP 332.75, PrA 418.01, PC 778.24 or 781.24, LGL 354.13, 1PC-N
 317.90; since *steps*: PrC 372.01, EP 329.77, PrA 410.03, PC 744.27 or 747.27,
-LGL 350.16, 1PC-N 311.93.  PC's two values are the hash seed's: its
-vote tally iterates a set of node names, so where an ``any(...)``
-stops varies by run.
+LGL 350.16, 1PC-N 311.93; since *fs diet*: PrC 349.00, EP 306.76, PrA
+387.02, PC 721.26 or 724.26, LGL 325.15, 1PC-N 287.92.  PC's two values
+are the hash seed's: its vote tally iterates a set of node names, so
+where an ``any(...)`` stops varies by run.
 
 (*before* is the parent of the call diet, on 3.10 and 3.11; the other
 rows are 3.11 — comprehensions are inlined from 3.12 on, which only
@@ -54,7 +56,7 @@ transaction's accumulator, in both modes, and calls ``_emit`` only for
 a record it builds (in attribute mode none: the cell keeps none).
 *Sampled* is where an attribute hub attributes 1 transaction in
 ``SAMPLE_EVERY`` (16) and the hook sites call it for those alone; the
-two attribute ceilings are that row rounded up to the next 5.  *Per
+two attribute ceilings were that row rounded up to the next 5.  *Per
 hook* is what attribute mode adds, ``(attribute - untraced) * 100 /
 records`` with the full row's record count: at *hook fold*, with every
 hook called, the hook frame itself plus the histograms' ``observe``
@@ -63,9 +65,16 @@ frames and the span-lifecycle hooks that return at once (capped at
 package frames, so a hook that calls out to fold again, or a site that
 calls an unsampled transaction's hook, trips it.
 
-Every untraced ceiling is the *steps* measurement rounded up to the
-next 5: every hook site on the per-transaction path tests plain
-attributes of the hub before it calls it, a delivery is the destination
+*Fs diet* is where an ``ObjectId`` is a slotted ``str`` whose value is
+its text ``kind:key`` (hashing and comparing one runs no frame, and a
+factory no ``__post_init__``) and a copy-on-write store view is one
+constructor, one ``directory`` frame per dentry update and one
+``fold``: 25.0 (1PC) and 23.0 (PrN) frames fewer per transaction.  It
+sets every ceiling below, each rounded up to the next 5.
+
+Until *fs diet*, every untraced ceiling was the *steps* measurement
+rounded up to the next 5: every hook site on the per-transaction path
+tests plain attributes of the hub before it calls it, a delivery is the destination
 endpoint's own ``deliver`` run by its timer, the lock table's grant
 check allocates nothing, and a protocol session is steps the kernel
 calls back, not a process whose generator frames it re-enters (*steps*
@@ -86,8 +95,8 @@ only* is where a hook writes the record and nothing else — spans and
 metrics are folded when read.  *Record sink* is where a hook builds
 its record in its own frame and hands it to the stream's bound
 ``append``, a C call, with no ``_emit`` frame between: that row sets
-the cap (rounded up to the next 0.1) and the two traced ceilings
-(each rounded up to the next 5).  An untraced burst enters
+the cap (rounded up to the next 0.1) and, until *fs diet*, the two
+traced ceilings (each rounded up to the next 5).  An untraced burst enters
 ``src/repro/obs/`` only to build the hub, as many times at n=10 as at
 n=100.  A change that trips
 a row put frames back on the per-transaction path: find them with
@@ -125,20 +134,20 @@ _HUB = os.path.join(_PACKAGE, "obs") + os.sep
 #: protocol -> ceiling of Python calls under ``src/repro/`` per
 #: committed transaction of the 100-create burst cell.
 CEILING = {
-    "PrN": 415,
-    "PrC": 375,
-    "EP": 330,
-    "1PC": 315,
-    "PrA": 415,
-    "PC": 750,
-    "LGL": 355,
-    "1PC-N": 315,
+    "PrN": 390,
+    "PrC": 350,
+    "EP": 310,
+    "1PC": 290,
+    "PrA": 390,
+    "PC": 725,
+    "LGL": 330,
+    "1PC-N": 290,
 }
 #: The same with ``trace="full"``: every hook writes its record.
-TRACED_CEILING = {"1PC": 370, "PrN": 475}
+TRACED_CEILING = {"1PC": 345, "PrN": 455}
 #: The same with ``trace="attribute"``: a sampled transaction's hooks
 #: fold, none records.
-ATTRIBUTE_CEILING = {"1PC": 320, "PrN": 415}
+ATTRIBUTE_CEILING = {"1PC": 295, "PrN": 390}
 #: Ceiling of what the hub adds, in package frames per trace record.
 FRAMES_PER_RECORD = 1.5
 #: Ceiling of what an attribute hub adds, in package frames per hook
