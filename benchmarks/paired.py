@@ -37,17 +37,11 @@ from pathlib import Path
 from typing import Any, Optional
 
 ROOT = Path(__file__).resolve().parents[1]
-SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 sys.path.insert(0, str(ROOT / "benchmarks" / "ledger"))
 
-import layers  # noqa: E402
-
-#: The ledger's host-decided metrics (``run.py``'s ``VOLATILE``);
-#: every other metric must repeat exactly within one tree.
-VOLATILE = {
-    "host_ops_per_s", "peak_rss_mib", "setup_s",
-    "trace_overhead_ratio", "host_rep_spread",
-} | {f"{layer}.self_share" for layer in layers.LAYERS}
+# The ledger's contract and its host-decided metrics (``VOLATILE``):
+# every other metric must repeat exactly within one tree.
+from run import SPEC, VOLATILE  # noqa: E402
 
 
 def _git(*args: str) -> str:

@@ -20,8 +20,8 @@ ledger's exact counts are not taken.  The timer counts process CPU
 time, and the kernel may deliver it more coarsely than asked (on a
 Linux 6.x container: about every 4 ms for any interval below that), so
 the number of repetitions is whatever reaching ``--samples`` takes.
-Three runs of ``composite-1pc`` there, 2,442–2,657 samples each, agreed
-within a point per layer.  Stdlib only; imports ``layers`` and
+Three runs of ``composite-1pc`` there, 2,007–2,137 samples each, agreed
+within 2.1 points per layer.  Stdlib only; imports ``layers`` and
 ``cells`` read-only, as ``run.py`` does.
 """
 
@@ -50,13 +50,11 @@ sys.path[:0] = [str(ROOT / "src"), str(LEDGER)]
 import cells  # noqa: E402
 import layers  # noqa: E402
 
-_PACKAGE = os.sep + os.path.join("src", "repro") + os.sep
-_OWN = str(LEDGER) + os.sep
-
 
 def _charged(filename: str) -> bool:
-    """Whether a sample in ``filename``'s code stops the stack walk."""
-    return _PACKAGE in filename or filename.startswith(_OWN)
+    """Whether a sample in ``filename``'s code stops the stack walk:
+    package code, or the ledger's own load generator."""
+    return bool(layers._inside_package(filename)) or filename.startswith(layers._OWN_DIR)
 
 
 def sample(name: str, seed: int, samples: int, interval: float) -> dict[str, Any]:
@@ -105,6 +103,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--interval", type=float, default=0.0005,
                         help="seconds of process CPU time between samples (asked for)")
     args = parser.parse_args(argv)
+    if args.samples < 1 or not args.interval > 0:
+        parser.error("--samples and --interval must be positive")
     report = sample(args.workload, args.seed, args.samples, args.interval)
     print(
         f"{report['workload']}  seed {report['seed']}  {report['samples']} samples "
