@@ -1,4 +1,4 @@
-"""Regression tests for the O(objects-touched) store internals.
+"""Regression tests for the copy-on-write store internals.
 
 PR 10 replaced the three full-image copies per transaction with
 copy-on-write delta views and the unbounded ``set[int]`` applied-txn
@@ -72,7 +72,8 @@ def make_store():
 
 def test_commit_folds_into_the_live_cache_image():
     """Commit must not replace the cache image wholesale; folding in
-    place is what keeps per-transaction cost O(objects touched)."""
+    place is what keeps per-transaction cost independent of the
+    namespace's size."""
     store = make_store()
     cache_before = store._cache
     stable_before = store._stable
