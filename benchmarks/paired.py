@@ -1,15 +1,22 @@
-"""Paired ledger runs: this checkout against another revision, ABAB.
+"""Paired ledger runs: this checkout against another revision, turn about.
 
-    python3 benchmarks/paired.py REV --workload traced-burst --pairs 6
+    python3 benchmarks/paired.py REV --workload traced-burst
 
 Checks ``REV`` out with ``git worktree add`` into a temporary directory,
 then runs both trees' ``benchmarks/ledger/run.py --workload W --json``
-alternately — base, head, base, head — for ``--pairs`` pairs per
-workload (every workload of ``BENCHMARK.json`` by default), and prints,
-for each end-to-end metric, the median and the min–max of the paired
-ratio head / base with the metric's regression bound beside it.
-Alternating cancels the host's slow drift; the ratio of neighbours
-cancels its level.  ``--history`` also prints the candidate
+in pairs, ``--pairs`` of them per workload (10 by default; every
+workload of ``BENCHMARK.json`` unless ``--workload`` names some), each
+run over the ledger's own timed window.  The order alternates: base
+first in even pairs, head first in odd ones, so whatever favours the
+second run of a pair (a warm page cache, a clock ramping up, a
+neighbour's load fading) favours each tree equally often.  For each
+end-to-end metric it prints the median and the min–max of the paired
+ratio head / base and a verdict against the metric's regression bound,
+read as the ledger's ``--selfcheck`` reads it (a relative difference
+above the bound): ``REGRESSED`` when the median is beyond it on the
+worse side, else ``unresolved`` when some pair is beyond it on either
+side (the pairs spread too widely to tell a change from the host),
+else ``within``.  ``--history`` also prints the candidate
 ``BENCH_history.jsonl`` rows: one per exact metric (every metric the
 ledger does not call volatile) that differs between the trees, with
 both revisions and an empty ``reason`` to fill in.
@@ -56,7 +63,7 @@ def _run(tree: Path, cache: Path, workload: str, args: argparse.Namespace, out: 
     command = [
         sys.executable, str(tree / "benchmarks" / "ledger" / "run.py"),
         "--workload", workload, "--seed", str(args.seed), "--json", str(out),
-    ] + ([] if args.seconds is None else ["--seconds", str(args.seconds)])
+    ]
     env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache)}
     subprocess.run(command, env=env, stdout=subprocess.DEVNULL, check=True)
     return json.loads(out.read_text(encoding="utf-8"))["metrics"]
@@ -69,14 +76,30 @@ def _ratio(head: Optional[float], base: Optional[float]) -> Optional[float]:
 
 
 def paired(base_tree: Path, workload: str, args: argparse.Namespace, tmp: Path) -> list[Any]:
-    """``args.pairs`` pairs of ``(base metrics, head metrics)``."""
+    """``args.pairs`` pairs of ``(base metrics, head metrics)``; the
+    base runs first in even pairs, the head in odd ones."""
     pairs = []
     for index in range(args.pairs):
-        base = _run(base_tree, tmp / "cache-base", workload, args, tmp / "base.json")
-        head = _run(ROOT, tmp / "cache-head", workload, args, tmp / "head.json")
-        pairs.append((base, head))
+        runs = {}
+        order = ("base", "head") if index % 2 == 0 else ("head", "base")
+        for side in order:
+            tree = base_tree if side == "base" else ROOT
+            runs[side] = _run(tree, tmp / f"cache-{side}", workload, args, tmp / f"{side}.json")
+        pairs.append((runs["base"], runs["head"]))
         print(f"  pair {index + 1}/{args.pairs} done", file=sys.stderr)
     return pairs
+
+
+def verdict(ratios: list[float], better: str, bound: float) -> str:
+    """``REGRESSED`` if the median moved beyond ``bound`` on the worse
+    side, else ``unresolved`` if any pair moved beyond it either way,
+    else ``within``."""
+    median = statistics.median(ratios)
+    if (median < 1 - bound) if better == "higher" else (median > 1 + bound):
+        return "REGRESSED"
+    if min(ratios) < 1 - bound or max(ratios) > 1 + bound:
+        return "unresolved"
+    return "within"
 
 
 def summarise(workload: str, pairs: list[Any]) -> None:
@@ -91,6 +114,7 @@ def summarise(workload: str, pairs: list[Any]) -> None:
         print(
             f"  {name:<16} head/base median {statistics.median(known):.4f}  "
             f"min {min(known):.4f}  max {max(known):.4f}  "
+            f"{verdict(known, metric['better'], metric['bound'])} "
             f"({metric['better']} is better, bound {metric['bound']:.0%})"
         )
 
@@ -115,10 +139,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in SPEC["workloads"]],
                         help="workload to pair (repeatable; default: all)")
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float,
-                        help="each run's timed window (default: the ledger's)")
     parser.add_argument("--history", action="store_true",
                         help="print the candidate BENCH_history.jsonl rows")
     args = parser.parse_args(argv)

@@ -4,7 +4,7 @@
 
 Runs one workload of the performance ledger (``benchmarks/ledger/``)
 again and again under a ``SIGPROF`` interval timer
-(``signal.setitimer(ITIMER_PROF)``) until at least ``--samples``
+(``signal.setitimer(ITIMER_PROF)``) until at least ``SAMPLES`` (2,000)
 samples are taken, then prints ``<layer>.host_share`` for every layer
 of ``benchmarks/ledger/layers.py`` and, as the last line, the same as
 JSON.  Each sample is charged to the innermost frame whose code lives
@@ -17,9 +17,10 @@ repetitions) is charged to ``other``.
 
 Only ``run`` of each repetition is sampled, not its ``build``; the
 ledger's exact counts are not taken.  The timer counts process CPU
-time, and the kernel may deliver it more coarsely than asked (on a
-Linux 6.x container: about every 4 ms for any interval below that), so
-the number of repetitions is whatever reaching ``--samples`` takes.
+time, and the kernel may deliver it more coarsely than ``INTERVAL``
+asks (on a Linux 6.x container: about every 4 ms for any interval below
+that), so the number of repetitions is whatever reaching ``SAMPLES``
+takes.
 Three runs of ``composite-1pc`` there, 2,007–2,137 samples each, agreed
 within 2.1 points per layer.  Stdlib only; imports ``layers`` and
 ``cells`` read-only, as ``run.py`` does.
@@ -50,6 +51,11 @@ sys.path[:0] = [str(ROOT / "src"), str(LEDGER)]
 import cells  # noqa: E402
 import layers  # noqa: E402
 
+#: Samples to take before the last repetition stops.
+SAMPLES = 2000
+#: Seconds of process CPU time between samples, as asked of the timer.
+INTERVAL = 0.0005
+
 
 def _charged(filename: str) -> bool:
     """Whether a sample in ``filename``'s code stops the stack walk:
@@ -57,8 +63,8 @@ def _charged(filename: str) -> bool:
     return bool(layers._inside_package(filename)) or filename.startswith(layers._OWN_DIR)
 
 
-def sample(name: str, seed: int, samples: int, interval: float) -> dict[str, Any]:
-    """Run workload ``name`` until ``samples`` samples are taken."""
+def sample(name: str, seed: int) -> dict[str, Any]:
+    """Run workload ``name`` until ``SAMPLES`` samples are taken."""
     workload = cells.WORKLOADS[name]
     counts = dict.fromkeys(layers.LAYERS, 0)
 
@@ -74,9 +80,9 @@ def sample(name: str, seed: int, samples: int, interval: float) -> dict[str, Any
     previous = signal.signal(signal.SIGPROF, on_sample)
     repetitions = 0
     try:
-        while sum(counts.values()) < samples:
+        while sum(counts.values()) < SAMPLES:
             inputs = workload.build(seed, 1)
-            signal.setitimer(signal.ITIMER_PROF, interval, interval)
+            signal.setitimer(signal.ITIMER_PROF, INTERVAL, INTERVAL)
             try:
                 workload.run(inputs)
             finally:
@@ -98,14 +104,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(cells.WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=2000,
-                        help="stop repeating the workload once this many are taken")
-    parser.add_argument("--interval", type=float, default=0.0005,
-                        help="seconds of process CPU time between samples (asked for)")
     args = parser.parse_args(argv)
-    if args.samples < 1 or not args.interval > 0:
-        parser.error("--samples and --interval must be positive")
-    report = sample(args.workload, args.seed, args.samples, args.interval)
+    report = sample(args.workload, args.seed)
     print(
         f"{report['workload']}  seed {report['seed']}  {report['samples']} samples "
         f"over {report['repetitions']} repetitions"

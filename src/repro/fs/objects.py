@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fs.store import _DeltaView, _Image
+    from repro.fs.store import _DeltaView
 
-    #: What ``Update.apply`` runs against: the full image (bootstrap,
-    #: crash recovery) or a copy-on-write transaction view.
-    ImageView = Union["_Image", "_DeltaView"]
+    #: What ``Update.apply`` runs against: a copy-on-write view of an
+    #: image (a transaction's overlay, or a commit or harden fold).
+    ImageView = _DeltaView
 
 
 class FileType(str, Enum):
@@ -211,9 +211,7 @@ class CreateDirTable(Update):
         return ObjectId.directory(self.path)
 
     def apply(self, image: "ImageView") -> None:
-        if self.path in image.directories:
-            raise UpdateError(f"directory {self.path!r} already exists")
-        image.directories[self.path] = {}
+        image.create_dir(self.path)
 
 
 @dataclass(frozen=True)
@@ -232,12 +230,7 @@ class RemoveDirTable(Update):
         return ObjectId.directory(self.path)
 
     def apply(self, image: "ImageView") -> None:
-        entries = image.directories.get(self.path)
-        if entries is None:
-            raise UpdateError(f"directory {self.path!r} does not exist")
-        if entries:
-            raise UpdateError(f"directory {self.path!r} is not empty")
-        del image.directories[self.path]
+        image.remove_dir(self.path)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Optional
 
 from repro.fs.objects import (
@@ -106,7 +107,8 @@ class OpPlan:
             "path": self.path,
             "coordinator": self.coordinator,
             "updates": {
-                node: list(map(Update.describe, ups)) for node, ups in self.updates.items()
+                node: list(map(methodcaller("describe"), ups))
+                for node, ups in self.updates.items()
             },
             "detail": dict(self.detail),
         }

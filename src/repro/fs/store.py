@@ -91,24 +91,11 @@ class _Image:
         clone.inodes = {i: n.copy() for i, n in self.inodes.items()}
         return clone
 
-    # -- accessors used by Update.apply -------------------------------------
-
-    def directory(self, path: str) -> dict[str, int]:
-        if path not in self.directories:
-            raise UpdateError(f"directory {path!r} does not exist here")
-        return self.directories[path]
-
-    def has_inode(self, ino: int) -> bool:
-        return ino in self.inodes
-
     def inode(self, ino: int) -> Optional[Inode]:
         return self.inodes.get(ino)
 
     def set_inode(self, inode: Inode) -> None:
         self.inodes[inode.ino] = inode
-
-    def del_inode(self, ino: int) -> None:
-        self.inodes.pop(ino, None)
 
 
 class _DeltaView:
@@ -140,9 +127,11 @@ class _DeltaView:
         #: ino -> this view's private Inode copy, or None when deleted
         self._inodes: dict[int, Optional[Inode]] = {}
 
-    # -- accessors used by Update.apply (mirror _Image's) -------------------
+    # -- the surface Update.apply uses ----------------------------------------
 
     def directory(self, path: str) -> dict[str, int]:
+        """``path``'s entries: this view's private copy, made on first use.
+        The one place a view looks a directory up."""
         dirs = self._dirs
         entries = dirs[path] if path in dirs else self._base.directories.get(path)
         if entries is None:
@@ -153,10 +142,20 @@ class _DeltaView:
             entries = dirs[path] = dict(entries)
         return entries
 
-    @property
-    def directories(self) -> "_DeltaDirs":
-        """The table as ``CreateDirTable`` and ``RemoveDirTable`` see it."""
-        return _DeltaDirs(self._dirs, self._base.directories)
+    def create_dir(self, path: str) -> None:
+        """A new, empty table for ``path``; refuses an existing one."""
+        try:
+            self.directory(path)
+        except UpdateError:
+            self._dirs[path] = {}
+            return
+        raise UpdateError(f"directory {path!r} already exists")
+
+    def remove_dir(self, path: str) -> None:
+        """Drop ``path``'s table; refuses a missing or non-empty one."""
+        if self.directory(path):
+            raise UpdateError(f"directory {path!r} is not empty")
+        self._dirs[path] = None
 
     def has_inode(self, ino: int) -> bool:
         if ino in self._inodes:
@@ -192,32 +191,6 @@ class _DeltaView:
                     table.pop(key, None)
                 else:
                     table[key] = value
-
-
-class _DeltaDirs:
-    """A view's directory table behind the mapping surface the
-    table-level updates use: ``in``, ``get``, item assignment and
-    deletion.  Reads fall through to the base table; writes land in
-    the view."""
-
-    __slots__ = ("_local", "_base")
-
-    def __init__(self, local: dict, base: dict[str, dict[str, int]]) -> None:
-        self._local = local
-        self._base = base
-
-    def __contains__(self, path: str) -> bool:
-        return self.get(path) is not None
-
-    def get(self, path: str) -> Optional[dict[str, int]]:
-        """Read-only entries of ``path`` (None when absent)."""
-        return self._local[path] if path in self._local else self._base.get(path)
-
-    def __setitem__(self, path: str, entries: dict[str, int]) -> None:
-        self._local[path] = entries
-
-    def __delitem__(self, path: str) -> None:
-        self._local[path] = None
 
 
 class MetadataStore:
