@@ -14,9 +14,10 @@ end-to-end metric it prints the median and the min–max of the paired
 ratio head / base and a verdict against the metric's regression bound,
 read as the ledger's ``--selfcheck`` reads it (a relative difference
 above the bound): ``REGRESSED`` when the median is beyond it on the
-worse side, else ``unresolved`` when some pair is beyond it on either
-side (the pairs spread too widely to tell a change from the host),
-else ``within``.  ``--history`` also prints the candidate
+worse side, ``within`` when every pair is inside it, ``better`` when
+every head run beat every base run, else ``unresolved`` (some pair is
+beyond the bound, so the pairs spread too widely to tell a change from
+the host).  ``--history`` also prints the candidate
 ``BENCH_history.jsonl`` rows: one per exact metric (every metric the
 ledger does not call volatile) that differs between the trees, with
 both revisions and an empty ``reason`` to fill in.
@@ -69,12 +70,6 @@ def _run(tree: Path, cache: Path, workload: str, args: argparse.Namespace, out: 
     return json.loads(out.read_text(encoding="utf-8"))["metrics"]
 
 
-def _ratio(head: Optional[float], base: Optional[float]) -> Optional[float]:
-    if head is None or base is None or base == 0:
-        return None
-    return head / base
-
-
 def paired(base_tree: Path, workload: str, args: argparse.Namespace, tmp: Path) -> list[Any]:
     """``args.pairs`` pairs of ``(base metrics, head metrics)``; the
     base runs first in even pairs, the head in odd ones."""
@@ -90,30 +85,35 @@ def paired(base_tree: Path, workload: str, args: argparse.Namespace, tmp: Path) 
     return pairs
 
 
-def verdict(ratios: list[float], better: str, bound: float) -> str:
-    """``REGRESSED`` if the median moved beyond ``bound`` on the worse
-    side, else ``unresolved`` if any pair moved beyond it either way,
-    else ``within``."""
-    median = statistics.median(ratios)
-    if (median < 1 - bound) if better == "higher" else (median > 1 + bound):
+def verdict(values: list[tuple[float, float]], better: str, bound: float) -> str:
+    """One metric's ``(base, head)`` pairs read against its ``bound``:
+    ``REGRESSED`` if the median ratio head / base is beyond it on the
+    worse side, ``within`` if every pair's ratio is inside it, ``better``
+    if every head run beat every base run, else ``unresolved``."""
+    sign = 1 if better == "higher" else -1
+    ratios = [head / base for base, head in values]
+    if sign * (statistics.median(ratios) - 1) < -bound:
         return "REGRESSED"
-    if min(ratios) < 1 - bound or max(ratios) > 1 + bound:
-        return "unresolved"
-    return "within"
+    if all(abs(ratio - 1) <= bound for ratio in ratios):
+        return "within"
+    if min(sign * head for _, head in values) > max(sign * base for base, _ in values):
+        return "better"
+    return "unresolved"
 
 
 def summarise(workload: str, pairs: list[Any]) -> None:
     print(workload)
     for metric in SPEC["end_to_end"]:
         name = metric["name"]
-        ratios = [_ratio(h[name]["value"], b[name]["value"]) for b, h in pairs]
-        known = [r for r in ratios if r is not None]
+        values = [(b[name]["value"], h[name]["value"]) for b, h in pairs]
+        known = [(base, head) for base, head in values if base and head is not None]
         if not known:
             print(f"  {name:<16} n/a")
             continue
+        ratios = [head / base for base, head in known]
         print(
-            f"  {name:<16} head/base median {statistics.median(known):.4f}  "
-            f"min {min(known):.4f}  max {max(known):.4f}  "
+            f"  {name:<16} head/base median {statistics.median(ratios):.4f}  "
+            f"min {min(ratios):.4f}  max {max(ratios):.4f}  "
             f"{verdict(known, metric['better'], metric['bound'])} "
             f"({metric['better']} is better, bound {metric['bound']:.0%})"
         )
