@@ -96,6 +96,15 @@ def ci_runs() -> list[list[str]]:
     return [trace, validate] + runs
 
 
+def allowed_exits(cmd: list[str]) -> tuple[int, ...]:
+    """Exit codes that still count as a run: ``repro lint``, ``repro
+    report`` and ``repro campaign run`` exit 1 on findings; anything
+    else (a tier-1 run with a failing test above all) must exit 0."""
+    args = cmd[3:] if cmd[1:3] == ["-m", "repro"] else []
+    finds = args[:1] in (["lint"], ["report"]) or args[:2] == ["campaign", "run"]
+    return (0, 1) if finds else (0,)
+
+
 def traced(runs: list[list[str]], scratch: Path) -> set[tuple[str, int]]:
     """The ``(file, first line)`` of every ``src/`` function the runs call."""
     out = Path(tempfile.mkdtemp(dir=scratch))
@@ -104,8 +113,9 @@ def traced(runs: list[list[str]], scratch: Path) -> set[tuple[str, int]]:
     env = dict(os.environ, PYTHONPATH=f"{site}:{SRC}", PYTHONHASHSEED="0")
     for cmd in runs:
         done = subprocess.run(cmd, cwd=scratch, env=env, capture_output=True)
-        if done.returncode not in (0, 1):  # lint/report/pytest exit 1 on findings
-            sys.exit(f"{' '.join(cmd)} failed:\n{done.stderr.decode()[-2000:]}")
+        if done.returncode not in allowed_exits(cmd):
+            output = (done.stdout + done.stderr).decode()[-2000:]
+            sys.exit(f"{' '.join(cmd)} exited {done.returncode}:\n{output}")
     seen = set()
     for dump in out.glob("*.txt"):
         for line in dump.read_text().splitlines():
@@ -114,9 +124,18 @@ def traced(runs: list[list[str]], scratch: Path) -> set[tuple[str, int]]:
     return seen
 
 
+def _is_overload(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """A ``typing.overload`` stub: Python never runs its body."""
+    return any(
+        (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "overload"
+        for d in node.decorator_list
+    )
+
+
 def functions() -> dict[tuple[str, int], tuple[str, int]]:
     """``(file, first line) -> ("path qualname", own lines)`` per ``src/``
-    function; the first line is the code object's (a decorator's)."""
+    function but ``@overload`` stubs; the first line is the code
+    object's (a decorator's)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     table = {}
 
@@ -132,6 +151,8 @@ def functions() -> dict[tuple[str, int], tuple[str, int]]:
             if isinstance(child, ast.ClassDef):
                 visit(child, path, f"{prefix}{child.name}.")
             elif isinstance(child, defs):
+                if _is_overload(child):
+                    continue
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                 inner = sum(sub.end_lineno - sub.lineno + 1 for sub in nested(child))
                 name = f"{path.relative_to(SRC)} {prefix}{child.name}"

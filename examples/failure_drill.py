@@ -27,7 +27,6 @@ def build():
         protocol="1PC",
         server_names=["mds1", "mds2"],
         placement=ForcedDistributedPlacement("mds1", "mds2"),
-        fencing="stonith",
     )
     cluster.mkdir("/dir1")
     return cluster, cluster.new_client()

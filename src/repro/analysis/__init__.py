@@ -19,7 +19,6 @@ from repro.analysis.model import (
     ProtocolPrediction,
     predict,
     predict_figure6,
-    predicted_gain_over_prn,
 )
 from repro.analysis.tables import render_bar_chart, render_table
 
@@ -32,7 +31,6 @@ __all__ = [
     "measure_protocol_costs",
     "predict",
     "predict_figure6",
-    "predicted_gain_over_prn",
     "render_bar_chart",
     "render_table",
     "throughput",

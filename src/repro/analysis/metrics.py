@@ -121,10 +121,3 @@ def percentile(values: Sequence[float], pct: float) -> float:
     value = ordered[low] * (1.0 - frac) + ordered[high] * frac
     # Guard against 1-ulp interpolation overshoot on extreme floats.
     return min(max(value, ordered[low]), ordered[high])
-
-
-def abort_rate(outcomes: Sequence[TxnOutcome]) -> float:
-    """Fraction of transactions that aborted."""
-    if not outcomes:
-        return 0.0
-    return sum(1 for o in outcomes if not o.committed) / len(outcomes)

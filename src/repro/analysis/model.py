@@ -127,14 +127,3 @@ def predict_figure6(
 ) -> dict[str, ProtocolPrediction]:
     """Predictions for all four protocols."""
     return {name: predict(name, params) for name in ("PrN", "PrC", "EP", "1PC")}
-
-
-def predicted_gain_over_prn(params: SimulationParams | None = None) -> dict[str, float]:
-    """Predicted Figure 6 gains (percent) relative to PrN."""
-    preds = predict_figure6(params)
-    base = preds["PrN"].throughput
-    return {
-        name: (pred.throughput / base - 1.0) * 100.0
-        for name, pred in preds.items()
-        if name != "PrN"
-    }

@@ -24,7 +24,6 @@ from repro.fs.objects import (
     CreateInode,
     DecLink,
     FileType,
-    IncLink,
     Inode,
     ObjectId,
     RemoveDentry,
@@ -40,11 +39,8 @@ from repro.fs.operations import (
     UnsupportedOperation,
     plan_create,
     plan_delete,
-    plan_link,
     plan_migrate,
-    plan_mkdir,
     plan_rename,
-    plan_rmdir,
 )
 from repro.fs.operations import split_path
 from repro.fs.placement import (
@@ -66,7 +62,6 @@ __all__ = [
     "FileType",
     "ForcedDistributedPlacement",
     "HashPlacement",
-    "IncLink",
     "Inode",
     "InodeAllocator",
     "MetadataStore",
@@ -87,11 +82,8 @@ __all__ = [
     "check_invariants",
     "plan_create",
     "plan_delete",
-    "plan_link",
     "plan_migrate",
-    "plan_mkdir",
     "plan_rename",
-    "plan_rmdir",
     "split_path",
     "update_from_description",
 ]

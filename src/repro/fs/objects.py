@@ -163,22 +163,6 @@ class CreateInode(Update):
 
 
 @dataclass(frozen=True)
-class IncLink(Update):
-    """Increment an inode's link count (RENAME-over / hard link)."""
-
-    ino: int
-
-    def target(self) -> ObjectId:
-        return ObjectId.inode(self.ino)
-
-    def apply(self, image: "ImageView") -> None:
-        inode = image.inode(self.ino)
-        if inode is None:
-            raise UpdateError(f"inode {self.ino} does not exist")
-        inode.nlink += 1
-
-
-@dataclass(frozen=True)
 class DecLink(Update):
     """Decrement an inode's link count; delete it at zero (§II DELETE
     step (b): update the reference counter and optionally delete)."""
@@ -199,11 +183,8 @@ class DecLink(Update):
 
 @dataclass(frozen=True)
 class CreateDirTable(Update):
-    """Materialise an (empty) directory table for ``path``.
-
-    Part of a transactional MKDIR: the parent's MDS links the dentry,
-    the new directory's MDS creates its inode and this table.
-    """
+    """Materialise an (empty) directory table for ``path``: a
+    MIGRATE's destination opens the table it refills."""
 
     path: str
 
@@ -220,8 +201,9 @@ class RemoveDirTable(Update):
 
     The emptiness check runs where the directory lives, under its
     exclusive lock — a concurrent create in the directory therefore
-    serialises against the RMDIR, and a non-empty directory makes the
-    worker vote NO (ENOTEMPTY).
+    serialises against the drop, and a non-empty directory makes the
+    worker vote NO (ENOTEMPTY).  A MIGRATE's source drops the table
+    it emptied.
     """
 
     path: str
@@ -257,7 +239,6 @@ _UPDATE_TYPES = {
         AddDentry,
         RemoveDentry,
         CreateInode,
-        IncLink,
         DecLink,
         TouchInode,
         CreateDirTable,

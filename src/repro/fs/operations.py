@@ -6,9 +6,10 @@ and acts as the transaction coordinator (it performs "the first
 metadata update" in the paper's Figure 5); every other participant is a
 worker.
 
-CREATE and DELETE involve at most two MDSs; RENAME can involve up to
-four (§I), which is why the 1PC protocol — limited to one worker —
-delegates wide RENAMEs to a 2PC-family protocol.
+The plans are the paper's three namespace operations (§I) and the
+MIGRATE of §V.  CREATE and DELETE involve at most two MDSs; RENAME can
+involve up to four, which is why the 1PC protocol — limited to one
+worker — delegates wide RENAMEs to PrN.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.fs.objects import (
     CreateInode,
     DecLink,
     FileType,
-    IncLink,
     ObjectId,
     RemoveDentry,
     RemoveDirTable,
@@ -151,50 +151,6 @@ def plan_create(
     )
 
 
-def plan_mkdir(
-    path: str,
-    placement: PlacementPolicy,
-    allocator: InodeAllocator,
-) -> OpPlan:
-    """MKDIR *path*: link a dentry at the parent's MDS; materialise the
-    directory inode and its (empty) table at the new directory's MDS.
-
-    The new directory's home is decided by the placement of the
-    directory object itself, so subsequent operations inside it are
-    local to that MDS.
-    """
-    parent, name = split_path(path)
-    ino = allocator.next()
-    hint = getattr(placement, "hint_inode_path", None)
-    if hint is not None:
-        hint(ino, path)
-    parent_node = placement.place(ObjectId.directory(parent))
-    dir_node = placement.place(ObjectId.directory(path))
-    updates: dict[str, list[Update]] = {}
-    updates.setdefault(parent_node, []).append(AddDentry(parent, name, ino))
-    updates.setdefault(dir_node, []).append(CreateInode(ino, FileType.DIRECTORY))
-    updates.setdefault(dir_node, []).append(CreateDirTable(path))
-    return OpPlan(
-        op="MKDIR", path=path, updates=updates, coordinator=parent_node, detail={"ino": ino}
-    )
-
-
-def plan_rmdir(path: str, ino: int, placement: PlacementPolicy) -> OpPlan:
-    """RMDIR *path* (directory inode ``ino``): unlink at the parent,
-    drop the (must-be-empty) table and the inode at the directory's
-    MDS."""
-    parent, name = split_path(path)
-    parent_node = placement.place(ObjectId.directory(parent))
-    dir_node = placement.place(ObjectId.directory(path))
-    updates: dict[str, list[Update]] = {}
-    updates.setdefault(parent_node, []).append(RemoveDentry(parent, name))
-    updates.setdefault(dir_node, []).append(RemoveDirTable(path))
-    updates.setdefault(dir_node, []).append(DecLink(ino))
-    return OpPlan(
-        op="RMDIR", path=path, updates=updates, coordinator=parent_node, detail={"ino": ino}
-    )
-
-
 def plan_delete(path: str, ino: int, placement: PlacementPolicy) -> OpPlan:
     """DELETE *path* (inode ``ino``): unlink at the parent's MDS, drop
     the link count (and possibly the inode) at the inode's MDS."""
@@ -206,34 +162,6 @@ def plan_delete(path: str, ino: int, placement: PlacementPolicy) -> OpPlan:
     updates.setdefault(ino_node, []).append(DecLink(ino))
     return OpPlan(
         op="DELETE", path=path, updates=updates, coordinator=dir_node, detail={"ino": ino}
-    )
-
-
-def plan_link(
-    target_path: str,
-    link_path: str,
-    ino: int,
-    placement: PlacementPolicy,
-) -> OpPlan:
-    """LINK: a new name *link_path* for the existing inode ``ino``.
-
-    Two MDSs at most: the new dentry's parent and the inode's home
-    (whose link count grows).
-    """
-    if target_path == link_path:
-        raise ValueError("link onto itself")
-    parent, name = split_path(link_path)
-    dir_node = placement.place(ObjectId.directory(parent))
-    ino_node = placement.place(ObjectId.inode(ino))
-    updates: dict[str, list[Update]] = {}
-    updates.setdefault(dir_node, []).append(AddDentry(parent, name, ino))
-    updates.setdefault(ino_node, []).append(IncLink(ino))
-    return OpPlan(
-        op="LINK",
-        path=link_path,
-        updates=updates,
-        coordinator=dir_node,
-        detail={"ino": ino, "target": target_path},
     )
 
 

@@ -163,7 +163,7 @@ class _DeltaView:
         return ino in self._base.inodes
 
     def inode(self, ino: int) -> Optional[Inode]:
-        # Updates mutate the returned inode in place (IncLink/DecLink),
+        # Updates mutate the returned inode in place (DecLink),
         # so hand out a registered private copy, never the base inode.
         if ino in self._inodes:
             return self._inodes[ino]

@@ -20,13 +20,9 @@ executor) and nothing below imports it:
   claims) and the report/check/update loop over it.
 """
 
-from repro.harness.diagrams import render_timeline
 from repro.harness.sweeps import SWEEPS, Sweep
-from repro.harness.table1 import run_table1
 
 __all__ = [
     "SWEEPS",
     "Sweep",
-    "render_timeline",
-    "run_table1",
 ]

@@ -1,9 +1,9 @@
 """Figures 2-5: protocol timelines regenerated from traces.
 
 Each paper figure is a message/write sequence diagram for one
-distributed namespace operation.  ``render_timeline`` runs a single
-distributed CREATE under the requested protocol and renders the trace
-as a two-column timeline: one column per MDS, message arrows between
+distributed namespace operation.  ``timeline_events`` runs a single
+distributed CREATE under the requested protocol and ``render_events``
+renders its trace as a two-column timeline: one column per MDS, message arrows between
 them, log writes and the client reply annotated with virtual
 timestamps.
 """
@@ -66,11 +66,6 @@ def render_events(protocol: str, events: Sequence[tuple[float, str, str]]) -> st
         row[nodes.index(actor)] = text.ljust(width)
         lines.append(f"{time * 1e3:9.3f}  " + "".join(row))
     return "\n".join(lines)
-
-
-def render_timeline(protocol: str, params: Optional[SimulationParams] = None) -> str:
-    """One distributed CREATE under ``protocol`` as an ASCII timeline."""
-    return render_events(protocol, timeline_events(protocol, params))
 
 
 def render_timelines(events: Mapping[str, Sequence[tuple[float, str, str]]]) -> str:

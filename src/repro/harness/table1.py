@@ -58,12 +58,6 @@ def render_table1(data: dict[str, dict[str, Optional[tuple]]]) -> str:
     return render_table(headers, rows, title="Table I" + suffix)
 
 
-def run_table1(measured: bool = True) -> str:
-    """Render Table I; with ``measured`` the trace-derived counts are
-    placed next to the paper's numbers (they must agree)."""
-    return render_table1(measure_table1(measured))
-
-
 def _cell(row: dict[str, Optional[tuple]], show: Callable[[tuple], str]) -> str:
     paper, measured = row["reference"], row["measured"]
     text = "-" if paper is None else show(paper)

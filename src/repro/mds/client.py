@@ -16,10 +16,7 @@ from repro.fs.operations import (
     OpPlan,
     plan_create,
     plan_delete,
-    plan_link,
-    plan_mkdir,
     plan_rename,
-    plan_rmdir,
     split_path,
 )
 from repro.protocols.base import MsgKind
@@ -57,21 +54,6 @@ class Client:
         if ino is None:
             raise FileNotFoundError(path)
         return plan_delete(path, ino, self.cluster.placement)
-
-    def plan_mkdir(self, path: str) -> OpPlan:
-        return plan_mkdir(path, self.cluster.placement, self.cluster.allocator)
-
-    def plan_rmdir(self, path: str) -> OpPlan:
-        ino = self.cluster.lookup(path)
-        if ino is None:
-            raise FileNotFoundError(path)
-        return plan_rmdir(path, ino, self.cluster.placement)
-
-    def plan_link(self, target: str, link_path: str) -> OpPlan:
-        ino = self.cluster.lookup(target)
-        if ino is None:
-            raise FileNotFoundError(target)
-        return plan_link(target, link_path, ino, self.cluster.placement)
 
     def plan_rename(self, src: str, dst: str, touch_inode: bool = True) -> OpPlan:
         ino = self.cluster.lookup(src)
@@ -154,18 +136,6 @@ class Client:
 
     def delete(self, path: str, timeout: Optional[float] = None) -> Generator:
         result = yield from self.run(self.plan_delete(path), timeout=timeout)
-        return result
-
-    def link(self, target: str, link_path: str, timeout: Optional[float] = None) -> Generator:
-        result = yield from self.run(self.plan_link(target, link_path), timeout=timeout)
-        return result
-
-    def mkdir(self, path: str, timeout: Optional[float] = None) -> Generator:
-        result = yield from self.run(self.plan_mkdir(path), timeout=timeout)
-        return result
-
-    def rmdir(self, path: str, timeout: Optional[float] = None) -> Generator:
-        result = yield from self.run(self.plan_rmdir(path), timeout=timeout)
         return result
 
     def rename(self, src: str, dst: str, timeout: Optional[float] = None) -> Generator:

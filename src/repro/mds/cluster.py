@@ -48,14 +48,7 @@ from repro.protocols.registry import (
     get_spec,
 )
 from repro.sim import RngRegistry, Simulator
-from repro.storage import (
-    PersistentReservationDriver,
-    ResourceFencingDriver,
-    SharedStorage,
-    StonithDriver,
-)
-
-FENCING_DRIVERS = ("stonith", "resource", "scsi")
+from repro.storage import SharedStorage, StonithDriver
 
 
 class Cluster:
@@ -68,8 +61,6 @@ class Cluster:
         server_names: Sequence[str] = ("mds1", "mds2"),
         params: Optional[SimulationParams] = None,
         placement: Optional[PlacementPolicy] = None,
-        fallback: Optional[str] = "PrN",
-        fencing: str = "stonith",
         heartbeats: bool = False,
         trace: str = "full",
         seed: Optional[int] = None,
@@ -80,8 +71,6 @@ class Cluster:
             spec = get_spec(protocol)
         except KeyError as exc:  # names the registered protocols
             raise ValueError(exc.args[0]) from None
-        if fencing not in FENCING_DRIVERS:
-            raise ValueError(f"unknown fencing driver {fencing!r}; have {FENCING_DRIVERS}")
         self.protocol_name = protocol
         self.params = params or SimulationParams.paper_defaults()
         if seed is not None:
@@ -118,24 +107,22 @@ class Cluster:
             self.params.failure.heartbeat_interval,
             self.params.failure.heartbeat_misses,
         )
-        self.fencing_driver = self._make_fencing_driver(fencing)
+        self.fencing_driver = StonithDriver(
+            self.sim,
+            self.storage.fencing,
+            power_off=self._stonith_power_off,
+            delay=self.params.failure.fencing_delay,
+        )
 
         protocol_cls = spec.engine
-        fallback_spec = None
-        if protocol_cls.max_workers is not None and fallback:
-            try:
-                fallback_spec = get_spec(fallback)
-            except KeyError:
-                raise ValueError(f"unknown fallback protocol {fallback!r}") from None
-        fallback_cls = fallback_spec.engine if fallback_spec is not None else None
+        # A bounded engine (1PC: one worker) hands wider transactions
+        # to PrN, which runs beside it on every server.
+        fallback_cls = get_spec("PrN").engine if protocol_cls.max_workers is not None else None
 
         # Protocol-declared infrastructure: acceptor processes for
-        # Paxos Commit, backup replicas for the logless 1PC.  The
-        # fallback's needs are honoured too (it runs on the same
-        # cluster).
-        caps = set(spec.capabilities)
-        if fallback_spec is not None:
-            caps |= set(fallback_spec.capabilities)
+        # Paxos Commit, backup replicas for the logless 1PC (PrN, the
+        # fallback, declares none).
+        caps = spec.capabilities
         self.acceptors: dict[str, AcceptorNode] = {}
         if CAP_NEEDS_ACCEPTORS in caps:
             for i in range(1, getattr(protocol_cls, "n_acceptors", 3) + 1):
@@ -176,17 +163,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-
-
-    def _make_fencing_driver(self, kind: str):
-        delay = self.params.failure.fencing_delay
-        if kind == "stonith":
-            return StonithDriver(
-                self.sim, self.storage.fencing, power_off=self._stonith_power_off, delay=delay
-            )
-        if kind == "resource":
-            return ResourceFencingDriver(self.sim, self.storage.fencing, delay=delay)
-        return PersistentReservationDriver(self.sim, self.storage.fencing, delay=delay)
 
     def _stonith_power_off(self, target: str) -> None:
         """STONITH power-cycles the target: crash now, reboot later."""
@@ -230,10 +206,6 @@ class Cluster:
         """The Paxos Commit acceptor nodes (empty for other protocols)."""
         return tuple(sorted(self.acceptors))
 
-    def backup_of(self, name: str) -> BackupReplica:
-        """The backup replica of MDS ``name`` (logless protocols only)."""
-        return self.backups[name]
-
     def server_names(self) -> list[str]:
         return sorted(self.servers)
 
@@ -262,9 +234,6 @@ class Cluster:
             finally:
                 self._awaited = None
         return len(self.outcomes) >= expected
-
-    def committed_outcomes(self) -> list[TxnOutcome]:
-        return [o for o in self.outcomes if o.committed]
 
     def new_client(self, name: Optional[str] = None) -> Client:
         return Client(self, name=name)
@@ -326,9 +295,6 @@ class Cluster:
 
     def heal_partition(self) -> None:
         self.network.heal_partition()
-
-    def unfence(self, name: str) -> None:
-        self.storage.fencing.unfence(name, by="operator")
 
     # ------------------------------------------------------------------
     # Verification

@@ -43,10 +43,6 @@ class FailureDetector:
             seen = 0.0
         return (self.sim.now - seen) > self.interval * self.misses
 
-    def detection_latency(self) -> float:
-        """Worst-case time from a crash to suspicion."""
-        return self.interval * (self.misses + 1)
-
 
 class HeartbeatService:
     """Periodic HEARTBEAT broadcast from one server to all peers: a

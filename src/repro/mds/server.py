@@ -155,12 +155,8 @@ class MDSServer:
             req_id=msg.payload.get("req_id"),
         )
         engine = self.protocol
-        if (
-            engine.max_workers is not None
-            and len(plan.workers) > engine.max_workers
-            and self.fallback is not None
-        ):
-            engine = self.fallback
+        if engine.max_workers is not None and len(plan.workers) > engine.max_workers:
+            engine = self.fallback  # PrN, beside every bounded engine
             self.obs.txn_fallback(
                 self.name, txn.txn_id, op=plan.op, workers=len(plan.workers)
             )

@@ -28,7 +28,6 @@ from repro.obs.hub import Observability
 from repro.obs.export import (
     chrome_trace,
     dump_spans,
-    load_spans,
     span_to_dict,
     validate_trace_event,
     write_chrome_trace,
@@ -50,7 +49,6 @@ __all__ = [
     "UNCLOSED",
     "chrome_trace",
     "dump_spans",
-    "load_spans",
     "span_to_dict",
     "validate_trace_event",
     "write_chrome_trace",

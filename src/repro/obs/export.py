@@ -3,8 +3,7 @@
 Two on-disk formats:
 
 * **JSONL spans** — one span per line, plain data, ``sort_keys`` so
-  dumps diff cleanly.  The analysis layer can reload these with
-  :func:`load_spans`.
+  dumps diff cleanly.
 * **Chrome trace_event JSON** — the format Perfetto and
   ``chrome://tracing`` open directly.  Each MDS node becomes a
   *process*, each transaction a *thread* inside it; a span renders as a
@@ -65,11 +64,6 @@ def dump_spans(spans: Iterable[Span], fp: TextIO) -> int:
         fp.write(json.dumps(span_to_dict(span), sort_keys=True, default=str) + "\n")
         n += 1
     return n
-
-
-def load_spans(fp: TextIO) -> list[dict[str, Any]]:
-    """Reload a JSONL span dump as plain dicts."""
-    return [json.loads(line) for line in fp if line.strip()]
 
 
 # ---------------------------------------------------------------------------

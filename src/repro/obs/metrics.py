@@ -13,7 +13,7 @@ stays empty.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable
 
 from repro.analysis.metrics import percentile
 from repro.analysis.streaming import EXACT_THRESHOLD, SKETCH_SIZE, StreamingStats
@@ -171,22 +171,6 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         """Record ``value`` into histogram ``name``."""
         self._histogram(name).observe(value)
-
-    def get_counter(self, name: str) -> Optional[Counter]:
-        self.refresh()
-        return self._counters.get(name)
-
-    def get_histogram(self, name: str) -> Optional[Histogram]:
-        self.refresh()
-        return self._histograms.get(name)
-
-    def counters(self) -> Iterator[Counter]:
-        self.refresh()
-        return iter(self._counters.values())
-
-    def histograms(self) -> Iterator[Histogram]:
-        self.refresh()
-        return iter(self._histograms.values())
 
     def snapshot(self) -> dict[str, Any]:
         """Plain-data view of every metric, sorted by name."""

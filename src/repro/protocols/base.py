@@ -47,7 +47,7 @@ from repro.fs.objects import ObjectId, Update, UpdateError, update_from_descript
 from repro.fs.operations import OpPlan, UnsupportedOperation
 from repro.locks import LockMode
 from repro.net.message import Message
-from repro.protocols.registry import ProtocolSpec, register_protocol, reject_fanout
+from repro.protocols.registry import ProtocolSpec, register_protocol
 from repro.sim import TIMED_OUT
 from repro.sim.events import PROCESSED
 from repro.storage.records import LogRecord, RecordKind
@@ -547,11 +547,12 @@ class Protocol:
 
     def coordinate(self, txn: Transaction) -> Session:
         """Run the distributed transaction ``txn`` as its coordinator; one
-        wider than ``max_workers`` is refused (the server routes those to
-        the fallback engine when one is configured)."""
+        wider than ``max_workers`` is refused (a server routes those to
+        its PrN fallback)."""
         if self.max_workers is not None and len(txn.workers) > self.max_workers:
-            refusal = reject_fanout(self.name, self.max_workers, len(txn.workers))
-            raise UnsupportedOperation(refusal)
+            raise UnsupportedOperation(
+                f"{len(txn.workers)} workers exceed {self.name}'s limit of {self.max_workers}"
+            )
         session = self.Coordinator(self, txn.txn_id)
         return session.start(session.begin, txn)
 

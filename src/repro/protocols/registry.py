@@ -25,17 +25,13 @@ figure6/sweeps/scaling/abort-rate grids, Table-I rendering, the
 conformance suite, the golden-trace suite, the CLI — now enumerates
 :func:`specs` / :func:`default_protocols`, so a newly registered
 protocol appears in every grid with zero harness edits.
-
-``register_protocol`` keeps its historical class-decorator form for
-minimal registrations (tests register toy protocols that way); rich
-registrations pass a full :class:`ProtocolSpec`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple, Type, Union, overload
+from typing import TYPE_CHECKING, Optional, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.base import Protocol
@@ -125,41 +121,12 @@ _SEQ: dict[str, int] = {}
 _counter = itertools.count()
 
 
-def _derive_spec(cls: Type["Protocol"]) -> ProtocolSpec:
-    doc = (cls.__doc__ or "").strip().splitlines()
-    return ProtocolSpec(
-        name=cls.name,
-        engine=cls,
-        summary=doc[0].strip() if doc else "",
-    )
-
-
-@overload
-def register_protocol(obj: ProtocolSpec) -> ProtocolSpec: ...
-
-
-@overload
-def register_protocol(obj: Type["Protocol"]) -> Type["Protocol"]: ...
-
-
-def register_protocol(
-    obj: Union[ProtocolSpec, Type["Protocol"]],
-) -> Union[ProtocolSpec, Type["Protocol"]]:
-    """Register a protocol; usable as a class decorator or with a spec.
-
-    The decorator form derives a minimal spec (name + engine +
-    docstring summary); pass a full :class:`ProtocolSpec` to declare
-    log vocabulary, capabilities and reference points.
-    """
-    if isinstance(obj, ProtocolSpec):
-        spec = obj
-    else:
-        if not getattr(obj, "name", None):
-            raise ValueError(f"{obj.__name__} has no protocol name")
-        spec = _derive_spec(obj)
+def register_protocol(spec: ProtocolSpec) -> ProtocolSpec:
+    """Register ``spec`` under its name (a later spec of that name
+    replaces it and keeps its place in grid order)."""
     _SPECS[spec.name] = spec
     _SEQ.setdefault(spec.name, next(_counter))
-    return obj
+    return spec
 
 
 def get_spec(name: str) -> ProtocolSpec:
@@ -203,22 +170,3 @@ def fanout_capable(min_workers: int = 2) -> Tuple[str, ...]:
         if cap is None or cap >= min_workers:
             names.append(spec.name)
     return tuple(names)
-
-
-def reject_fanout(name: str, max_workers: int, n_workers: int) -> str:
-    """Rejection message for a transaction too wide for ``name``.
-
-    Names the protocol and suggests the registered alternatives that
-    can actually run the transaction — either directly or as the
-    cluster's ``fallback=`` for wide operations.
-    """
-    alternatives = ", ".join(
-        n for n in fanout_capable(n_workers) if n != name
-    ) or "none registered"
-    plural = "worker" if max_workers == 1 else "workers"
-    return (
-        f"{name} handles transactions with at most {max_workers} {plural}, "
-        f"got {n_workers}; fan-out-capable protocols: {alternatives} "
-        f"(run one directly or configure it as the cluster fallback= "
-        f"for wide operations)"
-    )

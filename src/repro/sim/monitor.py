@@ -131,13 +131,6 @@ class TraceLog:
     def count(self, category: Optional[str] = None, **detail_filters: Any) -> int:
         return len(self.select(category=category, **detail_filters))
 
-    def categories(self) -> dict[str, int]:
-        """Category -> record count, sorted by category."""
-        counts: dict[str, int] = {}
-        for rec in self.records:
-            counts[rec.category] = counts.get(rec.category, 0) + 1
-        return dict(sorted(counts.items()))
-
     def clear(self) -> int:
         """Drop all records (e.g. after a warm-up phase); returns how
         many were dropped.  The views folded from them lose nothing."""

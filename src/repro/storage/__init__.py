@@ -19,8 +19,6 @@ from repro.storage.disk import Disk
 from repro.storage.fencing import (
     FencedError,
     FencingController,
-    PersistentReservationDriver,
-    ResourceFencingDriver,
     StonithDriver,
 )
 from repro.storage.records import LogRecord, RecordKind
@@ -32,9 +30,7 @@ __all__ = [
     "FencedError",
     "FencingController",
     "LogRecord",
-    "PersistentReservationDriver",
     "RecordKind",
-    "ResourceFencingDriver",
     "SharedStorage",
     "StonithDriver",
     "WriteAheadLog",

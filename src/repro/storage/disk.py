@@ -7,10 +7,10 @@ by several writers (the 1PC shared-log architecture attaches every MDS
 to one log manager) naturally serialises them.
 
 The device only *serves*, so it is a callback server, not a process: a
-freed channel goes to the oldest waiter by a plain call, and a log
-write (:meth:`Disk.submit_write`) costs one service timer.  ``write``,
-``read`` and ``stall`` are generator spellings for callers that wait
-(a process, or a session driving one inline), in the same FIFO; one
+freed channel goes to the oldest waiter by a plain call, and a write
+(:meth:`Disk.submit_write`, the one spelling) costs one service timer.
+``read`` and ``stall`` are generators for callers that wait (a
+process, or a session driving one inline), in the same FIFO; one
 closed early — a crash kills the session driving it — gives its
 channel (or queue place) back at once and leaves no record.
 """
@@ -101,9 +101,8 @@ class Disk:
     def submit_write(
         self, nbytes: float, actor: str, done: Callable[..., None], *args: Any
     ) -> None:
-        """Queue a write; ``done(*args)`` runs once it is on the device.
-        The callback spelling of :meth:`write`: same FIFO, service time
-        and ``disk_write`` record, for one timer and no process."""
+        """Queue a write; ``done(*args)`` runs once it is on the device,
+        with one service timer and a ``disk_write`` record."""
         if nbytes < 0:
             raise ValueError(f"negative write size {nbytes}")
         if self._in_service < self.capacity:
@@ -125,27 +124,17 @@ class Disk:
 
     def _write_served(self, job: tuple[float, str, float, Callable[..., None], tuple]) -> None:
         nbytes, actor, start, done, args = job
-        self._wrote(nbytes, actor, start)
-        if self._waiting:  # the oldest waiter takes the channel over
-            self._waiting.popleft()()
-        else:
-            self._in_service -= 1
-        done(*args)
-
-    def _wrote(self, nbytes: float, actor: str, start: float) -> None:
         self.bytes_written += nbytes
         self.writes += 1
         if "disk_write" in self.obs.hears:
             self.obs.annotate(
                 "disk_write", actor, device=self.name, nbytes=nbytes, service=self.sim.now - start
             )
-
-    def write(self, nbytes: float, actor: str = "?") -> Generator:
-        """Generator: occupy the device for the write's service time."""
-        if nbytes < 0:
-            raise ValueError(f"negative write size {nbytes}")
-        start = yield from self._occupy(self.params.write_latency(nbytes))
-        self._wrote(nbytes, actor, start)
+        if self._waiting:  # the oldest waiter takes the channel over
+            self._waiting.popleft()()
+        else:
+            self._in_service -= 1
+        done(*args)
 
     def stall(self, duration: float, actor: str = "fault") -> Generator:
         """Generator: hold one service slot for ``duration`` seconds.

@@ -1,28 +1,21 @@
-"""Fencing mechanisms (§III-A).
+"""Fencing (§III-A).
 
 The 1PC recovery protocol must never read a worker's log while the
 worker could still be writing it (the split-brain hazard the paper
 describes for network partitions).  Before reading someone else's log,
-the coordinator executes a fencing action.  Three drivers are modelled:
-
-* :class:`StonithDriver` -- node fencing: power-cycle the suspect node
-  ("Shoot The Other Node In The Head").  After fencing, the node is
-  down (and will reboot); it certainly is not writing.
-* :class:`ResourceFencingDriver` -- instruct the SAN switch to reject
-  all requests from the suspect node.  The node may keep running but
-  its writes no longer reach the shared device.
-* :class:`PersistentReservationDriver` -- SCSI-3 persistent
-  reservation: the device itself maintains the set of initiators
-  allowed to write.
-
-All three converge on the same post-condition enforced by
-:class:`FencingController`: once ``is_fenced(node)`` is true, every
-write by ``node`` raises :class:`FencedError`.
+the coordinator executes a fencing action.  Recovery needs only the
+post-condition, which :class:`FencingController` enforces: once
+``is_fenced(node)`` is true, every write by ``node`` raises
+:class:`FencedError`.  The one driver is :class:`StonithDriver`, node
+fencing ("Shoot The Other Node In The Head"): it power-cycles the
+suspect, which is then down (and will reboot) and certainly not
+writing.  Switch-level fencing or a SCSI-3 persistent reservation
+would reach the same post-condition without the reboot.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Protocol
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.sim import Simulator
 
@@ -57,19 +50,6 @@ class FencingController:
         if self.obs is not None:
             self.obs.unfence(by, target=node)
 
-    @property
-    def fenced_nodes(self) -> frozenset[str]:
-        return frozenset(self.fenced)
-
-
-class FencingDriver(Protocol):
-    """A mechanism that makes ``is_fenced(target)`` become true."""
-
-    def fence(self, requester: str, target: str) -> Generator:  # pragma: no cover
-        """Generator: perform the fencing action; resumes when the
-        target is guaranteed unable to write."""
-        ...
-
 
 class StonithDriver:
     """Node fencing: power-cycle the target.
@@ -96,36 +76,5 @@ class StonithDriver:
     def fence(self, requester: str, target: str) -> Generator:
         yield self.sim.timeout(self.delay)
         self.power_off(target)
-        self.controller.fence(target, by=requester)
-        return None
-
-
-class ResourceFencingDriver:
-    """Switch-level fencing: the target keeps running but its I/O is
-    rejected at the fabric."""
-
-    def __init__(self, sim: Simulator, controller: FencingController, delay: float = 50e-3):
-        self.sim = sim
-        self.controller = controller
-        self.delay = delay
-
-    def fence(self, requester: str, target: str) -> Generator:
-        yield self.sim.timeout(self.delay)
-        self.controller.fence(target, by=requester)
-        return None
-
-
-class PersistentReservationDriver:
-    """SCSI-3 persistent reservation: same observable effect as
-    resource fencing, but executed by the device itself (no switch
-    round-trip, typically faster)."""
-
-    def __init__(self, sim: Simulator, controller: FencingController, delay: float = 5e-3):
-        self.sim = sim
-        self.controller = controller
-        self.delay = delay
-
-    def fence(self, requester: str, target: str) -> Generator:
-        yield self.sim.timeout(self.delay)
         self.controller.fence(target, by=requester)
         return None

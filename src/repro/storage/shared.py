@@ -121,11 +121,3 @@ class SharedStorage:
         self.obs.annotate("remote_log_read", reader, owner=owner)
         records = yield from log.read(actor=reader)
         return records
-
-    # -- convenience for crash injection ----------------------------------------------
-
-    def crash_node_log(self, node: str) -> None:
-        self.log_of(node).crash()
-
-    def restart_node_log(self, node: str) -> None:
-        self.log_of(node).restart()

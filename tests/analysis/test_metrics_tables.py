@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.metrics import LatencyStats, abort_rate, percentile, throughput
+from repro.analysis.metrics import LatencyStats, percentile, throughput
 from repro.analysis.tables import render_bar_chart, render_table
 from repro.protocols.base import TxnOutcome
 
@@ -83,12 +83,6 @@ def test_latency_stats_from_outcomes():
 def test_latency_stats_empty_raises():
     with pytest.raises(ValueError):
         LatencyStats.from_outcomes([])
-
-
-def test_abort_rate():
-    outcomes = [outcome(1, 0, 1), outcome(2, 0, 1, committed=False)]
-    assert abort_rate(outcomes) == 0.5
-    assert abort_rate([]) == 0.0
 
 
 def test_render_table_alignment():

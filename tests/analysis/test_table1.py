@@ -7,7 +7,7 @@ are the specs of PrN, PrC, EP and 1PC.
 import pytest
 
 from repro.analysis.costs import CostRow, measure_protocol_costs
-from repro.harness.table1 import reference_row, run_table1
+from repro.harness.table1 import measure_table1, reference_row, render_table1
 from repro.protocols.registry import get_spec, specs
 
 #: Protocols whose spec declares a Table-I row.
@@ -46,7 +46,7 @@ def test_client_latency_reflects_critical_path():
 
 
 def test_render_table_mentions_all_protocols():
-    text = run_table1(measured=False)
+    text = render_table1(measure_table1(measured=False))
     for name in DECLARED:
         assert name in text
     assert "Table I" in text
@@ -66,7 +66,7 @@ def test_logless_row_truly_logless():
 
 
 def test_render_table_measured_marks_agreement():
-    text = run_table1(measured=True)
+    text = render_table1(measure_table1(measured=True))
     # Every bracketed measured value equals the preceding paper value.
     assert "(5, 1) [(5, 1)]" in text
     assert "(3, 1) [(3, 1)]" in text

@@ -58,33 +58,28 @@ def test_torture_heavy_faults(protocol, seed):
 
 
 def run_torture_mixed(protocol, seed, n_faults=3):
-    """Mixed mkdir/create/delete/rmdir stream under random faults."""
+    """Mixed create/rename/delete stream over two provisioned
+    directories under random faults."""
     cluster, client = distributed_create_cluster(protocol, trace="full")
+    cluster.mkdir("/dir1/sub")
     schedule = generate_schedule(protocol, seed, n_faults=n_faults, horizon=0.15)
     schedule.build_plan().install(cluster)
 
     def driver(sim):
         ops = [
-            ("mkdir", "/dir1/sub"),
             ("create", "/dir1/a"),
             ("create", "/dir1/sub/b"),
             ("create", "/dir1/sub/c"),
-            ("delete", "/dir1/sub/b"),
+            ("rename", "/dir1/sub/b", "/dir1/b"),
             ("delete", "/dir1/sub/c"),
-            ("rmdir", "/dir1/sub"),
             ("create", "/dir1/d"),
+            ("rename", "/dir1/d", "/dir1/sub/d"),
             ("delete", "/dir1/a"),
+            ("delete", "/dir1/b"),
         ]
-        for op, path in ops:
+        for op, *paths in ops:
             try:
-                if op == "mkdir":
-                    yield from client.mkdir(path, timeout=30.0)
-                elif op == "create":
-                    yield from client.create(path, timeout=30.0)
-                elif op == "delete":
-                    yield from client.delete(path, timeout=30.0)
-                else:
-                    yield from client.rmdir(path, timeout=30.0)
+                yield from getattr(client, op)(*paths, timeout=30.0)
             except (FileNotFoundError, Exception):
                 # Aborts / crashes surface as missing files or reply
                 # timeouts; the driver carries on like a real client.

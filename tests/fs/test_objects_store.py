@@ -8,14 +8,15 @@ import pytest
 
 from repro.fs import (
     AddDentry,
+    CreateDirTable,
     CreateInode,
     DecLink,
     FileType,
-    IncLink,
     Inode,
     MetadataStore,
     ObjectId,
     RemoveDentry,
+    RemoveDirTable,
     TouchInode,
     UpdateError,
     update_from_description,
@@ -127,12 +128,10 @@ def test_create_inode_and_links():
     store.apply(1, CreateInode(100))
     store.commit(1)
     assert store.inode(100).nlink == 1
-    store.apply(2, IncLink(100))
-    store.commit(2)
-    assert store.inode(100).nlink == 2
-    store.apply(3, DecLink(100))
+    store.adopt_inode(Inode(101, FileType.FILE, nlink=2))
+    store.apply(3, DecLink(101))
     store.commit(3)
-    assert store.inode(100).nlink == 1
+    assert store.inode(101).nlink == 1
 
 
 def test_dec_link_to_zero_deletes_inode():
@@ -153,7 +152,7 @@ def test_create_duplicate_inode_rejected():
 
 def test_link_updates_on_missing_inode_rejected():
     store = make_store()
-    for update in (IncLink(99), DecLink(99), TouchInode(99)):
+    for update in (DecLink(99), TouchInode(99)):
         with pytest.raises(UpdateError):
             store.apply(1, update)
         store.abort(1)
@@ -229,9 +228,10 @@ def test_update_describe_roundtrip():
         AddDentry("/d", "f", 1),
         RemoveDentry("/d", "f"),
         CreateInode(7, FileType.DIRECTORY),
-        IncLink(7),
         DecLink(7),
         TouchInode(7),
+        CreateDirTable("/d/sub"),
+        RemoveDirTable("/d/sub"),
     ):
         revived = update_from_description(update.describe())
         assert revived == update

@@ -187,16 +187,13 @@ def test_plan_from_description_inverts_describe():
 
     from repro.core.batching import BatchPlanner
     from repro.fs import OpPlan
-    from repro.fs.operations import plan_link, plan_migrate, plan_mkdir, plan_rmdir
+    from repro.fs.operations import plan_migrate
 
     placement = force_distributed_placement()
     alloc = InodeAllocator(start=20)
     plans = [
         plan_create("/dir1/f0", placement, alloc),
-        plan_mkdir("/dir1/sub", placement, alloc),
-        plan_rmdir("/dir1/sub", ino=21, placement=placement),
         plan_delete("/dir1/f0", ino=20, placement=placement),
-        plan_link("/dir1/f0", "/dir1/hard", ino=20, placement=placement),
         plan_migrate("/dir1", {"f0": 20, "f1": 22}, "mds1", "mds2"),
         plan_rename("/dir1/f0", "/dir1/f9", ino=20, placement=placement, replaced_ino=22),
     ]
@@ -206,7 +203,7 @@ def test_plan_from_description_inverts_describe():
         )
     )
     assert [p.op for p in plans] == [
-        "CREATE", "MKDIR", "RMDIR", "DELETE", "LINK", "MIGRATE", "RENAME", "BATCH",
+        "CREATE", "DELETE", "MIGRATE", "RENAME", "BATCH",
     ]
     for plan in plans:
         # Through JSON, as a log record on shared storage would travel.

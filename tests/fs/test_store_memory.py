@@ -151,11 +151,11 @@ def test_overlay_mutations_are_invisible_until_commit():
 
 
 def test_inode_link_counts_fold_exactly_once():
-    from repro.fs import DecLink, FileType, IncLink, Inode
+    from repro.fs import DecLink, FileType, Inode
 
     store = make_store()
-    store.adopt_inode(Inode(5, FileType.FILE, nlink=2))
-    store.apply(1, IncLink(5))
+    store.adopt_inode(Inode(5, FileType.FILE, nlink=4))
+    store.apply(1, DecLink(5))
     store.commit_durable(1)
     assert store.inode(5).nlink == 3
     assert store.stable_inodes[5].nlink == 3

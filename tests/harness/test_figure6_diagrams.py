@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec import run_grid
-from repro.harness.diagrams import FIGURE_OF, render_all_timelines, render_timeline
+from repro.harness.diagrams import FIGURE_OF, render_all_timelines, render_events, timeline_events
 from repro.harness.recovery import measure_crash_recovery
 from repro.harness.report import select
 from repro.harness.sweeps import SWEEPS, fold, gain, per_protocol
@@ -50,7 +50,7 @@ def test_figure6_render_mentions_baseline(figure6_small):
 
 @pytest.mark.parametrize("protocol", ["PrN", "PrC", "EP", "1PC"])
 def test_timeline_renders_protocol_flow(protocol):
-    text = render_timeline(protocol)
+    text = render_events(protocol, timeline_events(protocol))
     assert f"Figure {FIGURE_OF[protocol]}" in text
     assert "force STARTED" in text
     assert "reply to client" in text
@@ -66,7 +66,7 @@ def test_timeline_renders_protocol_flow(protocol):
 
 
 def test_timeline_events_in_time_order():
-    text = render_timeline("PrN")
+    text = render_events("PrN", timeline_events("PrN"))
     times = []
     for line in text.splitlines():
         parts = line.strip().split()

@@ -229,7 +229,7 @@ def test_lock_record_lands_on_the_nodes_leg_under_the_managers_name():
     obs.lock_grant("locks:mds2", txn="recovery", obj="/d", mode="X")  # not a txn
     (event,) = obs.spans.leg_of(1, "mds2").events
     assert (event.category, event.actor) == ("lock_grant", "locks:mds2")
-    assert obs.metrics.get_counter("locks.granted").value == 2
+    assert obs.metrics.counter("locks.granted").value == 2
 
 
 def test_txn_lifecycle_emits_legacy_records_and_closes_root():
@@ -246,9 +246,9 @@ def test_txn_lifecycle_emits_legacy_records_and_closes_root():
     assert obs.trace.count("txn_done") == 1
     assert root.closed and root.status == "committed"
     assert root.attrs["replied_at"] == 0.2  # txn_done's authoritative value
-    assert obs.metrics.get_counter("txn.started").value == 1
-    assert obs.metrics.get_counter("txn.committed").value == 1
-    assert obs.metrics.get_histogram("txn.client_latency").count == 1
+    assert obs.metrics.counter("txn.started").value == 1
+    assert obs.metrics.counter("txn.committed").value == 1
+    assert obs.metrics.histogram("txn.client_latency").count == 1
 
 
 def test_worker_leg_inherits_decided_outcome():
@@ -294,7 +294,7 @@ def test_lock_hold_time_histogram():
     obs.lock_grant("locks:mds1", txn=1, obj="dentry:/d/f", mode="X")
     sim.run(until=0.25)
     obs.lock_release("locks:mds1", txn=1, obj="dentry:/d/f")
-    hist = obs.metrics.get_histogram("locks.hold_time")
+    hist = obs.metrics.histogram("locks.hold_time")
     assert hist.count == 1
     assert hist.values[0] == 0.25
     # Releasing an unknown lock does not observe anything.
@@ -312,9 +312,9 @@ def test_txn_done_folds_span_into_per_txn_metrics():
     obs.msg_send("mds1", kind="UPDATE_REQ", dst="mds2", txn=1, msg_id=1)
     obs.msg_send("mds1", kind="CLIENT_REPLY", dst="client1", txn=1, msg_id=2)
     obs.txn_done("mds1", 1, committed=True, op="CREATE", latency=0.1, replied_at=0.1)
-    assert obs.metrics.get_histogram("txn.forced_writes").values == [2.0]
+    assert obs.metrics.histogram("txn.forced_writes").values == [2.0]
     # Client traffic is not a protocol message.
-    assert obs.metrics.get_histogram("txn.messages").values == [1.0]
+    assert obs.metrics.histogram("txn.messages").values == [1.0]
 
 
 def test_a_message_dropped_in_flight_leaves_no_send_time_behind():
@@ -373,7 +373,7 @@ def test_a_crash_drops_the_lock_hold_shadow_of_that_nodes_manager_only():
     sim.run(until=0.5)
     obs.lock_release("locks:mds1", txn=1, obj="/d")
     obs.lock_release("locks:mds2", txn=1, obj="inode:7")
-    assert obs.metrics.get_histogram("locks.hold_time").values == [0.5 - 0.2, 0.5]
+    assert obs.metrics.histogram("locks.hold_time").values == [0.5 - 0.2, 0.5]
     assert held(obs) == []
 
 
@@ -395,7 +395,7 @@ def test_a_crashed_server_leaves_no_lock_hold_shadow_behind():
         if r.time > crashed_at
     ]
     (release,) = trace.select("lock_release", actor="locks:mds1", txn=grant[1], obj=grant[2])
-    hold_times = cluster.obs.metrics.get_histogram("locks.hold_time").values
+    hold_times = cluster.obs.metrics.histogram("locks.hold_time").values
     assert release.time - regrant.time in hold_times
     assert held(cluster.obs) == []
 

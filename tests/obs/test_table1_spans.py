@@ -55,6 +55,6 @@ def test_metrics_agree_with_span_fold_for_1pc():
     (before the per-worker base-message subtraction)."""
     cluster = run_one_create("1PC")
     row = fold_span_costs(cluster.obs.spans.roots()[0], workers=1)
-    messages = cluster.obs.metrics.get_histogram("txn.messages")
+    messages = cluster.obs.metrics.histogram("txn.messages")
     # fold subtracts 2 base messages per worker; the raw histogram keeps them.
     assert messages.values == [float(row.msgs_total + 2)]

@@ -18,7 +18,6 @@ from repro.fs.operations import UnsupportedOperation
 from repro.fs.placement import ShardedSubtreePlacement
 from repro.mds.scenarios import COORDINATOR, HOT_DIR, fanout_cluster
 from repro.protocols.base import Transaction
-from repro.protocols.registry import reject_fanout
 
 K = 4
 
@@ -104,14 +103,6 @@ def test_partial_crash_converges_to_full_commit(crash_at):
     assert len(outcomes) == 1
 
 
-def test_reject_fanout_message_names_alternatives():
-    msg = reject_fanout("1PC", 1, 4)
-    assert msg.startswith("1PC handles transactions with at most 1 worker, got 4")
-    for name in ("PrN", "PrC", "EP", "PrA", "PC", "1PC-N"):
-        assert name in msg
-    assert "fallback=" in msg
-
-
 def test_1pc_engine_rejects_wide_plan_at_coordinate():
     workers = ["mds1", "mds2"]
     placement = ShardedSubtreePlacement(
@@ -121,7 +112,6 @@ def test_1pc_engine_rejects_wide_plan_at_coordinate():
         protocol="1PC",
         server_names=["mds0", *workers],
         placement=placement,
-        fallback=None,
         trace="off",
     )
     cluster.mkdir(HOT_DIR)
@@ -130,7 +120,7 @@ def test_1pc_engine_rejects_wide_plan_at_coordinate():
     batch = BatchPlanner(max_batch=2, max_workers=None).merge(plans)
     txn = Transaction(txn_id=1, plan=batch, client=client.name, submitted_at=0.0)
     engine = cluster.servers["mds0"].protocol
-    with pytest.raises(UnsupportedOperation, match="fan-out-capable"):
+    with pytest.raises(UnsupportedOperation, match="2 workers exceed 1PC's limit of 1"):
         engine.coordinate(txn)
 
 

@@ -1,38 +1,44 @@
-"""Hard links (LINK) across the protocols."""
+"""DELETE of a name whose inode has other links (§II DELETE step (b):
+update the reference counter and optionally delete).
 
-import pytest
+No namespace operation makes a second link, so the tests provision
+one outside any transaction, as ``Cluster.mkdir`` provisions a
+directory: a dentry at the parent's MDS and the inode's link count
+raised to match at the inode's.
+"""
 
+import dataclasses
+
+from repro.fs import AddDentry, ObjectId, split_path
 from tests.protocols.conftest import drain, make_cluster, run_create
 
 
-def test_link_commits_and_raises_nlink(protocol):
-    cluster, client = make_cluster(protocol)
-    run_create(cluster, client)
-
-    def scenario(sim):
-        result = yield from client.link("/dir1/f0", "/dir1/hard")
-        return result
-
-    p = cluster.sim.process(scenario(cluster.sim))
-    cluster.sim.run(until=p)
-    assert p.value["committed"] is True
-    drain(cluster)
+def provision_link(cluster, target, link_path):
+    """Give ``target``'s inode the extra name ``link_path``."""
+    ino = cluster.lookup(target)
+    parent, name = split_path(link_path)
+    dentries = cluster.store_of(cluster.placement.place(ObjectId.directory(parent)))
+    dentries.apply(0, AddDentry(parent, name, ino))
+    dentries.commit_durable(0)
+    inodes = cluster.store_of(cluster.placement.place(ObjectId.inode(ino)))
+    inode = inodes.stable_inodes[ino]
+    inodes.adopt_inode(dataclasses.replace(inode, nlink=inode.nlink + 1))
     assert cluster.check_invariants() == []
-    ino = cluster.lookup("/dir1/f0")
-    assert cluster.lookup("/dir1/hard") == ino
-    assert cluster.store_of("mds2").inode(ino).nlink == 2
 
 
 def test_delete_one_link_keeps_inode(protocol):
     cluster, client = make_cluster(protocol)
     run_create(cluster, client)
+    drain(cluster)
+    provision_link(cluster, "/dir1/f0", "/dir1/hard")
 
     def scenario(sim):
-        yield from client.link("/dir1/f0", "/dir1/hard")
-        yield from client.delete("/dir1/f0")
+        result = yield from client.delete("/dir1/f0")
+        return result
 
     p = cluster.sim.process(scenario(cluster.sim))
     cluster.sim.run(until=p)
+    assert p.value["committed"] is True
     drain(cluster)
     assert cluster.check_invariants() == []
     ino = cluster.lookup("/dir1/hard")
@@ -44,9 +50,10 @@ def test_delete_one_link_keeps_inode(protocol):
 def test_delete_last_link_drops_inode():
     cluster, client = make_cluster("1PC")
     run_create(cluster, client)
+    drain(cluster)
+    provision_link(cluster, "/dir1/f0", "/dir1/hard")
 
     def scenario(sim):
-        yield from client.link("/dir1/f0", "/dir1/hard")
         yield from client.delete("/dir1/f0")
         yield from client.delete("/dir1/hard")
 
@@ -55,46 +62,3 @@ def test_delete_last_link_drops_inode():
     drain(cluster)
     assert cluster.check_invariants() == []
     assert cluster.store_of("mds2").stable_inodes == {}
-
-
-def test_link_to_missing_target_raises():
-    cluster, client = make_cluster("1PC")
-    with pytest.raises(FileNotFoundError):
-        client.plan_link("/dir1/ghost", "/dir1/hard")
-
-
-def test_link_onto_itself_rejected():
-    from repro.fs import HashPlacement, plan_link
-
-    with pytest.raises(ValueError):
-        plan_link("/d/x", "/d/x", 1, HashPlacement(["only"]))
-
-
-def test_link_name_collision_aborts(protocol):
-    cluster, client = make_cluster(protocol)
-    run_create(cluster, client)
-
-    def scenario(sim):
-        yield from client.create("/dir1/other")
-        result = yield from client.link("/dir1/other", "/dir1/f0")
-        return result
-
-    p = cluster.sim.process(scenario(cluster.sim))
-    cluster.sim.run(until=p)
-    assert p.value["committed"] is False
-    drain(cluster)
-    assert cluster.check_invariants() == []
-
-
-def test_link_crash_atomicity():
-    """Crash the inode-home MDS mid-LINK: dentry count and nlink agree
-    after recovery."""
-    cluster, client = make_cluster("1PC")
-    run_create(cluster, client)
-    drain(cluster, budget=30.0)
-    client.submit(client.plan_link("/dir1/f0", "/dir1/hard"))
-    cluster.sim.run(until=cluster.sim.now + 2e-3)
-    cluster.crash_server("mds2")
-    cluster.restart_server("mds2")
-    cluster.sim.run(until=cluster.sim.now + 200.0)
-    assert cluster.check_invariants() == []

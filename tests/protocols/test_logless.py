@@ -10,7 +10,6 @@ from tests.protocols.conftest import drain, make_cluster, run_create
 def test_lgl_cluster_provisions_backups():
     cluster, _ = make_cluster("LGL")
     assert set(cluster.backups) == {"mds1", "mds2"}
-    assert cluster.backup_of("mds1") is cluster.backups["mds1"]
 
 
 def test_lgl_commit_path_writes_no_log_records():
@@ -31,7 +30,7 @@ def test_lgl_backups_garbage_collected_after_settle():
     run_create(cluster, client)
     drain(cluster)
     for name in ("mds1", "mds2"):
-        replica = cluster.backup_of(name)
+        replica = cluster.backups[name]
         assert replica.entries == {}, f"{name} backup kept {replica.entries}"
 
 
@@ -47,7 +46,7 @@ def test_lgl_vote_refusal_aborts_cleanly():
     assert cluster.store_of("mds2").stable_inodes == {}
     for node in ("mds1", "mds2"):
         assert cluster.servers[node].locks._table == {}
-        assert cluster.backup_of(node).entries == {}
+        assert cluster.backups[node].entries == {}
 
 
 def test_lgl_sealed_backup_rejects_late_commit_facet():
@@ -57,7 +56,7 @@ def test_lgl_sealed_backup_rejects_late_commit_facet():
     cluster, client = make_cluster("LGL")
     run_create(cluster, client)
     drain(cluster)
-    replica = cluster.backup_of("mds2")
+    replica = cluster.backups["mds2"]
     replica.sealed.add(99)
     server = cluster.servers["mds2"]
     session = LGLCoordinator(server.protocol, 99)
@@ -110,7 +109,7 @@ def test_lgl_coordinator_recovery_refetches_from_backup():
     backup replica and drive the transaction to one outcome."""
     cluster, client = make_cluster("LGL")
     client.submit(client.plan_create("/dir1/f0"))
-    while not cluster.backup_of("mds1").entries:
+    while not cluster.backups["mds1"].entries:
         cluster.sim.step()
     cluster.crash_server("mds1")
     cluster.restart_server("mds1")
@@ -130,7 +129,7 @@ def test_lgl_worker_crash_after_commit_facet_preserves_commit():
     cluster, client = make_cluster("LGL")
     client.submit(client.plan_create("/dir1/f0"))
     while not any(
-        "commit" in entry for entry in cluster.backup_of("mds2").entries.values()
+        "commit" in entry for entry in cluster.backups["mds2"].entries.values()
     ):
         cluster.sim.step()
     cluster.crash_server("mds2")

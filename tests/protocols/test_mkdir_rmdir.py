@@ -1,7 +1,55 @@
-"""Transactional MKDIR / RMDIR across the protocols."""
+"""Directory tables created and dropped inside transactions.
 
-from repro.fs import FileType
+The update vocabulary MIGRATE commits with (``CreateDirTable``,
+``RemoveDirTable``) must be atomic under every protocol, and the drop
+must refuse a non-empty table under the directory's lock.  These tests
+build the two directory transactions a file system would issue — a
+dentry at the parent's MDS, the inode and table at the directory's —
+from that vocabulary and run them through the cluster.
+"""
+
+from repro.fs import (
+    AddDentry,
+    CreateDirTable,
+    CreateInode,
+    DecLink,
+    FileType,
+    ObjectId,
+    OpPlan,
+    RemoveDentry,
+    RemoveDirTable,
+    split_path,
+)
 from tests.protocols.conftest import drain, make_cluster
+
+
+def dir_plan(cluster, path, op):
+    """``MKDIR`` or ``RMDIR`` of ``path``: the dentry at the parent's
+    MDS (the coordinator), the inode and table at the directory's."""
+    parent, name = split_path(path)
+    parent_node = cluster.placement.place(ObjectId.directory(parent))
+    dir_node = cluster.placement.place(ObjectId.directory(path))
+    if op == "MKDIR":
+        ino = cluster.allocator.next()
+        link = AddDentry(parent, name, ino)
+        table = [CreateInode(ino, FileType.DIRECTORY), CreateDirTable(path)]
+    else:
+        ino = cluster.lookup(path)
+        link = RemoveDentry(parent, name)
+        table = [RemoveDirTable(path), DecLink(ino)]
+    updates = {parent_node: [link]}
+    updates.setdefault(dir_node, []).extend(table)
+    return OpPlan(op=op, path=path, updates=updates, coordinator=parent_node)
+
+
+def mkdir(cluster, client, path):
+    """Generator: commit ``MKDIR path``; returns the reply payload."""
+    return client.run(dir_plan(cluster, path, "MKDIR"))
+
+
+def rmdir(cluster, client, path):
+    """Generator: commit ``RMDIR path``; returns the reply payload."""
+    return client.run(dir_plan(cluster, path, "RMDIR"))
 
 
 def run_op(cluster, gen):
@@ -14,7 +62,7 @@ def test_mkdir_commits_and_is_usable(protocol):
     cluster, client = make_cluster(protocol)
 
     def scenario(sim):
-        r1 = yield from client.mkdir("/dir1/sub")
+        r1 = yield from mkdir(cluster, client, "/dir1/sub")
         # The new directory is immediately usable for creates.
         r2 = yield from client.create("/dir1/sub/file")
         return r1, r2
@@ -37,8 +85,8 @@ def test_rmdir_empty_directory(protocol):
     cluster, client = make_cluster(protocol)
 
     def scenario(sim):
-        yield from client.mkdir("/dir1/sub")
-        result = yield from client.rmdir("/dir1/sub")
+        yield from mkdir(cluster, client, "/dir1/sub")
+        result = yield from rmdir(cluster, client, "/dir1/sub")
         return result
 
     result = run_op(cluster, scenario(cluster.sim))
@@ -53,9 +101,9 @@ def test_rmdir_nonempty_aborts_with_enotempty(protocol):
     cluster, client = make_cluster(protocol)
 
     def scenario(sim):
-        yield from client.mkdir("/dir1/sub")
+        yield from mkdir(cluster, client, "/dir1/sub")
         yield from client.create("/dir1/sub/file")
-        result = yield from client.rmdir("/dir1/sub")
+        result = yield from rmdir(cluster, client, "/dir1/sub")
         return result
 
     result = run_op(cluster, scenario(cluster.sim))
@@ -71,9 +119,9 @@ def test_rmdir_then_recreate(protocol):
     cluster, client = make_cluster(protocol)
 
     def scenario(sim):
-        yield from client.mkdir("/dir1/sub")
-        yield from client.rmdir("/dir1/sub")
-        result = yield from client.mkdir("/dir1/sub")
+        yield from mkdir(cluster, client, "/dir1/sub")
+        yield from rmdir(cluster, client, "/dir1/sub")
+        result = yield from mkdir(cluster, client, "/dir1/sub")
         return result
 
     result = run_op(cluster, scenario(cluster.sim))
@@ -87,7 +135,7 @@ def test_nested_tree_build_and_teardown():
 
     def scenario(sim):
         for d in ("/dir1/a", "/dir1/a/b", "/dir1/a/b/c"):
-            result = yield from client.mkdir(d)
+            result = yield from mkdir(cluster, client, d)
             assert result["committed"], d
         for i in range(3):
             result = yield from client.create(f"/dir1/a/b/c/f{i}")
@@ -96,7 +144,7 @@ def test_nested_tree_build_and_teardown():
         for i in range(3):
             yield from client.delete(f"/dir1/a/b/c/f{i}")
         for d in ("/dir1/a/b/c", "/dir1/a/b", "/dir1/a"):
-            result = yield from client.rmdir(d)
+            result = yield from rmdir(cluster, client, d)
             assert result["committed"], d
 
     run_op(cluster, scenario(cluster.sim))
@@ -109,7 +157,7 @@ def test_mkdir_crash_recovery_atomic(protocol):
     """Crash the directory-home MDS mid-MKDIR: dentry and dir table
     must both exist or both be absent after recovery."""
     cluster, client = make_cluster(protocol)
-    client.submit(client.plan_mkdir("/dir1/sub"))
+    client.submit(dir_plan(cluster, "/dir1/sub", "MKDIR"))
     cluster.sim.run(until=2e-3)
     cluster.crash_server("mds1")
     cluster.restart_server("mds1")
@@ -131,13 +179,13 @@ def test_concurrent_create_blocks_rmdir():
     cluster, client = make_cluster("1PC")
 
     def setup(sim):
-        result = yield from client.mkdir("/dir1/sub")
+        result = yield from mkdir(cluster, client, "/dir1/sub")
         assert result["committed"]
 
     run_op(cluster, setup(cluster.sim))
     # Fire both concurrently.
     client.submit(client.plan_create("/dir1/sub/file"))
-    client.submit(client.plan_rmdir("/dir1/sub"))
+    client.submit(dir_plan(cluster, "/dir1/sub", "RMDIR"))
     while len(cluster.outcomes) < 3:  # mkdir + the two above
         cluster.sim.step()
     drain(cluster)

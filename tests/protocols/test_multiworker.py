@@ -28,7 +28,6 @@ def four_mds_cluster(protocol):
         protocol=protocol,
         server_names=["mds1", "mds2", "mds3", "mds4"],
         placement=FourWayPlacement(),
-        fallback="PrN" if protocol == "1PC" else None,
     )
     cluster.mkdir("/src")
     cluster.mkdir("/dst")

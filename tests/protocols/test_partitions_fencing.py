@@ -9,20 +9,20 @@ from repro.storage import FencedError
 from tests.protocols.conftest import drain, make_cluster
 
 
-def cluster_with_fencing(fencing):
+def fenced_cluster():
+    """A 1PC pair with a distributed create path; fencing is STONITH."""
     cluster = Cluster(
         protocol="1PC",
         server_names=["mds1", "mds2"],
         placement=ForcedDistributedPlacement("mds1", "mds2"),
-        fencing=fencing,
     )
     cluster.mkdir("/dir1")
     return cluster, cluster.new_client()
 
 
-def run_partition_scenario(fencing):
+def run_partition_scenario():
     """Partition the worker away before it can answer; let 1PC decide."""
-    cluster, client = cluster_with_fencing(fencing)
+    cluster, client = fenced_cluster()
     client.submit(client.plan_create("/dir1/f0"))
     # Isolate the worker before any message reaches it (the client and
     # the coordinator stay connected).
@@ -33,9 +33,8 @@ def run_partition_scenario(fencing):
     return cluster
 
 
-@pytest.mark.parametrize("fencing", ["stonith", "resource", "scsi"])
-def test_partitioned_worker_is_fenced_and_txn_aborts(fencing):
-    cluster = run_partition_scenario(fencing)
+def test_partitioned_worker_is_fenced_and_txn_aborts():
+    cluster = run_partition_scenario()
     assert cluster.check_invariants() == []
     # The UPDATE_REQ never arrived, so the worker cannot have committed:
     # the probe must answer "not committed" and the coordinator aborts.
@@ -47,20 +46,11 @@ def test_partitioned_worker_is_fenced_and_txn_aborts(fencing):
 
 
 def test_stonith_power_cycles_the_suspect():
-    cluster = run_partition_scenario("stonith")
+    cluster = run_partition_scenario()
     # The worker was crashed by the fencing action and rebooted.
     assert cluster.trace.count("crash", actor="mds2") == 1
     assert cluster.trace.count("restart", actor="mds2") == 1
     assert not cluster.servers["mds2"].crashed
-
-
-def test_resource_fencing_keeps_the_suspect_running():
-    cluster = run_partition_scenario("resource")
-    assert cluster.trace.count("crash", actor="mds2") == 0
-    # But the worker is cut off from the shared storage until unfenced.
-    assert cluster.storage.fencing.is_fenced("mds2")
-    cluster.unfence("mds2")
-    assert not cluster.storage.fencing.is_fenced("mds2")
 
 
 def test_fenced_worker_commit_write_is_rejected():
@@ -68,7 +58,7 @@ def test_fenced_worker_commit_write_is_rejected():
     must fail, the worker must abort locally, and the coordinator's
     probe must read 'no entry' -> abort.  This is the exact split-brain
     scenario §III-A's fencing requirement prevents."""
-    cluster, client = cluster_with_fencing("resource")
+    cluster, client = fenced_cluster()
     client.submit(client.plan_create("/dir1/f0"))
     # Let the UPDATE_REQ reach the worker, then partition just before
     # the commit write completes (the write takes ~3 ms).
@@ -89,7 +79,7 @@ def test_fenced_worker_commit_write_is_rejected():
 
 
 def test_unfenced_remote_read_is_refused():
-    cluster, _client = cluster_with_fencing("resource")
+    cluster, _client = fenced_cluster()
 
     def unsafe(sim):
         yield from cluster.storage.read_remote_log("mds1", "mds2")
@@ -100,7 +90,7 @@ def test_unfenced_remote_read_is_refused():
 
 
 def test_probe_fences_an_unfenced_worker_before_reading_its_log():
-    cluster, _client = cluster_with_fencing("resource")
+    cluster, _client = fenced_cluster()
 
     def probe_twice(sim):
         first = yield from probe_worker_log(cluster, "mds1", "mds2", 7)
@@ -121,7 +111,7 @@ def test_probe_fences_an_unfenced_worker_before_reading_its_log():
 
 
 def test_rebooted_node_is_unfenced_on_restart():
-    cluster, client = cluster_with_fencing("stonith")
+    cluster, client = fenced_cluster()
     client.submit(client.plan_create("/dir1/f0"))
     cluster.partition({"mds2"})
     cluster.sim.run(until=cluster.sim.now + 10.0)
@@ -164,12 +154,13 @@ def test_heartbeat_failure_detector_suspects_crashed_node():
     assert not cluster.failure_detector.suspects("mds1", "mds2")
     cluster.crash_server("mds2")
     fd = cluster.failure_detector
-    cluster.sim.run(until=cluster.sim.now + fd.detection_latency() + 0.01)
+    detection_latency = fd.interval * (fd.misses + 1)  # worst case, crash to suspicion
+    cluster.sim.run(until=cluster.sim.now + detection_latency + 0.01)
     assert fd.suspects("mds1", "mds2")
     # The survivor is not suspected.
     assert not fd.suspects("mds2", "mds1") or True  # mds2 is dead; view moot
     cluster.restart_server("mds2")
-    cluster.sim.run(until=cluster.sim.now + fd.detection_latency() + 0.2)
+    cluster.sim.run(until=cluster.sim.now + detection_latency + 0.2)
     assert not fd.suspects("mds1", "mds2")
 
 

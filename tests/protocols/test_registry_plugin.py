@@ -17,7 +17,6 @@ from repro.protocols.registry import (
     ProtocolSpec,
     default_protocols,
     get_spec,
-    register_protocol,
     specs,
 )
 from tests.conftest import temporary_protocol, unregister
@@ -76,10 +75,10 @@ def test_toy_protocol_cells_actually_run():
 
 
 def test_toy_protocol_appears_in_table1():
-    from repro.harness.table1 import run_table1
+    from repro.harness.table1 import measure_table1, render_table1
 
     with temporary_protocol(toy_spec(table1_row=(5, 1, 4, 1, 4, 4))):
-        text = run_table1(measured=True)
+        text = render_table1(measure_table1(measured=True))
     assert "TOY" in text
 
 
@@ -151,20 +150,3 @@ def test_a_bounded_engine_must_name_its_update_flag():
 def test_unregister_unknown_raises():
     with pytest.raises(KeyError):
         unregister("NOPE")
-
-
-def test_decorator_form_derives_minimal_spec():
-    class Toy2(PresumeNothingProtocol):
-        """One-liner summary."""
-
-        name = "TOY2"
-
-    try:
-        register_protocol(Toy2)
-        spec = get_spec("TOY2")
-        assert spec.engine is Toy2
-        assert spec.summary == "One-liner summary."
-        assert spec.order is None  # unordered specs append after paper rows
-        assert default_protocols()[-1] == "TOY2"
-    finally:
-        unregister("TOY2")

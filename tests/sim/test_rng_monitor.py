@@ -84,23 +84,13 @@ def test_tracelog_disabled_records_nothing():
     assert len(trace) == 0
 
 
-def test_tracelog_categories_counts_sorted():
-    sim = Simulator()
-    obs, trace = hub(sim)
-    obs.annotate("msg", "a")
-    obs.annotate("lock", "a")
-    obs.annotate("msg", "b")
-    assert trace.categories() == {"lock": 1, "msg": 2}
-    assert list(trace.categories()) == ["lock", "msg"]
-
-
 def test_tracelog_clear_drops_everything():
     sim = Simulator()
     obs, trace = hub(sim)
     for _ in range(4):
         obs.annotate("msg", "a")
     assert trace.clear() == 4
-    assert len(trace) == 0 and trace.categories() == {}
+    assert len(trace) == 0 and trace.records == []
     assert trace.clear() == 0
     # The log keeps accepting records after a clear (warm-up pattern).
     obs.annotate("msg", "a")

@@ -18,12 +18,7 @@ def make_disk(bandwidth=400 * KB, **kwargs):
 def test_write_takes_bytes_over_bandwidth():
     sim, disk, _ = make_disk(bandwidth=1000.0)
     done = []
-
-    def proc(sim):
-        yield from disk.write(500.0)
-        done.append(sim.now)
-
-    sim.process(proc(sim))
+    disk.submit_write(500.0, "a", lambda: done.append(sim.now))
     sim.run()
     assert done == [pytest.approx(0.5)]
 
@@ -44,12 +39,7 @@ def test_read_takes_bytes_over_bandwidth():
 def test_op_overhead_added_per_operation():
     sim, disk, _ = make_disk(bandwidth=1000.0, op_overhead=0.1)
     done = []
-
-    def proc(sim):
-        yield from disk.write(100.0)
-        done.append(sim.now)
-
-    sim.process(proc(sim))
+    disk.submit_write(100.0, "a", lambda: done.append(sim.now))
     sim.run()
     assert done == [pytest.approx(0.2)]
 
@@ -58,13 +48,12 @@ def test_concurrent_writes_serialize_fifo():
     sim, disk, _ = make_disk(bandwidth=1000.0)
     done = []
 
-    def proc(sim, tag, nbytes):
-        yield from disk.write(nbytes)
+    def served(tag):
         done.append((tag, sim.now))
 
-    sim.process(proc(sim, "a", 1000.0))
-    sim.process(proc(sim, "b", 1000.0))
-    sim.process(proc(sim, "c", 500.0))
+    disk.submit_write(1000.0, "a", served, "a")
+    disk.submit_write(1000.0, "b", served, "b")
+    disk.submit_write(500.0, "c", served, "c")
     sim.run()
     assert done == [
         ("a", pytest.approx(1.0)),
@@ -76,25 +65,20 @@ def test_concurrent_writes_serialize_fifo():
 def test_negative_sizes_rejected():
     sim, disk, _ = make_disk()
 
-    def writer(sim):
-        yield from disk.write(-1.0)
-
     def reader(sim):
         yield from disk.read(-1.0)
 
-    sim.process(writer(sim))
+    with pytest.raises(ValueError):
+        disk.submit_write(-1.0, "w", lambda: None)
+    sim.process(reader(sim))
     with pytest.raises(ValueError):
         sim.run()
-    sim2, disk2, _ = make_disk()
-    sim2.process(reader(sim2))
-    with pytest.raises(ValueError):
-        sim2.run()
 
 
 def test_submit_write_rejects_a_negative_size_like_write_does():
-    """The callback spelling validates where the generator spelling
-    does: at the call, naming the disk's complaint — not later in the
-    kernel as an anonymous "negative delay"."""
+    """A write validates its size at the call, naming the disk's
+    complaint — not later in the kernel as an anonymous "negative
+    delay" — and leaves the device idle."""
     sim, disk, trace = make_disk()
     done = []
     with pytest.raises(ValueError, match="negative write size"):
@@ -108,8 +92,8 @@ def test_statistics_accumulate():
     sim, disk, trace = make_disk(bandwidth=1000.0)
 
     def proc(sim):
-        yield from disk.write(100.0)
-        yield from disk.write(200.0)
+        disk.submit_write(100.0, "a", lambda: None)
+        disk.submit_write(200.0, "a", lambda: None)
         yield from disk.read(50.0)
 
     sim.process(proc(sim))
@@ -123,13 +107,8 @@ def test_statistics_accumulate():
 
 def test_queue_length_and_busy():
     sim, disk, _ = make_disk(bandwidth=100.0)
-
-    def proc(sim):
-        yield from disk.write(100.0)
-
-    sim.process(proc(sim))
-    sim.process(proc(sim))
-    sim.process(proc(sim))
+    for _ in range(3):
+        disk.submit_write(100.0, "a", lambda: None)
     sim.run(until=0.5)
     assert disk.busy
     assert disk.queue_length == 2

@@ -8,9 +8,7 @@ from repro.storage import (
     FencedError,
     FencingController,
     LogRecord,
-    PersistentReservationDriver,
     RecordKind,
-    ResourceFencingDriver,
     SharedStorage,
     StonithDriver,
 )
@@ -151,7 +149,6 @@ def test_fencing_controller_state():
     assert not ctrl.is_fenced("a")
     ctrl.fence("a")
     assert ctrl.is_fenced("a")
-    assert ctrl.fenced_nodes == frozenset({"a"})
     ctrl.unfence("a")
     assert not ctrl.is_fenced("a")
 
@@ -171,34 +168,6 @@ def test_stonith_driver_powers_off_and_fences():
     assert p.value == pytest.approx(0.05)
     assert powered_off == ["mds2"]
     assert ctrl.is_fenced("mds2")
-
-
-def test_resource_fencing_driver_fences_without_power_off():
-    sim = Simulator()
-    ctrl = FencingController()
-    driver = ResourceFencingDriver(sim, ctrl, delay=0.02)
-
-    def proc(sim):
-        yield from driver.fence("mds1", "mds2")
-
-    sim.process(proc(sim))
-    sim.run()
-    assert ctrl.is_fenced("mds2")
-    assert sim.now == pytest.approx(0.02)
-
-
-def test_persistent_reservation_driver_is_fast():
-    sim = Simulator()
-    ctrl = FencingController()
-    driver = PersistentReservationDriver(sim, ctrl, delay=0.005)
-
-    def proc(sim):
-        yield from driver.fence("mds1", "mds2")
-
-    sim.process(proc(sim))
-    sim.run()
-    assert ctrl.is_fenced("mds2")
-    assert sim.now == pytest.approx(0.005)
 
 
 def test_fenced_node_cannot_write_shared_partition():
@@ -225,8 +194,8 @@ def test_crash_and_restart_node_log_via_storage():
 
     sim.process(phase1(sim))
     sim.run()
-    storage.crash_node_log("mds1")
-    storage.restart_node_log("mds1")
+    storage.log_of("mds1").crash()
+    storage.log_of("mds1").restart()
 
     def phase2(sim):
         yield log.force(rec(RecordKind.COMMITTED))
