@@ -3,9 +3,9 @@
 Each paper figure is a message/write sequence diagram for one
 distributed namespace operation.  ``timeline_events`` runs a single
 distributed CREATE under the requested protocol and ``render_events``
-renders its trace as a two-column timeline: one column per MDS, message arrows between
-them, log writes and the client reply annotated with virtual
-timestamps.
+renders its trace as a two-column timeline: one column per MDS,
+message arrows between them, log writes and the client reply
+annotated with virtual timestamps.
 """
 
 from __future__ import annotations

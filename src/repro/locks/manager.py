@@ -17,9 +17,6 @@ class LockMode(str, Enum):
     SHARED = "S"
     EXCLUSIVE = "X"
 
-    def compatible(self, other: "LockMode") -> bool:
-        return self is LockMode.SHARED and other is LockMode.SHARED
-
     #: ``str(mode)`` is the bare value, as ``enum.StrEnum`` spells it:
     #: what the hub's lock hooks record.
     __str__ = str.__str__

@@ -47,8 +47,8 @@ commit cluster-durable, so the stable image is exactly the state the
 recovery refetch would reconstruct.
 
 Like 1PC, the protocol pairs one coordinator with one worker
-(``max_workers = 1``); wider operations fall back to the cluster's
-2PC-family fallback engine, which keeps using its log.
+(``max_workers = 1``); wider operations fall back to PrN, which
+keeps using its log.
 
 Relative to the skeleton (:mod:`repro.protocols.base`) and to 1PC,
 three steps are swapped — make durable (``replicate`` for every WAL
